@@ -3,8 +3,8 @@
 The bulk strategy executes one decorrelated query per schema node (seven
 for the Figure 1 view, three for the Figure 4 composed view) instead of
 one query per parent binding, then stitches the flat row streams back
-into the tree with a grouped merge. The full scale sweep lives in
-``python -m repro.harness --e12-json``.
+into the tree with a grouped merge. The full scale sweep is
+``e12_bulk_eval`` of ``python -m repro.harness``.
 """
 
 import pytest

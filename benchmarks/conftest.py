@@ -35,18 +35,3 @@ def dense_hotel_db():
 @pytest.fixture(scope="session")
 def paper_view(hotel_db):
     return figure1_view(hotel_db.catalog)
-
-
-@pytest.fixture(scope="session")
-def serving_db():
-    """Scale-8 hotel database shared by the serving benchmarks (E13/E14).
-
-    Opened ``cross_thread=True`` so the update-aware benchmarks can
-    write to it from the benchmark thread while server workers
-    re-snapshot it; E14 write mutations (``hotel_write``) only toggle
-    values in place, so the database stays benchmark-comparable across
-    tests.
-    """
-    db = build_hotel_database(HotelDataSpec().scaled(8), cross_thread=True)
-    yield db
-    db.close()

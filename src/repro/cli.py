@@ -23,10 +23,10 @@ Workflows:
     python -m repro run --catalog ... --view demo/view.xml \\
         --stylesheet demo/stylesheet.xsl --db demo/hotel.sqlite
 
-    # Concurrent serving benchmark (ViewServer + plan cache): throughput,
-    # latency percentiles, and cache hit rate over the paper workload.
-    python -m repro serve-bench --scale 2 --workers 4 --requests 100 \\
-        [--strategy all|nested-loop|memoized|bulk] [--json metrics.json]
+    # Serve the hotel workload over HTTP (POST /publish, POST /write,
+    # GET /metrics, GET /healthz); final metrics go to --json on shutdown.
+    python -m repro serve-http --scale 2 --port 8472 \\
+        [--staleness strict] [--shards 2 --replicas 1] [--json metrics.json]
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from repro.core.ctg import build_ctg
 from repro.core.hybrid import HybridExecutor
 from repro.core.optimize import prune_stylesheet_view
 from repro.core.tvq import build_tvq
-from repro.errors import DriverUnavailableError, ReproError
-from repro.relational.driver import BACKEND_NAMES, resolve_driver
+from repro.errors import ReproError
+from repro.relational.driver import BACKEND_NAMES
 from repro.relational.engine import Database
 from repro.resilience.faults import FLEET_FAULT_KINDS
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
@@ -193,529 +193,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    """``repro serve-bench``: measure the concurrent publishing server.
-
-    Builds the hotel workload at ``--scale``, starts a
-    :class:`~repro.serving.server.ViewServer` with ``--workers`` pooled
-    read-only connections, and serves ``--requests`` composition
-    requests (Figure 1 view x {Figure 4, Figure 17} stylesheets, cycling
-    through the chosen strategies). Reports throughput, latency
-    percentiles, and plan-cache hit rate; ``--json`` records the full
-    metrics (including per-request traces) for CI assertions.
-
-    Update-aware mode: ``--staleness`` and/or ``--writes-per-sec``
-    attach a :class:`~repro.maintenance.tracker.WriteTracker` (auto
-    capture) and a result cache governed by the given policy; a writer
-    thread applies the standard hotel write mix at the requested rate
-    while requests are served, and the report additionally shows the
-    freshness histogram, result-cache counters, and the maximum version
-    lag actually served. ``--maintenance delta`` recomputes stale
-    entries incrementally (dirty schema nodes only, spliced into the
-    cached document) instead of re-running the full plan;
-    ``--maintenance fragment`` additionally serializes through the
-    per-fragment byte cache (``--fragment-policy`` picks what stays
-    byte-materialized). ``--view-only`` serves the publishing view
-    itself instead of the stylesheet compositions — the regime where
-    per-node maintenance has structure to exploit. ``--profile`` adds a
-    per-phase time breakdown (query / merge / serialize / splice) over
-    the computed (non-hit) requests, in the text report and the JSON.
-
-    Chaos mode: ``--faults`` (and friends) build a seeded
-    :class:`~repro.resilience.faults.FaultPlan` injecting transient
-    errors / latency / wrong-shape results into every pooled session;
-    ``--deadline-ms`` / ``--retries`` / ``--breaker-threshold`` /
-    ``--queue-limit`` assemble a
-    :class:`~repro.resilience.policy.ResiliencePolicy`. ``--warmup``
-    serves that many requests with faults disarmed first (caches
-    populated, last-known-good entries in place). The report gains the
-    outcome histogram, **availability** (success + degraded fraction),
-    resilience counters, and two shutdown leak checks: pooled
-    connections still borrowed after all futures resolved, and
-    ``viewserver`` worker threads still alive after close. With a fault
-    plan active the exit code reflects the run completing, not the
-    (expected) injected errors.
-    """
-    import json
-    import threading as _threading
-    import time as _time
-
-    from repro.serving import OUTCOMES, PublishRequest, ViewServer, percentile
-    from repro.workloads.hotel import HotelDataSpec, build_hotel_database
-    from repro.workloads.paper import (
-        figure1_view,
-        figure4_stylesheet,
-        figure17_stylesheet,
-    )
-
-    update_aware = args.staleness is not None or args.writes_per_sec > 0
-    faults = None
-    if (
-        args.faults > 0
-        or args.fault_latency_rate > 0
-        or args.fault_wrong_rate > 0
-        or args.fault_compile_rate > 0
-    ):
-        from repro.resilience import FaultPlan, FaultSpec
-
-        faults = FaultPlan(
-            FaultSpec(
-                error_rate=args.faults,
-                latency_rate=args.fault_latency_rate,
-                latency_ms=args.fault_latency_ms,
-                wrong_shape_rate=args.fault_wrong_rate,
-                compile_error_rate=args.fault_compile_rate,
-            ),
-            seed=args.fault_seed,
-        )
-    resilience = None
-    if (
-        args.deadline_ms is not None
-        or args.retries > 0
-        or args.breaker_threshold > 0
-        or args.queue_limit is not None
-        or args.no_degraded
-    ):
-        from repro.resilience import ResiliencePolicy
-
-        resilience = ResiliencePolicy(
-            deadline_ms=args.deadline_ms,
-            retries=args.retries,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown_ms=args.breaker_cooldown_ms,
-            queue_limit=args.queue_limit,
-            degraded=not args.no_degraded,
-        )
-    strategies = list(STRATEGIES) if args.strategy == "all" else [args.strategy]
-    sharded = args.shards > 1 or args.replicas > 0
-    fleet_faults = None
-    if args.fault_kind != "none":
-        if not sharded:
-            print(
-                "serve-bench: --fault-kind needs a fleet "
-                "(--shards > 1 or --replicas > 0)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.resilience import FleetFaultPlan
-
-        fleet_faults = FleetFaultPlan.for_kind(
-            args.fault_kind,
-            rate=args.fleet_fault_rate,
-            seed=args.fault_seed,
-            window=args.fleet_fault_window,
-        )
-    try:
-        driver = resolve_driver(getattr(args, "backend", None))
-    except DriverUnavailableError as exc:
-        print(f"serve-bench: {exc}", file=sys.stderr)
-        return 2
-    db = build_hotel_database(
-        HotelDataSpec().scaled(args.scale), cross_thread=update_aware,
-        driver=driver,
-    )
-    tracker = None
-    auto_capture = driver.supports_auto_capture
-    if update_aware and not sharded:
-        from repro.maintenance import WriteTracker
-
-        tracker = WriteTracker()
-        db.attach_tracker(tracker, auto=auto_capture)
-    view = figure1_view(db.catalog)
-    stylesheets = [
-        ("figure4", figure4_stylesheet()),
-        ("figure17", figure17_stylesheet()),
-    ]
-    if args.view_only:
-        stylesheets = [("figure1", None)]
-    requests = []
-    for index in range(args.requests):
-        name, stylesheet = stylesheets[index % len(stylesheets)]
-        strategy = strategies[index % len(strategies)]
-        requests.append(
-            PublishRequest(
-                view, stylesheet, strategy=strategy, label=f"{name}/{strategy}"
-            )
-        )
-    if sharded:
-        # Fleet mode: deal the hotel database by metro key range, one
-        # primary + N replicas per shard. A fault plan (if any) arms
-        # shard 0's primary only — its replicas are the failover path
-        # the chaos run exercises.
-        from repro.sharding import ShardRouter
-        from repro.workloads.hotel import hotel_partition_scheme
-
-        server = ShardRouter.build(
-            db.catalog,
-            db,
-            hotel_partition_scheme(),
-            args.shards,
-            replicas=args.replicas,
-            workers=args.workers,
-            staleness=args.staleness or "strict",
-            maintenance=args.maintenance,
-            fragment_policy=args.fragment_policy,
-            resilience=resilience,
-            faults=(
-                [faults] + [None] * (args.shards - 1)
-                if faults is not None
-                else None
-            ),
-            fleet_faults=fleet_faults,
-            replica_lag_ms=args.replica_lag_ms,
-            keep_xml=False,
-        )
-    else:
-        server = ViewServer(
-            db.catalog,
-            source=db,
-            workers=args.workers,
-            keep_xml=False,
-            tracker=tracker,
-            staleness=args.staleness or "strict",
-            maintenance=args.maintenance,
-            fragment_policy=args.fragment_policy,
-            resilience=resilience,
-            faults=faults,
-        )
-    stop_writer = _threading.Event()
-    writes_issued = [0]
-
-    def write_loop() -> None:
-        from repro.maintenance import hotel_write
-
-        interval = 1.0 / args.writes_per_sec
-        while not stop_writer.wait(interval):
-            if sharded:
-                # One logical write, applied shard-locally everywhere:
-                # the write mix addresses rows by key predicates, so
-                # each shard's statements touch only rows it owns.
-                server.route_write(
-                    lambda source, shard_tracker: hotel_write(
-                        source, writes_issued[0], tracker=shard_tracker
-                    )
-                )
-            elif auto_capture:
-                hotel_write(db, writes_issued[0])  # auto capture records it
-            else:
-                hotel_write(db, writes_issued[0], tracker=tracker)
-            writes_issued[0] += 1
-
-    writer = None
-    if args.writes_per_sec > 0:
-        writer = _threading.Thread(target=write_loop, daemon=True)
-        writer.start()
-    leaked_connections = 0
-    try:
-        if args.warmup > 0:
-            # Populate plan + result caches fault-free so degraded-stale
-            # has a last-known-good entry to fall back to.
-            if faults is not None:
-                faults.disarm()
-            if fleet_faults is not None:
-                fleet_faults.disarm()
-            server.render_many(
-                PublishRequest(
-                    view,
-                    stylesheets[index % len(stylesheets)][1],
-                    strategy=strategies[index % len(strategies)],
-                    label="warmup",
-                )
-                for index in range(args.warmup)
-            )
-            if faults is not None:
-                faults.arm()
-            if fleet_faults is not None:
-                fleet_faults.arm()
-        started = _time.perf_counter()
-        traces = server.render_many(requests)
-        wall_seconds = _time.perf_counter() - started
-        # Stop the writer before snapshotting metrics so writes_issued
-        # and the tracker's counters describe the same moment.
-        stop_writer.set()
-        if writer is not None:
-            writer.join()
-        # Every future has resolved: any borrowed session now is a leak.
-        leaked_connections = (
-            server.outstanding() if sharded else server.pool.outstanding()
-        )
-        metrics = server.aggregate_metrics() if sharded else server.metrics()
-    finally:
-        stop_writer.set()
-        if writer is not None:
-            writer.join()
-        server.close()
-        db.close()
-    leaked_threads = sum(
-        1
-        for thread in _threading.enumerate()
-        if thread.name.startswith(("viewserver", "shardrouter"))
-    )
-    latencies_ms = [trace.total_seconds * 1000 for trace in traces]
-    errors = [trace for trace in traces if trace.error is not None]
-    # Outcomes/availability come from the measured traces (warmup
-    # requests are deliberately excluded; server.metrics() counts them).
-    outcome_counts = {outcome: 0 for outcome in OUTCOMES}
-    for trace in traces:
-        outcome_counts[trace.outcome] += 1
-    availability = (
-        (outcome_counts["success"] + outcome_counts["degraded"]) / len(traces)
-        if traces
-        else 0.0
-    )
-    cache = metrics["cache"]
-    lookups = cache["hits"] + cache["misses"]
-    hit_rate = cache["hits"] / lookups if lookups else 0.0
-    throughput = len(traces) / wall_seconds if wall_seconds else 0.0
-    p50 = percentile(latencies_ms, 50)
-    p95 = percentile(latencies_ms, 95)
-    p99 = percentile(latencies_ms, 99)
-    print(
-        f"serve-bench: scale={args.scale} workers={args.workers} "
-        f"backend={driver.name} requests={len(traces)} "
-        f"strategy={args.strategy}"
-    )
-    if sharded:
-        router_stats = metrics["router"]
-        print(
-            f"sharded shards={args.shards} replicas={args.replicas} "
-            f"failovers={router_stats['failovers']} "
-            f"key_ranges={router_stats.get('key_ranges', '')}"
-        )
-        fleet = router_stats.get("fleet")
-        if fleet is not None:
-            skips = fleet["skips"]
-            rate = fleet["anti_affinity"]["rate"]
-            print(
-                f"fleet stale_serves={fleet['stale_serves']} "
-                f"max_member_lag_served={fleet['max_member_lag_served']} "
-                f"no_candidates={fleet['no_candidates']} "
-                "skips "
-                + " ".join(f"{k}={v}" for k, v in sorted(skips.items()))
-                + " anti_affinity_rate="
-                + (f"{rate:.3f}" if rate is not None else "n/a")
-            )
-            if fleet_faults is not None:
-                stats = fleet["fleet_faults"]
-                print(
-                    f"fleet_faults kind={args.fault_kind} "
-                    f"seed={stats['seed']} checks={stats['checks']} "
-                    f"injected={stats['injected']}"
-                )
-    print(
-        f"throughput_rps={throughput:.1f} wall_seconds={wall_seconds:.4f} "
-        f"errors={len(errors)}"
-    )
-    print(f"latency_ms p50={p50:.3f} p95={p95:.3f} p99={p99:.3f}")
-    print(
-        f"cache hits={cache['hits']} misses={cache['misses']} "
-        f"evictions={cache['evictions']} hit_rate={hit_rate:.3f}"
-    )
-    print(
-        f"engine queries={metrics['queries_executed']} "
-        f"rows={metrics['rows_fetched']}"
-    )
-    max_hit_lag = 0
-    if update_aware:
-        freshness = metrics["freshness"]
-        result_cache = metrics["result_cache"]
-        max_hit_lag = max(
-            (t.version_lag for t in traces if t.freshness == "hit"),
-            default=0,
-        )
-        print(
-            f"freshness policy={metrics['staleness_policy']} "
-            + " ".join(f"{state}={freshness[state]}" for state in freshness)
-        )
-        print(
-            f"result_cache hits={result_cache['hits']} "
-            f"misses={result_cache['misses']} stale={result_cache['stale']} "
-            f"max_hit_lag={max_hit_lag}"
-        )
-        print(
-            f"maintenance mode={metrics['maintenance']} "
-            f"delta_recomputes={freshness['delta-recompute']} "
-            f"delta_fallbacks={metrics['delta_fallbacks']}"
-        )
-        if "fragments" in metrics:
-            fragments = metrics["fragments"]
-            print(
-                f"fragments policy={fragments['policy']} "
-                f"hits={fragments['hits']} misses={fragments['misses']} "
-                f"splices={fragments['splices']} "
-                f"spliced_bytes={fragments['spliced_bytes']}"
-            )
-        print(
-            f"writes issued={writes_issued[0]} "
-            f"tracked={metrics['tracker']['total_writes']}"
-        )
-    if resilience is not None or faults is not None:
-        print(
-            "outcomes "
-            + " ".join(f"{o}={outcome_counts[o]}" for o in OUTCOMES)
-            + f" availability={availability:.4f}"
-        )
-        if resilience is not None:
-            res = metrics["resilience"]
-            breaker = res["breaker"] or {}
-            print(
-                f"resilience policy=[{res['policy']}] "
-                f"retries={res['retries']} "
-                f"deadline_hits={res['deadline_hits']} "
-                f"shed={res['shed_requests']} "
-                f"degraded={res['degraded_serves']} "
-                f"breaker_opened={breaker.get('opened', 0)}"
-            )
-        if faults is not None:
-            injected = metrics["faults"]["injected"]
-            print(
-                f"faults seed={args.fault_seed} "
-                + " ".join(f"{k}={v}" for k, v in sorted(injected.items()))
-            )
-        print(
-            f"shutdown leaked_connections={leaked_connections} "
-            f"leaked_threads={leaked_threads}"
-        )
-    for trace in errors:
-        print(f"error: request {trace.request_id}: {trace.error}",
-              file=sys.stderr)
-    profile = None
-    if args.profile:
-        # Per-phase breakdown over the requests that actually computed
-        # (cache hits and degraded serves spend time in none of these).
-        # merge = execute - query - splice: the evaluator work between
-        # sqlite and the document splice (row grouping, element build).
-        computed = [
-            trace
-            for trace in traces
-            if trace.error is None
-            and trace.freshness not in ("hit", "degraded-stale")
-        ]
-        if sharded:
-            # Fleet phases: scatter covers the slowest shard's full
-            # serve (the request's critical path); merge and serialize
-            # are router-side work on the gathered documents.
-            samples = {
-                "scatter": [t.execute_seconds * 1000 for t in computed],
-                "merge": [t.merge_seconds * 1000 for t in computed],
-                "serialize": [t.serialize_seconds * 1000 for t in computed],
-            }
-        else:
-            samples = {
-                "query": [t.query_seconds * 1000 for t in computed],
-                "merge": [
-                    max(
-                        0.0,
-                        (t.execute_seconds - t.query_seconds
-                         - t.splice_seconds)
-                        * 1000,
-                    )
-                    for t in computed
-                ],
-                "serialize": [t.serialize_seconds * 1000 for t in computed],
-                "splice": [t.splice_seconds * 1000 for t in computed],
-            }
-        phases = tuple(samples)
-        profile = {
-            phase: {
-                "total_ms": round(sum(values), 3),
-                "p50_ms": round(percentile(values, 50), 4),
-                "p95_ms": round(percentile(values, 95), 4),
-            }
-            for phase, values in samples.items()
-        }
-        profile["requests"] = len(computed)
-        print(
-            f"profile requests={len(computed)} "
-            + " ".join(
-                f"{phase}_p50_ms={profile[phase]['p50_ms']:.4f}"
-                for phase in phases
-            )
-        )
-    if args.json:
-        report = {
-            "config": {
-                "scale": args.scale,
-                "workers": args.workers,
-                "backend": driver.name,
-                "requests": args.requests,
-                "strategy": args.strategy,
-                "shards": args.shards,
-                "replicas": args.replicas,
-                "replica_lag_ms": args.replica_lag_ms,
-                "fault_kind": (
-                    args.fault_kind if fleet_faults is not None else None
-                ),
-                "writes_per_sec": args.writes_per_sec,
-                "staleness": args.staleness,
-                "maintenance": args.maintenance,
-                "fragment_policy": args.fragment_policy,
-                "view_only": args.view_only,
-                "warmup": args.warmup,
-                "fault_seed": args.fault_seed if faults is not None else None,
-                "resilience": (
-                    resilience.describe() if resilience is not None else None
-                ),
-            },
-            "wall_seconds": round(wall_seconds, 6),
-            "throughput_rps": round(throughput, 3),
-            "latency_ms": {
-                "p50": round(p50, 3),
-                "p95": round(p95, 3),
-                "p99": round(p99, 3),
-                "max": round(max(latencies_ms), 3) if latencies_ms else 0.0,
-            },
-            "cache": dict(cache, hit_rate=round(hit_rate, 4)),
-            "queries_executed": metrics["queries_executed"],
-            "rows_fetched": metrics["rows_fetched"],
-            "errors": len(errors),
-            "outcomes": outcome_counts,
-            "availability": round(availability, 6),
-            "shutdown": {
-                "leaked_connections": leaked_connections,
-                "leaked_threads": leaked_threads,
-            },
-            "traces": [trace.to_dict() for trace in traces],
-        }
-        if update_aware:
-            report["freshness"] = metrics["freshness"]
-            report["result_cache"] = metrics["result_cache"]
-            report["staleness_policy"] = metrics["staleness_policy"]
-            report["maintenance"] = metrics["maintenance"]
-            report["delta_fallbacks"] = metrics["delta_fallbacks"]
-            report["delta_fallbacks_by_reason"] = metrics[
-                "delta_fallbacks_by_reason"
-            ]
-            if "fragments" in metrics:
-                report["fragments"] = metrics["fragments"]
-            report["writes_issued"] = writes_issued[0]
-            report["writes_tracked"] = metrics["tracker"]["total_writes"]
-            report["max_hit_lag"] = max_hit_lag
-        if sharded:
-            report["router"] = metrics["router"]
-        if profile is not None:
-            report["profile"] = profile
-        if resilience is not None:
-            report["resilience"] = metrics["resilience"]
-        if faults is not None:
-            report["faults"] = metrics["faults"]
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    if faults is not None or fleet_faults is not None:
-        # Chaos runs *expect* injected failures; CI gates on the JSON
-        # availability/leak fields instead of the exit code.
-        return 0
-    return 1 if errors else 0
-
-
 def _frontend_app_from_args(args: argparse.Namespace):
     """Build a :class:`~repro.frontend.app.PublishingApp` from CLI flags.
 
-    Shared by ``serve-http`` and ``load-bench`` so both front-end
-    commands assemble fault plans, resilience policies, and hedging
-    exactly the way ``serve-bench`` does.
+    Assembles the fault plans, the resilience policy, and the hedging
+    policy that :func:`~repro.frontend.app.build_hotel_app` takes as
+    objects.
     """
     from repro.frontend import HedgePolicy, build_hotel_app
 
@@ -793,12 +276,12 @@ def _frontend_app_from_args(args: argparse.Namespace):
         replicas=args.replicas,
         replica_lag_ms=args.replica_lag_ms,
         fleet_faults=fleet_faults,
-        backend=getattr(args, "backend", None),
+        backend=args.backend,
     )
 
 
 def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
-    """The workload/resilience/hedging flags both front-end commands share."""
+    """The workload/resilience/hedging flags that build the serving stack."""
     parser.add_argument("--scale", type=int, default=2,
                         help="hotel workload scale factor (default: 2)")
     parser.add_argument("--workers", type=int, default=4,
@@ -927,10 +410,9 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
 def cmd_serve_http(args: argparse.Namespace) -> int:
     """``repro serve-http``: run the async HTTP publishing front end.
 
-    Builds the hotel workload application (same knobs as
-    ``serve-bench``: staleness, maintenance, shards, resilience,
-    faults) and serves it over stdlib-asyncio HTTP/1.1 on
-    ``--host:--port`` — ``POST /publish``, ``GET /metrics``,
+    Builds the hotel workload application (staleness, maintenance,
+    shards, resilience, faults) and serves it over stdlib-asyncio
+    HTTP/1.1 on ``--host:--port`` — ``POST /publish``, ``GET /metrics``,
     ``GET /healthz``, keep-alive connections, graceful drain on
     shutdown. ``--hedge`` races a second attempt for requests running
     past the rolling per-plan p95 (budget-capped; the losing attempt
@@ -974,125 +456,6 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
             json.dump(metrics, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.json}")
-    return 0
-
-
-def cmd_load_bench(args: argparse.Namespace) -> int:
-    """``repro load-bench``: drive the HTTP front end over real sockets.
-
-    Self-hosts a ``serve-http`` instance on a loopback port (same
-    build flags), then runs the async load generator: ``--connections``
-    keep-alive clients share a deterministic schedule of
-    ``--requests`` publishes mixed across priority classes
-    (``--interactive/--batch/--background`` weights). A background
-    task applies the hotel write mix at ``--writes-per-sec`` so
-    staleness machinery has work to do. Reports throughput, the
-    canonical p50/p95/p99 latency block overall and per priority
-    class, availability, hedge fire/win rates, and the shutdown leak
-    checks; ``--json`` records everything for CI and E19.
-    """
-    import asyncio
-    import json
-    import threading as _threading
-
-    from repro.frontend import LoadMix, run_load, serve_app
-
-    async def run() -> dict:
-        app = _frontend_app_from_args(args)
-        server = await serve_app(app, "127.0.0.1", 0)
-        host, port = server.address
-        mix = LoadMix(
-            priority_weights={
-                "interactive": args.interactive,
-                "batch": args.batch,
-                "background": args.background,
-            }
-        )
-        writer_task = None
-        if args.writes_per_sec > 0:
-            async def write_loop() -> None:
-                interval = 1.0 / args.writes_per_sec
-                loop = asyncio.get_running_loop()
-                while True:
-                    await asyncio.sleep(interval)
-                    await loop.run_in_executor(None, app.apply_write)
-
-            writer_task = asyncio.create_task(write_loop())
-        try:
-            report = await run_load(
-                host, port,
-                requests=args.requests,
-                connections=args.connections,
-                mix=mix,
-            )
-        finally:
-            if writer_task is not None:
-                writer_task.cancel()
-                try:
-                    await writer_task
-                except asyncio.CancelledError:
-                    pass
-            drained = await server.close()
-        metrics = app.facade.metrics()
-        report["hedging"] = metrics["hedging"]
-        report["server"] = {
-            "requests_handled": server.requests_handled,
-            "protocol_errors": server.protocol_errors,
-            "drained": drained,
-            "open_connections": server.open_connections,
-        }
-        report["writes_applied"] = app.writes_applied
-        outcomes = metrics.get("outcomes", {})
-        report["backend_outcomes"] = outcomes
-        return report
-
-    report = asyncio.run(run())
-    leaked_threads = sum(
-        1
-        for thread in _threading.enumerate()
-        if thread.name.startswith(("viewserver", "shardrouter"))
-    )
-    report["shutdown"] = {
-        "leaked_threads": leaked_threads,
-        "open_connections": report["server"]["open_connections"],
-    }
-    overall = report["overall"]
-    print(
-        f"load-bench: requests={report['completed']}/{report['requests']} "
-        f"connections={report['connections']} "
-        f"throughput_rps={report['throughput_rps']}"
-    )
-    latency = overall["latency"]
-    print(
-        f"latency_ms p50={latency['p50_ms']} p95={latency['p95_ms']} "
-        f"p99={latency['p99_ms']} availability={overall['availability']}"
-    )
-    for priority, block in report["priority"].items():
-        lat = block["latency"]
-        print(
-            f"  {priority}: n={lat['count']} p50={lat['p50_ms']} "
-            f"p95={lat['p95_ms']} p99={lat['p99_ms']} "
-            f"availability={block['availability']}"
-        )
-    hedging = report["hedging"]
-    if hedging is not None:
-        print(
-            f"hedging fired={hedging['fired']} won={hedging['won']} "
-            f"fire_rate={hedging['fire_rate']} "
-            f"win_rate={hedging['win_rate']}"
-        )
-    print(
-        f"shutdown leaked_threads={leaked_threads} "
-        f"open_connections={report['server']['open_connections']} "
-        f"drained={report['server']['drained']}"
-    )
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    if report["transport_errors"] > 0 or leaked_threads > 0:
-        return 1
     return 0
 
 
@@ -1182,150 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=["empty", "standard"])
     run_parser.set_defaults(func=cmd_run)
 
-    serve_parser = sub.add_parser(
-        "serve-bench", help="benchmark the concurrent publishing server"
-    )
-    serve_parser.add_argument("--scale", type=int, default=2,
-                              help="hotel workload scale factor (default: 2)")
-    serve_parser.add_argument("--workers", type=int, default=4,
-                              help="worker threads / pooled connections")
-    serve_parser.add_argument(
-        "--backend", default="sqlite", choices=list(BACKEND_NAMES),
-        help="storage engine the workload runs on (default: sqlite)",
-    )
-    serve_parser.add_argument("--requests", type=int, default=100,
-                              help="total requests to serve")
-    serve_parser.add_argument(
-        "--strategy", default="all", choices=["all"] + list(STRATEGIES),
-        help="execution strategy mix (default: cycle through all)",
-    )
-    serve_parser.add_argument(
-        "--writes-per-sec", type=float, default=0.0, metavar="RATE",
-        help="apply the standard hotel write mix at RATE writes/second "
-        "from a background thread (implies update-aware serving)",
-    )
-    serve_parser.add_argument(
-        "--staleness", metavar="POLICY",
-        help="result-cache staleness policy: strict, manual, or bounded:N "
-        "(enables update-aware serving; default off)",
-    )
-    serve_parser.add_argument(
-        "--maintenance", default="full",
-        choices=["full", "delta", "fragment"],
-        help="how stale results are recomputed: re-run the full plan, "
-        "delta (re-execute only dirty schema nodes and splice; falls "
-        "back to full when unsafe), or fragment (delta plus the "
-        "serialized-fragment byte cache)",
-    )
-    serve_parser.add_argument(
-        "--fragment-policy", default="all", metavar="POLICY",
-        help="fragment pinning policy for --maintenance fragment: all, "
-        "none, auto, or auto:BYTES (default: all)",
-    )
-    serve_parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="partition the workload by metro key range into N shards "
-        "served by a scatter/merge router (default: 1 = single box)",
-    )
-    serve_parser.add_argument(
-        "--replicas", type=int, default=0, metavar="M",
-        help="read replicas per shard (snapshot clones balanced "
-        "round-robin with failover; implies router mode; default: 0)",
-    )
-    serve_parser.add_argument(
-        "--replica-lag-ms", type=float, default=0.0, metavar="MS",
-        help="delay each replica's catch-up apply loop by MS so "
-        "replicas genuinely lag the primary (default: 0 = apply "
-        "writes inline)",
-    )
-    serve_parser.add_argument(
-        "--fault-kind", default="none",
-        choices=["none"] + list(FLEET_FAULT_KINDS),
-        help="fleet-scoped fault to inject: replica-crash (a replica's "
-        "pool refuses new sessions), apply-stall (a replica's catch-up "
-        "loop freezes), or partition (the primary stays writable but "
-        "unreadable); default: none",
-    )
-    serve_parser.add_argument(
-        "--fleet-fault-rate", type=float, default=0.5, metavar="RATE",
-        help="fraction of fault-site windows the fleet fault is active "
-        "in (default: 0.5)",
-    )
-    serve_parser.add_argument(
-        "--fleet-fault-window", type=int, default=8, metavar="N",
-        help="checks per fleet-fault window; a whole window is faulted "
-        "or clean together (default: 8)",
-    )
-    serve_parser.add_argument(
-        "--view-only", action="store_true",
-        help="serve the publishing view itself instead of the stylesheet "
-        "compositions",
-    )
-    serve_parser.add_argument(
-        "--profile", action="store_true",
-        help="report a per-phase time breakdown "
-        "(query/merge/serialize/splice) over computed requests",
-    )
-    serve_parser.add_argument(
-        "--faults", type=float, default=0.0, metavar="RATE",
-        help="inject transient sqlite errors into RATE of pooled queries "
-        "(deterministic given --fault-seed)",
-    )
-    serve_parser.add_argument(
-        "--fault-latency-rate", type=float, default=0.0, metavar="RATE",
-        help="inject --fault-latency-ms of delay into RATE of queries",
-    )
-    serve_parser.add_argument(
-        "--fault-latency-ms", type=float, default=20.0, metavar="MS",
-        help="injected latency per latency fault (default: 20)",
-    )
-    serve_parser.add_argument(
-        "--fault-wrong-rate", type=float, default=0.0, metavar="RATE",
-        help="drop a result column from RATE of queries (wrong-shape)",
-    )
-    serve_parser.add_argument(
-        "--fault-compile-rate", type=float, default=0.0, metavar="RATE",
-        help="fail RATE of plan compilations",
-    )
-    serve_parser.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for the deterministic fault schedule (default: 0)",
-    )
-    serve_parser.add_argument(
-        "--warmup", type=int, default=0, metavar="N",
-        help="serve N requests with faults disarmed before measuring "
-        "(populates plan/result caches)",
-    )
-    serve_parser.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="MS",
-        help="per-request deadline (cooperative cancel + hard interrupt)",
-    )
-    serve_parser.add_argument(
-        "--retries", type=int, default=0,
-        help="retry budget for transient failures (exponential backoff)",
-    )
-    serve_parser.add_argument(
-        "--breaker-threshold", type=int, default=0, metavar="N",
-        help="consecutive failures that open a plan's circuit breaker "
-        "(0 disables)",
-    )
-    serve_parser.add_argument(
-        "--breaker-cooldown-ms", type=float, default=1000.0, metavar="MS",
-        help="open-breaker cooldown before a half-open trial "
-        "(default: 1000)",
-    )
-    serve_parser.add_argument(
-        "--queue-limit", type=int, default=None, metavar="N",
-        help="shed requests beyond workers+N in flight (default: unbounded)",
-    )
-    serve_parser.add_argument(
-        "--no-degraded", action="store_true",
-        help="disable the degraded-stale fallback (failures error instead)",
-    )
-    serve_parser.add_argument("--json", metavar="PATH",
-                              help="write full metrics as JSON")
-    serve_parser.set_defaults(func=cmd_serve_bench)
-
     http_parser = sub.add_parser(
         "serve-http", help="run the async HTTP publishing front end"
     )
@@ -1341,34 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     http_parser.add_argument("--json", metavar="PATH",
                              help="write final metrics as JSON on shutdown")
     http_parser.set_defaults(func=cmd_serve_http)
-
-    load_parser = sub.add_parser(
-        "load-bench", help="drive the HTTP front end over real sockets"
-    )
-    _add_frontend_build_args(load_parser)
-    load_parser.add_argument("--requests", type=int, default=100,
-                             help="total publish requests (default: 100)")
-    load_parser.add_argument("--connections", type=int, default=8,
-                             help="concurrent keep-alive clients (default: 8)")
-    load_parser.add_argument(
-        "--interactive", type=float, default=0.5, metavar="WEIGHT",
-        help="interactive-class traffic weight (default: 0.5)",
-    )
-    load_parser.add_argument(
-        "--batch", type=float, default=0.3, metavar="WEIGHT",
-        help="batch-class traffic weight (default: 0.3)",
-    )
-    load_parser.add_argument(
-        "--background", type=float, default=0.2, metavar="WEIGHT",
-        help="background-class traffic weight (default: 0.2)",
-    )
-    load_parser.add_argument(
-        "--writes-per-sec", type=float, default=0.0, metavar="RATE",
-        help="apply the hotel write mix at RATE while serving",
-    )
-    load_parser.add_argument("--json", metavar="PATH",
-                             help="write the full report as JSON")
-    load_parser.set_defaults(func=cmd_load_bench)
 
     demo_parser = sub.add_parser("demo", help="write demo artifacts")
     demo_parser.add_argument("--out", default="repro-demo")

@@ -15,12 +15,9 @@ on one asyncio event loop and bridges between the two.
   keep-alive and graceful drain.
 * :mod:`repro.frontend.app` — the named-view registry binding HTTP
   parameters to publishing requests (:func:`build_hotel_app`).
-* :mod:`repro.frontend.loadgen` — the real-socket async load
-  generator behind ``python -m repro load-bench`` and experiment E19.
 """
 
 from repro.frontend.app import (
-    VIEW_NAMES,
     PublishingApp,
     RegisteredView,
     build_hotel_app,
@@ -32,22 +29,17 @@ from repro.frontend.http import (
     FrontendServer,
     serve_app,
 )
-from repro.frontend.loadgen import LoadClient, LoadMix, run_load
 
 __all__ = [
     "AsyncViewServer",
     "FrontendServer",
     "HedgeController",
     "HedgePolicy",
-    "LoadClient",
-    "LoadMix",
     "OUTCOME_STATUS",
     "PublishingApp",
     "RegisteredView",
     "RollingLatency",
     "USABLE_OUTCOMES",
-    "VIEW_NAMES",
     "build_hotel_app",
-    "run_load",
     "serve_app",
 ]

@@ -10,9 +10,9 @@ backend serving them (a :class:`~repro.serving.server.ViewServer` or a
 :class:`~repro.frontend.facade.AsyncViewServer` facade wrapping it.
 
 :func:`build_hotel_app` assembles the paper's hotel workload —
-Figure 1 publishing view, Figure 4/17 stylesheets — with the same
-knobs ``serve-bench`` exposes (staleness, maintenance mode, resilience
-policy, fault plan, shards), so the HTTP tier serves byte-identical
+Figure 1 publishing view, Figure 4/17 stylesheets — over every
+serving knob (staleness, maintenance mode, resilience policy, fault
+plan, shards, replicas, backend), so the HTTP tier serves byte-identical
 answers to the in-process paths the differential suite compares
 against.
 """
@@ -26,9 +26,6 @@ from repro.errors import ReproError
 from repro.frontend.facade import AsyncViewServer
 from repro.frontend.hedging import HedgePolicy
 from repro.serving.server import PRIORITIES, PublishRequest, ViewServer
-
-#: View registry names the HTTP API accepts (hotel workload).
-VIEW_NAMES = ("figure1", "figure4", "figure17")
 
 
 @dataclass(frozen=True)
@@ -100,8 +97,8 @@ class PublishingApp:
         """Apply one tracked workload write; returns writes so far.
 
         Backed by the write mix the app was built with (hotel writes
-        for :func:`build_hotel_app`); lets the E19 harness and the
-        ``/write`` test hook age cached results while serving.
+        for :func:`build_hotel_app`); ``POST /write`` calls it so a
+        client can age cached results while serving.
         """
         if self._write_fn is None:
             raise ReproError("app was built without a write mix")
@@ -145,8 +142,8 @@ def build_hotel_app(
 ) -> PublishingApp:
     """The paper's hotel workload as a servable application.
 
-    Mirrors ``serve-bench`` construction: tracked writes and a result
-    cache when ``staleness`` is set, a sharded fleet when ``shards > 1``
+    The one stack builder: tracked writes and a result cache when
+    ``staleness`` is set, a sharded fleet when ``shards > 1``
     or ``replicas > 0`` (fault plan armed on shard 0's primary only,
     replicas as the failover path), a single :class:`ViewServer`
     otherwise. ``backend`` picks the storage engine (``"sqlite"`` /
@@ -196,7 +193,6 @@ def build_hotel_app(
             ),
             fleet_faults=fleet_faults,
             replica_lag_ms=replica_lag_ms,
-            keep_xml=True,  # the HTTP layer serves trace.xml
         )
 
         def write_fn(index: int) -> None:
@@ -211,7 +207,6 @@ def build_hotel_app(
             db.catalog,
             source=db,
             workers=workers,
-            keep_xml=True,  # the HTTP layer serves trace.xml
             tracker=tracker,
             staleness=staleness or "strict",
             maintenance=maintenance,

@@ -229,8 +229,8 @@ class AsyncViewServer:
         except Exception:
             # The loser's fate is not the request's fate — but a healthy
             # loser resolves as a cancelled trace, so an exception here
-            # means the cancellation path broke. Count it (the E19 gate
-            # asserts 0) instead of swallowing it silently.
+            # means the cancellation path broke. Count it (the drain
+            # tests assert 0) instead of swallowing it silently.
             if self.hedges is not None:
                 self.hedges.record_reap_error()
 

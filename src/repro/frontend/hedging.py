@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ReproError
-from repro.harness.reporting import percentile
+from repro.serving.server import percentile
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ class HedgeController:
     The facade asks :meth:`delay_ms` how long to wait before hedging a
     request for ``key`` (``None`` = never), then reports what happened
     through :meth:`try_fire` / :meth:`record_won` /
-    :meth:`record_latency`, which feed both the budget and the metrics
-    the E19 harness gates on (fire rate, win rate).
+    :meth:`record_latency`, which feed both the budget and the
+    reported fire and win rates.
     """
 
     def __init__(self, policy: HedgePolicy):
@@ -229,8 +229,8 @@ class HedgeController:
         A healthy loser resolves to a trace with ``outcome="cancelled"``
         — an *exception* out of the reap means the cancellation path
         itself is broken (a leaked future, a backend that raised from
-        ``submit``). Surfaced as a counter (asserted 0 by the E19 smoke
-        gate) instead of being swallowed silently.
+        ``submit``). Surfaced as a counter (asserted 0 by the drain
+        tests) instead of being swallowed silently.
         """
         with self._lock:
             self.hedge_reap_errors += 1
@@ -238,7 +238,7 @@ class HedgeController:
     # -- reporting -----------------------------------------------------------
 
     def stats(self) -> dict:
-        """Counters plus derived fire/win rates for metrics and E19."""
+        """Counters plus derived fire/win rates for ``/metrics``."""
         with self._lock:
             seen = self.requests_seen
             fired = self.hedges_fired

@@ -1,6 +1,6 @@
 """Experiment harness: the evaluation the paper promised but never ran.
 
-``repro.harness.experiments`` defines experiments E1-E8 (see DESIGN.md
+``repro.harness.experiments`` defines experiments E1-E12 (see DESIGN.md
 for the index); each returns an :class:`~repro.harness.reporting.ExperimentResult`
 that renders to the tables recorded in EXPERIMENTS.md. Run everything
 with ``python -m repro.harness``.

@@ -17,202 +17,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description="repro experiment harness")
     parser.add_argument("--quick", action="store_true", help="small sweeps")
     parser.add_argument("--write", metavar="PATH", help="write markdown tables")
-    parser.add_argument(
-        "--e12-json", metavar="PATH",
-        help="run only E12 and record its raw numbers as JSON "
-        "(scale -> view -> strategy -> counters)",
-    )
-    parser.add_argument(
-        "--e13-json", metavar="PATH",
-        help="run only E13 (concurrent serving) and record its raw "
-        "numbers as JSON (runs + warm/cold speedups)",
-    )
-    parser.add_argument(
-        "--e14-json", metavar="PATH",
-        help="run only E14 (update-aware serving) and record its raw "
-        "numbers as JSON (runs + bounded/strict throughput ratio)",
-    )
-    parser.add_argument(
-        "--e15-json", metavar="PATH",
-        help="run only E15 (incremental maintenance) and record its raw "
-        "numbers as JSON (runs + delta/full throughput ratio)",
-    )
-    parser.add_argument(
-        "--e16-json", metavar="PATH",
-        help="run only E16 (resilient serving under fault injection) and "
-        "record its raw numbers as JSON (runs + availability at the "
-        "highest fault rate)",
-    )
-    parser.add_argument(
-        "--e17-json", metavar="PATH",
-        help="run only E17 (fragment-level serving) and record its raw "
-        "numbers as JSON (row-pushdown sweep + fragment/delta paired "
-        "ratio at the leaf-write mix)",
-    )
-    parser.add_argument(
-        "--e18-json", metavar="PATH",
-        help="run only E18 (sharded scatter/merge serving) and record "
-        "its raw numbers as JSON (per-fleet-size runs + 2-shard/1-shard "
-        "throughput ratio + merge-equivalence mismatch count)",
-    )
-    parser.add_argument(
-        "--e20-json", metavar="PATH",
-        help="run only E20 (backend drivers: sqlite vs DuckDB) and "
-        "record its raw numbers as JSON (per-backend runs + byte-gate "
-        "mismatch counts + duckdb/sqlite throughput ratio; backends "
-        "whose module is absent are recorded as unavailable)",
-    )
-    parser.add_argument(
-        "--e21-json", metavar="PATH",
-        help="run only E21 (replica-aware fleet resilience) and record "
-        "its raw numbers as JSON (fault-kind x replica-count strict "
-        "sweep with byte checks, the bounded-staleness partition run, "
-        "and the hedge anti-affinity phase, with leak checks)",
-    )
-    parser.add_argument(
-        "--e19-json", metavar="PATH",
-        help="run only E19 (async HTTP front end over real sockets) and "
-        "record its raw numbers as JSON (hedge on/off x fault rate "
-        "sweep + interactive-only hedging run + priority-shed overload "
-        "run, with per-class latency/availability and leak checks)",
-    )
     args = parser.parse_args()
-    if args.e21_json:
-        from repro.harness.experiments import e21_fleet
-
-        if args.quick:
-            # The sweep keeps the 3-replica replica-crash cell: the CI
-            # availability gate reads it. Only rounds/batch sizes and
-            # the 2-replica middle column are reduced.
-            result = e21_fleet(
-                scale=4, rounds=4, repeats=3, replica_counts=[1, 3],
-                hedge_requests=40, json_path=args.e21_json,
-            )
-        else:
-            result = e21_fleet(json_path=args.e21_json)
-        print(result.to_console())
-        print(f"wrote {args.e21_json}")
-        return
-    if args.e20_json:
-        from repro.harness.experiments import e20_backends
-
-        if args.quick:
-            result = e20_backends(
-                scale=2, rounds=4, repeats=2, json_path=args.e20_json,
-            )
-        else:
-            result = e20_backends(json_path=args.e20_json)
-        print(result.to_console())
-        print(f"wrote {args.e20_json}")
-        return
-    if args.e19_json:
-        from repro.harness.experiments import e19_frontend
-
-        if args.quick:
-            result = e19_frontend(
-                scale=1, requests=120, warmup=24, fault_rates=[0.0, 0.1],
-                json_path=args.e19_json,
-            )
-        else:
-            result = e19_frontend(json_path=args.e19_json)
-        print(result.to_console())
-        print(f"wrote {args.e19_json}")
-        return
-    if args.e18_json:
-        from repro.harness.experiments import e18_sharding
-
-        if args.quick:
-            # Same scale as the full sweep: the gated 2-shard/1-shard
-            # ratio comes from write locality, and at small scales the
-            # per-request fixed costs (scatter, merge bookkeeping)
-            # swamp the recompute work being avoided; only the sweep
-            # breadth and round count are reduced.
-            result = e18_sharding(
-                scale=8, rounds=8, repeats=6, shard_counts=[1, 2],
-                fault_rates=[0.2], json_path=args.e18_json,
-            )
-        else:
-            result = e18_sharding(fault_rates=[0.2], json_path=args.e18_json)
-        print(result.to_console())
-        print(f"wrote {args.e18_json}")
-        return
-    if args.e17_json:
-        from repro.harness.experiments import e17_fragments
-
-        if args.quick:
-            # Same scale as the full sweep: the gated paired ratio needs
-            # rounds long enough that the serialize share is measurable
-            # over timer jitter; only the sweep breadth is reduced.
-            result = e17_fragments(
-                scale=8, rounds=5, repeats=2, row_counts=[1, 4],
-                json_path=args.e17_json,
-            )
-        else:
-            result = e17_fragments(json_path=args.e17_json)
-        print(result.to_console())
-        print(f"wrote {args.e17_json}")
-        return
-    if args.e16_json:
-        from repro.harness.experiments import e16_resilience
-
-        if args.quick:
-            result = e16_resilience(
-                scale=1, rounds=3, repeats=1, fault_rates=[0.0, 0.3],
-                json_path=args.e16_json,
-            )
-        else:
-            result = e16_resilience(json_path=args.e16_json)
-        print(result.to_console())
-        print(f"wrote {args.e16_json}")
-        return
-    if args.e15_json:
-        from repro.harness.experiments import e15_incremental
-
-        if args.quick:
-            result = e15_incremental(
-                scale=2, rounds=10, repeats=2, write_rates=[0, 2],
-                json_path=args.e15_json,
-            )
-        else:
-            result = e15_incremental(json_path=args.e15_json)
-        print(result.to_console())
-        print(f"wrote {args.e15_json}")
-        return
-    if args.e14_json:
-        from repro.harness.experiments import e14_maintenance
-
-        if args.quick:
-            result = e14_maintenance(
-                scale=1, rounds=3, repeats=1, write_rates=[0, 2],
-                bounded_lag=4, json_path=args.e14_json,
-            )
-        else:
-            result = e14_maintenance(json_path=args.e14_json)
-        print(result.to_console())
-        print(f"wrote {args.e14_json}")
-        return
-    if args.e13_json:
-        from repro.harness.experiments import e13_serving
-
-        if args.quick:
-            result = e13_serving(
-                scale=2, workers_values=[1, 2], requests=10,
-                json_path=args.e13_json,
-            )
-        else:
-            result = e13_serving(json_path=args.e13_json)
-        print(result.to_console())
-        print(f"wrote {args.e13_json}")
-        return
-    if args.e12_json:
-        from repro.harness.experiments import e12_bulk_eval
-
-        factors = [1, 2] if args.quick else [1, 2, 4, 8, 16, 32]
-        results = [e12_bulk_eval(factors, json_path=args.e12_json)]
-        for result in results:
-            print(result.to_console())
-        print(f"wrote {args.e12_json}")
-        return
     results = run_all(quick=args.quick)
     for result in results:
         print(result.to_console())

@@ -1,4 +1,4 @@
-"""Experiments E1-E13 (the per-experiment index lives in DESIGN.md §5).
+"""Experiments E1-E12 (the per-experiment index lives in DESIGN.md §5).
 
 The paper has no evaluation section — these experiments measure exactly
 the quantities its qualitative claims are about: end-to-end latency,
@@ -18,7 +18,7 @@ import time
 from repro.core.compose import compose
 from repro.core.ctg import build_ctg
 from repro.core.tvq import build_tvq
-from repro.harness.reporting import ExperimentResult, latency_summary_ms
+from repro.harness.reporting import ExperimentResult
 from repro.harness.runners import run_composed, run_hybrid, run_naive, run_qtree
 from repro.relational.engine import Database
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
@@ -36,7 +36,6 @@ from repro.workloads.synthetic import (
     fanout_catalog,
     fanout_stylesheet,
     fanout_view,
-    populate_chain,
     populate_fanout,
 )
 from repro.xslt.parser import parse_stylesheet
@@ -470,7 +469,6 @@ def e11_document_order(scale_factors: list[int] | None = None) -> ExperimentResu
 
 def e12_bulk_eval(
     scale_factors: list[int] | None = None,
-    json_path: str | None = None,
     repeats: int = 5,
 ) -> ExperimentResult:
     """E12: bulk decorrelated evaluation vs nested-loop vs memoized.
@@ -480,12 +478,8 @@ def e12_bulk_eval(
     query per parent binding; sweeps the Figure 1 view and the Figure 4
     composed stylesheet view. Each strategy is timed ``repeats`` times
     and the best run is reported (standard practice to suppress scheduler
-    noise; query/row counts are identical across repeats). With
-    ``json_path`` the raw numbers are also written as
-    ``{scale: {view: {strategy: {queries, rows, seconds}}}}``.
+    noise; query/row counts are identical across repeats).
     """
-    import json
-
     from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
     from repro.schema_tree.evaluator import ViewEvaluator
     from repro.xmlcore.canonical import canonical_form
@@ -502,14 +496,11 @@ def e12_bulk_eval(
             "(unordered) against the nested-loop output.",
         ],
     )
-    records: dict[int, dict[str, dict[str, dict[str, float]]]] = {}
     for factor in scale_factors or [1, 2, 4, 8, 16]:
         db = _hotel_db(factor)
         figure1 = figure1_view(db.catalog)
         composed = compose(figure1, figure4_stylesheet(), db.catalog)
-        records[factor] = {}
         for view_name, view in [("figure1", figure1), ("composed", composed)]:
-            records[factor][view_name] = {}
             baseline_doc = None
             baseline_seconds = None
             for strategy in ["nested-loop", "memoized", "bulk"]:
@@ -546,2405 +537,7 @@ def e12_bulk_eval(
                     factor, view_name, strategy, queries, rows, seconds,
                     speedup, fallbacks, equal,
                 )
-                records[factor][view_name][strategy] = {
-                    "queries": queries,
-                    "rows": rows,
-                    "seconds": round(seconds, 6),
-                    "fallbacks": fallbacks,
-                    "equal": equal,
-                }
         db.close()
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(records, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return result
-
-
-def e13_serving(
-    scale: int = 8,
-    workers_values: list[int] | None = None,
-    requests: int = 40,
-    json_path: str | None = None,
-) -> ExperimentResult:
-    """E13: concurrent serving with the compiled-plan cache.
-
-    Sweeps worker count x execution strategy on a fixed-scale hotel
-    database served by a :class:`~repro.serving.server.ViewServer`.
-    Two phases per combination:
-
-    * **cold** (workers=1 only) — the plan cache is cleared before every
-      request, so each one pays the full compose + prune + print cost;
-      this is the per-request pipeline a server without a plan cache
-      would run, and the baseline the acceptance criterion compares
-      against.
-    * **warm** — the distinct plans are primed once, then all requests
-      are issued concurrently; requests only execute SQL and build XML.
-
-    With ``json_path`` the raw numbers land in ``BENCH_e13.json`` as
-    ``{"runs": [...], "speedups": {strategy: warm_max_workers/cold_1}}``.
-    """
-    import json
-
-    from repro.schema_tree.evaluator import STRATEGIES
-    from repro.serving import (
-        PublishRequest,
-        ViewServer,
-        clear_fingerprint_memo,
-        percentile,
-    )
-    from repro.workloads.paper import figure17_stylesheet
-
-    workers_values = workers_values or [1, 2, 4, 8]
-    result = ExperimentResult(
-        "E13",
-        f"Concurrent serving (scale-{scale} hotel, Figure 1 view x "
-        "Figure 4/17 stylesheets): throughput and latency",
-        ["workers", "strategy", "phase", "requests", "seconds", "req/s",
-         "p50 ms", "p95 ms", "hit rate"],
-        notes=[
-            "cold = plan cache cleared before every request (workers=1): "
-            "each request pays compose+prune+print; warm = plans primed, "
-            "requests issued concurrently.",
-        ],
-    )
-    db = _hotel_db(scale)
-    view = figure1_view(db.catalog)
-    stylesheets = [figure4_stylesheet(), figure17_stylesheet()]
-    runs: list[dict] = []
-    cold_rps: dict[str, float] = {}
-    warm_best_rps: dict[str, float] = {}
-    for workers in workers_values:
-        for strategy in STRATEGIES:
-            phases = ("cold", "warm") if workers == 1 else ("warm",)
-            for phase in phases:
-                server = ViewServer(
-                    db.catalog, source=db, workers=workers, keep_xml=False
-                )
-                try:
-                    batch = [
-                        PublishRequest(
-                            view,
-                            stylesheets[index % len(stylesheets)],
-                            strategy=strategy,
-                            label=phase,
-                        )
-                        for index in range(requests)
-                    ]
-                    if phase == "cold":
-                        latencies = []
-                        started = time.perf_counter()
-                        for request in batch:
-                            server.plan_cache.clear()
-                            clear_fingerprint_memo()
-                            latencies.append(
-                                server.submit(request).result().total_seconds
-                            )
-                        seconds = time.perf_counter() - started
-                    else:
-                        for stylesheet in stylesheets:
-                            server.render(view, stylesheet, strategy=strategy)
-                        started = time.perf_counter()
-                        traces = server.render_many(batch)
-                        seconds = time.perf_counter() - started
-                        latencies = [t.total_seconds for t in traces]
-                    cache = server.metrics()["cache"]
-                finally:
-                    server.close()
-                lookups = cache["hits"] + cache["misses"]
-                hit_rate = cache["hits"] / lookups if lookups else 0.0
-                rps = requests / seconds if seconds else 0.0
-                p50 = percentile(latencies, 50) * 1000
-                p95 = percentile(latencies, 95) * 1000
-                if phase == "cold" and workers == 1:
-                    cold_rps[strategy] = rps
-                if phase == "warm":
-                    warm_best_rps[strategy] = max(
-                        warm_best_rps.get(strategy, 0.0), rps
-                    )
-                result.add_row(
-                    workers, strategy, phase, requests, seconds, rps,
-                    p50, p95, f"{hit_rate:.2f}",
-                )
-                runs.append(
-                    {
-                        "workers": workers,
-                        "strategy": strategy,
-                        "phase": phase,
-                        "requests": requests,
-                        "seconds": round(seconds, 6),
-                        "throughput_rps": round(rps, 2),
-                        **latency_summary_ms([v * 1000 for v in latencies]),
-                        "hit_rate": round(hit_rate, 4),
-                    }
-                )
-    db.close()
-    speedups = {
-        strategy: round(warm_best_rps[strategy] / cold_rps[strategy], 2)
-        for strategy in cold_rps
-        if cold_rps[strategy]
-    }
-    result.notes.append(
-        "warm concurrent vs single-worker cold-cache speedup: "
-        + ", ".join(f"{k} {v}x" for k, v in speedups.items())
-    )
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "scale": scale,
-                    "requests_per_run": requests,
-                    "workers_values": workers_values,
-                    "runs": runs,
-                    "speedup_warm_concurrent_over_cold_single": speedups,
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-    return result
-
-
-def e14_maintenance(
-    scale: int = 4,
-    rounds: int = 6,
-    repeats: int = 3,
-    write_rates: list[int] | None = None,
-    bounded_lag: int = 8,
-    json_path: str | None = None,
-) -> ExperimentResult:
-    """E14: update-aware serving under interleaved base-table writes.
-
-    Sweeps staleness policy (strict / bounded:N / manual) x write rate
-    (writes applied between request batches). Each run serves ``rounds``
-    rounds; a round applies ``rate`` writes of the standard hotel mix
-    (explicitly recorded on the server's
-    :class:`~repro.maintenance.tracker.WriteTracker`), then issues one
-    concurrent batch of ``2 stylesheets x 3 strategies x repeats``
-    requests. Writes land *between* batches, so the live database is
-    well-defined at every serve point and strict responses can be
-    verified byte-identical to an uncached serial materialization —
-    verification runs outside the timed window and its failures are
-    counted in the ``mismatches`` column (the acceptance criterion is
-    zero).
-
-    With ``json_path`` the raw numbers land in ``BENCH_e14.json``,
-    including ``bounded_over_strict_at_max_rate`` — the throughput
-    ratio the result cache buys when bounded staleness is acceptable.
-    """
-    import json
-
-    from repro.core.optimize import prune_stylesheet_view
-    from repro.maintenance import StalenessPolicy, WriteTracker, hotel_write
-    from repro.schema_tree.evaluator import STRATEGIES, materialize
-    from repro.serving import PublishRequest, ViewServer, percentile
-    from repro.workloads.paper import figure17_stylesheet
-    from repro.xmlcore.serializer import serialize
-
-    write_rates = write_rates if write_rates is not None else [0, 2, 8]
-    policies = ["strict", f"bounded:{bounded_lag}", "manual"]
-    result = ExperimentResult(
-        "E14",
-        f"Update-aware serving (scale-{scale} hotel): staleness policy x "
-        "write rate, result-cache freshness and strict equivalence",
-        ["policy", "writes/round", "requests", "req/s", "p50 ms", "p95 ms",
-         "hit", "miss", "stale", "max hit lag", "mismatches"],
-        notes=[
-            f"Each run: {rounds} rounds of (apply writes, serve one "
-            f"concurrent batch of 2 stylesheets x {len(STRATEGIES)} "
-            f"strategies x {repeats}). Strict responses are verified "
-            "byte-identical to uncached serial materialization of the "
-            "live data (outside the timed window); mismatches must be 0.",
-        ],
-    )
-    runs: list[dict] = []
-    throughput: dict[tuple[str, int], float] = {}
-    for policy_text in policies:
-        policy = StalenessPolicy.parse(policy_text)
-        for rate in write_rates:
-            db = build_hotel_database(
-                HotelDataSpec().scaled(scale), cross_thread=True
-            )
-            view = figure1_view(db.catalog)
-            stylesheets = [figure4_stylesheet(), figure17_stylesheet()]
-            # Serial references evaluate the composed-and-pruned views
-            # directly on the live source, outside the server.
-            targets = []
-            for stylesheet in stylesheets:
-                target = compose(view, stylesheet, db.catalog)
-                prune_stylesheet_view(target, db.catalog)
-                targets.append(target)
-            tracker = WriteTracker()
-            db.attach_tracker(tracker)
-            server = ViewServer(
-                db.catalog,
-                source=db,
-                workers=4,
-                tracker=tracker,
-                staleness=policy,
-            )
-            try:
-                batch = [
-                    PublishRequest(
-                        view,
-                        stylesheets[sheet],
-                        strategy=strategy,
-                        label=f"s{sheet}/{strategy}",
-                    )
-                    for _ in range(repeats)
-                    for sheet in range(len(stylesheets))
-                    for strategy in STRATEGIES
-                ]
-                latencies: list[float] = []
-                traces = []
-                mismatches = 0
-                write_step = 0
-                timed = 0.0
-                for _ in range(rounds):
-                    for _ in range(rate):
-                        hotel_write(db, write_step, tracker)
-                        write_step += 1
-                    started = time.perf_counter()
-                    served = server.render_many(batch)
-                    timed += time.perf_counter() - started
-                    traces.extend(served)
-                    latencies.extend(t.total_seconds for t in served)
-                    if policy.kind == "strict":
-                        references = [
-                            serialize(materialize(target, db))
-                            for target in targets
-                        ]
-                        for request, trace in zip(batch, served):
-                            sheet = stylesheets.index(request.stylesheet)
-                            if trace.xml != references[sheet]:
-                                mismatches += 1
-                metrics = server.metrics()
-            finally:
-                server.close()
-                db.close()
-            freshness = metrics["freshness"]
-            max_hit_lag = max(
-                (t.version_lag for t in traces if t.freshness == "hit"),
-                default=0,
-            )
-            total = len(traces)
-            rps = total / timed if timed else 0.0
-            p50 = percentile(latencies, 50) * 1000
-            p95 = percentile(latencies, 95) * 1000
-            throughput[(policy_text, rate)] = rps
-            result.add_row(
-                policy_text, rate, total, rps, p50, p95,
-                freshness["hit"], freshness["miss"],
-                freshness["stale-recompute"], max_hit_lag, mismatches,
-            )
-            runs.append(
-                {
-                    "policy": policy_text,
-                    "writes_per_round": rate,
-                    "rounds": rounds,
-                    "requests": total,
-                    "seconds": round(timed, 6),
-                    "throughput_rps": round(rps, 2),
-                    **latency_summary_ms([v * 1000 for v in latencies]),
-                    "freshness": freshness,
-                    "max_hit_lag": max_hit_lag,
-                    "mismatches": mismatches,
-                    "writes_applied": write_step,
-                }
-            )
-    max_rate = max(write_rates)
-    strict_at_max = throughput.get(("strict", max_rate), 0.0)
-    bounded_at_max = throughput.get((f"bounded:{bounded_lag}", max_rate), 0.0)
-    ratio = bounded_at_max / strict_at_max if strict_at_max else 0.0
-    result.notes.append(
-        f"bounded:{bounded_lag} over strict throughput at {max_rate} "
-        f"writes/round: {ratio:.2f}x"
-    )
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "scale": scale,
-                    "rounds": rounds,
-                    "batch_requests": 2 * len(STRATEGIES) * repeats,
-                    "write_rates": write_rates,
-                    "bounded_lag": bounded_lag,
-                    "runs": runs,
-                    "bounded_over_strict_at_max_rate": round(ratio, 3),
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-    return result
-
-
-def e15_incremental(
-    scale: int = 4,
-    rounds: int = 6,
-    repeats: int = 3,
-    write_rates: list[int] | None = None,
-    json_path: str | None = None,
-) -> ExperimentResult:
-    """E15: incremental delta maintenance vs full recomputation.
-
-    Sweeps maintenance mode (full / delta) x write rate under the
-    *strict* staleness policy — the regime E14 showed loses ~2x
-    throughput because every write forces a whole-plan re-run. The
-    swept stream writes only ``availability`` (a leaf table), the
-    workload incremental maintenance targets: the dirty frontier is a
-    single leaf schema node, so the delta path re-executes one
-    decorrelated query and splices the fresh subtree instead of
-    re-running every tag query. Two supplementary (ungated) rows rerun
-    the top rate with a mixed 3:1 availability/``hotel`` stream:
-    ``hotel`` writes dirty an interior node whose subtree is most of
-    the document, so delta degrades gracefully to ~full cost there —
-    the honest boundary of the technique.
-
-    Methodology matches E14 — writes land *between* concurrent request
-    batches (2 stylesheets x 3 strategies x ``repeats``), and every
-    response — full or spliced — is verified byte-identical to an
-    uncached serial materialization of the live data outside the timed
-    window; ``mismatches`` must be 0 — with one refinement: each run
-    serves an untimed warmup batch first (cold compiles and cache
-    priming are not the thing under test), and throughput is the batch
-    size over the *median* round time, which a couple of
-    scheduler-noise outliers cannot move the way a wall-clock total
-    can. With ``json_path`` the raw numbers land in
-    ``BENCH_e15.json``, including ``delta_over_full_at_max_rate`` —
-    the acceptance criterion is that this ratio exceeds 1 at the
-    highest write rate.
-    """
-    import json
-    import statistics
-
-    from repro.core.optimize import prune_stylesheet_view
-    from repro.maintenance import WriteTracker, hotel_write
-    from repro.schema_tree.evaluator import STRATEGIES, materialize
-    from repro.serving import PublishRequest, ViewServer, percentile
-    from repro.workloads.paper import figure17_stylesheet
-    from repro.xmlcore.serializer import serialize
-
-    write_rates = write_rates if write_rates is not None else [0, 2, 8]
-    leaf_mix = ("availability",)
-    mixed_mix = ("availability", "availability", "availability", "hotel")
-    modes = ["full", "delta"]
-    result = ExperimentResult(
-        "E15",
-        f"Incremental maintenance (scale-{scale} hotel): strict serving, "
-        "full-plan recomputation vs dirty-node delta splicing",
-        ["maintenance", "writes/round", "requests", "req/s", "p50 ms",
-         "p95 ms", "hit", "stale", "delta", "fallbacks", "mismatches"],
-        notes=[
-            f"Each run: {rounds} rounds of (apply writes, serve one "
-            f"concurrent batch of 2 stylesheets x {len(STRATEGIES)} "
-            f"strategies x {repeats}) under the strict policy, after one "
-            "untimed warmup batch (included in the freshness counts). "
-            "Swept rows write the availability leaf table only; "
-            "'(mixed)' rows interleave hotel writes 3:1. req/s = batch "
-            "size over the median round time. Every response is "
-            "verified byte-identical to uncached serial materialization "
-            "of the live data (outside the timed window); mismatches "
-            "must be 0.",
-        ],
-    )
-    runs: list[dict] = []
-    throughput: dict[tuple[str, int], float] = {}
-
-    def run_pair(rate: int, mix: tuple[str, ...], suffix: str = ""):
-        """One paired run: both maintenance modes share the database and
-        the write stream, and their batches are timed back-to-back each
-        round (alternating order) so machine-state drift hits both
-        equally — the throughput ratio comes from paired medians."""
-        db = build_hotel_database(
-            HotelDataSpec().scaled(scale), cross_thread=True
-        )
-        view = figure1_view(db.catalog)
-        stylesheets = [figure4_stylesheet(), figure17_stylesheet()]
-        targets = []
-        for stylesheet in stylesheets:
-            target = compose(view, stylesheet, db.catalog)
-            prune_stylesheet_view(target, db.catalog)
-            targets.append(target)
-        tracker = WriteTracker()
-        db.attach_tracker(tracker)
-        servers = {
-            mode: ViewServer(
-                db.catalog,
-                source=db,
-                workers=4,
-                tracker=tracker,
-                staleness="strict",
-                maintenance=mode,
-            )
-            for mode in modes
-        }
-        batch = [
-            PublishRequest(
-                view,
-                stylesheets[sheet],
-                strategy=strategy,
-                label=f"s{sheet}/{strategy}",
-            )
-            for _ in range(repeats)
-            for sheet in range(len(stylesheets))
-            for strategy in STRATEGIES
-        ]
-        per_mode = {
-            mode: {
-                "latencies": [], "traces": [], "mismatches": 0,
-                "round_times": [],
-            }
-            for mode in modes
-        }
-        try:
-            for server in servers.values():
-                server.render_many(batch)  # untimed warmup: compile + prime
-            write_step = 0
-            for rnd in range(rounds):
-                for _ in range(rate):
-                    hotel_write(db, write_step, tracker, mix=mix)
-                    write_step += 1
-                order = modes if rnd % 2 == 0 else modes[::-1]
-                served_by = {}
-                for mode in order:
-                    started = time.perf_counter()
-                    served = servers[mode].render_many(batch)
-                    per_mode[mode]["round_times"].append(
-                        time.perf_counter() - started
-                    )
-                    served_by[mode] = served
-                references = [
-                    serialize(materialize(target, db))
-                    for target in targets
-                ]
-                for mode in modes:
-                    record = per_mode[mode]
-                    record["traces"].extend(served_by[mode])
-                    record["latencies"].extend(
-                        t.total_seconds for t in served_by[mode]
-                    )
-                    for request, trace in zip(batch, served_by[mode]):
-                        sheet = stylesheets.index(request.stylesheet)
-                        if trace.xml != references[sheet]:
-                            record["mismatches"] += 1
-            metrics = {
-                mode: servers[mode].metrics() for mode in modes
-            }
-        finally:
-            for server in servers.values():
-                server.close()
-            db.close()
-        rps_by_mode = {}
-        for mode in modes:
-            record = per_mode[mode]
-            freshness = metrics[mode]["freshness"]
-            total = len(record["traces"])
-            median_round = statistics.median(record["round_times"])
-            rps = len(batch) / median_round if median_round else 0.0
-            rps_by_mode[mode] = rps
-            p50 = percentile(record["latencies"], 50) * 1000
-            p95 = percentile(record["latencies"], 95) * 1000
-            dirty_counts = [
-                t.dirty_nodes for t in record["traces"]
-                if t.freshness == "delta-recompute"
-            ]
-            result.add_row(
-                mode + suffix, rate, total, rps, p50, p95,
-                freshness["hit"], freshness["stale-recompute"],
-                freshness["delta-recompute"],
-                metrics[mode]["delta_fallbacks"],
-                record["mismatches"],
-            )
-            runs.append(
-                {
-                    "maintenance": mode,
-                    "write_mix": list(mix),
-                    "writes_per_round": rate,
-                    "rounds": rounds,
-                    "requests": total,
-                    "seconds": round(sum(record["round_times"]), 6),
-                    "median_round_ms": round(median_round * 1000, 4),
-                    "throughput_rps": round(rps, 2),
-                    **latency_summary_ms(
-                        [v * 1000 for v in record["latencies"]]
-                    ),
-                    "freshness": freshness,
-                    "delta_fallbacks": metrics[mode]["delta_fallbacks"],
-                    "mean_dirty_nodes": round(
-                        sum(dirty_counts) / len(dirty_counts), 3
-                    ) if dirty_counts else 0.0,
-                    "mismatches": record["mismatches"],
-                    "writes_applied": write_step,
-                }
-            )
-        paired = [
-            full_time / delta_time
-            for full_time, delta_time in zip(
-                per_mode["full"]["round_times"],
-                per_mode["delta"]["round_times"],
-            )
-            if delta_time
-        ]
-        return rps_by_mode, statistics.median(paired) if paired else 0.0
-
-    paired_ratios: dict[int, float] = {}
-    for rate in write_rates:
-        rps_by_mode, paired_ratio = run_pair(rate, leaf_mix)
-        paired_ratios[rate] = paired_ratio
-        for mode, rps in rps_by_mode.items():
-            throughput[(mode, rate)] = rps
-    max_rate = max(write_rates)
-    if max_rate:
-        # Supplementary (ungated) rows: the mixed stream's hotel writes
-        # dirty an interior node whose subtree is most of the document,
-        # collapsing delta's advantage — shown honestly alongside.
-        run_pair(max_rate, mixed_mix, " (mixed)")
-    # The gated ratio is the median of per-round paired ratios (each
-    # round times both modes back-to-back on identical data), the most
-    # drift-resistant estimator available from one sweep.
-    ratio = paired_ratios.get(max_rate, 0.0)
-    result.notes.append(
-        f"delta over full throughput at {max_rate} writes/round "
-        f"(median per-round paired ratio): {ratio:.2f}x"
-    )
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "scale": scale,
-                    "rounds": rounds,
-                    "batch_requests": 2 * len(STRATEGIES) * repeats,
-                    "write_rates": write_rates,
-                    "write_mix": list(leaf_mix),
-                    "runs": runs,
-                    "delta_over_full_at_max_rate": round(ratio, 3),
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-    return result
-
-
-def e16_resilience(
-    scale: int = 2,
-    rounds: int = 6,
-    repeats: int = 2,
-    fault_rates: list[float] | None = None,
-    seed: int = 7,
-    json_path: str | None = None,
-) -> ExperimentResult:
-    """E16: resilient serving under deterministic fault injection.
-
-    Sweeps fault rate x policy over the bounded-staleness serving
-    stack. Each run arms a seeded
-    :class:`~repro.resilience.faults.FaultPlan` injecting transient
-    sqlite errors (at the fault rate), latency, and wrong-shape results
-    into every pooled connection, then serves ``rounds`` concurrent
-    batches with enough ``availability`` writes between rounds to force
-    recomputation past the staleness bound — so every round, requests
-    must run real queries through the faults. Two configs per rate:
-
-    * **baseline** — no resilience policy: a failed recomputation is a
-      request error, so availability collapses as the fault rate grows
-      (at rate 0.3 a ~19-query plan survives with probability
-      ``0.7^19`` ~= 0.1%).
-    * **resilient** — deadline + transient retries with backoff +
-      per-plan circuit breaker + degraded-stale fallback: failures
-      retry, then serve the last-known-good cached entry (marked
-      ``degraded-stale`` with its true version lag), so availability =
-      (success + degraded) / total stays at 1.0 and p99 stays bounded
-      by the deadline.
-
-    Both configs warm their caches with the fault plan *disarmed* (a
-    last-known-good entry must exist for degradation to mean anything;
-    real operators deploy resilience on a warm server). The fault
-    schedule is a pure function of ``(seed, site, per-site call
-    index)``, so a fixed seed reproduces the same injection counts.
-    Acceptance (gated in CI from ``BENCH_e16.json``): resilient
-    availability >= 0.99 at the highest fault rate, baseline strictly
-    below it, and zero leaked pool connections in every run.
-    """
-    import json
-
-    from repro.core.optimize import prune_stylesheet_view
-    from repro.maintenance import WriteTracker, hotel_write
-    from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
-    from repro.schema_tree.evaluator import STRATEGIES
-    from repro.serving import OUTCOMES, PublishRequest, ViewServer, percentile
-    from repro.workloads.paper import figure17_stylesheet
-
-    fault_rates = fault_rates if fault_rates is not None else [0.0, 0.1, 0.3]
-    staleness_bound = 8
-    writes_per_round = 12  # > bound: every round forces recomputation
-    policy = ResiliencePolicy(
-        deadline_ms=5000.0,
-        retries=3,
-        backoff_base_ms=1.0,
-        backoff_max_ms=10.0,
-        breaker_threshold=8,
-        breaker_cooldown_ms=100.0,
-        degraded=True,
-    )
-    configs = [("baseline", None), ("resilient", policy)]
-    result = ExperimentResult(
-        "E16",
-        f"Resilient serving (scale-{scale} hotel): fault injection x "
-        "policy, availability and tail latency",
-        ["config", "fault rate", "requests", "success", "degraded",
-         "failed", "availability", "retries", "breaker opens", "p50 ms",
-         "p99 ms"],
-        notes=[
-            f"Each run: warmup batch with faults disarmed, then {rounds} "
-            f"rounds of ({writes_per_round} availability writes, one "
-            f"concurrent batch of 2 stylesheets x {len(STRATEGIES)} "
-            f"strategies x {repeats}) under bounded:{staleness_bound} "
-            "staleness — the writes outrun the bound, so every round "
-            "recomputes through the armed fault plan (transient sqlite "
-            "errors at the fault rate, injected latency at half of it, "
-            "wrong-shape results at a quarter). baseline = no policy "
-            "(failures are request errors); resilient = "
-            f"[{policy.describe()}] (transient failures retry, exhausted "
-            "failures serve the last-known-good entry as "
-            "degraded-stale). availability = (success + degraded) / "
-            f"requests. Fault schedule is deterministic (seed {seed}).",
-        ],
-    )
-    runs: list[dict] = []
-    availability_at: dict[tuple[str, float], float] = {}
-
-    def run_config(name: str, resilience, rate: float) -> None:
-        db = build_hotel_database(
-            HotelDataSpec().scaled(scale), cross_thread=True
-        )
-        view = figure1_view(db.catalog)
-        stylesheets = [figure4_stylesheet(), figure17_stylesheet()]
-        for stylesheet in stylesheets:
-            prune_stylesheet_view(
-                compose(view, stylesheet, db.catalog), db.catalog
-            )
-        tracker = WriteTracker()
-        db.attach_tracker(tracker)
-        faults = FaultPlan(
-            FaultSpec(
-                error_rate=rate,
-                latency_rate=rate / 2,
-                latency_ms=2.0,
-                wrong_shape_rate=rate / 4,
-            ),
-            seed=seed,
-            enabled=False,
-        )
-        server = ViewServer(
-            db.catalog,
-            source=db,
-            workers=4,
-            tracker=tracker,
-            staleness=f"bounded:{staleness_bound}",
-            resilience=resilience,
-            faults=faults,
-        )
-        batch = [
-            PublishRequest(
-                view,
-                stylesheets[sheet],
-                strategy=strategy,
-                label=f"s{sheet}/{strategy}",
-            )
-            for _ in range(repeats)
-            for sheet in range(len(stylesheets))
-            for strategy in STRATEGIES
-        ]
-        traces = []
-        write_step = 0
-        try:
-            server.render_many(batch)  # warmup: compile + last-known-good
-            faults.arm()
-            for _ in range(rounds):
-                for _ in range(writes_per_round):
-                    hotel_write(db, write_step, tracker, mix=("availability",))
-                    write_step += 1
-                traces.extend(server.render_many(batch))
-            leaked = server.pool.outstanding()
-            metrics = server.metrics()
-        finally:
-            server.close()
-            db.close()
-        outcomes = {outcome: 0 for outcome in OUTCOMES}
-        for trace in traces:
-            outcomes[trace.outcome] += 1
-        availability = (
-            (outcomes["success"] + outcomes["degraded"]) / len(traces)
-        )
-        availability_at[(name, rate)] = availability
-        failed = (
-            outcomes["error"] + outcomes["deadline"] + outcomes["rejected"]
-        )
-        latencies = [trace.total_seconds * 1000 for trace in traces]
-        retries = sum(trace.retries for trace in traces)
-        resilience_metrics = metrics.get("resilience")
-        breaker_opened = (
-            resilience_metrics["breaker"]["opened"]
-            if resilience_metrics and resilience_metrics["breaker"]
-            else 0
-        )
-        p50 = percentile(latencies, 50)
-        p99 = percentile(latencies, 99)
-        result.add_row(
-            name, rate, len(traces), outcomes["success"],
-            outcomes["degraded"], failed, availability, retries,
-            breaker_opened, p50, p99,
-        )
-        runs.append(
-            {
-                "config": name,
-                "fault_rate": rate,
-                "requests": len(traces),
-                "outcomes": outcomes,
-                "availability": round(availability, 6),
-                "retries": retries,
-                "breaker_opened": breaker_opened,
-                "degraded_max_lag": max(
-                    (
-                        trace.version_lag
-                        for trace in traces
-                        if trace.freshness == "degraded-stale"
-                    ),
-                    default=0,
-                ),
-                **latency_summary_ms(latencies),
-                "faults_injected": metrics["faults"]["injected"],
-                "leaked_connections": leaked,
-                "writes_applied": write_step,
-            }
-        )
-
-    for rate in fault_rates:
-        for name, resilience in configs:
-            run_config(name, resilience, rate)
-    max_rate = max(fault_rates)
-    resilient_availability = availability_at.get(("resilient", max_rate), 0.0)
-    baseline_availability = availability_at.get(("baseline", max_rate), 0.0)
-    result.notes.append(
-        f"at fault rate {max_rate}: resilient availability "
-        f"{resilient_availability:.4f} vs baseline "
-        f"{baseline_availability:.4f}"
-    )
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "scale": scale,
-                    "rounds": rounds,
-                    "batch_requests": 2 * len(STRATEGIES) * repeats,
-                    "fault_rates": fault_rates,
-                    "fault_seed": seed,
-                    "staleness_bound": staleness_bound,
-                    "writes_per_round": writes_per_round,
-                    "policy": policy.describe(),
-                    "runs": runs,
-                    "max_fault_rate": max_rate,
-                    "resilient_availability_at_max_rate": round(
-                        resilient_availability, 6
-                    ),
-                    "baseline_availability_at_max_rate": round(
-                        baseline_availability, 6
-                    ),
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-    return result
-
-
-def e17_fragments(
-    scale: int = 8,
-    rounds: int = 6,
-    repeats: int = 3,
-    row_counts: list[int] | None = None,
-    json_path: str | None = None,
-) -> ExperimentResult:
-    """E17: row-level delta pushdown and fragment byte-cache serving.
-
-    Two measurements over the raw Figure 1 view (no stylesheet — the
-    composed views concentrate reads into one top node, which hides
-    exactly the per-fragment structure under test):
-
-    **Part A — row pushdown scaling.** A delta-mode server absorbs
-    :func:`~repro.maintenance.workload.hotel_payload_write` streams that
-    flip ``pool`` on exactly ``k`` in-view hotels per write, for each
-    ``k`` in ``row_counts``. ``pool`` is a pure payload column (served
-    by ``SELECT *``, read by no predicate, grouping, or descendant), so
-    the tracked keys make the write row-traceable and the delta path
-    re-fetches ``key IN (...)`` instead of the whole node. The recorded
-    ``rows fetched`` per serve should track ``k``, not the hotel node's
-    size — the node-level baseline row (same write, recorded *without*
-    keys, forcing the node-level path) shows what it tracks otherwise.
-
-    **Part B — fragment serving at a leaf-write mix.** Full, delta, and
-    two fragment servers (policies ``all`` and ``auto``) share one
-    database and write stream; each round applies 2 ``confroom``
-    capacity (leaf) writes, then serves one concurrent batch per config
-    with the order rotated each round so drift hits all four equally.
-    ``capacity`` feeds the confstat aggregates only through their SUM
-    projections, so the delta path maintains the affected hotel and
-    metro at *block* granularity and every other subtree survives by
-    identity. Delta already splices the document; fragment additionally
-    splices cached *byte spans* at serialization. The policy split is
-    the point: ``all`` also pins the write-churned confstat nodes,
-    paying recording cost for spans a write invalidates before they are
-    ever copied, while ``auto`` drops them (value density below one)
-    and pins only the stable fragments. The paired round-time ratio
-    (median of per-round ``fragment-auto``-vs-``delta``) is the gated
-    number: >= 1 means the byte cache at least pays for its
-    bookkeeping. Every response — all four configs — is verified
-    byte-identical to an uncached serial materialization of the live
-    data outside the timed window; ``mismatches`` must be 0.
-    """
-    import json
-    import statistics
-
-    from repro.maintenance import (
-        WriteTracker,
-        hotel_conference_write,
-        hotel_payload_write,
-    )
-    from repro.schema_tree.evaluator import STRATEGIES, materialize
-    from repro.serving import PublishRequest, ViewServer, percentile
-    from repro.xmlcore.serializer import serialize
-
-    row_counts = row_counts if row_counts is not None else [1, 2, 4, 8]
-    configs = [
-        ("full", "full", None),
-        ("delta", "delta", None),
-        ("fragment-all", "fragment", "all"),
-        ("fragment-auto", "fragment", "auto"),
-    ]
-    names = [name for name, _mode, _policy in configs]
-    writes_per_round = 2
-    result = ExperimentResult(
-        "E17",
-        f"Fragment-level serving (scale-{scale} hotel): row-level delta "
-        "pushdown and serialized-fragment byte cache",
-        ["config", "writes/round", "requests", "req/s", "p50 ms",
-         "ser p50 ms", "rows fetched", "frag hit/miss", "mismatches"],
-        notes=[
-            "Part A rows (pushdown): one delta-mode server, each round "
-            "one tracked pool-flip on exactly k in-view hotels, then one "
-            "serve; 'rows fetched' is the mean per delta serve and "
-            "should track k. The node-level row repeats k=1 with the "
-            "keys withheld from the tracker, forcing the node-level "
-            f"path. Part B rows (configs): {rounds} rounds of "
-            f"({writes_per_round} confroom-capacity writes, one serial "
-            "batch "
-            f"of {len(STRATEGIES)} strategies x {repeats}) per config "
-            "on a shared database, order rotated per round (serial so "
-            "phase timings are not smeared by concurrent scheduling); "
-            "req/s = batch size over the median round time. Every "
-            "response is "
-            "verified byte-identical to uncached serial materialization "
-            "of the live data (outside the timed window); mismatches "
-            "must be 0.",
-        ],
-    )
-    pushdown_runs: list[dict] = []
-
-    # -- Part A: row pushdown scaling ------------------------------------
-    db = build_hotel_database(HotelDataSpec().scaled(scale), cross_thread=True)
-    view = figure1_view(db.catalog)
-    tracker = WriteTracker()
-    db.attach_tracker(tracker)
-    server = ViewServer(
-        db.catalog,
-        source=db,
-        workers=2,
-        tracker=tracker,
-        staleness="strict",
-        maintenance="delta",
-    )
-    node_level_rows = 0
-    try:
-        in_view = db.run_sql(
-            "SELECT COUNT(*) AS n FROM hotel WHERE starrating > 4", {}
-        )[0]["n"]
-        server.render(view, strategy="bulk")  # prime plan + cached state
-        step = 0
-        for rows in row_counts:
-            fetched: list[int] = []
-            spliced: list[int] = []
-            latencies: list[float] = []
-            mismatches = 0
-            for _ in range(rounds):
-                hotel_payload_write(db, step, tracker, rows=rows)
-                step += 1
-                trace = server.render(view, strategy="bulk")
-                if trace.xml != serialize(materialize(view, db)):
-                    mismatches += 1
-                latencies.append(trace.total_seconds)
-                if trace.freshness == "delta-recompute":
-                    fetched.append(trace.rows_fetched)
-                    spliced.append(trace.rows_spliced)
-            mean_fetched = (
-                sum(fetched) / len(fetched) if fetched else 0.0
-            )
-            result.add_row(
-                f"pushdown rows={rows}", 1, rounds, "-",
-                percentile(latencies, 50) * 1000, "-", mean_fetched,
-                "-", mismatches,
-            )
-            pushdown_runs.append(
-                {
-                    "rows_per_write": rows,
-                    "serves": rounds,
-                    "delta_serves": len(fetched),
-                    "mean_rows_fetched": round(mean_fetched, 3),
-                    "mean_rows_spliced": round(
-                        sum(spliced) / len(spliced), 3
-                    ) if spliced else 0.0,
-                    **latency_summary_ms([v * 1000 for v in latencies]),
-                    "mismatches": mismatches,
-                }
-            )
-        # Node-level baseline: the same single-row write, but recorded
-        # without keys — untraceable, so the delta path re-fetches the
-        # whole dirty node (and descendants), not the changed row.
-        db.run_sql(
-            "UPDATE hotel SET pool = 1 - pool WHERE hotelid = "
-            "(SELECT MIN(hotelid) FROM hotel WHERE starrating > 4)",
-            {},
-        )
-        tracker.record_write("hotel", rows=1)
-        trace = server.render(view, strategy="bulk")
-        baseline_ok = int(trace.xml != serialize(materialize(view, db)))
-        node_level_rows = trace.rows_fetched
-        result.add_row(
-            "pushdown node-level", 1, 1, "-",
-            trace.total_seconds * 1000, "-", node_level_rows, "-",
-            baseline_ok,
-        )
-    finally:
-        server.close()
-        db.close()
-
-    # -- Part B: paired full / delta / fragment-(all|auto) sweeps --------
-    runs: list[dict] = []
-
-    def run_modes(mix_label: str, per_round: int, apply_write, suffix=""):
-        """One paired sweep: all four configs share the database and the
-        write stream; batches are timed back-to-back each round with the
-        order rotated so drift hits every config equally. Batches are
-        served on a single worker — the comparison is per-phase timing
-        (serialize vs splice), which concurrent scheduling would smear.
-        Returns each config's paired delta/fragment-auto round-time
-        ratio, serialize p50s, and mismatch total."""
-        db = build_hotel_database(
-            HotelDataSpec().scaled(scale), cross_thread=True
-        )
-        view = figure1_view(db.catalog)
-        tracker = WriteTracker()
-        db.attach_tracker(tracker)
-        servers = {
-            name: ViewServer(
-                db.catalog,
-                source=db,
-                workers=1,
-                tracker=tracker,
-                staleness="strict",
-                maintenance=mode,
-                fragment_policy=policy,
-            )
-            for name, mode, policy in configs
-        }
-        batch = [
-            PublishRequest(view, None, strategy=strategy, label=strategy)
-            for _ in range(repeats)
-            for strategy in STRATEGIES
-        ]
-        per_mode = {
-            name: {
-                "latencies": [], "traces": [], "mismatches": 0,
-                "round_times": [],
-            }
-            for name in names
-        }
-        try:
-            for mode_server in servers.values():
-                mode_server.render_many(batch)  # untimed warmup
-            # Untimed convergence rounds: the auto pinning policy homes
-            # in on the stable fragment set one hierarchy level per
-            # serve, so give every config the same handful of
-            # representative write+serve rounds before timing — the
-            # timed window then measures steady state, not the search.
-            write_step = 0
-            for _ in range(8):
-                for _ in range(per_round):
-                    apply_write(db, write_step, tracker)
-                    write_step += 1
-                for mode_server in servers.values():
-                    mode_server.render_many(batch)
-            for rnd in range(rounds):
-                for _ in range(per_round):
-                    apply_write(db, write_step, tracker)
-                    write_step += 1
-                cut = rnd % len(names)
-                for name in names[cut:] + names[:cut]:
-                    started = time.perf_counter()
-                    served = servers[name].render_many(batch)
-                    per_mode[name]["round_times"].append(
-                        time.perf_counter() - started
-                    )
-                    per_mode[name]["traces"].extend(served)
-                reference = serialize(materialize(view, db))
-                for name in names:
-                    record = per_mode[name]
-                    recent = record["traces"][-len(batch):]
-                    record["latencies"].extend(
-                        t.total_seconds for t in recent
-                    )
-                    record["mismatches"] += sum(
-                        1 for t in recent if t.xml != reference
-                    )
-            metrics = {name: servers[name].metrics() for name in names}
-        finally:
-            for mode_server in servers.values():
-                mode_server.close()
-            db.close()
-        ser_p50s: dict[str, float] = {}
-        for name, mode, policy in configs:
-            record = per_mode[name]
-            median_round = statistics.median(record["round_times"])
-            rps = len(batch) / median_round if median_round else 0.0
-            p50 = percentile(record["latencies"], 50) * 1000
-            # Result-cache hits return stored bytes without serializing
-            # (serialize_seconds is exactly 0); the p50 is over the
-            # requests that actually serialized.
-            ser_p50 = percentile(
-                [
-                    t.serialize_seconds for t in record["traces"]
-                    if t.serialize_seconds
-                ], 50,
-            ) * 1000
-            ser_p50s[name] = ser_p50
-            fragments = metrics[name].get("fragments")
-            frag_cell = (
-                f"{fragments['hits']}/{fragments['misses']}"
-                if fragments else "-"
-            )
-            result.add_row(
-                name + suffix, per_round, len(record["traces"]), rps,
-                p50, ser_p50, "-", frag_cell, record["mismatches"],
-            )
-            runs.append(
-                {
-                    "config": name,
-                    "maintenance": mode,
-                    "fragment_policy": policy,
-                    "write_mix": mix_label,
-                    "writes_per_round": per_round,
-                    "rounds": rounds,
-                    "requests": len(record["traces"]),
-                    "median_round_ms": round(median_round * 1000, 4),
-                    "throughput_rps": round(rps, 2),
-                    **latency_summary_ms(
-                        [v * 1000 for v in record["latencies"]]
-                    ),
-                    "serialize_p50_ms": round(ser_p50, 4),
-                    "freshness": metrics[name]["freshness"],
-                    "delta_fallbacks": metrics[name]["delta_fallbacks"],
-                    "fragments": fragments,
-                    "mismatches": record["mismatches"],
-                }
-            )
-        paired = [
-            delta_time / fragment_time
-            for delta_time, fragment_time in zip(
-                per_mode["delta"]["round_times"],
-                per_mode["fragment-auto"]["round_times"],
-            )
-            if fragment_time
-        ]
-        total = sum(per_mode[name]["mismatches"] for name in names)
-        return statistics.median(paired) if paired else 0.0, ser_p50s, total
-
-    # Leaf mix: entity-local confroom-capacity writes — one hotel
-    # reconfigures its meeting space per write. capacity feeds the
-    # confstat aggregates only through their SUM projections, so the
-    # delta path block-splices the affected hotel's and metro's
-    # aggregate blocks (nodes 2 and 4) and row-splices the confroom
-    # leaf; every other hotel's and metro's spans survive by identity,
-    # which is what the byte cache monetizes. This is the gated mix.
-    ratio, serialize_p50, leaf_mismatches = run_modes(
-        "confroom-leaf", writes_per_round,
-        lambda db, step, tracker: hotel_conference_write(
-            db, step, tracker, hotels=1
-        ),
-    )
-    # Row mix: one tracked single-row pool flip per round — the delta
-    # path row-splices one hotel element, every other span survives,
-    # and the byte cache serializes ~one fragment. Pushdown and the
-    # fragment cache composing is the technique's best case.
-    row_ratio, row_serialize_p50, row_mismatches = run_modes(
-        "hotel-payload-row", 1,
-        lambda db, step, tracker: hotel_payload_write(
-            db, step, tracker, rows=1
-        ),
-        suffix=" (row)",
-    )
-    max_pushdown = max(
-        (run["mean_rows_fetched"] for run in pushdown_runs), default=0.0
-    )
-    total_mismatches = (
-        sum(run["mismatches"] for run in pushdown_runs)
-        + leaf_mismatches
-        + row_mismatches
-    )
-    result.notes.append(
-        f"fragment-auto over delta round time (median per-round paired "
-        f"ratio): {ratio:.2f}x at the leaf mix, {row_ratio:.2f}x at the "
-        f"row mix; row-mix serialize p50 fragment-auto "
-        f"{row_serialize_p50['fragment-auto']:.2f}ms vs full "
-        f"{row_serialize_p50['full']:.2f}ms; pushdown rows fetched "
-        f"stays <= {max_pushdown:.1f} vs {node_level_rows} node-level "
-        f"({in_view} hotels in view)."
-    )
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "scale": scale,
-                    "rounds": rounds,
-                    "repeats": repeats,
-                    "batch_requests": len(STRATEGIES) * repeats,
-                    "writes_per_round": writes_per_round,
-                    "row_counts": row_counts,
-                    "in_view_hotels": in_view,
-                    "row_pushdown": pushdown_runs,
-                    "node_level_rows_fetched": node_level_rows,
-                    "row_pushdown_max_mean_rows_fetched": round(
-                        max_pushdown, 3
-                    ),
-                    "runs": runs,
-                    "leaf_mix_serialize_p50_ms": {
-                        name: round(value, 4)
-                        for name, value in serialize_p50.items()
-                    },
-                    "row_mix_serialize_p50_ms": {
-                        name: round(value, 4)
-                        for name, value in row_serialize_p50.items()
-                    },
-                    "fragment_over_delta_at_leaf_mix": round(ratio, 3),
-                    "fragment_over_delta_at_row_mix": round(row_ratio, 3),
-                    "mismatches": total_mismatches,
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-    return result
-
-
-def e18_sharding(
-    scale: int = 8,
-    rounds: int = 12,
-    repeats: int = 8,
-    shard_counts: list[int] | None = None,
-    replicas: int = 0,
-    writes_per_round: int = 1,
-    fault_rates: list[float] | None = None,
-    json_path: str | None = None,
-) -> ExperimentResult:
-    """E18: sharded scatter/merge serving vs a single box.
-
-    One :class:`~repro.sharding.ShardRouter` per shard count, built by
-    key-range-partitioning the same scale-``scale`` hotel database over
-    ``metroarea.metroid`` (the partition column
-    :func:`~repro.sharding.derive_partition_column` derives from the
-    Figure 1 view). The raw view is served (no stylesheet — the
-    composed views concentrate all reads into one top node, which
-    hides the per-shard recompute locality under test) under a
-    *metro-local* write stream
-    (:func:`~repro.maintenance.workload.hotel_metro_write`): each write
-    flips the availability calendar of exactly one metro, so exactly
-    one shard's tracker advances and only that shard recomputes its
-    slice of the document next round; the other shards serve result-
-    cache hits and the single box recomputes everything. On a one-core
-    host the scaling therefore measures *work avoided by write
-    locality*, not thread parallelism.
-
-    Every round applies ``writes_per_round`` routed writes (mirrored
-    onto an unpartitioned reference database with the shared global
-    metro domain), then serves a batch of ``repeats`` requests
-    back-to-back (serial, so the recompute-vs-hit mix per round is
-    deterministic rather than smeared by request racing on one core);
-    req/s is the batch size over the median round time, and
-    every response in every round is verified byte-identical to an
-    uncached serial materialization of the reference — ``mismatches``
-    must be 0. The gated number is the 2-shard-over-1-shard throughput
-    ratio. ``replicas`` read replicas per shard ride along in the
-    fleet (reads rotate across them; failovers counted).
-
-    Chaos rides along when ``fault_rates`` holds nonzero rates: for
-    each rate, a 2-shard fleet with at least one replica per shard runs
-    the same write/serve/verify loop with a seeded
-    :class:`~repro.resilience.faults.FaultPlan` (E16's error + latency
-    mix) armed on **shard 0's primary only** — its replicas are the
-    failover path under test. Those runs record ``availability``
-    (success + degraded over total) and are excluded from the gated
-    fault-free 2-over-1 throughput ratio.
-    """
-    import json
-    import statistics
-
-    from repro.maintenance.workload import hotel_metro_write
-    from repro.schema_tree.evaluator import materialize
-    from repro.serving import PublishRequest, percentile
-    from repro.sharding import ShardRouter
-    from repro.workloads.hotel import hotel_partition_scheme
-    from repro.xmlcore.serializer import serialize
-
-    shard_counts = shard_counts if shard_counts is not None else [1, 2, 4]
-    result = ExperimentResult(
-        "E18",
-        f"Sharded serving fleet (scale-{scale} hotel): key-range "
-        "scatter/merge vs a single box under metro-local writes",
-        ["shards", "replicas", "requests", "req/s", "speedup", "p50 ms",
-         "merged hit/miss", "failovers", "mismatches"],
-        notes=[
-            f"Figure 1 view only, bulk strategy; {rounds} rounds of "
-            f"({writes_per_round} metro-local availability writes, one "
-            f"serial batch of {repeats} requests) per fleet size; "
-            "req/s = batch size over the median round time; speedup is "
-            "vs the 1-shard row. Writes are mirrored onto an "
-            "unpartitioned reference database and every response is "
-            "verified byte-identical to its uncached serial "
-            "materialization (outside the timed window); mismatches "
-            "must be 0.",
-        ],
-    )
-    runs: list[dict] = []
-    base_rps: float | None = None
-
-    def run_fleet(
-        shards: int, fleet_replicas: int, fault_rate: float
-    ) -> dict:
-        """One fleet's write/serve/verify sweep; returns its run record.
-
-        ``fault_rate > 0`` arms E16's error+latency fault mix on shard
-        0's primary only (seeded, disarmed for warmup); its replicas
-        absorb the failures via router failover.
-        """
-        nonlocal base_rps
-        db = build_hotel_database(
-            HotelDataSpec().scaled(scale), cross_thread=True
-        )
-        view = figure1_view(db.catalog)
-        domain = [
-            row["metroid"]
-            for row in db.run_sql(
-                "SELECT metroid FROM metroarea ORDER BY metroid", {}
-            )
-        ]
-        faults = None
-        if fault_rate > 0:
-            from repro.resilience import FaultPlan, FaultSpec
-
-            faults = FaultPlan(
-                FaultSpec(
-                    error_rate=fault_rate,
-                    latency_rate=fault_rate / 2,
-                    latency_ms=2.0,
-                ),
-                seed=18,
-                enabled=False,  # warmup runs clean; armed after
-            )
-        router = ShardRouter.build(
-            db.catalog,
-            db,
-            hotel_partition_scheme(),
-            shards,
-            replicas=fleet_replicas,
-            workers=2,
-            staleness="strict",
-            maintenance="full",
-            faults=(
-                [faults] + [None] * (shards - 1)
-                if faults is not None
-                else None
-            ),
-        )
-        batch = [
-            PublishRequest(view, strategy="bulk", label=f"s{shards}")
-            for _ in range(repeats)
-        ]
-        latencies: list[float] = []
-        round_times: list[float] = []
-        mismatches = 0
-        unavailable = 0
-        step = 0
-        try:
-            router.render_many(batch)  # untimed warmup, faults disarmed
-            if faults is not None:
-                faults.arm()
-            for _ in range(rounds):
-                for _ in range(writes_per_round):
-                    this = step
-                    router.route_write(
-                        lambda source, tracker: hotel_metro_write(
-                            source, this, tracker=tracker, domain=domain
-                        )
-                    )
-                    hotel_metro_write(db, this)
-                    step += 1
-                started = time.perf_counter()
-                traces = [
-                    router.submit(request).result() for request in batch
-                ]
-                round_times.append(time.perf_counter() - started)
-                reference = serialize(materialize(view, db))
-                for trace in traces:
-                    latencies.append(trace.total_seconds)
-                    if trace.outcome not in ("success", "degraded"):
-                        unavailable += 1
-                    elif trace.xml != reference:
-                        mismatches += 1
-            metrics = router.metrics()
-            leaked = router.outstanding()
-        finally:
-            router.close()
-            db.close()
-        median_round = statistics.median(round_times)
-        rps = len(batch) / median_round if median_round else 0.0
-        if base_rps is None and fault_rate == 0:
-            base_rps = rps
-        speedup = rps / base_rps if base_rps else 0.0
-        total = rounds * len(batch)
-        availability = (total - unavailable) / total if total else 0.0
-        merged = metrics["merged_cache"]
-        label = (
-            shards if fault_rate == 0 else f"{shards} (faults {fault_rate})"
-        )
-        result.add_row(
-            label, fleet_replicas, total, rps, speedup,
-            percentile(latencies, 50) * 1000,
-            f"{merged['hits']}/{merged['misses']}",
-            metrics["failovers"], mismatches,
-        )
-        return {
-            "shards": shards,
-            "replicas": fleet_replicas,
-            "fault_rate": fault_rate,
-            "key_ranges": metrics.get("key_ranges"),
-            "requests": total,
-            "median_round_ms": round(median_round * 1000, 4),
-            "throughput_rps": round(rps, 2),
-            "speedup_over_one_shard": round(speedup, 3),
-            **latency_summary_ms([v * 1000 for v in latencies]),
-            "availability": round(availability, 6),
-            "merged_cache": merged,
-            "failovers": metrics["failovers"],
-            "outcomes": metrics["outcomes"],
-            "leaked_connections": leaked,
-            "mismatches": mismatches,
-        }
-
-    for shards in shard_counts:
-        runs.append(run_fleet(shards, replicas, 0.0))
-    chaos_shards = 2 if 2 in shard_counts else shard_counts[0]
-    for rate in fault_rates or []:
-        if rate > 0:
-            runs.append(run_fleet(chaos_shards, max(replicas, 1), rate))
-    total_mismatches = sum(run["mismatches"] for run in runs)
-    by_shards = {
-        run["shards"]: run["throughput_rps"]
-        for run in runs
-        if run["fault_rate"] == 0
-    }
-    two_over_one = (
-        round(by_shards[2] / by_shards[1], 3)
-        if 1 in by_shards and 2 in by_shards and by_shards[1]
-        else None
-    )
-    if two_over_one is not None:
-        result.notes.append(
-            f"2-shard over 1-shard throughput: {two_over_one:.2f}x "
-            f"(gate >= 1.3x); total mismatches {total_mismatches}."
-        )
-    chaos_runs = [run for run in runs if run["fault_rate"] > 0]
-    chaos_availability = (
-        min(run["availability"] for run in chaos_runs)
-        if chaos_runs
-        else None
-    )
-    if chaos_runs:
-        result.notes.append(
-            "chaos: fault rates "
-            f"{sorted({run['fault_rate'] for run in chaos_runs})} on shard "
-            f"0's primary, min availability {chaos_availability:.4f} "
-            f"(replica failover; gate >= 0.99)."
-        )
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "scale": scale,
-                    "rounds": rounds,
-                    "repeats": repeats,
-                    "writes_per_round": writes_per_round,
-                    "shard_counts": shard_counts,
-                    "replicas": replicas,
-                    "fault_rates": sorted(
-                        {run["fault_rate"] for run in chaos_runs}
-                    ),
-                    "runs": runs,
-                    "two_shard_over_one": two_over_one,
-                    "chaos_min_availability": chaos_availability,
-                    "mismatches": total_mismatches,
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-    return result
-
-
-def e19_frontend(
-    scale: int = 1,
-    requests: int = 200,
-    warmup: int = 40,
-    connections: int = 6,
-    fault_rates: list[float] | None = None,
-    hedge_budget: float = 0.15,
-    overload_connections: int = 12,
-    overload_queue_limit: int = 4,
-    json_path: str | None = None,
-) -> ExperimentResult:
-    """E19: the async HTTP front end — hedging and priority admission.
-
-    Every run here goes over **real sockets**: a
-    :class:`~repro.frontend.http.FrontendServer` on a loopback port,
-    driven by the async load generator with keep-alive connections and
-    a deterministic priority-mixed schedule. Requests bypass the
-    result cache so each one computes from live data — the latency
-    distribution under test is the compute path plus whatever the
-    fault plan injects (E16's chaos knobs: transient errors at
-    ``rate/4`` per query, 40ms latency faults at ``rate/12`` per
-    query), with ``retries=3`` and a tight backoff absorbing the
-    transients. A request touches ~9 fault sites *at scale 1* (the
-    nested-loop strategies issue per-row queries, so fault exposure
-    grows with data size), and the per-query stall rate is picked to
-    keep the per-*request* stall rate under the hedge budget — a
-    budget below the stall mass cannot cover the tail no matter how
-    good the trigger is.
-
-    Three sweeps, one JSON report:
-
-    * **hedging** — (fault rate × hedge on/off), all classes
-      hedge-eligible. Warmup (faults disarmed) populates the rolling
-      estimators with clean latencies, so once faults arm, a request
-      stalled by an injected 40ms stall blows through its plan's p95
-      within a few milliseconds and the hedge — which re-draws the
-      per-site fault schedule — usually lands clean. The gated claim:
-      at the highest fault rate, hedging cuts overall p99 while firing
-      on at most ``hedge_budget`` of requests.
-    * **priority** — highest fault rate, hedging restricted to the
-      interactive class: the duplicate-work budget is spent where
-      latency matters, so interactive p95 lands under batch p95 while
-      batch/background keep the raw tail.
-    * **overload** — more connections than the admission limits
-      accommodate (``queue_limit`` set, no faults, no hedging):
-      priority-aware shedding drops background first; the gate is
-      interactive availability 1.0 with every shed landing on the
-      lower classes.
-
-    Leak accounting after every run: facade drained, zero open
-    connections, zero surviving worker threads, zero transport errors.
-    """
-    import asyncio
-    import json
-    import threading
-
-    from repro.frontend import (
-        HedgePolicy,
-        LoadMix,
-        run_load,
-        serve_app,
-        build_hotel_app,
-    )
-    from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
-
-    fault_rates = fault_rates if fault_rates is not None else [0.0, 0.1]
-    max_rate = max(fault_rates)
-    result = ExperimentResult(
-        "E19",
-        f"Async HTTP front end (scale-{scale} hotel): hedged requests "
-        "and priority admission over real sockets",
-        ["run", "faults", "requests", "req/s", "p50 ms", "p99 ms",
-         "avail", "hedge fired/won", "int p95", "batch p95", "shed"],
-        notes=[
-            f"{connections} keep-alive connections, {requests} publishes "
-            f"per run after {warmup} fault-free warmups (cache-bypassing "
-            "computes); E16 chaos mix = transient errors at rate/4 + "
-            "40ms latency faults at rate/12 per query, retries=3. "
-            "Hedge budget "
-            f"{hedge_budget:g} of eligible requests.",
-        ],
-    )
-
-    def fault_plan(rate: float):
-        if rate <= 0:
-            return None
-        return FaultPlan(
-            FaultSpec(
-                error_rate=rate / 4,
-                latency_rate=rate / 12,
-                latency_ms=40.0,
-            ),
-            seed=19,
-            enabled=False,  # armed after warmup
-        )
-
-    def drive(
-        label: str,
-        rate: float,
-        hedge: HedgePolicy | None,
-        mix: LoadMix,
-        n_connections: int,
-        queue_limit: int | None = None,
-    ) -> dict:
-        """One server+loadgen lifecycle; returns the run record."""
-        faults = fault_plan(rate)
-        # Workers exceed connections so a hedge never queues behind the
-        # very stall it is racing — without that headroom, hedge wins
-        # pay the queue wait and the p99 cut evaporates.
-        app = build_hotel_app(
-            scale=scale,
-            workers=8,
-            # Tight backoff: the injected transients succeed on an
-            # immediate retry, and a 5ms+ backoff would park retried
-            # requests right on the hedge trigger, burning budget on
-            # requests a duplicate attempt cannot speed up.
-            resilience=ResiliencePolicy(
-                retries=3, backoff_base_ms=1.0, backoff_max_ms=10.0,
-                queue_limit=queue_limit,
-            ),
-            faults=faults,
-            hedge=hedge,
-        )
-
-        async def run() -> tuple[dict, dict, bool, int]:
-            server = await serve_app(app)
-            host, port = server.address
-            # Warm up at the *measured* concurrency: the rolling hedge
-            # estimators must learn the loaded latency distribution
-            # (queueing included) — an unloaded warmup seeds thresholds
-            # below the queueing tail and the early noise-hedges drain
-            # the budget before any real stall arrives.
-            await run_load(
-                host, port, requests=warmup,
-                connections=n_connections, mix=mix,
-            )
-            if faults is not None:
-                faults.arm()
-            report = await run_load(
-                host, port, requests=requests,
-                connections=n_connections, mix=mix,
-            )
-            metrics = app.facade.metrics()
-            drained = await server.close()
-            return report, metrics, drained, server.open_connections
-
-        report, metrics, drained, open_connections = asyncio.run(run())
-        leaked_threads = sum(
-            1
-            for thread in threading.enumerate()
-            if thread.name.startswith(("viewserver", "shardrouter"))
-        )
-        hedging = metrics["hedging"]
-        priority = metrics.get("priority", {})
-        shed_by_class = {
-            cls: block["shed"] for cls, block in priority.items()
-        }
-        overall = report["overall"]
-        interactive = report["priority"]["interactive"]
-        batch = report["priority"]["batch"]
-        result.add_row(
-            label, rate, report["completed"], report["throughput_rps"],
-            overall["latency"]["p50_ms"], overall["latency"]["p99_ms"],
-            overall["availability"],
-            (
-                f"{hedging['fired']}/{hedging['won']}"
-                if hedging is not None
-                else "-"
-            ),
-            interactive["latency"]["p95_ms"], batch["latency"]["p95_ms"],
-            sum(shed_by_class.values()),
-        )
-        return {
-            "run": label,
-            "fault_rate": rate,
-            "hedge": hedging["policy"] if hedging is not None else None,
-            "requests": report["completed"],
-            "connections": n_connections,
-            "queue_limit": queue_limit,
-            "throughput_rps": report["throughput_rps"],
-            "overall": overall,
-            "priority": report["priority"],
-            "hedging": hedging,
-            "shed_by_class": shed_by_class,
-            "transport_errors": report["transport_errors"],
-            "leaks": {
-                "drained": drained,
-                "open_connections": open_connections,
-                "threads": leaked_threads,
-            },
-        }
-
-    sweep_mix = LoadMix(bypass_cache=True)
-    runs: list[dict] = []
-    for rate in fault_rates:
-        runs.append(drive(f"no-hedge@{rate}", rate, None, sweep_mix, connections))
-        runs.append(
-            drive(
-                f"hedge@{rate}",
-                rate,
-                # Median-based trigger with a floor above the clean
-                # p99 (~12ms): the median is robust to stall samples
-                # polluting the window (a rolling p95 drifts up to the
-                # stall size and fires too late), while the floor keeps
-                # the trigger from ever dipping into clean-request
-                # territory, so the budget is spent on real stalls.
-                HedgePolicy(
-                    threshold_percentile=50.0,
-                    min_samples=8,
-                    window=64,
-                    budget_fraction=hedge_budget,
-                    delay_floor_ms=15.0,
-                    delay_multiplier=4.0,
-                ),
-                sweep_mix,
-                connections,
-            )
-        )
-
-    # The budget denominator is *eligible* requests, and only
-    # interactive ones are eligible here — so a class-local budget of
-    # 0.35 still bounds fired hedges at 0.35 x the interactive share
-    # (0.4) = 14% of all traffic. The higher local budget is the point:
-    # every stalled interactive request can buy out of the tail while
-    # batch/background keep it. The run doubles the fault rate so the
-    # unhedged classes' p95 is robustly stall-dominated (at the sweep
-    # rate a class's 95th sample sits right on the stall boundary and
-    # the ordering would be a coin flip).
-    priority_rate = max_rate * 2
-    priority_run = drive(
-        f"hedge-interactive@{priority_rate:g}",
-        priority_rate,
-        HedgePolicy(
-            threshold_percentile=50.0,
-            min_samples=8,
-            window=64,
-            budget_fraction=0.35,
-            delay_floor_ms=15.0,
-            delay_multiplier=4.0,
-            priorities=("interactive",),
-        ),
-        LoadMix(
-            priority_weights={
-                "interactive": 0.4, "batch": 0.4, "background": 0.2
-            },
-            bypass_cache=True,
-        ),
-        connections,
-    )
-
-    overload_run = drive(
-        "overload",
-        0.0,
-        None,
-        sweep_mix,
-        overload_connections,
-        queue_limit=overload_queue_limit,
-    )
-
-    by_run = {run["run"]: run for run in runs}
-    unhedged = by_run[f"no-hedge@{max_rate}"]
-    hedged = by_run[f"hedge@{max_rate}"]
-    p99_unhedged = unhedged["overall"]["latency"]["p99_ms"]
-    p99_hedged = hedged["overall"]["latency"]["p99_ms"]
-    fire_rate = hedged["hedging"]["fire_rate"]
-    result.notes.append(
-        f"at fault rate {max_rate}: hedging p99 {p99_hedged:.2f}ms vs "
-        f"{p99_unhedged:.2f}ms unhedged "
-        f"({p99_hedged / p99_unhedged:.2f}x, gate < 1) firing on "
-        f"{fire_rate:.1%} of requests (gate <= 15%); interactive-only "
-        "hedging p95 "
-        f"{priority_run['priority']['interactive']['latency']['p95_ms']:.2f}"
-        "ms vs batch "
-        f"{priority_run['priority']['batch']['latency']['p95_ms']:.2f}ms."
-    )
-    result.notes.append(
-        "overload: interactive availability "
-        f"{overload_run['priority']['interactive']['availability']:.4f} "
-        f"with shed by class {overload_run['shed_by_class']}."
-    )
-    # Hedge-loser reaping must never raise: an exception out of the
-    # reaper means the cancellation path itself broke (gate: 0).
-    reap_errors = sum(
-        run["hedging"]["reap_errors"]
-        for run in runs + [priority_run]
-        if run["hedging"] is not None
-    )
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "scale": scale,
-                    "requests": requests,
-                    "warmup": warmup,
-                    "connections": connections,
-                    "fault_rates": fault_rates,
-                    "hedge_budget": hedge_budget,
-                    "runs": runs,
-                    "priority_run": priority_run,
-                    "overload_run": overload_run,
-                    "p99_unhedged_at_max_rate": p99_unhedged,
-                    "p99_hedged_at_max_rate": p99_hedged,
-                    "hedge_fire_rate_at_max_rate": fire_rate,
-                    "reap_errors": reap_errors,
-                    "availability_at_max_rate": hedged["overall"][
-                        "availability"
-                    ],
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-    return result
-
-
-def e20_backends(
-    scale: int = 4,
-    rounds: int = 8,
-    repeats: int = 4,
-    writes_per_round: int = 2,
-    backends: list[str] | None = None,
-    json_path: str | None = None,
-) -> ExperimentResult:
-    """E20: engine backends compared on the Figure 1 workload.
-
-    One update-aware :class:`~repro.serving.server.ViewServer` per
-    registered backend (sqlite, DuckDB), each over a same-seed hotel
-    database built through its
-    :class:`~repro.relational.driver.EngineDriver`. Every run serves
-    ``rounds`` rounds of (apply ``writes_per_round`` standard hotel
-    writes, serve one serial batch of ``repeats`` x {Figure 1 raw view,
-    Figure 4 composition} bulk requests). Writes are recorded
-    explicitly on every backend — the one capture mode all drivers
-    share — so the served request stream is identical across engines.
-
-    Two byte gates, both must be zero:
-
-    * **within-backend mismatches** — every response is verified
-      byte-identical to an uncached serial materialization of that
-      backend's live database (outside the timed window);
-    * **cross-backend mismatches** — every response is compared against
-      the same round/request response from the first available backend
-      (sqlite): the published bytes must not change when the engine
-      does.
-
-    A backend whose module is not installed is recorded as
-    ``available: false`` rather than failing the sweep. Leaked pooled
-    connections are checked per backend (gate: 0). With ``json_path``
-    the raw numbers land in ``BENCH_e20.json``, including the
-    duckdb-over-sqlite throughput ratio when both ran.
-    """
-    import json
-    import statistics
-
-    from repro.core.optimize import prune_stylesheet_view
-    from repro.maintenance import WriteTracker, hotel_write
-    from repro.relational.driver import (
-        BACKEND_NAMES,
-        backend_available,
-        resolve_driver,
-    )
-    from repro.schema_tree.evaluator import materialize
-    from repro.serving import PublishRequest, ViewServer, percentile
-    from repro.xmlcore.serializer import serialize
-
-    backends = backends if backends is not None else list(BACKEND_NAMES)
-    result = ExperimentResult(
-        "E20",
-        f"Backend drivers (scale-{scale} hotel): sqlite vs DuckDB on the "
-        "Figure 1 workload, byte-checked within and across engines",
-        ["backend", "requests", "req/s", "p50 ms", "hit/miss",
-         "mismatches", "cross mismatches", "leaked"],
-        notes=[
-            f"Each available backend: {rounds} rounds of "
-            f"({writes_per_round} hotel-mix writes recorded explicitly, "
-            f"one serial batch of {repeats} x {{raw view, figure4}} bulk "
-            "requests). Every response is byte-checked against an "
-            "uncached serial materialization of the same backend AND "
-            "against the first backend's response for the same "
-            "round/request; both mismatch counts must be 0.",
-        ],
-    )
-    runs: list[dict] = []
-    #: (round, request index) -> response bytes of the first backend.
-    reference_bytes: dict[tuple[int, int], str] = {}
-
-    def run_backend(name: str) -> dict:
-        driver = resolve_driver(name)
-        db = build_hotel_database(
-            HotelDataSpec().scaled(scale), cross_thread=True, seed=2003,
-            driver=driver,
-        )
-        view = figure1_view(db.catalog)
-        stylesheet = figure4_stylesheet()
-        composed = compose(view, stylesheet, db.catalog)
-        prune_stylesheet_view(composed, db.catalog)
-        targets = [view, composed]
-        tracker = WriteTracker()
-        db.attach_tracker(tracker)  # explicit capture on every backend
-        server = ViewServer(
-            db.catalog,
-            source=db,
-            workers=2,
-            tracker=tracker,
-            staleness="strict",
-            maintenance="full",
-        )
-        batch = [
-            PublishRequest(
-                view,
-                stylesheet if which else None,
-                strategy="bulk",
-                label=f"{name}/{'figure4' if which else 'figure1'}",
-            )
-            for _ in range(repeats)
-            for which in (0, 1)
-        ]
-        latencies: list[float] = []
-        round_times: list[float] = []
-        mismatches = 0
-        cross_mismatches = 0
-        step = 0
-        first_backend = not reference_bytes
-        try:
-            server.render_many(batch)  # untimed warmup
-            for round_index in range(rounds):
-                for _ in range(writes_per_round):
-                    hotel_write(db, step, tracker)
-                    step += 1
-                started = time.perf_counter()
-                traces = [
-                    server.submit(request).result() for request in batch
-                ]
-                round_times.append(time.perf_counter() - started)
-                references = [
-                    serialize(materialize(target, db)) for target in targets
-                ]
-                for index, trace in enumerate(traces):
-                    latencies.append(trace.total_seconds)
-                    if trace.xml != references[index % 2]:
-                        mismatches += 1
-                    key = (round_index, index)
-                    if first_backend:
-                        reference_bytes[key] = trace.xml
-                    elif trace.xml != reference_bytes.get(key):
-                        cross_mismatches += 1
-            metrics = server.metrics()
-            leaked = server.pool.outstanding()
-        finally:
-            server.close()
-            db.close()
-        median_round = statistics.median(round_times)
-        rps = len(batch) / median_round if median_round else 0.0
-        total = rounds * len(batch)
-        cache = metrics["result_cache"]
-        result.add_row(
-            name, total, rps, percentile(latencies, 50) * 1000,
-            f"{cache['hits']}/{cache['misses']}",
-            mismatches,
-            "-" if first_backend else cross_mismatches,
-            leaked,
-        )
-        return {
-            "backend": name,
-            "available": True,
-            "requests": total,
-            "median_round_ms": round(median_round * 1000, 4),
-            "throughput_rps": round(rps, 2),
-            **latency_summary_ms([v * 1000 for v in latencies]),
-            "result_cache": cache,
-            "mismatches": mismatches,
-            "cross_mismatches": None if first_backend else cross_mismatches,
-            "leaked_connections": leaked,
-            "contract": driver.contract(),
-        }
-
-    for name in backends:
-        if not backend_available(name):
-            result.add_row(name, 0, 0.0, 0.0, "-", "-", "-", "-")
-            runs.append({"backend": name, "available": False})
-            continue
-        runs.append(run_backend(name))
-    available = [run for run in runs if run["available"]]
-    total_mismatches = sum(run["mismatches"] for run in available)
-    total_cross = sum(run["cross_mismatches"] or 0 for run in available)
-    total_leaked = sum(run["leaked_connections"] for run in available)
-    by_backend = {
-        run["backend"]: run["throughput_rps"] for run in available
-    }
-    duckdb_over_sqlite = (
-        round(by_backend["duckdb"] / by_backend["sqlite"], 3)
-        if "sqlite" in by_backend and "duckdb" in by_backend
-        and by_backend["sqlite"]
-        else None
-    )
-    result.notes.append(
-        f"backends run: {sorted(by_backend)}; total mismatches "
-        f"{total_mismatches}, cross-backend mismatches {total_cross}, "
-        f"leaked connections {total_leaked} (gates: all 0)."
-        + (
-            f" duckdb over sqlite throughput: {duckdb_over_sqlite:.2f}x."
-            if duckdb_over_sqlite is not None
-            else " duckdb not installed here: sqlite-only sweep."
-        )
-    )
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "scale": scale,
-                    "rounds": rounds,
-                    "repeats": repeats,
-                    "writes_per_round": writes_per_round,
-                    "backends": backends,
-                    "runs": runs,
-                    "mismatches": total_mismatches,
-                    "cross_backend_mismatches": total_cross,
-                    "leaked_connections": total_leaked,
-                    "duckdb_over_sqlite_throughput": duckdb_over_sqlite,
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-    return result
-
-
-def e21_fleet(
-    scale: int = 8,
-    rounds: int = 10,
-    repeats: int = 6,
-    shards: int = 2,
-    replica_counts: list[int] | None = None,
-    fault_kinds: list[str] | None = None,
-    fault_rate: float = 0.5,
-    fault_window: int = 4,
-    writes_per_round: int = 1,
-    lag_budget: int = 16,
-    replica_lag_ms: float = 25.0,
-    hedge_requests: int = 60,
-    json_path: str | None = None,
-) -> ExperimentResult:
-    """E21: replica-aware fleet resilience under whole-member faults.
-
-    Where E18 injects per-query faults into one primary, E21 afflicts
-    whole *members* for windows at a time
-    (:class:`~repro.resilience.faults.FleetFaultPlan`): a replica's pool
-    refuses new sessions (``replica-crash``), a replica's catch-up
-    apply loop freezes so its version lag grows (``apply-stall``), or
-    the primary stays writable but unreadable (``partition``). Three
-    phases, one JSON report:
-
-    * **strict sweep** — (fault kind x replica count) fleets under the
-      E18 write/serve/verify loop: metro-local writes mirrored onto an
-      unpartitioned reference, serial batches, and every *successful*
-      response byte-checked against the reference's uncached serial
-      materialization. Strict routing must never serve a lagging member,
-      so ``mismatches`` must be 0 across every kind; under
-      ``replica-crash`` with >= 2 replicas the surviving members keep
-      availability >= 0.99 (the CI gate reads the 3-replica cell).
-      ``apply-stall`` runs additionally record the stalled repliers'
-      lag watermark — the lag has to *actually grow* for the strict
-      exclusion to be tested.
-    * **partition** — a bounded:``lag_budget`` fleet with
-      ``replica_lag_ms`` of genuine apply delay and read-partition
-      windows on the primaries: reads fail over to replicas *within the
-      version budget*, so the gate is ``max_member_lag_served <=
-      lag_budget`` while writes keep landing on the (writable) primary.
-    * **anti-affinity** — an :class:`~repro.frontend.facade.
-      AsyncViewServer` over a 1-shard/2-replica set with a latency
-      fault plan on the primary and an aggressive hedge policy: every
-      hedge shares a :class:`~repro.sharding.replica.PlacementGroup`
-      with its primary attempt, so the router routes it to a member the
-      first attempt did not use. Gates: anti-affinity rate >= 0.9,
-      hedge-loser reap errors == 0.
-
-    Leak accounting after every fleet: zero borrowed sessions, zero
-    surviving ``viewserver``/``shardrouter`` threads.
-    """
-    import asyncio
-    import json
-    import statistics
-    import threading
-
-    from repro.frontend import AsyncViewServer, HedgePolicy
-    from repro.maintenance.workload import hotel_metro_write
-    from repro.resilience import (
-        FaultPlan,
-        FaultSpec,
-        FleetFaultPlan,
-    )
-    from repro.schema_tree.evaluator import materialize
-    from repro.serving import PublishRequest, percentile
-    from repro.sharding import ShardRouter
-    from repro.workloads.hotel import hotel_partition_scheme
-    from repro.xmlcore.serializer import serialize
-
-    replica_counts = (
-        replica_counts if replica_counts is not None else [1, 2, 3]
-    )
-    fault_kinds = (
-        fault_kinds
-        if fault_kinds is not None
-        else ["none", "replica-crash", "apply-stall"]
-    )
-    result = ExperimentResult(
-        "E21",
-        f"Fleet resilience (scale-{scale} hotel, {shards} shards): "
-        "whole-member faults vs health-tracked replica sets",
-        ["run", "replicas", "requests", "avail", "failovers",
-         "skips c/p/l", "max lag srv", "mismatches"],
-        notes=[
-            f"{rounds} rounds of ({writes_per_round} metro-local writes, "
-            f"one serial batch of {repeats} requests) per fleet; fleet "
-            f"faults drawn per {fault_window}-check window at rate "
-            f"{fault_rate:g}, seed 21, warmup disarmed. Strict responses "
-            "are byte-checked against a mirrored unpartitioned reference "
-            "(mismatches must be 0); the partition phase runs "
-            f"bounded:{lag_budget} with {replica_lag_ms:g}ms of real "
-            "apply delay instead (stale bytes are in-contract there, so "
-            "the gate is the served lag bound).",
-        ],
-    )
-    leaked_connections_total = 0
-
-    def leaked_threads_now() -> int:
-        return sum(
-            1
-            for thread in threading.enumerate()
-            if thread.name.startswith(("viewserver", "shardrouter"))
-        )
-
-    def run_fleet(
-        kind: str,
-        fleet_replicas: int,
-        staleness: str = "strict",
-        lag_ms: float = 0.0,
-        byte_check: bool = True,
-    ) -> dict:
-        """One fleet's write/serve/verify sweep under one fault kind."""
-        nonlocal leaked_connections_total
-        db = build_hotel_database(
-            HotelDataSpec().scaled(scale), cross_thread=True
-        )
-        view = figure1_view(db.catalog)
-        domain = [
-            row["metroid"]
-            for row in db.run_sql(
-                "SELECT metroid FROM metroarea ORDER BY metroid", {}
-            )
-        ]
-        plan = None
-        if kind != "none":
-            plan = FleetFaultPlan.for_kind(
-                kind, rate=fault_rate, seed=21, window=fault_window
-            )
-            plan.disarm()  # warmup runs clean
-        router = ShardRouter.build(
-            db.catalog,
-            db,
-            hotel_partition_scheme(),
-            shards,
-            replicas=fleet_replicas,
-            workers=2,
-            staleness=staleness,
-            maintenance="full",
-            fleet_faults=plan,
-            replica_lag_ms=lag_ms,
-        )
-        batch = [
-            PublishRequest(view, strategy="bulk", label=f"e21-{kind}")
-            for _ in range(repeats)
-        ]
-        latencies: list[float] = []
-        round_times: list[float] = []
-        mismatches = 0
-        unavailable = 0
-        step = 0
-        try:
-            router.render_many(batch)  # untimed warmup, plan disarmed
-            if plan is not None:
-                plan.arm()
-            for _ in range(rounds):
-                for _ in range(writes_per_round):
-                    this = step
-                    router.route_write(
-                        lambda source, tracker: hotel_metro_write(
-                            source, this, tracker=tracker, domain=domain
-                        )
-                    )
-                    hotel_metro_write(db, this)
-                    step += 1
-                started = time.perf_counter()
-                traces = [
-                    router.submit(request).result() for request in batch
-                ]
-                round_times.append(time.perf_counter() - started)
-                reference = (
-                    serialize(materialize(view, db)) if byte_check else None
-                )
-                for trace in traces:
-                    latencies.append(trace.total_seconds)
-                    if trace.outcome not in ("success", "degraded"):
-                        unavailable += 1
-                    elif byte_check and trace.xml != reference:
-                        mismatches += 1
-            metrics = router.metrics()
-            leaked = router.outstanding()
-        finally:
-            router.close()
-            db.close()
-        leaked_connections_total += leaked
-        fleet = metrics["fleet"]
-        skips = fleet["skips"]
-        health = fleet["replica_health"]
-        stall_lag = max(
-            (
-                member["max_lag"]
-                for shard_block in health
-                for member in shard_block["members"].values()
-            ),
-            default=0,
-        )
-        stalled_checks = sum(
-            member["stalled_checks"] or 0
-            for shard_block in health
-            for member in shard_block["members"].values()
-        )
-        total = rounds * len(batch)
-        availability = (total - unavailable) / total if total else 0.0
-        median_round = statistics.median(round_times)
-        result.add_row(
-            kind if staleness == "strict" else f"{kind} ({staleness})",
-            fleet_replicas, total, availability,
-            metrics["failovers"],
-            f"{skips['crash']}/{skips['partition']}/{skips['lagging']}",
-            fleet["max_member_lag_served"],
-            mismatches if byte_check else "-",
-        )
-        return {
-            "kind": kind,
-            "replicas": fleet_replicas,
-            "staleness": staleness,
-            "replica_lag_ms": lag_ms,
-            "requests": total,
-            "median_round_ms": round(median_round * 1000, 4),
-            **latency_summary_ms([v * 1000 for v in latencies]),
-            "availability": round(availability, 6),
-            "byte_checked": byte_check,
-            "mismatches": mismatches if byte_check else None,
-            "failovers": metrics["failovers"],
-            "outcomes": metrics["outcomes"],
-            "skips": skips,
-            "no_candidates": fleet["no_candidates"],
-            "stale_serves": fleet["stale_serves"],
-            "max_member_lag_served": fleet["max_member_lag_served"],
-            "lag_budget": fleet["lag_budget"],
-            "stall_max_lag": stall_lag,
-            "stalled_checks": stalled_checks,
-            "fleet_faults": fleet.get("fleet_faults"),
-            "leaked_connections": leaked,
-        }
-
-    runs: list[dict] = []
-    for kind in fault_kinds:
-        for fleet_replicas in replica_counts:
-            runs.append(run_fleet(kind, fleet_replicas))
-
-    partition_run = run_fleet(
-        "partition",
-        max(max(replica_counts), 1),
-        staleness=f"bounded:{lag_budget}",
-        lag_ms=replica_lag_ms,
-        byte_check=False,
-    )
-
-    def anti_affinity_phase() -> dict:
-        """Hedged requests over a replica set: the hedge lands elsewhere.
-
-        A total-latency fault plan on the 1-shard fleet's primary makes
-        every attempt routed there stall, so its hedge fires — and the
-        shared placement group steers the hedge onto a replica the
-        first attempt did not use. Replicas are clean, so hedge wins
-        come back fast and the loser cancels without error.
-        """
-        db = build_hotel_database(
-            HotelDataSpec().scaled(max(scale // 4, 1)), cross_thread=True
-        )
-        view = figure1_view(db.catalog)
-        faults = FaultPlan(
-            FaultSpec(latency_rate=1.0, latency_ms=5.0),
-            seed=21,
-            enabled=False,  # armed after the estimator warmup
-        )
-        router = ShardRouter.build(
-            db.catalog,
-            db,
-            hotel_partition_scheme(),
-            1,
-            replicas=2,
-            workers=4,
-            staleness="strict",
-            faults=[faults],
-            keep_xml=True,
-        )
-        facade = AsyncViewServer(
-            router,
-            hedge=HedgePolicy(
-                threshold_percentile=50.0,
-                min_samples=4,
-                window=32,
-                budget_fraction=1.0,
-                delay_floor_ms=1.0,
-                delay_multiplier=1.0,
-            ),
-        )
-
-        async def drive() -> bool:
-            for _ in range(8):  # clean warmup seeds the rolling median
-                await facade.submit(
-                    PublishRequest(
-                        view, strategy="bulk", label="e21-hedge",
-                        bypass_cache=True,
-                    )
-                )
-            faults.arm()
-            for _ in range(hedge_requests):
-                await facade.submit(
-                    PublishRequest(
-                        view, strategy="bulk", label="e21-hedge",
-                        bypass_cache=True,
-                    )
-                )
-            return await facade.drain(10.0)
-
-        try:
-            drained = asyncio.run(drive())
-            affinity = router.fleet_metrics()["anti_affinity"]
-            hedging = facade.hedges.stats()
-            leaked = router.outstanding()
-        finally:
-            router.close()
-            db.close()
-        nonlocal leaked_connections_total
-        leaked_connections_total += leaked
-        return {
-            "requests": hedge_requests,
-            "drained": drained,
-            "hits": affinity["hits"],
-            "misses": affinity["misses"],
-            "rate": affinity["rate"],
-            "hedges_fired": hedging["fired"],
-            "hedges_won": hedging["won"],
-            "reap_errors": hedging["reap_errors"],
-            "leaked_connections": leaked,
-        }
-
-    affinity_run = anti_affinity_phase()
-    leaked_threads = leaked_threads_now()
-
-    strict_mismatches = sum(run["mismatches"] or 0 for run in runs)
-    crash_availability = {
-        str(run["replicas"]): run["availability"]
-        for run in runs
-        if run["kind"] == "replica-crash"
-    }
-    multi_replica = [
-        run["availability"]
-        for run in runs
-        if run["kind"] == "replica-crash" and run["replicas"] >= 2
-    ]
-    stall_max_lag = max(
-        (run["stall_max_lag"] for run in runs if run["kind"] == "apply-stall"),
-        default=0,
-    )
-    result.notes.append(
-        f"strict mismatches {strict_mismatches} (gate 0); replica-crash "
-        f"availability by replica count {crash_availability} (gate >= "
-        "0.99 at >= 2 replicas); apply-stall lag watermark "
-        f"{stall_max_lag} (must grow > 0); partition served-lag bound "
-        f"{partition_run['max_member_lag_served']} <= "
-        f"{lag_budget}."
-    )
-    rate = affinity_run["rate"]
-    result.notes.append(
-        f"hedge anti-affinity: {affinity_run['hits']} hits / "
-        f"{affinity_run['misses']} misses over "
-        f"{affinity_run['hedges_fired']} hedges "
-        + (f"(rate {rate:.3f}, gate >= 0.9)" if rate is not None
-           else "(no hedges fired)")
-        + f", reap errors {affinity_run['reap_errors']} (gate 0); leaks: "
-        f"{leaked_connections_total} connections, "
-        f"{leaked_threads} threads (gate 0)."
-    )
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {
-                    "scale": scale,
-                    "rounds": rounds,
-                    "repeats": repeats,
-                    "shards": shards,
-                    "replica_counts": replica_counts,
-                    "fault_kinds": fault_kinds,
-                    "fault_rate": fault_rate,
-                    "fault_window": fault_window,
-                    "lag_budget": lag_budget,
-                    "replica_lag_ms": replica_lag_ms,
-                    "runs": runs,
-                    "partition_run": partition_run,
-                    "anti_affinity": affinity_run,
-                    "strict_mismatches": strict_mismatches,
-                    "crash_availability": crash_availability,
-                    "min_crash_availability_multi_replica": (
-                        min(multi_replica) if multi_replica else None
-                    ),
-                    "stall_max_lag": stall_max_lag,
-                    "partition_max_member_lag_served": partition_run[
-                        "max_member_lag_served"
-                    ],
-                    "leaked_connections": leaked_connections_total,
-                    "leaked_threads": leaked_threads,
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
     return result
 
 
@@ -2964,30 +557,6 @@ def run_all(quick: bool = False) -> list[ExperimentResult]:
             e10_memoization([1]),
             e11_document_order([1]),
             e12_bulk_eval([1, 2]),
-            e13_serving(scale=2, workers_values=[1, 2], requests=10),
-            e14_maintenance(
-                scale=1, rounds=3, repeats=1, write_rates=[0, 2],
-                bounded_lag=4,
-            ),
-            e15_incremental(
-                scale=2, rounds=10, repeats=2, write_rates=[0, 2],
-            ),
-            e16_resilience(
-                scale=1, rounds=3, repeats=1, fault_rates=[0.0, 0.3],
-            ),
-            e17_fragments(scale=2, rounds=3, repeats=1, row_counts=[1, 4]),
-            e18_sharding(
-                scale=4, rounds=4, repeats=3, shard_counts=[1, 2],
-                fault_rates=[0.2],
-            ),
-            e19_frontend(
-                scale=1, requests=120, warmup=24, fault_rates=[0.0, 0.1],
-            ),
-            e20_backends(scale=2, rounds=4, repeats=2),
-            e21_fleet(
-                scale=4, rounds=4, repeats=3, replica_counts=[1, 3],
-                hedge_requests=40,
-            ),
         ]
     return [
         e1_end_to_end(),
@@ -3002,13 +571,4 @@ def run_all(quick: bool = False) -> list[ExperimentResult]:
         e10_memoization(),
         e11_document_order(),
         e12_bulk_eval(),
-        e13_serving(),
-        e14_maintenance(),
-        e15_incremental(),
-        e16_resilience(),
-        e17_fragments(),
-        e18_sharding(replicas=1, fault_rates=[0.2]),
-        e19_frontend(),
-        e20_backends(),
-        e21_fleet(),
     ]

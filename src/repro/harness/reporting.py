@@ -1,80 +1,9 @@
-"""Result tables, markdown rendering, and shared latency statistics.
-
-Besides the :class:`ExperimentResult` tables recorded in
-EXPERIMENTS.md, this module is the single home of the percentile
-machinery every harness and CLI surface uses: :func:`percentile` (one
-quantile), :func:`percentiles` (several at once), and
-:func:`latency_summary_ms` (the canonical ``p50/p95/p99/max``
-milliseconds dict that every ``--*-json`` report emits, E13 through
-E19). Keeping one implementation here means latency numbers are
-comparable across experiments by construction.
-"""
+"""Result tables and markdown rendering for the experiment harness."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
-
-#: The quantiles every latency summary reports, in order.
-SUMMARY_QUANTILES = (50.0, 95.0, 99.0)
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..100) by linear interpolation.
-
-    Shared by ``serve-bench``, ``load-bench``, and experiments E13-E19
-    so latency percentiles are computed identically everywhere;
-    returns 0.0 for an empty sequence.
-    """
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * (q / 100.0)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = rank - low
-    return ordered[low] + (ordered[high] - ordered[low]) * fraction
-
-
-def percentiles(
-    values: Sequence[float], qs: Sequence[float] = SUMMARY_QUANTILES
-) -> dict[float, float]:
-    """Several percentiles over one sort of ``values`` (``{q: value}``)."""
-    if not values:
-        return {q: 0.0 for q in qs}
-    ordered = sorted(values)
-    out: dict[float, float] = {}
-    for q in qs:
-        if len(ordered) == 1:
-            out[q] = ordered[0]
-            continue
-        rank = (len(ordered) - 1) * (q / 100.0)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = rank - low
-        out[q] = ordered[low] + (ordered[high] - ordered[low]) * fraction
-    return out
-
-
-def latency_summary_ms(
-    latencies_ms: Sequence[float], digits: int = 4
-) -> dict[str, float]:
-    """The canonical latency block of every harness JSON report.
-
-    ``{"p50_ms", "p95_ms", "p99_ms", "max_ms", "count"}`` over
-    millisecond samples — one shape for E13-E19 and the CLI benches so
-    downstream tooling never guesses which percentiles exist.
-    """
-    values = percentiles(latencies_ms, SUMMARY_QUANTILES)
-    return {
-        "p50_ms": round(values[50.0], digits),
-        "p95_ms": round(values[95.0], digits),
-        "p99_ms": round(values[99.0], digits),
-        "max_ms": round(max(latencies_ms), digits) if latencies_ms else 0.0,
-        "count": len(latencies_ms),
-    }
 
 
 @dataclass

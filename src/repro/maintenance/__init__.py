@@ -23,16 +23,14 @@ handled at the relational layer. Three pieces:
 :class:`~repro.serving.server.ViewServer` wires the three together and
 reports per-request freshness (``hit`` / ``miss`` / ``stale-recompute``
 / ``delta-recompute`` / ``bypass``) on every
-:class:`~repro.serving.server.RequestTrace`; experiments E14/E15 and
-``python -m repro serve-bench --writes-per-sec`` measure the
-consistency/throughput trade-off.
+:class:`~repro.serving.server.RequestTrace`; the ``write-mix`` workload
+of ``benchmarks/perf`` measures the consistency/throughput trade-off.
 
 A fourth piece, :mod:`repro.maintenance.incremental`, makes
 stale-recomputes cheaper: instead of re-running the whole compiled
 plan, the :class:`DeltaEvaluator` re-executes only the schema nodes
 whose read sets intersect the written tables and splices the fresh
-subtrees into the cached document (``serve-bench --maintenance delta``,
-experiment E15).
+subtrees into the cached document (``serve-http --maintenance delta``).
 """
 
 from repro.maintenance.fragments import (
@@ -43,7 +41,6 @@ from repro.maintenance.fragments import (
 )
 from repro.maintenance.incremental import (
     MAINTENANCE_MODES,
-    ROW_PUSHDOWN_MAX_KEYS,
     DeltaEvaluator,
     DeltaResult,
     DeltaUnsupported,
@@ -52,7 +49,11 @@ from repro.maintenance.incremental import (
 )
 from repro.maintenance.policy import StalenessPolicy
 from repro.maintenance.result_cache import CachedResult, ResultCache
-from repro.maintenance.tracker import TableChange, WriteTracker
+from repro.maintenance.tracker import (
+    ROW_PUSHDOWN_MAX_KEYS,
+    TableChange,
+    WriteTracker,
+)
 from repro.maintenance.workload import (
     hotel_calendar_write,
     hotel_conference_write,

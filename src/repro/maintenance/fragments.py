@@ -234,10 +234,6 @@ class FragmentCache:
     def __len__(self) -> int:
         return len(self._spans)
 
-    def span_bytes(self) -> int:
-        """Total cached bytes across all fragments."""
-        return sum(len(span) for span in self._spans.values())
-
     def survival(self, node_id: int) -> Optional[float]:
         """Fraction of the node's live spans the pass that built this
         cache reused (spliced or carried forward) rather than re-walked;

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field, replace as replace_dataclass
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.errors import SQLTransformError
-from repro.maintenance.tracker import TableChange
+from repro.maintenance.tracker import ROW_PUSHDOWN_MAX_KEYS, TableChange
 from repro.relational.engine import Database, Row
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator, _Instance, _NodePlan
 from repro.schema_tree.evaluator import MaterializeStats
@@ -81,11 +81,6 @@ from repro.xmlcore.nodes import Document, Element
 #: when the delta path declines; ``"fragment"`` is delta plus the
 #: serialized-fragment byte cache (:mod:`repro.maintenance.fragments`).
 MAINTENANCE_MODES = ("full", "delta", "fragment")
-
-#: Row-level pushdown bail-out: above this many changed keys the IN-list
-#: query stops being obviously cheaper than the node re-evaluation it
-#: replaces, so the delta falls back to node granularity.
-ROW_PUSHDOWN_MAX_KEYS = 512
 
 
 class DeltaUnsupported(Exception):
@@ -147,8 +142,8 @@ class DeltaResult:
     #: Parent blocks re-evaluated by the block-level path.
     blocks_spliced: int = 0
     #: Wall-clock seconds spent in the copy-on-spine splice itself
-    #: (document and state rebuild), excluding query work — the "splice"
-    #: phase of the serve-bench profile.
+    #: (document and state rebuild), excluding query work —
+    #: ``RequestTrace.splice_seconds``.
     splice_seconds: float = 0.0
 
 

@@ -64,7 +64,7 @@ class StalenessPolicy:
     def parse(cls, text: str) -> "StalenessPolicy":
         """Parse ``"strict"``, ``"manual"``, or ``"bounded:N"``.
 
-        This is the CLI/config syntax (``serve-bench --staleness``).
+        This is the CLI/config syntax (``serve-http --staleness``).
         """
         spec = text.strip()
         if spec == "strict":

@@ -42,6 +42,17 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 # driver layer with the rest of the capture machinery.
 from repro.relational.driver import _write_target  # noqa: F401
 
+#: Row-level pushdown bail-out: above this many changed keys the IN-list
+#: query stops being obviously cheaper than the node re-evaluation it
+#: replaces, so the delta falls back to node granularity.
+ROW_PUSHDOWN_MAX_KEYS = 512
+
+#: Keys the log retains per table, summed over its events. A reader's
+#: range is always a suffix of the log and it gives up above
+#: ``ROW_PUSHDOWN_MAX_KEYS`` changed keys, so the newest events whose
+#: key sets fit that many together are all a reader can use.
+KEY_LOG_MAX_KEYS = ROW_PUSHDOWN_MAX_KEYS
+
 
 @dataclass(frozen=True)
 class TableChange:
@@ -50,9 +61,10 @@ class TableChange:
     ``keys`` is the union of changed primary-key values, or ``None``
     when any write event in the range did not report its keys (auto
     capture, bulk loads) or the bounded key log no longer covers the
-    range — "unknown" always widens, never narrows. ``columns`` is the
-    union of updated column names under the same convention: ``None``
-    means any column may have changed. UPDATE statements that rewrite a
+    range (in events, or in keys: see :data:`KEY_LOG_MAX_KEYS`) —
+    "unknown" always widens, never narrows. ``columns`` is the union of
+    updated column names under the same convention: ``None`` means any
+    column may have changed. UPDATE statements that rewrite a
     primary key must report both the old and new key values (or pass
     ``keys=None``); the row-level delta path matches old instances and
     fresh rows by these values.
@@ -82,7 +94,10 @@ class WriteTracker:
     and the updated columns, when the writer reports them. The log is
     what lets the delta path re-fetch only changed rows
     (:meth:`changes_since`); key-less events simply degrade that query
-    back to node granularity, never to wrong answers.
+    back to node granularity, never to wrong answers. The log is bounded
+    twice: ``key_log_limit`` events per table, and
+    :data:`KEY_LOG_MAX_KEYS` keys per table — older events keep their
+    version, columns and timestamp and drop only their key set.
     """
 
     def __init__(self, key_log_limit: int = 1024) -> None:
@@ -92,11 +107,16 @@ class WriteTracker:
         self.total_writes = 0
         self.rows_written = 0
         self._key_log_limit = key_log_limit
-        #: table -> deque of (version, keys|None, columns|None, ts),
+        #: table -> deque of [version, keys|None, columns|None, ts],
         #: oldest first, trimmed to ``key_log_limit`` events per table.
         #: ``ts`` is the monotonic arrival time — replica apply loops
         #: use it to hold events back for an injectable delay.
         self._key_log: dict[str, deque] = {}
+        #: table -> the events still holding a non-empty key set, oldest
+        #: first, and how many keys they hold together — what
+        #: :data:`KEY_LOG_MAX_KEYS` bounds.
+        self._keyed: dict[str, deque] = {}
+        self._keys_held: dict[str, int] = {}
 
     # -- recording -----------------------------------------------------------
 
@@ -124,14 +144,23 @@ class WriteTracker:
             log = self._key_log.get(table)
             if log is None:
                 log = self._key_log[table] = deque(maxlen=self._key_log_limit)
-            log.append(
-                (
-                    version,
-                    None if keys is None else frozenset(keys),
-                    None if columns is None else frozenset(columns),
-                    time.monotonic(),
-                )
-            )
+                self._keyed[table] = deque()
+            event = [
+                version,
+                None if keys is None else frozenset(keys),
+                None if columns is None else frozenset(columns),
+                time.monotonic(),
+            ]
+            log.append(event)
+            if event[1]:
+                keyed = self._keyed[table]
+                keyed.append(event)
+                held = self._keys_held.get(table, 0) + len(event[1])
+                while held > KEY_LOG_MAX_KEYS:
+                    oldest = keyed.popleft()
+                    held -= len(oldest[1])
+                    oldest[1] = None
+                self._keys_held[table] = held
             subscribers = list(self._subscribers)
         for callback in subscribers:
             callback(table, version)

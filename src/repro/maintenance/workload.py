@@ -1,11 +1,11 @@
 """Deterministic write workload over the hotel database.
 
-E14, ``serve-bench --writes-per-sec``, and the maintenance benchmarks
-all need the same thing: a stream of small, deterministic writes against
-the hotel schema that actually change served output (prices appear as
-attribute values; ``pool`` flips change hotel rows the Figure 1 tag
-queries return). Centralizing it here keeps the write mix identical
-across the harness, the CLI, and the benchmark suite.
+The HTTP app's ``POST /write``, the benchmark spine, and the
+maintenance tests all need the same thing: a stream of small,
+deterministic writes against the hotel schema that actually change
+served output (prices appear as attribute values; ``pool`` flips change
+hotel rows the Figure 1 tag queries return). Centralizing it here keeps
+the write mix identical across the app, the tests, and the benchmark.
 
 Writes recorded through a tracker report *row-level detail*: the
 affected primary keys (selected just before the UPDATE — the mixes
@@ -55,7 +55,7 @@ def hotel_write(
     is recorded explicitly — including the affected row keys and
     updated columns, which the row-level delta path consumes; omit it
     for engines with auto capture attached. ``mix`` overrides the
-    rotation — e.g. E15 passes ``("availability",)`` for a leaf-heavy
+    rotation — e.g. ``("availability",)`` for a leaf-heavy
     stream whose dirty frontier stays small, the regime incremental
     maintenance targets.
     """

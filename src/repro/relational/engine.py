@@ -72,8 +72,7 @@ class QueryStats:
     queries_executed: int = 0
     rows_fetched: int = 0
     #: Wall-clock seconds spent inside sqlite (execute + fetch), summed
-    #: over every recorded query — the "query" phase of the serve-bench
-    #: profile breakdown.
+    #: over every recorded query — ``RequestTrace.query_seconds``.
     query_seconds: float = 0.0
     sql_texts: list[str] = field(default_factory=list)
     keep_sql: bool = False

@@ -22,10 +22,9 @@ Failure classification lives in :func:`repro.errors.classify_error`;
 the degraded-stale fallback (serve the last-known-good
 :class:`~repro.maintenance.result_cache.ResultCache` entry when
 computation fails) is wired in
-:class:`~repro.serving.server.ViewServer`. Experiment E16
-(``python -m repro.harness --e16-json`` and
-``python -m repro serve-bench --faults``) sweeps fault rate × policy
-and gates on availability (success + degraded).
+:class:`~repro.serving.server.ViewServer`; the chaos suites under
+``tests/resilience`` and ``tests/sharding`` gate on availability
+(success + degraded) under injected faults.
 """
 
 from repro.resilience.breaker import BREAKER_STATES, CircuitBreaker

@@ -9,8 +9,8 @@ pruned view and its printed SQL in a content-addressed LRU
 :class:`PlanCache` — and materializes requests concurrently on worker
 threads, each holding its own read-only sqlite connection and its own
 work counters (:class:`ConnectionPool`). Every request yields a
-:class:`RequestTrace` for throughput/latency accounting (experiment
-E13, ``python -m repro serve-bench``).
+:class:`RequestTrace` for throughput/latency accounting
+(``benchmarks/perf``).
 """
 
 from repro.serving.fingerprint import (

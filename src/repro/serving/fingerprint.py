@@ -68,11 +68,9 @@ def _memoized(obj: object, compute: Callable[[], str]) -> str:
 def clear_fingerprint_memo() -> int:
     """Drop every memoized fingerprint; returns how many were dropped.
 
-    Used by cold-cache benchmarking (E13) so a "cold" request pays the
-    full serialize-and-hash cost, and by tests that mutate a view or
-    stylesheet *in place* (content fingerprints assume the usual
-    build-once/never-mutate usage; after an in-place edit the memo would
-    be stale).
+    Used by tests that mutate a view or stylesheet *in place* (content
+    fingerprints assume the usual build-once/never-mutate usage; after
+    an in-place edit the memo would be stale).
     """
     with _FINGERPRINT_LOCK:
         dropped = len(_FINGERPRINT_MEMO)

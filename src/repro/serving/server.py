@@ -13,8 +13,7 @@ Every request produces a :class:`RequestTrace`: where the time went
 (plan acquisition vs execution vs serialization), how much engine work
 it did (queries, rows), how much output it built (elements,
 attributes), which strategy ran, and whether the plan came from cache.
-The ``python -m repro serve-bench`` command and harness experiment E13
-aggregate these traces into throughput and latency percentiles.
+``benchmarks/perf`` aggregates these traces into its per-layer budget.
 
 Equivalence guarantee: a served request returns byte-identical XML to a
 serial :func:`repro.schema_tree.evaluator.materialize` of the same
@@ -47,7 +46,7 @@ open, the last-known-good result-cache entry is served with
 the staleness policy is ``strict``, which never serves stale bytes
 silently (the request errors instead). A
 :class:`~repro.resilience.faults.FaultPlan` injects deterministic
-chaos under all of this for experiment E16. No exception ever
+chaos under all of this for the chaos tests. No exception ever
 propagates out of a worker: every failure lands in the trace's
 ``outcome`` / ``error`` fields.
 """
@@ -59,12 +58,8 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-# Canonical percentile machinery lives in repro.harness.reporting so
-# every harness/CLI surface (E13-E19, serve-bench, load-bench) computes
-# latency summaries identically; re-exported here for compatibility.
-from repro.harness.reporting import percentile  # noqa: F401
 from repro.errors import (
     CircuitOpen,
     DeadlineExceeded,
@@ -111,6 +106,25 @@ from repro.serving.pool import ConnectionPool
 from repro.sql.printer import print_select
 from repro.xmlcore.serializer import serialize
 from repro.xslt.model import Stylesheet
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) by linear interpolation.
+
+    The one latency-quantile rule of the serving tiers (the hedger's
+    rolling estimate uses it); returns 0.0 for an empty sequence.
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (len(ordered) - 1) * (q / 100.0)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    fraction = rank - low
+    return ordered[low] + (ordered[high] - ordered[low]) * fraction
+
 
 #: RequestTrace.freshness values, in the order metrics report them.
 #: ``delta-recompute`` is a stale entry refreshed incrementally (dirty
@@ -341,7 +355,6 @@ class ViewServer:
         source: Optional[Database] = None,
         workers: int = 4,
         cache_capacity: int = 64,
-        keep_xml: bool = True,
         keep_documents: bool = False,
         tracker: Optional[WriteTracker] = None,
         staleness: "StalenessPolicy | str" = "strict",
@@ -361,14 +374,13 @@ class ViewServer:
             )
         self.catalog = catalog
         self.workers = workers
-        self.keep_xml = keep_xml
         # Retain the materialized Document on each trace alongside the
         # bytes. The shard router merges documents structurally instead
         # of re-parsing XML; everyone else leaves this off.
         self.keep_documents = keep_documents
         # -- resilience (repro.resilience). The policy governs deadlines,
         # retries, circuit breaking, admission control, and the
-        # degraded-stale fallback; the fault plan (tests/E16) injects
+        # degraded-stale fallback; the fault plan (tests) injects
         # deterministic chaos into every pooled session.
         self.resilience = resilience
         self.faults = faults
@@ -595,7 +607,7 @@ class ViewServer:
         from repro.core.optimize import prune_stylesheet_view
 
         if self.faults is not None:
-            # Compile-site fault injection (tests/E16): raises a
+            # Compile-site fault injection (tests): raises a
             # transient OperationalError that get_or_build's in-flight
             # cleanup and the circuit breaker both observe.
             self.faults.check_compile(key)
@@ -1031,8 +1043,7 @@ class ViewServer:
         if cached is not None:
             # Policy-fresh cached bytes serve even under an open
             # breaker — the breaker guards computation, not reads.
-            if self.keep_xml:
-                trace.xml = cached.xml
+            trace.xml = cached.xml
             if self.keep_documents and isinstance(
                 cached.state, MaterializedState
             ):
@@ -1053,8 +1064,7 @@ class ViewServer:
             )
         if delta_xml is not None:
             trace.freshness = "delta-recompute"
-            if self.keep_xml:
-                trace.xml = delta_xml
+            trace.xml = delta_xml
             if breaker is not None:
                 breaker.record_success(key)
             return
@@ -1194,8 +1204,7 @@ class ViewServer:
         xml, fragments = self._serialize_response(
             trace, document, plan, state, prior
         )
-        if self.keep_xml:
-            trace.xml = xml
+        trace.xml = xml
         if self.keep_documents:
             trace.document = document
         if use_result_cache:
@@ -1267,8 +1276,7 @@ class ViewServer:
                 trace.outcome = "degraded"
                 trace.degraded_cause = f"{type(exc).__name__}: {exc}"
                 trace.error = None
-                if self.keep_xml:
-                    trace.xml = entry.xml
+                trace.xml = entry.xml
                 if self.keep_documents and isinstance(
                     entry.state, MaterializedState
                 ):

@@ -8,8 +8,9 @@ a :class:`~repro.serving.server.ViewServer` per shard plus N snapshot
 replicas, fans each request out across the fleet, and merges the
 per-shard documents under the schema-tree spine
 (:mod:`repro.sharding.merge`) into a response byte-identical to a
-single-box run (:mod:`repro.sharding.router`). Experiment E18 and
-``serve-bench --shards N --replicas M`` drive it.
+single-box run (:mod:`repro.sharding.router`).
+``serve-http --shards N --replicas M`` and the ``fleet-mix`` workload
+of ``benchmarks/perf`` drive it.
 """
 
 from repro.sharding.merge import (
@@ -29,7 +30,6 @@ from repro.sharding.partition import (
     partition_keys,
 )
 from repro.sharding.replica import (
-    REPLICA_STATES,
     PlacementGroup,
     ReplicaApplier,
     ReplicaHealth,
@@ -42,7 +42,6 @@ __all__ = [
     "MergePlan",
     "PartitionScheme",
     "PlacementGroup",
-    "REPLICA_STATES",
     "ReplicaApplier",
     "ReplicaHealth",
     "RouterTrace",

@@ -45,17 +45,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from typing import Callable, Optional
 
 from repro.errors import classify_error
 from repro.maintenance.tracker import WriteTracker
-
-#: States a replica can report. ``lagging`` is an overlay on
-#: ``healthy`` (computed against the staleness budget at read time);
-#: the failure-driven machine itself moves healthy → suspect → dead.
-REPLICA_STATES = ("healthy", "lagging", "suspect", "dead")
-
 
 class ReplicaHealth:
     """Failure-and-lag-driven health machine for one fleet member.
@@ -72,7 +65,6 @@ class ReplicaHealth:
         dead_after: int = 4,
         cooldown_ms: float = 500.0,
         probe_max: int = 1,
-        latency_window: int = 32,
         clock: Callable[[], float] = time.monotonic,
     ):
         if not 1 <= suspect_after <= dead_after:
@@ -92,7 +84,6 @@ class ReplicaHealth:
         self._consecutive_failures = 0
         self._died_at = 0.0
         self._probes_inflight = 0
-        self._latencies: deque = deque(maxlen=latency_window)
         self.current_lag = 0
         self.max_lag = 0
         self.successes = 0
@@ -148,12 +139,10 @@ class ReplicaHealth:
 
     # -- outcome feedback ----------------------------------------------------
 
-    def record_success(self, latency_ms: Optional[float] = None) -> None:
+    def record_success(self) -> None:
         """A request served by this member succeeded."""
         with self._lock:
             self.successes += 1
-            if latency_ms is not None:
-                self._latencies.append(latency_ms)
             if self._probes_inflight > 0:
                 self._probes_inflight -= 1
             if self._state == "dead":
@@ -218,14 +207,6 @@ class ReplicaHealth:
             if lag_budget is not None and self.current_lag > lag_budget:
                 return "lagging"
             return "healthy"
-
-    def probe_latency_ms(self) -> Optional[float]:
-        """Median of the recent success latencies (None before any)."""
-        with self._lock:
-            if not self._latencies:
-                return None
-            ordered = sorted(self._latencies)
-            return ordered[len(ordered) // 2]
 
     def stats(self) -> dict:
         """Counters, state, and lag watermarks (one locked snapshot)."""

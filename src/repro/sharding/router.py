@@ -232,7 +232,6 @@ class ShardRouter:
         fleet_faults: Optional[FleetFaultPlan] = None,
         replica_lag_ms: float = 0.0,
         health_factory: Optional[Callable[[], ReplicaHealth]] = None,
-        keep_xml: bool = True,
         cache_capacity: int = 64,
         result_cache_capacity: int = 128,
         router_workers: Optional[int] = None,
@@ -254,7 +253,6 @@ class ShardRouter:
             )
         self.catalog = catalog
         self.replicas = replicas
-        self.keep_xml = keep_xml
         self.scheme = scheme
         self.partitioner = partitioner
         self.fleet_faults = fleet_faults
@@ -355,7 +353,6 @@ class ShardRouter:
                     source=source,
                     workers=workers,
                     cache_capacity=cache_capacity,
-                    keep_xml=True,
                     keep_documents=True,
                     tracker=member_tracker,
                     staleness=staleness,
@@ -415,19 +412,6 @@ class ShardRouter:
             request_id = self._next_request_id
             self._next_request_id += 1
         return self._executor.submit(self._serve, request, request_id)
-
-    async def submit_async(self, request: PublishRequest) -> RouterTrace:
-        """Awaitable scatter entry point for the asyncio front end.
-
-        Bridges the scatter executor's future onto the running event
-        loop; the caller's coroutine suspends while the fleet serves.
-        (The HTTP tier normally goes through
-        :class:`~repro.frontend.facade.AsyncViewServer`, which adds
-        hedging on top of this same bridge.)
-        """
-        import asyncio
-
-        return await asyncio.wrap_future(self.submit(request))
 
     def render(
         self,
@@ -637,7 +621,7 @@ class ShardRouter:
         computation failed.
         """
         if shard_trace.outcome == "success":
-            member.health.record_success(shard_trace.total_seconds * 1000.0)
+            member.health.record_success()
         elif shard_trace.outcome not in ("cancelled", "rejected"):
             member.health.record_failure()
 
@@ -940,8 +924,7 @@ class ShardRouter:
             cache_key = (merge_key, request.strategy) + shard_xmls
             cached = self._merged_lookup(cache_key)
             if cached is not None:
-                if self.keep_xml:
-                    trace.xml = cached
+                trace.xml = cached
                 return
         documents = [
             self._document(shard_trace) for _, _, shard_trace, _ in resolved
@@ -954,8 +937,7 @@ class ShardRouter:
         trace.serialize_seconds = time.perf_counter() - serialize_started
         if cache_key is not None:
             self._merged_store(cache_key, xml)
-        if self.keep_xml:
-            trace.xml = xml
+        trace.xml = xml
 
     # -- metrics / lifecycle -------------------------------------------------
 
@@ -1058,8 +1040,8 @@ class ShardRouter:
     def aggregate_metrics(self) -> dict:
         """Fleet metrics in the single-server shape, counters summed.
 
-        ``serve-bench`` and the E18 harness reuse the single-box report
-        path unchanged; per-server detail stays available through
+        The facade's ``/metrics`` reuses the single-box report path
+        unchanged; per-server detail stays available through
         :meth:`metrics`. Dict-valued sections (cache, freshness,
         outcomes, result cache, fragments) sum key-wise across every
         server in the fleet; ``workers`` is the fleet-wide worker-thread

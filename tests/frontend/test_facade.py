@@ -256,9 +256,7 @@ class TestLifecycle:
 class TestRealBackend:
     def test_submit_serves_and_buckets_by_plan_key(self):
         async def scenario(db):
-            server = ViewServer(
-                db.catalog, source=db, workers=2, keep_xml=True
-            )
+            server = ViewServer(db.catalog, source=db, workers=2)
             facade = AsyncViewServer(
                 server, hedge=eager_policy(), own_backend=True
             )

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.frontend import build_hotel_app, serve_app
 
 
@@ -295,3 +299,20 @@ class TestLifecycle:
             asyncio.run(http_exchange(scenario)(app))
         finally:
             asyncio.run(app.close())
+
+
+def test_importing_the_front_end_loads_no_harness_or_baseline_module():
+    """Layering: a server process imports the serving tiers only — the
+    experiment harness and the naive baseline stay out of it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    probe = (
+        "import sys, repro.frontend; "
+        "print([m for m in sys.modules "
+        "if m.startswith(('repro.harness', 'repro.baseline'))])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -47,7 +47,6 @@ class Reference:
             self.db.catalog,
             source=self.db,
             workers=2,
-            keep_xml=True,
             tracker=tracker,
             staleness="strict",
             maintenance=maintenance,

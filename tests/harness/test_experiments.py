@@ -102,3 +102,29 @@ def test_e11_ordered_equivalence():
 
     result = e11_document_order([1])
     assert result.rows[0][-1] == "True"
+
+
+def test_e12_bulk_equals_nested_loop_with_fewer_queries():
+    from repro.harness.experiments import e12_bulk_eval
+
+    result = e12_bulk_eval([1], repeats=1)
+    headers = result.headers
+    queries = {
+        (row[headers.index("view")], row[headers.index("strategy")]): int(
+            row[headers.index("queries")]
+        )
+        for row in result.rows
+    }
+    assert all(row[headers.index("equal output")] == "True" for row in result.rows)
+    for view in ("figure1", "composed"):
+        assert queries[view, "bulk"] < queries[view, "nested-loop"]
+
+
+def test_run_all_quick_is_exactly_e1_to_e12():
+    from repro.harness.experiments import run_all
+
+    results = run_all(quick=True)
+    assert [result.experiment_id for result in results] == [
+        f"E{index}" for index in range(1, 13)
+    ]
+    assert all(result.rows for result in results)

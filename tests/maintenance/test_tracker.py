@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
-from repro.maintenance import WriteTracker
-from repro.maintenance.tracker import _write_target
+from repro.maintenance import ROW_PUSHDOWN_MAX_KEYS, WriteTracker
+from repro.maintenance.tracker import KEY_LOG_MAX_KEYS, _write_target
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 
 
@@ -77,6 +78,103 @@ def test_concurrent_recording_loses_no_events():
         thread.join()
     assert tracker.version("t") == 800
     assert tracker.clock() == 800
+
+
+def test_key_log_is_bounded_in_keys_not_only_in_events():
+    """5,000 writes of 100 explicit keys each: the log retains at most
+    KEY_LOG_MAX_KEYS keys per table (older events keep version, columns
+    and timestamp and drop only their key set), while the version clock,
+    lag, changes_since and replay parity are untouched."""
+    tracker = WriteTracker()
+    stamp_zero = tracker.versions(["availability"])
+    late_stamp = None
+    for step in range(5000):
+        if step == 4997:
+            late_stamp = tracker.versions(["availability"])
+        keys = range(step * 100, step * 100 + 100)
+        tracker.record_write(
+            "availability", rows=100, keys=keys, columns=["startdate"]
+        )
+    log = tracker._key_log["availability"]
+    retained = sum(len(event[1]) for event in log if event[1] is not None)
+    assert 0 < retained <= KEY_LOG_MAX_KEYS
+    assert KEY_LOG_MAX_KEYS <= ROW_PUSHDOWN_MAX_KEYS
+    # The version arithmetic never depended on the keys.
+    assert tracker.versions(["availability"]) == {"availability": 5000}
+    assert tracker.lag(stamp_zero, ["availability"]) == 5000
+    assert tracker.lag(late_stamp, ["availability"]) == 3
+    # Inside the bound a reader still gets exact keys and columns...
+    recent = tracker.changes_since(late_stamp, ["availability"])["availability"]
+    assert recent.events == 3
+    assert recent.keys == frozenset(range(499700, 500000))
+    assert recent.columns == frozenset({"startdate"})
+    # ...past it the range is untraceable in keys, never narrowed;
+    # columns survive on every event the log still holds.
+    stamp = {"availability": 5000 - 100}
+    older = tracker.changes_since(stamp, ["availability"])["availability"]
+    assert older.events == 100
+    assert older.keys is None
+    assert older.columns == frozenset({"startdate"})
+    # Replay restores version parity event for event.
+    replica = WriteTracker()
+    for table, _version, keys, columns, _ts in tracker.replay_events({}):
+        replica.record_write(table, rows=0, keys=keys, columns=columns)
+    assert replica.snapshot() == tracker.snapshot()
+    assert replica.clock() == tracker.clock()
+
+
+def test_key_bound_holds_under_concurrent_writers_and_readers():
+    tracker = WriteTracker()
+    stop = threading.Event()
+    seen = []
+
+    def write(offset):
+        for step in range(300):
+            base = (offset * 300 + step) * 100
+            tracker.record_write("t", keys=range(base, base + 100))
+
+    def read():
+        while not stop.is_set():
+            stamp = {"t": max(0, tracker.version("t") - 3)}
+            change = tracker.changes_since(stamp, ["t"]).get("t")
+            if change is not None and change.keys is not None:
+                seen.append(len(change.keys) == 100 * change.events)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reader = threading.Thread(target=read)
+        writers = [threading.Thread(target=write, args=(n,)) for n in range(4)]
+        reader.start()
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+        stop.set()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive() and not any(t.is_alive() for t in writers)
+    assert tracker.version("t") == 1200
+    held = sum(len(e[1]) for e in tracker._key_log["t"] if e[1] is not None)
+    assert 0 < held <= KEY_LOG_MAX_KEYS
+    assert all(seen)  # a traceable range is never a partial union
+
+
+def test_a_write_larger_than_the_key_bound_is_logged_without_keys():
+    tracker = WriteTracker()
+    tracker.record_write("hotel", keys=[1], columns=["pool"])
+    tracker.record_write(
+        "hotel", keys=range(KEY_LOG_MAX_KEYS + 1), columns=["pool"]
+    )
+    change = tracker.changes_since({}, ["hotel"])["hotel"]
+    assert change.events == 2
+    assert change.keys is None
+    assert change.columns == frozenset({"pool"})
+    # The log recovers: the next small write is traceable again.
+    stamp = tracker.versions(["hotel"])
+    tracker.record_write("hotel", keys=[7], columns=["pool"])
+    assert tracker.changes_since(stamp, ["hotel"])["hotel"].keys == frozenset({7})
 
 
 def test_engine_insert_rows_records_explicitly():

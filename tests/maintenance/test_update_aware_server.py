@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.maintenance import WriteTracker, hotel_write, hotel_write_tables
+from repro.maintenance import (
+    WriteTracker,
+    hotel_payload_write,
+    hotel_write,
+    hotel_write_tables,
+)
+from repro.schema_tree.evaluator import materialize
 from repro.serving import FRESHNESS_STATES, PublishRequest, ViewServer
 from repro.serving.fingerprint import view_read_set
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import figure1_view, figure4_stylesheet
+from repro.xmlcore.serializer import serialize
 
 SPEC = HotelDataSpec(metros=2, hotels_per_metro=3)
 
@@ -313,6 +320,44 @@ def test_delta_recompute_state_machine():
         assert metrics["maintenance"] == "delta"
         assert metrics["freshness"]["delta-recompute"] == 1
         assert metrics["delta_fallbacks"] == 0
+    finally:
+        server.close()
+        db.close()
+
+
+def test_row_pushdown_refetches_the_changed_rows_not_the_node():
+    """Delta query cost tracks changed rows, not node size: a tracked
+    k-row payload write re-fetches at most k rows, while the same
+    one-row write recorded without keys (untraceable) falls back to
+    node granularity and re-fetches the whole dirty subtree. Every
+    serve stays byte-identical to a fresh evaluation of the live data."""
+    db = build_hotel_database(HotelDataSpec().scaled(4), cross_thread=True)
+    tracker = WriteTracker()
+    db.attach_tracker(tracker)
+    view = figure1_view(db.catalog)
+    server = ViewServer(
+        db.catalog, source=db, workers=1, tracker=tracker,
+        staleness="strict", maintenance="delta",
+    )
+    try:
+        server.render(view, strategy="bulk")  # prime plan + cached state
+        for step, rows in enumerate((1, 4)):
+            hotel_payload_write(db, step, tracker, rows=rows)
+            trace = server.render(view, strategy="bulk")
+            assert trace.freshness == "delta-recompute"
+            assert 0 < trace.rows_fetched <= rows
+            assert trace.xml == serialize(materialize(view, db))
+        db.run_sql(
+            "UPDATE hotel SET pool = 1 - pool WHERE hotelid = "
+            "(SELECT MIN(hotelid) FROM hotel WHERE starrating > 4)",
+            {},
+        )
+        tracker.record_write("hotel", rows=1)  # no keys: untraceable
+        trace = server.render(view, strategy="bulk")
+        assert trace.freshness == "delta-recompute"
+        assert trace.rows_fetched > 4 * 4
+        assert trace.xml == serialize(materialize(view, db))
+        assert server.metrics()["delta_fallbacks"] == 0
     finally:
         server.close()
         db.close()

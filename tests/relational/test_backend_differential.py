@@ -18,14 +18,23 @@ hide behind the skip.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baseline.materialize import NaivePipeline
 from repro.core.compose import compose
 from repro.core.optimize import prune_stylesheet_view
+from repro.errors import DriverUnavailableError
+from repro.frontend import build_hotel_app
 from repro.maintenance import DeltaEvaluator, MaterializedState, hotel_write
-from repro.relational.driver import backend_available, resolve_driver
+from repro.relational.driver import (
+    BACKEND_NAMES,
+    backend_available,
+    resolve_driver,
+)
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
 from repro.schema_tree.evaluator import STRATEGIES, ViewEvaluator, materialize
 from repro.serving.fingerprint import node_read_sets
@@ -147,3 +156,48 @@ def test_harness_smoke_sqlite_vs_sqlite(target_name, strategy, write_batches):
     _assert_backends_agree(
         "sqlite", "sqlite", target_name, strategy, write_batches
     )
+
+
+@pytest.mark.parametrize("backend", list(BACKEND_NAMES))
+def test_served_bytes_survive_the_backend_swap(backend):
+    """The whole serving stack on each engine: ``build_hotel_app``
+    (ViewServer, strict staleness, delta maintenance, tracked writes —
+    recorded explicitly where the driver has no write hooks) serves,
+    after every write, the bytes the naive pipeline gives on a sqlite
+    database fed the same writes; no request fails and no pooled
+    session is left borrowed."""
+    try:
+        resolve_driver(backend)
+    except DriverUnavailableError as exc:
+        pytest.skip(str(exc))
+    reference = build_hotel_database(HotelDataSpec().scaled(1))
+    app = build_hotel_app(
+        scale=1, workers=2, staleness="strict", maintenance="delta",
+        backend=backend,
+    )
+    try:
+        assert app.database.driver.name == backend
+        for step in range(6):
+            if step:
+                app.apply_write()
+                hotel_write(reference, step - 1)
+            for name, entry in sorted(app.registry.items()):
+                trace = app.backend.submit(
+                    app.request_for(name, strategy="bulk")
+                ).result()
+                assert trace.outcome == "success", (name, step, trace.error)
+                if entry.stylesheet is None:
+                    expected = materialize(entry.view, reference)
+                else:
+                    expected = NaivePipeline(
+                        entry.view, entry.stylesheet
+                    ).run(reference).document
+                assert trace.xml == serialize(expected), (name, step)
+        metrics = app.backend.metrics()
+        assert metrics["errors"] == 0
+        freshness = metrics["freshness"]  # the writes did invalidate
+        assert freshness["delta-recompute"] + freshness["stale-recompute"] > 0
+        assert app.backend.pool.outstanding() == 0
+    finally:
+        asyncio.run(app.close())
+        reference.close()

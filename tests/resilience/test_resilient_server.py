@@ -313,6 +313,44 @@ def test_no_connections_leak_under_sustained_chaos():
     db.close()
 
 
+def test_resilient_policy_holds_availability_where_the_bare_server_errors():
+    """The chaos gate, with a seeded plan instead of a load generator:
+    under 30% transient query errors plus latency faults and a write
+    before every batch, the resilient config (retries, breaker,
+    degraded-stale over a warm lag-tolerant cache) serves >= 99% of
+    requests and errors none, the bare server on the same plan errors,
+    and neither leaks a pooled connection."""
+    spec = FaultSpec(error_rate=0.3, latency_rate=0.1, latency_ms=2.0)
+    policy = ResiliencePolicy(deadline_ms=5000.0, retries=3,
+                              breaker_threshold=8, backoff_base_ms=0.1,
+                              backoff_max_ms=0.5)
+    availability, errors = {}, {}
+    for name, resilience in (("resilient", policy), ("bare", None)):
+        db = _small_db(cross_thread=True)
+        faults = FaultPlan(spec, seed=7, enabled=False)
+        tracker, server = _tracked_server(
+            db, staleness="bounded:1", resilience=resilience, faults=faults
+        )
+        try:
+            server.render_many(_request(db) for _ in range(4))  # warm
+            faults.arm()
+            traces = []
+            for step in range(10):
+                hotel_write(db, step, tracker)
+                traces += server.render_many(_request(db) for _ in range(6))
+            served = sum(t.outcome in ("success", "degraded") for t in traces)
+            availability[name] = served / len(traces)
+            errors[name] = sum(t.outcome == "error" for t in traces)
+            assert sum(server.metrics()["faults"]["injected"].values()) > 0
+            assert server.pool.outstanding() == 0
+        finally:
+            server.close()
+            db.close()
+    assert availability["resilient"] >= 0.99
+    assert availability["bare"] < availability["resilient"]
+    assert errors["resilient"] == 0 and errors["bare"] > 0
+
+
 def test_metrics_report_resilience_and_fault_sections():
     db = _small_db()
     faults = FaultPlan(FaultSpec(error_rate=0.1), seed=3)

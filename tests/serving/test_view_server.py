@@ -8,6 +8,7 @@ import sqlite3
 import pytest
 
 from repro.errors import ReproError
+from repro.maintenance import WriteTracker, hotel_write
 from repro.schema_tree.builder import ViewBuilder
 from repro.serving import PublishRequest, RequestTrace, ViewServer, percentile
 from repro.workloads.hotel import (
@@ -136,12 +137,39 @@ def test_render_many_preserves_request_order(served_hotel):
     assert len({trace.request_id for trace in traces}) == 6
 
 
-def test_keep_xml_false_drops_bodies_but_keeps_timings():
-    db = build_hotel_database(HotelDataSpec(metros=2, hotels_per_metro=2))
-    with ViewServer(db.catalog, source=db, workers=1, keep_xml=False) as server:
-        trace = server.render(figure1_view(db.catalog))
-        assert trace.xml is None
+def test_fragment_recompute_reports_its_phases_and_fragment_counters():
+    """A computing request says where its time went (query / splice /
+    serialize inside execute) and, under fragment maintenance, what the
+    byte cache did — the fields every per-layer budget is built from."""
+    db = build_hotel_database(
+        HotelDataSpec(metros=2, hotels_per_metro=2), cross_thread=True
+    )
+    tracker = WriteTracker()
+    db.attach_tracker(tracker)
+    view = figure1_view(db.catalog)
+    with ViewServer(
+        db.catalog, source=db, workers=1, tracker=tracker,
+        maintenance="fragment", fragment_policy="auto",
+    ) as server:
+        first = server.render(view, strategy="bulk")
+        assert first.freshness == "miss"
+        assert first.query_seconds > 0 and first.serialize_seconds > 0
+        assert first.splice_seconds == 0.0
+        hotel_write(db, 0, tracker)
+        trace = server.render(view, strategy="bulk")
+        assert trace.freshness == "delta-recompute"
+        assert trace.query_seconds > 0
+        assert trace.splice_seconds > 0
         assert trace.serialize_seconds > 0
+        assert trace.execute_seconds >= (
+            trace.query_seconds + trace.splice_seconds
+        )
+        assert trace.fragment_hits > 0 and trace.fragment_spliced_bytes > 0
+        fragments = server.metrics()["fragments"]
+        assert fragments["policy"].startswith("auto")
+        assert fragments["hits"] == trace.fragment_hits
+        assert fragments["splices"] > 0
+        assert fragments["spliced_bytes"] == trace.fragment_spliced_bytes
     db.close()
 
 

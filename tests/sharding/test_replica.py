@@ -51,7 +51,7 @@ def test_one_success_resets_the_streak():
     health.record_failure()
     health.record_failure()
     assert health.state() == "suspect"
-    health.record_success(1.0)
+    health.record_success()
     assert health.state() == "healthy"
     assert health.stats()["consecutive_failures"] == 0
 
@@ -70,7 +70,7 @@ def test_dead_member_refuses_until_cooldown_then_probes():
     assert health.admit()  # the half-open probe slot
     assert not health.admit()  # probe_max=1: second trial denied
     assert health.stats()["probe_denials"] == 1
-    health.record_success(2.0)
+    health.record_success()
     assert health.state() == "healthy"
     assert health.stats()["readmissions"] == 1
     assert health.admit()
@@ -97,7 +97,7 @@ def test_probe_ready_is_read_only():
     assert health.stats()["probe_denials"] == 0
     assert health.admit()  # the one real grant
     assert not health.probe_ready()  # slot held by the trial
-    health.record_success(2.0)
+    health.record_success()
     assert health.probe_ready()  # released by the outcome
 
 

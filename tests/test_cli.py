@@ -1,10 +1,11 @@
 """End-to-end tests for the ``python -m repro`` CLI."""
 
-import os
+import json
+import threading
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.xmlcore.parser import parse_document
 
 
@@ -175,3 +176,73 @@ def test_explain_dot_output(demo_dir, capsys):
     out = capsys.readouterr().out
     assert out.count("digraph") == 3  # ctg, tvq, stylesheet view
     assert "((0, root), R1)" in out
+
+
+def test_parser_exposes_exactly_the_six_commands():
+    parser = build_parser()
+    (subparsers,) = [
+        action for action in parser._actions if action.dest == "command"
+    ]
+    assert list(subparsers.choices) == [
+        "compose", "explain", "materialize", "run", "serve-http", "demo",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fleet_flags, shards",
+    [
+        ([], None),
+        (
+            ["--shards", "2", "--replicas", "1",
+             "--fault-kind", "replica-crash", "--fault-seed", "21"],
+            2,
+        ),
+    ],
+    ids=["single-box", "fleet"],
+)
+def test_serve_http_builds_listens_drains_and_writes_metrics(
+    tmp_path, capsys, fleet_flags, shards
+):
+    metrics_path = tmp_path / "metrics.json"
+    code = main(
+        [
+            "serve-http", "--scale", "1", "--port", "0",
+            "--duration", "0.2", "--staleness", "strict",
+            "--maintenance", "delta", "--json", str(metrics_path),
+        ]
+        + fleet_flags
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "serve-http: listening on http://127.0.0.1:" in out
+    assert "views: figure1, figure17, figure4" in out
+    assert "drained=True" in out
+    assert "open_connections=0" in out
+    assert not [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith(("viewserver", "shardrouter"))
+    ]
+    metrics = json.loads(metrics_path.read_text())
+    assert metrics["maintenance"] == "delta"
+    assert metrics["staleness_policy"] == "strict"
+    assert metrics["frontend_inflight"] == 0
+    if shards is None:
+        assert "router" not in metrics
+    else:
+        router = metrics["router"]
+        assert router["shard_count"] == shards
+        assert router["replicas"] == 1
+        assert router["fleet"]["fleet_faults"]["seed"] == 21
+        assert "replica-crash" in router["fleet"]["fleet_faults"]["injected"]
+
+
+def test_fault_kind_without_a_fleet_is_a_typed_error(capsys):
+    code = main(
+        [
+            "serve-http", "--scale", "1", "--port", "0",
+            "--duration", "0.1", "--fault-kind", "replica-crash",
+        ]
+    )
+    assert code == 1
+    assert "--fault-kind needs a fleet" in capsys.readouterr().err
