@@ -161,37 +161,39 @@ def _rename_in_query(
     map_exprs(query, fn)
 
 
+def _convert_node(
+    node: OTTNode, parent: SchemaNode, source_bv: Optional[str], counter: list[int]
+) -> None:
+    if node.kind == PSEUDO:  # pragma: no cover - eliminated earlier
+        raise CompositionError("pseudo-root survived elimination")
+    if node.kind == APPLY:  # pragma: no cover - replaced during connect
+        raise CompositionError("apply placeholder survived connection")
+    counter[0] += 1
+    if node.kind == CONTEXT:
+        attr_columns: Optional[list[str]] = list(node.context_columns)
+    else:
+        attr_columns = []
+    schema_node = SchemaNode(
+        id=counter[0],
+        tag=node.tag,
+        bv=node.bv,
+        tag_query=node.tag_query,
+        attr_columns=attr_columns,
+        literal_attributes=dict(node.literal_attributes),
+    )
+    schema_node.data_attributes = dict(node.data_attrs)
+    if node.tag_query is None and (node.data_attrs or node.kind == CONTEXT):
+        schema_node.attr_source_bv = source_bv
+    parent.add_child(schema_node)
+    child_source = node.bv if node.tag_query is not None else source_bv
+    for child in node.children:
+        _convert_node(child, schema_node, child_source, counter)
+
+
 def to_schema_tree(top_level: list[OTTNode]) -> SchemaTreeQuery:
     """Convert the pushed-down OTT into a schema-tree query."""
     view = SchemaTreeQuery()
     counter = [ROOT_ID]
-
-    def convert(node: OTTNode, parent: SchemaNode, source_bv: Optional[str]) -> None:
-        if node.kind == PSEUDO:  # pragma: no cover - eliminated earlier
-            raise CompositionError("pseudo-root survived elimination")
-        if node.kind == APPLY:  # pragma: no cover - replaced during connect
-            raise CompositionError("apply placeholder survived connection")
-        counter[0] += 1
-        if node.kind == CONTEXT:
-            attr_columns: Optional[list[str]] = list(node.context_columns)
-        else:
-            attr_columns = []
-        schema_node = SchemaNode(
-            id=counter[0],
-            tag=node.tag,
-            bv=node.bv,
-            tag_query=node.tag_query,
-            attr_columns=attr_columns,
-            literal_attributes=dict(node.literal_attributes),
-        )
-        schema_node.data_attributes = dict(node.data_attrs)
-        if node.tag_query is None and (node.data_attrs or node.kind == CONTEXT):
-            schema_node.attr_source_bv = source_bv
-        parent.add_child(schema_node)
-        child_source = node.bv if node.tag_query is not None else source_bv
-        for child in node.children:
-            convert(child, schema_node, child_source)
-
     for node in top_level:
-        convert(node, view.root, None)
+        _convert_node(node, view.root, None, counter)
     return view

@@ -80,12 +80,17 @@ class TPNode:
         path.reverse()
         return path
 
-    def clone_subtree(self) -> "TPNode":
-        """Detached deep copy of this node and its descendants."""
+    def clone_subtree(
+        self, mapping: Optional[dict[int, "TPNode"]] = None
+    ) -> "TPNode":
+        """Detached deep copy of this node and its descendants; ``mapping``,
+        when given, records ``id(original) -> copy`` for every node."""
         duplicate = TPNode(self.schema_node, list(self.predicates), negated=self.negated)
         duplicate.cross_conditions = list(self.cross_conditions)
+        if mapping is not None:
+            mapping[id(self)] = duplicate
         for child in self.children:
-            duplicate.add_child(child.clone_subtree())
+            duplicate.add_child(child.clone_subtree(mapping))
         return duplicate
 
     def __repr__(self) -> str:
@@ -136,18 +141,7 @@ class TreePattern:
     def clone(self) -> "TreePattern":
         """Deep copy preserving the context markers."""
         mapping: dict[int, TPNode] = {}
-
-        def copy(node: TPNode) -> TPNode:
-            duplicate = TPNode(
-                node.schema_node, list(node.predicates), negated=node.negated
-            )
-            duplicate.cross_conditions = list(node.cross_conditions)
-            mapping[id(node)] = duplicate
-            for child in node.children:
-                duplicate.add_child(copy(child))
-            return duplicate
-
-        root = copy(self.root)
+        root = self.root.clone_subtree(mapping)
         return TreePattern(
             root=root,
             context=mapping.get(id(self.context)) if self.context else None,

@@ -46,6 +46,13 @@ matches the cached document.
 Shared subtrees keep their original ``parent`` pointers (pointing into
 the old document); nothing downstream reads them — serialization and
 the next delta walk schema structure and child lists only.
+
+State lifecycle: a cached result *earns* its :class:`MaterializedState`.
+A first computation stores bytes only; the first stale read of a
+resident key finds nothing to splice against (fallback reason
+``no-state``) and recomputes in full **with** capture — the promotion —
+and every later stale read of that entry is a delta. Entries evicted
+before any write reaches them never pay for state.
 """
 
 from __future__ import annotations
@@ -101,9 +108,11 @@ class MaterializedState:
     ``(element, env)`` pairs in document order, where ``env`` is the
     binding environment visible to that element's children; the
     synthetic root maps to ``[(document, {})]``. Produced by the
-    evaluators' ``capture_instances`` hook during a full run, and by
-    :meth:`DeltaEvaluator.evaluate` for the spliced document. Treated
-    as immutable once stored.
+    evaluators' ``capture_instances`` hook during the full recompute
+    that promotes a resident entry (its first staleness — never a first
+    computation), and by :meth:`DeltaEvaluator.evaluate` for the
+    spliced document. Treated as immutable once stored; its document is
+    never :meth:`~repro.xmlcore.nodes.Document.unlink`-ed.
     """
 
     document: Document

@@ -50,8 +50,11 @@ class CachedResult:
     #: Times this entry was served.
     hits: int = 0
     #: Captured evaluation state
-    #: (:class:`repro.maintenance.incremental.MaterializedState`) when the
-    #: server runs with delta maintenance; ``None`` otherwise. Never
+    #: (:class:`repro.maintenance.incremental.MaterializedState`) once
+    #: the entry has earned it: a delta/fragment-maintenance server
+    #: attaches it on the first recompute of a key that is already
+    #: resident (its first staleness), never on a first computation;
+    #: ``None`` until then and under ``maintenance="full"``. Never
     #: mutated in place — a delta re-evaluation publishes a whole new
     #: entry, so readers of a stale entry are unaffected.
     state: Optional[object] = None
@@ -85,6 +88,8 @@ class ResultCache:
         self.stale = 0
         self.evictions = 0
         self.invalidations = 0
+        #: Stores that gave a key its first state (promotions).
+        self.state_captures = 0
         self._entries: "OrderedDict[str, CachedResult]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -151,6 +156,11 @@ class ResultCache:
             fragments=fragments,
         )
         with self._lock:
+            previous = self._entries.get(key)
+            if state is not None and (
+                previous is None or previous.state is None
+            ):
+                self.state_captures += 1
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -219,6 +229,11 @@ class ResultCache:
                 "invalidations": self.invalidations,
                 "size": len(self._entries),
                 "capacity": self.capacity,
+                "states_resident": sum(
+                    entry.state is not None
+                    for entry in self._entries.values()
+                ),
+                "state_captures": self.state_captures,
             }
 
     def __len__(self) -> int:

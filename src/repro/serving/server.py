@@ -672,7 +672,9 @@ class ViewServer:
 
         ``reason`` is one of :data:`DELTA_FALLBACK_REASONS`, so the
         metrics can say *why* deltas degrade: no captured state to
-        splice against (``no-state``), a stale classification with no
+        splice against (``no-state`` — an entry's first staleness: the
+        full recompute that follows captures, so this is the promotion
+        step, once per promoted entry), a stale classification with no
         actually-newer table (``no-change``), a clean
         :class:`DeltaUnsupported` decline (``unsupported``), a
         mid-splice failure (``error``), or a write racing the splice
@@ -1160,9 +1162,16 @@ class ViewServer:
         # data outright, so the pool syncs on every full execution (a
         # clock comparison when nothing changed).
         self._sync()
+        # Maintenance state is earned: instances are captured only when
+        # this key is already resident (the entry went stale, so a delta
+        # would have had something to splice). A first computation
+        # stores bytes only — most entries are evicted before any write
+        # reaches them. The prior entry's spans cannot hit an all-new
+        # tree, but its serve/stamp history feeds the pinning policy.
+        prior = self.result_cache.peek(result_key) if use_result_cache else None
         capture: Optional[dict] = (
             {}
-            if use_result_cache and self.maintenance in ("delta", "fragment")
+            if prior is not None and self.maintenance in ("delta", "fragment")
             else None
         )
         with self.pool.session() as db:
@@ -1197,16 +1206,17 @@ class ViewServer:
             if capture is not None
             else None
         )
-        # A full recompute builds an all-new tree, so a prior entry's
-        # spans cannot hit — but its serve/stamp history still feeds the
-        # pinning policy, and the fresh walk records the new spans.
-        prior = self.result_cache.peek(result_key) if use_result_cache else None
         xml, fragments = self._serialize_response(
             trace, document, plan, state, prior
         )
         trace.xml = xml
         if self.keep_documents:
             trace.document = document
+        elif state is None:
+            # The one drop site: nobody retains this tree, and it is
+            # cyclic only through Node.parent — break the cycles so it
+            # is freed by reference count, not by the collector.
+            document.unlink()
         if use_result_cache:
             self.result_cache.store(
                 result_key,

@@ -20,13 +20,17 @@ from repro.errors import SchemaError
 from repro.sql.ast import (
     ColumnRef,
     DerivedTable,
+    ExistsExpr,
     FromItem,
     FuncCall,
+    InExpr,
     ParamRef,
+    ScalarSubquery,
     Select,
     Star,
     TableRef,
 )
+from repro.sql.params import walk_exprs
 
 
 class TableColumns(Protocol):
@@ -109,27 +113,27 @@ def expand_star_refs(star: Star, select: Select, catalog: TableColumns) -> list[
     return refs
 
 
+def _expr_has_aggregate(expr) -> bool:
+    if isinstance(expr, FuncCall):
+        if expr.is_aggregate:
+            return True
+        return any(_expr_has_aggregate(a) for a in expr.args)
+    left = getattr(expr, "left", None)
+    right = getattr(expr, "right", None)
+    operand = getattr(expr, "operand", None)
+    for child in (left, right, operand):
+        if child is not None and _expr_has_aggregate(child):
+            return True
+    return False
+
+
 def has_top_level_aggregate(select: Select) -> bool:
     """Whether the select list computes an aggregate at the top level.
 
     Subqueries do not count; GROUP BY semantics only depend on the top
     level of this query.
     """
-
-    def expr_has_aggregate(expr) -> bool:
-        if isinstance(expr, FuncCall):
-            if expr.is_aggregate:
-                return True
-            return any(expr_has_aggregate(a) for a in expr.args)
-        left = getattr(expr, "left", None)
-        right = getattr(expr, "right", None)
-        operand = getattr(expr, "operand", None)
-        for child in (left, right, operand):
-            if child is not None and expr_has_aggregate(child):
-                return True
-        return False
-
-    return any(expr_has_aggregate(item.expr) for item in select.items)
+    return any(_expr_has_aggregate(item.expr) for item in select.items)
 
 
 def canonicalize_aggregate_aliases(select: Select) -> None:
@@ -166,9 +170,6 @@ def table_occurrences(select: Select, table: str) -> int:
     sound against a table that occurs exactly once — a self-join or a
     subquery occurrence would leave unrestricted copies behind.
     """
-    from repro.sql.ast import ExistsExpr, InExpr, ScalarSubquery
-    from repro.sql.params import walk_exprs
-
     count = 0
 
     def visit(query: Select) -> None:
@@ -219,7 +220,7 @@ def _table_column_refs(
     change *which* rows appear, their order, or other rows' values:
     WHERE / GROUP BY / HAVING / ORDER BY and every subquery body.
     """
-    from repro.sql.ast import BinOp, ExistsExpr, InExpr, ScalarSubquery, UnaryOp
+    from repro.sql.ast import BinOp, UnaryOp
     from repro.sql.transform import qualify_unqualified_columns
 
     clone = select.clone()
@@ -369,27 +370,22 @@ def membership_bearing_columns(
     )
 
 
+def _collect_tables(query: Select, names: list[str]) -> None:
+    for from_item in query.from_items:
+        if isinstance(from_item, TableRef):
+            if from_item.name not in names:
+                names.append(from_item.name)
+        else:
+            _collect_tables(from_item.select, names)
+    for expr in walk_exprs(query):
+        if isinstance(expr, (ExistsExpr, ScalarSubquery)):
+            _collect_tables(expr.select, names)
+        elif isinstance(expr, InExpr) and expr.select is not None:
+            _collect_tables(expr.select, names)
+
+
 def referenced_tables(select: Select) -> list[str]:
     """Base-table names referenced anywhere in the query, subqueries included."""
-    from repro.sql.ast import ExistsExpr, InExpr, ScalarSubquery
-    from repro.sql.params import walk_exprs
-
     names: list[str] = []
-
-    def visit(query: Select) -> None:
-        for from_item in query.from_items:
-            if isinstance(from_item, TableRef):
-                if from_item.name not in names:
-                    names.append(from_item.name)
-            else:
-                visit(from_item.select)
-        for expr in walk_exprs(query):
-            if isinstance(expr, ExistsExpr):
-                visit(expr.select)
-            elif isinstance(expr, ScalarSubquery):
-                visit(expr.select)
-            elif isinstance(expr, InExpr) and expr.select is not None:
-                visit(expr.select)
-
-    visit(select)
+    _collect_tables(select, names)
     return names

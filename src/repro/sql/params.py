@@ -26,44 +26,49 @@ from repro.sql.ast import (
 )
 
 
+def _walk_expr(expr: Expr, walk_select):
+    """Yield ``expr`` and its sub-expressions; the bodies of EXISTS / IN /
+    scalar subqueries go through ``walk_select``.
+
+    Module-level on purpose: a nested ``def`` that calls itself is a
+    function/cell cycle, garbage only the cycle collector can free, once
+    per call of its enclosing function.
+    """
+    yield expr
+    if isinstance(expr, BinOp):
+        yield from _walk_expr(expr.left, walk_select)
+        yield from _walk_expr(expr.right, walk_select)
+    elif isinstance(expr, UnaryOp):
+        yield from _walk_expr(expr.operand, walk_select)
+    elif isinstance(expr, FuncCall):
+        for arg in expr.args:
+            yield from _walk_expr(arg, walk_select)
+    elif isinstance(expr, (ExistsExpr, ScalarSubquery)):
+        yield from walk_select(expr.select)
+    elif isinstance(expr, InExpr):
+        yield from _walk_expr(expr.needle, walk_select)
+        for value in expr.values:
+            yield from _walk_expr(value, walk_select)
+        if expr.select is not None:
+            yield from walk_select(expr.select)
+
+
 def walk_exprs(select: Select):
     """Yield every expression reachable from ``select``, descending into
     subqueries (derived tables, EXISTS, IN)."""
-
-    def from_expr(expr: Expr):
-        yield expr
-        if isinstance(expr, BinOp):
-            yield from from_expr(expr.left)
-            yield from from_expr(expr.right)
-        elif isinstance(expr, UnaryOp):
-            yield from from_expr(expr.operand)
-        elif isinstance(expr, FuncCall):
-            for arg in expr.args:
-                yield from from_expr(arg)
-        elif isinstance(expr, ExistsExpr):
-            yield from walk_exprs(expr.select)
-        elif isinstance(expr, ScalarSubquery):
-            yield from walk_exprs(expr.select)
-        elif isinstance(expr, InExpr):
-            yield from from_expr(expr.needle)
-            for value in expr.values:
-                yield from from_expr(value)
-            if expr.select is not None:
-                yield from walk_exprs(expr.select)
-
     for item in select.items:
-        yield from from_expr(item.expr)
+        yield from _walk_expr(item.expr, walk_exprs)
     for from_item in select.from_items:
         if isinstance(from_item, DerivedTable):
             yield from walk_exprs(from_item.select)
     if select.where is not None:
-        yield from from_expr(select.where)
+        yield from _walk_expr(select.where, walk_exprs)
     for expr in select.group_by:
-        yield from from_expr(expr)
+        yield from _walk_expr(expr, walk_exprs)
     if select.having is not None:
-        yield from from_expr(select.having)
+        yield from _walk_expr(select.having, walk_exprs)
     for order in select.order_by:
-        yield from from_expr(order.expr)
+        yield from _walk_expr(order.expr, walk_exprs)
 
 
 def collect_params(select: Select) -> list[ParamRef]:
@@ -90,85 +95,74 @@ def referenced_vars(select: Select) -> list[str]:
     return names
 
 
+def _rewrite_expr(expr: Expr, fn, map_select) -> Expr:
+    """Rewrite one expression bottom-up with ``fn``; subquery bodies are
+    rewritten in place through ``map_select`` (module-level for the same
+    reason as :func:`_walk_expr`)."""
+    if isinstance(expr, BinOp):
+        expr = BinOp(
+            expr.op,
+            _rewrite_expr(expr.left, fn, map_select),
+            _rewrite_expr(expr.right, fn, map_select),
+        )
+    elif isinstance(expr, UnaryOp):
+        expr = UnaryOp(expr.op, _rewrite_expr(expr.operand, fn, map_select))
+    elif isinstance(expr, FuncCall):
+        expr = FuncCall(
+            expr.name,
+            tuple(_rewrite_expr(a, fn, map_select) for a in expr.args),
+            expr.star,
+        )
+    elif isinstance(expr, (ExistsExpr, ScalarSubquery)):
+        map_select(expr.select, fn)
+    elif isinstance(expr, InExpr):
+        if expr.select is not None:
+            map_select(expr.select, fn)
+        expr = InExpr(
+            _rewrite_expr(expr.needle, fn, map_select),
+            tuple(_rewrite_expr(v, fn, map_select) for v in expr.values),
+            expr.select,
+        )
+    replacement = fn(expr)
+    return expr if replacement is None else replacement
+
+
 def map_exprs(select: Select, fn: Callable[[Expr], Optional[Expr]]) -> None:
     """Rewrite expressions in place, bottom-up, across the whole query.
 
     ``fn`` receives each expression node and returns a replacement or
     ``None`` to keep the node. Subqueries are rewritten too.
     """
-
-    def rewrite(expr: Expr) -> Expr:
-        if isinstance(expr, BinOp):
-            expr = BinOp(expr.op, rewrite(expr.left), rewrite(expr.right))
-        elif isinstance(expr, UnaryOp):
-            expr = UnaryOp(expr.op, rewrite(expr.operand))
-        elif isinstance(expr, FuncCall):
-            expr = FuncCall(expr.name, tuple(rewrite(a) for a in expr.args), expr.star)
-        elif isinstance(expr, ExistsExpr):
-            map_exprs(expr.select, fn)
-        elif isinstance(expr, ScalarSubquery):
-            map_exprs(expr.select, fn)
-        elif isinstance(expr, InExpr):
-            if expr.select is not None:
-                map_exprs(expr.select, fn)
-            expr = InExpr(
-                rewrite(expr.needle),
-                tuple(rewrite(v) for v in expr.values),
-                expr.select,
-            )
-        replacement = fn(expr)
-        return expr if replacement is None else replacement
-
     for item in select.items:
-        item.expr = rewrite(item.expr)
+        item.expr = _rewrite_expr(item.expr, fn, map_exprs)
     for from_item in select.from_items:
         if isinstance(from_item, DerivedTable):
             map_exprs(from_item.select, fn)
     if select.where is not None:
-        select.where = rewrite(select.where)
-    select.group_by = [rewrite(e) for e in select.group_by]
+        select.where = _rewrite_expr(select.where, fn, map_exprs)
+    select.group_by = [
+        _rewrite_expr(e, fn, map_exprs) for e in select.group_by
+    ]
     if select.having is not None:
-        select.having = rewrite(select.having)
+        select.having = _rewrite_expr(select.having, fn, map_exprs)
     for order in select.order_by:
-        order.expr = rewrite(order.expr)
+        order.expr = _rewrite_expr(order.expr, fn, map_exprs)
 
 
 def walk_exprs_scoped(select: Select):
     """Like :func:`walk_exprs` but respecting SQL scoping: descends into
     EXISTS/IN subqueries (which may correlate with this query's FROM
     aliases) but **not** into derived tables (which cannot)."""
-
-    def from_expr(expr: Expr):
-        yield expr
-        if isinstance(expr, BinOp):
-            yield from from_expr(expr.left)
-            yield from from_expr(expr.right)
-        elif isinstance(expr, UnaryOp):
-            yield from from_expr(expr.operand)
-        elif isinstance(expr, FuncCall):
-            for arg in expr.args:
-                yield from from_expr(arg)
-        elif isinstance(expr, ExistsExpr):
-            yield from walk_exprs_scoped(expr.select)
-        elif isinstance(expr, ScalarSubquery):
-            yield from walk_exprs_scoped(expr.select)
-        elif isinstance(expr, InExpr):
-            yield from from_expr(expr.needle)
-            for value in expr.values:
-                yield from from_expr(value)
-            if expr.select is not None:
-                yield from walk_exprs_scoped(expr.select)
-
     for item in select.items:
-        yield from from_expr(item.expr)
+        yield from _walk_expr(item.expr, walk_exprs_scoped)
     if select.where is not None:
-        yield from from_expr(select.where)
+        yield from _walk_expr(select.where, walk_exprs_scoped)
     for expr in select.group_by:
-        yield from from_expr(expr)
+        yield from _walk_expr(expr, walk_exprs_scoped)
     if select.having is not None:
-        yield from from_expr(select.having)
+        yield from _walk_expr(select.having, walk_exprs_scoped)
     for order in select.order_by:
-        yield from from_expr(order.expr)
+        yield from _walk_expr(order.expr, walk_exprs_scoped)
 
 
 def referenced_vars_scoped(select: Select) -> list[str]:
@@ -186,38 +180,17 @@ def referenced_vars_scoped(select: Select) -> list[str]:
 def map_exprs_scoped(select: Select, fn: Callable[[Expr], Optional[Expr]]) -> None:
     """Like :func:`map_exprs` but scoped: rewrites this query's own
     expressions and EXISTS/IN bodies, leaving derived tables untouched."""
-
-    def rewrite(expr: Expr) -> Expr:
-        if isinstance(expr, BinOp):
-            expr = BinOp(expr.op, rewrite(expr.left), rewrite(expr.right))
-        elif isinstance(expr, UnaryOp):
-            expr = UnaryOp(expr.op, rewrite(expr.operand))
-        elif isinstance(expr, FuncCall):
-            expr = FuncCall(expr.name, tuple(rewrite(a) for a in expr.args), expr.star)
-        elif isinstance(expr, ExistsExpr):
-            map_exprs_scoped(expr.select, fn)
-        elif isinstance(expr, ScalarSubquery):
-            map_exprs_scoped(expr.select, fn)
-        elif isinstance(expr, InExpr):
-            if expr.select is not None:
-                map_exprs_scoped(expr.select, fn)
-            expr = InExpr(
-                rewrite(expr.needle),
-                tuple(rewrite(v) for v in expr.values),
-                expr.select,
-            )
-        replacement = fn(expr)
-        return expr if replacement is None else replacement
-
     for item in select.items:
-        item.expr = rewrite(item.expr)
+        item.expr = _rewrite_expr(item.expr, fn, map_exprs_scoped)
     if select.where is not None:
-        select.where = rewrite(select.where)
-    select.group_by = [rewrite(e) for e in select.group_by]
+        select.where = _rewrite_expr(select.where, fn, map_exprs_scoped)
+    select.group_by = [
+        _rewrite_expr(e, fn, map_exprs_scoped) for e in select.group_by
+    ]
     if select.having is not None:
-        select.having = rewrite(select.having)
+        select.having = _rewrite_expr(select.having, fn, map_exprs_scoped)
     for order in select.order_by:
-        order.expr = rewrite(order.expr)
+        order.expr = _rewrite_expr(order.expr, fn, map_exprs_scoped)
 
 
 def rename_param_vars(select: Select, mapping: dict[str, str]) -> None:

@@ -22,42 +22,40 @@ from repro.sql.analysis import (
     output_columns,
 )
 from repro.sql.ast import (
+    BinOp,
     ColumnRef,
     DerivedTable,
+    ExistsExpr,
     Expr,
+    FuncCall,
+    InExpr,
     ParamRef,
+    ScalarSubquery,
     Select,
     SelectItem,
     Star,
+    UnaryOp,
 )
-from repro.sql.params import map_exprs, referenced_vars
+from repro.sql.params import map_exprs, referenced_vars, walk_exprs
+
+
+def _collect_aliases(query: Select, names: set[str]) -> None:
+    for from_item in query.from_items:
+        names.add(from_item.binding_name)
+        if isinstance(from_item, DerivedTable):
+            _collect_aliases(from_item.select, names)
+    for expr in walk_exprs(query):
+        if isinstance(expr, (ExistsExpr, ScalarSubquery)):
+            _collect_aliases(expr.select, names)
+        elif isinstance(expr, InExpr) and expr.select is not None:
+            _collect_aliases(expr.select, names)
 
 
 def used_aliases(select: Select) -> set[str]:
     """All FROM binding names used in this query and its subqueries
     (derived tables and EXISTS/IN bodies alike)."""
-    from repro.sql.ast import ExistsExpr, InExpr
-    from repro.sql.params import walk_exprs
-
     names: set[str] = set()
-
-    def visit(query: Select) -> None:
-        for from_item in query.from_items:
-            names.add(from_item.binding_name)
-            if isinstance(from_item, DerivedTable):
-                visit(from_item.select)
-        for expr in walk_exprs(query):
-            if isinstance(expr, ExistsExpr):
-                visit(expr.select)
-            elif isinstance(expr, InExpr) and expr.select is not None:
-                visit(expr.select)
-            else:
-                from repro.sql.ast import ScalarSubquery
-
-                if isinstance(expr, ScalarSubquery):
-                    visit(expr.select)
-
-    visit(select)
+    _collect_aliases(select, names)
     return names
 
 
@@ -91,6 +89,44 @@ def qualify_bare_stars(query: Select) -> None:
     query.items = new_items
 
 
+def _qualify_expr(expr, catalog: TableColumns, visible: tuple):
+    """One expression of :func:`qualify_unqualified_columns`: a name
+    resolves against the first of the ``visible`` FROM items (own scope
+    first, then outer) that provides it; subquery bodies are qualified
+    in place with ``visible`` as their outer scope."""
+    if isinstance(expr, ColumnRef) and expr.table is None:
+        for from_item in visible:
+            if expr.column in from_item_columns(from_item, catalog):
+                return ColumnRef(expr.column, table=from_item.binding_name)
+        return expr
+    if isinstance(expr, BinOp):
+        return BinOp(
+            expr.op,
+            _qualify_expr(expr.left, catalog, visible),
+            _qualify_expr(expr.right, catalog, visible),
+        )
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, _qualify_expr(expr.operand, catalog, visible))
+    if isinstance(expr, FuncCall):
+        return FuncCall(
+            expr.name,
+            tuple(_qualify_expr(a, catalog, visible) for a in expr.args),
+            expr.star,
+        )
+    if isinstance(expr, (ExistsExpr, ScalarSubquery)):
+        qualify_unqualified_columns(expr.select, catalog, visible)
+        return expr
+    if isinstance(expr, InExpr):
+        if expr.select is not None:
+            qualify_unqualified_columns(expr.select, catalog, visible)
+        return InExpr(
+            _qualify_expr(expr.needle, catalog, visible),
+            tuple(_qualify_expr(v, catalog, visible) for v in expr.values),
+            expr.select,
+        )
+    return expr
+
+
 def qualify_unqualified_columns(
     query: Select, catalog: TableColumns, outer: tuple["FromItem", ...] = ()
 ) -> None:
@@ -108,56 +144,16 @@ def qualify_unqualified_columns(
     running this before appending the new FROM item pins every name to
     its original source.
     """
-    from repro.sql.ast import BinOp, ExistsExpr, FuncCall, InExpr, UnaryOp
-
-    scope = tuple(query.from_items)
-
-    def find(column: str) -> Optional[str]:
-        for from_item in scope:
-            if column in from_item_columns(from_item, catalog):
-                return from_item.binding_name
-        for from_item in outer:
-            if column in from_item_columns(from_item, catalog):
-                return from_item.binding_name
-        return None
-
-    def rewrite(expr):
-        if isinstance(expr, ColumnRef) and expr.table is None:
-            table = find(expr.column)
-            if table is not None:
-                return ColumnRef(expr.column, table=table)
-            return expr
-        if isinstance(expr, BinOp):
-            return BinOp(expr.op, rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, rewrite(expr.operand))
-        if isinstance(expr, FuncCall):
-            return FuncCall(expr.name, tuple(rewrite(a) for a in expr.args), expr.star)
-        if isinstance(expr, ExistsExpr):
-            qualify_unqualified_columns(expr.select, catalog, scope + outer)
-            return expr
-        from repro.sql.ast import ScalarSubquery
-
-        if isinstance(expr, ScalarSubquery):
-            qualify_unqualified_columns(expr.select, catalog, scope + outer)
-            return expr
-        if isinstance(expr, InExpr):
-            if expr.select is not None:
-                qualify_unqualified_columns(expr.select, catalog, scope + outer)
-            return InExpr(
-                rewrite(expr.needle), tuple(rewrite(v) for v in expr.values), expr.select
-            )
-        return expr
-
+    visible = tuple(query.from_items) + outer
     for item in query.items:
-        item.expr = rewrite(item.expr)
+        item.expr = _qualify_expr(item.expr, catalog, visible)
     if query.where is not None:
-        query.where = rewrite(query.where)
-    query.group_by = [rewrite(e) for e in query.group_by]
+        query.where = _qualify_expr(query.where, catalog, visible)
+    query.group_by = [_qualify_expr(e, catalog, visible) for e in query.group_by]
     if query.having is not None:
-        query.having = rewrite(query.having)
+        query.having = _qualify_expr(query.having, catalog, visible)
     for order in query.order_by:
-        order.expr = rewrite(order.expr)
+        order.expr = _qualify_expr(order.expr, catalog, visible)
     for from_item in query.from_items:
         if isinstance(from_item, DerivedTable):
             qualify_unqualified_columns(from_item.select, catalog)

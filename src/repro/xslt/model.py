@@ -195,24 +195,22 @@ class TemplateRule:
         """All apply-templates nodes in the body, in document order
         (``apply(r)`` in the paper), descending through flow control."""
         found: list[ApplyTemplates] = []
-
-        def visit(nodes: list[OutputNode]) -> None:
-            for node in nodes:
-                if isinstance(node, ApplyTemplates):
-                    found.append(node)
-                elif isinstance(node, LiteralElement):
-                    visit(node.children)
-                elif isinstance(node, IfInstruction):
-                    visit(node.children)
-                elif isinstance(node, Choose):
-                    for when in node.whens:
-                        visit(when.children)
-                    visit(node.otherwise)
-                elif isinstance(node, ForEach):
-                    visit(node.children)
-
-        visit(self.output)
+        _collect_apply_templates(self.output, found)
         return found
+
+
+def _collect_apply_templates(
+    nodes: list[OutputNode], found: list[ApplyTemplates]
+) -> None:
+    for node in nodes:
+        if isinstance(node, ApplyTemplates):
+            found.append(node)
+        elif isinstance(node, (LiteralElement, IfInstruction, ForEach)):
+            _collect_apply_templates(node.children, found)
+        elif isinstance(node, Choose):
+            for when in node.whens:
+                _collect_apply_templates(when.children, found)
+            _collect_apply_templates(node.otherwise, found)
 
 
 @dataclass

@@ -149,3 +149,21 @@ def test_cached_result_dataclass_shape():
     entry = CachedResult(key="k", xml="<x/>")
     assert entry.versions == {} and entry.tables == ()
     assert entry.strategy == "" and entry.hits == 0
+
+
+def test_state_counters_say_where_state_lives():
+    """``states_resident`` counts entries holding state now;
+    ``state_captures`` counts keys given their first state (a successor
+    state over an entry that already had one is not a promotion)."""
+    cache = ResultCache(capacity=2)
+    store_simple(cache, "a", {})
+    store_simple(cache, "b", {})
+    assert cache.stats()["states_resident"] == 0
+    cache.store("a", "<x/>", {}, ("hotel",), state=object())  # promoted
+    cache.store("a", "<x/>", {}, ("hotel",), state=object())  # maintained
+    stats = cache.stats()
+    assert stats["states_resident"] == 1 and stats["state_captures"] == 1
+    store_simple(cache, "c", {})  # evicts b
+    store_simple(cache, "d", {})  # evicts a, and its state with it
+    stats = cache.stats()
+    assert stats["states_resident"] == 0 and stats["state_captures"] == 1

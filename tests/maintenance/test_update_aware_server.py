@@ -16,12 +16,14 @@ from repro.maintenance import (
     hotel_write,
     hotel_write_tables,
 )
-from repro.schema_tree.evaluator import materialize
+from repro.baseline.materialize import NaivePipeline
+from repro.schema_tree.evaluator import STRATEGIES, materialize
 from repro.serving import FRESHNESS_STATES, PublishRequest, ViewServer
 from repro.serving.fingerprint import view_read_set
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import figure1_view, figure4_stylesheet
 from repro.xmlcore.serializer import serialize
+from tests.priming import promote
 
 SPEC = HotelDataSpec(metros=2, hotels_per_metro=3)
 
@@ -59,6 +61,22 @@ def serve(server, db, **kwargs):
     trace = server.submit(request(db, **kwargs)).result()
     assert trace.error is None, trace.error
     return trace
+
+
+def serve_promoted(server, db, tracker):
+    """Miss, then one priming write + read: the entry now holds state.
+
+    Costs exactly one ``no-state`` fallback (the promotion), so a
+    scenario that follows counts its own fallbacks from 1. Priming uses
+    write step 2; the scenarios use steps 0 and 1.
+    """
+    assert serve(server, db).freshness == "miss"
+    promote(
+        lambda: serve(server, db), lambda: hotel_write(db, 2, tracker)
+    )
+    metrics = server.metrics()
+    assert metrics["delta_fallbacks_by_reason"]["no-state"] == 1
+    assert metrics["delta_fallbacks"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +280,12 @@ def test_delta_adopts_a_racing_write_into_its_selection_snapshot():
     clean hit on live bytes."""
     db, tracker, server = racy_env("delta")
     try:
-        serve(server, db)
+        serve_promoted(server, db, tracker)
         hotel_write(db, 0, tracker)  # entry is now stale
         server.arm_race(db, tracker, 1)  # second write lands inside sync
         trace = serve(server, db)
         assert trace.freshness == "delta-recompute"
-        assert server.metrics()["delta_fallbacks"] == 0
+        assert server.metrics()["delta_fallbacks"] == 1  # the promotion
         assert serve(server, db).freshness == "hit"
     finally:
         server.close()
@@ -282,7 +300,7 @@ def test_write_racing_the_splice_discards_the_delta(monkeypatch):
 
     db, tracker, server = make_env(maintenance="delta")
     try:
-        serve(server, db)
+        serve_promoted(server, db, tracker)
         hotel_write(db, 0, tracker)
         original = DeltaEvaluator.evaluate
 
@@ -293,7 +311,9 @@ def test_write_racing_the_splice_discards_the_delta(monkeypatch):
         monkeypatch.setattr(DeltaEvaluator, "evaluate", racing_evaluate)
         trace = serve(server, db)
         assert trace.freshness == "stale-recompute"  # fell back
-        assert server.metrics()["delta_fallbacks"] == 1
+        metrics = server.metrics()
+        assert metrics["delta_fallbacks"] == 2  # the promotion + this one
+        assert metrics["delta_fallbacks_by_reason"]["stamp-race"] == 1
         monkeypatch.undo()
         # The fallback stamped the pre-race vector (conservative), so
         # the racing write surfaces as one more recompute, then a hit.
@@ -305,12 +325,12 @@ def test_write_racing_the_splice_discards_the_delta(monkeypatch):
 
 
 def test_delta_recompute_state_machine():
-    """Delta mode's happy path through the freshness states: miss primes
-    captured state, a write makes it stale, the recompute is a delta,
-    and the spliced entry is a fresh hit afterwards."""
+    """Delta mode's happy path through the freshness states: a promoted
+    entry holds captured state, a write makes it stale, the recompute is
+    a delta, and the spliced entry is a fresh hit afterwards."""
     db, tracker, server = make_env(maintenance="delta")
     try:
-        assert serve(server, db).freshness == "miss"
+        serve_promoted(server, db, tracker)
         hotel_write(db, 0, tracker)
         trace = serve(server, db)
         assert trace.freshness == "delta-recompute"
@@ -319,7 +339,7 @@ def test_delta_recompute_state_machine():
         metrics = server.metrics()
         assert metrics["maintenance"] == "delta"
         assert metrics["freshness"]["delta-recompute"] == 1
-        assert metrics["delta_fallbacks"] == 0
+        assert metrics["delta_fallbacks"] == 1  # the promotion
     finally:
         server.close()
         db.close()
@@ -340,7 +360,11 @@ def test_row_pushdown_refetches_the_changed_rows_not_the_node():
         staleness="strict", maintenance="delta",
     )
     try:
-        server.render(view, strategy="bulk")  # prime plan + cached state
+        server.render(view, strategy="bulk")  # prime plan + cached bytes
+        promote(  # ... and the state the row-level deltas splice against
+            lambda: server.render(view, strategy="bulk"),
+            lambda: hotel_payload_write(db, 7, tracker, rows=1),
+        )
         for step, rows in enumerate((1, 4)):
             hotel_payload_write(db, step, tracker, rows=rows)
             trace = server.render(view, strategy="bulk")
@@ -357,10 +381,66 @@ def test_row_pushdown_refetches_the_changed_rows_not_the_node():
         assert trace.freshness == "delta-recompute"
         assert trace.rows_fetched > 4 * 4
         assert trace.xml == serialize(materialize(view, db))
-        assert server.metrics()["delta_fallbacks"] == 0
+        assert server.metrics()["delta_fallbacks"] == 1  # the promotion
     finally:
         server.close()
         db.close()
+
+
+# ---------------------------------------------------------------------------
+# State lifecycle: bytes -> promoted on first staleness -> maintained
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("maintenance", ["delta", "fragment"])
+def test_state_lifecycle(maintenance, strategy):
+    """A cached result earns its maintenance state: the miss stores
+    bytes only, the first stale read promotes (a full recompute that
+    captures, counted as the ``no-state`` fallback), every later stale
+    read is a delta — and the bytes are the naive pipeline's throughout."""
+    db, tracker, server = make_env(maintenance=maintenance)
+    naive = NaivePipeline(figure1_view(db.catalog), figure4_stylesheet())
+
+    def step(expected_freshness, no_state, captures, resident):
+        trace = serve(server, db, strategy=strategy)
+        assert trace.freshness == expected_freshness
+        assert trace.xml == serialize(naive.run(db).document)
+        metrics = server.metrics()
+        assert metrics["delta_fallbacks_by_reason"]["no-state"] == no_state
+        assert metrics["delta_fallbacks"] == no_state
+        assert metrics["result_cache"]["state_captures"] == captures
+        assert metrics["result_cache"]["states_resident"] == resident
+        [key] = server.result_cache.keys()
+        entry = server.result_cache.peek(key)
+        assert (entry.state is not None) == bool(resident)
+        assert (entry.fragments is not None) == (
+            bool(resident) and maintenance == "fragment"
+        )
+
+    try:
+        step("miss", no_state=0, captures=0, resident=0)
+        step("hit", no_state=0, captures=0, resident=0)
+        hotel_write(db, 0, tracker)
+        step("stale-recompute", no_state=1, captures=1, resident=1)
+        hotel_write(db, 1, tracker)
+        step("delta-recompute", no_state=1, captures=1, resident=1)
+        hotel_write(db, 2, tracker)
+        step("delta-recompute", no_state=1, captures=1, resident=1)
+    finally:
+        server.close()
+        db.close()
+
+
+def test_full_maintenance_never_captures(strict_env):
+    db, tracker, server = strict_env
+    for step in range(3):
+        serve(server, db)
+        hotel_write(db, step, tracker)
+    stats = server.metrics()["result_cache"]
+    assert stats["state_captures"] == 0 and stats["states_resident"] == 0
+    [key] = server.result_cache.keys()
+    assert server.result_cache.peek(key).state is None
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ to take silently.
 
 The server chains state across examples on purpose: cached results,
 recorded spans, and survival statistics from one example are the input
-of the next, so the sequence explores cold caches, warm caches, and
-mid-flight policy re-selection alike.
+of the next, so the sequence explores warm caches and mid-flight policy
+re-selection alike. The fixture promotes every (policy, strategy)
+entry up front — a server captures state only on an entry's first
+staleness — so every example's stale reads take the delta path.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.serving import ViewServer
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import figure1_view
 from repro.xmlcore.serializer import serialize
+from tests.priming import promote
 
 #: Two metros, several served hotels: big enough that block splices and
 #: span survival actually occur, small enough to keep examples cheap.
@@ -73,12 +76,18 @@ def _env():
             )
             for policy in ("all", "auto", "none")
         }
+        view = figure1_view(db.catalog)
+
+        def read_all():
+            for server in servers.values():
+                for strategy in STRATEGIES:
+                    trace = server.render(view, strategy=strategy)
+            return trace
+
+        read_all()
+        promote(read_all, lambda: hotel_write(db, 0, tracker))
         _ENV.update(
-            db=db,
-            tracker=tracker,
-            servers=servers,
-            view=figure1_view(db.catalog),
-            step=0,
+            db=db, tracker=tracker, servers=servers, view=view, step=1
         )
     return _ENV
 
@@ -102,6 +111,8 @@ def test_fragment_bytes_equal_full_serialize(write_kinds, policy):
     for strategy in STRATEGIES:
         trace = server.render(view, strategy=strategy)
         assert trace.xml == reference, (policy, strategy, write_kinds)
+    # Still a delta suite: the writes above were spliced, not recomputed.
+    assert server.metrics()["freshness"]["delta-recompute"] > 0
 
 
 def test_close_shared_servers():

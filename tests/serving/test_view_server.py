@@ -17,6 +17,7 @@ from repro.workloads.hotel import (
     hotel_catalog,
 )
 from repro.workloads.paper import figure1_view, figure4_stylesheet
+from tests.priming import promote
 
 
 @pytest.fixture()
@@ -155,6 +156,10 @@ def test_fragment_recompute_reports_its_phases_and_fragment_counters():
         assert first.freshness == "miss"
         assert first.query_seconds > 0 and first.serialize_seconds > 0
         assert first.splice_seconds == 0.0
+        promote(  # the entry earns its state and byte cache
+            lambda: server.render(view, strategy="bulk"),
+            lambda: hotel_write(db, 2, tracker),
+        )
         hotel_write(db, 0, tracker)
         trace = server.render(view, strategy="bulk")
         assert trace.freshness == "delta-recompute"

@@ -30,6 +30,7 @@ from repro.workloads.hotel import (
 )
 from repro.workloads.paper import figure1_view
 from repro.xmlcore.serializer import serialize
+from tests.priming import promote
 
 SEED = 2003
 SPEC = HotelDataSpec(
@@ -113,12 +114,40 @@ def test_sharded_bytes_equal_single_box(shards, maintenance, strategy, writes):
         # Prime every shard's caches, then check the cold response too.
         warm = router.render(request.view, strategy=strategy)
         assert warm.xml == serialize(materialize(view, db))
+        # ... and every shard's maintenance state: one write that lands
+        # on all shards (every metro's calendar), then the promoting read.
+        primed = promote(
+            lambda: router.render(request.view, strategy=strategy),
+            lambda: (
+                router.route_write(
+                    lambda source, tracker: hotel_metro_write(
+                        source, 0, tracker=tracker,
+                        metros=len(metro_domain), domain=metro_domain,
+                    )
+                ),
+                hotel_metro_write(db, 0, metros=len(metro_domain)),
+            ),
+        )
+        assert primed.xml == serialize(materialize(view, db))
+        promoted = router.aggregate_metrics()
         for kind, step in writes:
             _apply(kind, step, router, db, metro_domain, hotel_domain)
             trace = router.render(request.view, strategy=strategy)
             assert trace.outcome == "success"
             assert trace.xml == serialize(materialize(view, db))
         assert router.outstanding() == 0
+        if maintenance != "full":
+            # Still a delta suite: every shard entry was promoted above
+            # (the only fallbacks are those `shards` promotions), so
+            # every stale shard read after it was a delta.
+            after = router.aggregate_metrics()
+            assert after["result_cache"]["state_captures"] == shards
+            assert after["delta_fallbacks_by_reason"]["no-state"] == shards
+            assert after["delta_fallbacks"] == shards
+            assert after["freshness"]["delta-recompute"] == (
+                after["result_cache"]["stale"]
+                - promoted["result_cache"]["stale"]
+            )
     finally:
         router.close()
         db.close()

@@ -21,6 +21,7 @@ from repro.workloads.hotel import (
 )
 from repro.workloads.paper import figure1_view
 from repro.xmlcore.serializer import serialize
+from tests.priming import promote
 
 SEED = 2003
 
@@ -92,6 +93,19 @@ def test_skewed_shard_falls_back_to_node_level_and_stays_correct():
     try:
         warm = router.render(view, strategy="bulk")
         assert warm.xml == serialize(materialize(view, db))
+        # Both shards' entries earn the state the delta path below
+        # splices against (one write that lands on both metros).
+        promote(
+            lambda: router.render(view, strategy="bulk"),
+            lambda: (
+                router.route_write(
+                    lambda source, tracker: hotel_metro_write(
+                        source, 0, tracker=tracker, metros=2, domain=domain
+                    )
+                ),
+                hotel_metro_write(db, 0, metros=2),
+            ),
+        )
         # A burst of row-traceable availability writes against metro 1
         # (shard 0): each event records precise keys, but the one-event
         # log forgets all but the last.
@@ -114,6 +128,9 @@ def test_skewed_shard_falls_back_to_node_level_and_stays_correct():
         trace = router.render(view, strategy="bulk")
         assert trace.outcome == "success"
         assert trace.xml == serialize(materialize(view, db))
+        metrics = router.aggregate_metrics()
+        assert metrics["freshness"]["delta-recompute"] > 0
+        assert metrics["delta_fallbacks"] == 2  # the two promotions
         assert router.outstanding() == 0
     finally:
         router.close()

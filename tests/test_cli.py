@@ -227,6 +227,9 @@ def test_serve_http_builds_listens_drains_and_writes_metrics(
     assert metrics["maintenance"] == "delta"
     assert metrics["staleness_policy"] == "strict"
     assert metrics["frontend_inflight"] == 0
+    # Where state lives, single box or summed over the fleet.
+    assert metrics["result_cache"]["states_resident"] == 0
+    assert metrics["result_cache"]["state_captures"] == 0
     if shards is None:
         assert "router" not in metrics
     else:

@@ -15,6 +15,7 @@ from repro.schema_tree import materialize
 from repro.workloads.hotel import hotel_catalog
 from repro.workloads.paper import figure1_view, figure4_stylesheet
 from repro.xslt.parser import parse_stylesheet
+from tests.priming import promote
 
 
 def test_missing_table_at_evaluation(hotel_db):
@@ -162,6 +163,12 @@ def test_mid_splice_failure_falls_back_to_full(
             figure1_view(db.catalog), figure4_stylesheet()
         )
         assert first.freshness == "miss"
+        first = promote(  # the entry earns the state a delta reads
+            lambda: server.render(
+                figure1_view(db.catalog), figure4_stylesheet()
+            ),
+            lambda: hotel_write(db, 2, tracker),
+        )
         [key] = server.result_cache.keys()
         stale_entry = server.result_cache.peek(key)
         assert stale_entry.state is not None
@@ -178,7 +185,7 @@ def test_mid_splice_failure_falls_back_to_full(
         assert trace.freshness == "stale-recompute"  # full fallback, not delta
         assert trace.xml == _live_bytes(db)
         metrics = server.metrics()
-        assert metrics["delta_fallbacks"] == 1
+        assert metrics["delta_fallbacks"] == 2  # the promotion + this one
         assert metrics["delta_fallbacks_by_reason"][reason] == 1
         # The entry the failed delta read from was never touched.
         assert serialize(stale_entry.state.document) == stale_doc_bytes
@@ -192,7 +199,7 @@ def test_mid_splice_failure_falls_back_to_full(
         assert healed.error is None
         assert healed.freshness == "delta-recompute"
         assert healed.xml == _live_bytes(db)
-        assert server.metrics()["delta_fallbacks"] == 1  # no new fallback
+        assert server.metrics()["delta_fallbacks"] == 2  # no new fallback
     finally:
         server.close()
         db.close()
@@ -207,6 +214,12 @@ def test_delta_failure_after_store_does_not_lose_writes(monkeypatch):
     db, tracker, server = _delta_server()
     try:
         server.render(figure1_view(db.catalog), figure4_stylesheet())
+        promote(  # so the failing call below is a delta attempt
+            lambda: server.render(
+                figure1_view(db.catalog), figure4_stylesheet()
+            ),
+            lambda: hotel_write(db, 2, tracker),
+        )
         before = _live_bytes(db)
         db.run_sql(
             "UPDATE hotel SET starrating = CASE WHEN starrating > 4 "
@@ -223,6 +236,7 @@ def test_delta_failure_after_store_does_not_lose_writes(monkeypatch):
         assert trace.freshness == "stale-recompute"
         assert trace.xml == _live_bytes(db)
         assert trace.xml != before
+        assert server.metrics()["delta_fallbacks_by_reason"]["error"] == 1
     finally:
         server.close()
         db.close()
