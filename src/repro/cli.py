@@ -42,6 +42,7 @@ from repro.core.hybrid import HybridExecutor
 from repro.core.optimize import prune_stylesheet_view
 from repro.core.tvq import build_tvq
 from repro.errors import ReproError
+from repro.maintenance.incremental import MAINTENANCE_MODES
 from repro.relational.driver import BACKEND_NAMES
 from repro.relational.engine import Database
 from repro.resilience.faults import FLEET_FAULT_KINDS
@@ -268,7 +269,6 @@ def _frontend_app_from_args(args: argparse.Namespace):
         workers=args.workers,
         staleness=args.staleness,
         maintenance=args.maintenance,
-        fragment_policy=args.fragment_policy,
         resilience=resilience,
         faults=faults,
         hedge=hedge,
@@ -296,12 +296,8 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--maintenance", default="full",
-        choices=["full", "delta", "fragment"],
+        choices=list(MAINTENANCE_MODES),
         help="stale-result recompute mode (default: full)",
-    )
-    parser.add_argument(
-        "--fragment-policy", default="all", metavar="POLICY",
-        help="fragment pinning policy for --maintenance fragment",
     )
     parser.add_argument(
         "--shards", type=int, default=1, metavar="N",

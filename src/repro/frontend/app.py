@@ -25,7 +25,13 @@ from typing import Optional
 from repro.errors import ReproError
 from repro.frontend.facade import AsyncViewServer
 from repro.frontend.hedging import HedgePolicy
-from repro.serving.server import PRIORITIES, PublishRequest, ViewServer
+from repro.maintenance.incremental import check_maintenance_mode
+from repro.serving.server import (
+    PRIORITIES,
+    SERVING_STRATEGY,
+    PublishRequest,
+    ViewServer,
+)
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ class PublishingApp:
     def request_for(
         self,
         name: str,
-        strategy: str = "nested-loop",
+        strategy: str = SERVING_STRATEGY,
         priority: str = "interactive",
         bypass_cache: bool = False,
         label: str = "",
@@ -130,7 +136,6 @@ def build_hotel_app(
     workers: int = 4,
     staleness: Optional[str] = None,
     maintenance: str = "full",
-    fragment_policy: str = "all",
     resilience=None,
     faults=None,
     hedge: Optional[HedgePolicy] = None,
@@ -159,6 +164,9 @@ def build_hotel_app(
         figure17_stylesheet,
     )
 
+    # Before anything is opened: a rejected mode must leave no
+    # database, tracker or pool behind.
+    check_maintenance_mode(maintenance)
     driver = resolve_driver(backend)
     update_aware = staleness is not None
     sharded = shards > 1 or replicas > 0
@@ -184,7 +192,6 @@ def build_hotel_app(
             workers=workers,
             staleness=staleness or "strict",
             maintenance=maintenance,
-            fragment_policy=fragment_policy,
             resilience=resilience,
             faults=(
                 [faults] + [None] * (shards - 1)
@@ -210,7 +217,6 @@ def build_hotel_app(
             tracker=tracker,
             staleness=staleness or "strict",
             maintenance=maintenance,
-            fragment_policy=fragment_policy,
             resilience=resilience,
             faults=faults,
         )

@@ -94,11 +94,11 @@ class AsyncViewServer:
         Single-box backends bucket by compiled-plan key (content
         fingerprint), so latency estimates never mix distinct plans;
         the router lacks a plan cache at its layer, so its requests
-        bucket by (label, strategy).
+        bucket by label.
         """
         if isinstance(self.backend, ViewServer):
             return self.backend.plan_key_for(request)
-        return f"{request.label}|{request.strategy}"
+        return request.label
 
     # -- the request path ----------------------------------------------------
 

@@ -5,10 +5,11 @@ No web framework — a hand-rolled request loop over
 three routes and the interesting parts (hedging, priority admission,
 cancellation) live below HTTP anyway:
 
-* ``POST /publish`` — JSON body ``{"view": "figure4", "strategy":
-  "nested-loop", "priority": "interactive", "bypass_cache": false}``;
-  answers the published XML with the serving verdict in
-  ``X-Repro-*`` headers. Outcomes map onto status codes: success and
+* ``POST /publish`` — JSON body ``{"view": "figure4", "priority":
+  "interactive", "bypass_cache": false}`` (a ``"strategy"`` key is
+  accepted only as ``"bulk"``, the one serving evaluator; anything
+  else is a ``400``); answers the published XML with the serving
+  verdict in ``X-Repro-*`` headers. Outcomes map onto status codes: success and
   degraded are ``200`` (degraded is still bytes — the resilience
   contract — flagged by ``X-Repro-Outcome``), shed admission is
   ``503``, a blown deadline ``504``, cancellation ``499``, everything
@@ -33,6 +34,7 @@ from typing import Optional
 
 from repro.errors import ReproError
 from repro.frontend.app import PublishingApp
+from repro.serving.server import SERVING_STRATEGY
 
 #: Serving outcome -> HTTP status. Degraded stays 200: stale bytes are
 #: the resilience contract's answer, not an error (the header tells).
@@ -301,7 +303,7 @@ class FrontendServer:
             raise HttpError(400, 'body must name a "view"')
         publish = self.app.request_for(
             name,
-            strategy=params.get("strategy", "nested-loop"),
+            strategy=params.get("strategy", SERVING_STRATEGY),
             priority=params.get("priority", "interactive"),
             bypass_cache=bool(params.get("bypass_cache", False)),
             label=str(params.get("label", "")),

@@ -12,7 +12,7 @@ handled at the relational layer. Three pieces:
   :class:`~repro.relational.engine.Database` connection
   (:meth:`WriteTracker.attach`).
 * :class:`ResultCache` — memoizes fully serialized responses keyed by
-  plan fingerprint + execution strategy, each entry stamped with the
+  plan fingerprint, each entry stamped with the
   table-version vector of the plan's base-table read set (computed by
   :func:`repro.serving.fingerprint.view_read_set` at compile time).
 * :class:`StalenessPolicy` — how stale a cached response may be before
@@ -33,12 +33,6 @@ whose read sets intersect the written tables and splices the fresh
 subtrees into the cached document (``serve-http --maintenance delta``).
 """
 
-from repro.maintenance.fragments import (
-    FRAGMENT_POLICIES,
-    FragmentCache,
-    FragmentPolicy,
-    FragmentStat,
-)
 from repro.maintenance.incremental import (
     MAINTENANCE_MODES,
     DeltaEvaluator,
@@ -68,10 +62,6 @@ __all__ = [
     "DeltaEvaluator",
     "DeltaResult",
     "DeltaUnsupported",
-    "FRAGMENT_POLICIES",
-    "FragmentCache",
-    "FragmentPolicy",
-    "FragmentStat",
     "MAINTENANCE_MODES",
     "MaterializedState",
     "ROW_PUSHDOWN_MAX_KEYS",

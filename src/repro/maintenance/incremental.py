@@ -30,10 +30,15 @@ pushed to exactly the affected nodes:
    no replacement beneath them — are shared with the old document,
    which is never mutated — a mid-splice failure cannot tear the
    cached entry, the server just falls back to full recomputation.
-   Sharing by identity is load-bearing: the fragment byte cache
-   (:mod:`repro.maintenance.fragments`) keys serialized spans by
-   ``id(element)``, so every instance the splice shares keeps its
-   cached bytes.
+   Sharing is what makes a narrow write cheap: the splice allocates in
+   proportion to the spine and the replacements, not to the document.
+
+The chain has three rungs, each the fallback of the one before: **row**
+— where the tracker reports which rows changed and the changed columns
+are pure payload, step 3 re-fetches just those rows by key
+(:meth:`DeltaEvaluator._try_row_splice`) and every sibling element is
+shared; **node** — steps 1-4 as written; **full** — the server's
+recompute when this module declines.
 
 Anything the splice cannot prove safe raises :class:`DeltaUnsupported`
 (deliberately *not* a :class:`~repro.errors.ReproError`, so the server's
@@ -58,10 +63,10 @@ before any write reaches them never pay for state.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace as replace_dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.errors import SQLTransformError
+from repro.errors import ReproError, SQLTransformError
 from repro.maintenance.tracker import ROW_PUSHDOWN_MAX_KEYS, TableChange
 from repro.relational.engine import Database, Row
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator, _Instance, _NodePlan
@@ -69,25 +74,29 @@ from repro.schema_tree.evaluator import MaterializeStats
 from repro.schema_tree.model import SchemaNode, SchemaTreeQuery
 from repro.sql.analysis import (
     load_bearing_columns,
-    membership_bearing_columns,
     referenced_columns_of_table,
     referenced_tables,
 )
-from repro.sql.ast import ColumnRef, SelectItem, Star
+from repro.sql.ast import ColumnRef, Star
 from repro.sql.params import collect_params
-from repro.sql.transform import (
-    push_key_predicate,
-    qualify_unqualified_columns,
-    restrict_output_in,
-)
+from repro.sql.transform import push_key_predicate, qualify_unqualified_columns
 from repro.xmlcore.nodes import Document, Element
 
 #: Maintenance modes the server accepts: ``"full"`` re-runs the whole
-#: compiled plan on staleness (the pre-E15 behaviour); ``"delta"``
-#: re-executes only dirty schema nodes and splices, falling back to full
-#: when the delta path declines; ``"fragment"`` is delta plus the
-#: serialized-fragment byte cache (:mod:`repro.maintenance.fragments`).
-MAINTENANCE_MODES = ("full", "delta", "fragment")
+#: compiled plan on staleness (the reference the delta differentials
+#: compare against); ``"delta"`` re-executes only dirty schema nodes —
+#: changed rows where the write is traceable, whole nodes otherwise —
+#: and splices, falling back to full when the delta path declines.
+MAINTENANCE_MODES = ("full", "delta")
+
+
+def check_maintenance_mode(maintenance: str) -> None:
+    """Reject an unknown maintenance mode before anything is opened."""
+    if maintenance not in MAINTENANCE_MODES:
+        raise ReproError(
+            f"unknown maintenance mode {maintenance!r} "
+            f"(expected one of {', '.join(MAINTENANCE_MODES)})"
+        )
 
 
 class DeltaUnsupported(Exception):
@@ -107,8 +116,8 @@ class MaterializedState:
     ``instances`` maps each schema node id to its materialized
     ``(element, env)`` pairs in document order, where ``env`` is the
     binding environment visible to that element's children; the
-    synthetic root maps to ``[(document, {})]``. Produced by the
-    evaluators' ``capture_instances`` hook during the full recompute
+    synthetic root maps to ``[(document, {})]``. Produced by the bulk
+    evaluator's ``capture_instances`` hook during the full recompute
     that promotes a resident entry (its first staleness — never a first
     computation), and by :meth:`DeltaEvaluator.evaluate` for the
     spliced document. Treated as immutable once stored; its document is
@@ -143,13 +152,6 @@ class DeltaResult:
     #: Elements rebuilt by the row-level path (one per changed row per
     #: affected parent block).
     rows_spliced: int = 0
-    #: Frontier nodes maintained at *block* granularity: only the parent
-    #: blocks containing changed rows were re-evaluated (whole subtree,
-    #: restricted by block key), sibling blocks were shared. Disjoint
-    #: from ``row_frontier_nodes``; a subset of ``frontier_nodes``.
-    block_frontier_nodes: tuple[int, ...] = ()
-    #: Parent blocks re-evaluated by the block-level path.
-    blocks_spliced: int = 0
     #: Wall-clock seconds spent in the copy-on-spine splice itself
     #: (document and state rebuild), excluding query work —
     #: ``RequestTrace.splice_seconds``.
@@ -185,25 +187,6 @@ class _RowSplice:
     instances: list[tuple[Any, dict[str, Row]]] = field(default_factory=list)
     #: Fresh elements built (== changed rows that survived in the view).
     fresh_count: int = 0
-
-
-@dataclass
-class _BlockSplice:
-    """Prepared outcome of one frontier node's block-level maintenance."""
-
-    #: id(affected parent element) -> fresh child list for this node's
-    #: group (the whole block is rebuilt; unaffected parents are absent).
-    replace_entries: dict[int, list] = field(default_factory=dict)
-    #: Merged (element, env) instance lists for the frontier node *and*
-    #: every descendant: kept blocks share the old pairs, affected
-    #: blocks carry the fresh ones.
-    instances: dict[int, list[tuple[Any, dict[str, Row]]]] = field(
-        default_factory=dict
-    )
-    #: Fresh elements built across the re-evaluated subtrees.
-    fresh_count: int = 0
-    #: Number of parent blocks re-evaluated.
-    blocks: int = 0
 
 
 class DeltaEvaluator:
@@ -290,8 +273,6 @@ class DeltaEvaluator:
         row_instances: dict[int, list[tuple[Any, dict[str, Row]]]] = {}
         row_frontier: list[int] = []
         rows_spliced = 0
-        block_frontier: list[int] = []
-        blocks_spliced = 0
         # id(old parent element) -> {frontier node id: fresh child elements}
         replace_at: dict[int, dict[int, list]] = {}
         elements_refreshed = 0
@@ -310,17 +291,6 @@ class DeltaEvaluator:
                 row_frontier.append(node_id)
                 rows_spliced += row.fresh_count
                 elements_refreshed += row.fresh_count
-                continue
-            block = self._try_block_splice(
-                bulk, plans, node, state, retained, changes
-            )
-            if block is not None:
-                for parent_key, group in block.replace_entries.items():
-                    replace_at.setdefault(parent_key, {})[node_id] = group
-                row_instances.update(block.instances)
-                block_frontier.append(node_id)
-                blocks_spliced += block.blocks
-                elements_refreshed += block.fresh_count
                 continue
             shadows = [
                 _Instance(Element(node.tag), env, self._context_key(bulk, node, env))
@@ -361,8 +331,6 @@ class DeltaEvaluator:
             rows_refetched=self.db.stats.rows_fetched - rows_before,
             row_frontier_nodes=tuple(row_frontier),
             rows_spliced=rows_spliced,
-            block_frontier_nodes=tuple(block_frontier),
-            blocks_spliced=blocks_spliced,
             splice_seconds=time.perf_counter() - splice_started,
         )
 
@@ -659,248 +627,6 @@ class DeltaEvaluator:
                 touched.add(name)
         return touched
 
-    # -- block-level key pushdown ---------------------------------------------
-
-    def _try_block_splice(
-        self,
-        bulk: BulkViewEvaluator,
-        plans: dict[int, _NodePlan],
-        node: SchemaNode,
-        state: MaterializedState,
-        retained: list[tuple[Any, dict[str, Row]]],
-        changes: Optional[Mapping[str, TableChange]],
-    ) -> Optional[_BlockSplice]:
-        """Attempt block-granular maintenance of one frontier subtree.
-
-        The middle rung between row pushdown and node-level
-        re-evaluation, for frontiers the row path must decline (grouped
-        aggregates, dirty descendants, changes to load-bearing
-        columns): re-evaluate the *whole subtree*, but only under the
-        parent blocks that contain changed rows, and share every other
-        block's subtree verbatim. Returns ``None`` whenever any
-        precondition fails — node-level re-evaluation is always sound.
-        The preconditions, in order:
-
-        * row-level change detail exists: exactly one changed table is
-          read anywhere in the subtree, with known changed keys *and*
-          columns, and the table has a single-column primary key;
-        * the frontier node has a bulk plan with a nonempty block key
-          (its query-bearing ancestors' key columns);
-        * the changed columns are not *membership-bearing* in any
-          subtree query reading the table
-          (:func:`repro.sql.analysis.membership_bearing_columns`): they
-          may regroup or reorder rows within a block, but cannot move a
-          row between blocks, in or out of the result, or change other
-          rows — so the blocks containing changed rows are exactly the
-          blocks whose bytes can differ;
-        * the key-restricted probes find every changed key (a missing
-          key could be a deleted row whose old block they cannot name),
-          and every affected block has a retained parent instance.
-
-        When all hold, the subtree queries are cloned with the affected
-        blocks' key values pushed into WHERE
-        (:func:`repro.sql.transform.restrict_output_in` — on a grouped
-        query the predicate filters whole groups, leaving surviving
-        aggregates exact) and re-executed under shadow parents for the
-        affected blocks only.
-        """
-        if changes is None:
-            return None
-        plan = plans.get(node.id)
-        if plan is None or plan.kind != "bulk" or plan.query is None:
-            return None
-        block_names = list(plan.key_columns)
-        if not block_names:
-            return None
-        block_len = len(block_names)
-        subtree = list(node.walk())
-        subtree_tables: set[str] = set()
-        for sub in subtree:
-            if sub.tag_query is not None:
-                subtree_tables.update(referenced_tables(sub.tag_query))
-        changed_here = sorted(t for t in subtree_tables if t in changes)
-        if len(changed_here) != 1:
-            return None
-        table = changed_here[0]
-        change = changes[table]
-        if (
-            change.keys is None
-            or change.columns is None
-            or not change.keys
-            or len(change.keys) > ROW_PUSHDOWN_MAX_KEYS
-        ):
-            return None
-        catalog = self.db.catalog
-        key_column = catalog.table(table).primary_key
-        if key_column is None:
-            return None
-        for sub in subtree:
-            query = plans[sub.id].query or sub.tag_query
-            if query is None or table not in referenced_tables(query):
-                continue
-            if change.columns & membership_bearing_columns(
-                query, table, catalog
-            ):
-                return None
-
-        # Probe every decorrelated reader of the table for the blocks
-        # its changed rows land in. Readers without a decorrelated query
-        # (correlated fallbacks) cannot name blocks, so they bail.
-        affected: set[tuple] = set()
-        found: set = set()
-        for sub in subtree:
-            sub_plan = plans[sub.id]
-            if sub_plan.query is None:
-                if sub.tag_query is not None and table in referenced_tables(
-                    sub.tag_query
-                ):
-                    return None
-                continue
-            if table not in referenced_tables(sub_plan.query):
-                continue
-            sub_names = list(sub_plan.key_columns[:block_len])
-            if len(sub_names) != block_len:
-                return None
-            probe = sub_plan.query.clone()
-            try:
-                binding = push_key_predicate(
-                    probe, table, key_column, change.keys
-                )
-            except SQLTransformError:
-                return None
-            items = [
-                SelectItem(ColumnRef(key_column, table=binding), "__delta_key")
-            ]
-            for name in sub_names:
-                ref = self._output_column_ref(sub_plan.query, name)
-                if ref is None:
-                    return None
-                items.append(
-                    SelectItem(
-                        ColumnRef(ref.column, table=ref.table),
-                        None if ref.column == name else name,
-                    )
-                )
-            probe.items = items
-            probe.group_by = []
-            probe.having = None
-            probe.order_by = []
-            probe.distinct = False
-            rows = self.db.run_query(probe, env=None)
-            for row in rows:
-                found.add(row["__delta_key"])
-                affected.add(tuple(row[name] for name in sub_names))
-        if found != set(change.keys) or not affected:
-            return None
-
-        parent_blocks = [
-            self._context_key(bulk, node, parent_env)
-            for _parent_element, parent_env in retained
-        ]
-        if not affected.issubset(parent_blocks):
-            return None  # a changed row's block has no retained parent
-
-        # Clone the subtree's bulk plans with the affected blocks pushed
-        # into WHERE. A per-column IN conjunction is a superset of the
-        # block set; extra cross-product rows match no shadow parent and
-        # drop the node to the correlated per-parent fallback
-        # (_group_rows raises _BulkUnsupported), which is still exact.
-        values_by_pos = [
-            {block[i] for block in affected} for i in range(block_len)
-        ]
-        restricted: dict[int, _NodePlan] = {}
-        for sub in subtree:
-            sub_plan = plans[sub.id]
-            if sub_plan.kind != "bulk" or sub_plan.query is None:
-                restricted[sub.id] = sub_plan
-                continue
-            sub_names = list(sub_plan.key_columns[:block_len])
-            clone = sub_plan.query.clone()
-            ok = len(sub_names) == block_len
-            if ok:
-                try:
-                    for name, values in zip(sub_names, values_by_pos):
-                        restrict_output_in(clone, name, values)
-                except SQLTransformError:
-                    ok = False
-            if not ok and sub is node:
-                return None  # an unrestricted frontier defeats the point
-            restricted[sub.id] = (
-                replace_dataclass(sub_plan, query=clone) if ok else sub_plan
-            )
-
-        shadows = [
-            _Instance(Element(node.tag), parent_env, block)
-            for (_parent_element, parent_env), block in zip(
-                retained, parent_blocks
-            )
-            if block in affected
-        ]
-        local = self._evaluate_subtree(bulk, restricted, node, shadows)
-
-        splice = _BlockSplice(blocks=len(affected))
-        splice.fresh_count = sum(len(created) for created in local.values())
-        env_of = {
-            id(element): env
-            for element, env in state.instances.get(node.id, [])
-        }
-        fresh_env = {
-            id(inst.element): inst.env for inst in local.get(node.id, [])
-        }
-        merged_node: list[tuple[Any, dict[str, Row]]] = []
-        shadow_iter = iter(shadows)
-        for (parent_element, _parent_env), block in zip(
-            retained, parent_blocks
-        ):
-            if block in affected:
-                shadow = next(shadow_iter)
-                group = list(shadow.element.children)
-                for child in group:
-                    merged_node.append((child, fresh_env[id(child)]))
-                splice.replace_entries[id(parent_element)] = group
-            else:
-                for child in parent_element.children:
-                    env = env_of.get(id(child))
-                    if env is not None:
-                        merged_node.append((child, env))
-        splice.instances[node.id] = merged_node
-
-        for sub in subtree:
-            if sub is node:
-                continue
-            fresh_by_block: dict[tuple, list] = {}
-            for inst in local.get(sub.id, []):
-                fresh_by_block.setdefault(tuple(inst.key[:block_len]), []).append(
-                    (inst.element, inst.env)
-                )
-            merged: list[tuple[Any, dict[str, Row]]] = []
-            emitted: set[tuple] = set()
-            for element, env in state.instances.get(sub.id, []):
-                try:
-                    block = self._context_key(bulk, sub, env)[:block_len]
-                except DeltaUnsupported:
-                    return None  # node-level handles opaque descendants
-                if block in affected:
-                    if block not in emitted:
-                        emitted.add(block)
-                        merged.extend(fresh_by_block.get(block, []))
-                    continue
-                merged.append((element, env))
-            for block, pairs in fresh_by_block.items():
-                if block not in emitted:
-                    merged.extend(pairs)
-            splice.instances[sub.id] = merged
-        return splice
-
-    def _output_column_ref(
-        self, query, output_name: str
-    ) -> Optional[ColumnRef]:
-        """The bare column reference behind a named output, if it is one."""
-        for item in query.items:
-            if item.output_name() == output_name:
-                return item.expr if isinstance(item.expr, ColumnRef) else None
-        return None
-
     # -- frontier validation and re-evaluation --------------------------------
 
     def _check_spliceable(
@@ -1009,14 +735,10 @@ class DeltaEvaluator:
         path from the root to an element receiving replacement children
         actually change — a sibling instance of the same schema node
         with no replacement anywhere beneath it can be shared verbatim.
-        Sharing it matters beyond saving the copy: downstream consumers
-        key on element identity (the fragment byte cache anchors
-        serialized spans by ``id(element)``), so an untouched instance
-        that keeps its object across a splice keeps its cached bytes
-        too. Node-level re-evaluation puts every parent instance in
-        ``replace_at`` and degenerates to the old copy-everything
-        behaviour; the row-level path lists only the parents of changed
-        rows, so all other instances stay shared.
+        Node-level re-evaluation puts every parent instance in
+        ``replace_at`` and copies the whole spine; the row-level path
+        lists only the parents of changed rows, so all other instances
+        stay shared and a one-row write copies one root-to-row path.
         """
         targets: set[int] = set()
 

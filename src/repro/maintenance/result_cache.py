@@ -37,7 +37,7 @@ from repro.maintenance.policy import StalenessPolicy
 class CachedResult:
     """One memoized response (immutable once published, except counters)."""
 
-    #: Cache key: plan fingerprint + execution strategy.
+    #: Cache key: the plan fingerprint.
     key: str
     #: The serialized XML exactly as a live request would produce it.
     xml: str
@@ -45,26 +45,17 @@ class CachedResult:
     versions: dict[str, int] = field(default_factory=dict)
     #: The plan's base-table read set this entry depends on.
     tables: tuple[str, ...] = ()
-    #: Execution strategy that produced the bytes (diagnostics only).
-    strategy: str = ""
     #: Times this entry was served.
     hits: int = 0
     #: Captured evaluation state
     #: (:class:`repro.maintenance.incremental.MaterializedState`) once
-    #: the entry has earned it: a delta/fragment-maintenance server
+    #: the entry has earned it: a delta-maintenance server
     #: attaches it on the first recompute of a key that is already
     #: resident (its first staleness), never on a first computation;
     #: ``None`` until then and under ``maintenance="full"``. Never
     #: mutated in place — a delta re-evaluation publishes a whole new
     #: entry, so readers of a stale entry are unaffected.
     state: Optional[object] = None
-    #: Serialized-fragment byte spans for this entry's document
-    #: (:class:`repro.maintenance.fragments.FragmentCache`) when the
-    #: server runs with fragment maintenance; ``None`` otherwise. Valid
-    #: exactly as long as the entry: spans are keyed by element identity
-    #: into ``state``'s document, stamped by the same ``versions``
-    #: vector, and a successor entry gets a successor cache.
-    fragments: Optional[object] = None
 
 
 class ResultCache:
@@ -135,25 +126,20 @@ class ResultCache:
         xml: str,
         versions: Mapping[str, int],
         tables: Iterable[str],
-        strategy: str = "",
         state: Optional[object] = None,
-        fragments: Optional[object] = None,
     ) -> CachedResult:
         """Publish a freshly computed response stamped at ``versions``.
 
         ``state`` optionally attaches the captured evaluation state a
-        later delta re-evaluation splices against; ``fragments`` the
-        serialized-fragment byte cache built over that state's document
-        (see :attr:`CachedResult.state` / :attr:`CachedResult.fragments`).
+        later delta re-evaluation splices against (see
+        :attr:`CachedResult.state`).
         """
         entry = CachedResult(
             key=key,
             xml=xml,
             versions=dict(versions),
             tables=tuple(tables),
-            strategy=strategy,
             state=state,
-            fragments=fragments,
         )
         with self._lock:
             previous = self._entries.get(key)

@@ -185,17 +185,17 @@ def hotel_calendar_write(
 ) -> str:
     """Shift the availability calendar of ``hotels`` served hotels.
 
-    The block-pushdown leaf write: flips ``startdate`` on every
+    The regrouping leaf write: flips ``startdate`` on every
     ``availability`` row of a sliding window of in-view (``starrating >
     4``) hotels — the entity-local update pattern of a real booking
     feed, where one property's calendar changes at a time. ``startdate``
-    is the Figure 1 ``GROUP BY`` column of the availability nodes, so
-    the write regroups rows *within* the owning hotel's block while
-    every other hotel's subtree is untouched; a tracked write here is
-    maintainable by re-evaluating just the affected hotels' blocks
-    (:mod:`repro.maintenance.incremental`), and the rest of the
-    document — the bulk of its bytes — survives by identity for the
-    fragment byte cache. Returns ``"availability"``.
+    is the Figure 1 ``GROUP BY`` column of the availability nodes *and*
+    steers the metro-wide per-date count, so one hotel's write moves
+    served counts under its metro siblings: nothing narrower than
+    node-level re-evaluation is sound for it
+    (:mod:`repro.maintenance.incremental`;
+    ``test_calendar_write_changes_sibling_hotels`` pins why). Returns
+    ``"availability"``.
 
     ``domain`` is the global in-view hotel-id list the window slides
     over; pass it when routing the write to shards (same contract as
@@ -258,20 +258,16 @@ def hotel_conference_write(
 ) -> str:
     """Resize the conference rooms of ``hotels`` served hotels.
 
-    The block-pushdown leaf write: flips ``capacity`` (parity toggle, so
-    the database shape is stable) on every ``confroom`` row of a sliding
-    window of in-view (``starrating > 4``) hotels — the entity-local
-    update of a real property feed, where one hotel reconfigures its
-    meeting space at a time. ``capacity`` feeds the Figure 1 conference
-    aggregates (``confstat`` per hotel and per metro) only through their
-    top-level SUM projections — it never decides which rows join which
-    result blocks — so a tracked write here is maintainable at *block*
-    granularity: re-aggregate the affected hotels' and metros' blocks,
-    share every other block's subtree by identity
-    (:mod:`repro.maintenance.incremental`), and let the fragment byte
-    cache replay the untouched bytes. Contrast with calendar writes
-    (:func:`hotel_calendar_write`), whose ``startdate`` regroups rows
-    across sibling hotels and must fall back to node-level maintenance.
+    The aggregate-payload leaf write: flips ``capacity`` (parity toggle,
+    so the database shape is stable) on every ``confroom`` row of a
+    sliding window of in-view (``starrating > 4``) hotels — the
+    entity-local update of a real property feed, where one hotel
+    reconfigures its meeting space at a time. ``capacity`` is a payload
+    column of the ``confroom`` leaf, which a tracked write maintains at
+    row granularity, and feeds the Figure 1 conference aggregates
+    (``confstat`` per hotel and per metro) through their SUM
+    projections; those fold many rows into one element, so they are
+    re-evaluated at node level (:mod:`repro.maintenance.incremental`).
     Returns ``"confroom"``.
     """
     hotelids = [

@@ -22,7 +22,7 @@ from typing import Any, Optional
 
 from repro.errors import ViewEvaluationError
 from repro.relational.engine import Database, Row
-from repro.schema_tree.model import ROOT_ID, SchemaNode, SchemaTreeQuery
+from repro.schema_tree.model import SchemaNode, SchemaTreeQuery
 from repro.sql.params import collect_params
 from repro.xmlcore.nodes import Document, Element
 
@@ -73,15 +73,6 @@ class ViewEvaluator:
     pair: the serving layer passes a pooled per-worker database and a
     per-request :class:`MaterializeStats`, so concurrent requests never
     share counters.
-
-    ``capture_instances`` (a caller-owned dict) opts into recording the
-    evaluation's per-node instance state for incremental maintenance:
-    for every schema node id, the list of ``(element, env)`` pairs in
-    document order, where ``env`` is the binding environment visible to
-    that element's children (row dicts are shared, not copied). The
-    synthetic root records ``(document, {})`` under
-    :data:`~repro.schema_tree.model.ROOT_ID`. See
-    :mod:`repro.maintenance.incremental`.
     """
 
     def __init__(
@@ -89,14 +80,12 @@ class ViewEvaluator:
         db: Database,
         memoize: bool = False,
         stats: Optional[MaterializeStats] = None,
-        capture_instances: Optional[dict[int, list]] = None,
     ):
         self.db = db
         self.memoize = memoize
         self.stats = stats if stats is not None else MaterializeStats()
         self._result_cache: dict[tuple, list[Row]] = {}
         self._param_cache: dict[int, list] = {}
-        self._capture = capture_instances
 
     def _run_tag_query(self, node: SchemaNode, env: dict[str, Row]) -> list[Row]:
         assert node.tag_query is not None
@@ -127,27 +116,19 @@ class ViewEvaluator:
         """
         document = Document()
         env: dict[str, Row] = {}
-        if self._capture is not None:
-            self._capture[ROOT_ID] = [(document, env)]
         for child in view.root.children:
             self._evaluate_node(child, document, env)
         return document
-
-    def _record(self, node: SchemaNode, element, env: dict[str, Row]) -> None:
-        assert self._capture is not None
-        self._capture.setdefault(node.id, []).append((element, env))
 
     def _evaluate_node(self, node: SchemaNode, parent, env: dict[str, Row]) -> None:
         if node.tag_query is None:
             element = self._make_element(node, env, row=None)
             parent.append(element)
-            if self._capture is not None:
-                self._record(node, element, env)
             for child in node.children:
                 self._evaluate_node(child, element, env)
             return
         rows = self._run_tag_query(node, env)
-        if not node.children and self._capture is None:
+        if not node.children:
             # Leaf fast path: no child reads the extended environment.
             for row in rows:
                 parent.append(self._make_element(node, env, row=row))
@@ -160,8 +141,6 @@ class ViewEvaluator:
                 child_env[node.bv] = row
             else:
                 child_env = env
-            if self._capture is not None:
-                self._record(node, element, child_env)
             for child in node.children:
                 self._evaluate_node(child, element, child_env)
 

@@ -141,29 +141,6 @@ def node_read_sets(view: SchemaTreeQuery) -> dict[int, tuple[str, ...]]:
     }
 
 
-def node_parents(view: SchemaTreeQuery) -> dict[int, Optional[int]]:
-    """Parent schema-node id per query-bearing node id.
-
-    Only query-bearing nodes appear as keys, and the recorded parent is
-    the nearest query-bearing *ancestor* (literal wrapper elements are
-    skipped over; children of the synthetic root map to ``None``). This
-    is the hierarchy the fragment pinning policy walks: a span of the
-    parent covers every descendant span, so pinning decisions need the
-    ancestor relation among spannable fragments, not the raw tree.
-    """
-    parents: dict[int, Optional[int]] = {}
-    for node in view.nodes(include_root=False):
-        if node.tag_query is None:
-            continue
-        ancestor = node.parent
-        while ancestor is not None and (
-            ancestor.is_root or ancestor.tag_query is None
-        ):
-            ancestor = None if ancestor.is_root else ancestor.parent
-        parents[node.id] = ancestor.id if ancestor is not None else None
-    return parents
-
-
 def view_read_set(view: SchemaTreeQuery) -> tuple[str, ...]:
     """The base tables a view's tag queries read, sorted and deduplicated.
 

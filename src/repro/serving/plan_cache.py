@@ -56,12 +56,6 @@ class CompiledPlan:
     #: each entry with the tracker's dirty tables to re-execute only the
     #: affected schema nodes.
     node_read_sets: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    #: Nearest query-bearing ancestor per query-bearing node (``None``
-    #: for top-level nodes — see
-    #: :func:`repro.serving.fingerprint.node_parents`). The fragment
-    #: pinning policy walks this hierarchy: a parent's byte span covers
-    #: every descendant span.
-    node_parents: dict[int, Optional[int]] = field(default_factory=dict)
 
 
 class PlanCache:

@@ -12,20 +12,21 @@ with its own :class:`~repro.relational.engine.QueryStats` — from a
 Every request produces a :class:`RequestTrace`: where the time went
 (plan acquisition vs execution vs serialization), how much engine work
 it did (queries, rows), how much output it built (elements,
-attributes), which strategy ran, and whether the plan came from cache.
+attributes), and whether the plan came from cache.
 ``benchmarks/perf`` aggregates these traces into its per-layer budget.
 
 Equivalence guarantee: a served request returns byte-identical XML to a
 serial :func:`repro.schema_tree.evaluator.materialize` of the same
 composed view on the same data — the property suite in
-``tests/serving/test_concurrent_equivalence.py`` checks this for all
-three strategies under 8-way concurrency.
+``tests/serving/test_concurrent_equivalence.py`` checks this against
+the nested-loop oracle under 8-way concurrency. The serving path has
+one evaluator, :class:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator`.
 
 Update awareness: constructed with a
 :class:`~repro.maintenance.tracker.WriteTracker`, the server also
 memoizes serialized responses in a
 :class:`~repro.maintenance.result_cache.ResultCache` keyed by plan
-fingerprint + strategy and stamped with the plan's base-table version
+fingerprint and stamped with the plan's base-table version
 vector; a :class:`~repro.maintenance.policy.StalenessPolicy` decides
 whether cached bytes may be served or must be recomputed over
 re-synced live data. Under the ``strict`` policy the equivalence
@@ -68,16 +69,11 @@ from repro.errors import (
     RequestRejected,
     classify_error,
 )
-from repro.maintenance.fragments import (
-    FragmentCache,
-    FragmentPolicy,
-    FragmentStat,
-)
 from repro.maintenance.incremental import (
-    MAINTENANCE_MODES,
     DeltaEvaluator,
     DeltaUnsupported,
     MaterializedState,
+    check_maintenance_mode,
 )
 from repro.maintenance.policy import StalenessPolicy
 from repro.maintenance.result_cache import ResultCache
@@ -88,15 +84,10 @@ from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import Deadline, ResiliencePolicy
 from repro.relational.schema import Catalog
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
-from repro.schema_tree.evaluator import (
-    STRATEGIES,
-    MaterializeStats,
-    ViewEvaluator,
-)
+from repro.schema_tree.evaluator import MaterializeStats
 from repro.schema_tree.model import SchemaTreeQuery
 from repro.serving.fingerprint import (
     fingerprint_catalog,
-    node_parents,
     node_read_sets,
     plan_key,
     view_read_set,
@@ -169,17 +160,34 @@ PRIORITY_ADMISSION_FRACTIONS = {
 
 #: Reasons a delta maintenance attempt fell back to full recomputation,
 #: in the order metrics report them (see ``delta_fallbacks_by_reason``).
-#: ``fragment-miss`` is fragment-mode only: the stale entry carries
-#: captured state but no fragment byte cache (mode switch, degraded
-#: store), so the request recomputes in full to rebuild both.
 DELTA_FALLBACK_REASONS = (
     "no-state",
     "no-change",
     "unsupported",
     "error",
     "stamp-race",
-    "fragment-miss",
 )
+
+#: The one evaluator the serving path runs. ``strategy`` on a request,
+#: a ``render`` call or a trace survives as a frozen call surface only:
+#: it selects and keys nothing, and any other value is rejected.
+SERVING_STRATEGY = "bulk"
+
+
+def check_strategy(strategy: object) -> None:
+    """Reject a ``strategy`` other than :data:`SERVING_STRATEGY`.
+
+    A typed :class:`~repro.errors.ReproError` (HTTP 400) raised by
+    ``submit`` before admission, so a rejected request takes no slot and
+    feeds neither the error count, the plan breaker nor replica health.
+    The nested-loop and memoized evaluators remain the one-shot
+    ``repro materialize --strategy`` path and the tests' oracle.
+    """
+    if strategy != SERVING_STRATEGY:
+        raise ReproError(
+            f"unknown strategy {strategy!r}: the serving path evaluates "
+            f"with {SERVING_STRATEGY!r} only"
+        )
 
 
 @dataclass
@@ -193,7 +201,9 @@ class PublishRequest:
 
     view: SchemaTreeQuery
     stylesheet: Optional[Stylesheet] = None
-    strategy: str = "nested-loop"
+    #: Frozen call surface: selects and keys nothing, and ``submit``
+    #: rejects any value but :data:`SERVING_STRATEGY`.
+    strategy: str = SERVING_STRATEGY
     prune: bool = True
     paper_mode: bool = False
     label: str = ""
@@ -264,16 +274,6 @@ class RequestTrace:
     #: by key pushdown (subset of the refreshed elements; their kept
     #: subtrees were shared, not rebuilt).
     rows_spliced: int = 0
-    #: On a ``delta-recompute``: parent blocks re-evaluated at *block*
-    #: granularity (grouped frontiers the row path must decline; sibling
-    #: blocks' subtrees were shared, not rebuilt).
-    blocks_spliced: int = 0
-    #: Fragment byte-cache outcome of this request's serialization
-    #: (fragment maintenance only): spans copied without walking their
-    #: subtree, fragments walked and (re-)recorded, and bytes spliced.
-    fragment_hits: int = 0
-    fragment_misses: int = 0
-    fragment_spliced_bytes: int = 0
     elements_created: int = 0
     attributes_created: int = 0
     fallback_nodes: int = 0
@@ -316,10 +316,6 @@ class RequestTrace:
             "queries_executed": self.queries_executed,
             "rows_fetched": self.rows_fetched,
             "rows_spliced": self.rows_spliced,
-            "blocks_spliced": self.blocks_spliced,
-            "fragment_hits": self.fragment_hits,
-            "fragment_misses": self.fragment_misses,
-            "fragment_spliced_bytes": self.fragment_spliced_bytes,
             "elements_created": self.elements_created,
             "attributes_created": self.attributes_created,
             "fallback_nodes": self.fallback_nodes,
@@ -360,18 +356,13 @@ class ViewServer:
         staleness: "StalenessPolicy | str" = "strict",
         result_cache_capacity: int = 128,
         maintenance: str = "full",
-        fragment_policy: "FragmentPolicy | str | None" = None,
         resilience: Optional[ResiliencePolicy] = None,
         faults: Optional[FaultPlan] = None,
         pool_admission=None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if maintenance not in MAINTENANCE_MODES:
-            raise ReproError(
-                f"unknown maintenance mode {maintenance!r} "
-                f"(expected one of {', '.join(MAINTENANCE_MODES)})"
-            )
+        check_maintenance_mode(maintenance)
         self.catalog = catalog
         self.workers = workers
         # Retain the materialized Document on each trace alongside the
@@ -434,19 +425,8 @@ class ViewServer:
         # How stale entries are recomputed: "full" re-runs the whole
         # compiled plan, "delta" refreshes only the dirty schema nodes
         # (repro.maintenance.incremental) and falls back to full when
-        # the splice declines, "fragment" is delta plus the serialized-
-        # fragment byte cache (repro.maintenance.fragments). Only
-        # meaningful with a tracker.
+        # the splice declines. Only meaningful with a tracker.
         self.maintenance = maintenance
-        self.fragment_policy = (
-            FragmentPolicy.parse(fragment_policy)
-            if isinstance(fragment_policy, str)
-            else (fragment_policy or FragmentPolicy("all"))
-        )
-        self._fragment_hits = 0
-        self._fragment_misses = 0
-        self._fragment_splices = 0
-        self._fragment_spliced_bytes = 0
         self._delta_fallback_reasons = {
             reason: 0 for reason in DELTA_FALLBACK_REASONS
         }
@@ -491,11 +471,7 @@ class ViewServer:
         """
         if self._closed:
             raise RuntimeError("server is closed")
-        if request.strategy not in STRATEGIES:
-            raise ReproError(
-                f"unknown strategy {request.strategy!r} "
-                f"(expected one of {', '.join(STRATEGIES)})"
-            )
+        check_strategy(request.strategy)
         if request.priority not in PRIORITIES:
             raise ReproError(
                 f"unknown priority {request.priority!r} "
@@ -543,7 +519,7 @@ class ViewServer:
         self,
         view: SchemaTreeQuery,
         stylesheet: Optional[Stylesheet] = None,
-        strategy: str = "nested-loop",
+        strategy: str = SERVING_STRATEGY,
         prune: bool = True,
         paper_mode: bool = False,
         label: str = "",
@@ -639,7 +615,6 @@ class ViewServer:
             pruned_columns=pruned_columns,
             tables=view_read_set(view),
             node_read_sets=node_read_sets(view),
-            node_parents=node_parents(view),
         )
 
     # -- freshness -----------------------------------------------------------
@@ -685,12 +660,10 @@ class ViewServer:
 
     def _serve_delta(
         self,
-        request: PublishRequest,
         plan: CompiledPlan,
         trace: RequestTrace,
-        result_key: str,
         current_versions: dict[str, int],
-        deadline: Optional[Deadline] = None,
+        deadline: Deadline,
     ) -> Optional[str]:
         """One incremental refresh attempt; ``None`` means fall back to full.
 
@@ -707,17 +680,9 @@ class ViewServer:
         mutated: the splice builds a new document sharing untouched
         subtrees, so a failure mid-way leaves the cache untouched.
         """
-        stale = self.result_cache.peek(result_key)
+        stale = self.result_cache.peek(plan.key)
         if stale is None or not isinstance(stale.state, MaterializedState):
             self._record_delta_fallback("no-state")
-            return None
-        if self.maintenance == "fragment" and not isinstance(
-            stale.fragments, FragmentCache
-        ):
-            # The entry predates fragment mode (or was stored by a path
-            # that bypasses capture): recompute in full so the new entry
-            # carries both state and a byte cache.
-            self._record_delta_fallback("fragment-miss")
             return None
         versions = dict(current_versions)
         self._sync()
@@ -740,8 +705,6 @@ class ViewServer:
         # ahead of the selection vector — harmless, because any advance
         # past it is caught by the stamp-race check below.
         changes = self.tracker.changes_since(stale.versions, plan.tables)
-        if deadline is None:
-            deadline = Deadline.start(None)
         try:
             with self.pool.session() as db:
                 with self._deadline_guard(db, deadline):
@@ -789,23 +752,14 @@ class ViewServer:
         trace.query_seconds = after["query_seconds"] - before["query_seconds"]
         trace.splice_seconds = result.splice_seconds
         trace.rows_spliced = result.rows_spliced
-        trace.blocks_spliced = result.blocks_spliced
         trace.elements_created = stats.elements_created
         trace.attributes_created = stats.attributes_created
         trace.dirty_nodes = len(result.dirty_nodes)
-        xml, fragments = self._serialize_response(
-            trace, result.document, plan, result.state, stale
-        )
+        xml = self._serialize_response(trace, result.document)
         if self.keep_documents:
             trace.document = result.document
         self.result_cache.store(
-            result_key,
-            xml,
-            versions,
-            plan.tables,
-            strategy=request.strategy,
-            state=result.state,
-            fragments=fragments,
+            plan.key, xml, versions, plan.tables, state=result.state
         )
         return xml
 
@@ -861,100 +815,13 @@ class ViewServer:
                 token.remove_callback(hard_cutoff)
             db.cancel_check = None
 
-    def _serialize_response(
-        self,
-        trace: RequestTrace,
-        document,
-        plan: CompiledPlan,
-        state: Optional[MaterializedState],
-        prior,
-    ) -> tuple[str, Optional[FragmentCache]]:
-        """Serialize a response, timing it into the trace.
-
-        The single serialization site for both the full and the delta
-        path. Under fragment maintenance with captured ``state``, the
-        ``prior`` entry's byte cache (when it has one) splices cached
-        spans around re-walked fragments, the pinning policy picks the
-        fragments the successor cache keeps, and that successor is
-        returned to store with the new entry. Every other configuration
-        is a plain timed :func:`serialize` returning ``None``. Either
-        way the bytes are identical to ``serialize(document)``.
-
-        ``serialize_seconds`` covers producing the bytes (walk, splice,
-        and successor-span upkeep); the pinning-policy decision runs
-        before the timer — it is cache management, priced into total
-        latency but not into the serialization comparison.
-        """
-        if self.maintenance != "fragment" or state is None:
-            started = time.perf_counter()
-            xml = serialize(document)
-            trace.serialize_seconds = time.perf_counter() - started
-            return xml, None
-        cache = (
-            prior.fragments
-            if prior is not None and isinstance(prior.fragments, FragmentCache)
-            else FragmentCache()
-        )
-        pinned = self.fragment_policy.select(
-            self._fragment_stats(plan, state, cache, prior)
-        )
+    def _serialize_response(self, trace: RequestTrace, document) -> str:
+        """Serialize a response, timing it into the trace (the single
+        serialization site for both the full and the delta path)."""
         started = time.perf_counter()
-        xml, outcome, successor = cache.serialize_state(state, pinned)
+        xml = serialize(document)
         trace.serialize_seconds = time.perf_counter() - started
-        trace.fragment_hits = outcome.hits
-        trace.fragment_misses = outcome.misses
-        trace.fragment_spliced_bytes = outcome.spliced_bytes
-        with self._lock:
-            self._fragment_hits += outcome.hits
-            self._fragment_misses += outcome.misses
-            self._fragment_spliced_bytes += outcome.spliced_bytes
-            if outcome.hits:
-                self._fragment_splices += 1
-        return xml, successor
-
-    def _fragment_stats(
-        self,
-        plan: CompiledPlan,
-        state: MaterializedState,
-        cache: FragmentCache,
-        prior,
-    ) -> list[FragmentStat]:
-        """Per-node pinning signals for the fragment policy.
-
-        ``reads`` is how often the prior entry was served (each serve
-        would have copied the node's spans); ``writes`` is the tracker's
-        version lag on the node's read set since the prior entry was
-        stamped (the writes that invalidated spans); ``size`` and
-        ``survival`` come from the prior cache's recorded bytes and
-        measured span-reuse fractions. A fresh entry scores ``reads=1,
-        writes=0, size=0, survival=None`` — optimistically pinnable
-        until real numbers exist.
-        """
-        reads = float(prior.hits + 1) if prior is not None else 1.0
-        stamped = prior.versions if prior is not None else {}
-        stats: list[FragmentStat] = []
-        for node_id in state.instances:
-            tables = plan.node_read_sets.get(node_id)
-            if tables is None:
-                # Literal nodes and the synthetic root have no read set
-                # (and the root's Document is not a spannable Element).
-                continue
-            writes = (
-                float(self.tracker.lag(stamped, tables))
-                if self.tracker is not None
-                else 0.0
-            )
-            stats.append(
-                FragmentStat(
-                    node_id=node_id,
-                    size=cache.bytes_by_node.get(node_id, 0),
-                    reads=reads,
-                    writes=writes,
-                    survival=cache.survival(node_id),
-                    parent_id=plan.node_parents.get(node_id),
-                )
-            )
-        return stats
+        return xml
 
     def _serve(self, request: PublishRequest, request_id: int) -> RequestTrace:
         started = time.perf_counter()
@@ -972,18 +839,14 @@ class ViewServer:
             policy.deadline_ms if policy is not None else None,
             token=request.cancel,
         )
-        result_key = ""
         try:
             key = self.plan_key_for(request)
             trace.plan_key = key
-            result_key = f"{key}:{request.strategy}"
-            self._serve_inner(
-                request, trace, key, result_key, started, deadline
-            )
+            self._serve_inner(request, trace, key, started, deadline)
         except Exception as exc:
             # No exception leaves a worker: classify, try the
             # degraded-stale fallback, and record the outcome.
-            self._handle_failure(request, trace, result_key, exc)
+            self._handle_failure(request, trace, exc)
         trace.total_seconds = time.perf_counter() - started
         with self._lock:
             self.requests_served += 1
@@ -998,7 +861,6 @@ class ViewServer:
         request: PublishRequest,
         trace: RequestTrace,
         key: str,
-        result_key: str,
         started: float,
         deadline: Deadline,
     ) -> None:
@@ -1034,7 +896,7 @@ class ViewServer:
         if use_result_cache:
             current_versions = self.tracker.versions(plan.tables)
             cached, lag = self.result_cache.lookup(
-                result_key, current_versions, self.staleness
+                key, current_versions, self.staleness
             )
             trace.version_lag = lag
             trace.freshness = (
@@ -1058,11 +920,11 @@ class ViewServer:
         delta_xml = None
         if (
             use_result_cache
-            and self.maintenance in ("delta", "fragment")
+            and self.maintenance == "delta"
             and trace.freshness == "stale-recompute"
         ):
             delta_xml = self._serve_delta(
-                request, plan, trace, result_key, current_versions, deadline
+                plan, trace, current_versions, deadline
             )
         if delta_xml is not None:
             trace.freshness = "delta-recompute"
@@ -1071,23 +933,13 @@ class ViewServer:
                 breaker.record_success(key)
             return
         self._compute_with_retries(
-            request,
-            plan,
-            trace,
-            key,
-            result_key,
-            use_result_cache,
-            current_versions,
-            deadline,
+            plan, trace, use_result_cache, current_versions, deadline
         )
 
     def _compute_with_retries(
         self,
-        request: PublishRequest,
         plan: CompiledPlan,
         trace: RequestTrace,
-        key: str,
-        result_key: str,
         use_result_cache: bool,
         current_versions: dict[str, int],
         deadline: Deadline,
@@ -1108,19 +960,13 @@ class ViewServer:
             try:
                 deadline.check()
                 self._execute_full(
-                    request,
-                    plan,
-                    trace,
-                    use_result_cache,
-                    current_versions,
-                    result_key,
-                    deadline,
+                    plan, trace, use_result_cache, current_versions, deadline
                 )
             except Exception as exc:
                 if breaker is not None and not isinstance(
                     exc, (CircuitOpen, RequestCancelled)
                 ):
-                    breaker.record_failure(key)
+                    breaker.record_failure(plan.key)
                 # An interrupt fired by the deadline timer (or a cancel
                 # token) surfaces as a transient 'interrupted' error;
                 # the expired budget / cancellation is the real
@@ -1143,17 +989,15 @@ class ViewServer:
                     time.sleep(delay_ms / 1000.0)
                 continue
             if breaker is not None:
-                breaker.record_success(key)
+                breaker.record_success(plan.key)
             return
 
     def _execute_full(
         self,
-        request: PublishRequest,
         plan: CompiledPlan,
         trace: RequestTrace,
         use_result_cache: bool,
         current_versions: dict[str, int],
-        result_key: str,
         deadline: Deadline,
     ) -> None:
         """One full-plan evaluation attempt (the pre-resilience path)."""
@@ -1166,29 +1010,21 @@ class ViewServer:
         # this key is already resident (the entry went stale, so a delta
         # would have had something to splice). A first computation
         # stores bytes only — most entries are evicted before any write
-        # reaches them. The prior entry's spans cannot hit an all-new
-        # tree, but its serve/stamp history feeds the pinning policy.
-        prior = self.result_cache.peek(result_key) if use_result_cache else None
+        # reaches them.
         capture: Optional[dict] = (
             {}
-            if prior is not None and self.maintenance in ("delta", "fragment")
+            if use_result_cache
+            and self.maintenance == "delta"
+            and self.result_cache.peek(plan.key) is not None
             else None
         )
         with self.pool.session() as db:
             with self._deadline_guard(db, deadline):
                 before = db.stats.snapshot()
                 stats = MaterializeStats()
-                if request.strategy == "bulk":
-                    evaluator = BulkViewEvaluator(
-                        db, stats=stats, capture_instances=capture
-                    )
-                else:
-                    evaluator = ViewEvaluator(
-                        db,
-                        memoize=request.strategy == "memoized",
-                        stats=stats,
-                        capture_instances=capture,
-                    )
+                evaluator = BulkViewEvaluator(
+                    db, stats=stats, capture_instances=capture
+                )
                 execute_started = time.perf_counter()
                 document = evaluator.materialize(plan.view)
                 trace.execute_seconds = time.perf_counter() - execute_started
@@ -1200,15 +1036,13 @@ class ViewServer:
         trace.query_seconds = after["query_seconds"] - before["query_seconds"]
         trace.elements_created = stats.elements_created
         trace.attributes_created = stats.attributes_created
-        trace.fallback_nodes = len(getattr(evaluator, "fallback_nodes", []))
+        trace.fallback_nodes = len(evaluator.fallback_nodes)
         state = (
             MaterializedState(document, capture)
             if capture is not None
             else None
         )
-        xml, fragments = self._serialize_response(
-            trace, document, plan, state, prior
-        )
+        xml = self._serialize_response(trace, document)
         trace.xml = xml
         if self.keep_documents:
             trace.document = document
@@ -1219,13 +1053,7 @@ class ViewServer:
             document.unlink()
         if use_result_cache:
             self.result_cache.store(
-                result_key,
-                xml,
-                current_versions,
-                plan.tables,
-                strategy=request.strategy,
-                state=state,
-                fragments=fragments,
+                plan.key, xml, current_versions, plan.tables, state=state
             )
 
     # -- failure handling ----------------------------------------------------
@@ -1252,7 +1080,6 @@ class ViewServer:
         self,
         request: PublishRequest,
         trace: RequestTrace,
-        result_key: str,
         exc: Exception,
     ) -> None:
         """Classify a request failure and degrade or record the error."""
@@ -1274,8 +1101,8 @@ class ViewServer:
             trace.outcome = "rejected"
         else:
             trace.outcome = "error"
-        if result_key and self._can_degrade(request):
-            entry = self.result_cache.peek(result_key)
+        if trace.plan_key and self._can_degrade(request):
+            entry = self.result_cache.peek(trace.plan_key)
             if entry is not None:
                 trace.freshness = "degraded-stale"
                 trace.version_lag = (
@@ -1315,10 +1142,6 @@ class ViewServer:
             freshness = dict(self._freshness_counts)
             outcomes = dict(self._outcome_counts)
             fallback_reasons = dict(self._delta_fallback_reasons)
-            fragment_hits = self._fragment_hits
-            fragment_misses = self._fragment_misses
-            fragment_splices = self._fragment_splices
-            fragment_spliced_bytes = self._fragment_spliced_bytes
             retries_total = self._retries_total
             deadline_hits = self._deadline_hits
             shed_requests = self._shed_requests
@@ -1360,17 +1183,6 @@ class ViewServer:
                 "total_writes": self.tracker.clock(),
                 "versions": self.tracker.snapshot(),
             }
-            if self.maintenance == "fragment":
-                # hits/misses count fragments spliced vs walked across
-                # all serializations; splices counts serializations that
-                # reused at least one cached span.
-                metrics["fragments"] = {
-                    "policy": self.fragment_policy.describe(),
-                    "hits": fragment_hits,
-                    "misses": fragment_misses,
-                    "splices": fragment_splices,
-                    "spliced_bytes": fragment_spliced_bytes,
-                }
         if self.resilience is not None:
             breaker = self.plan_cache.breaker
             metrics["resilience"] = {

@@ -11,7 +11,7 @@ keep every other child from shard 0 (spine siblings are literal, hence
 byte-identical everywhere).
 
 The merge is **non-destructive**: shard documents may be (and under
-delta/fragment maintenance *are*) documents captured inside result
+delta maintenance *are*) documents captured inside result
 caches, so no shared node is ever re-parented or mutated. The merged
 document is a fresh :class:`~repro.xmlcore.nodes.Document` whose spine
 chain is shallow-copied; partition instances and off-spine children are

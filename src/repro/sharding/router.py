@@ -39,7 +39,7 @@ falling back to the same pool only on 1-member shards.
 
 Writes route through :meth:`ShardRouter.route_write`: the write
 function runs once per shard against ``(shard source, shard tracker)``,
-so delta/fragment maintenance stays entirely shard-local — each shard's
+so delta maintenance stays entirely shard-local — each shard's
 tracker only ever sees its own rows, and each shard's result cache
 splices only its own slice of the document.
 """
@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.errors import ReplicaUnavailable, ReproError
+from repro.maintenance.incremental import check_maintenance_mode
 from repro.maintenance.policy import StalenessPolicy
 from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database
@@ -63,9 +64,11 @@ from repro.schema_tree.model import SchemaTreeQuery
 from repro.serving.fingerprint import fingerprint_catalog, plan_key
 from repro.serving.server import (
     OUTCOMES,
+    SERVING_STRATEGY,
     PublishRequest,
     RequestTrace,
     ViewServer,
+    check_strategy,
 )
 from repro.sharding.merge import MergePlan, merge_documents, plan_merge
 from repro.sharding.replica import ReplicaApplier, ReplicaHealth
@@ -226,7 +229,6 @@ class ShardRouter:
         trackers: Optional[Sequence[WriteTracker]] = None,
         staleness: str = "strict",
         maintenance: str = "full",
-        fragment_policy=None,
         resilience: Optional[ResiliencePolicy] = None,
         faults: Optional[Sequence[Optional[FaultPlan]]] = None,
         fleet_faults: Optional[FleetFaultPlan] = None,
@@ -274,7 +276,7 @@ class ShardRouter:
         self._catalog_fingerprint = fingerprint_catalog(catalog)
         self._merge_plans: dict[str, MergePlan] = {}
         self._merge_lock = threading.Lock()
-        # Merged-response memo: (plan key, strategy, per-shard xml) ->
+        # Merged-response memo: (plan key, per-shard xml) ->
         # merged bytes. Keyed by the shard xml *strings themselves*
         # (served by reference from the shard result caches, so hashing
         # is amortized and equality is an identity check): when no
@@ -358,7 +360,6 @@ class ShardRouter:
                     staleness=staleness,
                     result_cache_capacity=result_cache_capacity,
                     maintenance=maintenance,
-                    fragment_policy=fragment_policy,
                     resilience=resilience,
                     faults=shard_faults if role == 0 else None,
                     pool_admission=admission,
@@ -389,6 +390,7 @@ class ShardRouter:
         The router owns the shard databases it creates here and closes
         them with :meth:`close`; the original ``source`` is only read.
         """
+        check_maintenance_mode(kwargs.get("maintenance", "full"))
         partitioner = KeyRangePartitioner.from_keys(
             partition_keys(source, scheme), shards
         )
@@ -408,6 +410,7 @@ class ShardRouter:
         """Enqueue a fleet-wide request; resolves to its merged trace."""
         if self._closed:
             raise RuntimeError("router is closed")
+        check_strategy(request.strategy)
         with self._lock:
             request_id = self._next_request_id
             self._next_request_id += 1
@@ -417,7 +420,7 @@ class ShardRouter:
         self,
         view: SchemaTreeQuery,
         stylesheet=None,
-        strategy: str = "nested-loop",
+        strategy: str = SERVING_STRATEGY,
         prune: bool = True,
         paper_mode: bool = False,
         label: str = "",
@@ -921,7 +924,7 @@ class ShardRouter:
         if not request.bypass_cache and all(
             xml is not None for xml in shard_xmls
         ):
-            cache_key = (merge_key, request.strategy) + shard_xmls
+            cache_key = (merge_key,) + shard_xmls
             cached = self._merged_lookup(cache_key)
             if cached is not None:
                 trace.xml = cached
@@ -1043,7 +1046,7 @@ class ShardRouter:
         The facade's ``/metrics`` reuses the single-box report path
         unchanged; per-server detail stays available through
         :meth:`metrics`. Dict-valued sections (cache, freshness,
-        outcomes, result cache, fragments) sum key-wise across every
+        outcomes, result cache) sum key-wise across every
         server in the fleet; ``workers`` is the fleet-wide worker-thread
         count. Router-level counters ride along under ``router``.
         """
@@ -1111,14 +1114,6 @@ class ShardRouter:
                     m["tracker"]["total_writes"] for m in per_server
                 ),
             }
-            if "fragments" in first:
-                fragments = {
-                    key: sum(m["fragments"][key] for m in per_server)
-                    for key in first["fragments"]
-                    if key != "policy"
-                }
-                fragments["policy"] = first["fragments"]["policy"]
-                metrics["fragments"] = fragments
         if "resilience" in first:
             resilience = {
                 key: sum(m["resilience"][key] for m in per_server)

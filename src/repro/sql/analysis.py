@@ -209,7 +209,6 @@ def _table_column_refs(
     catalog: TableColumns,
     *,
     skip_projection: bool,
-    skip_grouping: bool = False,
 ) -> set[str]:
     """Columns of base table ``table`` referenced by ``select``.
 
@@ -306,11 +305,10 @@ def _table_column_refs(
             else:
                 collect(item.expr)
         collect(query.where)
-        if not (top and skip_grouping):
-            for expr in query.group_by:
-                collect(expr)
-            for order in query.order_by:
-                collect(order.expr)
+        for expr in query.group_by:
+            collect(expr)
+        for order in query.order_by:
+            collect(order.expr)
         collect(query.having)
         for from_item in query.from_items:
             if isinstance(from_item, DerivedTable):
@@ -345,29 +343,6 @@ def load_bearing_columns(
     recomputed from the freshly fetched row.
     """
     return _table_column_refs(select, table, catalog, skip_projection=True)
-
-
-def membership_bearing_columns(
-    select: Select, table: str, catalog: TableColumns
-) -> set[str]:
-    """Columns of ``table`` that steer which rows join which result blocks.
-
-    Like :func:`load_bearing_columns` minus the top-level GROUP BY and
-    ORDER BY references. A change confined to columns *outside* this set
-    cannot move a row in or out of the result, move it to a different
-    join partner, or change rows of other base keys — it can only alter
-    the row's own projected values, its top-level group, or its position
-    within an ORDER. That is exactly the guarantee block-level delta
-    maintenance (:mod:`repro.maintenance.incremental`) needs: a changed
-    row stays inside the same parent *block*, so re-evaluating the
-    blocks that contain changed rows — regrouping and reordering them
-    from scratch — reproduces the full result. Subquery bodies still
-    count in full (they can affect arbitrary other rows), as do HAVING
-    references (group survival).
-    """
-    return _table_column_refs(
-        select, table, catalog, skip_projection=True, skip_grouping=True
-    )
 
 
 def _collect_tables(query: Select, names: list[str]) -> None:

@@ -540,52 +540,6 @@ def push_key_predicate(
     return binding
 
 
-def restrict_output_in(query: Select, output_name: str, values: Iterable) -> None:
-    """AND an ``IN (...)`` restriction on a named output column of ``query``.
-
-    The block-level delta pushdown rewrite: given the parent-block
-    values of blocks that contain changed rows, restrict a node's
-    decorrelated query so it re-computes only those blocks. The named
-    select item must be a bare column reference (the context-key columns
-    the decorrelator carries through always are); the predicate lands in
-    WHERE, so on a grouped query it filters *whole groups* — every
-    surviving group keeps its full row set and its aggregate values.
-
-    Values are sorted into the IN list so the rendered SQL is
-    deterministic, mirroring :func:`push_key_predicate`.
-
-    Raises:
-        SQLTransformError: no select item named ``output_name``, the
-            item is a computed expression rather than a bare column
-            reference, or ``values`` is empty.
-    """
-    from repro.sql.ast import InExpr, LiteralValue
-
-    target = None
-    for item in query.items:
-        if item.output_name() == output_name:
-            target = item
-            break
-    if target is None:
-        raise SQLTransformError(
-            f"no output column {output_name!r} to restrict on"
-        )
-    if not isinstance(target.expr, ColumnRef):
-        raise SQLTransformError(
-            f"output column {output_name!r} is a computed expression; "
-            "block restriction needs a bare column reference"
-        )
-    literals = tuple(
-        LiteralValue(value)
-        for value in sorted(values, key=lambda v: (str(type(v)), str(v)))
-    )
-    if not literals:
-        raise SQLTransformError("block restriction needs at least one value")
-    query.add_where(
-        InExpr(ColumnRef(target.expr.column, table=target.expr.table), literals)
-    )
-
-
 def expand_stars(query: Select, catalog: TableColumns) -> None:
     """Replace ``*`` / ``t.*`` select items with explicit column references.
 

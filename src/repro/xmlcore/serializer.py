@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Mapping, MutableMapping, Optional, Union
+from typing import Union
 
 from repro.xmlcore.nodes import Comment, Document, Element, Node, Text
 
@@ -59,101 +58,6 @@ def serialize(node: Union[Node, list[Node]]) -> str:
     else:
         _write_node(node, parts)
     return "".join(parts)
-
-
-@dataclass
-class SpliceOutcome:
-    """Counters from one :func:`serialize_spliced` pass.
-
-    ``hits`` spans were byte-copied without walking their subtree;
-    ``misses`` are fragments that were walked and (re-)recorded;
-    ``spliced_bytes`` is the total length of the copied spans.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    spliced_bytes: int = 0
-
-
-def serialize_spliced(
-    node: Union[Node, list[Node]],
-    spans: Mapping[int, str],
-    record_ids: Collection[int] = (),
-    record: Optional[MutableMapping[int, str]] = None,
-    outcome: Optional[SpliceOutcome] = None,
-) -> str:
-    """Serialize, splicing cached byte spans around re-walked fragments.
-
-    ``spans`` maps ``id(element)`` to that element's full serialization;
-    an element found there is emitted as a byte copy and its subtree is
-    never walked. Keying by object identity is sound because spliced
-    documents are copy-on-spine: an element object is never mutated
-    after capture, so identity implies identical bytes — the *caller*
-    must keep the span's element alive (anchor it) so the id cannot be
-    recycled, and must drop spans when the document is rebuilt from
-    scratch.
-
-    Elements whose id is in ``record_ids`` (and any ``spans`` hit) have
-    their serialization stored into ``record``, building the span table
-    for the next request. Recording is deferred: the walk only notes
-    ``parts``-index ranges, and spans are sliced out of the final joined
-    string in one pass — so a recorded element costs no extra joins
-    during the walk, even when nested inside other recorded elements
-    (each level still *stores* its own copy of the inner bytes).
-
-    Output is byte-identical to :func:`serialize` by construction.
-    """
-    parts: list[str] = []
-    outcome = outcome if outcome is not None else SpliceOutcome()
-    #: (id(element), first parts index, one-past-last parts index) per
-    #: recorded miss; resolved to string slices after the final join.
-    pending: list[tuple[int, int, int]] = []
-
-    def write(item: Node) -> None:
-        if isinstance(item, Element):
-            key = id(item)
-            span = spans.get(key)
-            if span is not None:
-                parts.append(span)
-                outcome.hits += 1
-                outcome.spliced_bytes += len(span)
-                if record is not None:
-                    record[key] = span
-                return
-            start = len(parts)
-            parts.append(f"<{item.tag}")
-            for name, value in item.attributes.items():
-                parts.append(f' {name}="{escape_attribute(value)}"')
-            if item.children:
-                parts.append(">")
-                for child in item.children:
-                    write(child)
-                parts.append(f"</{item.tag}>")
-            else:
-                parts.append("/>")
-            if record is not None and key in record_ids:
-                pending.append((key, start, len(parts)))
-                outcome.misses += 1
-            return
-        if isinstance(item, Document):
-            for child in item.children:
-                write(child)
-            return
-        _write_node(item, parts)
-
-    if isinstance(node, list):
-        for item in node:
-            write(item)
-    else:
-        write(node)
-    xml = "".join(parts)
-    if pending and record is not None:
-        offsets = [0]
-        for part in parts:
-            offsets.append(offsets[-1] + len(part))
-        for key, start, end in pending:
-            record[key] = xml[offsets[start]:offsets[end]]
-    return xml
 
 
 def _write_pretty(node: Node, parts: list[str], indent: str, depth: int) -> None:

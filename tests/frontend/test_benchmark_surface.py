@@ -1,0 +1,124 @@
+"""The calls ``benchmarks/perf`` makes into ``src``, pinned in tier-1.
+
+The spine is frozen between benchmark PRs, so whatever it calls must
+keep working: a change that breaks this surface should find out here,
+in seconds, not in a benchmark run. Each assertion names its caller.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import sqlite3
+
+import pytest
+
+from benchmarks.perf import config
+from repro.errors import ReproError
+from repro.frontend import build_hotel_app, serve_app
+from repro.serving.server import PublishRequest
+from tests.frontend.test_http import (
+    publish_body,
+    raw_request,
+    request_bytes,
+    split_response,
+)
+
+
+def _production(**overrides):
+    """``benchmarks/perf/stack.py::build_app`` at scale 1."""
+    settings = dict(
+        scale=1, workers=2, staleness="strict", maintenance="delta"
+    )
+    settings.update(overrides)
+    return build_hotel_app(**settings)
+
+
+async def _publish_over_http(app, **payload):
+    server = await serve_app(app)
+    try:
+        raw = await raw_request(
+            server,
+            request_bytes(
+                "POST", "/publish", publish_body(**payload), close=True
+            ),
+        )
+        return split_response(raw)
+    finally:
+        await server.drain(timeout=5.0)
+
+
+@pytest.mark.parametrize(
+    "fleet", [{}, {"shards": 2, "replicas": 1}], ids=["single-box", "fleet"]
+)
+def test_spine_call_surface(fleet):
+    app = _production(**fleet)
+    try:
+        backend = app.backend
+        entry = app.registry["figure4"]
+        # layers._render: submit(PublishRequest(..., strategy=, bypass_cache=))
+        for bypass in (False, True):
+            trace = backend.submit(
+                PublishRequest(
+                    entry.view, entry.stylesheet,
+                    strategy=config.STRATEGY, bypass_cache=bypass,
+                )
+            ).result()
+            assert trace.outcome == "success" and trace.xml
+        # backend.render(view, sheet, strategy=) on both backends
+        assert backend.render(
+            entry.view, entry.stylesheet, strategy=config.STRATEGY
+        ).xml == trace.xml
+        # layers._frontend: app.request_for(name, strategy=)
+        publish = app.request_for("figure17", strategy=config.STRATEGY)
+        assert publish.strategy == config.STRATEGY
+        # client.publish_bytes: POST /publish {"view", "strategy", "label"}
+        status, headers, body = asyncio.run(
+            _publish_over_http(
+                app, view="figure4", strategy=config.STRATEGY, label="x"
+            )
+        )
+        assert status == 200
+        assert headers["x-repro-strategy"] == config.STRATEGY
+        assert body.decode("utf-8") == trace.xml
+        # trace.py reads these off a shard-level RequestTrace
+        app.apply_write()
+        shard_trace = (
+            backend.shards[0].members[0].server if fleet else backend
+        ).render(entry.view, entry.stylesheet, strategy=config.STRATEGY)
+        for name in (
+            "plan_seconds", "execute_seconds", "query_seconds",
+            "splice_seconds", "serialize_seconds", "total_seconds",
+            "dirty_nodes", "queries_executed", "rows_fetched", "cache_hit",
+        ):
+            assert hasattr(shard_trace, name), name
+        # layers._maintenance: metrics().get("fragments") and the
+        # fallback reasons it sums by name
+        snapshot = (
+            backend.aggregate_metrics() if fleet else backend.metrics()
+        )
+        assert snapshot.get("fragments") is None
+        assert set(snapshot["delta_fallbacks_by_reason"]) <= set(
+            config.FALLBACK_REASONS
+        )
+    finally:
+        asyncio.run(app.close())
+
+
+def test_rejected_maintenance_mode_opens_nothing(monkeypatch):
+    """layers._maintenance probes every mode in ``config.MAINTENANCE_MODES``
+    and skips the ones this build rejects — on every traced run, so the
+    rejection must not leave a scale-64 database behind."""
+    opened = []
+    real_connect = sqlite3.connect
+
+    def counting_connect(*args, **kwargs):
+        connection = real_connect(*args, **kwargs)
+        opened.append(connection)
+        return connection
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    for fleet in ({}, {"shards": 2, "replicas": 1}):
+        with pytest.raises(ReproError, match="unknown maintenance mode"):
+            _production(maintenance="fragment", **fleet)
+    assert opened == []
+    assert "fragment" in config.MAINTENANCE_MODES  # the probe still asks

@@ -105,7 +105,7 @@ class TestHedgeRace:
         async def scenario():
             backend = FakeBackend([0.5, 0.01])
             facade = AsyncViewServer(backend, hedge=eager_policy())
-            facade.hedges.record_latency("fake|bulk", 5.0)
+            facade.hedges.record_latency("fake", 5.0)
             trace = await facade.submit(request())
             assert trace.outcome == "success"
             assert trace.attempt == 1  # the hedge, not the primary
@@ -126,7 +126,7 @@ class TestHedgeRace:
         async def scenario():
             backend = FakeBackend([0.5, 0.01])
             facade = AsyncViewServer(backend, hedge=eager_policy())
-            facade.hedges.record_latency("fake|bulk", 5.0)
+            facade.hedges.record_latency("fake", 5.0)
             start = time.perf_counter()
             await facade.submit(request())
             elapsed = time.perf_counter() - start
@@ -141,7 +141,7 @@ class TestHedgeRace:
         async def scenario():
             backend = FakeBackend([0.03, 0.5])
             facade = AsyncViewServer(backend, hedge=eager_policy())
-            facade.hedges.record_latency("fake|bulk", 5.0)
+            facade.hedges.record_latency("fake", 5.0)
             trace = await facade.submit(request())
             assert trace.attempt == 0
             assert await facade.drain(timeout=2.0)
@@ -157,7 +157,7 @@ class TestHedgeRace:
         async def scenario():
             backend = FakeBackend([0.02, 0.02] * 8)
             facade = AsyncViewServer(backend, hedge=eager_policy())
-            facade.hedges.record_latency("fake|bulk", 5.0)
+            facade.hedges.record_latency("fake", 5.0)
             traces = await asyncio.gather(
                 *[facade.submit(request()) for _ in range(8)]
             )
@@ -174,7 +174,7 @@ class TestHedgeRace:
             facade = AsyncViewServer(
                 backend, hedge=eager_policy(budget_fraction=0.0)
             )
-            facade.hedges.record_latency("fake|bulk", 5.0)
+            facade.hedges.record_latency("fake", 5.0)
             trace = await facade.submit(request())
             assert trace.attempt == 0
             assert backend.calls == 1  # no hedge was ever launched
@@ -190,12 +190,12 @@ class TestHedgeRace:
                 backend,
                 hedge=eager_policy(priorities=("interactive",)),
             )
-            facade.hedges.record_latency("fake|bulk", 5.0)
+            facade.hedges.record_latency("fake", 5.0)
             trace = await facade.submit(request(priority="background"))
             assert trace.attempt == 0
             assert backend.calls == 1
             # its latency still lands in the rolling window
-            assert len(facade.hedges._estimator("fake|bulk")) == 2
+            assert len(facade.hedges._estimator("fake")) == 2
 
         asyncio.run(scenario())
 

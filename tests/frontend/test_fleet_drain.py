@@ -80,7 +80,7 @@ def test_reap_counter_surfaces_a_broken_cancellation_path():
         backend = ExplodingLoserBackend()
         facade = AsyncViewServer(backend, hedge=_eager_hedge())
         for _ in range(2):
-            facade.hedges.record_latency("fake|bulk", 5.0)
+            facade.hedges.record_latency("fake", 5.0)
         trace = await facade.submit(
             PublishRequest(view=None, label="fake", strategy="bulk")
         )

@@ -73,7 +73,7 @@ def request_bytes(
 
 
 def publish_body(view="figure4", **kwargs) -> bytes:
-    payload = {"view": view, "strategy": "nested-loop"}
+    payload = {"view": view}
     payload.update(kwargs)
     return json.dumps(payload).encode()
 
@@ -110,7 +110,7 @@ class TestPublish:
         # byte-identical to an in-process serve of the same request
         async def direct(app):
             trace = await app.facade.submit(
-                app.request_for("figure4", "nested-loop", "interactive")
+                app.request_for("figure4", priority="interactive")
             )
             return trace.xml.encode("utf-8")
 

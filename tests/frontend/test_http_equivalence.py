@@ -2,10 +2,10 @@
 
 The contract under test: bytes served over the socket by ``POST
 /publish`` are identical to what an independently-built in-process
-:class:`ViewServer` produces for the same view, strategy, maintenance
-mode, and write history. The app side ages its caches through the HTTP
-``/write`` hook and serves between writes (so delta/fragment
-maintenance actually runs); the reference side replays the same writes
+:class:`ViewServer` produces for the same view, maintenance mode, and
+write history. The app side ages its caches through the HTTP
+``/write`` hook and serves between writes (so delta maintenance
+actually runs); the reference side replays the same writes
 on its own database and recomputes. Any divergence — in the HTTP
 parsing, the JSON→request translation, the facade bridging, or the
 maintenance machinery — shows up as a byte mismatch.
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.frontend import build_hotel_app, serve_app
 from repro.maintenance import MAINTENANCE_MODES, WriteTracker
 from repro.maintenance.workload import hotel_write
-from repro.schema_tree.evaluator import STRATEGIES
 from repro.serving import PublishRequest, ViewServer
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import (
@@ -59,11 +58,9 @@ class Reference:
         }
         self.writes = 0
 
-    def serve(self, name: str, strategy: str) -> bytes:
+    def serve(self, name: str) -> bytes:
         view, stylesheet = self.entries[name]
-        request = PublishRequest(
-            view, stylesheet, strategy=strategy, label=f"ref/{name}"
-        )
+        request = PublishRequest(view, stylesheet, label=f"ref/{name}")
         trace = self.server.submit(request).result()
         assert trace.outcome == "success", trace.error
         return trace.xml.encode("utf-8")
@@ -103,13 +100,12 @@ async def _post(reader, writer, path: str, payload: dict) -> bytes:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    strategy=st.sampled_from(STRATEGIES),
     maintenance=st.sampled_from(MAINTENANCE_MODES),
     n_writes=st.integers(0, 3),
     bypass_cache=st.booleans(),
 )
 def test_http_bytes_match_in_process_bytes(
-    strategy, maintenance, n_writes, bypass_cache
+    maintenance, n_writes, bypass_cache
 ):
     app = build_hotel_app(
         scale=1, workers=2, staleness="strict", maintenance=maintenance
@@ -132,15 +128,11 @@ def test_http_bytes_match_in_process_bytes(
                         reader,
                         writer,
                         "/publish",
-                        {
-                            "view": name,
-                            "strategy": strategy,
-                            "bypass_cache": bypass_cache,
-                        },
+                        {"view": name, "bypass_cache": bypass_cache},
                     )
-                    expected = reference.serve(name, strategy)
+                    expected = reference.serve(name)
                     assert served == expected, (
-                        f"byte mismatch for {name}/{strategy} "
+                        f"byte mismatch for {name} "
                         f"({maintenance}, round {round_index})"
                     )
                 if round_index < n_writes:

@@ -1,12 +1,11 @@
-"""Block-level delta maintenance: engagement, soundness bails, sharing.
+"""Delta maintenance rung by rung: engagement, soundness bails, sharing.
 
-The block path is the middle rung between row pushdown and node-level
-re-evaluation: re-run a dirty subtree only under the parent blocks that
-contain changed rows, and share every other block's subtree by
-identity. These tests pin down when it engages (entity-local aggregate
-payload writes), when it must decline (changes that can cross block
-boundaries, untraceable writes, keys the probes cannot find), and that
-declines always land on a correct slower path.
+The delta path is row pushdown -> node-level shadow re-evaluation ->
+full recompute. These tests pin down when the row rung engages (payload
+writes to a traceable leaf), when it must decline (aggregates, changes
+that regroup rows, untraceable writes, deleted rows), and that declines
+always land on a correct slower rung. (The file is named for the block
+rung that used to sit between the two; its soundness cases outlived it.)
 """
 
 from __future__ import annotations
@@ -19,8 +18,10 @@ from repro.maintenance import (
     WriteTracker,
     hotel_calendar_write,
     hotel_conference_write,
+    hotel_payload_write,
 )
-from repro.schema_tree.evaluator import ViewEvaluator, materialize
+from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
+from repro.schema_tree.evaluator import materialize
 from repro.serving.fingerprint import node_read_sets
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import figure1_view
@@ -28,7 +29,7 @@ from repro.xmlcore.nodes import Element
 from repro.xmlcore.serializer import serialize
 
 #: Scale 4 gives 12 metros and 16 served hotels, including metros with
-#: several served hotels — the shape where cross-block effects (and the
+#: several served hotels — the shape where cross-hotel effects (and the
 #: sharing wins) actually show.
 SPEC = HotelDataSpec().scaled(4)
 
@@ -38,7 +39,7 @@ def env():
     db = build_hotel_database(SPEC)
     view = figure1_view(db.catalog)
     capture: dict = {}
-    document = ViewEvaluator(db, capture_instances=capture).materialize(view)
+    document = BulkViewEvaluator(db, capture_instances=capture).materialize(view)
     state = MaterializedState(document=document, instances=capture)
     yield db, view, state, node_read_sets(view)
     db.close()
@@ -63,7 +64,7 @@ def _write_and_changes(db, write, tables):
     return tracker.changes_since(stamped, tables)
 
 
-def test_conference_write_block_splices_the_aggregates(env):
+def test_conference_write_row_splices_leaf_reruns_aggregates(env):
     db, view, state, reads = env
     changes = _write_and_changes(
         db,
@@ -71,38 +72,40 @@ def test_conference_write_block_splices_the_aggregates(env):
         ("confroom",),
     )
     result = _delta(db, view, state, reads, changes)
-    # The grouped confstat nodes (per-metro and per-hotel) maintain at
-    # block granularity; the confroom leaf row-splices.
-    assert set(result.block_frontier_nodes) == {2, 4}
-    assert result.blocks_spliced == 2  # one metro block + one hotel block
+    # The confroom leaf row-splices; the grouped confstat nodes
+    # (per-metro and per-hotel) fold many rows into one element, so the
+    # row rung declines them and they re-run at node level.
+    assert set(result.frontier_nodes) - set(result.row_frontier_nodes) == {2, 4}
     assert result.rows_spliced > 0
     assert serialize(result.document) == serialize(materialize(view, db))
 
 
-def test_conference_write_shares_untouched_subtrees_by_identity(env):
+def test_payload_write_shares_untouched_subtrees_by_identity(env):
     db, view, state, reads = env
     old_metros = {id(el) for el in _elements(state.document, "metro")}
     old_hotels = {id(el) for el in _elements(state.document, "hotel")}
     changes = _write_and_changes(
         db,
-        lambda db, tracker: hotel_conference_write(db, 0, tracker, hotels=1),
-        ("confroom",),
+        lambda db, tracker: hotel_payload_write(db, 0, tracker, rows=1),
+        ("hotel",),
     )
     result = _delta(db, view, state, reads, changes)
+    assert result.rows_spliced == 1 and result.rows_refetched == 1
     metros = _elements(result.document, "metro")
     hotels = _elements(result.document, "hotel")
-    # One hotel's confrooms changed: its metro element and its own
-    # hotel element are rebuilt on the copy-spine, everything else is
-    # the same object — the survival the fragment byte cache monetizes.
+    # One hotel row changed: its element is rebuilt and its metro is
+    # copied on the spine; everything else is the same object, so the
+    # splice allocates by the width of the write, not of the document.
     assert sum(1 for el in metros if id(el) in old_metros) == len(metros) - 1
     assert sum(1 for el in hotels if id(el) in old_hotels) == len(hotels) - 1
+    assert serialize(result.document) == serialize(materialize(view, db))
 
 
-def test_calendar_write_declines_block_splice_but_stays_exact(env):
+def test_calendar_write_uses_node_level_and_stays_exact(env):
     # startdate steers which derived context group an availability row
     # pairs with in the metro-wide count (Figure 1 node 7) — across
-    # sibling hotels' blocks — so it is membership-bearing and block
-    # maintenance must refuse. Node-level re-evaluation takes over.
+    # sibling hotels — so it is load-bearing and nothing narrower than
+    # node-level re-evaluation is sound.
     db, view, state, reads = env
     changes = _write_and_changes(
         db,
@@ -110,8 +113,8 @@ def test_calendar_write_declines_block_splice_but_stays_exact(env):
         ("availability",),
     )
     result = _delta(db, view, state, reads, changes)
-    assert result.block_frontier_nodes == ()
-    assert result.blocks_spliced == 0
+    assert result.row_frontier_nodes == ()
+    assert result.rows_spliced == 0
     assert serialize(result.document) == serialize(materialize(view, db))
 
 
@@ -155,12 +158,10 @@ def test_calendar_write_changes_sibling_hotels():
         db.close()
 
 
-def test_phantom_key_fails_block_probe_coverage(env):
-    # A recorded key the block probes cannot find could be a deleted
-    # row whose old block they cannot name: the global coverage check
-    # must refuse block splicing. (The row path's per-block check may
-    # still proceed — a key that matches neither an old element nor a
-    # fresh row is an out-of-view row with no effect on the view.)
+def test_phantom_key_stays_exact(env):
+    # A recorded key that matches neither an old element nor a fresh
+    # row is an out-of-view row with no effect on the view: the row
+    # rung's per-parent membership check may proceed past it.
     db, view, state, reads = env
     tracker = WriteTracker()
     stamped = tracker.snapshot()
@@ -171,14 +172,13 @@ def test_phantom_key_fails_block_probe_coverage(env):
     changes = tracker.changes_since(stamped, ("confroom",))
     assert 999_999 in changes["confroom"].keys
     result = _delta(db, view, state, reads, changes)
-    assert result.blocks_spliced == 0
     assert serialize(result.document) == serialize(materialize(view, db))
 
 
-def test_deleted_row_declines_row_and_block_splice(env):
+def test_deleted_row_declines_row_splice(env):
     # An actual DELETE: the old document still holds the row's element,
-    # so the row path's per-block membership check and the block path's
-    # key coverage both refuse, and node-level re-evaluation drops it.
+    # so the row path's per-parent membership check refuses, and
+    # node-level re-evaluation drops it.
     db, view, state, reads = env
     victim = db.run_sql(
         "SELECT c_id FROM confroom WHERE chotel_id = "
@@ -193,7 +193,6 @@ def test_deleted_row_declines_row_and_block_splice(env):
     )
     changes = tracker.changes_since(stamped, ("confroom",))
     result = _delta(db, view, state, reads, changes)
-    assert result.blocks_spliced == 0
     assert result.rows_spliced == 0
     assert serialize(result.document) == serialize(materialize(view, db))
 
@@ -207,12 +206,14 @@ def test_untraceable_write_uses_node_level(env):
     changes = tracker.changes_since(stamped, ("confroom",))
     assert changes["confroom"].keys is None
     result = _delta(db, view, state, reads, changes)
-    assert result.blocks_spliced == 0
     assert result.rows_spliced == 0
     assert serialize(result.document) == serialize(materialize(view, db))
 
 
-def test_block_splice_does_not_mutate_the_old_document(env):
+def test_delta_does_not_mutate_the_old_document(env):
+    # A conference write takes both surviving rungs at once (row on the
+    # leaf, node level on the aggregates); neither may touch the stale
+    # entry's tree.
     db, view, state, reads = env
     before = serialize(state.document)
     changes = _write_and_changes(
@@ -221,13 +222,14 @@ def test_block_splice_does_not_mutate_the_old_document(env):
         ("confroom",),
     )
     result = _delta(db, view, state, reads, changes)
-    assert result.blocks_spliced == 2
+    assert result.rows_spliced > 0
+    assert len(result.frontier_nodes) > len(result.row_frontier_nodes)
     assert serialize(state.document) == before
 
 
-def test_block_splices_chain(env):
+def test_deltas_chain(env):
     # Each spliced state is the input to the next write: the captured
-    # instance maps must stay accurate across block splices.
+    # instance maps must stay accurate across row and node splices.
     db, view, state, reads = env
     for step in range(4):
         changes = _write_and_changes(
@@ -238,7 +240,7 @@ def test_block_splices_chain(env):
             ("confroom",),
         )
         result = _delta(db, view, state, reads, changes)
-        assert result.blocks_spliced == 2, step
+        assert result.rows_spliced > 0, step
         assert serialize(result.document) == serialize(
             materialize(view, db)
         ), step

@@ -4,9 +4,9 @@ The maintenance layer's correctness claims, as properties over random
 interleavings of base-table writes and publishing requests:
 
 * **strict** — every served response (cached or not) is byte-identical
-  to a serial, uncached materialization of the live database at that
-  moment, for all three execution strategies. This extends the serving
-  layer's equivalence guarantee across writes.
+  to a serial, uncached nested-loop materialization of the live database
+  at that moment. This extends the serving layer's equivalence guarantee
+  across writes.
 * **bounded** — a cached response is only ever served at a version lag
   within the policy's bound, and every *recomputed* response is again
   byte-identical to live data.
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.compose import compose
 from repro.core.optimize import prune_stylesheet_view
 from repro.maintenance import WriteTracker, hotel_write
-from repro.schema_tree.evaluator import STRATEGIES, materialize
+from repro.schema_tree.evaluator import materialize
 from repro.serving import PublishRequest, ViewServer
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import figure1_view, figure4_stylesheet
@@ -37,13 +37,13 @@ def ops():
     """A random interleaving of writes and request batches.
 
     ``("write", step)`` applies write number ``step`` of the standard
-    hotel mix; ``("request", strategy)`` issues one request. Batches of
+    hotel mix; ``("request", None)`` issues one request. Batches of
     consecutive requests run concurrently between writes.
     """
     return st.lists(
         st.one_of(
             st.tuples(st.just("write"), st.integers(0, 14)),
-            st.tuples(st.just("request"), st.sampled_from(STRATEGIES)),
+            st.tuples(st.just("request"), st.none()),
         ),
         min_size=2,
         max_size=8,
@@ -70,25 +70,25 @@ class Harness:
         prune_stylesheet_view(self.target, self.db.catalog)
         self.writes = 0
 
-    def live_xml(self, strategy):
-        """Uncached serial materialization of the database right now."""
-        return serialize(materialize(self.target, self.db, strategy=strategy))
+    def live_xml(self):
+        """Uncached serial (nested-loop) materialization right now."""
+        return serialize(materialize(self.target, self.db))
 
     def run(self, operations):
-        """Execute the interleaving; yields (trace, strategy) pairs with
-        request batches served concurrently."""
+        """Execute the interleaving; returns the traces, with request
+        batches served concurrently."""
         served = []
-        batch: list[str] = []
+        batch = 0
 
         def flush():
-            if not batch:
-                return
-            traces = self.server.render_many(
-                PublishRequest(self.view, self.stylesheet, strategy=s)
-                for s in batch
+            nonlocal batch
+            served.extend(
+                self.server.render_many(
+                    PublishRequest(self.view, self.stylesheet)
+                    for _ in range(batch)
+                )
             )
-            served.extend(zip(traces, list(batch)))
-            batch.clear()
+            batch = 0
 
         for kind, arg in operations:
             if kind == "write":
@@ -96,7 +96,7 @@ class Harness:
                 hotel_write(self.db, arg, self.tracker)
                 self.writes += 1
             else:
-                batch.append(arg)
+                batch += 1
         flush()
         return served
 
@@ -111,14 +111,14 @@ def test_strict_serves_live_bytes_under_interleaved_writes(operations):
     harness = Harness("strict")
     try:
         served = harness.run(operations)
-        for trace, strategy in served:
+        for trace in served:
             assert trace.error is None, trace.error
             if trace.freshness == "hit":
                 assert trace.version_lag == 0
             # The defining strict property: *every* response equals an
             # uncached serial evaluation of the live data. (No write ran
             # since the batch was served, so "now" is the right moment.)
-            assert trace.xml == harness.live_xml(strategy)
+            assert trace.xml == harness.live_xml()
     finally:
         harness.close()
 
@@ -129,13 +129,13 @@ def test_bounded_hits_never_exceed_the_lag_bound(operations, max_lag):
     harness = Harness(f"bounded:{max_lag}")
     try:
         served = harness.run(operations)
-        for trace, strategy in served:
+        for trace in served:
             assert trace.error is None, trace.error
             if trace.freshness == "hit":
                 assert trace.version_lag <= max_lag
             else:
                 # Anything recomputed is live data, byte for byte.
-                assert trace.xml == harness.live_xml(strategy)
+                assert trace.xml == harness.live_xml()
     finally:
         harness.close()
 
@@ -145,21 +145,18 @@ def test_bounded_hits_never_exceed_the_lag_bound(operations, max_lag):
 def test_manual_serves_cached_until_invalidated_then_live(operations):
     harness = Harness("manual")
     try:
-        responses = {}  # strategy -> first cached bytes
-        for trace, strategy in harness.run(operations):
+        first = None  # the first cached bytes
+        for trace in harness.run(operations):
             assert trace.error is None, trace.error
-            if strategy in responses:
-                # Manual: cached bytes are stable no matter the lag.
-                assert trace.xml == responses[strategy]
-            else:
-                responses[strategy] = trace.xml
+            if first is None:
+                first = trace.xml
+            # Manual: cached bytes are stable no matter the lag.
+            assert trace.xml == first
         # After eager invalidation the next response is live again.
         harness.server.invalidate_tables(
             ["hotel", "availability", "guestroom", "confroom", "metroarea"]
         )
-        trace = harness.server.render(
-            harness.view, harness.stylesheet, strategy="memoized"
-        )
-        assert trace.xml == harness.live_xml("memoized")
+        trace = harness.server.render(harness.view, harness.stylesheet)
+        assert trace.xml == harness.live_xml()
     finally:
         harness.close()

@@ -3,18 +3,18 @@
 The incremental maintainer's one correctness claim, as a property over
 random write sequences on the hotel workload: after any batch of
 base-table writes, splicing the dirty subtrees into the previously
-captured document serializes byte-identically to a full re-evaluation
-of the live database. The claim must hold no matter which execution
-strategy produced the captured state (the delta path itself always uses
-the bulk machinery), and it must keep holding as deltas chain — each
-spliced state is the input to the next batch.
+captured document serializes byte-identically to a full nested-loop
+re-evaluation of the live database. The state is captured by the bulk
+evaluator (the only one with a capture hook, and the one the server
+runs), and the claim must keep holding as deltas chain — each spliced
+state is the input to the next batch.
 
 A second invariant rides along for free: the old document is never
 mutated. The splice is copy-on-spine, so a reference to the
 pre-delta tree must serialize exactly as before — this is what makes a
 mid-splice failure unable to tear the server's cached entry.
 
-Three suites (one per strategy) at 200 examples each.
+One suite at 200 examples.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.core.compose import compose
 from repro.core.optimize import prune_stylesheet_view
 from repro.maintenance import DeltaEvaluator, MaterializedState, hotel_write
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
-from repro.schema_tree.evaluator import STRATEGIES, ViewEvaluator, materialize
+from repro.schema_tree.evaluator import materialize
 from repro.serving.fingerprint import node_read_sets
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import figure1_view, figure4_stylesheet
@@ -58,16 +58,12 @@ def _env():
     return _ENV
 
 
-def _capture_state(target, db, strategy):
-    """Full materialization with instance capture for ``strategy``."""
+def _capture_state(target, db):
+    """Full bulk materialization with instance capture."""
     capture = {}
-    if strategy == "bulk":
-        evaluator = BulkViewEvaluator(db, capture_instances=capture)
-    else:
-        evaluator = ViewEvaluator(
-            db, memoize=strategy == "memoized", capture_instances=capture
-        )
-    document = evaluator.materialize(target)
+    document = BulkViewEvaluator(db, capture_instances=capture).materialize(
+        target
+    )
     return MaterializedState(document, capture)
 
 
@@ -80,12 +76,14 @@ def batches():
     )
 
 
-def _assert_delta_equals_full(strategy, target_name, write_batches):
+@given(target_name=st.sampled_from(("raw", "composed")), write_batches=batches())
+@settings(max_examples=200, deadline=None)
+def test_delta_equals_full_from_bulk_state(target_name, write_batches):
     env = _env()
     db = env["db"]
     target = env["targets"][target_name]
     reads = env["reads"][target_name]
-    state = _capture_state(target, db, strategy)
+    state = _capture_state(target, db)
     before = serialize(state.document)
     for batch in write_batches:
         changed = {hotel_write(db, step) for step in batch}
@@ -93,32 +91,10 @@ def _assert_delta_equals_full(strategy, target_name, write_batches):
         # views are exactly the shape the delta path claims to support.
         result = DeltaEvaluator(db).evaluate(target, state, reads, changed)
         assert serialize(result.document) == serialize(
-            materialize(target, db, strategy=strategy)
-        ), (strategy, target_name, batch, result.frontier_nodes)
+            materialize(target, db)
+        ), (target_name, batch, result.frontier_nodes)
         # Copy-on-spine: the pre-delta document is untouched.
         assert serialize(state.document) == before
         state = result.state
         before = serialize(state.document)
 
-
-@given(target_name=st.sampled_from(("raw", "composed")), write_batches=batches())
-@settings(max_examples=200, deadline=None)
-def test_delta_equals_full_from_nested_loop_state(target_name, write_batches):
-    _assert_delta_equals_full("nested-loop", target_name, write_batches)
-
-
-@given(target_name=st.sampled_from(("raw", "composed")), write_batches=batches())
-@settings(max_examples=200, deadline=None)
-def test_delta_equals_full_from_memoized_state(target_name, write_batches):
-    _assert_delta_equals_full("memoized", target_name, write_batches)
-
-
-@given(target_name=st.sampled_from(("raw", "composed")), write_batches=batches())
-@settings(max_examples=200, deadline=None)
-def test_delta_equals_full_from_bulk_state(target_name, write_batches):
-    _assert_delta_equals_full("bulk", target_name, write_batches)
-
-
-def test_all_strategies_are_covered():
-    """The three suites above track the strategy tuple one-to-one."""
-    assert set(STRATEGIES) == {"nested-loop", "memoized", "bulk"}

@@ -148,7 +148,7 @@ def test_concurrent_store_lookup_is_consistent():
 def test_cached_result_dataclass_shape():
     entry = CachedResult(key="k", xml="<x/>")
     assert entry.versions == {} and entry.tables == ()
-    assert entry.strategy == "" and entry.hits == 0
+    assert entry.hits == 0 and entry.state is None
 
 
 def test_state_counters_say_where_state_lives():

@@ -17,7 +17,7 @@ from repro.maintenance import (
     hotel_write_tables,
 )
 from repro.baseline.materialize import NaivePipeline
-from repro.schema_tree.evaluator import STRATEGIES, materialize
+from repro.schema_tree.evaluator import materialize
 from repro.serving import FRESHNESS_STATES, PublishRequest, ViewServer
 from repro.serving.fingerprint import view_read_set
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
@@ -126,14 +126,6 @@ def test_bypass_always_computes_and_never_caches(strict_env):
     three = serve(server, db, bypass_cache=True)
     assert three.freshness == "bypass"
     assert three.xml == two.xml
-
-
-def test_strategies_cache_independently(strict_env):
-    db, tracker, server = strict_env
-    assert serve(server, db, strategy="memoized").freshness == "miss"
-    assert serve(server, db, strategy="bulk").freshness == "miss"
-    assert serve(server, db, strategy="memoized").freshness == "hit"
-    assert serve(server, db, strategy="bulk").freshness == "hit"
 
 
 def test_recomputed_bytes_match_the_post_write_database(strict_env):
@@ -392,18 +384,16 @@ def test_row_pushdown_refetches_the_changed_rows_not_the_node():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("maintenance", ["delta", "fragment"])
-def test_state_lifecycle(maintenance, strategy):
+def test_state_lifecycle():
     """A cached result earns its maintenance state: the miss stores
     bytes only, the first stale read promotes (a full recompute that
     captures, counted as the ``no-state`` fallback), every later stale
     read is a delta — and the bytes are the naive pipeline's throughout."""
-    db, tracker, server = make_env(maintenance=maintenance)
+    db, tracker, server = make_env(maintenance="delta")
     naive = NaivePipeline(figure1_view(db.catalog), figure4_stylesheet())
 
     def step(expected_freshness, no_state, captures, resident):
-        trace = serve(server, db, strategy=strategy)
+        trace = serve(server, db)
         assert trace.freshness == expected_freshness
         assert trace.xml == serialize(naive.run(db).document)
         metrics = server.metrics()
@@ -414,9 +404,6 @@ def test_state_lifecycle(maintenance, strategy):
         [key] = server.result_cache.keys()
         entry = server.result_cache.peek(key)
         assert (entry.state is not None) == bool(resident)
-        assert (entry.fragments is not None) == (
-            bool(resident) and maintenance == "fragment"
-        )
 
     try:
         step("miss", no_state=0, captures=0, resident=0)

@@ -1,6 +1,6 @@
 """Earning maintenance state before a delta scenario.
 
-A delta/fragment-maintenance server captures a ``MaterializedState``
+A delta-maintenance server captures a ``MaterializedState``
 only when it recomputes a key that is already resident (the entry's
 first staleness); a first computation stores bytes only. A test about
 the delta path therefore starts by promoting its entry.

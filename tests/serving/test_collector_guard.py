@@ -73,16 +73,15 @@ def collector_off(save_all=False):
         gc.enable()
 
 
-@pytest.mark.parametrize("strategy", ["nested-loop", "memoized", "bulk"])
-def test_cold_renders_leave_no_trees_or_closures_to_the_collector(strategy):
+def test_cold_renders_leave_no_trees_or_closures_to_the_collector():
     with delta_server() as (db, _tracker, server):
         view = figure1_view(db.catalog)
         sheets = variants(9)
         # Lazy imports and first-use caches settle outside the window.
-        assert server.render(view, sheets.pop(), strategy=strategy).error is None
+        assert server.render(view, sheets.pop()).error is None
         with collector_off(save_all=True):
             for sheet in sheets:
-                trace = server.render(view, sheet, strategy=strategy)
+                trace = server.render(view, sheet)
                 assert trace.error is None and trace.freshness == "miss"
             gc.collect()
             leaked = [

@@ -130,7 +130,7 @@ def test_render_many_preserves_request_order(served_hotel):
     db, server = served_hotel
     view = figure1_view(db.catalog)
     requests = [
-        PublishRequest(view, strategy="nested-loop", label=f"r{i}")
+        PublishRequest(view, label=f"r{i}")
         for i in range(6)
     ]
     traces = server.render_many(requests)
@@ -138,10 +138,10 @@ def test_render_many_preserves_request_order(served_hotel):
     assert len({trace.request_id for trace in traces}) == 6
 
 
-def test_fragment_recompute_reports_its_phases_and_fragment_counters():
+def test_delta_recompute_reports_its_phases():
     """A computing request says where its time went (query / splice /
-    serialize inside execute) and, under fragment maintenance, what the
-    byte cache did — the fields every per-layer budget is built from."""
+    serialize inside execute) — the fields every per-layer budget is
+    built from."""
     db = build_hotel_database(
         HotelDataSpec(metros=2, hotels_per_metro=2), cross_thread=True
     )
@@ -150,13 +150,13 @@ def test_fragment_recompute_reports_its_phases_and_fragment_counters():
     view = figure1_view(db.catalog)
     with ViewServer(
         db.catalog, source=db, workers=1, tracker=tracker,
-        maintenance="fragment", fragment_policy="auto",
+        maintenance="delta",
     ) as server:
         first = server.render(view, strategy="bulk")
         assert first.freshness == "miss"
         assert first.query_seconds > 0 and first.serialize_seconds > 0
         assert first.splice_seconds == 0.0
-        promote(  # the entry earns its state and byte cache
+        promote(  # the entry earns its state
             lambda: server.render(view, strategy="bulk"),
             lambda: hotel_write(db, 2, tracker),
         )
@@ -169,12 +169,7 @@ def test_fragment_recompute_reports_its_phases_and_fragment_counters():
         assert trace.execute_seconds >= (
             trace.query_seconds + trace.splice_seconds
         )
-        assert trace.fragment_hits > 0 and trace.fragment_spliced_bytes > 0
-        fragments = server.metrics()["fragments"]
-        assert fragments["policy"].startswith("auto")
-        assert fragments["hits"] == trace.fragment_hits
-        assert fragments["splices"] > 0
-        assert fragments["spliced_bytes"] == trace.fragment_spliced_bytes
+        assert "fragments" not in server.metrics()
     db.close()
 
 

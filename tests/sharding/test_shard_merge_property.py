@@ -1,8 +1,8 @@
 """Merge-equivalence differential suite.
 
-The contract under test: for ANY write sequence, shard count, serving
-strategy, and maintenance mode, the sharded fleet's merged response is
-byte-identical to a single box's full serialization of the same data.
+The contract under test: for ANY write sequence, shard count and
+maintenance mode, the sharded fleet's merged response is byte-identical
+to a single box's nested-loop serialization of the same data.
 Writes are routed to the fleet through :meth:`ShardRouter.route_write`
 and mirrored onto an unpartitioned reference database; the global
 window domains are captured from the reference so both sides target the
@@ -20,7 +20,7 @@ from repro.maintenance.workload import (
     hotel_metro_write,
     hotel_write,
 )
-from repro.schema_tree.evaluator import STRATEGIES, materialize
+from repro.schema_tree.evaluator import materialize
 from repro.serving import PublishRequest
 from repro.sharding import ShardRouter
 from repro.workloads.hotel import (
@@ -79,11 +79,10 @@ def _apply(kind, step, router, db, metro_domain, hotel_domain):
 )
 @given(
     shards=st.integers(1, 4),
-    maintenance=st.sampled_from(["full", "delta", "fragment"]),
-    strategy=st.sampled_from(STRATEGIES),
+    maintenance=st.sampled_from(["full", "delta"]),
     writes=write_steps,
 )
-def test_sharded_bytes_equal_single_box(shards, maintenance, strategy, writes):
+def test_sharded_bytes_equal_single_box(shards, maintenance, writes):
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     view = figure1_view(db.catalog)
     metro_domain = [
@@ -110,14 +109,14 @@ def test_sharded_bytes_equal_single_box(shards, maintenance, strategy, writes):
         maintenance=maintenance,
     )
     try:
-        request = PublishRequest(view, strategy=strategy)
+        request = PublishRequest(view)
         # Prime every shard's caches, then check the cold response too.
-        warm = router.render(request.view, strategy=strategy)
+        warm = router.render(request.view)
         assert warm.xml == serialize(materialize(view, db))
         # ... and every shard's maintenance state: one write that lands
         # on all shards (every metro's calendar), then the promoting read.
         primed = promote(
-            lambda: router.render(request.view, strategy=strategy),
+            lambda: router.render(request.view),
             lambda: (
                 router.route_write(
                     lambda source, tracker: hotel_metro_write(
@@ -132,7 +131,7 @@ def test_sharded_bytes_equal_single_box(shards, maintenance, strategy, writes):
         promoted = router.aggregate_metrics()
         for kind, step in writes:
             _apply(kind, step, router, db, metro_domain, hotel_domain)
-            trace = router.render(request.view, strategy=strategy)
+            trace = router.render(request.view)
             assert trace.outcome == "success"
             assert trace.xml == serialize(materialize(view, db))
         assert router.outstanding() == 0

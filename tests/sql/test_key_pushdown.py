@@ -1,9 +1,8 @@
-"""Unit tests for the delta-pushdown rewrites and their soundness analysis.
+"""Unit tests for the delta-pushdown rewrite and its soundness analysis.
 
-Row-level pushdown (:func:`push_key_predicate`), block-level pushdown
-(:func:`restrict_output_in`), and the static analysis that licenses
-block maintenance (:func:`membership_bearing_columns`) — the paper-side
-machinery behind ``--maintenance delta``'s row and block splices.
+Row-level pushdown (:func:`push_key_predicate`) and the static analysis
+that licenses it (:func:`load_bearing_columns`) — the paper-side
+machinery behind ``--maintenance delta``'s row splice.
 """
 
 import pytest
@@ -12,12 +11,11 @@ from repro.errors import SQLTransformError
 from repro.sql.analysis import (
     DictCatalog,
     load_bearing_columns,
-    membership_bearing_columns,
     sole_table_binding,
 )
 from repro.sql.parser import parse_select
 from repro.sql.printer import print_select
-from repro.sql.transform import push_key_predicate, restrict_output_in
+from repro.sql.transform import push_key_predicate
 
 CATALOG = DictCatalog(
     {
@@ -73,84 +71,54 @@ def test_push_key_predicate_rejects_empty_keys():
         push_key_predicate(query, "hotel", "hotelid", [])
 
 
-# -- restrict_output_in ------------------------------------------------------
+# -- load_bearing_columns ----------------------------------------------------
 
 
-def test_restrict_output_in_targets_source_column():
-    query = parse_select(
-        "SELECT SUM(capacity) AS SUM_capacity, chotel_id AS hid "
-        "FROM confroom GROUP BY chotel_id"
-    )
-    restrict_output_in(query, "hid", [5, 2])
-    # The predicate lands on the underlying column, in WHERE (it must
-    # filter whole groups, not grouped results).
-    assert "chotel_id IN (2, 5)" in print_select(query)
-
-
-def test_restrict_output_in_rejects_computed_output():
-    query = parse_select("SELECT COUNT(c_id) AS n FROM confroom")
-    with pytest.raises(SQLTransformError):
-        restrict_output_in(query, "n", [1])
-
-
-def test_restrict_output_in_rejects_unknown_output_and_empty_values():
-    query = parse_select("SELECT chotel_id FROM confroom")
-    with pytest.raises(SQLTransformError):
-        restrict_output_in(query, "nope", [1])
-    with pytest.raises(SQLTransformError):
-        restrict_output_in(query, "chotel_id", [])
-
-
-# -- membership_bearing_columns ----------------------------------------------
-
-
-def test_aggregate_payload_is_not_membership_bearing():
-    # capacity only feeds the SUM projection: a capacity change can
-    # alter the group's aggregate but never move a row between blocks.
+def test_aggregate_payload_is_not_load_bearing():
+    # capacity only feeds the SUM projection, which is recomputed from
+    # the fetched rows; the grouping column decides which group a row
+    # lands in, so a change to it cannot be row-spliced.
     query = parse_select(
         "SELECT SUM(capacity) AS SUM_capacity, chotel_id "
         "FROM confroom GROUP BY chotel_id"
     )
-    bearing = membership_bearing_columns(query, "confroom", CATALOG)
+    bearing = load_bearing_columns(query, "confroom", CATALOG)
     assert "capacity" not in bearing
-    # The grouping column is skipped only at the membership level;
-    # regrouping still makes it load-bearing for the row path.
-    assert "chotel_id" in load_bearing_columns(query, "confroom", CATALOG)
+    assert "chotel_id" in bearing
 
 
-def test_where_columns_are_membership_bearing():
+def test_where_columns_are_load_bearing():
     query = parse_select(
-        "SELECT hotelid FROM hotel WHERE starrating > 4 AND metro_id = 1"
+        "SELECT hotelid, pool FROM hotel "
+        "WHERE starrating > 4 AND metro_id = 1"
     )
-    bearing = membership_bearing_columns(query, "hotel", CATALOG)
+    bearing = load_bearing_columns(query, "hotel", CATALOG)
     assert {"starrating", "metro_id"} <= bearing
+    assert "pool" not in bearing  # the payload column row pushdown serves
 
 
-def test_top_level_group_by_is_not_membership_bearing():
-    # Regrouping happens inside the re-evaluated block; only the join
-    # column decides which block a row belongs to.
+def test_top_level_group_by_is_load_bearing():
     query = parse_select(
         "SELECT startdate, COUNT(a_id) AS n FROM availability "
         "GROUP BY startdate"
     )
-    bearing = membership_bearing_columns(query, "availability", CATALOG)
-    assert "startdate" not in bearing
     assert "startdate" in load_bearing_columns(
         query, "availability", CATALOG
     )
 
 
-def test_correlation_equality_is_membership_bearing():
+def test_correlation_equality_is_load_bearing():
     # Figure 1 node 7: the changed column steers which derived context
-    # group a row pairs with — across sibling blocks — so block
-    # maintenance must decline (see hotel_calendar_write).
+    # group a row pairs with — across sibling hotels — so a calendar
+    # write must go to node level (see hotel_calendar_write).
     query = parse_select(
         "SELECT COUNT(a_id) AS n, d.startdate FROM availability, "
         "(SELECT startdate FROM availability GROUP BY startdate) AS d "
         "WHERE availability.startdate = d.startdate GROUP BY d.startdate"
     )
-    bearing = membership_bearing_columns(query, "availability", CATALOG)
-    assert "startdate" in bearing
+    assert "startdate" in load_bearing_columns(
+        query, "availability", CATALOG
+    )
 
 
 def test_having_and_subquery_references_still_count():
@@ -158,14 +126,10 @@ def test_having_and_subquery_references_still_count():
         "SELECT chotel_id FROM confroom GROUP BY chotel_id "
         "HAVING SUM(capacity) > 100"
     )
-    assert "capacity" in membership_bearing_columns(
-        query, "confroom", CATALOG
-    )
+    assert "capacity" in load_bearing_columns(query, "confroom", CATALOG)
     query = parse_select(
         "SELECT hotelid FROM hotel WHERE EXISTS "
         "(SELECT c_id FROM confroom WHERE chotel_id = hotelid "
         "AND capacity > 50)"
     )
-    assert "capacity" in membership_bearing_columns(
-        query, "confroom", CATALOG
-    )
+    assert "capacity" in load_bearing_columns(query, "confroom", CATALOG)

@@ -188,6 +188,30 @@ def test_parser_exposes_exactly_the_six_commands():
     ]
 
 
+def test_serve_http_has_no_fragment_tier_flags():
+    parser = build_parser()
+    (subparsers,) = [
+        action for action in parser._actions if action.dest == "command"
+    ]
+    options = {
+        flag: action
+        for action in subparsers.choices["serve-http"]._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert "--fragment-policy" not in options
+    assert options["--maintenance"].choices == ["full", "delta"]
+    assert len(options) == 32
+    # The one-shot oracle keeps its evaluator choice; serving has none.
+    materialize = subparsers.choices["materialize"]
+    (strategy,) = [
+        action for action in materialize._actions
+        if "--strategy" in action.option_strings
+    ]
+    assert strategy.choices == ["nested-loop", "memoized", "bulk"]
+    assert "--strategy" not in options
+
+
 @pytest.mark.parametrize(
     "fleet_flags, shards",
     [
