@@ -153,8 +153,12 @@ def cmd_materialize(args: argparse.Namespace) -> int:
             evaluator = BulkViewEvaluator(db)
         else:
             evaluator = ViewEvaluator(db, memoize=strategy == "memoized")
-        document = evaluator.materialize(view)
-        text = serialize_pretty(document) if args.pretty else serialize(document)
+        if strategy == "bulk" and not args.pretty:
+            # Nothing here keeps the tree: rows go straight to text.
+            text = evaluator.serialize(view)
+        else:
+            document = evaluator.materialize(view)
+            text = serialize_pretty(document) if args.pretty else serialize(document)
         _write_output(text, args.out)
         print(
             f"{evaluator.stats.elements_created} elements, "

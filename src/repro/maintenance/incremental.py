@@ -120,8 +120,7 @@ class MaterializedState:
     evaluator's ``capture_instances`` hook during the full recompute
     that promotes a resident entry (its first staleness — never a first
     computation), and by :meth:`DeltaEvaluator.evaluate` for the
-    spliced document. Treated as immutable once stored; its document is
-    never :meth:`~repro.xmlcore.nodes.Document.unlink`-ed.
+    spliced document. Treated as immutable once stored.
     """
 
     document: Document
@@ -505,7 +504,9 @@ class DeltaEvaluator:
                     block_fresh[env[node.bv][key_column]]
                     for _c, env in affected
                 ]
-                created = bulk._attach_rows(plan, shadow, ordered)
+                created = bulk._attach_bulk_rows(
+                    plan, [(shadow, ordered)], ordered[0], bulk._element_builder
+                )
                 for (old_element, _env), instance in zip(affected, created):
                     instance.element.extend(old_element.children)
                     replaced[id(old_element)] = instance

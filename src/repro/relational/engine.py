@@ -161,7 +161,6 @@ class Database:
         # the evaluation between statements. Hard mid-statement cutoff
         # is the caller's job via ``driver.cancel(connection)``.
         self.cancel_check: Optional[Callable[[], None]] = None
-        self._sql_cache: dict[int, tuple[str, list, Select]] = {}
         if create:
             self.create_all()
 
@@ -327,16 +326,15 @@ class Database:
         """
         if self.cancel_check is not None:
             self.cancel_check()
-        # Cache the rendered SQL per query object. The cache entry keeps a
-        # reference to the query so id() values cannot be recycled.
-        key = id(query)
-        cached = self._sql_cache.get(key)
-        if cached is None or cached[2] is not query:
-            sql = print_select(query, placeholders=self.driver.placeholder)
-            params = collect_params(query)
-            self._sql_cache[key] = (sql, params, query)
-        else:
-            sql, params, _ = cached
+        # The rendered SQL is memoized on the query itself, so a session
+        # that outlives a plan (a pooled one) keeps nothing of it.
+        printed = query.printed.get(self.driver.name)
+        if printed is None:
+            printed = query.printed[self.driver.name] = (
+                print_select(query, placeholders=self.driver.placeholder),
+                collect_params(query),
+            )
+        sql, params = printed
         bindings: dict[str, Any] = {}
         for param in params:
             if env is None or param.var not in env:

@@ -36,28 +36,45 @@ Correctness notes (each is covered by the equivalence property tests):
   :attr:`BulkViewEvaluator.fallback_nodes` and the module logger — never
   silently.
 
-Work accounting matches the other strategies: elements/attributes land in
-the shared :class:`~repro.schema_tree.evaluator.MaterializeStats`, query
-and row counts on the engine's ``QueryStats``, so E1/E2/E12 compare like
-for like.
+The merge has **two output forms**, chosen by whether anybody keeps the
+tree. :meth:`BulkViewEvaluator.materialize` builds ``Element`` nodes (state
+capture, ``keep_documents``, pretty-printing, library callers);
+:meth:`BulkViewEvaluator.serialize` writes escaped XML text straight from
+the rows and builds none (a stateless serving request, ``repro
+materialize --strategy bulk``). Plans, queries, merge and fallbacks are
+one code path: the forms differ only in the per-node *builder* of what an
+instance is, and both take an element's attributes from
+:func:`~repro.schema_tree.evaluator.element_attributes`.
+
+Work accounting matches the other strategies in either form:
+elements/attributes land in the shared
+:class:`~repro.schema_tree.evaluator.MaterializeStats`, query and row
+counts on the engine's ``QueryStats``, so E1/E2/E12 compare like for like.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
+import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Optional
 
 from repro.errors import ReproError, ViewEvaluationError
 from repro.relational.engine import Database, Row
-from repro.schema_tree.evaluator import MaterializeStats, build_element
+from repro.schema_tree.evaluator import (
+    MaterializeStats,
+    build_element,
+    element_attributes,
+    format_value,
+)
 from repro.schema_tree.model import SchemaNode, SchemaTreeQuery
 from repro.sql.analysis import has_top_level_aggregate, output_columns
 from repro.sql.ast import ColumnRef, FuncCall, ParamRef, Select, Star
 from repro.sql.params import collect_params, walk_exprs
 from repro.sql.transform import attach_parent_query, expand_stars
+from repro.xmlcore.serializer import attributes_text, escape_attribute
 
 logger = logging.getLogger(__name__)
 
@@ -93,7 +110,9 @@ class FallbackRecord:
 class _Instance:
     """One materialized element with its binding context.
 
-    ``key`` is the element's context signature: the concatenated *key
+    ``element`` is the ``Element`` or, in the text form, an inner
+    element's parts list (both have ``append``; a leaf's text needs no
+    instance). ``key`` is the element's context signature: the concatenated *key
     columns* (the pruned, descendant-referenced subset) of every
     query-bearing ancestor-or-self binding, in root-to-leaf order.
     Children group their bulk rows on exactly this tuple; ``env`` keeps
@@ -215,12 +234,14 @@ class BulkViewEvaluator:
         self.stats = stats if stats is not None else MaterializeStats()
         self.fallback_nodes: list[FallbackRecord] = []
         self.bulk_queries_executed = 0
+        #: Seconds the last :meth:`serialize` spent assembling its text.
+        self.serialize_seconds = 0.0
         self._key_columns_cache: dict[int, list[str]] = {}
         self._capture = capture_instances
 
     # -- planning -------------------------------------------------------------
 
-    def _node_key_columns(self, node: SchemaNode) -> list[str]:
+    def node_key_columns(self, node: SchemaNode) -> list[str]:
         """The columns of ``node``'s row its subtree's merge keys use.
 
         Descendants join and group on their ancestors' *key columns*, not
@@ -234,7 +255,9 @@ class BulkViewEvaluator:
 
         DISTINCT queries are never pruned (projection changes their
         cardinality), keeping the pruned query reusable as an inlined
-        ancestor.
+        ancestor. Incremental maintenance concatenates these over a
+        frontier node's query-bearing ancestors to rebuild the context
+        keys retained parent instances would have carried.
         """
         cached = self._key_columns_cache.get(node.id)
         if cached is not None:
@@ -288,7 +311,7 @@ class BulkViewEvaluator:
             reliable = True
         except _BulkUnsupported as exc:
             return self._fallback_plan(node, str(exc), reliable=False)
-        own_key_columns = self._node_key_columns(node)
+        own_key_columns = self.node_key_columns(node)
         if tainted:
             return self._fallback_plan(
                 node,
@@ -382,7 +405,7 @@ class BulkViewEvaluator:
             try:
                 _stable_output_columns(ancestor.tag_query, catalog)
                 pruned = self._pruned_parent(
-                    ancestor, self._node_key_columns(ancestor)
+                    ancestor, self.node_key_columns(ancestor)
                 )
                 exposures[ancestor.id] = attach_parent_query(
                     query, ancestor.bv, pruned, catalog,
@@ -403,7 +426,7 @@ class BulkViewEvaluator:
         key_columns: list[str] = []
         for ancestor in ancestors:
             exposure = exposures[ancestor.id]
-            for column in self._node_key_columns(ancestor):
+            for column in self.node_key_columns(ancestor):
                 exposed = exposure.get(column)
                 if exposed is None or exposed not in bulk_columns:
                     raise _BulkUnsupported(
@@ -413,13 +436,15 @@ class BulkViewEvaluator:
                 key_columns.append(exposed)
         return query, key_columns
 
-    def _plan_view(self, view: SchemaTreeQuery) -> dict[int, _NodePlan]:
+    def plan_view(self, view: SchemaTreeQuery) -> dict[int, _NodePlan]:
         """Plan every node of ``view``, with cross-evaluator caching.
 
         Planning depends only on the view and the catalog, so the result
         (including which nodes fell back and why) is cached per view
         object. On a hit the planning-time fallback records are replayed
-        into :attr:`fallback_nodes` without re-logging.
+        into :attr:`fallback_nodes` without re-logging. Incremental
+        maintenance reads node reliability off the plans (whether splice
+        keys are trustworthy) and feeds them to :meth:`evaluate_node`.
         """
         with _PLAN_CACHE_LOCK:
             cached = _PLAN_CACHE.get(id(view))
@@ -456,24 +481,59 @@ class BulkViewEvaluator:
         """Evaluate ``view``; returns the document (see ViewEvaluator)."""
         from repro.xmlcore.nodes import Document
 
-        plans = self._plan_view(view)
         document = Document()
-        instances: dict[int, list[_Instance]] = {
-            view.root.id: [_Instance(document, {}, ())]
-        }
-        for node in view.nodes(include_root=False):
-            parent = node.parent
-            assert parent is not None
-            parents = instances.get(parent.id, [])
-            created = self.evaluate_node(plans[node.id], parents)
-            instances[node.id] = created
+        instances = self._evaluate_view(view, document, self._element_builder)
         if self._capture is not None:
             for node_id, created in instances.items():
                 self._capture[node_id] = [(i.element, i.env) for i in created]
         return document
 
+    def serialize(self, view: SchemaTreeQuery) -> str:
+        """Evaluate ``view`` straight to XML text, building no tree.
+
+        Byte for byte and counter for counter what
+        ``xmlcore.serialize(self.materialize(view))`` returns, from the
+        same plans, queries, merge and fallbacks: only what an instance
+        *is* differs. A leaf is its finished ``<tag a="v"/>`` string,
+        appended to its parent's parts; an inner element is the parts
+        list ``[open tag, ">", child, ...]`` its children append to,
+        closed once they are all in; the text is one join over the
+        flattened parts — the pass :attr:`serialize_seconds` times.
+        """
+        if self._capture is not None:
+            raise ValueError("capture_instances records elements: materialize()")
+        root: list = []
+        instances = self._evaluate_view(view, root, self._text_builder)
+        started = time.perf_counter()
+        for node in view.nodes(include_root=False):
+            for instance in instances[node.id] if node.children else ():
+                parts = instance.element
+                if len(parts) == 2:
+                    parts[1] = "/>"
+                else:
+                    parts.append(f"</{node.tag}>")
+        texts: list[str] = []
+        _flatten(root, texts)
+        xml = "".join(texts)
+        self.serialize_seconds = time.perf_counter() - started
+        return xml
+
+    def _evaluate_view(
+        self, view: SchemaTreeQuery, root, builder
+    ) -> dict[int, list[_Instance]]:
+        """Every node's instances under ``root``, in schema pre-order."""
+        plans = self.plan_view(view)
+        instances: dict[int, list[_Instance]] = {
+            view.root.id: [_Instance(root, {}, ())]
+        }
+        for node in view.nodes(include_root=False):
+            instances[node.id] = self.evaluate_node(
+                plans[node.id], instances.get(node.parent.id, []), builder
+            )
+        return instances
+
     def evaluate_node(
-        self, plan: _NodePlan, parents: list[_Instance]
+        self, plan: _NodePlan, parents: list[_Instance], builder=None
     ) -> list[_Instance]:
         """Materialize one schema node's elements under ``parents``.
 
@@ -482,56 +542,72 @@ class BulkViewEvaluator:
         Public so incremental maintenance
         (:mod:`repro.maintenance.incremental`) can re-execute single
         dirty nodes against shadow parent instances instead of the full
-        view.
+        view; ``builder`` is the output form, the tree unless given.
         """
+        builder = builder or self._element_builder
         if plan.kind == "literal":
-            return self._emit_literal(plan.node, parents)
+            # One element per parent context, made from no row.
+            shares = ((p, (None,)) for p in parents)
+            return self._attach_rows(plan, shares, builder(plan, None, None), False)
         if plan.kind == "bulk":
-            return self._emit_bulk(plan, parents)
-        return self._emit_fallback(plan, parents)
+            return self._emit_bulk(plan, parents, builder)
+        return self._emit_fallback(plan, parents, builder)
 
-    def plan_view(self, view: SchemaTreeQuery) -> dict[int, _NodePlan]:
-        """Public per-node plans for ``view`` (see :meth:`_plan_view`).
+    # Both output forms share everything below. They differ in the
+    # *builder*, which for one node plan returns ``build(env, row)``: what
+    # an instance of that node is, an ``Element`` or text — either is
+    # attached by ``parent.element.append``. What a builder can decide it
+    # decides once per node, not per parent or per row.
 
-        Incremental maintenance uses the plans to check node
-        reliability (whether splice keys are trustworthy) and to feed
-        :meth:`evaluate_node`.
-        """
-        return self._plan_view(view)
+    def _element_builder(self, plan: _NodePlan, surface, sample):
+        node, stats = plan.node, self.stats
+        return lambda env, row: build_element(node, env, row, stats, surface)
 
-    def node_key_columns(self, node: SchemaNode) -> list[str]:
-        """Public key columns of ``node`` (see :meth:`_node_key_columns`).
+    def _text_builder(self, plan: _NodePlan, surface, sample: Optional[Row]):
+        node, stats = plan.node, self.stats
+        head, end = f"<{node.tag}", "" if node.children else "/>"
+        written = _static_attributes(plan, surface, sample)
+        if written is None:
 
-        Incremental maintenance concatenates these over a frontier
-        node's query-bearing ancestors to rebuild the context keys
-        retained parent instances would have carried.
-        """
-        return self._node_key_columns(node)
+            def emit(env, row):
+                attributes = element_attributes(node, env, row, stats, surface)
+                return head + attributes_text(attributes.items()) + end
 
-    def _emit_literal(
-        self, node: SchemaNode, parents: list[_Instance]
-    ) -> list[_Instance]:
-        created: list[_Instance] = []
-        for parent in parents:
-            element = build_element(node, parent.env, row=None, stats=self.stats)
-            parent.element.append(element)
-            created.append(_Instance(element, parent.env, parent.key))
-        return created
+        else:
+            fixed = len(node.literal_attributes)
+            head += attributes_text(written[:fixed])
+            pairs = written[fixed:]
+
+            def emit(env, row):
+                text, count = head, fixed
+                for name, column in pairs:
+                    value = row[column]
+                    if value is None:
+                        continue
+                    count += 1
+                    if value.__class__ is int:  # nothing to format or escape
+                        text += f' {name}="{value}"'
+                    else:
+                        text += f' {name}="{escape_attribute(format_value(value))}"'
+                stats.elements_created += 1
+                stats.attributes_created += count
+                return text + end
+
+        if node.children:
+            return lambda env, row: [emit(env, row), ">"]
+        return emit
 
     def _emit_fallback(
-        self, plan: _NodePlan, parents: list[_Instance]
+        self, plan: _NodePlan, parents: list[_Instance], builder
     ) -> list[_Instance]:
         """Correlated execution: one query per parent binding (Section 2.1)."""
         node = plan.node
         assert node.tag_query is not None
-        created: list[_Instance] = []
-        for parent in parents:
-            rows = self.db.run_query(node.tag_query, parent.env)
-            created.extend(self._attach_rows(plan, parent, rows))
-        return created
+        shares = ((p, self.db.run_query(node.tag_query, p.env)) for p in parents)
+        return self._attach_rows(plan, shares, builder(plan, None, None), False)
 
     def _emit_bulk(
-        self, plan: _NodePlan, parents: list[_Instance]
+        self, plan: _NodePlan, parents: list[_Instance], builder
     ) -> list[_Instance]:
         node = plan.node
         assert plan.query is not None
@@ -544,7 +620,7 @@ class BulkViewEvaluator:
                 node, f"bulk query failed: {exc}", reliable=plan.reliable,
                 own_columns=plan.own_columns,
             )
-            return self._emit_fallback(plan, parents)
+            return self._emit_fallback(plan, parents, builder)
         self.bulk_queries_executed += 1
         try:
             shares = self._group_rows(plan, parents, rows)
@@ -553,13 +629,30 @@ class BulkViewEvaluator:
                 node, str(exc), reliable=plan.reliable,
                 own_columns=plan.own_columns,
             )
-            return self._emit_fallback(plan, parents)
-        created: list[_Instance] = []
-        for parent in parents:
-            created.extend(
-                self._attach_rows(plan, parent, shares.get(id(parent), []))
-            )
-        return created
+            return self._emit_fallback(plan, parents, builder)
+        sample = rows[0] if rows else plan.empty_row
+        dealt = ((p, shares.get(id(p), ())) for p in parents)
+        return self._attach_bulk_rows(plan, dealt, sample, builder)
+
+    def _attach_bulk_rows(
+        self, plan: _NodePlan, shares, sample: Optional[Row], builder
+    ) -> list[_Instance]:
+        """Attach ``(parent, rows)`` shares of the bulk result ``sample``
+        is a row of (``None``: it has none).
+
+        Bulk rows carry ancestor key columns after the node's own
+        columns. Rather than rebuild a narrowed dict per row, hand the
+        wide row over and limit attribute surfacing to the node's own
+        columns — env lookups are by name, so the extra (uniquely named)
+        carried columns are invisible to descendants. The exception is
+        a descendant that surfaces this env row wholesale
+        (``exact_env_row``): only then is the per-row trim paid.
+        """
+        own = plan.own_columns
+        wide = bool(own) and sample is not None and len(sample) != len(own)
+        trim = wide and plan.exact_env_row
+        surface = own if wide and not trim else None
+        return self._attach_rows(plan, shares, builder(plan, surface, sample), trim)
 
     def _group_rows(
         self,
@@ -624,56 +717,77 @@ class BulkViewEvaluator:
         return shares
 
     def _attach_rows(
-        self, plan: _NodePlan, parent: _Instance, rows: list[Row]
+        self, plan: _NodePlan, shares, build, trim: bool
     ) -> list[_Instance]:
+        """Build one child per row of every ``(parent, rows)`` share."""
         node = plan.node
         created: list[_Instance] = []
         own_columns = plan.own_columns
-        # Bulk rows carry ancestor key columns after the node's own
-        # columns. Rather than rebuild a narrowed dict per row, hand the
-        # wide row over and limit attribute surfacing to the node's own
-        # columns — env lookups are by name, so the extra (uniquely named)
-        # carried columns are invisible to descendants. The exception is
-        # a descendant that surfaces this env row wholesale
-        # (``exact_env_row``): only then is the per-row trim paid.
-        wide = (
-            plan.kind == "bulk"
-            and bool(own_columns)
-            and bool(rows)
-            and len(rows[0]) != len(own_columns)
-        )
-        trim = wide and plan.exact_env_row
-        surface = own_columns if wide and not trim else None
-        if not node.children and self._capture is None:
-            # Leaf fast path: no descendant ever reads the env or the
-            # context key, so skip the per-row bookkeeping entirely.
-            stats = self.stats
+        # Leaf fast path: no descendant ever reads the env or the
+        # context key, so skip the per-row bookkeeping entirely.
+        leaf = not node.children and self._capture is None
+        for parent, rows in shares:
             append = parent.element.append
             env = parent.env
             for row in rows:
                 own_row = {c: row[c] for c in own_columns} if trim else row
-                append(
-                    build_element(node, env, own_row, stats, surface_columns=surface)
-                )
-            return created
-        for row in rows:
-            own_row = {c: row[c] for c in own_columns} if trim else row
-            element = build_element(
-                node, parent.env, own_row, self.stats, surface_columns=surface
-            )
-            parent.element.append(element)
-            if node.bv is not None:
-                child_env = dict(parent.env)
-                child_env[node.bv] = own_row
-            else:
-                child_env = parent.env
-            key = parent.key
-            if plan.reliable:
-                key = key + tuple(
-                    own_row.get(c) for c in plan.own_key_columns
-                )
-            created.append(_Instance(element, child_env, key))
+                element = build(env, own_row)
+                append(element)
+                if leaf:
+                    continue
+                if node.bv is not None and row is not None:
+                    child_env = dict(env)
+                    child_env[node.bv] = own_row
+                else:
+                    child_env = env
+                key = parent.key
+                if plan.reliable and plan.own_key_columns:
+                    key = key + tuple(
+                        own_row.get(c) for c in plan.own_key_columns
+                    )
+                created.append(_Instance(element, child_env, key))
         return created
+
+
+def _static_attributes(
+    plan: _NodePlan, surface, sample: Optional[Row]
+) -> Optional[list[tuple[str, str]]]:
+    """What :func:`element_attributes` writes for *every* instance of a node.
+
+    Known where the source's columns are known before a row is read: a
+    literal element without an attribute source, and the rows of a bulk
+    result (``sample``), whose static column names the merge already
+    relies on. There the attribute routine itself, run once over a row
+    whose values are its own column names, shows what it writes for any
+    row: the literal ``(name, value)`` pairs, then ``(name, column)`` in
+    order. ``None`` — another source, a name written twice (which write
+    wins depends on NULLs) or an error — leaves the node to the routine.
+    """
+    node = plan.node
+    if plan.kind == "literal" and node.attr_source_bv is None:
+        row = None
+    elif plan.kind == "bulk" and sample is not None:
+        row = {column: column for column in plan.own_columns}
+        if any(column not in sample for column in row):
+            return None
+    else:
+        return None
+    probe = MaterializeStats()
+    try:
+        written = element_attributes(node, {}, row, probe, surface)
+    except ViewEvaluationError:
+        return None
+    repeats = probe.attributes_created != len(written)
+    return None if repeats else list(written.items())
+
+
+def _flatten(parts: list, texts: list[str]) -> None:
+    """Append the strings of nested parts lists to ``texts``, in order."""
+    for part in parts:
+        if part.__class__ is str:
+            texts.append(part)
+        else:
+            _flatten(part, texts)
 
 
 def _divide_group(rows: list[Row], share_count: int) -> list[Row]:

@@ -49,11 +49,13 @@ def format_value(value: Any) -> Optional[str]:
 
     ``None`` (SQL NULL) returns ``None`` — the attribute is omitted.
     Integral floats print without the trailing ``.0`` so sqlite's numeric
-    affinity does not leak into the XML.
+    affinity does not leak into the XML; ``inf`` and ``nan`` (sqlite
+    returns them for ``1e999`` or an overflowing REAL ``SUM``) print as
+    Python spells them.
     """
     if value is None:
         return None
-    if isinstance(value, float) and value == int(value):
+    if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
 
@@ -150,28 +152,30 @@ class ViewEvaluator:
         return build_element(node, env, row, self.stats)
 
 
-def build_element(
+def element_attributes(
     node: SchemaNode,
     env: dict[str, Row],
     row: Optional[Row],
     stats: MaterializeStats,
     surface_columns: Optional[list[str]] = None,
-) -> Element:
-    """Create one output element for a node from its tuple and environment.
+) -> dict[str, str]:
+    """One output element's attributes, in the order they serialize.
 
-    Shared between the nested-loop :class:`ViewEvaluator` and the bulk
-    evaluator so both strategies produce byte-identical elements and feed
-    the same :class:`MaterializeStats` counters.
+    The one statement of the attribute rules, shared by every evaluator
+    and both output forms of the bulk one: literal attributes, then the
+    source tuple's columns (``attr_columns``, or all), then the renamed
+    ``data_attributes``; SQL NULL writes nothing; a name written twice
+    keeps its first position and its last value. The source is the
+    node's own ``row`` or, without one, the tuple bound to
+    ``attr_source_bv``. Counts the element and each write into ``stats``.
 
     ``surface_columns`` overrides the surface-everything default for nodes
     without an explicit ``attr_columns`` list: the bulk evaluator passes
     the node's own output columns so it can hand over its wider rows
     (which carry ancestor key columns) without rebuilding a dict per row.
     """
-    element = Element(node.tag)
-    for name, value in node.literal_attributes.items():
-        element.set(name, value)
-        stats.attributes_created += 1
+    attributes = dict(node.literal_attributes)
+    written = len(attributes)
     source: Optional[Row] = row
     if source is None and node.attr_source_bv is not None:
         if node.attr_source_bv not in env:
@@ -195,8 +199,8 @@ def build_element(
                 )
             text = format_value(source[column])
             if text is not None:
-                element.set(column, text)
-                stats.attributes_created += 1
+                attributes[column] = text
+                written += 1
         for name, column in node.data_attributes.items():
             if column not in source:
                 raise ViewEvaluationError(
@@ -206,9 +210,27 @@ def build_element(
                 )
             text = format_value(source[column])
             if text is not None:
-                element.set(name, text)
-                stats.attributes_created += 1
+                attributes[name] = text
+                written += 1
+    stats.attributes_created += written
     stats.elements_created += 1
+    return attributes
+
+
+def build_element(
+    node: SchemaNode,
+    env: dict[str, Row],
+    row: Optional[Row],
+    stats: MaterializeStats,
+    surface_columns: Optional[list[str]] = None,
+) -> Element:
+    """Create one output element for a node from its tuple and environment.
+
+    Shared between the nested-loop :class:`ViewEvaluator` and the bulk
+    evaluator's tree form; the attributes are :func:`element_attributes`.
+    """
+    element = Element(node.tag)
+    element.attributes = element_attributes(node, env, row, stats, surface_columns)
     return element
 
 

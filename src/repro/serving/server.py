@@ -259,6 +259,8 @@ class RequestTrace:
     dirty_nodes: int = 0
     plan_seconds: float = 0.0
     execute_seconds: float = 0.0
+    #: Seconds producing the text: serializing the tree, or, on a request
+    #: that built none, the text form's final assembly (not in ``execute``).
     serialize_seconds: float = 0.0
     #: Seconds inside sqlite (execute + fetch) for this request's
     #: queries — the "query" phase of the profile breakdown; the "merge"
@@ -1018,6 +1020,10 @@ class ViewServer:
             and self.result_cache.peek(plan.key) is not None
             else None
         )
+        # One merge, two output forms: a request nobody keeps a tree of
+        # (no state to capture, no router to hand a document to) goes
+        # from rows to text and builds no Element.
+        keep_tree = capture is not None or self.keep_documents
         with self.pool.session() as db:
             with self._deadline_guard(db, deadline):
                 before = db.stats.snapshot()
@@ -1026,7 +1032,10 @@ class ViewServer:
                     db, stats=stats, capture_instances=capture
                 )
                 execute_started = time.perf_counter()
-                document = evaluator.materialize(plan.view)
+                if keep_tree:
+                    document = evaluator.materialize(plan.view)
+                else:
+                    xml = evaluator.serialize(plan.view)
                 trace.execute_seconds = time.perf_counter() - execute_started
                 after = db.stats.snapshot()
         trace.queries_executed = (
@@ -1037,20 +1046,18 @@ class ViewServer:
         trace.elements_created = stats.elements_created
         trace.attributes_created = stats.attributes_created
         trace.fallback_nodes = len(evaluator.fallback_nodes)
-        state = (
-            MaterializedState(document, capture)
-            if capture is not None
-            else None
-        )
-        xml = self._serialize_response(trace, document)
+        state = None
+        if keep_tree:
+            xml = self._serialize_response(trace, document)
+            if capture is not None:
+                state = MaterializedState(document, capture)
+            if self.keep_documents:
+                trace.document = document
+        else:
+            # The text form's final assembly is its serialization phase.
+            trace.serialize_seconds = evaluator.serialize_seconds
+            trace.execute_seconds -= evaluator.serialize_seconds
         trace.xml = xml
-        if self.keep_documents:
-            trace.document = document
-        elif state is None:
-            # The one drop site: nobody retains this tree, and it is
-            # cyclic only through Node.parent — break the cycles so it
-            # is freed by reference count, not by the collector.
-            document.unlink()
         if use_result_cache:
             self.result_cache.store(
                 plan.key, xml, current_versions, plan.tables, state=state

@@ -241,6 +241,10 @@ class Select:
     having: Optional[Expr] = None
     order_by: list[OrderItem] = field(default_factory=list)
     distinct: bool = False
+    #: ``Database.run_query``'s memo, engine driver name -> (SQL text,
+    #: parameter list). It lives on the statement it describes, so it is
+    #: freed with it, and a :meth:`clone` starts without one.
+    printed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def clone(self) -> "Select":
         """Deep copy of the whole statement."""

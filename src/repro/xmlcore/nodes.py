@@ -116,27 +116,7 @@ class Document(_ParentNode):
     tuple), wrapping the result in a synthetic root element at the end.
     """
 
-    # Weak-referenceable so callers (and tests) can observe that a
-    # dropped tree is really gone; one slot per document, not per node.
-    __slots__ = ("__weakref__",)
-
-    def unlink(self) -> None:
-        """Clear every descendant's ``parent``, so the tree has no cycles.
-
-        A tree is cyclic only through parent pointers; without them a
-        dropped document is freed by reference counting instead of
-        waiting for the cycle collector (the ``minidom`` idiom). For the
-        owner of a tree nobody else retains: child lists are untouched,
-        so serialization is unchanged, but ``parent``-based navigation
-        (``root``, ``ancestors``, ``incoming_path``) stops at each node.
-        Idempotent.
-        """
-        stack: list[_ParentNode] = [self]
-        while stack:
-            for child in stack.pop().children:
-                child.parent = None
-                if isinstance(child, _ParentNode):
-                    stack.append(child)
+    __slots__ = ()
 
     @property
     def root_element(self) -> Optional["Element"]:

@@ -2,31 +2,51 @@
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
 from repro.xmlcore.nodes import Comment, Document, Element, Node, Text
 
 
-def escape_text(value: str) -> str:
-    """Escape character data for element content."""
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def _escaper(table: dict[str, str], doc: str):
+    """The escape function of ``table`` (character -> what is written)."""
+    # Most values hold nothing to escape and are returned as they are; the
+    # class that finds out is compiled from the table's own keys, so the
+    # check and the replacement cannot disagree.
+    special = re.compile("[" + re.escape("".join(table)) + "]")
+
+    def escape(value: str) -> str:
+        if special.search(value) is None:
+            return value
+        return special.sub(lambda match: table[match.group()], value)
+
+    escape.__doc__ = doc
+    return escape
 
 
-def escape_attribute(value: str) -> str:
-    """Escape character data for a double-quoted attribute value."""
-    return (
-        value.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace('"', "&quot;")
-        .replace("\n", "&#10;")
-        .replace("\t", "&#9;")
-    )
+# A parser normalises a literal carriage return away (XML 1.0, 2.11), and
+# a literal newline or tab inside an attribute value to a space (3.3.3):
+# all three are written as character references.
+escape_text = _escaper(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"},
+    "Escape character data for element content.",
+)
+escape_attribute = _escaper(
+    {"&": "&amp;", "<": "&lt;", '"': "&quot;", "\n": "&#10;", "\t": "&#9;",
+     "\r": "&#13;"},
+    "Escape character data for a double-quoted attribute value.",
+)
+
+
+def attributes_text(attributes) -> str:
+    """`` name="value"`` for each ``(name, value)`` pair, values escaped."""
+    return "".join([f' {n}="{escape_attribute(v)}"' for n, v in attributes])
 
 
 def _write_node(node: Node, parts: list[str]) -> None:
     if isinstance(node, Element):
         parts.append(f"<{node.tag}")
-        for name, value in node.attributes.items():
+        for name, value in node.attributes.items():  # faster than a join each
             parts.append(f' {name}="{escape_attribute(value)}"')
         if node.children:
             parts.append(">")
@@ -63,9 +83,7 @@ def serialize(node: Union[Node, list[Node]]) -> str:
 def _write_pretty(node: Node, parts: list[str], indent: str, depth: int) -> None:
     pad = indent * depth
     if isinstance(node, Element):
-        parts.append(f"{pad}<{node.tag}")
-        for name, value in node.attributes.items():
-            parts.append(f' {name}="{escape_attribute(value)}"')
+        parts.append(f"{pad}<{node.tag}{attributes_text(node.attributes.items())}")
         element_children = [c for c in node.children if isinstance(c, (Element, Comment))]
         text_children = [c for c in node.children if isinstance(c, Text)]
         if not node.children:

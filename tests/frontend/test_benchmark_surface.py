@@ -64,6 +64,13 @@ def test_spine_call_surface(fleet):
                 )
             ).result()
             assert trace.outcome == "success" and trace.xml
+            if not fleet:
+                # Both are computations nobody keeps a tree of: the text
+                # form fills the fields trace.py splits a compute by.
+                assert trace.document is None
+                assert trace.execute_seconds >= trace.query_seconds > 0
+                assert trace.serialize_seconds > 0
+                assert trace.elements_created > 0
         # backend.render(view, sheet, strategy=) on both backends
         assert backend.render(
             entry.view, entry.stylesheet, strategy=config.STRATEGY

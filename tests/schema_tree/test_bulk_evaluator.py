@@ -7,6 +7,11 @@ nodes) over random database instances and check that
 :class:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator` produces
 canonically identical XML to the Section 2.1 nested-loop semantics —
 falling back per node where it must, never silently diverging.
+
+Every such check is also the differential of the bulk evaluator's two
+output forms: the text form (``serialize``) must equal the serialized
+tree form (``materialize``) byte for byte, with equal work counters and
+the same fallbacks.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.workloads.synthetic import (
     populate_chain,
 )
 from repro.xmlcore import canonical_form
+from repro.xmlcore.serializer import serialize
 
 MAX_DEPTH = 3
 
@@ -171,6 +177,11 @@ def assert_equivalent(view, db):
     assert canonical_form(document, ordered=False) == canonical_form(
         baseline, ordered=False
     )
+    text = BulkViewEvaluator(db)
+    assert text.serialize(view) == serialize(document)
+    assert text.stats == evaluator.stats
+    assert text.fallback_nodes == evaluator.fallback_nodes
+    assert text.bulk_queries_executed == evaluator.bulk_queries_executed
     return evaluator
 
 
@@ -395,3 +406,127 @@ def test_bulk_stats_match_nested(hotel_db):
     bulk.materialize(view)
     assert bulk.stats.elements_created == nested.stats.elements_created
     assert bulk.stats.attributes_created == nested.stats.attributes_created
+
+
+# ---------------------------------------------------------------------------
+# The two output forms on adversarial attributes
+# ---------------------------------------------------------------------------
+
+TRICKY = ["a & b", "<x>", 'say "hi"', "line\nbreak", "tab\there", "cr\rhere", None]
+
+
+def tricky_catalog() -> Catalog:
+    return Catalog(
+        [
+            table("top", ("tid", "INTEGER"), ("s", "TEXT"), ("r", "REAL"),
+                  primary_key="tid"),
+            table("mid", ("mid", "INTEGER"), ("top_id", "INTEGER"),
+                  ("s", "TEXT"), ("r", "REAL"), primary_key="mid"),
+            table("leaf", ("lid", "INTEGER"), ("mid_id", "INTEGER"),
+                  ("s", "TEXT"), ("r", "REAL"), primary_key="lid"),
+        ]
+    )
+
+
+def tricky_database() -> Database:
+    db = Database(tricky_catalog())
+    reals = [1.0, -0.0, 2.5, None, float("inf"), 7.0, 0.125]
+    db.insert_rows(
+        "top",
+        [{"tid": i + 1, "s": s, "r": reals[i]} for i, s in enumerate(TRICKY)],
+    )
+    db.insert_rows(
+        "mid",
+        [{"mid": 10 * p + k, "top_id": p, "s": TRICKY[(p + k) % 7],
+          "r": reals[(p + k + 2) % 7]}
+         for p in range(1, 8) for k in range(p % 3)],
+    )
+    db.insert_rows(
+        "leaf",
+        [{"lid": i, "mid_id": 10 * (i % 7 + 1) + i % 2, "s": TRICKY[i % 7],
+          "r": reals[(3 * i) % 7]}
+         for i in range(20)],
+    )
+    return db
+
+
+def tricky_view(catalog):
+    """Every way an attribute can reach an element, in one view."""
+    builder = ViewBuilder(catalog)
+    top = builder.node("top", "SELECT tid, s, r FROM top ORDER BY tid", bv="p")
+    top.node.literal_attributes = {"kind": 'q"<&\r'}
+    # A literal attribute and a column of the same name; NULL keeps the literal.
+    top.child(
+        "clash", "SELECT s, r FROM mid WHERE top_id = $p.tid ORDER BY mid"
+    ).node.literal_attributes = {"s": "literal", "z": "1"}
+    mid = top.child(
+        "mid", "SELECT mid, s, r FROM mid WHERE top_id = $p.tid ORDER BY mid",
+        bv="m",
+    )
+    # A renamed attribute written onto a surfaced column's name.
+    mid.node.data_attributes = {"s": "r", "again": "s"}
+    renamed = mid.child(
+        "renamed", "SELECT s, r FROM leaf WHERE mid_id = $m.mid", attr_columns=[]
+    )
+    renamed.node.data_attributes = {"text": "s", "real": "r"}
+    # The environment tuple as source: all of it (the ancestor's wide bulk
+    # row must be trimmed to its own columns), and a chosen column.
+    mid.child("whole").node.attr_source_bv = "m"
+    chosen = mid.child("chosen", attr_columns=["s"])
+    chosen.node.attr_source_bv = "p"
+    chosen.node.literal_attributes = {"fixed": "yes"}
+    chosen.child("inner")
+    return builder.build(validate=False)
+
+
+def test_both_forms_agree_on_adversarial_attributes():
+    with tricky_database() as db:
+        view = tricky_view(db.catalog)
+        evaluator = assert_equivalent(view, db)
+        assert not evaluator.fallback_nodes
+        xml = BulkViewEvaluator(db).serialize(view)
+        for expected in (
+            '<top kind="q&quot;&lt;&amp;&#13;" tid="6" s="cr&#13;here" r="7"/>',
+            '<clash s="literal" z="1" r="0"/>',  # NULL s keeps the literal
+            '<mid mid="10" s="&lt;x>" again="&lt;x>">',  # NULL r keeps column s
+            '<mid mid="51" r="0" s="0">',  # NULL s: the rename writes s, last
+            '<renamed real="inf"/>',
+            '<whole mid="51" r="0"/>',
+            '<chosen fixed="yes"><inner/></chosen>',
+            '<chosen fixed="yes" s="line&#10;break"><inner/></chosen>',
+        ):
+            assert expected in xml
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda node: setattr(node, "attr_columns", ["ghost"]),
+         "attribute column 'ghost' missing from tuple"),
+        (lambda node: setattr(node, "data_attributes", {"x": "ghost"}),
+         "data attribute 'x' needs column 'ghost'"),
+        (lambda node: node.children[0].__setattr__("attr_source_bv", "ghost"),
+         "attribute source $ghost is not bound"),
+    ],
+)
+def test_both_forms_raise_the_same_attribute_errors(mutate, message):
+    with tricky_database() as db:
+        builder = ViewBuilder(db.catalog)
+        top = builder.node("top", "SELECT tid, s FROM top")
+        top.child("lit")
+        view = builder.build(validate=False)
+        mutate(top.node)
+        with pytest.raises(ViewEvaluationError) as nested:
+            ViewEvaluator(db).materialize(view)
+        with pytest.raises(ViewEvaluationError) as tree:
+            BulkViewEvaluator(db).materialize(view)
+        with pytest.raises(ViewEvaluationError) as text:
+            BulkViewEvaluator(db).serialize(view)
+        assert message in str(text.value)
+        assert str(text.value) == str(tree.value) == str(nested.value)
+
+
+def test_text_form_refuses_to_capture_instances(hotel_db):
+    evaluator = BulkViewEvaluator(hotel_db, capture_instances={})
+    with pytest.raises(ValueError):
+        evaluator.serialize(figure1_view(hotel_db.catalog))

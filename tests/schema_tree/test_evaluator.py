@@ -123,6 +123,24 @@ def test_format_value():
     assert format_value(5.0) == "5"
     assert format_value(5.5) == "5.5"
     assert format_value("x") == "x"
+    assert format_value(-0.0) == "0"
+    # Non-finite floats used to raise (OverflowError / ValueError).
+    assert format_value(float("inf")) == "inf"
+    assert format_value(float("-inf")) == "-inf"
+    assert format_value(float("nan")) == "nan"
+
+
+def test_non_finite_real_publishes_the_same_bytes_everywhere(db):
+    """sqlite reads the literal ``1e999`` as infinity; so does a REAL
+    ``SUM`` that overflows."""
+    from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
+
+    db.run_sql("UPDATE child SET val = 1e999 WHERE id = 12")
+    view = simple_view(db)
+    nested = serialize(materialize(view, db))
+    assert '<c id="12" parent_id="2" val="inf"/>' in nested
+    assert serialize(BulkViewEvaluator(db).materialize(view)) == nested
+    assert BulkViewEvaluator(db).serialize(view) == nested
 
 
 def test_figure1_materialization_shape(hotel_db):

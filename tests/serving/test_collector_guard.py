@@ -1,25 +1,29 @@
 """The cold path leaves nothing to the cycle collector (count-based).
 
-A first computation under delta maintenance stores bytes only, the tree
-it serialized is unlinked at the drop site, and the compile path has no
-self-referential closures — so with the collector switched off a cold
-request's ``Element``s, functions and cells are all freed by reference
-count. What a request *does* still leave to the collector (an evicted
-plan's AST, ≈ 350 objects) is out of scope here and not asserted.
+A first computation under delta maintenance stores bytes only and goes
+from rows to text without building a tree, the compile path has no
+self-referential closures, and the printed SQL lives on the query it
+was printed from — so with the collector switched off a cold request
+leaves no ``Element``, function or cell behind, and a long stream of
+distinct cold plans leaves the pooled sessions and the collector's
+object count where they were. What a request *does* still leave to the
+collector (an evicted plan's AST, ≈ 350 objects per request, freed at
+its next run) is out of scope here and not asserted.
 """
 
 from __future__ import annotations
 
 import copy
 import gc
-import weakref
+import types
 from contextlib import contextmanager
 
 import pytest
 
 from repro.maintenance import WriteTracker, hotel_write
 from repro.serving import ViewServer
-from repro.serving import server as server_module
+from repro.sql.ast import Select
+from repro.xmlcore.nodes import Element
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import (
     figure1_view,
@@ -92,23 +96,94 @@ def test_cold_renders_leave_no_trees_or_closures_to_the_collector():
         assert leaked == []
 
 
-def test_stateless_render_frees_its_document_without_the_collector(
-    monkeypatch,
-):
-    seen = []
-    real = server_module.serialize
+@pytest.fixture
+def output_elements(monkeypatch):
+    """The tag of every ``Element`` constructed while the test runs,
+    except those of a view definition's own XML form (the plan key
+    fingerprints the view through it on every request)."""
+    built = []
+    real = Element.__init__
 
-    def recording_serialize(document):
-        seen.append(weakref.ref(document))
-        return real(document)
+    def counting(self, tag, *args, **kwargs):
+        if tag not in ("view", "node"):
+            built.append(tag)
+        real(self, tag, *args, **kwargs)
 
-    monkeypatch.setattr(server_module, "serialize", recording_serialize)
-    with delta_server() as (db, _tracker, server):
-        with collector_off():
-            trace = server.render(figure1_view(db.catalog), figure4_stylesheet())
-            assert trace.error is None and trace.document is None
-            [document] = seen
-            assert document() is None
+    monkeypatch.setattr(Element, "__init__", counting)
+    return built
+
+
+def test_only_a_request_that_keeps_its_tree_builds_one(output_elements):
+    """The text form serves exactly the requests nobody keeps a tree of:
+    a stateless cold render constructs no ``Element``; promotion, a delta
+    recompute and ``keep_documents`` (every fleet member) still do."""
+    sheet = figure4_stylesheet()
+    with delta_server() as (db, tracker, server):
+        view = figure1_view(db.catalog)
+        del output_elements[:]  # parsing the stylesheet built a tree
+        cold = server.render(view, sheet)
+        assert cold.error is None and cold.freshness == "miss"
+        assert cold.document is None and cold.elements_created > 0
+        assert output_elements == []
+        assert cold.serialize_seconds > 0
+        assert cold.execute_seconds > cold.query_seconds > 0
+        promoting = promote(
+            lambda: server.render(view, sheet),
+            lambda: hotel_write(db, 0, tracker),
+        )
+        assert len(output_elements) == promoting.elements_created > 0
+        del output_elements[:]
+        hotel_write(db, 1, tracker)
+        delta = server.render(view, sheet)
+        assert delta.freshness == "delta-recompute"
+        assert len(output_elements) >= delta.elements_created > 0
+    with delta_server(keep_documents=True) as (db, _tracker, server):
+        del output_elements[:]
+        kept = server.render(figure1_view(db.catalog), sheet)
+        assert kept.document is not None
+        assert len(output_elements) == kept.elements_created
+        # Same data, same plan, the other output form: same bytes, same work.
+        assert kept.xml == cold.xml
+        assert kept.elements_created == cold.elements_created
+        assert kept.attributes_created == cold.attributes_created
+
+
+def selects_reachable_from(root, depth=6):
+    """``Select`` statements within ``depth`` references of ``root``
+    (not looking through classes, modules or code)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.MethodType)
+    seen, frontier, found = {id(root)}, [root], []
+    for _ in range(depth):
+        reached = []
+        for obj in frontier:
+            for referent in gc.get_referents(obj):
+                if id(referent) in seen or isinstance(referent, skip):
+                    continue
+                seen.add(id(referent))
+                (found if isinstance(referent, Select) else reached).append(referent)
+        frontier = reached
+    return found
+
+
+def test_a_stream_of_cold_plans_leaves_the_heap_flat():
+    """300 distinct plans through one worker, far more than the caches
+    hold. ``Database`` used to memoize printed SQL per session, keyed by
+    ``id(query)`` with a reference to the query and never evicted: ≈ 134
+    collector-tracked objects per plan, kept for the life of the pool."""
+    with delta_server(cache_capacity=8, result_cache_capacity=8) as (
+        db, _tracker, server,
+    ):
+        view = figure1_view(db.catalog)
+        counts = []
+        for index, sheet in enumerate(variants(300), start=1):
+            assert server.render(view, sheet).error is None
+            if index in (50, 300):
+                gc.collect()
+                counts.append(len(gc.get_objects()))
+        assert counts[1] - counts[0] < 1000
+        for _ in range(server.pool.size):
+            with server.pool.session() as session:
+                assert selects_reachable_from(session) == []
 
 
 def test_evicted_entries_never_earn_state():

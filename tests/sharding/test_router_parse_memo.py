@@ -18,7 +18,7 @@ from repro.workloads.hotel import (
     build_hotel_database,
     hotel_partition_scheme,
 )
-from repro.workloads.paper import figure1_view
+from repro.workloads.paper import figure1_view, figure4_stylesheet
 from repro.xmlcore.serializer import serialize
 
 SEED = 2003
@@ -67,6 +67,13 @@ def test_unchanged_shard_slice_is_parsed_once_across_merges():
         assert router.metrics()["parsed_cache"] == {
             "hits": 0, "misses": 0, "size": 0,
         }
+        # That is: a fleet member keeps documents, so even its first
+        # computation of a plan builds the tree (a single box goes from
+        # rows to text there) and hands it over on the trace.
+        first = router.shards[0].members[0].server.render(
+            view, figure4_stylesheet()
+        )
+        assert first.freshness == "miss" and first.document is not None
         # Each write dirties shard 0 and is followed by a fresh merge.
         # Shard 1 serves the same hit bytes both times: the first merge
         # parses them (one miss), the second reuses the parsed document

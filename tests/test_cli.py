@@ -101,6 +101,51 @@ def test_materialize_composed_equals_run(demo_dir, capsys):
     assert canon(materialized) == canon(run_output)
 
 
+def test_materialize_bulk_writes_the_text_form(demo_dir, capsys, monkeypatch):
+    """``--strategy bulk`` without ``--pretty`` keeps no tree, so it goes
+    from rows to text: same bytes and same stderr line as nested-loop,
+    on the plain view and on the composed one."""
+    import re
+
+    from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
+
+    composed_path = demo_dir / "composed.xml"
+    common = ["--catalog", str(demo_dir / "catalog.xml")]
+    main(
+        ["compose", *common, "--view", str(demo_dir / "view.xml"),
+         "--stylesheet", str(demo_dir / "stylesheet.xsl"),
+         "--out", str(composed_path)]
+    )
+    tree_calls = []
+    real = BulkViewEvaluator.materialize
+    monkeypatch.setattr(
+        BulkViewEvaluator, "materialize",
+        lambda self, view: tree_calls.append(view) or real(self, view),
+    )
+    for view_path in (demo_dir / "view.xml", composed_path):
+        seen = {}
+        for strategy in ("nested-loop", "bulk"):
+            out_path = demo_dir / f"out-{strategy}.xml"
+            capsys.readouterr()
+            assert main(
+                ["materialize", *common, "--view", str(view_path),
+                 "--db", str(demo_dir / "hotel.sqlite"),
+                 "--strategy", strategy, "--out", str(out_path)]
+            ) == 0
+            report = capsys.readouterr().err.strip()
+            elements = re.fullmatch(r"(\d+) elements, \d+ queries", report)
+            assert elements, report
+            seen[strategy] = (out_path.read_bytes(), elements.group(1))
+        assert seen["bulk"] == seen["nested-loop"]
+    assert tree_calls == []
+    assert main(
+        ["materialize", *common, "--view", str(composed_path),
+         "--db", str(demo_dir / "hotel.sqlite"), "--strategy", "bulk",
+         "--pretty"]
+    ) == 0
+    assert len(tree_calls) == 1
+
+
 def test_explain_command(demo_dir, capsys):
     assert main(
         [

@@ -111,41 +111,3 @@ def test_deep_copy_recurses_and_detaches():
     # Mutating the copy leaves the original intact.
     copy.children[0].set("starrating", "1")
     assert root.children[0].get("starrating") == "5"
-
-
-def test_unlink_clears_every_descendants_parent():
-    doc, root, hotel = build_sample()
-    descendants = [root, hotel, *hotel.children]
-    doc.unlink()
-    assert all(node.parent is None for node in descendants)
-    # Child lists are untouched: the tree still reads top-down.
-    assert doc.children == [root] and root.children == [hotel]
-    assert len(hotel.children) == 3
-
-
-def test_unlink_is_idempotent_and_leaves_serialization_unchanged():
-    from repro.xmlcore.serializer import serialize
-
-    doc, _root, _hotel = build_sample()
-    before = serialize(doc)
-    doc.unlink()
-    assert serialize(doc) == before
-    doc.unlink()
-    assert serialize(doc) == before
-
-
-def test_unlinked_tree_is_freed_by_reference_count():
-    import gc
-    import weakref
-
-    gc.collect()
-    gc.disable()
-    try:
-        doc, root, hotel = build_sample()
-        dropped = weakref.ref(doc)
-        doc.unlink()
-        del doc, root, hotel
-        assert dropped() is None
-        assert gc.collect() == 0  # nothing was left for the collector
-    finally:
-        gc.enable()

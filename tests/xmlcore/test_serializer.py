@@ -37,6 +37,25 @@ def test_escape_text_basics():
     assert escape_text("a<b>&c") == "a&lt;b&gt;&amp;c"
 
 
+def test_escaped_characters_survive_a_conforming_parser():
+    """A literal CR (or, in an attribute, newline or tab) is normalised
+    away by any XML parser, so each is written as a character reference."""
+    from xml.dom import minidom
+
+    value = '& < > " \n \t \r &amp; x\ry'
+    assert escape_attribute("x\ry") == "x&#13;y"
+    assert escape_text("x\ry") == "x&#13;y"
+    element = Element("a", {"v": value})
+    element.append(Text(value))
+    text = serialize(element)
+    parsed = parse_document(text).root_element
+    assert parsed.get("v") == value
+    assert parsed.text_content() == value
+    dom = minidom.parseString(text).documentElement
+    assert dom.getAttribute("v") == value
+    assert dom.firstChild.data == value
+
+
 def test_comment_serialization():
     element = Element("a")
     element.append(Comment("note"))
