@@ -38,13 +38,13 @@ Correctness notes (each is covered by the equivalence property tests):
 
 The merge has **two output forms**, chosen by whether anybody keeps the
 tree. :meth:`BulkViewEvaluator.materialize` builds ``Element`` nodes (state
-capture, ``keep_documents``, pretty-printing, library callers);
+capture, pretty-printing, library callers);
 :meth:`BulkViewEvaluator.serialize` writes escaped XML text straight from
-the rows and builds none (a stateless serving request, ``repro
-materialize --strategy bulk``). Plans, queries, merge and fallbacks are
-one code path: the forms differ only in the per-node *builder* of what an
-instance is, and both take an element's attributes from
-:func:`~repro.schema_tree.evaluator.element_attributes`.
+the rows and builds none (a serving request that captures no state, on a
+single box or a fleet member; ``repro materialize --strategy bulk``). Plans,
+queries, merge and fallbacks are one code path: the forms differ only in the
+per-node *builder* of what an instance is, and both take an element's
+attributes from :func:`~repro.schema_tree.evaluator.element_attributes`.
 
 Work accounting matches the other strategies in either form:
 elements/attributes land in the shared

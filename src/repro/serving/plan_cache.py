@@ -1,10 +1,9 @@
 """LRU cache of compiled publishing plans.
 
 A *compiled plan* is everything request execution needs that does not
-depend on the data: the composed-and-pruned stylesheet view and the
-printed parameterized SQL of every tag query. Compiling one (compose +
-prune + print) costs orders of magnitude more than executing the view's
-handful of queries at serving scale, so the
+depend on the data: the composed-and-pruned stylesheet view and its read
+sets. Compiling one (compose + prune) costs orders of magnitude more than
+executing the view's handful of queries at serving scale, so the
 :class:`~repro.serving.server.ViewServer` keys plans by content
 fingerprint (:mod:`repro.serving.fingerprint`) and reuses them across
 requests and worker threads.
@@ -39,9 +38,7 @@ class CompiledPlan:
     key: str
     #: The composed (and possibly pruned) schema-tree view to execute.
     view: SchemaTreeQuery
-    #: Printed parameterized SQL per query-bearing node: ``{node_id: sql}``.
-    node_sql: dict[int, str] = field(default_factory=dict)
-    #: Wall-clock seconds the compile (compose + prune + print) took.
+    #: Wall-clock seconds the compile (compose + prune) took.
     compose_seconds: float = 0.0
     #: Dead columns removed by pruning (0 when pruning was off).
     pruned_columns: int = 0

@@ -2,11 +2,11 @@
 
 :class:`ViewServer` is the serving-path counterpart of the one-shot
 ``python -m repro materialize`` pipeline: it keeps compiled plans
-(composed + pruned stylesheet views with their printed SQL) in a
-content-addressed :class:`~repro.serving.plan_cache.PlanCache`, and
-executes materialization requests concurrently on a
-``ThreadPoolExecutor`` whose workers draw read-only connections — each
-with its own :class:`~repro.relational.engine.QueryStats` — from a
+(composed + pruned stylesheet views) in a content-addressed
+:class:`~repro.serving.plan_cache.PlanCache`, and executes
+materialization requests concurrently on a ``ThreadPoolExecutor`` whose
+workers draw read-only connections — each with its own
+:class:`~repro.relational.engine.QueryStats` — from a
 :class:`~repro.serving.pool.ConnectionPool`.
 
 Every request produces a :class:`RequestTrace`: where the time went
@@ -94,7 +94,6 @@ from repro.serving.fingerprint import (
 )
 from repro.serving.plan_cache import CompiledPlan, PlanCache
 from repro.serving.pool import ConnectionPool
-from repro.sql.printer import print_select
 from repro.xmlcore.serializer import serialize
 from repro.xslt.model import Stylesheet
 
@@ -292,11 +291,6 @@ class RequestTrace:
     worker: str = ""
     error: Optional[str] = None
     xml: Optional[str] = None
-    #: The materialized document behind ``xml``, retained only when the
-    #: server was built with ``keep_documents=True`` (the shard router's
-    #: merge path); never serialized into :meth:`to_dict`. Shared with
-    #: result-cache state — callers must treat it as immutable.
-    document: Optional[object] = None
 
     def to_dict(self, include_xml: bool = False) -> dict:
         """JSON-ready form of the trace (XML omitted unless asked)."""
@@ -353,7 +347,6 @@ class ViewServer:
         source: Optional[Database] = None,
         workers: int = 4,
         cache_capacity: int = 64,
-        keep_documents: bool = False,
         tracker: Optional[WriteTracker] = None,
         staleness: "StalenessPolicy | str" = "strict",
         result_cache_capacity: int = 128,
@@ -367,10 +360,6 @@ class ViewServer:
         check_maintenance_mode(maintenance)
         self.catalog = catalog
         self.workers = workers
-        # Retain the materialized Document on each trace alongside the
-        # bytes. The shard router merges documents structurally instead
-        # of re-parsing XML; everyone else leaves this off.
-        self.keep_documents = keep_documents
         # -- resilience (repro.resilience). The policy governs deadlines,
         # retries, circuit breaking, admission control, and the
         # degraded-stale fallback; the fault plan (tests) injects
@@ -604,15 +593,9 @@ class ViewServer:
                 pruned_columns = prune_stylesheet_view(
                     view, self.catalog
                 ).columns_removed
-        node_sql = {
-            node.id: print_select(node.tag_query, placeholders=True)
-            for node in view.nodes(include_root=False)
-            if node.tag_query is not None
-        }
         return CompiledPlan(
             key=key,
             view=view,
-            node_sql=node_sql,
             compose_seconds=time.perf_counter() - started,
             pruned_columns=pruned_columns,
             tables=view_read_set(view),
@@ -758,8 +741,6 @@ class ViewServer:
         trace.attributes_created = stats.attributes_created
         trace.dirty_nodes = len(result.dirty_nodes)
         xml = self._serialize_response(trace, result.document)
-        if self.keep_documents:
-            trace.document = result.document
         self.result_cache.store(
             plan.key, xml, versions, plan.tables, state=result.state
         )
@@ -910,10 +891,6 @@ class ViewServer:
             # Policy-fresh cached bytes serve even under an open
             # breaker — the breaker guards computation, not reads.
             trace.xml = cached.xml
-            if self.keep_documents and isinstance(
-                cached.state, MaterializedState
-            ):
-                trace.document = cached.state.document
             return
         # Gate computation (the breaker may have opened since the
         # compile gate, or the plan was resident and unguarded so far).
@@ -1020,10 +997,9 @@ class ViewServer:
             and self.result_cache.peek(plan.key) is not None
             else None
         )
-        # One merge, two output forms: a request nobody keeps a tree of
-        # (no state to capture, no router to hand a document to) goes
-        # from rows to text and builds no Element.
-        keep_tree = capture is not None or self.keep_documents
+        # One merge, two output forms: only a computation that captures
+        # maintenance state keeps its tree; any other — on a fleet member
+        # as on a single box — goes from rows to text and builds no Element.
         with self.pool.session() as db:
             with self._deadline_guard(db, deadline):
                 before = db.stats.snapshot()
@@ -1032,7 +1008,7 @@ class ViewServer:
                     db, stats=stats, capture_instances=capture
                 )
                 execute_started = time.perf_counter()
-                if keep_tree:
+                if capture is not None:
                     document = evaluator.materialize(plan.view)
                 else:
                     xml = evaluator.serialize(plan.view)
@@ -1047,12 +1023,9 @@ class ViewServer:
         trace.attributes_created = stats.attributes_created
         trace.fallback_nodes = len(evaluator.fallback_nodes)
         state = None
-        if keep_tree:
+        if capture is not None:
             xml = self._serialize_response(trace, document)
-            if capture is not None:
-                state = MaterializedState(document, capture)
-            if self.keep_documents:
-                trace.document = document
+            state = MaterializedState(document, capture)
         else:
             # The text form's final assembly is its serialization phase.
             trace.serialize_seconds = evaluator.serialize_seconds
@@ -1121,10 +1094,6 @@ class ViewServer:
                 trace.degraded_cause = f"{type(exc).__name__}: {exc}"
                 trace.error = None
                 trace.xml = entry.xml
-                if self.keep_documents and isinstance(
-                    entry.state, MaterializedState
-                ):
-                    trace.document = entry.state.document
                 with self._lock:
                     self._degraded_serves += 1
                 return

@@ -5,8 +5,8 @@ node, all scoped by the top-level binding variable — so the workload
 partitions cleanly by the top-level key column. This package deals the
 database into key-range shards (:mod:`repro.sharding.partition`), runs
 a :class:`~repro.serving.server.ViewServer` per shard plus N snapshot
-replicas, fans each request out across the fleet, and merges the
-per-shard documents under the schema-tree spine
+replicas, fans each request out across the fleet, and splices the
+per-shard response texts inside the view's literal frame
 (:mod:`repro.sharding.merge`) into a response byte-identical to a
 single-box run (:mod:`repro.sharding.router`).
 ``serve-http --shards N --replicas M`` and the ``fleet-mix`` workload
@@ -17,6 +17,7 @@ from repro.sharding.merge import (
     MergePlan,
     ShardMergeUnsupported,
     merge_documents,
+    merge_texts,
     plan_merge,
 )
 from repro.sharding.partition import (
@@ -51,6 +52,7 @@ __all__ = [
     "derive_partition_column",
     "derive_partition_node",
     "merge_documents",
+    "merge_texts",
     "partition_database",
     "partition_keys",
     "plan_merge",

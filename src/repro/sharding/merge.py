@@ -1,23 +1,28 @@
-"""Merge per-shard documents under the schema-tree spine.
+"""Merge per-shard responses under the schema-tree spine.
 
 Every shard evaluates the full (possibly composed) view over its own
-key range, producing a complete document whose *spine* — the literal
-elements from the root down to the partition node's parent — is
-identical across shards, and whose partition-node instances are the
-shard's slice of the top-level key domain. Merging is therefore pure
-structure: walk the spine once, concatenate the partition runs in shard
-order (ranges ascend, so document order by shard key is preserved), and
-keep every other child from shard 0 (spine siblings are literal, hence
-byte-identical everywhere).
+key range. Everything outside the partition subtree is query-free
+(:func:`~repro.sharding.partition.derive_partition_node` rejects any
+other view; the paper's OTT step is what makes it so: whatever sits above
+the first query-bearing node is a literal result element of the
+stylesheet), so the text a shard writes before and after its run of
+partition-node instances is a constant of the view — its *literal
+frame*. :func:`plan_merge` derives the frame once per view, with the
+evaluator's own element builder and the one serializer;
+:func:`merge_texts` is then string slicing: the frame around the shards'
+runs in shard order (ranges ascend, so document order by shard key is
+preserved). No tree is built, walked or serialized a second time.
 
-The merge is **non-destructive**: shard documents may be (and under
-delta maintenance *are*) documents captured inside result
-caches, so no shared node is ever re-parented or mutated. The merged
-document is a fresh :class:`~repro.xmlcore.nodes.Document` whose spine
-chain is shallow-copied; partition instances and off-spine children are
-attached *by reference* through direct ``children``-list mutation —
-their ``parent`` pointers keep pointing into the shard documents, which
-the serializer never reads.
+:func:`merge_documents` is the same merge over trees — walk the spine,
+concatenate the partition runs, keep every other child from shard 0. It
+is the reference ``tests/sharding`` hold the splice against (and what the
+spine's ``sharding.merge_direct_ms`` probe times); nothing in ``src/``
+calls it. It is **non-destructive**: the merged document is a fresh
+:class:`~repro.xmlcore.nodes.Document` whose spine chain is
+shallow-copied; partition instances and off-spine children are attached
+*by reference* through direct ``children``-list mutation — their
+``parent`` pointers keep pointing into the shard documents, which the
+serializer never reads.
 """
 
 from __future__ import annotations
@@ -25,30 +30,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
+from repro.schema_tree.evaluator import MaterializeStats, build_element
 from repro.schema_tree.model import SchemaNode, SchemaTreeQuery
 from repro.sharding.partition import derive_partition_node
-from repro.xmlcore.nodes import Document, Element
+from repro.xmlcore.nodes import Comment, Document, Element
+from repro.xmlcore.serializer import serialize
 
 
 class ShardMergeUnsupported(ReproError):
-    """The view's shape (or a document's) defeats the spine merge."""
+    """The view's shape (or a shard's response) defeats the spine merge."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MergePlan:
     """Everything the merge needs to know about one view's shape.
 
-    ``spine`` is the chain of literal schema nodes from the root element
-    down to (and including) the partition node's parent — empty when the
-    partition node is itself top-level, as in the plain Figure 1 view.
+    Plain data — no schema node, so a cached plan keeps no view alive.
+    ``prefix`` / ``suffix`` are the literal frame: what every shard writes
+    before and after its partition run. ``empty`` is the whole response of
+    a shard whose slice is empty — ``prefix + suffix`` unless the partition
+    parent has no other child, which then serializes as ``<p/>``.
+    ``spine_tags`` (root element down to the partition node's parent;
+    empty when the partition node is top-level, as in the plain Figure 1
+    view), ``partition_tag`` and ``preceding`` (the schema siblings before
+    the partition node) locate the same run in a tree.
     """
 
-    partition: SchemaNode
-    spine: list[SchemaNode]
-
-    @property
-    def spine_tags(self) -> list[str]:
-        return [node.tag for node in self.spine]
+    spine_tags: tuple[str, ...]
+    partition_tag: str
+    preceding: int
+    prefix: str
+    suffix: str
+    empty: str
 
 
 def plan_merge(view: SchemaTreeQuery) -> MergePlan:
@@ -79,7 +92,69 @@ def plan_merge(view: SchemaTreeQuery) -> MergePlan:
                 f"node {parent.id if parent else '?'}; the spine merge "
                 "cannot locate it positionally"
             )
-    return MergePlan(partition=partition, spine=spine)
+    # The frame: every node outside the partition subtree, built the way
+    # a shard builds it (no row, nothing bound), with a comment standing
+    # where the run goes. A frame holds elements only and the serializer
+    # escapes ``<`` in attribute values, so the comment's text occurs once.
+    document, slot = Document(), Comment("partition run")
+    stats = MaterializeStats()
+    for child in view.root.children:
+        _build_literal(child, document, partition, slot, stats)
+    prefix, _, suffix = serialize(document).partition(serialize(slot))
+    slot.parent.remove(slot)
+    return MergePlan(
+        spine_tags=tuple(node.tag for node in spine),
+        partition_tag=partition.tag,
+        preceding=next(
+            index
+            for index, sibling in enumerate(partition.parent.children)
+            if sibling is partition
+        ),
+        prefix=prefix,
+        suffix=suffix,
+        empty=serialize(document),
+    )
+
+
+def _build_literal(node, parent, partition, slot, stats) -> None:
+    """Build ``node``'s literal subtree under ``parent``; ``slot`` stands
+    in for the partition node, whose subtree is the shards' to build."""
+    if node is partition:
+        parent.append(slot)
+        return
+    element = parent.append(build_element(node, {}, None, stats))
+    for child in node.children:
+        _build_literal(child, element, partition, slot, stats)
+
+
+def merge_texts(plan: MergePlan, texts: list[str]) -> str:
+    """Splice per-shard response texts into one, shard order preserved.
+
+    ``prefix`` + every shard's run + ``suffix``; ``empty`` when no shard
+    has a run. A single response passes through. A response that is
+    neither ``empty`` nor inside the frame raises
+    :class:`ShardMergeUnsupported` — never wrong bytes.
+    """
+    if not texts:
+        raise ShardMergeUnsupported("no shard responses to merge")
+    if len(texts) == 1:
+        return texts[0]
+    prefix, suffix = plan.prefix, plan.suffix
+    runs = []
+    for shard, text in enumerate(texts):
+        if text == plan.empty:
+            continue
+        # A prefix ends in ``>`` and a suffix starts with ``<``: a body
+        # that has both has them apart.
+        if not (text.startswith(prefix) and text.endswith(suffix)):
+            raise ShardMergeUnsupported(
+                f"shard {shard}'s response ({len(text)} characters) is "
+                "outside the view's literal frame"
+            )
+        runs.append(text[len(prefix):len(text) - len(suffix)])
+    if not any(runs):
+        return plan.empty
+    return "".join([prefix, *runs, suffix])
 
 
 def _sole_child(container, tag: str) -> Element:
@@ -108,24 +183,17 @@ def _split_partition_run(plan: MergePlan, container) -> tuple[list, list, list]:
     parent instance).
     """
     children = container.children
-    tag = plan.partition.tag
+    tag = plan.partition_tag
     indices = [
         index
         for index, child in enumerate(children)
         if isinstance(child, Element) and child.tag == tag
     ]
     if not indices:
-        parent = plan.partition.parent
-        preceding = 0
-        if parent is not None:
-            for sibling in parent.children:
-                if sibling is plan.partition:
-                    break
-                preceding += 1
         cut = 0
         seen_elements = 0
         for index, child in enumerate(children):
-            if seen_elements == preceding:
+            if seen_elements == plan.preceding:
                 cut = index
                 break
             if isinstance(child, Element):

@@ -6,9 +6,12 @@ dealt into key-range shards (:mod:`repro.sharding.partition`), each
 shard runs one *primary* server plus N read replicas — every one an
 ordinary ``ViewServer`` whose :class:`~repro.serving.pool.ConnectionPool`
 snapshot-clones the shard's source database — and a request fans out to
-one server per shard, the per-shard documents merging under the schema
-tree's spine (:mod:`repro.sharding.merge`) into a single response that
-is byte-identical to a single-box run over the unpartitioned data.
+one server per shard. Text is the only thing that crosses the member →
+router boundary: every member answers in bytes, and the router splices
+the shards' partition runs inside the view's literal frame
+(:mod:`repro.sharding.merge`) into a single response that is
+byte-identical to a single-box run over the unpartitioned data — it
+builds, parses and serializes no tree.
 
 Each shard is a *replica set*: the primary owns the shard's
 :class:`~repro.maintenance.tracker.WriteTracker`, and every replica has
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -70,7 +74,7 @@ from repro.serving.server import (
     ViewServer,
     check_strategy,
 )
-from repro.sharding.merge import MergePlan, merge_documents, plan_merge
+from repro.sharding.merge import MergePlan, merge_texts, plan_merge
 from repro.sharding.replica import ReplicaApplier, ReplicaHealth
 from repro.sharding.partition import (
     KeyRangePartitioner,
@@ -80,9 +84,6 @@ from repro.sharding.partition import (
     partition_database,
     partition_keys,
 )
-from repro.xmlcore.nodes import Document
-from repro.xmlcore.parser import parse_fragment
-from repro.xmlcore.serializer import serialize
 
 
 @dataclass
@@ -92,8 +93,11 @@ class RouterTrace:
     ``shards`` holds one summary dict per shard (in shard order) naming
     the server that ultimately answered (``primary`` / ``replica-N``),
     its outcome/freshness, and its latency — the scatter detail behind
-    the merged totals. ``outcome`` follows the single-box taxonomy:
-    ``success`` only when every shard computed fresh bytes,
+    the merged totals. ``merge_seconds`` is the text splice (zero when
+    the merged-bytes memo answered); ``serialize_seconds`` is 0.0 on
+    every request — the router serializes nothing — and stays for the
+    benchmark spine that reads it. ``outcome`` follows the single-box
+    taxonomy: ``success`` only when every shard computed fresh bytes,
     ``degraded`` when every shard served *something* but at least one
     fell back to stale bytes, else the first failing shard's outcome.
     """
@@ -274,32 +278,24 @@ class ShardRouter:
             self._lag_budget = None
         self._owns_sources = owns_sources
         self._catalog_fingerprint = fingerprint_catalog(catalog)
-        self._merge_plans: dict[str, MergePlan] = {}
+        # Merge plans by plan key: plain data (the literal frame and a
+        # few tags), LRU-bounded like every member's plan cache.
+        self._merge_plans: "OrderedDict[str, MergePlan]" = OrderedDict()
+        self._merge_plan_capacity = cache_capacity
         self._merge_lock = threading.Lock()
         # Merged-response memo: (plan key, per-shard xml) ->
         # merged bytes. Keyed by the shard xml *strings themselves*
         # (served by reference from the shard result caches, so hashing
         # is amortized and equality is an identity check): when no
         # shard's response changed since the last merge, the merged
-        # bytes cannot have changed either, and the router skips the
-        # merge + serialize entirely — the fleet analogue of a result-
-        # cache hit. Bounded LRU; bypass_cache requests skip it.
+        # bytes cannot have changed either, and the router hands out the
+        # body it already holds instead of allocating a fresh one — the
+        # fleet analogue of a result-cache hit. Bounded; bypass_cache
+        # requests skip it.
         self._merged_cache: "dict[tuple, str]" = {}
         self._merged_capacity = 32
         self._merged_hits = 0
         self._merged_misses = 0
-        # Parsed-fragment memo: shard xml -> parsed document. A shard
-        # serving result-cache hits returns the same xml string on
-        # every request but (under ``maintenance="full"``) carries no
-        # captured document, so without this the merge path re-parses
-        # every *unchanged* slice whenever any other shard's slice
-        # changed — at scale that parse costs more than the recompute
-        # the scatter avoided. merge_documents never mutates its
-        # inputs, so a cached document is shared safely across merges.
-        self._parsed_cache: "dict[str, Document]" = {}
-        self._parsed_capacity = max(16, 2 * len(sources))
-        self._parsed_hits = 0
-        self._parsed_misses = 0
         self._lock = threading.Lock()
         self._next_request_id = 1
         self.requests_served = 0
@@ -355,7 +351,6 @@ class ShardRouter:
                     source=source,
                     workers=workers,
                     cache_capacity=cache_capacity,
-                    keep_documents=True,
                     tracker=member_tracker,
                     staleness=staleness,
                     result_cache_capacity=result_cache_capacity,
@@ -633,8 +628,9 @@ class ShardRouter:
 
         The spine merge must see the view the shards actually evaluate
         — after stylesheet composition and pruning — so the router
-        composes (once per content key, same fingerprint the plan cache
-        uses) instead of planning against the raw publishing view.
+        composes (once per resident content key, same fingerprint the
+        plan cache uses) instead of planning against the raw publishing
+        view. The composed view is dropped once its plan is derived.
         Returns ``(plan key, merge plan)``.
         """
         key = plan_key(
@@ -647,6 +643,7 @@ class ShardRouter:
         with self._merge_lock:
             plan = self._merge_plans.get(key)
             if plan is not None:
+                self._merge_plans.move_to_end(key)
                 return key, plan
             from repro.core.compose import compose
             from repro.core.optimize import prune_stylesheet_view
@@ -671,6 +668,8 @@ class ShardRouter:
                     )
             plan = plan_merge(view)
             self._merge_plans[key] = plan
+            if len(self._merge_plans) > self._merge_plan_capacity:
+                self._merge_plans.popitem(last=False)
             return key, plan
 
     def _resolve_shard(
@@ -730,44 +729,6 @@ class ShardRouter:
             error=error,
         )
 
-    def _document(self, trace: RequestTrace):
-        """The shard's response document, parsing bytes when not kept.
-
-        Served-from-cache responses under ``maintenance="full"`` carry
-        no captured document; the serialized bytes are authoritative
-        either way, so parsing them back is always equivalent. Parsed
-        as a *fragment* because a view whose partition node is
-        top-level serializes multiple root elements per shard. Parses
-        are memoized on the xml string (served by reference from the
-        shard result caches, so repeat lookups are identity checks):
-        an unchanged slice is parsed once, not once per merge.
-        """
-        if trace.document is not None:
-            return trace.document
-        if trace.xml is None:
-            raise ReproError(
-                f"shard trace {trace.request_id} has neither document "
-                "nor xml to merge"
-            )
-        with self._merge_lock:
-            cached = self._parsed_cache.get(trace.xml)
-            if cached is not None:
-                self._parsed_hits += 1
-                return cached
-            self._parsed_misses += 1
-        # Parse outside the lock: a concurrent duplicate parse is
-        # cheaper than serializing every merge behind one parser.
-        document = Document()
-        for node in parse_fragment(trace.xml):
-            document.append(node)
-        with self._merge_lock:
-            if trace.xml not in self._parsed_cache and (
-                len(self._parsed_cache) >= self._parsed_capacity
-            ):
-                self._parsed_cache.pop(next(iter(self._parsed_cache)))
-            self._parsed_cache[trace.xml] = document
-        return document
-
     def _serve(self, request: PublishRequest, request_id: int) -> RouterTrace:
         started = time.perf_counter()
         trace = RouterTrace(
@@ -779,10 +740,8 @@ class ShardRouter:
         try:
             self._serve_inner(request, trace)
         except Exception as exc:
-            if trace.outcome == "success":
-                trace.outcome = "error"
+            trace.outcome = "error"
             trace.error = str(exc)
-            trace.xml = None
         trace.total_seconds = time.perf_counter() - started
         with self._lock:
             self.requests_served += 1
@@ -894,53 +853,44 @@ class ShardRouter:
                 any_degraded = True
             elif shard_trace.outcome != "success" and failed is None:
                 failed = shard_trace
-        if failed is None:
-            with self._lock:
-                if stale_served:
-                    self._stale_serves += 1
-                self._max_member_lag_served = max(
-                    self._max_member_lag_served, max_member_lag
-                )
-                self._max_served_lag = max(
-                    self._max_served_lag, trace.version_lag
-                )
-        if failed is not None:
-            trace.outcome = failed.outcome
-            trace.error = failed.error
-            trace.freshness = (
-                freshness_seen.pop()
-                if len(freshness_seen) == 1
-                else "mixed"
-            )
-            return
-        trace.outcome = "degraded" if any_degraded else "success"
         trace.freshness = (
             freshness_seen.pop() if len(freshness_seen) == 1 else "mixed"
         )
-        shard_xmls = tuple(
-            shard_trace.xml for _, _, shard_trace, _ in resolved
-        )
-        cache_key: Optional[tuple] = None
-        if not request.bypass_cache and all(
-            xml is not None for xml in shard_xmls
-        ):
-            cache_key = (merge_key,) + shard_xmls
-            cached = self._merged_lookup(cache_key)
-            if cached is not None:
-                trace.xml = cached
-                return
-        documents = [
-            self._document(shard_trace) for _, _, shard_trace, _ in resolved
-        ]
-        merge_started = time.perf_counter()
-        merged = merge_documents(plan, documents)
-        serialize_started = time.perf_counter()
-        trace.merge_seconds = serialize_started - merge_started
-        xml = serialize(merged)
-        trace.serialize_seconds = time.perf_counter() - serialize_started
-        if cache_key is not None:
-            self._merged_store(cache_key, xml)
+        if failed is not None:
+            trace.outcome = failed.outcome
+            trace.error = failed.error
+            return
+        with self._lock:
+            if stale_served:
+                self._stale_serves += 1
+            self._max_member_lag_served = max(
+                self._max_member_lag_served, max_member_lag
+            )
+            self._max_served_lag = max(
+                self._max_served_lag, trace.version_lag
+            )
+        texts = []
+        for _, _, shard_trace, _ in resolved:
+            if shard_trace.xml is None:
+                raise ReproError(
+                    f"shard trace {shard_trace.request_id} has no xml "
+                    "to merge"
+                )
+            texts.append(shard_trace.xml)
+        xml = None
+        if not request.bypass_cache:
+            cache_key = (merge_key, *texts)
+            xml = self._merged_lookup(cache_key)
+        if xml is None:
+            merge_started = time.perf_counter()
+            xml = merge_texts(plan, texts)
+            trace.merge_seconds = time.perf_counter() - merge_started
+            if not request.bypass_cache:
+                self._merged_store(cache_key, xml)
+        # Last, so a response the router could not splice is an error
+        # trace whatever its shards' outcomes were.
         trace.xml = xml
+        trace.outcome = "degraded" if any_degraded else "success"
 
     # -- metrics / lifecycle -------------------------------------------------
 
@@ -1004,14 +954,16 @@ class ShardRouter:
             summary["fleet_faults"] = self.fleet_faults.stats()
         return summary
 
-    def metrics(self) -> dict:
-        """Router-lifetime counters plus every shard server's metrics."""
+    def _router_metrics(self) -> dict:
+        """The router's own counters (``router`` in :meth:`aggregate_metrics`)."""
         with self._lock:
             summary = {
                 "requests_served": self.requests_served,
                 "errors": self.errors,
                 "failovers": self._failovers_total,
                 "outcomes": dict(self._outcome_counts),
+                "shard_count": len(self.shards),
+                "replicas": self.replicas,
             }
         summary["fleet"] = self.fleet_metrics()
         with self._merge_lock:
@@ -1020,11 +972,16 @@ class ShardRouter:
                 "misses": self._merged_misses,
                 "size": len(self._merged_cache),
             }
-            summary["parsed_cache"] = {
-                "hits": self._parsed_hits,
-                "misses": self._parsed_misses,
-                "size": len(self._parsed_cache),
-            }
+        if self.partitioner is not None:
+            summary["key_ranges"] = self.partitioner.describe()
+        return summary
+
+    def metrics(self) -> dict:
+        """Router-lifetime counters plus every shard server's metrics."""
+        summary = self._router_metrics()
+        # The router parses nothing back any more; the section stays, at
+        # zero, for the frozen benchmark spine that indexes it.
+        summary["parsed_cache"] = {"hits": 0, "misses": 0, "size": 0}
         summary["shards"] = [
             {
                 "shard": shard.index,
@@ -1034,10 +991,6 @@ class ShardRouter:
             }
             for shard in self.shards
         ]
-        summary["shard_count"] = len(self.shards)
-        summary["replicas"] = self.replicas
-        if self.partitioner is not None:
-            summary["key_ranges"] = self.partitioner.describe()
         return summary
 
     def aggregate_metrics(self) -> dict:
@@ -1063,29 +1016,6 @@ class ShardRouter:
                 key: sum(m[section][key] for m in per_server) for key in keys
             }
 
-        with self._lock:
-            router = {
-                "requests_served": self.requests_served,
-                "errors": self.errors,
-                "failovers": self._failovers_total,
-                "outcomes": dict(self._outcome_counts),
-                "shard_count": len(self.shards),
-                "replicas": self.replicas,
-            }
-        router["fleet"] = self.fleet_metrics()
-        with self._merge_lock:
-            router["merged_cache"] = {
-                "hits": self._merged_hits,
-                "misses": self._merged_misses,
-                "size": len(self._merged_cache),
-            }
-            router["parsed_cache"] = {
-                "hits": self._parsed_hits,
-                "misses": self._parsed_misses,
-                "size": len(self._parsed_cache),
-            }
-        if self.partitioner is not None:
-            router["key_ranges"] = self.partitioner.describe()
         metrics = {
             "requests_served": sum(m["requests_served"] for m in per_server),
             "errors": sum(m["errors"] for m in per_server),
@@ -1097,7 +1027,7 @@ class ShardRouter:
                 m["queries_executed"] for m in per_server
             ),
             "rows_fetched": sum(m["rows_fetched"] for m in per_server),
-            "router": router,
+            "router": self._router_metrics(),
         }
         if "result_cache" in first:
             metrics["result_cache"] = summed("result_cache")

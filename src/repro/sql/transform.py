@@ -159,7 +159,9 @@ def qualify_unqualified_columns(
             qualify_unqualified_columns(from_item.select, catalog)
 
 
-def propagate_order(query: Select, parent: Select, exposure: dict[str, str]) -> None:
+def propagate_order(
+    query: Select, parent: Select, exposure: dict[str, str], catalog: TableColumns
+) -> None:
     """Prepend the parent's ORDER BY keys to ``query``'s, via exposure.
 
     Document order in a publishing view is parent-major: the parent's
@@ -178,10 +180,21 @@ def propagate_order(query: Select, parent: Select, exposure: dict[str, str]) -> 
         if not isinstance(item.expr, ColumnRef):
             continue
         exposed = exposure.get(item.expr.column)
-        if exposed is not None:
-            # Reference the output alias; sqlite resolves ORDER BY against
-            # the select list first.
-            inherited.append(OrderItem(ColumnRef(exposed), item.ascending))
+        if exposed is None:
+            continue
+        # Reference the output name; sqlite resolves ORDER BY against the
+        # select list's aliases first. A column carried under its own name
+        # has no alias, so the bare name is a column reference — ambiguous
+        # when another FROM item has a column so called (``author.id`` /
+        # ``book.id``). There, and only there (the printed SQL of the
+        # paper's figures must not move), order by the carried item itself.
+        key: Expr = ColumnRef(exposed)
+        if 1 < sum(
+            exposed in from_item_columns(from_item, catalog)
+            for from_item in query.from_items
+        ):
+            key = next(i.expr for i in query.items if i.output_name() == exposed)
+        inherited.append(OrderItem(key, item.ascending))
     query.order_by = inherited + query.order_by
 
 
@@ -297,7 +310,7 @@ def _attach_parent_scalar(
 
         map_exprs(query, fn)
     exposure = carry_parent_columns(query, alias, catalog)
-    propagate_order(query, parent, exposure)
+    propagate_order(query, parent, exposure, catalog)
     return exposure
 
 
@@ -332,7 +345,7 @@ def attach_parent_query(
     alias = fresh_alias(query)
     query.from_items.append(DerivedTable(parent.clone(), alias))
     exposure = carry_parent_columns(query, alias, catalog)
-    propagate_order(query, parent, exposure)
+    propagate_order(query, parent, exposure, catalog)
     return exposure
 
 
@@ -404,7 +417,7 @@ def inline_parameter_deep(
     if own_refs or not derived_exposures:
         alias = inline_parameter(query, var, parent)
         top_exposure = carry_parent_columns(query, alias, catalog)
-        propagate_order(query, parent, top_exposure)
+        propagate_order(query, parent, top_exposure, catalog)
         for derived, exposure in derived_exposures:
             for column in parent_columns:
                 query.add_where(
@@ -452,7 +465,7 @@ def inline_parameter_deep(
                     ColumnRef(primary_exposure[column], table=primary.alias),
                 )
             )
-    propagate_order(query, parent, lifted)
+    propagate_order(query, parent, lifted, catalog)
     return lifted
 
 

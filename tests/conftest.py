@@ -11,6 +11,7 @@ from repro.workloads.hotel import (
     hotel_catalog,
 )
 from repro.workloads.paper import figure1_view
+from repro.xmlcore.nodes import Element
 
 
 #: Explicit generation seed for the shared hotel fixtures. The sharding
@@ -61,3 +62,20 @@ def empty_db(catalog):
     db = Database(catalog)
     yield db
     db.close()
+
+
+@pytest.fixture
+def output_elements(monkeypatch):
+    """The tag of every ``Element`` constructed while the test runs,
+    except those of a view definition's own XML form (the plan key
+    fingerprints the view through it on every request)."""
+    built = []
+    real = Element.__init__
+
+    def counting(self, tag, *args, **kwargs):
+        if tag not in ("view", "node"):
+            built.append(tag)
+        real(self, tag, *args, **kwargs)
+
+    monkeypatch.setattr(Element, "__init__", counting)
+    return built

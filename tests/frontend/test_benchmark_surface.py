@@ -54,23 +54,24 @@ def test_spine_call_surface(fleet):
     app = _production(**fleet)
     try:
         backend = app.backend
+        member = backend.shards[0].members[0].server if fleet else backend
         entry = app.registry["figure4"]
         # layers._render: submit(PublishRequest(..., strategy=, bypass_cache=))
         for bypass in (False, True):
-            trace = backend.submit(
-                PublishRequest(
-                    entry.view, entry.stylesheet,
-                    strategy=config.STRATEGY, bypass_cache=bypass,
-                )
-            ).result()
+            request = PublishRequest(
+                entry.view, entry.stylesheet,
+                strategy=config.STRATEGY, bypass_cache=bypass,
+            )
+            # Asked first, so both are computations; neither captures
+            # state, so on a fleet member as on a single box the text form
+            # fills the fields trace.py splits a compute by.
+            computed = member.submit(request).result()
+            assert not hasattr(computed, "document")
+            assert computed.execute_seconds >= computed.query_seconds > 0
+            assert computed.serialize_seconds > 0
+            assert computed.elements_created > 0
+            trace = backend.submit(request).result()
             assert trace.outcome == "success" and trace.xml
-            if not fleet:
-                # Both are computations nobody keeps a tree of: the text
-                # form fills the fields trace.py splits a compute by.
-                assert trace.document is None
-                assert trace.execute_seconds >= trace.query_seconds > 0
-                assert trace.serialize_seconds > 0
-                assert trace.elements_created > 0
         # backend.render(view, sheet, strategy=) on both backends
         assert backend.render(
             entry.view, entry.stylesheet, strategy=config.STRATEGY
@@ -89,9 +90,9 @@ def test_spine_call_surface(fleet):
         assert body.decode("utf-8") == trace.xml
         # trace.py reads these off a shard-level RequestTrace
         app.apply_write()
-        shard_trace = (
-            backend.shards[0].members[0].server if fleet else backend
-        ).render(entry.view, entry.stylesheet, strategy=config.STRATEGY)
+        shard_trace = member.render(
+            entry.view, entry.stylesheet, strategy=config.STRATEGY
+        )
         for name in (
             "plan_seconds", "execute_seconds", "query_seconds",
             "splice_seconds", "serialize_seconds", "total_seconds",
@@ -129,3 +130,52 @@ def test_rejected_maintenance_mode_opens_nothing(monkeypatch):
             _production(maintenance="fragment", **fleet)
     assert opened == []
     assert "fragment" in config.MAINTENANCE_MODES  # the probe still asks
+
+
+def test_sharding_probe_surface():
+    """layers._sharding: a direct partition, the tree ``merge_documents``
+    over bulk-materialized shard documents, and the router counters."""
+    from repro.core.compose import compose
+    from repro.core.optimize import prune_stylesheet_view
+    from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
+    from repro.sharding.merge import merge_documents, plan_merge
+    from repro.sharding.partition import (
+        KeyRangePartitioner, partition_database, partition_keys,
+    )
+    from repro.workloads.hotel import hotel_partition_scheme
+    from repro.xmlcore.serializer import serialize
+
+    app = _production(shards=2, replicas=1)
+    try:
+        router = app.backend
+        entry = app.registry["figure4"]
+        served = router.render(
+            entry.view, entry.stylesheet, strategy=config.STRATEGY
+        )
+        snapshot = router.metrics()
+        assert snapshot["merged_cache"]["hits"] == 0
+        assert snapshot["merged_cache"]["misses"] == 1
+        # Kept at zero for the probe's memo_hit_rate.parse.
+        assert snapshot["parsed_cache"]["hits"] == 0
+        assert snapshot["parsed_cache"]["misses"] == 0
+        assert router.fleet_metrics()["max_member_lag_served"] == 0
+        catalog = app.database.catalog
+        view = compose(entry.view, entry.stylesheet, catalog)
+        prune_stylesheet_view(view, catalog)
+        scheme = hotel_partition_scheme()
+        partitioner = KeyRangePartitioner.from_keys(
+            partition_keys(app.database, scheme), 2
+        )
+        shard_dbs = partition_database(app.database, scheme, partitioner)
+        try:
+            merge_plan = plan_merge(view)
+            documents = [
+                BulkViewEvaluator(db).materialize(view) for db in shard_dbs
+            ]
+            merged = merge_documents(merge_plan, documents)
+        finally:
+            for db in shard_dbs:
+                db.close()
+        assert serialize(merged) == served.xml
+    finally:
+        asyncio.run(app.close())

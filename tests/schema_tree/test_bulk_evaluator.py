@@ -418,12 +418,12 @@ TRICKY = ["a & b", "<x>", 'say "hi"', "line\nbreak", "tab\there", "cr\rhere", No
 def tricky_catalog() -> Catalog:
     return Catalog(
         [
-            table("top", ("tid", "INTEGER"), ("s", "TEXT"), ("r", "REAL"),
-                  primary_key="tid"),
-            table("mid", ("mid", "INTEGER"), ("top_id", "INTEGER"),
-                  ("s", "TEXT"), ("r", "REAL"), primary_key="mid"),
-            table("leaf", ("lid", "INTEGER"), ("mid_id", "INTEGER"),
-                  ("s", "TEXT"), ("r", "REAL"), primary_key="lid"),
+            table("top", ("id", "INTEGER"), ("s", "TEXT"), ("r", "REAL"),
+                  primary_key="id"),
+            table("mid", ("id", "INTEGER"), ("top_id", "INTEGER"),
+                  ("s", "TEXT"), ("r", "REAL"), primary_key="id"),
+            table("leaf", ("id", "INTEGER"), ("mid_id", "INTEGER"),
+                  ("s", "TEXT"), ("r", "REAL"), primary_key="id"),
         ]
     )
 
@@ -433,17 +433,17 @@ def tricky_database() -> Database:
     reals = [1.0, -0.0, 2.5, None, float("inf"), 7.0, 0.125]
     db.insert_rows(
         "top",
-        [{"tid": i + 1, "s": s, "r": reals[i]} for i, s in enumerate(TRICKY)],
+        [{"id": i + 1, "s": s, "r": reals[i]} for i, s in enumerate(TRICKY)],
     )
     db.insert_rows(
         "mid",
-        [{"mid": 10 * p + k, "top_id": p, "s": TRICKY[(p + k) % 7],
+        [{"id": 10 * p + k, "top_id": p, "s": TRICKY[(p + k) % 7],
           "r": reals[(p + k + 2) % 7]}
          for p in range(1, 8) for k in range(p % 3)],
     )
     db.insert_rows(
         "leaf",
-        [{"lid": i, "mid_id": 10 * (i % 7 + 1) + i % 2, "s": TRICKY[i % 7],
+        [{"id": i, "mid_id": 10 * (i % 7 + 1) + i % 2, "s": TRICKY[i % 7],
           "r": reals[(3 * i) % 7]}
          for i in range(20)],
     )
@@ -453,20 +453,20 @@ def tricky_database() -> Database:
 def tricky_view(catalog):
     """Every way an attribute can reach an element, in one view."""
     builder = ViewBuilder(catalog)
-    top = builder.node("top", "SELECT tid, s, r FROM top ORDER BY tid", bv="p")
+    top = builder.node("top", "SELECT id, s, r FROM top ORDER BY id", bv="p")
     top.node.literal_attributes = {"kind": 'q"<&\r'}
     # A literal attribute and a column of the same name; NULL keeps the literal.
     top.child(
-        "clash", "SELECT s, r FROM mid WHERE top_id = $p.tid ORDER BY mid"
+        "clash", "SELECT s, r FROM mid WHERE top_id = $p.id ORDER BY id"
     ).node.literal_attributes = {"s": "literal", "z": "1"}
     mid = top.child(
-        "mid", "SELECT mid, s, r FROM mid WHERE top_id = $p.tid ORDER BY mid",
+        "mid", "SELECT id, s, r FROM mid WHERE top_id = $p.id ORDER BY id",
         bv="m",
     )
     # A renamed attribute written onto a surfaced column's name.
     mid.node.data_attributes = {"s": "r", "again": "s"}
     renamed = mid.child(
-        "renamed", "SELECT s, r FROM leaf WHERE mid_id = $m.mid", attr_columns=[]
+        "renamed", "SELECT s, r FROM leaf WHERE mid_id = $m.id", attr_columns=[]
     )
     renamed.node.data_attributes = {"text": "s", "real": "r"}
     # The environment tuple as source: all of it (the ancestor's wide bulk
@@ -486,16 +486,57 @@ def test_both_forms_agree_on_adversarial_attributes():
         assert not evaluator.fallback_nodes
         xml = BulkViewEvaluator(db).serialize(view)
         for expected in (
-            '<top kind="q&quot;&lt;&amp;&#13;" tid="6" s="cr&#13;here" r="7"/>',
+            '<top kind="q&quot;&lt;&amp;&#13;" id="6" s="cr&#13;here" r="7"/>',
             '<clash s="literal" z="1" r="0"/>',  # NULL s keeps the literal
-            '<mid mid="10" s="&lt;x>" again="&lt;x>">',  # NULL r keeps column s
-            '<mid mid="51" r="0" s="0">',  # NULL s: the rename writes s, last
+            '<mid id="10" s="&lt;x>" again="&lt;x>">',  # NULL r keeps column s
+            '<mid id="51" r="0" s="0">',  # NULL s: the rename writes s, last
             '<renamed real="inf"/>',
-            '<whole mid="51" r="0"/>',
+            '<whole id="51" r="0"/>',
             '<chosen fixed="yes"><inner/></chosen>',
             '<chosen fixed="yes" s="line&#10;break"><inner/></chosen>',
         ):
             assert expected in xml
+
+
+def test_shared_key_names_do_not_defeat_the_bulk_query():
+    """``author.id`` / ``book.id``: the parent's propagated ORDER BY key
+    used to be printed bare (``ORDER BY id``), sqlite called it ambiguous,
+    and the node silently ran one correlated query per author — on every
+    request, since the cached node plan still said ``bulk``."""
+    catalog = Catalog(
+        [
+            table("author", ("id", "INTEGER"), ("name", "TEXT"),
+                  primary_key="id"),
+            table("book", ("id", "INTEGER"), ("author_id", "INTEGER"),
+                  ("title", "TEXT"), primary_key="id"),
+        ]
+    )
+    with Database(catalog) as db:
+        db.insert_rows(
+            "author", [{"id": i, "name": f"author {i}"} for i in (3, 1, 2)]
+        )
+        db.insert_rows(
+            "book",
+            [{"id": 10 * a + k, "author_id": a, "title": f"title {a}{k}"}
+             for a in (1, 2, 3) for k in range(a)],
+        )
+        builder = ViewBuilder(catalog)
+        author = builder.node(
+            "author", "SELECT id, name FROM author ORDER BY id", bv="a"
+        )
+        author.child(
+            "book",
+            "SELECT title FROM book WHERE author_id = $a.id ORDER BY title",
+        )
+        view = builder.build()
+        evaluator = assert_equivalent(view, db)
+        assert not evaluator.fallback_nodes
+        assert evaluator.bulk_queries_executed == 2
+        before = db.stats.queries_executed
+        text = BulkViewEvaluator(db).serialize(view)
+        assert db.stats.queries_executed - before == 2
+        # Ordered at both levels, so the bytes agree, not just the shape.
+        assert text == serialize(ViewEvaluator(db).materialize(view))
 
 
 @pytest.mark.parametrize(
@@ -512,7 +553,7 @@ def test_both_forms_agree_on_adversarial_attributes():
 def test_both_forms_raise_the_same_attribute_errors(mutate, message):
     with tricky_database() as db:
         builder = ViewBuilder(db.catalog)
-        top = builder.node("top", "SELECT tid, s FROM top")
+        top = builder.node("top", "SELECT id, s FROM top")
         top.child("lit")
         view = builder.build(validate=False)
         mutate(top.node)

@@ -18,13 +18,15 @@ import gc
 import types
 from contextlib import contextmanager
 
-import pytest
-
 from repro.maintenance import WriteTracker, hotel_write
 from repro.serving import ViewServer
+from repro.sharding import ShardRouter
 from repro.sql.ast import Select
-from repro.xmlcore.nodes import Element
-from repro.workloads.hotel import HotelDataSpec, build_hotel_database
+from repro.workloads.hotel import (
+    HotelDataSpec,
+    build_hotel_database,
+    hotel_partition_scheme,
+)
 from repro.workloads.paper import (
     figure1_view,
     figure4_stylesheet,
@@ -63,6 +65,25 @@ def delta_server(**kwargs):
 
 
 @contextmanager
+def delta_member():
+    """The primary of shard 0 of a two-shard delta fleet, with the shard's
+    own source and tracker: what ``delta_server`` yields of a single box."""
+    db = build_hotel_database(
+        HotelDataSpec(metros=2, hotels_per_metro=3), cross_thread=True
+    )
+    router = ShardRouter.build(
+        db.catalog, db, hotel_partition_scheme(), 2, workers=1,
+        staleness="strict", maintenance="delta",
+    )
+    try:
+        shard = router.shards[0]
+        yield shard.source, shard.tracker, shard.members[0].server
+    finally:
+        router.close()
+        db.close()
+
+
+@contextmanager
 def collector_off(save_all=False):
     """No automatic collections; optionally keep what a manual one finds."""
     gc.collect()
@@ -96,56 +117,32 @@ def test_cold_renders_leave_no_trees_or_closures_to_the_collector():
         assert leaked == []
 
 
-@pytest.fixture
-def output_elements(monkeypatch):
-    """The tag of every ``Element`` constructed while the test runs,
-    except those of a view definition's own XML form (the plan key
-    fingerprints the view through it on every request)."""
-    built = []
-    real = Element.__init__
-
-    def counting(self, tag, *args, **kwargs):
-        if tag not in ("view", "node"):
-            built.append(tag)
-        real(self, tag, *args, **kwargs)
-
-    monkeypatch.setattr(Element, "__init__", counting)
-    return built
-
-
 def test_only_a_request_that_keeps_its_tree_builds_one(output_elements):
-    """The text form serves exactly the requests nobody keeps a tree of:
-    a stateless cold render constructs no ``Element``; promotion, a delta
-    recompute and ``keep_documents`` (every fleet member) still do."""
+    """A computation builds ``Element`` objects exactly when it captures
+    maintenance state, on a fleet member as on a single box: a first
+    computation constructs none and hands over text; promotion and a
+    delta recompute still build them."""
     sheet = figure4_stylesheet()
-    with delta_server() as (db, tracker, server):
-        view = figure1_view(db.catalog)
-        del output_elements[:]  # parsing the stylesheet built a tree
-        cold = server.render(view, sheet)
-        assert cold.error is None and cold.freshness == "miss"
-        assert cold.document is None and cold.elements_created > 0
-        assert output_elements == []
-        assert cold.serialize_seconds > 0
-        assert cold.execute_seconds > cold.query_seconds > 0
-        promoting = promote(
-            lambda: server.render(view, sheet),
-            lambda: hotel_write(db, 0, tracker),
-        )
-        assert len(output_elements) == promoting.elements_created > 0
-        del output_elements[:]
-        hotel_write(db, 1, tracker)
-        delta = server.render(view, sheet)
-        assert delta.freshness == "delta-recompute"
-        assert len(output_elements) >= delta.elements_created > 0
-    with delta_server(keep_documents=True) as (db, _tracker, server):
-        del output_elements[:]
-        kept = server.render(figure1_view(db.catalog), sheet)
-        assert kept.document is not None
-        assert len(output_elements) == kept.elements_created
-        # Same data, same plan, the other output form: same bytes, same work.
-        assert kept.xml == cold.xml
-        assert kept.elements_created == cold.elements_created
-        assert kept.attributes_created == cold.attributes_created
+    for deployment in (delta_server, delta_member):
+        with deployment() as (db, tracker, server):
+            view = figure1_view(db.catalog)
+            del output_elements[:]  # parsing the stylesheet built a tree
+            cold = server.render(view, sheet)
+            assert cold.error is None and cold.freshness == "miss"
+            assert not hasattr(cold, "document") and cold.elements_created > 0
+            assert output_elements == []
+            assert cold.serialize_seconds > 0
+            assert cold.execute_seconds > cold.query_seconds > 0
+            promoting = promote(
+                lambda: server.render(view, sheet),
+                lambda: hotel_write(db, 0, tracker),
+            )
+            assert len(output_elements) == promoting.elements_created > 0
+            del output_elements[:]
+            hotel_write(db, 1, tracker)
+            delta = server.render(view, sheet)
+            assert delta.freshness == "delta-recompute"
+            assert len(output_elements) >= delta.elements_created > 0
 
 
 def selects_reachable_from(root, depth=6):
@@ -202,13 +199,8 @@ def test_evicted_entries_never_earn_state():
 
 
 def test_retained_trees_are_never_unlinked():
-    """``keep_documents`` traces and state-holding entries keep their
-    parent pointers: both still answer ``incoming_path()``."""
-    with delta_server(keep_documents=True) as (db, tracker, server):
-        view = figure1_view(db.catalog)
-        trace = server.render(view, figure4_stylesheet())
-        leaf = list(trace.document.iter_elements())[-1]
-        assert len(leaf.incoming_path()) > 1
+    """A state-holding entry keeps its parent pointers: its elements
+    still answer ``incoming_path()``."""
     with delta_server() as (db, tracker, server):
         view = figure1_view(db.catalog)
         server.render(view, figure4_stylesheet())

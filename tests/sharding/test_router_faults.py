@@ -5,26 +5,38 @@ primary (the router arms fault plans on primaries only), simulating
 that shard's pool dying mid-request. The contracts: reads fail over to
 replicas transparently; with no replica a strict fleet reports the
 error rather than serving wrong bytes; a lag-tolerant fleet degrades to
-the shard's last-known-good slice; and no configuration leaks pool
-connections.
+the shard's last-known-good slice; a shard answer the router cannot
+splice is an error trace, never an exception or wrong bytes; and no
+configuration leaks pool connections.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+
+import pytest
+
+from repro.core.compose import compose
 from repro.maintenance.workload import hotel_metro_write
 from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
 from repro.schema_tree.evaluator import materialize
+from repro.serving import RequestTrace
 from repro.sharding import ShardRouter
 from repro.workloads.hotel import (
     HotelDataSpec,
     build_hotel_database,
     hotel_partition_scheme,
 )
-from repro.workloads.paper import figure1_view
+from repro.workloads.paper import figure1_view, figure4_stylesheet
 from repro.xmlcore.serializer import serialize
 
 SEED = 2003
 SPEC = HotelDataSpec(metros=4, hotels_per_metro=2)
+
+
+def _figure4_view(catalog):
+    """A view with a literal frame around its partition run."""
+    return compose(figure1_view(catalog), figure4_stylesheet(), catalog)
 
 
 def _fleet(db, *, replicas=0, staleness="strict", resilience=None,
@@ -126,6 +138,49 @@ def test_dead_shard_degrades_to_stale_slice_when_lag_tolerant():
         metrics = router.aggregate_metrics()
         assert metrics["resilience"]["degraded_serves"] >= 1
         assert metrics["router"]["outcomes"]["degraded"] == 1
+        assert router.outstanding() == 0
+    finally:
+        router.close()
+        db.close()
+
+
+@pytest.mark.parametrize(
+    "outcome, body, message",
+    [
+        ("success", None, "has no xml to merge"),
+        ("success", '<metro metroid="1"', "outside the view's literal frame"),
+        ("degraded", "<stray/>", "outside the view's literal frame"),
+    ],
+    ids=["no-xml", "truncated", "degraded-foreign"],
+)
+def test_unspliceable_shard_answer_is_an_error_trace(outcome, body, message):
+    """A member that claims success (or a degraded serve) with a body the
+    frame does not hold: typed message, counted once, nothing memoized."""
+    db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
+    view = _figure4_view(db.catalog)
+    router = _fleet(db)
+    try:
+
+        def stubbed(request):
+            future: "Future[RequestTrace]" = Future()
+            future.set_result(
+                RequestTrace(
+                    request_id=7, label=request.label,
+                    strategy=request.strategy, cache_hit=False,
+                    plan_key="", outcome=outcome, xml=body,
+                )
+            )
+            return future
+
+        router.shards[0].members[0].server.submit = stubbed
+        trace = router.render(view)
+        assert trace.outcome == "error"
+        assert message in trace.error
+        assert trace.xml is None
+        metrics = router.metrics()
+        assert metrics["errors"] == 1
+        assert metrics["outcomes"]["error"] == 1
+        assert metrics["merged_cache"]["size"] == 0
         assert router.outstanding() == 0
     finally:
         router.close()

@@ -7,7 +7,9 @@ Writes are routed to the fleet through :meth:`ShardRouter.route_write`
 and mirrored onto an unpartitioned reference database; the global
 window domains are captured from the reference so both sides target the
 same rows (the shard-local no-op path is exercised whenever a shard
-owns none of a write's targets).
+owns none of a write's targets). After every write the two merges are
+also held against each other on the shards' own data: the text splice
+the router runs equals the serialized tree merge.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ from repro.maintenance.workload import (
 )
 from repro.schema_tree.evaluator import materialize
 from repro.serving import PublishRequest
-from repro.sharding import ShardRouter
+from repro.sharding import (
+    ShardRouter,
+    merge_documents,
+    merge_texts,
+    plan_merge,
+)
 from repro.workloads.hotel import (
     HotelDataSpec,
     build_hotel_database,
@@ -70,6 +77,14 @@ def _apply(kind, step, router, db, metro_domain, hotel_domain):
             )
         )
         hotel_calendar_write(db, step)
+
+
+def _assert_splice_equals_tree(router, view, served):
+    """Both merges over what each shard holds now; equal to ``served``."""
+    plan = plan_merge(view)
+    documents = [materialize(view, shard.source) for shard in router.shards]
+    spliced = merge_texts(plan, [serialize(doc) for doc in documents])
+    assert spliced == serialize(merge_documents(plan, documents)) == served
 
 
 @settings(
@@ -128,12 +143,14 @@ def test_sharded_bytes_equal_single_box(shards, maintenance, writes):
             ),
         )
         assert primed.xml == serialize(materialize(view, db))
+        _assert_splice_equals_tree(router, view, primed.xml)
         promoted = router.aggregate_metrics()
         for kind, step in writes:
             _apply(kind, step, router, db, metro_domain, hotel_domain)
             trace = router.render(request.view)
             assert trace.outcome == "success"
             assert trace.xml == serialize(materialize(view, db))
+            _assert_splice_equals_tree(router, view, trace.xml)
         assert router.outstanding() == 0
         if maintenance != "full":
             # Still a delta suite: every shard entry was promoted above
