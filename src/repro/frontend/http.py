@@ -96,7 +96,7 @@ class Request:
             return {}
         try:
             parsed = json.loads(self.body)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # the latter: 100,000 "["
             raise HttpError(400, f"invalid JSON body: {exc}") from exc
         if not isinstance(parsed, dict):
             raise HttpError(400, "JSON body must be an object")
@@ -128,17 +128,27 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpError(400, "conflicting Content-Length headers")
+        headers[name] = value
 
     body = b""
     if "content-length" in headers:
+        # ASCII digits only: int() alone also reads "1_0" and "+5".
+        value = headers["content-length"]
         try:
-            length = int(headers["content-length"])
+            if not (value.isascii() and value.isdigit()):
+                raise ValueError(value)
+            length = int(value)  # raises on thousands of digits
         except ValueError as exc:
             raise HttpError(400, "bad Content-Length") from exc
-        if length < 0 or length > MAX_BODY_BYTES:
+        if length > MAX_BODY_BYTES:
             raise HttpError(413, f"body of {length} bytes refused")
-        body = await reader.readexactly(length)
+        try:
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            raise HttpError(400, "truncated request body") from exc
     elif headers.get("transfer-encoding"):
         raise HttpError(400, "chunked bodies not supported")
     return Request(method, path, headers, body)
@@ -248,7 +258,7 @@ class FrontendServer:
                 await writer.drain()
                 if close:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except ConnectionError:
             pass  # client went away mid-exchange; nothing to answer
         finally:
             self._connections.discard(writer)

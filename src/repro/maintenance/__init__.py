@@ -30,7 +30,7 @@ A fourth piece, :mod:`repro.maintenance.incremental`, makes
 stale-recomputes cheaper: instead of re-running the whole compiled
 plan, the :class:`DeltaEvaluator` re-executes only the schema nodes
 whose read sets intersect the written tables and splices the fresh
-subtrees into the cached document (``serve-http --maintenance delta``).
+subtrees into the cached text state (``serve-http --maintenance delta``).
 """
 
 from repro.maintenance.incremental import (

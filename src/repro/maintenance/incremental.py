@@ -17,21 +17,26 @@ pushed to exactly the affected nodes:
    frontier subtrees are pairwise disjoint.
 3. **Shadow re-evaluation.** Each frontier subtree is re-executed with
    the bulk evaluator's one-query-per-node machinery
-   (:meth:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator.evaluate_node`)
-   against *shadow parents*: throwaway collector elements carrying the
-   retained parent instances' binding environments and context keys, so
-   the decorrelated bulk rows group exactly as they would in a full
-   run. The captured environments also make the correlated per-parent
-   fallback work unchanged.
-4. **Persistent splice.** The fresh subtrees replace the stale ones in
-   a *copy-on-spine* rebuild: only the ancestor instances on a path to
-   a replacement (the spine) are shallow-copied; untouched sibling
-   subtrees — including sibling instances of spine schema nodes with
-   no replacement beneath them — are shared with the old document,
-   which is never mutated — a mid-splice failure cannot tear the
-   cached entry, the server just falls back to full recomputation.
-   Sharing is what makes a narrow write cheap: the splice allocates in
-   proportion to the spine and the replacements, not to the document.
+   (:meth:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator.evaluate_node`,
+   in its text form) against *shadow parents*: throwaway empty collector
+   lists carrying the retained parent instances' binding environments
+   and context keys, so the decorrelated bulk rows group exactly as they
+   would in a full run. The captured environments also make the
+   correlated per-parent fallback work unchanged.
+4. **Persistent splice.** State is text: the bulk evaluator's parts
+   tree (its module docstring gives the layout; this module reads and
+   rebuilds it only through that module's helpers). The fresh groups
+   replace the stale ones in a *copy-on-spine* rebuild: only the
+   ancestor instances on a path to a replacement (the spine) become new
+   lists; untouched sibling subtrees — including sibling instances of
+   spine schema nodes with no replacement beneath them — are the old
+   state's own objects, and the old state is never written — a
+   mid-splice failure cannot tear the cached entry, the server just
+   falls back to full recomputation. Sharing is what makes a narrow
+   write cheap: the splice allocates in proportion to the spine and the
+   replacements, not to the document. Which instances a group holds is
+   *positional* (the next ``len(group)`` entries of the node's
+   parent-major instance list), never looked up by ``id()``.
 
 The chain has three rungs, each the fallback of the one before: **row**
 — where the tracker reports which rows changed and the changed columns
@@ -45,12 +50,12 @@ Anything the splice cannot prove safe raises :class:`DeltaUnsupported`
 request-error handling never confuses "delta declined" with "request
 failed"): an unreliable ancestor plan (runtime column names may differ
 from the static ones the context keys use), a missing binding or key
-column in a captured environment, or captured state that no longer
-matches the cached document.
+column in a captured environment, or captured state that does not have
+the view's shape (a group count or a group's members disagree).
 
-Shared subtrees keep their original ``parent`` pointers (pointing into
-the old document); nothing downstream reads them — serialization and
-the next delta walk schema structure and child lists only.
+Lists and strings have no back-pointers: a spliced generation refers to
+the shared parts of the one before it, never the reverse, so a dead
+generation is freed when its cache entry is replaced.
 
 State lifecycle: a cached result *earns* its :class:`MaterializedState`.
 A first computation stores bytes only; the first stale read of a
@@ -69,9 +74,17 @@ from typing import Any, Iterable, Mapping, Optional
 from repro.errors import ReproError, SQLTransformError
 from repro.maintenance.tracker import ROW_PUSHDOWN_MAX_KEYS, TableChange
 from repro.relational.engine import Database, Row
-from repro.schema_tree.bulk_evaluator import BulkViewEvaluator, _Instance, _NodePlan
+from repro.schema_tree.bulk_evaluator import (
+    BulkViewEvaluator,
+    _Instance,
+    _NodePlan,
+    child_groups,
+    close_parts,
+    parts_text,
+    with_groups,
+)
 from repro.schema_tree.evaluator import MaterializeStats
-from repro.schema_tree.model import SchemaNode, SchemaTreeQuery
+from repro.schema_tree.model import ROOT_ID, SchemaNode, SchemaTreeQuery
 from repro.sql.analysis import (
     load_bearing_columns,
     referenced_columns_of_table,
@@ -80,7 +93,6 @@ from repro.sql.analysis import (
 from repro.sql.ast import ColumnRef, Star
 from repro.sql.params import collect_params
 from repro.sql.transform import push_key_predicate, qualify_unqualified_columns
-from repro.xmlcore.nodes import Document, Element
 
 #: Maintenance modes the server accepts: ``"full"`` re-runs the whole
 #: compiled plan on staleness (the reference the delta differentials
@@ -113,28 +125,36 @@ class DeltaUnsupported(Exception):
 class MaterializedState:
     """Captured evaluation state a delta re-evaluation splices against.
 
-    ``instances`` maps each schema node id to its materialized
-    ``(element, env)`` pairs in document order, where ``env`` is the
-    binding environment visible to that element's children; the
-    synthetic root maps to ``[(document, {})]``. Produced by the bulk
-    evaluator's ``capture_instances`` hook during the full recompute
-    that promotes a resident entry (its first staleness — never a first
-    computation), and by :meth:`DeltaEvaluator.evaluate` for the
-    spliced document. Treated as immutable once stored.
+    ``instances`` maps each schema node id to its ``(item, env)`` pairs
+    in parent-major document order: ``item`` is the instance's text (a
+    leaf's string, an inner instance's parts list), ``env`` the binding
+    environment visible to its children; the synthetic root maps to
+    ``[(root parts, {})]``. It is exactly what the bulk evaluator's
+    ``capture_instances`` records during the full recompute that
+    promotes a resident entry (its first staleness — never a first
+    computation), and what :meth:`DeltaEvaluator.evaluate` returns for
+    the spliced text. Treated as immutable once stored.
     """
 
-    document: Document
     instances: dict[int, list[tuple[Any, dict[str, Row]]]]
+
+    @property
+    def root(self) -> list:
+        """The parts tree of the whole document."""
+        return self.instances[ROOT_ID][0][0]
+
+    def text(self) -> str:
+        """The document's XML text: one join over the parts tree."""
+        return parts_text(self.root)
 
 
 @dataclass
 class DeltaResult:
     """Outcome of one successful delta re-evaluation."""
 
-    #: The spliced document (a new tree sharing untouched subtrees with
-    #: the old one, which is left intact).
-    document: Document
-    #: Captured state for the spliced document, ready for the next delta.
+    #: State of the spliced document, ready for the next delta: new
+    #: lists along the spine, everything untouched shared with the old
+    #: state (left intact) — the old state itself when nothing was dirty.
     state: MaterializedState
     #: All schema nodes whose read set intersected the changed tables.
     dirty_nodes: tuple[int, ...]
@@ -152,7 +172,7 @@ class DeltaResult:
     #: affected parent block).
     rows_spliced: int = 0
     #: Wall-clock seconds spent in the copy-on-spine splice itself
-    #: (document and state rebuild), excluding query work —
+    #: (parts and state rebuild), excluding query work —
     #: ``RequestTrace.splice_seconds``.
     splice_seconds: float = 0.0
 
@@ -179,10 +199,10 @@ def dirty_node_ids(
 class _RowSplice:
     """Prepared outcome of one frontier node's row-level maintenance."""
 
-    #: id(parent element) -> merged child list for this node's group
-    #: (kept old elements interleaved with fresh ones, in old order).
+    #: Position of a parent instance -> its merged group of this node
+    #: (kept old items interleaved with fresh ones, in old order).
     replace_entries: dict[int, list] = field(default_factory=dict)
-    #: The node's full (element, env) instance list for the new state.
+    #: The node's full (item, env) instance list for the new state.
     instances: list[tuple[Any, dict[str, Row]]] = field(default_factory=list)
     #: Fresh elements built (== changed rows that survived in the view).
     fresh_count: int = 0
@@ -224,7 +244,7 @@ class DeltaEvaluator:
 
         Raises :class:`DeltaUnsupported` when the delta path cannot
         guarantee byte-identical output (the caller should recompute in
-        full); never mutates ``state`` or its document either way.
+        full); never writes ``state`` or any list in it either way.
         """
         bulk = BulkViewEvaluator(self.db, self.stats, capture_instances={})
         plans = bulk.plan_view(view)
@@ -246,7 +266,6 @@ class DeltaEvaluator:
                 # granularity: the document is untouched, only the
                 # version stamp moves forward.
                 return DeltaResult(
-                    document=state.document,
                     state=state,
                     dirty_nodes=(),
                     frontier_nodes=(),
@@ -266,63 +285,58 @@ class DeltaEvaluator:
             self._check_spliceable(nodes_by_id[node_id], plans)
 
         rows_before = self.db.stats.rows_fetched
-        fresh: dict[int, list[_Instance]] = {}
-        subtree_ids: set[int] = set()
-        # Frontier node id -> full merged instance list (row-level path).
-        row_instances: dict[int, list[tuple[Any, dict[str, Row]]]] = {}
+        # New (item, env) lists: frontier subtrees and row-spliced nodes.
+        fresh: dict[int, list[tuple[Any, dict[str, Row]]]] = {}
         row_frontier: list[int] = []
         rows_spliced = 0
-        # id(old parent element) -> {frontier node id: fresh child elements}
+        # Frontier node id -> {position of a parent instance in its
+        # node's list: that parent's new group of the frontier node}.
         replace_at: dict[int, dict[int, list]] = {}
         elements_refreshed = 0
         for node_id in frontier:
             node = nodes_by_id[node_id]
-            parent_node = node.parent
-            assert parent_node is not None
-            retained = state.instances.get(parent_node.id, [])
+            retained = state.instances.get(node.parent.id, [])
             row = self._try_row_splice(
                 bulk, plans, node, state, retained, changes, dirty_set
             )
             if row is not None:
-                for parent_key, group in row.replace_entries.items():
-                    replace_at.setdefault(parent_key, {})[node_id] = group
-                row_instances[node_id] = row.instances
+                replace_at[node_id] = row.replace_entries
+                fresh[node_id] = row.instances
                 row_frontier.append(node_id)
                 rows_spliced += row.fresh_count
                 elements_refreshed += row.fresh_count
                 continue
             shadows = [
-                _Instance(Element(node.tag), env, self._context_key(bulk, node, env))
-                for _element, env in retained
+                _Instance([], env, self._context_key(bulk, node, env))
+                for _item, env in retained
             ]
             local = self._evaluate_subtree(bulk, plans, node, shadows)
             for sub_id, created in local.items():
-                subtree_ids.add(sub_id)
                 elements_refreshed += len(created)
-                fresh.setdefault(sub_id, []).extend(created)
-            for (old_element, _env), shadow in zip(retained, shadows):
-                replace_at.setdefault(id(old_element), {})[node_id] = (
-                    shadow.element.children
-                )
+                fresh[sub_id] = [(inst.item, inst.env) for inst in created]
+            # A collector is root-shaped — its parts are its groups — and
+            # evaluating one schema child gave each exactly one.
+            replace_at[node_id] = {
+                position: shadow.item[0]
+                for position, shadow in enumerate(shadows)
+            }
 
         splice_started = time.perf_counter()
-        spine_ids = self._spine_ids(nodes_by_id, frontier)
-        elem_node = self._element_owners(nodes_by_id, state, spine_ids)
-        copy_ids = self._copy_targets(
-            state.document, replace_at, spine_ids, elem_node
+        # The copied spine: schema ids on a root-to-frontier path.
+        spine_ids = {
+            ancestor.id
+            for node_id in frontier
+            for ancestor in nodes_by_id[node_id].path_from_root()[:-1]
+        }
+        rebuilt: dict[int, list[tuple[Any, dict[str, Row]]]] = {}
+        root = self._rebuild(
+            view.root, state.root, 0, state, replace_at, spine_ids, rebuilt
         )
-        new_document = Document()
-        copies: dict[int, Element] = {}
-        self._rebuild_children(
-            view.root, state.document, new_document,
-            replace_at, spine_ids, elem_node, copies, copy_ids,
-        )
-        new_state = self._rebuild_state(
-            view, state, new_document, subtree_ids, spine_ids, fresh, copies,
-            row_instances,
+        # Untouched nodes share the old lists (which are never written).
+        new_state = MaterializedState(
+            {**state.instances, **rebuilt, **fresh, ROOT_ID: [(root, {})]}
         )
         return DeltaResult(
-            document=new_document,
             state=new_state,
             dirty_nodes=tuple(dirty),
             frontier_nodes=tuple(frontier),
@@ -401,10 +415,10 @@ class DeltaEvaluator:
           instances hold, per parent block (no rows moved in, out, or
           across parents).
 
-        When all hold, each changed row's element is rebuilt in place
-        from its freshly fetched row and adopts the old element's
-        children; everything else — sibling elements, their subtrees,
-        unaffected parent blocks — is shared with the old document.
+        When all hold, each changed row's instance is rebuilt from its
+        freshly fetched row and keeps the old instance's groups;
+        everything else — sibling instances, their subtrees, unaffected
+        parent blocks — is shared with the old state.
         """
         if changes is None or node.bv is None:
             return None
@@ -469,59 +483,42 @@ class DeltaEvaluator:
                 return None  # duplicate key within one block
             bucket[row_key] = row
 
-        env_of = {
-            id(element): env
-            for element, env in state.instances.get(node.id, [])
-        }
         keys = change.keys
         splice = _RowSplice()
         consumed_blocks: set[tuple] = set()
-        for parent_element, parent_env in retained:
+        parent_node = node.parent
+        slot = next(i for i, c in enumerate(parent_node.children) if c is node)
+        for position, (parent_item, parent_env) in enumerate(retained):
             block_key = self._context_key(bulk, node, parent_env)
             consumed_blocks.add(block_key)
-            group_old = [
-                child
-                for child in parent_element.children
-                if id(child) in env_of
-            ]
-            affected: list[tuple[Any, dict[str, Row]]] = []
-            for child in group_old:
-                env = env_of[id(child)]
+            group = self._groups(parent_node, parent_item)[slot]
+            merged = self._members(state, node, len(splice.instances), group)
+            affected: list[int] = []
+            for offset, (_item, env) in enumerate(merged):
                 own_row = env.get(node.bv)
                 if own_row is None or key_column not in own_row:
                     return None
                 if own_row[key_column] in keys:
-                    affected.append((child, env))
+                    affected.append(offset)
             block_fresh = fresh_by_block.get(block_key, {})
-            if {env[node.bv][key_column] for _c, env in affected} != set(
-                block_fresh
-            ):
+            old_keys = [merged[o][1][node.bv][key_column] for o in affected]
+            if set(old_keys) != set(block_fresh):
                 return None  # membership moved despite the static checks
-            replaced: dict[int, _Instance] = {}
             if affected:
-                shadow = _Instance(Element(node.tag), parent_env, block_key)
-                ordered = [
-                    block_fresh[env[node.bv][key_column]]
-                    for _c, env in affected
-                ]
+                shadow = _Instance([], parent_env, block_key)
+                ordered = [block_fresh[key] for key in old_keys]
                 created = bulk._attach_bulk_rows(
-                    plan, [(shadow, ordered)], ordered[0], bulk._element_builder
+                    plan, [(shadow, ordered)], ordered[0], bulk._text_builder
                 )
-                for (old_element, _env), instance in zip(affected, created):
-                    instance.element.extend(old_element.children)
-                    replaced[id(old_element)] = instance
+                for offset, instance in zip(affected, created):
+                    item = instance.item
+                    if node.children:  # fresh open tag, the old groups
+                        kept = self._groups(node, merged[offset][0])
+                        item = with_groups(node, item, kept)
+                    merged[offset] = (item, instance.env)
                 splice.fresh_count += len(created)
-            merged_group: list = []
-            for child in group_old:
-                instance = replaced.get(id(child))
-                if instance is not None:
-                    merged_group.append(instance.element)
-                    splice.instances.append((instance.element, instance.env))
-                else:
-                    merged_group.append(child)
-                    splice.instances.append((child, env_of[id(child)]))
-            if replaced:
-                splice.replace_entries[id(parent_element)] = merged_group
+                splice.replace_entries[position] = [item for item, _e in merged]
+            splice.instances.extend(merged)
         if any(
             block not in consumed_blocks
             for block, bucket in fresh_by_block.items()
@@ -680,177 +677,88 @@ class DeltaEvaluator:
         node: SchemaNode,
         shadows: list[_Instance],
     ) -> dict[int, list[_Instance]]:
-        """Re-execute one frontier subtree under its shadow parents."""
-        local: dict[int, list[_Instance]] = {}
+        """Re-execute one frontier subtree, as text, under its shadow
+        parents; its inner instances come back closed."""
+        local: dict[int, list[_Instance]] = {node.parent.id: shadows}
         for sub in node.walk():
-            if sub is node:
-                parents = shadows
-            else:
-                assert sub.parent is not None
-                parents = local[sub.parent.id]
-            local[sub.id] = bulk.evaluate_node(plans[sub.id], parents)
+            local[sub.id] = bulk.evaluate_node(
+                plans[sub.id], local[sub.parent.id], bulk._text_builder
+            )
+        del local[node.parent.id]
+        for sub in node.walk():
+            for instance in local[sub.id] if sub.children else ():
+                close_parts(sub.tag, instance.item)
         return local
 
     # -- persistent splice ----------------------------------------------------
 
-    def _spine_ids(
-        self, nodes_by_id: dict[int, SchemaNode], frontier: list[int]
-    ) -> set[int]:
-        """Schema ids on a root-to-frontier path (the copied spine)."""
-        spine: set[int] = set()
-        for node_id in frontier:
-            for ancestor in nodes_by_id[node_id].path_from_root()[:-1]:
-                spine.add(ancestor.id)
-        return spine
+    def _groups(self, node: SchemaNode, parts: list) -> list:
+        """The child groups of one captured instance of ``node``."""
+        groups = child_groups(node, parts)
+        if len(groups) != len(node.children):
+            raise DeltaUnsupported(
+                f"captured <{node.tag}> has {len(groups)} child groups, "
+                f"the view {len(node.children)}"
+            )
+        return groups
 
-    def _element_owners(
+    def _members(
+        self, state: MaterializedState, node: SchemaNode, start: int, group: list
+    ) -> list[tuple[Any, dict[str, Row]]]:
+        """The ``(item, env)`` pairs of one group of ``node``, by position:
+        the ``len(group)`` entries of its instance list from ``start``."""
+        members = state.instances.get(node.id, [])[start:start + len(group)]
+        if len(members) != len(group) or any(
+            member[0] is not item for member, item in zip(members, group)
+        ):
+            raise DeltaUnsupported(
+                f"captured <{node.tag}> instances do not line up with the "
+                "groups that hold them"
+            )
+        return members
+
+    def _rebuild(
         self,
-        nodes_by_id: dict[int, SchemaNode],
+        node: SchemaNode,
+        old: list,
+        position: int,
         state: MaterializedState,
-        spine_ids: set[int],
-    ) -> dict[int, int]:
-        """Map ``id(element) -> schema node id`` for spine-node children.
-
-        Only children of spine elements need owners: the rebuild groups
-        each spine element's child list by schema node to know where
-        the fresh subtrees go and which groups to share.
-        """
-        owners: dict[int, int] = {}
-        for node in nodes_by_id.values():
-            if node.parent is None or node.parent.id not in spine_ids:
-                continue
-            for element, _env in state.instances.get(node.id, []):
-                owners[id(element)] = node.id
-        return owners
-
-    def _copy_targets(
-        self,
-        document,
         replace_at: dict[int, dict[int, list]],
         spine_ids: set[int],
-        elem_node: dict[int, int],
-    ) -> set[int]:
-        """Ids of the spine *elements* that must be shallow-copied.
+        rebuilt: dict[int, list[tuple[Any, dict[str, Row]]]],
+    ) -> list:
+        """Copy-on-spine rebuild of the ``position``-th instance of a
+        spine node: ``old`` itself when nothing beneath it is replaced.
 
-        The spine is a set of schema nodes, but only the instances on a
-        path from the root to an element receiving replacement children
-        actually change — a sibling instance of the same schema node
-        with no replacement anywhere beneath it can be shared verbatim.
-        Node-level re-evaluation puts every parent instance in
-        ``replace_at`` and copies the whole spine; the row-level path
-        lists only the parents of changed rows, so all other instances
-        stay shared and a one-row write copies one root-to-row path.
+        A frontier child's group is the replacement for this position
+        where there is one (node-level re-evaluation has one for every
+        parent, the row rung only for the parents of changed rows, so a
+        one-row write rebuilds one root-to-row path); a spine child's
+        group is rebuilt instance by instance, each visited one landing
+        in ``rebuilt`` — whose length is therefore the position of the
+        next; every other group is shared. ``old`` is never written.
         """
-        targets: set[int] = set()
-
-        def mark(element) -> bool:
-            needed = id(element) in replace_at
-            for child in element.children:
-                owner = elem_node.get(id(child))
-                if owner is not None and owner in spine_ids and mark(child):
-                    targets.add(id(child))
-                    needed = True
-            return needed
-
-        mark(document)
-        return targets
-
-    def _rebuild_children(
-        self,
-        schema_node: SchemaNode,
-        old_parent,
-        new_parent,
-        replace_at: dict[int, dict[int, list]],
-        spine_ids: set[int],
-        elem_node: dict[int, int],
-        copies: dict[int, Element],
-        copy_ids: set[int],
-    ) -> None:
-        """Copy-on-spine rebuild of one spine element's child list.
-
-        Fresh subtrees are adopted (reparented — they are throwaway
-        collector children); spine children on a path to a replacement
-        (``copy_ids``, see :meth:`_copy_targets`) are shallow-copied
-        and recursed into; everything else — including spine-node
-        instances with no replacement beneath them — is *shared* with
-        the old document, parent pointers untouched, so the old tree
-        stays fully intact.
-        """
-        groups: dict[int, list] = {}
-        for child in old_parent.children:
-            owner = elem_node.get(id(child))
-            if owner is None:
-                raise DeltaUnsupported(
-                    "cached document has a child the captured state does "
-                    "not account for"
-                )
-            groups.setdefault(owner, []).append(child)
-        replacements = replace_at.get(id(old_parent), {})
-        children: list = []
-        for child_node in schema_node.children:
-            if child_node.id in replacements:
-                for fresh_element in replacements[child_node.id]:
-                    fresh_element.parent = new_parent
-                    children.append(fresh_element)
-            elif child_node.id in spine_ids:
-                for old_child in groups.get(child_node.id, []):
-                    if id(old_child) not in copy_ids:
-                        children.append(old_child)
-                        continue
-                    copy = old_child.shallow_copy()
-                    copy.parent = new_parent
-                    copies[id(old_child)] = copy
-                    children.append(copy)
-                    self._rebuild_children(
-                        child_node, old_child, copy,
-                        replace_at, spine_ids, elem_node, copies, copy_ids,
+        groups = self._groups(node, old)
+        spliced = []
+        for child, group in zip(node.children, groups):
+            if child.id in replace_at:
+                group = replace_at[child.id].get(position, group)
+            elif child.id in spine_ids:
+                done = rebuilt.setdefault(child.id, [])
+                members = self._members(state, child, len(done), group)
+                items = [
+                    self._rebuild(
+                        child, item, len(done) + offset, state, replace_at,
+                        spine_ids, rebuilt,
                     )
-            else:
-                children.extend(groups.get(child_node.id, []))
-        new_parent.children = children
-
-    def _rebuild_state(
-        self,
-        view: SchemaTreeQuery,
-        state: MaterializedState,
-        new_document: Document,
-        subtree_ids: set[int],
-        spine_ids: set[int],
-        fresh: dict[int, list[_Instance]],
-        copies: dict[int, Element],
-        row_instances: Optional[dict[int, list[tuple[Any, dict[str, Row]]]]] = None,
-    ) -> MaterializedState:
-        """Captured state for the spliced document.
-
-        Copied spine instances point at their copies (shared ones —
-        instances with no replacement beneath them — keep their old
-        elements), refreshed subtrees at the fresh instances,
-        row-spliced nodes at their merged lists (kept elements
-        interleaved with rebuilt ones), and untouched nodes share the
-        old lists (which are never mutated).
-        """
-        row_instances = row_instances or {}
-        new_instances: dict[int, list[tuple[Any, dict[str, Row]]]] = {
-            view.root.id: [(new_document, {})]
-        }
-        for node_id, old_list in state.instances.items():
-            if (
-                node_id == view.root.id
-                or node_id in subtree_ids
-                or node_id in row_instances
-            ):
-                continue
-            if node_id in spine_ids:
-                new_instances[node_id] = [
-                    (copies.get(id(element), element), env)
-                    for element, env in old_list
+                    for offset, item in enumerate(group)
                 ]
-            else:
-                new_instances[node_id] = old_list
-        for node_id in subtree_ids:
-            new_instances[node_id] = [
-                (inst.element, inst.env) for inst in fresh.get(node_id, [])
-            ]
-        for node_id, merged in row_instances.items():
-            new_instances[node_id] = merged
-        return MaterializedState(document=new_document, instances=new_instances)
+                done.extend(
+                    (item, env) for item, (_old, env) in zip(items, members)
+                )
+                if any(item is not kept for item, kept in zip(items, group)):
+                    group = items
+            spliced.append(group)
+        if all(group is kept for group, kept in zip(spliced, groups)):
+            return old
+        return with_groups(node, old, spliced)

@@ -36,15 +36,31 @@ Correctness notes (each is covered by the equivalence property tests):
   :attr:`BulkViewEvaluator.fallback_nodes` and the module logger — never
   silently.
 
-The merge has **two output forms**, chosen by whether anybody keeps the
-tree. :meth:`BulkViewEvaluator.materialize` builds ``Element`` nodes (state
-capture, pretty-printing, library callers);
-:meth:`BulkViewEvaluator.serialize` writes escaped XML text straight from
-the rows and builds none (a serving request that captures no state, on a
-single box or a fleet member; ``repro materialize --strategy bulk``). Plans,
-queries, merge and fallbacks are one code path: the forms differ only in the
-per-node *builder* of what an instance is, and both take an element's
+The merge has **two output forms**. :meth:`BulkViewEvaluator.serialize`
+writes escaped XML text straight from the rows and builds no ``Element``:
+it is what every serving request runs — on a single box or a fleet member,
+capturing maintenance state or not — and ``repro materialize --strategy
+bulk``. :meth:`BulkViewEvaluator.materialize` builds the tree, for library
+callers, pretty-printing, the harness and the tests' reference. Plans,
+queries, merge and fallbacks are one code path: the forms differ only in
+the per-node *builder* of what an instance is, and both take an element's
 attributes from :func:`~repro.schema_tree.evaluator.element_attributes`.
+
+**The parts layout** is the text form's one data format, written and
+read only through the helpers beside :meth:`BulkViewEvaluator._text_builder`
+(:func:`close_parts`, :func:`parts_text`, :func:`child_groups`,
+:func:`with_groups`). A leaf instance is its finished ``<tag a="v"/>``
+string; an inner instance is a list, ``[open, ">", child, ..., "</tag>"]``
+or ``[open, "/>"]`` when it got no child; the text is one join over the
+flattened strings. A computation that captures nothing appends children
+to their parent flat, in evaluation order. Under ``capture_instances`` —
+**state capture** — each child sits in a *group* list, one per (parent
+instance, schema child): an inner instance is ``[open, ">", group per
+schema child in schema order, "</tag>"]`` (``[open, "/>", empty groups]``
+when childless) and the root, which has no tag, is just its groups. Group
+membership is *positional*: a parent's group of a node holds the next
+``len(group)`` entries of that node's parent-major instance list. Nothing
+may key on ``id()`` of an item — equal leaf strings can be one object.
 
 Work accounting matches the other strategies in either form:
 elements/attributes land in the shared
@@ -58,6 +74,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Optional
 
@@ -110,17 +127,18 @@ class FallbackRecord:
 class _Instance:
     """One materialized element with its binding context.
 
-    ``element`` is the ``Element`` or, in the text form, an inner
-    element's parts list (both have ``append``; a leaf's text needs no
-    instance). ``key`` is the element's context signature: the concatenated *key
-    columns* (the pruned, descendant-referenced subset) of every
+    ``item`` is what the builder made: the ``Element``, or in the text
+    form an inner element's parts list (both have ``append``) or a leaf's
+    finished text (recorded only under capture). ``key`` is the element's
+    context signature: the concatenated *key columns* (the pruned,
+    descendant-referenced subset) of every
     query-bearing ancestor-or-self binding, in root-to-leaf order.
     Children group their bulk rows on exactly this tuple; ``env`` keeps
     the full rows for correlated fallbacks and ``attr_source_bv``
     resolution.
     """
 
-    element: Any
+    item: Any
     env: dict[str, Row]
     key: tuple
 
@@ -216,12 +234,11 @@ class BulkViewEvaluator:
     layer supplies a pooled per-worker database and per-request
     counters so concurrent requests never share mutable state.
 
-    ``capture_instances`` (a caller-owned dict) opts into recording the
-    per-node instance state for incremental maintenance, in the same
-    ``{node_id: [(element, env), ...]}`` shape the nested-loop
-    evaluator's capture produces (the root records ``(document, {})``).
-    Enabling capture also disables the leaf fast path so leaf elements
-    are recorded too. See :mod:`repro.maintenance.incremental`.
+    ``capture_instances`` (a caller-owned dict) makes :meth:`serialize`
+    record the state :mod:`repro.maintenance.incremental` splices against:
+    ``{node_id: [(item, env), ...]}`` in parent-major order, leaves
+    included, the root as ``[(root parts, {})]`` — in the grouped parts
+    layout of the module docstring.
     """
 
     def __init__(
@@ -481,11 +498,10 @@ class BulkViewEvaluator:
         """Evaluate ``view``; returns the document (see ViewEvaluator)."""
         from repro.xmlcore.nodes import Document
 
-        document = Document()
-        instances = self._evaluate_view(view, document, self._element_builder)
         if self._capture is not None:
-            for node_id, created in instances.items():
-                self._capture[node_id] = [(i.element, i.env) for i in created]
+            raise ValueError("capture_instances records text parts: serialize()")
+        document = Document()
+        self._evaluate_view(view, document, self._element_builder)
         return document
 
     def serialize(self, view: SchemaTreeQuery) -> str:
@@ -494,28 +510,23 @@ class BulkViewEvaluator:
         Byte for byte and counter for counter what
         ``xmlcore.serialize(self.materialize(view))`` returns, from the
         same plans, queries, merge and fallbacks: only what an instance
-        *is* differs. A leaf is its finished ``<tag a="v"/>`` string,
-        appended to its parent's parts; an inner element is the parts
-        list ``[open tag, ">", child, ...]`` its children append to,
-        closed once they are all in; the text is one join over the
-        flattened parts — the pass :attr:`serialize_seconds` times.
+        *is* differs (the module docstring's parts layout). Closing the
+        inner instances and the one join over the flattened parts are
+        the pass :attr:`serialize_seconds` times; under
+        ``capture_instances`` the root parts and every node's instances
+        are then recorded, the same bytes either way.
         """
-        if self._capture is not None:
-            raise ValueError("capture_instances records elements: materialize()")
         root: list = []
         instances = self._evaluate_view(view, root, self._text_builder)
         started = time.perf_counter()
         for node in view.nodes(include_root=False):
             for instance in instances[node.id] if node.children else ():
-                parts = instance.element
-                if len(parts) == 2:
-                    parts[1] = "/>"
-                else:
-                    parts.append(f"</{node.tag}>")
-        texts: list[str] = []
-        _flatten(root, texts)
-        xml = "".join(texts)
+                close_parts(node.tag, instance.item)
+        xml = parts_text(root)
         self.serialize_seconds = time.perf_counter() - started
+        if self._capture is not None:
+            for node_id, created in instances.items():
+                self._capture[node_id] = [(i.item, i.env) for i in created]
         return xml
 
     def _evaluate_view(
@@ -533,7 +544,7 @@ class BulkViewEvaluator:
         return instances
 
     def evaluate_node(
-        self, plan: _NodePlan, parents: list[_Instance], builder=None
+        self, plan: _NodePlan, parents: list[_Instance], builder
     ) -> list[_Instance]:
         """Materialize one schema node's elements under ``parents``.
 
@@ -542,9 +553,8 @@ class BulkViewEvaluator:
         Public so incremental maintenance
         (:mod:`repro.maintenance.incremental`) can re-execute single
         dirty nodes against shadow parent instances instead of the full
-        view; ``builder`` is the output form, the tree unless given.
+        view; ``builder`` is the output form.
         """
-        builder = builder or self._element_builder
         if plan.kind == "literal":
             # One element per parent context, made from no row.
             shares = ((p, (None,)) for p in parents)
@@ -556,8 +566,9 @@ class BulkViewEvaluator:
     # Both output forms share everything below. They differ in the
     # *builder*, which for one node plan returns ``build(env, row)``: what
     # an instance of that node is, an ``Element`` or text — either is
-    # attached by ``parent.element.append``. What a builder can decide it
-    # decides once per node, not per parent or per row.
+    # attached by ``append``, to the parent or (under capture) to its
+    # group. What a builder can decide it decides once per node, not per
+    # parent or per row.
 
     def _element_builder(self, plan: _NodePlan, surface, sample):
         node, stats = plan.node, self.stats
@@ -725,9 +736,15 @@ class BulkViewEvaluator:
         own_columns = plan.own_columns
         # Leaf fast path: no descendant ever reads the env or the
         # context key, so skip the per-row bookkeeping entirely.
-        leaf = not node.children and self._capture is None
+        capture = self._capture is not None
+        leaf = not node.children and not capture
         for parent, rows in shares:
-            append = parent.element.append
+            into = parent.item
+            if capture:
+                # This parent's group of this schema child, empty or not.
+                into = []
+                parent.item.append(into)
+            append = into.append
             env = parent.env
             for row in rows:
                 own_row = {c: row[c] for c in own_columns} if trim else row
@@ -781,6 +798,23 @@ def _static_attributes(
     return None if repeats else list(written.items())
 
 
+def close_parts(tag: str, parts: list) -> None:
+    """Finish an inner instance whose children are all in: ``</tag>``
+    after them, or ``<tag/>`` when it got none (flat: nothing appended;
+    captured: every group empty)."""
+    if len(parts) == 2 or not any(islice(parts, 2, None)):
+        parts[1] = "/>"
+    else:
+        parts.append(f"</{tag}>")
+
+
+def parts_text(parts: list) -> str:
+    """The XML text of a parts tree: one join over its strings, in order."""
+    texts: list[str] = []
+    _flatten(parts, texts)
+    return "".join(texts)
+
+
 def _flatten(parts: list, texts: list[str]) -> None:
     """Append the strings of nested parts lists to ``texts``, in order."""
     for part in parts:
@@ -788,6 +822,24 @@ def _flatten(parts: list, texts: list[str]) -> None:
             texts.append(part)
         else:
             _flatten(part, texts)
+
+
+def child_groups(node: SchemaNode, parts: list) -> list:
+    """The groups of a captured, closed instance of ``node``: one per schema
+    child in schema order when the state has the view's shape (callers
+    compare the count). The root's parts are its groups."""
+    if node.is_root:
+        return parts
+    return parts[2:-1] if parts[1] == ">" else parts[2:]
+
+
+def with_groups(node: SchemaNode, parts: list, groups: list) -> list:
+    """A new closed instance: ``parts``' open tag over ``groups``."""
+    if node.is_root:
+        return list(groups)
+    rebuilt = [parts[0], ">", *groups]
+    close_parts(node.tag, rebuilt)
+    return rebuilt
 
 
 def _divide_group(rows: list[Row], share_count: int) -> list[Row]:

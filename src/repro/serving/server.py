@@ -20,7 +20,9 @@ serial :func:`repro.schema_tree.evaluator.materialize` of the same
 composed view on the same data — the property suite in
 ``tests/serving/test_concurrent_equivalence.py`` checks this against
 the nested-loop oracle under 8-way concurrency. The serving path has
-one evaluator, :class:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator`.
+one evaluator, :class:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator`,
+in one output form: rows to text (``serialize``), never a tree — the
+maintenance state a promotion keeps and a delta splices is that text's parts.
 
 Update awareness: constructed with a
 :class:`~repro.maintenance.tracker.WriteTracker`, the server also
@@ -94,7 +96,6 @@ from repro.serving.fingerprint import (
 )
 from repro.serving.plan_cache import CompiledPlan, PlanCache
 from repro.serving.pool import ConnectionPool
-from repro.xmlcore.serializer import serialize
 from repro.xslt.model import Stylesheet
 
 
@@ -258,14 +259,14 @@ class RequestTrace:
     dirty_nodes: int = 0
     plan_seconds: float = 0.0
     execute_seconds: float = 0.0
-    #: Seconds producing the text: serializing the tree, or, on a request
-    #: that built none, the text form's final assembly (not in ``execute``).
+    #: Seconds producing the text from its parts: the text form's final
+    #: assembly (not in ``execute``), or, on a delta, the spliced state's join.
     serialize_seconds: float = 0.0
     #: Seconds inside sqlite (execute + fetch) for this request's
     #: queries — the "query" phase of the profile breakdown; the "merge"
     #: phase is ``execute - query - splice``.
     query_seconds: float = 0.0
-    #: Seconds in the delta copy-on-spine splice (document and state
+    #: Seconds in the delta copy-on-spine splice (parts and state
     #: rebuild, no query work) — the profile's "splice" phase.
     splice_seconds: float = 0.0
     total_seconds: float = 0.0
@@ -662,8 +663,8 @@ class ViewServer:
         recomputes in full (which is point-consistent with the pool
         snapshot regardless). On success the entry is stamped with
         exactly the selection vector. The stale entry itself is never
-        mutated: the splice builds a new document sharing untouched
-        subtrees, so a failure mid-way leaves the cache untouched.
+        written: the splice builds new state sharing untouched parts,
+        so a failure mid-way leaves the cache untouched.
         """
         stale = self.result_cache.peek(plan.key)
         if stale is None or not isinstance(stale.state, MaterializedState):
@@ -740,7 +741,14 @@ class ViewServer:
         trace.elements_created = stats.elements_created
         trace.attributes_created = stats.attributes_created
         trace.dirty_nodes = len(result.dirty_nodes)
-        xml = self._serialize_response(trace, result.document)
+        if result.state is stale.state:
+            # Every dirty candidate was refined away: the body is the
+            # stored one, by reference, and only the stamp moves.
+            xml = stale.xml
+        else:
+            join_started = time.perf_counter()
+            xml = result.state.text()
+            trace.serialize_seconds = time.perf_counter() - join_started
         self.result_cache.store(
             plan.key, xml, versions, plan.tables, state=result.state
         )
@@ -797,14 +805,6 @@ class ViewServer:
             if token is not None:
                 token.remove_callback(hard_cutoff)
             db.cancel_check = None
-
-    def _serialize_response(self, trace: RequestTrace, document) -> str:
-        """Serialize a response, timing it into the trace (the single
-        serialization site for both the full and the delta path)."""
-        started = time.perf_counter()
-        xml = serialize(document)
-        trace.serialize_seconds = time.perf_counter() - started
-        return xml
 
     def _serve(self, request: PublishRequest, request_id: int) -> RequestTrace:
         started = time.perf_counter()
@@ -997,9 +997,6 @@ class ViewServer:
             and self.result_cache.peek(plan.key) is not None
             else None
         )
-        # One merge, two output forms: only a computation that captures
-        # maintenance state keeps its tree; any other — on a fleet member
-        # as on a single box — goes from rows to text and builds no Element.
         with self.pool.session() as db:
             with self._deadline_guard(db, deadline):
                 before = db.stats.snapshot()
@@ -1008,10 +1005,7 @@ class ViewServer:
                     db, stats=stats, capture_instances=capture
                 )
                 execute_started = time.perf_counter()
-                if capture is not None:
-                    document = evaluator.materialize(plan.view)
-                else:
-                    xml = evaluator.serialize(plan.view)
+                xml = evaluator.serialize(plan.view)
                 trace.execute_seconds = time.perf_counter() - execute_started
                 after = db.stats.snapshot()
         trace.queries_executed = (
@@ -1022,16 +1016,12 @@ class ViewServer:
         trace.elements_created = stats.elements_created
         trace.attributes_created = stats.attributes_created
         trace.fallback_nodes = len(evaluator.fallback_nodes)
-        state = None
-        if capture is not None:
-            xml = self._serialize_response(trace, document)
-            state = MaterializedState(document, capture)
-        else:
-            # The text form's final assembly is its serialization phase.
-            trace.serialize_seconds = evaluator.serialize_seconds
-            trace.execute_seconds -= evaluator.serialize_seconds
+        # The text form's final assembly is its serialization phase.
+        trace.serialize_seconds = evaluator.serialize_seconds
+        trace.execute_seconds -= evaluator.serialize_seconds
         trace.xml = xml
         if use_result_cache:
+            state = MaterializedState(capture) if capture is not None else None
             self.result_cache.store(
                 plan.key, xml, current_versions, plan.tables, state=state
             )

@@ -266,7 +266,12 @@ class ReplicaApplier:
         self.member = member
         self.applied = 0
         self.stalled_checks = 0
-        self._poll_s = max(poll_ms, 1.0) / 1000.0
+        # Polling finds what a delay or an apply-stall window held back.
+        # With neither, every event is applied inline in ``_on_write``:
+        # the thread sleeps until a write or ``close`` wakes it.
+        self._poll_s = (
+            max(poll_ms, 1.0) / 1000.0 if delay_ms or faults is not None else None
+        )
         self._lock = threading.Lock()
         self._wake = threading.Event()
         self._stop = threading.Event()

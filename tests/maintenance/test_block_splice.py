@@ -14,6 +14,7 @@ import pytest
 
 from repro.maintenance import (
     DeltaEvaluator,
+    DeltaUnsupported,
     MaterializedState,
     WriteTracker,
     hotel_calendar_write,
@@ -25,7 +26,6 @@ from repro.schema_tree.evaluator import materialize
 from repro.serving.fingerprint import node_read_sets
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import figure1_view
-from repro.xmlcore.nodes import Element
 from repro.xmlcore.serializer import serialize
 
 #: Scale 4 gives 12 metros and 16 served hotels, including metros with
@@ -39,9 +39,8 @@ def env():
     db = build_hotel_database(SPEC)
     view = figure1_view(db.catalog)
     capture: dict = {}
-    document = BulkViewEvaluator(db, capture_instances=capture).materialize(view)
-    state = MaterializedState(document=document, instances=capture)
-    yield db, view, state, node_read_sets(view)
+    BulkViewEvaluator(db, capture_instances=capture).serialize(view)
+    yield db, view, MaterializedState(capture), node_read_sets(view)
     db.close()
 
 
@@ -51,10 +50,10 @@ def _delta(db, view, state, reads, changes):
     )
 
 
-def _elements(document, tag):
-    # The evaluator's document keeps sibling top-level elements (one per
-    # metro tuple), so walk the document node itself, not root_element.
-    return [el for el in document.iter_elements() if el.tag == tag]
+def _items(view, state, tag):
+    """The state's instances (their text items) of the node tagged ``tag``."""
+    [node] = [n for n in view.nodes() if n.tag == tag]
+    return [item for item, _env in state.instances[node.id]]
 
 
 def _write_and_changes(db, write, tables):
@@ -77,13 +76,13 @@ def test_conference_write_row_splices_leaf_reruns_aggregates(env):
     # row rung declines them and they re-run at node level.
     assert set(result.frontier_nodes) - set(result.row_frontier_nodes) == {2, 4}
     assert result.rows_spliced > 0
-    assert serialize(result.document) == serialize(materialize(view, db))
+    assert result.state.text() == serialize(materialize(view, db))
 
 
 def test_payload_write_shares_untouched_subtrees_by_identity(env):
     db, view, state, reads = env
-    old_metros = {id(el) for el in _elements(state.document, "metro")}
-    old_hotels = {id(el) for el in _elements(state.document, "hotel")}
+    old_metros = _items(view, state, "metro")
+    old_hotels = _items(view, state, "hotel")
     changes = _write_and_changes(
         db,
         lambda db, tracker: hotel_payload_write(db, 0, tracker, rows=1),
@@ -91,14 +90,19 @@ def test_payload_write_shares_untouched_subtrees_by_identity(env):
     )
     result = _delta(db, view, state, reads, changes)
     assert result.rows_spliced == 1 and result.rows_refetched == 1
-    metros = _elements(result.document, "metro")
-    hotels = _elements(result.document, "hotel")
-    # One hotel row changed: its element is rebuilt and its metro is
-    # copied on the spine; everything else is the same object, so the
-    # splice allocates by the width of the write, not of the document.
-    assert sum(1 for el in metros if id(el) in old_metros) == len(metros) - 1
-    assert sum(1 for el in hotels if id(el) in old_hotels) == len(hotels) - 1
-    assert serialize(result.document) == serialize(materialize(view, db))
+    metros = _items(view, result.state, "metro")
+    hotels = _items(view, result.state, "hotel")
+    # One hotel row changed: its instance is rebuilt and its metro is
+    # copied on the spine; everything else is the same object, position
+    # for position, so the splice allocates by the width of the write,
+    # not of the document.
+    assert len(metros) == len(old_metros) and len(hotels) == len(old_hotels)
+    assert sum(new is old for new, old in zip(metros, old_metros)) == len(metros) - 1
+    assert sum(new is old for new, old in zip(hotels, old_hotels)) == len(hotels) - 1
+    for node_id, pairs in state.instances.items():
+        if view.node_by_id(node_id).tag not in ("", "metro", "hotel"):
+            assert result.state.instances[node_id] is pairs
+    assert result.state.text() == serialize(materialize(view, db))
 
 
 def test_calendar_write_uses_node_level_and_stays_exact(env):
@@ -115,7 +119,7 @@ def test_calendar_write_uses_node_level_and_stays_exact(env):
     result = _delta(db, view, state, reads, changes)
     assert result.row_frontier_nodes == ()
     assert result.rows_spliced == 0
-    assert serialize(result.document) == serialize(materialize(view, db))
+    assert result.state.text() == serialize(materialize(view, db))
 
 
 def test_calendar_write_changes_sibling_hotels():
@@ -138,7 +142,8 @@ def test_calendar_write_changes_sibling_hotels():
             doc = materialize(view, db)
             return {
                 el.attributes["hotelid"]: serialize(el)
-                for el in _elements(doc, "hotel")
+                for el in doc.iter_elements()
+                if el.tag == "hotel"
             }
 
         before = hotel_bytes()
@@ -172,7 +177,7 @@ def test_phantom_key_stays_exact(env):
     changes = tracker.changes_since(stamped, ("confroom",))
     assert 999_999 in changes["confroom"].keys
     result = _delta(db, view, state, reads, changes)
-    assert serialize(result.document) == serialize(materialize(view, db))
+    assert result.state.text() == serialize(materialize(view, db))
 
 
 def test_deleted_row_declines_row_splice(env):
@@ -194,7 +199,7 @@ def test_deleted_row_declines_row_splice(env):
     changes = tracker.changes_since(stamped, ("confroom",))
     result = _delta(db, view, state, reads, changes)
     assert result.rows_spliced == 0
-    assert serialize(result.document) == serialize(materialize(view, db))
+    assert result.state.text() == serialize(materialize(view, db))
 
 
 def test_untraceable_write_uses_node_level(env):
@@ -207,15 +212,15 @@ def test_untraceable_write_uses_node_level(env):
     assert changes["confroom"].keys is None
     result = _delta(db, view, state, reads, changes)
     assert result.rows_spliced == 0
-    assert serialize(result.document) == serialize(materialize(view, db))
+    assert result.state.text() == serialize(materialize(view, db))
 
 
 def test_delta_does_not_mutate_the_old_document(env):
     # A conference write takes both surviving rungs at once (row on the
-    # leaf, node level on the aggregates); neither may touch the stale
-    # entry's tree.
+    # leaf, node level on the aggregates); neither may write the stale
+    # entry's state.
     db, view, state, reads = env
-    before = serialize(state.document)
+    before = state.text()
     changes = _write_and_changes(
         db,
         lambda db, tracker: hotel_conference_write(db, 0, tracker, hotels=1),
@@ -224,7 +229,35 @@ def test_delta_does_not_mutate_the_old_document(env):
     result = _delta(db, view, state, reads, changes)
     assert result.rows_spliced > 0
     assert len(result.frontier_nodes) > len(result.row_frontier_nodes)
-    assert serialize(state.document) == before
+    assert state.text() == before
+
+
+def test_state_without_the_views_shape_declines(env):
+    # Group membership is positional, so the splice trusts nothing it
+    # can check: a parent with a group too few, or instances that are
+    # not the objects their group holds, decline to a full recompute.
+    db, view, state, reads = env
+    changes = _write_and_changes(
+        db,
+        lambda db, tracker: hotel_payload_write(db, 0, tracker, rows=1),
+        ("hotel",),
+    )
+    [metro] = [n for n in view.nodes() if n.tag == "metro"]
+    (first, first_env), *others = state.instances[metro.id]
+    short = first[:2] + first[3:]
+    [metros] = state.root
+    assert metros[0] is first
+    for pairs in (
+        [(short, first_env), *others],  # a group count off the view's
+        [*others, (first, first_env)],  # instances out of group order
+    ):
+        broken = MaterializedState({
+            **state.instances,
+            view.root.id: [([[pairs[0][0], *metros[1:]]], {})],
+            metro.id: pairs,
+        })
+        with pytest.raises(DeltaUnsupported):
+            _delta(db, view, broken, reads, changes)
 
 
 def test_deltas_chain(env):
@@ -241,9 +274,7 @@ def test_deltas_chain(env):
         )
         result = _delta(db, view, state, reads, changes)
         assert result.rows_spliced > 0, step
-        assert serialize(result.document) == serialize(
-            materialize(view, db)
-        ), step
+        assert result.state.text() == serialize(materialize(view, db)), step
         state = result.state
 
 

@@ -3,16 +3,16 @@
 The incremental maintainer's one correctness claim, as a property over
 random write sequences on the hotel workload: after any batch of
 base-table writes, splicing the dirty subtrees into the previously
-captured document serializes byte-identically to a full nested-loop
-re-evaluation of the live database. The state is captured by the bulk
-evaluator (the only one with a capture hook, and the one the server
-runs), and the claim must keep holding as deltas chain — each spliced
-state is the input to the next batch.
+captured state reads byte-identically to the serialization of a full
+nested-loop re-evaluation of the live database. The state is captured
+by the bulk evaluator's text form (the only capture hook, and what the
+server runs), and the claim must keep holding as deltas chain — each
+spliced state is the input to the next batch.
 
-A second invariant rides along for free: the old document is never
-mutated. The splice is copy-on-spine, so a reference to the
-pre-delta tree must serialize exactly as before — this is what makes a
-mid-splice failure unable to tear the server's cached entry.
+A second invariant rides along for free: the old state is never
+written. The splice is copy-on-spine, so a reference to the pre-delta
+state must read exactly as before — this is what makes a mid-splice
+failure unable to tear the server's cached entry.
 
 One suite at 200 examples.
 """
@@ -59,12 +59,12 @@ def _env():
 
 
 def _capture_state(target, db):
-    """Full bulk materialization with instance capture."""
+    """Full bulk evaluation, in text, with instance capture."""
     capture = {}
-    document = BulkViewEvaluator(db, capture_instances=capture).materialize(
-        target
-    )
-    return MaterializedState(document, capture)
+    xml = BulkViewEvaluator(db, capture_instances=capture).serialize(target)
+    state = MaterializedState(capture)
+    assert state.text() == xml
+    return state
 
 
 def batches():
@@ -84,17 +84,17 @@ def test_delta_equals_full_from_bulk_state(target_name, write_batches):
     target = env["targets"][target_name]
     reads = env["reads"][target_name]
     state = _capture_state(target, db)
-    before = serialize(state.document)
+    before = state.text()
     for batch in write_batches:
         changed = {hotel_write(db, step) for step in batch}
         # DeltaUnsupported propagating is a failure by design: the hotel
         # views are exactly the shape the delta path claims to support.
         result = DeltaEvaluator(db).evaluate(target, state, reads, changed)
-        assert serialize(result.document) == serialize(
+        assert result.state.text() == serialize(
             materialize(target, db)
         ), (target_name, batch, result.frontier_nodes)
-        # Copy-on-spine: the pre-delta document is untouched.
-        assert serialize(state.document) == before
+        # Copy-on-spine: the pre-delta state is untouched.
+        assert state.text() == before
         state = result.state
-        before = serialize(state.document)
+        before = state.text()
 

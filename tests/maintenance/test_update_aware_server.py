@@ -20,7 +20,12 @@ from repro.baseline.materialize import NaivePipeline
 from repro.schema_tree.evaluator import materialize
 from repro.serving import FRESHNESS_STATES, PublishRequest, ViewServer
 from repro.serving.fingerprint import view_read_set
-from repro.workloads.hotel import HotelDataSpec, build_hotel_database
+from repro.sharding import ShardRouter
+from repro.workloads.hotel import (
+    HotelDataSpec,
+    build_hotel_database,
+    hotel_partition_scheme,
+)
 from repro.workloads.paper import figure1_view, figure4_stylesheet
 from repro.xmlcore.serializer import serialize
 from tests.priming import promote
@@ -417,6 +422,95 @@ def test_state_lifecycle():
     finally:
         server.close()
         db.close()
+
+
+@pytest.mark.parametrize("fleet", [False, True], ids=["single-box", "fleet"])
+def test_a_delta_with_nothing_dirty_restamps_the_stored_body(fleet, monkeypatch):
+    """A tracked write to a column no tag query of the view reads is a
+    delta in which every dirty candidate is refined away. The body is the
+    stored one: served and re-stamped *by reference*, no join, no new
+    state — a fleet member's answer is then the same object the router's
+    merged memo already keyed, an identity check instead of a compare."""
+    served = {}  # server -> the trace of its last request
+    real_serve = ViewServer._serve
+
+    def recording(self, request, request_id):
+        served[self] = real_serve(self, request, request_id)
+        return served[self]
+
+    monkeypatch.setattr(ViewServer, "_serve", recording)
+    db = build_hotel_database(SPEC, cross_thread=True)
+    if fleet:
+        backend = ShardRouter.build(
+            db.catalog, db, hotel_partition_scheme(), 2, workers=1,
+            staleness="strict", maintenance="delta",
+        )
+        servers = [shard.members[0].server for shard in backend.shards]
+        write = backend.route_write
+    else:
+        tracker = WriteTracker()
+        db.attach_tracker(tracker)
+        backend = ViewServer(
+            db.catalog, source=db, workers=1, tracker=tracker,
+            staleness="strict", maintenance="delta",
+        )
+        servers = [backend]
+
+        def write(write_fn):
+            write_fn(db, tracker)
+
+    def reprice(source, tracker):
+        keys = [row["a_id"] for row in source.run_sql(
+            "SELECT a_id FROM availability ORDER BY a_id LIMIT 3", {}
+        )]
+        source.run_sql(
+            "UPDATE availability SET price = price + 1 WHERE a_id <= :k",
+            {"k": max(keys)},
+        )
+        tracker.record_write(
+            "availability", rows=len(keys), keys=keys, columns=("price",)
+        )
+
+    def read():
+        served.clear()
+        trace = backend.submit(request(db)).result()
+        assert trace.error is None, trace.error
+        assert set(served) == set(servers)
+        return trace
+
+    def captures():
+        return [s.metrics()["result_cache"]["state_captures"] for s in servers]
+
+    try:
+        read()
+        promote(read, lambda: write(lambda s, t: hotel_write(s, 0, t)))
+        previous, earned = dict(served), captures()
+        states = {
+            s: s.result_cache.peek(t.plan_key).state for s, t in previous.items()
+        }
+        write(reprice)
+        merged = read()
+        for server, trace in served.items():
+            before, state = previous[server], states[server]
+            assert state is not None
+            assert trace.freshness == "delta-recompute"
+            assert trace.dirty_nodes == 0 and trace.rows_fetched == 0
+            assert trace.xml is before.xml
+            assert trace.serialize_seconds == 0.0
+            entry = server.result_cache.peek(trace.plan_key)
+            assert entry.xml is before.xml and entry.state is state
+            assert server.tracker.lag(entry.versions, entry.tables) == 0
+        assert captures() == earned
+        assert merged.xml == _naive_bytes(db)
+        assert read().freshness == "hit"
+    finally:
+        backend.close()
+        db.close()
+
+
+def _naive_bytes(db):
+    naive = NaivePipeline(figure1_view(db.catalog), figure4_stylesheet())
+    return serialize(naive.run(db).document)
 
 
 def test_full_maintenance_never_captures(strict_env):

@@ -77,12 +77,10 @@ def _env(reference: str, candidate: str) -> dict:
 
 
 def _capture_state(target, db) -> MaterializedState:
-    """Bulk materialization with instance capture (the delta input)."""
+    """Bulk evaluation, in text, with instance capture (the delta input)."""
     capture: dict = {}
-    document = BulkViewEvaluator(db, capture_instances=capture).materialize(
-        target
-    )
-    return MaterializedState(document, capture)
+    BulkViewEvaluator(db, capture_instances=capture).serialize(target)
+    return MaterializedState(capture)
 
 
 def _assert_backends_agree(reference, candidate, target_name, strategy,
@@ -110,7 +108,7 @@ def _assert_backends_agree(reference, candidate, target_name, strategy,
             DeltaEvaluator(db).evaluate(target, state, reads, set(changed))
             for db, state in zip((ref_db, cand_db), states)
         ]
-        deltas = [serialize(result.document) for result in results]
+        deltas = [result.state.text() for result in results]
         assert deltas[0] == deltas[1], (target_name, "delta", batch)
         assert deltas[0] == full[0], (target_name, "delta-vs-full", batch)
         states = [result.state for result in results]

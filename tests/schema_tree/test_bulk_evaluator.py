@@ -11,7 +11,9 @@ falling back per node where it must, never silently diverging.
 Every such check is also the differential of the bulk evaluator's two
 output forms: the text form (``serialize``) must equal the serialized
 tree form (``materialize``) byte for byte, with equal work counters and
-the same fallbacks.
+the same fallbacks — and of the text form with and without state
+capture: the captured parts tree reads as the same bytes, from the same
+work, with every node's instances recorded parent-major.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ from repro.errors import ViewEvaluationError
 from repro.relational.engine import Database
 from repro.relational.schema import Catalog, table
 from repro.schema_tree.builder import ViewBuilder
-from repro.schema_tree.bulk_evaluator import BulkViewEvaluator, materialize_bulk
+from repro.schema_tree import bulk_evaluator
+from repro.schema_tree.bulk_evaluator import (
+    BulkViewEvaluator,
+    child_groups,
+    materialize_bulk,
+    parts_text,
+)
 from repro.schema_tree.evaluator import ViewEvaluator, materialize
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import figure1_view, figure4_stylesheet
@@ -182,7 +190,34 @@ def assert_equivalent(view, db):
     assert text.stats == evaluator.stats
     assert text.fallback_nodes == evaluator.fallback_nodes
     assert text.bulk_queries_executed == evaluator.bulk_queries_executed
+    assert_captured_text_equivalent(view, db, evaluator, serialize(document))
     return evaluator
+
+
+def assert_captured_text_equivalent(view, db, uncaptured, xml):
+    """The text form under capture: same bytes, same work, and a parent's
+    group of a schema child is the next ``len(group)`` entries, the same
+    objects, of that child's instance list (parent-major, positional)."""
+    capture: dict = {}
+    capturing = BulkViewEvaluator(db, capture_instances=capture)
+    assert capturing.serialize(view) == xml
+    [(root, root_env)] = capture[view.root.id]
+    assert parts_text(root) == xml and root_env == {}
+    assert capturing.stats == uncaptured.stats
+    assert capturing.fallback_nodes == uncaptured.fallback_nodes
+    assert capturing.bulk_queries_executed == uncaptured.bulk_queries_executed
+    assert set(capture) == {node.id for node in view.nodes()}
+    for node in (node for node in view.nodes() if node.children):
+        dealt = [[] for _child in node.children]
+        for item, _env in capture[node.id]:
+            groups = child_groups(node, item)
+            assert len(groups) == len(node.children)
+            for members, group in zip(dealt, groups):
+                members.extend(group)
+        for child, members in zip(node.children, dealt):
+            recorded = [item for item, _env in capture[child.id]]
+            assert len(recorded) == len(members)
+            assert all(a is b for a, b in zip(recorded, members))
 
 
 @given(scenarios())
@@ -567,7 +602,43 @@ def test_both_forms_raise_the_same_attribute_errors(mutate, message):
         assert str(text.value) == str(tree.value) == str(nested.value)
 
 
-def test_text_form_refuses_to_capture_instances(hotel_db):
-    evaluator = BulkViewEvaluator(hotel_db, capture_instances={})
+def test_tree_form_refuses_to_capture_instances(hotel_db):
+    """State is text: only ``serialize`` captures (``assert_equivalent``
+    holds what it captures, on every view of this file)."""
+    capture: dict = {}
+    evaluator = BulkViewEvaluator(hotel_db, capture_instances=capture)
     with pytest.raises(ValueError):
-        evaluator.serialize(figure1_view(hotel_db.catalog))
+        evaluator.materialize(figure1_view(hotel_db.catalog))
+    assert capture == {}
+
+
+def test_without_capture_parts_are_flat_and_nothing_is_recorded(
+    hotel_db, monkeypatch
+):
+    """A first computation runs the pre-capture instructions: children are
+    appended to their parent itself, so every list in the tree is an
+    inner instance — it starts ``open tag, ">"`` — and none is a group."""
+    joined = []
+    monkeypatch.setattr(
+        bulk_evaluator, "parts_text",
+        lambda parts: joined.append(parts) or parts_text(parts),
+    )
+
+    def lists_in(parts):
+        for part in parts:
+            if part.__class__ is list:
+                yield part
+                yield from lists_in(part)
+
+    view = compose(
+        figure1_view(hotel_db.catalog), figure4_stylesheet(), hotel_db.catalog
+    )
+    for capture, flat in ((None, True), ({}, False)):
+        evaluator = BulkViewEvaluator(hotel_db, capture_instances=capture)
+        evaluator.serialize(view)
+        root = joined.pop()
+        assert flat == all(
+            inner[0].__class__ is str and inner[1] in (">", "/>")
+            for inner in lists_in(root)
+        )
+        assert bool(capture) is not flat  # recorded exactly when asked to

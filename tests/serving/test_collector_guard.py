@@ -1,14 +1,17 @@
-"""The cold path leaves nothing to the cycle collector (count-based).
+"""The serving path builds no tree and pins nothing (count-based).
 
-A first computation under delta maintenance stores bytes only and goes
-from rows to text without building a tree, the compile path has no
-self-referential closures, and the printed SQL lives on the query it
-was printed from — so with the collector switched off a cold request
-leaves no ``Element``, function or cell behind, and a long stream of
-distinct cold plans leaves the pooled sessions and the collector's
-object count where they were. What a request *does* still leave to the
-collector (an evicted plan's AST, ≈ 350 objects per request, freed at
-its next run) is out of scope here and not asserted.
+Every computation goes from rows to text — a first one stores bytes
+only, a promotion keeps the text's own parts as maintenance state, a
+delta splices lists — the compile path has no self-referential closures,
+and the printed SQL lives on the query it was printed from. So no
+serving request constructs an ``Element``; with the collector switched
+off a cold request leaves no ``Element``, function or cell behind; a long
+stream of distinct cold plans leaves the pooled sessions and the
+collector's object count where they were; and a long write stream over
+one delta-maintained entry frees each generation of its state when the
+next replaces it. What a request *does* still leave to the collector (an
+evicted plan's AST, ≈ 350 objects per request, freed at its next run) is
+out of scope here and not asserted.
 """
 
 from __future__ import annotations
@@ -18,7 +21,15 @@ import gc
 import types
 from contextlib import contextmanager
 
-from repro.maintenance import WriteTracker, hotel_write
+from repro.maintenance import (
+    DeltaEvaluator,
+    DeltaUnsupported,
+    WriteTracker,
+    hotel_conference_write,
+    hotel_payload_write,
+    hotel_write,
+)
+from repro.schema_tree.evaluator import materialize
 from repro.serving import ViewServer
 from repro.sharding import ShardRouter
 from repro.sql.ast import Select
@@ -32,6 +43,8 @@ from repro.workloads.paper import (
     figure4_stylesheet,
     figure17_stylesheet,
 )
+from repro.xmlcore.nodes import Element
+from repro.xmlcore.serializer import serialize
 from tests.priming import promote
 
 
@@ -117,32 +130,49 @@ def test_cold_renders_leave_no_trees_or_closures_to_the_collector():
         assert leaked == []
 
 
-def test_only_a_request_that_keeps_its_tree_builds_one(output_elements):
-    """A computation builds ``Element`` objects exactly when it captures
-    maintenance state, on a fleet member as on a single box: a first
-    computation constructs none and hands over text; promotion and a
-    delta recompute still build them."""
+def test_no_serving_request_builds_a_tree(output_elements, monkeypatch):
+    """Rows to text, always, on a fleet member as on a single box: a
+    miss, the promotion, a row-rung delta, a node-rung delta and the full
+    recompute after a declined delta construct no ``Element`` — the
+    state a promotion keeps and a delta splices is the text's own parts."""
     sheet = figure4_stylesheet()
     for deployment in (delta_server, delta_member):
         with deployment() as (db, tracker, server):
             view = figure1_view(db.catalog)
+
+            def read_both():
+                raw = server.render(view)
+                composed = server.render(view, sheet)
+                assert raw.error is None and composed.error is None
+                return raw, composed
+
             del output_elements[:]  # parsing the stylesheet built a tree
-            cold = server.render(view, sheet)
-            assert cold.error is None and cold.freshness == "miss"
-            assert not hasattr(cold, "document") and cold.elements_created > 0
-            assert output_elements == []
-            assert cold.serialize_seconds > 0
-            assert cold.execute_seconds > cold.query_seconds > 0
-            promoting = promote(
-                lambda: server.render(view, sheet),
-                lambda: hotel_write(db, 0, tracker),
+            for cold in read_both():
+                assert cold.freshness == "miss" and cold.elements_created > 0
+                assert cold.serialize_seconds > 0
+                assert cold.execute_seconds > cold.query_seconds > 0
+            promote(
+                lambda: read_both()[1], lambda: hotel_write(db, 0, tracker)
             )
-            assert len(output_elements) == promoting.elements_created > 0
-            del output_elements[:]
-            hotel_write(db, 1, tracker)
-            delta = server.render(view, sheet)
-            assert delta.freshness == "delta-recompute"
-            assert len(output_elements) >= delta.elements_created > 0
+            assert server.metrics()["result_cache"]["state_captures"] == 2
+            hotel_payload_write(db, 0, tracker, rows=1)
+            row, node = read_both()
+            assert row.freshness == node.freshness == "delta-recompute"
+            assert row.rows_spliced == 1 and row.elements_created == 1
+            assert node.rows_spliced == 0 and node.elements_created > 1
+            assert row.serialize_seconds > 0 and node.serialize_seconds > 0
+
+            def decline(self, *_args):
+                raise DeltaUnsupported("injected")
+
+            with monkeypatch.context() as patched:
+                patched.setattr(DeltaEvaluator, "_check_spliceable", decline)
+                hotel_payload_write(db, 1, tracker, rows=1)
+                for declined in read_both():
+                    assert declined.freshness == "stale-recompute"
+            reasons = server.metrics()["delta_fallbacks_by_reason"]
+            assert reasons["unsupported"] == 2 and reasons["error"] == 0
+            assert output_elements == []
 
 
 def selects_reachable_from(root, depth=6):
@@ -198,18 +228,42 @@ def test_evicted_entries_never_earn_state():
         assert stats["state_captures"] == 0
 
 
-def test_retained_trees_are_never_unlinked():
-    """A state-holding entry keeps its parent pointers: its elements
-    still answer ``incoming_path()``."""
-    with delta_server() as (db, tracker, server):
-        view = figure1_view(db.catalog)
-        server.render(view, figure4_stylesheet())
-        promote(
-            lambda: server.render(view, figure4_stylesheet()),
-            lambda: hotel_write(db, 0, tracker),
-        )
+def test_a_write_stream_frees_every_dead_generation_of_state():
+    """200 alternating narrow writes against one promoted Figure 1 entry,
+    every read a delta splice. State is lists and strings, which point
+    only downwards, so replacing the cache entry frees what the new
+    generation does not share. As trees, each generation kept the last
+    one's replaced spine alive through the shared elements' ``parent``
+    pointers: ≈ 126 ``Element`` objects per write, never freed."""
+
+    def live_elements():
+        gc.collect()
+        return sum(type(obj) is Element for obj in gc.get_objects())
+
+    db = build_hotel_database(HotelDataSpec().scaled(4), cross_thread=True)
+    tracker = WriteTracker()
+    db.attach_tracker(tracker)
+    view = figure1_view(db.catalog)
+    elements_before = live_elements()
+    with ViewServer(
+        db.catalog, source=db, workers=1, tracker=tracker,
+        staleness="strict", maintenance="delta",
+    ) as server:
+        server.render(view)
+        promote(lambda: server.render(view), lambda: hotel_write(db, 0, tracker))
+        objects = {}
+        for step in range(1, 201):
+            if step % 2:
+                hotel_payload_write(db, step, tracker, rows=1)
+            else:
+                hotel_conference_write(db, step, tracker, hotels=1)
+            trace = server.render(view)
+            assert trace.freshness == "delta-recompute", (step, trace.error)
+            if step in (50, 200):
+                assert live_elements() == elements_before
+                objects[step] = len(gc.get_objects())
+        assert objects[200] < 1.05 * objects[50]
+        assert trace.xml == serialize(materialize(view, db))
         [key] = server.result_cache.keys()
-        state = server.result_cache.peek(key).state
-        leaf = list(state.document.iter_elements())[-1]
-        assert len(leaf.incoming_path()) > 1
-        assert leaf.root() is state.document
+        assert server.result_cache.peek(key).state.text() == trace.xml
+    db.close()

@@ -126,6 +126,9 @@ def _assert_served_equals_oracle(env, context):
         trace = env["server"].render(env["view"], sheet)
         reference = serialize(materialize(env["targets"][name], env["db"]))
         assert trace.xml == reference, (name, context)
+        # The state every entry here holds is that text's own parts.
+        entry = env["server"].result_cache.peek(trace.plan_key)
+        assert entry.state.text() == trace.xml, (name, context)
         traces[name] = trace
     return traces
 
@@ -156,6 +159,25 @@ def test_payload_write_row_splices_figure1(rows):
     assert trace.freshness == "delta-recompute"
     assert trace.rows_spliced > 0
     assert trace.rows_fetched <= rows
+
+
+def test_rungs_of_the_write_width_table_as_they_stand():
+    """EXPERIMENTS.md "Write width", rung column: the row rung reaches a
+    composed view in one cell (a conference write, Figure 4's leaf), and
+    every other narrow write to Figures 4 and 17 re-runs whole nodes.
+    Pinned so that pushing the key restriction through UNBIND's derived
+    tables (ROADMAP, "Text all the way down", move 2) has a test to change."""
+    env = _env()
+    _apply(env, "conference")
+    conference = _assert_served_equals_oracle(env, "conference")["figure4"]
+    assert conference.rows_spliced > 0 and conference.rows_fetched <= 2
+    _apply(env, "payload-1")
+    payload = _assert_served_equals_oracle(env, "payload-1")
+    _apply(env, "calendar")
+    calendar = _assert_served_equals_oracle(env, "calendar")
+    for trace in (payload["figure4"], payload["figure17"], calendar["figure1"]):
+        assert trace.freshness == "delta-recompute"
+        assert trace.dirty_nodes > 0 and trace.rows_spliced == 0
 
 
 def test_close_shared_servers():

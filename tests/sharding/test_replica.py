@@ -7,6 +7,7 @@ large delay to freeze events in the "pending" state deterministically.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -163,6 +164,62 @@ def test_zero_delay_applies_synchronously_inside_the_write():
         assert applier.applied == 1
     finally:
         applier.close()
+
+
+def _count_apply_pending(monkeypatch):
+    calls = []
+    real = ReplicaApplier.apply_pending
+
+    def counting(self):
+        calls.append(threading.current_thread().name)
+        return real(self)
+
+    monkeypatch.setattr(ReplicaApplier, "apply_pending", counting)
+    return calls
+
+
+def test_idle_applier_does_not_poll(monkeypatch):
+    """Zero delay and no fault plan: every event is applied inline, so
+    there is never anything for the thread to find. It used to wake 200
+    times a second regardless and replay the log under the lock."""
+    calls = _count_apply_pending(monkeypatch)
+    primary, replica = WriteTracker(), WriteTracker()
+    applier = ReplicaApplier(primary, replica, delay_ms=0.0, poll_ms=1.0)
+    try:
+        time.sleep(0.1)
+        assert calls == []
+        for step in range(50):
+            primary.record_write("hotel", keys=[step], columns=["pool"])
+            assert applier.lag() == 0
+        time.sleep(0.1)
+        assert applier.applied == 50
+        assert len(calls) <= 2 * 50 + 1  # inline, plus at most one wake each
+    finally:
+        applier.close(timeout=5.0)
+    assert not applier._thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "held_back",
+    [
+        {"delay_ms": 60_000.0},
+        {"faults": FleetFaultPlan(FleetFaultSpec(stall_rate=0.0), seed=0)},
+    ],
+    ids=["delay", "fault-plan"],
+)
+def test_applier_with_a_delay_or_a_fault_plan_still_polls(monkeypatch, held_back):
+    calls = _count_apply_pending(monkeypatch)
+    applier = ReplicaApplier(
+        WriteTracker(), WriteTracker(), poll_ms=1.0, **held_back
+    )
+    try:
+        deadline = time.monotonic() + 5.0
+        while len(calls) < 5 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(calls) >= 5  # no write ever woke it
+    finally:
+        applier.close(timeout=5.0)
+    assert not applier._thread.is_alive()
 
 
 def test_replica_lags_while_events_are_not_yet_due():

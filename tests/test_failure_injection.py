@@ -142,7 +142,7 @@ def _live_bytes(db):
     "method,error,reason",
     [
         ("_evaluate_subtree", RuntimeError, "error"),   # mid re-evaluation
-        ("_rebuild_children", RuntimeError, "error"),   # mid splice
+        ("_rebuild", RuntimeError, "error"),            # mid splice
         ("_check_spliceable", None, "unsupported"),     # a clean decline
     ],
 )
@@ -152,10 +152,9 @@ def test_mid_splice_failure_falls_back_to_full(
     """An exception anywhere inside the delta path (re-evaluation, the
     splice itself, or a DeltaUnsupported decline) must surface as a
     successful full 'stale-recompute' with correct bytes - and the stale
-    cached entry's captured document must be left untouched, because the
-    splice never mutates it."""
+    cached entry's captured state must be left untouched, because the
+    splice never writes it."""
     from repro.maintenance import DeltaEvaluator, DeltaUnsupported, hotel_write
-    from repro.xmlcore.serializer import serialize
 
     db, tracker, server = _delta_server()
     try:
@@ -172,7 +171,7 @@ def test_mid_splice_failure_falls_back_to_full(
         [key] = server.result_cache.keys()
         stale_entry = server.result_cache.peek(key)
         assert stale_entry.state is not None
-        stale_doc_bytes = serialize(stale_entry.state.document)
+        assert stale_entry.state.text() == stale_entry.xml
 
         hotel_write(db, 0, tracker)
 
@@ -188,8 +187,7 @@ def test_mid_splice_failure_falls_back_to_full(
         assert metrics["delta_fallbacks"] == 2  # the promotion + this one
         assert metrics["delta_fallbacks_by_reason"][reason] == 1
         # The entry the failed delta read from was never touched.
-        assert serialize(stale_entry.state.document) == stale_doc_bytes
-        assert stale_entry.xml == first.xml
+        assert stale_entry.state.text() == stale_entry.xml == first.xml
 
         # The fallback re-primed the cache with fresh captured state:
         # once the fault is removed, the delta path works again.
