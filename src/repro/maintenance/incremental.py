@@ -77,6 +77,7 @@ from repro.relational.engine import Database, Row
 from repro.schema_tree.bulk_evaluator import (
     BulkViewEvaluator,
     _Instance,
+    _key_getter,
     _NodePlan,
     child_groups,
     close_parts,
@@ -470,15 +471,15 @@ class DeltaEvaluator:
             push_key_predicate(probe, table, key_column, change.keys)
         except SQLTransformError:
             return None
-        fresh_rows = self.db.run_query(probe, env=None)
-        fresh_by_block: dict[tuple, dict[Any, Row]] = {}
+        names, fresh_rows = self.db.run_rows(probe)
+        if any(c not in names for c in plan.key_columns + plan.own_columns):
+            return None  # not the shape every position below is read from
+        block_of = _key_getter(names, plan.key_columns)
+        key_at = names.index(key_column)
+        fresh_by_block: dict[tuple, dict[Any, Any]] = {}
         for row in fresh_rows:
-            try:
-                block = tuple(row[c] for c in plan.key_columns)
-            except KeyError:
-                return None
-            bucket = fresh_by_block.setdefault(block, {})
-            row_key = row.get(key_column)
+            bucket = fresh_by_block.setdefault(block_of(row), {})
+            row_key = row[key_at]
             if row_key in bucket:
                 return None  # duplicate key within one block
             bucket[row_key] = row
@@ -508,7 +509,7 @@ class DeltaEvaluator:
                 shadow = _Instance([], parent_env, block_key)
                 ordered = [block_fresh[key] for key in old_keys]
                 created = bulk._attach_bulk_rows(
-                    plan, [(shadow, ordered)], ordered[0], bulk._text_builder
+                    plan, [(shadow, ordered)], names, bulk._text_builder
                 )
                 for offset, instance in zip(affected, created):
                     item = instance.item

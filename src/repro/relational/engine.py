@@ -11,6 +11,9 @@ parameters) execute through :meth:`Database.run_query` against a
 *binding environment*: a mapping from binding-variable name to the
 parent tuple (a ``dict``) it currently ranges over — exactly the
 evaluation model of schema-tree queries in Section 2.1.
+:meth:`Database.run_rows` is the second view of the same execution
+body: a closed query's rows as the cursor delivered them, read by
+position, for the bulk merge, which looks nothing up by name.
 
 The engine counts queries and rows so benchmarks can report the work each
 execution strategy performs.
@@ -116,6 +119,11 @@ class QueryStats:
             self.rows_fetched = 0
             self.query_seconds = 0.0
             self.sql_texts.clear()
+
+
+def _as_dicts(names: list[str], rows: list) -> list[Row]:
+    """The by-name view of fetched rows: one dict per row."""
+    return [dict(zip(names, raw)) for raw in rows]
 
 
 class Database:
@@ -319,11 +327,31 @@ class Database:
             env: binding environment; may be ``None`` for closed queries.
 
         Returns:
-            Result rows as dicts. When the result contains duplicate column
-            names (possible after ``*`` plus carried columns), later
-            occurrences are exposed with a ``__2``-style suffix so no value
-            is silently lost.
+            Result rows as dicts — the by-name view of :meth:`_execute`,
+            for the callers that look columns up by name (nested loop,
+            correlated fallback, harness, baseline). When the result
+            contains duplicate column names (possible after ``*`` plus
+            carried columns), later occurrences are exposed with a
+            ``__2``-style suffix so no value is silently lost.
         """
+        return _as_dicts(*self._execute(query, env))
+
+    def run_rows(self, query: Select) -> tuple[list[str], list]:
+        """Execute a *closed* query; ``(column names, rows)`` by position.
+
+        The positional view of :meth:`_execute`: the rows as the cursor
+        delivered them (``sqlite3.Row`` on sqlite, tuples on DuckDB: index
+        them, hash ``tuple(row)``) beside the names :meth:`run_query` keys
+        them by — there for an empty result too. Same checks, errors and
+        :class:`QueryStats` record; a ``$var.column`` parameter is unbound.
+        """
+        return self._execute(query, None)
+
+    def _execute(
+        self, query: Select, env: Optional[Mapping[str, Row]]
+    ) -> tuple[list[str], list]:
+        """The one execution body behind :meth:`run_query` and
+        :meth:`run_rows`: cancel check, bind, execute, fetch, record."""
         if self.cancel_check is not None:
             self.cancel_check()
         # The rendered SQL is memoized on the query itself, so a session
@@ -356,23 +384,17 @@ class Database:
                 f"{self.driver.name} error: {exc}; SQL: {sql}"
             ) from exc
         names = [d[0] for d in cursor.description]
-        if len(set(names)) == len(names):
-            # Fast path: unique column names, one dict(zip) per row.
-            rows = [dict(zip(names, raw)) for raw in cursor.fetchall()]
-        else:
-            rows = []
-            for raw in cursor.fetchall():
-                row: Row = {}
-                for index, name in enumerate(names):
-                    if name in row:
-                        suffix = 2
-                        while f"{name}__{suffix}" in row:
-                            suffix += 1
-                        name = f"{name}__{suffix}"
-                    row[name] = raw[index]
-                rows.append(row)
+        taken: set[str] = set()
+        for index, name in enumerate(names):
+            if name in taken:  # a duplicate: expose it suffixed
+                suffix = 2
+                while f"{name}__{suffix}" in taken:
+                    suffix += 1
+                names[index] = name = f"{name}__{suffix}"
+            taken.add(name)
+        rows = cursor.fetchall()
         self.stats.record(len(rows), sql, time.perf_counter() - started)
-        return rows
+        return names, rows
 
     def run_sql(self, sql: str, bindings: Optional[Mapping[str, Any]] = None) -> list[Row]:
         """Execute raw SQL (used by tests and the harness).
@@ -397,8 +419,7 @@ class Database:
         if description is None:
             self.driver.commit(self.connection)
             return []
-        names = [d[0] for d in description]
-        return [dict(zip(names, raw)) for raw in cursor.fetchall()]
+        return _as_dicts([d[0] for d in description], cursor.fetchall())
 
     def close(self) -> None:
         """Close the underlying backend connection."""

@@ -12,8 +12,8 @@ predictable* under that failure:
 * :mod:`repro.resilience.policy` — :class:`ResiliencePolicy` (per-
   request deadlines, retry-with-backoff+jitter, breaker and admission
   knobs) and :class:`Deadline` (cooperative cancellation the engine
-  checks at query boundaries, backed by a hard
-  ``sqlite3.Connection.interrupt`` timer).
+  checks at query boundaries, backed by a hard driver interrupt from
+  one :class:`~repro.resilience.policy.DeadlineWatch` thread per server).
 * :mod:`repro.resilience.breaker` — a per-plan-fingerprint
   :class:`CircuitBreaker` (closed / open / half-open) living on the
   :class:`~repro.serving.plan_cache.PlanCache`.

@@ -18,7 +18,8 @@ wrong-shape result. This module makes those failures reproducible:
   instead of at a rate.
 * :class:`FaultyEngine` — a transparent wrapper around a
   :class:`~repro.relational.engine.Database` that consults the plan on
-  every :meth:`~repro.relational.engine.Database.run_query`. The
+  every :meth:`~repro.relational.engine.Database.run_query` and
+  :meth:`~repro.relational.engine.Database.run_rows`. The
   connection pool wraps each pooled session when constructed with a
   plan, so evaluators exercise faults without knowing about them.
 
@@ -366,8 +367,9 @@ class _SiteMemo:
 class FaultyEngine:
     """A :class:`~repro.relational.engine.Database` wrapper that injects.
 
-    Overrides :meth:`run_query` to consult the :class:`FaultPlan` at the
-    query's site (its first referenced base table); everything else —
+    Overrides :meth:`run_query` and :meth:`run_rows` — the two views of
+    the engine's one execution body — to consult the :class:`FaultPlan`
+    at the query's site (its first referenced base table); everything else —
     ``stats``, ``connection``, ``catalog``, ``close`` — delegates to the
     wrapped engine, so pools, evaluators, and the delta path use it
     unchanged. The wrapper honours the engine's cooperative
@@ -383,20 +385,9 @@ class FaultyEngine:
         self.cancel_check = None
 
     def run_query(self, query: Select, env: Optional[Mapping[str, Any]] = None):
-        """Run ``query`` through the wrapped engine, consulting the
-        fault plan first: the deadline's ``cancel_check`` fires before
-        any injection, an injected error still counts the query as
-        executed (the engine did the doomed work), and a wrong-shape
-        fault drops one column from otherwise-correct rows."""
-        if self.cancel_check is not None:
-            self.cancel_check()
-        site = self._memo.site_for(query)
-        fault = self._plan.check_query(site)
-        if fault == "error":
-            # Count the doomed query so work accounting reflects the
-            # attempt, mirroring a real driver-level failure.
-            self._db.stats.record(0)
-            raise self._plan.error_for(site)
+        """Run ``query`` through the wrapped engine after :meth:`_check`;
+        a wrong-shape fault drops one column from otherwise-correct rows."""
+        fault = self._check(query)
         rows = self._db.run_query(query, env)
         if fault == "wrong-shape" and rows:
             doomed = next(iter(rows[0]))
@@ -404,6 +395,31 @@ class FaultyEngine:
                 {k: v for k, v in row.items() if k != doomed} for row in rows
             ]
         return rows
+
+    def run_rows(self, query: Select):
+        """The positional view under the same checks and the same faults
+        as :meth:`run_query`: wrong-shape drops the same (first) column
+        from the names and from every row."""
+        fault = self._check(query)
+        names, rows = self._db.run_rows(query)
+        if fault == "wrong-shape" and rows:
+            names, rows = names[1:], [tuple(row)[1:] for row in rows]
+        return names, rows
+
+    def _check(self, query: Select) -> Optional[str]:
+        """What either view consults first: the deadline's ``cancel_check``
+        fires before any injection, then the plan gives its verdict at the
+        query's site. An ``"error"`` fault is raised here, still counted
+        as an executed query (the engine did the doomed work, as with a
+        real driver-level failure); any other kind is returned."""
+        if self.cancel_check is not None:
+            self.cancel_check()
+        site = self._memo.site_for(query)
+        fault = self._plan.check_query(site)
+        if fault == "error":
+            self._db.stats.record(0)
+            raise self._plan.error_for(site)
+        return fault
 
     @property
     def wrapped(self):

@@ -6,9 +6,9 @@ per request:
 
 * **How long may it run?** ``deadline_ms`` starts a :class:`Deadline`
   that is checked cooperatively at query boundaries (the engine's
-  ``cancel_check`` hook) and enforced hard by a
-  ``sqlite3.Connection.interrupt`` timer for statements that outlive
-  it.
+  ``cancel_check`` hook) and enforced hard by a driver interrupt for
+  statements that outlive it, fired by the server's one
+  :class:`DeadlineWatch` thread.
 * **How often may it retry?** ``retries`` transient attempts (as
   classified by :func:`repro.errors.classify_error`), spaced by
   exponential backoff with full jitter
@@ -31,10 +31,12 @@ open (or any exhausted failure) is an error.
 
 from __future__ import annotations
 
+import heapq
 import random
 import threading
 import time
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Optional
 
 from repro.errors import DeadlineExceeded, ReproError, RequestCancelled
@@ -264,3 +266,73 @@ class Deadline:
             self.token.check()
         if self.expired:
             raise DeadlineExceeded(self.budget_ms, self.elapsed_ms())
+
+
+class DeadlineWatch:
+    """One daemon thread that fires hard cutoffs when they come due.
+
+    A server arms a cutoff around every computation under a deadline and
+    disarms it when the computation ends, nearly always long before it
+    is due — so arming is a heap push and disarming drops the callback
+    (the dead entry is popped when it reaches the top): no thread is
+    started, woken or joined per request. The thread starts with the
+    first :meth:`arm`, is woken early only by an entry due before the
+    one it waits for, and calls a cutoff outside its lock
+    (``time.monotonic()`` seconds throughout).
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+        self._wake = threading.Condition()
+        self._heap: list[list] = []  # [due, tie-break, cutoff or None]
+        self._ticket = count()
+        self._thread: Optional[threading.Thread] = None
+        self._closed = False
+
+    def arm(self, due: float, cutoff: Callable[[], None]) -> list:
+        """Schedule ``cutoff`` at ``due``; returns the :meth:`disarm` handle."""
+        entry = [due, next(self._ticket), cutoff]
+        with self._wake:
+            if self._thread is None and not self._closed:
+                self._thread = threading.Thread(
+                    target=self._run, name=self._name, daemon=True
+                )
+                self._thread.start()
+            if not self._heap or due < self._heap[0][0]:
+                self._wake.notify()
+            heapq.heappush(self._heap, entry)
+        return entry
+
+    @staticmethod
+    def disarm(entry: list) -> None:
+        """Drop an armed cutoff. One already picked up may still be
+        called: the callback itself must stand down once disarmed."""
+        entry[2] = None
+
+    def _run(self) -> None:
+        heap = self._heap
+        while True:
+            with self._wake:
+                while True:
+                    if self._closed:
+                        return
+                    while heap and heap[0][2] is None:
+                        heapq.heappop(heap)
+                    delay = heap[0][0] - time.monotonic() if heap else None
+                    if delay is not None and delay <= 0:
+                        break
+                    self._wake.wait(delay)
+                cutoff = heapq.heappop(heap)[2]
+            if cutoff is not None:  # disarmed since the check above
+                try:
+                    cutoff()
+                except Exception:
+                    pass  # best-effort, like a cancel-token callback
+
+    def close(self) -> None:
+        """Stop and join the thread; cutoffs still armed never fire."""
+        with self._wake:
+            self._closed = True
+            self._wake.notify()
+        if self._thread is not None:
+            self._thread.join()

@@ -13,7 +13,10 @@ the result. The flat row stream is then stitched back into the XML tree
 by a grouped merge in Python: rows group on the carried ancestor-column
 tuple, and each parent element attaches the group matching its own
 binding values, preserving the parent-major order the propagated ORDER BY
-keys produce.
+keys produce. The merge reads rows *by position*
+(:meth:`~repro.relational.engine.Database.run_rows`; names become
+positions once per node result) and builds nothing that no one reads: no
+dict per row, a binding environment on its first read (:class:`_Instance`).
 
 Correctness notes (each is covered by the equivalence property tests):
 
@@ -73,6 +76,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
@@ -90,7 +94,11 @@ from repro.schema_tree.model import SchemaNode, SchemaTreeQuery
 from repro.sql.analysis import has_top_level_aggregate, output_columns
 from repro.sql.ast import ColumnRef, FuncCall, ParamRef, Select, Star
 from repro.sql.params import collect_params, walk_exprs
-from repro.sql.transform import attach_parent_query, expand_stars
+from repro.sql.transform import (
+    attach_parent_query,
+    expand_stars,
+    simplify_exists,
+)
 from repro.xmlcore.serializer import attributes_text, escape_attribute
 
 logger = logging.getLogger(__name__)
@@ -133,14 +141,34 @@ class _Instance:
     context signature: the concatenated *key columns* (the pruned,
     descendant-referenced subset) of every
     query-bearing ancestor-or-self binding, in root-to-leaf order.
-    Children group their bulk rows on exactly this tuple; ``env`` keeps
-    the full rows for correlated fallbacks and ``attr_source_bv``
-    resolution.
+    Children group their bulk rows on exactly this tuple.
+
+    ``env`` — the full rows by binding variable — is *made when something
+    reads it*: a merged instance keeps ``(parent, row, bind)`` and builds
+    ``bind(parent.env, row)`` on the first read (no ``bind``: the node
+    binds nothing, so the parent's env itself). Its readers are a
+    correlated fallback's parameters, ``attr_source_bv`` and the generic
+    attribute path, the tree form's ``build_element`` and state capture;
+    a first computation to text has none of them and builds no env. The
+    root and incremental maintenance's shadow parents are given theirs.
     """
 
     item: Any
-    env: dict[str, Row]
+    _env: Optional[dict[str, Row]]
     key: tuple
+    _parent: Optional["_Instance"] = None
+    _row: Any = None
+    _bind: Any = None
+
+    @property
+    def env(self) -> dict[str, Row]:
+        env = self._env
+        if env is None:
+            env = self._parent.env
+            if self._bind is not None:
+                env = self._bind(env, self._row)
+            self._env = env
+        return env
 
 
 @dataclass
@@ -154,15 +182,16 @@ class _NodePlan:
     key_columns: list[str] = field(default_factory=list)
     #: The node's own output column names (static == sqlite names).
     own_columns: list[str] = field(default_factory=list)
-    #: The subset of own columns descendants key on (pruned context).
+    #: The own columns descendants key on (pruned); none when unreliable.
     own_key_columns: list[str] = field(default_factory=list)
     #: Whether descendants may rely on this node's static column names.
     reliable: bool = True
     grouped_aggregate: bool = False
     distinct: bool = False
     #: For ungrouped aggregates evaluated through the grouped join form:
-    #: the row an empty group produces (COUNT -> 0, SUM/MIN/MAX/AVG -> NULL).
-    empty_row: Optional[Row] = None
+    #: the row an empty group produces (COUNT -> 0, SUM/MIN/MAX/AVG -> NULL),
+    #: in the order of the node's own columns — which lead a bulk row.
+    empty_row: Optional[tuple] = None
     #: Whether a descendant surfaces this node's env row wholesale
     #: (``attr_source_bv`` with no column list), forcing the bulk row to be
     #: trimmed to the node's own columns instead of handed over as-is.
@@ -194,7 +223,7 @@ def _stable_output_columns(query: Select, catalog) -> list[str]:
     return columns
 
 
-def _empty_group_row(select: Select) -> Optional[Row]:
+def _empty_group_row(select: Select) -> Optional[tuple]:
     """The row an ungrouped aggregate query yields over an empty input.
 
     ``SELECT COUNT(x) AS c, SUM(y) AS s ...`` with no matching tuples
@@ -211,16 +240,15 @@ def _empty_group_row(select: Select) -> Optional[Row]:
         or not has_top_level_aggregate(select)
     ):
         return None
-    row: Row = {}
+    row = []
     for item in select.items:
         expr = item.expr
         if not isinstance(expr, FuncCall) or not expr.is_aggregate:
             return None
-        name = item.output_name()
-        if not name:
+        if not item.output_name():
             return None
-        row[name] = 0 if expr.name == "COUNT" else None
-    return row
+        row.append(0 if expr.name == "COUNT" else None)
+    return tuple(row)
 
 
 class BulkViewEvaluator:
@@ -451,6 +479,9 @@ class BulkViewEvaluator:
                         "not carried to the bulk result"
                     )
                 key_columns.append(exposed)
+        # The clone is finished: its EXISTS bodies need only say whether
+        # a tuple exists (the tag query itself keeps the paper's SQL).
+        simplify_exists(query)
         return query, key_columns
 
     def plan_view(self, view: SchemaTreeQuery) -> dict[int, _NodePlan]:
@@ -558,54 +589,62 @@ class BulkViewEvaluator:
         if plan.kind == "literal":
             # One element per parent context, made from no row.
             shares = ((p, (None,)) for p in parents)
-            return self._attach_rows(plan, shares, builder(plan, None, None), False)
+            return self._attach_rows(plan, shares, builder)
         if plan.kind == "bulk":
             return self._emit_bulk(plan, parents, builder)
         return self._emit_fallback(plan, parents, builder)
 
     # Both output forms share everything below. They differ in the
-    # *builder*, which for one node plan returns ``build(env, row)``: what
-    # an instance of that node is, an ``Element`` or text — either is
+    # *builder*, which for one node plan returns ``build(parent, row)``:
+    # what an instance of that node is, an ``Element`` or text — either is
     # attached by ``append``, to the parent or (under capture) to its
     # group. What a builder can decide it decides once per node, not per
-    # parent or per row.
+    # parent or per row; ``as_row(row)`` is the by-name row, for whatever
+    # reads names.
 
-    def _element_builder(self, plan: _NodePlan, surface, sample):
+    def _element_builder(self, plan: _NodePlan, surface, names, as_row):
         node, stats = plan.node, self.stats
-        return lambda env, row: build_element(node, env, row, stats, surface)
+        return lambda parent, row: build_element(
+            node, parent.env, as_row(row), stats, surface
+        )
 
-    def _text_builder(self, plan: _NodePlan, surface, sample: Optional[Row]):
+    def _text_builder(self, plan: _NodePlan, surface, names, as_row):
         node, stats = plan.node, self.stats
         head, end = f"<{node.tag}", "" if node.children else "/>"
-        written = _static_attributes(plan, surface, sample)
+        written = _static_attributes(plan, surface, names)
         if written is None:
 
-            def emit(env, row):
-                attributes = element_attributes(node, env, row, stats, surface)
+            def emit(parent, row):
+                attributes = element_attributes(
+                    node, parent.env, as_row(row), stats, surface
+                )
                 return head + attributes_text(attributes.items()) + end
 
         else:
             fixed = len(node.literal_attributes)
             head += attributes_text(written[:fixed])
-            pairs = written[fixed:]
+            pairs = [
+                (f' {name}="', names.index(column))
+                for name, column in written[fixed:]
+            ]
 
-            def emit(env, row):
+            def emit(parent, row):
                 text, count = head, fixed
-                for name, column in pairs:
-                    value = row[column]
+                for lead, position in pairs:
+                    value = row[position]
                     if value is None:
                         continue
                     count += 1
                     if value.__class__ is int:  # nothing to format or escape
-                        text += f' {name}="{value}"'
+                        text += f'{lead}{value}"'
                     else:
-                        text += f' {name}="{escape_attribute(format_value(value))}"'
+                        text += f'{lead}{escape_attribute(format_value(value))}"'
                 stats.elements_created += 1
                 stats.attributes_created += count
                 return text + end
 
         if node.children:
-            return lambda env, row: [emit(env, row), ">"]
+            return lambda parent, row: [emit(parent, row), ">"]
         return emit
 
     def _emit_fallback(
@@ -614,98 +653,104 @@ class BulkViewEvaluator:
         """Correlated execution: one query per parent binding (Section 2.1)."""
         node = plan.node
         assert node.tag_query is not None
+        columns = plan.own_key_columns
+        own_key = (lambda row: tuple(map(row.get, columns))) if columns else None
         shares = ((p, self.db.run_query(node.tag_query, p.env)) for p in parents)
-        return self._attach_rows(plan, shares, builder(plan, None, None), False)
+        return self._attach_rows(plan, shares, builder, own_key)
 
     def _emit_bulk(
         self, plan: _NodePlan, parents: list[_Instance], builder
     ) -> list[_Instance]:
-        node = plan.node
         assert plan.query is not None
         if not parents:
             return []
         try:
-            rows = self.db.run_query(plan.query, env=None)
+            names, rows = self.db.run_rows(plan.query)
         except ReproError as exc:
-            plan = self._fallback_plan(
-                node, f"bulk query failed: {exc}", reliable=plan.reliable,
-                own_columns=plan.own_columns,
-            )
+            plan = self._demoted(plan, f"bulk query failed: {exc}")
             return self._emit_fallback(plan, parents, builder)
         self.bulk_queries_executed += 1
         try:
-            shares = self._group_rows(plan, parents, rows)
+            shares = self._group_rows(plan, parents, names, rows)
+            return self._attach_bulk_rows(plan, shares, names, builder)
         except _BulkUnsupported as exc:
-            plan = self._fallback_plan(
-                node, str(exc), reliable=plan.reliable,
-                own_columns=plan.own_columns,
-            )
+            # Raised before anything is attached: by the grouping, or by
+            # a column whose position the result turns out not to have.
+            plan = self._demoted(plan, str(exc))
             return self._emit_fallback(plan, parents, builder)
-        sample = rows[0] if rows else plan.empty_row
-        dealt = ((p, shares.get(id(p), ())) for p in parents)
-        return self._attach_bulk_rows(plan, dealt, sample, builder)
+
+    def _demoted(self, plan: _NodePlan, reason: str) -> _NodePlan:
+        """The recorded correlated plan of a bulk node that failed at run
+        time. It keeps the node's columns: its instances still carry
+        their own part of the context key, so descendants stay bulk."""
+        return self._fallback_plan(
+            plan.node, reason, plan.reliable, plan.own_columns, plan.own_key_columns
+        )
 
     def _attach_bulk_rows(
-        self, plan: _NodePlan, shares, sample: Optional[Row], builder
+        self, plan: _NodePlan, shares, names: list[str], builder
     ) -> list[_Instance]:
-        """Attach ``(parent, rows)`` shares of the bulk result ``sample``
-        is a row of (``None``: it has none).
+        """Attach ``(parent, rows)`` shares of the bulk result whose
+        columns are ``names``.
+
+        Every column a name stands for — the node's key part, the
+        attributes the text builder reads — is resolved to its position
+        here, once per node result (one the result lacks is
+        :class:`_BulkUnsupported`, before anything is built). A by-name
+        row (``as_row``) is made only where something reads names.
 
         Bulk rows carry ancestor key columns after the node's own
-        columns. Rather than rebuild a narrowed dict per row, hand the
-        wide row over and limit attribute surfacing to the node's own
-        columns — env lookups are by name, so the extra (uniquely named)
-        carried columns are invisible to descendants. The exception is
-        a descendant that surfaces this env row wholesale
-        (``exact_env_row``): only then is the per-row trim paid.
+        columns. The by-name row is the wide row as it is, with attribute
+        surfacing limited to the node's own columns — env lookups are by
+        name, so the extra (uniquely named) carried columns are invisible
+        to descendants. The exception is a descendant that surfaces this
+        env row wholesale (``exact_env_row``): only then is it trimmed.
         """
         own = plan.own_columns
-        wide = bool(own) and sample is not None and len(sample) != len(own)
+        wide = bool(own) and len(names) != len(own)
         trim = wide and plan.exact_env_row
         surface = own if wide and not trim else None
-        return self._attach_rows(plan, shares, builder(plan, surface, sample), trim)
+        key_columns = plan.own_key_columns
+        own_key = _key_getter(names, key_columns) if key_columns else None
+        if trim:
+            pick = _key_getter(names, own)
+            as_row = lambda row: dict(zip(own, pick(row)))  # noqa: E731
+        else:
+            as_row = lambda row: dict(zip(names, row))  # noqa: E731
+        return self._attach_rows(
+            plan, shares, builder, own_key, surface, names, as_row
+        )
 
     def _group_rows(
         self,
         plan: _NodePlan,
         parents: list[_Instance],
-        rows: list[Row],
-    ) -> dict[int, list[Row]]:
+        names: list[str],
+        rows: list,
+    ) -> list[tuple[_Instance, list]]:
         """The grouped merge: deal bulk rows out to their parent elements.
 
-        Returns a mapping from ``id(parent_instance)`` to that parent's
-        child rows, in bulk-result (document) order.
+        Returns each parent, in order, with its rows in bulk-result order.
         """
-        key_columns = plan.key_columns
-        grouped: dict[tuple, list[Row]] = {}
-        if not key_columns:
-            keyfunc = None
-        elif len(key_columns) == 1:
-            single = itemgetter(key_columns[0])
-            keyfunc = lambda r: (single(r),)  # noqa: E731
-        else:
-            keyfunc = itemgetter(*key_columns)
-        try:
-            for row in rows:
-                key = keyfunc(row) if keyfunc else ()
-                grouped.setdefault(key, []).append(row)
-        except KeyError as exc:
-            raise _BulkUnsupported(
-                f"bulk row is missing key column {exc}"
-            ) from exc
-        parents_by_key: dict[tuple, list[_Instance]] = {}
-        for parent in parents:
-            parents_by_key.setdefault(parent.key, []).append(parent)
+        keyfunc = _key_getter(names, plan.key_columns)
+        if plan.empty_row is not None and (
+            names[: len(plan.own_columns)] != plan.own_columns
+        ):
+            # A restored row is the own columns only, read by position.
+            raise _BulkUnsupported("bulk row does not lead with its own columns")
+        grouped: dict[tuple, list] = {}
+        for row in rows:
+            grouped.setdefault(keyfunc(row), []).append(row)
         matched = 0
-        shares: dict[int, list[Row]] = {}
-        for key, siblings in parents_by_key.items():
+        shares: dict[tuple, list] = {}
+        for key, siblings in Counter(p.key for p in parents).items():
             group = grouped.get(key, [])
             matched += len(group)
             if not group and plan.empty_row is not None:
                 # The grouped form dropped this parent's empty group;
                 # restore the statically-known empty-input aggregate row.
-                share = [dict(plan.empty_row)]
-            elif len(siblings) == 1 or not group:
+                share = [plan.empty_row]
+            elif siblings == 1 or not group:
                 share = group
             elif plan.grouped_aggregate:
                 # GROUP BY merged the duplicate bindings into one group,
@@ -718,26 +763,37 @@ class BulkViewEvaluator:
                 # DISTINCT already collapsed the duplicated copies.
                 share = group
             else:
-                share = _divide_group(group, len(siblings))
-            for parent in siblings:
-                shares[id(parent)] = share
+                share = _divide_group(group, siblings)
+            shares[key] = share
         if matched != len(rows):
             raise _BulkUnsupported(
                 f"{len(rows) - matched} bulk rows matched no parent binding"
             )
-        return shares
+        return [(parent, shares[parent.key]) for parent in parents]
 
     def _attach_rows(
-        self, plan: _NodePlan, shares, build, trim: bool
+        self, plan: _NodePlan, shares, builder, own_key=None, surface=None,
+        names=None, as_row=lambda row: row,
     ) -> list[_Instance]:
-        """Build one child per row of every ``(parent, rows)`` share."""
+        """Build one child per row of every ``(parent, rows)`` share.
+
+        ``own_key(row)`` is the row's part of its children's context key
+        (``None``: it adds none). A child's env is its parent's plus the
+        by-name row under the node's variable — made when read, see
+        :class:`_Instance`. Only a bulk result's rows have ``names``; the
+        others are by-name as given (a correlated run's dicts, a literal
+        node's ``None``).
+        """
         node = plan.node
+        build = builder(plan, surface, names, as_row)
         created: list[_Instance] = []
-        own_columns = plan.own_columns
         # Leaf fast path: no descendant ever reads the env or the
         # context key, so skip the per-row bookkeeping entirely.
         capture = self._capture is not None
         leaf = not node.children and not capture
+        bv, bind = node.bv, None
+        if bv is not None and plan.kind != "literal":
+            bind = lambda env, row: {**env, bv: as_row(row)}  # noqa: E731
         for parent, rows in shares:
             into = parent.item
             if capture:
@@ -745,36 +801,39 @@ class BulkViewEvaluator:
                 into = []
                 parent.item.append(into)
             append = into.append
-            env = parent.env
+            key = parent.key
             for row in rows:
-                own_row = {c: row[c] for c in own_columns} if trim else row
-                element = build(env, own_row)
+                element = build(parent, row)
                 append(element)
                 if leaf:
                     continue
-                if node.bv is not None and row is not None:
-                    child_env = dict(env)
-                    child_env[node.bv] = own_row
-                else:
-                    child_env = env
-                key = parent.key
-                if plan.reliable and plan.own_key_columns:
-                    key = key + tuple(
-                        own_row.get(c) for c in plan.own_key_columns
-                    )
-                created.append(_Instance(element, child_env, key))
+                own = key + own_key(row) if own_key is not None else key
+                created.append(_Instance(element, None, own, parent, row, bind))
         return created
 
 
+def _key_getter(names: list[str], columns: list[str]):
+    """``row -> tuple`` of ``columns``' values, each read at its position
+    in ``names``. A column the result lacks is :class:`_BulkUnsupported`."""
+    for column in columns:
+        if column not in names:
+            raise _BulkUnsupported(f"bulk row is missing key column {column!r}")
+    positions = [names.index(column) for column in columns]
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
 def _static_attributes(
-    plan: _NodePlan, surface, sample: Optional[Row]
+    plan: _NodePlan, surface, names: Optional[list[str]]
 ) -> Optional[list[tuple[str, str]]]:
     """What :func:`element_attributes` writes for *every* instance of a node.
 
     Known where the source's columns are known before a row is read: a
     literal element without an attribute source, and the rows of a bulk
-    result (``sample``), whose static column names the merge already
-    relies on. There the attribute routine itself, run once over a row
+    result (its column ``names``), whose static column names the merge
+    already relies on. There the attribute routine itself, run once over a row
     whose values are its own column names, shows what it writes for any
     row: the literal ``(name, value)`` pairs, then ``(name, column)`` in
     order. ``None`` — another source, a name written twice (which write
@@ -783,9 +842,9 @@ def _static_attributes(
     node = plan.node
     if plan.kind == "literal" and node.attr_source_bv is None:
         row = None
-    elif plan.kind == "bulk" and sample is not None:
+    elif plan.kind == "bulk":
         row = {column: column for column in plan.own_columns}
-        if any(column not in sample for column in row):
+        if any(column not in names for column in row):
             return None
     else:
         return None
@@ -842,7 +901,7 @@ def with_groups(node: SchemaNode, parts: list, groups: list) -> list:
     return rebuilt
 
 
-def _divide_group(rows: list[Row], share_count: int) -> list[Row]:
+def _divide_group(rows: list, share_count: int) -> list:
     """Split a group that joined against ``share_count`` duplicate bindings.
 
     Every duplicate binding contributed one identical copy of the child
@@ -853,7 +912,7 @@ def _divide_group(rows: list[Row], share_count: int) -> list[Row]:
     order: list[tuple] = []
     for row in rows:
         try:
-            key = tuple(row.values())
+            key = tuple(row)
         except TypeError as exc:  # pragma: no cover - defensive
             raise _BulkUnsupported(f"unhashable row value: {exc}") from exc
         entry = counts.get(key)
@@ -862,7 +921,7 @@ def _divide_group(rows: list[Row], share_count: int) -> list[Row]:
             order.append(key)
         else:
             entry[1] += 1
-    share: list[Row] = []
+    share: list = []
     for key in order:
         row, count = counts[key]
         quotient, remainder = divmod(count, share_count)

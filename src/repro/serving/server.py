@@ -38,8 +38,8 @@ suite in ``tests/maintenance/test_freshness_property.py``).
 Resilience: constructed with a
 :class:`~repro.resilience.policy.ResiliencePolicy`, the serving path
 becomes bounded and self-healing — per-request deadlines (cooperative
-``cancel_check`` at query boundaries plus a hard
-``sqlite3.Connection.interrupt`` timer), retry-with-backoff for
+``cancel_check`` at query boundaries plus a hard driver interrupt
+from the server's one deadline thread), retry-with-backoff for
 transient errors (:func:`repro.errors.classify_error`), a
 per-fingerprint circuit breaker on the plan cache, admission control
 (bounded queue, shed requests trace ``outcome="rejected"``), and a
@@ -83,7 +83,7 @@ from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultPlan
-from repro.resilience.policy import Deadline, ResiliencePolicy
+from repro.resilience.policy import Deadline, DeadlineWatch, ResiliencePolicy
 from repro.relational.schema import Catalog
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
 from repro.schema_tree.evaluator import MaterializeStats
@@ -382,6 +382,7 @@ class ViewServer:
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="viewserver"
         )
+        self._deadlines = DeadlineWatch("viewserver-deadline")
         self._catalog_fingerprint = fingerprint_catalog(catalog)
         self._lock = threading.Lock()
         self._next_request_id = 1
@@ -763,15 +764,16 @@ class ViewServer:
         Cooperative: the engine's ``cancel_check`` hook raises
         :class:`DeadlineExceeded` (or
         :class:`~repro.errors.RequestCancelled` when the deadline
-        carries a cancelled token) at the next query boundary. Hard: a
-        timer calls the engine driver's ``cancel`` when the budget
-        expires mid-statement — and a cancel-token callback does the
-        same the moment the token fires — surfacing as a
-        (transient-classified) interrupt error that the retry loop
+        carries a cancelled token) at the next query boundary. Hard: the
+        server's one deadline thread (``DeadlineWatch``: arming is a heap
+        push, no thread per request) calls the engine driver's ``cancel``
+        when the budget expires mid-statement — and a cancel-token
+        callback does the same the moment the token fires — surfacing as
+        a (transient-classified) interrupt error that the retry loop
         converts back into the real failure via the expired-budget /
-        cancelled-token check. Timer and callback are disarmed before
-        the session returns to the pool so they can never interrupt the
-        next borrower.
+        cancelled-token check. Both are disarmed before the session
+        returns to the pool, and the cutoff stands down once disarmed,
+        so neither can interrupt the next borrower.
         """
         token = deadline.token
         if deadline.budget_ms is None and token is None:
@@ -787,21 +789,20 @@ class ViewServer:
             if target is not None:
                 driver.cancel(target)
 
-        timer = None
+        entry = None
         if deadline.budget_ms is not None:
-            timer = threading.Timer(
-                (deadline.remaining_ms() or 0.0) / 1000.0, hard_cutoff
+            entry = self._deadlines.arm(
+                time.monotonic() + (deadline.remaining_ms() or 0.0) / 1000.0,
+                hard_cutoff,
             )
-            timer.daemon = True
-            timer.start()
         if token is not None:
             token.on_cancel(hard_cutoff)
         try:
             yield
         finally:
             armed.pop("connection", None)
-            if timer is not None:
-                timer.cancel()
+            if entry is not None:
+                self._deadlines.disarm(entry)
             if token is not None:
                 token.remove_callback(hard_cutoff)
             db.cancel_check = None
@@ -946,7 +947,7 @@ class ViewServer:
                     exc, (CircuitOpen, RequestCancelled)
                 ):
                     breaker.record_failure(plan.key)
-                # An interrupt fired by the deadline timer (or a cancel
+                # An interrupt fired by the deadline thread (or a cancel
                 # token) surfaces as a transient 'interrupted' error;
                 # the expired budget / cancellation is the real
                 # failure, so re-raise it as such.
@@ -1164,11 +1165,12 @@ class ViewServer:
         return metrics
 
     def close(self) -> None:
-        """Shut the executor down and close every pooled connection."""
+        """Shut down the executor, then the deadline thread and the pool."""
         if self._closed:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
+        self._deadlines.close()
         self.pool.close()
 
     def __enter__(self) -> "ViewServer":

@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 from repro.errors import SQLTransformError
 from repro.sql.analysis import (
     TableColumns,
+    _expr_has_aggregate,
     from_item_columns,
     has_top_level_aggregate,
     output_columns,
@@ -29,6 +30,7 @@ from repro.sql.ast import (
     Expr,
     FuncCall,
     InExpr,
+    LiteralValue,
     ParamRef,
     ScalarSubquery,
     Select,
@@ -535,7 +537,6 @@ def push_key_predicate(
             empty (the caller should skip the refetch entirely).
     """
     from repro.sql.analysis import sole_table_binding
-    from repro.sql.ast import InExpr, LiteralValue
 
     binding = sole_table_binding(query, table)
     if binding is None:
@@ -551,6 +552,34 @@ def push_key_predicate(
         raise SQLTransformError("key pushdown needs at least one key")
     query.add_where(InExpr(ColumnRef(key_column, table=binding), values))
     return binding
+
+
+def simplify_exists(select: Select) -> None:
+    """Strip from every ``EXISTS`` body, at any depth, what ``EXISTS``
+    never looks at: the select list becomes ``1`` and ``GROUP BY`` /
+    ``ORDER BY`` / ``DISTINCT`` go, in place.
+
+    ``EXISTS`` asks whether the body has a row. A grouped body has a
+    group exactly when its ``FROM ... WHERE`` has a tuple, and neither
+    order nor duplicate elimination can empty a result — but the engine
+    builds every group (a temp b-tree per outer row) to find that out.
+    Two shapes stay as they are: a body with ``HAVING`` (it filters
+    groups, so the groups are the question) and an *ungrouped* aggregate
+    (one row over an empty input too). A planner rewrite, not a
+    composition rule: NEST (Figure 11) specifies the paper's form, the
+    view's tag queries keep it, the bulk planner rewrites its own clone.
+    """
+    for expr in list(walk_exprs(select)):
+        if not isinstance(expr, ExistsExpr) or expr.select.having is not None:
+            continue
+        body = expr.select
+        if not body.group_by and (
+            has_top_level_aggregate(body)
+            or any(_expr_has_aggregate(o.expr) for o in body.order_by)
+        ):
+            continue
+        body.items = [SelectItem(LiteralValue(1))]
+        body.group_by, body.order_by, body.distinct = [], [], False
 
 
 def expand_stars(query: Select, catalog: TableColumns) -> None:

@@ -18,6 +18,7 @@ work, with every node's instances recorded parent-major.
 
 from __future__ import annotations
 
+import hashlib
 import random as stdlib_random
 
 import pytest
@@ -38,7 +39,12 @@ from repro.schema_tree.bulk_evaluator import (
 )
 from repro.schema_tree.evaluator import ViewEvaluator, materialize
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
-from repro.workloads.paper import figure1_view, figure4_stylesheet
+from repro.sql.parser import parse_select
+from repro.workloads.paper import (
+    figure1_view,
+    figure4_stylesheet,
+    figure17_stylesheet,
+)
 from repro.workloads.synthetic import (
     chain_catalog,
     chain_stylesheet,
@@ -341,12 +347,12 @@ def test_unsupported_output_columns_fall_back_and_taint():
         assert "ancestor column names" in reasons
 
 
-def test_duplicate_parent_bindings_divide_evenly():
+def test_duplicate_parent_bindings_divide_evenly(select="SELECT"):
     """Two identical parent tuples must each get one copy of the child
     multiset, not the doubled join result."""
     builder = ViewBuilder(CATALOG)
     top = builder.node("n0", "SELECT a FROM t0 WHERE parent_id = 0", bv="p")
-    top.child("n1", "SELECT label FROM t1 WHERE parent_id = $p.a")
+    top.child("n1", f"{select} label, b FROM t1 WHERE parent_id = $p.a")
     view = builder.build()
     with Database(make_catalog()) as db:
         db.insert_rows(
@@ -360,12 +366,18 @@ def test_duplicate_parent_bindings_divide_evenly():
             "t1",
             [
                 {"id": 10 + i, "parent_id": 1, "a": None, "b": 0,
-                 "label": f"L{i}"}
+                 "label": f"L{i % 2}"}
                 for i in range(3)
             ],
         )
         evaluator = assert_equivalent(view, db)
         assert not evaluator.fallback_nodes
+        assert evaluator.bulk_queries_executed == 2
+
+
+def test_duplicate_parent_bindings_under_distinct_take_the_group_whole():
+    """``DISTINCT`` collapsed the duplicated copies itself."""
+    test_duplicate_parent_bindings_divide_evenly("SELECT DISTINCT")
 
 
 def test_grouped_aggregate_under_duplicate_bindings_falls_back():
@@ -431,6 +443,187 @@ def test_empty_group_synthesis_for_ungrouped_aggregates():
         empty = document.child_elements()[1].find_children("n1")[0]
         assert empty.get("cnt") == "0"
         assert empty.get("total") is None
+
+
+# ---------------------------------------------------------------------------
+# The positional path: rows by index, an env made when something reads it
+# ---------------------------------------------------------------------------
+
+
+def aggregate_with_readers_view():
+    """An ungrouped aggregate whose row is read three ways by name: a
+    literal child surfaces it wholesale (``exact_env_row``: the env row is
+    the own columns only), a bulk child is keyed on it, and a grandchild
+    literal takes one column of the grandparent's."""
+    builder = ViewBuilder(CATALOG)
+    top = builder.node(
+        "n0", "SELECT id, label FROM t0 WHERE parent_id = 0 ORDER BY id", bv="p"
+    )
+    stat = top.child(
+        "n1",
+        "SELECT COUNT(id) AS cnt, SUM(b) AS total FROM t1 "
+        "WHERE parent_id = $p.id",
+        bv="s",
+    )
+    stat.child("whole").node.attr_source_bv = "s"
+    keyed = stat.child(
+        "n2", "SELECT id, a FROM t2 WHERE a = $s.cnt ORDER BY id", bv="k"
+    )
+    chosen = keyed.child("chosen", attr_columns=["label"])
+    chosen.node.attr_source_bv = "p"
+    return builder.build(validate=False)
+
+
+@pytest.mark.parametrize("children_of", [(), (1,), (1, 2, 3)])
+def test_restored_empty_rows_are_read_like_fetched_ones(children_of):
+    """``empty_row`` restoration — for every parent when the bulk result
+    has no row at all — feeds the trim, the key part and a descendant's
+    attribute source exactly as a fetched row does."""
+    view = aggregate_with_readers_view()
+    with Database(make_catalog()) as db:
+        db.insert_rows(
+            "t0",
+            [{"id": i, "parent_id": 0, "a": None, "b": 0, "label": f"p{i}"}
+             for i in (1, 2, 3)],
+        )
+        db.insert_rows(
+            "t1",
+            [{"id": 10 * p + k, "parent_id": p, "a": None, "b": k, "label": "x"}
+             for p in children_of for k in range(p)],
+        )
+        db.insert_rows(
+            "t2",
+            [{"id": 100 + i, "parent_id": 0, "a": a, "b": 0, "label": None}
+             for i, a in enumerate((0, 0, 1, 3))],
+        )
+        evaluator = assert_equivalent(view, db)
+        assert not evaluator.fallback_nodes
+        assert evaluator.bulk_queries_executed == 3
+        xml = BulkViewEvaluator(db).serialize(view)
+        if not children_of:
+            assert xml.count('<whole cnt="0"/>') == 3
+            assert xml.count('<chosen label="p2"/>') == 2
+
+
+def fallback_below_two_bulk_levels_view():
+    """``n2``'s unaliased ``a + b`` cannot be bulk-merged: it (and the
+    tainted ``n3``) run correlated on envs two bulk levels made."""
+    builder = ViewBuilder(CATALOG)
+    top = builder.node(
+        "n0", "SELECT * FROM t0 WHERE parent_id = 0 ORDER BY id", bv="p"
+    )
+    mid = top.child(
+        "n1", "SELECT * FROM t1 WHERE parent_id = $p.id ORDER BY id", bv="c"
+    )
+    low = mid.child(
+        "n2", "SELECT id, a + b FROM t2 WHERE parent_id = $c.id ORDER BY id",
+        bv="g", attr_columns=["id"],
+    )
+    low.child(
+        "n3",
+        "SELECT id, label FROM t3 WHERE parent_id = $g.id AND b >= $p.b "
+        "ORDER BY id",
+    )
+    return builder.build(validate=False)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 24])
+def test_planned_fallback_below_two_bulk_levels(seed):
+    view = fallback_below_two_bulk_levels_view()
+    with Database(make_catalog()) as db:
+        populate(db, seed)
+        evaluator = assert_equivalent(view, db)
+        assert [r.tag for r in evaluator.fallback_nodes] == ["n2", "n3"]
+        assert evaluator.bulk_queries_executed == 2
+
+
+def break_bulk_query(view, db, tag):
+    """Make ``tag``'s (cached) bulk query fail in the driver — the engine
+    wraps it, which is the only kind of error the run-time fallback takes."""
+    plans = BulkViewEvaluator(db).plan_view(view)
+    plan = next(p for p in plans.values() if p.node.tag == tag)
+    assert plan.kind == "bulk"
+    plan.query = parse_select(f"SELECT ghost FROM {plan.query.from_items[0].name}")
+
+
+def test_run_time_fallback_reads_envs_nothing_had_built():
+    builder = ViewBuilder(CATALOG)
+    top = builder.node(
+        "n0", "SELECT * FROM t0 WHERE parent_id = 0 ORDER BY id", bv="p"
+    )
+    mid = top.child(
+        "n1", "SELECT * FROM t1 WHERE parent_id = $p.id ORDER BY id", bv="c"
+    )
+    low = mid.child(
+        "n2", "SELECT * FROM t2 WHERE parent_id = $c.id ORDER BY id", bv="g"
+    )
+    low.child("n3", "SELECT id FROM t3 WHERE parent_id = $g.id ORDER BY id")
+    view = builder.build()
+    with Database(make_catalog()) as db:
+        populate(db, seed=24)
+        expected = serialize(ViewEvaluator(db).materialize(view))
+        assert expected.count("<n1 ") > 1 and "<n3 " in expected
+        break_bulk_query(view, db, "n2")
+        evaluator = assert_equivalent(view, db)
+        assert BulkViewEvaluator(db).serialize(view) == expected
+        # One record, and the node below it is still one bulk query.
+        assert [r.tag for r in evaluator.fallback_nodes] == ["n2"]
+        assert "bulk query failed" in evaluator.fallback_nodes[0].reason
+        assert evaluator.bulk_queries_executed == 3
+
+
+def test_one_failed_bulk_query_does_not_take_its_subtree_to_n_plus_one():
+    """Figure 1 at scale 4, the ``<hotel>`` bulk query failing: one
+    correlated query per metro and the other six nodes stay bulk — 18
+    queries and one record, not 128 and five (the run-time fallback plan
+    used to drop ``own_key_columns``, so every descendant's rows
+    "matched no parent binding")."""
+    db = build_hotel_database(HotelDataSpec().scaled(4))
+    view = figure1_view(db.catalog)
+    expected = BulkViewEvaluator(db).serialize(view)
+    break_bulk_query(view, db, "hotel")
+    evaluator = BulkViewEvaluator(db)
+    before = db.stats.queries_executed
+    assert evaluator.serialize(view) == expected
+    assert [r.tag for r in evaluator.fallback_nodes] == ["hotel"]
+    assert evaluator.bulk_queries_executed == 6
+    metros = db.table_count("metroarea")
+    assert db.stats.queries_executed - before == 6 + metros == 18
+    db.close()
+
+
+def state_digest(view, db):
+    """A digest of the served bytes and of everything capture records:
+    every node's ``(text, env)`` pairs, env rows in column order."""
+    capture: dict = {}
+    xml = BulkViewEvaluator(db, capture_instances=capture).serialize(view)
+    digest = hashlib.sha256(xml.encode())
+    for node_id in sorted(capture):
+        for item, env in capture[node_id]:
+            text = item if isinstance(item, str) else parts_text(item)
+            rows = [(bv, list(row.items())) for bv, row in env.items()]
+            digest.update(repr((node_id, text, rows)).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "stylesheet, expected",
+    [
+        (None, "93ac4413aafee1a4"),
+        (figure4_stylesheet, "f7a8e6beddff957a"),
+        (figure17_stylesheet, "0e88b6de5a8bd52a"),
+    ],
+)
+def test_captured_state_is_what_the_eager_envs_were(
+    hotel_db, stylesheet, expected
+):
+    """The digests were taken at the commit before envs became lazy
+    (d878be0, eager ``dict(env)`` per instance): capture's content — the
+    parts, every env, every row's columns and their order — has not moved."""
+    view = figure1_view(hotel_db.catalog)
+    if stylesheet is not None:
+        view = compose(view, stylesheet(), hotel_db.catalog)
+    assert state_digest(view, hotel_db) == expected
 
 
 def test_bulk_stats_match_nested(hotel_db):

@@ -29,6 +29,8 @@ from repro.maintenance import (
     hotel_payload_write,
     hotel_write,
 )
+from repro.relational.engine import Database
+from repro.schema_tree.bulk_evaluator import _Instance
 from repro.schema_tree.evaluator import materialize
 from repro.serving import ViewServer
 from repro.sharding import ShardRouter
@@ -173,6 +175,48 @@ def test_no_serving_request_builds_a_tree(output_elements, monkeypatch):
             reasons = server.metrics()["delta_fallbacks_by_reason"]
             assert reasons["unsupported"] == 2 and reasons["error"] == 0
             assert output_elements == []
+
+
+def test_a_first_computation_reads_positions_and_builds_no_env(monkeypatch):
+    """A miss fetches every bulk node through ``run_rows`` — no
+    ``sqlite3.Row`` becomes a dict — and nothing reads an instance's
+    ``env``, so none is built. The promotion captures: it records an env
+    for every instance, made then."""
+    calls = {"run_rows": 0, "run_query": 0, "env": 0}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("run_rows", "run_query"):
+        monkeypatch.setattr(Database, name, counting(name, getattr(Database, name)))
+    monkeypatch.setattr(
+        _Instance, "env", property(counting("env", _Instance.env.fget))
+    )
+    with delta_server() as (db, tracker, server):
+        view = figure1_view(db.catalog)
+        for sheet, queries in (
+            (None, 7), (figure4_stylesheet(), 3), (figure17_stylesheet(), 3),
+        ):
+            for name in calls:
+                calls[name] = 0
+            miss = server.render(view, sheet)
+            assert miss.error is None and miss.freshness == "miss"
+            assert miss.queries_executed == queries and miss.fallback_nodes == 0
+            assert calls == {"run_rows": queries, "run_query": 0, "env": 0}
+            promote(
+                lambda: server.render(view, sheet),
+                lambda: hotel_write(db, 0, tracker),
+            )
+            assert calls["run_query"] == 0 and calls["env"] > 0
+            state = server.result_cache.peek(miss.plan_key).state
+            recorded = [env for pairs in state.instances.values() for _i, env in pairs]
+            assert len(recorded) > miss.elements_created  # the root's too
+            assert all(type(env) is dict for env in recorded)
+            assert max(len(env) for env in recorded) > 1  # nested bindings
 
 
 def selects_reachable_from(root, depth=6):

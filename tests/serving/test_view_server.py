@@ -18,6 +18,7 @@ from repro.workloads.hotel import (
 )
 from repro.workloads.paper import figure1_view, figure4_stylesheet
 from tests.priming import promote
+from tests.schema_tree.test_bulk_evaluator import break_bulk_query
 
 
 @pytest.fixture()
@@ -124,6 +125,24 @@ def test_failing_request_yields_an_error_trace(served_hotel):
     metrics = server.metrics()
     assert metrics["errors"] == 1
     assert metrics["requests_served"] == 1
+
+
+def test_one_failed_bulk_query_costs_one_fallback_not_its_subtree():
+    """Figure 1 at scale 4 with the ``<hotel>`` bulk query failing in the
+    driver: the trace shows one correlated query per metro beside the six
+    bulk ones and a single fallback, the bytes are the healthy ones (the
+    evaluator-level twin in ``tests/schema_tree`` has the 128 / 5 it was)."""
+    db = build_hotel_database(HotelDataSpec().scaled(4))
+    with ViewServer(db.catalog, source=db, workers=1) as server:
+        view = figure1_view(db.catalog)
+        healthy = server.render(view)
+        assert healthy.queries_executed == 7 and healthy.fallback_nodes == 0
+        break_bulk_query(view, db, "hotel")
+        trace = server.render(view)
+        assert trace.error is None and trace.xml == healthy.xml
+        assert trace.queries_executed == 6 + db.table_count("metroarea") == 18
+        assert trace.fallback_nodes == 1
+    db.close()
 
 
 def test_render_many_preserves_request_order(served_hotel):

@@ -15,6 +15,7 @@ from repro.sql.transform import (
     project_columns,
     qualify_bare_stars,
     qualify_unqualified_columns,
+    simplify_exists,
     used_aliases,
 )
 
@@ -182,3 +183,59 @@ def test_project_unknown_column_raises():
     query = parse_select("SELECT * FROM hotel")
     with pytest.raises(SQLTransformError):
         project_columns(query, ["ghost"], CATALOG)
+
+
+# -- simplify_exists: what EXISTS never looks at ----------------------------
+
+AVAILABLE = "FROM availability, guestroom WHERE rhotel_id = hotelid AND a_r_id = r_id"
+
+
+@pytest.mark.parametrize(
+    "body, simplified",
+    [
+        # Figure 4's probe: every group per hotel, to learn that one exists.
+        (f"SELECT COUNT(a_id) AS COUNT_a_id, startdate {AVAILABLE} GROUP BY startdate",
+         f"SELECT 1 {AVAILABLE}"),
+        (f"SELECT DISTINCT startdate {AVAILABLE}", f"SELECT 1 {AVAILABLE}"),
+        (f"SELECT a_id {AVAILABLE} ORDER BY startdate", f"SELECT 1 {AVAILABLE}"),
+        (f"SELECT * {AVAILABLE}", f"SELECT 1 {AVAILABLE}"),
+        # HAVING filters groups: the groups are the question.
+        (f"SELECT startdate {AVAILABLE} GROUP BY startdate HAVING COUNT(a_id) > 1",
+         None),
+        # Figure 17's: an ungrouped aggregate yields a row over no tuple too.
+        ("SELECT SUM(capacity) AS SUM_capacity FROM confroom "
+         "WHERE chotel_id = hotelid HAVING SUM(capacity) > 100", None),
+        ("SELECT COUNT(c_id) AS n FROM confroom WHERE chotel_id = hotelid", None),
+        ("SELECT capacity + MAX(c_id) AS n FROM confroom", None),
+    ],
+)
+@pytest.mark.parametrize("negated", ["", "NOT "])
+def test_simplify_exists_truth_table(body, simplified, negated):
+    original = parse_select(f"SELECT * FROM hotel WHERE {negated}EXISTS ({body})")
+    untouched = print_select(original)
+    query = original.clone()
+    simplify_exists(query)
+    expected = print_select(
+        parse_select(
+            f"SELECT * FROM hotel WHERE {negated}EXISTS ({simplified or body})"
+        )
+    )
+    assert print_select(query) == expected
+    assert (expected == untouched) == (simplified is None)
+    simplify_exists(query)  # idempotent
+    assert print_select(query) == expected
+    assert print_select(original) == untouched  # the clone's source is not
+
+
+def test_simplify_exists_reaches_every_depth():
+    grouped = f"SELECT startdate {AVAILABLE} GROUP BY startdate"
+    query = parse_select(
+        "SELECT d.hotelid FROM "
+        f"(SELECT hotelid FROM hotel WHERE EXISTS ({grouped})) AS d "
+        "WHERE d.hotelid IN (SELECT chotel_id FROM confroom "
+        f"WHERE EXISTS (SELECT DISTINCT c_id FROM confroom WHERE EXISTS ({grouped})))"
+    )
+    simplify_exists(query)
+    printed = print_select(query)
+    assert printed.count("EXISTS (SELECT 1 FROM") == printed.count("EXISTS") == 3
+    assert "GROUP BY" not in printed and "DISTINCT" not in printed

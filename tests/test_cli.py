@@ -2,6 +2,7 @@
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,7 @@ def test_materialize_bulk_writes_the_text_form(demo_dir, capsys, monkeypatch):
         BulkViewEvaluator, "materialize",
         lambda self, view: tree_calls.append(view) or real(self, view),
     )
+    bulk_queries = []
     for view_path in (demo_dir / "view.xml", composed_path):
         seen = {}
         for strategy in ("nested-loop", "bulk"):
@@ -133,10 +135,17 @@ def test_materialize_bulk_writes_the_text_form(demo_dir, capsys, monkeypatch):
                  "--strategy", strategy, "--out", str(out_path)]
             ) == 0
             report = capsys.readouterr().err.strip()
-            elements = re.fullmatch(r"(\d+) elements, \d+ queries", report)
+            elements = re.fullmatch(r"(\d+) elements, (\d+) queries", report)
             assert elements, report
             seen[strategy] = (out_path.read_bytes(), elements.group(1))
         assert seen["bulk"] == seen["nested-loop"]
+        bulk_queries.append(int(elements.group(2)))
+    # One query per query-bearing node: bytes survive a fallback to
+    # correlated execution, this count does not — CI's smoke greps for it.
+    assert bulk_queries == [7, 3]
+    ci = (Path(__file__).parent.parent / ".github/workflows/ci.yml").read_text()
+    for count in bulk_queries:
+        assert f"grep -q ' elements, {count} queries$'" in ci
     assert tree_calls == []
     assert main(
         ["materialize", *common, "--view", str(composed_path),
