@@ -43,7 +43,7 @@ import itertools
 import re
 import sqlite3
 import threading
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.errors import (
     DriverCapabilityError,
@@ -171,13 +171,6 @@ class EngineDriver:
     def commit(self, connection) -> None:
         """Commit, where the backend is not autocommitting."""
         connection.commit()
-
-    def insert_statement(
-        self, table: str, columns: Sequence[str]
-    ) -> tuple[str, Callable[[Mapping[str, Any]], Any]]:
-        """An INSERT statement in this backend's placeholder style, plus
-        a function turning a row dict into its parameter payload."""
-        raise NotImplementedError
 
     def analyze(self, connection) -> None:
         """Refresh planner statistics, where the backend needs telling."""
@@ -314,15 +307,6 @@ class SqliteDriver(EngineDriver):
     def configure(self, connection) -> None:
         """Install the dict-like row factory the engine expects."""
         connection.row_factory = sqlite3.Row
-
-    def insert_statement(self, table, columns):
-        """INSERT with ``:column`` placeholders; rows bind as dicts."""
-        placeholders = ", ".join(f":{c}" for c in columns)
-        sql = (
-            f"INSERT INTO {table} ({', '.join(columns)}) "
-            f"VALUES ({placeholders})"
-        )
-        return sql, lambda row: row
 
     def analyze(self, connection) -> None:
         """Run ANALYZE so the planner has real statistics."""
@@ -512,12 +496,6 @@ class DuckDBDriver(EngineDriver):
             connection.execute("SET default_null_order='nulls_first'")
         except self.errors:  # pragma: no cover - setting renamed
             pass
-
-    def insert_statement(self, table, columns):
-        """INSERT with ``?`` qmarks; rows bind as column-ordered tuples."""
-        marks = ", ".join("?" for _ in columns)
-        sql = f"INSERT INTO {table} ({', '.join(columns)}) VALUES ({marks})"
-        return sql, lambda row: tuple(row[c] for c in columns)
 
     def commit(self, connection) -> None:
         """No-op: DuckDB autocommits outside explicit transactions."""

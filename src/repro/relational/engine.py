@@ -47,7 +47,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import ViewEvaluationError
 from repro.relational.driver import (
@@ -270,26 +270,37 @@ class Database:
 
     def insert_rows(self, table: str, rows: Iterable[Mapping[str, Any]]) -> int:
         """Insert dict rows into ``table``; returns the number inserted."""
-        self._check_writable(f"insert into {table}")
-        declared = self.catalog.table(table)
-        columns = declared.column_names()
-        sql, as_params = self.driver.insert_statement(table, columns)
-        payload: list[Any] = []
+        columns = self.catalog.table(table).column_names()
+        payload: list[tuple] = []
         for row in rows:
             missing = [c for c in columns if c not in row]
             if missing:
                 raise ViewEvaluationError(
                     f"insert into {table}: row missing columns {missing}"
                 )
-            payload.append(as_params({c: row[c] for c in columns}))
-        if payload:
-            self.driver.executemany(self.connection, sql, payload)
+            payload.append(tuple(row[c] for c in columns))
+        return self.insert_positional(table, payload)
+
+    def insert_positional(self, table: str, rows: Sequence[Sequence[Any]]) -> int:
+        """Insert rows given in the table's declared column order (what
+        ``SELECT <those columns>`` delivers: a copy hands ``executemany``
+        the cursor's rows as they came); ``?`` binds by position on every
+        backend. Returns the number inserted."""
+        self._check_writable(f"insert into {table}")
+        columns = self.catalog.table(table).column_names()
+        if rows:
+            self.driver.executemany(
+                self.connection,
+                f"INSERT INTO {table} ({', '.join(columns)}) "
+                f"VALUES ({', '.join('?' * len(columns))})",
+                rows,
+            )
         self.driver.commit(self.connection)
         # Auto-tracked engines capture the INSERT through the driver's
         # write hooks; recording here too would double-bump the version.
-        if payload and self.tracker is not None and not self._tracker_auto:
-            self.tracker.record_write(table, rows=len(payload))
-        return len(payload)
+        if rows and self.tracker is not None and not self._tracker_auto:
+            self.tracker.record_write(table, rows=len(rows))
+        return len(rows)
 
     def _check_writable(self, action: str) -> None:
         if self.read_only:

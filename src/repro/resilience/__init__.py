@@ -15,8 +15,8 @@ predictable* under that failure:
   checks at query boundaries, backed by a hard driver interrupt from
   one :class:`~repro.resilience.policy.DeadlineWatch` thread per server).
 * :mod:`repro.resilience.breaker` — a per-plan-fingerprint
-  :class:`CircuitBreaker` (closed / open / half-open) living on the
-  :class:`~repro.serving.plan_cache.PlanCache`.
+  :class:`CircuitBreaker` (closed / open / half-open), one per
+  :class:`~repro.serving.server.ViewServer` (``server.breaker``).
 
 Failure classification lives in :func:`repro.errors.classify_error`;
 the degraded-stale fallback (serve the last-known-good

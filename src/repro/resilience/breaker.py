@@ -18,8 +18,9 @@ classic three-state machine:
   cooldown.
 
 One breaker instance guards all keys (it lives on the
-:class:`~repro.serving.plan_cache.PlanCache`, which already speaks
-plan fingerprints); state per key is a few counters, created lazily.
+:class:`~repro.serving.server.ViewServer` whose compile and execution
+outcomes it counts — never on a plan store other servers may share);
+state per key is a few counters, created lazily.
 All transitions happen under one lock and are counted, so
 ``metrics()`` can report exact open/close/half-open totals. The clock
 is injectable for deterministic tests.

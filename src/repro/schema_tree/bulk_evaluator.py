@@ -103,16 +103,11 @@ from repro.xmlcore.serializer import attributes_text, escape_attribute
 
 logger = logging.getLogger(__name__)
 
-#: Per-view plan cache: ``id(view) -> (view, catalog, plans, records)``.
-#: Plans depend only on the view tree and the catalog (never on data), so
-#: repeated materializations of the same view object skip the clone +
-#: decorrelate + validate pass entirely. Identity-checked against both the
-#: view and the catalog; bounded FIFO so held references stay small.
-#: Guarded by ``_PLAN_CACHE_LOCK``: the serving layer materializes one
-#: shared (cached) view object from several worker threads at once.
-_PLAN_CACHE: dict[int, tuple] = {}
-_PLAN_CACHE_LIMIT = 8
-_PLAN_CACHE_LOCK = threading.Lock()
+#: Held while a view is planned: the serving layer evaluates one shared
+#: (cached) view object from several threads at once — both shards of a
+#: scatter — and the first plans for all of them. Planning is pure Python,
+#: so serializing it under the interpreter lock loses nothing.
+_PLANNING_LOCK = threading.Lock()
 
 
 class _BulkUnsupported(Exception):
@@ -485,43 +480,36 @@ class BulkViewEvaluator:
         return query, key_columns
 
     def plan_view(self, view: SchemaTreeQuery) -> dict[int, _NodePlan]:
-        """Plan every node of ``view``, with cross-evaluator caching.
+        """Plan every node of ``view``, once per view object.
 
-        Planning depends only on the view and the catalog, so the result
-        (including which nodes fell back and why) is cached per view
-        object. On a hit the planning-time fallback records are replayed
-        into :attr:`fallback_nodes` without re-logging. Incremental
-        maintenance reads node reliability off the plans (whether splice
-        keys are trustworthy) and feeds them to :meth:`evaluate_node`.
+        Planning depends only on the view and the catalog (never on
+        data), so the result — including which nodes fell back and why —
+        is memoized on the view itself (``view.bulk_plans``, checked
+        against the catalog by identity): it lives as long as the view it
+        describes, so there is nothing to evict. A later evaluator skips
+        the clone + decorrelate + validate pass and has the fallback
+        records replayed into :attr:`fallback_nodes` without re-logging.
+        Incremental maintenance reads node reliability off the plans
+        (whether splice keys are trustworthy) and feeds them to
+        :meth:`evaluate_node`.
         """
-        with _PLAN_CACHE_LOCK:
-            cached = _PLAN_CACHE.get(id(view))
-            if (
-                cached is not None
-                and cached[0] is view
-                and cached[1] is self.db.catalog
-            ):
-                self.fallback_nodes.extend(cached[3])
-                return cached[2]
-        marker = len(self.fallback_nodes)
-        plans: dict[int, _NodePlan] = {}
-        reliability: dict[int, bool] = {view.root.id: True}
-        for node in view.nodes(include_root=False):
-            parent = node.parent
-            assert parent is not None
-            plan = self._plan_node(node, tainted=not reliability[parent.id])
-            plans[node.id] = plan
-            reliability[node.id] = reliability[parent.id] and plan.reliable
-        with _PLAN_CACHE_LOCK:
-            while len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
-                _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-            _PLAN_CACHE[id(view)] = (
-                view,
-                self.db.catalog,
-                plans,
-                list(self.fallback_nodes[marker:]),
-            )
-        return plans
+        with _PLANNING_LOCK:
+            memo = view.bulk_plans
+            if memo is not None and memo[0] is self.db.catalog:
+                self.fallback_nodes.extend(memo[2])
+                return memo[1]
+            marker = len(self.fallback_nodes)
+            plans: dict[int, _NodePlan] = {}
+            reliability: dict[int, bool] = {view.root.id: True}
+            for node in view.nodes(include_root=False):
+                parent = node.parent
+                assert parent is not None
+                plan = self._plan_node(node, tainted=not reliability[parent.id])
+                plans[node.id] = plan
+                reliability[node.id] = reliability[parent.id] and plan.reliable
+            records = list(self.fallback_nodes[marker:])
+            view.bulk_plans = (self.db.catalog, plans, records)
+            return plans
 
     # -- execution ------------------------------------------------------------
 

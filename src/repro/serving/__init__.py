@@ -23,7 +23,7 @@ from repro.serving.fingerprint import (
     plan_key,
     view_read_set,
 )
-from repro.serving.plan_cache import CompiledPlan, PlanCache
+from repro.serving.plan_cache import CompiledPlan, PlanCache, compile_plan
 from repro.serving.pool import ConnectionPool
 from repro.serving.server import (
     DELTA_FALLBACK_REASONS,
@@ -48,6 +48,7 @@ __all__ = [
     "RequestTrace",
     "ViewServer",
     "clear_fingerprint_memo",
+    "compile_plan",
     "fingerprint_catalog",
     "fingerprint_stylesheet",
     "fingerprint_text",

@@ -1,12 +1,22 @@
-"""LRU cache of compiled publishing plans.
+"""The process's store of compiled publishing plans, and the one compile.
 
 A *compiled plan* is everything request execution needs that does not
 depend on the data: the composed-and-pruned stylesheet view and its read
-sets. Compiling one (compose + prune) costs orders of magnitude more than
-executing the view's handful of queries at serving scale, so the
-:class:`~repro.serving.server.ViewServer` keys plans by content
-fingerprint (:mod:`repro.serving.fingerprint`) and reuses them across
-requests and worker threads.
+sets. Compiling one (:func:`compile_plan`: compose + prune, the only
+``compose`` call on the serving path) costs orders of magnitude more
+than executing the view's handful of queries at serving scale, so plans
+are keyed by content fingerprint (:mod:`repro.serving.fingerprint`) and
+reused across requests and worker threads.
+
+One :class:`PlanCache` per process is the only home of anything derived
+from ``(view, stylesheet, catalog)``: a single ``ViewServer`` makes its
+own, a ``ShardRouter`` makes one and hands it to every member, so a
+stylesheet is composed once. What else derives from the composed view
+hangs off the plan and dies with it: the bulk node plans on ``plan.view``
+(``BulkViewEvaluator.plan_view``), the fleet's merge frame in
+:attr:`CompiledPlan.merge_plan`. The store holds no circuit breaker: a
+breaker also counts execution failures, which belong to one member's
+database (``ViewServer.breaker``).
 
 Concurrency: all bookkeeping happens under one internal lock, and
 compilation is **single-flight** — when N threads miss on the same key
@@ -25,9 +35,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
+from repro.relational.schema import Catalog
 from repro.schema_tree.model import SchemaTreeQuery
+from repro.serving.fingerprint import node_read_sets
 
 
 @dataclass
@@ -38,10 +50,6 @@ class CompiledPlan:
     key: str
     #: The composed (and possibly pruned) schema-tree view to execute.
     view: SchemaTreeQuery
-    #: Wall-clock seconds the compile (compose + prune) took.
-    compose_seconds: float = 0.0
-    #: Dead columns removed by pruning (0 when pruning was off).
-    pruned_columns: int = 0
     #: Base tables the view's tag queries read (sorted; subqueries
     #: included — see :func:`repro.serving.fingerprint.view_read_set`).
     #: Drives table-based invalidation and the maintenance layer's
@@ -53,6 +61,37 @@ class CompiledPlan:
     #: each entry with the tracker's dirty tables to re-execute only the
     #: affected schema nodes.
     node_read_sets: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    #: The fleet's merge frame for ``view``: the frozen
+    #: ``repro.sharding.merge.MergePlan``, filled by the router on first
+    #: use (typed loosely: ``serving`` imports nothing from ``sharding``).
+    merge_plan: Any = field(default=None, init=False, repr=False, compare=False)
+
+
+def compile_plan(key: str, request, catalog: Catalog) -> CompiledPlan:
+    """Compile ``request`` (a ``PublishRequest``) into the plan cached as
+    ``key``: compose, prune, read off the per-node read sets — ``tables``
+    is their union, so every tag query is walked for its tables once."""
+    from repro.core.compose import compose
+    from repro.core.optimize import prune_stylesheet_view
+
+    if request.stylesheet is None:
+        view = request.view
+    else:
+        view = compose(
+            request.view,
+            request.stylesheet,
+            catalog,
+            paper_mode=request.paper_mode,
+        )
+        if request.prune:
+            prune_stylesheet_view(view, catalog)
+    read_sets = node_read_sets(view)
+    return CompiledPlan(
+        key=key,
+        view=view,
+        tables=tuple(sorted(set().union(*read_sets.values()))),
+        node_read_sets=read_sets,
+    )
 
 
 class PlanCache:
@@ -65,7 +104,7 @@ class PlanCache:
     (single-flight compilation, see the module docstring).
     """
 
-    def __init__(self, capacity: int = 64, breaker=None):
+    def __init__(self, capacity: int = 64):
         if capacity < 1:
             raise ValueError(f"PlanCache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -73,13 +112,6 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        #: Optional per-fingerprint circuit breaker
-        #: (:class:`repro.resilience.breaker.CircuitBreaker`). The cache
-        #: records compile outcomes into it (a failed ``get_or_build``
-        #: build counts one failure, a published plan one success); the
-        #: server records eval outcomes and consults
-        #: ``breaker.allow(key)`` before touching the pool.
-        self.breaker = breaker
         self._entries: "OrderedDict[str, CompiledPlan]" = OrderedDict()
         self._inflight: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
@@ -110,7 +142,8 @@ class PlanCache:
         The first thread to miss runs ``build()`` outside the lock;
         concurrent callers for the same key block until it publishes,
         then count as hits. If ``build`` raises, the in-flight marker is
-        withdrawn so a later call can retry.
+        withdrawn (a waiter becomes the next builder) and the exception
+        reaches the caller whose build it was — nobody else.
         """
         while True:
             with self._lock:
@@ -127,21 +160,16 @@ class PlanCache:
                     break
             # Another thread is compiling this key: wait and re-check.
             event.wait()
+        plan = None
         try:
             plan = build()
-        except BaseException:
+        finally:
+            # However the build ended: withdraw the marker, wake the waiters.
             with self._lock:
+                if plan is not None:
+                    self._store(key, plan)
                 self._inflight.pop(key, None)
                 event.set()
-            if self.breaker is not None:
-                self.breaker.record_failure(key)
-            raise
-        with self._lock:
-            self._store(key, plan)
-            self._inflight.pop(key, None)
-            event.set()
-        if self.breaker is not None:
-            self.breaker.record_success(key)
         return plan, False
 
     def _store(self, key: str, plan: CompiledPlan) -> None:

@@ -41,7 +41,8 @@ becomes bounded and self-healing — per-request deadlines (cooperative
 ``cancel_check`` at query boundaries plus a hard driver interrupt
 from the server's one deadline thread), retry-with-backoff for
 transient errors (:func:`repro.errors.classify_error`), a
-per-fingerprint circuit breaker on the plan cache, admission control
+per-fingerprint circuit breaker (the server's own, also when the plan
+store is shared: it counts this member's failures), admission control
 (bounded queue, shed requests trace ``outcome="rejected"``), and a
 **degraded-stale** fallback: when computation fails or the breaker is
 open, the last-known-good result-cache entry is served with
@@ -60,7 +61,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import (
@@ -88,13 +89,8 @@ from repro.relational.schema import Catalog
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
 from repro.schema_tree.evaluator import MaterializeStats
 from repro.schema_tree.model import SchemaTreeQuery
-from repro.serving.fingerprint import (
-    fingerprint_catalog,
-    node_read_sets,
-    plan_key,
-    view_read_set,
-)
-from repro.serving.plan_cache import CompiledPlan, PlanCache
+from repro.serving.fingerprint import fingerprint_catalog, plan_key
+from repro.serving.plan_cache import CompiledPlan, PlanCache, compile_plan
 from repro.serving.pool import ConnectionPool
 from repro.xslt.model import Stylesheet
 
@@ -235,8 +231,7 @@ class RequestTrace:
 
     ``plan_seconds`` is the time this request spent *obtaining* its
     compiled plan — near zero on a cache hit, the full compose cost on
-    the miss that compiled it (also recorded on the plan itself as
-    ``compose_seconds``).
+    the miss that compiled it.
     """
 
     request_id: int
@@ -338,7 +333,9 @@ class ViewServer:
     Requests are executed on a ``ThreadPoolExecutor`` with one pooled
     connection per worker; compiled plans are shared through an LRU
     :class:`~repro.serving.plan_cache.PlanCache` keyed by content
-    fingerprints of (catalog, view, stylesheet, options).
+    fingerprints of (catalog, view, stylesheet, options) — the server's
+    own of ``cache_capacity`` plans, or the ``plan_cache`` it is handed
+    (a fleet's members share their router's).
     """
 
     def __init__(
@@ -355,6 +352,7 @@ class ViewServer:
         resilience: Optional[ResiliencePolicy] = None,
         faults: Optional[FaultPlan] = None,
         pool_admission=None,
+        plan_cache: Optional[PlanCache] = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -367,14 +365,21 @@ class ViewServer:
         # deterministic chaos into every pooled session.
         self.resilience = resilience
         self.faults = faults
-        breaker = None
+        #: Per-fingerprint circuit breaker (``None`` without a threshold).
+        #: It also counts execution failures, a property of this member's
+        #: database, so it is not on a plan store other members may share.
+        self.breaker: Optional[CircuitBreaker] = None
         if resilience is not None and resilience.breaker_threshold > 0:
-            breaker = CircuitBreaker(
+            self.breaker = CircuitBreaker(
                 resilience.breaker_threshold,
                 cooldown_ms=resilience.breaker_cooldown_ms,
                 half_open_max=resilience.breaker_half_open_max,
             )
-        self.plan_cache = PlanCache(cache_capacity, breaker=breaker)
+        self.plan_cache = (
+            plan_cache if plan_cache is not None else PlanCache(cache_capacity)
+        )
+        # This server's own lookups: a shared store counts the fleet's.
+        self._plan_lookups = {"hits": 0, "misses": 0}
         self.pool = ConnectionPool(
             catalog, path=path, source=source, size=workers,
             fault_plan=faults, admission=pool_admission,
@@ -571,38 +576,34 @@ class ViewServer:
             "results": dropped_results,
         }
 
-    def _compile(self, key: str, request: PublishRequest) -> CompiledPlan:
-        from repro.core.compose import compose
-        from repro.core.optimize import prune_stylesheet_view
+    def _plan(self, key: str, request: PublishRequest) -> tuple[CompiledPlan, bool]:
+        """``(plan, was_hit)`` from the store, compiling on a miss.
 
-        if self.faults is not None:
-            # Compile-site fault injection (tests): raises a
-            # transient OperationalError that get_or_build's in-flight
-            # cleanup and the circuit breaker both observe.
-            self.faults.check_compile(key)
-        started = time.perf_counter()
-        pruned_columns = 0
-        if request.stylesheet is None:
-            view = request.view
-        else:
-            view = compose(
-                request.view,
-                request.stylesheet,
-                self.catalog,
-                paper_mode=request.paper_mode,
-            )
-            if request.prune:
-                pruned_columns = prune_stylesheet_view(
-                    view, self.catalog
-                ).columns_removed
-        return CompiledPlan(
-            key=key,
-            view=view,
-            compose_seconds=time.perf_counter() - started,
-            pruned_columns=pruned_columns,
-            tables=view_read_set(view),
-            node_read_sets=node_read_sets(view),
-        )
+        The lookup counts as this server's, and so does a compile outcome
+        the breaker hears: a failed build is its caller's alone (waiters
+        retry), a hit — someone else compiled — is nobody's.
+        """
+
+        def build() -> CompiledPlan:
+            if self.faults is not None:
+                # Compile-site fault injection (tests): a transient error
+                # get_or_build's cleanup and the breaker both observe.
+                self.faults.check_compile(key)
+            return compile_plan(key, request, self.catalog)
+
+        hit = False
+        try:
+            plan, hit = self.plan_cache.get_or_build(key, build)
+        except BaseException:
+            if self.breaker is not None:
+                self.breaker.record_failure(key)
+            raise
+        finally:
+            with self._lock:
+                self._plan_lookups["hits" if hit else "misses"] += 1
+        if not hit and self.breaker is not None:
+            self.breaker.record_success(key)
+        return plan, hit
 
     # -- freshness -----------------------------------------------------------
 
@@ -853,7 +854,7 @@ class ViewServer:
             # whose sibling already answered) must not burn a worker
             # on plan or cache work it will throw away.
             request.cancel.check()
-        breaker = self.plan_cache.breaker
+        breaker = self.breaker
         # Gate compilation: an open breaker must not trigger a compile
         # storm for a plan that keeps failing. Resident plans skip this
         # (a plain cache read costs nothing worth protecting).
@@ -863,9 +864,7 @@ class ViewServer:
             and not breaker.allow(key)
         ):
             raise CircuitOpen(key, breaker.retry_after_ms(key))
-        plan, hit = self.plan_cache.get_or_build(
-            key, lambda: self._compile(key, request)
-        )
+        plan, hit = self._plan(key, request)
         trace.cache_hit = hit
         trace.plan_seconds = time.perf_counter() - started
         # -- result cache: consult before touching the pool. The
@@ -934,7 +933,7 @@ class ViewServer:
         and expired deadlines raise immediately.
         """
         policy = self.resilience
-        breaker = self.plan_cache.breaker
+        breaker = self.breaker
         attempt = 0
         while True:
             try:
@@ -1119,11 +1118,13 @@ class ViewServer:
                 for priority, counts in self._priority_outcomes.items()
             }
             priority_shed = dict(self._priority_shed)
+            plan_lookups = dict(self._plan_lookups)
         metrics = {
             "requests_served": requests_served,
             "errors": errors,
             "workers": self.workers,
-            "cache": self.plan_cache.stats(),
+            # The (possibly shared) store's figures, this server's lookups.
+            "cache": {**self.plan_cache.stats(), **plan_lookups},
             "freshness": freshness,
             "outcomes": outcomes,
             "cancelled": cancelled_requests,
@@ -1151,7 +1152,7 @@ class ViewServer:
                 "versions": self.tracker.snapshot(),
             }
         if self.resilience is not None:
-            breaker = self.plan_cache.breaker
+            breaker = self.breaker
             metrics["resilience"] = {
                 "policy": self.resilience.describe(),
                 "retries": retries_total,

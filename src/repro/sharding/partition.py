@@ -29,6 +29,7 @@ from repro.errors import ReproError
 from repro.relational.engine import Database
 from repro.relational.schema import Catalog
 from repro.schema_tree.model import SchemaNode, SchemaTreeQuery
+from repro.sql.parser import parse_select
 
 
 class ShardingError(ReproError):
@@ -226,7 +227,9 @@ def partition_database(
     Rows are inserted in source order, so within every shard the
     partition table's rows stay ascending by key — combined with the
     partitioner's ascending ranges, shard-order concatenation preserves
-    global document order. Replicated tables (key query ``None``) are
+    global document order. Each table is read once by position, routed
+    on its primary-key position and inserted as the cursor's rows: only
+    the key queries build a dict. Replicated tables (key query ``None``) are
     copied to every shard verbatim. The returned databases are writable
     and opened ``cross_thread`` (default) so a writer thread and the
     serving pools' re-snapshot path can share them, exactly like the
@@ -239,11 +242,14 @@ def partition_database(
         for _ in range(partitioner.shards)
     ]
     for declared in source.catalog:
-        rows = source.run_sql(f"SELECT * FROM {declared.name}", {})
+        columns = declared.column_names()
+        _, rows = source.run_rows(
+            parse_select(f"SELECT {', '.join(columns)} FROM {declared.name}")
+        )
         key_query = scheme.key_queries[declared.name]
         if key_query is None:
             for shard in shards:
-                shard.insert_rows(declared.name, [dict(row) for row in rows])
+                shard.insert_positional(declared.name, rows)
             continue
         if declared.primary_key is None:
             raise ShardingError(
@@ -254,16 +260,17 @@ def partition_database(
             row["pk"]: partitioner.shard_of(row["part"])
             for row in source.run_sql(key_query, {})
         }
-        dealt: list[list[dict]] = [[] for _ in shards]
+        pk = columns.index(declared.primary_key)
+        dealt: list[list] = [[] for _ in shards]
         for row in rows:
-            owner = owner_by_pk.get(row[declared.primary_key])
+            owner = owner_by_pk.get(row[pk])
             if owner is None:
                 # A row whose join path dead-ends (orphan) is served by
                 # no shard's view queries; drop it rather than guess.
                 continue
-            dealt[owner].append(dict(row))
+            dealt[owner].append(row)
         for shard, shard_rows in zip(shards, dealt):
-            shard.insert_rows(declared.name, shard_rows)
+            shard.insert_positional(declared.name, shard_rows)
     for shard in shards:
         shard.analyze()
     return shards

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -65,7 +64,7 @@ from repro.relational.schema import Catalog
 from repro.resilience.faults import FaultPlan, FleetFaultPlan
 from repro.resilience.policy import ResiliencePolicy
 from repro.schema_tree.model import SchemaTreeQuery
-from repro.serving.fingerprint import fingerprint_catalog, plan_key
+from repro.serving.plan_cache import PlanCache, compile_plan
 from repro.serving.server import (
     OUTCOMES,
     SERVING_STRATEGY,
@@ -277,11 +276,9 @@ class ShardRouter:
         else:
             self._lag_budget = None
         self._owns_sources = owns_sources
-        self._catalog_fingerprint = fingerprint_catalog(catalog)
-        # Merge plans by plan key: plain data (the literal frame and a
-        # few tags), LRU-bounded like every member's plan cache.
-        self._merge_plans: "OrderedDict[str, MergePlan]" = OrderedDict()
-        self._merge_plan_capacity = cache_capacity
+        #: The process's one plan store: every member reads from it, and
+        #: the merge frame hangs off the plan it holds (``_merge_plan``).
+        self.plan_cache = PlanCache(cache_capacity)
         self._merge_lock = threading.Lock()
         # Merged-response memo: (plan key, per-shard xml) ->
         # merged bytes. Keyed by the shard xml *strings themselves*
@@ -291,7 +288,8 @@ class ShardRouter:
         # bytes cannot have changed either, and the router hands out the
         # body it already holds instead of allocating a fresh one — the
         # fleet analogue of a result-cache hit. Bounded; bypass_cache
-        # requests skip it.
+        # requests skip it. ``_merge_lock`` guards this memo and nothing
+        # else: it is held for two dict operations, never for a compile.
         self._merged_cache: "dict[tuple, str]" = {}
         self._merged_capacity = 32
         self._merged_hits = 0
@@ -350,7 +348,6 @@ class ShardRouter:
                     catalog,
                     source=source,
                     workers=workers,
-                    cache_capacity=cache_capacity,
                     tracker=member_tracker,
                     staleness=staleness,
                     result_cache_capacity=result_cache_capacity,
@@ -358,6 +355,7 @@ class ShardRouter:
                     resilience=resilience,
                     faults=shard_faults if role == 0 else None,
                     pool_admission=admission,
+                    plan_cache=self.plan_cache,
                 )
                 members.append(
                     _Member(
@@ -624,41 +622,24 @@ class ShardRouter:
             member.health.record_failure()
 
     def _merge_plan(self, request: PublishRequest) -> tuple[str, MergePlan]:
-        """The merge plan for this request's *composed* view, cached.
+        """The merge plan for this request's *composed* view.
 
         The spine merge must see the view the shards actually evaluate
-        — after stylesheet composition and pruning — so the router
-        composes (once per resident content key, same fingerprint the
-        plan cache uses) instead of planning against the raw publishing
-        view. The composed view is dropped once its plan is derived.
+        — after stylesheet composition and pruning — so the router takes
+        the compiled plan from the fleet's store (compiling it when it is
+        the first to ask: the shards it scatters to next then hit) and
+        memoizes the frame on it. The partition-column check runs where
+        the memo is filled: a view the fleet is not dealt by always raises.
         Returns ``(plan key, merge plan)``.
         """
-        key = plan_key(
-            self._catalog_fingerprint,
-            request.view,
-            request.stylesheet,
-            prune=request.prune,
-            paper_mode=request.paper_mode,
+        # A member's key function, so router and members cannot disagree.
+        key = self.shards[0].members[0].server.plan_key_for(request)
+        compiled, _ = self.plan_cache.get_or_build(
+            key, lambda: compile_plan(key, request, self.catalog)
         )
-        with self._merge_lock:
-            plan = self._merge_plans.get(key)
-            if plan is not None:
-                self._merge_plans.move_to_end(key)
-                return key, plan
-            from repro.core.compose import compose
-            from repro.core.optimize import prune_stylesheet_view
-
-            if request.stylesheet is None:
-                view = request.view
-            else:
-                view = compose(
-                    request.view,
-                    request.stylesheet,
-                    self.catalog,
-                    paper_mode=request.paper_mode,
-                )
-                if request.prune:
-                    prune_stylesheet_view(view, self.catalog)
+        plan = compiled.merge_plan
+        if plan is None:
+            view = compiled.view
             if self.scheme is not None:
                 table, column = derive_partition_column(view, self.catalog)
                 if (table, column) != (self.scheme.table, self.scheme.column):
@@ -666,11 +647,9 @@ class ShardRouter:
                         f"view partitions by {table}.{column} but the fleet "
                         f"is dealt by {self.scheme.table}.{self.scheme.column}"
                     )
-            plan = plan_merge(view)
-            self._merge_plans[key] = plan
-            if len(self._merge_plans) > self._merge_plan_capacity:
-                self._merge_plans.popitem(last=False)
-            return key, plan
+            # Two first requests may both derive it: equal frozen data.
+            plan = compiled.merge_plan = plan_merge(view)
+        return key, plan
 
     def _resolve_shard(
         self,
@@ -998,10 +977,13 @@ class ShardRouter:
 
         The facade's ``/metrics`` reuses the single-box report path
         unchanged; per-server detail stays available through
-        :meth:`metrics`. Dict-valued sections (cache, freshness,
-        outcomes, result cache) sum key-wise across every
-        server in the fleet; ``workers`` is the fleet-wide worker-thread
-        count. Router-level counters ride along under ``router``.
+        :meth:`metrics`. Dict-valued sections (freshness, outcomes,
+        result cache) sum key-wise across every server in the fleet;
+        ``cache`` is the shared plan store's own report — size, capacity
+        and evictions stated once, hits and misses every lookup made of it
+        (each member's plus the router's, which asks first: a cold
+        stylesheet is one miss). ``workers`` is the fleet-wide thread count.
+        Router-level counters ride along under ``router``.
         """
         per_server = [
             server.metrics()
@@ -1020,7 +1002,7 @@ class ShardRouter:
             "requests_served": sum(m["requests_served"] for m in per_server),
             "errors": sum(m["errors"] for m in per_server),
             "workers": sum(m["workers"] for m in per_server),
-            "cache": summed("cache"),
+            "cache": self.plan_cache.stats(),
             "freshness": summed("freshness"),
             "outcomes": summed("outcomes"),
             "queries_executed": sum(

@@ -179,3 +179,39 @@ def test_sharding_probe_surface():
         assert serialize(merged) == served.xml
     finally:
         asyncio.run(app.close())
+
+
+@pytest.mark.parametrize(
+    "fleet", [{}, {"shards": 2, "replicas": 1}], ids=["single-box", "fleet"]
+)
+def test_plan_counters_count_compilations(fleet):
+    """runner.cache_counters sums ``metrics()["shards"][i]["servers"][name]
+    ["cache"]["hits" | "misses"]`` over every ViewServer: the keys stay,
+    each member reporting its own lookups. What ``/metrics`` reports
+    (``aggregate_metrics`` on a fleet) is the store's: N distinct cold
+    plans are N misses on a 2 x 2 fleet as on one box — the parent's
+    fleet reported 4N and composed N more in the router, uncounted."""
+    from benchmarks.perf.runner import cache_counters
+
+    app = _production(**fleet)
+    try:
+        backend = app.backend
+        names = ("figure1", "figure4", "figure17")
+        for _ in range(2):  # a shard rotates its reads over its members
+            for name in names:
+                assert backend.submit(app.request_for(name)).result().xml
+        summed = cache_counters(backend)
+        reported = (
+            backend.aggregate_metrics() if fleet else backend.metrics()
+        )["cache"]
+        assert reported["misses"] == len(names)
+        assert reported["size"] == len(names)
+        if fleet:
+            # The router compiled; every member lookup found the plan.
+            assert (summed["plan_hits"], summed["plan_misses"]) == (12, 0)
+            assert reported["hits"] == 12 + len(names)
+        else:
+            assert (summed["plan_hits"], summed["plan_misses"]) == (3, 3)
+            assert reported["hits"] == 3
+    finally:
+        asyncio.run(app.close())

@@ -249,7 +249,7 @@ def test_breaker_opens_short_circuits_and_recovers():
         key = server.plan_key_for(_request(db))
         for _ in range(2):
             assert server.submit(_request(db)).result().outcome == "error"
-        breaker = server.plan_cache.breaker
+        breaker = server.breaker
         assert breaker.state(key) == "open"
         shorted = server.submit(_request(db)).result()
         # A breaker refusal is backpressure, not a computation failure.

@@ -835,3 +835,46 @@ def test_without_capture_parts_are_flat_and_nothing_is_recorded(
             for inner in lists_in(root)
         )
         assert bool(capture) is not flat  # recorded exactly when asked to
+
+
+def test_node_plans_are_memoized_on_the_view_they_describe(caplog):
+    """Planning is a function of (view, catalog): two evaluators over one
+    view object and one catalog plan once, and the second has the
+    fallback records replayed without a second warning; another catalog
+    object plans again; a view that is garbage takes its plans with it —
+    no module-level container is left to pin either."""
+    import gc
+    import weakref
+
+    view = fallback_below_two_bulk_levels_view()
+    planned = []
+    real_plan_node = BulkViewEvaluator._plan_node
+
+    def counting(self, node, tainted):
+        planned.append(node.tag)
+        return real_plan_node(self, node, tainted)
+
+    with Database(make_catalog()) as db, Database(make_catalog()) as other:
+        populate(db, seed=1)
+        first, second = BulkViewEvaluator(db), BulkViewEvaluator(db)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BulkViewEvaluator, "_plan_node", counting)
+            with caplog.at_level("WARNING", logger=bulk_evaluator.__name__):
+                plans = first.plan_view(view)
+                assert second.plan_view(view) is plans
+            assert planned == ["n0", "n1", "n2", "n3"]
+            assert len(caplog.records) == 2  # n2 and n3, logged once
+            assert second.fallback_nodes == first.fallback_nodes
+            assert [r.tag for r in second.fallback_nodes] == ["n2", "n3"]
+            assert other.catalog is not db.catalog
+            assert BulkViewEvaluator(other).plan_view(view) is not plans
+            assert len(planned) == 8
+        containers = [
+            name for name, value in vars(bulk_evaluator).items()
+            if isinstance(value, (dict, list, set)) and not name.startswith("__")
+        ]
+        assert containers == []
+        plan_ref = weakref.ref(view.bulk_plans[1][1])
+        del view, plans
+        gc.collect()
+        assert plan_ref() is None

@@ -30,7 +30,7 @@ from repro.maintenance import (
     hotel_write,
 )
 from repro.relational.engine import Database
-from repro.schema_tree.bulk_evaluator import _Instance
+from repro.schema_tree.bulk_evaluator import BulkViewEvaluator, _Instance
 from repro.schema_tree.evaluator import materialize
 from repro.serving import ViewServer
 from repro.sharding import ShardRouter
@@ -270,6 +270,33 @@ def test_evicted_entries_never_earn_state():
         assert stats["size"] == 4
         assert stats["states_resident"] == 0
         assert stats["state_captures"] == 0
+
+
+def test_nine_live_plans_are_planned_once_each(monkeypatch):
+    """Nine resident plans under a write stream: the promotion and the
+    delta read their node plans off the view they first planned. The
+    process-wide 8-entry FIFO this replaces evicted every entry before
+    its next use: all nine views re-planned on every round."""
+    planned = []
+    real_plan_node = BulkViewEvaluator._plan_node
+
+    def counting(self, node, tainted):
+        planned.append(node)
+        return real_plan_node(self, node, tainted)
+
+    monkeypatch.setattr(BulkViewEvaluator, "_plan_node", counting)
+    with delta_server() as (db, tracker, server):
+        view = figure1_view(db.catalog)
+        sheets = variants(9)
+        for sheet in sheets:
+            assert server.render(view, sheet).freshness == "miss"
+        first_round = len(planned)
+        assert first_round > 0
+        for step, freshness in enumerate(["stale-recompute", "delta-recompute"]):
+            hotel_write(db, step, tracker)
+            for sheet in sheets:
+                assert server.render(view, sheet).freshness == freshness
+        assert len(planned) == first_round
 
 
 def test_a_write_stream_frees_every_dead_generation_of_state():

@@ -206,3 +206,54 @@ def test_orphan_rows_are_dropped_not_guessed():
         for shard in shards:
             shard.close()
         db.close()
+
+
+def test_rows_are_dealt_by_position_and_only_key_queries_build_dicts(
+    monkeypatch,
+):
+    """Every table is read once as cursor rows, routed on the primary-key
+    position and handed to ``executemany`` as it came: the only dicts
+    built are the key queries' ``(pk, part)`` rows — and each shard still
+    holds exactly the source's rows for its keys, in source order."""
+    from repro.relational import engine
+
+    db = build_hotel_database(
+        HotelDataSpec(metros=4, hotels_per_metro=3), seed=SEED
+    )
+    scheme = hotel_partition_scheme()
+    part = KeyRangePartitioner.from_keys(partition_keys(db, scheme), 2)
+    calls = []
+    real = engine._as_dicts
+    monkeypatch.setattr(
+        engine, "_as_dicts",
+        lambda names, rows: calls.append(names) or real(names, rows),
+    )
+    shards = partition_database(db, scheme, part)
+    monkeypatch.undo()
+    try:
+        routed = [t for t, query in scheme.key_queries.items() if query]
+        assert calls == [["pk", "part"]] * len(routed)
+        for declared in db.catalog:
+            source_rows = db.run_sql(f"SELECT * FROM {declared.name}", {})
+            query = scheme.key_queries[declared.name]
+            owner = (
+                {
+                    row["pk"]: part.shard_of(row["part"])
+                    for row in db.run_sql(query, {})
+                }
+                if query
+                else None
+            )
+            for index, shard in enumerate(shards):
+                expected = [
+                    row for row in source_rows
+                    if owner is None
+                    or owner.get(row[declared.primary_key]) == index
+                ]
+                assert shard.run_sql(
+                    f"SELECT * FROM {declared.name}", {}
+                ) == expected
+    finally:
+        for shard in shards:
+            shard.close()
+        db.close()

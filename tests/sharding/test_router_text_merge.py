@@ -126,10 +126,11 @@ def test_router_splices_member_text_and_builds_only_the_frame(
 
 
 def test_a_stream_of_plans_leaves_a_bounded_number_of_frames():
-    """300 distinct plans through a 2-shard router whose members keep 8.
-    The router used to keep a merge plan per key for good, each one
-    holding schema nodes whose parent links pinned a whole composed view
-    and its query ASTs."""
+    """300 distinct plans through a 2-shard router whose one plan store
+    keeps 8. A frame lives on the compiled plan it was derived from and
+    leaves with it; the router used to keep a merge plan per key for
+    good, each one holding schema nodes whose parent links pinned a whole
+    composed view and its query ASTs."""
     db = build_hotel_database(
         HotelDataSpec(metros=2, hotels_per_metro=3), cross_thread=True,
         seed=SEED,
@@ -147,7 +148,7 @@ def test_a_stream_of_plans_leaves_a_bounded_number_of_frames():
             if index in (100, 300):
                 gc.collect()
                 counts.append(len(gc.get_objects()))
-        assert len(router._merge_plans) == 8
+        assert len(router.plan_cache) == 8
         assert counts[1] - counts[0] < 1000
     finally:
         router.close()

@@ -308,6 +308,58 @@ def test_compile_failure_under_concurrency_does_not_wedge_single_flight():
         db.close()
 
 
+def test_compile_failure_on_a_shared_store_is_the_callers_alone():
+    """Two members over one plan store, compile faults armed on the
+    first: its failed builds withdraw their in-flight markers (every
+    waiter retries and fails in turn, nobody hangs) and feed *its*
+    breaker only; the other member then compiles the same key."""
+    from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
+    from repro.serving import PlanCache, PublishRequest, ViewServer
+    from repro.workloads.hotel import HotelDataSpec, build_hotel_database
+
+    db = build_hotel_database(
+        HotelDataSpec(metros=1, hotels_per_metro=3), cross_thread=True
+    )
+    store = PlanCache(8)
+    policy = ResiliencePolicy(
+        retries=0, breaker_threshold=8, breaker_cooldown_ms=60_000.0
+    )
+    faults = FaultPlan(FaultSpec(compile_error_rate=1.0), seed=9)
+    failing = ViewServer(
+        db.catalog, source=db, workers=4, resilience=policy,
+        faults=faults, plan_cache=store,
+    )
+    healthy = ViewServer(
+        db.catalog, source=db, workers=1, resilience=policy, plan_cache=store
+    )
+    try:
+        request = lambda: PublishRequest(  # noqa: E731
+            view=figure1_view(db.catalog), stylesheet=figure4_stylesheet(),
+        )
+        futures = [failing.submit(request()) for _ in range(8)]
+        traces = [f.result(timeout=30) for f in futures]
+        assert all("injected compile failure" in t.error for t in traces)
+        assert len(store) == 0  # nothing half-built
+        assert failing.metrics()["cache"]["misses"] == 8
+        key = traces[0].plan_key
+        assert failing.breaker.state(key) == "open"
+        assert healthy.breaker.stats()["states"] == {
+            "closed": 0, "open": 0, "half-open": 0
+        }
+        compiled = healthy.submit(request()).result(timeout=30)
+        assert compiled.outcome == "success" and not compiled.cache_hit
+        assert (len(store), store.stats()["misses"]) == (1, 9)
+        assert healthy.breaker.stats()["opened"] == 0
+        # The plan is resident, but the first member's breaker is its
+        # own verdict on its own failures: it still refuses to compute.
+        refused = failing.submit(request()).result(timeout=30)
+        assert "circuit breaker open" in refused.error
+    finally:
+        failing.close()
+        healthy.close()
+        db.close()
+
+
 def test_composed_view_runs_after_data_mutation(hotel_db):
     """Composed views are instance-independent: reuse across updates."""
     view = figure1_view(hotel_db.catalog)
