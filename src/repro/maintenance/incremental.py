@@ -687,8 +687,8 @@ class DeltaEvaluator:
             )
         del local[node.parent.id]
         for sub in node.walk():
-            for instance in local[sub.id] if sub.children else ():
-                close_parts(sub.tag, instance.item)
+            if sub.children:
+                close_parts(sub.tag, [i.item for i in local[sub.id]])
         return local
 
     # -- persistent splice ----------------------------------------------------

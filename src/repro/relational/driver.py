@@ -149,7 +149,8 @@ class EngineDriver:
         raise NotImplementedError
 
     def configure(self, connection) -> None:
-        """Per-connection setup (row factory, session pragmas)."""
+        """Per-connection setup (session pragmas). No row factory: a
+        fetched row is a plain tuple on every backend."""
 
     def close(self, connection) -> None:
         """Close a connection, swallowing nothing."""
@@ -303,10 +304,6 @@ class SqliteDriver(EngineDriver):
         return sqlite3.connect(
             f"file:{path}?mode=ro", uri=True, check_same_thread=False
         )
-
-    def configure(self, connection) -> None:
-        """Install the dict-like row factory the engine expects."""
-        connection.row_factory = sqlite3.Row
 
     def analyze(self, connection) -> None:
         """Run ANALYZE so the planner has real statistics."""

@@ -351,8 +351,8 @@ class Database:
         """Execute a *closed* query; ``(column names, rows)`` by position.
 
         The positional view of :meth:`_execute`: the rows as the cursor
-        delivered them (``sqlite3.Row`` on sqlite, tuples on DuckDB: index
-        them, hash ``tuple(row)``) beside the names :meth:`run_query` keys
+        delivered them — a plain ``tuple`` each, on every backend (the
+        conformance kit checks it) — beside the names :meth:`run_query` keys
         them by — there for an empty result too. Same checks, errors and
         :class:`QueryStats` record; a ``$var.column`` parameter is unbound.
         """

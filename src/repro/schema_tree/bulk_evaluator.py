@@ -14,9 +14,13 @@ by a grouped merge in Python: rows group on the carried ancestor-column
 tuple, and each parent element attaches the group matching its own
 binding values, preserving the parent-major order the propagated ORDER BY
 keys produce. The merge reads rows *by position*
-(:meth:`~repro.relational.engine.Database.run_rows`; names become
-positions once per node result) and builds nothing that no one reads: no
-dict per row, a binding environment on its first read (:class:`_Instance`).
+(:meth:`~repro.relational.engine.Database.run_rows`: plain tuples; names
+become positions once per node result) and builds nothing that no one
+reads: no dict per row, a binding environment on its first read
+(:class:`_Instance`). A node result is handled as a *batch*: what depends
+on the column is done once per column, what depends on the node once per
+result, and per row only what a C loop does (DESIGN.md §8, "A node result
+is a batch").
 
 Correctness notes (each is covered by the equivalence property tests):
 
@@ -46,8 +50,12 @@ capturing maintenance state or not — and ``repro materialize --strategy
 bulk``. :meth:`BulkViewEvaluator.materialize` builds the tree, for library
 callers, pretty-printing, the harness and the tests' reference. Plans,
 queries, merge and fallbacks are one code path: the forms differ only in
-the per-node *builder* of what an instance is, and both take an element's
-attributes from :func:`~repro.schema_tree.evaluator.element_attributes`.
+the per-node *builder* of what an instance is. The tree form builds every
+element row by row from
+:func:`~repro.schema_tree.evaluator.element_attributes`; the text form
+does too where a node's attributes depend on more than its own columns,
+and renders every other node's result at once, from what that same
+routine says it writes (:func:`_static_attributes`).
 
 **The parts layout** is the text form's one data format, written and
 read only through the helpers beside :meth:`BulkViewEvaluator._text_builder`
@@ -76,10 +84,10 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import add, attrgetter, itemgetter
 from typing import Any, Optional
 
 from repro.errors import ReproError, ViewEvaluationError
@@ -539,8 +547,8 @@ class BulkViewEvaluator:
         instances = self._evaluate_view(view, root, self._text_builder)
         started = time.perf_counter()
         for node in view.nodes(include_root=False):
-            for instance in instances[node.id] if node.children else ():
-                close_parts(node.tag, instance.item)
+            if node.children:
+                close_parts(node.tag, map(_ITEM, instances[node.id]))
         xml = parts_text(root)
         self.serialize_seconds = time.perf_counter() - started
         if self._capture is not None:
@@ -583,57 +591,89 @@ class BulkViewEvaluator:
         return self._emit_fallback(plan, parents, builder)
 
     # Both output forms share everything below. They differ in the
-    # *builder*, which for one node plan returns ``build(parent, row)``:
-    # what an instance of that node is, an ``Element`` or text — either is
-    # attached by ``append``, to the parent or (under capture) to its
-    # group. What a builder can decide it decides once per node, not per
-    # parent or per row; ``as_row(row)`` is the by-name row, for whatever
-    # reads names.
+    # *builder*, which for one node plan returns ``(build, render)``,
+    # exactly one of them set: ``build(parent, row)`` makes one instance
+    # of that node, ``render(rows)`` all the instances of a node result at
+    # once, in row order. An instance is an ``Element`` or text — either
+    # is attached to the parent or (under capture) to its group. Which of
+    # the two a node gets is decided by its plan, never by its data:
+    # ``render`` where :func:`_static_attributes` knows what every instance
+    # writes, ``build`` elsewhere and for every node of the tree form,
+    # which goes row by row through ``build_element`` and so is the
+    # reference the batch is tested against. ``as_row(row)`` is the
+    # by-name row, for whatever reads names.
 
     def _element_builder(self, plan: _NodePlan, surface, names, as_row):
         node, stats = plan.node, self.stats
-        return lambda parent, row: build_element(
-            node, parent.env, as_row(row), stats, surface
-        )
+
+        def build(parent, row):
+            return build_element(node, parent.env, as_row(row), stats, surface)
+
+        return build, None
 
     def _text_builder(self, plan: _NodePlan, surface, names, as_row):
         node, stats = plan.node, self.stats
         head, end = f"<{node.tag}", "" if node.children else "/>"
+        inner = bool(node.children)
         written = _static_attributes(plan, surface, names)
         if written is None:
 
-            def emit(parent, row):
+            def build(parent, row):
                 attributes = element_attributes(
                     node, parent.env, as_row(row), stats, surface
                 )
-                return head + attributes_text(attributes.items()) + end
+                text = head + attributes_text(attributes.items()) + end
+                return [text, ">"] if inner else text
 
-        else:
-            fixed = len(node.literal_attributes)
-            head += attributes_text(written[:fixed])
-            pairs = [
-                (f' {name}="', names.index(column))
-                for name, column in written[fixed:]
-            ]
+            return build, None
 
-            def emit(parent, row):
-                text, count = head, fixed
-                for lead, position in pairs:
-                    value = row[position]
-                    if value is None:
-                        continue
-                    count += 1
-                    if value.__class__ is int:  # nothing to format or escape
-                        text += f'{lead}{value}"'
+        # Static: the literal attributes are part of the head, and each
+        # written column is a position and a lead. Per result, a column is
+        # read, classified and made text in one pass each, and the elements
+        # are one ``%`` over a template — whose literal pieces have their
+        # own ``%`` doubled (``width="100%"`` is a legal literal value).
+        fixed = len(node.literal_attributes)
+        head += attributes_text(written[:fixed])
+        columns = [
+            (f' {name}="', names.index(column)) for name, column in written[fixed:]
+        ]
+
+        def render(rows):
+            count = len(rows)
+            stats.elements_created += count
+            stats.attributes_created += (fixed + len(columns)) * count
+            if not columns:
+                texts = [head + end] * count
+            else:
+                template, texts = [_doubled(head)], []
+                for lead, position in columns:
+                    values = [row[position] for row in rows]
+                    kinds = set(map(type, values))
+                    if _NULL in kinds:
+                        # A NULL leaves the attribute out: the column's
+                        # pieces are whole `` name="v"`` texts or ``""``.
+                        stats.attributes_created -= values.count(None)
+                        values = [
+                            "" if value is None else
+                            f'{lead}{escape_attribute(format_value(value))}"'
+                            for value in values
+                        ]
+                        template.append("%s")
                     else:
-                        text += f'{lead}{escape_attribute(format_value(value))}"'
-                stats.elements_created += 1
-                stats.attributes_created += count
-                return text + end
+                        if kinds == _STRINGS:  # nothing to format
+                            values = list(map(escape_attribute, values))
+                        elif kinds != _INTEGERS:  # ... or to escape
+                            values = [
+                                escape_attribute(format_value(value))
+                                for value in values
+                            ]
+                        template.append(_doubled(lead) + '%s"')
+                    texts.append(values)
+                template.append(_doubled(end))
+                texts = list(map("".join(template).__mod__, zip(*texts)))
+            return [[text, ">"] for text in texts] if inner else texts
 
-        if node.children:
-            return lambda parent, row: [emit(parent, row), ">"]
-        return emit
+        return None, render
 
     def _emit_fallback(
         self, plan: _NodePlan, parents: list[_Instance], builder
@@ -726,12 +766,12 @@ class BulkViewEvaluator:
         ):
             # A restored row is the own columns only, read by position.
             raise _BulkUnsupported("bulk row does not lead with its own columns")
-        grouped: dict[tuple, list] = {}
+        grouped: dict[tuple, list] = defaultdict(list)
         for row in rows:
-            grouped.setdefault(keyfunc(row), []).append(row)
+            grouped[keyfunc(row)].append(row)
         matched = 0
         shares: dict[tuple, list] = {}
-        for key, siblings in Counter(p.key for p in parents).items():
+        for key, siblings in Counter(map(_KEY, parents)).items():
             group = grouped.get(key, [])
             matched += len(group)
             if not group and plan.empty_row is not None:
@@ -763,41 +803,64 @@ class BulkViewEvaluator:
         self, plan: _NodePlan, shares, builder, own_key=None, surface=None,
         names=None, as_row=lambda row: row,
     ) -> list[_Instance]:
-        """Build one child per row of every ``(parent, rows)`` share.
+        """Attach one child per row of every ``(parent, rows)`` share.
 
-        ``own_key(row)`` is the row's part of its children's context key
-        (``None``: it adds none). A child's env is its parent's plus the
-        by-name row under the node's variable — made when read, see
+        A node the builder can ``render`` has all its shares' rows made
+        items at once and dealt back by slice; another is built row by
+        row. ``own_key(row)`` is the row's part of its children's context
+        key (``None``: it adds none). A child's env is its parent's plus
+        the by-name row under the node's variable — made when read, see
         :class:`_Instance`. Only a bulk result's rows have ``names``; the
         others are by-name as given (a correlated run's dicts, a literal
         node's ``None``).
         """
         node = plan.node
-        build = builder(plan, surface, names, as_row)
-        created: list[_Instance] = []
-        # Leaf fast path: no descendant ever reads the env or the
-        # context key, so skip the per-row bookkeeping entirely.
+        build, render = builder(plan, surface, names, as_row)
+        shares = list(shares)
+        groups = list(map(_ROWS, shares))
+        counts = list(map(len, groups))
+        rows = list(chain.from_iterable(groups))
+        if render is not None:
+            items = render(rows)
+        else:
+            items = [build(parent, row) for parent, share in shares for row in share]
         capture = self._capture is not None
-        leaf = not node.children and not capture
+        start = 0
+        for (parent, _share), count in zip(shares, counts):
+            dealt = items[start:start + count]
+            start += count
+            if capture:
+                # This parent's group of this schema child, empty or not.
+                parent.item.append(dealt)
+            else:
+                parent.item.extend(dealt)
+        if not node.children and not capture:
+            # A leaf: no descendant ever reads the env or the context
+            # key, so there is no instance to keep.
+            return []
         bv, bind = node.bv, None
         if bv is not None and plan.kind != "literal":
             bind = lambda env, row: {**env, bv: as_row(row)}  # noqa: E731
-        for parent, rows in shares:
-            into = parent.item
-            if capture:
-                # This parent's group of this schema child, empty or not.
-                into = []
-                parent.item.append(into)
-            append = into.append
-            key = parent.key
-            for row in rows:
-                element = build(parent, row)
-                append(element)
-                if leaf:
-                    continue
-                own = key + own_key(row) if own_key is not None else key
-                created.append(_Instance(element, None, own, parent, row, bind))
-        return created
+        parents = list(chain.from_iterable(map(repeat, map(_PARENT, shares), counts)))
+        keys = map(_KEY, parents)
+        if own_key is not None:
+            keys = map(add, keys, map(own_key, rows))
+        return list(map(
+            _Instance, items, repeat(None), keys, parents, rows, repeat(bind)
+        ))
+
+
+#: Field readers for the merge's ``map`` calls.
+_ITEM, _KEY = attrgetter("item"), attrgetter("key")
+_PARENT, _ROWS = itemgetter(0), itemgetter(1)
+#: What ``set(map(type, values))`` is for a column the template takes as
+#: it is, and the member that says a column holds a NULL.
+_INTEGERS, _STRINGS, _NULL = frozenset({int}), frozenset({str}), type(None)
+
+
+def _doubled(text: str) -> str:
+    """``text`` as a literal piece of a ``%`` template."""
+    return text.replace("%", "%%")
 
 
 def _key_getter(names: list[str], columns: list[str]):
@@ -845,14 +908,17 @@ def _static_attributes(
     return None if repeats else list(written.items())
 
 
-def close_parts(tag: str, parts: list) -> None:
-    """Finish an inner instance whose children are all in: ``</tag>``
-    after them, or ``<tag/>`` when it got none (flat: nothing appended;
-    captured: every group empty)."""
-    if len(parts) == 2 or not any(islice(parts, 2, None)):
-        parts[1] = "/>"
-    else:
-        parts.append(f"</{tag}>")
+def close_parts(tag: str, items) -> None:
+    """Finish inner instances of ``tag`` — their parts lists, ``items`` —
+    whose children are all in: ``</tag>`` after them, or ``<tag/>`` for
+    one that got none (flat: nothing appended; captured: every group
+    empty)."""
+    closing = f"</{tag}>"
+    for parts in items:
+        if len(parts) == 2 or not any(islice(parts, 2, None)):
+            parts[1] = "/>"
+        else:
+            parts.append(closing)
 
 
 def parts_text(parts: list) -> str:
@@ -885,7 +951,7 @@ def with_groups(node: SchemaNode, parts: list, groups: list) -> list:
     if node.is_root:
         return list(groups)
     rebuilt = [parts[0], ">", *groups]
-    close_parts(node.tag, rebuilt)
+    close_parts(node.tag, (rebuilt,))
     return rebuilt
 
 

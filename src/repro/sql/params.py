@@ -26,49 +26,62 @@ from repro.sql.ast import (
 )
 
 
-def _walk_expr(expr: Expr, walk_select):
-    """Yield ``expr`` and its sub-expressions; the bodies of EXISTS / IN /
-    scalar subqueries go through ``walk_select``.
+def _collect_expr(expr: Expr, out: list, into_derived: bool) -> None:
+    """Append ``expr`` and its sub-expressions to ``out``, pre-order; the
+    bodies of EXISTS / IN / scalar subqueries go through
+    :func:`_collect_select`.
 
-    Module-level on purpose: a nested ``def`` that calls itself is a
-    function/cell cycle, garbage only the cycle collector can free, once
-    per call of its enclosing function.
+    Expression nodes are final dataclasses, so the dispatch is on the
+    class itself. Module-level on purpose: a nested ``def`` that calls
+    itself is a function/cell cycle, garbage only the cycle collector can
+    free, once per call of its enclosing function.
     """
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from _walk_expr(expr.left, walk_select)
-        yield from _walk_expr(expr.right, walk_select)
-    elif isinstance(expr, UnaryOp):
-        yield from _walk_expr(expr.operand, walk_select)
-    elif isinstance(expr, FuncCall):
+    out.append(expr)
+    kind = expr.__class__
+    if kind is BinOp:
+        _collect_expr(expr.left, out, into_derived)
+        _collect_expr(expr.right, out, into_derived)
+    elif kind is UnaryOp:
+        _collect_expr(expr.operand, out, into_derived)
+    elif kind is FuncCall:
         for arg in expr.args:
-            yield from _walk_expr(arg, walk_select)
-    elif isinstance(expr, (ExistsExpr, ScalarSubquery)):
-        yield from walk_select(expr.select)
-    elif isinstance(expr, InExpr):
-        yield from _walk_expr(expr.needle, walk_select)
+            _collect_expr(arg, out, into_derived)
+    elif kind is ExistsExpr or kind is ScalarSubquery:
+        _collect_select(expr.select, out, into_derived)
+    elif kind is InExpr:
+        _collect_expr(expr.needle, out, into_derived)
         for value in expr.values:
-            yield from _walk_expr(value, walk_select)
+            _collect_expr(value, out, into_derived)
         if expr.select is not None:
-            yield from walk_select(expr.select)
+            _collect_select(expr.select, out, into_derived)
+
+
+def _collect_select(select: Select, out: list, into_derived: bool) -> None:
+    """Append every expression of ``select`` to ``out`` in clause order;
+    derived tables (after the select list) only with ``into_derived``."""
+    for item in select.items:
+        _collect_expr(item.expr, out, into_derived)
+    if into_derived:
+        for from_item in select.from_items:
+            if from_item.__class__ is DerivedTable:
+                _collect_select(from_item.select, out, into_derived)
+    if select.where is not None:
+        _collect_expr(select.where, out, into_derived)
+    for expr in select.group_by:
+        _collect_expr(expr, out, into_derived)
+    if select.having is not None:
+        _collect_expr(select.having, out, into_derived)
+    for order in select.order_by:
+        _collect_expr(order.expr, out, into_derived)
 
 
 def walk_exprs(select: Select):
-    """Yield every expression reachable from ``select``, descending into
-    subqueries (derived tables, EXISTS, IN)."""
-    for item in select.items:
-        yield from _walk_expr(item.expr, walk_exprs)
-    for from_item in select.from_items:
-        if isinstance(from_item, DerivedTable):
-            yield from walk_exprs(from_item.select)
-    if select.where is not None:
-        yield from _walk_expr(select.where, walk_exprs)
-    for expr in select.group_by:
-        yield from _walk_expr(expr, walk_exprs)
-    if select.having is not None:
-        yield from _walk_expr(select.having, walk_exprs)
-    for order in select.order_by:
-        yield from _walk_expr(order.expr, walk_exprs)
+    """Every expression reachable from ``select``, pre-order, descending
+    into subqueries (derived tables, EXISTS, IN). A list: a walk is made
+    once and iterated, so there is no generator frame per AST node."""
+    out: list[Expr] = []
+    _collect_select(select, out, True)
+    return out
 
 
 def collect_params(select: Select) -> list[ParamRef]:
@@ -98,7 +111,7 @@ def referenced_vars(select: Select) -> list[str]:
 def _rewrite_expr(expr: Expr, fn, map_select) -> Expr:
     """Rewrite one expression bottom-up with ``fn``; subquery bodies are
     rewritten in place through ``map_select`` (module-level for the same
-    reason as :func:`_walk_expr`)."""
+    reason as :func:`_collect_expr`)."""
     if isinstance(expr, BinOp):
         expr = BinOp(
             expr.op,
@@ -110,7 +123,7 @@ def _rewrite_expr(expr: Expr, fn, map_select) -> Expr:
     elif isinstance(expr, FuncCall):
         expr = FuncCall(
             expr.name,
-            tuple(_rewrite_expr(a, fn, map_select) for a in expr.args),
+            tuple([_rewrite_expr(a, fn, map_select) for a in expr.args]),
             expr.star,
         )
     elif isinstance(expr, (ExistsExpr, ScalarSubquery)):
@@ -120,7 +133,7 @@ def _rewrite_expr(expr: Expr, fn, map_select) -> Expr:
             map_select(expr.select, fn)
         expr = InExpr(
             _rewrite_expr(expr.needle, fn, map_select),
-            tuple(_rewrite_expr(v, fn, map_select) for v in expr.values),
+            tuple([_rewrite_expr(v, fn, map_select) for v in expr.values]),
             expr.select,
         )
     replacement = fn(expr)
@@ -153,16 +166,9 @@ def walk_exprs_scoped(select: Select):
     """Like :func:`walk_exprs` but respecting SQL scoping: descends into
     EXISTS/IN subqueries (which may correlate with this query's FROM
     aliases) but **not** into derived tables (which cannot)."""
-    for item in select.items:
-        yield from _walk_expr(item.expr, walk_exprs_scoped)
-    if select.where is not None:
-        yield from _walk_expr(select.where, walk_exprs_scoped)
-    for expr in select.group_by:
-        yield from _walk_expr(expr, walk_exprs_scoped)
-    if select.having is not None:
-        yield from _walk_expr(select.having, walk_exprs_scoped)
-    for order in select.order_by:
-        yield from _walk_expr(order.expr, walk_exprs_scoped)
+    out: list[Expr] = []
+    _collect_select(select, out, False)
+    return out
 
 
 def referenced_vars_scoped(select: Select) -> list[str]:

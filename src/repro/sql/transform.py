@@ -569,7 +569,7 @@ def simplify_exists(select: Select) -> None:
     composition rule: NEST (Figure 11) specifies the paper's form, the
     view's tag queries keep it, the bulk planner rewrites its own clone.
     """
-    for expr in list(walk_exprs(select)):
+    for expr in walk_exprs(select):
         if not isinstance(expr, ExistsExpr) or expr.select.having is not None:
             continue
         body = expr.select

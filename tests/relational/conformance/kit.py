@@ -118,6 +118,62 @@ class DriverConformanceKit:
             hits = db.run_query(by_score, {"p": {"score": 0.0}})
             assert [h["id"] for h in hits] == [2]
 
+    def check_rows_are_tuples(self) -> None:
+        """The row contract, said once (``Database.run_rows``): a fetched
+        row is a plain ``tuple`` — on the live database, on a snapshot
+        clone and on pooled read-only sessions of both modes (the pool
+        opens its own connections) — and ``run_query`` is the same rows
+        zipped with their names, a duplicate name suffixed ``__2``."""
+        import os
+        import tempfile
+
+        from repro.serving.pool import ConnectionPool
+
+        ordered = parse_select("SELECT id, label, score FROM items ORDER BY id")
+        doubled = parse_select("SELECT id, label, id FROM items ORDER BY id")
+        expected = [(r["id"], r["label"], r["score"]) for r in ROWS]
+
+        def check(session: Database) -> None:
+            names, rows = session.run_rows(ordered)
+            assert names == ["id", "label", "score"]
+            assert rows == expected
+            assert all(type(row) is tuple for row in rows), type(rows[0])
+            names, rows = session.run_rows(doubled)
+            assert names == ["id", "label", "id__2"]
+            assert all(type(row) is tuple for row in rows)
+            assert session.run_query(doubled) == [
+                {"id": r["id"], "label": r["label"], "id__2": r["id"]}
+                for r in ROWS
+            ]
+            assert session.run_query(ordered) == ROWS
+
+        with self.build() as db:
+            check(db)
+            snapshot = self.driver.snapshot(db)
+            try:
+                clone = Database.from_connection(
+                    db.catalog, snapshot.connect(), read_only=True,
+                    driver=self.driver,
+                )
+                check(clone)
+                clone.close()
+            finally:
+                snapshot.close()
+            with ConnectionPool(db.catalog, source=db, size=1) as pool:
+                with pool.session() as session:
+                    check(session)
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "items-db")
+            with Database(
+                conformance_catalog(), path=path, driver=self.driver
+            ) as stored:
+                stored.insert_rows("items", ROWS)
+            with ConnectionPool(
+                conformance_catalog(), path=path, size=1, driver=self.driver
+            ) as pool:
+                with pool.session() as session:
+                    check(session)
+
     def check_raw_sql_rewrite(self) -> None:
         """Raw ``:name`` SQL executes after driver rewriting, and colons
         inside string literals are left alone."""
@@ -271,6 +327,7 @@ class DriverConformanceKit:
         "check_executemany_insert",
         "check_type_fidelity",
         "check_placeholder_roundtrip",
+        "check_rows_are_tuples",
         "check_raw_sql_rewrite",
         "check_read_only_enforcement",
         "check_snapshot_isolation_and_refresh",

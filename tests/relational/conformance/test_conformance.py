@@ -24,6 +24,10 @@ def test_placeholder_roundtrip(driver):
     DriverConformanceKit(driver).check_placeholder_roundtrip()
 
 
+def test_rows_are_tuples(driver):
+    DriverConformanceKit(driver).check_rows_are_tuples()
+
+
 def test_raw_sql_rewrite(driver):
     DriverConformanceKit(driver).check_raw_sql_rewrite()
 

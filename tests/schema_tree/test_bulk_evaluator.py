@@ -726,6 +726,195 @@ def test_both_forms_agree_on_adversarial_attributes():
             assert expected in xml
 
 
+#: ``odd`` rows: id, r (REAL), s (TEXT), b (TEXT, holding what is not
+#: text), o (NULL in some rows), n (NULL in all). The two sentinels become
+#: values sqlite cannot store, on their way out of ``Database._execute``.
+ALL_SIX = '& < " \n \t \r'
+SENTINELS = {"TRUE!": True, "NAN!": float("nan")}
+ODD_ROWS = [
+    (1, 1e999, "50% off", b"\x00<&%", "%d", None),
+    (2, -0.0, "%s", "TRUE!", None, None),
+    (3, 2.0, "%%", "plain", "x", None),
+    (4, 2.5, "%(x)s", None, None, None),
+    (5, None, ALL_SIX, "NAN!", "100%", None),
+    (6, "NAN!", None, 7, None, None),
+]
+
+
+def swap_fetched_values(patch, swap) -> None:
+    """Every fetched value becomes ``swap(column name, value)`` on its way
+    out of ``Database._execute`` — under every evaluator alike — so a row
+    can hold what sqlite cannot store (a ``bool``, a NaN)."""
+    real_execute = Database._execute
+
+    def execute(self, query, env):
+        names, rows = real_execute(self, query, env)
+        return names, [tuple(map(swap, names, row)) for row in rows]
+
+    patch.setattr(Database, "_execute", execute)
+
+
+def odd_database(monkeypatch) -> Database:
+    db = Database(Catalog([
+        table("odd", ("id", "INTEGER"), ("r", "REAL"), ("s", "TEXT"),
+              ("b", "TEXT"), ("o", "TEXT"), ("n", "TEXT"), primary_key="id"),
+    ]))
+    db.insert_positional("odd", ODD_ROWS)
+    swap_fetched_values(
+        monkeypatch,
+        lambda _name, v: SENTINELS.get(v, v) if type(v) is str else v,
+    )
+    return db
+
+
+def odd_view(catalog):
+    """``%`` in literal attributes of a literal node and of a bulk node
+    that also writes columns; odd values and NULLs in those columns."""
+    builder = ViewBuilder(catalog)
+    page = builder.node("page")
+    page.node.literal_attributes = {
+        "width": "100%", "a": "%s", "b": "%%", "c": "%(x)s"
+    }
+    row = page.child("row", "SELECT id, r, s, b FROM odd ORDER BY id", bv="p")
+    row.node.literal_attributes = {"width": "100%", "fmt": "%d%%"}
+    row.child("cell").node.literal_attributes = {"pct": "%s"}
+    row.child("only", "SELECT o FROM odd WHERE id = $p.id")
+    row.child("never", "SELECT n FROM odd WHERE id = $p.id")
+    inner = row.child("inner", "SELECT o, n, s FROM odd WHERE id = $p.id")
+    inner.node.literal_attributes = {"of": "100%"}
+    inner.child("leaf")
+    return builder.build()
+
+
+def test_percent_null_and_odd_values_survive_the_batch(monkeypatch):
+    """The text form renders a static node's result through a ``%``
+    template, one pass per column: every ``%`` — in a literal attribute,
+    in a value — NULLs in some rows, in all, in the only column, and the
+    values ``format_value`` treats specially come out byte for byte as
+    nested-loop and the tree form write them, from equal counters."""
+    with odd_database(monkeypatch) as db:
+        view = odd_view(db.catalog)
+        nested = ViewEvaluator(db)
+        expected = serialize(nested.materialize(view))
+        tree, text = BulkViewEvaluator(db), BulkViewEvaluator(db)
+        assert serialize(tree.materialize(view)) == expected
+        assert text.serialize(view) == expected
+        assert not text.fallback_nodes and text.bulk_queries_executed == 4
+        assert text.stats == tree.stats
+        assert text.stats.elements_created == nested.stats.elements_created
+        assert text.stats.attributes_created == nested.stats.attributes_created
+        assert_captured_text_equivalent(view, db, tree, expected)
+        head = '<row width="100%" fmt="%d%%" id='
+        for piece in (
+            '<page width="100%" a="%s" b="%%" c="%(x)s">',
+            head + '"1" r="inf" s="50% off" b="b\'\\x00&lt;&amp;%\'">',
+            head + '"2" r="0" s="%s" b="True">',  # -0.0 is integral
+            head + '"3" r="2" s="%%" b="plain">',
+            head + '"4" r="2.5" s="%(x)s">',
+            head + '"5" s="&amp; &lt; &quot; &#10; &#9; &#13;" b="nan">',
+            head + '"6" r="nan" b="7">',
+            '<cell pct="%s"/><only o="%d"/><never/>',
+            '<cell pct="%s"/><only/><never/>',
+            '<only o="100%"/><never/><inner of="100%" o="100%" s="'
+            '&amp; &lt; &quot; &#10; &#9; &#13;"><leaf/></inner>',
+            '<inner of="100%"><leaf/></inner></row></page>',
+        ):
+            assert piece in expected, piece
+
+
+# ---------------------------------------------------------------------------
+# Batch == per-row, as a property
+# ---------------------------------------------------------------------------
+
+SPECIAL_TEXT = st.text(alphabet='ab%&<>"\'\n\t\r s()', max_size=6)
+CELL_KINDS = {
+    "int": st.integers(-3, 1000),
+    "float": st.floats(allow_nan=True, allow_infinity=True, width=32),
+    "text": SPECIAL_TEXT,
+    "bool": st.booleans(),
+    "null": st.none(),
+}
+
+
+@st.composite
+def node_results(draw):
+    """One node result under a handful of parents: ``(parent keys, child
+    rows as (parent key, cells), literal attributes, inner)``. A cell is
+    drawn from its column's kind or is NULL; parent keys repeat (duplicate
+    bindings: the group is divided) and may own no row (childless)."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELL_KINDS)), max_size=4))
+    parents = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    rows = []
+    for key in sorted(set(parents)):
+        for _ in range(draw(st.integers(0, 3))):
+            rows.append((key, [
+                draw(st.one_of(st.none(), CELL_KINDS[kind])) for kind in kinds
+            ]))
+    literals = draw(st.dictionaries(st.sampled_from(["x", "y"]), SPECIAL_TEXT))
+    return parents, rows, literals, draw(st.booleans())
+
+
+def batch_catalog() -> Catalog:
+    return Catalog([
+        table("parent", ("id", "INTEGER"), ("k", "INTEGER"), primary_key="id"),
+        table("child", ("id", "INTEGER"), ("pk", "INTEGER"),
+              *[(f"c{i}", "INTEGER") for i in range(4)], primary_key="id"),
+    ])
+
+
+@given(node_results())
+@settings(max_examples=150, deadline=None)
+def test_a_rendered_node_result_is_the_row_by_row_one(result):
+    """The text form renders a static node's result at once; the tree
+    form builds it row by row through ``build_element``, so it is the
+    per-row reference. Same bytes and same counters, with and without
+    capture (``assert_equivalent``: one group per parent and schema
+    child, empty ones included), and the captured state takes a delta.
+
+    sqlite cannot hold a ``bool`` or a NaN, so a cell stores its position
+    in the example's value pool (``swap_fetched_values``)."""
+    from repro.maintenance import DeltaEvaluator, MaterializedState
+    from repro.serving.fingerprint import node_read_sets
+
+    parents, rows, literals, inner = result
+    width = len(rows[0][1]) if rows else 0
+    pool = [cell for _key, cells in rows for cell in cells]
+
+    def from_pool(name, value):
+        return pool[value] if name[0] == "c" and value is not None else value
+
+    builder = ViewBuilder(batch_catalog())
+    top = builder.node("p", "SELECT k FROM parent", bv="p")
+    columns = ", ".join(f"c{i}" for i in range(width)) or "pk"
+    child = top.child(
+        "c", f"SELECT {columns} FROM child WHERE pk = $p.k ORDER BY id",
+        attr_columns=None if width else [],
+    )
+    child.node.literal_attributes = literals
+    if inner:
+        child.child("g").node.literal_attributes = {"of": "100%"}
+    view = builder.build()
+    with Database(batch_catalog()) as db, pytest.MonkeyPatch.context() as patch:
+        swap_fetched_values(patch, from_pool)
+        db.insert_positional("parent", list(enumerate(parents)))
+        db.insert_positional("child", [
+            (n, key, *[n * width + i for i in range(width)], *[None] * (4 - width))
+            for n, (key, _cells) in enumerate(rows)
+        ])
+        evaluator = assert_equivalent(view, db)
+        assert not evaluator.fallback_nodes
+        capture: dict = {}
+        BulkViewEvaluator(db, capture_instances=capture).serialize(view)
+        pool.append("fresh & 100%")
+        db.insert_positional("child", [
+            (len(rows), parents[0], *[len(pool) - 1] * width, *[None] * (4 - width))
+        ])
+        spliced = DeltaEvaluator(db).evaluate(
+            view, MaterializedState(capture), node_read_sets(view), {"child"}
+        )
+        assert spliced.state.text() == BulkViewEvaluator(db).serialize(view)
+
+
 def test_shared_key_names_do_not_defeat_the_bulk_query():
     """``author.id`` / ``book.id``: the parent's propagated ORDER BY key
     used to be printed bare (``ORDER BY id``), sqlite called it ambiguous,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import inspect
 import types
 from contextlib import contextmanager
 
@@ -178,9 +179,9 @@ def test_no_serving_request_builds_a_tree(output_elements, monkeypatch):
 
 
 def test_a_first_computation_reads_positions_and_builds_no_env(monkeypatch):
-    """A miss fetches every bulk node through ``run_rows`` — no
-    ``sqlite3.Row`` becomes a dict — and nothing reads an instance's
-    ``env``, so none is built. The promotion captures: it records an env
+    """A miss fetches every bulk node through ``run_rows`` — tuples, and
+    none becomes a dict — and nothing reads an instance's ``env``, so
+    none is built. The promotion captures: it records an env
     for every instance, made then."""
     calls = {"run_rows": 0, "run_query": 0, "env": 0}
 
@@ -217,6 +218,64 @@ def test_a_first_computation_reads_positions_and_builds_no_env(monkeypatch):
             assert len(recorded) > miss.elements_created  # the root's too
             assert all(type(env) is dict for env in recorded)
             assert max(len(env) for env in recorded) > 1  # nested bindings
+
+
+def test_a_miss_renders_node_results_as_batches(monkeypatch):
+    """It is the batch that runs. On a miss of the paper's figures every
+    node is static, so the attribute routine runs once per node result —
+    the probe that says what the node writes — and never per row; the
+    rows it renders are plain tuples; and no walk of ``repro.sql.params``
+    is a generator (a walk is a list)."""
+    from repro.schema_tree import bulk_evaluator
+    from repro.sql import params
+
+    calls = {"element_attributes": 0}
+    fetched = []
+    real_attributes = bulk_evaluator.element_attributes
+    real_rows = Database.run_rows
+
+    def counted_attributes(*args, **kwargs):
+        calls["element_attributes"] += 1
+        return real_attributes(*args, **kwargs)
+
+    def recorded_rows(self, query):
+        names, rows = real_rows(self, query)
+        fetched.extend(rows)
+        return names, rows
+
+    builders = []
+    real_builder = BulkViewEvaluator._text_builder
+
+    def recorded_builder(self, *args):
+        builders.append(real_builder(self, *args))
+        return builders[-1]
+
+    monkeypatch.setattr(bulk_evaluator, "element_attributes", counted_attributes)
+    monkeypatch.setattr(Database, "run_rows", recorded_rows)
+    monkeypatch.setattr(BulkViewEvaluator, "_text_builder", recorded_builder)
+    walkers = [
+        value for name, value in vars(params).items()
+        if inspect.isfunction(value) and value.__module__ == params.__name__
+    ]
+    assert {"walk_exprs", "walk_exprs_scoped"} <= {w.__name__ for w in walkers}
+    assert not any(inspect.isgeneratorfunction(w) for w in walkers)
+    assert type(params.walk_exprs(Select())) is list
+    with delta_server() as (db, _tracker, server):
+        view = figure1_view(db.catalog)
+        for sheet in (None, figure4_stylesheet(), figure17_stylesheet()):
+            calls["element_attributes"] = 0
+            del fetched[:], builders[:]
+            miss = server.render(view, sheet)
+            assert miss.error is None and miss.freshness == "miss"
+            assert miss.fallback_nodes == 0
+            plan = server.plan_cache.get(miss.plan_key)
+            nodes = len(list(plan.view.nodes(include_root=False)))
+            assert miss.elements_created > nodes  # more rows than nodes
+            assert calls["element_attributes"] == nodes
+            assert len(builders) == nodes
+            assert all(build is None and render for build, render in builders)
+            assert len(fetched) >= miss.elements_created - nodes
+            assert all(type(row) is tuple for row in fetched)
 
 
 def selects_reachable_from(root, depth=6):
