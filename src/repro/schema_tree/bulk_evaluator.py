@@ -49,7 +49,7 @@ it is what every serving request runs — on a single box or a fleet member,
 capturing maintenance state or not — and ``repro materialize --strategy
 bulk``. :meth:`BulkViewEvaluator.materialize` builds the tree, for library
 callers, pretty-printing, the harness and the tests' reference. Plans,
-queries, merge and fallbacks are one code path: the forms differ only in
+queries, grouping and fallbacks are one code path: the forms differ only in
 the per-node *builder* of what an instance is. The tree form builds every
 element row by row from
 :func:`~repro.schema_tree.evaluator.element_attributes`; the text form
@@ -57,21 +57,31 @@ does too where a node's attributes depend on more than its own columns,
 and renders every other node's result at once, from what that same
 routine says it writes (:func:`_static_attributes`).
 
-**The parts layout** is the text form's one data format, written and
-read only through the helpers beside :meth:`BulkViewEvaluator._text_builder`
+**A column** (:class:`_Column`) is what a first computation — the text
+form when nothing is captured — keeps of a node instead of instances: the
+texts of its instances in document order, from that one ``render``; how
+many fall under each instance of the parent node; for an inner node the
+context keys its children's rows are grouped on, and the rows, which an
+env is made of when something reads one. *The weave*
+(:meth:`BulkViewEvaluator._weave`) makes the columns in schema pre-order
+and then emits once, depth-first: open tag, ``>``, each schema child's next
+``count`` texts, ``</tag>`` — or ``/>`` in place of the ``>`` — onto one
+flat list, joined once. Nothing nested exists in between.
+
+**The parts layout** is the *grouped merge*'s text — what state capture
+(``capture_instances``: promotion, and every delta re-execution) keeps,
+as the tree form keeps elements — written and read only through the
+helpers beside :meth:`BulkViewEvaluator._text_builder`
 (:func:`close_parts`, :func:`parts_text`, :func:`child_groups`,
 :func:`with_groups`). A leaf instance is its finished ``<tag a="v"/>``
-string; an inner instance is a list, ``[open, ">", child, ..., "</tag>"]``
-or ``[open, "/>"]`` when it got no child; the text is one join over the
-flattened strings. A computation that captures nothing appends children
-to their parent flat, in evaluation order. Under ``capture_instances`` —
-**state capture** — each child sits in a *group* list, one per (parent
-instance, schema child): an inner instance is ``[open, ">", group per
-schema child in schema order, "</tag>"]`` (``[open, "/>", empty groups]``
-when childless) and the root, which has no tag, is just its groups. Group
-membership is *positional*: a parent's group of a node holds the next
-``len(group)`` entries of that node's parent-major instance list. Nothing
-may key on ``id()`` of an item — equal leaf strings can be one object.
+string; an inner instance is a list, ``[open, ">", group per schema child
+in schema order, "</tag>"]`` (``[open, "/>", empty groups]`` when
+childless), and the root, which has no tag, is just its groups; the text
+is one join over the flattened strings. A *group* list holds one (parent
+instance, schema child)'s instances, and membership is *positional*: a
+parent's group of a node holds the next ``len(group)`` entries of that
+node's parent-major instance list. Nothing may key on ``id()`` of an
+item — equal leaf strings can be one object.
 
 Work accounting matches the other strategies in either form:
 elements/attributes land in the shared
@@ -84,9 +94,9 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, count, groupby, islice, repeat
 from operator import add, attrgetter, itemgetter
 from typing import Any, Optional
 
@@ -536,13 +546,16 @@ class BulkViewEvaluator:
 
         Byte for byte and counter for counter what
         ``xmlcore.serialize(self.materialize(view))`` returns, from the
-        same plans, queries, merge and fallbacks: only what an instance
-        *is* differs (the module docstring's parts layout). Closing the
-        inner instances and the one join over the flattened parts are
-        the pass :attr:`serialize_seconds` times; under
-        ``capture_instances`` the root parts and every node's instances
+        same plans, queries, grouping and fallbacks, by another merge: the
+        weave (the module docstring's columns), whose emission and one
+        join :attr:`serialize_seconds` times. Under ``capture_instances``
+        it is the grouped merge over the parts layout instead — closing
+        the inner instances and the join over the flattened parts are
+        what is timed — and the root parts and every node's instances
         are then recorded, the same bytes either way.
         """
+        if self._capture is None:
+            return self._weave(view)
         root: list = []
         instances = self._evaluate_view(view, root, self._text_builder)
         started = time.perf_counter()
@@ -551,10 +564,42 @@ class BulkViewEvaluator:
                 close_parts(node.tag, map(_ITEM, instances[node.id]))
         xml = parts_text(root)
         self.serialize_seconds = time.perf_counter() - started
-        if self._capture is not None:
-            for node_id, created in instances.items():
-                self._capture[node_id] = [(i.item, i.env) for i in created]
+        for node_id, created in instances.items():
+            self._capture[node_id] = [(i.item, i.env) for i in created]
         return xml
+
+    def _weave(self, view: SchemaTreeQuery) -> str:
+        """The text of ``view`` from one column per node, made in schema
+        pre-order, and one depth-first emission over them."""
+        plans = self.plan_view(view)
+        columns = {view.root.id: _Column([""], [1], [()], _envs={0: {}})}
+        for node in view.nodes(include_root=False):
+            columns[node.id] = self._column(
+                plans[node.id], columns[node.parent.id]
+            )
+        started = time.perf_counter()
+        texts: list[str] = []
+        for node in view.root.children:
+            _emitter(node, columns, texts)(columns[node.id].counts[0])
+        xml = "".join(texts)
+        self.serialize_seconds = time.perf_counter() - started
+        return xml
+
+    def _column(self, plan: _NodePlan, parent: "_Column") -> "_Column":
+        """One node's instances under the parent column's, as a column."""
+        plan, shares, own_key, surface, names, as_row = self._fetch(
+            plan, parent.keys, parent.env
+        )
+        texts, counts, rows = self._render(
+            plan, shares, parent.env, self._text_builder, surface, names, as_row
+        )
+        if not plan.node.children:
+            return _Column(texts, counts)
+        keys = chain.from_iterable(map(repeat, parent.keys, counts))
+        if own_key is not None:
+            keys = map(add, keys, map(own_key, rows))
+        bind = self._binder(plan, as_row)
+        return _Column(texts, counts, list(keys), parent, rows, bind)
 
     def _evaluate_view(
         self, view: SchemaTreeQuery, root, builder
@@ -573,57 +618,55 @@ class BulkViewEvaluator:
     def evaluate_node(
         self, plan: _NodePlan, parents: list[_Instance], builder
     ) -> list[_Instance]:
-        """Materialize one schema node's elements under ``parents``.
+        """Materialize one schema node's elements under ``parents``: the
+        grouped merge, which attaches every instance to its parent's.
 
-        Dispatches on the plan kind (literal / bulk / correlated
-        fallback) and returns the created instances in document order.
-        Public so incremental maintenance
-        (:mod:`repro.maintenance.incremental`) can re-execute single
-        dirty nodes against shadow parent instances instead of the full
-        view; ``builder`` is the output form.
+        Returns the created instances in document order. Public so
+        incremental maintenance (:mod:`repro.maintenance.incremental`)
+        can re-execute single dirty nodes against shadow parent instances
+        instead of the full view; ``builder`` is the output form.
         """
-        if plan.kind == "literal":
-            # One element per parent context, made from no row.
-            shares = ((p, (None,)) for p in parents)
-            return self._attach_rows(plan, shares, builder)
-        if plan.kind == "bulk":
-            return self._emit_bulk(plan, parents, builder)
-        return self._emit_fallback(plan, parents, builder)
+        plan, shares, *reading = self._fetch(
+            plan, list(map(_KEY, parents)), lambda index: parents[index].env
+        )
+        return self._attach_rows(plan, parents, shares, builder, *reading)
 
-    # Both output forms share everything below. They differ in the
+    # Both output forms, and both merges of the text form, share
+    # everything below but ``_attach_rows``. The forms differ in the
     # *builder*, which for one node plan returns ``(build, render)``,
-    # exactly one of them set: ``build(parent, row)`` makes one instance
-    # of that node, ``render(rows)`` all the instances of a node result at
-    # once, in row order. An instance is an ``Element`` or text — either
-    # is attached to the parent or (under capture) to its group. Which of
-    # the two a node gets is decided by its plan, never by its data:
-    # ``render`` where :func:`_static_attributes` knows what every instance
-    # writes, ``build`` elsewhere and for every node of the tree form,
-    # which goes row by row through ``build_element`` and so is the
-    # reference the batch is tested against. ``as_row(row)`` is the
-    # by-name row, for whatever reads names.
+    # exactly one of them set: ``build(env, row)`` makes one instance
+    # of that node under a parent whose env is ``env``, ``render(rows)``
+    # all the instances of a node result at once, in row order. An
+    # instance is an ``Element`` or text. Which of the two a node gets is
+    # decided by its plan, never by its data: ``render`` where
+    # :func:`_static_attributes` knows what every instance writes,
+    # ``build`` elsewhere and for every node of the tree form, which goes
+    # row by row through ``build_element`` and so is the reference the
+    # batch is tested against. ``as_row(row)`` is the by-name row, for
+    # whatever reads names.
 
     def _element_builder(self, plan: _NodePlan, surface, names, as_row):
         node, stats = plan.node, self.stats
 
-        def build(parent, row):
-            return build_element(node, parent.env, as_row(row), stats, surface)
+        def build(env, row):
+            return build_element(node, env, as_row(row), stats, surface)
 
         return build, None
 
     def _text_builder(self, plan: _NodePlan, surface, names, as_row):
         node, stats = plan.node, self.stats
         head, end = f"<{node.tag}", "" if node.children else "/>"
-        inner = bool(node.children)
+        # The grouped layout's inner instance; the weave takes the text.
+        paired = bool(node.children) and self._capture is not None
         written = _static_attributes(plan, surface, names)
         if written is None:
 
-            def build(parent, row):
+            def build(env, row):
                 attributes = element_attributes(
-                    node, parent.env, as_row(row), stats, surface
+                    node, env, as_row(row), stats, surface
                 )
                 text = head + attributes_text(attributes.items()) + end
-                return [text, ">"] if inner else text
+                return [text, ">"] if paired else text
 
             return build, None
 
@@ -662,7 +705,12 @@ class BulkViewEvaluator:
                     else:
                         if kinds == _STRINGS:  # nothing to format
                             values = list(map(escape_attribute, values))
-                        elif kinds != _INTEGERS:  # ... or to escape
+                        elif kinds == _FLOATS:  # digits: nothing to escape
+                            values = [
+                                str(int(value)) if value.is_integer() else
+                                repr(value) for value in values
+                            ]
+                        elif kinds != _INTEGERS:  # ... to format or escape
                             values = [
                                 escape_attribute(format_value(value))
                                 for value in values
@@ -671,41 +719,44 @@ class BulkViewEvaluator:
                     texts.append(values)
                 template.append(_doubled(end))
                 texts = list(map("".join(template).__mod__, zip(*texts)))
-            return [[text, ">"] for text in texts] if inner else texts
+            return [[text, ">"] for text in texts] if paired else texts
 
         return None, render
 
-    def _emit_fallback(
-        self, plan: _NodePlan, parents: list[_Instance], builder
-    ) -> list[_Instance]:
-        """Correlated execution: one query per parent binding (Section 2.1)."""
-        node = plan.node
-        assert node.tag_query is not None
-        columns = plan.own_key_columns
-        own_key = (lambda row: tuple(map(row.get, columns))) if columns else None
-        shares = ((p, self.db.run_query(node.tag_query, p.env)) for p in parents)
-        return self._attach_rows(plan, shares, builder, own_key)
+    def _fetch(self, plan: _NodePlan, keys: list[tuple], env_of):
+        """One node's rows: a share per parent, and how they are read.
 
-    def _emit_bulk(
-        self, plan: _NodePlan, parents: list[_Instance], builder
-    ) -> list[_Instance]:
-        assert plan.query is not None
-        if not parents:
-            return []
-        try:
-            names, rows = self.db.run_rows(plan.query)
-        except ReproError as exc:
-            plan = self._demoted(plan, f"bulk query failed: {exc}")
-            return self._emit_fallback(plan, parents, builder)
-        self.bulk_queries_executed += 1
-        try:
-            shares = self._group_rows(plan, parents, names, rows)
-            return self._attach_bulk_rows(plan, shares, names, builder)
-        except _BulkUnsupported as exc:
-            # Raised before anything is attached: by the grouping, or by
-            # a column whose position the result turns out not to have.
-            plan = self._demoted(plan, str(exc))
-            return self._emit_fallback(plan, parents, builder)
+        ``keys`` are the parents' context keys and ``env_of(index)`` the
+        env of one, read only by correlated execution (Section 2.1, one
+        query per parent binding): a planned fallback, or a bulk node
+        demoted here — before anything of it is made — by a failed query,
+        the grouping, or a column the result turns out not to have.
+        Returns ``(plan, shares, own_key, surface, names, as_row)``: the
+        plan that ran; ``own_key(row)``, the row's part of its children's
+        context key (``None``: none); the rest as the builders take it.
+        Only a bulk result's rows have ``names``; the others are by-name
+        as given (a correlated run's dicts; a literal node's ``None``).
+        """
+        if plan.kind == "literal":
+            return plan, [(None,)] * len(keys), None, None, None, _as_given
+        if plan.kind == "bulk" and keys:  # no parent, no query
+            assert plan.query is not None
+            try:
+                names, rows = self.db.run_rows(plan.query)
+            except ReproError as exc:
+                plan = self._demoted(plan, f"bulk query failed: {exc}")
+            else:
+                self.bulk_queries_executed += 1
+                try:
+                    shares = self._group_rows(plan, keys, names, rows)
+                    return plan, shares, *self._row_reading(plan, names)
+                except _BulkUnsupported as exc:
+                    plan = self._demoted(plan, str(exc))
+        query, columns = plan.node.tag_query, plan.own_key_columns
+        assert query is not None
+        own_key = (lambda row: tuple(map(row.get, columns))) if columns else None
+        shares = [self.db.run_query(query, env_of(i)) for i in range(len(keys))]
+        return plan, shares, own_key, None, None, _as_given
 
     def _demoted(self, plan: _NodePlan, reason: str) -> _NodePlan:
         """The recorded correlated plan of a bulk node that failed at run
@@ -715,15 +766,13 @@ class BulkViewEvaluator:
             plan.node, reason, plan.reliable, plan.own_columns, plan.own_key_columns
         )
 
-    def _attach_bulk_rows(
-        self, plan: _NodePlan, shares, names: list[str], builder
-    ) -> list[_Instance]:
-        """Attach ``(parent, rows)`` shares of the bulk result whose
+    def _row_reading(self, plan: _NodePlan, names: list[str]):
+        """``(own_key, surface, names, as_row)`` of the bulk result whose
         columns are ``names``.
 
         Every column a name stands for — the node's key part, the
         attributes the text builder reads — is resolved to its position
-        here, once per node result (one the result lacks is
+        once per node result (one the result lacks is
         :class:`_BulkUnsupported`, before anything is built). A by-name
         row (``as_row``) is made only where something reads names.
 
@@ -745,20 +794,27 @@ class BulkViewEvaluator:
             as_row = lambda row: dict(zip(own, pick(row)))  # noqa: E731
         else:
             as_row = lambda row: dict(zip(names, row))  # noqa: E731
+        return own_key, surface, names, as_row
+
+    def _attach_bulk_rows(
+        self, plan: _NodePlan, shares, names: list[str], builder
+    ) -> list[_Instance]:
+        """Attach ``(parent, rows)`` shares of the bulk result whose
+        columns are ``names`` (incremental maintenance's row rung)."""
+        parents, shares = zip(*shares)
         return self._attach_rows(
-            plan, shares, builder, own_key, surface, names, as_row
+            plan, parents, shares, builder, *self._row_reading(plan, names)
         )
 
     def _group_rows(
-        self,
-        plan: _NodePlan,
-        parents: list[_Instance],
-        names: list[str],
-        rows: list,
-    ) -> list[tuple[_Instance, list]]:
-        """The grouped merge: deal bulk rows out to their parent elements.
+        self, plan: _NodePlan, keys: list[tuple], names: list[str], rows: list
+    ) -> list[list]:
+        """The grouping: deal bulk rows out to their parent contexts.
 
-        Returns each parent, in order, with its rows in bulk-result order.
+        Returns the share of each context key of ``keys``, in that order,
+        its rows in bulk-result order. Rows are bucketed a *run* of equal
+        carried key at a time: a result that comes back parent-contiguous
+        costs a dict operation per parent, any other what it has to.
         """
         keyfunc = _key_getter(names, plan.key_columns)
         if plan.empty_row is not None and (
@@ -766,71 +822,90 @@ class BulkViewEvaluator:
         ):
             # A restored row is the own columns only, read by position.
             raise _BulkUnsupported("bulk row does not lead with its own columns")
-        grouped: dict[tuple, list] = defaultdict(list)
-        for row in rows:
-            grouped[keyfunc(row)].append(row)
-        matched = 0
-        shares: dict[tuple, list] = {}
-        for key, siblings in Counter(map(_KEY, parents)).items():
-            group = grouped.get(key, [])
-            matched += len(group)
-            if not group and plan.empty_row is not None:
-                # The grouped form dropped this parent's empty group;
-                # restore the statically-known empty-input aggregate row.
-                share = [plan.empty_row]
-            elif siblings == 1 or not group:
-                share = group
-            elif plan.grouped_aggregate:
-                # GROUP BY merged the duplicate bindings into one group,
-                # corrupting the aggregate values — only re-running the
-                # correlated query per binding recovers them.
-                raise _BulkUnsupported(
-                    "duplicate parent bindings under a grouped aggregate"
-                )
-            elif plan.distinct:
-                # DISTINCT already collapsed the duplicated copies.
-                share = group
-            else:
-                share = _divide_group(group, siblings)
-            shares[key] = share
-        if matched != len(rows):
+        grouped: dict[tuple, list] = {}
+        for key, run in groupby(rows, keyfunc):
+            grouped.setdefault(key, []).extend(run)
+        parents = Counter(keys)
+        if len(parents) != len(keys):
+            # Duplicate parent bindings: the join gave the group a copy
+            # of its rows for each of the ``siblings``.
+            for key, siblings in parents.items():
+                if siblings == 1 or key not in grouped:
+                    continue
+                if plan.grouped_aggregate:
+                    # GROUP BY merged the duplicate bindings into one
+                    # group, corrupting the aggregate values — only
+                    # re-running the correlated query per binding
+                    # recovers them.
+                    raise _BulkUnsupported(
+                        "duplicate parent bindings under a grouped aggregate"
+                    )
+                if not plan.distinct:  # DISTINCT collapsed the copies itself
+                    grouped[key] = _divide_group(grouped[key], siblings)
+        stray = grouped.keys() - parents.keys()
+        if stray:
             raise _BulkUnsupported(
-                f"{len(rows) - matched} bulk rows matched no parent binding"
+                f"{sum(len(grouped[key]) for key in stray)} bulk rows matched "
+                "no parent binding"
             )
-        return [(parent, shares[parent.key]) for parent in parents]
+        if plan.empty_row is not None:
+            # The grouped form dropped the empty groups; restore the
+            # statically-known empty-input aggregate row of each.
+            for key in parents.keys() - grouped.keys():
+                grouped[key] = [plan.empty_row]
+        return list(map(grouped.get, keys, repeat(())))
 
-    def _attach_rows(
-        self, plan: _NodePlan, shares, builder, own_key=None, surface=None,
-        names=None, as_row=lambda row: row,
-    ) -> list[_Instance]:
-        """Attach one child per row of every ``(parent, rows)`` share.
+    def _render(
+        self, plan: _NodePlan, shares, env_of, builder, surface, names, as_row
+    ):
+        """``(items, counts, rows)`` of one node: an item per row of every
+        parent's share, in order; how many each parent got; the rows.
 
         A node the builder can ``render`` has all its shares' rows made
-        items at once and dealt back by slice; another is built row by
-        row. ``own_key(row)`` is the row's part of its children's context
-        key (``None``: it adds none). A child's env is its parent's plus
-        the by-name row under the node's variable — made when read, see
-        :class:`_Instance`. Only a bulk result's rows have ``names``; the
-        others are by-name as given (a correlated run's dicts, a literal
-        node's ``None``).
+        items at once; another is built row by row, on its parent's env.
+        """
+        if not shares:  # no parent: no instance, and no bulk result's names
+            return [], [], []
+        build, render = builder(plan, surface, names, as_row)
+        counts = list(map(len, shares))
+        rows = list(chain.from_iterable(shares))
+        if render is not None:
+            return render(rows), counts, rows
+        items = [
+            build(env, row)
+            for index, share in enumerate(shares) if share
+            for env in (env_of(index),) for row in share
+        ]
+        return items, counts, rows
+
+    def _binder(self, plan: _NodePlan, as_row):
+        """``bind(env, row)``: a child's env is its parent's plus the
+        by-name row under the node's variable (``None``: it binds none)."""
+        bv = plan.node.bv
+        if bv is None or plan.kind == "literal":
+            return None
+        return lambda env, row: {**env, bv: as_row(row)}
+
+    def _attach_rows(
+        self, plan: _NodePlan, parents, shares, builder, own_key, surface,
+        names, as_row,
+    ) -> list[_Instance]:
+        """Attach one child per row of every parent's share: the items
+        are dealt back by slice, to the parent element or — under capture
+        — as the parent's group of this schema child, empty or not. A
+        child's env is made when read, see :class:`_Instance`.
         """
         node = plan.node
-        build, render = builder(plan, surface, names, as_row)
-        shares = list(shares)
-        groups = list(map(_ROWS, shares))
-        counts = list(map(len, groups))
-        rows = list(chain.from_iterable(groups))
-        if render is not None:
-            items = render(rows)
-        else:
-            items = [build(parent, row) for parent, share in shares for row in share]
+        items, counts, rows = self._render(
+            plan, shares, lambda index: parents[index].env, builder,
+            surface, names, as_row,
+        )
         capture = self._capture is not None
         start = 0
-        for (parent, _share), count in zip(shares, counts):
+        for parent, count in zip(parents, counts):
             dealt = items[start:start + count]
             start += count
             if capture:
-                # This parent's group of this schema child, empty or not.
                 parent.item.append(dealt)
             else:
                 parent.item.extend(dealt)
@@ -838,24 +913,96 @@ class BulkViewEvaluator:
             # A leaf: no descendant ever reads the env or the context
             # key, so there is no instance to keep.
             return []
-        bv, bind = node.bv, None
-        if bv is not None and plan.kind != "literal":
-            bind = lambda env, row: {**env, bv: as_row(row)}  # noqa: E731
-        parents = list(chain.from_iterable(map(repeat, map(_PARENT, shares), counts)))
-        keys = map(_KEY, parents)
+        owners = list(chain.from_iterable(map(repeat, parents, counts)))
+        keys = map(_KEY, owners)
         if own_key is not None:
             keys = map(add, keys, map(own_key, rows))
         return list(map(
-            _Instance, items, repeat(None), keys, parents, rows, repeat(bind)
+            _Instance, items, repeat(None), keys, owners, rows,
+            repeat(self._binder(plan, as_row)),
         ))
 
 
 #: Field readers for the merge's ``map`` calls.
 _ITEM, _KEY = attrgetter("item"), attrgetter("key")
-_PARENT, _ROWS = itemgetter(0), itemgetter(1)
-#: What ``set(map(type, values))`` is for a column the template takes as
-#: it is, and the member that says a column holds a NULL.
-_INTEGERS, _STRINGS, _NULL = frozenset({int}), frozenset({str}), type(None)
+#: What ``set(map(type, values))`` is for a column of one kind — the
+#: template takes integers as they are — and the member that says a
+#: column holds a NULL.
+_INTEGERS, _STRINGS, _FLOATS = frozenset({int}), frozenset({str}), frozenset({float})
+_NULL = type(None)
+
+
+def _as_given(row):
+    """``as_row`` of rows that are by-name already."""
+    return row
+
+
+@dataclass(slots=True)
+class _Column:
+    """One schema node's instances as the weave keeps them: no object per
+    instance, what :func:`_emitter` reads in lists. ``texts`` — an inner
+    instance's open tag without its ``>``, a leaf's finished element — in
+    document order; ``counts``, how many fall under each instance of the
+    parent column. Only an inner node's column has the rest: ``keys``,
+    the context key of each instance (:class:`_Instance` says of what),
+    which its children's rows are grouped on, and — what ``env(index)``
+    makes an instance's env of on its first read, for the readers
+    :class:`_Instance` lists — the ``parent`` column, ``rows`` and
+    ``bind``. The root column is one instance with the empty env.
+    """
+
+    texts: list
+    counts: list
+    keys: Optional[list] = None
+    parent: Optional["_Column"] = None
+    rows: Any = ()
+    bind: Any = None
+    _parents: Optional[list] = None
+    _envs: dict = field(default_factory=dict)
+
+    def env(self, index: int) -> dict[str, Row]:
+        env = self._envs.get(index)
+        if env is None:
+            if self._parents is None:
+                self._parents = list(
+                    chain.from_iterable(map(repeat, count(), self.counts))
+                )
+            env = self.parent.env(self._parents[index])
+            if self.bind is not None:
+                env = self.bind(env, self.rows[index])
+            self._envs[index] = env
+        return env
+
+
+def _emitter(node: SchemaNode, columns: dict[int, _Column], texts: list[str]):
+    """``emit(count)``: append the next ``count`` instances of ``node``,
+    each with everything below it, to ``texts``. Depth-first is document
+    order, and every column is parent-major, so each is read front to back."""
+    opens = iter(columns[node.id].texts)
+    if not node.children:
+        return lambda count: texts.extend(islice(opens, count))
+    children = [
+        (iter(columns[child.id].counts).__next__, _emitter(child, columns, texts))
+        for child in node.children
+    ]
+    append, closing = texts.append, f"</{node.tag}>"
+
+    def emit(count):
+        for text in islice(opens, count):
+            append(text)
+            append(">")
+            childless = True
+            for next_count, emit_child in children:
+                below = next_count()
+                if below:
+                    emit_child(below)
+                    childless = False
+            if childless:
+                texts[-1] = "/>"
+            else:
+                append(closing)
+
+    return emit
 
 
 def _doubled(text: str) -> str:
@@ -870,10 +1017,11 @@ def _key_getter(names: list[str], columns: list[str]):
         if column not in names:
             raise _BulkUnsupported(f"bulk row is missing key column {column!r}")
     positions = [names.index(column) for column in columns]
-    if len(positions) == 1:
-        (position,) = positions
-        return lambda row: (row[position],)
-    return itemgetter(*positions) if positions else lambda row: ()
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    # A fetched row is a tuple, and so is its slice: of one column, or none.
+    start = positions[0] if positions else 0
+    return itemgetter(slice(start, start + len(positions)))
 
 
 def _static_attributes(
@@ -910,12 +1058,11 @@ def _static_attributes(
 
 def close_parts(tag: str, items) -> None:
     """Finish inner instances of ``tag`` — their parts lists, ``items`` —
-    whose children are all in: ``</tag>`` after them, or ``<tag/>`` for
-    one that got none (flat: nothing appended; captured: every group
-    empty)."""
+    whose groups are all in: ``</tag>`` after them, or ``<tag/>`` for one
+    whose every group is empty."""
     closing = f"</{tag}>"
     for parts in items:
-        if len(parts) == 2 or not any(islice(parts, 2, None)):
+        if not any(islice(parts, 2, None)):
             parts[1] = "/>"
         else:
             parts.append(closing)

@@ -9,11 +9,13 @@ canonically identical XML to the Section 2.1 nested-loop semantics —
 falling back per node where it must, never silently diverging.
 
 Every such check is also the differential of the bulk evaluator's two
-output forms: the text form (``serialize``) must equal the serialized
-tree form (``materialize``) byte for byte, with equal work counters and
-the same fallbacks — and of the text form with and without state
-capture: the captured parts tree reads as the same bytes, from the same
-work, with every node's instances recorded parent-major.
+output forms, which are two merges: the text form (``serialize``: the
+weave, columns and one depth-first emission) must equal the serialized
+tree form (``materialize``: the grouped merge, row by row) byte for byte,
+with equal work counters and the same fallbacks — and of the text form
+with and without state capture: the captured parts tree (the grouped
+merge again, as text) reads as the same bytes, from the same work, with
+every node's instances recorded parent-major.
 """
 
 from __future__ import annotations
@@ -474,11 +476,14 @@ def aggregate_with_readers_view():
     return builder.build(validate=False)
 
 
-@pytest.mark.parametrize("children_of", [(), (1,), (1, 2, 3)])
+@pytest.mark.parametrize(
+    "children_of", [(), (1,), (1, 2, 3), (2, 3), (1, 2), (1, 3), (2,)]
+)
 def test_restored_empty_rows_are_read_like_fetched_ones(children_of):
     """``empty_row`` restoration — for every parent when the bulk result
-    has no row at all — feeds the trim, the key part and a descendant's
-    attribute source exactly as a fetched row does."""
+    has no row at all; for the first, the last, the one between, the two
+    around it — feeds the trim, the key part and a descendant's attribute
+    source exactly as a fetched row does."""
     view = aggregate_with_readers_view()
     with Database(make_catalog()) as db:
         db.insert_rows(
@@ -582,13 +587,21 @@ def test_one_failed_bulk_query_does_not_take_its_subtree_to_n_plus_one():
     view = figure1_view(db.catalog)
     expected = BulkViewEvaluator(db).serialize(view)
     break_bulk_query(view, db, "hotel")
-    evaluator = BulkViewEvaluator(db)
-    before = db.stats.queries_executed
-    assert evaluator.serialize(view) == expected
-    assert [r.tag for r in evaluator.fallback_nodes] == ["hotel"]
-    assert evaluator.bulk_queries_executed == 6
     metros = db.table_count("metroarea")
-    assert db.stats.queries_executed - before == 6 + metros == 18
+    forms = {  # the weave, the grouped merge as a tree and as captured text
+        "text": lambda e: e.serialize(view),
+        "tree": lambda e: serialize(e.materialize(view)),
+        "captured": lambda e: e.serialize(view),
+    }
+    for form, run in forms.items():
+        capture = {} if form == "captured" else None
+        evaluator = BulkViewEvaluator(db, capture_instances=capture)
+        before = db.stats.queries_executed
+        assert run(evaluator) == expected, form
+        assert [r.tag for r in evaluator.fallback_nodes] == ["hotel"], form
+        assert "bulk query failed" in evaluator.fallback_nodes[0].reason
+        assert evaluator.bulk_queries_executed == 6, form
+        assert db.stats.queries_executed - before == 6 + metros == 18, form
     db.close()
 
 
@@ -822,6 +835,35 @@ def test_percent_null_and_odd_values_survive_the_batch(monkeypatch):
             assert piece in expected, piece
 
 
+def test_an_all_float_column_needs_no_escape_pass(monkeypatch):
+    """A column that holds floats only is ``format_value``'s text as it
+    is — digits, a sign, a point, ``e``, ``inf``, ``nan``: nothing
+    ``escape_attribute`` could change — so the batch never calls it; one
+    other value in the column and every value takes the generic path."""
+    escaped = []
+    real_escape = bulk_evaluator.escape_attribute
+    monkeypatch.setattr(
+        bulk_evaluator, "escape_attribute",
+        lambda text: escaped.append(text) or real_escape(text),
+    )
+    with odd_database(monkeypatch) as db:
+        for column, texts in (
+            ("r", ["inf", "0", "2", "2.5", "nan"]),
+            ("b", ["b'\\x00&lt;&amp;%'", "True", "plain", "nan", "7"]),
+        ):
+            builder = ViewBuilder(db.catalog)
+            builder.node(
+                "v",
+                f"SELECT {column} FROM odd WHERE {column} IS NOT NULL ORDER BY id",
+            )
+            view = builder.build()
+            del escaped[:]
+            xml = BulkViewEvaluator(db).serialize(view)
+            assert xml == "".join(f'<v {column}="{text}"/>' for text in texts)
+            assert len(escaped) == (0 if column == "r" else 5)
+            assert xml == serialize(ViewEvaluator(db).materialize(view))
+
+
 # ---------------------------------------------------------------------------
 # Batch == per-row, as a property
 # ---------------------------------------------------------------------------
@@ -836,22 +878,50 @@ CELL_KINDS = {
 }
 
 
+#: The child's tag query by kind, over ``{columns}``; what only the merge
+#: tells apart: a plain result is divided among duplicate parent bindings,
+#: a DISTINCT one is taken whole, a grouped aggregate demotes the node at
+#: run time, an ungrouped one has its empty groups restored (``empty_row``).
+CHILD_QUERIES = {
+    "plain": "SELECT {columns} FROM child WHERE pk = $p.k ORDER BY id",
+    "distinct": "SELECT DISTINCT {columns} FROM child WHERE pk = $p.k",
+    "grouped": "SELECT {columns}, COUNT(id) AS n FROM child WHERE pk = $p.k "
+               "GROUP BY {columns} ORDER BY MIN(id)",
+    "aggregate": "SELECT COUNT(id) AS n, SUM(pk) AS total FROM child "
+                 "WHERE pk = $p.k",
+}
+#: What sits below the child, two woven levels down: nothing, a literal,
+#: a literal whose attributes are the *grandparent's* row (an env read per
+#: parent, off the columns), a planned fallback correlated on ``$p``.
+BELOW = ("leaf", "literal", "source", "fallback")
+
+
 @st.composite
 def node_results(draw):
     """One node result under a handful of parents: ``(parent keys, child
-    rows as (parent key, cells), literal attributes, inner)``. A cell is
-    drawn from its column's kind or is NULL; parent keys repeat (duplicate
-    bindings: the group is divided) and may own no row (childless)."""
+    rows as (parent key, cells), literal attributes, child kind, what is
+    below it)``. A cell is drawn from its column's kind or is NULL; parent
+    keys repeat (duplicate bindings) and may own no row (childless; under
+    an ungrouped aggregate a restored row — first, last or between).
+
+    The child's rows come back in ``id`` order — the parent query has no
+    ORDER BY to propagate — so the order they are *stored* in is the
+    order of the bulk result: parent by parent as the parents are, parent
+    by parent in another parent order, or shuffled, where a parent's key
+    returns in a second run."""
     kinds = draw(st.lists(st.sampled_from(sorted(CELL_KINDS)), max_size=4))
     parents = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
-    rows = []
-    for key in sorted(set(parents)):
-        for _ in range(draw(st.integers(0, 3))):
-            rows.append((key, [
-                draw(st.one_of(st.none(), CELL_KINDS[kind])) for kind in kinds
-            ]))
+    groups = [
+        [(key, [draw(st.one_of(st.none(), CELL_KINDS[kind])) for kind in kinds])
+         for _ in range(draw(st.integers(0, 3)))]
+        for key in sorted(set(parents))
+    ]
+    rows = [row for group in draw(st.permutations(groups)) for row in group]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
     literals = draw(st.dictionaries(st.sampled_from(["x", "y"]), SPECIAL_TEXT))
-    return parents, rows, literals, draw(st.booleans())
+    kind = draw(st.sampled_from(sorted(CHILD_QUERIES)))
+    return parents, rows, literals, kind, draw(st.sampled_from(BELOW))
 
 
 def batch_catalog() -> Catalog:
@@ -865,18 +935,20 @@ def batch_catalog() -> Catalog:
 @given(node_results())
 @settings(max_examples=150, deadline=None)
 def test_a_rendered_node_result_is_the_row_by_row_one(result):
-    """The text form renders a static node's result at once; the tree
-    form builds it row by row through ``build_element``, so it is the
-    per-row reference. Same bytes and same counters, with and without
-    capture (``assert_equivalent``: one group per parent and schema
-    child, empty ones included), and the captured state takes a delta.
+    """The text form renders a static node's result at once and weaves
+    the columns; the tree form builds it row by row through
+    ``build_element`` and attaches each group to its parent, so it is the
+    per-row reference and a different merge. Same bytes and same
+    counters, with and without capture (``assert_equivalent``: one group
+    per parent and schema child, empty ones included) — in the nested
+    loop's order, too — and the captured state takes a delta.
 
     sqlite cannot hold a ``bool`` or a NaN, so a cell stores its position
     in the example's value pool (``swap_fetched_values``)."""
     from repro.maintenance import DeltaEvaluator, MaterializedState
     from repro.serving.fingerprint import node_read_sets
 
-    parents, rows, literals, inner = result
+    parents, rows, literals, kind, below = result
     width = len(rows[0][1]) if rows else 0
     pool = [cell for _key, cells in rows for cell in cells]
 
@@ -887,13 +959,20 @@ def test_a_rendered_node_result_is_the_row_by_row_one(result):
     top = builder.node("p", "SELECT k FROM parent", bv="p")
     columns = ", ".join(f"c{i}" for i in range(width)) or "pk"
     child = top.child(
-        "c", f"SELECT {columns} FROM child WHERE pk = $p.k ORDER BY id",
-        attr_columns=None if width else [],
+        "c", CHILD_QUERIES[kind].format(columns=columns), bv="c",
+        attr_columns=None if width or kind == "aggregate" else [],
     )
     child.node.literal_attributes = literals
-    if inner:
+    if below == "literal":
         child.child("g").node.literal_attributes = {"of": "100%"}
-    view = builder.build()
+    elif below == "source":
+        child.child("g").node.attr_source_bv = "p"
+    elif below == "fallback":
+        child.child(
+            "g", "SELECT id, pk + 0 FROM child WHERE pk = $p.k ORDER BY id",
+            attr_columns=["id"],
+        )
+    view = builder.build(validate=False)
     with Database(batch_catalog()) as db, pytest.MonkeyPatch.context() as patch:
         swap_fetched_values(patch, from_pool)
         db.insert_positional("parent", list(enumerate(parents)))
@@ -902,7 +981,18 @@ def test_a_rendered_node_result_is_the_row_by_row_one(result):
             for n, (key, _cells) in enumerate(rows)
         ])
         evaluator = assert_equivalent(view, db)
-        assert not evaluator.fallback_nodes
+        # What ran correlated, and why: the fallback planned, and then a
+        # grouped aggregate (as written, or the join form of an ungrouped
+        # one) demoted because duplicate bindings share a group of it.
+        shared = {key for key, _cells in rows if parents.count(key) > 1}
+        demoted = kind in ("grouped", "aggregate") and bool(shared)
+        assert [r.tag for r in evaluator.fallback_nodes] == (
+            ["g"] * (below == "fallback") + ["c"] * demoted
+        )
+        assert evaluator.bulk_queries_executed == 2
+        text = BulkViewEvaluator(db).serialize(view)
+        if kind != "distinct":  # ordered: the nested loop's bytes
+            assert text == serialize(ViewEvaluator(db).materialize(view))
         capture: dict = {}
         BulkViewEvaluator(db, capture_instances=capture).serialize(view)
         pool.append("fresh & 100%")
@@ -994,36 +1084,53 @@ def test_tree_form_refuses_to_capture_instances(hotel_db):
     assert capture == {}
 
 
-def test_without_capture_parts_are_flat_and_nothing_is_recorded(
+def test_without_capture_nothing_nested_exists_and_nothing_is_recorded(
     hotel_db, monkeypatch
 ):
-    """A first computation runs the pre-capture instructions: children are
-    appended to their parent itself, so every list in the tree is an
-    inner instance — it starts ``open tag, ">"`` — and none is a group."""
-    joined = []
+    """A first computation is the weave: what is joined is one flat list
+    of strings, made without an ``_Instance``, a parts list to close or a
+    nesting to flatten. Under capture it is the grouped merge: instances,
+    closed parts, one flattening join — and the state is recorded."""
+    calls = {"_Instance": 0, "close_parts": 0, "parts_text": 0}
+    woven = []
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("close_parts", "parts_text"):
+        real = getattr(bulk_evaluator, name)
+        monkeypatch.setattr(bulk_evaluator, name, counting(name, real))
     monkeypatch.setattr(
-        bulk_evaluator, "parts_text",
-        lambda parts: joined.append(parts) or parts_text(parts),
+        bulk_evaluator._Instance, "__init__",
+        counting("_Instance", bulk_evaluator._Instance.__init__),
     )
-
-    def lists_in(parts):
-        for part in parts:
-            if part.__class__ is list:
-                yield part
-                yield from lists_in(part)
-
+    real_emitter = bulk_evaluator._emitter
+    monkeypatch.setattr(
+        bulk_evaluator, "_emitter",
+        lambda node, columns, texts: woven.append(texts)
+        or real_emitter(node, columns, texts),
+    )
     view = compose(
         figure1_view(hotel_db.catalog), figure4_stylesheet(), hotel_db.catalog
     )
-    for capture, flat in ((None, True), ({}, False)):
-        evaluator = BulkViewEvaluator(hotel_db, capture_instances=capture)
-        evaluator.serialize(view)
-        root = joined.pop()
-        assert flat == all(
-            inner[0].__class__ is str and inner[1] in (">", "/>")
-            for inner in lists_in(root)
-        )
-        assert bool(capture) is not flat  # recorded exactly when asked to
+    inner = sum(1 for node in view.nodes(include_root=False) if node.children)
+    evaluator = BulkViewEvaluator(hotel_db)
+    xml = evaluator.serialize(view)
+    assert calls == {"_Instance": 0, "close_parts": 0, "parts_text": 0}
+    assert all(texts is woven[0] for texts in woven)  # one list, top down
+    assert all(text.__class__ is str for text in woven[0])
+    assert "".join(woven[0]) == xml
+    del woven[:]
+    capture: dict = {}
+    capturing = BulkViewEvaluator(hotel_db, capture_instances=capture)
+    assert capturing.serialize(view) == xml
+    assert woven == [] and capture
+    assert calls["close_parts"] == inner and calls["parts_text"] == 1
+    assert calls["_Instance"] == 1 + evaluator.stats.elements_created
 
 
 def test_node_plans_are_memoized_on_the_view_they_describe(caplog):

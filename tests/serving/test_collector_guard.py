@@ -114,6 +114,16 @@ def collector_off(save_all=False):
         gc.enable()
 
 
+def counting(calls, name, real):
+    """``real``, counting its calls in ``calls[name]``."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    return counted
+
+
 def test_cold_renders_leave_no_trees_or_closures_to_the_collector():
     with delta_server() as (db, _tracker, server):
         view = figure1_view(db.catalog)
@@ -185,17 +195,11 @@ def test_a_first_computation_reads_positions_and_builds_no_env(monkeypatch):
     for every instance, made then."""
     calls = {"run_rows": 0, "run_query": 0, "env": 0}
 
-    def counting(name, real):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        return counted
-
     for name in ("run_rows", "run_query"):
-        monkeypatch.setattr(Database, name, counting(name, getattr(Database, name)))
+        real = getattr(Database, name)
+        monkeypatch.setattr(Database, name, counting(calls, name, real))
     monkeypatch.setattr(
-        _Instance, "env", property(counting("env", _Instance.env.fget))
+        _Instance, "env", property(counting(calls, "env", _Instance.env.fget))
     )
     with delta_server() as (db, tracker, server):
         view = figure1_view(db.catalog)
@@ -276,6 +280,84 @@ def test_a_miss_renders_node_results_as_batches(monkeypatch):
             assert all(build is None and render for build, render in builders)
             assert len(fetched) >= miss.elements_created - nodes
             assert all(type(row) is tuple for row in fetched)
+
+
+def test_a_miss_is_woven_and_a_promotion_keeps_the_grouped_state(monkeypatch):
+    """Which merge ran, as counts. A miss is the weave: no ``_Instance``,
+    no parts list closed, no nesting flattened, ``render`` once per node
+    result. The promotion (the same key recomputed after a write) is the
+    grouped merge — an instance per element and the root's, every inner
+    node's parts closed, one flattening join — and the delta after it
+    splices that state: instances for the re-executed subtree and its
+    shadow parents only, and a join over the spliced parts."""
+    from repro.schema_tree import bulk_evaluator
+
+    calls = dict.fromkeys(
+        ("_Instance", "close_parts", "_flatten", "parts_text", "render"), 0
+    )
+
+    def counting_builder(real_builder):
+        def builder(self, *args):
+            build, render = real_builder(self, *args)
+            return build, render and counting(calls, "render", render)
+
+        return builder
+
+    for name in ("close_parts", "_flatten", "parts_text"):
+        real = getattr(bulk_evaluator, name)
+        monkeypatch.setattr(bulk_evaluator, name, counting(calls, name, real))
+    monkeypatch.setattr(
+        _Instance, "__init__", counting(calls, "_Instance", _Instance.__init__)
+    )
+    monkeypatch.setattr(
+        BulkViewEvaluator, "_text_builder",
+        counting_builder(BulkViewEvaluator._text_builder),
+    )
+    # Per view: its nodes and those with children; the elements of the
+    # document over delta_server's 2 x 3 hotels; what the one-hotel
+    # payload write's delta makes (``_Instance``: shadow parents and
+    # fresh elements; ``render``: one per re-executed node result) —
+    # Figure 1 at the row rung, the composed views at the node rung.
+    pinned = {
+        None: {"nodes": (7, 3), "elements": 16, "_Instance": 2, "render": 1},
+        figure4_stylesheet:
+            {"nodes": (8, 4), "elements": 11, "_Instance": 6, "render": 3},
+        figure17_stylesheet:
+            {"nodes": (8, 4), "elements": 9, "_Instance": 4, "render": 3},
+    }
+    with delta_server() as (db, tracker, server):
+        view = figure1_view(db.catalog)
+        for step, (source, expected) in enumerate(pinned.items()):
+            sheet = source and source()
+            nodes, inner = expected["nodes"]
+            for name in calls:
+                calls[name] = 0
+            miss = server.render(view, sheet)
+            assert miss.error is None and miss.freshness == "miss"
+            assert miss.elements_created == expected["elements"]
+            assert calls == {
+                "_Instance": 0, "close_parts": 0, "_flatten": 0,
+                "parts_text": 0, "render": nodes,
+            }
+            promote(
+                lambda: server.render(view, sheet),
+                lambda: hotel_write(db, 2 * step, tracker),
+            )
+            assert calls["_Instance"] == 1 + expected["elements"]  # the root's
+            assert calls["close_parts"] == inner and calls["parts_text"] == 1
+            assert calls["render"] == 2 * nodes and calls["_flatten"] > inner
+            assert server.result_cache.peek(miss.plan_key).state is not None
+            for name in calls:
+                calls[name] = 0
+            hotel_payload_write(db, 2 * step + 1, tracker, rows=1)
+            delta = server.render(view, sheet)
+            assert delta.freshness == "delta-recompute", delta.error
+            assert calls["_Instance"] == expected["_Instance"]
+            assert calls["render"] == expected["render"]
+            assert calls["_flatten"] > inner  # the spliced state's one join
+            assert delta.xml == BulkViewEvaluator(db).serialize(
+                server.plan_cache.get(miss.plan_key).view
+            )
 
 
 def selects_reachable_from(root, depth=6):
