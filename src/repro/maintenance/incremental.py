@@ -15,77 +15,73 @@ pushed to exactly the affected nodes:
    re-evaluating the ancestor rebuilds the descendant anyway. The
    *frontier* is the set of dirty nodes with no dirty proper ancestor;
    frontier subtrees are pairwise disjoint.
-3. **Shadow re-evaluation.** Each frontier subtree is re-executed with
-   the bulk evaluator's one-query-per-node machinery
-   (:meth:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator.evaluate_node`,
-   in its text form) against *shadow parents*: throwaway empty collector
-   lists carrying the retained parent instances' binding environments
-   and context keys, so the decorrelated bulk rows group exactly as they
-   would in a full run. The captured environments also make the
-   correlated per-parent fallback work unchanged.
-4. **Persistent splice.** State is text: the bulk evaluator's parts
-   tree (its module docstring gives the layout; this module reads and
-   rebuilds it only through that module's helpers). The fresh groups
-   replace the stale ones in a *copy-on-spine* rebuild: only the
-   ancestor instances on a path to a replacement (the spine) become new
-   lists; untouched sibling subtrees — including sibling instances of
-   spine schema nodes with no replacement beneath them — are the old
-   state's own objects, and the old state is never written — a
-   mid-splice failure cannot tear the cached entry, the server just
-   falls back to full recomputation. Sharing is what makes a narrow
-   write cheap: the splice allocates in proportion to the spine and the
-   replacements, not to the document. Which instances a group holds is
-   *positional* (the next ``len(group)`` entries of the node's
-   parent-major instance list), never looked up by ``id()``.
+3. **Re-made columns.** State is the bulk evaluator's text columns, one
+   per schema node (its module docstring says what a column holds).
+   Each frontier subtree's columns are made again by the one routine a
+   full evaluation makes them with
+   (:meth:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator.column`)
+   under the *retained parent column*: its context keys are what the
+   decorrelated bulk rows group on, exactly as in a full run, and its
+   envs — made when read — serve a correlated per-parent fallback
+   unchanged.
+4. **A new dict of columns.** The new state maps every re-made node to
+   its new column and every other node to the old state's own column
+   object. Nothing nested exists, so there is no spine to copy: an
+   emission reads each column front to back by the counts, whichever
+   generation made it. The old state is never written — a failure
+   mid-way cannot tear the cached entry, the server just falls back to
+   full recomputation — and what a column reads by position is checked
+   first (:func:`~repro.schema_tree.bulk_evaluator.columns_fit`).
 
 The chain has three rungs, each the fallback of the one before: **row**
 — where the tracker reports which rows changed and the changed columns
 are pure payload, step 3 re-fetches just those rows by key
-(:meth:`DeltaEvaluator._try_row_splice`) and every sibling element is
-shared; **node** — steps 1-4 as written; **full** — the server's
+(:meth:`DeltaEvaluator._try_row_splice`): the node's new column is the
+old one with text and row replaced at the positions of the changed keys,
+every other text the old string and the columns below it shared;
+**node** — steps 1-4 as written; **full** — the server's
 recompute when this module declines.
 
 Anything the splice cannot prove safe raises :class:`DeltaUnsupported`
 (deliberately *not* a :class:`~repro.errors.ReproError`, so the server's
 request-error handling never confuses "delta declined" with "request
 failed"): an unreliable ancestor plan (runtime column names may differ
-from the static ones the context keys use), a missing binding or key
-column in a captured environment, or captured state that does not have
-the view's shape (a group count or a group's members disagree).
+from the static ones the context keys use), or kept state that does not
+have the view's shape (a column missing, or counts that do not line up
+with the columns they count).
 
-Lists and strings have no back-pointers: a spliced generation refers to
-the shared parts of the one before it, never the reverse, so a dead
+A column has no pointer to another column (its parent is a schema id,
+looked up in the state it is read in): a new generation refers to the
+shared columns of the one before it, never the reverse, so a dead
 generation is freed when its cache entry is replaced.
 
 State lifecycle: a cached result *earns* its :class:`MaterializedState`.
 A first computation stores bytes only; the first stale read of a
 resident key finds nothing to splice against (fallback reason
-``no-state``) and recomputes in full **with** capture — the promotion —
-and every later stale read of that entry is a delta. Entries evicted
+``no-state``) and recomputes in full, keeping the columns the bytes were
+emitted from — the promotion — and every later stale read of that entry is a delta. Entries evicted
 before any write reaches them never pay for state.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional
 
 from repro.errors import ReproError, SQLTransformError
 from repro.maintenance.tracker import ROW_PUSHDOWN_MAX_KEYS, TableChange
-from repro.relational.engine import Database, Row
+from repro.relational.engine import Database
 from repro.schema_tree.bulk_evaluator import (
     BulkViewEvaluator,
-    _Instance,
+    _Column,
     _key_getter,
     _NodePlan,
-    child_groups,
-    close_parts,
-    parts_text,
-    with_groups,
+    columns_fit,
+    columns_text,
 )
 from repro.schema_tree.evaluator import MaterializeStats
-from repro.schema_tree.model import ROOT_ID, SchemaNode, SchemaTreeQuery
+from repro.schema_tree.model import SchemaNode, SchemaTreeQuery
 from repro.sql.analysis import (
     load_bearing_columns,
     referenced_columns_of_table,
@@ -124,29 +120,22 @@ class DeltaUnsupported(Exception):
 
 @dataclass
 class MaterializedState:
-    """Captured evaluation state a delta re-evaluation splices against.
-
-    ``instances`` maps each schema node id to its ``(item, env)`` pairs
-    in parent-major document order: ``item`` is the instance's text (a
-    leaf's string, an inner instance's parts list), ``env`` the binding
-    environment visible to its children; the synthetic root maps to
-    ``[(root parts, {})]``. It is exactly what the bulk evaluator's
-    ``capture_instances`` records during the full recompute that
-    promotes a resident entry (its first staleness — never a first
-    computation), and what :meth:`DeltaEvaluator.evaluate` returns for
-    the spliced text. Treated as immutable once stored.
+    """What a delta re-evaluation splices against: the text columns of
+    ``view``, ``{schema node id: column}`` with the root's included —
+    exactly what
+    :meth:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator.columns`
+    made the served bytes from, kept by the full recompute that promotes
+    a resident entry (its first staleness — never a first computation),
+    and what :meth:`DeltaEvaluator.evaluate` returns for the spliced
+    text. Treated as immutable once stored.
     """
 
-    instances: dict[int, list[tuple[Any, dict[str, Row]]]]
-
-    @property
-    def root(self) -> list:
-        """The parts tree of the whole document."""
-        return self.instances[ROOT_ID][0][0]
+    view: SchemaTreeQuery
+    columns: dict[int, _Column]
 
     def text(self) -> str:
-        """The document's XML text: one join over the parts tree."""
-        return parts_text(self.root)
+        """The document's XML text: one emission over the columns."""
+        return columns_text(self.view, self.columns)
 
 
 @dataclass
@@ -154,8 +143,8 @@ class DeltaResult:
     """Outcome of one successful delta re-evaluation."""
 
     #: State of the spliced document, ready for the next delta: new
-    #: lists along the spine, everything untouched shared with the old
-    #: state (left intact) — the old state itself when nothing was dirty.
+    #: columns for the re-made nodes, every other the old state's own
+    #: (left intact) — the old state itself when nothing was dirty.
     state: MaterializedState
     #: All schema nodes whose read set intersected the changed tables.
     dirty_nodes: tuple[int, ...]
@@ -172,9 +161,9 @@ class DeltaResult:
     #: Elements rebuilt by the row-level path (one per changed row per
     #: affected parent block).
     rows_spliced: int = 0
-    #: Wall-clock seconds spent in the copy-on-spine splice itself
-    #: (parts and state rebuild), excluding query work —
-    #: ``RequestTrace.splice_seconds``.
+    #: Wall-clock seconds spent in the splice itself (the shape check,
+    #: the new dict, the row rung's replacement of texts and rows),
+    #: excluding query work — ``RequestTrace.splice_seconds``.
     splice_seconds: float = 0.0
 
 
@@ -198,15 +187,16 @@ def dirty_node_ids(
 
 @dataclass
 class _RowSplice:
-    """Prepared outcome of one frontier node's row-level maintenance."""
+    """Outcome of one frontier node's row-level maintenance."""
 
-    #: Position of a parent instance -> its merged group of this node
-    #: (kept old items interleaved with fresh ones, in old order).
-    replace_entries: dict[int, list] = field(default_factory=dict)
-    #: The node's full (item, env) instance list for the new state.
-    instances: list[tuple[Any, dict[str, Row]]] = field(default_factory=list)
+    #: The node's column for the new state: the old one with text and row
+    #: replaced at the changed keys' positions (the old one itself when
+    #: no changed key is in the view).
+    column: _Column
     #: Fresh elements built (== changed rows that survived in the view).
-    fresh_count: int = 0
+    fresh_count: int
+    #: Seconds spent replacing, after the probe returned.
+    seconds: float
 
 
 class DeltaEvaluator:
@@ -245,9 +235,9 @@ class DeltaEvaluator:
 
         Raises :class:`DeltaUnsupported` when the delta path cannot
         guarantee byte-identical output (the caller should recompute in
-        full); never writes ``state`` or any list in it either way.
+        full); never writes ``state`` or a column of it either way.
         """
-        bulk = BulkViewEvaluator(self.db, self.stats, capture_instances={})
+        bulk = BulkViewEvaluator(self.db, self.stats)
         plans = bulk.plan_view(view)
         nodes_by_id = {n.id: n for n in view.nodes(include_root=False)}
         dirty = dirty_node_ids(node_read_sets, changed_tables)
@@ -286,66 +276,40 @@ class DeltaEvaluator:
             self._check_spliceable(nodes_by_id[node_id], plans)
 
         rows_before = self.db.stats.rows_fetched
-        # New (item, env) lists: frontier subtrees and row-spliced nodes.
-        fresh: dict[int, list[tuple[Any, dict[str, Row]]]] = {}
+        splice_started = time.perf_counter()
+        if not columns_fit(view, state.columns):
+            raise DeltaUnsupported("kept state does not have the view's shape")
+        # Untouched nodes keep the old state's columns (never written);
+        # an env is read through this dict, so in the new generation.
+        columns = dict(state.columns)
+        splice_seconds = time.perf_counter() - splice_started
         row_frontier: list[int] = []
         rows_spliced = 0
-        # Frontier node id -> {position of a parent instance in its
-        # node's list: that parent's new group of the frontier node}.
-        replace_at: dict[int, dict[int, list]] = {}
         elements_refreshed = 0
         for node_id in frontier:
             node = nodes_by_id[node_id]
-            retained = state.instances.get(node.parent.id, [])
             row = self._try_row_splice(
-                bulk, plans, node, state, retained, changes, dirty_set
+                bulk, plans, node, columns, changes, dirty_set
             )
             if row is not None:
-                replace_at[node_id] = row.replace_entries
-                fresh[node_id] = row.instances
+                columns[node_id] = row.column
                 row_frontier.append(node_id)
                 rows_spliced += row.fresh_count
                 elements_refreshed += row.fresh_count
-                continue
-            shadows = [
-                _Instance([], env, self._context_key(bulk, node, env))
-                for _item, env in retained
-            ]
-            local = self._evaluate_subtree(bulk, plans, node, shadows)
-            for sub_id, created in local.items():
-                elements_refreshed += len(created)
-                fresh[sub_id] = [(inst.item, inst.env) for inst in created]
-            # A collector is root-shaped — its parts are its groups — and
-            # evaluating one schema child gave each exactly one.
-            replace_at[node_id] = {
-                position: shadow.item[0]
-                for position, shadow in enumerate(shadows)
-            }
-
-        splice_started = time.perf_counter()
-        # The copied spine: schema ids on a root-to-frontier path.
-        spine_ids = {
-            ancestor.id
-            for node_id in frontier
-            for ancestor in nodes_by_id[node_id].path_from_root()[:-1]
-        }
-        rebuilt: dict[int, list[tuple[Any, dict[str, Row]]]] = {}
-        root = self._rebuild(
-            view.root, state.root, 0, state, replace_at, spine_ids, rebuilt
-        )
-        # Untouched nodes share the old lists (which are never written).
-        new_state = MaterializedState(
-            {**state.instances, **rebuilt, **fresh, ROOT_ID: [(root, {})]}
-        )
+                splice_seconds += row.seconds
+            else:
+                elements_refreshed += self._remake_subtree(
+                    bulk, plans, node, columns
+                )
         return DeltaResult(
-            state=new_state,
+            state=MaterializedState(view, columns),
             dirty_nodes=tuple(dirty),
             frontier_nodes=tuple(frontier),
             elements_refreshed=elements_refreshed,
             rows_refetched=self.db.stats.rows_fetched - rows_before,
             row_frontier_nodes=tuple(row_frontier),
             rows_spliced=rows_spliced,
-            splice_seconds=time.perf_counter() - splice_started,
+            splice_seconds=splice_seconds,
         )
 
     # -- column-level dirty refinement ----------------------------------------
@@ -386,8 +350,7 @@ class DeltaEvaluator:
         bulk: BulkViewEvaluator,
         plans: dict[int, _NodePlan],
         node: SchemaNode,
-        state: MaterializedState,
-        retained: list[tuple[Any, dict[str, Row]]],
+        columns: dict[int, _Column],
         changes: Optional[Mapping[str, TableChange]],
         dirty_set: set[int],
     ) -> Optional[_RowSplice]:
@@ -399,8 +362,8 @@ class DeltaEvaluator:
 
         * row-level change detail exists: the node is dirty via exactly
           one table, with known changed keys *and* columns;
-        * no descendant of the node is itself dirty (kept siblings'
-          subtrees are shared verbatim, so they must not need work);
+        * no descendant of the node is itself dirty (the columns below
+          are shared verbatim, so they must not need work);
         * the node has a reliable bulk plan, no aggregation/DISTINCT
           (those fold many base rows into one element), a binding
           variable, and the table's single-column primary key among its
@@ -413,13 +376,16 @@ class DeltaEvaluator:
           attribute surfacing), so kept subtrees under replaced
           elements stay byte-identical;
         * the key-restricted probe returns exactly the keys the old
-          instances hold, per parent block (no rows moved in, out, or
-          across parents).
+          rows hold, per parent block (no rows moved in, out, or across
+          parents) — a block being the carried context key a row itself
+          holds, so both sides are read by position and no parent
+          instance is visited.
 
-        When all hold, each changed row's instance is rebuilt from its
-        freshly fetched row and keeps the old instance's groups;
-        everything else — sibling instances, their subtrees, unaffected
-        parent blocks — is shared with the old state.
+        When all hold, the node's new column is the old one with text
+        and row replaced at the changed keys' positions — found in one
+        pass over ``rows`` — and everything else (every other text, the
+        counts and keys, the columns below) is shared with the old
+        state.
         """
         if changes is None or node.bv is None:
             return None
@@ -472,63 +438,46 @@ class DeltaEvaluator:
         except SQLTransformError:
             return None
         names, fresh_rows = self.db.run_rows(probe)
-        if any(c not in names for c in plan.key_columns + plan.own_columns):
+        started = time.perf_counter()
+        old = columns[node.id]
+        if names != old.names:
             return None  # not the shape every position below is read from
         block_of = _key_getter(names, plan.key_columns)
         key_at = names.index(key_column)
-        fresh_by_block: dict[tuple, dict[Any, Any]] = {}
+        fresh = {}
         for row in fresh_rows:
-            bucket = fresh_by_block.setdefault(block_of(row), {})
-            row_key = row[key_at]
-            if row_key in bucket:
+            home = (block_of(row), row[key_at])
+            if home in fresh:
                 return None  # duplicate key within one block
-            bucket[row_key] = row
-
+            fresh[home] = row
         keys = change.keys
-        splice = _RowSplice()
-        consumed_blocks: set[tuple] = set()
-        parent_node = node.parent
-        slot = next(i for i, c in enumerate(parent_node.children) if c is node)
-        for position, (parent_item, parent_env) in enumerate(retained):
-            block_key = self._context_key(bulk, node, parent_env)
-            consumed_blocks.add(block_key)
-            group = self._groups(parent_node, parent_item)[slot]
-            merged = self._members(state, node, len(splice.instances), group)
-            affected: list[int] = []
-            for offset, (_item, env) in enumerate(merged):
-                own_row = env.get(node.bv)
-                if own_row is None or key_column not in own_row:
-                    return None
-                if own_row[key_column] in keys:
-                    affected.append(offset)
-            block_fresh = fresh_by_block.get(block_key, {})
-            old_keys = [merged[o][1][node.bv][key_column] for o in affected]
-            if set(old_keys) != set(block_fresh):
-                return None  # membership moved despite the static checks
-            if affected:
-                shadow = _Instance([], parent_env, block_key)
-                ordered = [block_fresh[key] for key in old_keys]
-                created = bulk._attach_bulk_rows(
-                    plan, [(shadow, ordered)], names, bulk._text_builder
-                )
-                for offset, instance in zip(affected, created):
-                    item = instance.item
-                    if node.children:  # fresh open tag, the old groups
-                        kept = self._groups(node, merged[offset][0])
-                        item = with_groups(node, item, kept)
-                    merged[offset] = (item, instance.env)
-                splice.fresh_count += len(created)
-                splice.replace_entries[position] = [item for item, _e in merged]
-            splice.instances.extend(merged)
-        if any(
-            block not in consumed_blocks
-            for block, bucket in fresh_by_block.items()
-            if bucket
-        ):
-            # The probe found rows whose context key matches no retained
-            # parent: the old document has no home for them.
+        positions = [
+            position for position, row in enumerate(old.rows)
+            if row[key_at] in keys
+        ]
+        homes = [
+            (block_of(old.rows[position]), old.rows[position][key_at])
+            for position in positions
+        ]
+        if len(homes) != len(fresh) or set(homes) != fresh.keys():
+            # Membership moved despite the static checks, or the probe
+            # found rows the old document has no home for.
             return None
-        return splice
+        if not positions:
+            return _RowSplice(old, 0, time.perf_counter() - started)
+        rows = [fresh[home] for home in homes]
+        parent = columns[old.parent]
+        texts = bulk.render_rows(
+            plan, names, [(row,) for row in rows],
+            lambda index: parent.env(columns, old.owner(positions[index])),
+        )
+        new_texts, new_rows = list(old.texts), list(old.rows)
+        for position, text, row in zip(positions, texts, rows):
+            new_texts[position], new_rows[position] = text, row
+        column = _Column(
+            new_texts, old.counts, old.keys, old.parent, new_rows, names, old.bind
+        )
+        return _RowSplice(column, len(rows), time.perf_counter() - started)
 
     def _descendant_dependent_columns(
         self, node: SchemaNode
@@ -642,124 +591,18 @@ class DeltaEvaluator:
                     "no reliable context key (correlated or unstable shape)"
                 )
 
-    def _context_key(
-        self, bulk: BulkViewEvaluator, node: SchemaNode, env: dict[str, Row]
-    ) -> tuple:
-        """Rebuild the bulk context key a retained parent instance carries.
-
-        Concatenates the key columns of every query-bearing strict
-        ancestor of ``node`` in root-to-leaf order — exactly the order
-        the decorrelator exposes them in the bulk rows, so
-        ``_group_rows`` deals each shadow parent its share.
-        """
-        key: list = []
-        for ancestor in node.path_from_root()[1:-1]:
-            if ancestor.tag_query is None:
-                continue
-            row = env.get(ancestor.bv) if ancestor.bv is not None else None
-            if row is None:
-                raise DeltaUnsupported(
-                    f"captured environment lacks binding ${ancestor.bv} "
-                    f"for ancestor <{ancestor.tag}>"
-                )
-            for column in bulk.node_key_columns(ancestor):
-                if column not in row:
-                    raise DeltaUnsupported(
-                        f"captured ${ancestor.bv} row lacks key column "
-                        f"{column!r}"
-                    )
-                key.append(row[column])
-        return tuple(key)
-
-    def _evaluate_subtree(
+    def _remake_subtree(
         self,
         bulk: BulkViewEvaluator,
         plans: dict[int, _NodePlan],
         node: SchemaNode,
-        shadows: list[_Instance],
-    ) -> dict[int, list[_Instance]]:
-        """Re-execute one frontier subtree, as text, under its shadow
-        parents; its inner instances come back closed."""
-        local: dict[int, list[_Instance]] = {node.parent.id: shadows}
+        columns: dict[int, _Column],
+    ) -> int:
+        """Re-make the columns of one frontier subtree in ``columns``, as
+        text, under the retained parent column; returns the elements made."""
+        made = 0
         for sub in node.walk():
-            local[sub.id] = bulk.evaluate_node(
-                plans[sub.id], local[sub.parent.id], bulk._text_builder
-            )
-        del local[node.parent.id]
-        for sub in node.walk():
-            if sub.children:
-                close_parts(sub.tag, [i.item for i in local[sub.id]])
-        return local
-
-    # -- persistent splice ----------------------------------------------------
-
-    def _groups(self, node: SchemaNode, parts: list) -> list:
-        """The child groups of one captured instance of ``node``."""
-        groups = child_groups(node, parts)
-        if len(groups) != len(node.children):
-            raise DeltaUnsupported(
-                f"captured <{node.tag}> has {len(groups)} child groups, "
-                f"the view {len(node.children)}"
-            )
-        return groups
-
-    def _members(
-        self, state: MaterializedState, node: SchemaNode, start: int, group: list
-    ) -> list[tuple[Any, dict[str, Row]]]:
-        """The ``(item, env)`` pairs of one group of ``node``, by position:
-        the ``len(group)`` entries of its instance list from ``start``."""
-        members = state.instances.get(node.id, [])[start:start + len(group)]
-        if len(members) != len(group) or any(
-            member[0] is not item for member, item in zip(members, group)
-        ):
-            raise DeltaUnsupported(
-                f"captured <{node.tag}> instances do not line up with the "
-                "groups that hold them"
-            )
-        return members
-
-    def _rebuild(
-        self,
-        node: SchemaNode,
-        old: list,
-        position: int,
-        state: MaterializedState,
-        replace_at: dict[int, dict[int, list]],
-        spine_ids: set[int],
-        rebuilt: dict[int, list[tuple[Any, dict[str, Row]]]],
-    ) -> list:
-        """Copy-on-spine rebuild of the ``position``-th instance of a
-        spine node: ``old`` itself when nothing beneath it is replaced.
-
-        A frontier child's group is the replacement for this position
-        where there is one (node-level re-evaluation has one for every
-        parent, the row rung only for the parents of changed rows, so a
-        one-row write rebuilds one root-to-row path); a spine child's
-        group is rebuilt instance by instance, each visited one landing
-        in ``rebuilt`` — whose length is therefore the position of the
-        next; every other group is shared. ``old`` is never written.
-        """
-        groups = self._groups(node, old)
-        spliced = []
-        for child, group in zip(node.children, groups):
-            if child.id in replace_at:
-                group = replace_at[child.id].get(position, group)
-            elif child.id in spine_ids:
-                done = rebuilt.setdefault(child.id, [])
-                members = self._members(state, child, len(done), group)
-                items = [
-                    self._rebuild(
-                        child, item, len(done) + offset, state, replace_at,
-                        spine_ids, rebuilt,
-                    )
-                    for offset, item in enumerate(group)
-                ]
-                done.extend(
-                    (item, env) for item, (_old, env) in zip(items, members)
-                )
-                if any(item is not kept for item, kept in zip(items, group)):
-                    group = items
-            spliced.append(group)
-        if all(group is kept for group, kept in zip(spliced, groups)):
-            return old
-        return with_groups(node, old, spliced)
+            column = bulk.column(plans[sub.id], columns, bulk._text_builder)
+            columns[sub.id] = column
+            made += len(column.texts)
+        return made

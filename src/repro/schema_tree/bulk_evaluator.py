@@ -10,17 +10,17 @@ join against the inlined chain of its query-bearing ancestors
 (:func:`repro.sql.transform.attach_parent_query`, the Figures 10/12
 derived-table inlining), with every ancestor's output columns carried to
 the result. The flat row stream is then stitched back into the XML tree
-by a grouped merge in Python: rows group on the carried ancestor-column
-tuple, and each parent element attaches the group matching its own
-binding values, preserving the parent-major order the propagated ORDER BY
-keys produce. The merge reads rows *by position*
+in Python: rows group on the carried ancestor-column tuple, and each
+parent instance is dealt the group matching its own binding values,
+preserving the parent-major order the propagated ORDER BY keys produce.
+Rows are read *by position*
 (:meth:`~repro.relational.engine.Database.run_rows`: plain tuples; names
-become positions once per node result) and builds nothing that no one
-reads: no dict per row, a binding environment on its first read
-(:class:`_Instance`). A node result is handled as a *batch*: what depends
-on the column is done once per column, what depends on the node once per
-result, and per row only what a C loop does (DESIGN.md §8, "A node result
-is a batch").
+become positions once per node result) and nothing is built that no one
+reads: no dict per row, no object per instance, a binding environment on
+its first read (:meth:`_Column.env`). A node result is handled as a
+*batch*: what depends on the column is done once per column, what depends
+on the node once per result, and per row only what a C loop does
+(DESIGN.md §8, "A node result is a batch").
 
 Correctness notes (each is covered by the equivalence property tests):
 
@@ -43,45 +43,28 @@ Correctness notes (each is covered by the equivalence property tests):
   :attr:`BulkViewEvaluator.fallback_nodes` and the module logger — never
   silently.
 
-The merge has **two output forms**. :meth:`BulkViewEvaluator.serialize`
-writes escaped XML text straight from the rows and builds no ``Element``:
-it is what every serving request runs — on a single box or a fleet member,
-capturing maintenance state or not — and ``repro materialize --strategy
-bulk``. :meth:`BulkViewEvaluator.materialize` builds the tree, for library
-callers, pretty-printing, the harness and the tests' reference. Plans,
-queries, grouping and fallbacks are one code path: the forms differ only in
-the per-node *builder* of what an instance is. The tree form builds every
-element row by row from
-:func:`~repro.schema_tree.evaluator.element_attributes`; the text form
-does too where a node's attributes depend on more than its own columns,
-and renders every other node's result at once, from what that same
-routine says it writes (:func:`_static_attributes`).
-
-**A column** (:class:`_Column`) is what a first computation — the text
-form when nothing is captured — keeps of a node instead of instances: the
-texts of its instances in document order, from that one ``render``; how
-many fall under each instance of the parent node; for an inner node the
-context keys its children's rows are grouped on, and the rows, which an
-env is made of when something reads one. *The weave*
-(:meth:`BulkViewEvaluator._weave`) makes the columns in schema pre-order
-and then emits once, depth-first: open tag, ``>``, each schema child's next
-``count`` texts, ``</tag>`` — or ``/>`` in place of the ``>`` — onto one
-flat list, joined once. Nothing nested exists in between.
-
-**The parts layout** is the *grouped merge*'s text — what state capture
-(``capture_instances``: promotion, and every delta re-execution) keeps,
-as the tree form keeps elements — written and read only through the
-helpers beside :meth:`BulkViewEvaluator._text_builder`
-(:func:`close_parts`, :func:`parts_text`, :func:`child_groups`,
-:func:`with_groups`). A leaf instance is its finished ``<tag a="v"/>``
-string; an inner instance is a list, ``[open, ">", group per schema child
-in schema order, "</tag>"]`` (``[open, "/>", empty groups]`` when
-childless), and the root, which has no tag, is just its groups; the text
-is one join over the flattened strings. A *group* list holds one (parent
-instance, schema child)'s instances, and membership is *positional*: a
-parent's group of a node holds the next ``len(group)`` entries of that
-node's parent-major instance list. Nothing may key on ``id()`` of an
-item — equal leaf strings can be one object.
+**A column** (:class:`_Column`) is all an evaluation makes of a schema
+node, and there is one way to make it (``_fetch`` → ``_render`` →
+:meth:`BulkViewEvaluator.column`, in schema pre-order): the items of the
+node's instances in document order, how many fall under each instance of
+the parent node, the context keys its children's rows are grouped on, and
+the rows, which an env is made of when something reads one. What an item
+is, is the per-node *builder*'s business, and the two output forms differ
+in nothing else. The text form (:meth:`BulkViewEvaluator.serialize`, what
+every serving request and ``repro materialize --strategy bulk`` run) makes
+escaped XML text — rendering a node's whole result at once where
+:func:`_static_attributes` knows what every instance writes — and emits
+the columns once, depth-first (:func:`columns_text`): open tag, ``>``,
+each schema child's next ``count`` texts, ``</tag>`` — or ``/>`` in place
+of the ``>`` — onto one flat list, joined once. The tree form
+(:meth:`BulkViewEvaluator.materialize`, for library callers,
+pretty-printing, the harness and the tests' reference) builds every
+``Element`` row by row from
+:func:`~repro.schema_tree.evaluator.build_element` and deals each column's
+elements to the parent column's by ``counts``. The text columns of a view
+are also the state incremental maintenance keeps
+(:mod:`repro.maintenance.incremental`): nothing nested exists, so a
+parent's block of a child node is a slice.
 
 Work accounting matches the other strategies in either form:
 elements/attributes land in the shared
@@ -93,11 +76,11 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from collections import Counter
+from functools import partial
 from dataclasses import dataclass, field
 from itertools import chain, count, groupby, islice, repeat
-from operator import add, attrgetter, itemgetter
+from operator import add, itemgetter
 from typing import Any, Optional
 
 from repro.errors import ReproError, ViewEvaluationError
@@ -144,46 +127,6 @@ class FallbackRecord:
         return f"node {self.node_id} <{self.tag}>: {self.reason}"
 
 
-@dataclass(slots=True)
-class _Instance:
-    """One materialized element with its binding context.
-
-    ``item`` is what the builder made: the ``Element``, or in the text
-    form an inner element's parts list (both have ``append``) or a leaf's
-    finished text (recorded only under capture). ``key`` is the element's
-    context signature: the concatenated *key columns* (the pruned,
-    descendant-referenced subset) of every
-    query-bearing ancestor-or-self binding, in root-to-leaf order.
-    Children group their bulk rows on exactly this tuple.
-
-    ``env`` — the full rows by binding variable — is *made when something
-    reads it*: a merged instance keeps ``(parent, row, bind)`` and builds
-    ``bind(parent.env, row)`` on the first read (no ``bind``: the node
-    binds nothing, so the parent's env itself). Its readers are a
-    correlated fallback's parameters, ``attr_source_bv`` and the generic
-    attribute path, the tree form's ``build_element`` and state capture;
-    a first computation to text has none of them and builds no env. The
-    root and incremental maintenance's shadow parents are given theirs.
-    """
-
-    item: Any
-    _env: Optional[dict[str, Row]]
-    key: tuple
-    _parent: Optional["_Instance"] = None
-    _row: Any = None
-    _bind: Any = None
-
-    @property
-    def env(self) -> dict[str, Row]:
-        env = self._env
-        if env is None:
-            env = self._parent.env
-            if self._bind is not None:
-                env = self._bind(env, self._row)
-            self._env = env
-        return env
-
-
 @dataclass
 class _NodePlan:
     """The per-node execution decision."""
@@ -218,7 +161,7 @@ def _stable_output_columns(query: Select, catalog) -> list[str]:
     Raises :class:`_BulkUnsupported` when a select item's runtime column
     name could differ from the statically derived one (unaliased
     expressions, duplicates the engine would rename with ``__2``
-    suffixes) — the grouped merge keys on these names, so a mismatch
+    suffixes) — the grouping keys on these names, so a mismatch
     would silently misgroup rows.
     """
     try:
@@ -274,28 +217,14 @@ class BulkViewEvaluator:
     :class:`~repro.schema_tree.evaluator.ViewEvaluator`): the serving
     layer supplies a pooled per-worker database and per-request
     counters so concurrent requests never share mutable state.
-
-    ``capture_instances`` (a caller-owned dict) makes :meth:`serialize`
-    record the state :mod:`repro.maintenance.incremental` splices against:
-    ``{node_id: [(item, env), ...]}`` in parent-major order, leaves
-    included, the root as ``[(root parts, {})]`` — in the grouped parts
-    layout of the module docstring.
     """
 
-    def __init__(
-        self,
-        db: Database,
-        stats: Optional[MaterializeStats] = None,
-        capture_instances: Optional[dict[int, list]] = None,
-    ):
+    def __init__(self, db: Database, stats: Optional[MaterializeStats] = None):
         self.db = db
         self.stats = stats if stats is not None else MaterializeStats()
         self.fallback_nodes: list[FallbackRecord] = []
         self.bulk_queries_executed = 0
-        #: Seconds the last :meth:`serialize` spent assembling its text.
-        self.serialize_seconds = 0.0
         self._key_columns_cache: dict[int, list[str]] = {}
-        self._capture = capture_instances
 
     # -- planning -------------------------------------------------------------
 
@@ -313,9 +242,7 @@ class BulkViewEvaluator:
 
         DISTINCT queries are never pruned (projection changes their
         cardinality), keeping the pruned query reusable as an inlined
-        ancestor. Incremental maintenance concatenates these over a
-        frontier node's query-bearing ancestors to rebuild the context
-        keys retained parent instances would have carried.
+        ancestor.
         """
         cached = self._key_columns_cache.get(node.id)
         if cached is not None:
@@ -509,7 +436,7 @@ class BulkViewEvaluator:
         records replayed into :attr:`fallback_nodes` without re-logging.
         Incremental maintenance reads node reliability off the plans
         (whether splice keys are trustworthy) and feeds them to
-        :meth:`evaluate_node`.
+        :meth:`column`.
         """
         with _PLANNING_LOCK:
             memo = view.bulk_plans
@@ -532,118 +459,100 @@ class BulkViewEvaluator:
     # -- execution ------------------------------------------------------------
 
     def materialize(self, view: SchemaTreeQuery) -> "Document":
-        """Evaluate ``view``; returns the document (see ViewEvaluator)."""
+        """Evaluate ``view``; returns the document (see ViewEvaluator):
+        every column's elements dealt to the parent column's, by counts."""
         from repro.xmlcore.nodes import Document
 
-        if self._capture is not None:
-            raise ValueError("capture_instances records text parts: serialize()")
         document = Document()
-        self._evaluate_view(view, document, self._element_builder)
+        columns = self._columns(view, self._element_builder, document)
+        for node in view.nodes(include_root=False):
+            column = columns[node.id]
+            elements = iter(column.texts)
+            for parent, count in zip(columns[node.parent.id].texts, column.counts):
+                parent.extend(islice(elements, count))
         return document
 
     def serialize(self, view: SchemaTreeQuery) -> str:
         """Evaluate ``view`` straight to XML text, building no tree.
 
         Byte for byte and counter for counter what
-        ``xmlcore.serialize(self.materialize(view))`` returns, from the
-        same plans, queries, grouping and fallbacks, by another merge: the
-        weave (the module docstring's columns), whose emission and one
-        join :attr:`serialize_seconds` times. Under ``capture_instances``
-        it is the grouped merge over the parts layout instead — closing
-        the inner instances and the join over the flattened parts are
-        what is timed — and the root parts and every node's instances
-        are then recorded, the same bytes either way.
+        ``xmlcore.serialize(self.materialize(view))`` returns: the same
+        columns, made of text, and one emission over them.
         """
-        if self._capture is None:
-            return self._weave(view)
-        root: list = []
-        instances = self._evaluate_view(view, root, self._text_builder)
-        started = time.perf_counter()
-        for node in view.nodes(include_root=False):
-            if node.children:
-                close_parts(node.tag, map(_ITEM, instances[node.id]))
-        xml = parts_text(root)
-        self.serialize_seconds = time.perf_counter() - started
-        for node_id, created in instances.items():
-            self._capture[node_id] = [(i.item, i.env) for i in created]
-        return xml
+        return columns_text(view, self.columns(view))
 
-    def _weave(self, view: SchemaTreeQuery) -> str:
-        """The text of ``view`` from one column per node, made in schema
-        pre-order, and one depth-first emission over them."""
+    def columns(self, view: SchemaTreeQuery) -> dict[int, "_Column"]:
+        """The text columns of ``view`` by schema id, the root's included:
+        what :func:`columns_text` emits, and what the serving layer keeps
+        as maintenance state when an entry has earned it."""
+        return self._columns(view, self._text_builder, "")
+
+    def _columns(
+        self, view: SchemaTreeQuery, builder, root
+    ) -> dict[int, "_Column"]:
+        """One column per node, made in schema pre-order under the root
+        column, whose one instance is ``root`` with the empty env."""
         plans = self.plan_view(view)
-        columns = {view.root.id: _Column([""], [1], [()], _envs={0: {}})}
-        for node in view.nodes(include_root=False):
-            columns[node.id] = self._column(
-                plans[node.id], columns[node.parent.id]
+        columns = {
+            view.root.id: _Column(
+                [root], [1], [()], None, (), None, None, _envs={0: {}}
             )
-        started = time.perf_counter()
-        texts: list[str] = []
-        for node in view.root.children:
-            _emitter(node, columns, texts)(columns[node.id].counts[0])
-        xml = "".join(texts)
-        self.serialize_seconds = time.perf_counter() - started
-        return xml
-
-    def _column(self, plan: _NodePlan, parent: "_Column") -> "_Column":
-        """One node's instances under the parent column's, as a column."""
-        plan, shares, own_key, surface, names, as_row = self._fetch(
-            plan, parent.keys, parent.env
-        )
-        texts, counts, rows = self._render(
-            plan, shares, parent.env, self._text_builder, surface, names, as_row
-        )
-        if not plan.node.children:
-            return _Column(texts, counts)
-        keys = chain.from_iterable(map(repeat, parent.keys, counts))
-        if own_key is not None:
-            keys = map(add, keys, map(own_key, rows))
-        bind = self._binder(plan, as_row)
-        return _Column(texts, counts, list(keys), parent, rows, bind)
-
-    def _evaluate_view(
-        self, view: SchemaTreeQuery, root, builder
-    ) -> dict[int, list[_Instance]]:
-        """Every node's instances under ``root``, in schema pre-order."""
-        plans = self.plan_view(view)
-        instances: dict[int, list[_Instance]] = {
-            view.root.id: [_Instance(root, {}, ())]
         }
         for node in view.nodes(include_root=False):
-            instances[node.id] = self.evaluate_node(
-                plans[node.id], instances.get(node.parent.id, []), builder
-            )
-        return instances
+            columns[node.id] = self.column(plans[node.id], columns, builder)
+        return columns
 
-    def evaluate_node(
-        self, plan: _NodePlan, parents: list[_Instance], builder
-    ) -> list[_Instance]:
-        """Materialize one schema node's elements under ``parents``: the
-        grouped merge, which attaches every instance to its parent's.
+    def column(
+        self, plan: _NodePlan, columns: dict[int, "_Column"], builder
+    ) -> "_Column":
+        """One node's instances under its parent node's column in
+        ``columns``, as a column; ``builder`` is the output form.
 
-        Returns the created instances in document order. Public so
-        incremental maintenance (:mod:`repro.maintenance.incremental`)
-        can re-execute single dirty nodes against shadow parent instances
-        instead of the full view; ``builder`` is the output form.
+        Public so incremental maintenance
+        (:mod:`repro.maintenance.incremental`) can re-make the columns of
+        a dirty subtree under the retained parent column instead of the
+        full view.
         """
-        plan, shares, *reading = self._fetch(
-            plan, list(map(_KEY, parents)), lambda index: parents[index].env
+        parent = columns[plan.node.parent.id]
+        env_of = partial(parent.env, columns)
+        plan, shares, own_key, surface, names, as_row = self._fetch(
+            plan, parent.keys, env_of
         )
-        return self._attach_rows(plan, parents, shares, builder, *reading)
+        items, counts, rows = self._render(
+            plan, shares, env_of, builder, surface, names, as_row
+        )
+        keys = None
+        if plan.node.children:  # only children's rows are grouped on keys
+            keys = chain.from_iterable(map(repeat, parent.keys, counts))
+            if own_key is not None:
+                keys = map(add, keys, map(own_key, rows))
+            keys = list(keys)
+        return _Column(
+            items, counts, keys, plan.node.parent.id, rows, names,
+            self._binder(plan, as_row),
+        )
 
-    # Both output forms, and both merges of the text form, share
-    # everything below but ``_attach_rows``. The forms differ in the
-    # *builder*, which for one node plan returns ``(build, render)``,
-    # exactly one of them set: ``build(env, row)`` makes one instance
-    # of that node under a parent whose env is ``env``, ``render(rows)``
-    # all the instances of a node result at once, in row order. An
-    # instance is an ``Element`` or text. Which of the two a node gets is
-    # decided by its plan, never by its data: ``render`` where
-    # :func:`_static_attributes` knows what every instance writes,
-    # ``build`` elsewhere and for every node of the tree form, which goes
-    # row by row through ``build_element`` and so is the reference the
-    # batch is tested against. ``as_row(row)`` is the by-name row, for
-    # whatever reads names.
+    def render_rows(
+        self, plan: _NodePlan, names: list[str], shares, env_of
+    ) -> list[str]:
+        """The texts of rows of the bulk result whose columns are
+        ``names``, share by share (incremental maintenance's row rung:
+        the rows it re-fetched by key); ``env_of(index)`` is the env of
+        the parent instance a share falls under."""
+        _own_key, *reading = self._row_reading(plan, names)
+        return self._render(plan, shares, env_of, self._text_builder, *reading)[0]
+
+    # The output forms differ in the *builder*, which for one node plan
+    # returns ``(build, render)``, exactly one of them set:
+    # ``build(env, row)`` makes one instance of that node under a parent
+    # whose env is ``env``, ``render(rows)`` all the instances of a node
+    # result at once, in row order. An instance is an ``Element`` or
+    # text. Which of the two a node gets is decided by its plan, never by
+    # its data: ``render`` where :func:`_static_attributes` knows what
+    # every instance writes, ``build`` elsewhere and for every node of
+    # the tree form, which goes row by row through ``build_element`` and
+    # so is the reference the batch is tested against. ``as_row(row)`` is
+    # the by-name row, for whatever reads names.
 
     def _element_builder(self, plan: _NodePlan, surface, names, as_row):
         node, stats = plan.node, self.stats
@@ -656,8 +565,6 @@ class BulkViewEvaluator:
     def _text_builder(self, plan: _NodePlan, surface, names, as_row):
         node, stats = plan.node, self.stats
         head, end = f"<{node.tag}", "" if node.children else "/>"
-        # The grouped layout's inner instance; the weave takes the text.
-        paired = bool(node.children) and self._capture is not None
         written = _static_attributes(plan, surface, names)
         if written is None:
 
@@ -665,8 +572,7 @@ class BulkViewEvaluator:
                 attributes = element_attributes(
                     node, env, as_row(row), stats, surface
                 )
-                text = head + attributes_text(attributes.items()) + end
-                return [text, ">"] if paired else text
+                return head + attributes_text(attributes.items()) + end
 
             return build, None
 
@@ -719,7 +625,7 @@ class BulkViewEvaluator:
                     texts.append(values)
                 template.append(_doubled(end))
                 texts = list(map("".join(template).__mod__, zip(*texts)))
-            return [[text, ">"] for text in texts] if paired else texts
+            return texts
 
         return None, render
 
@@ -795,16 +701,6 @@ class BulkViewEvaluator:
         else:
             as_row = lambda row: dict(zip(names, row))  # noqa: E731
         return own_key, surface, names, as_row
-
-    def _attach_bulk_rows(
-        self, plan: _NodePlan, shares, names: list[str], builder
-    ) -> list[_Instance]:
-        """Attach ``(parent, rows)`` shares of the bulk result whose
-        columns are ``names`` (incremental maintenance's row rung)."""
-        parents, shares = zip(*shares)
-        return self._attach_rows(
-            plan, parents, shares, builder, *self._row_reading(plan, names)
-        )
 
     def _group_rows(
         self, plan: _NodePlan, keys: list[tuple], names: list[str], rows: list
@@ -886,45 +782,7 @@ class BulkViewEvaluator:
             return None
         return lambda env, row: {**env, bv: as_row(row)}
 
-    def _attach_rows(
-        self, plan: _NodePlan, parents, shares, builder, own_key, surface,
-        names, as_row,
-    ) -> list[_Instance]:
-        """Attach one child per row of every parent's share: the items
-        are dealt back by slice, to the parent element or — under capture
-        — as the parent's group of this schema child, empty or not. A
-        child's env is made when read, see :class:`_Instance`.
-        """
-        node = plan.node
-        items, counts, rows = self._render(
-            plan, shares, lambda index: parents[index].env, builder,
-            surface, names, as_row,
-        )
-        capture = self._capture is not None
-        start = 0
-        for parent, count in zip(parents, counts):
-            dealt = items[start:start + count]
-            start += count
-            if capture:
-                parent.item.append(dealt)
-            else:
-                parent.item.extend(dealt)
-        if not node.children and not capture:
-            # A leaf: no descendant ever reads the env or the context
-            # key, so there is no instance to keep.
-            return []
-        owners = list(chain.from_iterable(map(repeat, parents, counts)))
-        keys = map(_KEY, owners)
-        if own_key is not None:
-            keys = map(add, keys, map(own_key, rows))
-        return list(map(
-            _Instance, items, repeat(None), keys, owners, rows,
-            repeat(self._binder(plan, as_row)),
-        ))
 
-
-#: Field readers for the merge's ``map`` calls.
-_ITEM, _KEY = attrgetter("item"), attrgetter("key")
 #: What ``set(map(type, values))`` is for a column of one kind — the
 #: template takes integers as they are — and the member that says a
 #: column holds a NULL.
@@ -939,39 +797,92 @@ def _as_given(row):
 
 @dataclass(slots=True)
 class _Column:
-    """One schema node's instances as the weave keeps them: no object per
-    instance, what :func:`_emitter` reads in lists. ``texts`` — an inner
-    instance's open tag without its ``>``, a leaf's finished element — in
-    document order; ``counts``, how many fall under each instance of the
-    parent column. Only an inner node's column has the rest: ``keys``,
-    the context key of each instance (:class:`_Instance` says of what),
-    which its children's rows are grouped on, and — what ``env(index)``
-    makes an instance's env of on its first read, for the readers
-    :class:`_Instance` lists — the ``parent`` column, ``rows`` and
-    ``bind``. The root column is one instance with the empty env.
+    """One schema node's instances: no object per instance, what
+    :func:`_emitter` reads in lists. ``texts`` — an inner instance's open
+    tag without its ``>``, a leaf's finished element (the tree form's
+    items are its ``Element``s) — in document order; ``counts``, how many
+    fall under each instance of the parent column, so a parent's block of
+    this node is a slice. ``keys`` (an inner node's only) is the context
+    key of each instance, which its children's rows are grouped on: the
+    concatenated *key columns* (the pruned, descendant-referenced subset)
+    of every query-bearing ancestor-or-self binding, in root-to-leaf
+    order. ``rows`` are the instances' rows as fetched and ``names`` what
+    their positions are called (``None``: the rows are by-name, of a
+    correlated run, or a literal node's ``None``).
+
+    ``env(columns, index)`` — the full rows by binding variable — is
+    *made when something reads it*: the env of the parent instance plus
+    ``bind``'s by-name row (no ``bind``: the node binds nothing, so the
+    parent's env itself). Its readers are a correlated fallback's
+    parameters, ``attr_source_bv`` and the generic attribute path, and
+    the tree form's ``build_element``; a computation of the paper's
+    figures to text has none of them and builds no env. The root column
+    is one instance with the empty env.
+
+    A column does not point at its parent column: ``parent`` is a schema
+    id, resolved through the ``columns`` an env is read in. Kept as
+    maintenance state a column is shared between generations, and a
+    pointer would read envs from — and pin — the generation it was made
+    in. The data fields are never written once made; ``_parents`` and
+    ``_envs`` only memoize what they determine.
     """
 
     texts: list
     counts: list
-    keys: Optional[list] = None
-    parent: Optional["_Column"] = None
-    rows: Any = ()
-    bind: Any = None
+    keys: Optional[list]
+    parent: Optional[int]
+    rows: Any
+    names: Optional[list[str]]
+    bind: Any
     _parents: Optional[list] = None
     _envs: dict = field(default_factory=dict)
 
-    def env(self, index: int) -> dict[str, Row]:
+    def owner(self, index: int) -> int:
+        """The position, in the parent column, of an instance's parent."""
+        if self._parents is None:
+            self._parents = list(
+                chain.from_iterable(map(repeat, count(), self.counts))
+            )
+        return self._parents[index]
+
+    def env(self, columns: dict[int, "_Column"], index: int) -> dict[str, Row]:
         env = self._envs.get(index)
         if env is None:
-            if self._parents is None:
-                self._parents = list(
-                    chain.from_iterable(map(repeat, count(), self.counts))
-                )
-            env = self.parent.env(self._parents[index])
+            env = columns[self.parent].env(columns, self.owner(index))
             if self.bind is not None:
                 env = self.bind(env, self.rows[index])
             self._envs[index] = env
         return env
+
+
+def columns_fit(view: SchemaTreeQuery, columns: dict[int, _Column]) -> bool:
+    """Whether ``columns`` have ``view``'s shape: one per node; a count
+    per instance of the parent column, which sum to the node's own
+    instances; a row for each, and under an inner node a key. What an
+    emission and a re-grouping read by position, checked before either
+    reads state that was kept."""
+    for node in view.nodes(include_root=False):
+        column, parent = columns.get(node.id), columns.get(node.parent.id)
+        if column is None or parent is None:
+            return False
+        instances = len(column.texts)
+        if (
+            len(column.counts) != len(parent.texts)
+            or sum(column.counts) != instances
+            or len(column.rows) != instances
+            or (node.children and len(column.keys or ()) != instances)
+        ):
+            return False
+    return True
+
+
+def columns_text(view: SchemaTreeQuery, columns: dict[int, _Column]) -> str:
+    """The XML text of ``view``'s text columns: one depth-first emission
+    onto one flat list, and one join."""
+    texts: list[str] = []
+    for node in view.root.children:
+        _emitter(node, columns, texts)(columns[node.id].counts[0])
+    return "".join(texts)
 
 
 def _emitter(node: SchemaNode, columns: dict[int, _Column], texts: list[str]):
@@ -1054,52 +965,6 @@ def _static_attributes(
         return None
     repeats = probe.attributes_created != len(written)
     return None if repeats else list(written.items())
-
-
-def close_parts(tag: str, items) -> None:
-    """Finish inner instances of ``tag`` — their parts lists, ``items`` —
-    whose groups are all in: ``</tag>`` after them, or ``<tag/>`` for one
-    whose every group is empty."""
-    closing = f"</{tag}>"
-    for parts in items:
-        if not any(islice(parts, 2, None)):
-            parts[1] = "/>"
-        else:
-            parts.append(closing)
-
-
-def parts_text(parts: list) -> str:
-    """The XML text of a parts tree: one join over its strings, in order."""
-    texts: list[str] = []
-    _flatten(parts, texts)
-    return "".join(texts)
-
-
-def _flatten(parts: list, texts: list[str]) -> None:
-    """Append the strings of nested parts lists to ``texts``, in order."""
-    for part in parts:
-        if part.__class__ is str:
-            texts.append(part)
-        else:
-            _flatten(part, texts)
-
-
-def child_groups(node: SchemaNode, parts: list) -> list:
-    """The groups of a captured, closed instance of ``node``: one per schema
-    child in schema order when the state has the view's shape (callers
-    compare the count). The root's parts are its groups."""
-    if node.is_root:
-        return parts
-    return parts[2:-1] if parts[1] == ">" else parts[2:]
-
-
-def with_groups(node: SchemaNode, parts: list, groups: list) -> list:
-    """A new closed instance: ``parts``' open tag over ``groups``."""
-    if node.is_root:
-        return list(groups)
-    rebuilt = [parts[0], ">", *groups]
-    close_parts(node.tag, (rebuilt,))
-    return rebuilt
 
 
 def _divide_group(rows: list, share_count: int) -> list:

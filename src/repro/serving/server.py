@@ -21,8 +21,9 @@ composed view on the same data — the property suite in
 ``tests/serving/test_concurrent_equivalence.py`` checks this against
 the nested-loop oracle under 8-way concurrency. The serving path has
 one evaluator, :class:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator`,
-in one output form: rows to text (``serialize``), never a tree — the
-maintenance state a promotion keeps and a delta splices is that text's parts.
+in one output form: rows to text columns and one emission over them,
+never a tree — the maintenance state a promotion keeps and a delta
+splices is those columns.
 
 Update awareness: constructed with a
 :class:`~repro.maintenance.tracker.WriteTracker`, the server also
@@ -254,15 +255,16 @@ class RequestTrace:
     dirty_nodes: int = 0
     plan_seconds: float = 0.0
     execute_seconds: float = 0.0
-    #: Seconds producing the text from its parts: the text form's final
-    #: assembly (not in ``execute``), or, on a delta, the spliced state's join.
+    #: Seconds producing the text from its columns — the emission and
+    #: the join (not in ``execute``) — on a miss, a promotion and a delta
+    #: alike.
     serialize_seconds: float = 0.0
     #: Seconds inside sqlite (execute + fetch) for this request's
     #: queries — the "query" phase of the profile breakdown; the "merge"
     #: phase is ``execute - query - splice``.
     query_seconds: float = 0.0
-    #: Seconds in the delta copy-on-spine splice (parts and state
-    #: rebuild, no query work) — the profile's "splice" phase.
+    #: Seconds in the delta splice (the kept state's shape check and the
+    #: replacement of columns, no query work) — the profile's "splice" phase.
     splice_seconds: float = 0.0
     total_seconds: float = 0.0
     queries_executed: int = 0
@@ -665,7 +667,7 @@ class ViewServer:
         recomputes in full (which is point-consistent with the pool
         snapshot regardless). On success the entry is stamped with
         exactly the selection vector. The stale entry itself is never
-        written: the splice builds new state sharing untouched parts,
+        written: the splice builds new state sharing untouched columns,
         so a failure mid-way leaves the cache untouched.
         """
         stale = self.result_cache.peek(plan.key)
@@ -985,27 +987,25 @@ class ViewServer:
         # data outright, so the pool syncs on every full execution (a
         # clock comparison when nothing changed).
         self._sync()
-        # Maintenance state is earned: instances are captured only when
+        # Maintenance state is earned: the columns are kept only when
         # this key is already resident (the entry went stale, so a delta
         # would have had something to splice). A first computation
         # stores bytes only — most entries are evicted before any write
         # reaches them.
-        capture: Optional[dict] = (
-            {}
-            if use_result_cache
+        promotion = (
+            use_result_cache
             and self.maintenance == "delta"
             and self.result_cache.peek(plan.key) is not None
-            else None
         )
         with self.pool.session() as db:
             with self._deadline_guard(db, deadline):
                 before = db.stats.snapshot()
                 stats = MaterializeStats()
-                evaluator = BulkViewEvaluator(
-                    db, stats=stats, capture_instances=capture
-                )
+                evaluator = BulkViewEvaluator(db, stats=stats)
                 execute_started = time.perf_counter()
-                xml = evaluator.serialize(plan.view)
+                state = MaterializedState(
+                    plan.view, evaluator.columns(plan.view)
+                )
                 trace.execute_seconds = time.perf_counter() - execute_started
                 after = db.stats.snapshot()
         trace.queries_executed = (
@@ -1016,14 +1016,14 @@ class ViewServer:
         trace.elements_created = stats.elements_created
         trace.attributes_created = stats.attributes_created
         trace.fallback_nodes = len(evaluator.fallback_nodes)
-        # The text form's final assembly is its serialization phase.
-        trace.serialize_seconds = evaluator.serialize_seconds
-        trace.execute_seconds -= evaluator.serialize_seconds
-        trace.xml = xml
+        # The emission over the columns is the serialization phase.
+        serialize_started = time.perf_counter()
+        trace.xml = state.text()
+        trace.serialize_seconds = time.perf_counter() - serialize_started
         if use_result_cache:
-            state = MaterializedState(capture) if capture is not None else None
             self.result_cache.store(
-                plan.key, xml, current_versions, plan.tables, state=state
+                plan.key, trace.xml, current_versions, plan.tables,
+                state=state if promotion else None,
             )
 
     # -- failure handling ----------------------------------------------------

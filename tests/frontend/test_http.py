@@ -254,6 +254,25 @@ class TestLifecycle:
 
         asyncio.run(http_exchange(scenario)(app_env))
 
+    def test_the_collector_schedule_is_the_serving_one_while_listening(
+        self, app_env
+    ):
+        """A serving process makes few containers, so it considers a full
+        collection every 3 middle ones; the schedule it found is put back
+        when it stops listening."""
+        import gc
+
+        from repro.frontend.http import SERVING_GC_THRESHOLD2
+
+        before = gc.get_threshold()
+        assert before[2] != SERVING_GC_THRESHOLD2
+
+        async def scenario(server):
+            assert gc.get_threshold() == (*before[:2], SERVING_GC_THRESHOLD2)
+
+        asyncio.run(http_exchange(scenario)(app_env))
+        assert gc.get_threshold() == before
+
     def test_drain_zeroes_sockets_and_stops_accepting(self, app_env):
         async def scenario(server):
             host, port = server.address

@@ -4,14 +4,14 @@ The incremental maintainer's one correctness claim, as a property over
 random write sequences on the hotel workload: after any batch of
 base-table writes, splicing the dirty subtrees into the previously
 captured state reads byte-identically to the serialization of a full
-nested-loop re-evaluation of the live database. The state is captured
-by the bulk evaluator's text form (the only capture hook, and what the
-server runs), and the claim must keep holding as deltas chain — each
+nested-loop re-evaluation of the live database. The state is the bulk
+evaluator's text columns (what the server runs and keeps), and the
+claim must keep holding as deltas chain — each
 spliced state is the input to the next batch.
 
 A second invariant rides along for free: the old state is never
-written. The splice is copy-on-spine, so a reference to the pre-delta
-state must read exactly as before — this is what makes a mid-splice
+written. A delta makes new columns and shares the rest, so a reference
+to the pre-delta state must read exactly as before — this is what makes a mid-splice
 failure unable to tear the server's cached entry.
 
 One suite at 200 examples.
@@ -59,11 +59,9 @@ def _env():
 
 
 def _capture_state(target, db):
-    """Full bulk evaluation, in text, with instance capture."""
-    capture = {}
-    xml = BulkViewEvaluator(db, capture_instances=capture).serialize(target)
-    state = MaterializedState(capture)
-    assert state.text() == xml
+    """Full bulk evaluation, in text: the columns, kept."""
+    state = MaterializedState(target, BulkViewEvaluator(db).columns(target))
+    assert state.text() == BulkViewEvaluator(db).serialize(target)
     return state
 
 
@@ -93,7 +91,7 @@ def test_delta_equals_full_from_bulk_state(target_name, write_batches):
         assert result.state.text() == serialize(
             materialize(target, db)
         ), (target_name, batch, result.frontier_nodes)
-        # Copy-on-spine: the pre-delta state is untouched.
+        # New columns beside shared ones: the pre-delta state is untouched.
         assert state.text() == before
         state = result.state
         before = state.text()

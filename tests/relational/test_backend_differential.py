@@ -77,10 +77,8 @@ def _env(reference: str, candidate: str) -> dict:
 
 
 def _capture_state(target, db) -> MaterializedState:
-    """Bulk evaluation, in text, with instance capture (the delta input)."""
-    capture: dict = {}
-    BulkViewEvaluator(db, capture_instances=capture).serialize(target)
-    return MaterializedState(capture)
+    """Bulk evaluation, in text, the columns kept (the delta input)."""
+    return MaterializedState(target, BulkViewEvaluator(db).columns(target))
 
 
 def _assert_backends_agree(reference, candidate, target_name, strategy,

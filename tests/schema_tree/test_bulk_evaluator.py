@@ -9,13 +9,13 @@ canonically identical XML to the Section 2.1 nested-loop semantics —
 falling back per node where it must, never silently diverging.
 
 Every such check is also the differential of the bulk evaluator's two
-output forms, which are two merges: the text form (``serialize``: the
-weave, columns and one depth-first emission) must equal the serialized
-tree form (``materialize``: the grouped merge, row by row) byte for byte,
-with equal work counters and the same fallbacks — and of the text form
-with and without state capture: the captured parts tree (the grouped
-merge again, as text) reads as the same bytes, from the same work, with
-every node's instances recorded parent-major.
+output forms, which are two emitters over one merge: the text form
+(``serialize``: text columns and one depth-first emission) must equal the
+serialized tree form (``materialize``: elements built row by row, dealt
+to their parents by counts) byte for byte, with equal work counters and
+the same fallbacks — and of the text columns as maintenance state: they
+have the view's shape, one emission over them is the same bytes, and so
+is a bottom-up read of them that shares nothing with the emitter.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ from repro.relational.engine import Database
 from repro.relational.schema import Catalog, table
 from repro.schema_tree.builder import ViewBuilder
 from repro.schema_tree import bulk_evaluator
+from repro.maintenance import DeltaEvaluator, MaterializedState
 from repro.schema_tree.bulk_evaluator import (
     BulkViewEvaluator,
-    child_groups,
+    columns_fit,
     materialize_bulk,
-    parts_text,
 )
 from repro.schema_tree.evaluator import ViewEvaluator, materialize
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
@@ -198,34 +198,59 @@ def assert_equivalent(view, db):
     assert text.stats == evaluator.stats
     assert text.fallback_nodes == evaluator.fallback_nodes
     assert text.bulk_queries_executed == evaluator.bulk_queries_executed
-    assert_captured_text_equivalent(view, db, evaluator, serialize(document))
+    assert_columns_equivalent(view, db, evaluator, serialize(document))
     return evaluator
 
 
-def assert_captured_text_equivalent(view, db, uncaptured, xml):
-    """The text form under capture: same bytes, same work, and a parent's
-    group of a schema child is the next ``len(group)`` entries, the same
-    objects, of that child's instance list (parent-major, positional)."""
-    capture: dict = {}
-    capturing = BulkViewEvaluator(db, capture_instances=capture)
-    assert capturing.serialize(view) == xml
-    [(root, root_env)] = capture[view.root.id]
-    assert parts_text(root) == xml and root_env == {}
-    assert capturing.stats == uncaptured.stats
-    assert capturing.fallback_nodes == uncaptured.fallback_nodes
-    assert capturing.bulk_queries_executed == uncaptured.bulk_queries_executed
-    assert set(capture) == {node.id for node in view.nodes()}
-    for node in (node for node in view.nodes() if node.children):
-        dealt = [[] for _child in node.children]
-        for item, _env in capture[node.id]:
-            groups = child_groups(node, item)
-            assert len(groups) == len(node.children)
-            for members, group in zip(dealt, groups):
-                members.extend(group)
-        for child, members in zip(node.children, dealt):
-            recorded = [item for item, _env in capture[child.id]]
-            assert len(recorded) == len(members)
-            assert all(a is b for a, b in zip(recorded, members))
+def instance_texts(view, columns):
+    """``{node id: the text of each instance with everything below it}``,
+    read bottom-up: a parent's block of a schema child is the next
+    ``count`` entries of that child's column. Shares nothing with the
+    emitter, which goes depth-first over iterators."""
+    texts = {}
+    for node in reversed(list(view.nodes())):
+        bodies = [""] * len(columns[node.id].texts)
+        for child in node.children:
+            below, start = texts[child.id], 0
+            for index, count in enumerate(columns[child.id].counts):
+                bodies[index] += "".join(below[start:start + count])
+                start += count
+            assert start == len(below)
+        if node.is_root:
+            texts[node.id] = bodies
+        elif not node.children:
+            texts[node.id] = list(columns[node.id].texts)
+        else:
+            texts[node.id] = [
+                opened + (f">{body}</{node.tag}>" if body else "/>")
+                for opened, body in zip(columns[node.id].texts, bodies)
+            ]
+    return texts
+
+
+def assert_columns_equivalent(view, db, reference, xml):
+    """The text columns, as what maintenance keeps: same bytes by one
+    emission and by the bottom-up read, same work, and the shape
+    invariant on every column — a count per instance of the parent
+    column, summing to the node's own instances, a row for each, a key
+    under an inner node, and the parent named by schema id."""
+    evaluator = BulkViewEvaluator(db)
+    columns = evaluator.columns(view)
+    assert MaterializedState(view, columns).text() == xml
+    assert evaluator.stats == reference.stats
+    assert evaluator.fallback_nodes == reference.fallback_nodes
+    assert evaluator.bulk_queries_executed == reference.bulk_queries_executed
+    assert set(columns) == {node.id for node in view.nodes()}
+    assert columns_fit(view, columns)
+    for node in view.nodes(include_root=False):
+        column, parent = columns[node.id], columns[node.parent.id]
+        assert column.parent == node.parent.id
+        assert len(column.counts) == len(parent.texts)
+        assert sum(column.counts) == len(column.texts) == len(column.rows)
+        assert (column.keys is None) == (not node.children)
+        assert column.keys is None or len(column.keys) == len(column.texts)
+    assert instance_texts(view, columns)[view.root.id] == [xml]
+    return columns
 
 
 @given(scenarios())
@@ -588,14 +613,13 @@ def test_one_failed_bulk_query_does_not_take_its_subtree_to_n_plus_one():
     expected = BulkViewEvaluator(db).serialize(view)
     break_bulk_query(view, db, "hotel")
     metros = db.table_count("metroarea")
-    forms = {  # the weave, the grouped merge as a tree and as captured text
+    forms = {  # the two emitters, and the columns kept as state
         "text": lambda e: e.serialize(view),
         "tree": lambda e: serialize(e.materialize(view)),
-        "captured": lambda e: e.serialize(view),
+        "state": lambda e: MaterializedState(view, e.columns(view)).text(),
     }
     for form, run in forms.items():
-        capture = {} if form == "captured" else None
-        evaluator = BulkViewEvaluator(db, capture_instances=capture)
+        evaluator = BulkViewEvaluator(db)
         before = db.stats.queries_executed
         assert run(evaluator) == expected, form
         assert [r.tag for r in evaluator.fallback_nodes] == ["hotel"], form
@@ -606,14 +630,17 @@ def test_one_failed_bulk_query_does_not_take_its_subtree_to_n_plus_one():
 
 
 def state_digest(view, db):
-    """A digest of the served bytes and of everything capture records:
-    every node's ``(text, env)`` pairs, env rows in column order."""
-    capture: dict = {}
-    xml = BulkViewEvaluator(db, capture_instances=capture).serialize(view)
+    """A digest of the served bytes and of everything the state holds:
+    every node's ``(text, env)`` per instance — the instance's text with
+    everything below it, the env its column makes — env rows in column
+    order."""
+    columns = BulkViewEvaluator(db).columns(view)
+    xml = MaterializedState(view, columns).text()
     digest = hashlib.sha256(xml.encode())
-    for node_id in sorted(capture):
-        for item, env in capture[node_id]:
-            text = item if isinstance(item, str) else parts_text(item)
+    texts = instance_texts(view, columns)
+    for node_id in sorted(columns):
+        for index, text in enumerate(texts[node_id]):
+            env = columns[node_id].env(columns, index)
             rows = [(bv, list(row.items())) for bv, row in env.items()]
             digest.update(repr((node_id, text, rows)).encode())
     return digest.hexdigest()[:16]
@@ -631,8 +658,9 @@ def test_captured_state_is_what_the_eager_envs_were(
     hotel_db, stylesheet, expected
 ):
     """The digests were taken at the commit before envs became lazy
-    (d878be0, eager ``dict(env)`` per instance): capture's content — the
-    parts, every env, every row's columns and their order — has not moved."""
+    (d878be0, eager ``dict(env)`` per instance, state a tree of parts):
+    the state's content — every instance's text, every env, every row's
+    columns and their order — has not moved now that it is columns."""
     view = figure1_view(hotel_db.catalog)
     if stylesheet is not None:
         view = compose(view, stylesheet(), hotel_db.catalog)
@@ -816,7 +844,7 @@ def test_percent_null_and_odd_values_survive_the_batch(monkeypatch):
         assert text.stats == tree.stats
         assert text.stats.elements_created == nested.stats.elements_created
         assert text.stats.attributes_created == nested.stats.attributes_created
-        assert_captured_text_equivalent(view, db, tree, expected)
+        assert_columns_equivalent(view, db, tree, expected)
         head = '<row width="100%" fmt="%d%%" id='
         for piece in (
             '<page width="100%" a="%s" b="%%" c="%(x)s">',
@@ -939,13 +967,12 @@ def test_a_rendered_node_result_is_the_row_by_row_one(result):
     the columns; the tree form builds it row by row through
     ``build_element`` and attaches each group to its parent, so it is the
     per-row reference and a different merge. Same bytes and same
-    counters, with and without capture (``assert_equivalent``: one group
-    per parent and schema child, empty ones included) — in the nested
-    loop's order, too — and the captured state takes a delta.
+    counters, and columns of the view's shape (``assert_equivalent``: one
+    count per parent and schema child, zeros included) — in the nested
+    loop's order, too — and the columns, kept as state, take a delta.
 
     sqlite cannot hold a ``bool`` or a NaN, so a cell stores its position
     in the example's value pool (``swap_fetched_values``)."""
-    from repro.maintenance import DeltaEvaluator, MaterializedState
     from repro.serving.fingerprint import node_read_sets
 
     parents, rows, literals, kind, below = result
@@ -993,14 +1020,13 @@ def test_a_rendered_node_result_is_the_row_by_row_one(result):
         text = BulkViewEvaluator(db).serialize(view)
         if kind != "distinct":  # ordered: the nested loop's bytes
             assert text == serialize(ViewEvaluator(db).materialize(view))
-        capture: dict = {}
-        BulkViewEvaluator(db, capture_instances=capture).serialize(view)
+        state = MaterializedState(view, BulkViewEvaluator(db).columns(view))
         pool.append("fresh & 100%")
         db.insert_positional("child", [
             (len(rows), parents[0], *[len(pool) - 1] * width, *[None] * (4 - width))
         ])
         spliced = DeltaEvaluator(db).evaluate(
-            view, MaterializedState(capture), node_read_sets(view), {"child"}
+            view, state, node_read_sets(view), {"child"}
         )
         assert spliced.state.text() == BulkViewEvaluator(db).serialize(view)
 
@@ -1074,40 +1100,16 @@ def test_both_forms_raise_the_same_attribute_errors(mutate, message):
         assert str(text.value) == str(tree.value) == str(nested.value)
 
 
-def test_tree_form_refuses_to_capture_instances(hotel_db):
-    """State is text: only ``serialize`` captures (``assert_equivalent``
-    holds what it captures, on every view of this file)."""
-    capture: dict = {}
-    evaluator = BulkViewEvaluator(hotel_db, capture_instances=capture)
-    with pytest.raises(ValueError):
-        evaluator.materialize(figure1_view(hotel_db.catalog))
-    assert capture == {}
-
-
 def test_without_capture_nothing_nested_exists_and_nothing_is_recorded(
     hotel_db, monkeypatch
 ):
-    """A first computation is the weave: what is joined is one flat list
-    of strings, made without an ``_Instance``, a parts list to close or a
-    nesting to flatten. Under capture it is the grouped merge: instances,
-    closed parts, one flattening join — and the state is recorded."""
-    calls = {"_Instance": 0, "close_parts": 0, "parts_text": 0}
+    """There is no capture and one merge: whether the bytes are served
+    (``serialize``) or the columns kept and emitted later
+    (``MaterializedState.text``), what is joined is one flat list of
+    strings appended top down, every column's text is a ``str`` — nothing
+    nested exists in between — and the evaluator records nothing of the
+    view it evaluated."""
     woven = []
-
-    def counting(name, real):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        return counted
-
-    for name in ("close_parts", "parts_text"):
-        real = getattr(bulk_evaluator, name)
-        monkeypatch.setattr(bulk_evaluator, name, counting(name, real))
-    monkeypatch.setattr(
-        bulk_evaluator._Instance, "__init__",
-        counting("_Instance", bulk_evaluator._Instance.__init__),
-    )
     real_emitter = bulk_evaluator._emitter
     monkeypatch.setattr(
         bulk_evaluator, "_emitter",
@@ -1117,20 +1119,23 @@ def test_without_capture_nothing_nested_exists_and_nothing_is_recorded(
     view = compose(
         figure1_view(hotel_db.catalog), figure4_stylesheet(), hotel_db.catalog
     )
-    inner = sum(1 for node in view.nodes(include_root=False) if node.children)
     evaluator = BulkViewEvaluator(hotel_db)
+    attributes = set(vars(evaluator))
     xml = evaluator.serialize(view)
-    assert calls == {"_Instance": 0, "close_parts": 0, "parts_text": 0}
+    assert set(vars(evaluator)) == attributes  # no columns left on it
     assert all(texts is woven[0] for texts in woven)  # one list, top down
     assert all(text.__class__ is str for text in woven[0])
     assert "".join(woven[0]) == xml
     del woven[:]
-    capture: dict = {}
-    capturing = BulkViewEvaluator(hotel_db, capture_instances=capture)
-    assert capturing.serialize(view) == xml
-    assert woven == [] and capture
-    assert calls["close_parts"] == inner and calls["parts_text"] == 1
-    assert calls["_Instance"] == 1 + evaluator.stats.elements_created
+    columns = BulkViewEvaluator(hotel_db).columns(view)
+    assert woven == []  # making columns emits nothing
+    assert all(
+        text.__class__ is str
+        for column in columns.values() for text in column.texts
+    )
+    assert MaterializedState(view, columns).text() == xml
+    assert all(texts is woven[0] for texts in woven)
+    assert "".join(woven[0]) == xml
 
 
 def test_node_plans_are_memoized_on_the_view_they_describe(caplog):

@@ -1,10 +1,10 @@
 """The serving path builds no tree and pins nothing (count-based).
 
-Every computation goes from rows to text — a first one stores bytes
-only, a promotion keeps the text's own parts as maintenance state, a
-delta splices lists — the compile path has no self-referential closures,
-and the printed SQL lives on the query it was printed from. So no
-serving request constructs an ``Element``; with the collector switched
+Every computation goes from rows to text columns and one emission — a
+first one stores bytes only, a promotion keeps the columns as
+maintenance state, a delta replaces columns — the compile path has no
+self-referential closures, and the printed SQL lives on the query it was
+printed from. So no serving request constructs an ``Element``; with the collector switched
 off a cold request leaves no ``Element``, function or cell behind; a long
 stream of distinct cold plans leaves the pooled sessions and the
 collector's object count where they were; and a long write stream over
@@ -29,9 +29,10 @@ from repro.maintenance import (
     hotel_conference_write,
     hotel_payload_write,
     hotel_write,
+    incremental,
 )
 from repro.relational.engine import Database
-from repro.schema_tree.bulk_evaluator import BulkViewEvaluator, _Instance
+from repro.schema_tree.bulk_evaluator import BulkViewEvaluator, _Column
 from repro.schema_tree.evaluator import materialize
 from repro.serving import ViewServer
 from repro.sharding import ShardRouter
@@ -147,7 +148,7 @@ def test_no_serving_request_builds_a_tree(output_elements, monkeypatch):
     """Rows to text, always, on a fleet member as on a single box: a
     miss, the promotion, a row-rung delta, a node-rung delta and the full
     recompute after a declined delta construct no ``Element`` — the
-    state a promotion keeps and a delta splices is the text's own parts."""
+    state a promotion keeps and a delta splices is the text's columns."""
     sheet = figure4_stylesheet()
     for deployment in (delta_server, delta_member):
         with deployment() as (db, tracker, server):
@@ -191,16 +192,15 @@ def test_no_serving_request_builds_a_tree(output_elements, monkeypatch):
 def test_a_first_computation_reads_positions_and_builds_no_env(monkeypatch):
     """A miss fetches every bulk node through ``run_rows`` — tuples, and
     none becomes a dict — and nothing reads an instance's ``env``, so
-    none is built. The promotion captures: it records an env
-    for every instance, made then."""
+    none is built. Nor by the promotion: the state it keeps is the
+    columns — rows as fetched — and an env is made when a delta reads
+    one, which a payload write to these views never does."""
     calls = {"run_rows": 0, "run_query": 0, "env": 0}
 
     for name in ("run_rows", "run_query"):
         real = getattr(Database, name)
         monkeypatch.setattr(Database, name, counting(calls, name, real))
-    monkeypatch.setattr(
-        _Instance, "env", property(counting(calls, "env", _Instance.env.fget))
-    )
+    monkeypatch.setattr(_Column, "env", counting(calls, "env", _Column.env))
     with delta_server() as (db, tracker, server):
         view = figure1_view(db.catalog)
         for sheet, queries in (
@@ -216,12 +216,19 @@ def test_a_first_computation_reads_positions_and_builds_no_env(monkeypatch):
                 lambda: server.render(view, sheet),
                 lambda: hotel_write(db, 0, tracker),
             )
-            assert calls["run_query"] == 0 and calls["env"] > 0
+            hotel_payload_write(db, 1, tracker, rows=1)
+            assert server.render(view, sheet).freshness == "delta-recompute"
+            assert calls["run_query"] == 0 and calls["env"] == 0
             state = server.result_cache.peek(miss.plan_key).state
-            recorded = [env for pairs in state.instances.values() for _i, env in pairs]
-            assert len(recorded) > miss.elements_created  # the root's too
-            assert all(type(env) is dict for env in recorded)
-            assert max(len(env) for env in recorded) > 1  # nested bindings
+            recorded = [
+                row for column in state.columns.values() for row in column.rows
+            ]
+            assert len(recorded) == miss.elements_created
+            assert all(type(row) in (tuple, type(None)) for row in recorded)
+            assert not any(
+                column._envs for column in state.columns.values()
+                if column.parent is not None  # the root's is given
+            )
 
 
 def test_a_miss_renders_node_results_as_batches(monkeypatch):
@@ -282,19 +289,15 @@ def test_a_miss_renders_node_results_as_batches(monkeypatch):
             assert all(type(row) is tuple for row in fetched)
 
 
-def test_a_miss_is_woven_and_a_promotion_keeps_the_grouped_state(monkeypatch):
-    """Which merge ran, as counts. A miss is the weave: no ``_Instance``,
-    no parts list closed, no nesting flattened, ``render`` once per node
-    result. The promotion (the same key recomputed after a write) is the
-    grouped merge — an instance per element and the root's, every inner
-    node's parts closed, one flattening join — and the delta after it
-    splices that state: instances for the re-executed subtree and its
-    shadow parents only, and a join over the spliced parts."""
-    from repro.schema_tree import bulk_evaluator
-
-    calls = dict.fromkeys(
-        ("_Instance", "close_parts", "_flatten", "parts_text", "render"), 0
-    )
+def test_a_miss_and_a_promotion_make_the_same_calls(monkeypatch):
+    """One merge, as counts. A miss and the promotion (the same key
+    recomputed after a write) make the same calls — a column and a
+    ``render`` per node, one emission — and differ only in what the
+    server keeps. The delta after them makes columns only for its
+    frontier subtrees: none at the row rung, where the one ``render`` is
+    of the changed row; and its bytes are one emission over the new
+    state's columns."""
+    calls = dict.fromkeys(("column", "render", "columns_text"), 0)
 
     def counting_builder(real_builder):
         def builder(self, *args):
@@ -303,58 +306,65 @@ def test_a_miss_is_woven_and_a_promotion_keeps_the_grouped_state(monkeypatch):
 
         return builder
 
-    for name in ("close_parts", "_flatten", "parts_text"):
-        real = getattr(bulk_evaluator, name)
-        monkeypatch.setattr(bulk_evaluator, name, counting(calls, name, real))
     monkeypatch.setattr(
-        _Instance, "__init__", counting(calls, "_Instance", _Instance.__init__)
+        BulkViewEvaluator, "column",
+        counting(calls, "column", BulkViewEvaluator.column),
+    )
+    monkeypatch.setattr(  # the emission, where the server's state reads it
+        incremental, "columns_text",
+        counting(calls, "columns_text", incremental.columns_text),
     )
     monkeypatch.setattr(
         BulkViewEvaluator, "_text_builder",
         counting_builder(BulkViewEvaluator._text_builder),
     )
-    # Per view: its nodes and those with children; the elements of the
-    # document over delta_server's 2 x 3 hotels; what the one-hotel
-    # payload write's delta makes (``_Instance``: shadow parents and
-    # fresh elements; ``render``: one per re-executed node result) —
-    # Figure 1 at the row rung, the composed views at the node rung.
+    # Per view: its nodes; the elements of the document over
+    # delta_server's 2 x 3 hotels; what the one-hotel payload write's
+    # delta makes (a column per re-made node; ``render``: one per node
+    # result, or the row rung's one) — Figure 1 at the row rung, the
+    # composed views at the node rung.
     pinned = {
-        None: {"nodes": (7, 3), "elements": 16, "_Instance": 2, "render": 1},
-        figure4_stylesheet:
-            {"nodes": (8, 4), "elements": 11, "_Instance": 6, "render": 3},
-        figure17_stylesheet:
-            {"nodes": (8, 4), "elements": 9, "_Instance": 4, "render": 3},
+        None: {"nodes": 7, "elements": 16, "column": 0, "render": 1},
+        figure4_stylesheet: {"nodes": 8, "elements": 11, "column": 3, "render": 3},
+        figure17_stylesheet: {"nodes": 8, "elements": 9, "column": 3, "render": 3},
     }
     with delta_server() as (db, tracker, server):
         view = figure1_view(db.catalog)
         for step, (source, expected) in enumerate(pinned.items()):
             sheet = source and source()
-            nodes, inner = expected["nodes"]
+            nodes = expected["nodes"]
+            full = {"column": nodes, "render": nodes, "columns_text": 1}
             for name in calls:
                 calls[name] = 0
             miss = server.render(view, sheet)
             assert miss.error is None and miss.freshness == "miss"
             assert miss.elements_created == expected["elements"]
-            assert calls == {
-                "_Instance": 0, "close_parts": 0, "_flatten": 0,
-                "parts_text": 0, "render": nodes,
-            }
+            assert calls == full
+            assert server.result_cache.peek(miss.plan_key).state is None
+            for name in calls:
+                calls[name] = 0
             promote(
                 lambda: server.render(view, sheet),
                 lambda: hotel_write(db, 2 * step, tracker),
             )
-            assert calls["_Instance"] == 1 + expected["elements"]  # the root's
-            assert calls["close_parts"] == inner and calls["parts_text"] == 1
-            assert calls["render"] == 2 * nodes and calls["_flatten"] > inner
-            assert server.result_cache.peek(miss.plan_key).state is not None
+            assert calls == full
+            state = server.result_cache.peek(miss.plan_key).state
+            assert len(state.columns) == 1 + nodes  # the root's
             for name in calls:
                 calls[name] = 0
             hotel_payload_write(db, 2 * step + 1, tracker, rows=1)
             delta = server.render(view, sheet)
             assert delta.freshness == "delta-recompute", delta.error
-            assert calls["_Instance"] == expected["_Instance"]
-            assert calls["render"] == expected["render"]
-            assert calls["_flatten"] > inner  # the spliced state's one join
+            assert calls == {
+                "column": expected["column"], "render": expected["render"],
+                "columns_text": 1,
+            }
+            spliced = server.result_cache.peek(miss.plan_key).state
+            shared = sum(
+                spliced.columns[node_id] is column
+                for node_id, column in state.columns.items()
+            )
+            assert shared == 1 + nodes - max(expected["column"], 1)
             assert delta.xml == BulkViewEvaluator(db).serialize(
                 server.plan_cache.get(miss.plan_key).view
             )
@@ -440,22 +450,57 @@ def test_nine_live_plans_are_planned_once_each(monkeypatch):
         assert len(planned) == first_round
 
 
+def columns_reachable_from(state):
+    """Every ``_Column`` the state reaches, through anything but code: a
+    function is followed into its closure only (its globals are the
+    module)."""
+    skip = (type, types.ModuleType, types.MethodType)
+    seen, frontier, found = {id(state)}, [state], []
+    while frontier:
+        obj = frontier.pop()
+        if isinstance(obj, types.FunctionType):
+            referents = obj.__closure__ or ()
+        else:
+            referents = gc.get_referents(obj)
+        for referent in referents:
+            if id(referent) in seen or isinstance(referent, skip):
+                continue
+            seen.add(id(referent))
+            if isinstance(referent, _Column):
+                found.append(referent)
+            frontier.append(referent)
+    return found
+
+
 def test_a_write_stream_frees_every_dead_generation_of_state():
-    """200 alternating narrow writes against one promoted Figure 1 entry,
-    every read a delta splice. State is lists and strings, which point
-    only downwards, so replacing the cache entry frees what the new
-    generation does not share. As trees, each generation kept the last
-    one's replaced spine alive through the shared elements' ``parent``
-    pointers: ≈ 126 ``Element`` objects per write, never freed."""
+    """200 narrow writes against one promoted Figure 1 entry, every read a
+    delta splice, row rung and node rung alternating on an inner node
+    (``hotel``) and on the leaves. State is columns, which name their
+    parent by schema id and point at nothing, so replacing the cache
+    entry frees what the new generation does not share: the only columns
+    the live state reaches are its own, one per node. (A column that
+    pointed at its parent column would fail this — after a row-rung
+    write to ``hotel`` the shared columns below it would pin the dead
+    one. As trees, each generation kept the last one's replaced spine
+    alive through the shared elements' ``parent`` pointers: ≈ 126
+    ``Element`` objects per write, never freed.)"""
 
     def live_elements():
         gc.collect()
         return sum(type(obj) is Element for obj in gc.get_objects())
 
+    def untraceable_hotel_write(step):  # no keys: the node rung on hotel
+        db.run_sql(
+            "UPDATE hotel SET pool = 1 - pool WHERE hotelid % 4 = :slot",
+            {"slot": step % 4},
+        )
+        tracker.record_write("hotel", rows=1)
+
     db = build_hotel_database(HotelDataSpec().scaled(4), cross_thread=True)
     tracker = WriteTracker()
     db.attach_tracker(tracker)
     view = figure1_view(db.catalog)
+    [hotel] = [node for node in view.nodes() if node.tag == "hotel"]
     elements_before = live_elements()
     with ViewServer(
         db.catalog, source=db, workers=1, tracker=tracker,
@@ -463,19 +508,31 @@ def test_a_write_stream_frees_every_dead_generation_of_state():
     ) as server:
         server.render(view)
         promote(lambda: server.render(view), lambda: hotel_write(db, 0, tracker))
-        objects = {}
+        [key] = server.result_cache.keys()
+        objects, rungs = {}, set()
         for step in range(1, 201):
+            before = server.result_cache.peek(key).state
             if step % 2:
                 hotel_payload_write(db, step, tracker, rows=1)
-            else:
+            elif step % 4:
                 hotel_conference_write(db, step, tracker, hotels=1)
+            else:
+                untraceable_hotel_write(step)
             trace = server.render(view)
             assert trace.freshness == "delta-recompute", (step, trace.error)
+            state = server.result_cache.peek(key).state
+            if state.columns[hotel.id] is not before.columns[hotel.id]:
+                rungs.add("row" if trace.rows_spliced else "node")
+            reached = columns_reachable_from(state)
+            assert len(reached) == len(state.columns), step
+            assert {id(c) for c in reached} == {
+                id(c) for c in state.columns.values()
+            }, step
             if step in (50, 200):
                 assert live_elements() == elements_before
                 objects[step] = len(gc.get_objects())
+        assert rungs == {"row", "node"}  # both replaced hotel's column
         assert objects[200] < 1.05 * objects[50]
         assert trace.xml == serialize(materialize(view, db))
-        [key] = server.result_cache.keys()
         assert server.result_cache.peek(key).state.text() == trace.xml
     db.close()

@@ -126,7 +126,7 @@ def _assert_served_equals_oracle(env, context):
         trace = env["server"].render(env["view"], sheet)
         reference = serialize(materialize(env["targets"][name], env["db"]))
         assert trace.xml == reference, (name, context)
-        # The state every entry here holds is that text's own parts.
+        # The state every entry here holds is that text's own columns.
         entry = env["server"].result_cache.peek(trace.plan_key)
         assert entry.state.text() == trace.xml, (name, context)
         traces[name] = trace

@@ -141,16 +141,21 @@ def _live_bytes(db):
 @pytest.mark.parametrize(
     "method,error,reason",
     [
-        ("_evaluate_subtree", RuntimeError, "error"),   # mid re-evaluation
-        ("_rebuild", RuntimeError, "error"),            # mid splice
+        # mid re-evaluation, at the node rung and at the row rung
+        pytest.param(
+            "_remake_subtree", RuntimeError, "error", id="_remake_subtree-error"
+        ),
+        pytest.param(
+            "_try_row_splice", RuntimeError, "error", id="_try_row_splice-error"
+        ),
         ("_check_spliceable", None, "unsupported"),     # a clean decline
     ],
 )
 def test_mid_splice_failure_falls_back_to_full(
     monkeypatch, method, error, reason
 ):
-    """An exception anywhere inside the delta path (re-evaluation, the
-    splice itself, or a DeltaUnsupported decline) must surface as a
+    """An exception anywhere inside the delta path (either rung's
+    re-evaluation, or a DeltaUnsupported decline) must surface as a
     successful full 'stale-recompute' with correct bytes - and the stale
     cached entry's captured state must be left untouched, because the
     splice never writes it."""
