@@ -43,7 +43,6 @@ from repro.core.optimize import prune_stylesheet_view
 from repro.core.tvq import build_tvq
 from repro.errors import ReproError
 from repro.maintenance.incremental import MAINTENANCE_MODES
-from repro.relational.driver import BACKEND_NAMES
 from repro.relational.engine import Database
 from repro.resilience.faults import FLEET_FAULT_KINDS
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
@@ -280,7 +279,6 @@ def _frontend_app_from_args(args: argparse.Namespace):
         replicas=args.replicas,
         replica_lag_ms=args.replica_lag_ms,
         fleet_faults=fleet_faults,
-        backend=args.backend,
     )
 
 
@@ -290,10 +288,6 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
                         help="hotel workload scale factor (default: 2)")
     parser.add_argument("--workers", type=int, default=4,
                         help="worker threads / pooled connections")
-    parser.add_argument(
-        "--backend", default="sqlite", choices=list(BACKEND_NAMES),
-        help="storage engine the workload runs on (default: sqlite)",
-    )
     parser.add_argument(
         "--staleness", metavar="POLICY",
         help="result-cache staleness policy: strict, manual, or bounded:N",

@@ -80,44 +80,6 @@ class SchemaError(ReproError):
     """Raised for relational catalog problems (unknown table/column, ...)."""
 
 
-class DriverError(ReproError):
-    """Base class for engine-driver problems (:mod:`repro.relational.driver`)."""
-
-
-class DriverUnavailableError(DriverError):
-    """Raised when a requested backend cannot be used here.
-
-    Either the backend name is unknown, or it is known but its module
-    is not installed (e.g. ``duckdb`` on a sqlite-only box). Tests and
-    the CLI catch this to skip or fail with a clear message instead of
-    an ImportError deep inside the engine.
-    """
-
-    def __init__(self, backend: str, detail: str = ""):
-        self.backend = backend
-        message = f"backend {backend!r} is unavailable"
-        if detail:
-            message = f"{message}: {detail}"
-        super().__init__(message)
-
-
-class DriverCapabilityError(DriverError):
-    """Raised when a driver is asked for a capability it does not declare.
-
-    The capability contract is explicit: a driver without write hooks
-    (DuckDB) raises this from ``install_change_capture`` rather than
-    silently capturing nothing — auto change capture degrading to "no
-    capture" would serve stale bytes under the strict policy.
-    """
-
-    def __init__(self, backend: str, capability: str):
-        self.backend = backend
-        self.capability = capability
-        super().__init__(
-            f"backend {backend!r} does not support {capability}"
-        )
-
-
 class ViewError(ReproError):
     """Base class for schema-tree view errors."""
 
@@ -276,21 +238,6 @@ TRANSIENT_SQLITE_MARKERS = (
 )
 
 
-#: Driver-supplied exception classifiers (``fn(exc) -> category|None``),
-#: registered by backends whose exception types this module cannot know
-#: statically (e.g. duckdb). Consulted by :func:`classify_error` for
-#: every exception in the cause/context chain. The sqlite taxonomy is
-#: built in below so the default backend never depends on registration
-#: order.
-_DRIVER_CLASSIFIERS: list = []
-
-
-def register_driver_classifier(fn) -> None:
-    """Register a backend's exception classifier (idempotent)."""
-    if fn not in _DRIVER_CLASSIFIERS:
-        _DRIVER_CLASSIFIERS.append(fn)
-
-
 def classify_error(exc: BaseException) -> str:
     """Classify an exception for the retry policy.
 
@@ -305,17 +252,11 @@ def classify_error(exc: BaseException) -> str:
       hedged-request losers land here).
     * ``"transient"`` — a busy/locked/disk-I/O style
       ``sqlite3.OperationalError`` (possibly wrapped in a
-      :class:`ViewEvaluationError` — the cause chain is walked), a
-      driver-registered transient (e.g. a DuckDB interrupt), or a
+      :class:`ViewEvaluationError` — the cause chain is walked) or a
       :class:`ReplicaUnavailable` crash-window refusal; worth a retry
       with backoff.
     * ``"permanent"`` — everything else (syntax errors, missing tables,
       wrong-shape results, logic bugs); retrying cannot help.
-
-    Non-default backends register their taxonomy through
-    :func:`register_driver_classifier`; a driver classifier may return
-    ``"transient"`` or ``"permanent"`` to settle an exception it
-    recognizes, or ``None`` to let the walk continue.
     """
     import sqlite3
 
@@ -335,9 +276,5 @@ def classify_error(exc: BaseException) -> str:
             message = str(current).lower()
             if any(marker in message for marker in TRANSIENT_SQLITE_MARKERS):
                 return "transient"
-        for classifier in _DRIVER_CLASSIFIERS:
-            verdict = classifier(current)
-            if verdict is not None:
-                return verdict
         current = current.__cause__ or current.__context__
     return "permanent"

@@ -12,7 +12,7 @@ backend serving them (a :class:`~repro.serving.server.ViewServer` or a
 :func:`build_hotel_app` assembles the paper's hotel workload —
 Figure 1 publishing view, Figure 4/17 stylesheets — over every
 serving knob (staleness, maintenance mode, resilience policy, fault
-plan, shards, replicas, backend), so the HTTP tier serves byte-identical
+plan, shards, replicas), so the HTTP tier serves byte-identical
 answers to the in-process paths the differential suite compares
 against.
 """
@@ -143,20 +143,16 @@ def build_hotel_app(
     replicas: int = 0,
     replica_lag_ms: float = 0.0,
     fleet_faults=None,
-    backend: Optional[str] = None,
 ) -> PublishingApp:
     """The paper's hotel workload as a servable application.
 
-    The one stack builder: tracked writes and a result cache when
-    ``staleness`` is set, a sharded fleet when ``shards > 1``
+    The one stack builder: tracked writes (auto capture) and a result
+    cache when ``staleness`` is set, a sharded fleet when ``shards > 1``
     or ``replicas > 0`` (fault plan armed on shard 0's primary only,
     replicas as the failover path), a single :class:`ViewServer`
-    otherwise. ``backend`` picks the storage engine (``"sqlite"`` /
-    ``"duckdb"``); on backends without write hooks, tracked writes are
-    recorded explicitly instead of through auto capture.
+    otherwise.
     """
     from repro.maintenance import WriteTracker, hotel_write
-    from repro.relational.driver import resolve_driver
     from repro.workloads.hotel import HotelDataSpec, build_hotel_database
     from repro.workloads.paper import (
         figure1_view,
@@ -167,17 +163,13 @@ def build_hotel_app(
     # Before anything is opened: a rejected mode must leave no
     # database, tracker or pool behind.
     check_maintenance_mode(maintenance)
-    driver = resolve_driver(backend)
     update_aware = staleness is not None
     sharded = shards > 1 or replicas > 0
-    db = build_hotel_database(
-        HotelDataSpec().scaled(scale), cross_thread=True, driver=driver
-    )
+    db = build_hotel_database(HotelDataSpec().scaled(scale), cross_thread=True)
     tracker = None
-    auto_capture = driver.supports_auto_capture
     if update_aware and not sharded:
         tracker = WriteTracker()
-        db.attach_tracker(tracker, auto=auto_capture)
+        db.attach_tracker(tracker, auto=True)
 
     if sharded:
         from repro.sharding import ShardRouter
@@ -222,10 +214,7 @@ def build_hotel_app(
         )
 
         def write_fn(index: int) -> None:
-            if auto_capture:
-                hotel_write(db, index)  # auto capture records it
-            else:
-                hotel_write(db, index, tracker=tracker)
+            hotel_write(db, index)  # auto capture records it
 
     view = figure1_view(db.catalog)
     registry = {

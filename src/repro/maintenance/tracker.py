@@ -14,13 +14,12 @@ Two capture modes, freely combined per database:
 * **auto** — :meth:`WriteTracker.attach` asks the engine's *driver* to
   install write-capture hooks on a writable connection so any
   INSERT/UPDATE/DELETE executed through it is captured without caller
-  cooperation. For sqlite that is the authorizer + trace-callback pair
-  (see :meth:`repro.relational.driver.SqliteDriver.install_change_capture`
-  for the two-hook rationale); drivers without write hooks (DuckDB)
-  raise :class:`~repro.errors.DriverCapabilityError` — auto capture
-  **degrades loudly, never silently**, because silently capturing
-  nothing would serve stale bytes under the strict policy. Engines on
-  such backends record through the explicit path instead.
+  cooperation: sqlite's authorizer + trace-callback pair (see
+  :meth:`repro.relational.driver.SqliteDriver.install_change_capture`
+  for the two-hook rationale). The trace side parses each executed
+  statement's target — past leading comments, and through a ``WITH``
+  prefix to its first top-level DML — so a re-execution from sqlite's
+  statement cache, which the authorizer never sees, still bumps.
 
 Auto capture is deliberately conservative: a statement that prepares
 but fails mid-execution still bumps (over-invalidation is safe; missed
@@ -38,8 +37,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional
 
-# Re-exported for compatibility: the DML-target parser moved into the
-# driver layer with the rest of the capture machinery.
+# Re-exported: the DML-target parser lives in the driver with the rest
+# of the capture machinery.
 from repro.relational.driver import _write_target  # noqa: F401
 
 #: Row-level pushdown bail-out: above this many changed keys the IN-list
@@ -290,10 +289,6 @@ class WriteTracker:
         ``db`` is a :class:`~repro.relational.engine.Database`; capture
         is delegated to its driver's ``install_change_capture``, which
         arranges for :meth:`record_write` to run for every DML target.
-        Drivers without write hooks (``supports_auto_capture`` false)
-        raise :class:`~repro.errors.DriverCapabilityError` — loudly, so
-        a backend that cannot observe writes is never mistaken for one
-        with no writes.
         """
         db.driver.install_change_capture(db.connection, self.record_write)
 

@@ -1,42 +1,23 @@
-"""Relational engine layer: catalog plus a driver-backed execution engine.
+"""Relational engine layer: catalog plus a sqlite execution engine.
 
 The paper pushes XSLT processing into SQL run by a relational engine; this
 package is that engine. :class:`~repro.relational.schema.Catalog` declares
 tables/columns (and generates DDL); :class:`~repro.relational.engine.Database`
-wraps one backend connection opened through an
-:class:`~repro.relational.driver.EngineDriver` (in-memory sqlite by
-default, DuckDB via ``driver="duckdb"``), executes parameterized tag
+wraps one sqlite connection (in-memory by default), reached through its
+:class:`~repro.relational.driver.SqliteDriver`, executes parameterized tag
 queries against binding environments, and counts the work done (queries,
 rows) for the benchmark harness.
 """
 
-from repro.relational.driver import (
-    BACKEND_NAMES,
-    DRIVERS,
-    DuckDBDriver,
-    EngineDriver,
-    EngineSnapshot,
-    SqliteDriver,
-    backend_available,
-    default_driver,
-    resolve_driver,
-)
+from repro.relational.driver import SqliteDriver
 from repro.relational.engine import Database, QueryStats
 from repro.relational.schema import Catalog, Column, Table
 
 __all__ = [
-    "BACKEND_NAMES",
     "Catalog",
     "Column",
-    "DRIVERS",
     "Database",
-    "DuckDBDriver",
-    "EngineDriver",
-    "EngineSnapshot",
     "QueryStats",
     "SqliteDriver",
     "Table",
-    "backend_available",
-    "default_driver",
-    "resolve_driver",
 ]

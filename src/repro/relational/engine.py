@@ -1,19 +1,16 @@
-"""Driver-backed execution engine for tag queries.
+"""The execution engine for tag queries.
 
-:class:`Database` owns one backend connection created from a
-:class:`~repro.relational.schema.Catalog` through an
-:class:`~repro.relational.driver.EngineDriver` (sqlite by default;
-DuckDB via ``driver="duckdb"``). Every backend-specific decision —
-connection setup, placeholder style, type mapping, read-only
-enforcement, statement cancel — goes through the driver, so the engine
-itself is backend-neutral. Tag queries (SQL ASTs with ``$var.column``
-parameters) execute through :meth:`Database.run_query` against a
-*binding environment*: a mapping from binding-variable name to the
-parent tuple (a ``dict``) it currently ranges over — exactly the
-evaluation model of schema-tree queries in Section 2.1.
-:meth:`Database.run_rows` is the second view of the same execution
-body: a closed query's rows as the cursor delivered them, read by
-position, for the bulk merge, which looks nothing up by name.
+:class:`Database` owns one sqlite connection created from a
+:class:`~repro.relational.schema.Catalog`. Every engine-specific call —
+connect, read-only open, snapshot, sanitize, cancel, change capture —
+goes through its :class:`~repro.relational.driver.SqliteDriver`. Tag
+queries (SQL ASTs with ``$var.column`` parameters) execute through
+:meth:`Database.run_query` against a *binding environment*: a mapping
+from binding-variable name to the parent tuple (a ``dict``) it currently
+ranges over — exactly the evaluation model of schema-tree queries in
+Section 2.1. :meth:`Database.run_rows` is the second view of the same
+execution body: a closed query's rows as the cursor delivered them, read
+by position, for the bulk merge, which looks nothing up by name.
 
 The engine counts queries and rows so benchmarks can report the work each
 execution strategy performs.
@@ -50,15 +47,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import ViewEvaluationError
-from repro.relational.driver import (
-    EngineDriver,
-    resolve_driver,
-    _write_target,
-)
+from repro.relational.driver import SqliteDriver
 from repro.relational.schema import Catalog
 from repro.sql.ast import Select
-from repro.sql.params import collect_params, placeholder_name
-from repro.sql.printer import print_select
+from repro.sql.params import placeholder_name, to_placeholders
 
 Row = dict[str, Any]
 
@@ -127,12 +119,12 @@ def _as_dicts(names: list[str], rows: list) -> list[Row]:
 
 
 class Database:
-    """A database (in-memory sqlite by default) described by a catalog.
+    """A sqlite database (in-memory unless ``path`` is given) described
+    by a catalog."""
 
-    ``driver`` picks the backend: an
-    :class:`~repro.relational.driver.EngineDriver` instance or a
-    registry name (``"sqlite"``, ``"duckdb"``); ``None`` means sqlite.
-    """
+    #: The engine's driver: stateless, so one instance serves every
+    #: connection (and a pool's sessions share their source's).
+    driver = SqliteDriver()
 
     def __init__(
         self,
@@ -143,10 +135,8 @@ class Database:
         connection=None,
         read_only: bool = False,
         cross_thread: bool = False,
-        driver: "EngineDriver | str | None" = None,
     ):
         self.catalog = catalog
-        self.driver = resolve_driver(driver)
         if connection is not None:
             self.connection = connection
         else:
@@ -158,7 +148,6 @@ class Database:
             self.connection = self.driver.connect(
                 path, cross_thread=cross_thread
             )
-        self.driver.configure(self.connection)
         self.stats = stats if stats is not None else QueryStats()
         self.read_only = read_only
         self.tracker = None
@@ -179,32 +168,24 @@ class Database:
         path: str,
         read_only: bool = True,
         stats: Optional[QueryStats] = None,
-        driver: "EngineDriver | str | None" = None,
     ) -> "Database":
         """Open an existing database file without creating tables.
 
-        By default the connection is **read-only** (for sqlite: URI
-        ``mode=ro`` plus ``PRAGMA query_only=ON``) and safe for pooled
-        hand-off to worker threads — see the module docstring for the
-        threading contract. Pass ``read_only=False`` for a plain
-        writable connection.
+        By default the connection is **read-only** (URI ``mode=ro`` plus
+        ``PRAGMA query_only=ON``) and safe for pooled hand-off to worker
+        threads — see the module docstring for the threading contract.
+        Pass ``read_only=False`` for a plain writable connection.
         """
-        engine_driver = resolve_driver(driver)
         if not read_only:
-            return cls(
-                catalog, create=False, path=path, stats=stats,
-                driver=engine_driver,
-            )
-        connection = engine_driver.open_read_only(path)
+            return cls(catalog, create=False, path=path, stats=stats)
         db = cls(
             catalog,
             create=False,
-            connection=connection,
+            connection=cls.driver.open_read_only(path),
             stats=stats,
             read_only=True,
-            driver=engine_driver,
         )
-        engine_driver.enforce_read_only(db.connection)
+        cls.driver.enforce_read_only(db.connection)
         return db
 
     @classmethod
@@ -214,16 +195,14 @@ class Database:
         connection,
         stats: Optional[QueryStats] = None,
         read_only: bool = False,
-        driver: "EngineDriver | str | None" = None,
     ) -> "Database":
-        """Wrap an existing backend connection (used by the serving pool)."""
+        """Wrap an existing sqlite connection (used by the serving pool)."""
         return cls(
             catalog,
             create=False,
             connection=connection,
             stats=stats,
             read_only=read_only,
-            driver=driver,
         )
 
     # -- change capture ------------------------------------------------------
@@ -238,16 +217,13 @@ class Database:
         caller's responsibility. With ``auto=True`` the tracker installs
         the driver's write-capture hooks on this connection so *every*
         INSERT/UPDATE/DELETE is captured, including raw SQL — and the
-        explicit path stands down to avoid double counting. Drivers
-        without write hooks raise
-        :class:`~repro.errors.DriverCapabilityError` before any state
-        changes (auto capture degrades loudly, never silently).
+        explicit path stands down to avoid double counting. A failed
+        hook install raises before any state changes.
         """
         self._check_writable("attach a write tracker")
         if auto:
-            # Hooks first: on a driver without write hooks this raises
-            # DriverCapabilityError *before* any tracker state is set,
-            # so a failed auto attach can never leave the engine
+            # Hooks first: if installing them raises, no tracker state
+            # is set, so a failed auto attach can never leave the engine
             # half-attached (tracker set, hooks absent, explicit path
             # standing down — which would undercount silently).
             tracker.attach(self)
@@ -262,9 +238,9 @@ class Database:
     # -- schema / data -------------------------------------------------------
 
     def create_all(self) -> None:
-        """Create every table in the catalog (driver type mapping applied)."""
+        """Create every table (and declared index) in the catalog."""
         self._check_writable("create tables")
-        for ddl in self.catalog.ddl_statements(self.driver.type_map):
+        for ddl in self.catalog.ddl_statements():
             self.driver.execute(self.connection, ddl)
         self.driver.commit(self.connection)
 
@@ -284,8 +260,8 @@ class Database:
     def insert_positional(self, table: str, rows: Sequence[Sequence[Any]]) -> int:
         """Insert rows given in the table's declared column order (what
         ``SELECT <those columns>`` delivers: a copy hands ``executemany``
-        the cursor's rows as they came); ``?`` binds by position on every
-        backend. Returns the number inserted."""
+        the cursor's rows as they came); ``?`` binds by position.
+        Returns the number inserted."""
         self._check_writable(f"insert into {table}")
         columns = self.catalog.table(table).column_names()
         if rows:
@@ -309,13 +285,11 @@ class Database:
             )
 
     def analyze(self) -> None:
-        """Refresh the backend's planner statistics where it needs telling.
+        """Refresh sqlite's planner statistics (ANALYZE).
 
-        Worth calling after bulk-loading on sqlite: with stats the
-        planner picks selective indexes instead of guessing, which
-        matters for the decorrelated bulk queries and correlated point
-        queries alike. Backends with automatic statistics (DuckDB)
-        no-op.
+        Worth calling after bulk-loading: with stats the planner picks
+        selective indexes instead of guessing, which matters for the
+        decorrelated bulk queries and correlated point queries alike.
         """
         self._check_writable("ANALYZE")
         self.driver.analyze(self.connection)
@@ -351,8 +325,8 @@ class Database:
         """Execute a *closed* query; ``(column names, rows)`` by position.
 
         The positional view of :meth:`_execute`: the rows as the cursor
-        delivered them — a plain ``tuple`` each, on every backend (the
-        conformance kit checks it) — beside the names :meth:`run_query` keys
+        delivered them — a plain ``tuple`` each (the conformance kit
+        checks it) — beside the names :meth:`run_query` keys
         them by — there for an empty result too. Same checks, errors and
         :class:`QueryStats` record; a ``$var.column`` parameter is unbound.
         """
@@ -367,12 +341,9 @@ class Database:
             self.cancel_check()
         # The rendered SQL is memoized on the query itself, so a session
         # that outlives a plan (a pooled one) keeps nothing of it.
-        printed = query.printed.get(self.driver.name)
+        printed = query.printed
         if printed is None:
-            printed = query.printed[self.driver.name] = (
-                print_select(query, placeholders=self.driver.placeholder),
-                collect_params(query),
-            )
+            printed = query.printed = to_placeholders(query)
         sql, params = printed
         bindings: dict[str, Any] = {}
         for param in params:
@@ -391,9 +362,7 @@ class Database:
         try:
             cursor = self.driver.execute(self.connection, sql, bindings)
         except self.driver.errors as exc:
-            raise ViewEvaluationError(
-                f"{self.driver.name} error: {exc}; SQL: {sql}"
-            ) from exc
+            raise ViewEvaluationError(f"sqlite error: {exc}; SQL: {sql}") from exc
         names = [d[0] for d in cursor.description]
         taken: set[str] = set()
         for index, name in enumerate(names):
@@ -408,24 +377,10 @@ class Database:
         return names, rows
 
     def run_sql(self, sql: str, bindings: Optional[Mapping[str, Any]] = None) -> list[Row]:
-        """Execute raw SQL (used by tests and the harness).
-
-        Raw SQL is written in sqlite's ``:name`` placeholder style; the
-        driver rewrites it for other backends
-        (:meth:`~repro.relational.driver.EngineDriver.rewrite_sql`).
-        On backends without engine-level read-only enforcement, DML
-        against a read-only session is rejected here — the wrapper
-        guard that stands in for sqlite's ``PRAGMA query_only``.
-        """
-        if self.read_only and not self.driver.supports_engine_read_only:
-            target = _write_target(sql)
-            if target is not None:
-                raise ViewEvaluationError(
-                    f"cannot write {target}: connection is read-only"
-                )
-        cursor = self.driver.execute(
-            self.connection, self.driver.rewrite_sql(sql), dict(bindings or {})
-        )
+        """Execute raw SQL with ``:name`` placeholders (used by tests and
+        the harness). On a read-only session sqlite itself refuses DML
+        (``PRAGMA query_only``)."""
+        cursor = self.driver.execute(self.connection, sql, dict(bindings or {}))
         description = getattr(cursor, "description", None)
         if description is None:
             self.driver.commit(self.connection)
@@ -433,7 +388,7 @@ class Database:
         return _as_dicts([d[0] for d in description], cursor.fetchall())
 
     def close(self) -> None:
-        """Close the underlying backend connection."""
+        """Close the underlying sqlite connection."""
         self.driver.close(self.connection)
 
     def __enter__(self) -> "Database":

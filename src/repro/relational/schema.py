@@ -33,17 +33,9 @@ class Column:
                 f"(expected one of {sorted(_SQL_TYPES)})"
             )
 
-    def ddl(self, type_map: Optional[dict] = None) -> str:
-        """The column's fragment of a CREATE TABLE statement.
-
-        ``type_map`` remaps declared types per backend (an engine
-        driver's ``type_map`` — e.g. DuckDB stores ``REAL`` as
-        ``DOUBLE`` to match sqlite's 8-byte float semantics).
-        """
-        rendered = _SQL_TYPES[self.type]
-        if type_map:
-            rendered = type_map.get(rendered, rendered)
-        return f"{self.name} {rendered}"
+    def ddl(self) -> str:
+        """The column's fragment of a CREATE TABLE statement."""
+        return f"{self.name} {_SQL_TYPES[self.type]}"
 
 
 @dataclass
@@ -64,9 +56,9 @@ class Table:
         """Whether a column with ``name`` exists."""
         return any(c.name == name for c in self.columns)
 
-    def ddl(self, type_map: Optional[dict] = None) -> str:
+    def ddl(self) -> str:
         """The CREATE TABLE statement for this table."""
-        parts = [c.ddl(type_map) for c in self.columns]
+        parts = [c.ddl() for c in self.columns]
         if self.primary_key is not None:
             if not self.has_column(self.primary_key):
                 raise SchemaError(
@@ -131,13 +123,9 @@ class Catalog:
 
     # DDL --------------------------------------------------------------------
 
-    def ddl_statements(self, type_map: Optional[dict] = None) -> list[str]:
-        """CREATE TABLE (and CREATE INDEX) statements for every table.
-
-        ``type_map`` is a backend driver's declared-type remapping
-        (``None`` keeps the sqlite storage classes).
-        """
-        statements = [t.ddl(type_map) for t in self]
+    def ddl_statements(self) -> list[str]:
+        """CREATE TABLE (and CREATE INDEX) statements for every table."""
+        statements = [t.ddl() for t in self]
         for t in self:
             statements.extend(t.index_ddl())
         return statements

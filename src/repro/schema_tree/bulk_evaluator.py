@@ -971,32 +971,26 @@ def _divide_group(rows: list, share_count: int) -> list:
     """Split a group that joined against ``share_count`` duplicate bindings.
 
     Every duplicate binding contributed one identical copy of the child
-    multiset, so each distinct row value's multiplicity must divide evenly;
-    first-occurrence order is preserved.
+    multiset, so each distinct row value's multiplicity must divide evenly.
+    The share keeps every ``share_count``-th occurrence of each value, in
+    the order the rows came: equal values apart in that order (``5, 6,
+    5``) stay apart.
     """
-    counts: dict[tuple, list] = {}
-    order: list[tuple] = []
+    seen: dict[tuple, int] = {}
+    share: list = []
     for row in rows:
         try:
             key = tuple(row)
         except TypeError as exc:  # pragma: no cover - defensive
             raise _BulkUnsupported(f"unhashable row value: {exc}") from exc
-        entry = counts.get(key)
-        if entry is None:
-            counts[key] = [row, 1]
-            order.append(key)
-        else:
-            entry[1] += 1
-    share: list = []
-    for key in order:
-        row, count = counts[key]
-        quotient, remainder = divmod(count, share_count)
-        if remainder:
-            raise _BulkUnsupported(
-                "group rows do not divide evenly among duplicate parent "
-                "bindings"
-            )
-        share.extend([row] * quotient)
+        count = seen.get(key, 0)
+        seen[key] = count + 1
+        if count % share_count == 0:
+            share.append(row)
+    if any(count % share_count for count in seen.values()):
+        raise _BulkUnsupported(
+            "group rows do not divide evenly among duplicate parent bindings"
+        )
     return share
 
 

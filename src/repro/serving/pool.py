@@ -10,7 +10,7 @@ every one read-only, handed to one borrower at a time through a queue.
 
 Everything engine-specific — how a snapshot is taken, how a released
 session is sanitized, which exceptions mean "replace this connection" —
-goes through the pool's :class:`~repro.relational.driver.EngineDriver`.
+goes through the pool's :class:`~repro.relational.driver.SqliteDriver`.
 
 Two source modes:
 
@@ -19,10 +19,9 @@ Two source modes:
   ``driver.open_read_only``.
 * **clone** — ``ConnectionPool(catalog, source=db)`` snapshots an
   existing (typically in-memory) database through
-  ``driver.snapshot(source)`` (sqlite: the backup API into a
-  shared-cache memory clone; DuckDB: a row copy into a private root
-  connection served through cursors), then opens ``size`` sessions onto
-  the snapshot with read-only enforcement. Tests and benchmarks use
+  ``driver.snapshot(source)`` (the backup API into a shared-cache memory
+  clone), then opens ``size`` sessions onto the snapshot with
+  read-only enforcement. Tests and benchmarks use
   this to serve a generated workload without touching disk; the source
   database is left untouched and later writes to it are *not* visible
   to the pool (snapshot semantics) until :meth:`ConnectionPool.refresh`
@@ -42,7 +41,6 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
-from repro.relational.driver import EngineSnapshot, resolve_driver
 from repro.relational.engine import Database, QueryStats
 from repro.relational.schema import Catalog
 
@@ -53,10 +51,11 @@ class ConnectionPool:
     Exactly one of ``path`` (database file) or ``source`` (live
     :class:`Database` to snapshot) must be given. ``size`` connections
     are opened eagerly so serving never pays connection setup on the
-    request path. ``driver`` defaults to the source database's driver
-    in clone mode (a pool always speaks its source's backend) and to
-    sqlite in file mode.
+    request path.
     """
+
+    #: The engine's driver, shared with every :class:`Database`.
+    driver = Database.driver
 
     def __init__(
         self,
@@ -66,7 +65,6 @@ class ConnectionPool:
         size: int = 4,
         keep_sql: bool = False,
         fault_plan=None,
-        driver=None,
         admission: Optional[Callable[[], None]] = None,
     ):
         if (path is None) == (source is None):
@@ -77,9 +75,6 @@ class ConnectionPool:
         self.size = size
         self._path = path
         self._keep_sql = keep_sql
-        if driver is None and source is not None:
-            driver = source.driver
-        self.driver = resolve_driver(driver)
         # Optional repro.resilience.FaultPlan: every session is wrapped
         # in a FaultyEngine so evaluators running on pooled connections
         # exercise injected faults transparently.
@@ -93,7 +88,7 @@ class ConnectionPool:
         self._close_lock = threading.Lock()
         self._refresh_lock = threading.Lock()
         self._source = source
-        self._snapshot: Optional[EngineSnapshot] = None
+        self._snapshot = None
         if source is not None:
             self._snapshot = self.driver.snapshot(source)
         self._sessions: list[Database] = [
@@ -106,14 +101,12 @@ class ConnectionPool:
     def _open_session(self, path: Optional[str], keep_sql: bool) -> Database:
         stats = QueryStats(keep_sql=keep_sql)
         if path is not None:
-            db = Database.open(self.catalog, path, stats=stats,
-                               driver=self.driver)
+            db = Database.open(self.catalog, path, stats=stats)
         else:
             assert self._snapshot is not None
             connection = self._snapshot.connect()
             db = Database.from_connection(
                 self.catalog, connection, stats=stats, read_only=True,
-                driver=self.driver,
             )
             self.driver.enforce_read_only(db.connection)
         if self._fault_plan is not None:

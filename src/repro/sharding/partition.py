@@ -237,8 +237,7 @@ def partition_database(
     """
     scheme.validate(source.catalog)
     shards = [
-        Database(source.catalog, cross_thread=cross_thread,
-                 driver=source.driver)
+        Database(source.catalog, cross_thread=cross_thread)
         for _ in range(partitioner.shards)
     ]
     for declared in source.catalog:

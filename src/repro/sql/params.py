@@ -210,31 +210,16 @@ def rename_param_vars(select: Select, mapping: dict[str, str]) -> None:
     map_exprs(select, fn)
 
 
-def to_placeholders(
-    select: Select, placeholder: Optional[Callable[[str], str]] = None
-) -> tuple[str, list[ParamRef]]:
-    """Render a query with named placeholders and list the parameters.
-
-    By default the returned SQL uses sqlite's ``:var__column``
-    placeholders; pass an engine driver's
-    :meth:`~repro.relational.driver.EngineDriver.placeholder` to render
-    another backend's style. Callers bind a dictionary built from
-    parent-tuple values (see :func:`placeholder_name` — the binding
-    *keys* are backend-independent).
-    """
+def to_placeholders(select: Select) -> tuple[str, list[ParamRef]]:
+    """Render a query with sqlite's ``:var__column`` named placeholders
+    and list the parameters. Callers bind a dictionary built from
+    parent-tuple values (see :func:`placeholder_name`)."""
     from repro.sql.printer import print_select
 
-    return (
-        print_select(select, placeholders=placeholder or True),
-        collect_params(select),
-    )
+    return print_select(select, placeholders=True), collect_params(select)
 
 
 def placeholder_name(param: ParamRef) -> str:
-    """The named-placeholder binding key for a parameter.
-
-    Backend-independent: drivers render this key in their own style
-    (``:var__column`` for sqlite, ``$var__column`` for DuckDB) but the
-    bindings dictionary always uses the bare key.
-    """
+    """The named-placeholder binding key for a parameter: the
+    ``var__column`` that ``:var__column`` names."""
     return f"{param.var}__{param.column}"

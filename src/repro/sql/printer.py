@@ -4,11 +4,8 @@ Two parameter modes:
 
 * debug form — parameters print as ``$var.column`` (round-trips through
   the parser; used in tests and DESIGN/EXPERIMENTS listings),
-* placeholder form — parameters print as named placeholders for
-  execution. ``placeholders=True`` renders sqlite's ``:var__column``
-  style; passing a *callable* instead renders through it (an engine
-  driver's :meth:`~repro.relational.driver.EngineDriver.placeholder`,
-  e.g. DuckDB's ``$var__column``). See
+* placeholder form — ``placeholders=True`` prints parameters as
+  sqlite's ``:var__column`` named placeholders for execution. See
   :func:`repro.sql.params.to_placeholders`.
 """
 
@@ -43,13 +40,10 @@ _PRECEDENCE = {
 }
 
 
-def print_select(select: Select, placeholders=False) -> str:
-    """Render a :class:`Select` to SQL text.
-
-    ``placeholders`` is ``False`` (debug ``$var.column`` form), ``True``
-    (sqlite ``:var__column`` named placeholders), or a callable mapping
-    a placeholder key like ``var__column`` to the backend's rendering.
-    """
+def print_select(select: Select, placeholders: bool = False) -> str:
+    """Render a :class:`Select` to SQL text: parameters in the debug
+    ``$var.column`` form, or as ``:var__column`` named placeholders when
+    ``placeholders`` is true."""
     parts = ["SELECT "]
     if select.distinct:
         parts.append("DISTINCT ")
@@ -75,7 +69,7 @@ def print_select(select: Select, placeholders=False) -> str:
     return "".join(parts)
 
 
-def print_expr(expr: Expr, placeholders=False) -> str:
+def print_expr(expr: Expr, placeholders: bool = False) -> str:
     """Render a standalone expression."""
     return _expr(expr, placeholders, 0)
 
@@ -112,8 +106,6 @@ def _expr(expr: Expr, placeholders: bool, parent_precedence: int) -> str:
     if isinstance(expr, ColumnRef):
         return expr.qualified()
     if isinstance(expr, ParamRef):
-        if callable(placeholders):
-            return placeholders(f"{expr.var}__{expr.column}")
         if placeholders:
             return f":{expr.var}__{expr.column}"
         return expr.qualified()

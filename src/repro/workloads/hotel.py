@@ -289,7 +289,6 @@ def build_hotel_database(
     spec: HotelDataSpec | None = None,
     cross_thread: bool = False,
     seed: int | None = None,
-    driver=None,
 ) -> Database:
     """Create and populate a hotel database in one call.
 
@@ -298,11 +297,9 @@ def build_hotel_database(
     behind an update-aware :class:`~repro.serving.server.ViewServer`
     (a writer thread mutates it while server workers re-snapshot it).
     ``seed`` overrides the spec's generation seed (see
-    :func:`populate_hotel_database`); ``driver`` picks the storage
-    backend (a name like ``"duckdb"`` or an
-    :class:`~repro.relational.driver.EngineDriver`; default sqlite).
+    :func:`populate_hotel_database`).
     """
-    db = Database(hotel_catalog(), cross_thread=cross_thread, driver=driver)
+    db = Database(hotel_catalog(), cross_thread=cross_thread)
     populate_hotel_database(db, spec or HotelDataSpec(), seed=seed)
     db.analyze()
     return db

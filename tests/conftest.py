@@ -21,6 +21,14 @@ from repro.xmlcore.nodes import Element
 HOTEL_FIXTURE_SEED = 2003
 
 
+@pytest.fixture(params=[Database.driver], ids=["sqlite"])
+def driver(request):
+    """The engine driver under test: sqlite's, the one engine. The
+    conformance kit (``tests/relational/conformance``) and the pool's
+    driver duties run once per driver listed here."""
+    return request.param
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return hotel_catalog()

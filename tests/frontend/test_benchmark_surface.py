@@ -132,6 +132,24 @@ def test_rejected_maintenance_mode_opens_nothing(monkeypatch):
     assert "fragment" in config.MAINTENANCE_MODES  # the probe still asks
 
 
+def test_relational_probe_surface():
+    """layers._relational, behind ``relational.snapshot_ms`` and
+    ``relational.write_ms``: ``db.driver.snapshot(db)`` on the built
+    app's database returns an object with ``close()``, and
+    ``hotel_write(db, step)`` runs on that database."""
+    from repro.maintenance import hotel_write
+
+    app = _production()
+    try:
+        db = app.database
+        snapshot = db.driver.snapshot(db)
+        snapshot.close()
+        for step in range(100, 103):
+            assert hotel_write(db, step) in db.catalog
+    finally:
+        asyncio.run(app.close())
+
+
 def test_sharding_probe_surface():
     """layers._sharding: a direct partition, the tree ``merge_documents``
     over bulk-materialized shard documents, and the router counters."""

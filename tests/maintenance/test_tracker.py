@@ -308,6 +308,24 @@ def test_write_target_parses_dml_forms():
     assert _write_target('UPDATE "main"."hotel" SET pool = 0') == "hotel"
     assert _write_target("UPDATE [hotel] SET pool = 0") == "hotel"
     assert _write_target("  \n  DELETE FROM t") == "t"
+    # Leading comments, then the statement's own first keyword.
+    assert _write_target("/* c */ UPDATE hotel SET pool = 0") == "hotel"
+    assert _write_target("-- note\n  DELETE FROM t") == "t"
+    assert _write_target("/* a */ -- b\n/* c */INSERT INTO t VALUES (1)") == "t"
+    # A WITH prefix: the target of the first top-level DML keyword.
+    assert _write_target(
+        "WITH x AS (SELECT 1) UPDATE hotel SET pool = 0 WHERE hotelid = 1"
+    ) == "hotel"
+    assert _write_target(
+        "with recursive c(n) as (select 1 union all select n + 1 from c "
+        "where n < 3) insert into t2 select n from c"
+    ) == "t2"
+    assert _write_target(
+        "WITH x AS (SELECT 'UPDATE a' AS q, (1) AS r) DELETE FROM b"
+    ) == "b"
+    assert _write_target(
+        "/* c */ WITH x AS (SELECT 1) REPLACE INTO logs SELECT * FROM x"
+    ) == "logs"
 
 
 def test_write_target_rejects_non_dml():
@@ -316,3 +334,54 @@ def test_write_target_rejects_non_dml():
     assert _write_target("COMMIT") is None
     assert _write_target("CREATE TABLE t (x)") is None
     assert _write_target("PRAGMA query_only=ON") is None
+    assert _write_target("WITH x AS (SELECT 1) SELECT * FROM x") is None
+    assert _write_target("SELECT 'UPDATE hotel'") is None
+    # DML words inside parentheses, literals or comments, and a
+    # top-level replace() call, are not the statement's own DML.
+    assert _write_target(
+        "WITH x AS (SELECT 'DELETE FROM a' AS q) "
+        "SELECT replace(q, 'a', 'b') FROM x /* UPDATE hotel */"
+    ) is None
+    assert _write_target("-- UPDATE hotel\nSELECT 1") is None
+
+
+def test_auto_capture_sees_cte_and_commented_dml_at_its_own_execution():
+    """A CTE UPDATE bumps at each of its executions — the second and
+    third come from sqlite's statement cache, which the authorizer never
+    sees — a commented DELETE bumps once, and a CTE SELECT bumps
+    nothing. None of it is left for the next plain write to claim."""
+    db, tracker = auto_tracked_db()
+    cte_update = (
+        "WITH x AS (SELECT 1) UPDATE hotel SET pool = 1 - pool "
+        "WHERE hotelid = 1"
+    )
+    for expected in (1, 2, 3):
+        db.run_sql(cte_update)
+        assert tracker.snapshot() == {"hotel": expected}
+    db.run_sql("/* c */ DELETE FROM availability WHERE a_id = 1")
+    assert tracker.snapshot() == {"hotel": 3, "availability": 1}
+    db.run_sql("WITH x AS (SELECT 1) SELECT * FROM hotel, x")
+    assert tracker.snapshot() == {"hotel": 3, "availability": 1}
+    db.run_sql("UPDATE confroom SET rackrate = rackrate WHERE c_id = 1")
+    assert tracker.snapshot() == {
+        "hotel": 3, "availability": 1, "confroom": 1,
+    }
+    db.close()
+
+
+def test_a_write_whose_text_names_no_target_bumps_at_its_own_execution(
+    monkeypatch,
+):
+    """The tables a statement's prepare named are recorded when that
+    statement executes even if its text yields no target (simulated: the
+    parser reads nothing) — not at the implicit ``BEGIN`` traced before
+    it, and not left for a later statement to claim."""
+    from repro.relational import driver
+
+    db, tracker = auto_tracked_db()
+    monkeypatch.setattr(driver, "_write_target", lambda _sql: None)
+    db.run_sql("UPDATE hotel SET pool = 1 - pool WHERE hotelid = 1")
+    assert tracker.snapshot() == {"hotel": 1}
+    db.run_sql("SELECT COUNT(*) FROM hotel")
+    assert tracker.snapshot() == {"hotel": 1}
+    db.close()

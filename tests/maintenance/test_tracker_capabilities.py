@@ -1,34 +1,22 @@
-"""Regression tests: WriteTracker on drivers without write hooks.
+"""Regression tests: how a WriteTracker attaches to, records on and
+detaches from an engine.
 
-The DuckDB path: ``WriteTracker.attach`` must degrade *loudly* (raise
-:class:`~repro.errors.DriverCapabilityError`, leave the engine
-untouched), never silently capture nothing — and the explicit
-``record_write`` path must keep versioning correctly on such a driver.
-A stub hookless driver pins the behavior without needing duckdb
-installed; a real-duckdb variant runs when the module is present.
+A connection that refuses the write hooks makes auto attach fail
+loudly and leaves the engine untracked — the "hooks first" invariant of
+``Database.attach_tracker`` (a half-attached engine would undercount
+silently); the explicit ``record_write`` path versions correctly on its
+own; detach never raises.
 """
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
-from repro.errors import DriverCapabilityError, DriverUnavailableError
 from repro.maintenance.tracker import WriteTracker
-from repro.relational.driver import SqliteDriver, resolve_driver
 from repro.relational.engine import Database
 from repro.relational.schema import Catalog, table
-
-
-class HookslessDriver(SqliteDriver):
-    """sqlite semantics, but no write hooks — the DuckDB capability
-    shape on an engine that is installed everywhere."""
-
-    name = "hooksless"
-    supports_auto_capture = False
-
-    def install_change_capture(self, connection, record) -> None:
-        """Declared unsupported: raise, never silently no-op."""
-        raise DriverCapabilityError(self.name, "auto change capture")
 
 
 def _catalog() -> Catalog:
@@ -38,65 +26,65 @@ def _catalog() -> Catalog:
 
 
 @pytest.fixture()
-def hookless_db():
-    db = Database(_catalog(), driver=HookslessDriver())
+def db():
+    db = Database(_catalog())
     yield db
     db.close()
 
 
-def test_auto_attach_degrades_loudly(hookless_db):
-    tracker = WriteTracker()
-    with pytest.raises(DriverCapabilityError):
-        hookless_db.attach_tracker(tracker, auto=True)
+def test_auto_attach_degrades_loudly(db):
+    """A connection that refuses the write hooks (here: a closed one)
+    makes auto attach raise — never a tracker that silently captures
+    nothing — and leaves the engine untracked."""
+    db.connection.close()
+    with pytest.raises(sqlite3.ProgrammingError):
+        db.attach_tracker(WriteTracker(), auto=True)
+    assert db.tracker is None
 
 
-def test_failed_auto_attach_leaves_engine_untracked(hookless_db):
+def test_failed_auto_attach_leaves_engine_untracked(db, monkeypatch):
     """The raise must happen before any tracker state lands: a
     half-attached engine (tracker set, hooks absent, explicit path
     standing down) would undercount silently — the worst outcome."""
+
+    def refuse(_driver, connection, record):
+        raise sqlite3.OperationalError("write hooks refused")
+
+    monkeypatch.setattr(type(db.driver), "install_change_capture", refuse)
     tracker = WriteTracker()
-    with pytest.raises(DriverCapabilityError):
-        hookless_db.attach_tracker(tracker, auto=True)
-    assert hookless_db.tracker is None
+    with pytest.raises(sqlite3.OperationalError):
+        db.attach_tracker(tracker, auto=True)
+    assert db.tracker is None
     # Inserts after the failed attach record nothing on the tracker
     # (the engine is untracked) rather than half-recording.
-    hookless_db.insert_rows("t", [{"id": 1, "v": "a"}])
+    db.insert_rows("t", [{"id": 1, "v": "a"}])
     assert tracker.version("t") == 0
     # And a subsequent *explicit* attach works normally.
-    hookless_db.attach_tracker(tracker, auto=False)
-    hookless_db.insert_rows("t", [{"id": 2, "v": "b"}])
+    db.attach_tracker(tracker, auto=False)
+    db.insert_rows("t", [{"id": 2, "v": "b"}])
     assert tracker.version("t") == 1
 
 
-def test_explicit_recording_versions_correctly(hookless_db):
+def test_explicit_recording_versions_correctly(db):
     tracker = WriteTracker()
-    hookless_db.attach_tracker(tracker, auto=False)
-    hookless_db.insert_rows("t", [{"id": n, "v": "x"} for n in range(5)])
+    db.attach_tracker(tracker, auto=False)
+    db.insert_rows("t", [{"id": n, "v": "x"} for n in range(5)])
     assert tracker.version("t") == 1  # one bulk insert = one event
     assert tracker.rows_written == 5
-    hookless_db.run_sql("UPDATE t SET v = 'y' WHERE id = 0")
+    db.run_sql("UPDATE t SET v = 'y' WHERE id = 0")
     # Raw SQL is the caller's responsibility on the explicit path.
     assert tracker.version("t") == 1
-    hookless_db.record_write("t")
+    db.record_write("t")
     assert tracker.version("t") == 2
 
 
-def test_detach_is_safe_on_hookless_driver(hookless_db):
-    """Base remove_change_capture is a no-op, so detach never raises."""
-    WriteTracker.detach(hookless_db)
-
-
-def test_duckdb_attach_matches_stub_behavior():
-    """The real DuckDB driver behaves exactly like the stub."""
-    try:
-        driver = resolve_driver("duckdb")
-    except DriverUnavailableError as exc:
-        pytest.skip(str(exc))
+def test_detach_never_raises(db):
+    """Detach from an engine that never attached, and twice after an
+    auto attach: each clears the hook slots and nothing else."""
+    WriteTracker.detach(db)
     tracker = WriteTracker()
-    with Database(_catalog(), driver=driver) as db:
-        with pytest.raises(DriverCapabilityError):
-            db.attach_tracker(tracker, auto=True)
-        assert db.tracker is None
-        db.attach_tracker(tracker, auto=False)
-        db.insert_rows("t", [{"id": 1, "v": "a"}])
-        assert tracker.version("t") == 1
+    db.attach_tracker(tracker, auto=True)
+    WriteTracker.detach(db)
+    WriteTracker.detach(db)
+    db.run_sql("UPDATE t SET v = 'z'")
+    assert tracker.version("t") == 0

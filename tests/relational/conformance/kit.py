@@ -1,18 +1,14 @@
-"""The backend-conformance kit: checks every engine driver must pass.
+"""The driver-conformance kit: the checks an engine driver must pass.
 
-Each ``check_*`` method exercises one clause of the
-:class:`~repro.relational.driver.EngineDriver` contract against a live
-driver instance, using only the public engine API — so the same kit
-validates sqlite, DuckDB, and any future backend. The pytest module in
-this package (``test_conformance.py``) simply instantiates the kit per
-registered backend and calls one check per test; external driver
-authors can do the same against their own driver.
-
-Design rule: **capability flags are honest**. Every capability a driver
-declares is exercised for real (snapshots snapshot, cancels cancel,
-hooks capture); every capability it does not declare must fail loudly
-with :class:`~repro.errors.DriverCapabilityError`, never silently
-no-op.
+Each ``check_*`` method exercises one clause of the contract
+:class:`~repro.relational.driver.SqliteDriver` fulfils for
+:class:`~repro.relational.engine.Database` and the serving pool, using
+only the public engine API: rows, placeholders and types round-trip,
+snapshots snapshot, read-only sessions refuse writes, cancels cancel,
+hooks capture. The pytest module in this package
+(``test_conformance.py``) instantiates the kit once per engine driver —
+sqlite's, the one engine — and calls one check per test; a second
+engine's driver would have to pass the same checks.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.errors import DriverCapabilityError, classify_error
+from repro.errors import classify_error
 from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database
 from repro.relational.schema import Catalog, table
@@ -62,14 +58,15 @@ def conformance_catalog() -> Catalog:
 
 
 class DriverConformanceKit:
-    """Run the backend contract against one driver instance."""
+    """Run the driver contract against one driver instance."""
 
     def __init__(self, driver):
         self.driver = driver
 
     def build(self) -> Database:
         """A populated single-table database on this driver."""
-        db = Database(conformance_catalog(), driver=self.driver)
+        db = Database(conformance_catalog())
+        assert db.driver is self.driver
         db.insert_rows("items", ROWS)
         return db
 
@@ -77,7 +74,7 @@ class DriverConformanceKit:
 
     def check_executemany_insert(self) -> None:
         """Bulk insert through the driver's insert statement, then count."""
-        with Database(conformance_catalog(), driver=self.driver) as db:
+        with Database(conformance_catalog()) as db:
             rows = [
                 {"id": n, "label": f"row-{n}", "score": float(n)}
                 for n in range(500)
@@ -87,8 +84,8 @@ class DriverConformanceKit:
 
     def check_type_fidelity(self) -> None:
         """Every seeded value round-trips with Python type and value
-        intact — including the full-precision double (the reason DuckDB
-        maps declared ``REAL`` to ``DOUBLE``)."""
+        intact — including a double that only survives at full 8-byte
+        precision."""
         with self.build() as db:
             fetched = db.run_sql("SELECT * FROM items ORDER BY id")
             assert len(fetched) == len(ROWS)
@@ -102,8 +99,8 @@ class DriverConformanceKit:
                         assert actual == value, (column, actual, value)
 
     def check_placeholder_roundtrip(self) -> None:
-        """Tag-query parameters bind through the driver's placeholder
-        style for every stress value (quotes, unicode, negatives)."""
+        """Tag-query parameters bind through their ``:name`` placeholders
+        for every stress value (quotes, unicode, negatives)."""
         query = parse_select("SELECT * FROM items WHERE label = $p.label")
         with self.build() as db:
             for row in ROWS:
@@ -152,8 +149,7 @@ class DriverConformanceKit:
             snapshot = self.driver.snapshot(db)
             try:
                 clone = Database.from_connection(
-                    db.catalog, snapshot.connect(), read_only=True,
-                    driver=self.driver,
+                    db.catalog, snapshot.connect(), read_only=True
                 )
                 check(clone)
                 clone.close()
@@ -164,19 +160,15 @@ class DriverConformanceKit:
                     check(session)
         with tempfile.TemporaryDirectory() as folder:
             path = os.path.join(folder, "items-db")
-            with Database(
-                conformance_catalog(), path=path, driver=self.driver
-            ) as stored:
+            with Database(conformance_catalog(), path=path) as stored:
                 stored.insert_rows("items", ROWS)
-            with ConnectionPool(
-                conformance_catalog(), path=path, size=1, driver=self.driver
-            ) as pool:
+            with ConnectionPool(conformance_catalog(), path=path, size=1) as pool:
                 with pool.session() as session:
                     check(session)
 
-    def check_raw_sql_rewrite(self) -> None:
-        """Raw ``:name`` SQL executes after driver rewriting, and colons
-        inside string literals are left alone."""
+    def check_run_sql_binding(self) -> None:
+        """Raw SQL binds ``:name`` placeholders from ``run_sql``'s
+        bindings, and a colon inside a string literal is no parameter."""
         with self.build() as db:
             hits = db.run_sql(
                 "SELECT id FROM items WHERE id = :wanted", {"wanted": 3}
@@ -188,8 +180,7 @@ class DriverConformanceKit:
             assert [h["id"] for h in literal] == [5]
 
     def check_read_only_enforcement(self) -> None:
-        """A read-only snapshot session rejects DML — at the engine level
-        when the driver supports it, at the wrapper level otherwise —
+        """A read-only snapshot session rejects DML at the engine level,
         and the engine's own write API refuses outright."""
         import pytest
 
@@ -199,13 +190,10 @@ class DriverConformanceKit:
             snapshot = self.driver.snapshot(db)
             try:
                 session = Database.from_connection(
-                    db.catalog, snapshot.connect(), read_only=True,
-                    driver=self.driver,
+                    db.catalog, snapshot.connect(), read_only=True
                 )
                 self.driver.enforce_read_only(session.connection)
-                with pytest.raises(
-                    (ViewEvaluationError,) + tuple(self.driver.errors)
-                ):
+                with pytest.raises(self.driver.errors):
                     session.run_sql("DELETE FROM items")
                 with pytest.raises(ViewEvaluationError):
                     session.insert_rows(
@@ -224,8 +212,7 @@ class DriverConformanceKit:
             snapshot = self.driver.snapshot(db)
             try:
                 session = Database.from_connection(
-                    db.catalog, snapshot.connect(), read_only=True,
-                    driver=self.driver,
+                    db.catalog, snapshot.connect(), read_only=True
                 )
                 assert session.table_count("items") == len(ROWS)
                 db.insert_rows(
@@ -242,12 +229,6 @@ class DriverConformanceKit:
         """``driver.cancel`` from another thread cuts a long statement
         short, the error classifies transient, and the connection stays
         usable afterwards."""
-        if not self.driver.supports_cancel:
-            import pytest
-
-            with pytest.raises(DriverCapabilityError):
-                self.driver.cancel(object())
-            return
         with self.build() as db:
             timer = threading.Timer(
                 0.1, lambda: self.driver.cancel(db.connection)
@@ -270,36 +251,22 @@ class DriverConformanceKit:
             assert db.table_count("items") == len(ROWS)
 
     def check_change_capture(self) -> None:
-        """Auto capture records raw DML when declared; when not declared
-        it raises ``DriverCapabilityError`` (the explicit marker for
-        unsupported) and the explicit path still versions correctly."""
-        import pytest
-
+        """Auto capture records raw DML, once per statement, and stops
+        at detach."""
         tracker = WriteTracker()
         with self.build() as db:
-            if self.driver.supports_auto_capture:
-                db.attach_tracker(tracker, auto=True)
-                db.run_sql("UPDATE items SET score = 3.5 WHERE id = 1")
-                assert tracker.version("items") == 1
-                db.insert_rows(
-                    "items", [{"id": 50, "label": "auto", "score": 0.0}]
-                )
-                # One bump from the hooks, none from the explicit path
-                # (no double counting).
-                assert tracker.version("items") == 2
-                tracker.detach(db)
-                db.run_sql("UPDATE items SET score = 4.5 WHERE id = 1")
-                assert tracker.version("items") == 2
-            else:
-                with pytest.raises(DriverCapabilityError):
-                    db.attach_tracker(tracker, auto=True)
-                db.attach_tracker(tracker, auto=False)
-                db.insert_rows(
-                    "items", [{"id": 50, "label": "explicit", "score": 0.0}]
-                )
-                assert tracker.version("items") == 1
-                db.record_write("items")
-                assert tracker.version("items") == 2
+            db.attach_tracker(tracker, auto=True)
+            db.run_sql("UPDATE items SET score = 3.5 WHERE id = 1")
+            assert tracker.version("items") == 1
+            db.insert_rows(
+                "items", [{"id": 50, "label": "auto", "score": 0.0}]
+            )
+            # One bump from the hooks, none from the explicit path
+            # (no double counting).
+            assert tracker.version("items") == 2
+            tracker.detach(db)
+            db.run_sql("UPDATE items SET score = 4.5 WHERE id = 1")
+            assert tracker.version("items") == 2
 
     def check_error_taxonomy(self) -> None:
         """A plain SQL mistake classifies permanent after wrapping."""
@@ -313,26 +280,16 @@ class DriverConformanceKit:
             else:
                 raise AssertionError("bad column did not raise")
 
-    def check_contract_declaration(self) -> None:
-        """The declared contract is complete and the placeholder renders
-        the binding key it was given."""
-        contract = self.driver.contract()
-        for key in ("name", "snapshot", "auto_capture", "engine_read_only",
-                    "cancel", "placeholder"):
-            assert key in contract, key
-        assert "k" in contract["placeholder"]
-
     #: Every check, in the order the test module runs them.
     ALL = (
         "check_executemany_insert",
         "check_type_fidelity",
         "check_placeholder_roundtrip",
         "check_rows_are_tuples",
-        "check_raw_sql_rewrite",
+        "check_run_sql_binding",
         "check_read_only_enforcement",
         "check_snapshot_isolation_and_refresh",
         "check_cancel_under_load",
         "check_change_capture",
         "check_error_taxonomy",
-        "check_contract_declaration",
     )

@@ -1,10 +1,9 @@
-"""Run the backend-conformance kit against every registered driver.
+"""Run the driver-conformance kit against the engine's driver.
 
-Parametrization comes from the package conftest: each test runs once
-per backend in :data:`repro.relational.driver.BACKEND_NAMES`, skipping
-backends whose module is not installed. One test per kit check keeps
-failures addressable ("duckdb fails cancel-under-load", not "duckdb
-fails conformance").
+The ``driver`` fixture (``tests/conftest.py``) lists the engine drivers
+under test — sqlite's, the one engine — and each test runs once per
+driver. One test per kit check keeps failures addressable ("sqlite
+fails cancel-under-load", not "sqlite fails conformance").
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ def test_rows_are_tuples(driver):
     DriverConformanceKit(driver).check_rows_are_tuples()
 
 
-def test_raw_sql_rewrite(driver):
-    DriverConformanceKit(driver).check_raw_sql_rewrite()
+def test_run_sql_binding(driver):
+    DriverConformanceKit(driver).check_run_sql_binding()
 
 
 def test_read_only_enforcement(driver):
@@ -50,10 +49,6 @@ def test_change_capture(driver):
 
 def test_error_taxonomy(driver):
     DriverConformanceKit(driver).check_error_taxonomy()
-
-
-def test_contract_declaration(driver):
-    DriverConformanceKit(driver).check_contract_declaration()
 
 
 def test_kit_covers_every_check(driver):

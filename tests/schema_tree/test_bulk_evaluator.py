@@ -407,6 +407,29 @@ def test_duplicate_parent_bindings_under_distinct_take_the_group_whole():
     test_duplicate_parent_bindings_divide_evenly("SELECT DISTINCT")
 
 
+def test_a_divided_share_keeps_the_child_order():
+    """Equal rows apart in the child's ``ORDER BY`` (``L0, L1, L0``) stay
+    apart in each duplicate binding's share — the nested loop's bytes,
+    not the equal rows gathered (``L0, L0, L1``)."""
+    builder = ViewBuilder(CATALOG)
+    top = builder.node("n0", "SELECT a FROM t0 WHERE parent_id = 0", bv="p")
+    top.child("n1", "SELECT label FROM t1 WHERE parent_id = $p.a ORDER BY id")
+    view = builder.build()
+    with Database(make_catalog()) as db:
+        db.insert_rows("t0", [
+            {"id": i, "parent_id": 0, "a": 1, "b": 0, "label": "d"}
+            for i in (1, 2)
+        ])
+        db.insert_rows("t1", [
+            {"id": 10 + i, "parent_id": 1, "a": None, "b": 0,
+             "label": f"L{i % 2}"}
+            for i in range(3)
+        ])
+        text = BulkViewEvaluator(db).serialize(view)
+        assert text == serialize(ViewEvaluator(db).materialize(view))
+        assert text.count('<n1 label="L0"/><n1 label="L1"/><n1 label="L0"/>') == 2
+
+
 def test_grouped_aggregate_under_duplicate_bindings_falls_back():
     """GROUP BY merges duplicate bindings' groups; the runtime merge must
     detect it and re-run correlated rather than emit wrong counts."""

@@ -1,14 +1,14 @@
-"""ConnectionPool behavior through the driver interface, per backend.
+"""ConnectionPool behavior through the driver interface.
 
-Pins the pool's three driver-mediated duties on every registered
-backend (skipping those not installed):
+Pins the pool's three driver-mediated duties, once per engine driver
+the ``driver`` fixture (``tests/conftest.py``) lists:
 
 * **release sanitization** — a session released mid-transaction (the
   state an interrupted statement leaves behind) is rolled back via
   ``driver.sanitize`` before the next borrower sees it, and a session
   whose connection is beyond repair is replaced, not re-queued;
 * **refresh re-snapshot** — ``refresh()`` brings the clone forward
-  through ``EngineSnapshot.refresh``, so post-snapshot source writes
+  through the driver's snapshot ``refresh``, so post-snapshot source writes
   become visible (the stale-read regression the bypass_cache fix
   closed: a bypassed read must see refreshed data, not the original
   snapshot);
@@ -20,19 +20,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DriverUnavailableError, ViewEvaluationError
-from repro.relational.driver import BACKEND_NAMES, resolve_driver
 from repro.relational.engine import Database
 from repro.relational.schema import Catalog, table
 from repro.serving.pool import ConnectionPool
-
-
-@pytest.fixture(params=list(BACKEND_NAMES))
-def driver(request):
-    try:
-        return resolve_driver(request.param)
-    except DriverUnavailableError as exc:
-        pytest.skip(str(exc))
 
 
 def _catalog() -> Catalog:
@@ -42,7 +32,8 @@ def _catalog() -> Catalog:
 
 
 def _source(driver, rows: int = 3) -> Database:
-    db = Database(_catalog(), driver=driver)
+    db = Database(_catalog())
+    assert db.driver is driver
     db.insert_rows("t", [{"id": n, "v": f"v{n}"} for n in range(rows)])
     return db
 
@@ -118,14 +109,13 @@ def test_refresh_after_release_sanitization(driver):
 
 def test_file_mode_pool_is_read_only(driver, tmp_path):
     path = str(tmp_path / "pool-db")
-    db = Database(_catalog(), path=str(path), driver=driver)
+    db = Database(_catalog(), path=str(path))
     db.insert_rows("t", [{"id": 1, "v": "a"}])
     db.close()
-    with ConnectionPool(_catalog(), path=path, size=2, driver=driver) as pool:
+    with ConnectionPool(_catalog(), path=path, size=2) as pool:
+        assert pool.driver is driver
         assert pool.refresh() is False  # file pools have no snapshot
         with pool.session() as session:
             assert session.table_count("t") == 1
-            with pytest.raises(
-                (ViewEvaluationError,) + tuple(pool.driver.errors)
-            ):
+            with pytest.raises(driver.errors):
                 session.run_sql("DELETE FROM t")

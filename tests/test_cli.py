@@ -255,7 +255,8 @@ def test_serve_http_has_no_fragment_tier_flags():
     }
     assert "--fragment-policy" not in options
     assert options["--maintenance"].choices == ["full", "delta"]
-    assert len(options) == 32
+    assert "--backend" not in options
+    assert len(options) == 31
     # The one-shot oracle keeps its evaluator choice; serving has none.
     materialize = subparsers.choices["materialize"]
     (strategy,) = [
