@@ -23,12 +23,13 @@ Section 5 features: predicates compose natively; flow control, general
 :mod:`~repro.core.recursion` and the fallback in :mod:`~repro.core.hybrid`.
 """
 
-from repro.core.compose import compose, compose_basic
+from repro.core.compose import bind, compose, compose_basic
 from repro.core.ctg import ContextTransitionGraph, build_ctg
 from repro.core.tvq import TraverseViewQuery, build_tvq
 from repro.core.hybrid import HybridExecutor, HybridPlan
 
 __all__ = [
+    "bind",
     "compose",
     "compose_basic",
     "ContextTransitionGraph",

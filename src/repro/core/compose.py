@@ -5,6 +5,8 @@
 * :func:`compose` — applies the Section 5.2 source-to-source rewrites
   first (flow control, general value-of, conflict resolution), then runs
   :func:`compose_basic`.
+* :func:`bind` — ``compose(v, x)`` from ``compose(v, shape of x)``: OTT,
+  the one step reading a literal, only copies it (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from repro.core.stylesheet_view import (
 )
 from repro.core.tvq import build_tvq
 from repro.relational.schema import Catalog
-from repro.schema_tree.model import SchemaTreeQuery
-from repro.xslt.model import Stylesheet
+from repro.schema_tree.bulk_evaluator import bind_plans
+from repro.schema_tree.model import SchemaNode, SchemaTreeQuery
+from repro.xslt.model import Slot, Stylesheet, slot
 
 #: Version tag of the composition pipeline, folded into plan-cache keys
 #: (:mod:`repro.serving.fingerprint`). Bump whenever a change to the
@@ -91,3 +94,29 @@ def compose(
     return compose_basic(
         view, lowered, catalog, max_nodes=max_nodes, paper_mode=paper_mode
     )
+
+
+def bind(skeleton: SchemaTreeQuery, literals: tuple[str, ...]) -> SchemaTreeQuery:
+    """``compose(v, x)`` (pruned, if ``skeleton`` was) from ``skeleton =
+    compose(v, shape)``, where ``stylesheet_shape(x) == (shape, literals)``:
+    a new node shell, each :class:`~repro.xslt.model.Slot` filled (a tag
+    copied from the input view stays, whatever it reads), sharing every
+    tag query (so its printed SQL) and bulk node plan of the skeleton's."""
+    slots = {slot(index): literal for index, literal in enumerate(literals)}
+
+    def fill(value: str) -> str:
+        return slots[value] if value.__class__ is Slot else value
+
+    view = SchemaTreeQuery()
+    nodes = {view.root.id: view.root}
+    for node in skeleton.nodes(include_root=False):
+        values = node.literal_attributes.items()
+        nodes[node.id] = nodes[node.parent.id].add_child(SchemaNode(
+            node.id, fill(node.tag), node.bv, node.tag_query,
+            attr_columns=node.attr_columns, attr_source_bv=node.attr_source_bv,
+            literal_attributes={name: fill(value) for name, value in values},
+            data_attributes=node.data_attributes,
+        ))
+    if skeleton.bulk_plans is not None:
+        view.bulk_plans = bind_plans(skeleton.bulk_plans, nodes)
+    return view

@@ -75,10 +75,9 @@ counts on the engine's ``QueryStats``, so E1/E2/E12 compare like for like.
 from __future__ import annotations
 
 import logging
-import threading
 from collections import Counter
 from functools import partial
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, count, groupby, islice, repeat
 from operator import add, itemgetter
 from typing import Any, Optional
@@ -103,13 +102,6 @@ from repro.sql.transform import (
 from repro.xmlcore.serializer import attributes_text, escape_attribute
 
 logger = logging.getLogger(__name__)
-
-#: Held while a view is planned: the serving layer evaluates one shared
-#: (cached) view object from several threads at once — both shards of a
-#: scatter — and the first plans for all of them. Planning is pure Python,
-#: so serializing it under the interpreter lock loses nothing.
-_PLANNING_LOCK = threading.Lock()
-
 
 class _BulkUnsupported(Exception):
     """Internal: this node cannot (or can no longer) be bulk-evaluated."""
@@ -207,26 +199,14 @@ def _empty_group_row(select: Select) -> Optional[tuple]:
     return tuple(row)
 
 
-class BulkViewEvaluator:
-    """Materializes a schema-tree view with one query per schema node.
+class _Planner:
+    """Plans the nodes of one view over ``catalog`` (:func:`plan_view`),
+    a record of each node that falls back appended to ``records``."""
 
-    Drop-in alternative to :class:`~repro.schema_tree.evaluator.ViewEvaluator`:
-    same output document (canonically identical), same stats counters.
-
-    ``db`` and ``stats`` are the injected connection/stats pair (see
-    :class:`~repro.schema_tree.evaluator.ViewEvaluator`): the serving
-    layer supplies a pooled per-worker database and per-request
-    counters so concurrent requests never share mutable state.
-    """
-
-    def __init__(self, db: Database, stats: Optional[MaterializeStats] = None):
-        self.db = db
-        self.stats = stats if stats is not None else MaterializeStats()
-        self.fallback_nodes: list[FallbackRecord] = []
-        self.bulk_queries_executed = 0
+    def __init__(self, catalog, records: list[FallbackRecord]):
+        self.catalog = catalog
+        self.records = records
         self._key_columns_cache: dict[int, list[str]] = {}
-
-    # -- planning -------------------------------------------------------------
 
     def node_key_columns(self, node: SchemaNode) -> list[str]:
         """The columns of ``node``'s row its subtree's merge keys use.
@@ -248,7 +228,7 @@ class BulkViewEvaluator:
         if cached is not None:
             return cached
         assert node.tag_query is not None
-        out = output_columns(node.tag_query, self.db.catalog)
+        out = output_columns(node.tag_query, self.catalog)
         if node.tag_query.distinct:
             self._key_columns_cache[node.id] = out
             return out
@@ -276,10 +256,10 @@ class BulkViewEvaluator:
         """
         assert ancestor.tag_query is not None
         query = ancestor.tag_query.clone()
-        out = output_columns(query, self.db.catalog)
+        out = output_columns(query, self.catalog)
         if query.distinct or set(keep) == set(out):
             return query
-        expand_stars(query, self.db.catalog)
+        expand_stars(query, self.catalog)
         keep_set = set(keep)
         kept = [i for i in query.items if i.output_name() in keep_set]
         if not kept:
@@ -287,12 +267,12 @@ class BulkViewEvaluator:
         query.items = kept
         return query
 
-    def _plan_node(self, node: SchemaNode, tainted: bool) -> _NodePlan:
+    def plan_node(self, node: SchemaNode, tainted: bool) -> _NodePlan:
         """Decide how to execute one node (bulk, fallback, or literal)."""
         if node.tag_query is None:
             return _NodePlan(node, "literal")
         try:
-            own_columns = _stable_output_columns(node.tag_query, self.db.catalog)
+            own_columns = _stable_output_columns(node.tag_query, self.catalog)
             reliable = True
         except _BulkUnsupported as exc:
             return self._fallback_plan(node, str(exc), reliable=False)
@@ -346,7 +326,7 @@ class BulkViewEvaluator:
         own_key_columns: Optional[list[str]] = None,
     ) -> _NodePlan:
         record = FallbackRecord(node.id, node.tag, reason)
-        self.fallback_nodes.append(record)
+        self.records.append(record)
         logger.warning("bulk evaluation falling back to correlated: %s", record)
         return _NodePlan(
             node,
@@ -374,7 +354,7 @@ class BulkViewEvaluator:
         at the price of losing empty groups — which the caller repairs
         from :attr:`_NodePlan.empty_row` during the merge.
         """
-        catalog = self.db.catalog
+        catalog = self.catalog
         assert node.tag_query is not None
         ancestors = [
             a for a in node.path_from_root()[1:-1] if a.tag_query is not None
@@ -384,8 +364,8 @@ class BulkViewEvaluator:
         for ancestor in reversed(ancestors):
             if ancestor.bv is None:
                 raise _BulkUnsupported(
-                    f"ancestor <{ancestor.tag}> has a query but no binding "
-                    "variable"
+                    f"ancestor node {ancestor.id} has a query but no "
+                    "binding variable"
                 )
             try:
                 _stable_output_columns(ancestor.tag_query, catalog)
@@ -398,7 +378,7 @@ class BulkViewEvaluator:
                 )
             except ReproError as exc:
                 raise _BulkUnsupported(
-                    f"cannot inline ancestor <{ancestor.tag}>: {exc}"
+                    f"cannot inline ancestor node {ancestor.id}: {exc}"
                 ) from exc
         if collect_params(query):
             leftover = sorted(
@@ -415,7 +395,7 @@ class BulkViewEvaluator:
                 exposed = exposure.get(column)
                 if exposed is None or exposed not in bulk_columns:
                     raise _BulkUnsupported(
-                        f"ancestor <{ancestor.tag}> column {column!r} was "
+                        f"ancestor node {ancestor.id} column {column!r} was "
                         "not carried to the bulk result"
                     )
                 key_columns.append(exposed)
@@ -424,37 +404,68 @@ class BulkViewEvaluator:
         simplify_exists(query)
         return query, key_columns
 
-    def plan_view(self, view: SchemaTreeQuery) -> dict[int, _NodePlan]:
-        """Plan every node of ``view``, once per view object.
 
-        Planning depends only on the view and the catalog (never on
-        data), so the result — including which nodes fell back and why —
-        is memoized on the view itself (``view.bulk_plans``, checked
-        against the catalog by identity): it lives as long as the view it
-        describes, so there is nothing to evict. A later evaluator skips
-        the clone + decorrelate + validate pass and has the fallback
-        records replayed into :attr:`fallback_nodes` without re-logging.
-        Incremental maintenance reads node reliability off the plans
-        (whether splice keys are trustworthy) and feeds them to
-        :meth:`column`.
-        """
-        with _PLANNING_LOCK:
-            memo = view.bulk_plans
-            if memo is not None and memo[0] is self.db.catalog:
-                self.fallback_nodes.extend(memo[2])
-                return memo[1]
-            marker = len(self.fallback_nodes)
-            plans: dict[int, _NodePlan] = {}
-            reliability: dict[int, bool] = {view.root.id: True}
-            for node in view.nodes(include_root=False):
-                parent = node.parent
-                assert parent is not None
-                plan = self._plan_node(node, tainted=not reliability[parent.id])
-                plans[node.id] = plan
-                reliability[node.id] = reliability[parent.id] and plan.reliable
-            records = list(self.fallback_nodes[marker:])
-            view.bulk_plans = (self.db.catalog, plans, records)
-            return plans
+def plan_view(
+    view: SchemaTreeQuery, catalog
+) -> tuple[dict[int, _NodePlan], list[FallbackRecord]]:
+    """``(node plans by id, fallback records)`` of ``view`` over ``catalog``,
+    memoized on the view (``view.bulk_plans``, checked against the catalog
+    by identity): planning reads neither data nor a tag, but to name a node
+    in a record. :func:`repro.core.compose.bind` hands on the skeleton's."""
+    memo = view.bulk_plans
+    if memo is not None and memo[0] is catalog:
+        return memo[1], memo[2]
+    planner = _Planner(catalog, [])
+    plans: dict[int, _NodePlan] = {}
+    reliability: dict[int, bool] = {view.root.id: True}
+    for node in view.nodes(include_root=False):
+        parent = node.parent
+        assert parent is not None
+        plan = planner.plan_node(node, tainted=not reliability[parent.id])
+        plans[node.id] = plan
+        reliability[node.id] = reliability[parent.id] and plan.reliable
+    view.bulk_plans = (catalog, plans, planner.records)
+    return plans, planner.records
+
+
+def bind_plans(memo: tuple, nodes: dict[int, SchemaNode]) -> tuple:
+    """A view's ``bulk_plans`` re-pointed at ``nodes``, a clone of its
+    nodes by id that differs in literals only: every query is shared,
+    and a fallback record names the clone's tag."""
+    catalog, plans, records = memo
+    bound = {}
+    for node_id, plan in plans.items():
+        # A field-for-field copy, a third the cost of ``dataclasses.replace``.
+        bound[node_id] = twin = object.__new__(_NodePlan)
+        twin.__dict__.update(plan.__dict__, node=nodes[node_id])
+    tagged = [replace(record, tag=nodes[record.node_id].tag) for record in records]
+    return catalog, bound, tagged
+
+
+class BulkViewEvaluator:
+    """Materializes a schema-tree view with one query per schema node.
+
+    Drop-in alternative to :class:`~repro.schema_tree.evaluator.ViewEvaluator`:
+    same output document (canonically identical), same stats counters.
+
+    ``db`` and ``stats`` are the injected connection/stats pair (see
+    :class:`~repro.schema_tree.evaluator.ViewEvaluator`): the serving
+    layer supplies a pooled per-worker database and per-request
+    counters so concurrent requests never share mutable state.
+    """
+
+    def __init__(self, db: Database, stats: Optional[MaterializeStats] = None):
+        self.db = db
+        self.stats = stats if stats is not None else MaterializeStats()
+        self.fallback_nodes: list[FallbackRecord] = []
+        self.bulk_queries_executed = 0
+
+    def plan_view(self, view: SchemaTreeQuery) -> dict[int, _NodePlan]:
+        """:func:`plan_view` over this database's catalog, its fallback
+        records replayed into :attr:`fallback_nodes` (logged when planned)."""
+        plans, records = plan_view(view, self.db.catalog)
+        self.fallback_nodes.extend(records)
+        return plans
 
     # -- execution ------------------------------------------------------------
 
@@ -668,7 +679,7 @@ class BulkViewEvaluator:
         """The recorded correlated plan of a bulk node that failed at run
         time. It keeps the node's columns: its instances still carry
         their own part of the context key, so descendants stay bulk."""
-        return self._fallback_plan(
+        return _Planner(self.db.catalog, self.fallback_nodes)._fallback_plan(
             plan.node, reason, plan.reliable, plan.own_columns, plan.own_key_columns
         )
 

@@ -16,7 +16,8 @@ Each input is reduced to a canonical text and hashed with SHA-256:
   query deterministically through the SQL printer;
 * **stylesheet** — the ``repr`` of the parsed model, a pure dataclass
   tree (no memory addresses), so any change to a match pattern, mode,
-  priority, or rule body changes the text.
+  priority, or rule body changes the text — read as its shape plus
+  literals, the shape alone keying skeletons (:func:`skeleton_key`).
 
 The composed plan key additionally folds in the composition options and
 the optimizer-pass fingerprints
@@ -29,18 +30,19 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.compose import COMPOSE_PASS_FINGERPRINT
 from repro.core.optimize import PRUNE_PASS_FINGERPRINT
 from repro.relational.schema import Catalog
 from repro.schema_tree.io import catalog_to_xml, view_to_xml
 from repro.schema_tree.model import SchemaTreeQuery
-from repro.xslt.model import Stylesheet
+from repro.xslt.model import Stylesheet, stylesheet_shape
 
 
-#: Identity-keyed memo of view/stylesheet fingerprints. Serializing and
-#: hashing a view on every request costs a measurable fraction of a warm
+#: Identity-keyed memo of view/stylesheet fingerprints (and a stylesheet's
+#: literals and uncompiled shape). Serializing and hashing a view on
+#: every request costs a measurable fraction of a warm
 #: cache hit, and servers render the same handful of view/stylesheet
 #: *objects* over and over — so fingerprints are cached per object id
 #: (with the object kept referenced so ids cannot be recycled), exactly
@@ -51,7 +53,7 @@ _FINGERPRINT_MEMO_LIMIT = 256
 _FINGERPRINT_LOCK = threading.Lock()
 
 
-def _memoized(obj: object, compute: Callable[[], str]) -> str:
+def _memoized(obj: object, compute: Callable[[], Any]) -> Any:
     key = id(obj)
     with _FINGERPRINT_LOCK:
         entry = _FINGERPRINT_MEMO.get(key)
@@ -113,10 +115,21 @@ def fingerprint_stylesheet(stylesheet: Optional[Stylesheet]) -> str:
     """
     if stylesheet is None:
         return fingerprint_text("stylesheet", "-")
-    return _memoized(
-        stylesheet,
-        lambda: fingerprint_text("stylesheet", repr(stylesheet)),
-    )
+    return _stylesheet_prints(stylesheet)[0]
+
+
+def _stylesheet_prints(stylesheet: Stylesheet) -> list:
+    """``[content fingerprint, shape fingerprint, literals, shape]``,
+    memoized: one ``repr`` of the shape makes both fingerprints. The shape
+    (≈ 3 KB) is held only until :func:`skeleton_key` takes it."""
+
+    def compute():
+        shape, literals = stylesheet_shape(stylesheet)
+        text = repr(shape)
+        content = fingerprint_text("stylesheet", text, repr(literals))
+        return [content, fingerprint_text("stylesheet", text), literals, shape]
+
+    return _memoized(stylesheet, compute)
 
 
 def node_read_sets(view: SchemaTreeQuery) -> dict[int, tuple[str, ...]]:
@@ -168,11 +181,34 @@ def plan_key(
     fingerprints its catalog once at construction, while views and
     stylesheets vary per request.
     """
+    stylesheet_part = fingerprint_stylesheet(stylesheet)
+    prune = prune and stylesheet is not None  # nothing to prune otherwise
+    return _key(catalog_fingerprint, view, stylesheet_part, prune, paper_mode)
+
+
+def skeleton_key(
+    catalog_fingerprint: str,
+    view: SchemaTreeQuery,
+    stylesheet: Stylesheet,
+    prune: bool = True,
+    paper_mode: bool = False,
+) -> tuple[str, tuple[str, ...], Optional[Stylesheet]]:
+    """``(key, literals, shape)``: :func:`plan_key` with the stylesheet's
+    shape for content (the whole view in it: output tags matter), the
+    literals that bind it, and the shape — the first caller's; ``None``
+    after, as most stylesheets never miss a skeleton, which composes it."""
+    prints = _stylesheet_prints(stylesheet)
+    shape, prints[3] = prints[3], None
+    key = _key(catalog_fingerprint, view, prints[1], prune, paper_mode)
+    return key, prints[2], shape
+
+
+def _key(catalog_fingerprint, view, stylesheet_part, prune, paper_mode) -> str:
     return fingerprint_text(
         catalog_fingerprint,
         fingerprint_view(view),
-        fingerprint_stylesheet(stylesheet),
-        f"prune={int(prune)}" if stylesheet is not None else "prune=0",
+        stylesheet_part,
+        f"prune={int(prune)}",
         f"paper_mode={int(paper_mode)}",
         COMPOSE_PASS_FINGERPRINT,
         PRUNE_PASS_FINGERPRINT,

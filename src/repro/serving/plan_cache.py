@@ -1,32 +1,37 @@
 """The process's store of compiled publishing plans, and the one compile.
 
 A *compiled plan* is everything request execution needs that does not
-depend on the data: the composed-and-pruned stylesheet view and its read
-sets. Compiling one (:func:`compile_plan`: compose + prune, the only
-``compose`` call on the serving path) costs orders of magnitude more
-than executing the view's handful of queries at serving scale, so plans
-are keyed by content fingerprint (:mod:`repro.serving.fingerprint`) and
-reused across requests and worker threads.
+depend on the data: the composed-and-pruned stylesheet view, its bulk
+node plans and its read sets. Compiling one costs orders of magnitude
+more than executing the view's handful of queries at serving scale, so
+plans are keyed by content fingerprint (:mod:`repro.serving.fingerprint`)
+and reused across requests and worker threads.
+
+A plan is a shape plus literals (:func:`compile_plan`): a *skeleton* —
+a stylesheet shape's view, composed, pruned and planned, one level down
+in the store — with the literals bound in. Stylesheets that differ only
+in literals compose once; plan and result keys stay per variant.
 
 One :class:`PlanCache` per process is the only home of anything derived
 from ``(view, stylesheet, catalog)``: a single ``ViewServer`` makes its
 own, a ``ShardRouter`` makes one and hands it to every member, so a
-stylesheet is composed once. What else derives from the composed view
-hangs off the plan and dies with it: the bulk node plans on ``plan.view``
-(``BulkViewEvaluator.plan_view``), the fleet's merge frame in
+stylesheet shape is composed once. What else derives from the composed
+view hangs off the plan and dies with it: the bulk node plans on
+``plan.view`` (``view.bulk_plans``), the fleet's merge frame in
 :attr:`CompiledPlan.merge_plan`. The store holds no circuit breaker: a
 breaker also counts execution failures, which belong to one member's
 database (``ViewServer.breaker``).
 
-Concurrency: all bookkeeping happens under one internal lock, and
-compilation is **single-flight** — when N threads miss on the same key
+Concurrency: all bookkeeping happens under one internal lock per level,
+and compilation is **single-flight** — when N threads miss on the same key
 simultaneously, exactly one compiles (one recorded miss) while the rest
 wait on the in-flight build and are then served the cached plan (N-1
 recorded hits). Counters are therefore exact even under contention,
 which the 16-thread hammer test relies on.
 
-Plans themselves are shared read-only between threads: evaluators clone
-tag queries before rewriting them, so a cached view is never mutated by
+Plans themselves are shared read-only between threads, and a skeleton's
+tag queries between the plans bound from it: evaluators clone tag
+queries before rewriting them, so a cached view is never mutated by
 execution.
 """
 
@@ -39,7 +44,7 @@ from typing import Any, Callable, Optional
 
 from repro.relational.schema import Catalog
 from repro.schema_tree.model import SchemaTreeQuery
-from repro.serving.fingerprint import node_read_sets
+from repro.serving.fingerprint import node_read_sets, skeleton_key
 
 
 @dataclass
@@ -61,30 +66,50 @@ class CompiledPlan:
     #: each entry with the tracker's dirty tables to re-execute only the
     #: affected schema nodes.
     node_read_sets: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    #: The key of the skeleton ``view`` was bound from (``None``: no stylesheet).
+    skeleton: Optional[str] = None
     #: The fleet's merge frame for ``view``: the frozen
     #: ``repro.sharding.merge.MergePlan``, filled by the router on first
     #: use (typed loosely: ``serving`` imports nothing from ``sharding``).
     merge_plan: Any = field(default=None, init=False, repr=False, compare=False)
 
 
-def compile_plan(key: str, request, catalog: Catalog) -> CompiledPlan:
+def compile_plan(
+    key: str, request, catalog: Catalog, catalog_fingerprint: str, store: "PlanCache"
+) -> CompiledPlan:
     """Compile ``request`` (a ``PublishRequest``) into the plan cached as
-    ``key``: compose, prune, read off the per-node read sets — ``tables``
-    is their union, so every tag query is walked for its tables once."""
-    from repro.core.compose import compose
+    ``key``: its skeleton from ``store`` — on a miss, the shape composed
+    (the serving path's one ``compose``), pruned, planned — bound to literals."""
+    from repro.core.compose import bind, compose
     from repro.core.optimize import prune_stylesheet_view
+    from repro.xslt.model import stylesheet_shape
 
     if request.stylesheet is None:
-        view = request.view
-    else:
-        view = compose(
-            request.view,
-            request.stylesheet,
-            catalog,
-            paper_mode=request.paper_mode,
-        )
+        return _planned(key, request.view, catalog)
+    skeleton_id, literals, shape = skeleton_key(
+        catalog_fingerprint, request.view, request.stylesheet,
+        prune=request.prune, paper_mode=request.paper_mode,
+    )
+
+    def build() -> CompiledPlan:
+        shaped = shape or stylesheet_shape(request.stylesheet)[0]
+        view = compose(request.view, shaped, catalog, paper_mode=request.paper_mode)
         if request.prune:
             prune_stylesheet_view(view, catalog)
+        return _planned(skeleton_id, view, catalog)
+
+    skeleton = store.skeleton(skeleton_id, build)
+    return CompiledPlan(
+        key, bind(skeleton.view, literals), skeleton.tables,
+        skeleton.node_read_sets, skeleton.key,
+    )
+
+
+def _planned(key: str, view: SchemaTreeQuery, catalog: Catalog) -> CompiledPlan:
+    """``view`` bulk-planned, with its per-node read sets (their union: one walk)."""
+    from repro.schema_tree.bulk_evaluator import plan_view
+
+    plan_view(view, catalog)
     read_sets = node_read_sets(view)
     return CompiledPlan(
         key=key,
@@ -94,7 +119,7 @@ def compile_plan(key: str, request, catalog: Catalog) -> CompiledPlan:
     )
 
 
-class PlanCache:
+class _Store:
     """Thread-safe LRU cache from content fingerprints to compiled plans.
 
     ``capacity`` bounds the number of resident plans; inserting past it
@@ -249,3 +274,41 @@ class PlanCache:
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._entries
+
+
+class PlanCache(_Store):
+    """The store of compiled plans and, one level down, of the skeletons
+    they are bound from (same ``capacity``); invalidation drops both."""
+
+    def __init__(self, capacity: int = 64):
+        super().__init__(capacity)
+        self._skeletons = _Store(capacity)
+
+    def skeleton(self, key: str, build: Callable[[], CompiledPlan]) -> CompiledPlan:
+        """The skeleton cached as ``key``, built at most once per key."""
+        return self._skeletons.get_or_build(key, build)[0]
+
+    def invalidate(self, key: str) -> bool:
+        """Drop one plan by key, and its skeleton; whether it was resident."""
+        with self._lock:
+            plan = self._entries.get(key)
+        if plan is not None:
+            self._skeletons.invalidate(plan.skeleton)
+        return super().invalidate(key)
+
+    def invalidate_tables(self, names) -> int:
+        """Drop every plan and skeleton reading ``names``; how many plans."""
+        names = set(names)
+        self._skeletons.invalidate_tables(names)
+        return super().invalidate_tables(names)
+
+    def clear(self) -> int:
+        """Drop every plan and skeleton; how many plans."""
+        self._skeletons.clear()
+        return super().clear()
+
+    def skeleton_stats(self) -> dict[str, int]:
+        """The skeleton store's counters, under keys of their own."""
+        stats = self._skeletons.stats()
+        names = ("hits", "misses", "evictions", "size")
+        return {f"skeleton_{name}": stats[name] for name in names}

@@ -390,7 +390,7 @@ class ViewServer:
             max_workers=workers, thread_name_prefix="viewserver"
         )
         self._deadlines = DeadlineWatch("viewserver-deadline")
-        self._catalog_fingerprint = fingerprint_catalog(catalog)
+        self.catalog_fingerprint = fingerprint_catalog(catalog)
         self._lock = threading.Lock()
         self._next_request_id = 1
         self.requests_served = 0
@@ -548,7 +548,7 @@ class ViewServer:
     def plan_key_for(self, request: PublishRequest) -> str:
         """The cache key a request resolves to (content fingerprint)."""
         return plan_key(
-            self._catalog_fingerprint,
+            self.catalog_fingerprint,
             request.view,
             request.stylesheet,
             prune=request.prune,
@@ -591,7 +591,9 @@ class ViewServer:
                 # Compile-site fault injection (tests): a transient error
                 # get_or_build's cleanup and the breaker both observe.
                 self.faults.check_compile(key)
-            return compile_plan(key, request, self.catalog)
+            return compile_plan(
+                key, request, self.catalog, self.catalog_fingerprint, self.plan_cache
+            )
 
         hit = False
         try:
@@ -1124,7 +1126,11 @@ class ViewServer:
             "errors": errors,
             "workers": self.workers,
             # The (possibly shared) store's figures, this server's lookups.
-            "cache": {**self.plan_cache.stats(), **plan_lookups},
+            "cache": {
+                **self.plan_cache.stats(),
+                **self.plan_cache.skeleton_stats(),
+                **plan_lookups,
+            },
             "freshness": freshness,
             "outcomes": outcomes,
             "cancelled": cancelled_requests,

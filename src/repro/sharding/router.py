@@ -633,10 +633,11 @@ class ShardRouter:
         Returns ``(plan key, merge plan)``.
         """
         # A member's key function, so router and members cannot disagree.
-        key = self.shards[0].members[0].server.plan_key_for(request)
-        compiled, _ = self.plan_cache.get_or_build(
-            key, lambda: compile_plan(key, request, self.catalog)
-        )
+        server = self.shards[0].members[0].server
+        key = server.plan_key_for(request)
+        compiled, _ = self.plan_cache.get_or_build(key, lambda: compile_plan(
+            key, request, self.catalog, server.catalog_fingerprint, self.plan_cache
+        ))
         plan = compiled.merge_plan
         if plan is None:
             view = compiled.view
@@ -1002,7 +1003,7 @@ class ShardRouter:
             "requests_served": sum(m["requests_served"] for m in per_server),
             "errors": sum(m["errors"] for m in per_server),
             "workers": sum(m["workers"] for m in per_server),
-            "cache": self.plan_cache.stats(),
+            "cache": {**self.plan_cache.stats(), **self.plan_cache.skeleton_stats()},
             "freshness": summed("freshness"),
             "outcomes": summed("outcomes"),
             "queries_executed": sum(

@@ -26,6 +26,7 @@ from repro.xslt.model import (
     ValueOf,
     WithParam,
     XslParam,
+    stylesheet_shape,
 )
 from repro.xslt.parser import parse_stylesheet
 from repro.xslt.processor import ProcessStats, XSLTProcessor, apply_stylesheet
@@ -48,4 +49,5 @@ __all__ = [
     "ProcessStats",
     "XSLTProcessor",
     "apply_stylesheet",
+    "stylesheet_shape",
 ]

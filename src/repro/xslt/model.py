@@ -20,6 +20,7 @@ composition code reads like the pseudo-code in Figure 9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Optional, Union
 
 from repro.xpath.ast import Expr, LocationPath
@@ -250,3 +251,53 @@ class Stylesheet:
         if not self.rules:
             return 0
         return max(len(r.apply_templates_nodes()) for r in self.rules)
+
+
+class Slot(str):
+    """A literal's placeholder in a shape: what ``bind`` fills, and all."""
+
+    __slots__ = ()
+
+
+def slot(index: int) -> Slot:
+    """Literal ``index``'s placeholder in a shape: not an XML name."""
+    return Slot(f"{{slot {index}}}")
+
+
+def stylesheet_shape(stylesheet: Stylesheet) -> tuple[Stylesheet, tuple[str, ...]]:
+    """``(shape, literals)``: ``stylesheet`` with each literal result tag and
+    static attribute value replaced by ``slot(i)``, ``literals[i]`` what it
+    replaced, in document order. What composition reads (patterns, modes,
+    priorities, attribute names, AVTs, selects) is shared, untouched."""
+    literals: list[str] = []
+    shape = Stylesheet()
+    shape.rules = [  # positions kept as they are: they break priority ties
+        TemplateRule(
+            rule.match, rule.mode, rule.priority,
+            _shaped(rule.output, literals), rule.params, rule.position,
+        )
+        for rule in stylesheet.rules
+    ]
+    return shape, tuple(literals)
+
+
+def _shaped(nodes: list, literals: list[str]) -> list:
+    return [_shape_node(node, literals) for node in nodes]
+
+
+def _shape_node(node, literals: list[str]):
+    if isinstance(node, LiteralElement):
+        tag = len(literals)
+        literals += [node.tag, *node.attributes.values()]
+        attributes = dict(zip(node.attributes, map(slot, count(tag + 1))))
+        return LiteralElement(
+            slot(tag), attributes, _shaped(node.children, literals),
+            node.avt_attributes,
+        )
+    if isinstance(node, (IfInstruction, ChooseWhen)):
+        return type(node)(node.test, _shaped(node.children, literals))
+    if isinstance(node, ForEach):
+        return ForEach(node.select, _shaped(node.children, literals), node.sorts)
+    if isinstance(node, Choose):
+        return Choose(_shaped(node.whens, literals), _shaped(node.otherwise, literals))
+    return node

@@ -36,6 +36,7 @@ from repro.schema_tree import bulk_evaluator
 from repro.maintenance import DeltaEvaluator, MaterializedState
 from repro.schema_tree.bulk_evaluator import (
     BulkViewEvaluator,
+    _Planner,
     columns_fit,
     materialize_bulk,
 )
@@ -1172,7 +1173,7 @@ def test_node_plans_are_memoized_on_the_view_they_describe(caplog):
 
     view = fallback_below_two_bulk_levels_view()
     planned = []
-    real_plan_node = BulkViewEvaluator._plan_node
+    real_plan_node = _Planner.plan_node
 
     def counting(self, node, tainted):
         planned.append(node.tag)
@@ -1182,7 +1183,7 @@ def test_node_plans_are_memoized_on_the_view_they_describe(caplog):
         populate(db, seed=1)
         first, second = BulkViewEvaluator(db), BulkViewEvaluator(db)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(BulkViewEvaluator, "_plan_node", counting)
+            patch.setattr(_Planner, "plan_node", counting)
             with caplog.at_level("WARNING", logger=bulk_evaluator.__name__):
                 plans = first.plan_view(view)
                 assert second.plan_view(view) is plans

@@ -32,7 +32,7 @@ from repro.maintenance import (
     incremental,
 )
 from repro.relational.engine import Database
-from repro.schema_tree.bulk_evaluator import BulkViewEvaluator, _Column
+from repro.schema_tree.bulk_evaluator import BulkViewEvaluator, _Column, _Planner
 from repro.schema_tree.evaluator import materialize
 from repro.serving import ViewServer
 from repro.sharding import ShardRouter
@@ -429,13 +429,13 @@ def test_nine_live_plans_are_planned_once_each(monkeypatch):
     process-wide 8-entry FIFO this replaces evicted every entry before
     its next use: all nine views re-planned on every round."""
     planned = []
-    real_plan_node = BulkViewEvaluator._plan_node
+    real_plan_node = _Planner.plan_node
 
     def counting(self, node, tainted):
         planned.append(node)
         return real_plan_node(self, node, tainted)
 
-    monkeypatch.setattr(BulkViewEvaluator, "_plan_node", counting)
+    monkeypatch.setattr(_Planner, "plan_node", counting)
     with delta_server() as (db, tracker, server):
         view = figure1_view(db.catalog)
         sheets = variants(9)

@@ -15,7 +15,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
-from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
+from repro.schema_tree.bulk_evaluator import _Planner
 from repro.serving import PublishRequest
 from repro.sharding import PartitionScheme, ShardRouter
 from repro.sharding import router as router_module
@@ -25,6 +25,7 @@ from repro.workloads.hotel import (
     hotel_partition_scheme,
 )
 from repro.workloads.paper import figure1_view, figure4_stylesheet
+from repro.xslt.model import stylesheet_shape
 from tests.serving.test_collector_guard import variants
 
 # ``repro.core`` exports the function over the module's name.
@@ -55,11 +56,11 @@ def test_a_resident_view_answers_while_another_compiles(monkeypatch):
     compiling, release = threading.Event(), threading.Event()
     real_compile = router_module.compile_plan
 
-    def gated_compile(key, request, catalog):
+    def gated_compile(key, request, *args):
         if request.stylesheet is slow_sheet:
             compiling.set()
             assert release.wait(timeout=30)
-        return real_compile(key, request, catalog)
+        return real_compile(key, request, *args)
 
     composed = []
     real_compose = compose_module.compose
@@ -81,14 +82,15 @@ def test_a_resident_view_answers_while_another_compiles(monkeypatch):
             assert not slow.done()  # A is still compiling
             release.set()
             assert slow.result(timeout=30).outcome == "success"
-            # Eight first requests for one new stylesheet: one compose.
+            # Eight first requests for one new stylesheet: one compose,
+            # of its shape.
             traces = list(
                 pool.map(lambda _: router.render(view, new_sheet), range(8))
             )
         assert {t.outcome for t in traces} == {"success"}
         assert len({t.xml for t in traces}) == 1
-        assert composed.count(new_sheet) == 1
-        assert composed.count(slow_sheet) == 1
+        assert composed.count(stylesheet_shape(new_sheet)[0]) == 1
+        assert composed.count(stylesheet_shape(slow_sheet)[0]) == 1
     finally:
         release.set()
         router.close()
@@ -105,7 +107,7 @@ def test_a_fleet_compiles_and_plans_each_stylesheet_once(monkeypatch):
     sheets = variants(5)
     composed, planned = [], []
     real_compose = compose_module.compose
-    real_plan_node = BulkViewEvaluator._plan_node
+    real_plan_node = _Planner.plan_node
 
     def counting_compose(*args, **kwargs):
         composed.append(args[1])
@@ -116,7 +118,7 @@ def test_a_fleet_compiles_and_plans_each_stylesheet_once(monkeypatch):
         return real_plan_node(self, node, tainted)
 
     monkeypatch.setattr(compose_module, "compose", counting_compose)
-    monkeypatch.setattr(BulkViewEvaluator, "_plan_node", counting_plan_node)
+    monkeypatch.setattr(_Planner, "plan_node", counting_plan_node)
     try:
         for _ in range(2):
             for sheet in sheets:
