@@ -205,6 +205,12 @@ class SqliteDriver:
         shared-cache memory clone (clone-mode pools)."""
         return _SqliteSnapshot(source)
 
+    def copy(self, source, target) -> None:
+        """Copy a live :class:`Database` whole — rows, rowids, indexes,
+        statistics — into a fresh one (the backup API; the source is only
+        read)."""
+        source.connection.backup(target.connection)
+
     # -- change capture ------------------------------------------------------
 
     def install_change_capture(

@@ -159,7 +159,8 @@ class Database:
         # is the caller's job via ``driver.cancel(connection)``.
         self.cancel_check: Optional[Callable[[], None]] = None
         if create:
-            self.create_all()
+            self.create_tables()
+            self.create_indexes()
 
     @classmethod
     def open(
@@ -237,11 +238,21 @@ class Database:
 
     # -- schema / data -------------------------------------------------------
 
-    def create_all(self) -> None:
-        """Create every table (and declared index) in the catalog."""
+    def create_tables(self) -> None:
+        """Create every table in the catalog, without its secondary
+        indexes: a bulk load inserts first and indexes once
+        (:meth:`create_indexes`), instead of updating every index per row."""
         self._check_writable("create tables")
-        for ddl in self.catalog.ddl_statements():
-            self.driver.execute(self.connection, ddl)
+        for declared in self.catalog:
+            self.driver.execute(self.connection, declared.ddl())
+        self.driver.commit(self.connection)
+
+    def create_indexes(self) -> None:
+        """Create every table's declared secondary indexes."""
+        self._check_writable("create indexes")
+        for declared in self.catalog:
+            for ddl in declared.index_ddl():
+                self.driver.execute(self.connection, ddl)
         self.driver.commit(self.connection)
 
     def insert_rows(self, table: str, rows: Iterable[Mapping[str, Any]]) -> int:

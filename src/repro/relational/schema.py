@@ -121,15 +121,6 @@ class Catalog:
         """Ordered column names of ``table`` (TableColumns protocol)."""
         return self.table(table).column_names()
 
-    # DDL --------------------------------------------------------------------
-
-    def ddl_statements(self) -> list[str]:
-        """CREATE TABLE (and CREATE INDEX) statements for every table."""
-        statements = [t.ddl() for t in self]
-        for t in self:
-            statements.extend(t.index_ddl())
-        return statements
-
 
 def table(
     name: str,

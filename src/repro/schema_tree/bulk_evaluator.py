@@ -95,6 +95,7 @@ from repro.sql.analysis import has_top_level_aggregate, output_columns
 from repro.sql.ast import ColumnRef, FuncCall, ParamRef, Select, Star
 from repro.sql.params import collect_params, walk_exprs
 from repro.sql.transform import (
+    aggregate_before_join,
     attach_parent_query,
     expand_stars,
     simplify_exists,
@@ -400,8 +401,11 @@ class _Planner:
                     )
                 key_columns.append(exposed)
         # The clone is finished: its EXISTS bodies need only say whether
-        # a tuple exists (the tag query itself keeps the paper's SQL).
+        # a tuple exists, and a grouped node groups its base tables before
+        # they meet the inlined ancestors (the tag query itself keeps the
+        # paper's SQL).
         simplify_exists(query)
+        aggregate_before_join(query, catalog)
         return query, key_columns
 
 

@@ -7,8 +7,8 @@ key of the single base table the schema tree's first query-bearing node
 ranges over (``metroarea.metroid`` for Figure 1). This module derives
 that column from the view (:func:`derive_partition_column`), splits its
 key domain into contiguous ranges (:class:`KeyRangePartitioner`), and
-deals a source database's rows out to one :class:`Database` per shard
-according to a workload-declared :class:`PartitionScheme`.
+carves one :class:`Database` per shard out of a copy of the source, in
+the engine, according to a workload-declared :class:`PartitionScheme`.
 
 The scheme is declarative: for every base table it names a *key query*
 returning ``(primary_key, partition_key)`` pairs — the join path from
@@ -29,7 +29,6 @@ from repro.errors import ReproError
 from repro.relational.engine import Database
 from repro.relational.schema import Catalog
 from repro.schema_tree.model import SchemaNode, SchemaTreeQuery
-from repro.sql.parser import parse_select
 
 
 class ShardingError(ReproError):
@@ -179,8 +178,10 @@ class PartitionScheme:
     ``key_queries`` maps every catalog table to SQL returning
     ``(primary_key, partition_key)`` pairs — the join path from the
     table's rows to the shard key they belong to — or ``None`` to
-    replicate the table to all shards. :func:`partition_database`
-    validates the scheme covers the catalog exactly.
+    replicate the table to all shards. A key query reads its own table
+    and tables declared before it in the catalog — the foreign-key path
+    toward the partition table. :func:`partition_database` validates the
+    scheme covers the catalog exactly.
     """
 
     table: str
@@ -216,60 +217,89 @@ def partition_keys(source: Database, scheme: PartitionScheme) -> list:
     return [row["k"] for row in rows]
 
 
+def _owned(index: int, partitioner: KeyRangePartitioner) -> tuple[str, dict]:
+    """The condition on ``part`` that holds exactly for the keys
+    :meth:`KeyRangePartitioner.shard_of` maps to shard ``index``, and
+    its bound parameters.
+
+    Shard ``i`` owns the keys above the previous range's upper bound up
+    to its own: the first shard is open below, the last open above (so a
+    key between two ranges goes to the upper one). A NULL key satisfies
+    no comparison, and the ``IS NOT NULL`` of the one-shard case keeps
+    that so: no shard's view queries serve such a row.
+    """
+    uppers = [key_range.high for key_range in partitioner.ranges]
+    conditions, bounds = [], {}
+    if index > 0:
+        conditions.append("part > :low")
+        bounds["low"] = uppers[index - 1]
+    if index < len(uppers) - 1:
+        conditions.append("part <= :high")
+        bounds["high"] = uppers[index]
+    return " AND ".join(conditions) or "part IS NOT NULL", bounds
+
+
 def partition_database(
     source: Database,
     scheme: PartitionScheme,
     partitioner: KeyRangePartitioner,
     cross_thread: bool = True,
 ) -> list[Database]:
-    """Deal the source's rows into one fresh database per shard.
+    """Carve one database per shard out of a copy of the source, in the
+    engine.
 
-    Rows are inserted in source order, so within every shard the
-    partition table's rows stay ascending by key — combined with the
+    Each shard starts as a backup of the whole source. Per routed table,
+    one ``DELETE`` then drops every row that the table's key query does
+    not map into the shard's key range — rows of other shards, and rows
+    whose join path dead-ends (orphans) or whose key is NULL, which no
+    shard's view queries serve. Tables are carved last-declared first,
+    so a key query that follows foreign keys to tables declared before
+    its own (as the hotel scheme's do) reads them uncarved. ``VACUUM``
+    gives the deleted pages back and ``ANALYZE`` re-counts what is left.
+    No row passes through Python, and the source is only read.
+
+    A shard's rows keep their source rowids and order, so within every
+    shard the partition table stays ascending by key — combined with the
     partitioner's ascending ranges, shard-order concatenation preserves
-    global document order. Each table is read once by position, routed
-    on its primary-key position and inserted as the cursor's rows: only
-    the key queries build a dict. Replicated tables (key query ``None``) are
-    copied to every shard verbatim. The returned databases are writable
-    and opened ``cross_thread`` (default) so a writer thread and the
-    serving pools' re-snapshot path can share them, exactly like the
-    single-box update-aware setup.
+    global document order. Replicated tables (key query ``None``) are
+    copied whole. The returned databases are writable and opened
+    ``cross_thread`` (default) so a writer thread and the serving pools'
+    re-snapshot path can share them, exactly like the single-box
+    update-aware setup. If carving a shard fails, every shard made so far
+    is closed before the error propagates.
     """
     scheme.validate(source.catalog)
-    shards = [
-        Database(source.catalog, cross_thread=cross_thread)
-        for _ in range(partitioner.shards)
+    routed = [
+        declared
+        for declared in reversed(list(source.catalog))
+        if scheme.key_queries[declared.name] is not None
     ]
-    for declared in source.catalog:
-        columns = declared.column_names()
-        _, rows = source.run_rows(
-            parse_select(f"SELECT {', '.join(columns)} FROM {declared.name}")
-        )
-        key_query = scheme.key_queries[declared.name]
-        if key_query is None:
-            for shard in shards:
-                shard.insert_positional(declared.name, rows)
-            continue
+    for declared in routed:
         if declared.primary_key is None:
             raise ShardingError(
                 f"table {declared.name!r} has a key query but no primary "
                 "key to route by"
             )
-        owner_by_pk = {
-            row["pk"]: partitioner.shard_of(row["part"])
-            for row in source.run_sql(key_query, {})
-        }
-        pk = columns.index(declared.primary_key)
-        dealt: list[list] = [[] for _ in shards]
-        for row in rows:
-            owner = owner_by_pk.get(row[pk])
-            if owner is None:
-                # A row whose join path dead-ends (orphan) is served by
-                # no shard's view queries; drop it rather than guess.
-                continue
-            dealt[owner].append(row)
-        for shard, shard_rows in zip(shards, dealt):
-            shard.insert_positional(declared.name, shard_rows)
-    for shard in shards:
-        shard.analyze()
+    shards: list[Database] = []
+    try:
+        for index in range(partitioner.shards):
+            shard = Database(
+                source.catalog, create=False, cross_thread=cross_thread
+            )
+            shards.append(shard)
+            source.driver.copy(source, shard)
+            owned, bounds = _owned(index, partitioner)
+            for declared in routed:
+                shard.run_sql(
+                    f"DELETE FROM {declared.name} "
+                    f"WHERE {declared.primary_key} NOT IN (SELECT pk FROM "
+                    f"({scheme.key_queries[declared.name]}) WHERE {owned})",
+                    bounds,
+                )
+            shard.run_sql("VACUUM")
+            shard.analyze()
+    except BaseException:
+        for shard in shards:
+            shard.close()
+        raise
     return shards

@@ -36,9 +36,16 @@ from repro.sql.ast import (
     Select,
     SelectItem,
     Star,
+    TableRef,
     UnaryOp,
 )
-from repro.sql.params import map_exprs, referenced_vars, walk_exprs
+from repro.sql.params import (
+    map_exprs,
+    map_exprs_scoped,
+    referenced_vars,
+    walk_exprs,
+    walk_exprs_scoped,
+)
 
 
 def _collect_aliases(query: Select, names: set[str]) -> None:
@@ -211,8 +218,6 @@ def inline_parameter(query: Select, var: str, parent: Select, alias: Optional[st
 
     Returns the alias used.
     """
-    from repro.sql.params import map_exprs_scoped
-
     chosen = alias or fresh_alias(query)
     qualify_bare_stars(query)
     query.from_items.append(DerivedTable(parent.clone(), chosen))
@@ -303,8 +308,6 @@ def _attach_parent_scalar(
     alias = fresh_alias(query)
     query.from_items = [DerivedTable(parent.clone(), alias)]
     if var is not None:
-        from repro.sql.params import map_exprs
-
         def fn(expr: Expr) -> Optional[Expr]:
             if isinstance(expr, ParamRef) and expr.var == var:
                 return ColumnRef(expr.column, table=alias)
@@ -580,6 +583,234 @@ def simplify_exists(select: Select) -> None:
             continue
         body.items = [SelectItem(LiteralValue(1))]
         body.group_by, body.order_by, body.distinct = [], [], False
+
+
+#: Aggregates whose value is a function of the multiset they read, in any
+#: order. ``SUM`` / ``AVG`` are not: over REAL values sqlite adds in scan
+#: order, and grouping first changes that order.
+_ORDER_FREE_AGGREGATES = frozenset({"COUNT", "MIN", "MAX"})
+
+
+def _operands(expr: Expr) -> tuple:
+    """The direct sub-expressions of a subquery-free expression."""
+    if isinstance(expr, BinOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, UnaryOp):
+        return (expr.operand,)
+    if isinstance(expr, FuncCall):
+        return expr.args
+    if isinstance(expr, InExpr):
+        return (expr.needle, *expr.values)
+    return ()
+
+
+def _column_refs(expr: Expr) -> list[ColumnRef]:
+    if isinstance(expr, ColumnRef):
+        return [expr]
+    return [ref for operand in _operands(expr) for ref in _column_refs(operand)]
+
+
+def _conjuncts(expr: Optional[Expr]) -> list[Expr]:
+    if expr is None:
+        return []
+    if isinstance(expr, BinOp) and expr.op == "AND":
+        return _conjuncts(expr.left) + _conjuncts(expr.right)
+    return [expr]
+
+
+def _unique_columns(select: Select, catalog: TableColumns) -> Optional[set[str]]:
+    """Output columns no two rows of ``select`` agree on all of, when
+    known: its GROUP BY columns (each selected as it is grouped), every
+    column of a DISTINCT query, or the INTEGER primary key of its single
+    base table (when ``catalog`` declares one) — the rowid, never NULL,
+    where another primary key may hold NULL twice."""
+    selected = {
+        item.expr: item.output_name()
+        for item in select.items
+        if isinstance(item.expr, ColumnRef)
+    }
+    if select.group_by:
+        names = [selected.get(expr) for expr in select.group_by]
+    elif select.distinct:
+        names = [item.output_name() for item in select.items]
+    else:
+        source = select.from_items[0] if len(select.from_items) == 1 else None
+        table = getattr(catalog, "table", None)
+        if (
+            not isinstance(source, TableRef)
+            or table is None
+            or has_top_level_aggregate(select)
+        ):
+            return None
+        declared = table(source.name)
+        key = declared.primary_key
+        if not any(c.name == key and c.type == "INTEGER" for c in declared.columns):
+            return None
+        names = [
+            selected.get(ColumnRef(key, source.binding_name))
+            or selected.get(ColumnRef(key))
+        ]
+    return None if None in names else set(names)
+
+
+def _placeable(expr: Expr, base, derived, aggregates: dict) -> bool:
+    """Whether ``expr`` reads a base column only inside an aggregate that
+    :func:`aggregate_before_join` can compute before the join, and every
+    other column from a derived item; its aggregates are numbered into
+    ``aggregates`` (``agg1``, …) as they are met."""
+    if isinstance(expr, FuncCall) and expr.is_aggregate:
+        if (
+            expr.name not in _ORDER_FREE_AGGREGATES
+            or any(_expr_has_aggregate(arg) for arg in expr.args)
+            or any(
+                ref.table not in base
+                for arg in expr.args
+                for ref in _column_refs(arg)
+            )
+        ):
+            return False
+        aggregates.setdefault(expr, f"agg{len(aggregates) + 1}")
+        return True
+    if isinstance(expr, ColumnRef):
+        return expr.table in derived
+    return all(
+        _placeable(operand, base, derived, aggregates)
+        for operand in _operands(expr)
+    )
+
+
+def aggregate_before_join(query: Select, catalog: TableColumns) -> bool:
+    """Group a grouped query's base tables once, before they meet its
+    derived tables (eager aggregation); in place, and whether it did.
+
+    UNBIND (§4.2) puts an ancestor's query in the FROM list as a derived
+    table, so a grouped node such as Figure 1's ``<metro_available>``
+    joins its base tables once per derived row and then groups every
+    joined row. The rewrite moves the base FROM items and the conjuncts
+    that read only them into one derived table that groups their join by
+    the base columns the cross equalities read (``key1``, …) and computes
+    each aggregate there (``agg1``, …); the query joins those groups to
+    the derived items by the same equalities and reads each aggregate as
+    a column. Its GROUP BY stays, so the rows come out in the same order.
+
+    It applies when every derived item is unique on columns the GROUP BY
+    holds, directly or through ``=`` / ``IS`` conjuncts; every conjunct
+    that reads both sides is a base column ``=`` / ``IS`` a derived one
+    (and there is one); every aggregate is an aliased ``COUNT`` / ``MIN``
+    / ``MAX`` of base columns; and nothing outside an aggregate reads a
+    base column. It declines a HAVING, a subquery, a star or an
+    unqualified column. Soundness: DESIGN.md §8, "Aggregate before the
+    join". A planner rewrite like :func:`simplify_exists`: the view's tag
+    queries keep the paper's SQL.
+    """
+    if not query.group_by or query.having is not None:
+        return False
+    base = {i.binding_name for i in query.from_items if isinstance(i, TableRef)}
+    derived = {i.alias: i for i in query.from_items if isinstance(i, DerivedTable)}
+    if not base or not derived:
+        return False
+    for expr in walk_exprs_scoped(query):
+        if isinstance(expr, (ExistsExpr, ScalarSubquery, Star)) or (
+            isinstance(expr, InExpr) and expr.select is not None
+        ):
+            return False
+        if isinstance(expr, ColumnRef) and expr.table not in base | derived.keys():
+            return False
+
+    aggregates: dict[FuncCall, str] = {}
+    for expr in (
+        *(item.expr for item in query.items),
+        *query.group_by,
+        *(order.expr for order in query.order_by),
+    ):
+        if not _placeable(expr, base, derived, aggregates):
+            return False
+    if any(
+        item.alias is None and _expr_has_aggregate(item.expr)
+        for item in query.items
+    ):
+        return False  # its column would lose the aggregate's name
+
+    # Sort the conjuncts: base-only ones move into the grouped table, a
+    # cross equality joins the groups by a key column. ``equal`` links
+    # the columns an ``=`` / ``IS`` conjunct equates.
+    grouped_alias = fresh_alias(query, "AGG")
+    equal: dict[ColumnRef, set[ColumnRef]] = {}
+    moved, kept, keys = [], [], {}
+    for conjunct in _conjuncts(query.where):
+        sides = {ref.table in base for ref in _column_refs(conjunct)}
+        pair = (
+            isinstance(conjunct, BinOp)
+            and conjunct.op in ("=", "IS")
+            and isinstance(conjunct.left, ColumnRef)
+            and isinstance(conjunct.right, ColumnRef)
+        )
+        if pair:
+            linked = equal.setdefault(conjunct.left, {conjunct.left})
+            linked |= equal.setdefault(conjunct.right, {conjunct.right})
+            for ref in linked:
+                equal[ref] = linked
+        if sides == {True}:
+            moved.append(conjunct)
+        elif True not in sides:
+            kept.append(conjunct)
+        elif pair:
+            key = ColumnRef(
+                keys.setdefault(
+                    conjunct.left if conjunct.left.table in base
+                    else conjunct.right,
+                    f"key{len(keys) + 1}",
+                ),
+                grouped_alias,
+            )
+            kept.append(BinOp(
+                conjunct.op,
+                key if conjunct.left.table in base else conjunct.left,
+                key if conjunct.right.table in base else conjunct.right,
+            ))
+        else:
+            return False
+    if not keys:
+        return False
+    held = {
+        ref
+        for expr in query.group_by if isinstance(expr, ColumnRef)
+        for ref in equal.get(expr, {expr})
+    }
+    for alias, item in derived.items():
+        unique = _unique_columns(item.select, catalog)
+        if unique is None or any(
+            ColumnRef(column, alias) not in held for column in unique
+        ):
+            return False
+
+    grouped = Select(
+        items=[SelectItem(ref, name) for ref, name in keys.items()]
+        + [SelectItem(call, name) for call, name in aggregates.items()],
+        from_items=[i for i in query.from_items if isinstance(i, TableRef)],
+        group_by=list(keys),
+    )
+    for conjunct in moved:
+        grouped.add_where(conjunct)
+    # The grouped table takes the first base item's place in the FROM list.
+    first = next(
+        n for n, i in enumerate(query.from_items) if isinstance(i, TableRef)
+    )
+    query.from_items = [
+        DerivedTable(grouped, grouped_alias) if n == first else i
+        for n, i in enumerate(query.from_items)
+        if n == first or isinstance(i, DerivedTable)
+    ]
+    query.where = None
+    for conjunct in kept:
+        query.add_where(conjunct)
+    map_exprs_scoped(
+        query,
+        lambda expr: ColumnRef(aggregates[expr], grouped_alias)
+        if isinstance(expr, FuncCall) and expr in aggregates
+        else None,
+    )
+    return True
 
 
 def expand_stars(query: Select, catalog: TableColumns) -> None:

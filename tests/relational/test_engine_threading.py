@@ -83,7 +83,9 @@ def test_open_defaults_to_read_only(hotel_file):
         with pytest.raises(ViewEvaluationError, match="read-only"):
             db.insert_rows("metroarea", [])
         with pytest.raises(ViewEvaluationError, match="read-only"):
-            db.create_all()
+            db.create_tables()
+        with pytest.raises(ViewEvaluationError, match="read-only"):
+            db.create_indexes()
         with pytest.raises(ViewEvaluationError, match="read-only"):
             db.analyze()
         # Raw SQL writes are stopped by sqlite itself (mode=ro +

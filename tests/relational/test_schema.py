@@ -50,4 +50,7 @@ def test_catalog_columns_of():
 def test_catalog_iteration_preserves_order():
     catalog = Catalog([table("b", ("x", "TEXT")), table("a", ("y", "TEXT"))])
     assert catalog.table_names() == ["b", "a"]
-    assert len(catalog.ddl_statements()) == 2
+    assert [t.ddl() for t in catalog] == [
+        "CREATE TABLE b (x TEXT)",
+        "CREATE TABLE a (y TEXT)",
+    ]

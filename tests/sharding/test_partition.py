@@ -1,4 +1,4 @@
-"""Key derivation, key-range partitioning, and database dealing."""
+"""Key derivation, key-range partitioning, and carving shards."""
 
 from __future__ import annotations
 
@@ -132,7 +132,7 @@ def test_replicated_partition_table_is_rejected(catalog):
         broken.validate(catalog)
 
 
-# -- dealing rows ------------------------------------------------------------
+# -- carving shards ---------------------------------------------------------
 
 
 def _counts(db, table):
@@ -208,51 +208,140 @@ def test_orphan_rows_are_dropped_not_guessed():
         db.close()
 
 
-def test_rows_are_dealt_by_position_and_only_key_queries_build_dicts(
-    monkeypatch,
-):
-    """Every table is read once as cursor rows, routed on the primary-key
-    position and handed to ``executemany`` as it came: the only dicts
-    built are the key queries' ``(pk, part)`` rows — and each shard still
-    holds exactly the source's rows for its keys, in source order."""
+def _rows_in_rowid_order(db, table):
+    return db.connection.execute(
+        f"SELECT rowid, * FROM {table} ORDER BY rowid"
+    ).fetchall()
+
+
+@pytest.mark.parametrize(
+    "partitioner",
+    [
+        *(
+            KeyRangePartitioner.from_keys(range(1, 7), shards)
+            for shards in (1, 2, 3, 4)
+        ),
+        # Built from another key set: source metro 1 is below every
+        # range, 3 between two, 6 above them all.
+        KeyRangePartitioner([KeyRange(2, 2), KeyRange(4, 4), KeyRange(5, 5)]),
+    ],
+    ids=["1-shard", "2-shards", "3-shards", "4-shards", "other-key-set"],
+)
+def test_each_shard_is_carved_in_the_engine(partitioner, monkeypatch):
+    """Each shard holds exactly the source rows whose key ``shard_of``
+    maps to it, with their source rowids in source order; replicated
+    tables whole. No table is scanned into Python, no freed page is
+    left behind, and the source records no write."""
+    from repro.maintenance.tracker import WriteTracker
     from repro.relational import engine
 
     db = build_hotel_database(
-        HotelDataSpec(metros=4, hotels_per_metro=3), seed=SEED
+        HotelDataSpec(metros=6, hotels_per_metro=2), seed=SEED
     )
+    tracker = WriteTracker()
+    db.attach_tracker(tracker, auto=True)
     scheme = hotel_partition_scheme()
-    part = KeyRangePartitioner.from_keys(partition_keys(db, scheme), 2)
-    calls = []
-    real = engine._as_dicts
+    scans = []
+    real_as_dicts, real_run_rows = engine._as_dicts, engine.Database.run_rows
     monkeypatch.setattr(
         engine, "_as_dicts",
-        lambda names, rows: calls.append(names) or real(names, rows),
+        lambda names, rows: scans.append(names) or real_as_dicts(names, rows),
     )
-    shards = partition_database(db, scheme, part)
+    monkeypatch.setattr(
+        engine.Database, "run_rows",
+        lambda self, query: scans.append(query) or real_run_rows(self, query),
+    )
+    shards = partition_database(db, scheme, partitioner)
     monkeypatch.undo()
     try:
-        routed = [t for t, query in scheme.key_queries.items() if query]
-        assert calls == [["pk", "part"]] * len(routed)
+        assert scans == []
+        assert tracker.snapshot() == {}
+        assert len(shards) == partitioner.shards
         for declared in db.catalog:
-            source_rows = db.run_sql(f"SELECT * FROM {declared.name}", {})
+            source_rows = _rows_in_rowid_order(db, declared.name)
             query = scheme.key_queries[declared.name]
-            owner = (
-                {
-                    row["pk"]: part.shard_of(row["part"])
-                    for row in db.run_sql(query, {})
-                }
-                if query
-                else None
-            )
+            owner = query and {
+                row["pk"]: partitioner.shard_of(row["part"])
+                for row in db.run_sql(query)
+            }
+            pk = 1 + declared.column_names().index(declared.primary_key)
             for index, shard in enumerate(shards):
-                expected = [
+                assert _rows_in_rowid_order(shard, declared.name) == [
                     row for row in source_rows
-                    if owner is None
-                    or owner.get(row[declared.primary_key]) == index
+                    if owner is None or owner.get(row[pk]) == index
                 ]
-                assert shard.run_sql(
-                    f"SELECT * FROM {declared.name}", {}
-                ) == expected
+        for shard in shards:
+            assert shard.run_sql("PRAGMA freelist_count") == [
+                {"freelist_count": 0}
+            ]
+    finally:
+        for shard in shards:
+            shard.close()
+        db.close()
+
+
+def test_a_failed_carve_closes_the_shards_already_made(monkeypatch):
+    import sqlite3
+
+    from repro.relational.engine import Database
+
+    db = build_hotel_database(
+        HotelDataSpec(metros=4, hotels_per_metro=2), seed=SEED
+    )
+    scheme = hotel_partition_scheme()
+    part = KeyRangePartitioner.from_keys(partition_keys(db, scheme), 3)
+    analyzed = []
+
+    def failing_analyze(self):
+        analyzed.append(self)
+        if len(analyzed) == 2:
+            raise RuntimeError("carve failed")
+
+    monkeypatch.setattr(Database, "analyze", failing_analyze)
+    try:
+        with pytest.raises(RuntimeError, match="carve failed"):
+            partition_database(db, scheme, part)
+        assert len(analyzed) == 2
+        for shard in analyzed:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                shard.connection.execute("SELECT 1")
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("shard_count", [1, 2])
+def test_a_null_partition_key_is_dropped_as_an_orphan(shard_count):
+    """A hotel without a metro is served by no shard's view queries: it
+    and the rows that reach their key through it go nowhere."""
+    db = build_hotel_database(
+        HotelDataSpec(metros=2, hotels_per_metro=2), seed=SEED
+    )
+    db.run_sql("UPDATE hotel SET metro_id = NULL WHERE hotelid = 1")
+    scheme = hotel_partition_scheme()
+    part = KeyRangePartitioner.from_keys(
+        partition_keys(db, scheme), shard_count
+    )
+    shards = partition_database(db, scheme, part)
+    try:
+        lost = {"hotel": 1}
+        for table, column in (("guestroom", "rhotel_id"),
+                              ("confroom", "chotel_id")):
+            lost[table] = db.run_sql(
+                f"SELECT COUNT(*) AS n FROM {table} WHERE {column} = 1"
+            )[0]["n"]
+        lost["availability"] = db.run_sql(
+            "SELECT COUNT(*) AS n FROM availability, guestroom "
+            "WHERE a_r_id = r_id AND rhotel_id = 1"
+        )[0]["n"]
+        for table, dropped in lost.items():
+            assert dropped > 0
+            assert sum(_counts(s, table) for s in shards) == (
+                _counts(db, table) - dropped
+            )
+        for shard in shards:
+            assert shard.run_sql(
+                "SELECT COUNT(*) AS n FROM hotel WHERE hotelid = 1"
+            ) == [{"n": 0}]
     finally:
         for shard in shards:
             shard.close()

@@ -239,3 +239,39 @@ def test_simplify_exists_reaches_every_depth():
     printed = print_select(query)
     assert printed.count("EXISTS (SELECT 1 FROM") == printed.count("EXISTS") == 3
     assert "GROUP BY" not in printed and "DISTINCT" not in printed
+
+
+# -- aggregate_before_join: where uniqueness comes from ----------------------
+
+
+@pytest.mark.parametrize(
+    "key_type, catalog_declares_keys, applies",
+    [
+        ("INTEGER", True, True),
+        # Another primary key may hold NULL twice: not unique.
+        ("TEXT", True, False),
+        # A catalog that only lists columns declares no key.
+        ("INTEGER", False, False),
+    ],
+)
+def test_aggregate_before_join_trusts_only_an_integer_primary_key(
+    key_type, catalog_declares_keys, applies
+):
+    from repro.relational.schema import Catalog, table
+    from repro.sql.transform import aggregate_before_join
+
+    declared = Catalog([
+        table("dim", ("code", key_type), ("name", "TEXT"), primary_key="code"),
+        table("fact", ("fid", "INTEGER"), ("fcode", key_type)),
+    ])
+    catalog = declared if catalog_declares_keys else DictCatalog(
+        {t.name: t.column_names() for t in declared}
+    )
+    original = parse_select(
+        "SELECT COUNT(fact.fid) AS n, d.code FROM fact, "
+        "(SELECT dim.code FROM dim) AS d WHERE fact.fcode = d.code "
+        "GROUP BY d.code"
+    )
+    query = original.clone()
+    assert aggregate_before_join(query, catalog) is applies
+    assert (print_select(query) == print_select(original)) is not applies

@@ -1,5 +1,9 @@
 """Tests for the Figure 2 schema and its data generator."""
 
+import hashlib
+
+import pytest
+
 from repro.relational.engine import Database
 from repro.workloads.hotel import (
     HotelDataSpec,
@@ -81,6 +85,32 @@ def test_referential_integrity():
     )
     assert orphans[0]["n"] == 0
     db.close()
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (HotelDataSpec(),
+         "c2bf4130f4a05a0160ec8bc74005d1bbfb15e004610feb73e27e254d28b1c3f0"),
+        (HotelDataSpec().scaled(64),
+         "e4193ade8035029dc43f154785bd2ef22be77e1759845b8bd7edd7c4b1664a56"),
+    ],
+    ids=["default", "scaled-64"],
+)
+def test_generated_rows_and_planner_statistics_are_pinned(spec, digest):
+    """A SHA-256 over every table's rows in rowid order, then
+    ``sqlite_stat1``: how the generator loads and indexes may change, the
+    data and the statistics the planner sees may not."""
+    with build_hotel_database(spec) as db:
+        content = hashlib.sha256()
+        for table in db.catalog.table_names():
+            content.update(
+                repr(db.run_sql(f"SELECT * FROM {table} ORDER BY rowid")).encode()
+            )
+        content.update(
+            repr(db.run_sql("SELECT * FROM sqlite_stat1 ORDER BY tbl, idx")).encode()
+        )
+        assert content.hexdigest() == digest
 
 
 def test_some_hotels_pass_star_filter():
