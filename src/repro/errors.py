@@ -175,9 +175,10 @@ class RequestCancelled(ServingError):
     Cancellation is *cooperative and intentional* — the async front end
     cancels the losing attempt of a hedged request pair once the first
     response arrives. A cancelled request is neither a success nor a
-    failure: it must not feed the circuit breaker, must not retry, and
-    must not fall back to a degraded-stale serve (the winning attempt
-    already produced the response).
+    failure: it must not feed the circuit breaker (a half-open trial it
+    holds is released), must not retry, and must not fall back to a
+    degraded-stale serve (the winning attempt already produced the
+    response).
     """
 
     def __init__(self, reason: str = ""):
@@ -192,9 +193,9 @@ class ReplicaUnavailable(ServingError):
     The fleet fault injector marks a replica *crashed* for a window; its
     pool raises this from ``acquire`` so in-flight requests fail fast
     instead of computing against a dead member. Classified
-    ``"transient"`` — the crash window ends, and the router's
-    :class:`~repro.sharding.replica.ReplicaHealth` machine decides when
-    to probe the member again.
+    ``"transient"`` — the crash window ends, and the router's member
+    :class:`~repro.resilience.breaker.CircuitBreaker` decides when to
+    try the member again.
     """
 
     def __init__(self, member: str = "", detail: str = ""):

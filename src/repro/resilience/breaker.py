@@ -1,36 +1,46 @@
-"""Per-fingerprint circuit breaker for compiled publishing plans.
+"""The one closed / open / half-open failure machine.
 
-A plan that keeps failing — a poisoned compile, a tag query over a
-dropped table, a pathological input — should stop consuming worker
-time and pool connections on every request. :class:`CircuitBreaker`
-tracks *consecutive* failures per plan fingerprint and walks the
-classic three-state machine:
+Something that keeps failing — a compiled plan whose tag queries hit a
+dropped table, a fleet member whose disk died — should stop consuming
+worker time and pool connections on every request.
+:class:`CircuitBreaker` tracks *consecutive* failures per key and walks
+the classic three-state machine:
 
 * **closed** — requests flow; ``threshold`` consecutive failures open
   the circuit (a success at any point resets the count).
-* **open** — requests short-circuit immediately (the server falls back
-  to a degraded-stale response or errors) until ``cooldown_ms``
+* **open** — requests short-circuit immediately until ``cooldown_ms``
   elapses.
 * **half-open** — after the cooldown, up to ``half_open_max``
-  concurrent trial probes are admitted (further requests keep
+  concurrent trials are admitted (further requests keep
   short-circuiting until a trial resolves); the first success closes
   the circuit, the first failure re-opens it and restarts the
   cooldown.
 
-One breaker instance guards all keys (it lives on the
-:class:`~repro.serving.server.ViewServer` whose compile and execution
-outcomes it counts — never on a plan store other servers may share);
-state per key is a few counters, created lazily.
+Two callers key it: a :class:`~repro.serving.server.ViewServer` by plan
+fingerprint (its compile and execution outcomes — never on a plan store
+other servers may share), and a
+:class:`~repro.sharding.router.ShardRouter` by fleet member
+(``s{shard}:{member}``, fed by the members' request outcomes).
+
+Looking is not admitting. :meth:`ready` is read-only — the router asks
+it while enumerating candidates it may never attempt. :meth:`allow`
+takes the half-open trial slot, and only an attempt that will certainly
+run may call it: the slot is given back solely by that attempt's
+:meth:`record_success`, :meth:`record_failure` or — when the attempt was
+cancelled or shed and says nothing about the key — :meth:`release`. A
+slot taken and never settled locks the key out for good.
+
+State per key is a few counters, created lazily on the first failure.
 All transitions happen under one lock and are counted, so
-``metrics()`` can report exact open/close/half-open totals. The clock
-is injectable for deterministic tests.
+:meth:`stats` reports exact open/close/half-open totals. The clock is
+injectable for deterministic tests.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 #: Breaker states, in reporting order.
 BREAKER_STATES = ("closed", "open", "half-open")
@@ -45,9 +55,8 @@ class _Circuit:
         self.state = "closed"
         self.consecutive_failures = 0
         self.opened_at = 0.0
-        #: Half-open trial probes currently in flight (admitted by
-        #: :meth:`CircuitBreaker.allow`, resolved by the next
-        #: ``record_success``/``record_failure`` for the key).
+        #: Half-open trials admitted by :meth:`CircuitBreaker.allow` and
+        #: not yet settled.
         self.trials = 0
 
 
@@ -80,44 +89,53 @@ class CircuitBreaker:
         self.half_opened = 0
         self.short_circuits = 0
 
-    def _circuit(self, key: str) -> _Circuit:
-        circuit = self._circuits.get(key)
-        if circuit is None:
-            circuit = self._circuits[key] = _Circuit()
-        return circuit
+    def _cooling(self, circuit: _Circuit) -> bool:
+        """Whether an open circuit's cooldown is still running."""
+        elapsed_ms = (self._clock() - circuit.opened_at) * 1000.0
+        return elapsed_ms < self.cooldown_ms
 
     # -- request gating ------------------------------------------------------
 
-    def allow(self, key: str) -> bool:
-        """Whether a request for ``key`` may attempt computation now.
+    def ready(self, key: str) -> bool:
+        """Read-only: would :meth:`allow` admit a request for ``key`` now?
 
-        Open circuits refuse (counted as a short-circuit) until the
-        cooldown elapses, at which point the circuit half-opens and
-        admits up to ``half_open_max`` concurrent trial probes (any
-        further request short-circuits until a probe resolves). The
-        check itself has no outcome to report — callers must follow up
-        with :meth:`record_success` or :meth:`record_failure` after the
-        attempt, and the first failed trial re-opens the circuit
-        (restarting the cooldown) while the first success closes it.
+        Changes no state and no counter, so enumeration may ask it of
+        every candidate, including those it will never attempt.
         """
         with self._lock:
             circuit = self._circuits.get(key)
             if circuit is None or circuit.state == "closed":
                 return True
-            if circuit.state == "half-open":
-                if circuit.trials < self.half_open_max:
-                    circuit.trials += 1
-                    return True
-                self.short_circuits += 1
-                return False
-            elapsed_ms = (self._clock() - circuit.opened_at) * 1000.0
-            if elapsed_ms < self.cooldown_ms:
-                self.short_circuits += 1
-                return False
-            circuit.state = "half-open"
-            circuit.trials = 1
-            self.half_opened += 1
-            return True
+            if circuit.state == "open":
+                return not self._cooling(circuit)
+            return circuit.trials < self.half_open_max
+
+    def allow(self, key: str) -> bool:
+        """Admit a request for ``key`` that will certainly be attempted.
+
+        Closed circuits admit. Open circuits refuse (counted as a
+        short-circuit) until the cooldown elapses, at which point the
+        circuit half-opens; a half-open circuit admits up to
+        ``half_open_max`` concurrent trials and refuses the rest. An
+        admitted trial holds its slot until the attempt settles it
+        (:meth:`record_success`, :meth:`record_failure`,
+        :meth:`release`).
+        """
+        with self._lock:
+            circuit = self._circuits.get(key)
+            if circuit is None or circuit.state == "closed":
+                return True
+            if circuit.state == "open":
+                if self._cooling(circuit):
+                    self.short_circuits += 1
+                    return False
+                circuit.state = "half-open"
+                self.half_opened += 1
+            if circuit.trials < self.half_open_max:
+                circuit.trials += 1
+                return True
+            self.short_circuits += 1
+            return False
 
     def retry_after_ms(self, key: str) -> float:
         """Cooldown remaining before ``key`` half-opens (0 when closed)."""
@@ -131,13 +149,11 @@ class CircuitBreaker:
     # -- outcome recording ---------------------------------------------------
 
     def record_success(self, key: str) -> None:
-        """A compile/eval attempt for ``key`` succeeded."""
+        """An attempt for ``key`` succeeded: the circuit closes."""
         with self._lock:
             circuit = self._circuits.get(key)
             if circuit is None:
                 return
-            if circuit.state == "half-open" and circuit.trials > 0:
-                circuit.trials -= 1
             if circuit.state != "closed":
                 self.closed += 1
             circuit.state = "closed"
@@ -145,12 +161,16 @@ class CircuitBreaker:
             circuit.trials = 0
 
     def record_failure(self, key: str) -> None:
-        """A compile/eval attempt for ``key`` failed."""
+        """An attempt for ``key`` failed.
+
+        A failed half-open trial re-opens the circuit and restarts the
+        cooldown; a closed circuit opens at ``threshold`` in a row.
+        """
         with self._lock:
-            circuit = self._circuit(key)
+            circuit = self._circuits.get(key)
+            if circuit is None:
+                circuit = self._circuits[key] = _Circuit()
             circuit.consecutive_failures += 1
-            if circuit.state == "half-open" and circuit.trials > 0:
-                circuit.trials -= 1
             if circuit.state == "half-open" or (
                 circuit.state == "closed"
                 and circuit.consecutive_failures >= self.threshold
@@ -160,6 +180,18 @@ class CircuitBreaker:
                 circuit.trials = 0
                 self.opened += 1
 
+    def release(self, key: str) -> None:
+        """Give back a half-open trial slot without a verdict.
+
+        For an admitted attempt that was cancelled or shed before it
+        could succeed or fail: the circuit stays half-open and the next
+        request may take the slot.
+        """
+        with self._lock:
+            circuit = self._circuits.get(key)
+            if circuit is not None and circuit.trials > 0:
+                circuit.trials -= 1
+
     # -- introspection -------------------------------------------------------
 
     def state(self, key: str) -> str:
@@ -167,6 +199,12 @@ class CircuitBreaker:
         with self._lock:
             circuit = self._circuits.get(key)
             return circuit.state if circuit is not None else "closed"
+
+    def failures(self, key: str) -> int:
+        """``key``'s consecutive-failure count (0 if untracked)."""
+        with self._lock:
+            circuit = self._circuits.get(key)
+            return circuit.consecutive_failures if circuit is not None else 0
 
     def stats(self) -> dict:
         """Transition totals plus a histogram of current circuit states."""

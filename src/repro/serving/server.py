@@ -176,7 +176,8 @@ def check_strategy(strategy: object) -> None:
 
     A typed :class:`~repro.errors.ReproError` (HTTP 400) raised by
     ``submit`` before admission, so a rejected request takes no slot and
-    feeds neither the error count, the plan breaker nor replica health.
+    feeds neither the error count, the plan breaker nor the router's
+    member breaker.
     The nested-loop and memoized evaluators remain the one-shot
     ``repro materialize --strategy`` path and the tests' oracle.
     """
@@ -581,9 +582,9 @@ class ViewServer:
     def _plan(self, key: str, request: PublishRequest) -> tuple[CompiledPlan, bool]:
         """``(plan, was_hit)`` from the store, compiling on a miss.
 
-        The lookup counts as this server's, and so does a compile outcome
-        the breaker hears: a failed build is its caller's alone (waiters
-        retry), a hit — someone else compiled — is nobody's.
+        The lookup counts as this server's, and so does a failed build the
+        breaker hears: it is its caller's alone (waiters retry). A compile
+        that succeeds settles nothing — the request it serves is not done.
         """
 
         def build() -> CompiledPlan:
@@ -598,16 +599,28 @@ class ViewServer:
         hit = False
         try:
             plan, hit = self.plan_cache.get_or_build(key, build)
-        except BaseException:
-            if self.breaker is not None:
-                self.breaker.record_failure(key)
+        except Exception as exc:
+            self._record_failure(key, exc)
             raise
         finally:
             with self._lock:
                 self._plan_lookups["hits" if hit else "misses"] += 1
-        if not hit and self.breaker is not None:
-            self.breaker.record_success(key)
         return plan, hit
+
+    def _record_failure(self, key: str, exc: Exception) -> None:
+        """Feed one failed attempt at ``key`` to the breaker.
+
+        A cancellation is no verdict on the plan: it gives back the
+        half-open trial the request may hold. A breaker refusal holds
+        none and is no verdict either.
+        """
+        breaker = self.breaker
+        if breaker is None or isinstance(exc, CircuitOpen):
+            return
+        if isinstance(exc, RequestCancelled):
+            breaker.release(key)
+        else:
+            breaker.record_failure(key)
 
     # -- freshness -----------------------------------------------------------
 
@@ -859,14 +872,13 @@ class ViewServer:
             # on plan or cache work it will throw away.
             request.cancel.check()
         breaker = self.breaker
-        # Gate compilation: an open breaker must not trigger a compile
-        # storm for a plan that keeps failing. Resident plans skip this
-        # (a plain cache read costs nothing worth protecting).
-        if (
-            breaker is not None
-            and key not in self.plan_cache
-            and not breaker.allow(key)
-        ):
+        # One admission per request, settled by the request's own
+        # outcome. A plan that is not resident is admitted at the compile
+        # gate here (an open breaker must not start a compile storm for a
+        # plan that keeps failing); a resident one at the compute gate
+        # below, so a policy-fresh hit on it costs the breaker nothing.
+        admitted = breaker is not None and key not in self.plan_cache
+        if admitted and not breaker.allow(key):
             raise CircuitOpen(key, breaker.retry_after_ms(key))
         plan, hit = self._plan(key, request)
         trace.cache_hit = hit
@@ -895,10 +907,10 @@ class ViewServer:
             # Policy-fresh cached bytes serve even under an open
             # breaker — the breaker guards computation, not reads.
             trace.xml = cached.xml
+            if admitted:
+                breaker.record_success(key)
             return
-        # Gate computation (the breaker may have opened since the
-        # compile gate, or the plan was resident and unguarded so far).
-        if breaker is not None and not breaker.allow(key):
+        if breaker is not None and not admitted and not breaker.allow(key):
             raise CircuitOpen(key, breaker.retry_after_ms(key))
         delta_xml = None
         if (
@@ -906,9 +918,13 @@ class ViewServer:
             and self.maintenance == "delta"
             and trace.freshness == "stale-recompute"
         ):
-            delta_xml = self._serve_delta(
-                plan, trace, current_versions, deadline
-            )
+            try:
+                delta_xml = self._serve_delta(
+                    plan, trace, current_versions, deadline
+                )
+            except Exception as exc:
+                self._record_failure(key, exc)
+                raise
         if delta_xml is not None:
             trace.freshness = "delta-recompute"
             trace.xml = delta_xml
@@ -946,16 +962,17 @@ class ViewServer:
                     plan, trace, use_result_cache, current_versions, deadline
                 )
             except Exception as exc:
-                if breaker is not None and not isinstance(
-                    exc, (CircuitOpen, RequestCancelled)
-                ):
-                    breaker.record_failure(plan.key)
                 # An interrupt fired by the deadline thread (or a cancel
                 # token) surfaces as a transient 'interrupted' error;
                 # the expired budget / cancellation is the real
-                # failure, so re-raise it as such.
-                if not isinstance(exc, (DeadlineExceeded, RequestCancelled)):
-                    deadline.check()
+                # failure, so the breaker hears it and it is re-raised.
+                try:
+                    if not isinstance(exc, (DeadlineExceeded, RequestCancelled)):
+                        deadline.check()
+                except (DeadlineExceeded, RequestCancelled) as real:
+                    self._record_failure(plan.key, real)
+                    raise
+                self._record_failure(plan.key, exc)
                 kind = classify_error(exc)
                 budget = policy.retries if policy is not None else 0
                 if kind != "transient" or attempt >= budget:

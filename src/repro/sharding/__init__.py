@@ -30,11 +30,7 @@ from repro.sharding.partition import (
     partition_database,
     partition_keys,
 )
-from repro.sharding.replica import (
-    PlacementGroup,
-    ReplicaApplier,
-    ReplicaHealth,
-)
+from repro.sharding.replica import PlacementGroup, ReplicaApplier
 from repro.sharding.router import RouterTrace, ShardRouter
 
 __all__ = [
@@ -44,7 +40,6 @@ __all__ = [
     "PartitionScheme",
     "PlacementGroup",
     "ReplicaApplier",
-    "ReplicaHealth",
     "RouterTrace",
     "ShardMergeUnsupported",
     "ShardRouter",

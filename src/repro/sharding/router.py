@@ -21,10 +21,10 @@ primary's write events with an injectable delay — so replicas genuinely
 lag, and reads route **lag-aware**: strict reads pin to the primary or
 a caught-up replica, bounded-staleness reads accept replicas within the
 policy's version budget, and the manual policy ignores lag entirely.
-Member eligibility is further gated by a per-member
-:class:`~repro.sharding.replica.ReplicaHealth` machine (fed by request
-outcomes and probe latencies; dead members readmit through half-open
-probes in the E16 breaker shape) and by fleet-scoped fault injection
+Member eligibility is further gated by the router's member
+:class:`~repro.resilience.breaker.CircuitBreaker` (one circuit per
+member, fed by its request outcomes; an open member readmits through a
+half-open trial) and by fleet-scoped fault injection
 (:class:`~repro.resilience.faults.FleetFaultPlan`): a crashed replica
 is skipped (and its pool refuses new sessions for in-flight work), a
 partitioned primary stays writable but unreadable from the router.
@@ -61,6 +61,7 @@ from repro.maintenance.policy import StalenessPolicy
 from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database
 from repro.relational.schema import Catalog
+from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultPlan, FleetFaultPlan
 from repro.resilience.policy import ResiliencePolicy
 from repro.schema_tree.model import SchemaTreeQuery
@@ -74,7 +75,7 @@ from repro.serving.server import (
     check_strategy,
 )
 from repro.sharding.merge import MergePlan, merge_texts, plan_merge
-from repro.sharding.replica import ReplicaApplier, ReplicaHealth
+from repro.sharding.replica import ReplicaApplier
 from repro.sharding.partition import (
     KeyRangePartitioner,
     PartitionScheme,
@@ -83,6 +84,14 @@ from repro.sharding.partition import (
     partition_database,
     partition_keys,
 )
+
+#: The member breaker: consecutive failed requests that take a member
+#: out, how long it stays out before one half-open trial may readmit it,
+#: and the failures after which it sorts behind its caught-up peers.
+MEMBER_THRESHOLD = 4
+MEMBER_COOLDOWN_MS = 500.0
+MEMBER_TRIALS = 1
+MEMBER_SUSPECT_AFTER = 2
 
 
 @dataclass
@@ -145,24 +154,25 @@ class RouterTrace:
 
 
 class _Member:
-    """One member of a shard's replica set: server + lineage + health."""
+    """One member of a shard's replica set: server + lineage."""
 
-    __slots__ = ("name", "role", "server", "tracker", "health", "applier")
+    __slots__ = ("name", "key", "role", "server", "tracker", "applier")
 
     def __init__(
         self,
+        shard: int,
         name: str,
         role: int,
         server: ViewServer,
         tracker: WriteTracker,
-        health: ReplicaHealth,
         applier: Optional[ReplicaApplier],
     ):
         self.name = name
+        #: The member's circuit in the router's member breaker.
+        self.key = f"s{shard}:{name}"
         self.role = role  # 0 = primary
         self.server = server
         self.tracker = tracker
-        self.health = health
         self.applier = applier
 
     def lag(self, shard: "_Shard") -> int:
@@ -236,7 +246,6 @@ class ShardRouter:
         faults: Optional[Sequence[Optional[FaultPlan]]] = None,
         fleet_faults: Optional[FleetFaultPlan] = None,
         replica_lag_ms: float = 0.0,
-        health_factory: Optional[Callable[[], ReplicaHealth]] = None,
         cache_capacity: int = 64,
         result_cache_capacity: int = 128,
         router_workers: Optional[int] = None,
@@ -315,8 +324,12 @@ class ShardRouter:
         self._anti_affinity_hits = 0
         self._anti_affinity_misses = 0
         self._closed = False
-        if health_factory is None:
-            health_factory = ReplicaHealth
+        #: Every member's failure machine, one circuit per ``_Member.key``.
+        self.member_breaker = CircuitBreaker(
+            MEMBER_THRESHOLD,
+            cooldown_ms=MEMBER_COOLDOWN_MS,
+            half_open_max=MEMBER_TRIALS,
+        )
         self.shards: list[_Shard] = []
         for index, source in enumerate(sources):
             tracker = trackers[index] if trackers is not None else WriteTracker()
@@ -358,10 +371,7 @@ class ShardRouter:
                     plan_cache=self.plan_cache,
                 )
                 members.append(
-                    _Member(
-                        name, role, server, member_tracker,
-                        health_factory(), applier,
-                    )
+                    _Member(index, name, role, server, member_tracker, applier)
                 )
             self.shards.append(_Shard(index, source, tracker, members))
         self._executor = ThreadPoolExecutor(
@@ -480,15 +490,17 @@ class ShardRouter:
         Eligibility gates, in order: fleet faults (a crashed replica or
         a read-partitioned primary is out), the staleness budget (a
         member lagging past the policy's version budget is out — strict
-        pins to lag 0, manual never gates), then the health machine (a
-        dead member is out unless its cooldown elapsed and a half-open
-        probe slot is free). The lag gate runs first so a dead *and*
-        lagging member is lag-skipped without ever looking probe-ready.
-        Enumeration never consumes the probe slot — that happens in
-        :meth:`_dispatch`, against an actual attempt — so a candidate
-        that is enumerated but never tried cannot leak it. Ordering:
-        caught-up non-suspect members rotate round-robin (load
-        balancing), then the rest by (suspect, lag). A hedged request's
+        pins to lag 0, manual never gates), then the member breaker (a
+        member whose circuit is open is out unless its cooldown elapsed
+        and the half-open trial slot is free). The lag gate runs first so
+        an open *and* lagging member is lag-skipped without its circuit
+        ever being asked. Enumeration only looks
+        (:meth:`CircuitBreaker.ready`); the trial slot is taken in
+        :meth:`_dispatch`, against an actual attempt, so a candidate that
+        is enumerated but never tried cannot leak it. Ordering:
+        caught-up members with fewer than :data:`MEMBER_SUSPECT_AFTER`
+        consecutive failures rotate round-robin (load balancing), then
+        the rest by (suspect, lag). A hedged request's
         :class:`PlacementGroup` reorders unclaimed members first so the
         hedge lands on a different member than the first attempt
         whenever one exists; claims are recorded at dispatch time, not
@@ -499,11 +511,11 @@ class ShardRouter:
         re-reading the clocks after the serve.
         """
         fleet = self.fleet_faults
+        breaker = self.member_breaker
         crash_skips = partition_skips = lag_skips = dead_skips = 0
         eligible: list[tuple[int, int, _Member]] = []
         for member in shard.members:
             lag = member.lag(shard)
-            member.health.observe_lag(lag)
             if fleet is not None:
                 if member.role == 0:
                     if fleet.active("partition", shard.index, member.name):
@@ -515,11 +527,10 @@ class ShardRouter:
             if self._lag_budget is not None and lag > self._lag_budget:
                 lag_skips += 1
                 continue
-            state = member.health.state()
-            if state == "dead" and not member.health.probe_ready():
+            if not breaker.ready(member.key):
                 dead_skips += 1
                 continue
-            suspect = 0 if state == "healthy" else 1
+            suspect = int(breaker.failures(member.key) >= MEMBER_SUSPECT_AFTER)
             eligible.append((suspect, lag, member))
         if crash_skips or partition_skips or lag_skips or dead_skips:
             with self._lock:
@@ -573,13 +584,13 @@ class ShardRouter:
     ) -> tuple[Optional[int], Optional["Future[RequestTrace]"]]:
         """Admit, claim, and submit the first dispatchable candidate.
 
-        This is where a dead member's half-open probe slot is consumed
-        (:meth:`ReplicaHealth.admit`) — never during enumeration — so
+        This is where a member's half-open trial slot is taken
+        (:meth:`CircuitBreaker.allow`) — never during enumeration — so
         every granted slot is attached to an attempt whose outcome
-        (``record_success`` / ``record_failure``, including the
-        synthetic failed trace when ``submit`` itself raises) releases
-        it. A candidate whose slot was raced away since enumeration is
-        skipped like any other dead member. The hedge placement claim
+        (:meth:`_feed_health`, including the synthetic failed trace when
+        ``submit`` itself raises) settles it. A candidate whose slot was
+        raced away since enumeration is skipped like any other open
+        member. The hedge placement claim
         is recorded here too, against the member actually attempted.
         Returns ``(index, future)``, or ``(None, None)`` when no
         candidate from ``start`` on admits.
@@ -589,7 +600,7 @@ class ShardRouter:
         dispatched = (None, None)
         for idx in range(start, len(candidates)):
             member = candidates[idx][0]
-            if not member.health.admit():
+            if not self.member_breaker.allow(member.key):
                 denied += 1
                 continue
             if request.placement is not None:
@@ -608,18 +619,22 @@ class ShardRouter:
         return dispatched
 
     def _feed_health(self, member: _Member, shard_trace: RequestTrace) -> None:
-        """Turn one member's trace outcome into a health signal.
+        """Settle one member attempt in the member breaker.
 
-        ``cancelled`` (a hedge loser) and ``rejected`` (admission shed)
-        are intentional, not member failures — the same categories
-        :func:`~repro.errors.classify_error` exempts. ``degraded``
-        counts as a failure: the member served stale bytes because its
-        computation failed.
+        ``cancelled`` (a hedge loser) and ``rejected`` (admission shed,
+        the member's plan breaker open) are intentional, not member
+        failures — the same categories :func:`~repro.errors.classify_error`
+        exempts — so they only give back a trial slot the attempt holds.
+        ``degraded`` counts as a failure: the member served stale bytes
+        because its computation failed.
         """
+        breaker = self.member_breaker
         if shard_trace.outcome == "success":
-            member.health.record_success()
-        elif shard_trace.outcome not in ("cancelled", "rejected"):
-            member.health.record_failure()
+            breaker.record_success(member.key)
+        elif shard_trace.outcome in ("cancelled", "rejected"):
+            breaker.release(member.key)
+        else:
+            breaker.record_failure(member.key)
 
     def _merge_plan(self, request: PublishRequest) -> tuple[str, MergePlan]:
         """The merge plan for this request's *composed* view.
@@ -665,9 +680,9 @@ class ShardRouter:
         take the first ``success``; remember the first ``degraded``
         trace and serve it only after every candidate has been tried;
         otherwise the last failure stands. Every attempted member's
-        outcome feeds its health machine. Failover attempts go through
-        :meth:`_dispatch`, so each one admits (consuming a dead
-        member's probe slot only when actually tried) and records its
+        outcome settles its member's circuit. Failover attempts go
+        through :meth:`_dispatch`, so each one admits (taking an open
+        member's trial slot only when actually tried) and records its
         own placement claim.
         """
         degraded: Optional[tuple[str, int, RequestTrace]] = None
@@ -765,7 +780,7 @@ class ShardRouter:
                 idx, future = self._dispatch(shard, candidates, request)
             if future is None:
                 # Nothing eligible, or every eligible member lost its
-                # probe slot to a concurrent request between enumeration
+                # trial slot to a concurrent request between enumeration
                 # and dispatch.
                 with self._lock:
                     self._no_candidates += 1
@@ -877,8 +892,9 @@ class ShardRouter:
     def fleet_metrics(self) -> dict:
         """Replica-resilience counters: routing gates, lag, anti-affinity.
 
-        ``replica_health`` lists every member's health-machine stats
-        (plus its live lag and applier progress); ``anti_affinity``
+        ``replica_health`` lists every member's circuit ``state`` and
+        consecutive ``failures`` in the member breaker, its live ``lag``
+        and its applier's progress; ``anti_affinity``
         summarizes hedge placement — ``hits`` are hedge attempts routed
         to a member no earlier attempt of the same request used,
         ``misses`` fell back to an already-used member (1-member
@@ -907,12 +923,14 @@ class ShardRouter:
                     ),
                 },
             }
+        breaker = self.member_breaker
         summary["replica_health"] = [
             {
                 "shard": shard.index,
                 "members": {
                     member.name: {
-                        **member.health.stats(),
+                        "state": breaker.state(member.key),
+                        "failures": breaker.failures(member.key),
                         "lag": member.lag(shard),
                         "applied": (
                             member.applier.applied

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import random
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.resilience import BREAKER_STATES, CircuitBreaker
@@ -54,9 +60,12 @@ def test_opens_after_threshold_consecutive_failures(breaker):
 
 
 def test_success_resets_the_failure_count(breaker):
+    assert breaker.failures("k") == 0
     breaker.record_failure("k")
     breaker.record_failure("k")
+    assert breaker.failures("k") == 2
     breaker.record_success("k")
+    assert breaker.failures("k") == 0
     breaker.record_failure("k")
     breaker.record_failure("k")
     assert breaker.state("k") == "closed"  # never hit 3 consecutively
@@ -162,3 +171,160 @@ def test_half_open_max_validation():
     with pytest.raises(ValueError):
         CircuitBreaker(threshold=1, half_open_max=0)
     assert CircuitBreaker(threshold=1, half_open_max=1).half_open_max == 1
+
+
+def test_ready_looks_without_admitting(breaker, clock):
+    """ready() answers what allow() would, in every state, and changes
+    nothing: no transition, no trial slot, no short-circuit counted."""
+
+    def looks(expected):
+        before = (breaker.state("k"), breaker.stats())
+        for _ in range(3):
+            assert breaker.ready("k") is expected
+        assert (breaker.state("k"), breaker.stats()) == before
+
+    looks(True)  # untracked
+    for _ in range(3):
+        breaker.record_failure("k")
+    looks(False)  # open, cooling down
+    clock.advance(0.2)
+    looks(True)  # open, cooldown elapsed: still open until allow()
+    assert breaker.state("k") == "open"
+    assert breaker.allow("k")  # the single trial
+    looks(False)  # half-open, slot held
+    assert not breaker.allow("k")
+    breaker.record_success("k")
+    looks(True)  # closed again
+
+
+def test_release_gives_back_a_trial_without_a_verdict(breaker, clock):
+    for _ in range(3):
+        breaker.record_failure("k")
+    clock.advance(0.2)
+    assert breaker.allow("k")
+    breaker.release("k")  # the attempt was cancelled
+    assert breaker.state("k") == "half-open"
+    assert breaker.failures("k") == 3
+    assert breaker.stats()["half_open_trials"] == 0
+    assert breaker.allow("k")  # the next request takes the trial
+    breaker.release("unseen")  # nothing held: a no-op
+    assert breaker.state("unseen") == "closed"
+
+
+def _circuits(breaker):
+    """Every key's ``(state, trials)``, read in one critical section."""
+    with breaker._lock:
+        return {
+            key: (circuit.state, circuit.trials)
+            for key, circuit in breaker._circuits.items()
+        }
+
+
+class SteppingClock:
+    """A fake clock threads may advance concurrently."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._lock = threading.Lock()
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        with self._lock:
+            self.now += seconds
+
+
+def test_concurrent_callers_never_overfill_a_half_open_circuit():
+    """More threads than cores hammer a few keys with ready / allow /
+    record_* / release while the clock steps across cooldowns. Half-open
+    trials per key never exceed ``half_open_max`` and only a half-open
+    circuit holds any; every refusal allow() returned is counted once and
+    ready() counts none; and a crowd of concurrent ready() calls leaves
+    every circuit and counter exactly as it found them."""
+    clock = SteppingClock()
+    breaker = CircuitBreaker(
+        threshold=2, cooldown_ms=5.0, half_open_max=2, clock=clock
+    )
+    keys = ("a", "b", "c")
+    threads_n = max(8, 4 * (os.cpu_count() or 1))
+    stop = threading.Event()
+    violations: list = []
+    refusals = [0] * threads_n
+
+    def worker(index: int) -> None:
+        rng = random.Random(index)
+        while not stop.is_set():
+            key = rng.choice(keys)
+            breaker.ready(key)
+            if rng.random() < 0.05:
+                clock.advance(0.002)
+            if not breaker.allow(key):
+                refusals[index] += 1
+                continue
+            roll = rng.random()
+            if roll < 0.5:
+                breaker.record_failure(key)
+            elif roll < 0.9:
+                breaker.record_success(key)
+            else:
+                breaker.release(key)
+
+    def monitor() -> None:
+        while not stop.is_set():
+            for key, (state, trials) in _circuits(breaker).items():
+                limit = breaker.half_open_max if state == "half-open" else 0
+                if not 0 <= trials <= limit:
+                    violations.append((key, state, trials))
+
+    workers = [
+        threading.Thread(target=worker, args=(index,), daemon=True)
+        for index in range(threads_n)
+    ]
+    watcher = threading.Thread(target=monitor, daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in (*workers, watcher):
+            thread.start()
+        time.sleep(1.0)
+        stop.set()
+        for thread in (*workers, watcher):
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert violations == []
+    stats = breaker.stats()
+    assert stats["short_circuits"] == sum(refusals)
+    assert stats["opened"] > 0 and stats["half_opened"] > 0
+    assert stats["closed"] > 0
+
+    # A crowd of lookers on a frozen machine, with a key in every state
+    # ready() can answer for: open past its cooldown, half-open with a
+    # free slot and with none, open and cooling.
+    for key in ("warm", "half", "full"):
+        breaker.record_failure(key)
+        breaker.record_failure(key)
+    clock.advance(0.01)
+    assert breaker.allow("half")
+    assert breaker.allow("full") and breaker.allow("full")
+    breaker.record_failure("cold")
+    breaker.record_failure("cold")
+    looked = (*keys, "warm", "half", "full", "cold")
+    before = (_circuits(breaker), breaker.stats())
+    lookers = [
+        threading.Thread(
+            target=lambda: [breaker.ready(key) for key in looked
+                            for _ in range(200)],
+            daemon=True,
+        )
+        for _ in range(threads_n)
+    ]
+    for thread in lookers:
+        thread.start()
+    for thread in lookers:
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+    assert (_circuits(breaker), breaker.stats()) == before

@@ -9,8 +9,14 @@ import time
 import pytest
 
 from repro.maintenance import WriteTracker, hotel_write
-from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
-from repro.serving import OUTCOMES, PublishRequest, ViewServer
+from repro.resilience import (
+    CancelToken,
+    CircuitBreaker,
+    FaultPlan,
+    FaultSpec,
+    ResiliencePolicy,
+)
+from repro.serving import OUTCOMES, PlanCache, PublishRequest, ViewServer
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import figure1_view, figure4_stylesheet
 
@@ -39,6 +45,17 @@ class ScriptedPlan(FaultPlan):
         if action == "error":
             self._count("error")
         return action
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
 
 
 def _small_db(cross_thread: bool = False):
@@ -262,6 +279,116 @@ def test_breaker_opens_short_circuits_and_recovers():
         healed = server.submit(_request(db)).result()
         assert healed.outcome == "success"
         assert breaker.state(key) == "closed"
+    db.close()
+
+
+_TRIAL_POLICY = ResiliencePolicy(
+    retries=0, breaker_threshold=2, breaker_cooldown_ms=50.0
+)
+
+
+def _open_breaker(server, db, clock):
+    """Give ``server`` a breaker on ``clock``; two failed requests open it."""
+    server.breaker = CircuitBreaker(2, cooldown_ms=50.0, clock=clock)
+    for _ in range(2):
+        assert server.submit(_request(db)).result().outcome == "error"
+    key = server.plan_key_for(_request(db))
+    assert server.breaker.state(key) == "open"
+    return key
+
+
+def test_a_failed_trial_after_an_eviction_reopens_the_circuit():
+    """Regression: the half-open trial taken at the compile gate is
+    settled by the request's outcome, not by its compile. A compile
+    success used to close the circuit, so a plan that fails in execution
+    got ``threshold`` computations per cooldown instead of one."""
+    db = _small_db()
+    faults = FaultPlan(FaultSpec(every_n=1), seed=0)
+    clock = FakeClock()
+    with ViewServer(
+        db.catalog, source=db, workers=1, resilience=_TRIAL_POLICY,
+        faults=faults,
+    ) as server:
+        key = _open_breaker(server, db, clock)
+        clock.advance(0.06)
+        assert server.invalidate(_request(db))
+        trial = server.submit(_request(db)).result()
+        assert trial.outcome == "error" and not trial.cache_hit
+        assert server.breaker.state(key) == "open"
+        checks = faults.stats()["checks"]
+        refused = server.submit(_request(db)).result()
+        assert refused.outcome == "rejected"
+        assert "circuit breaker open" in refused.error
+        assert faults.stats()["checks"] == checks  # no compile, no query
+    db.close()
+
+
+def test_a_trial_on_a_plan_a_sibling_compiled_is_settled():
+    """Regression: two servers share one plan store. A's trial is
+    admitted at the compile gate, the sibling compiles the plan first,
+    and A's lookup hits. A's compute gate used to admit a second time,
+    find its own trial holding the slot and refuse — and nothing ever
+    released the slot, so A rejected every later request for good."""
+    db = _small_db(cross_thread=True)
+    store = PlanCache(8)
+    faults = FaultPlan(FaultSpec(every_n=1), seed=0)
+    clock = FakeClock()
+    a = ViewServer(
+        db.catalog, source=db, workers=1, resilience=_TRIAL_POLICY,
+        faults=faults, plan_cache=store,
+    )
+    b = ViewServer(
+        db.catalog, source=db, workers=1, resilience=_TRIAL_POLICY,
+        plan_cache=store,
+    )
+    try:
+        key = _open_breaker(a, db, clock)
+        faults.disarm()
+        assert store.invalidate(key)
+        lookup = a._plan
+        sibling = []
+
+        def sibling_compiles_first(key, request):
+            if not sibling:
+                sibling.append(b.submit(_request(db)).result())
+            return lookup(key, request)
+
+        a._plan = sibling_compiles_first
+        clock.advance(0.06)
+        trial = a.submit(_request(db)).result()
+        assert sibling[0].outcome == "success" and not sibling[0].cache_hit
+        assert trial.cache_hit
+        assert trial.outcome == "success"
+        assert a.breaker.state(key) == "closed"
+        for _ in range(3):
+            clock.advance(0.06)
+            assert a.submit(_request(db)).result().outcome == "success"
+    finally:
+        a.close()
+        b.close()
+        db.close()
+
+
+def test_a_cancelled_trial_gives_its_slot_back():
+    """A hedge loser cancelled mid-trial is no verdict on the plan: the
+    circuit stays half-open and the next request takes the trial."""
+    db = _small_db()
+    token = CancelToken()
+    faults = ScriptedPlan(["error", "error", lambda: token.cancel("lost")])
+    clock = FakeClock()
+    with ViewServer(
+        db.catalog, source=db, workers=1, resilience=_TRIAL_POLICY,
+        faults=faults,
+    ) as server:
+        key = _open_breaker(server, db, clock)
+        clock.advance(0.06)
+        cancelled = server.submit(_request(db, cancel=token)).result()
+        assert cancelled.outcome == "cancelled"
+        assert server.breaker.state(key) == "half-open"
+        assert server.breaker.ready(key)
+        trial = server.submit(_request(db)).result()
+        assert trial.outcome == "success"
+        assert server.breaker.state(key) == "closed"
     db.close()
 
 

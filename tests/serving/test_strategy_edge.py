@@ -5,7 +5,7 @@ one evaluator. Any other value — a retired strategy name or a JSON value
 that is not even a string — is a :class:`ReproError` (HTTP 400) raised at
 ``submit``, before admission. "Free" means the rejection leaves no trace
 in the server: no admission slot held, no error counted, nothing fed to
-the plan breaker or to replica health. Each stack below is built so that
+the plan breaker or to the member breaker. Each stack below is built so that
 a single leak would make the valid request that follows fail: one worker
 and no queue (a leaked slot sheds it), breaker threshold 1 (a counted
 failure opens the circuit).
@@ -82,9 +82,9 @@ def _router():
         def snapshots():
             fleet = router.fleet_metrics()
             for shard in fleet["replica_health"]:
-                for health in shard["members"].values():
-                    assert health["state"] == "healthy"
-                    assert health["failures"] == 0
+                for member in shard["members"].values():
+                    assert member["state"] == "closed"
+                    assert member["failures"] == 0
             assert router.metrics()["errors"] == 0
             return [
                 member.server.metrics()

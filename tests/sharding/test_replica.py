@@ -1,7 +1,8 @@
-"""Replica primitives: health machine, catch-up applier, placement.
+"""Replica primitives: the member breaker's settings, catch-up applier,
+placement.
 
-The health machine is driven with an injected clock so cooldown and
-half-open probing are tested without sleeping; the applier tests use a
+The member breaker is driven with an injected clock so cooldown and
+half-open trials are tested without sleeping; the applier tests use a
 large delay to freeze events in the "pending" state deterministically.
 """
 
@@ -12,10 +13,23 @@ import time
 
 import pytest
 
-from repro.errors import RequestCancelled, RequestRejected
 from repro.maintenance import WriteTracker
-from repro.resilience import FleetFaultPlan, FleetFaultSpec
-from repro.sharding import PlacementGroup, ReplicaApplier, ReplicaHealth
+from repro.maintenance.workload import hotel_metro_write
+from repro.resilience import CircuitBreaker, FleetFaultPlan, FleetFaultSpec
+from repro.serving import RequestTrace
+from repro.sharding import PlacementGroup, ReplicaApplier, ShardRouter
+from repro.sharding.router import (
+    MEMBER_COOLDOWN_MS,
+    MEMBER_SUSPECT_AFTER,
+    MEMBER_THRESHOLD,
+    MEMBER_TRIALS,
+)
+from repro.workloads.hotel import (
+    HotelDataSpec,
+    build_hotel_database,
+    hotel_partition_scheme,
+)
+from repro.workloads.paper import figure1_view
 
 
 class FakeClock:
@@ -30,121 +44,178 @@ class FakeClock:
 
 
 # ---------------------------------------------------------------------------
-# ReplicaHealth
+# The member breaker (ShardRouter.member_breaker)
 # ---------------------------------------------------------------------------
 
 
+def _member_breaker(clock):
+    """A breaker with the router's member settings and ``clock``."""
+    return CircuitBreaker(
+        MEMBER_THRESHOLD,
+        cooldown_ms=MEMBER_COOLDOWN_MS,
+        half_open_max=MEMBER_TRIALS,
+        clock=clock,
+    )
+
+
 def test_failures_walk_healthy_suspect_dead():
-    health = ReplicaHealth(suspect_after=2, dead_after=4)
-    assert health.state() == "healthy"
-    health.record_failure()
-    assert health.state() == "healthy"
-    health.record_failure()
-    assert health.state() == "suspect"
-    health.record_failure()
-    health.record_failure()
-    assert health.state() == "dead"
-    assert health.stats()["deaths"] == 1
+    """Two failures in a row make a member suspect (it sorts behind its
+    caught-up peers), four open its circuit (it is out)."""
+    breaker = _member_breaker(FakeClock())
+    assert (MEMBER_SUSPECT_AFTER, MEMBER_THRESHOLD) == (2, 4)
+    breaker.record_failure("s0:replica-1")
+    assert breaker.failures("s0:replica-1") < MEMBER_SUSPECT_AFTER
+    breaker.record_failure("s0:replica-1")
+    assert breaker.failures("s0:replica-1") == MEMBER_SUSPECT_AFTER
+    assert breaker.state("s0:replica-1") == "closed"
+    breaker.record_failure("s0:replica-1")
+    breaker.record_failure("s0:replica-1")
+    assert breaker.state("s0:replica-1") == "open"
+    assert breaker.stats()["opened"] == 1
 
 
 def test_one_success_resets_the_streak():
-    health = ReplicaHealth(suspect_after=2, dead_after=4)
-    health.record_failure()
-    health.record_failure()
-    assert health.state() == "suspect"
-    health.record_success()
-    assert health.state() == "healthy"
-    assert health.stats()["consecutive_failures"] == 0
+    breaker = _member_breaker(FakeClock())
+    for _ in range(MEMBER_THRESHOLD - 1):
+        breaker.record_failure("s0:primary")
+    breaker.record_success("s0:primary")
+    assert breaker.failures("s0:primary") == 0
+    breaker.record_failure("s0:primary")
+    assert breaker.state("s0:primary") == "closed"
 
 
 def test_dead_member_refuses_until_cooldown_then_probes():
+    """An open member is out for 500 ms, then takes exactly one trial;
+    the trial's success readmits it."""
     clock = FakeClock()
-    health = ReplicaHealth(
-        suspect_after=1, dead_after=2, cooldown_ms=500.0, probe_max=1,
-        clock=clock,
-    )
-    health.record_failure()
-    health.record_failure()
-    assert health.state() == "dead"
-    assert not health.admit()  # cooling down
-    clock.advance(0.6)
-    assert health.admit()  # the half-open probe slot
-    assert not health.admit()  # probe_max=1: second trial denied
-    assert health.stats()["probe_denials"] == 1
-    health.record_success()
-    assert health.state() == "healthy"
-    assert health.stats()["readmissions"] == 1
-    assert health.admit()
+    breaker = _member_breaker(clock)
+    for _ in range(MEMBER_THRESHOLD):
+        breaker.record_failure("s0:replica-1")
+    assert not breaker.allow("s0:replica-1")  # cooling down
+    clock.advance(MEMBER_COOLDOWN_MS / 1000.0 - 0.001)
+    assert not breaker.allow("s0:replica-1")
+    clock.advance(0.002)
+    assert breaker.allow("s0:replica-1")  # the half-open trial
+    assert not breaker.allow("s0:replica-1")  # one trial: the next waits
+    breaker.record_success("s0:replica-1")
+    assert breaker.state("s0:replica-1") == "closed"
+    assert breaker.stats()["closed"] == 1
+    assert breaker.allow("s0:replica-1")
 
 
 def test_probe_ready_is_read_only():
     """Regression: enumeration-time eligibility checks must not consume
-    the probe slot — only a dispatch-time admit() may, since only an
+    the trial slot — only a dispatch-time allow() may, since only an
     actual attempt's outcome releases it."""
     clock = FakeClock()
-    health = ReplicaHealth(
-        suspect_after=1, dead_after=2, cooldown_ms=500.0, probe_max=1,
-        clock=clock,
-    )
-    assert health.probe_ready()  # healthy: always
-    health.record_failure()
-    health.record_failure()
-    assert health.state() == "dead"
-    assert not health.probe_ready()  # cooling down
-    clock.advance(0.6)
+    breaker = _member_breaker(clock)
+    for _ in range(MEMBER_THRESHOLD):
+        breaker.record_failure("s0:replica-1")
+    assert not breaker.ready("s0:replica-1")  # cooling down
+    clock.advance(MEMBER_COOLDOWN_MS / 1000.0)
+    before = breaker.stats()
     for _ in range(5):
-        assert health.probe_ready()  # repeated checks grant nothing
-    assert health.stats()["probes_fired"] == 0
-    assert health.stats()["probe_denials"] == 0
-    assert health.admit()  # the one real grant
-    assert not health.probe_ready()  # slot held by the trial
-    health.record_success()
-    assert health.probe_ready()  # released by the outcome
+        assert breaker.ready("s0:replica-1")  # repeated checks grant nothing
+    assert breaker.stats() == before
+    assert breaker.state("s0:replica-1") == "open"
+    assert breaker.allow("s0:replica-1")  # the one real grant
+    assert not breaker.ready("s0:replica-1")  # slot held by the trial
+    breaker.record_success("s0:replica-1")
+    assert breaker.ready("s0:replica-1")  # settled by the outcome
 
 
 def test_failed_probe_restarts_the_cooldown():
     clock = FakeClock()
-    health = ReplicaHealth(
-        suspect_after=1, dead_after=1, cooldown_ms=500.0, clock=clock
-    )
-    health.record_failure()
-    assert health.state() == "dead"
-    clock.advance(0.6)
-    assert health.admit()
-    health.record_failure()  # the trial failed
-    assert health.state() == "dead"
-    assert not health.admit()  # cooldown restarted at the failure
-    clock.advance(0.6)
-    assert health.admit()
-
-
-def test_cancelled_and_rejected_outcomes_are_not_health_signals():
-    health = ReplicaHealth(suspect_after=1, dead_after=2)
-    health.record_failure(RequestCancelled("hedge race lost"))
-    health.record_failure(RequestRejected("queue full"))
-    assert health.state() == "healthy"
-    assert health.stats()["ignored_failures"] == 2
-    assert health.stats()["failures"] == 0
-
-
-def test_lag_overlay_reports_lagging_without_touching_the_machine():
-    health = ReplicaHealth()
-    health.observe_lag(5)
-    assert health.state() == "healthy"
-    assert health.effective_state(lag_budget=3) == "lagging"
-    assert health.effective_state(lag_budget=5) == "healthy"
-    assert health.effective_state(lag_budget=None) == "healthy"
-    assert health.stats()["max_lag"] == 5
-    health.observe_lag(0)
-    assert health.effective_state(lag_budget=3) == "healthy"
-    assert health.stats()["max_lag"] == 5  # watermark survives
+    breaker = _member_breaker(clock)
+    for _ in range(MEMBER_THRESHOLD):
+        breaker.record_failure("s0:replica-1")
+    clock.advance(1.0)
+    assert breaker.allow("s0:replica-1")
+    breaker.record_failure("s0:replica-1")  # the trial failed
+    assert breaker.state("s0:replica-1") == "open"
+    assert not breaker.ready("s0:replica-1")  # cooldown restarted
+    clock.advance(MEMBER_COOLDOWN_MS / 1000.0)
+    assert breaker.allow("s0:replica-1")
 
 
 def test_health_validates_thresholds():
+    assert 1 <= MEMBER_SUSPECT_AFTER <= MEMBER_THRESHOLD
     with pytest.raises(ValueError):
-        ReplicaHealth(suspect_after=3, dead_after=2)
+        CircuitBreaker(threshold=0)
     with pytest.raises(ValueError):
-        ReplicaHealth(probe_max=0)
+        CircuitBreaker(threshold=MEMBER_THRESHOLD, half_open_max=0)
+
+
+SPEC = HotelDataSpec(metros=4, hotels_per_metro=2)
+
+
+def _one_shard_fleet(db, **kwargs):
+    return ShardRouter.build(
+        db.catalog, db, hotel_partition_scheme(), 1,
+        replicas=1, workers=1, **kwargs,
+    )
+
+
+def _trace(outcome):
+    return RequestTrace(
+        request_id=0, label="", strategy="bulk", cache_hit=False,
+        plan_key="", outcome=outcome,
+    )
+
+
+def test_cancelled_and_rejected_outcomes_are_not_health_signals():
+    """A hedge loser or a shed says nothing about the member: the router
+    records no failure for it, and gives back the trial it held."""
+    db = build_hotel_database(SPEC, cross_thread=True, seed=2003)
+    router = _one_shard_fleet(db)
+    try:
+        clock = FakeClock()
+        breaker = router.member_breaker = _member_breaker(clock)
+        replica = router.shards[0].members[1]
+        for outcome in ("cancelled", "rejected"):
+            router._feed_health(replica, _trace(outcome))
+        assert breaker.failures(replica.key) == 0
+        for _ in range(MEMBER_THRESHOLD):
+            router._feed_health(replica, _trace("error"))
+        assert breaker.state(replica.key) == "open"
+        clock.advance(1.0)
+        for outcome in ("cancelled", "rejected"):
+            assert breaker.allow(replica.key)  # the trial
+            router._feed_health(replica, _trace(outcome))
+            assert breaker.state(replica.key) == "half-open"
+            assert breaker.ready(replica.key)  # the slot came back
+        assert breaker.failures(replica.key) == MEMBER_THRESHOLD
+    finally:
+        router.close()
+        db.close()
+
+
+def test_lag_overlay_reports_lagging_without_touching_the_machine():
+    """A replica held back by its applier is skipped for strict reads
+    and reports its lag, but lag is not a failure: its circuit stays
+    closed with no failures counted."""
+    db = build_hotel_database(SPEC, cross_thread=True, seed=2003)
+    router = _one_shard_fleet(db, replica_lag_ms=120_000.0)
+    try:
+        router.route_write(
+            lambda source, tracker: hotel_metro_write(
+                source, 0, tracker=tracker
+            )
+        )
+        view = figure1_view(db.catalog)
+        for _ in range(3):
+            trace = router.render(view, bypass_cache=True)
+            assert trace.outcome == "success"
+            assert trace.shards[0]["server"] == "primary"
+        fleet = router.fleet_metrics()
+        assert fleet["skips"]["lagging"] == 3
+        replica = fleet["replica_health"][0]["members"]["replica-1"]
+        assert replica["lag"] >= 1
+        assert (replica["state"], replica["failures"]) == ("closed", 0)
+        assert router.member_breaker.stats()["opened"] == 0
+    finally:
+        router.close()
+        db.close()
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ the per-shard failover tests in test_router_faults.py do not reach.
 from __future__ import annotations
 
 from repro.maintenance.workload import hotel_metro_write
-from repro.resilience import FaultPlan, FaultSpec, FleetFaultPlan
+from repro.resilience import CircuitBreaker, FaultPlan, FaultSpec, FleetFaultPlan
 from repro.schema_tree.evaluator import materialize
 from repro.serving import PublishRequest
 from repro.sharding import PlacementGroup, ShardRouter
+from repro.sharding.router import MEMBER_COOLDOWN_MS, MEMBER_THRESHOLD
 from repro.workloads.hotel import (
     HotelDataSpec,
     build_hotel_database,
@@ -23,6 +24,24 @@ from repro.xmlcore.serializer import serialize
 
 SEED = 2003
 SPEC = HotelDataSpec(metros=4, hotels_per_metro=2)
+
+
+class FakeClock:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+def _member_breaker(clock):
+    """The router's member breaker on an injected clock."""
+    return CircuitBreaker(
+        MEMBER_THRESHOLD, cooldown_ms=MEMBER_COOLDOWN_MS, clock=clock
+    )
 
 
 def _fleet(db, *, shards=2, replicas=1, staleness="strict",
@@ -217,44 +236,46 @@ def test_failover_claims_the_member_actually_served():
 
 
 def test_unattempted_dead_member_keeps_its_probe_slot():
-    """Regression: enumerating a probe-eligible dead replica must not
-    consume its half-open slot. Dead members sort behind the healthy
-    front, so the granted probe was typically never dispatched — and
-    since only an attempt's outcome releases the slot, one death locked
-    the member out of readmission forever. The slot is now taken at
-    dispatch time, so an unattempted candidate leaks nothing and the
-    probe genuinely fires once the member is actually needed."""
+    """Regression: enumerating a trial-eligible open replica must not
+    take its half-open slot. Open members sort behind the healthy
+    front, so a slot granted at enumeration was typically never
+    dispatched — and since only an attempt's outcome releases the slot,
+    one opening locked the member out of readmission forever. The slot
+    is taken at dispatch time, so an unattempted candidate leaks nothing
+    and the trial genuinely fires once the member is actually needed."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     view = figure1_view(db.catalog)
     router = _fleet(db, shards=1, replicas=1)
     try:
+        clock = FakeClock()
+        breaker = router.member_breaker = _member_breaker(clock)
         primary, replica = router.shards[0].members
-        for _ in range(replica.health.dead_after):
-            replica.health.record_failure()
-        assert replica.health.state() == "dead"
-        replica.health.cooldown_ms = 0.0  # probe-eligible immediately
+        for _ in range(MEMBER_THRESHOLD):
+            breaker.record_failure(replica.key)
+        assert breaker.state(replica.key) == "open"
+        clock.advance(1.0)  # past the cooldown: trial-eligible
         for _ in range(4):
             trace = router.render(view, strategy="bulk", bypass_cache=True)
             assert trace.outcome == "success"
             assert trace.shards[0]["server"] == "primary"
-        stats = replica.health.stats()
-        assert stats["state"] == "dead"
-        assert stats["probes_fired"] == 0  # enumerated, never granted
-        assert stats["probe_denials"] == 0
-        assert replica.health.probe_ready()  # the slot did not leak
-        # Take the primary out (fresh death, huge cooldown keeps it out)
-        # and the replica's probe must actually fire, win, and readmit.
-        primary.health.cooldown_ms = 600_000.0
-        for _ in range(primary.health.dead_after):
-            primary.health.record_failure()
-        assert primary.health.state() == "dead"
+        assert breaker.state(replica.key) == "open"  # enumerated, not admitted
+        assert breaker.stats()["half_opened"] == 0
+        assert breaker.stats()["short_circuits"] == 0
+        assert breaker.ready(replica.key)  # the slot did not leak
+        # Take the primary out (its cooldown starts now and the clock
+        # stands still) and the replica's trial must fire, win, and
+        # readmit it.
+        for _ in range(MEMBER_THRESHOLD):
+            breaker.record_failure(primary.key)
+        assert breaker.state(primary.key) == "open"
         trace = router.render(view, strategy="bulk", bypass_cache=True)
         assert trace.outcome == "success"
         assert trace.shards[0]["server"] == "replica-1"
-        stats = replica.health.stats()
-        assert stats["state"] == "healthy"
-        assert stats["probes_fired"] == 1
-        assert stats["readmissions"] == 1
+        member = router.fleet_metrics()["replica_health"][0]["members"]
+        assert (member["replica-1"]["state"], member["replica-1"]["failures"]) == ("closed", 0)
+        assert member["primary"]["state"] == "open"
+        assert breaker.stats()["half_opened"] == 1
+        assert breaker.stats()["closed"] == 1
         assert router.outstanding() == 0
     finally:
         router.close()
@@ -262,10 +283,10 @@ def test_unattempted_dead_member_keeps_its_probe_slot():
 
 
 def test_lag_skipped_dead_member_does_not_burn_its_probe():
-    """Regression: the lag-budget gate runs before the probe check, so
-    a dead replica that is also lagging past the strict budget is
-    lag-skipped without its probe slot ever being granted — once the
-    applier catches up it is still probe-eligible."""
+    """Regression: the lag-budget gate runs before the breaker is
+    asked, so an open replica that is also lagging past the strict
+    budget is lag-skipped without its trial slot ever being granted —
+    once the applier catches up it is still trial-eligible."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     view = figure1_view(db.catalog)
     domain = _metro_domain(db)
@@ -274,17 +295,19 @@ def test_lag_skipped_dead_member_does_not_burn_its_probe():
         # One write per metro: every shard's replica falls behind.
         for step in range(SPEC.metros):
             _mirrored_write(router, db, step, domain)
+        clock = FakeClock()
+        breaker = router.member_breaker = _member_breaker(clock)
         replica = router.shards[0].members[1]
-        for _ in range(replica.health.dead_after):
-            replica.health.record_failure()
-        replica.health.cooldown_ms = 0.0  # past cooldown, but lagging
+        for _ in range(MEMBER_THRESHOLD):
+            breaker.record_failure(replica.key)
+        clock.advance(1.0)  # past the cooldown, but lagging
         for _ in range(3):
             trace = router.render(view, strategy="bulk", bypass_cache=True)
             assert trace.outcome == "success"
-        stats = replica.health.stats()
-        assert stats["probes_fired"] == 0
-        assert stats["probe_denials"] == 0
-        assert replica.health.probe_ready()
+        assert breaker.state(replica.key) == "open"
+        assert breaker.stats()["half_opened"] == 0
+        assert breaker.stats()["short_circuits"] == 0
+        assert breaker.ready(replica.key)
         fleet = router.fleet_metrics()
         assert fleet["skips"]["lagging"] >= 1
         assert router.outstanding() == 0
