@@ -836,22 +836,3 @@ def expand_stars(query: Select, catalog: TableColumns) -> None:
             for column in from_item_columns(from_item, catalog):
                 new_items.append(SelectItem(ColumnRef(column, table=from_item.binding_name)))
     query.items = new_items
-
-
-def project_columns(query: Select, names: Iterable[str], catalog: TableColumns) -> None:
-    """Restrict the select list to the named output columns, in given order.
-
-    Stars are expanded first. Unknown names raise.
-    """
-    expand_stars(query, catalog)
-    by_name: dict[str, SelectItem] = {}
-    for item in query.items:
-        name = item.output_name()
-        if name is not None and name not in by_name:
-            by_name[name] = item
-    new_items: list[SelectItem] = []
-    for name in names:
-        if name not in by_name:
-            raise SQLTransformError(f"query has no output column {name!r}")
-        new_items.append(by_name[name])
-    query.items = new_items

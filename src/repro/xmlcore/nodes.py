@@ -45,22 +45,6 @@ class Node:
             yield node
             node = node.parent
 
-    def incoming_path(self) -> list[str]:
-        """Return the element tags from the document root down to this node.
-
-        Only element ancestors contribute; the document root contributes
-        nothing. For an element, its own tag is the last entry. This is the
-        "incoming path" the paper's MATCH function tests suffixes of.
-        """
-        path: list[str] = []
-        node: Optional[Node] = self
-        while node is not None:
-            if isinstance(node, Element):
-                path.append(node.tag)
-            node = node.parent
-        path.reverse()
-        return path
-
 
 class _ParentNode(Node):
     """Shared behaviour for nodes that own an ordered list of children."""

@@ -1,298 +1,110 @@
-"""A recursive-descent XML parser producing :mod:`repro.xmlcore.nodes` trees.
+"""Read XML text into :mod:`repro.xmlcore.nodes` trees.
 
-The parser handles the XML constructs that appear in stylesheets and
-published documents:
+The tokenizer is the standard library's ``xml.parsers.expat``; this module
+turns its events into a tree and keeps the reader's dialect:
 
-* elements with attributes in single or double quotes,
-* character data with the five predefined entities plus numeric character
-  references (``&#10;`` and ``&#x0A;``),
-* CDATA sections,
-* comments and processing instructions (PIs are skipped),
-* an optional XML declaration and a lenient DOCTYPE skip.
+* only the five predefined entities and character references: an
+  ``<!ENTITY`` declaration is refused, and so is a DOCTYPE after which
+  expat would skip an unknown reference instead of reporting it (one that
+  names an external subset or references a parameter entity, in a
+  document not declared standalone);
+* processing instructions are dropped, and so are comments before the
+  root element;
+* a CDATA section is a :class:`Text` node of its own;
+* namespace prefixes are literal parts of names (``xsl:template`` is a tag
+  named ``"xsl:template"``), which is what the stylesheet parser wants.
 
-It reports well-formedness violations as :class:`~repro.errors.XMLParseError`
-with line/column positions. Namespace prefixes are kept as literal parts of
-names (``xsl:template`` is a tag named ``"xsl:template"``), which is exactly
-what the stylesheet parser wants.
+XML 1.0's normalizations apply: a CR or CR LF line end reads as LF (2.11),
+and a TAB, CR or LF inside an attribute value as a space (3.3.3).
+Well-formedness violations raise :class:`~repro.errors.XMLParseError` with
+a 1-based line and column.
 """
 
 from __future__ import annotations
 
+import re
+from xml.parsers import expat
+
 from repro.errors import XMLParseError
 from repro.xmlcore.nodes import Comment, Document, Element, Node, Text
 
-_PREDEFINED_ENTITIES = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "quot": '"',
-    "apos": "'",
-}
-
-_NAME_START_EXTRA = set("_:")
-_NAME_EXTRA = set("_:.-")
+# A fragment is read as the content of this element, placed after a
+# leading XML declaration (which must stay first).
+_WRAPPER = "fragment"
+_DECLARATION = re.compile(r"<\?xml\s.*?\?>", re.DOTALL)
 
 
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _NAME_START_EXTRA
+class _Builder:
+    """Expat handlers that grow one document; single use."""
 
+    def __init__(self) -> None:
+        self.document = Document()
+        self.parent: Document | Element = self.document
+        self.text: list[str] = []
+        self.parser = parser = expat.ParserCreate(encoding="utf-8")
+        parser.buffer_text = True
+        parser.specified_attributes = True  # no defaults from an ATTLIST
+        parser.StartElementHandler = self.start
+        parser.EndElementHandler = self.end
+        parser.CharacterDataHandler = self.text.append
+        parser.CommentHandler = self.comment
+        parser.StartCdataSectionHandler = self.flush
+        parser.EndCdataSectionHandler = self.end_cdata
+        # Dropped, but a text run still ends at one.
+        parser.ProcessingInstructionHandler = lambda target, data: self.flush()
+        parser.EntityDeclHandler = self.entity_declaration
+        parser.NotStandaloneHandler = self.not_standalone
 
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA
+    def flush(self) -> None:
+        if self.text:
+            self.parent.append(Text("".join(self.text)))
+            self.text.clear()
 
+    def start(self, tag: str, attributes: dict[str, str]) -> None:
+        self.flush()
+        self.parent = self.parent.append(Element(tag, attributes))
 
-class _Parser:
-    """Single-use parser over one input string."""
+    def end(self, tag: str) -> None:
+        self.flush()
+        self.parent = self.parent.parent
 
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.length = len(source)
+    def comment(self, value: str) -> None:
+        self.flush()
+        if self.parent is not self.document or self.document.children:
+            self.parent.append(Comment(value))
 
-    # -- error helpers ----------------------------------------------------
+    def end_cdata(self) -> None:
+        self.parent.append(Text("".join(self.text)))  # even an empty one
+        self.text.clear()
 
-    def _location(self, pos: int | None = None) -> tuple[int, int]:
-        pos = self.pos if pos is None else pos
-        line = self.source.count("\n", 0, pos) + 1
-        last_nl = self.source.rfind("\n", 0, pos)
-        column = pos - last_nl
-        return line, column
+    def refuse(self, message: str):
+        raise XMLParseError(
+            message, self.parser.CurrentLineNumber, self.parser.CurrentColumnNumber + 1
+        )
 
-    def _error(self, message: str, pos: int | None = None) -> XMLParseError:
-        line, column = self._location(pos)
-        return XMLParseError(message, line, column)
+    def entity_declaration(self, name: str, *_) -> None:
+        self.refuse(f"entity declaration {name!r} not supported")
 
-    # -- low-level scanning -----------------------------------------------
+    def not_standalone(self) -> None:
+        # Expat would skip an undeclared entity from here on (and drop one
+        # inside an attribute value without any event).
+        self.refuse("external DTD subset or parameter entity reference not supported")
 
-    def _peek(self) -> str:
-        return self.source[self.pos] if self.pos < self.length else ""
-
-    def _startswith(self, token: str) -> bool:
-        return self.source.startswith(token, self.pos)
-
-    def _expect(self, token: str) -> None:
-        if not self._startswith(token):
-            raise self._error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def _skip_whitespace(self) -> None:
-        while self.pos < self.length and self.source[self.pos].isspace():
-            self.pos += 1
-
-    def _read_name(self) -> str:
-        start = self.pos
-        if self.pos >= self.length or not _is_name_start(self.source[self.pos]):
-            raise self._error("expected a name")
-        self.pos += 1
-        while self.pos < self.length and _is_name_char(self.source[self.pos]):
-            self.pos += 1
-        return self.source[start:self.pos]
-
-    def _read_reference(self) -> str:
-        """Read an entity or character reference (the ``&`` is current)."""
-        start = self.pos
-        self._expect("&")
-        end = self.source.find(";", self.pos)
-        if end < 0:
-            raise self._error("unterminated entity reference", start)
-        body = self.source[self.pos:end]
-        self.pos = end + 1
-        if body.startswith("#x") or body.startswith("#X"):
-            try:
-                return chr(int(body[2:], 16))
-            except ValueError:
-                raise self._error(f"bad character reference &{body};", start)
-        if body.startswith("#"):
-            try:
-                return chr(int(body[1:]))
-            except ValueError:
-                raise self._error(f"bad character reference &{body};", start)
-        if body in _PREDEFINED_ENTITIES:
-            return _PREDEFINED_ENTITIES[body]
-        raise self._error(f"unknown entity &{body};", start)
-
-    # -- grammar productions ----------------------------------------------
-
-    def parse_document(self) -> Document:
-        doc = Document()
-        self._skip_prolog()
-        self._parse_content(doc, top_level=True)
-        if doc.root_element is None:
-            raise self._error("document has no root element", 0)
-        if len(doc.child_elements()) > 1:
-            raise self._error("document has multiple root elements", 0)
-        return doc
-
-    def parse_fragment(self) -> list[Node]:
-        """Parse mixed content without the single-root requirement."""
-        doc = Document()
-        self._parse_content(doc, top_level=True, allow_text=True)
-        children = list(doc.children)
-        for child in children:
-            child.parent = None
-        return children
-
-    def _skip_prolog(self) -> None:
-        self._skip_whitespace()
-        if self._startswith("<?xml"):
-            end = self.source.find("?>", self.pos)
-            if end < 0:
-                raise self._error("unterminated XML declaration")
-            self.pos = end + 2
-        self._skip_whitespace()
-        while self._startswith("<!--") or self._startswith("<!DOCTYPE") or self._startswith("<?"):
-            if self._startswith("<!--"):
-                self._parse_comment()
-            elif self._startswith("<!DOCTYPE"):
-                self._skip_doctype()
-            else:
-                self._skip_pi()
-            self._skip_whitespace()
-
-    def _skip_doctype(self) -> None:
-        start = self.pos
-        depth = 0
-        while self.pos < self.length:
-            ch = self.source[self.pos]
-            if ch == "<":
-                depth += 1
-            elif ch == ">":
-                depth -= 1
-                if depth == 0:
-                    self.pos += 1
-                    return
-            self.pos += 1
-        raise self._error("unterminated DOCTYPE", start)
-
-    def _skip_pi(self) -> None:
-        start = self.pos
-        end = self.source.find("?>", self.pos)
-        if end < 0:
-            raise self._error("unterminated processing instruction", start)
-        self.pos = end + 2
-
-    def _parse_comment(self) -> Comment:
-        start = self.pos
-        self._expect("<!--")
-        end = self.source.find("-->", self.pos)
-        if end < 0:
-            raise self._error("unterminated comment", start)
-        body = self.source[self.pos:end]
-        if "--" in body:
-            raise self._error("'--' not allowed inside comment", start)
-        self.pos = end + 3
-        return Comment(body)
-
-    def _parse_cdata(self) -> Text:
-        start = self.pos
-        self._expect("<![CDATA[")
-        end = self.source.find("]]>", self.pos)
-        if end < 0:
-            raise self._error("unterminated CDATA section", start)
-        body = self.source[self.pos:end]
-        self.pos = end + 3
-        return Text(body)
-
-    def _parse_element(self) -> Element:
-        self._expect("<")
-        tag = self._read_name()
-        element = Element(tag)
-        while True:
-            had_space = self._peek().isspace()
-            self._skip_whitespace()
-            ch = self._peek()
-            if ch == ">":
-                self.pos += 1
-                self._parse_content(element)
-                self._parse_end_tag(tag)
-                return element
-            if self._startswith("/>"):
-                self.pos += 2
-                return element
-            if not ch:
-                raise self._error(f"unterminated start tag <{tag}>")
-            if not had_space:
-                raise self._error("expected whitespace before attribute")
-            name, value = self._parse_attribute()
-            if name in element.attributes:
-                raise self._error(f"duplicate attribute {name!r} on <{tag}>")
-            element.attributes[name] = value
-
-    def _parse_attribute(self) -> tuple[str, str]:
-        name = self._read_name()
-        self._skip_whitespace()
-        self._expect("=")
-        self._skip_whitespace()
-        quote = self._peek()
-        if quote not in "\"'":
-            raise self._error(f"attribute {name!r} value must be quoted")
-        self.pos += 1
-        parts: list[str] = []
-        while True:
-            if self.pos >= self.length:
-                raise self._error(f"unterminated value for attribute {name!r}")
-            ch = self.source[self.pos]
-            if ch == quote:
-                self.pos += 1
-                return name, "".join(parts)
-            if ch == "&":
-                parts.append(self._read_reference())
-            elif ch == "<":
-                raise self._error("'<' not allowed in attribute value")
-            else:
-                parts.append(ch)
-                self.pos += 1
-
-    def _parse_end_tag(self, tag: str) -> None:
-        start = self.pos
-        self._expect("</")
-        name = self._read_name()
-        if name != tag:
-            raise self._error(f"mismatched end tag </{name}>, expected </{tag}>", start)
-        self._skip_whitespace()
-        self._expect(">")
-
-    def _parse_content(
-        self, parent, top_level: bool = False, allow_text: bool = False
-    ) -> None:
-        """Parse child content into ``parent`` until an end tag or EOF."""
-        text_parts: list[str] = []
-
-        def flush_text() -> None:
-            if text_parts:
-                value = "".join(text_parts)
-                text_parts.clear()
-                if top_level and not allow_text:
-                    if value.strip():
-                        raise self._error("character data outside root element")
-                    return
-                parent.append(Text(value))
-
-        while self.pos < self.length:
-            ch = self.source[self.pos]
-            if ch == "<":
-                if self._startswith("</"):
-                    flush_text()
-                    if top_level:
-                        raise self._error("unexpected end tag")
-                    return
-                flush_text()
-                if self._startswith("<!--"):
-                    parent.append(self._parse_comment())
-                elif self._startswith("<![CDATA["):
-                    parent.append(self._parse_cdata())
-                elif self._startswith("<?"):
-                    self._skip_pi()
-                else:
-                    parent.append(self._parse_element())
-            elif ch == "&":
-                text_parts.append(self._read_reference())
-            else:
-                text_parts.append(ch)
-                self.pos += 1
-        flush_text()
-        if not top_level:
-            raise self._error("unexpected end of input inside element")
+    def read(self, source: str, inserted: tuple[int, int, int]) -> Document:
+        """Parse ``source``; ``inserted`` is the (line, 0-based column,
+        width) of markup the caller added, which error columns skip."""
+        try:
+            # A lone surrogate becomes bytes expat rejects with a position.
+            self.parser.Parse(source.encode("utf-8", "surrogatepass"), True)
+        except expat.ExpatError as exc:
+            line, column, width = inserted
+            offset = exc.offset
+            if exc.lineno == line and offset >= column:
+                offset -= width
+            raise XMLParseError(expat.ErrorString(exc.code), exc.lineno, offset + 1) from None
+        finally:
+            self.parser = None  # no cycle through the bound handlers
+        return self.document
 
 
 def parse_document(source: str) -> Document:
@@ -307,7 +119,7 @@ def parse_document(source: str) -> Document:
     Raises:
         XMLParseError: if the input is not well-formed.
     """
-    return _Parser(source).parse_document()
+    return _Builder().read(source, (0, 0, 0))
 
 
 def parse_fragment(source: str) -> list[Node]:
@@ -316,4 +128,12 @@ def parse_fragment(source: str) -> list[Node]:
     Useful for template-rule bodies, which are fragments rather than
     documents.
     """
-    return _Parser(source).parse_fragment()
+    declaration = _DECLARATION.match(source)
+    head = declaration.end() if declaration else 0
+    line = source.count("\n", 0, head) + 1
+    column = head - (source.rfind("\n", 0, head) + 1)
+    text = f"{source[:head]}<{_WRAPPER}>{source[head:]}</{_WRAPPER}>"
+    wrapper = _Builder().read(text, (line, column, len(_WRAPPER) + 2)).root_element
+    for child in wrapper.children:
+        child.parent = None
+    return wrapper.children

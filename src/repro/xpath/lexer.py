@@ -82,7 +82,7 @@ def tokenize(expression: str) -> list[Token]:
                 pos += 1
                 while pos < length and expression[pos].isdigit():
                     pos += 1
-            tokens.append(Token(NUMBER, expression[start:pos], pos))
+            tokens.append(Token(NUMBER, expression[start:pos], start))
             continue
         if ch == "$":
             start = pos

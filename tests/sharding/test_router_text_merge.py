@@ -34,26 +34,27 @@ SPEC = HotelDataSpec(metros=4, hotels_per_metro=6)
 
 
 @pytest.fixture
-def fragments_parsed(monkeypatch):
-    """One entry per ``parse_fragment`` call, whoever imported it."""
+def texts_parsed(monkeypatch):
+    """One entry per XML text read (document or fragment), whoever
+    imported the reader."""
     calls = []
-    real = parser._Parser.parse_fragment
+    real = parser._Builder.read
 
-    def counting(self):
-        calls.append(len(self.source))
-        return real(self)
+    def counting(self, source, inserted):
+        calls.append(len(source))
+        return real(self, source, inserted)
 
-    monkeypatch.setattr(parser._Parser, "parse_fragment", counting)
+    monkeypatch.setattr(parser._Builder, "read", counting)
     return calls
 
 
 def test_router_splices_member_text_and_builds_only_the_frame(
-    output_elements, fragments_parsed
+    output_elements, texts_parsed
 ):
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     view = figure1_view(db.catalog)
     sheet = figure4_stylesheet()
-    del fragments_parsed[:]  # the stylesheet's own template bodies
+    del texts_parsed[:]  # the stylesheet's own template bodies
     composed = compose(view, sheet, db.catalog)
     prune_stylesheet_view(composed, db.catalog)
     domain = [
@@ -113,7 +114,7 @@ def test_router_splices_member_text_and_builds_only_the_frame(
         # Figure 1's partition node is top-level (no frame at all);
         # Figure 4's frame is built once, when its plan is derived.
         assert built == ["HTML", "HEAD", "BODY"]
-        assert fragments_parsed == []
+        assert texts_parsed == []
         # One memo: Figure 1's bytes changed with each write (3 splices),
         # Figure 4's never did (1 splice, then equal shard texts hit).
         metrics = router.metrics()

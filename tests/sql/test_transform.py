@@ -12,7 +12,6 @@ from repro.sql.transform import (
     fresh_alias,
     inline_parameter,
     inline_parameter_deep,
-    project_columns,
     qualify_bare_stars,
     qualify_unqualified_columns,
     simplify_exists,
@@ -171,18 +170,6 @@ def test_qualify_leaves_aliases_alone():
     text = print_select(query)
     assert "HAVING total > 1" in text
     assert "GROUP BY confroom.chotel_id" in text
-
-
-def test_project_columns():
-    query = parse_select("SELECT * FROM hotel")
-    project_columns(query, ["hotelid", "starrating"], CATALOG)
-    assert output_columns(query, CATALOG) == ["hotelid", "starrating"]
-
-
-def test_project_unknown_column_raises():
-    query = parse_select("SELECT * FROM hotel")
-    with pytest.raises(SQLTransformError):
-        project_columns(query, ["ghost"], CATALOG)
 
 
 # -- simplify_exists: what EXISTS never looks at ----------------------------

@@ -13,7 +13,7 @@ from repro.errors import (
 )
 from repro.schema_tree.io import catalog_from_xml, view_from_xml
 from repro.sql.parser import parse_select
-from repro.xmlcore.parser import parse_document
+from repro.xmlcore.parser import parse_document, parse_fragment
 from repro.xpath.parser import parse_expression, parse_path, parse_pattern
 from repro.xslt.parser import parse_stylesheet
 
@@ -21,6 +21,14 @@ from repro.xslt.parser import parse_stylesheet
 xmlish = st.text(
     alphabet=st.sampled_from(list("<>/=\"'&;abc xsl:tmpl{}[]")), max_size=60
 )
+# Declarations, comments, CDATA and characters XML forbids.
+markupish = st.lists(
+    st.sampled_from(
+        ["<", ">", "/", "a", "&", ";", "#", "0", "x", "!", "?", "-", "[", "]",
+         "<?xml ", "?>", "<![CDATA[", "]]>", "<!--", "-->", "\r", "\x00", "\ud800"]
+    ),
+    max_size=30,
+).map("".join)
 pathish = st.text(
     alphabet=st.sampled_from(list("abc/@.*[]()<>=!$0123 'x'")), max_size=40
 )
@@ -39,6 +47,16 @@ def test_xml_parser_total(text):
         parse_document(text)
     except XMLParseError:
         pass
+
+
+@given(markupish)
+@settings(max_examples=300, deadline=None)
+def test_xml_markup_total(text):
+    for parse in (parse_document, parse_fragment):
+        try:
+            parse(text)
+        except XMLParseError:
+            pass
 
 
 @given(pathish)

@@ -31,12 +31,6 @@ def test_ancestors_order():
     assert list(confroom.ancestors()) == [hotel, root, doc]
 
 
-def test_incoming_path_excludes_document():
-    _doc, _root, hotel = build_sample()
-    confroom = hotel.children[0]
-    assert confroom.incoming_path() == ["metro", "hotel", "confroom"]
-
-
 def test_child_elements_skips_text_and_comments():
     _doc, _root, hotel = build_sample()
     assert [c.tag for c in hotel.child_elements()] == ["confroom"]

@@ -85,3 +85,10 @@ def test_underscore_names():
     tokens = tokenize("hotel_available")
     assert tokens[0].kind == NAME
     assert tokens[0].value == "hotel_available"
+
+
+def test_every_token_records_its_start():
+    tokens = tokenize("a[12.5 = $v]")
+    assert [(t.value, t.position) for t in tokens[:-1]] == [
+        ("a", 0), ("[", 1), ("12.5", 2), ("=", 7), ("v", 9), ("]", 11),
+    ]

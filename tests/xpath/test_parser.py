@@ -172,3 +172,11 @@ def test_to_text_roundtrip():
     ]:
         path = parse_path(text)
         assert parse_path(path.to_text()).to_text() == path.to_text()
+
+
+@pytest.mark.parametrize("bad, position", [("12 a", 0), ("a[1 2]", 4)])
+def test_error_after_a_number_points_at_its_start(bad, position):
+    with pytest.raises(XPathSyntaxError) as caught:
+        parse_path(bad)
+    assert caught.value.position == position
+    assert str(caught.value).endswith(f"at offset {position}")
