@@ -15,7 +15,8 @@ wrong-shape result. This module makes those failures reproducible:
   and hashes the triple, so a given seed produces the same fault
   sequence at every site regardless of thread interleaving *between*
   sites. ``every_n`` sites fire deterministically on each Nth call
-  instead of at a rate.
+  instead of at a rate. :class:`FleetFaultPlan` decides whole-member
+  faults by the same seeded schedule (:class:`_Schedule`).
 * :class:`FaultyEngine` — a transparent wrapper around a
   :class:`~repro.relational.engine.Database` that consults the plan on
   every :meth:`~repro.relational.engine.Database.run_query` and
@@ -91,30 +92,26 @@ class FaultSpec:
             raise ValueError(f"every_n must be >= 0, got {self.every_n}")
 
 
-class FaultPlan:
-    """Seeded, site-addressed fault schedule shared by a whole server.
+class _Schedule:
+    """The seeded, site-counted schedule both fault plans decide by.
 
-    Thread-safe: per-site counters advance under a lock, and each
-    decision depends only on ``(seed, site, counter)`` — hashed through
-    blake2s into a uniform float — so two runs with the same seed and
-    the same per-site call sequence inject the same faults.
+    Thread-safe: each check at a site advances that site's counter under
+    a lock, and a decision depends only on ``(seed, site, n, kind)`` —
+    hashed through blake2s into a uniform float — so two runs with the
+    same seed and the same per-site call sequence inject the same faults,
+    whatever the interleaving *between* sites.
 
     :meth:`disarm` / :meth:`arm` gate injection without resetting the
     counters; benchmarks warm caches with the plan disarmed, then arm it
     for the measured (chaotic) phase.
     """
 
-    def __init__(self, spec: FaultSpec, seed: int = 0, enabled: bool = True):
-        self.spec = spec
+    def __init__(self, seed: int, enabled: bool, kinds: tuple[str, ...]):
         self.seed = seed
         self.enabled = enabled
         self._lock = threading.Lock()
         self._site_calls: dict[str, int] = {}
-        self._injected = {
-            "error": 0, "latency": 0, "wrong-shape": 0, "compile-error": 0,
-        }
-
-    # -- schedule ------------------------------------------------------------
+        self._injected = dict.fromkeys(kinds, 0)
 
     def arm(self) -> None:
         """Enable injection (counters keep running either way)."""
@@ -124,21 +121,41 @@ class FaultPlan:
         """Disable injection; checks still advance the per-site counters."""
         self.enabled = False
 
-    def _draw(self, site: str, index: int, kind: str) -> float:
-        digest = hashlib.blake2s(
-            f"{self.seed}:{site}:{index}:{kind}".encode(), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big") / float(1 << 64)
-
     def _advance(self, site: str) -> int:
         with self._lock:
             index = self._site_calls.get(site, 0)
             self._site_calls[site] = index + 1
             return index
 
+    def _draw(self, site: str, index: int, kind: str) -> float:
+        digest = hashlib.blake2s(
+            f"{self.seed}:{site}:{index}:{kind}".encode(), digest_size=8
+        ).digest()
+        return int.from_bytes(digest, "big") / float(1 << 64)
+
     def _count(self, kind: str) -> None:
         with self._lock:
             self._injected[kind] += 1
+
+    def stats(self) -> dict:
+        """Injection counters plus total site checks (one snapshot)."""
+        with self._lock:
+            return {
+                "seed": self.seed,
+                "enabled": self.enabled,
+                "checks": sum(self._site_calls.values()),
+                "injected": dict(self._injected),
+            }
+
+
+class FaultPlan(_Schedule):
+    """Seeded, site-addressed fault schedule shared by a whole server."""
+
+    def __init__(self, spec: FaultSpec, seed: int = 0, enabled: bool = True):
+        super().__init__(
+            seed, enabled, ("error", "latency", "wrong-shape", "compile-error")
+        )
+        self.spec = spec
 
     # -- injection sites -----------------------------------------------------
 
@@ -196,25 +213,28 @@ class FaultPlan:
         message = TRANSIENT_MESSAGES[cursor % len(TRANSIENT_MESSAGES)]
         return sqlite3.OperationalError(message)
 
-    # -- introspection -------------------------------------------------------
 
-    def stats(self) -> dict:
-        """Injection counters plus total site checks (one snapshot)."""
-        with self._lock:
-            return {
-                "seed": self.seed,
-                "enabled": self.enabled,
-                "checks": sum(self._site_calls.values()),
-                "injected": dict(self._injected),
-            }
-
-
-#: Fleet-scoped fault kinds a :class:`FleetFaultPlan` can schedule.
+#: Fleet-scoped fault kinds a :class:`FleetFaultPlan` can schedule, each
+#: with the :class:`FleetFaultSpec` rate it is drawn against.
 #: ``replica-crash`` makes a replica's pool refuse new sessions,
 #: ``apply-stall`` freezes a replica's catch-up loop so its lag grows,
 #: ``partition`` makes the primary writable but unreadable from the
 #: router (asymmetric partition).
-FLEET_FAULT_KINDS = ("replica-crash", "apply-stall", "partition")
+_RATE_FIELDS = {
+    "replica-crash": "crash_rate",
+    "apply-stall": "stall_rate",
+    "partition": "partition_rate",
+}
+FLEET_FAULT_KINDS = tuple(_RATE_FIELDS)
+
+
+def _rate_field(kind: str) -> str:
+    if kind not in _RATE_FIELDS:
+        raise ValueError(
+            f"unknown fleet fault kind {kind!r}; "
+            f"expected one of {FLEET_FAULT_KINDS}"
+        )
+    return _RATE_FIELDS[kind]
 
 
 @dataclass(frozen=True)
@@ -239,7 +259,7 @@ class FleetFaultSpec:
     window: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("crash_rate", "stall_rate", "partition_rate"):
+        for name in _RATE_FIELDS.values():
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
@@ -248,69 +268,38 @@ class FleetFaultSpec:
 
     def rate_for(self, kind: str) -> float:
         """The configured window rate for ``kind`` (ValueError if unknown)."""
-        if kind == "replica-crash":
-            return self.crash_rate
-        if kind == "apply-stall":
-            return self.stall_rate
-        if kind == "partition":
-            return self.partition_rate
-        raise ValueError(f"unknown fleet fault kind {kind!r}")
+        return getattr(self, _rate_field(kind))
 
 
-class FleetFaultPlan:
+class FleetFaultPlan(_Schedule):
     """Seeded, member-addressed schedule of whole-member faults.
 
-    Mirrors :class:`FaultPlan`'s determinism contract: each check at a
-    ``(shard, member, kind)`` site advances a per-site counter, the
-    counter's window index is hashed through blake2s with the seed, and
-    the draw decides whether the *whole window* is faulted. Same seed +
-    same per-site call sequence ⇒ same crash/stall/partition schedule,
-    regardless of thread interleaving between sites.
+    :class:`FaultPlan`'s schedule at ``(shard, member, kind)`` sites,
+    drawn per window: the counter's window index is what is hashed, so
+    the draw decides whether the *whole window* is faulted.
     """
 
     def __init__(self, spec: FleetFaultSpec, seed: int = 0,
                  enabled: bool = True):
+        super().__init__(seed, enabled, FLEET_FAULT_KINDS)
         self.spec = spec
-        self.seed = seed
-        self.enabled = enabled
-        self._lock = threading.Lock()
-        self._site_calls: dict[str, int] = {}
-        self._injected = {kind: 0 for kind in FLEET_FAULT_KINDS}
 
     @classmethod
     def for_kind(cls, kind: str, rate: float = 0.5, seed: int = 0,
                  window: int = 8) -> "FleetFaultPlan":
         """A plan injecting only ``kind`` at ``rate`` (CLI convenience)."""
-        if kind not in FLEET_FAULT_KINDS:
-            raise ValueError(
-                f"unknown fleet fault kind {kind!r}; "
-                f"expected one of {FLEET_FAULT_KINDS}"
-            )
-        rates = {
-            "replica-crash": {"crash_rate": rate},
-            "apply-stall": {"stall_rate": rate},
-            "partition": {"partition_rate": rate},
-        }[kind]
+        rates = {_rate_field(kind): rate}
         return cls(FleetFaultSpec(window=window, **rates), seed=seed)
-
-    def arm(self) -> None:
-        """Enable injection (counters keep running either way)."""
-        self.enabled = True
-
-    def disarm(self) -> None:
-        """Disable injection; checks still advance the per-site counters."""
-        self.enabled = False
 
     def active(self, kind: str, shard: int, member: str) -> bool:
         """One check: is ``kind`` afflicting ``member`` of ``shard`` now?
 
         Role targeting is structural: crash/stall checks on the primary
         and partition checks on replicas are always ``False`` (and do
-        not advance counters) — the fault sites the tentpole names are
-        replica crash, replica apply-stall, and primary read-partition.
+        not advance counters): the fault sites are replica crash, replica
+        apply-stall, and primary read-partition.
         """
-        if kind not in FLEET_FAULT_KINDS:
-            raise ValueError(f"unknown fleet fault kind {kind!r}")
+        rate = self.spec.rate_for(kind)
         is_primary = member == "primary"
         if kind == "partition":
             if not is_primary:
@@ -318,33 +307,13 @@ class FleetFaultPlan:
         elif is_primary:
             return False
         site = f"shard{shard}:{member}:{kind}"
-        with self._lock:
-            index = self._site_calls.get(site, 0)
-            self._site_calls[site] = index + 1
-        if not self.enabled:
+        index = self._advance(site)
+        if not self.enabled or not rate:
             return False
-        rate = self.spec.rate_for(kind)
-        if not rate:
-            return False
-        window = index // self.spec.window
-        digest = hashlib.blake2s(
-            f"{self.seed}:{site}:{window}:{kind}".encode(), digest_size=8
-        ).digest()
-        hit = int.from_bytes(digest, "big") / float(1 << 64) < rate
+        hit = self._draw(site, index // self.spec.window, kind) < rate
         if hit:
-            with self._lock:
-                self._injected[kind] += 1
+            self._count(kind)
         return hit
-
-    def stats(self) -> dict:
-        """Injection counters plus total site checks (one snapshot)."""
-        with self._lock:
-            return {
-                "seed": self.seed,
-                "enabled": self.enabled,
-                "checks": sum(self._site_calls.values()),
-                "injected": dict(self._injected),
-            }
 
 
 @dataclass

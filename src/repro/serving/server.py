@@ -91,6 +91,7 @@ from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
 from repro.schema_tree.evaluator import MaterializeStats
 from repro.schema_tree.model import SchemaTreeQuery
 from repro.serving.fingerprint import fingerprint_catalog, plan_key
+from repro.serving.metrics import Registry
 from repro.serving.plan_cache import CompiledPlan, PlanCache, compile_plan
 from repro.serving.pool import ConnectionPool
 from repro.xslt.model import Stylesheet
@@ -156,13 +157,33 @@ PRIORITY_ADMISSION_FRACTIONS = {
 }
 
 #: Reasons a delta maintenance attempt fell back to full recomputation,
-#: in the order metrics report them (see ``delta_fallbacks_by_reason``).
+#: in the order metrics report them (see ``delta_fallbacks_by_reason``):
+#: no captured state to splice against (``no-state`` — an entry's first
+#: staleness: the full recompute that follows captures, so this is the
+#: promotion step, once per promoted entry), a stale classification with
+#: no actually-newer table (``no-change``), a clean
+#: :class:`DeltaUnsupported` decline (``unsupported``), a mid-splice
+#: failure (``error``), or a write racing the splice (``stamp-race``).
 DELTA_FALLBACK_REASONS = (
     "no-state",
     "no-change",
     "unsupported",
     "error",
     "stamp-race",
+)
+
+#: What a :class:`ViewServer` counts, by dotted name in its
+#: :class:`~repro.serving.metrics.Registry`: its report's schema.
+#: ``metrics()`` states ``delta_fallbacks_by_reason`` only with a result
+#: cache and ``resilience`` only with a policy.
+SERVER_COUNTS = (
+    "requests_served", "errors", "cache.hits", "cache.misses",
+    *(f"freshness.{state}" for state in FRESHNESS_STATES),
+    *(f"outcomes.{outcome}" for outcome in OUTCOMES),
+    *(f"priority.{p}.outcomes.{o}" for p in PRIORITIES for o in OUTCOMES),
+    *(f"priority.{priority}.shed" for priority in PRIORITIES),
+    *(f"delta_fallbacks_by_reason.{reason}" for reason in DELTA_FALLBACK_REASONS),
+    "resilience.retries", "resilience.deadline_hits",
 )
 
 #: The one evaluator the serving path runs. ``strategy`` on a request,
@@ -381,8 +402,6 @@ class ViewServer:
         self.plan_cache = (
             plan_cache if plan_cache is not None else PlanCache(cache_capacity)
         )
-        # This server's own lookups: a shared store counts the fleet's.
-        self._plan_lookups = {"hits": 0, "misses": 0}
         self.pool = ConnectionPool(
             catalog, path=path, source=source, size=workers,
             fault_plan=faults, admission=pool_admission,
@@ -394,20 +413,10 @@ class ViewServer:
         self.catalog_fingerprint = fingerprint_catalog(catalog)
         self._lock = threading.Lock()
         self._next_request_id = 1
-        self.requests_served = 0
-        self.errors = 0
         self._inflight = 0
-        self._retries_total = 0
-        self._deadline_hits = 0
-        self._shed_requests = 0
-        self._degraded_serves = 0
-        self._cancelled_requests = 0
-        self._outcome_counts = {outcome: 0 for outcome in OUTCOMES}
-        self._priority_outcomes = {
-            priority: {outcome: 0 for outcome in OUTCOMES}
-            for priority in PRIORITIES
-        }
-        self._priority_shed = {priority: 0 for priority in PRIORITIES}
+        #: Every count this server keeps (``cache.hits`` / ``misses`` are
+        #: its own lookups: a shared store counts the fleet's).
+        self.counts = Registry(SERVER_COUNTS)
         self._closed = False
         # -- update awareness (repro.maintenance). With a tracker the
         # server memoizes serialized responses in a ResultCache and
@@ -428,10 +437,6 @@ class ViewServer:
         # (repro.maintenance.incremental) and falls back to full when
         # the splice declines. Only meaningful with a tracker.
         self.maintenance = maintenance
-        self._delta_fallback_reasons = {
-            reason: 0 for reason in DELTA_FALLBACK_REASONS
-        }
-        self._freshness_counts = {state: 0 for state in FRESHNESS_STATES}
         self._sync_lock = threading.Lock()
         # Clock at which the pool's data is known current. The pool
         # snapshot (clone mode) was taken just above, so writes recorded
@@ -483,12 +488,13 @@ class ViewServer:
             request_id = self._next_request_id
             self._next_request_id += 1
             if limit is not None and self._inflight >= limit:
-                self._shed_requests += 1
-                self._priority_shed[request.priority] += 1
-                self.requests_served += 1
-                self._outcome_counts["rejected"] += 1
-                self._priority_outcomes[request.priority]["rejected"] += 1
-                self._freshness_counts["bypass"] += 1
+                self.counts.count(
+                    "requests_served",
+                    "freshness.bypass",
+                    "outcomes.rejected",
+                    f"priority.{request.priority}.outcomes.rejected",
+                    f"priority.{request.priority}.shed",
+                )
                 trace = RequestTrace(
                     request_id=request_id,
                     label=request.label,
@@ -603,8 +609,7 @@ class ViewServer:
             self._record_failure(key, exc)
             raise
         finally:
-            with self._lock:
-                self._plan_lookups["hits" if hit else "misses"] += 1
+            self.counts.count("cache.hits" if hit else "cache.misses")
         return plan, hit
 
     def _record_failure(self, key: str, exc: Exception) -> None:
@@ -647,22 +652,6 @@ class ViewServer:
             self.pool.refresh()
             self._synced_clock = observed
 
-    def _record_delta_fallback(self, reason: str) -> None:
-        """Count one delta attempt that fell back to full recomputation.
-
-        ``reason`` is one of :data:`DELTA_FALLBACK_REASONS`, so the
-        metrics can say *why* deltas degrade: no captured state to
-        splice against (``no-state`` — an entry's first staleness: the
-        full recompute that follows captures, so this is the promotion
-        step, once per promoted entry), a stale classification with no
-        actually-newer table (``no-change``), a clean
-        :class:`DeltaUnsupported` decline (``unsupported``), a
-        mid-splice failure (``error``), or a write racing the splice
-        (``stamp-race``).
-        """
-        with self._lock:
-            self._delta_fallback_reasons[reason] += 1
-
     def _serve_delta(
         self,
         plan: CompiledPlan,
@@ -687,7 +676,7 @@ class ViewServer:
         """
         stale = self.result_cache.peek(plan.key)
         if stale is None or not isinstance(stale.state, MaterializedState):
-            self._record_delta_fallback("no-state")
+            self.counts.count("delta_fallbacks_by_reason.no-state")
             return None
         versions = dict(current_versions)
         self._sync()
@@ -703,7 +692,7 @@ class ViewServer:
             if versions.get(t, 0) > stale.versions.get(t, 0)
         ]
         if not changed:
-            self._record_delta_fallback("no-change")
+            self.counts.count("delta_fallbacks_by_reason.no-change")
             return None
         # Row-level change detail (changed keys + columns) for the key
         # pushdown path. Computed against the live log, which may run
@@ -728,7 +717,7 @@ class ViewServer:
                     )
                     after = db.stats.snapshot()
         except DeltaUnsupported:
-            self._record_delta_fallback("unsupported")
+            self.counts.count("delta_fallbacks_by_reason.unsupported")
             return None
         except DeadlineExceeded:
             # The time budget is gone: a full recompute cannot succeed
@@ -743,12 +732,12 @@ class ViewServer:
             # request error: the old entry is untouched (the splice
             # never mutates it), so falling back to a full recompute is
             # always safe — and what the fault-injection tests assert.
-            self._record_delta_fallback("error")
+            self.counts.count("delta_fallbacks_by_reason.error")
             return None
         if self.tracker.versions(plan.tables) != versions:
             # A write raced the splice; the pool may be ahead of the
             # dirty-node selection. Discard the (possibly torn) result.
-            self._record_delta_fallback("stamp-race")
+            self.counts.count("delta_fallbacks_by_reason.stamp-race")
             return None
         trace.queries_executed = (
             after["queries_executed"] - before["queries_executed"]
@@ -850,11 +839,13 @@ class ViewServer:
             # degraded-stale fallback, and record the outcome.
             self._handle_failure(request, trace, exc)
         trace.total_seconds = time.perf_counter() - started
+        self.counts.count(
+            "requests_served",
+            f"freshness.{trace.freshness}",
+            f"outcomes.{trace.outcome}",
+            f"priority.{trace.priority}.outcomes.{trace.outcome}",
+        )
         with self._lock:
-            self.requests_served += 1
-            self._freshness_counts[trace.freshness] += 1
-            self._outcome_counts[trace.outcome] += 1
-            self._priority_outcomes[trace.priority][trace.outcome] += 1
             self._inflight -= 1
         return trace
 
@@ -979,8 +970,7 @@ class ViewServer:
                     raise
                 attempt += 1
                 trace.retries = attempt
-                with self._lock:
-                    self._retries_total += 1
+                self.counts.count("resilience.retries")
                 delay_ms = policy.backoff_ms(attempt)
                 remaining = deadline.remaining_ms()
                 if remaining is not None:
@@ -1079,13 +1069,10 @@ class ViewServer:
             # no error count; the trace records why it stopped.
             trace.outcome = "cancelled"
             trace.error = str(exc)
-            with self._lock:
-                self._cancelled_requests += 1
             return
         if kind == "deadline":
             trace.outcome = "deadline"
-            with self._lock:
-                self._deadline_hits += 1
+            self.counts.count("resilience.deadline_hits")
         elif kind == "rejected":
             trace.outcome = "rejected"
         else:
@@ -1103,90 +1090,64 @@ class ViewServer:
                 trace.degraded_cause = f"{type(exc).__name__}: {exc}"
                 trace.error = None
                 trace.xml = entry.xml
-                with self._lock:
-                    self._degraded_serves += 1
                 return
         trace.error = str(exc)
-        with self._lock:
-            self.errors += 1
+        self.counts.count("errors")
 
     # -- metrics / lifecycle -------------------------------------------------
 
     def metrics(self) -> dict:
         """Server-lifetime counters: requests, caches, and engine work.
 
-        The request counters and freshness histogram are read under the
-        server lock (one consistent snapshot, matching the cache
-        ``stats()`` discipline); tracked servers additionally report the
-        result cache, the staleness policy, and the tracker's state.
+        One schema: one snapshot of :data:`SERVER_COUNTS` nested on their
+        dots, the collectors laid over it (plan store, pool; as configured
+        result cache and tracker, breaker, fault plan). A fleet merges
+        these by one rule (:func:`repro.serving.metrics.merge`), its
+        ``tracker`` from the shard primaries only.
         """
-        aggregate = self.pool.aggregate_stats()
-        with self._lock:
-            requests_served = self.requests_served
-            errors = self.errors
-            freshness = dict(self._freshness_counts)
-            outcomes = dict(self._outcome_counts)
-            fallback_reasons = dict(self._delta_fallback_reasons)
-            retries_total = self._retries_total
-            deadline_hits = self._deadline_hits
-            shed_requests = self._shed_requests
-            degraded_serves = self._degraded_serves
-            cancelled_requests = self._cancelled_requests
-            priority_outcomes = {
-                priority: dict(counts)
-                for priority, counts in self._priority_outcomes.items()
-            }
-            priority_shed = dict(self._priority_shed)
-            plan_lookups = dict(self._plan_lookups)
-        metrics = {
-            "requests_served": requests_served,
-            "errors": errors,
-            "workers": self.workers,
-            # The (possibly shared) store's figures, this server's lookups.
-            "cache": {
-                **self.plan_cache.stats(),
-                **self.plan_cache.skeleton_stats(),
-                **plan_lookups,
-            },
-            "freshness": freshness,
-            "outcomes": outcomes,
-            "cancelled": cancelled_requests,
-            "priority": {
-                priority: {
-                    "outcomes": priority_outcomes[priority],
-                    "shed": priority_shed[priority],
-                    "admission_limit": self.admission_limit(priority),
-                }
-                for priority in PRIORITIES
-            },
-            "queries_executed": aggregate.queries_executed,
-            "rows_fetched": aggregate.rows_fetched,
+        report = self.counts.snapshot()
+        outcomes = report["outcomes"]
+        report["workers"] = self.workers
+        report["cache"] = {
+            **self.plan_cache.stats(),
+            **self.plan_cache.skeleton_stats(),
+            **report["cache"],
         }
+        # Kept beside the histogram for existing consumers.
+        report["cancelled"] = outcomes["cancelled"]
+        for priority, counts in report["priority"].items():
+            counts["admission_limit"] = self.admission_limit(priority)
+        aggregate = self.pool.aggregate_stats()
+        report["queries_executed"] = aggregate.queries_executed
+        report["rows_fetched"] = aggregate.rows_fetched
+        reasons = report.pop("delta_fallbacks_by_reason")
+        resilience = report.pop("resilience")
         if self.result_cache is not None:
-            metrics["result_cache"] = self.result_cache.stats()
-            metrics["staleness_policy"] = self.staleness.describe()
-            metrics["maintenance"] = self.maintenance
+            report["result_cache"] = self.result_cache.stats()
+            report["staleness_policy"] = self.staleness.describe()
+            report["maintenance"] = self.maintenance
             # Total kept as a plain int for existing consumers; the
             # by-reason breakdown says why each delta degraded to full.
-            metrics["delta_fallbacks"] = sum(fallback_reasons.values())
-            metrics["delta_fallbacks_by_reason"] = fallback_reasons
-            metrics["tracker"] = {
+            report["delta_fallbacks"] = sum(reasons.values())
+            report["delta_fallbacks_by_reason"] = reasons
+            report["tracker"] = {
                 "total_writes": self.tracker.clock(),
                 "versions": self.tracker.snapshot(),
             }
         if self.resilience is not None:
             breaker = self.breaker
-            metrics["resilience"] = {
+            report["resilience"] = {
+                **resilience,
                 "policy": self.resilience.describe(),
-                "retries": retries_total,
-                "deadline_hits": deadline_hits,
-                "shed_requests": shed_requests,
-                "degraded_serves": degraded_serves,
+                "shed_requests": sum(
+                    counts["shed"] for counts in report["priority"].values()
+                ),
+                "degraded_serves": outcomes["degraded"],
                 "breaker": breaker.stats() if breaker is not None else None,
             }
         if self.faults is not None:
-            metrics["faults"] = self.faults.stats()
-        return metrics
+            report["faults"] = self.faults.stats()
+        return report
 
     def close(self) -> None:
         """Shut down the executor, then the deadline thread and the pool."""

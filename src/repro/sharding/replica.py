@@ -158,19 +158,14 @@ class PlacementGroup:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._claims: dict[int, list[str]] = {}
+        self._claims: dict[int, set[str]] = {}
 
     def claim(self, shard: int, member: str) -> None:
         """Record that an attempt was routed to ``member`` of ``shard``."""
         with self._lock:
-            self._claims.setdefault(shard, []).append(member)
+            self._claims.setdefault(shard, set()).add(member)
 
     def claimed(self, shard: int) -> frozenset:
         """Members of ``shard`` already used by attempts in this group."""
         with self._lock:
             return frozenset(self._claims.get(shard, ()))
-
-    def attempts(self, shard: int) -> int:
-        """How many attempts have claimed a member of ``shard``."""
-        with self._lock:
-            return len(self._claims.get(shard, ()))

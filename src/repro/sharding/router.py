@@ -65,6 +65,7 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultPlan, FleetFaultPlan
 from repro.resilience.policy import ResiliencePolicy
 from repro.schema_tree.model import SchemaTreeQuery
+from repro.serving.metrics import Registry, merge
 from repro.serving.plan_cache import PlanCache, compile_plan
 from repro.serving.server import (
     OUTCOMES,
@@ -92,6 +93,21 @@ MEMBER_THRESHOLD = 4
 MEMBER_COOLDOWN_MS = 500.0
 MEMBER_TRIALS = 1
 MEMBER_SUSPECT_AFTER = 2
+
+#: What a :class:`ShardRouter` counts, by dotted name in its
+#: :class:`~repro.serving.metrics.Registry`: reads served from a member
+#: behind its primary (and the worst such lags, as high-water marks),
+#: members skipped by the crash / partition / lag / health gates, shards
+#: left with no eligible member, hedge anti-affinity placements, and the
+#: merged-bytes memo's lookups. ``fleet.*`` is ``fleet_metrics()``.
+ROUTER_COUNTS = (
+    "requests_served", "errors", "failovers",
+    *(f"outcomes.{outcome}" for outcome in OUTCOMES),
+    "fleet.stale_serves", "fleet.max_member_lag_served", "fleet.max_served_lag",
+    *(f"fleet.skips.{gate}" for gate in ("crash", "partition", "lagging", "dead")),
+    "fleet.no_candidates", "fleet.anti_affinity.hits", "fleet.anti_affinity.misses",
+    "merged_cache.hits", "merged_cache.misses",
+)
 
 
 @dataclass
@@ -199,11 +215,6 @@ class _Shard:
         self._rr = 0
         self._lock = threading.Lock()
 
-    @property
-    def servers(self) -> list[tuple[str, ViewServer]]:
-        """Members as ``(name, server)`` pairs (metrics/lifecycle paths)."""
-        return [(member.name, member.server) for member in self.members]
-
     def rotation(self) -> int:
         """The round-robin cursor for this read's balanced starting point."""
         with self._lock:
@@ -301,28 +312,9 @@ class ShardRouter:
         # else: it is held for two dict operations, never for a compile.
         self._merged_cache: "dict[tuple, str]" = {}
         self._merged_capacity = 32
-        self._merged_hits = 0
-        self._merged_misses = 0
         self._lock = threading.Lock()
         self._next_request_id = 1
-        self.requests_served = 0
-        self.errors = 0
-        self._failovers_total = 0
-        self._outcome_counts = {outcome: 0 for outcome in OUTCOMES}
-        # Fleet-routing counters: reads served from a member that was
-        # behind the primary (and the worst such lag), members skipped
-        # by crash/partition/lag/health gates, shards left with no
-        # eligible member, and hedge anti-affinity placement outcomes.
-        self._stale_serves = 0
-        self._max_member_lag_served = 0
-        self._max_served_lag = 0
-        self._crash_skips = 0
-        self._partition_skips = 0
-        self._lag_skips = 0
-        self._dead_skips = 0
-        self._no_candidates = 0
-        self._anti_affinity_hits = 0
-        self._anti_affinity_misses = 0
+        self.counts = Registry(ROUTER_COUNTS)
         self._closed = False
         #: Every member's failure machine, one circuit per ``_Member.key``.
         self.member_breaker = CircuitBreaker(
@@ -512,32 +504,28 @@ class ShardRouter:
         """
         fleet = self.fleet_faults
         breaker = self.member_breaker
-        crash_skips = partition_skips = lag_skips = dead_skips = 0
+        skipped: list[str] = []
         eligible: list[tuple[int, int, _Member]] = []
         for member in shard.members:
             lag = member.lag(shard)
             if fleet is not None:
                 if member.role == 0:
                     if fleet.active("partition", shard.index, member.name):
-                        partition_skips += 1
+                        skipped.append("fleet.skips.partition")
                         continue
                 elif fleet.active("replica-crash", shard.index, member.name):
-                    crash_skips += 1
+                    skipped.append("fleet.skips.crash")
                     continue
             if self._lag_budget is not None and lag > self._lag_budget:
-                lag_skips += 1
+                skipped.append("fleet.skips.lagging")
                 continue
             if not breaker.ready(member.key):
-                dead_skips += 1
+                skipped.append("fleet.skips.dead")
                 continue
             suspect = int(breaker.failures(member.key) >= MEMBER_SUSPECT_AFTER)
             eligible.append((suspect, lag, member))
-        if crash_skips or partition_skips or lag_skips or dead_skips:
-            with self._lock:
-                self._crash_skips += crash_skips
-                self._partition_skips += partition_skips
-                self._lag_skips += lag_skips
-                self._dead_skips += dead_skips
+        if skipped:
+            self.counts.count(*skipped)
         if not eligible:
             return []
         front = [
@@ -564,11 +552,11 @@ class ShardRouter:
                 unclaimed = [
                     entry for entry in ordered if entry[0].name not in already
                 ]
-                with self._lock:
-                    if unclaimed:
-                        self._anti_affinity_hits += 1
-                    else:
-                        self._anti_affinity_misses += 1
+                self.counts.count(
+                    "fleet.anti_affinity.hits"
+                    if unclaimed
+                    else "fleet.anti_affinity.misses"
+                )
                 if unclaimed:
                     ordered = unclaimed + [
                         entry for entry in ordered if entry[0].name in already
@@ -614,8 +602,7 @@ class ShardRouter:
             dispatched = (idx, future)
             break
         if denied:
-            with self._lock:
-                self._dead_skips += denied
+            self.counts.add("fleet.skips.dead", denied)
         return dispatched
 
     def _feed_health(self, member: _Member, shard_trace: RequestTrace) -> None:
@@ -738,23 +725,21 @@ class ShardRouter:
             trace.outcome = "error"
             trace.error = str(exc)
         trace.total_seconds = time.perf_counter() - started
-        with self._lock:
-            self.requests_served += 1
-            self._failovers_total += trace.failovers
-            if trace.outcome in self._outcome_counts:
-                self._outcome_counts[trace.outcome] += 1
-            if trace.outcome not in ("success", "degraded"):
-                self.errors += 1
+        names = ["requests_served", f"outcomes.{trace.outcome}"]
+        if trace.outcome not in ("success", "degraded"):
+            names.append("errors")
+        self.counts.count(*names)
+        if trace.failovers:
+            self.counts.add("failovers", trace.failovers)
         return trace
 
     def _merged_lookup(self, key: tuple) -> Optional[str]:
         with self._merge_lock:
             xml = self._merged_cache.get(key)
-            if xml is not None:
-                self._merged_hits += 1
-            else:
-                self._merged_misses += 1
-            return xml
+        self.counts.count(
+            "merged_cache.hits" if xml is not None else "merged_cache.misses"
+        )
+        return xml
 
     def _merged_store(self, key: tuple, xml: str) -> None:
         with self._merge_lock:
@@ -782,8 +767,7 @@ class ShardRouter:
                 # Nothing eligible, or every eligible member lost its
                 # trial slot to a concurrent request between enumeration
                 # and dispatch.
-                with self._lock:
-                    self._no_candidates += 1
+                self.counts.count("fleet.no_candidates")
                 scattered.append((shard, [], None))
                 continue
             # Trim so the dispatched member leads: _resolve_shard treats
@@ -855,15 +839,11 @@ class ShardRouter:
             trace.outcome = failed.outcome
             trace.error = failed.error
             return
-        with self._lock:
-            if stale_served:
-                self._stale_serves += 1
-            self._max_member_lag_served = max(
-                self._max_member_lag_served, max_member_lag
-            )
-            self._max_served_lag = max(
-                self._max_served_lag, trace.version_lag
-            )
+        if stale_served:
+            # Every shard served, so a lag above zero is a stale serve.
+            self.counts.count("fleet.stale_serves")
+            self.counts.high("fleet.max_member_lag_served", max_member_lag)
+            self.counts.high("fleet.max_served_lag", trace.version_lag)
         texts = []
         for _, _, shard_trace, _ in resolved:
             if shard_trace.xml is None:
@@ -892,7 +872,8 @@ class ShardRouter:
     def fleet_metrics(self) -> dict:
         """Replica-resilience counters: routing gates, lag, anti-affinity.
 
-        ``replica_health`` lists every member's circuit ``state`` and
+        The ``fleet.*`` counts of the router's registry, with
+        ``replica_health`` listing every member's circuit ``state`` and
         consecutive ``failures`` in the member breaker, its live ``lag``
         and its applier's progress; ``anti_affinity``
         summarizes hedge placement — ``hits`` are hedge attempts routed
@@ -900,29 +881,11 @@ class ShardRouter:
         ``misses`` fell back to an already-used member (1-member
         shards), ``rate`` = hits / (hits + misses).
         """
-        with self._lock:
-            hits = self._anti_affinity_hits
-            misses = self._anti_affinity_misses
-            summary = {
-                "stale_serves": self._stale_serves,
-                "max_member_lag_served": self._max_member_lag_served,
-                "max_served_lag": self._max_served_lag,
-                "lag_budget": self._lag_budget,
-                "skips": {
-                    "crash": self._crash_skips,
-                    "partition": self._partition_skips,
-                    "lagging": self._lag_skips,
-                    "dead": self._dead_skips,
-                },
-                "no_candidates": self._no_candidates,
-                "anti_affinity": {
-                    "hits": hits,
-                    "misses": misses,
-                    "rate": (
-                        hits / (hits + misses) if hits + misses else None
-                    ),
-                },
-            }
+        summary = self.counts.snapshot()["fleet"]
+        placement = summary["anti_affinity"]
+        hedged = placement["hits"] + placement["misses"]
+        placement["rate"] = placement["hits"] / hedged if hedged else None
+        summary["lag_budget"] = self._lag_budget
         breaker = self.member_breaker
         summary["replica_health"] = [
             {
@@ -932,15 +895,10 @@ class ShardRouter:
                         "state": breaker.state(member.key),
                         "failures": breaker.failures(member.key),
                         "lag": member.lag(shard),
-                        "applied": (
-                            member.applier.applied
-                            if member.applier is not None
-                            else None
-                        ),
-                        "stalled_checks": (
-                            member.applier.stalled_checks
-                            if member.applier is not None
-                            else None
+                        # A primary has no applier: None, not zero.
+                        "applied": getattr(member.applier, "applied", None),
+                        "stalled_checks": getattr(
+                            member.applier, "stalled_checks", None
                         ),
                     }
                     for member in shard.members
@@ -953,23 +911,14 @@ class ShardRouter:
         return summary
 
     def _router_metrics(self) -> dict:
-        """The router's own counters (``router`` in :meth:`aggregate_metrics`)."""
-        with self._lock:
-            summary = {
-                "requests_served": self.requests_served,
-                "errors": self.errors,
-                "failovers": self._failovers_total,
-                "outcomes": dict(self._outcome_counts),
-                "shard_count": len(self.shards),
-                "replicas": self.replicas,
-            }
+        """The router's own report (``router`` in :meth:`aggregate_metrics`):
+        its registry's snapshot, the fleet state and memo size laid over."""
+        summary = self.counts.snapshot()
+        summary["shard_count"] = len(self.shards)
+        summary["replicas"] = self.replicas
         summary["fleet"] = self.fleet_metrics()
         with self._merge_lock:
-            summary["merged_cache"] = {
-                "hits": self._merged_hits,
-                "misses": self._merged_misses,
-                "size": len(self._merged_cache),
-            }
+            summary["merged_cache"]["size"] = len(self._merged_cache)
         if self.partitioner is not None:
             summary["key_ranges"] = self.partitioner.describe()
         return summary
@@ -984,7 +933,8 @@ class ShardRouter:
             {
                 "shard": shard.index,
                 "servers": {
-                    name: server.metrics() for name, server in shard.servers
+                    member.name: member.server.metrics()
+                    for member in shard.members
                 },
             }
             for shard in self.shards
@@ -992,102 +942,40 @@ class ShardRouter:
         return summary
 
     def aggregate_metrics(self) -> dict:
-        """Fleet metrics in the single-server shape, counters summed.
+        """The fleet's report: one box's schema, plus ``router``.
 
-        The facade's ``/metrics`` reuses the single-box report path
-        unchanged; per-server detail stays available through
-        :meth:`metrics`. Dict-valued sections (freshness, outcomes,
-        result cache) sum key-wise across every server in the fleet;
-        ``cache`` is the shared plan store's own report — size, capacity
-        and evictions stated once, hits and misses every lookup made of it
-        (each member's plus the router's, which asks first: a cold
-        stylesheet is one miss). ``workers`` is the fleet-wide thread count.
-        Router-level counters ride along under ``router``.
+        One schema and one merge rule: the members' :meth:`ViewServer.metrics`
+        merged by :func:`repro.serving.metrics.merge` (counts sum, settings
+        stated once), so every key a single box reports is here. Three
+        sections are laid over the merge. ``cache`` is the shared plan
+        store's own report — hits and misses every lookup made of it (each
+        member's plus the router's, which asks first: a cold stylesheet is
+        one miss). ``tracker`` comes from the shard primaries only: a
+        replica replays its primary's events, so its writes are already
+        counted. ``router`` is the router's own report.
         """
-        per_server = [
-            server.metrics()
+        reports = [
+            (member.role, member.server.metrics())
             for shard in self.shards
-            for _, server in shard.servers
+            for member in shard.members
         ]
-        first = per_server[0]
-
-        def summed(section: str) -> dict:
-            keys = first[section]
-            return {
-                key: sum(m[section][key] for m in per_server) for key in keys
-            }
-
-        metrics = {
-            "requests_served": sum(m["requests_served"] for m in per_server),
-            "errors": sum(m["errors"] for m in per_server),
-            "workers": sum(m["workers"] for m in per_server),
-            "cache": {**self.plan_cache.stats(), **self.plan_cache.skeleton_stats()},
-            "freshness": summed("freshness"),
-            "outcomes": summed("outcomes"),
-            "queries_executed": sum(
-                m["queries_executed"] for m in per_server
-            ),
-            "rows_fetched": sum(m["rows_fetched"] for m in per_server),
-            "router": self._router_metrics(),
+        report = merge([member for _, member in reports])
+        report["cache"] = {
+            **self.plan_cache.stats(),
+            **self.plan_cache.skeleton_stats(),
         }
-        if "result_cache" in first:
-            metrics["result_cache"] = summed("result_cache")
-            metrics["staleness_policy"] = first["staleness_policy"]
-            metrics["maintenance"] = first["maintenance"]
-            metrics["delta_fallbacks"] = sum(
-                m["delta_fallbacks"] for m in per_server
-            )
-            metrics["delta_fallbacks_by_reason"] = summed(
-                "delta_fallbacks_by_reason"
-            )
-            metrics["tracker"] = {
-                "total_writes": sum(
-                    m["tracker"]["total_writes"] for m in per_server
-                ),
-            }
-        if "resilience" in first:
-            resilience = {
-                key: sum(m["resilience"][key] for m in per_server)
-                for key in ("retries", "deadline_hits", "shed_requests",
-                            "degraded_serves")
-            }
-            resilience["policy"] = first["resilience"]["policy"]
-            breakers = [
-                m["resilience"]["breaker"]
-                for m in per_server
-                if m["resilience"]["breaker"] is not None
-            ]
-            if breakers:
-                merged = {
-                    key: sum(b[key] for b in breakers)
-                    for key in ("opened", "closed", "half_opened",
-                                "short_circuits")
-                }
-                merged["threshold"] = breakers[0]["threshold"]
-                merged["cooldown_ms"] = breakers[0]["cooldown_ms"]
-                merged["states"] = {
-                    state: sum(b["states"][state] for b in breakers)
-                    for state in breakers[0]["states"]
-                }
-                resilience["breaker"] = merged
-            else:
-                resilience["breaker"] = None
-            metrics["resilience"] = resilience
-        with_faults = [m["faults"] for m in per_server if "faults" in m]
-        if with_faults:
-            injected: dict[str, int] = {}
-            for stats in with_faults:
-                for key, value in stats["injected"].items():
-                    injected[key] = injected.get(key, 0) + value
-            metrics["faults"] = {"injected": injected}
-        return metrics
+        report["tracker"] = merge(
+            [member["tracker"] for role, member in reports if role == 0]
+        )
+        report["router"] = self._router_metrics()
+        return report
 
     def outstanding(self) -> int:
         """Borrowed-but-unreturned connections across the whole fleet."""
         return sum(
-            server.pool.outstanding()
+            member.server.pool.outstanding()
             for shard in self.shards
-            for _, server in shard.servers
+            for member in shard.members
         )
 
     def close(self) -> None:

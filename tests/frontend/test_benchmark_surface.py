@@ -233,3 +233,201 @@ def test_plan_counters_count_compilations(fleet):
             assert reported["hits"] == 3
     finally:
         asyncio.run(app.close())
+
+
+#: ``ViewServer.metrics()`` of a tracked server with a resilience policy
+#: and a fault plan, as the spine's ``server_snapshots`` and
+#: ``cache_counters`` read it: recorded before the counts came out of one
+#: registry, so a change that drops or renames a key fails here.
+VIEW_SERVER_KEYS = frozenset("""
+cache.capacity cache.evictions cache.hits cache.invalidations
+cache.misses cache.size cache.skeleton_evictions cache.skeleton_hits
+cache.skeleton_misses cache.skeleton_size cancelled delta_fallbacks
+delta_fallbacks_by_reason.error delta_fallbacks_by_reason.no-change
+delta_fallbacks_by_reason.no-state delta_fallbacks_by_reason.stamp-race
+delta_fallbacks_by_reason.unsupported errors faults.checks
+faults.enabled faults.injected.compile-error faults.injected.error
+faults.injected.latency faults.injected.wrong-shape faults.seed
+freshness.bypass freshness.degraded-stale freshness.delta-recompute
+freshness.hit freshness.miss freshness.stale-recompute maintenance
+outcomes.cancelled outcomes.deadline outcomes.degraded outcomes.error
+outcomes.rejected outcomes.success priority.background.admission_limit
+priority.background.outcomes.cancelled
+priority.background.outcomes.deadline
+priority.background.outcomes.degraded priority.background.outcomes.error
+priority.background.outcomes.rejected
+priority.background.outcomes.success priority.background.shed
+priority.batch.admission_limit priority.batch.outcomes.cancelled
+priority.batch.outcomes.deadline priority.batch.outcomes.degraded
+priority.batch.outcomes.error priority.batch.outcomes.rejected
+priority.batch.outcomes.success priority.batch.shed
+priority.interactive.admission_limit
+priority.interactive.outcomes.cancelled
+priority.interactive.outcomes.deadline
+priority.interactive.outcomes.degraded
+priority.interactive.outcomes.error
+priority.interactive.outcomes.rejected
+priority.interactive.outcomes.success priority.interactive.shed
+queries_executed requests_served resilience.breaker.closed
+resilience.breaker.cooldown_ms resilience.breaker.half_open_max
+resilience.breaker.half_open_trials resilience.breaker.half_opened
+resilience.breaker.opened resilience.breaker.short_circuits
+resilience.breaker.states.closed resilience.breaker.states.half-open
+resilience.breaker.states.open resilience.breaker.threshold
+resilience.deadline_hits resilience.degraded_serves resilience.policy
+resilience.retries resilience.shed_requests result_cache.capacity
+result_cache.evictions result_cache.hits result_cache.invalidations
+result_cache.misses result_cache.size result_cache.stale
+result_cache.state_captures result_cache.states_resident rows_fetched
+staleness_policy tracker.total_writes tracker.versions.availability
+workers
+""".split())
+
+#: ``ShardRouter.metrics()`` of a 2 x 2 fleet with a fleet fault plan,
+#: without its ``shards`` list; ``merged_cache`` and ``parsed_cache`` are
+#: the spine's ``layers._sharding`` reads, ``fleet.*`` is ``fleet_metrics()``.
+ROUTER_KEYS = frozenset("""
+errors failovers fleet.anti_affinity.hits fleet.anti_affinity.misses
+fleet.anti_affinity.rate fleet.fleet_faults.checks
+fleet.fleet_faults.enabled fleet.fleet_faults.injected.apply-stall
+fleet.fleet_faults.injected.partition
+fleet.fleet_faults.injected.replica-crash fleet.fleet_faults.seed
+fleet.lag_budget fleet.max_member_lag_served fleet.max_served_lag
+fleet.no_candidates fleet.replica_health.0.members.primary.applied
+fleet.replica_health.0.members.primary.failures
+fleet.replica_health.0.members.primary.lag
+fleet.replica_health.0.members.primary.stalled_checks
+fleet.replica_health.0.members.primary.state
+fleet.replica_health.0.members.replica-1.applied
+fleet.replica_health.0.members.replica-1.failures
+fleet.replica_health.0.members.replica-1.lag
+fleet.replica_health.0.members.replica-1.stalled_checks
+fleet.replica_health.0.members.replica-1.state
+fleet.replica_health.0.shard
+fleet.replica_health.1.members.primary.applied
+fleet.replica_health.1.members.primary.failures
+fleet.replica_health.1.members.primary.lag
+fleet.replica_health.1.members.primary.stalled_checks
+fleet.replica_health.1.members.primary.state
+fleet.replica_health.1.members.replica-1.applied
+fleet.replica_health.1.members.replica-1.failures
+fleet.replica_health.1.members.replica-1.lag
+fleet.replica_health.1.members.replica-1.stalled_checks
+fleet.replica_health.1.members.replica-1.state
+fleet.replica_health.1.shard fleet.skips.crash fleet.skips.dead
+fleet.skips.lagging fleet.skips.partition fleet.stale_serves key_ranges
+merged_cache.hits merged_cache.misses merged_cache.size
+outcomes.cancelled outcomes.deadline outcomes.degraded outcomes.error
+outcomes.rejected outcomes.success parsed_cache.hits parsed_cache.misses
+parsed_cache.size replicas requests_served shard_count
+""".split())
+
+#: What the facade adds to its backend's report on ``/metrics``.
+FACADE_KEYS = frozenset({"hedging", "frontend_inflight"})
+
+POLICY = dict(deadline_ms=5000, retries=2, breaker_threshold=5, queue_limit=64)
+
+
+def report_keys(report, prefix: str = "") -> set:
+    """A report's nested key set as dotted paths (list items by index)."""
+    if isinstance(report, dict) and report:
+        items = report.items()
+    elif isinstance(report, list) and report:
+        items = enumerate(report)
+    else:
+        return {prefix[:-1]}
+    keys: set = set()
+    for key, value in items:
+        keys |= report_keys(value, f"{prefix}{key}.")
+    return keys
+
+
+def _armed_app(fleet: bool):
+    """A served, written-to stack with a resilience policy and a fault plan
+    (zero rates: armed, but the bytes stay the fault-free ones)."""
+    from repro.resilience.faults import (
+        FaultPlan, FaultSpec, FleetFaultPlan, FleetFaultSpec,
+    )
+    from repro.resilience.policy import ResiliencePolicy
+
+    extra = (
+        dict(shards=2, replicas=1,
+             fleet_faults=FleetFaultPlan(FleetFaultSpec(), seed=5))
+        if fleet else {}
+    )
+    app = _production(
+        resilience=ResiliencePolicy(**POLICY),
+        faults=FaultPlan(FaultSpec(), seed=3),
+        **extra,
+    )
+    names = ("figure1", "figure4", "figure17")
+    for _ in range(2):
+        for name in names:
+            assert app.backend.submit(app.request_for(name)).result().xml
+    app.apply_write()
+    for name in names:
+        assert app.backend.submit(app.request_for(name)).result().xml
+    return app
+
+
+def test_single_box_report_shapes_stay():
+    app = _armed_app(fleet=False)
+    try:
+        assert report_keys(app.backend.metrics()) == VIEW_SERVER_KEYS
+        assert report_keys(app.facade.metrics()) == VIEW_SERVER_KEYS | FACADE_KEYS
+    finally:
+        asyncio.run(app.close())
+
+
+def test_fleet_report_shapes_stay():
+    """``metrics()`` with ``shards[*].servers[*]`` (the fault plan sits on
+    shard 0's primary only) and ``fleet_metrics()`` keep their keys."""
+    app = _armed_app(fleet=True)
+    try:
+        router = app.backend
+        faults = {key for key in VIEW_SERVER_KEYS if key.startswith("faults.")}
+        members = {"shards.0.shard", "shards.1.shard"}
+        for shard in (0, 1):
+            for name in ("primary", "replica-1"):
+                keys = VIEW_SERVER_KEYS
+                if (shard, name) != (0, "primary"):
+                    keys = keys - faults
+                members |= {f"shards.{shard}.servers.{name}.{key}" for key in keys}
+        assert report_keys(router.metrics()) == ROUTER_KEYS | members
+        assert report_keys(router.fleet_metrics()) == {
+            key[len("fleet."):] for key in ROUTER_KEYS if key.startswith("fleet.")
+        }
+    finally:
+        asyncio.run(app.close())
+
+
+def test_fleet_metrics_are_the_single_box_report_plus_router():
+    """A fleet's ``/metrics`` has every key one box's has, and ``router``.
+
+    The members agree on the merge rule's settings (one policy built them
+    all), so the fleet states each once where a sum would multiply it.
+    """
+    single, fleet = _armed_app(fleet=False), _armed_app(fleet=True)
+    try:
+        one = report_keys(single.facade.metrics())
+        report = fleet.facade.metrics()
+        keys = report_keys(report)
+        router = {
+            f"router.{key}" for key in ROUTER_KEYS
+            if not key.startswith("parsed_cache.")
+        }
+        assert keys - one == router, sorted(keys ^ (one | router))
+        assert one <= keys
+        breaker = report["resilience"]["breaker"]
+        settings = (breaker["threshold"], breaker["cooldown_ms"], breaker["half_open_max"])
+        assert settings == (5, 1000.0, 1)
+        assert report["faults"]["seed"] == 3
+        assert report["router"]["fleet"]["fleet_faults"]["seed"] == 5
+        for shard in fleet.backend.shards:
+            for member in shard.members:
+                own = member.server.metrics()["resilience"]["breaker"]
+                for setting in ("threshold", "cooldown_ms", "half_open_max"):
+                    assert own[setting] == breaker[setting], setting
+    finally:
+        asyncio.run(single.close())
+        asyncio.run(fleet.close())

@@ -382,6 +382,3 @@ def test_placement_claims_are_per_shard():
     group.claim(1, "primary")
     assert group.claimed(0) == frozenset({"primary", "replica-1"})
     assert group.claimed(1) == frozenset({"primary"})
-    assert group.attempts(0) == 2
-    assert group.attempts(1) == 1
-    assert group.attempts(2) == 0

@@ -10,6 +10,8 @@ delta path skip rows that actually changed.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.maintenance import WriteTracker
 from repro.maintenance.workload import hotel_calendar_write, hotel_metro_write
 from repro.schema_tree.evaluator import materialize
@@ -135,3 +137,27 @@ def test_skewed_shard_falls_back_to_node_level_and_stays_correct():
     finally:
         router.close()
         db.close()
+
+
+@pytest.mark.parametrize("replicas", [0, 1, 2])
+def test_fleet_counts_each_write_once(replicas):
+    """Replicas replay their primary's events: ``/metrics`` counts the
+    writes the shard primaries recorded, not once more per replica."""
+    import asyncio
+
+    from repro.frontend import build_hotel_app
+
+    app = build_hotel_app(
+        shards=2, replicas=replicas, staleness="strict", maintenance="delta"
+    )
+    try:
+        router = app.backend
+        for _ in range(3):
+            app.apply_write()
+        tracker = router.aggregate_metrics()["tracker"]
+        assert tracker["total_writes"] == sum(
+            shard.tracker.clock() for shard in router.shards
+        )
+        assert sum(tracker["versions"].values()) == tracker["total_writes"]
+    finally:
+        asyncio.run(app.close())
