@@ -164,14 +164,6 @@ def cmd_materialize(args: argparse.Namespace) -> int:
             f"{db.stats.queries_executed} queries",
             file=sys.stderr,
         )
-        if strategy == "bulk" and evaluator.fallback_nodes:
-            print(
-                f"{len(evaluator.fallback_nodes)} nodes fell back to "
-                "correlated execution:",
-                file=sys.stderr,
-            )
-            for record in evaluator.fallback_nodes:
-                print(f"  {record}", file=sys.stderr)
     finally:
         db.close()
     return 0

@@ -473,10 +473,9 @@ def e12_bulk_eval(
 ) -> ExperimentResult:
     """E12: bulk decorrelated evaluation vs nested-loop vs memoized.
 
-    The bulk strategy runs one decorrelated query per schema node (plus
-    one correlated query per binding for fallback nodes) instead of one
-    query per parent binding; sweeps the Figure 1 view and the Figure 4
-    composed stylesheet view. Each strategy is timed ``repeats`` times
+    The bulk strategy runs one decorrelated query per schema node instead
+    of one query per parent binding; sweeps the Figure 1 view and the
+    Figure 4 composed stylesheet view. Each strategy is timed ``repeats`` times
     and the best run is reported (standard practice to suppress scheduler
     noise; query/row counts are identical across repeats).
     """
@@ -489,7 +488,7 @@ def e12_bulk_eval(
         "Bulk decorrelated evaluation: queries executed and seconds "
         "(Figure 1 view and Figure 4 composed view)",
         ["scale", "view", "strategy", "queries", "rows", "seconds",
-         "speedup", "fallbacks", "equal output"],
+         "speedup", "equal output"],
         notes=[
             "'speedup' is nested-loop seconds over this strategy's "
             "seconds on the same view and scale; equality is canonical "
@@ -520,7 +519,6 @@ def e12_bulk_eval(
                         seconds = elapsed
                     queries = db.stats.queries_executed
                     rows = db.stats.rows_fetched
-                    fallbacks = len(getattr(evaluator, "fallback_nodes", []))
                 if baseline_doc is None:
                     baseline_doc = canonical_form(document, ordered=False)
                     baseline_seconds = seconds
@@ -535,7 +533,7 @@ def e12_bulk_eval(
                 )
                 result.add_row(
                     factor, view_name, strategy, queries, rows, seconds,
-                    speedup, fallbacks, equal,
+                    speedup, equal,
                 )
         db.close()
     return result

@@ -45,8 +45,7 @@ recompute when this module declines.
 Anything the splice cannot prove safe raises :class:`DeltaUnsupported`
 (deliberately *not* a :class:`~repro.errors.ReproError`, so the server's
 request-error handling never confuses "delta declined" with "request
-failed"): an unreliable ancestor plan (runtime column names may differ
-from the static ones the context keys use), or kept state that does not
+failed"): an ancestor without a context key, or kept state that does not
 have the view's shape (a column missing, or counts that do not line up
 with the columns they count).
 
@@ -364,7 +363,7 @@ class DeltaEvaluator:
           one table, with known changed keys *and* columns;
         * no descendant of the node is itself dirty (the columns below
           are shared verbatim, so they must not need work);
-        * the node has a reliable bulk plan, no aggregation/DISTINCT
+        * the node has a bulk plan, no aggregation/DISTINCT
           (those fold many base rows into one element), a binding
           variable, and the table's single-column primary key among its
           output columns;
@@ -394,8 +393,7 @@ class DeltaEvaluator:
             plan is None
             or plan.kind != "bulk"
             or plan.query is None
-            or not plan.reliable
-            or plan.grouped_aggregate
+            or plan.node.tag_query.group_by
             or plan.distinct
             or plan.empty_row is not None
         ):
@@ -580,15 +578,15 @@ class DeltaEvaluator:
     def _check_spliceable(
         self, node: SchemaNode, plans: dict[int, _NodePlan]
     ) -> None:
-        """Reject frontiers whose ancestor context keys are untrustworthy."""
+        """Reject frontiers under an ancestor that binds no context key."""
         for ancestor in node.path_from_root()[1:-1]:
             if ancestor.tag_query is None:
                 continue
             plan = plans.get(ancestor.id)
-            if plan is None or not plan.reliable or ancestor.bv is None:
+            if plan is None or ancestor.bv is None:
                 raise DeltaUnsupported(
                     f"ancestor <{ancestor.tag}> of dirty node {node.id} has "
-                    "no reliable context key (correlated or unstable shape)"
+                    "no context key"
                 )
 
     def _remake_subtree(

@@ -8,7 +8,7 @@ round-trips — by reusing the composition machinery the paper builds for
 UNBIND: each node's correlated tag query is rewritten into an unbound
 join against the inlined chain of its query-bearing ancestors
 (:func:`repro.sql.transform.attach_parent_query`, the Figures 10/12
-derived-table inlining), with every ancestor's output columns carried to
+derived-table inlining), with every ancestor's key columns carried to
 the result. The flat row stream is then stitched back into the XML tree
 in Python: rows group on the carried ancestor-column tuple, and each
 parent instance is dealt the group matching its own binding values,
@@ -28,20 +28,26 @@ Correctness notes (each is covered by the equivalence property tests):
   scalar-subquery form (one row per parent binding even over empty
   groups); grouped aggregates extend their GROUP BY with the carried
   ancestor columns, which partitions the groups per binding.
-* **Duplicate parent bindings.** When two ancestor bindings carry
-  identical values, their element subtrees are identical, but the joined
-  chain duplicates the child rows. The merge detects this (multiple
-  parent elements sharing one group key) and deals each parent its share:
-  plain queries divide the group's row multiplicities by the duplicate
-  count; DISTINCT queries attach the (already collapsed) group as-is;
-  grouped aggregates cannot be split after the fact, so the node falls
-  back to correlated execution.
-* **Fallback.** Any node whose query the decorrelator cannot handle
-  (non-derivable output column names, shapes the key columns cannot be
-  carried through, SQL the transform rejects) is executed with the
-  original correlated query, one run per parent binding, and recorded in
-  :attr:`BulkViewEvaluator.fallback_nodes` and the module logger — never
-  silently.
+* **Distinct bindings.** An ancestor is inlined as the ``DISTINCT``
+  projection of its key columns — the magic-set step of Seshadri,
+  Pirahesh and Leung, "Complex Query Decorrelation" (ICDE 1996) —
+  unless :func:`~repro.sql.transform.unique_columns` proves them unique
+  already. A node's rows are then computed once per distinct binding,
+  and every parent instance that carries that binding is dealt the same
+  group: two bindings that agree on the key columns have identical
+  subtrees, because the key columns are exactly what descendants read
+  (:meth:`_Planner.node_key_columns`). An ancestor without a key column
+  is projected to a constant, so its table has one row exactly when the
+  ancestor has any (DESIGN.md §8, "Bindings are distinct").
+* **No fallback.** A node the planner cannot make one query of
+  (output column names not derivable or not distinct, an unknown table,
+  a query-bearing ancestor without a binding variable, SQL the transform
+  rejects) is refused by :func:`plan_view` with a
+  :class:`~repro.errors.ViewDefinitionError` naming the node and the
+  construct, before any query runs. Nothing re-runs a tag query per
+  parent binding: a bulk query that fails is the evaluation's failure,
+  and a result the merge cannot read (a missing key column, rows no
+  parent binding owns) is a :class:`~repro.errors.ViewEvaluationError`.
 
 **A column** (:class:`_Column`) is all an evaluation makes of a schema
 node, and there is one way to make it (``_fetch`` → ``_render`` →
@@ -74,15 +80,13 @@ counts on the engine's ``QueryStats``, so E1/E2/E12 compare like for like.
 
 from __future__ import annotations
 
-import logging
-from collections import Counter
 from functools import partial
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, count, groupby, islice, repeat
 from operator import add, itemgetter
 from typing import Any, Optional
 
-from repro.errors import ReproError, ViewEvaluationError
+from repro.errors import ReproError, ViewDefinitionError, ViewEvaluationError
 from repro.relational.engine import Database, Row
 from repro.schema_tree.evaluator import (
     MaterializeStats,
@@ -92,32 +96,24 @@ from repro.schema_tree.evaluator import (
 )
 from repro.schema_tree.model import SchemaNode, SchemaTreeQuery
 from repro.sql.analysis import has_top_level_aggregate, output_columns
-from repro.sql.ast import ColumnRef, FuncCall, ParamRef, Select, Star
+from repro.sql.ast import (
+    ColumnRef,
+    FuncCall,
+    LiteralValue,
+    ParamRef,
+    Select,
+    SelectItem,
+    Star,
+)
 from repro.sql.params import collect_params, walk_exprs
 from repro.sql.transform import (
     aggregate_before_join,
     attach_parent_query,
     expand_stars,
     simplify_exists,
+    unique_columns,
 )
 from repro.xmlcore.serializer import attributes_text, escape_attribute
-
-logger = logging.getLogger(__name__)
-
-class _BulkUnsupported(Exception):
-    """Internal: this node cannot (or can no longer) be bulk-evaluated."""
-
-
-@dataclass
-class FallbackRecord:
-    """One node that ran correlated instead of bulk, and why."""
-
-    node_id: int
-    tag: str
-    reason: str
-
-    def __str__(self) -> str:  # pragma: no cover - formatting only
-        return f"node {self.node_id} <{self.tag}>: {self.reason}"
 
 
 @dataclass
@@ -125,17 +121,14 @@ class _NodePlan:
     """The per-node execution decision."""
 
     node: SchemaNode
-    kind: str  # "bulk" | "fallback" | "literal"
+    kind: str  # "bulk" | "literal"
     query: Optional[Select] = None
     #: Bulk-row column names holding the parent context key, in order.
     key_columns: list[str] = field(default_factory=list)
     #: The node's own output column names (static == sqlite names).
     own_columns: list[str] = field(default_factory=list)
-    #: The own columns descendants key on (pruned); none when unreliable.
+    #: The own columns descendants key on (pruned).
     own_key_columns: list[str] = field(default_factory=list)
-    #: Whether descendants may rely on this node's static column names.
-    reliable: bool = True
-    grouped_aggregate: bool = False
     distinct: bool = False
     #: For ungrouped aggregates evaluated through the grouped join form:
     #: the row an empty group produces (COUNT -> 0, SUM/MIN/MAX/AVG -> NULL),
@@ -145,29 +138,36 @@ class _NodePlan:
     #: (``attr_source_bv`` with no column list), forcing the bulk row to be
     #: trimmed to the node's own columns instead of handed over as-is.
     exact_env_row: bool = False
-    reason: str = ""
 
 
-def _stable_output_columns(query: Select, catalog) -> list[str]:
-    """Output columns whose static names provably match sqlite's.
+def _refused(node: SchemaNode, construct: str) -> ViewDefinitionError:
+    """The refusal of a node the planner cannot make one bulk query of."""
+    return ViewDefinitionError(
+        f"node {node.id} <{node.tag}> has no bulk plan: {construct}"
+    )
 
-    Raises :class:`_BulkUnsupported` when a select item's runtime column
-    name could differ from the statically derived one (unaliased
-    expressions, duplicates the engine would rename with ``__2``
-    suffixes) — the grouping keys on these names, so a mismatch
-    would silently misgroup rows.
+
+def _stable_output_columns(node: SchemaNode, query: Select, catalog) -> list[str]:
+    """Output columns of ``node``'s ``query`` whose static names provably
+    match sqlite's.
+
+    Refuses the node when a select item's runtime column name could
+    differ from the statically derived one (unaliased expressions,
+    duplicates the engine would rename with ``__2`` suffixes) — the
+    grouping keys on these names, so a mismatch would silently misgroup
+    rows.
     """
     try:
         columns = output_columns(query, catalog)
     except ReproError as exc:
-        raise _BulkUnsupported(f"output columns not derivable: {exc}") from exc
+        raise _refused(node, f"output columns not derivable: {exc}") from exc
     if len(set(columns)) != len(columns):
-        raise _BulkUnsupported("duplicate output column names")
+        raise _refused(node, "duplicate output column names")
     for item in query.items:
         if item.alias or isinstance(item.expr, (Star, ColumnRef)):
             continue
-        raise _BulkUnsupported(
-            f"select item without a stable column name: {item.expr!r}"
+        raise _refused(
+            node, f"select item without a stable column name: {item.expr!r}"
         )
     return columns
 
@@ -201,12 +201,10 @@ def _empty_group_row(select: Select) -> Optional[tuple]:
 
 
 class _Planner:
-    """Plans the nodes of one view over ``catalog`` (:func:`plan_view`),
-    a record of each node that falls back appended to ``records``."""
+    """Plans the nodes of one view over ``catalog`` (:func:`plan_view`)."""
 
-    def __init__(self, catalog, records: list[FallbackRecord]):
+    def __init__(self, catalog):
         self.catalog = catalog
-        self.records = records
         self._key_columns_cache: dict[int, list[str]] = {}
 
     def node_key_columns(self, node: SchemaNode) -> list[str]:
@@ -217,9 +215,10 @@ class _Planner:
         ``$bv.column`` parameters, plus the node's own ORDER BY keys (so
         document order still propagates). Anything else cannot influence
         a descendant's rows, so two bindings agreeing on the key columns
-        have identical subtrees — which is exactly the invariant the
-        duplicate-binding merge relies on. Pruning here is what keeps the
-        bulk queries' carried width and GROUP BY lists narrow.
+        have identical subtrees — which is exactly what lets duplicate
+        bindings share one group (:meth:`_bindings`). Pruning here is
+        what keeps the bulk queries' carried width and GROUP BY lists
+        narrow.
 
         DISTINCT queries are never pruned (projection changes their
         cardinality), keeping the pruned query reusable as an inlined
@@ -248,66 +247,48 @@ class _Planner:
         self._key_columns_cache[node.id] = columns
         return columns
 
-    def _pruned_parent(self, ancestor: SchemaNode, keep: list[str]) -> Select:
-        """A clone of an ancestor's tag query projecting only ``keep``.
+    def _bindings(self, ancestor: SchemaNode) -> Select:
+        """The distinct bindings of an ancestor's key columns: a clone of
+        its tag query projecting only them, ``DISTINCT`` unless
+        :func:`unique_columns` proves them unique already.
 
-        Cardinality is preserved: the WHERE/GROUP BY/ORDER BY clauses are
-        untouched, and when nothing is kept one original item remains so
-        the query still produces one row per binding.
+        WHERE / GROUP BY / ORDER BY are untouched. An ancestor without a
+        key column projects a constant, so its table has one row exactly
+        when the ancestor has any — an ungrouped aggregate excepted, which
+        has one row per binding whatever it selects and stays whole.
         """
         assert ancestor.tag_query is not None
         query = ancestor.tag_query.clone()
-        out = output_columns(query, self.catalog)
-        if query.distinct or set(keep) == set(out):
-            return query
-        expand_stars(query, self.catalog)
-        keep_set = set(keep)
-        kept = [i for i in query.items if i.output_name() in keep_set]
-        if not kept:
-            kept = [query.items[0]]
-        query.items = kept
+        keep = self.node_key_columns(ancestor)
+        if not query.distinct and set(keep) != set(
+            output_columns(query, self.catalog)
+        ):
+            expand_stars(query, self.catalog)
+            kept = [i for i in query.items if i.output_name() in keep]
+            if kept:
+                query.items = kept
+            elif query.group_by or not has_top_level_aggregate(query):
+                query.items = [SelectItem(LiteralValue(1), "bound")]
+        if unique_columns(query, self.catalog) is None:
+            query.distinct = True
         return query
 
-    def plan_node(self, node: SchemaNode, tainted: bool) -> _NodePlan:
-        """Decide how to execute one node (bulk, fallback, or literal)."""
+    def plan_node(self, node: SchemaNode) -> _NodePlan:
+        """How one node runs: one bulk query, or nothing (a literal)."""
         if node.tag_query is None:
             return _NodePlan(node, "literal")
-        try:
-            own_columns = _stable_output_columns(node.tag_query, self.catalog)
-            reliable = True
-        except _BulkUnsupported as exc:
-            return self._fallback_plan(node, str(exc), reliable=False)
-        own_key_columns = self.node_key_columns(node)
-        if tainted:
-            return self._fallback_plan(
-                node,
-                "ancestor column names are not statically derivable",
-                reliable=reliable,
-                own_columns=own_columns,
-                own_key_columns=own_key_columns,
-            )
+        own_columns = _stable_output_columns(node, node.tag_query, self.catalog)
         empty_row = _empty_group_row(node.tag_query)
-        try:
-            query, key_columns = self._decorrelate(
-                node, grouped_aggregates=empty_row is not None
-            )
-        except _BulkUnsupported as exc:
-            return self._fallback_plan(
-                node, str(exc), reliable=reliable, own_columns=own_columns,
-                own_key_columns=own_key_columns,
-            )
+        query, key_columns = self._decorrelate(
+            node, grouped_aggregates=empty_row is not None
+        )
         return _NodePlan(
             node,
             "bulk",
             query=query,
             key_columns=key_columns,
             own_columns=own_columns,
-            own_key_columns=own_key_columns,
-            reliable=True,
-            # A synthesized ungrouped aggregate ran through GROUP BY too,
-            # so duplicate parent bindings inflate it just the same.
-            grouped_aggregate=bool(node.tag_query.group_by)
-            or empty_row is not None,
+            own_key_columns=self.node_key_columns(node),
             distinct=node.tag_query.distinct,
             empty_row=empty_row,
             exact_env_row=node.bv is not None
@@ -318,33 +299,14 @@ class _Planner:
             ),
         )
 
-    def _fallback_plan(
-        self,
-        node: SchemaNode,
-        reason: str,
-        reliable: bool,
-        own_columns: Optional[list[str]] = None,
-        own_key_columns: Optional[list[str]] = None,
-    ) -> _NodePlan:
-        record = FallbackRecord(node.id, node.tag, reason)
-        self.records.append(record)
-        logger.warning("bulk evaluation falling back to correlated: %s", record)
-        return _NodePlan(
-            node,
-            "fallback",
-            own_columns=own_columns or [],
-            own_key_columns=own_key_columns or [],
-            reliable=reliable,
-            reason=reason,
-        )
-
     def _decorrelate(
         self, node: SchemaNode, grouped_aggregates: bool = False
     ) -> tuple[Select, list[str]]:
         """Rewrite the node's tag query into one closed bulk query.
 
-        Ancestor tag queries are attached nearest-first: each step inlines
-        the ancestor as a derived table wherever its binding variable is
+        Ancestor tag queries are attached nearest-first, each as its
+        distinct bindings (:meth:`_bindings`): each step inlines the
+        ancestor as a derived table wherever its binding variable is
         referenced (recursing into previously inlined levels), carries the
         ancestor's columns to the output, and propagates its ORDER BY keys
         parent-major — the same one-level step UNBIND iterates.
@@ -364,40 +326,37 @@ class _Planner:
         exposures: dict[int, dict[str, str]] = {}
         for ancestor in reversed(ancestors):
             if ancestor.bv is None:
-                raise _BulkUnsupported(
+                raise _refused(
+                    node,
                     f"ancestor node {ancestor.id} has a query but no "
-                    "binding variable"
+                    "binding variable",
                 )
             try:
-                _stable_output_columns(ancestor.tag_query, catalog)
-                pruned = self._pruned_parent(
-                    ancestor, self.node_key_columns(ancestor)
-                )
                 exposures[ancestor.id] = attach_parent_query(
-                    query, ancestor.bv, pruned, catalog,
+                    query, ancestor.bv, self._bindings(ancestor), catalog,
                     scalar_aggregates=not grouped_aggregates,
                 )
             except ReproError as exc:
-                raise _BulkUnsupported(
-                    f"cannot inline ancestor node {ancestor.id}: {exc}"
+                raise _refused(
+                    node, f"cannot inline ancestor node {ancestor.id}: {exc}"
                 ) from exc
-        if collect_params(query):
-            leftover = sorted(
-                {p.var for p in collect_params(query)}
+        leftover = sorted({p.var for p in collect_params(query)})
+        if leftover:
+            raise _refused(
+                node,
+                f"decorrelation left unresolved parameters ${', $'.join(leftover)}",
             )
-            raise _BulkUnsupported(
-                f"decorrelation left unresolved parameters ${', $'.join(leftover)}"
-            )
-        bulk_columns = _stable_output_columns(query, catalog)
+        bulk_columns = _stable_output_columns(node, query, catalog)
         key_columns: list[str] = []
         for ancestor in ancestors:
             exposure = exposures[ancestor.id]
             for column in self.node_key_columns(ancestor):
                 exposed = exposure.get(column)
                 if exposed is None or exposed not in bulk_columns:
-                    raise _BulkUnsupported(
+                    raise _refused(
+                        node,
                         f"ancestor node {ancestor.id} column {column!r} was "
-                        "not carried to the bulk result"
+                        "not carried to the bulk result",
                     )
                 key_columns.append(exposed)
         # The clone is finished: its EXISTS bodies need only say whether
@@ -409,41 +368,35 @@ class _Planner:
         return query, key_columns
 
 
-def plan_view(
-    view: SchemaTreeQuery, catalog
-) -> tuple[dict[int, _NodePlan], list[FallbackRecord]]:
-    """``(node plans by id, fallback records)`` of ``view`` over ``catalog``,
-    memoized on the view (``view.bulk_plans``, checked against the catalog
-    by identity): planning reads neither data nor a tag, but to name a node
-    in a record. :func:`repro.core.compose.bind` hands on the skeleton's."""
+def plan_view(view: SchemaTreeQuery, catalog) -> dict[int, _NodePlan]:
+    """The node plans of ``view`` over ``catalog`` by node id, memoized on
+    the view (``view.bulk_plans``, checked against the catalog by
+    identity): planning reads neither data nor a tag, but to name a node
+    it refuses (:class:`~repro.errors.ViewDefinitionError`, raised before
+    any query runs). :func:`repro.core.compose.bind` hands on the
+    skeleton's."""
     memo = view.bulk_plans
     if memo is not None and memo[0] is catalog:
-        return memo[1], memo[2]
-    planner = _Planner(catalog, [])
-    plans: dict[int, _NodePlan] = {}
-    reliability: dict[int, bool] = {view.root.id: True}
-    for node in view.nodes(include_root=False):
-        parent = node.parent
-        assert parent is not None
-        plan = planner.plan_node(node, tainted=not reliability[parent.id])
-        plans[node.id] = plan
-        reliability[node.id] = reliability[parent.id] and plan.reliable
-    view.bulk_plans = (catalog, plans, planner.records)
-    return plans, planner.records
+        return memo[1]
+    planner = _Planner(catalog)
+    plans = {
+        node.id: planner.plan_node(node)
+        for node in view.nodes(include_root=False)
+    }
+    view.bulk_plans = (catalog, plans)
+    return plans
 
 
 def bind_plans(memo: tuple, nodes: dict[int, SchemaNode]) -> tuple:
     """A view's ``bulk_plans`` re-pointed at ``nodes``, a clone of its
-    nodes by id that differs in literals only: every query is shared,
-    and a fallback record names the clone's tag."""
-    catalog, plans, records = memo
+    nodes by id that differs in literals only: every query is shared."""
+    catalog, plans = memo
     bound = {}
     for node_id, plan in plans.items():
         # A field-for-field copy, a third the cost of ``dataclasses.replace``.
         bound[node_id] = twin = object.__new__(_NodePlan)
         twin.__dict__.update(plan.__dict__, node=nodes[node_id])
-    tagged = [replace(record, tag=nodes[record.node_id].tag) for record in records]
-    return catalog, bound, tagged
+    return catalog, bound
 
 
 class BulkViewEvaluator:
@@ -461,15 +414,11 @@ class BulkViewEvaluator:
     def __init__(self, db: Database, stats: Optional[MaterializeStats] = None):
         self.db = db
         self.stats = stats if stats is not None else MaterializeStats()
-        self.fallback_nodes: list[FallbackRecord] = []
         self.bulk_queries_executed = 0
 
     def plan_view(self, view: SchemaTreeQuery) -> dict[int, _NodePlan]:
-        """:func:`plan_view` over this database's catalog, its fallback
-        records replayed into :attr:`fallback_nodes` (logged when planned)."""
-        plans, records = plan_view(view, self.db.catalog)
-        self.fallback_nodes.extend(records)
-        return plans
+        """:func:`plan_view` over this database's catalog."""
+        return plan_view(view, self.db.catalog)
 
     # -- execution ------------------------------------------------------------
 
@@ -530,9 +479,7 @@ class BulkViewEvaluator:
         """
         parent = columns[plan.node.parent.id]
         env_of = partial(parent.env, columns)
-        plan, shares, own_key, surface, names, as_row = self._fetch(
-            plan, parent.keys, env_of
-        )
+        shares, own_key, surface, names, as_row = self._fetch(plan, parent.keys)
         items, counts, rows = self._render(
             plan, shares, env_of, builder, surface, names, as_row
         )
@@ -644,48 +591,24 @@ class BulkViewEvaluator:
 
         return None, render
 
-    def _fetch(self, plan: _NodePlan, keys: list[tuple], env_of):
+    def _fetch(self, plan: _NodePlan, keys: list[tuple]):
         """One node's rows: a share per parent, and how they are read.
 
-        ``keys`` are the parents' context keys and ``env_of(index)`` the
-        env of one, read only by correlated execution (Section 2.1, one
-        query per parent binding): a planned fallback, or a bulk node
-        demoted here — before anything of it is made — by a failed query,
-        the grouping, or a column the result turns out not to have.
-        Returns ``(plan, shares, own_key, surface, names, as_row)``: the
-        plan that ran; ``own_key(row)``, the row's part of its children's
-        context key (``None``: none); the rest as the builders take it.
-        Only a bulk result's rows have ``names``; the others are by-name
-        as given (a correlated run's dicts; a literal node's ``None``).
+        ``keys`` are the parents' context keys. Returns ``(shares,
+        own_key, surface, names, as_row)``: ``own_key(row)``, the row's
+        part of its children's context key (``None``: none); the rest as
+        the builders take it. Only a bulk result's rows have ``names``; a
+        literal node's ``None`` rows are by-name as given.
         """
         if plan.kind == "literal":
-            return plan, [(None,)] * len(keys), None, None, None, _as_given
-        if plan.kind == "bulk" and keys:  # no parent, no query
-            assert plan.query is not None
-            try:
-                names, rows = self.db.run_rows(plan.query)
-            except ReproError as exc:
-                plan = self._demoted(plan, f"bulk query failed: {exc}")
-            else:
-                self.bulk_queries_executed += 1
-                try:
-                    shares = self._group_rows(plan, keys, names, rows)
-                    return plan, shares, *self._row_reading(plan, names)
-                except _BulkUnsupported as exc:
-                    plan = self._demoted(plan, str(exc))
-        query, columns = plan.node.tag_query, plan.own_key_columns
-        assert query is not None
-        own_key = (lambda row: tuple(map(row.get, columns))) if columns else None
-        shares = [self.db.run_query(query, env_of(i)) for i in range(len(keys))]
-        return plan, shares, own_key, None, None, _as_given
-
-    def _demoted(self, plan: _NodePlan, reason: str) -> _NodePlan:
-        """The recorded correlated plan of a bulk node that failed at run
-        time. It keeps the node's columns: its instances still carry
-        their own part of the context key, so descendants stay bulk."""
-        return _Planner(self.db.catalog, self.fallback_nodes)._fallback_plan(
-            plan.node, reason, plan.reliable, plan.own_columns, plan.own_key_columns
-        )
+            return [(None,)] * len(keys), None, None, None, _as_given
+        if not keys:  # no parent, no query
+            return [], None, None, None, _as_given
+        assert plan.query is not None
+        names, rows = self.db.run_rows(plan.query)
+        self.bulk_queries_executed += 1
+        shares = self._group_rows(plan, keys, names, rows)
+        return shares, *self._row_reading(plan, names)
 
     def _row_reading(self, plan: _NodePlan, names: list[str]):
         """``(own_key, surface, names, as_row)`` of the bulk result whose
@@ -693,8 +616,9 @@ class BulkViewEvaluator:
 
         Every column a name stands for — the node's key part, the
         attributes the text builder reads — is resolved to its position
-        once per node result (one the result lacks is
-        :class:`_BulkUnsupported`, before anything is built). A by-name
+        once per node result (one the result lacks is a
+        :class:`~repro.errors.ViewEvaluationError`, before anything is
+        built). A by-name
         row (``as_row``) is made only where something reads names.
 
         Bulk rows carry ancestor key columns after the node's own
@@ -723,46 +647,35 @@ class BulkViewEvaluator:
         """The grouping: deal bulk rows out to their parent contexts.
 
         Returns the share of each context key of ``keys``, in that order,
-        its rows in bulk-result order. Rows are bucketed a *run* of equal
-        carried key at a time: a result that comes back parent-contiguous
-        costs a dict operation per parent, any other what it has to.
+        its rows in bulk-result order; parents that carry one key share
+        its group, which the bulk query computed once (its ancestors are
+        distinct bindings). Rows are bucketed a *run* of equal carried
+        key at a time: a result that comes back parent-contiguous costs a
+        dict operation per parent, any other what it has to.
         """
         keyfunc = _key_getter(names, plan.key_columns)
         if plan.empty_row is not None and (
             names[: len(plan.own_columns)] != plan.own_columns
         ):
             # A restored row is the own columns only, read by position.
-            raise _BulkUnsupported("bulk row does not lead with its own columns")
+            raise ViewEvaluationError(
+                f"bulk result of node {plan.node.id} does not lead with "
+                "its own columns"
+            )
         grouped: dict[tuple, list] = {}
         for key, run in groupby(rows, keyfunc):
             grouped.setdefault(key, []).extend(run)
-        parents = Counter(keys)
-        if len(parents) != len(keys):
-            # Duplicate parent bindings: the join gave the group a copy
-            # of its rows for each of the ``siblings``.
-            for key, siblings in parents.items():
-                if siblings == 1 or key not in grouped:
-                    continue
-                if plan.grouped_aggregate:
-                    # GROUP BY merged the duplicate bindings into one
-                    # group, corrupting the aggregate values — only
-                    # re-running the correlated query per binding
-                    # recovers them.
-                    raise _BulkUnsupported(
-                        "duplicate parent bindings under a grouped aggregate"
-                    )
-                if not plan.distinct:  # DISTINCT collapsed the copies itself
-                    grouped[key] = _divide_group(grouped[key], siblings)
-        stray = grouped.keys() - parents.keys()
+        parents = set(keys)
+        stray = grouped.keys() - parents
         if stray:
-            raise _BulkUnsupported(
-                f"{sum(len(grouped[key]) for key in stray)} bulk rows matched "
-                "no parent binding"
+            raise ViewEvaluationError(
+                f"{sum(len(grouped[key]) for key in stray)} bulk rows of node "
+                f"{plan.node.id} matched no parent binding"
             )
         if plan.empty_row is not None:
             # The grouped form dropped the empty groups; restore the
             # statically-known empty-input aggregate row of each.
-            for key in parents.keys() - grouped.keys():
+            for key in parents - grouped.keys():
                 grouped[key] = [plan.empty_row]
         return list(map(grouped.get, keys, repeat(())))
 
@@ -822,15 +735,14 @@ class _Column:
     concatenated *key columns* (the pruned, descendant-referenced subset)
     of every query-bearing ancestor-or-self binding, in root-to-leaf
     order. ``rows`` are the instances' rows as fetched and ``names`` what
-    their positions are called (``None``: the rows are by-name, of a
-    correlated run, or a literal node's ``None``).
+    their positions are called (``None``: a literal node's ``None`` rows,
+    or a node without instances).
 
     ``env(columns, index)`` — the full rows by binding variable — is
     *made when something reads it*: the env of the parent instance plus
     ``bind``'s by-name row (no ``bind``: the node binds nothing, so the
-    parent's env itself). Its readers are a correlated fallback's
-    parameters, ``attr_source_bv`` and the generic attribute path, and
-    the tree form's ``build_element``; a computation of the paper's
+    parent's env itself). Its readers are ``attr_source_bv`` and the
+    generic attribute path, and the tree form's ``build_element``; a computation of the paper's
     figures to text has none of them and builds no env. The root column
     is one instance with the empty env.
 
@@ -938,10 +850,10 @@ def _doubled(text: str) -> str:
 
 def _key_getter(names: list[str], columns: list[str]):
     """``row -> tuple`` of ``columns``' values, each read at its position
-    in ``names``. A column the result lacks is :class:`_BulkUnsupported`."""
+    in ``names``. A column the result lacks is a :class:`ViewEvaluationError`."""
     for column in columns:
         if column not in names:
-            raise _BulkUnsupported(f"bulk row is missing key column {column!r}")
+            raise ViewEvaluationError(f"bulk row is missing key column {column!r}")
     positions = [names.index(column) for column in columns]
     if len(positions) > 1:
         return itemgetter(*positions)
@@ -965,12 +877,12 @@ def _static_attributes(
     wins depends on NULLs) or an error — leaves the node to the routine.
     """
     node = plan.node
-    if plan.kind == "literal" and node.attr_source_bv is None:
-        row = None
-    elif plan.kind == "bulk":
+    if plan.kind == "bulk":
         row = {column: column for column in plan.own_columns}
         if any(column not in names for column in row):
             return None
+    elif node.attr_source_bv is None:
+        row = None
     else:
         return None
     probe = MaterializeStats()
@@ -980,33 +892,6 @@ def _static_attributes(
         return None
     repeats = probe.attributes_created != len(written)
     return None if repeats else list(written.items())
-
-
-def _divide_group(rows: list, share_count: int) -> list:
-    """Split a group that joined against ``share_count`` duplicate bindings.
-
-    Every duplicate binding contributed one identical copy of the child
-    multiset, so each distinct row value's multiplicity must divide evenly.
-    The share keeps every ``share_count``-th occurrence of each value, in
-    the order the rows came: equal values apart in that order (``5, 6,
-    5``) stay apart.
-    """
-    seen: dict[tuple, int] = {}
-    share: list = []
-    for row in rows:
-        try:
-            key = tuple(row)
-        except TypeError as exc:  # pragma: no cover - defensive
-            raise _BulkUnsupported(f"unhashable row value: {exc}") from exc
-        count = seen.get(key, 0)
-        seen[key] = count + 1
-        if count % share_count == 0:
-            share.append(row)
-    if any(count % share_count for count in seen.values()):
-        raise _BulkUnsupported(
-            "group rows do not divide evenly among duplicate parent bindings"
-        )
-    return share
 
 
 def materialize_bulk(view: SchemaTreeQuery, db: Database) -> "Document":

@@ -115,8 +115,8 @@ class SchemaTreeQuery:
         self.root = root or SchemaNode(ROOT_ID, "")
         if not self.root.is_root:
             raise ViewDefinitionError("root node must have id 0")
-        #: Memo slot of ``bulk_evaluator.plan_view`` (and ``bind``): ``(catalog,
-        #: node plans, fallback records)``, or ``None`` until first planned.
+        #: Memo slot of ``bulk_evaluator.plan_view`` (and ``bind``):
+        #: ``(catalog, node plans)``, or ``None`` until first planned.
         self.bulk_plans: Optional[tuple] = None
 
     # -- structure ------------------------------------------------------------

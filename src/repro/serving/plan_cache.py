@@ -42,7 +42,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.errors import ViewDefinitionError
 from repro.relational.schema import Catalog
+from repro.schema_tree.bulk_evaluator import plan_view
 from repro.schema_tree.model import SchemaTreeQuery
 from repro.serving.fingerprint import node_read_sets, skeleton_key
 
@@ -96,7 +98,13 @@ def compile_plan(
         view = compose(request.view, shaped, catalog, paper_mode=request.paper_mode)
         if request.prune:
             prune_stylesheet_view(view, catalog)
-        return _planned(skeleton_id, view, catalog)
+        try:
+            return _planned(skeleton_id, view, catalog)
+        except ViewDefinitionError:
+            # Refused: plan the variant, whose refusal names its own tag
+            # where the skeleton's names a slot.
+            plan_view(bind(view, literals), catalog)
+            raise
 
     skeleton = store.skeleton(skeleton_id, build)
     return CompiledPlan(
@@ -107,8 +115,6 @@ def compile_plan(
 
 def _planned(key: str, view: SchemaTreeQuery, catalog: Catalog) -> CompiledPlan:
     """``view`` bulk-planned, with its per-node read sets (their union: one walk)."""
-    from repro.schema_tree.bulk_evaluator import plan_view
-
     plan_view(view, catalog)
     read_sets = node_read_sets(view)
     return CompiledPlan(

@@ -297,7 +297,6 @@ class RequestTrace:
     rows_spliced: int = 0
     elements_created: int = 0
     attributes_created: int = 0
-    fallback_nodes: int = 0
     #: How the request ended — one of :data:`OUTCOMES`. ``degraded``
     #: means last-known-good cached bytes were served after a failure
     #: (the cause is in ``degraded_cause``, ``error`` stays ``None``).
@@ -334,7 +333,6 @@ class RequestTrace:
             "rows_spliced": self.rows_spliced,
             "elements_created": self.elements_created,
             "attributes_created": self.attributes_created,
-            "fallback_nodes": self.fallback_nodes,
             "outcome": self.outcome,
             "priority": self.priority,
             "retries": self.retries,
@@ -1024,7 +1022,6 @@ class ViewServer:
         trace.query_seconds = after["query_seconds"] - before["query_seconds"]
         trace.elements_created = stats.elements_created
         trace.attributes_created = stats.attributes_created
-        trace.fallback_nodes = len(evaluator.fallback_nodes)
         # The emission over the columns is the serialization phase.
         serialize_started = time.perf_counter()
         trace.xml = state.text()

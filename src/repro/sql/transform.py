@@ -618,12 +618,14 @@ def _conjuncts(expr: Optional[Expr]) -> list[Expr]:
     return [expr]
 
 
-def _unique_columns(select: Select, catalog: TableColumns) -> Optional[set[str]]:
+def unique_columns(select: Select, catalog: TableColumns) -> Optional[set[str]]:
     """Output columns no two rows of ``select`` agree on all of, when
     known: its GROUP BY columns (each selected as it is grouped), every
-    column of a DISTINCT query, or the INTEGER primary key of its single
-    base table (when ``catalog`` declares one) — the rowid, never NULL,
-    where another primary key may hold NULL twice."""
+    column of a DISTINCT query, or those it selects of its single FROM
+    item's unique columns — a base table's INTEGER primary key (when
+    ``catalog`` declares one: the rowid, never NULL, where another
+    primary key may hold NULL twice), a derived table's by this same
+    rule. A ``*`` selects every column of that item under its own name."""
     selected = {
         item.expr: item.output_name()
         for item in select.items
@@ -635,22 +637,38 @@ def _unique_columns(select: Select, catalog: TableColumns) -> Optional[set[str]]
         names = [item.output_name() for item in select.items]
     else:
         source = select.from_items[0] if len(select.from_items) == 1 else None
-        table = getattr(catalog, "table", None)
-        if (
-            not isinstance(source, TableRef)
-            or table is None
-            or has_top_level_aggregate(select)
-        ):
+        if source is None or has_top_level_aggregate(select):
             return None
-        declared = table(source.name)
-        key = declared.primary_key
-        if not any(c.name == key and c.type == "INTEGER" for c in declared.columns):
+        if isinstance(source, DerivedTable):
+            unique = unique_columns(source.select, catalog)
+        else:
+            unique = _integer_key(source, catalog)
+        if unique is None:
             return None
+        starred = any(
+            isinstance(item.expr, Star)
+            and item.expr.table in (None, source.binding_name)
+            for item in select.items
+        )
         names = [
-            selected.get(ColumnRef(key, source.binding_name))
-            or selected.get(ColumnRef(key))
+            selected.get(ColumnRef(column, source.binding_name))
+            or selected.get(ColumnRef(column))
+            or (column if starred else None)
+            for column in unique
         ]
     return None if None in names else set(names)
+
+
+def _integer_key(source: TableRef, catalog: TableColumns) -> Optional[set[str]]:
+    """``{the INTEGER primary key}`` of a base table, when declared."""
+    table = getattr(catalog, "table", None)
+    if table is None:
+        return None
+    declared = table(source.name)
+    key = declared.primary_key
+    if not any(c.name == key and c.type == "INTEGER" for c in declared.columns):
+        return None
+    return {key}
 
 
 def _placeable(expr: Expr, base, derived, aggregates: dict) -> bool:
@@ -778,7 +796,7 @@ def aggregate_before_join(query: Select, catalog: TableColumns) -> bool:
         for ref in equal.get(expr, {expr})
     }
     for alias, item in derived.items():
-        unique = _unique_columns(item.select, catalog)
+        unique = unique_columns(item.select, catalog)
         if unique is None or any(
             ColumnRef(column, alias) not in held for column in unique
         ):

@@ -12,6 +12,11 @@ re-joined availability ⋈ guestroom ⋈ hotel once per inlined ``TEMP``
 row. The step counts cannot say which is cheaper, so the node-7 test
 counts what sqlite executes: virtual-machine steps, the same on every
 run.
+
+Every ancestor these queries inline is provably unique on its key
+columns, so none is a ``DISTINCT`` binding table (DESIGN.md §8,
+"Bindings are distinct"): a ``DISTINCT`` subquery is not flattened, and
+Figures 4 / 17's node 8 would pin ``(1, 0, 2, 4)`` / ``(1, 0, 2, 8)``.
 """
 
 from collections import Counter
@@ -22,6 +27,7 @@ from repro.core.compose import compose
 from repro.core.optimize import prune_stylesheet_view
 from repro.schema_tree import bulk_evaluator
 from repro.schema_tree.bulk_evaluator import plan_view
+from repro.sql.ast import DerivedTable
 from repro.sql.printer import print_select
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import (
@@ -78,14 +84,22 @@ def _steps(db, query):
     return tuple(counts[step] for step in STEPS)
 
 
+def _derived_tables(query):
+    for item in query.from_items:
+        if isinstance(item, DerivedTable):
+            yield item
+            yield from _derived_tables(item.select)
+
+
 def test_bulk_query_plans_as_they_stand(hotel_db):
     pinned = {}
     for name, view in _views(hotel_db.catalog).items():
-        plans, records = plan_view(view, hotel_db.catalog)
-        assert records == []
-        for node_id, plan in plans.items():
+        for node_id, plan in plan_view(view, hotel_db.catalog).items():
             if plan.query is not None:
                 pinned[name, node_id] = _steps(hotel_db, plan.query)
+                assert not any(
+                    table.select.distinct for table in _derived_tables(plan.query)
+                ), (name, node_id)
     assert pinned == PINS
 
 
@@ -107,11 +121,11 @@ def _vm_steps(db, query):
 
 def test_node7_aggregates_before_it_joins(hotel_db, monkeypatch):
     catalog = hotel_db.catalog
-    rewritten = plan_view(figure1_view(catalog), catalog)[0][7].query
+    rewritten = plan_view(figure1_view(catalog), catalog)[7].query
     monkeypatch.setattr(
         bulk_evaluator, "aggregate_before_join", lambda query, catalog: False
     )
-    unrewritten = plan_view(figure1_view(catalog), catalog)[0][7].query
+    unrewritten = plan_view(figure1_view(catalog), catalog)[7].query
     assert "AS AGG" in print_select(rewritten)
     assert "AS AGG" not in print_select(unrewritten)
     after, rows = _vm_steps(hotel_db, rewritten)

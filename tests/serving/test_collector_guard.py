@@ -210,7 +210,7 @@ def test_a_first_computation_reads_positions_and_builds_no_env(monkeypatch):
                 calls[name] = 0
             miss = server.render(view, sheet)
             assert miss.error is None and miss.freshness == "miss"
-            assert miss.queries_executed == queries and miss.fallback_nodes == 0
+            assert miss.queries_executed == queries
             assert calls == {"run_rows": queries, "run_query": 0, "env": 0}
             promote(
                 lambda: server.render(view, sheet),
@@ -278,7 +278,6 @@ def test_a_miss_renders_node_results_as_batches(monkeypatch):
             del fetched[:], builders[:]
             miss = server.render(view, sheet)
             assert miss.error is None and miss.freshness == "miss"
-            assert miss.fallback_nodes == 0
             plan = server.plan_cache.get(miss.plan_key)
             nodes = len(list(plan.view.nodes(include_root=False)))
             assert miss.elements_created > nodes  # more rows than nodes
@@ -431,9 +430,9 @@ def test_nine_live_plans_are_planned_once_each(monkeypatch):
     planned = []
     real_plan_node = _Planner.plan_node
 
-    def counting(self, node, tainted):
+    def counting(self, node):
         planned.append(node)
-        return real_plan_node(self, node, tainted)
+        return real_plan_node(self, node)
 
     monkeypatch.setattr(_Planner, "plan_node", counting)
     with delta_server() as (db, tracker, server):

@@ -86,6 +86,23 @@ def test_a_statement_that_outlives_its_budget_is_interrupted_mid_flight():
     db.close()
 
 
+def test_an_interrupted_bulk_query_is_the_requests_deadline_not_a_fallback(
+    caplog,
+):
+    """A bulk query the deadline cuts short ends the request as a
+    deadline: nothing takes the interrupt for a node to re-run once per
+    parent binding, so the bulk evaluator logs nothing."""
+    db = small_db()
+    policy = ResiliencePolicy(deadline_ms=50.0, degraded=False)
+    logger = "repro.schema_tree.bulk_evaluator"
+    with ViewServer(db.catalog, source=db, workers=1, resilience=policy) as server:
+        with caplog.at_level("DEBUG", logger=logger):
+            trace = server.render(heavy_view(db.catalog))
+        assert trace.outcome == "deadline"
+        assert [r for r in caplog.records if r.name == logger] == []
+    db.close()
+
+
 def test_a_cancelled_token_interrupts_at_once():
     db = small_db()
     policy = ResiliencePolicy(deadline_ms=60_000.0)

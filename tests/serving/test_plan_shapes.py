@@ -7,10 +7,11 @@ soundness claim is that OTT is the only step that reads a literal, so
 for every stylesheet ``x`` of shape ``s``:
 
 * ``bind(skeleton(s), literals(x))`` is ``compose`` + prune of ``x``,
-  node for node (``view_to_xml``), down to the bulk planner's fallback
-  records, which name the variant's tags;
+  node for node (``view_to_xml``), down to the bulk planner's refusal,
+  which names the variant's tag;
 * the bytes served from the bound plan are the naive pipeline's;
 * a sheet outside the composable dialect fails as ``compose(x)`` does,
+  and a view the bulk planner refuses as planning ``compose(x)`` does:
   same type and message.
 
 Inputs: the paper figures, the kitchen sink, the random composable
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 from repro.baseline.materialize import NaivePipeline
 from repro.core import bind, compose
 from repro.core.optimize import prune_stylesheet_view
-from repro.errors import ReproError
+from repro.errors import ReproError, ViewDefinitionError
 from repro.frontend import build_hotel_app
 from repro.maintenance import WriteTracker, hotel_conference_write
 from repro.relational.engine import Database
@@ -128,12 +129,11 @@ def renamed(stylesheet, seed: int, attribute: str = ""):
 
 
 def skeleton_of(view, stylesheet, catalog, prune=True, paper_mode=False):
-    """What a skeleton miss builds: the shape composed, pruned, planned."""
+    """What a skeleton miss builds: the shape composed, pruned, planned
+    (or refused)."""
     shape, literals = stylesheet_shape(stylesheet)
-    skeleton = compose(view, shape, catalog, paper_mode=paper_mode)
-    if prune:
-        prune_stylesheet_view(skeleton, catalog)
-    plan_view(skeleton, catalog)
+    skeleton = composed(view, shape, catalog, prune, paper_mode)
+    refusal(skeleton, catalog)
     return skeleton, literals
 
 
@@ -150,9 +150,13 @@ def compiling(catalog, store=None):
     return catalog, fingerprint_catalog(catalog), store or PlanCache()
 
 
-def records(view, catalog):
-    _plans, found = plan_view(view, catalog)
-    return [(r.node_id, r.tag, r.reason) for r in found]
+def refusal(view, catalog):
+    """What the bulk planner refuses ``view`` with (``None``: it plans)."""
+    try:
+        plan_view(view, catalog)
+    except ViewDefinitionError as exc:
+        return str(exc)
+    return None
 
 
 def assert_bound_is_composed(view, variant, catalog, **options):
@@ -161,7 +165,7 @@ def assert_bound_is_composed(view, variant, catalog, **options):
     bound = bind(skeleton, literals)
     direct = composed(view, variant, catalog, **options)
     assert view_to_xml(bound) == view_to_xml(direct)
-    assert records(bound, catalog) == records(direct, catalog)
+    assert refusal(bound, catalog) == refusal(direct, catalog)
     return bound
 
 
@@ -213,6 +217,7 @@ def test_a_bound_random_stylesheet_is_its_composition(scenario, seed):
     variant = renamed(parse_stylesheet(stylesheet_text), seed, "note")
     try:
         direct = composed(view, variant, CATALOG)
+        plan_view(direct, CATALOG)
     except ReproError as exc:
         with pytest.raises(type(exc)) as raised:
             compile_plan("k", PublishRequest(view, variant), *compiling(CATALOG))
@@ -234,11 +239,10 @@ def test_a_bound_random_stylesheet_is_its_composition(scenario, seed):
         db.close()
 
 
-def test_a_fallback_record_names_the_variants_tag():
+def test_a_refusal_names_the_variants_tag():
     """``<c>`` inherits a tag query with two ``b`` columns, which the bulk
-    planner runs correlated: the skeleton's record names a slot, each
-    bound view's the tag its variant wrote, and the node below — tainted
-    — keeps the view's own tag."""
+    planner refuses: the skeleton's refusal names a slot, each variant's —
+    its bound view's, and its compile's — the tag that variant wrote."""
     builder = ViewBuilder(CATALOG)
     top = builder.node("n0", "SELECT * FROM t0 WHERE parent_id = 0", bv="p")
     mid = top.child("n1", "SELECT * FROM t1 WHERE parent_id = $p.id", bv="c")
@@ -259,16 +263,17 @@ def test_a_fallback_record_names_the_variants_tag():
         '<xsl:apply-templates select="n3"/></c></xsl:template>'
         '<xsl:template match="n3"><xsl:value-of select="."/></xsl:template>'
     )
+    refused = "has no bulk plan: duplicate output column names"
     skeleton, _literals = skeleton_of(view, sheet, CATALOG)
-    assert [tag for _id, tag, _reason in records(skeleton, CATALOG)] == [
-        "{slot 3}", "n3",
-    ]
+    assert refusal(skeleton, CATALOG) == f"node 4 <{{slot 3}}> {refused}"
     for seed in range(5):
         variant = renamed(sheet, seed)
         bound = assert_bound_is_composed(view, variant, CATALOG)
-        (c_id, c_tag, reason), (_id, n3_tag, _reason) = records(bound, CATALOG)
-        assert c_tag == bound.node_by_id(c_id).tag == variant.rules[3].output[0].tag
-        assert reason == "duplicate output column names" and n3_tag == "n3"
+        tag = variant.rules[3].output[0].tag
+        assert refusal(bound, CATALOG) == f"node 4 <{tag}> {refused}"
+        with pytest.raises(ViewDefinitionError) as raised:
+            compile_plan("k", PublishRequest(view, variant), *compiling(CATALOG))
+        assert str(raised.value) == f"node 4 <{tag}> {refused}"
 
 
 def test_an_input_tag_that_reads_like_a_slot_is_not_filled():

@@ -113,9 +113,9 @@ def test_a_fleet_compiles_and_plans_each_stylesheet_once(monkeypatch):
         composed.append(args[1])
         return real_compose(*args, **kwargs)
 
-    def counting_plan_node(self, node, tainted):
+    def counting_plan_node(self, node):
         planned.append(node)
-        return real_plan_node(self, node, tainted)
+        return real_plan_node(self, node)
 
     monkeypatch.setattr(compose_module, "compose", counting_compose)
     monkeypatch.setattr(_Planner, "plan_node", counting_plan_node)

@@ -140,8 +140,8 @@ def test_materialize_bulk_writes_the_text_form(demo_dir, capsys, monkeypatch):
             seen[strategy] = (out_path.read_bytes(), elements.group(1))
         assert seen["bulk"] == seen["nested-loop"]
         bulk_queries.append(int(elements.group(2)))
-    # One query per query-bearing node: bytes survive a fallback to
-    # correlated execution, this count does not — CI's smoke greps for it.
+    # One query per query-bearing node, and nothing run correlated — CI's
+    # smoke greps for it.
     assert bulk_queries == [7, 3]
     ci = (Path(__file__).parent.parent / ".github/workflows/ci.yml").read_text()
     for count in bulk_queries:
@@ -153,6 +153,35 @@ def test_materialize_bulk_writes_the_text_form(demo_dir, capsys, monkeypatch):
          "--pretty"]
     ) == 0
     assert len(tree_calls) == 1
+
+
+def test_materialize_bulk_refuses_a_view_it_cannot_plan(demo_dir, capsys):
+    """A tag query with two ``hotelid`` columns has no bulk plan: ``--strategy
+    bulk`` exits 1 with the typed refusal, which names the node and the
+    construct, and writes nothing; the nested loop still materializes it."""
+    from repro.schema_tree.builder import ViewBuilder
+    from repro.schema_tree.io import load_catalog, save_view
+
+    catalog_path = demo_dir / "catalog.xml"
+    builder = ViewBuilder(load_catalog(str(catalog_path)))
+    builder.node("hotel", "SELECT hotelid, hotelname AS hotelid FROM hotel")
+    view_path = demo_dir / "twice.xml"
+    save_view(builder.build(), str(view_path))
+    reports = {}
+    for strategy, code in (("bulk", 1), ("nested-loop", 0)):
+        out_path = demo_dir / f"twice-{strategy}.xml"
+        capsys.readouterr()
+        assert main(
+            ["materialize", "--catalog", str(catalog_path),
+             "--view", str(view_path), "--db", str(demo_dir / "hotel.sqlite"),
+             "--strategy", strategy, "--out", str(out_path)]
+        ) == code
+        assert out_path.exists() is (code == 0)
+        reports[strategy] = capsys.readouterr().err.strip()
+    assert reports["bulk"] == (
+        "error: node 1 <hotel> has no bulk plan: duplicate output column names"
+    )
+    assert reports["nested-loop"].endswith(" queries")
 
 
 def test_explain_command(demo_dir, capsys):
