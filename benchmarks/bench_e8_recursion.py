@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.hybrid import HybridExecutor
+from repro.core.recursion import compose_recursive_pair
 from repro.schema_tree.evaluator import ViewEvaluator
 from repro.workloads.paper import figure1_view
 from repro.xslt.parser import parse_stylesheet
@@ -53,12 +53,8 @@ def test_e8_naive_recursive(benchmark, dense_hotel_db, workload):
     benchmark(run)
 
 
-def test_e8_hybrid_recursive(benchmark, dense_hotel_db, workload):
+def test_e8_pushdown_recursive(benchmark, dense_hotel_db, workload):
     view, stylesheet = workload
-    executor = HybridExecutor(
-        view, stylesheet, dense_hotel_db.catalog,
-        fallback_builtin_rules="standard",
-    )
-    assert executor.plan.kind == "recursive"
+    plan = compose_recursive_pair(view, stylesheet, dense_hotel_db.catalog)
     benchmark.group = "E8 recursion"
-    benchmark(executor.execute, dense_hotel_db)
+    benchmark(lambda: plan.run(ViewEvaluator(dense_hotel_db)))

@@ -17,7 +17,6 @@ Typical use:
 """
 
 from repro.core.compose import compose, compose_basic
-from repro.core.hybrid import HybridExecutor, HybridPlan
 from repro.errors import (
     CompositionError,
     ReproError,
@@ -39,8 +38,6 @@ __version__ = "1.0.0"
 __all__ = [
     "compose",
     "compose_basic",
-    "HybridExecutor",
-    "HybridPlan",
     "CompositionError",
     "ReproError",
     "UnsupportedFeatureError",

@@ -19,7 +19,7 @@ Workflows:
     python -m repro materialize --catalog ... --view demo/composed.xml \\
         --db demo/hotel.sqlite [--strategy nested-loop|memoized|bulk] [--pretty]
 
-    # One-shot: plan + execute a stylesheet over a view (hybrid executor).
+    # One-shot: plan a stylesheet (composed, else naive) and execute it.
     python -m repro run --catalog ... --view demo/view.xml \\
         --stylesheet demo/stylesheet.xsl --db demo/hotel.sqlite
 
@@ -38,7 +38,6 @@ from typing import Optional
 
 from repro.core.compose import compose
 from repro.core.ctg import build_ctg
-from repro.core.hybrid import HybridExecutor
 from repro.core.optimize import prune_stylesheet_view
 from repro.core.tvq import build_tvq
 from repro.errors import ReproError
@@ -92,17 +91,27 @@ def cmd_compose(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_explain(args: argparse.Namespace) -> int:
-    """``repro explain``: print the plan and intermediate structures."""
+def _compiled(args: argparse.Namespace, report) -> tuple:
+    """``(catalog, view, stylesheet, plan)`` of ``args``'s files, the plan
+    from the one compile ladder; its rung, and why the rungs above it
+    refused, go to ``report`` before a refusal raises."""
+    from repro.serving import plan_for
+
     catalog = load_catalog(args.catalog)
     view = load_view(args.view, catalog)
     stylesheet = _read_stylesheet(args.stylesheet)
-    executor = HybridExecutor(view, stylesheet, catalog)
-    print(f"plan: {executor.plan.kind}")
-    for note in executor.plan.notes:
-        print(f"  note: {note}")
+    plan = plan_for(view, stylesheet, catalog)
+    print(f"rung: {plan.rung}", file=report)
+    for note in plan.notes:
+        print(f"  note: {note}", file=report)
+    return catalog, view, stylesheet, plan.check()
+
+
+def cmd_explain(args: argparse.Namespace) -> int:
+    """``repro explain``: print the plan and intermediate structures."""
+    catalog, view, stylesheet, plan = _compiled(args, sys.stdout)
     print()
-    if executor.plan.kind == "composed":
+    if plan.rung == "composed":
         from repro.core.rewrites.pipeline import rewrite_to_basic
 
         lowered = rewrite_to_basic(stylesheet)
@@ -115,7 +124,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print()
             print(tvq_to_dot(tvq))
             print()
-            print(view_to_dot(executor.plan.view, title="stylesheet_view"))
+            print(view_to_dot(plan.view, title="stylesheet_view"))
             return 0
         print("== Context Transition Graph ==")
         print(ctg.describe())
@@ -124,11 +133,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(tvq.describe())
         print()
     print("== Output view ==")
-    print(executor.plan.view.describe())
-    if executor.plan.stylesheet is not None:
+    print(plan.view.describe())
+    if plan.stylesheet is not None:
         print()
-        print("== Residual stylesheet rules ==")
-        for rule in executor.plan.stylesheet.rules:
+        print("== Interpreted stylesheet rules ==")
+        for rule in plan.stylesheet.rules:
             print(f"  match={rule.match.to_text()!r} mode={rule.mode!r}")
     return 0
 
@@ -170,18 +179,13 @@ def cmd_materialize(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """``repro run``: plan and execute a stylesheet (hybrid executor)."""
-    catalog = load_catalog(args.catalog)
-    view = load_view(args.view, catalog)
-    stylesheet = _read_stylesheet(args.stylesheet)
-    executor = HybridExecutor(
-        view, stylesheet, catalog,
-        fallback_builtin_rules=args.builtin_rules,
-    )
-    print(f"plan: {executor.plan.kind}", file=sys.stderr)
+    """``repro run``: plan a stylesheet with the compile ladder and execute
+    the plan with the bulk evaluator (``--builtin-rules``: the naive
+    rung's built-ins)."""
+    catalog, _view, _stylesheet, plan = _compiled(args, sys.stderr)
     db = Database.open(catalog, args.db)
     try:
-        document = executor.execute(db)
+        document = plan.run(BulkViewEvaluator(db), args.builtin_rules)
         text = serialize_pretty(document) if args.pretty else serialize(document)
         _write_output(text, args.out)
     finally:

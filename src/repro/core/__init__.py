@@ -20,13 +20,14 @@ Step modules:
 Section 5 features: predicates compose natively; flow control, general
 ``value-of`` and rule conflicts are lowered by
 :mod:`~repro.core.rewrites`; recursion is handled by partial pushdown in
-:mod:`~repro.core.recursion` and the fallback in :mod:`~repro.core.hybrid`.
+:mod:`~repro.core.recursion`. What does not compose is served
+materialize-then-transform by the compile ladder's naive rung
+(:func:`repro.serving.compile_plan`).
 """
 
 from repro.core.compose import bind, compose, compose_basic
 from repro.core.ctg import ContextTransitionGraph, build_ctg
 from repro.core.tvq import TraverseViewQuery, build_tvq
-from repro.core.hybrid import HybridExecutor, HybridPlan
 
 __all__ = [
     "bind",
@@ -36,6 +37,4 @@ __all__ = [
     "build_ctg",
     "TraverseViewQuery",
     "build_tvq",
-    "HybridExecutor",
-    "HybridPlan",
 ]

@@ -47,7 +47,8 @@ def compose_basic(
     Raises:
         UnsupportedFeatureError: when the stylesheet is outside the
             composable dialect (use :func:`compose`, or
-            :class:`~repro.core.hybrid.HybridExecutor` for recursion).
+            :func:`repro.serving.compile_plan`, whose naive rung serves
+            what does not compose).
         CompositionError: on malformed inputs or TVQ blowup past
             ``max_nodes``.
     """

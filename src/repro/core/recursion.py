@@ -23,8 +23,9 @@ back to ``m0``:
   executed by the interpreter over the (much smaller) composed view.
 
 The paper notes its algorithm here "is currently limited to only a few
-cases"; so is this one — :class:`~repro.core.hybrid.HybridExecutor`
-provides the always-correct fallback. As in the paper, the rewritten
+cases"; so is this one, and callers invoke it directly: its bytes are not
+the naive pipeline's (E8), so it is no rung of
+:func:`repro.serving.compile_plan`. As in the paper, the rewritten
 ``value-of "."`` emits elements tagged with the *composed* names
 (``metroavail_down``), and the fan-out of the down→up transition assumes
 at most one qualifying ``up`` element per round (the example's implicit
@@ -76,6 +77,13 @@ class RecursivePlan:
     stylesheet: Stylesheet
     down_tag: str
     up_tag: str
+
+    def run(self, evaluator):
+        """``stylesheet`` run over ``view`` as ``evaluator`` materializes it."""
+        from repro.xslt.processor import XSLTProcessor
+
+        processor = XSLTProcessor(self.stylesheet, builtin_rules="standard")
+        return processor.process_document(evaluator.materialize(self.view))
 
 
 def _expr_has_variables(expr: Expr) -> bool:

@@ -108,7 +108,8 @@ def build_tvq(
 
     Raises:
         UnsupportedFeatureError: if the CTG is recursive (restriction 3);
-            use :mod:`repro.core.recursion` / :mod:`repro.core.hybrid`.
+            use :mod:`repro.core.recursion` or the compile ladder's naive
+            rung (:func:`repro.serving.compile_plan`).
         CompositionError: if no default-mode rule matches the document
             root, or the unfolding exceeds ``max_nodes``.
     """

@@ -116,7 +116,8 @@ class UnsupportedFeatureError(CompositionError):
     """Raised when a stylesheet uses a feature outside the composable dialect.
 
     The offending feature name is recorded so callers (for example the
-    hybrid executor) can decide how to fall back.
+    compile ladder, :func:`repro.serving.compile_plan`) can decide how to
+    fall back.
     """
 
     def __init__(self, feature: str, detail: str = ""):

@@ -52,6 +52,10 @@ class PublishingApp:
     :class:`~repro.serving.server.PublishRequest`, so validation
     errors surface as :class:`~repro.errors.ReproError` (→ HTTP 400)
     before any serving work starts.
+
+    Building the app compiles each registered view (``backend.compile``):
+    one no rung plans, or a fleet cannot merge, fails the build by name.
+    A view registered later compiles on its first request.
     """
 
     def __init__(
@@ -67,6 +71,13 @@ class PublishingApp:
         self.registry = registry
         self.backend = backend
         self.database = database
+        for name in registry:
+            try:
+                backend.compile(self.request_for(name))
+            except ReproError as exc:
+                backend.close()
+                database.close()
+                raise ReproError(f"view {name!r} cannot be served: {exc}") from exc
         self.facade = AsyncViewServer(backend, hedge=hedge, own_backend=True)
         self._write_fn = write_fn
         self._writes_applied = 0

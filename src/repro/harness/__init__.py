@@ -9,7 +9,6 @@ with ``python -m repro.harness``.
 from repro.harness.runners import (
     StrategyRun,
     run_composed,
-    run_hybrid,
     run_naive,
     run_qtree,
 )
@@ -18,7 +17,6 @@ from repro.harness.reporting import ExperimentResult, render_markdown
 __all__ = [
     "StrategyRun",
     "run_composed",
-    "run_hybrid",
     "run_naive",
     "run_qtree",
     "ExperimentResult",

@@ -8,12 +8,11 @@ from typing import Optional
 
 from repro.baseline.materialize import NaivePipeline
 from repro.baseline.qtree import QTreeTranslator
-from repro.core.compose import compose
-from repro.core.hybrid import HybridExecutor
 from repro.relational.engine import Database
 from repro.relational.schema import Catalog
-from repro.schema_tree.evaluator import ViewEvaluator
+from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
 from repro.schema_tree.model import SchemaTreeQuery
+from repro.serving import CompiledPlan, plan_for
 from repro.xmlcore.canonical import canonical_form
 from repro.xmlcore.nodes import Document
 from repro.xslt.model import Stylesheet
@@ -65,26 +64,33 @@ def run_composed(
     db: Database,
     precomposed: Optional[SchemaTreeQuery] = None,
 ) -> StrategyRun:
-    """Compose, then evaluate the stylesheet view.
+    """Compile as the server does (:func:`~repro.serving.compile_plan`:
+    composed, else naive), then execute the plan with the bulk evaluator;
+    ``strategy`` is the rung. ``precomposed`` is executed in place of the
+    composed rung's view.
 
-    Composition time is reported separately (it is a one-time cost per
+    Compile time is reported separately (it is a one-time cost per
     view/stylesheet pair, amortized over every database instance).
     """
-    compose_start = time.perf_counter()
-    composed = precomposed or compose(view, stylesheet, catalog)
-    compose_seconds = time.perf_counter() - compose_start
+    compile_start = time.perf_counter()
+    plan = (
+        plan_for(view, stylesheet, catalog).check()
+        if precomposed is None else CompiledPlan("", precomposed)
+    )
+    compose_seconds = time.perf_counter() - compile_start
     queries_before = db.stats.queries_executed
-    evaluator = ViewEvaluator(db)
+    evaluator = BulkViewEvaluator(db)
     start = time.perf_counter()
-    document = evaluator.materialize(composed)
+    document = plan.run(evaluator)
     elapsed = time.perf_counter() - start
     return StrategyRun(
-        strategy="composed",
+        strategy=plan.rung,
         seconds=elapsed,
         queries=db.stats.queries_executed - queries_before,
         elements_materialized=evaluator.stats.elements_created,
         document=document,
         compose_seconds=compose_seconds,
+        notes=list(plan.notes),
     )
 
 
@@ -109,33 +115,4 @@ def run_qtree(
         document=result.document,
         compose_seconds=compose_seconds,
         notes=[f"{result.paths} path queries"],
-    )
-
-
-def run_hybrid(
-    view: SchemaTreeQuery,
-    stylesheet: Stylesheet,
-    catalog: Catalog,
-    db: Database,
-    fallback_builtin_rules: str = "standard",
-) -> StrategyRun:
-    """The hybrid executor (used for recursive stylesheets)."""
-    compose_start = time.perf_counter()
-    executor = HybridExecutor(
-        view, stylesheet, catalog,
-        fallback_builtin_rules=fallback_builtin_rules,
-    )
-    compose_seconds = time.perf_counter() - compose_start
-    queries_before = db.stats.queries_executed
-    start = time.perf_counter()
-    document = executor.execute(db)
-    elapsed = time.perf_counter() - start
-    return StrategyRun(
-        strategy=f"hybrid/{executor.plan.kind}",
-        seconds=elapsed,
-        queries=db.stats.queries_executed - queries_before,
-        elements_materialized=0,
-        document=document,
-        compose_seconds=compose_seconds,
-        notes=list(executor.plan.notes),
     )

@@ -23,7 +23,7 @@ from repro.serving.fingerprint import (
     plan_key,
     view_read_set,
 )
-from repro.serving.plan_cache import CompiledPlan, PlanCache, compile_plan
+from repro.serving.plan_cache import CompiledPlan, PlanCache, compile_plan, plan_for
 from repro.serving.pool import ConnectionPool
 from repro.serving.server import (
     DELTA_FALLBACK_REASONS,
@@ -55,6 +55,7 @@ __all__ = [
     "fingerprint_view",
     "node_read_sets",
     "percentile",
+    "plan_for",
     "plan_key",
     "view_read_set",
 ]

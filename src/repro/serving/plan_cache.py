@@ -1,16 +1,27 @@
 """The process's store of compiled publishing plans, and the one compile.
 
 A *compiled plan* is everything request execution needs that does not
-depend on the data: the composed-and-pruned stylesheet view, its bulk
-node plans and its read sets. Compiling one costs orders of magnitude
-more than executing the view's handful of queries at serving scale, so
-plans are keyed by content fingerprint (:mod:`repro.serving.fingerprint`)
-and reused across requests and worker threads.
+depend on the data: the view to evaluate, its bulk node plans and read
+sets, and the stylesheet to run over the view if it did not compose.
+Compiling one costs orders of magnitude more than executing the view's
+handful of queries at serving scale, so plans are keyed by content
+fingerprint (:mod:`repro.serving.fingerprint`) and reused across
+requests and worker threads.
 
-A plan is a shape plus literals (:func:`compile_plan`): a *skeleton* —
-a stylesheet shape's view, composed, pruned and planned, one level down
-in the store — with the literals bound in. Stylesheets that differ only
-in literals compose once; plan and result keys stay per variant.
+:func:`compile_plan` plans every (view, stylesheet) pair — for serving,
+``repro run`` / ``repro explain`` and the experiments — on two rungs
+(the paper composes XSLT_basic, and materializes-then-transforms the
+rest, §1). **composed**: a *skeleton* (a stylesheet shape's view
+composed, pruned and planned, one level down in the store) with the
+literals bound in, so stylesheets that differ only in literals compose
+once. **naive**: the request's own view, bulk-planned, the stylesheet
+interpreted over it with empty built-ins (the oracle's pipeline), when
+the shape does not compose or its view has no bulk plan — a refusal the
+skeleton store keeps, so a shape's variants compose it once. What no
+rung plans is a *refusal* (:attr:`CompiledPlan.refusal`), cached and
+invalidated like a plan: a property of (view, stylesheet, catalog), not
+a fault, so no circuit breaker counts it. The §5.3 recursive pushdown is
+no rung: its bytes are not the naive pipeline's.
 
 One :class:`PlanCache` per process is the only home of anything derived
 from ``(view, stylesheet, catalog)``: a single ``ViewServer`` makes its
@@ -42,11 +53,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.errors import ViewDefinitionError
+from repro.errors import CompositionError, ViewDefinitionError
 from repro.relational.schema import Catalog
 from repro.schema_tree.bulk_evaluator import plan_view
 from repro.schema_tree.model import SchemaTreeQuery
 from repro.serving.fingerprint import node_read_sets, skeleton_key
+from repro.xmlcore.nodes import Document
+from repro.xslt.model import Stylesheet
 
 
 @dataclass
@@ -55,8 +68,9 @@ class CompiledPlan:
 
     #: The content fingerprint the plan is cached under.
     key: str
-    #: The composed (and possibly pruned) schema-tree view to execute.
-    view: SchemaTreeQuery
+    #: The view to execute: the composed (and possibly pruned) one, or on
+    #: the naive rung the request's own; ``None`` on a refusal.
+    view: Optional[SchemaTreeQuery]
     #: Base tables the view's tag queries read (sorted; subqueries
     #: included — see :func:`repro.serving.fingerprint.view_read_set`).
     #: Drives table-based invalidation and the maintenance layer's
@@ -68,20 +82,46 @@ class CompiledPlan:
     #: each entry with the tracker's dirty tables to re-execute only the
     #: affected schema nodes.
     node_read_sets: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    #: The key of the skeleton ``view`` was bound from (``None``: no stylesheet).
+    #: The key of the skeleton tried first (``None``: no stylesheet).
     skeleton: Optional[str] = None
+    #: ``"composed"`` (``view`` is the answer; also with no stylesheet) or
+    #: ``"naive"`` (``stylesheet``, else ``None``, is run over ``view``).
+    rung: str = "composed"
+    stylesheet: Optional[Stylesheet] = None
+    #: Why the rungs above ``rung`` refused.
+    notes: tuple[str, ...] = ()
+    #: Why no rung plans it (a cached refusal), raised by :meth:`check`.
+    refusal: Optional[str] = None
     #: The fleet's merge frame for ``view``: the frozen
     #: ``repro.sharding.merge.MergePlan``, filled by the router on first
     #: use (typed loosely: ``serving`` imports nothing from ``sharding``).
     merge_plan: Any = field(default=None, init=False, repr=False, compare=False)
+
+    def check(self) -> "CompiledPlan":
+        """The plan itself; a refusal raises, as a fresh typed error."""
+        if self.refusal is not None:
+            raise ViewDefinitionError(self.refusal)
+        return self
+
+    def run(self, evaluator, builtin_rules: str = "empty") -> Document:
+        """The answer as a tree: ``view`` materialized by ``evaluator``, on
+        the naive rung the stylesheet run over it with ``builtin_rules``."""
+        from repro.xslt.processor import XSLTProcessor
+
+        document = evaluator.materialize(self.view)
+        if self.stylesheet is None:
+            return document
+        processor = XSLTProcessor(self.stylesheet, builtin_rules=builtin_rules)
+        return processor.process_document(document)
 
 
 def compile_plan(
     key: str, request, catalog: Catalog, catalog_fingerprint: str, store: "PlanCache"
 ) -> CompiledPlan:
     """Compile ``request`` (a ``PublishRequest``) into the plan cached as
-    ``key``: its skeleton from ``store`` — on a miss, the shape composed
-    (the serving path's one ``compose``), pruned, planned — bound to literals."""
+    ``key``: on the composed rung its skeleton from ``store`` — on a miss,
+    the shape composed (the serving path's one ``compose``), pruned,
+    planned — bound to literals; else the naive rung; else a refusal."""
     from repro.core.compose import bind, compose
     from repro.core.optimize import prune_stylesheet_view
     from repro.xslt.model import stylesheet_shape
@@ -95,33 +135,57 @@ def compile_plan(
 
     def build() -> CompiledPlan:
         shaped = shape or stylesheet_shape(request.stylesheet)[0]
-        view = compose(request.view, shaped, catalog, paper_mode=request.paper_mode)
+        try:
+            view = compose(request.view, shaped, catalog, paper_mode=request.paper_mode)
+        except CompositionError as exc:
+            return _planned(skeleton_id, request.view, catalog, str(exc))
         if request.prune:
             prune_stylesheet_view(view, catalog)
-        try:
-            return _planned(skeleton_id, view, catalog)
-        except ViewDefinitionError:
-            # Refused: plan the variant, whose refusal names its own tag
-            # where the skeleton's names a slot.
-            plan_view(bind(view, literals), catalog)
-            raise
+        return _planned(skeleton_id, view, catalog)
 
     skeleton = store.skeleton(skeleton_id, build)
-    return CompiledPlan(
-        key, bind(skeleton.view, literals), skeleton.tables,
-        skeleton.node_read_sets, skeleton.key,
+    if skeleton.refusal is None:
+        return CompiledPlan(
+            key, bind(skeleton.view, literals), skeleton.tables,
+            skeleton.node_read_sets, skeleton.key,
+        )
+    return _planned(
+        key, request.view, catalog, skeleton=skeleton.key, rung="naive",
+        stylesheet=request.stylesheet,
+        notes=(f"composed rung refused: {skeleton.refusal}",),
     )
 
 
-def _planned(key: str, view: SchemaTreeQuery, catalog: Catalog) -> CompiledPlan:
-    """``view`` bulk-planned, with its per-node read sets (their union: one walk)."""
-    plan_view(view, catalog)
+def plan_for(view: SchemaTreeQuery, stylesheet, catalog: Catalog) -> CompiledPlan:
+    """:func:`compile_plan` of ``(view, stylesheet)`` into a fresh store:
+    the one-shot compile of ``repro run`` and the experiments."""
+    from repro.serving.fingerprint import fingerprint_catalog, plan_key
+    from repro.serving.server import PublishRequest
+
+    fingerprint = fingerprint_catalog(catalog)
+    return compile_plan(
+        plan_key(fingerprint, view, stylesheet), PublishRequest(view, stylesheet),
+        catalog, fingerprint, PlanCache(),
+    )
+
+
+def _planned(
+    key: str, view: SchemaTreeQuery, catalog: Catalog,
+    refusal: Optional[str] = None, **fields,
+) -> CompiledPlan:
+    """``view`` bulk-planned, with its per-node read sets (their union: one
+    walk). Refused — as ``refusal`` says, or by the bulk planner — it keeps
+    those read sets, so invalidation drops it as it would the plan."""
     read_sets = node_read_sets(view)
+    if refusal is None:
+        try:
+            plan_view(view, catalog)
+        except ViewDefinitionError as exc:
+            refusal = str(exc)
     return CompiledPlan(
-        key=key,
-        view=view,
-        tables=tuple(sorted(set().union(*read_sets.values()))),
-        node_read_sets=read_sets,
+        key, view if refusal is None else None,
+        tuple(sorted(set().union(*read_sets.values()))), read_sets,
+        refusal=refusal, **fields,
     )
 
 

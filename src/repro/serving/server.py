@@ -21,9 +21,12 @@ composed view on the same data — the property suite in
 ``tests/serving/test_concurrent_equivalence.py`` checks this against
 the nested-loop oracle under 8-way concurrency. The serving path has
 one evaluator, :class:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator`,
-in one output form: rows to text columns and one emission over them,
-never a tree — the maintenance state a promotion keeps and a delta
-splices is those columns.
+in one output form on the composed rung: rows to text columns and one
+emission over them, never a tree — the maintenance state a promotion
+keeps and a delta splices is those columns. A stylesheet that does not
+compose runs over the materialized view (the naive rung of
+:func:`compile_plan`); what no rung plans is a cached, typed refusal
+that the circuit breaker never counts.
 
 Update awareness: constructed with a
 :class:`~repro.maintenance.tracker.WriteTracker`, the server also
@@ -94,6 +97,7 @@ from repro.serving.fingerprint import fingerprint_catalog, plan_key
 from repro.serving.metrics import Registry
 from repro.serving.plan_cache import CompiledPlan, PlanCache, compile_plan
 from repro.serving.pool import ConnectionPool
+from repro.xmlcore.serializer import serialize
 from repro.xslt.model import Stylesheet
 
 
@@ -583,12 +587,22 @@ class ViewServer:
             "results": dropped_results,
         }
 
+    def compile(self, request: PublishRequest) -> CompiledPlan:
+        """The plan ``request`` resolves to, compiled into the store on a
+        miss (a refusal raises): the plan path with no fault injected and
+        nothing for the breaker, as an application compiles its views."""
+        key = self.plan_key_for(request)
+        return self._lookup(key, lambda: compile_plan(
+            key, request, self.catalog, self.catalog_fingerprint, self.plan_cache
+        ))[0].check()
+
     def _plan(self, key: str, request: PublishRequest) -> tuple[CompiledPlan, bool]:
         """``(plan, was_hit)`` from the store, compiling on a miss.
 
         The lookup counts as this server's, and so does a failed build the
         breaker hears: it is its caller's alone (waiters retry). A compile
-        that succeeds settles nothing — the request it serves is not done.
+        that succeeds settles nothing — the request it serves is not done,
+        and a refusal (cached like a plan) is no failure.
         """
 
         def build() -> CompiledPlan:
@@ -600,12 +614,17 @@ class ViewServer:
                 key, request, self.catalog, self.catalog_fingerprint, self.plan_cache
             )
 
-        hit = False
         try:
-            plan, hit = self.plan_cache.get_or_build(key, build)
+            return self._lookup(key, build)
         except Exception as exc:
             self._record_failure(key, exc)
             raise
+
+    def _lookup(self, key: str, build) -> tuple[CompiledPlan, bool]:
+        """``(plan, was_hit)`` from the store, counted as this server's."""
+        hit = False
+        try:
+            plan, hit = self.plan_cache.get_or_build(key, build)
         finally:
             self.counts.count("cache.hits" if hit else "cache.misses")
         return plan, hit
@@ -872,6 +891,10 @@ class ViewServer:
         plan, hit = self._plan(key, request)
         trace.cache_hit = hit
         trace.plan_seconds = time.perf_counter() - started
+        if plan.refusal is not None:
+            if admitted:
+                breaker.release(key)
+            plan.check()
         # -- result cache: consult before touching the pool. The
         # entry's version stamp is compared against the tracker's
         # live vector over the plan's read set; the staleness policy
@@ -988,12 +1011,14 @@ class ViewServer:
         current_versions: dict[str, int],
         deadline: Deadline,
     ) -> None:
-        """One full-plan evaluation attempt (the pre-resilience path)."""
+        """One full-plan evaluation attempt (the pre-resilience path); on
+        the naive rung a tree, transformed, and no maintenance state."""
         # Recomputation must read data at least as fresh as the version
         # stamp it publishes — and a bypass_cache request promises live
         # data outright, so the pool syncs on every full execution (a
         # clock comparison when nothing changed).
         self._sync()
+        naive = plan.rung == "naive"
         # Maintenance state is earned: the columns are kept only when
         # this key is already resident (the entry went stale, so a delta
         # would have had something to splice). A first computation
@@ -1001,6 +1026,7 @@ class ViewServer:
         # reaches them.
         promotion = (
             use_result_cache
+            and not naive
             and self.maintenance == "delta"
             and self.result_cache.peek(plan.key) is not None
         )
@@ -1010,9 +1036,12 @@ class ViewServer:
                 stats = MaterializeStats()
                 evaluator = BulkViewEvaluator(db, stats=stats)
                 execute_started = time.perf_counter()
-                state = MaterializedState(
-                    plan.view, evaluator.columns(plan.view)
-                )
+                if naive:
+                    document = plan.run(evaluator)
+                else:
+                    state = MaterializedState(
+                        plan.view, evaluator.columns(plan.view)
+                    )
                 trace.execute_seconds = time.perf_counter() - execute_started
                 after = db.stats.snapshot()
         trace.queries_executed = (
@@ -1024,7 +1053,7 @@ class ViewServer:
         trace.attributes_created = stats.attributes_created
         # The emission over the columns is the serialization phase.
         serialize_started = time.perf_counter()
-        trace.xml = state.text()
+        trace.xml = serialize(document) if naive else state.text()
         trace.serialize_seconds = time.perf_counter() - serialize_started
         if use_result_cache:
             self.result_cache.store(

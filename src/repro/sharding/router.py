@@ -66,7 +66,7 @@ from repro.resilience.faults import FaultPlan, FleetFaultPlan
 from repro.resilience.policy import ResiliencePolicy
 from repro.schema_tree.model import SchemaTreeQuery
 from repro.serving.metrics import Registry, merge
-from repro.serving.plan_cache import PlanCache, compile_plan
+from repro.serving.plan_cache import CompiledPlan, PlanCache, compile_plan
 from repro.serving.server import (
     OUTCOMES,
     SERVING_STRATEGY,
@@ -75,7 +75,7 @@ from repro.serving.server import (
     ViewServer,
     check_strategy,
 )
-from repro.sharding.merge import MergePlan, merge_texts, plan_merge
+from repro.sharding.merge import merge_texts, plan_merge
 from repro.sharding.replica import ReplicaApplier
 from repro.sharding.partition import (
     KeyRangePartitioner,
@@ -297,7 +297,7 @@ class ShardRouter:
             self._lag_budget = None
         self._owns_sources = owns_sources
         #: The process's one plan store: every member reads from it, and
-        #: the merge frame hangs off the plan it holds (``_merge_plan``).
+        #: the merge frame hangs off the plan it holds (:meth:`compile`).
         self.plan_cache = PlanCache(cache_capacity)
         self._merge_lock = threading.Lock()
         # Merged-response memo: (plan key, per-shard xml) ->
@@ -623,16 +623,17 @@ class ShardRouter:
         else:
             breaker.record_failure(member.key)
 
-    def _merge_plan(self, request: PublishRequest) -> tuple[str, MergePlan]:
-        """The merge plan for this request's *composed* view.
+    def compile(self, request: PublishRequest) -> CompiledPlan:
+        """The plan ``request`` resolves to, with its merge frame.
 
-        The spine merge must see the view the shards actually evaluate
-        — after stylesheet composition and pruning — so the router takes
-        the compiled plan from the fleet's store (compiling it when it is
-        the first to ask: the shards it scatters to next then hit) and
-        memoizes the frame on it. The partition-column check runs where
+        The router takes the plan from the fleet's store (compiling it
+        when it is the first to ask: the shards it scatters to next then
+        hit). A refusal raises before anything scatters, and so does a
+        plan on the naive rung: a stylesheet run over the view leaves a
+        document with no spine to merge. The spine merge must see the view
+        the shards evaluate — composed and pruned — so its frame is
+        memoized on the plan, and the partition-column check runs where
         the memo is filled: a view the fleet is not dealt by always raises.
-        Returns ``(plan key, merge plan)``.
         """
         # A member's key function, so router and members cannot disagree.
         server = self.shards[0].members[0].server
@@ -640,8 +641,12 @@ class ShardRouter:
         compiled, _ = self.plan_cache.get_or_build(key, lambda: compile_plan(
             key, request, self.catalog, server.catalog_fingerprint, self.plan_cache
         ))
-        plan = compiled.merge_plan
-        if plan is None:
+        if compiled.check().rung != "composed":
+            raise ShardingError(
+                f"the fleet merges composed views only; this plan is on "
+                f"the {compiled.rung} rung ({'; '.join(compiled.notes)})"
+            )
+        if compiled.merge_plan is None:
             view = compiled.view
             if self.scheme is not None:
                 table, column = derive_partition_column(view, self.catalog)
@@ -651,8 +656,8 @@ class ShardRouter:
                         f"is dealt by {self.scheme.table}.{self.scheme.column}"
                     )
             # Two first requests may both derive it: equal frozen data.
-            plan = compiled.merge_plan = plan_merge(view)
-        return key, plan
+            compiled.merge_plan = plan_merge(view)
+        return compiled
 
     def _resolve_shard(
         self,
@@ -750,7 +755,7 @@ class ShardRouter:
             self._merged_cache[key] = xml
 
     def _serve_inner(self, request: PublishRequest, trace: RouterTrace) -> None:
-        merge_key, plan = self._merge_plan(request)
+        compiled = self.compile(request)
         # Scatter: one balanced candidate pick per shard, all in flight
         # at once; failover (if any) happens while other shards compute.
         # A shard with no eligible member (everything crashed /
@@ -854,11 +859,11 @@ class ShardRouter:
             texts.append(shard_trace.xml)
         xml = None
         if not request.bypass_cache:
-            cache_key = (merge_key, *texts)
+            cache_key = (compiled.key, *texts)
             xml = self._merged_lookup(cache_key)
         if xml is None:
             merge_started = time.perf_counter()
-            xml = merge_texts(plan, texts)
+            xml = merge_texts(compiled.merge_plan, texts)
             trace.merge_seconds = time.perf_counter() - merge_started
             if not request.bypass_cache:
                 self._merged_store(cache_key, xml)

@@ -55,21 +55,18 @@ def parse_stylesheet(source: Union[str, Document]) -> Stylesheet:
         else:
             top_nodes = parse_fragment(text)
 
+    # Inside the wrapper as outside it, a declaration (xsl:import, a
+    # top-level xsl:param, ...) would change the result: refused by name.
     templates: list[Element] = []
     for node in top_nodes:
         if isinstance(node, Element):
-            if node.tag in ("xsl:stylesheet", "xsl:transform"):
-                templates.extend(
-                    child
-                    for child in node.child_elements()
-                    if child.tag == "xsl:template"
-                )
-            elif node.tag == "xsl:template":
-                templates.append(node)
-            else:
-                raise StylesheetParseError(
-                    f"unexpected top-level element <{node.tag}>"
-                )
+            wrapper = node.tag in ("xsl:stylesheet", "xsl:transform")
+            for child in node.child_elements() if wrapper else [node]:
+                if child.tag != "xsl:template":
+                    raise StylesheetParseError(
+                        f"unexpected top-level element <{child.tag}>"
+                    )
+                templates.append(child)
     if not templates:
         raise StylesheetParseError("stylesheet contains no template rules")
     stylesheet = Stylesheet()

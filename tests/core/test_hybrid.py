@@ -1,16 +1,20 @@
-"""Tests for the hybrid executor's planning ladder."""
+"""The hybrid plan of the paper's §1 — compose what composes, interpret the
+rest — as the one compile ladder: ``compile_plan`` picks the rung and
+``CompiledPlan.run`` executes it with the bulk evaluator."""
 
 import pytest
 
-from repro.core.hybrid import HybridExecutor
+from repro.core.recursion import compose_recursive_pair
 from repro.schema_tree import materialize
+from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
+from repro.serving import plan_for
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import (
     figure1_view,
     figure4_stylesheet,
     figure25_stylesheet,
 )
-from repro.xmlcore import canonical_form
+from repro.xmlcore.serializer import serialize
 from repro.xslt import apply_stylesheet
 from repro.xslt.parser import parse_stylesheet
 
@@ -27,23 +31,34 @@ def view(db):
     return figure1_view(db.catalog)
 
 
-def test_composable_stylesheet_plans_composed(view, db):
-    executor = HybridExecutor(view, figure4_stylesheet(), db.catalog)
-    assert executor.plan.kind == "composed"
-    assert executor.plan.stylesheet is None
-    result = executor.execute(db)
-    naive = apply_stylesheet(figure4_stylesheet(), materialize(view, db))
-    assert canonical_form(result, ordered=False) == canonical_form(
-        naive, ordered=False
+def naive_bytes(view, stylesheet, db, builtin_rules="empty") -> str:
+    return serialize(
+        apply_stylesheet(
+            stylesheet, materialize(view, db), builtin_rules=builtin_rules
+        )
     )
 
 
+def test_composable_stylesheet_plans_composed(view, db):
+    plan = plan_for(view, figure4_stylesheet(), db.catalog)
+    assert (plan.rung, plan.stylesheet, plan.notes) == ("composed", None, ())
+    result = plan.run(BulkViewEvaluator(db))
+    assert serialize(result) == naive_bytes(view, figure4_stylesheet(), db)
+
+
 def test_recursive_stylesheet_plans_recursive(view, db):
-    executor = HybridExecutor(view, figure25_stylesheet(), db.catalog)
-    assert executor.plan.kind == "recursive"
-    assert executor.plan.builtin_rules == "standard"
-    assert executor.plan.notes  # records why full composition failed
-    executor.execute(db)  # runs without error
+    """Figure 25 does not compose, and the §5.3 pushdown is no rung (its
+    bytes are not the naive pipeline's): the ladder plans it naive, with
+    a note, while ``compose_recursive_pair`` — a direct call — still plans
+    the recursive pushdown, whose recursion rounds agree."""
+    plan = plan_for(view, figure25_stylesheet(), db.catalog)
+    assert plan.rung == "naive"
+    assert plan.notes  # records why full composition failed
+    served = serialize(plan.run(BulkViewEvaluator(db), "standard"))
+    assert served == naive_bytes(view, figure25_stylesheet(), db, "standard")
+    recursive = compose_recursive_pair(view, figure25_stylesheet(), db.catalog)
+    pushed = serialize(recursive.run(BulkViewEvaluator(db)))
+    assert pushed.count("<result_metroavail") == served.count("<result_metroavail")
 
 
 def test_uncomposable_falls_back(view, db):
@@ -53,13 +68,10 @@ def test_uncomposable_falls_back(view, db):
         '<xsl:template match="metro"><m><xsl:apply-templates select="hotel//confroom"/></m></xsl:template>'
         '<xsl:template match="confroom"><c/></xsl:template>'
     )
-    executor = HybridExecutor(view, stylesheet, db.catalog)
-    assert executor.plan.kind == "fallback"
-    result = executor.execute(db)
-    naive = apply_stylesheet(stylesheet, materialize(view, db))
-    assert canonical_form(result, ordered=False) == canonical_form(
-        naive, ordered=False
-    )
+    plan = plan_for(view, stylesheet, db.catalog)
+    assert (plan.rung, plan.view, plan.stylesheet) == ("naive", view, stylesheet)
+    result = plan.run(BulkViewEvaluator(db))
+    assert serialize(result) == naive_bytes(view, stylesheet, db)
 
 
 def test_fallback_respects_builtin_setting(view, db):
@@ -68,19 +80,11 @@ def test_fallback_respects_builtin_setting(view, db):
         # and // keeps it out of the composable dialect.
         '<xsl:template match="metro"><m><xsl:apply-templates select="hotel//confroom"/></m></xsl:template>'
     )
-    silent = HybridExecutor(view, stylesheet, db.catalog)
-    assert silent.plan.kind == "fallback"
-    assert serialize_empty(silent.execute(db))
-    noisy = HybridExecutor(
-        view, stylesheet, db.catalog, fallback_builtin_rules="standard"
-    )
-    assert not serialize_empty(noisy.execute(db))
-
-
-def serialize_empty(document) -> bool:
-    from repro.xmlcore.serializer import serialize
-
-    return serialize(document) == ""
+    plan = plan_for(view, stylesheet, db.catalog)
+    assert plan.rung == "naive"
+    assert serialize(plan.run(BulkViewEvaluator(db))) == ""
+    noisy = serialize(plan.run(BulkViewEvaluator(db), "standard"))
+    assert noisy and noisy == naive_bytes(view, stylesheet, db, "standard")
 
 
 def test_plan_notes_explain_rejections(view, db):
@@ -88,14 +92,14 @@ def test_plan_notes_explain_rejections(view, db):
         '<xsl:template match="/"><out><xsl:apply-templates select="metro"/></out></xsl:template>'
         '<xsl:template match="metro"><m>text-content</m></xsl:template>'
     )
-    executor = HybridExecutor(view, stylesheet, db.catalog)
-    assert executor.plan.kind == "fallback"
-    assert any("text" in note for note in executor.plan.notes)
+    plan = plan_for(view, stylesheet, db.catalog)
+    assert plan.rung == "naive"
+    assert any("text" in note for note in plan.notes)
 
 
-def test_blowup_falls_back_to_interpretation(db):
-    """When TVQ unfolding exceeds the bound, the hybrid plan degrades to
-    interpretation rather than failing."""
+def test_blowup_falls_back_to_interpretation():
+    """When TVQ unfolding exceeds compose's bound (2^14 - 1 nodes past
+    10,000), the plan degrades to interpretation rather than failing."""
     from repro.workloads.synthetic import (
         blowup_stylesheet,
         chain_catalog,
@@ -104,20 +108,13 @@ def test_blowup_falls_back_to_interpretation(db):
     )
     from repro.relational.engine import Database
 
-    catalog = chain_catalog(12)
+    catalog = chain_catalog(13)
     chain_db = Database(catalog)
-    populate_chain(chain_db, 12, fanout=1, roots=1)
-    view = chain_view(12, catalog)
-    executor = HybridExecutor(
-        view, blowup_stylesheet(12), catalog, max_nodes=100
-    )
-    assert executor.plan.kind == "fallback"
-    assert any("blowup" in note for note in executor.plan.notes)
-    result = executor.execute(chain_db)
-    naive = apply_stylesheet(
-        blowup_stylesheet(12), materialize(view, chain_db)
-    )
-    assert canonical_form(result, ordered=False) == canonical_form(
-        naive, ordered=False
-    )
+    populate_chain(chain_db, 13, fanout=1, roots=1)
+    view = chain_view(13, catalog)
+    plan = plan_for(view, blowup_stylesheet(13), catalog)
+    assert plan.rung == "naive"
+    assert any("blowup" in note for note in plan.notes)
+    result = plan.run(BulkViewEvaluator(chain_db))
+    assert serialize(result) == naive_bytes(view, blowup_stylesheet(13), chain_db)
     chain_db.close()

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import sqlite3
+
+import pytest
 
 from repro.baseline.materialize import NaivePipeline
+from repro.errors import ReproError
 from repro.frontend import build_hotel_app
 from repro.maintenance import hotel_write
 from repro.schema_tree.evaluator import materialize
@@ -51,3 +55,63 @@ def test_build_app_serves_naive_bytes_after_every_write():
     finally:
         asyncio.run(app.close())
         reference.close()
+
+
+def test_the_app_compiles_its_views_when_it_is_built():
+    """Every registered view is compiled before the app serves: three
+    misses at build, and the first requests all hit the plan store."""
+    app = build_hotel_app(scale=1, workers=1)
+    try:
+        assert app.backend.metrics()["cache"]["misses"] == len(app.registry)
+        for name in app.registry:
+            trace = app.backend.submit(app.request_for(name)).result()
+            assert (trace.outcome, trace.cache_hit) == ("success", True)
+    finally:
+        asyncio.run(app.close())
+
+
+@pytest.mark.parametrize("fleet", [False, True], ids=["single-box", "fleet"])
+def test_a_view_no_rung_serves_fails_the_build_naming_it(fleet):
+    """A registered view the bulk planner refuses fails the build with an
+    error naming the view, never reaching a request; on a fleet so does
+    one only the naive rung plans. What the build opened it
+    closes."""
+    from repro.frontend.app import PublishingApp, RegisteredView
+    from repro.schema_tree.builder import ViewBuilder
+    from repro.serving import ViewServer
+    from repro.sharding import ShardRouter
+    from repro.workloads.hotel import hotel_partition_scheme
+    from repro.workloads.paper import figure1_view
+    from repro.xslt.parser import parse_stylesheet
+
+    db = build_hotel_database(HotelDataSpec(metros=2), cross_thread=True)
+    builder = ViewBuilder(db.catalog)
+    builder.node("hotel", "SELECT hotelid, hotelname AS hotelid FROM hotel")
+    descendant = parse_stylesheet(
+        '<xsl:template match="/"><out><xsl:apply-templates select="//hotel"/>'
+        '</out></xsl:template>'
+    )
+    registry = {
+        "figure1": RegisteredView("figure1", figure1_view(db.catalog), None),
+        "twice": RegisteredView("twice", builder.build(), None),
+    }
+    expected = (
+        "view 'twice' cannot be served: node 1 <hotel> has no bulk plan: "
+        "duplicate output column names"
+    )
+    if fleet:
+        backend = ShardRouter.build(
+            db.catalog, db, hotel_partition_scheme(), 2, workers=1
+        )
+        registry["twice"] = RegisteredView(
+            "twice", figure1_view(db.catalog), descendant
+        )
+        expected = "view 'twice' cannot be served: the fleet merges composed"
+    else:
+        backend = ViewServer(db.catalog, source=db, workers=1)
+    with pytest.raises(ReproError) as refused:
+        PublishingApp(registry, backend, db)
+    assert str(refused.value).startswith(expected)
+    assert backend._closed
+    with pytest.raises(sqlite3.ProgrammingError):  # closed
+        db.table_count("hotel")

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.harness.runners import run_composed, run_hybrid, run_naive, run_qtree
+from repro.harness.runners import run_composed, run_naive, run_qtree
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import (
     figure1_view,
     figure4_stylesheet,
     qtree_compatible_stylesheet,
 )
+from repro.xslt.parser import parse_stylesheet
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +56,19 @@ def test_run_qtree_notes_paths(db, view):
     assert any("path queries" in note for note in run.notes)
 
 
-def test_run_hybrid_reports_plan_kind(db, view):
-    run = run_hybrid(view, figure4_stylesheet(), db.catalog, db)
-    assert run.strategy == "hybrid/composed"
-    naive = run_naive(view, figure4_stylesheet(), db)
-    assert run.matches(naive)
+def test_run_composed_reports_the_rung(db, view):
+    """``run_composed`` runs the serving compile: a composable sheet is on
+    the composed rung, a ``//`` sheet on the naive one, whose notes say
+    why it did not compose; both equal the naive pipeline."""
+    composed = run_composed(view, figure4_stylesheet(), db.catalog, db)
+    assert (composed.strategy, composed.notes) == ("composed", [])
+    assert composed.matches(run_naive(view, figure4_stylesheet(), db))
+    descendant = parse_stylesheet(
+        '<xsl:template match="/"><out><xsl:apply-templates select="//hotel"/>'
+        '</out></xsl:template><xsl:template match="hotel">'
+        '<h><xsl:value-of select="@hotelname"/></h></xsl:template>'
+    )
+    naive = run_composed(view, descendant, db.catalog, db)
+    assert naive.strategy == "naive"
+    assert any("descendant-axis" in note for note in naive.notes)
+    assert naive.matches(run_naive(view, descendant, db))

@@ -194,7 +194,7 @@ def test_explain_command(demo_dir, capsys):
         ]
     ) == 0
     out = capsys.readouterr().out
-    assert "plan: composed" in out
+    assert "rung: composed" in out
     assert "Context Transition Graph" in out
     assert "Traverse View Query" in out
 
@@ -243,7 +243,11 @@ def test_run_recursive_stylesheet(demo_dir, tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert "plan: recursive" in capsys.readouterr().err
+    # The §5.3 pushdown is no rung: Figure 25 is served materialize-then-
+    # transform, with the built-ins asked for, and the note says why.
+    captured = capsys.readouterr()
+    assert captured.err.startswith("rung: naive\n  note: composed rung refused:")
+    assert captured.out == "<result_metro/>" * 3 + "\n"
 
 
 def test_explain_dot_output(demo_dir, capsys):

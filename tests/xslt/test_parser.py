@@ -36,6 +36,30 @@ def test_wrapped_stylesheet_document():
     assert stylesheet.rules[0].match.is_root
 
 
+@pytest.mark.parametrize(
+    "declaration",
+    [
+        '<xsl:import href="base.xsl"/>',
+        '<xsl:param name="fid"/>',
+        '<xsl:variable name="img" select="1"/>',
+        '<xsl:output method="xml" indent="yes"/>',
+    ],
+    ids=["import", "param", "variable", "output"],
+)
+@pytest.mark.parametrize("wrapper", ["xsl:stylesheet", "xsl:transform", None])
+def test_a_declaration_beside_the_templates_is_refused_by_name(
+    declaration, wrapper
+):
+    """A declaration would change the result if honoured: inside the
+    wrapper it is refused as it is outside, never silently dropped."""
+    rules = declaration + '<xsl:template match="/"><r/></xsl:template>'
+    source = f"<{wrapper}>{rules}</{wrapper}>" if wrapper else rules
+    name = declaration.split()[0][1:]
+    with pytest.raises(StylesheetParseError) as refused:
+        parse_stylesheet(source)
+    assert str(refused.value) == f"unexpected top-level element <{name}>"
+
+
 def test_modes_and_priority():
     stylesheet = parse_stylesheet(
         '<xsl:template match="a" mode="m" priority="2.5"><x/></xsl:template>'
