@@ -5,17 +5,19 @@ does not have).
 ``python benchmarks/bench_write_width.py [--scale 64] [--samples 13]``
 prints one row per write kind x view: the rung that served ``delta`` and
 the rows it fetched, the median (and quartiles) of
-``RequestTrace.total_seconds`` under each maintenance mode, and of their
+``RequestTrace.total_seconds`` of each stack's read, and of their
 per-sample ratio — ``delta / full`` is what survives a host whose speed
-moves between minutes. One in-process ``ViewServer`` per mode (strict,
-the production ``ResiliencePolicy``, two workers), each over its own
+moves between minutes. Two in-process ``ViewServer`` stacks (strict, the
+production ``ResiliencePolicy``, two workers), each over its own
 database and key-reporting tracker, driven in lockstep through one write
-stream. Per write kind the entries are dropped, missed and promoted
-(state is earned on an entry's first staleness); a sample is one write,
-then the first render of each view on each server — the mode that
-renders first rotates per sample, the bytes of both modes are asserted
-equal on every sample and every ``delta`` read is asserted a
-``delta-recompute``. It imports ``repro`` from ``PYTHONPATH`` when that
+stream. Every server maintains by delta: the ``delta`` stack reads
+through its result cache, the ``full`` stack with ``bypass_cache`` — the
+same whole-plan compute after the same sync, with nothing stored. Per
+write kind the ``delta`` entries are dropped, missed and promoted (state
+is earned on an entry's first staleness); a sample is one write, then
+the first render of each view on each stack — the stack that renders
+first rotates per sample, the bytes of both are asserted equal on every
+sample and every ``delta`` read is asserted a ``delta-recompute``. It imports ``repro`` from ``PYTHONPATH`` when that
 names one (a copy of the parent commit) and from this tree otherwise.
 Under ``pytest benchmarks`` only the smoke runs: a small scale, bytes
 equal and the rung of every cell.
@@ -88,7 +90,7 @@ def measure(scale: int, samples: int) -> list[dict]:
     """One row per write kind x view, in table order."""
     from repro.maintenance import WriteTracker, hotel_write
     from repro.resilience import ResiliencePolicy
-    from repro.serving import ViewServer
+    from repro.serving import PublishRequest, ViewServer
     from repro.workloads.hotel import HotelDataSpec, build_hotel_database
     from repro.workloads.paper import (
         figure1_view,
@@ -108,7 +110,7 @@ def measure(scale: int, samples: int) -> list[dict]:
         db.attach_tracker(tracker)
         server = ViewServer(
             db.catalog, source=db, workers=2, tracker=tracker,
-            staleness="strict", maintenance=mode,
+            staleness="strict",
             resilience=ResiliencePolicy(
                 deadline_ms=5000, retries=2, breaker_threshold=5, queue_limit=64
             ),
@@ -121,23 +123,22 @@ def measure(scale: int, samples: int) -> list[dict]:
 
     def render(mode, name):
         _db, _tracker, server, view = stacks[mode]
-        trace = server.render(view, sheets[name])
+        request = PublishRequest(view, sheets[name], bypass_cache=mode == "full")
+        trace = server.submit(request).result()
         assert trace.error is None, (mode, name, trace.error)
         return trace
 
     rows, step = [], 0
     try:
         for kind, apply in _writes().items():
-            for mode in MODES:
-                stacks[mode][2].result_cache.clear()
-                for name in VIEWS:
-                    assert render(mode, name).freshness == "miss"
+            stacks["delta"][2].result_cache.clear()
+            for name in VIEWS:
+                assert render("delta", name).freshness == "miss"
             # The promotion: a write every view reads, a full recompute.
             write(lambda db, n, t: hotel_write(db, n, t, mix=("availability",)), step)
             step += 1
-            for mode in MODES:
-                for name in VIEWS:
-                    assert render(mode, name).freshness == "stale-recompute"
+            for name in VIEWS:
+                assert render("delta", name).freshness == "stale-recompute"
             cells = {
                 name: {"full": [], "delta": [], "rungs": set(), "rows_fetched": []}
                 for name in VIEWS
@@ -150,7 +151,7 @@ def measure(scale: int, samples: int) -> list[dict]:
                     traces = {mode: render(mode, name) for mode in order}
                     full, delta = traces["full"], traces["delta"]
                     assert full.xml == delta.xml, (kind, name, sample)
-                    assert full.freshness == "stale-recompute", full.freshness
+                    assert full.freshness == "bypass", full.freshness
                     assert delta.freshness == "delta-recompute", delta.freshness
                     cell = cells[name]
                     cell["full"].append(full.total_seconds * 1e3)
@@ -175,7 +176,7 @@ def measure(scale: int, samples: int) -> list[dict]:
 
 
 def test_write_width_smoke():
-    """Scale 4, three samples a cell: both modes serve the same bytes on
+    """Scale 4, three samples a cell: both stacks serve the same bytes on
     every sample (asserted as they are taken) and every cell is served by
     the rung the table says."""
     rows = measure(scale=4, samples=3)

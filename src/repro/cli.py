@@ -41,7 +41,6 @@ from repro.core.ctg import build_ctg
 from repro.core.optimize import prune_stylesheet_view
 from repro.core.tvq import build_tvq
 from repro.errors import ReproError
-from repro.maintenance.incremental import MAINTENANCE_MODES
 from repro.relational.engine import Database
 from repro.resilience.faults import FLEET_FAULT_KINDS
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
@@ -267,7 +266,6 @@ def _frontend_app_from_args(args: argparse.Namespace):
         scale=args.scale,
         workers=args.workers,
         staleness=args.staleness,
-        maintenance=args.maintenance,
         resilience=resilience,
         faults=faults,
         hedge=hedge,
@@ -285,13 +283,9 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=4,
                         help="worker threads / pooled connections")
     parser.add_argument(
-        "--staleness", metavar="POLICY",
-        help="result-cache staleness policy: strict, manual, or bounded:N",
-    )
-    parser.add_argument(
-        "--maintenance", default="full",
-        choices=list(MAINTENANCE_MODES),
-        help="stale-result recompute mode (default: full)",
+        "--staleness", metavar="POLICY", default="strict",
+        help="result-cache staleness policy: strict, manual, or bounded:N "
+        "(default: strict)",
     )
     parser.add_argument(
         "--shards", type=int, default=1, metavar="N",
@@ -400,8 +394,8 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
 def cmd_serve_http(args: argparse.Namespace) -> int:
     """``repro serve-http``: run the async HTTP publishing front end.
 
-    Builds the hotel workload application (staleness, maintenance,
-    shards, resilience, faults) and serves it over stdlib-asyncio
+    Builds the hotel workload application (staleness, shards,
+    resilience, faults) and serves it over stdlib-asyncio
     HTTP/1.1 on ``--host:--port`` — ``POST /publish``, ``GET /metrics``,
     ``GET /healthz``, keep-alive connections, graceful drain on
     shutdown. ``--hedge`` races a second attempt for requests running

@@ -11,8 +11,8 @@ backend serving them (a :class:`~repro.serving.server.ViewServer` or a
 
 :func:`build_hotel_app` assembles the paper's hotel workload —
 Figure 1 publishing view, Figure 4/17 stylesheets — over every
-serving knob (staleness, maintenance mode, resilience policy, fault
-plan, shards, replicas), so the HTTP tier serves byte-identical
+serving knob (staleness, resilience policy, fault plan, shards,
+replicas), so the HTTP tier serves byte-identical
 answers to the in-process paths the differential suite compares
 against.
 """
@@ -25,7 +25,6 @@ from typing import Optional
 from repro.errors import ReproError
 from repro.frontend.facade import AsyncViewServer
 from repro.frontend.hedging import HedgePolicy
-from repro.maintenance.incremental import check_maintenance_mode
 from repro.serving.server import (
     PRIORITIES,
     SERVING_STRATEGY,
@@ -145,8 +144,8 @@ class PublishingApp:
 def build_hotel_app(
     scale: int = 1,
     workers: int = 4,
-    staleness: Optional[str] = None,
-    maintenance: str = "full",
+    staleness: str = "strict",
+    maintenance: str = "delta",
     resilience=None,
     faults=None,
     hedge: Optional[HedgePolicy] = None,
@@ -157,11 +156,12 @@ def build_hotel_app(
 ) -> PublishingApp:
     """The paper's hotel workload as a servable application.
 
-    The one stack builder: tracked writes (auto capture) and a result
-    cache when ``staleness`` is set, a sharded fleet when ``shards > 1``
-    or ``replicas > 0`` (fault plan armed on shard 0's primary only,
-    replicas as the failover path), a single :class:`ViewServer`
-    otherwise.
+    The one stack builder: tracked writes (auto capture) served through
+    result caches under ``staleness`` and maintained by delta, by a
+    sharded fleet when ``shards > 1`` or ``replicas > 0`` (fault plan
+    armed on shard 0's primary only, replicas as the failover path), a
+    single :class:`ViewServer` otherwise. ``maintenance`` is a frozen
+    call surface: ``"delta"`` is its one value.
     """
     from repro.maintenance import WriteTracker, hotel_write
     from repro.workloads.hotel import HotelDataSpec, build_hotel_database
@@ -173,12 +173,14 @@ def build_hotel_app(
 
     # Before anything is opened: a rejected mode must leave no
     # database, tracker or pool behind.
-    check_maintenance_mode(maintenance)
-    update_aware = staleness is not None
+    if maintenance != "delta":
+        raise ReproError(
+            f"unknown maintenance mode {maintenance!r}: every server "
+            "maintains by delta"
+        )
     sharded = shards > 1 or replicas > 0
     db = build_hotel_database(HotelDataSpec().scaled(scale), cross_thread=True)
-    tracker = None
-    if update_aware and not sharded:
+    if not sharded:
         tracker = WriteTracker()
         db.attach_tracker(tracker, auto=True)
 
@@ -193,8 +195,7 @@ def build_hotel_app(
             shards,
             replicas=replicas,
             workers=workers,
-            staleness=staleness or "strict",
-            maintenance=maintenance,
+            staleness=staleness,
             resilience=resilience,
             faults=(
                 [faults] + [None] * (shards - 1)
@@ -215,11 +216,10 @@ def build_hotel_app(
     else:
         server = ViewServer(
             db.catalog,
-            source=db,
+            db,
             workers=workers,
             tracker=tracker,
-            staleness=staleness or "strict",
-            maintenance=maintenance,
+            staleness=staleness,
             resilience=resilience,
             faults=faults,
         )

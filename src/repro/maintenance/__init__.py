@@ -30,11 +30,11 @@ A fourth piece, :mod:`repro.maintenance.incremental`, makes
 stale-recomputes cheaper: instead of re-running the whole compiled
 plan, the :class:`DeltaEvaluator` re-executes only the schema nodes
 whose read sets intersect the written tables and splices the fresh
-subtrees into the cached text state (``serve-http --maintenance delta``).
+subtrees into the cached text state. Every server maintains this way,
+with the full recompute as the chain's last rung.
 """
 
 from repro.maintenance.incremental import (
-    MAINTENANCE_MODES,
     DeltaEvaluator,
     DeltaResult,
     DeltaUnsupported,
@@ -62,7 +62,6 @@ __all__ = [
     "DeltaEvaluator",
     "DeltaResult",
     "DeltaUnsupported",
-    "MAINTENANCE_MODES",
     "MaterializedState",
     "ROW_PUSHDOWN_MAX_KEYS",
     "ResultCache",

@@ -40,7 +40,9 @@ are pure payload, step 3 re-fetches just those rows by key
 old one with text and row replaced at the positions of the changed keys,
 every other text the old string and the columns below it shared;
 **node** — steps 1-4 as written; **full** — the server's
-recompute when this module declines.
+recompute when this module declines. Every
+:class:`~repro.serving.server.ViewServer` maintains a stale entry this
+way: there is no mode that skips to the last rung.
 
 Anything the splice cannot prove safe raises :class:`DeltaUnsupported`
 (deliberately *not* a :class:`~repro.errors.ReproError`, so the server's
@@ -68,7 +70,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from repro.errors import ReproError, SQLTransformError
+from repro.errors import SQLTransformError
 from repro.maintenance.tracker import ROW_PUSHDOWN_MAX_KEYS, TableChange
 from repro.relational.engine import Database
 from repro.schema_tree.bulk_evaluator import (
@@ -89,23 +91,6 @@ from repro.sql.analysis import (
 from repro.sql.ast import ColumnRef, Star
 from repro.sql.params import collect_params
 from repro.sql.transform import push_key_predicate, qualify_unqualified_columns
-
-#: Maintenance modes the server accepts: ``"full"`` re-runs the whole
-#: compiled plan on staleness (the reference the delta differentials
-#: compare against); ``"delta"`` re-executes only dirty schema nodes —
-#: changed rows where the write is traceable, whole nodes otherwise —
-#: and splices, falling back to full when the delta path declines.
-MAINTENANCE_MODES = ("full", "delta")
-
-
-def check_maintenance_mode(maintenance: str) -> None:
-    """Reject an unknown maintenance mode before anything is opened."""
-    if maintenance not in MAINTENANCE_MODES:
-        raise ReproError(
-            f"unknown maintenance mode {maintenance!r} "
-            f"(expected one of {', '.join(MAINTENANCE_MODES)})"
-        )
-
 
 class DeltaUnsupported(Exception):
     """This stale result cannot be safely delta-maintained.

@@ -49,10 +49,10 @@ class CachedResult:
     hits: int = 0
     #: Captured evaluation state
     #: (:class:`repro.maintenance.incremental.MaterializedState`) once
-    #: the entry has earned it: a delta-maintenance server
-    #: attaches it on the first recompute of a key that is already
-    #: resident (its first staleness), never on a first computation;
-    #: ``None`` until then and under ``maintenance="full"``. Never
+    #: the entry has earned it: the server attaches it on the first
+    #: recompute of a key that is already resident (its first
+    #: staleness), never on a first computation; ``None`` until then
+    #: and on the naive rung, which keeps no columns. Never
     #: mutated in place — a delta re-evaluation publishes a whole new
     #: entry, so readers of a stale entry are unaffected.
     state: Optional[object] = None

@@ -69,7 +69,8 @@ class CompiledPlan:
     #: The content fingerprint the plan is cached under.
     key: str
     #: The view to execute: the composed (and possibly pruned) one, or on
-    #: the naive rung the request's own; ``None`` on a refusal.
+    #: the naive rung the request's own; ``None`` on a refusal, except a
+    #: composed skeleton the bulk planner refused (see ``_planned``).
     view: Optional[SchemaTreeQuery]
     #: Base tables the view's tag queries read (sorted; subqueries
     #: included — see :func:`repro.serving.fingerprint.view_read_set`).
@@ -141,7 +142,7 @@ def compile_plan(
             return _planned(skeleton_id, request.view, catalog, str(exc))
         if request.prune:
             prune_stylesheet_view(view, catalog)
-        return _planned(skeleton_id, view, catalog)
+        return _planned(skeleton_id, view, catalog, keep_view=True)
 
     skeleton = store.skeleton(skeleton_id, build)
     if skeleton.refusal is None:
@@ -149,10 +150,15 @@ def compile_plan(
             key, bind(skeleton.view, literals), skeleton.tables,
             skeleton.node_read_sets, skeleton.key,
         )
+    refused = skeleton.refusal
+    if skeleton.view is not None:
+        # The planner refused the shape at a node the skeleton names by
+        # its slot: the variant's bound view names it as the variant did.
+        refused = _refusal(bind(skeleton.view, literals), catalog) or refused
     return _planned(
         key, request.view, catalog, skeleton=skeleton.key, rung="naive",
         stylesheet=request.stylesheet,
-        notes=(f"composed rung refused: {skeleton.refusal}",),
+        notes=(f"composed rung refused: {refused}",),
     )
 
 
@@ -171,22 +177,30 @@ def plan_for(view: SchemaTreeQuery, stylesheet, catalog: Catalog) -> CompiledPla
 
 def _planned(
     key: str, view: SchemaTreeQuery, catalog: Catalog,
-    refusal: Optional[str] = None, **fields,
+    refusal: Optional[str] = None, keep_view: bool = False, **fields,
 ) -> CompiledPlan:
     """``view`` bulk-planned, with its per-node read sets (their union: one
     walk). Refused — as ``refusal`` says, or by the bulk planner — it keeps
-    those read sets, so invalidation drops it as it would the plan."""
+    those read sets, so invalidation drops it as it would the plan, and
+    its view only with ``keep_view`` (a composed skeleton: each variant
+    re-plans its own bound view, so its note names the tag it wrote)."""
     read_sets = node_read_sets(view)
     if refusal is None:
-        try:
-            plan_view(view, catalog)
-        except ViewDefinitionError as exc:
-            refusal = str(exc)
+        refusal = _refusal(view, catalog)
     return CompiledPlan(
-        key, view if refusal is None else None,
+        key, view if refusal is None or keep_view else None,
         tuple(sorted(set().union(*read_sets.values()))), read_sets,
         refusal=refusal, **fields,
     )
+
+
+def _refusal(view: SchemaTreeQuery, catalog: Catalog) -> Optional[str]:
+    """Why the bulk planner refuses ``view``; ``None`` when it plans it."""
+    try:
+        plan_view(view, catalog)
+    except ViewDefinitionError as exc:
+        return str(exc)
+    return None
 
 
 class _Store:

@@ -12,22 +12,15 @@ Everything engine-specific — how a snapshot is taken, how a released
 session is sanitized, which exceptions mean "replace this connection" —
 goes through the pool's :class:`~repro.relational.driver.SqliteDriver`.
 
-Two source modes:
-
-* **file** — ``ConnectionPool(catalog, path=...)`` opens ``size``
-  independent read-only connections to the database file via
-  ``driver.open_read_only``.
-* **clone** — ``ConnectionPool(catalog, source=db)`` snapshots an
-  existing (typically in-memory) database through
-  ``driver.snapshot(source)`` (the backup API into a shared-cache memory
-  clone), then opens ``size`` sessions onto the snapshot with
-  read-only enforcement. Tests and benchmarks use
-  this to serve a generated workload without touching disk; the source
-  database is left untouched and later writes to it are *not* visible
-  to the pool (snapshot semantics) until :meth:`ConnectionPool.refresh`
-  re-snapshots it — the update-aware serving path
-  (:mod:`repro.maintenance`) does exactly that when a tracked write
-  makes the snapshot stale.
+One source mode: ``ConnectionPool(catalog, source)`` snapshots a live
+database through ``driver.snapshot(source)`` (the backup API into a
+shared-cache memory clone), then opens ``size`` sessions onto the
+snapshot with read-only enforcement. The source is left untouched and
+later writes to it are *not* visible to the pool (snapshot semantics)
+until :meth:`ConnectionPool.refresh` re-snapshots it — the serving path
+(:mod:`repro.maintenance`) does exactly that when a tracked write makes
+the snapshot stale. To serve a database file, open it
+(``Database.open``) and pass that as ``source``.
 
 All pooled connections allow cross-thread hand-off; the pool's queue
 serializes borrowing so each connection is used by one thread at a
@@ -48,10 +41,9 @@ from repro.relational.schema import Catalog
 class ConnectionPool:
     """A fixed-size pool of read-only :class:`Database` sessions.
 
-    Exactly one of ``path`` (database file) or ``source`` (live
-    :class:`Database` to snapshot) must be given. ``size`` connections
-    are opened eagerly so serving never pays connection setup on the
-    request path.
+    ``source`` is the live :class:`Database` to snapshot. ``size``
+    connections are opened eagerly so serving never pays connection
+    setup on the request path.
     """
 
     #: The engine's driver, shared with every :class:`Database`.
@@ -60,21 +52,15 @@ class ConnectionPool:
     def __init__(
         self,
         catalog: Catalog,
-        path: Optional[str] = None,
-        source: Optional[Database] = None,
+        source: Database,
         size: int = 4,
-        keep_sql: bool = False,
         fault_plan=None,
         admission: Optional[Callable[[], None]] = None,
     ):
-        if (path is None) == (source is None):
-            raise ValueError("ConnectionPool needs exactly one of path/source")
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self.catalog = catalog
         self.size = size
-        self._path = path
-        self._keep_sql = keep_sql
         # Optional repro.resilience.FaultPlan: every session is wrapped
         # in a FaultyEngine so evaluators running on pooled connections
         # exercise injected faults transparently.
@@ -88,27 +74,20 @@ class ConnectionPool:
         self._close_lock = threading.Lock()
         self._refresh_lock = threading.Lock()
         self._source = source
-        self._snapshot = None
-        if source is not None:
-            self._snapshot = self.driver.snapshot(source)
+        self._snapshot = self.driver.snapshot(source)
         self._sessions: list[Database] = [
-            self._open_session(path, keep_sql) for _ in range(size)
+            self._open_session() for _ in range(size)
         ]
         self._idle: "queue.LifoQueue[Database]" = queue.LifoQueue()
         for session in self._sessions:
             self._idle.put(session)
 
-    def _open_session(self, path: Optional[str], keep_sql: bool) -> Database:
-        stats = QueryStats(keep_sql=keep_sql)
-        if path is not None:
-            db = Database.open(self.catalog, path, stats=stats)
-        else:
-            assert self._snapshot is not None
-            connection = self._snapshot.connect()
-            db = Database.from_connection(
-                self.catalog, connection, stats=stats, read_only=True,
-            )
-            self.driver.enforce_read_only(db.connection)
+    def _open_session(self) -> Database:
+        db = Database.from_connection(
+            self.catalog, self._snapshot.connect(), stats=QueryStats(),
+            read_only=True,
+        )
+        self.driver.enforce_read_only(db.connection)
         if self._fault_plan is not None:
             from repro.resilience.faults import FaultyEngine
 
@@ -161,7 +140,7 @@ class ConnectionPool:
             session.close()
         except self.driver.errors:
             pass
-        replacement = self._open_session(self._path, self._keep_sql)
+        replacement = self._open_session()
         # Keep aggregate_stats() seeing exactly ``size`` sessions.
         for index, existing in enumerate(self._sessions):
             if existing is session:
@@ -197,18 +176,15 @@ class ConnectionPool:
 
     # -- freshness -----------------------------------------------------------
 
-    def refresh(self) -> bool:
-        """Re-snapshot the source database into the clone (clone mode).
+    def refresh(self) -> None:
+        """Re-snapshot the source database into the clone.
 
-        Clone-mode pools serve a point-in-time snapshot; after base-data
+        The pool serves a point-in-time snapshot; after base-data
         writes land on the source, the maintenance layer calls this to
         bring the snapshot forward. Every session is drained from the
         idle queue first — a barrier that waits for in-flight requests
         to finish and blocks new borrows — then the snapshot is
         refreshed from the source and the sessions are returned.
-        Returns ``False`` for file-mode pools, where read-only
-        connections already see each committed write at their next
-        statement.
 
         The caller's thread must be allowed to touch the source
         connection (open it with ``cross_thread=True`` when writers and
@@ -216,8 +192,6 @@ class ConnectionPool:
         serialized; callers must not hold a borrowed session, or the
         drain would deadlock.
         """
-        if self._source is None or self._snapshot is None:
-            return False
         if self._closed:
             raise RuntimeError("pool is closed")
         with self._refresh_lock:
@@ -227,7 +201,6 @@ class ConnectionPool:
             finally:
                 for session in borrowed:
                     self._idle.put(session)
-        return True
 
     # -- stats / lifecycle ---------------------------------------------------
 
@@ -251,8 +224,7 @@ class ConnectionPool:
             self._closed = True
         for session in self._sessions:
             session.close()
-        if self._snapshot is not None:
-            self._snapshot.close()
+        self._snapshot.close()
 
     def __enter__(self) -> "ConnectionPool":
         return self

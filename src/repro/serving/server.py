@@ -28,14 +28,17 @@ compose runs over the materialized view (the naive rung of
 :func:`compile_plan`); what no rung plans is a cached, typed refusal
 that the circuit breaker never counts.
 
-Update awareness: constructed with a
-:class:`~repro.maintenance.tracker.WriteTracker`, the server also
-memoizes serialized responses in a
+Update awareness: every server tracks its source through a
+:class:`~repro.maintenance.tracker.WriteTracker` (its own when the
+caller passes none: nothing records into it, so the server serves its
+construction-time snapshot) and memoizes serialized responses in a
 :class:`~repro.maintenance.result_cache.ResultCache` keyed by plan
 fingerprint and stamped with the plan's base-table version
 vector; a :class:`~repro.maintenance.policy.StalenessPolicy` decides
 whether cached bytes may be served or must be recomputed over
-re-synced live data. Under the ``strict`` policy the equivalence
+re-synced live data. A stale entry is maintained by delta
+(:mod:`repro.maintenance.incremental`), whose last rung is the full
+recompute. Under the ``strict`` policy the equivalence
 guarantee extends across interleaved base-data writes (the property
 suite in ``tests/maintenance/test_freshness_property.py``).
 
@@ -80,7 +83,6 @@ from repro.maintenance.incremental import (
     DeltaEvaluator,
     DeltaUnsupported,
     MaterializedState,
-    check_maintenance_mode,
 )
 from repro.maintenance.policy import StalenessPolicy
 from repro.maintenance.result_cache import ResultCache
@@ -178,8 +180,7 @@ DELTA_FALLBACK_REASONS = (
 
 #: What a :class:`ViewServer` counts, by dotted name in its
 #: :class:`~repro.serving.metrics.Registry`: its report's schema.
-#: ``metrics()`` states ``delta_fallbacks_by_reason`` only with a result
-#: cache and ``resilience`` only with a policy.
+#: ``metrics()`` states ``resilience`` only with a policy.
 SERVER_COUNTS = (
     "requests_served", "errors", "cache.hits", "cache.misses",
     *(f"freshness.{state}" for state in FRESHNESS_STATES),
@@ -232,7 +233,7 @@ class PublishRequest:
     label: str = ""
     #: Skip the result cache entirely (read and write) for this request;
     #: the response is always computed from live data. Traces record it
-    #: as ``freshness="bypass"``.
+    #: as ``freshness="bypass"`` (the only computed request that does).
     bypass_cache: bool = False
     #: Admission priority class — one of :data:`PRIORITIES`. Under a
     #: resilience ``queue_limit``, lower classes are shed earlier (see
@@ -268,8 +269,9 @@ class RequestTrace:
     plan_key: str
     #: Result-cache outcome: ``hit`` (cached bytes served), ``miss`` (no
     #: entry, computed and stored), ``stale-recompute`` (entry too old
-    #: for the staleness policy, recomputed), or ``bypass`` (result
-    #: caching off for this server/request).
+    #: for the staleness policy, recomputed in full),
+    #: ``delta-recompute`` (refreshed by delta), or ``bypass`` (a
+    #: ``bypass_cache`` request, or one shed before it was looked up).
     freshness: str = "bypass"
     #: Write events on the plan's read set since the consulted cache
     #: entry was stamped (0 on miss/bypass). On a ``hit`` this is the
@@ -352,12 +354,14 @@ class RequestTrace:
 class ViewServer:
     """A concurrent publishing server over one relational database.
 
-    Construct with either ``path`` (a sqlite database file, opened
-    read-only ``workers`` times) or ``source`` (a live
-    :class:`~repro.relational.engine.Database` snapshotted into a
-    shared-cache clone — see :class:`~repro.serving.pool.ConnectionPool`).
-    Requests are executed on a ``ThreadPoolExecutor`` with one pooled
-    connection per worker; compiled plans are shared through an LRU
+    ``source`` is a live :class:`~repro.relational.engine.Database`,
+    snapshotted into a shared-cache clone (see
+    :class:`~repro.serving.pool.ConnectionPool`); to serve a database
+    file, open it (``Database.open``) and pass that. Writes reach the
+    clone through ``tracker``: the pool re-snapshots when the tracker's
+    clock passes the one it last synced at. Requests are executed on a
+    ``ThreadPoolExecutor`` with one pooled connection per worker;
+    compiled plans are shared through an LRU
     :class:`~repro.serving.plan_cache.PlanCache` keyed by content
     fingerprints of (catalog, view, stylesheet, options) — the server's
     own of ``cache_capacity`` plans, or the ``plan_cache`` it is handed
@@ -367,14 +371,12 @@ class ViewServer:
     def __init__(
         self,
         catalog: Catalog,
-        path: Optional[str] = None,
-        source: Optional[Database] = None,
+        source: Database,
         workers: int = 4,
         cache_capacity: int = 64,
         tracker: Optional[WriteTracker] = None,
         staleness: "StalenessPolicy | str" = "strict",
         result_cache_capacity: int = 128,
-        maintenance: str = "full",
         resilience: Optional[ResiliencePolicy] = None,
         faults: Optional[FaultPlan] = None,
         pool_admission=None,
@@ -382,7 +384,6 @@ class ViewServer:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        check_maintenance_mode(maintenance)
         self.catalog = catalog
         self.workers = workers
         # -- resilience (repro.resilience). The policy governs deadlines,
@@ -405,7 +406,7 @@ class ViewServer:
             plan_cache if plan_cache is not None else PlanCache(cache_capacity)
         )
         self.pool = ConnectionPool(
-            catalog, path=path, source=source, size=workers,
+            catalog, source, size=workers,
             fault_plan=faults, admission=pool_admission,
         )
         self._executor = ThreadPoolExecutor(
@@ -420,30 +421,22 @@ class ViewServer:
         #: its own lookups: a shared store counts the fleet's).
         self.counts = Registry(SERVER_COUNTS)
         self._closed = False
-        # -- update awareness (repro.maintenance). With a tracker the
-        # server memoizes serialized responses in a ResultCache and
-        # checks their table-version stamps against the tracker before
-        # serving; without one the serving path behaves exactly as
-        # before (every request computes, freshness="bypass").
-        self.tracker = tracker
+        # -- update awareness (repro.maintenance). The server memoizes
+        # serialized responses in a ResultCache and checks their
+        # table-version stamps against the tracker before serving; a
+        # stale entry is refreshed by delta, falling back to full.
+        self.tracker = tracker if tracker is not None else WriteTracker()
         self.staleness = (
             StalenessPolicy.parse(staleness)
             if isinstance(staleness, str)
             else staleness
         )
-        self.result_cache = (
-            ResultCache(result_cache_capacity) if tracker is not None else None
-        )
-        # How stale entries are recomputed: "full" re-runs the whole
-        # compiled plan, "delta" refreshes only the dirty schema nodes
-        # (repro.maintenance.incremental) and falls back to full when
-        # the splice declines. Only meaningful with a tracker.
-        self.maintenance = maintenance
+        self.result_cache = ResultCache(result_cache_capacity)
         self._sync_lock = threading.Lock()
         # Clock at which the pool's data is known current. The pool
-        # snapshot (clone mode) was taken just above, so writes recorded
-        # up to now are included.
-        self._synced_clock = tracker.clock() if tracker is not None else 0
+        # snapshot was taken just above, so writes recorded up to now
+        # are included.
+        self._synced_clock = self.tracker.clock()
 
     # -- request API ---------------------------------------------------------
 
@@ -577,14 +570,9 @@ class ViewServer:
         change. Returns ``{"plans": n, "results": m}`` dropped counts.
         """
         names = list(names)
-        dropped_results = (
-            self.result_cache.invalidate_tables(names)
-            if self.result_cache is not None
-            else 0
-        )
         return {
             "plans": self.plan_cache.invalidate_tables(names),
-            "results": dropped_results,
+            "results": self.result_cache.invalidate_tables(names),
         }
 
     def compile(self, request: PublishRequest) -> CompiledPlan:
@@ -658,8 +646,6 @@ class ViewServer:
         never a stale strict response. Callers must not hold a pool
         session (the refresh drains the pool).
         """
-        if self.tracker is None:
-            return
         if self._synced_clock >= self.tracker.clock():
             return
         with self._sync_lock:
@@ -899,9 +885,7 @@ class ViewServer:
         # entry's version stamp is compared against the tracker's
         # live vector over the plan's read set; the staleness policy
         # decides whether cached bytes may be served.
-        use_result_cache = (
-            self.result_cache is not None and not request.bypass_cache
-        )
+        use_result_cache = not request.bypass_cache
         cached = None
         current_versions: dict[str, int] = {}
         if use_result_cache:
@@ -925,11 +909,7 @@ class ViewServer:
         if breaker is not None and not admitted and not breaker.allow(key):
             raise CircuitOpen(key, breaker.retry_after_ms(key))
         delta_xml = None
-        if (
-            use_result_cache
-            and self.maintenance == "delta"
-            and trace.freshness == "stale-recompute"
-        ):
+        if trace.freshness == "stale-recompute":
             try:
                 delta_xml = self._serve_delta(
                     plan, trace, current_versions, deadline
@@ -1027,7 +1007,6 @@ class ViewServer:
         promotion = (
             use_result_cache
             and not naive
-            and self.maintenance == "delta"
             and self.result_cache.peek(plan.key) is not None
         )
         with self.pool.session() as db:
@@ -1067,7 +1046,7 @@ class ViewServer:
         """Whether a failed request may serve last-known-good bytes.
 
         Requires an active resilience policy with ``degraded`` on, a
-        result cache to fall back to, and — crucially — a staleness
+        request that reads the result cache, and — crucially — a staleness
         policy other than ``strict``: strict means *served bytes are
         never stale*, and a degraded serve would silently break that
         contract, so strict servers error instead.
@@ -1076,7 +1055,6 @@ class ViewServer:
         return (
             policy is not None
             and policy.degraded
-            and self.result_cache is not None
             and not request.bypass_cache
             and self.staleness.kind != "strict"
         )
@@ -1107,11 +1085,7 @@ class ViewServer:
             entry = self.result_cache.peek(trace.plan_key)
             if entry is not None:
                 trace.freshness = "degraded-stale"
-                trace.version_lag = (
-                    self.tracker.lag(entry.versions, entry.tables)
-                    if self.tracker is not None
-                    else 0
-                )
+                trace.version_lag = self.tracker.lag(entry.versions, entry.tables)
                 trace.outcome = "degraded"
                 trace.degraded_cause = f"{type(exc).__name__}: {exc}"
                 trace.error = None
@@ -1126,8 +1100,8 @@ class ViewServer:
         """Server-lifetime counters: requests, caches, and engine work.
 
         One schema: one snapshot of :data:`SERVER_COUNTS` nested on their
-        dots, the collectors laid over it (plan store, pool; as configured
-        result cache and tracker, breaker, fault plan). A fleet merges
+        dots, the collectors laid over it (plan store, pool, result cache,
+        tracker; as configured breaker and fault plan). A fleet merges
         these by one rule (:func:`repro.serving.metrics.merge`), its
         ``tracker`` from the shard primaries only.
         """
@@ -1148,18 +1122,16 @@ class ViewServer:
         report["rows_fetched"] = aggregate.rows_fetched
         reasons = report.pop("delta_fallbacks_by_reason")
         resilience = report.pop("resilience")
-        if self.result_cache is not None:
-            report["result_cache"] = self.result_cache.stats()
-            report["staleness_policy"] = self.staleness.describe()
-            report["maintenance"] = self.maintenance
-            # Total kept as a plain int for existing consumers; the
-            # by-reason breakdown says why each delta degraded to full.
-            report["delta_fallbacks"] = sum(reasons.values())
-            report["delta_fallbacks_by_reason"] = reasons
-            report["tracker"] = {
-                "total_writes": self.tracker.clock(),
-                "versions": self.tracker.snapshot(),
-            }
+        report["result_cache"] = self.result_cache.stats()
+        report["staleness_policy"] = self.staleness.describe()
+        # Total kept as a plain int for existing consumers; the
+        # by-reason breakdown says why each delta degraded to full.
+        report["delta_fallbacks"] = sum(reasons.values())
+        report["delta_fallbacks_by_reason"] = reasons
+        report["tracker"] = {
+            "total_writes": self.tracker.clock(),
+            "versions": self.tracker.snapshot(),
+        }
         if self.resilience is not None:
             breaker = self.breaker
             report["resilience"] = {

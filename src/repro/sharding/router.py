@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.errors import ReplicaUnavailable, ReproError
-from repro.maintenance.incremental import check_maintenance_mode
 from repro.maintenance.policy import StalenessPolicy
 from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database
@@ -205,7 +204,7 @@ class _Shard:
         self,
         index: int,
         source: Database,
-        tracker: Optional[WriteTracker],
+        tracker: WriteTracker,
         members: Sequence[_Member],
     ):
         self.index = index
@@ -252,14 +251,12 @@ class ShardRouter:
         workers: int = 2,
         trackers: Optional[Sequence[WriteTracker]] = None,
         staleness: str = "strict",
-        maintenance: str = "full",
         resilience: Optional[ResiliencePolicy] = None,
         faults: Optional[Sequence[Optional[FaultPlan]]] = None,
         fleet_faults: Optional[FleetFaultPlan] = None,
         replica_lag_ms: float = 0.0,
         cache_capacity: int = 64,
         result_cache_capacity: int = 128,
-        router_workers: Optional[int] = None,
         scheme: Optional[PartitionScheme] = None,
         partitioner: Optional[KeyRangePartitioner] = None,
         owns_sources: bool = False,
@@ -300,17 +297,18 @@ class ShardRouter:
         #: the merge frame hangs off the plan it holds (:meth:`compile`).
         self.plan_cache = PlanCache(cache_capacity)
         self._merge_lock = threading.Lock()
-        # Merged-response memo: (plan key, per-shard xml) ->
-        # merged bytes. Keyed by the shard xml *strings themselves*
-        # (served by reference from the shard result caches, so hashing
-        # is amortized and equality is an identity check): when no
-        # shard's response changed since the last merge, the merged
-        # bytes cannot have changed either, and the router hands out the
-        # body it already holds instead of allocating a fresh one — the
-        # fleet analogue of a result-cache hit. Bounded; bypass_cache
-        # requests skip it. ``_merge_lock`` guards this memo and nothing
-        # else: it is held for two dict operations, never for a compile.
-        self._merged_cache: "dict[tuple, str]" = {}
+        # Merged-response memo: plan key -> (per-shard xml, merged
+        # bytes), one entry per plan: the last merge. When no shard's
+        # response changed since then (the shard texts are served by
+        # reference from the shard result caches, so the compare is an
+        # identity check), the merged bytes cannot have changed either,
+        # and the router hands out the body it already holds instead of
+        # allocating a fresh one — the fleet analogue of a result-cache
+        # hit. A data state that comes back merges again. Bounded;
+        # bypass_cache requests skip it. ``_merge_lock`` guards this memo
+        # and nothing else: it is held for two dict operations, never
+        # for a compile.
+        self._merged_cache: "dict[str, tuple[tuple[str, ...], str]]" = {}
         self._merged_capacity = 32
         self._lock = threading.Lock()
         self._next_request_id = 1
@@ -351,12 +349,11 @@ class ShardRouter:
                     admission = self._pool_gate(index, name)
                 server = ViewServer(
                     catalog,
-                    source=source,
+                    source,
                     workers=workers,
                     tracker=member_tracker,
                     staleness=staleness,
                     result_cache_capacity=result_cache_capacity,
-                    maintenance=maintenance,
                     resilience=resilience,
                     faults=shard_faults if role == 0 else None,
                     pool_admission=admission,
@@ -367,7 +364,7 @@ class ShardRouter:
                 )
             self.shards.append(_Shard(index, source, tracker, members))
         self._executor = ThreadPoolExecutor(
-            max_workers=router_workers or max(4, 2 * len(self.shards)),
+            max_workers=max(4, 2 * len(self.shards)),
             thread_name_prefix="shardrouter",
         )
 
@@ -385,7 +382,6 @@ class ShardRouter:
         The router owns the shard databases it creates here and closes
         them with :meth:`close`; the original ``source`` is only read.
         """
-        check_maintenance_mode(kwargs.get("maintenance", "full"))
         partitioner = KeyRangePartitioner.from_keys(
             partition_keys(source, scheme), shards
         )
@@ -738,21 +734,24 @@ class ShardRouter:
             self.counts.add("failovers", trace.failovers)
         return trace
 
-    def _merged_lookup(self, key: tuple) -> Optional[str]:
+    def _merged_lookup(self, key: str, texts: tuple[str, ...]) -> Optional[str]:
+        """The body last merged for ``key``, if it was merged from ``texts``."""
         with self._merge_lock:
-            xml = self._merged_cache.get(key)
+            entry = self._merged_cache.get(key)
+        # Tuple equality asks each pair for identity before comparing.
+        xml = entry[1] if entry is not None and entry[0] == texts else None
         self.counts.count(
             "merged_cache.hits" if xml is not None else "merged_cache.misses"
         )
         return xml
 
-    def _merged_store(self, key: tuple, xml: str) -> None:
+    def _merged_store(self, key: str, texts: tuple[str, ...], xml: str) -> None:
         with self._merge_lock:
             if key not in self._merged_cache and (
                 len(self._merged_cache) >= self._merged_capacity
             ):
                 self._merged_cache.pop(next(iter(self._merged_cache)))
-            self._merged_cache[key] = xml
+            self._merged_cache[key] = (texts, xml)
 
     def _serve_inner(self, request: PublishRequest, trace: RouterTrace) -> None:
         compiled = self.compile(request)
@@ -849,24 +848,22 @@ class ShardRouter:
             self.counts.count("fleet.stale_serves")
             self.counts.high("fleet.max_member_lag_served", max_member_lag)
             self.counts.high("fleet.max_served_lag", trace.version_lag)
-        texts = []
         for _, _, shard_trace, _ in resolved:
             if shard_trace.xml is None:
                 raise ReproError(
                     f"shard trace {shard_trace.request_id} has no xml "
                     "to merge"
                 )
-            texts.append(shard_trace.xml)
+        texts = tuple(shard_trace.xml for _, _, shard_trace, _ in resolved)
         xml = None
         if not request.bypass_cache:
-            cache_key = (compiled.key, *texts)
-            xml = self._merged_lookup(cache_key)
+            xml = self._merged_lookup(compiled.key, texts)
         if xml is None:
             merge_started = time.perf_counter()
             xml = merge_texts(compiled.merge_plan, texts)
             trace.merge_seconds = time.perf_counter() - merge_started
             if not request.bypass_cache:
-                self._merged_store(cache_key, xml)
+                self._merged_store(compiled.key, texts, xml)
         # Last, so a response the router could not splice is an error
         # trace whatever its shards' outcomes were.
         trace.xml = xml

@@ -125,11 +125,13 @@ def test_rejected_maintenance_mode_opens_nothing(monkeypatch):
         return connection
 
     monkeypatch.setattr(sqlite3, "connect", counting_connect)
-    for fleet in ({}, {"shards": 2, "replicas": 1}):
-        with pytest.raises(ReproError, match="unknown maintenance mode"):
-            _production(maintenance="fragment", **fleet)
+    for mode in ("full", "fragment"):
+        for fleet in ({}, {"shards": 2, "replicas": 1}):
+            with pytest.raises(ReproError, match="unknown maintenance mode"):
+                _production(maintenance=mode, **fleet)
     assert opened == []
-    assert "fragment" in config.MAINTENANCE_MODES  # the probe still asks
+    # The probe still asks for both.
+    assert {"full", "fragment"} <= set(config.MAINTENANCE_MODES)
 
 
 def test_relational_probe_surface():
@@ -250,7 +252,7 @@ delta_fallbacks_by_reason.unsupported errors faults.checks
 faults.enabled faults.injected.compile-error faults.injected.error
 faults.injected.latency faults.injected.wrong-shape faults.seed
 freshness.bypass freshness.degraded-stale freshness.delta-recompute
-freshness.hit freshness.miss freshness.stale-recompute maintenance
+freshness.hit freshness.miss freshness.stale-recompute
 outcomes.cancelled outcomes.deadline outcomes.degraded outcomes.error
 outcomes.rejected outcomes.success priority.background.admission_limit
 priority.background.outcomes.cancelled

@@ -107,10 +107,12 @@ class TestPublish:
 
         app = app_env
         served = asyncio.run(http_exchange(scenario)(app))
-        # byte-identical to an in-process serve of the same request
+        # byte-identical to an in-process compute of the same request
         async def direct(app):
             trace = await app.facade.submit(
-                app.request_for("figure4", priority="interactive")
+                app.request_for(
+                    "figure4", priority="interactive", bypass_cache=True
+                )
             )
             return trace.xml.encode("utf-8")
 

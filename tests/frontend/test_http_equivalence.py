@@ -2,11 +2,11 @@
 
 The contract under test: bytes served over the socket by ``POST
 /publish`` are identical to what an independently-built in-process
-:class:`ViewServer` produces for the same view, maintenance mode, and
-write history. The app side ages its caches through the HTTP
-``/write`` hook and serves between writes (so delta maintenance
-actually runs); the reference side replays the same writes
-on its own database and recomputes. Any divergence — in the HTTP
+:class:`ViewServer` produces for the same view and write history. The
+app side ages its caches through the HTTP ``/write`` hook and serves
+between writes (so delta maintenance actually runs); the reference side
+replays the same writes on its own database and recomputes the whole
+plan on every read (``bypass_cache``). Any divergence — in the HTTP
 parsing, the JSON→request translation, the facade bridging, or the
 maintenance machinery — shows up as a byte mismatch.
 """
@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import build_hotel_app, serve_app
-from repro.maintenance import MAINTENANCE_MODES, WriteTracker
+from repro.maintenance import WriteTracker
 from repro.maintenance.workload import hotel_write
 from repro.serving import PublishRequest, ViewServer
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
@@ -36,7 +36,7 @@ VIEWS = ("figure1", "figure4", "figure17")
 class Reference:
     """The in-process half: same data, same writes, own ViewServer."""
 
-    def __init__(self, maintenance: str):
+    def __init__(self):
         self.db = build_hotel_database(
             HotelDataSpec().scaled(1), cross_thread=True
         )
@@ -44,11 +44,10 @@ class Reference:
         self.db.attach_tracker(tracker, auto=True)
         self.server = ViewServer(
             self.db.catalog,
-            source=self.db,
+            self.db,
             workers=2,
             tracker=tracker,
             staleness="strict",
-            maintenance=maintenance,
         )
         view = figure1_view(self.db.catalog)
         self.entries = {
@@ -60,7 +59,9 @@ class Reference:
 
     def serve(self, name: str) -> bytes:
         view, stylesheet = self.entries[name]
-        request = PublishRequest(view, stylesheet, label=f"ref/{name}")
+        request = PublishRequest(
+            view, stylesheet, label=f"ref/{name}", bypass_cache=True
+        )
         trace = self.server.submit(request).result()
         assert trace.outcome == "success", trace.error
         return trace.xml.encode("utf-8")
@@ -99,18 +100,10 @@ async def _post(reader, writer, path: str, payload: dict) -> bytes:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(
-    maintenance=st.sampled_from(MAINTENANCE_MODES),
-    n_writes=st.integers(0, 3),
-    bypass_cache=st.booleans(),
-)
-def test_http_bytes_match_in_process_bytes(
-    maintenance, n_writes, bypass_cache
-):
-    app = build_hotel_app(
-        scale=1, workers=2, staleness="strict", maintenance=maintenance
-    )
-    reference = Reference(maintenance)
+@given(n_writes=st.integers(0, 3), bypass_cache=st.booleans())
+def test_http_bytes_match_in_process_bytes(n_writes, bypass_cache):
+    app = build_hotel_app(scale=1, workers=2, staleness="strict")
+    reference = Reference()
 
     async def scenario():
         server = await serve_app(app)
@@ -133,16 +126,15 @@ def test_http_bytes_match_in_process_bytes(
                     expected = reference.serve(name)
                     assert served == expected, (
                         f"byte mismatch for {name} "
-                        f"({maintenance}, round {round_index})"
+                        f"(round {round_index})"
                     )
                 if round_index < n_writes:
                     await _post(reader, writer, "/write", {})
                     reference.write()
             writer.close()
             await writer.wait_closed()
-            if maintenance != "full" and n_writes and not bypass_cache:
-                for stack in (app.backend, reference.server):
-                    assert stack.metrics()["freshness"]["delta-recompute"] > 0
+            if n_writes and not bypass_cache:
+                assert app.backend.metrics()["freshness"]["delta-recompute"] > 0
         finally:
             await server.drain(timeout=5.0)
 

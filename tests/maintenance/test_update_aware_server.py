@@ -33,17 +33,16 @@ from tests.priming import promote
 SPEC = HotelDataSpec(metros=2, hotels_per_metro=3)
 
 
-def make_env(staleness="strict", auto=False, maintenance="full"):
+def make_env(staleness="strict", auto=False):
     db = build_hotel_database(SPEC, cross_thread=True)
     tracker = WriteTracker()
     db.attach_tracker(tracker, auto=auto)
     server = ViewServer(
         db.catalog,
-        source=db,
+        db,
         workers=2,
         tracker=tracker,
         staleness=staleness,
-        maintenance=maintenance,
     )
     return db, tracker, server
 
@@ -233,17 +232,16 @@ class RacyServer(ViewServer):
         super()._sync()
 
 
-def racy_env(maintenance):
+def racy_env():
     db = build_hotel_database(SPEC, cross_thread=True)
     tracker = WriteTracker()
     db.attach_tracker(tracker)
     server = RacyServer(
         db.catalog,
-        source=db,
+        db,
         workers=2,
         tracker=tracker,
         staleness="strict",
-        maintenance=maintenance,
     )
     return db, tracker, server
 
@@ -253,7 +251,7 @@ def test_racing_write_during_full_recompute_understates_freshness():
     classification, not one read after the sync - so a write racing the
     recompute shows up as staleness on the next request (an extra
     recompute) rather than ever being masked by a too-new stamp."""
-    db, tracker, server = racy_env("full")
+    db, tracker, server = racy_env()
     try:
         server.arm_race(db, tracker, 0)
         first = serve(server, db)  # the racing write lands mid-request
@@ -275,7 +273,7 @@ def test_delta_adopts_a_racing_write_into_its_selection_snapshot():
     is adopted into dirty-node selection (one retry), so the stamp,
     the selection, and the data all agree - the next request is a
     clean hit on live bytes."""
-    db, tracker, server = racy_env("delta")
+    db, tracker, server = racy_env()
     try:
         serve_promoted(server, db, tracker)
         hotel_write(db, 0, tracker)  # entry is now stale
@@ -295,7 +293,7 @@ def test_write_racing_the_splice_discards_the_delta(monkeypatch):
     back to a full recompute whose answer reflects the racing write."""
     from repro.maintenance import DeltaEvaluator
 
-    db, tracker, server = make_env(maintenance="delta")
+    db, tracker, server = make_env()
     try:
         serve_promoted(server, db, tracker)
         hotel_write(db, 0, tracker)
@@ -325,7 +323,7 @@ def test_delta_recompute_state_machine():
     """Delta mode's happy path through the freshness states: a promoted
     entry holds captured state, a write makes it stale, the recompute is
     a delta, and the spliced entry is a fresh hit afterwards."""
-    db, tracker, server = make_env(maintenance="delta")
+    db, tracker, server = make_env()
     try:
         serve_promoted(server, db, tracker)
         hotel_write(db, 0, tracker)
@@ -334,7 +332,6 @@ def test_delta_recompute_state_machine():
         assert trace.dirty_nodes > 0
         assert serve(server, db).freshness == "hit"
         metrics = server.metrics()
-        assert metrics["maintenance"] == "delta"
         assert metrics["freshness"]["delta-recompute"] == 1
         assert metrics["delta_fallbacks"] == 1  # the promotion
     finally:
@@ -354,7 +351,7 @@ def test_row_pushdown_refetches_the_changed_rows_not_the_node():
     view = figure1_view(db.catalog)
     server = ViewServer(
         db.catalog, source=db, workers=1, tracker=tracker,
-        staleness="strict", maintenance="delta",
+        staleness="strict",
     )
     try:
         server.render(view, strategy="bulk")  # prime plan + cached bytes
@@ -394,7 +391,7 @@ def test_state_lifecycle():
     bytes only, the first stale read promotes (a full recompute that
     captures, counted as the ``no-state`` fallback), every later stale
     read is a delta — and the bytes are the naive pipeline's throughout."""
-    db, tracker, server = make_env(maintenance="delta")
+    db, tracker, server = make_env()
     naive = NaivePipeline(figure1_view(db.catalog), figure4_stylesheet())
 
     def step(expected_freshness, no_state, captures, resident):
@@ -443,7 +440,7 @@ def test_a_delta_with_nothing_dirty_restamps_the_stored_body(fleet, monkeypatch)
     if fleet:
         backend = ShardRouter.build(
             db.catalog, db, hotel_partition_scheme(), 2, workers=1,
-            staleness="strict", maintenance="delta",
+            staleness="strict",
         )
         servers = [shard.members[0].server for shard in backend.shards]
         write = backend.route_write
@@ -452,7 +449,7 @@ def test_a_delta_with_nothing_dirty_restamps_the_stored_body(fleet, monkeypatch)
         db.attach_tracker(tracker)
         backend = ViewServer(
             db.catalog, source=db, workers=1, tracker=tracker,
-            staleness="strict", maintenance="delta",
+            staleness="strict",
         )
         servers = [backend]
 
@@ -513,17 +510,6 @@ def _naive_bytes(db):
     return serialize(naive.run(db).document)
 
 
-def test_full_maintenance_never_captures(strict_env):
-    db, tracker, server = strict_env
-    for step in range(3):
-        serve(server, db)
-        hotel_write(db, step, tracker)
-    stats = server.metrics()["result_cache"]
-    assert stats["state_captures"] == 0 and stats["states_resident"] == 0
-    [key] = server.result_cache.keys()
-    assert server.result_cache.peek(key).state is None
-
-
 # ---------------------------------------------------------------------------
 # Auto-captured writes reach the server with no cooperation
 # ---------------------------------------------------------------------------
@@ -542,7 +528,7 @@ def test_auto_captured_write_forces_strict_recompute():
 
 
 # ---------------------------------------------------------------------------
-# Metrics and the untracked baseline
+# Metrics and the server that is handed no tracker
 # ---------------------------------------------------------------------------
 
 
@@ -560,24 +546,35 @@ def test_metrics_report_freshness_and_maintenance_state(strict_env):
         "bypass": 1, "degraded-stale": 0,
     }
     assert set(metrics["freshness"]) == set(FRESHNESS_STATES)
-    assert metrics["maintenance"] == "full"
-    assert metrics["delta_fallbacks"] == 0
+    # The one stale read found no state to splice: it promoted.
+    assert metrics["delta_fallbacks"] == 1
     assert metrics["result_cache"]["size"] == 1
     assert metrics["staleness_policy"] == "strict"
     assert metrics["tracker"]["total_writes"] == 1
     assert metrics["tracker"]["versions"] == {"availability": 1}
 
 
-def test_untracked_server_reports_bypass_only():
+def test_a_server_without_a_tracker_serves_its_snapshot_from_cache():
+    """Without a tracker the server makes its own, and nothing records
+    into it: the second render of a request is a hit on the first's
+    bytes, and an untracked write to the source changes neither."""
     db = build_hotel_database(SPEC)
-    with ViewServer(db.catalog, source=db, workers=2) as server:
-        trace = server.render(figure1_view(db.catalog))
-        assert trace.freshness == "bypass" and trace.version_lag == 0
+    with ViewServer(db.catalog, db, workers=2) as server:
+        first = serve(server, db)
+        assert first.freshness == "miss" and first.queries_executed > 0
+        second = serve(server, db)
+        assert second.freshness == "hit" and second.queries_executed == 0
+        assert second.xml == first.xml
+        db.run_sql(
+            "UPDATE hotel SET starrating = CASE WHEN starrating > 4 "
+            "THEN 3 ELSE 5 END"
+        )
+        third = serve(server, db)
+        assert third.freshness == "hit" and third.queries_executed == 0
+        assert third.xml == first.xml
         metrics = server.metrics()
-        assert metrics["freshness"]["bypass"] == 1
-        assert "result_cache" not in metrics
-        assert "tracker" not in metrics
-        assert server.result_cache is None
+        assert metrics["tracker"]["total_writes"] == 0
+        assert metrics["freshness"]["bypass"] == 0
     db.close()
 
 

@@ -162,9 +162,11 @@ class DriverConformanceKit:
             path = os.path.join(folder, "items-db")
             with Database(conformance_catalog(), path=path) as stored:
                 stored.insert_rows("items", ROWS)
-            with ConnectionPool(conformance_catalog(), path=path, size=1) as pool:
-                with pool.session() as session:
-                    check(session)
+            with Database.open(conformance_catalog(), path) as stored:
+                check(stored)
+                with ConnectionPool(stored.catalog, stored, size=1) as pool:
+                    with pool.session() as session:
+                        check(session)
 
     def check_run_sql_binding(self) -> None:
         """Raw SQL binds ``:name`` placeholders from ``run_sql``'s

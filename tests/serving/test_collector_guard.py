@@ -72,7 +72,7 @@ def delta_server(**kwargs):
     db.attach_tracker(tracker)
     server = ViewServer(
         db.catalog, source=db, workers=1, tracker=tracker,
-        staleness="strict", maintenance="delta", **kwargs,
+        staleness="strict", **kwargs,
     )
     try:
         yield db, tracker, server
@@ -90,7 +90,7 @@ def delta_member():
     )
     router = ShardRouter.build(
         db.catalog, db, hotel_partition_scheme(), 2, workers=1,
-        staleness="strict", maintenance="delta",
+        staleness="strict",
     )
     try:
         shard = router.shards[0]
@@ -503,7 +503,7 @@ def test_a_write_stream_frees_every_dead_generation_of_state():
     elements_before = live_elements()
     with ViewServer(
         db.catalog, source=db, workers=1, tracker=tracker,
-        staleness="strict", maintenance="delta",
+        staleness="strict",
     ) as server:
         server.render(view)
         promote(lambda: server.render(view), lambda: hotel_write(db, 0, tracker))

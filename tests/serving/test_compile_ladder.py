@@ -80,7 +80,8 @@ def test_a_sheet_that_cannot_compose_is_served_naive(db, monkeypatch):
     sheet = parse_stylesheet(DESCENDANT.format(tag="out"))
     expected = serialize(NaivePipeline(view, sheet).run(db).document)
     with _server(db) as server:
-        traces = [server.render(view, sheet) for _ in range(6)]
+        request = PublishRequest(view, sheet, bypass_cache=True)
+        traces = [server.submit(request).result() for _ in range(6)]
         plan = server.plan_cache.get(traces[0].plan_key)
         breaker = server.metrics()["resilience"]["breaker"]
     assert [trace.outcome for trace in traces] == ["success"] * 6
@@ -221,7 +222,7 @@ def test_a_stale_naive_entry_recomputes_in_full(db):
     try:
         with ViewServer(
             source.catalog, source=source, workers=1, tracker=tracker,
-            staleness="strict", maintenance="delta",
+            staleness="strict",
         ) as server:
             freshness = []
             for step in range(3):

@@ -14,6 +14,8 @@ reference is a serial bulk run. The property tests draw random
 synthetic views (reusing the generator from the bulk-evaluator suite),
 random chain stylesheets, and random mixed workloads over the hotel and
 orders databases; together they run well over 200 hypothesis examples.
+Every request passes ``bypass_cache`` and so computes: a result-cache hit
+would hand back bytes an earlier request computed.
 """
 
 from __future__ import annotations
@@ -86,10 +88,12 @@ def test_random_views_concurrent_equals_serial(scenario):
             db.catalog, source=db, workers=N_CONCURRENT
         ) as server:
             traces = server.render_many(
-                PublishRequest(view) for _ in range(N_CONCURRENT)
+                PublishRequest(view, bypass_cache=True)
+                for _ in range(N_CONCURRENT)
             )
         for trace in traces:
             assert trace.error is None
+            assert trace.freshness == "bypass"
             assert trace.xml == expected
 
 
@@ -114,11 +118,13 @@ def test_composed_chains_concurrent_equals_serial(levels, depth, seed):
         expected = serial_xml(db, view, stylesheet)
         with ViewServer(catalog, source=db, workers=N_CONCURRENT) as server:
             traces = server.render_many(
-                PublishRequest(view, stylesheet) for _ in range(N_CONCURRENT)
+                PublishRequest(view, stylesheet, bypass_cache=True)
+                for _ in range(N_CONCURRENT)
             )
             cache = server.plan_cache.stats()
         for trace in traces:
             assert trace.error is None
+            assert trace.freshness == "bypass"
             assert trace.xml == expected
         # Single-flight compilation: 8 concurrent requests for one
         # content key cost exactly one compile.
@@ -185,10 +191,12 @@ def _combos(stylesheet_names):
 def _check_mixed_batch(env, batch):
     view, stylesheets, server, expected = env
     traces = server.render_many(
-        PublishRequest(view, stylesheets[name]) for name in batch
+        PublishRequest(view, stylesheets[name], bypass_cache=True)
+        for name in batch
     )
     for name, trace in zip(batch, traces):
         assert trace.error is None, trace.error
+        assert trace.freshness == "bypass"
         assert trace.xml == expected[name]
 
 
@@ -222,9 +230,11 @@ def test_all_strategies_agree_under_concurrency_on_figure4():
     # ...and the server reproduces them under 8-way concurrency.
     with ViewServer(db.catalog, source=db, workers=N_CONCURRENT) as server:
         traces = server.render_many(
-            PublishRequest(view, stylesheet) for _ in range(3 * N_CONCURRENT)
+            PublishRequest(view, stylesheet, bypass_cache=True)
+            for _ in range(3 * N_CONCURRENT)
         )
     for trace in traces:
         assert trace.error is None
+        assert trace.freshness == "bypass"
         assert trace.xml == references["nested-loop"]
     db.close()

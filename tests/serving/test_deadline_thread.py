@@ -59,7 +59,8 @@ def test_computing_requests_start_no_thread_of_their_own(monkeypatch):
     with ViewServer(db.catalog, source=db, workers=2, resilience=policy) as server:
         view, sheet = figure1_view(db.catalog), figure4_stylesheet()
         traces = server.render_many(
-            PublishRequest(view=view, stylesheet=sheet) for _ in range(200)
+            PublishRequest(view=view, stylesheet=sheet, bypass_cache=True)
+            for _ in range(200)
         )
         assert all(t.outcome == "success" and t.queries_executed for t in traces)
         assert sorted(set(started)) == sorted(started)  # each started once

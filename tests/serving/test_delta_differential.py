@@ -87,7 +87,6 @@ def _env():
             workers=1,
             tracker=tracker,
             staleness="strict",
-            maintenance="delta",
         )
         view = figure1_view(db.catalog)
         sheets = {

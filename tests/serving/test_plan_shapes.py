@@ -242,9 +242,10 @@ def test_a_bound_random_stylesheet_is_its_composition(scenario, seed):
 def test_a_refusal_names_the_variants_tag():
     """``<c>`` inherits a tag query with two ``b`` columns, which the bulk
     planner refuses: the skeleton's refusal names a slot, each variant's
-    bound view's the tag that variant wrote. So the composed rung refuses,
-    and the naive rung refuses the request's own view for the same
-    columns: the compile is a refusal naming the node the view wrote."""
+    bound view's the tag that variant wrote — and so does the naive
+    rung's note on why the composed rung refused. The naive rung refuses
+    the request's own view for the same columns: the compile is a refusal
+    naming the node the view wrote."""
     builder = ViewBuilder(CATALOG)
     top = builder.node("n0", "SELECT * FROM t0 WHERE parent_id = 0", bv="p")
     mid = top.child("n1", "SELECT * FROM t1 WHERE parent_id = $p.id", bv="c")
@@ -277,6 +278,7 @@ def test_a_refusal_names_the_variants_tag():
         assert (plan.rung, plan.view, plan.refusal) == (
             "naive", None, f"node 3 <n2> {refused}",
         )
+        assert plan.notes == (f"composed rung refused: node 4 <{tag}> {refused}",)
         with pytest.raises(ViewDefinitionError) as raised:
             plan.check()
         assert str(raised.value) == f"node 3 <n2> {refused}"
@@ -381,7 +383,7 @@ def test_the_catalogue_composes_three_shapes_and_plans_each_node_once(
     monkeypatch.setattr(_Planner, "_decorrelate", counting_decorrelate)
     monkeypatch.setattr(fingerprint_module, "stylesheet_shape", counting_shape)
     monkeypatch.setattr(model_module, "stylesheet_shape", counting_shape)
-    app = build_hotel_app(scale=1, workers=1, staleness="strict", maintenance="delta")
+    app = build_hotel_app(scale=1, workers=1, staleness="strict")
     try:
         catalogue.register(app, seed=11)
         names = [
@@ -447,11 +449,11 @@ def test_serving_a_bound_plan_leaves_its_skeleton_queries_as_printed():
     sheet = renamed(figure4_stylesheet(), seed=3, attribute="note")
     server = ViewServer(
         db.catalog, source=db, workers=1, tracker=tracker,
-        staleness="strict", maintenance="delta",
+        staleness="strict",
     )
     router = ShardRouter.build(
         db.catalog, db, hotel_partition_scheme(), 2, workers=1,
-        staleness="strict", maintenance="delta",
+        staleness="strict",
     )
     try:
         key = server.plan_key_for(PublishRequest(view, sheet))

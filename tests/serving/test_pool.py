@@ -8,6 +8,7 @@ import sqlite3
 import pytest
 
 from repro.errors import ViewEvaluationError
+from repro.relational.engine import Database
 from repro.serving.pool import ConnectionPool
 from repro.workloads.hotel import (
     HotelDataSpec,
@@ -24,9 +25,11 @@ def small_hotel_db():
 
 
 def test_needs_exactly_one_of_path_and_source(small_hotel_db, tmp_path):
-    with pytest.raises(ValueError):
+    """A pool snapshots a source and nothing else: there is no file mode
+    beside it (a file is served by opening it as the source)."""
+    with pytest.raises(TypeError):
         ConnectionPool(hotel_catalog())
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ConnectionPool(
             hotel_catalog(),
             path=str(tmp_path / "x.db"),
@@ -66,9 +69,8 @@ def test_file_pool_serves_a_database_file(small_hotel_db, tmp_path):
     dest = sqlite3.connect(path)
     small_hotel_db.connection.backup(dest)
     dest.close()
-    with ConnectionPool(
-        small_hotel_db.catalog, path=path, size=2
-    ) as pool:
+    stored = Database.open(small_hotel_db.catalog, path)
+    with stored, ConnectionPool(stored.catalog, stored, size=2) as pool:
         with pool.session() as db:
             assert db.read_only
             assert db.table_count("metroarea") == 2

@@ -12,8 +12,9 @@ the ``driver`` fixture (``tests/conftest.py``) lists:
   become visible (the stale-read regression the bypass_cache fix
   closed: a bypassed read must see refreshed data, not the original
   snapshot);
-* **file-mode read-only open** — file pools open through
-  ``driver.open_read_only`` and refuse writes.
+* **a database file as the source** — a file opened through
+  ``driver.open_read_only`` is snapshotted like any source, and the
+  pool's sessions refuse writes.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def test_refresh_resnapshots_source_writes(driver):
             source.insert_rows("t", [{"id": 100, "v": "late"}])
             with pool.session() as session:
                 assert session.table_count("t") == 3  # snapshot semantics
-            assert pool.refresh() is True
+            pool.refresh()
             for _ in range(2):  # every pooled session sees the refresh
                 with pool.session() as session:
                     assert session.table_count("t") == 4
@@ -102,7 +103,7 @@ def test_refresh_after_release_sanitization(driver):
             session.connection.execute("SELECT * FROM t").fetchall()
             pool.release(session)
             source.insert_rows("t", [{"id": 100, "v": "late"}])
-            assert pool.refresh() is True
+            pool.refresh()
             with pool.session() as again:
                 assert again.table_count("t") == 4
 
@@ -112,10 +113,19 @@ def test_file_mode_pool_is_read_only(driver, tmp_path):
     db = Database(_catalog(), path=str(path))
     db.insert_rows("t", [{"id": 1, "v": "a"}])
     db.close()
-    with ConnectionPool(_catalog(), path=path, size=2) as pool:
+    stored = Database.open(_catalog(), path)
+    with stored, ConnectionPool(stored.catalog, stored, size=2) as pool:
         assert pool.driver is driver
-        assert pool.refresh() is False  # file pools have no snapshot
         with pool.session() as session:
             assert session.table_count("t") == 1
             with pytest.raises(driver.errors):
                 session.run_sql("DELETE FROM t")
+        # The file is a source like any other: a row another writer
+        # commits reaches the pool at its next refresh.
+        with Database.open(_catalog(), path, read_only=False) as writer:
+            writer.insert_rows("t", [{"id": 2, "v": "b"}])
+        with pool.session() as session:
+            assert session.table_count("t") == 1
+        pool.refresh()
+        with pool.session() as session:
+            assert session.table_count("t") == 2

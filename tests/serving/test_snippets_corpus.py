@@ -14,7 +14,7 @@ import pytest
 from repro.baseline.materialize import NaivePipeline
 from repro.errors import ReproError
 from repro.resilience import ResiliencePolicy
-from repro.serving import ViewServer
+from repro.serving import PublishRequest, ViewServer
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import figure1_view, figure4_stylesheet
 from repro.xmlcore.serializer import serialize
@@ -100,7 +100,8 @@ def test_a_sheet_that_parses_is_served_on_a_rung(case, served):
     source, rung = SERVED[case]
     sheet = figure4_stylesheet() if source is None else parse_stylesheet(source)
     view = figure1_view(db.catalog)
-    traces = [server.render(view, sheet) for _ in range(2)]
+    request = PublishRequest(view, sheet, bypass_cache=True)
+    traces = [server.submit(request).result() for _ in range(2)]
     assert [trace.outcome for trace in traces] == ["success"] * 2
     expected = serialize(NaivePipeline(view, sheet).run(db).document)
     assert [trace.xml for trace in traces] == [expected] * 2

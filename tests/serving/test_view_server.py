@@ -9,6 +9,8 @@ import pytest
 
 from repro.errors import ReproError
 from repro.maintenance import WriteTracker, hotel_write
+from repro.relational.engine import Database
+from repro.schema_tree.evaluator import materialize
 from repro.schema_tree.builder import ViewBuilder
 from repro.serving import PublishRequest, RequestTrace, ViewServer, percentile
 from repro.workloads.hotel import (
@@ -17,6 +19,7 @@ from repro.workloads.hotel import (
     hotel_catalog,
 )
 from repro.workloads.paper import figure1_view, figure4_stylesheet
+from repro.xmlcore.serializer import serialize
 from tests.priming import promote
 from tests.schema_tree.test_bulk_evaluator import break_bulk_query
 
@@ -139,7 +142,8 @@ def test_one_failed_bulk_query_is_the_requests_error():
         assert healthy.queries_executed == 7 and healthy.error is None
         assert "fallback_nodes" not in healthy.to_dict()
         break_bulk_query(view, db, "hotel")
-        trace = server.render(view)
+        # A cached read would hit the healthy bytes: compute again.
+        trace = server.submit(PublishRequest(view, bypass_cache=True)).result()
         assert trace.outcome == "error" and "ghost" in trace.error
         assert trace.xml is None
     db.close()
@@ -169,7 +173,6 @@ def test_delta_recompute_reports_its_phases():
     view = figure1_view(db.catalog)
     with ViewServer(
         db.catalog, source=db, workers=1, tracker=tracker,
-        maintenance="delta",
     ) as server:
         first = server.render(view, strategy="bulk")
         assert first.freshness == "miss"
@@ -198,10 +201,11 @@ def test_server_over_database_file(tmp_path):
     dest = sqlite3.connect(path)
     db.connection.backup(dest)
     dest.close()
-    with ViewServer(hotel_catalog(), path=path, workers=2) as server:
+    stored = Database.open(hotel_catalog(), path)
+    with stored, ViewServer(stored.catalog, stored, workers=2) as server:
         trace = server.render(figure1_view(server.catalog))
         assert trace.error is None
-        assert trace.xml.startswith("<")
+        assert trace.xml == serialize(materialize(figure1_view(db.catalog), db))
     db.close()
 
 
@@ -217,7 +221,7 @@ def test_closed_server_rejects_new_requests():
 
 def test_worker_count_validation():
     with pytest.raises(ValueError):
-        ViewServer(hotel_catalog(), path="unused.db", workers=0)
+        ViewServer(hotel_catalog(), None, workers=0)
 
 
 def test_percentile_interpolation():

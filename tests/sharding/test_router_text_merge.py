@@ -1,7 +1,7 @@
 """The router merges text: nothing is parsed back, no tree is built.
 
-Under ``maintenance="full"`` a shard that serves result-cache hits hands
-the router bytes and nothing else. Across two writes that change one
+A shard that serves result-cache hits, or splices a delta, hands the
+router bytes and nothing else. Across two writes that change one
 shard's slice and leave the other's alone, the router splices those
 bytes inside the view's literal frame: the only ``Element`` objects it
 ever constructs are the frame's own, once per plan.
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.compose import compose
 from repro.core.optimize import prune_stylesheet_view
-from repro.maintenance.workload import hotel_calendar_write
+from repro.maintenance.workload import hotel_calendar_write, hotel_write
 from repro.schema_tree.evaluator import materialize
 from repro.sharding import ShardRouter
 from repro.sharding import router as router_module
@@ -86,7 +86,6 @@ def test_router_splices_member_text_and_builds_only_the_frame(
         2,
         workers=1,
         staleness="strict",
-        maintenance="full",
     )
     built = []
 
@@ -115,12 +114,42 @@ def test_router_splices_member_text_and_builds_only_the_frame(
         # Figure 4's frame is built once, when its plan is derived.
         assert built == ["HTML", "HEAD", "BODY"]
         assert texts_parsed == []
-        # One memo: Figure 1's bytes changed with each write (3 splices),
-        # Figure 4's never did (1 splice, then equal shard texts hit).
+        # One memo entry per plan: Figure 1's bytes changed with each
+        # write (3 splices, each replacing its entry), Figure 4's never
+        # did (1 splice, then equal shard texts hit).
         metrics = router.metrics()
-        assert metrics["merged_cache"] == {"hits": 2, "misses": 4, "size": 4}
+        assert metrics["merged_cache"] == {"hits": 2, "misses": 4, "size": 2}
         assert metrics["parsed_cache"] == {"hits": 0, "misses": 0, "size": 0}
         assert router.outstanding() == 0
+    finally:
+        router.close()
+        db.close()
+
+
+def test_a_write_read_stream_keeps_one_merged_body_per_plan():
+    """40 x (write, read Figure 1) through a 2 x 2 fleet. The merged-bytes
+    memo is keyed by plan: it holds the last merge of the one plan served,
+    not one superseded document per data state the plan went through."""
+    db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
+    router = ShardRouter.build(
+        db.catalog, db, hotel_partition_scheme(), 2, replicas=1, workers=1,
+        staleness="strict",
+    )
+    try:
+        view = figure1_view(db.catalog)
+        bodies = set()
+        for step in range(40):
+            router.route_write(
+                lambda source, tracker: hotel_write(source, step, tracker=tracker)
+            )
+            hotel_write(db, step)
+            trace = router.render(view)
+            assert trace.xml == serialize(materialize(view, db))
+            bodies.add(trace.xml)
+            assert router.metrics()["merged_cache"]["size"] == 1
+        assert len(bodies) > 1  # the stream went through data states
+        memo = router.metrics()["merged_cache"]
+        assert memo["hits"] + memo["misses"] == 40
     finally:
         router.close()
         db.close()
@@ -138,7 +167,7 @@ def test_a_stream_of_plans_leaves_a_bounded_number_of_frames():
     )
     router = ShardRouter.build(
         db.catalog, db, hotel_partition_scheme(), 2, workers=1,
-        staleness="strict", maintenance="delta",
+        staleness="strict",
         cache_capacity=8, result_cache_capacity=8,
     )
     try:

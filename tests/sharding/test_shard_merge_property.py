@@ -1,7 +1,7 @@
 """Merge-equivalence differential suite.
 
-The contract under test: for ANY write sequence, shard count and
-maintenance mode, the sharded fleet's merged response is byte-identical
+The contract under test: for ANY write sequence and shard count, the
+delta-maintained sharded fleet's merged response is byte-identical
 to a single box's nested-loop serialization of the same data.
 Writes are routed to the fleet through :meth:`ShardRouter.route_write`
 and mirrored onto an unpartitioned reference database; the global
@@ -94,10 +94,9 @@ def _assert_splice_equals_tree(router, view, served):
 )
 @given(
     shards=st.integers(1, 4),
-    maintenance=st.sampled_from(["full", "delta"]),
     writes=write_steps,
 )
-def test_sharded_bytes_equal_single_box(shards, maintenance, writes):
+def test_sharded_bytes_equal_single_box(shards, writes):
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     view = figure1_view(db.catalog)
     metro_domain = [
@@ -121,7 +120,6 @@ def test_sharded_bytes_equal_single_box(shards, maintenance, writes):
         shards,
         workers=1,
         staleness="strict",
-        maintenance=maintenance,
     )
     try:
         request = PublishRequest(view)
@@ -152,18 +150,17 @@ def test_sharded_bytes_equal_single_box(shards, maintenance, writes):
             assert trace.xml == serialize(materialize(view, db))
             _assert_splice_equals_tree(router, view, trace.xml)
         assert router.outstanding() == 0
-        if maintenance != "full":
-            # Still a delta suite: every shard entry was promoted above
-            # (the only fallbacks are those `shards` promotions), so
-            # every stale shard read after it was a delta.
-            after = router.aggregate_metrics()
-            assert after["result_cache"]["state_captures"] == shards
-            assert after["delta_fallbacks_by_reason"]["no-state"] == shards
-            assert after["delta_fallbacks"] == shards
-            assert after["freshness"]["delta-recompute"] == (
-                after["result_cache"]["stale"]
-                - promoted["result_cache"]["stale"]
-            )
+        # Still a delta suite: every shard entry was promoted above (the
+        # only fallbacks are those `shards` promotions), so every stale
+        # shard read after it was a delta.
+        after = router.aggregate_metrics()
+        assert after["result_cache"]["state_captures"] == shards
+        assert after["delta_fallbacks_by_reason"]["no-state"] == shards
+        assert after["delta_fallbacks"] == shards
+        assert after["freshness"]["delta-recompute"] == (
+            after["result_cache"]["stale"]
+            - promoted["result_cache"]["stale"]
+        )
     finally:
         router.close()
         db.close()

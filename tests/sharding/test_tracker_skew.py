@@ -90,7 +90,6 @@ def test_skewed_shard_falls_back_to_node_level_and_stays_correct():
         trackers=trackers,
         workers=1,
         staleness="strict",
-        maintenance="delta",
     )
     try:
         warm = router.render(view, strategy="bulk")
@@ -148,7 +147,7 @@ def test_fleet_counts_each_write_once(replicas):
     from repro.frontend import build_hotel_app
 
     app = build_hotel_app(
-        shards=2, replicas=replicas, staleness="strict", maintenance="delta"
+        shards=2, replicas=replicas, staleness="strict"
     )
     try:
         router = app.backend

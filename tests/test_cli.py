@@ -287,9 +287,10 @@ def test_serve_http_has_no_fragment_tier_flags():
         if flag.startswith("--") and flag != "--help"
     }
     assert "--fragment-policy" not in options
-    assert options["--maintenance"].choices == ["full", "delta"]
+    assert "--maintenance" not in options  # every server maintains by delta
+    assert options["--staleness"].default == "strict"
     assert "--backend" not in options
-    assert len(options) == 31
+    assert len(options) == 30
     # The one-shot oracle keeps its evaluator choice; serving has none.
     materialize = subparsers.choices["materialize"]
     (strategy,) = [
@@ -320,7 +321,7 @@ def test_serve_http_builds_listens_drains_and_writes_metrics(
         [
             "serve-http", "--scale", "1", "--port", "0",
             "--duration", "0.2", "--staleness", "strict",
-            "--maintenance", "delta", "--json", str(metrics_path),
+            "--json", str(metrics_path),
         ]
         + fleet_flags
     )
@@ -336,7 +337,7 @@ def test_serve_http_builds_listens_drains_and_writes_metrics(
         if thread.name.startswith(("viewserver", "shardrouter"))
     ]
     metrics = json.loads(metrics_path.read_text())
-    assert metrics["maintenance"] == "delta"
+    assert "maintenance" not in metrics
     assert metrics["staleness_policy"] == "strict"
     assert metrics["frontend_inflight"] == 0
     # Where state lives, single box or summed over the fleet.

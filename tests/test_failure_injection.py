@@ -121,7 +121,6 @@ def _delta_server():
         workers=2,
         tracker=tracker,
         staleness="strict",
-        maintenance="delta",
     )
     return db, tracker, server
 
