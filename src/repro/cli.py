@@ -42,7 +42,6 @@ from repro.core.optimize import prune_stylesheet_view
 from repro.core.tvq import build_tvq
 from repro.errors import ReproError
 from repro.relational.engine import Database
-from repro.resilience.faults import FLEET_FAULT_KINDS
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
 from repro.schema_tree.evaluator import STRATEGIES, ViewEvaluator
 from repro.schema_tree.io import (
@@ -195,31 +194,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _frontend_app_from_args(args: argparse.Namespace):
     """Build a :class:`~repro.frontend.app.PublishingApp` from CLI flags.
 
-    Assembles the fault plans, the resilience policy, and the hedging
-    policy that :func:`~repro.frontend.app.build_hotel_app` takes as
-    objects.
+    Assembles the resilience policy and the hedging policy that
+    :func:`~repro.frontend.app.build_hotel_app` takes as objects, and
+    arms ``--chaos`` on the built backend
+    (:func:`repro.resilience.faults.inject`).
     """
     from repro.frontend import HedgePolicy, build_hotel_app
 
-    faults = None
-    if (
-        args.faults > 0
-        or args.fault_latency_rate > 0
-        or args.fault_wrong_rate > 0
-        or args.fault_compile_rate > 0
-    ):
-        from repro.resilience import FaultPlan, FaultSpec
+    chaos = None
+    if args.chaos is not None:  # parsed before anything is opened
+        from repro.resilience.faults import inject, parse_chaos
 
-        faults = FaultPlan(
-            FaultSpec(
-                error_rate=args.faults,
-                latency_rate=args.fault_latency_rate,
-                latency_ms=args.fault_latency_ms,
-                wrong_shape_rate=args.fault_wrong_rate,
-                compile_error_rate=args.fault_compile_rate,
-            ),
-            seed=args.fault_seed,
-        )
+        chaos = parse_chaos(args.chaos, fleet=args.shards > 1 or args.replicas > 0)
     resilience = None
     if (
         args.deadline_ms is not None
@@ -248,32 +234,19 @@ def _frontend_app_from_args(args: argparse.Namespace):
                 p.strip() for p in args.hedge_priorities.split(",") if p.strip()
             ),
         )
-    fleet_faults = None
-    if args.fault_kind != "none":
-        if not (args.shards > 1 or args.replicas > 0):
-            raise ReproError(
-                "--fault-kind needs a fleet (--shards > 1 or --replicas > 0)"
-            )
-        from repro.resilience import FleetFaultPlan
-
-        fleet_faults = FleetFaultPlan.for_kind(
-            args.fault_kind,
-            rate=args.fleet_fault_rate,
-            seed=args.fault_seed,
-            window=args.fleet_fault_window,
-        )
-    return build_hotel_app(
+    app = build_hotel_app(
         scale=args.scale,
         workers=args.workers,
         staleness=args.staleness,
         resilience=resilience,
-        faults=faults,
         hedge=hedge,
         shards=args.shards,
         replicas=args.replicas,
         replica_lag_ms=args.replica_lag_ms,
-        fleet_faults=fleet_faults,
     )
+    if chaos is not None:
+        inject(app.backend, *chaos)
+    return app
 
 
 def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
@@ -301,42 +274,12 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
         "(default: 0 = apply writes inline)",
     )
     parser.add_argument(
-        "--fault-kind", default="none",
-        choices=["none"] + list(FLEET_FAULT_KINDS),
-        help="fleet-scoped fault to inject (default: none)",
-    )
-    parser.add_argument(
-        "--fleet-fault-rate", type=float, default=0.5, metavar="RATE",
-        help="fraction of fault-site windows the fleet fault is active "
-        "in (default: 0.5)",
-    )
-    parser.add_argument(
-        "--fleet-fault-window", type=int, default=8, metavar="N",
-        help="checks per fleet-fault window (default: 8)",
-    )
-    parser.add_argument(
-        "--faults", type=float, default=0.0, metavar="RATE",
-        help="inject transient sqlite errors into RATE of pooled queries",
-    )
-    parser.add_argument(
-        "--fault-latency-rate", type=float, default=0.0, metavar="RATE",
-        help="inject --fault-latency-ms of delay into RATE of queries",
-    )
-    parser.add_argument(
-        "--fault-latency-ms", type=float, default=20.0, metavar="MS",
-        help="injected latency per latency fault (default: 20)",
-    )
-    parser.add_argument(
-        "--fault-wrong-rate", type=float, default=0.0, metavar="RATE",
-        help="drop a result column from RATE of queries",
-    )
-    parser.add_argument(
-        "--fault-compile-rate", type=float, default=0.0, metavar="RATE",
-        help="fail RATE of plan compilations",
-    )
-    parser.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for the deterministic fault schedule (default: 0)",
+        "--chaos", metavar="SPEC", default=None,
+        help="inject seeded faults: comma-separated KEY=VALUE pairs, e.g. "
+        "error=0.3,replica-crash=0.5,seed=7. Rates: error, latency, "
+        "wrong-shape, compile-error (shard 0's primary on a fleet) and "
+        "replica-crash, apply-stall, partition (fleet members); settings: "
+        "latency-ms (20), window (8 checks), seed (0)",
     )
     parser.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",
@@ -395,7 +338,7 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
     """``repro serve-http``: run the async HTTP publishing front end.
 
     Builds the hotel workload application (staleness, shards,
-    resilience, faults) and serves it over stdlib-asyncio
+    resilience, chaos) and serves it over stdlib-asyncio
     HTTP/1.1 on ``--host:--port`` — ``POST /publish``, ``GET /metrics``,
     ``GET /healthz``, keep-alive connections, graceful drain on
     shutdown. ``--hedge`` races a second attempt for requests running

@@ -11,10 +11,9 @@ backend serving them (a :class:`~repro.serving.server.ViewServer` or a
 
 :func:`build_hotel_app` assembles the paper's hotel workload —
 Figure 1 publishing view, Figure 4/17 stylesheets — over every
-serving knob (staleness, resilience policy, fault plan, shards,
-replicas), so the HTTP tier serves byte-identical
-answers to the in-process paths the differential suite compares
-against.
+serving knob (staleness, resilience policy, shards, replicas), so the
+HTTP tier serves byte-identical answers to the in-process paths the
+differential suite compares against.
 """
 
 from __future__ import annotations
@@ -147,20 +146,17 @@ def build_hotel_app(
     staleness: str = "strict",
     maintenance: str = "delta",
     resilience=None,
-    faults=None,
     hedge: Optional[HedgePolicy] = None,
     shards: int = 1,
     replicas: int = 0,
     replica_lag_ms: float = 0.0,
-    fleet_faults=None,
 ) -> PublishingApp:
     """The paper's hotel workload as a servable application.
 
     The one stack builder: tracked writes (auto capture) served through
     result caches under ``staleness`` and maintained by delta, by a
-    sharded fleet when ``shards > 1`` or ``replicas > 0`` (fault plan
-    armed on shard 0's primary only, replicas as the failover path), a
-    single :class:`ViewServer` otherwise. ``maintenance`` is a frozen
+    sharded fleet when ``shards > 1`` or ``replicas > 0``, a single
+    :class:`ViewServer` otherwise. ``maintenance`` is a frozen
     call surface: ``"delta"`` is its one value.
     """
     from repro.maintenance import WriteTracker, hotel_write
@@ -197,12 +193,6 @@ def build_hotel_app(
             workers=workers,
             staleness=staleness,
             resilience=resilience,
-            faults=(
-                [faults] + [None] * (shards - 1)
-                if faults is not None
-                else None
-            ),
-            fleet_faults=fleet_faults,
             replica_lag_ms=replica_lag_ms,
         )
 
@@ -221,7 +211,6 @@ def build_hotel_app(
             tracker=tracker,
             staleness=staleness,
             resilience=resilience,
-            faults=faults,
         )
 
         def write_fn(index: int) -> None:

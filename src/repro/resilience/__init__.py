@@ -6,9 +6,9 @@ partial failure. This package makes the server *bounded and
 predictable* under that failure:
 
 * :mod:`repro.resilience.faults` — a seeded, deterministic
-  fault-injection layer (:class:`FaultPlan` / :class:`FaultyEngine`)
-  that drills transient errors, latency, wrong-shape results, and
-  compile failures into pooled engine sessions.
+  fault-injection kit that arms a built server or fleet by wrapping its
+  parts (sessions, the compile call, members, appliers). It is imported
+  by its own path, never from here, so a server process loads none of it.
 * :mod:`repro.resilience.policy` — :class:`ResiliencePolicy` (per-
   request deadlines, retry-with-backoff+jitter, breaker and admission
   knobs) and :class:`Deadline` (cooperative cancellation the engine
@@ -28,15 +28,6 @@ computation fails) is wired in
 """
 
 from repro.resilience.breaker import BREAKER_STATES, CircuitBreaker
-from repro.resilience.faults import (
-    FLEET_FAULT_KINDS,
-    TRANSIENT_MESSAGES,
-    FaultPlan,
-    FaultSpec,
-    FaultyEngine,
-    FleetFaultPlan,
-    FleetFaultSpec,
-)
 from repro.resilience.policy import CancelToken, Deadline, ResiliencePolicy
 
 __all__ = [
@@ -44,12 +35,5 @@ __all__ = [
     "CancelToken",
     "CircuitBreaker",
     "Deadline",
-    "FLEET_FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultyEngine",
-    "FleetFaultPlan",
-    "FleetFaultSpec",
     "ResiliencePolicy",
-    "TRANSIENT_MESSAGES",
 ]

@@ -1,34 +1,25 @@
 """Deterministic fault injection for the serving stack.
 
-The paper's execution model multiplies one XSLT evaluation into many
-parameterized SQL queries, so a production server faces *partial*
-failure: one busy database, one slow tag query, one driver returning a
-wrong-shape result. This module makes those failures reproducible:
+One XSLT evaluation is many parameterized SQL queries, so a server
+faces *partial* failure: a busy database, a slow tag query, a driver
+returning a wrong-shape result, a crashed or lagging replica. This kit
+makes those failures reproducible. :class:`FaultSpec` says what to
+inject (transient ``sqlite3.OperationalError``\\ s, latency, a dropped
+column, compile failures) and how often; :class:`FaultPlan` decides
+*when* by a pure function of ``(seed, site, per-site call index)``, so
+a seed gives the same sequence at every site whatever the thread
+interleaving *between* sites. :class:`FleetFaultPlan` decides
+whole-member faults by the same schedule (:class:`_Schedule`).
 
-* :class:`FaultSpec` — what to inject and how often: transient
-  ``sqlite3.OperationalError``\\ s (busy / locked / disk I/O), added
-  per-query latency, wrong-shape results (a column silently dropped),
-  and compile-time failures.
-* :class:`FaultPlan` — *where* and *when*. Decisions are a pure
-  function of ``(seed, site, per-site call index)``: the plan keeps one
-  counter per site (a base-table name, ``"compile"``, or ``"query"``)
-  and hashes the triple, so a given seed produces the same fault
-  sequence at every site regardless of thread interleaving *between*
-  sites. ``every_n`` sites fire deterministically on each Nth call
-  instead of at a rate. :class:`FleetFaultPlan` decides whole-member
-  faults by the same seeded schedule (:class:`_Schedule`).
-* :class:`FaultyEngine` — a transparent wrapper around a
-  :class:`~repro.relational.engine.Database` that consults the plan on
-  every :meth:`~repro.relational.engine.Database.run_query` and
-  :meth:`~repro.relational.engine.Database.run_rows`. The
-  connection pool wraps each pooled session when constructed with a
-  plan, so evaluators exercise faults without knowing about them.
-
-Injected errors are *real* ``sqlite3.OperationalError`` instances with
-the stock messages, so the error taxonomy
-(:func:`repro.errors.classify_error`) treats injected and genuine
-faults identically — which is the point: the resilience policy under
-test cannot tell the drill from the fire.
+Every fault enters by wrapping, never through a constructor:
+:func:`inject` arms a built server or fleet — engine faults on the
+sessions its pool lends out (:class:`FaultyEngine`,
+:class:`FaultyPool`), compile faults on its plan path's compile call,
+member faults on its members (:class:`FaultyMember`,
+:class:`StallingApplier`). :func:`parse_chaos` reads ``serve-http
+--chaos`` into the two plans. Injected errors are *real*
+``OperationalError``\\ s with the stock messages, so
+:func:`repro.errors.classify_error` cannot tell the drill from the fire.
 """
 
 from __future__ import annotations
@@ -37,9 +28,12 @@ import hashlib
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Optional
 
+from repro.errors import ReplicaUnavailable, ReproError
+from repro.serving.pool import ConnectionPool
+from repro.sharding.replica import ReplicaApplier
 from repro.sql.analysis import referenced_tables
 from repro.sql.ast import Select
 
@@ -95,15 +89,10 @@ class FaultSpec:
 class _Schedule:
     """The seeded, site-counted schedule both fault plans decide by.
 
-    Thread-safe: each check at a site advances that site's counter under
-    a lock, and a decision depends only on ``(seed, site, n, kind)`` —
-    hashed through blake2s into a uniform float — so two runs with the
-    same seed and the same per-site call sequence inject the same faults,
-    whatever the interleaving *between* sites.
-
+    Each check at a site advances that site's counter under one lock; a
+    decision is ``blake2s(seed, site, n, kind)`` as a uniform float.
     :meth:`disarm` / :meth:`arm` gate injection without resetting the
-    counters; benchmarks warm caches with the plan disarmed, then arm it
-    for the measured (chaotic) phase.
+    counters, so a cache can be warmed before the chaotic phase.
     """
 
     def __init__(self, seed: int, enabled: bool, kinds: tuple[str, ...]):
@@ -214,12 +203,10 @@ class FaultPlan(_Schedule):
         return sqlite3.OperationalError(message)
 
 
-#: Fleet-scoped fault kinds a :class:`FleetFaultPlan` can schedule, each
-#: with the :class:`FleetFaultSpec` rate it is drawn against.
-#: ``replica-crash`` makes a replica's pool refuse new sessions,
-#: ``apply-stall`` freezes a replica's catch-up loop so its lag grows,
-#: ``partition`` makes the primary writable but unreadable from the
-#: router (asymmetric partition).
+#: Fleet-scoped fault kinds, each with the :class:`FleetFaultSpec` rate it
+#: is drawn against: ``replica-crash`` takes a replica down and its pool
+#: refuses sessions, ``apply-stall`` freezes its catch-up so its lag
+#: grows, ``partition`` leaves the primary writable but unreadable.
 _RATE_FIELDS = {
     "replica-crash": "crash_rate",
     "apply-stall": "stall_rate",
@@ -287,7 +274,7 @@ class FleetFaultPlan(_Schedule):
     @classmethod
     def for_kind(cls, kind: str, rate: float = 0.5, seed: int = 0,
                  window: int = 8) -> "FleetFaultPlan":
-        """A plan injecting only ``kind`` at ``rate`` (CLI convenience)."""
+        """A plan injecting only ``kind`` at ``rate``."""
         rates = {_rate_field(kind): rate}
         return cls(FleetFaultSpec(window=window, **rates), seed=seed)
 
@@ -295,9 +282,8 @@ class FleetFaultPlan(_Schedule):
         """One check: is ``kind`` afflicting ``member`` of ``shard`` now?
 
         Role targeting is structural: crash/stall checks on the primary
-        and partition checks on replicas are always ``False`` (and do
-        not advance counters): the fault sites are replica crash, replica
-        apply-stall, and primary read-partition.
+        and partition checks on replicas are ``False`` and advance no
+        counter.
         """
         rate = self.spec.rate_for(kind)
         is_primary = member == "primary"
@@ -314,23 +300,6 @@ class FleetFaultPlan(_Schedule):
         if hit:
             self._count(kind)
         return hit
-
-
-@dataclass
-class _SiteMemo:
-    """Per-engine memo from query identity to its fault site name."""
-
-    sites: dict[int, tuple[str, Select]] = field(default_factory=dict)
-
-    def site_for(self, query: Select) -> str:
-        key = id(query)
-        cached = self.sites.get(key)
-        if cached is not None and cached[1] is query:
-            return cached[0]
-        tables = referenced_tables(query)
-        site = tables[0] if tables else "query"
-        self.sites[key] = (site, query)
-        return site
 
 
 class FaultyEngine:
@@ -350,7 +319,6 @@ class FaultyEngine:
     def __init__(self, db, plan: FaultPlan):
         self._db = db
         self._plan = plan
-        self._memo = _SiteMemo()
         self.cancel_check = None
 
     def run_query(self, query: Select, env: Optional[Mapping[str, Any]] = None):
@@ -383,7 +351,8 @@ class FaultyEngine:
         real driver-level failure); any other kind is returned."""
         if self.cancel_check is not None:
             self.cancel_check()
-        site = self._memo.site_for(query)
+        tables = referenced_tables(query)
+        site = tables[0] if tables else "query"
         fault = self._plan.check_query(site)
         if fault == "error":
             self._db.stats.record(0)
@@ -397,3 +366,193 @@ class FaultyEngine:
 
     def __getattr__(self, name: str):
         return getattr(self._db, name)
+
+
+class FaultyPool:
+    """A :class:`~repro.serving.pool.ConnectionPool` wrapper that injects.
+
+    A borrow first asks ``gate``, which refuses it by raising, and lends
+    the session out as a :class:`FaultyEngine` on ``plan``; it comes back
+    unwrapped through the pool's own release. The rest is the pool's.
+    """
+
+    def __init__(self, pool: ConnectionPool, plan: Optional[FaultPlan] = None,
+                 gate: Optional[Callable[[], None]] = None):
+        self._pool = pool
+        self._plan = plan
+        self._gate = gate
+
+    def acquire(self, timeout: Optional[float] = None):
+        """Borrow a session, wrapped, once the gate lets the borrow by."""
+        if self._gate is not None:
+            self._gate()
+        session = self._pool.acquire(timeout=timeout)
+        return session if self._plan is None else FaultyEngine(session, self._plan)
+
+    def release(self, session) -> None:
+        """Return a borrowed session to the pool, unwrapped."""
+        if isinstance(session, FaultyEngine):
+            session = session.wrapped
+        self._pool.release(session)
+
+    session = ConnectionPool.session  # through this acquire and release
+
+    def __getattr__(self, name: str):
+        return getattr(self._pool, name)
+
+
+class StallingApplier(ReplicaApplier):
+    """A replica applier that applies nothing while the schedule has its
+    member in an ``apply-stall`` window (counted in ``stalled_checks``),
+    and polls, so it looks again."""
+
+    polls = True
+
+    def __init__(self, plan: FleetFaultPlan, *args, **kwargs):
+        self.plan = plan
+        self.stalled_checks = 0
+        super().__init__(*args, **kwargs)
+
+    def apply_pending(self) -> int:
+        """Nothing in a stall window, else every due event."""
+        if self.plan.active("apply-stall", self.shard, self.member):
+            with self._lock:
+                self.stalled_checks += 1
+            return 0
+        return super().apply_pending()
+
+
+class FaultyMember:
+    """A fleet member the schedule takes down.
+
+    :meth:`down` says ``"partition"`` for a primary, ``"crash"`` for a
+    replica, in a window of it: the router skips and counts the member
+    before dispatch. A replica's pool also refuses sessions in a crash
+    window (:class:`~repro.errors.ReplicaUnavailable`, transient), so a
+    request routed to it just before fails fast, and its applier is
+    replaced by a :class:`StallingApplier`. The rest is the member's.
+    """
+
+    def __init__(self, member, plan: FleetFaultPlan, shard: int):
+        self._member = member
+        self._plan = plan
+        self._shard = shard
+        if member.role:
+            server, old = member.server, member.applier
+            server.pool = FaultyPool(server.pool, gate=self._refuse_if_crashed)
+            old.close()
+            member.applier = StallingApplier(
+                plan, old.primary, old.replica, delay_ms=old.delay_ms,
+                shard=shard, member=old.member,
+            )
+
+    def down(self) -> Optional[str]:
+        """``"partition"`` / ``"crash"`` while in such a window, else None."""
+        if self._member.role == 0:
+            return "partition" if self._active("partition") else None
+        return "crash" if self._active("replica-crash") else None
+
+    def _active(self, kind: str) -> bool:
+        return self._plan.active(kind, self._shard, self._member.name)
+
+    def _refuse_if_crashed(self) -> None:
+        if self._active("replica-crash"):
+            raise ReplicaUnavailable(f"shard{self._shard}:{self._member.name}")
+
+    def __getattr__(self, name: str):
+        return getattr(self._member, name)
+
+
+def inject(backend, faults: Optional[FaultPlan] = None,
+           fleet: Optional[FleetFaultPlan] = None):
+    """Arm chaos on a built ``backend`` by wrapping its parts; returns it.
+
+    ``faults`` arms one :class:`~repro.serving.server.ViewServer` — on a
+    :class:`~repro.sharding.router.ShardRouter`, shard 0's primary, so
+    the rest is the failover path: its pool lends :class:`FaultyEngine`
+    sessions, its plan path's compile call (never ``compile()``) checks
+    the plan first, and ``metrics()`` gains ``faults``. ``fleet`` makes
+    every member of a fleet a :class:`FaultyMember`, and
+    ``fleet_metrics()`` gains ``fleet_faults``.
+    """
+    if fleet is not None:
+        for shard in backend.shards:
+            shard.members = [
+                FaultyMember(member, fleet, shard.index)
+                for member in shard.members
+            ]
+        _report(backend, "fleet_metrics", "fleet_faults", fleet)
+    if faults is not None:
+        shards = getattr(backend, "shards", None)
+        server = shards[0].members[0].server if shards else backend
+        server.pool = FaultyPool(server.pool, faults)
+        compile_call = server._compile
+
+        def checked(key: str, request):
+            faults.check_compile(key)
+            return compile_call(key, request)
+
+        server._compile = checked
+        _report(server, "metrics", "faults", faults)
+    return backend
+
+
+def _report(target, method: str, name: str, plan: _Schedule) -> None:
+    """Lay ``plan``'s stats over ``target.<method>()`` as ``name``."""
+    report = getattr(target, method)
+    setattr(target, method, lambda: {**report(), name: plan.stats()})
+
+
+#: ``--chaos`` keys — the kinds' rates, named as ``/metrics`` counts each
+#: kind, and the settings — with the spec field each sets.
+CHAOS_KEYS = {
+    "error": (FaultSpec, "error_rate"),
+    "latency": (FaultSpec, "latency_rate"),
+    "latency-ms": (FaultSpec, "latency_ms"),
+    "wrong-shape": (FaultSpec, "wrong_shape_rate"),
+    "compile-error": (FaultSpec, "compile_error_rate"),
+    **{kind: (FleetFaultSpec, rate) for kind, rate in _RATE_FIELDS.items()},
+    "window": (FleetFaultSpec, "window"),
+}
+
+
+def parse_chaos(
+    text: str, *, fleet: bool
+) -> tuple[Optional[FaultPlan], Optional[FleetFaultPlan]]:
+    """``serve-http --chaos``: the engine plan and the fleet plan.
+
+    ``text`` is comma-separated ``KEY=VALUE`` pairs (:data:`CHAOS_KEYS`,
+    and ``seed``, which both plans share), e.g.
+    ``error=0.3,replica-crash=0.5,seed=7``; a plan none of whose keys is
+    given is ``None``. A malformed pair, an unknown key, a value out of
+    its field's range, or a member fault when ``fleet`` is false is a
+    :class:`~repro.errors.ReproError` naming the key.
+    """
+    fields: dict = {FaultSpec: {}, FleetFaultSpec: {}}
+    seed = 0
+    for pair in text.split(","):
+        key, _, value = pair.strip().partition("=")
+        try:
+            if key == "seed":
+                seed = int(value)
+                continue
+            spec, name = CHAOS_KEYS[key]
+            number = int(value) if name == "window" else float(value)
+            spec(**{name: number})  # the spec's own check of this field
+        except KeyError:
+            raise ReproError(
+                f"--chaos: unknown key {key!r}; expected one of "
+                f"{', '.join([*CHAOS_KEYS, 'seed'])}"
+            ) from None
+        except ValueError as exc:
+            raise ReproError(f"--chaos {key}: {exc}") from None
+        if spec is FleetFaultSpec and not fleet:
+            raise ReproError(
+                f"--chaos {key}: member faults need a fleet "
+                "(--shards > 1 or --replicas > 0)"
+            )
+        fields[spec][name] = number
+    return tuple(
+        plan(spec(**fields[spec]), seed=seed) if fields[spec] else None
+        for plan, spec in ((FaultPlan, FaultSpec), (FleetFaultPlan, FleetFaultSpec))
+    )

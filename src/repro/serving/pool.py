@@ -32,7 +32,7 @@ from __future__ import annotations
 import queue
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.relational.engine import Database, QueryStats
 from repro.relational.schema import Catalog
@@ -54,22 +54,11 @@ class ConnectionPool:
         catalog: Catalog,
         source: Database,
         size: int = 4,
-        fault_plan=None,
-        admission: Optional[Callable[[], None]] = None,
     ):
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self.catalog = catalog
         self.size = size
-        # Optional repro.resilience.FaultPlan: every session is wrapped
-        # in a FaultyEngine so evaluators running on pooled connections
-        # exercise injected faults transparently.
-        self._fault_plan = fault_plan
-        # Optional gate consulted before every borrow; raising (e.g.
-        # repro.errors.ReplicaUnavailable during an injected crash
-        # window) makes the pool refuse new sessions without touching
-        # the ones already out.
-        self._admission = admission
         self._closed = False
         self._close_lock = threading.Lock()
         self._refresh_lock = threading.Lock()
@@ -88,10 +77,6 @@ class ConnectionPool:
             read_only=True,
         )
         self.driver.enforce_read_only(db.connection)
-        if self._fault_plan is not None:
-            from repro.resilience.faults import FaultyEngine
-
-            return FaultyEngine(db, self._fault_plan)
         return db
 
     # -- borrowing -----------------------------------------------------------
@@ -99,14 +84,11 @@ class ConnectionPool:
     def acquire(self, timeout: Optional[float] = None) -> Database:
         """Borrow a session; blocks until one is idle.
 
-        Raises :class:`RuntimeError` on a closed pool,
-        :class:`queue.Empty` if ``timeout`` elapses, and whatever the
-        ``admission`` gate raises when it refuses new sessions.
+        Raises :class:`RuntimeError` on a closed pool and
+        :class:`queue.Empty` if ``timeout`` elapses.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
-        if self._admission is not None:
-            self._admission()
         return self._idle.get(timeout=timeout)
 
     def release(self, session: Database) -> None:

@@ -55,11 +55,10 @@ store is shared: it counts this member's failures), admission control
 open, the last-known-good result-cache entry is served with
 ``freshness="degraded-stale"`` and its true ``version_lag`` — unless
 the staleness policy is ``strict``, which never serves stale bytes
-silently (the request errors instead). A
-:class:`~repro.resilience.faults.FaultPlan` injects deterministic
-chaos under all of this for the chaos tests. No exception ever
-propagates out of a worker: every failure lands in the trace's
-``outcome`` / ``error`` fields.
+silently (the request errors instead). Chaos enters from outside, by
+wrapping a built server's parts (:func:`repro.resilience.faults.inject`).
+No exception ever propagates out of a worker: every failure lands in the
+trace's ``outcome`` / ``error`` fields.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ from repro.maintenance.result_cache import ResultCache
 from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import Deadline, DeadlineWatch, ResiliencePolicy
 from repro.relational.schema import Catalog
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
@@ -378,8 +376,6 @@ class ViewServer:
         staleness: "StalenessPolicy | str" = "strict",
         result_cache_capacity: int = 128,
         resilience: Optional[ResiliencePolicy] = None,
-        faults: Optional[FaultPlan] = None,
-        pool_admission=None,
         plan_cache: Optional[PlanCache] = None,
     ):
         if workers < 1:
@@ -388,10 +384,8 @@ class ViewServer:
         self.workers = workers
         # -- resilience (repro.resilience). The policy governs deadlines,
         # retries, circuit breaking, admission control, and the
-        # degraded-stale fallback; the fault plan (tests) injects
-        # deterministic chaos into every pooled session.
+        # degraded-stale fallback.
         self.resilience = resilience
-        self.faults = faults
         #: Per-fingerprint circuit breaker (``None`` without a threshold).
         #: It also counts execution failures, a property of this member's
         #: database, so it is not on a plan store other members may share.
@@ -405,10 +399,7 @@ class ViewServer:
         self.plan_cache = (
             plan_cache if plan_cache is not None else PlanCache(cache_capacity)
         )
-        self.pool = ConnectionPool(
-            catalog, source, size=workers,
-            fault_plan=faults, admission=pool_admission,
-        )
+        self.pool = ConnectionPool(catalog, source, size=workers)
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="viewserver"
         )
@@ -577,8 +568,8 @@ class ViewServer:
 
     def compile(self, request: PublishRequest) -> CompiledPlan:
         """The plan ``request`` resolves to, compiled into the store on a
-        miss (a refusal raises): the plan path with no fault injected and
-        nothing for the breaker, as an application compiles its views."""
+        miss (a refusal raises) — not through :meth:`_compile`, nothing for
+        the breaker — as an application compiles its views."""
         key = self.plan_key_for(request)
         return self._lookup(key, lambda: compile_plan(
             key, request, self.catalog, self.catalog_fingerprint, self.plan_cache
@@ -593,20 +584,18 @@ class ViewServer:
         and a refusal (cached like a plan) is no failure.
         """
 
-        def build() -> CompiledPlan:
-            if self.faults is not None:
-                # Compile-site fault injection (tests): a transient error
-                # get_or_build's cleanup and the breaker both observe.
-                self.faults.check_compile(key)
-            return compile_plan(
-                key, request, self.catalog, self.catalog_fingerprint, self.plan_cache
-            )
-
         try:
-            return self._lookup(key, build)
+            return self._lookup(key, lambda: self._compile(key, request))
         except Exception as exc:
             self._record_failure(key, exc)
             raise
+
+    def _compile(self, key: str, request: PublishRequest) -> CompiledPlan:
+        """The plan path's compile call on a miss: what a wrapper around
+        it raises, the store's cleanup and the breaker both observe."""
+        return compile_plan(
+            key, request, self.catalog, self.catalog_fingerprint, self.plan_cache
+        )
 
     def _lookup(self, key: str, build) -> tuple[CompiledPlan, bool]:
         """``(plan, was_hit)`` from the store, counted as this server's."""
@@ -790,7 +779,7 @@ class ViewServer:
             yield
             return
         db.cancel_check = deadline.check
-        # FaultyEngine wrappers delegate .driver/.connection through.
+        # A wrapped session delegates .driver/.connection through.
         armed: dict = {"connection": db.connection}
         driver = db.driver
 
@@ -1101,7 +1090,7 @@ class ViewServer:
 
         One schema: one snapshot of :data:`SERVER_COUNTS` nested on their
         dots, the collectors laid over it (plan store, pool, result cache,
-        tracker; as configured breaker and fault plan). A fleet merges
+        tracker; as configured the breaker). A fleet merges
         these by one rule (:func:`repro.serving.metrics.merge`), its
         ``tracker`` from the shard primaries only.
         """
@@ -1143,8 +1132,6 @@ class ViewServer:
                 "degraded_serves": outcomes["degraded"],
                 "breaker": breaker.stats() if breaker is not None else None,
             }
-        if self.faults is not None:
-            report["faults"] = self.faults.stats()
         return report
 
     def close(self) -> None:

@@ -42,19 +42,18 @@ class ReplicaApplier:
     (the pre-split shared-tracker behaviour, now with split lineage).
     With a positive delay the background thread (named with the
     ``shardrouter`` prefix so fleet leak checks cover it) holds events
-    back, and the replica genuinely lags.
-
-    An armed fleet fault plan can stall the loop: while
-    ``apply-stall`` is active at this member's site, no events apply
-    and the replica's lag grows unboundedly until the window passes.
+    back, and the replica genuinely lags. A subclass that holds events
+    back by other means sets :attr:`polls`, so the thread looks again.
     """
+
+    #: Whether the thread polls even without a delay.
+    polls = False
 
     def __init__(
         self,
         primary: WriteTracker,
         replica: WriteTracker,
         delay_ms: float = 0.0,
-        faults=None,
         shard: int = 0,
         member: str = "replica",
         poll_ms: float = 5.0,
@@ -65,16 +64,14 @@ class ReplicaApplier:
         self.primary = primary
         self.replica = replica
         self.delay_ms = delay_ms
-        self.faults = faults
         self.shard = shard
         self.member = member
         self.applied = 0
-        self.stalled_checks = 0
-        # Polling finds what a delay or an apply-stall window held back.
-        # With neither, every event is applied inline in ``_on_write``:
-        # the thread sleeps until a write or ``close`` wakes it.
+        # Polling finds what a delay held back. Without one, every event
+        # is applied inline in ``_on_write``: the thread sleeps until a
+        # write or ``close`` wakes it.
         self._poll_s = (
-            max(poll_ms, 1.0) / 1000.0 if delay_ms or faults is not None else None
+            max(poll_ms, 1.0) / 1000.0 if delay_ms or self.polls else None
         )
         self._lock = threading.Lock()
         self._wake = threading.Event()
@@ -93,7 +90,7 @@ class ReplicaApplier:
         if self.delay_ms == 0:
             # Synchronous propagation: catch up inline so zero-delay
             # fleets never observe spurious lag between a write and the
-            # next read. The thread still sweeps stall leftovers.
+            # next read. The thread still sweeps what was held back.
             self.apply_pending()
         self._wake.set()
 
@@ -113,12 +110,6 @@ class ReplicaApplier:
         a not-yet-due event blocks its table's later events so per-table
         version order is never violated.
         """
-        if self.faults is not None and self.faults.active(
-            "apply-stall", self.shard, self.member
-        ):
-            with self._lock:
-                self.stalled_checks += 1
-            return 0
         applied = 0
         with self._lock:
             pending = self.primary.replay_events(self.replica.snapshot())

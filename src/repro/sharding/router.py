@@ -24,10 +24,9 @@ policy's version budget, and the manual policy ignores lag entirely.
 Member eligibility is further gated by the router's member
 :class:`~repro.resilience.breaker.CircuitBreaker` (one circuit per
 member, fed by its request outcomes; an open member readmits through a
-half-open trial) and by fleet-scoped fault injection
-(:class:`~repro.resilience.faults.FleetFaultPlan`): a crashed replica
-is skipped (and its pool refuses new sessions for in-flight work), a
-partitioned primary stays writable but unreadable from the router.
+half-open trial) and by the member's own word: a member that says it
+is down (:meth:`_Member.down` — a crashed replica, a read-partitioned
+primary) is skipped before anything is dispatched to it.
 
 Within the eligible members, reads balance round-robin across the
 caught-up healthy set; a member whose trace comes back failed (breaker
@@ -55,13 +54,12 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.errors import ReplicaUnavailable, ReproError
+from repro.errors import ReproError
 from repro.maintenance.policy import StalenessPolicy
 from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database
 from repro.relational.schema import Catalog
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import FaultPlan, FleetFaultPlan
 from repro.resilience.policy import ResiliencePolicy
 from repro.schema_tree.model import SchemaTreeQuery
 from repro.serving.metrics import Registry, merge
@@ -196,6 +194,12 @@ class _Member:
             return 0
         return max(0, shard.tracker.clock() - self.tracker.clock())
 
+    def down(self) -> Optional[str]:
+        """Why the member cannot be read now — ``"crash"`` or
+        ``"partition"``, the router's skip count it lands in — or ``None``.
+        A member is always up; a wrapping member may say otherwise."""
+        return None
+
 
 class _Shard:
     """One shard's serving stack: source, primary tracker, replica set."""
@@ -231,12 +235,6 @@ class ShardRouter:
     ``replicas`` read replicas; every server clones its own snapshot of
     the shard source, so replicas are genuine independent read copies.
 
-    ``faults``, when given, is a per-shard sequence of
-    :class:`FaultPlan` (or ``None``) applied to that shard's **primary
-    only** — replicas stay clean, making them the failover target the
-    fault tests exercise. ``fleet_faults`` is a single
-    :class:`FleetFaultPlan` scheduling whole-member faults (replica
-    crash, apply-stall, primary read-partition) across every shard.
     ``replica_lag_ms`` is the injectable apply delay: 0 keeps
     propagation synchronous, > 0 makes replicas genuinely lag by that
     long per event.
@@ -252,8 +250,6 @@ class ShardRouter:
         trackers: Optional[Sequence[WriteTracker]] = None,
         staleness: str = "strict",
         resilience: Optional[ResiliencePolicy] = None,
-        faults: Optional[Sequence[Optional[FaultPlan]]] = None,
-        fleet_faults: Optional[FleetFaultPlan] = None,
         replica_lag_ms: float = 0.0,
         cache_capacity: int = 64,
         result_cache_capacity: int = 128,
@@ -269,15 +265,10 @@ class ShardRouter:
             raise ShardingError(
                 f"{len(trackers)} trackers for {len(sources)} shards"
             )
-        if faults is not None and len(faults) != len(sources):
-            raise ShardingError(
-                f"{len(faults)} fault plans for {len(sources)} shards"
-            )
         self.catalog = catalog
         self.replicas = replicas
         self.scheme = scheme
         self.partitioner = partitioner
-        self.fleet_faults = fleet_faults
         self.replica_lag_ms = replica_lag_ms
         # Version budget the routing layer holds reads to: 0 (strict),
         # N (bounded:N), or None (manual — lag never gates).
@@ -323,7 +314,6 @@ class ShardRouter:
         self.shards: list[_Shard] = []
         for index, source in enumerate(sources):
             tracker = trackers[index] if trackers is not None else WriteTracker()
-            shard_faults = faults[index] if faults is not None else None
             members: list[_Member] = []
             for role in range(replicas + 1):
                 name = "primary" if role == 0 else f"replica-{role}"
@@ -340,13 +330,9 @@ class ShardRouter:
                         tracker,
                         member_tracker,
                         delay_ms=replica_lag_ms,
-                        faults=fleet_faults,
                         shard=index,
                         member=name,
                     )
-                admission = None
-                if fleet_faults is not None and role > 0:
-                    admission = self._pool_gate(index, name)
                 server = ViewServer(
                     catalog,
                     source,
@@ -355,8 +341,6 @@ class ShardRouter:
                     staleness=staleness,
                     result_cache_capacity=result_cache_capacity,
                     resilience=resilience,
-                    faults=shard_faults if role == 0 else None,
-                    pool_admission=admission,
                     plan_cache=self.plan_cache,
                 )
                 members.append(
@@ -452,31 +436,13 @@ class ShardRouter:
 
     # -- serving -------------------------------------------------------------
 
-    def _pool_gate(self, shard: int, member: str) -> Callable[[], None]:
-        """The pool admission hook enforcing replica-crash windows.
-
-        Installed on replica pools when a fleet fault plan is present:
-        while the crash fault is active at this member's site, every
-        ``acquire`` raises :class:`~repro.errors.ReplicaUnavailable`
-        (classified transient) — the pool refuses new sessions, so even
-        a request already routed here before the window opened fails
-        fast instead of computing on a "crashed" member.
-        """
-        plan = self.fleet_faults
-
-        def gate() -> None:
-            if plan.active("replica-crash", shard, member):
-                raise ReplicaUnavailable(f"shard{shard}:{member}")
-
-        return gate
-
     def _candidates(
         self, shard: _Shard, request: PublishRequest
     ) -> list[tuple[_Member, int]]:
         """Eligible members for one read, best candidate first.
 
-        Eligibility gates, in order: fleet faults (a crashed replica or
-        a read-partitioned primary is out), the staleness budget (a
+        Eligibility gates, in order: the member's word (one that says it
+        is :meth:`~_Member.down` is out), the staleness budget (a
         member lagging past the policy's version budget is out — strict
         pins to lag 0, manual never gates), then the member breaker (a
         member whose circuit is open is out unless its cooldown elapsed
@@ -498,20 +464,15 @@ class ShardRouter:
         what routing guaranteed, so accounting uses it rather than
         re-reading the clocks after the serve.
         """
-        fleet = self.fleet_faults
         breaker = self.member_breaker
         skipped: list[str] = []
         eligible: list[tuple[int, int, _Member]] = []
         for member in shard.members:
             lag = member.lag(shard)
-            if fleet is not None:
-                if member.role == 0:
-                    if fleet.active("partition", shard.index, member.name):
-                        skipped.append("fleet.skips.partition")
-                        continue
-                elif fleet.active("replica-crash", shard.index, member.name):
-                    skipped.append("fleet.skips.crash")
-                    continue
+            down = member.down()
+            if down is not None:
+                skipped.append(f"fleet.skips.{down}")
+                continue
             if self._lag_budget is not None and lag > self._lag_budget:
                 skipped.append("fleet.skips.lagging")
                 continue
@@ -897,7 +858,8 @@ class ShardRouter:
                         "state": breaker.state(member.key),
                         "failures": breaker.failures(member.key),
                         "lag": member.lag(shard),
-                        # A primary has no applier: None, not zero.
+                        # A primary has no applier: None, not zero; and
+                        # only an applier that can stall counts stalls.
                         "applied": getattr(member.applier, "applied", None),
                         "stalled_checks": getattr(
                             member.applier, "stalled_checks", None
@@ -908,8 +870,6 @@ class ShardRouter:
             }
             for shard in self.shards
         ]
-        if self.fleet_faults is not None:
-            summary["fleet_faults"] = self.fleet_faults.stats()
         return summary
 
     def _router_metrics(self) -> dict:

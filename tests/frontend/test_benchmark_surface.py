@@ -349,19 +349,16 @@ def _armed_app(fleet: bool):
     """A served, written-to stack with a resilience policy and a fault plan
     (zero rates: armed, but the bytes stay the fault-free ones)."""
     from repro.resilience.faults import (
-        FaultPlan, FaultSpec, FleetFaultPlan, FleetFaultSpec,
+        FaultPlan, FaultSpec, FleetFaultPlan, FleetFaultSpec, inject,
     )
     from repro.resilience.policy import ResiliencePolicy
 
-    extra = (
-        dict(shards=2, replicas=1,
-             fleet_faults=FleetFaultPlan(FleetFaultSpec(), seed=5))
-        if fleet else {}
-    )
-    app = _production(
-        resilience=ResiliencePolicy(**POLICY),
-        faults=FaultPlan(FaultSpec(), seed=3),
-        **extra,
+    extra = dict(shards=2, replicas=1) if fleet else {}
+    app = _production(resilience=ResiliencePolicy(**POLICY), **extra)
+    inject(
+        app.backend,
+        FaultPlan(FaultSpec(), seed=3),
+        FleetFaultPlan(FleetFaultSpec(), seed=5) if fleet else None,
     )
     names = ("figure1", "figure4", "figure17")
     for _ in range(2):

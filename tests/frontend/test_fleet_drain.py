@@ -13,7 +13,7 @@ import time
 from concurrent.futures import Future
 
 from repro.frontend import AsyncViewServer, HedgePolicy, build_hotel_app, serve_app
-from repro.resilience import FaultPlan, FaultSpec
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serving import PublishRequest
 
 from tests.frontend.test_http import (
@@ -107,8 +107,8 @@ def test_http_drain_with_hedge_straggler_parked_on_stalled_member():
         workers=2,
         replicas=1,
         hedge=_eager_hedge(),
-        faults=faults,
     )
+    inject(app.backend, faults)
 
     async def scenario(server):
         # Clean exchanges teach the rolling estimator how fast the plan

@@ -324,12 +324,14 @@ class TestLifecycle:
 
 def test_importing_the_front_end_loads_no_harness_or_baseline_module():
     """Layering: a server process imports the serving tiers only — the
-    experiment harness and the naive baseline stay out of it."""
+    experiment harness, the naive baseline and the fault kit stay out of
+    it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     probe = (
         "import sys, repro.frontend; "
         "print([m for m in sys.modules "
-        "if m.startswith(('repro.harness', 'repro.baseline'))])"
+        "if m.startswith(('repro.harness', 'repro.baseline', "
+        "'repro.resilience.faults'))])"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import threading
 
-from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
+from repro.resilience import ResiliencePolicy
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serving import PublishRequest, ViewServer
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import figure1_view
@@ -46,9 +47,9 @@ def test_shed_order_background_then_batch_never_interactive():
     db = build_hotel_database(HotelDataSpec(metros=2, hotels_per_metro=2))
     faults = BlockingPlan()
     policy = ResiliencePolicy(queue_limit=3)
-    with ViewServer(
-        db.catalog, source=db, workers=1, resilience=policy, faults=faults
-    ) as server:
+    with inject(ViewServer(
+        db.catalog, source=db, workers=1, resilience=policy
+    ), faults) as server:
         assert server.admission_limit("interactive") == 4
         assert server.admission_limit("batch") == 3
         assert server.admission_limit("background") == 2
@@ -88,9 +89,9 @@ def test_shed_traces_name_the_class_budget():
     db = build_hotel_database(HotelDataSpec(metros=2, hotels_per_metro=2))
     faults = BlockingPlan()
     policy = ResiliencePolicy(queue_limit=0)
-    with ViewServer(
-        db.catalog, source=db, workers=1, resilience=policy, faults=faults
-    ) as server:
+    with inject(ViewServer(
+        db.catalog, source=db, workers=1, resilience=policy
+    ), faults) as server:
         first = server.submit(_request(db, "interactive"))
         assert faults.started.wait(timeout=10)
         shed = server.submit(_request(db, "background")).result()

@@ -180,7 +180,7 @@ def test_run_rows_shares_checks_and_error_wrapping(db):
 def test_faulty_engine_wraps_both_views(db):
     import sqlite3
 
-    from repro.resilience import FaultPlan, FaultSpec, FaultyEngine
+    from repro.resilience.faults import FaultPlan, FaultSpec, FaultyEngine
 
     query = parse_select("SELECT * FROM child ORDER BY id")
     clean_names, clean_rows = db.run_rows(query)

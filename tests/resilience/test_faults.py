@@ -6,8 +6,12 @@ import sqlite3
 
 import pytest
 
-from repro.resilience import FaultPlan, FaultSpec, FaultyEngine
-from repro.resilience.faults import TRANSIENT_MESSAGES
+from repro.resilience.faults import (
+    TRANSIENT_MESSAGES,
+    FaultPlan,
+    FaultSpec,
+    FaultyEngine,
+)
 from repro.sql.parser import parse_select
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 

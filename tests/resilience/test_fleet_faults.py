@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.resilience import FLEET_FAULT_KINDS, FleetFaultPlan, FleetFaultSpec
+from repro.resilience.faults import (
+    FLEET_FAULT_KINDS,
+    FleetFaultPlan,
+    FleetFaultSpec,
+)
 
 
 def _schedule(plan, kind, shard, member, checks):

@@ -9,13 +9,8 @@ import time
 import pytest
 
 from repro.maintenance import WriteTracker, hotel_write
-from repro.resilience import (
-    CancelToken,
-    CircuitBreaker,
-    FaultPlan,
-    FaultSpec,
-    ResiliencePolicy,
-)
+from repro.resilience import CancelToken, CircuitBreaker, ResiliencePolicy
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serving import OUTCOMES, PlanCache, PublishRequest, ViewServer
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.workloads.paper import figure1_view, figure4_stylesheet
@@ -73,17 +68,17 @@ def _request(db, **kwargs):
     )
 
 
-def _tracked_server(db, staleness="bounded:1", **kwargs):
+def _tracked_server(db, staleness="bounded:1", faults=None, **kwargs):
     tracker = WriteTracker()
     db.attach_tracker(tracker)
-    return tracker, ViewServer(
+    return tracker, inject(ViewServer(
         db.catalog,
         source=db,
         workers=2,
         tracker=tracker,
         staleness=staleness,
         **kwargs,
-    )
+    ), faults)
 
 
 def test_transient_failure_retries_then_succeeds():
@@ -95,9 +90,9 @@ def test_transient_failure_retries_then_succeeds():
     with ViewServer(db.catalog, source=db, workers=2) as plain:
         reference = plain.render(figure1_view(db.catalog),
                                  figure4_stylesheet())
-    with ViewServer(
-        db.catalog, source=db, workers=2, resilience=policy, faults=faults
-    ) as server:
+    with inject(ViewServer(
+        db.catalog, source=db, workers=2, resilience=policy
+    ), faults) as server:
         trace = server.submit(_request(db)).result()
         assert trace.outcome == "success"
         assert trace.error is None
@@ -115,9 +110,9 @@ def test_retry_budget_exhaustion_is_an_error_without_fallback():
     faults = FaultPlan(FaultSpec(every_n=1), seed=0)  # every query fails
     policy = ResiliencePolicy(retries=2, backoff_base_ms=0.1,
                               backoff_max_ms=0.5)
-    with ViewServer(
-        db.catalog, source=db, workers=2, resilience=policy, faults=faults
-    ) as server:
+    with inject(ViewServer(
+        db.catalog, source=db, workers=2, resilience=policy
+    ), faults) as server:
         trace = server.submit(_request(db)).result()
         assert trace.outcome == "error"
         assert trace.retries == 2
@@ -236,9 +231,9 @@ def test_admission_control_sheds_beyond_queue_limit():
 
     faults = ScriptedPlan([block])
     policy = ResiliencePolicy(queue_limit=0)
-    with ViewServer(
-        db.catalog, source=db, workers=1, resilience=policy, faults=faults
-    ) as server:
+    with inject(ViewServer(
+        db.catalog, source=db, workers=1, resilience=policy
+    ), faults) as server:
         first = server.submit(_request(db))
         assert started.wait(timeout=10)  # the only worker is busy
         shed = server.submit(_request(db)).result()
@@ -260,9 +255,9 @@ def test_breaker_opens_short_circuits_and_recovers():
     policy = ResiliencePolicy(
         retries=0, breaker_threshold=2, breaker_cooldown_ms=50.0
     )
-    with ViewServer(
-        db.catalog, source=db, workers=1, resilience=policy, faults=faults
-    ) as server:
+    with inject(ViewServer(
+        db.catalog, source=db, workers=1, resilience=policy
+    ), faults) as server:
         key = server.plan_key_for(_request(db))
         for _ in range(2):
             assert server.submit(_request(db)).result().outcome == "error"
@@ -305,10 +300,9 @@ def test_a_failed_trial_after_an_eviction_reopens_the_circuit():
     db = _small_db()
     faults = FaultPlan(FaultSpec(every_n=1), seed=0)
     clock = FakeClock()
-    with ViewServer(
+    with inject(ViewServer(
         db.catalog, source=db, workers=1, resilience=_TRIAL_POLICY,
-        faults=faults,
-    ) as server:
+    ), faults) as server:
         key = _open_breaker(server, db, clock)
         clock.advance(0.06)
         assert server.invalidate(_request(db))
@@ -333,10 +327,10 @@ def test_a_trial_on_a_plan_a_sibling_compiled_is_settled():
     store = PlanCache(8)
     faults = FaultPlan(FaultSpec(every_n=1), seed=0)
     clock = FakeClock()
-    a = ViewServer(
+    a = inject(ViewServer(
         db.catalog, source=db, workers=1, resilience=_TRIAL_POLICY,
-        faults=faults, plan_cache=store,
-    )
+        plan_cache=store,
+    ), faults)
     b = ViewServer(
         db.catalog, source=db, workers=1, resilience=_TRIAL_POLICY,
         plan_cache=store,
@@ -377,10 +371,9 @@ def test_a_cancelled_trial_gives_its_slot_back():
     token = CancelToken()
     faults = ScriptedPlan(["error", "error", lambda: token.cancel("lost")])
     clock = FakeClock()
-    with ViewServer(
+    with inject(ViewServer(
         db.catalog, source=db, workers=1, resilience=_TRIAL_POLICY,
-        faults=faults,
-    ) as server:
+    ), faults) as server:
         key = _open_breaker(server, db, clock)
         clock.advance(0.06)
         cancelled = server.submit(_request(db, cancel=token)).result()
@@ -398,9 +391,9 @@ def test_compile_failures_feed_the_breaker():
     faults = FaultPlan(FaultSpec(compile_error_rate=1.0), seed=0)
     policy = ResiliencePolicy(retries=0, breaker_threshold=1,
                               breaker_cooldown_ms=60_000.0)
-    with ViewServer(
-        db.catalog, source=db, workers=1, resilience=policy, faults=faults
-    ) as server:
+    with inject(ViewServer(
+        db.catalog, source=db, workers=1, resilience=policy
+    ), faults) as server:
         first = server.submit(_request(db)).result()
         assert first.outcome == "error"
         assert "injected compile failure" in first.error
@@ -415,9 +408,9 @@ def test_compile_failures_feed_the_breaker():
 def test_wrong_shape_results_fail_loudly_never_silently():
     db = _small_db()
     faults = FaultPlan(FaultSpec(wrong_shape_rate=1.0), seed=0)
-    with ViewServer(
-        db.catalog, source=db, workers=1, faults=faults
-    ) as server:
+    with inject(ViewServer(
+        db.catalog, source=db, workers=1
+    ), faults) as server:
         trace = server.submit(_request(db)).result()
         assert trace.outcome == "error"
         assert trace.error is not None
@@ -431,9 +424,9 @@ def test_no_connections_leak_under_sustained_chaos():
                        seed=11)
     policy = ResiliencePolicy(retries=1, backoff_base_ms=0.1,
                               backoff_max_ms=0.5)
-    with ViewServer(
-        db.catalog, source=db, workers=3, resilience=policy, faults=faults
-    ) as server:
+    with inject(ViewServer(
+        db.catalog, source=db, workers=3, resilience=policy
+    ), faults) as server:
         traces = server.render_many(
             _request(db, bypass_cache=True) for _ in range(40)
         )
@@ -486,9 +479,9 @@ def test_metrics_report_resilience_and_fault_sections():
     faults = FaultPlan(FaultSpec(error_rate=0.1), seed=3)
     policy = ResiliencePolicy(deadline_ms=5000.0, retries=2,
                               breaker_threshold=4, queue_limit=16)
-    with ViewServer(
-        db.catalog, source=db, workers=2, resilience=policy, faults=faults
-    ) as server:
+    with inject(ViewServer(
+        db.catalog, source=db, workers=2, resilience=policy
+    ), faults) as server:
         server.submit(_request(db)).result()
         metrics = server.metrics()
         assert set(metrics["outcomes"]) == set(OUTCOMES)

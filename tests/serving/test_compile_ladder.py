@@ -16,7 +16,8 @@ import pytest
 
 from repro.baseline.materialize import NaivePipeline
 from repro.errors import ViewDefinitionError
-from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
+from repro.resilience import ResiliencePolicy
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.schema_tree.builder import ViewBuilder
 from repro.schema_tree.bulk_evaluator import _Planner
 from repro.serving import PublishRequest, ViewServer
@@ -45,11 +46,11 @@ def db():
     database.close()
 
 
-def _server(db, **kwargs) -> ViewServer:
-    return ViewServer(
+def _server(db, faults=None) -> ViewServer:
+    return inject(ViewServer(
         db.catalog, source=db, workers=1,
-        resilience=ResiliencePolicy(breaker_threshold=3), **kwargs,
-    )
+        resilience=ResiliencePolicy(breaker_threshold=3),
+    ), faults)
 
 
 def _twice_named(catalog):

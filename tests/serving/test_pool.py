@@ -204,10 +204,11 @@ def test_release_into_closed_pool_closes_the_session(small_hotel_db):
 def test_admission_gate_refuses_acquire_without_consuming_a_session(
     small_hotel_db,
 ):
-    """The fleet's crash windows ride this hook: while the gate raises,
+    """The fleet's crash windows ride this wrapper: while the gate raises,
     ``acquire`` fails fast and no idle session is consumed, so the pool
     serves at full strength the moment the window closes."""
     from repro.errors import ReplicaUnavailable
+    from repro.resilience.faults import FaultyPool
 
     refusing = [True]
 
@@ -217,8 +218,8 @@ def test_admission_gate_refuses_acquire_without_consuming_a_session(
 
     with ConnectionPool(
         small_hotel_db.catalog, source=small_hotel_db, size=1,
-        admission=gate,
-    ) as pool:
+    ) as raw:
+        pool = FaultyPool(raw, gate=gate)
         with pytest.raises(ReplicaUnavailable):
             pool.acquire()
         assert pool.outstanding() == 0

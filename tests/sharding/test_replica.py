@@ -8,6 +8,7 @@ large delay to freeze events in the "pending" state deterministically.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 
@@ -15,7 +16,8 @@ import pytest
 
 from repro.maintenance import WriteTracker
 from repro.maintenance.workload import hotel_metro_write
-from repro.resilience import CircuitBreaker, FleetFaultPlan, FleetFaultSpec
+from repro.resilience import CircuitBreaker
+from repro.resilience.faults import FleetFaultPlan, FleetFaultSpec, StallingApplier
 from repro.serving import RequestTrace
 from repro.sharding import PlacementGroup, ReplicaApplier, ShardRouter
 from repro.sharding.router import (
@@ -273,16 +275,17 @@ def test_idle_applier_does_not_poll(monkeypatch):
 @pytest.mark.parametrize(
     "held_back",
     [
-        {"delay_ms": 60_000.0},
-        {"faults": FleetFaultPlan(FleetFaultSpec(stall_rate=0.0), seed=0)},
+        functools.partial(ReplicaApplier, delay_ms=60_000.0),
+        functools.partial(
+            StallingApplier,
+            FleetFaultPlan(FleetFaultSpec(stall_rate=0.0), seed=0),
+        ),
     ],
     ids=["delay", "fault-plan"],
 )
 def test_applier_with_a_delay_or_a_fault_plan_still_polls(monkeypatch, held_back):
     calls = _count_apply_pending(monkeypatch)
-    applier = ReplicaApplier(
-        WriteTracker(), WriteTracker(), poll_ms=1.0, **held_back
-    )
+    applier = held_back(WriteTracker(), WriteTracker(), poll_ms=1.0)
     try:
         deadline = time.monotonic() + 5.0
         while len(calls) < 5 and time.monotonic() < deadline:
@@ -349,9 +352,8 @@ def test_apply_stall_fault_freezes_catch_up():
     plan = FleetFaultPlan(FleetFaultSpec(stall_rate=1.0, window=4), seed=0)
     primary = WriteTracker()
     replica = WriteTracker()
-    applier = ReplicaApplier(
-        primary, replica, delay_ms=0.0, faults=plan, shard=0,
-        member="replica-1",
+    applier = StallingApplier(
+        plan, primary, replica, delay_ms=0.0, shard=0, member="replica-1",
     )
     try:
         primary.record_write("hotel")

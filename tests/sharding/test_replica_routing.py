@@ -9,7 +9,8 @@ the per-shard failover tests in test_router_faults.py do not reach.
 from __future__ import annotations
 
 from repro.maintenance.workload import hotel_metro_write
-from repro.resilience import CircuitBreaker, FaultPlan, FaultSpec, FleetFaultPlan
+from repro.resilience import CircuitBreaker
+from repro.resilience.faults import FaultPlan, FaultSpec, FleetFaultPlan, inject
 from repro.schema_tree.evaluator import materialize
 from repro.serving import PublishRequest
 from repro.sharding import PlacementGroup, ShardRouter
@@ -46,7 +47,7 @@ def _member_breaker(clock):
 
 def _fleet(db, *, shards=2, replicas=1, staleness="strict",
            fleet_faults=None, replica_lag_ms=0.0):
-    return ShardRouter.build(
+    return inject(ShardRouter.build(
         db.catalog,
         db,
         hotel_partition_scheme(),
@@ -54,9 +55,8 @@ def _fleet(db, *, shards=2, replicas=1, staleness="strict",
         replicas=replicas,
         workers=1,
         staleness=staleness,
-        fleet_faults=fleet_faults,
         replica_lag_ms=replica_lag_ms,
-    )
+    ), fleet=fleet_faults)
 
 
 def _metro_domain(db):
@@ -205,11 +205,11 @@ def test_failover_claims_the_member_actually_served():
     claimed, so a later attempt in the same group avoids them both."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     view = figure1_view(db.catalog)
-    faults = [FaultPlan(FaultSpec(every_n=1), seed=0)]
-    router = ShardRouter.build(
+    faults = FaultPlan(FaultSpec(every_n=1), seed=0)
+    router = inject(ShardRouter.build(
         db.catalog, db, hotel_partition_scheme(), 1,
-        replicas=2, workers=1, faults=faults,
-    )
+        replicas=2, workers=1,
+    ), faults)
     try:
         group = PlacementGroup()
         trace, = router.render_many([

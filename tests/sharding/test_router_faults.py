@@ -1,7 +1,7 @@
 """Router failover: replica takeover, error propagation, degraded-stale.
 
 Faults are injected with :mod:`repro.resilience.faults` at one shard's
-primary (the router arms fault plans on primaries only), simulating
+primary (the tests wrap primaries only), simulating
 that shard's pool dying mid-request. The contracts: reads fail over to
 replicas transparently; with no replica a strict fleet reports the
 error rather than serving wrong bytes; a lag-tolerant fleet degrades to
@@ -18,7 +18,8 @@ import pytest
 
 from repro.core.compose import compose
 from repro.maintenance.workload import hotel_metro_write
-from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
+from repro.resilience import ResiliencePolicy
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.schema_tree.evaluator import materialize
 from repro.serving import RequestTrace
 from repro.sharding import ShardRouter
@@ -40,8 +41,8 @@ def _figure4_view(catalog):
 
 
 def _fleet(db, *, replicas=0, staleness="strict", resilience=None,
-           faults=None):
-    return ShardRouter.build(
+           faults=()):
+    router = ShardRouter.build(
         db.catalog,
         db,
         hotel_partition_scheme(),
@@ -50,8 +51,10 @@ def _fleet(db, *, replicas=0, staleness="strict", resilience=None,
         workers=1,
         staleness=staleness,
         resilience=resilience,
-        faults=faults,
     )
+    for shard, plan in zip(router.shards, faults):  # on primaries only
+        inject(shard.members[0].server, plan)
+    return router
 
 
 def test_dead_primary_fails_over_to_replica():

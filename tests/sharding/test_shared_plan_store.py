@@ -14,7 +14,8 @@ import importlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
+from repro.resilience import ResiliencePolicy
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.schema_tree.bulk_evaluator import _Planner
 from repro.serving import PublishRequest
 from repro.sharding import PartitionScheme, ShardRouter
@@ -35,11 +36,14 @@ SEED = 2003
 SPEC = HotelDataSpec(metros=4, hotels_per_metro=2)
 
 
-def _fleet(db, **kwargs):
-    return ShardRouter.build(
+def _fleet(db, faults=(), **kwargs):
+    router = ShardRouter.build(
         db.catalog, db, hotel_partition_scheme(), 2, replicas=1, workers=1,
         **kwargs,
     )
+    for shard, plan in zip(router.shards, faults):  # on primaries only
+        inject(shard.members[0].server, plan)
+    return router
 
 
 def _members(router):

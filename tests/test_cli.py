@@ -290,7 +290,10 @@ def test_serve_http_has_no_fragment_tier_flags():
     assert "--maintenance" not in options  # every server maintains by delta
     assert options["--staleness"].default == "strict"
     assert "--backend" not in options
-    assert len(options) == 30
+    # Every fault kind and setting is one --chaos spec.
+    assert "--chaos" in options
+    assert not [flag for flag in options if "fault" in flag]
+    assert len(options) == 22
     # The one-shot oracle keeps its evaluator choice; serving has none.
     materialize = subparsers.choices["materialize"]
     (strategy,) = [
@@ -307,7 +310,7 @@ def test_serve_http_has_no_fragment_tier_flags():
         ([], None),
         (
             ["--shards", "2", "--replicas", "1",
-             "--fault-kind", "replica-crash", "--fault-seed", "21"],
+             "--chaos", "replica-crash=0.5,seed=21"],
             2,
         ),
     ],
@@ -353,12 +356,37 @@ def test_serve_http_builds_listens_drains_and_writes_metrics(
         assert "replica-crash" in router["fleet"]["fleet_faults"]["injected"]
 
 
-def test_fault_kind_without_a_fleet_is_a_typed_error(capsys):
+def test_chaos_member_faults_without_a_fleet_is_a_typed_error(capsys):
     code = main(
         [
             "serve-http", "--scale", "1", "--port", "0",
-            "--duration", "0.1", "--fault-kind", "replica-crash",
+            "--duration", "0.1", "--chaos", "replica-crash=0.5",
         ]
     )
     assert code == 1
-    assert "--fault-kind needs a fleet" in capsys.readouterr().err
+    assert "member faults need a fleet" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--chaos", "error=1.5"], "error_rate"),
+        (["--chaos", "replica-crash=2", "--shards", "2"], "crash_rate"),
+        (["--chaos", "latency-ms=-5"], "latency_ms"),
+        (["--chaos", "window=0", "--shards", "2"], "window"),
+        (["--chaos", "error=often"], "--chaos error"),
+        (["--chaos", "seed=x"], "--chaos seed"),
+        (["--chaos", "meteor=1"], "'meteor'"),
+    ],
+    ids=["rate", "fleet-rate", "latency", "window", "number", "seed", "key"],
+)
+def test_a_bad_chaos_spec_is_an_error_line_not_a_traceback(capsys, flags, named):
+    code = main(
+        ["serve-http", "--scale", "1", "--port", "0", "--duration", "0.1"]
+        + flags
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --chaos")
+    assert named in err
+    assert "Traceback" not in err

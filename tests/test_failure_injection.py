@@ -253,7 +253,8 @@ def test_pool_not_exhausted_by_sustained_query_faults():
     """Hammering a small pool with injected query errors must never leak
     a connection: once the faults clear, the same server serves cleanly
     with every session back in the idle queue."""
-    from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
+    from repro.resilience import ResiliencePolicy
+    from repro.resilience.faults import FaultPlan, FaultSpec, inject
     from repro.serving import PublishRequest, ViewServer
     from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 
@@ -261,9 +262,9 @@ def test_pool_not_exhausted_by_sustained_query_faults():
     faults = FaultPlan(FaultSpec(error_rate=0.7), seed=5)
     policy = ResiliencePolicy(retries=1, backoff_base_ms=0.1,
                               backoff_max_ms=0.5)
-    server = ViewServer(
-        db.catalog, source=db, workers=2, resilience=policy, faults=faults
-    )
+    server = inject(ViewServer(
+        db.catalog, source=db, workers=2, resilience=policy
+    ), faults)
     try:
         request = lambda: PublishRequest(  # noqa: E731
             view=figure1_view(db.catalog), stylesheet=figure4_stylesheet(),
@@ -286,13 +287,13 @@ def test_compile_failure_under_concurrency_does_not_wedge_single_flight():
     """Injected compile failures hit many concurrent requests for the
     same plan: single-flight must propagate the error to every waiter
     (no hang, no half-built cache entry) and recover once disarmed."""
-    from repro.resilience import FaultPlan, FaultSpec
+    from repro.resilience.faults import FaultPlan, FaultSpec, inject
     from repro.serving import PublishRequest, ViewServer
     from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 
     db = build_hotel_database(HotelDataSpec(metros=1, hotels_per_metro=3))
     faults = FaultPlan(FaultSpec(compile_error_rate=1.0), seed=9)
-    server = ViewServer(db.catalog, source=db, workers=4, faults=faults)
+    server = inject(ViewServer(db.catalog, source=db, workers=4), faults)
     try:
         request = lambda: PublishRequest(  # noqa: E731
             view=figure1_view(db.catalog), stylesheet=figure4_stylesheet(),
@@ -317,7 +318,8 @@ def test_compile_failure_on_a_shared_store_is_the_callers_alone():
     first: its failed builds withdraw their in-flight markers (every
     waiter retries and fails in turn, nobody hangs) and feed *its*
     breaker only; the other member then compiles the same key."""
-    from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
+    from repro.resilience import ResiliencePolicy
+    from repro.resilience.faults import FaultPlan, FaultSpec, inject
     from repro.serving import PlanCache, PublishRequest, ViewServer
     from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 
@@ -329,10 +331,10 @@ def test_compile_failure_on_a_shared_store_is_the_callers_alone():
         retries=0, breaker_threshold=8, breaker_cooldown_ms=60_000.0
     )
     faults = FaultPlan(FaultSpec(compile_error_rate=1.0), seed=9)
-    failing = ViewServer(
+    failing = inject(ViewServer(
         db.catalog, source=db, workers=4, resilience=policy,
-        faults=faults, plan_cache=store,
-    )
+        plan_cache=store,
+    ), faults)
     healthy = ViewServer(
         db.catalog, source=db, workers=1, resilience=policy, plan_cache=store
     )
