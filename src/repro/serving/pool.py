@@ -41,9 +41,11 @@ from repro.relational.schema import Catalog
 class ConnectionPool:
     """A fixed-size pool of read-only :class:`Database` sessions.
 
-    ``source`` is the live :class:`Database` to snapshot. ``size``
-    connections are opened eagerly so serving never pays connection
-    setup on the request path.
+    ``source`` is the live :class:`Database` to snapshot. The snapshot
+    and all ``size`` connections are opened at construction, so a
+    request pays no connection setup once the pool exists; a
+    :class:`~repro.serving.server.ViewServer` constructs its pool on its
+    first ``submit``, so a server that never serves opens none.
     """
 
     #: The engine's driver, shared with every :class:`Database`.

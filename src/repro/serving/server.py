@@ -86,7 +86,7 @@ from repro.maintenance.incremental import (
 from repro.maintenance.policy import StalenessPolicy
 from repro.maintenance.result_cache import ResultCache
 from repro.maintenance.tracker import WriteTracker
-from repro.relational.engine import Database
+from repro.relational.engine import Database, QueryStats
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.policy import Deadline, DeadlineWatch, ResiliencePolicy
 from repro.relational.schema import Catalog
@@ -354,12 +354,14 @@ class ViewServer:
 
     ``source`` is a live :class:`~repro.relational.engine.Database`,
     snapshotted into a shared-cache clone (see
-    :class:`~repro.serving.pool.ConnectionPool`); to serve a database
-    file, open it (``Database.open``) and pass that. Writes reach the
-    clone through ``tracker``: the pool re-snapshots when the tracker's
-    clock passes the one it last synced at. Requests are executed on a
-    ``ThreadPoolExecutor`` with one pooled connection per worker;
-    compiled plans are shared through an LRU
+    :class:`~repro.serving.pool.ConnectionPool`) by the first ``submit``,
+    on its thread (which must be allowed to touch ``source``, as the
+    worker a write re-syncs on must) — a server that never serves holds
+    no copy; to serve a database file, open it (``Database.open``) and
+    pass that. Writes reach the clone through ``tracker``: the pool
+    re-snapshots when the tracker's clock passes the one it last synced
+    at. Requests are executed on a ``ThreadPoolExecutor`` with one
+    pooled connection per worker; compiled plans are shared through an LRU
     :class:`~repro.serving.plan_cache.PlanCache` keyed by content
     fingerprints of (catalog, view, stylesheet, options) — the server's
     own of ``cache_capacity`` plans, or the ``plan_cache`` it is handed
@@ -399,7 +401,8 @@ class ViewServer:
         self.plan_cache = (
             plan_cache if plan_cache is not None else PlanCache(cache_capacity)
         )
-        self.pool = ConnectionPool(catalog, source, size=workers)
+        self._source = source
+        self._pool: Optional[ConnectionPool] = None
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="viewserver"
         )
@@ -424,10 +427,34 @@ class ViewServer:
         )
         self.result_cache = ResultCache(result_cache_capacity)
         self._sync_lock = threading.Lock()
-        # Clock at which the pool's data is known current. The pool
-        # snapshot was taken just above, so writes recorded up to now
-        # are included.
-        self._synced_clock = self.tracker.clock()
+
+    @property
+    def pool(self) -> ConnectionPool:
+        """The clone of the source, taken on first use — the first
+        ``submit`` — with ``_synced_clock``, the clock at which its data
+        is known current, read just before: writes recorded up to then
+        are included."""
+        if self._pool is None:
+            with self._sync_lock:
+                if self._pool is None:
+                    self._synced_clock = self.tracker.clock()
+                    self._pool = ConnectionPool(
+                        self.catalog, self._source, size=self.workers
+                    )
+        return self._pool
+
+    @pool.setter
+    def pool(self, pool: ConnectionPool) -> None:
+        self._pool = pool
+
+    @property
+    def inflight(self) -> int:
+        """Requests admitted and not yet done, queued or executing."""
+        return self._inflight
+
+    def outstanding(self) -> int:
+        """Borrowed-but-unreturned sessions; 0 before the first clone."""
+        return 0 if self._pool is None else self._pool.outstanding()
 
     # -- request API ---------------------------------------------------------
 
@@ -469,6 +496,7 @@ class ViewServer:
                 f"unknown priority {request.priority!r} "
                 f"(expected one of {', '.join(PRIORITIES)})"
             )
+        self.pool  # the first request takes the clone, on this thread
         limit = self.admission_limit(request.priority)
         with self._lock:
             request_id = self._next_request_id
@@ -1106,7 +1134,8 @@ class ViewServer:
         report["cancelled"] = outcomes["cancelled"]
         for priority, counts in report["priority"].items():
             counts["admission_limit"] = self.admission_limit(priority)
-        aggregate = self.pool.aggregate_stats()
+        pool = self._pool  # a server that never served has none: zeros
+        aggregate = pool.aggregate_stats() if pool is not None else QueryStats()
         report["queries_executed"] = aggregate.queries_executed
         report["rows_fetched"] = aggregate.rows_fetched
         reasons = report.pop("delta_fallbacks_by_reason")
@@ -1141,7 +1170,8 @@ class ViewServer:
         self._closed = True
         self._executor.shutdown(wait=True)
         self._deadlines.close()
-        self.pool.close()
+        if self._pool is not None:
+            self._pool.close()
 
     def __enter__(self) -> "ViewServer":
         return self

@@ -39,11 +39,12 @@ class ReplicaApplier:
     default ``delay_ms=0`` propagation is *synchronous*: the apply runs
     inline in the primary tracker's subscriber callback, so a write is
     visible on every replica's clock before ``record_write`` returns
-    (the pre-split shared-tracker behaviour, now with split lineage).
-    With a positive delay the background thread (named with the
-    ``shardrouter`` prefix so fleet leak checks cover it) holds events
+    (the pre-split shared-tracker behaviour, now with split lineage),
+    and the applier starts no thread: nothing is ever held back. With a
+    positive delay a background thread (named with the ``shardrouter``
+    prefix so fleet leak checks cover it) polls for what the delay held
     back, and the replica genuinely lags. A subclass that holds events
-    back by other means sets :attr:`polls`, so the thread looks again.
+    back by other means sets :attr:`polls`, so a thread looks again.
     """
 
     #: Whether the thread polls even without a delay.
@@ -67,39 +68,29 @@ class ReplicaApplier:
         self.shard = shard
         self.member = member
         self.applied = 0
-        # Polling finds what a delay held back. Without one, every event
-        # is applied inline in ``_on_write``: the thread sleeps until a
-        # write or ``close`` wakes it.
-        self._poll_s = (
-            max(poll_ms, 1.0) / 1000.0 if delay_ms or self.polls else None
-        )
+        self._poll_s = max(poll_ms, 1.0) / 1000.0
         self._lock = threading.Lock()
-        self._wake = threading.Event()
         self._stop = threading.Event()
         primary.subscribe(self._on_write)
-        self._thread = threading.Thread(
-            target=self._run,
-            daemon=True,
-            name=name or f"shardrouter-apply-s{shard}-{member}",
-        )
-        self._thread.start()
+        # Polling finds what a delay held back. Without one, every event
+        # is applied inline in ``_on_write``, and there is nothing to find.
+        self._thread: Optional[threading.Thread] = None
+        if delay_ms or self.polls:
+            self._thread = threading.Thread(
+                target=self._run,
+                daemon=True,
+                name=name or f"shardrouter-apply-s{shard}-{member}",
+            )
+            self._thread.start()
 
     def _on_write(self, table: str, version: int) -> None:
-        if self._stop.is_set():
-            return
-        if self.delay_ms == 0:
-            # Synchronous propagation: catch up inline so zero-delay
-            # fleets never observe spurious lag between a write and the
-            # next read. The thread still sweeps what was held back.
+        # Synchronous propagation: catch up inline so zero-delay fleets
+        # never observe spurious lag between a write and the next read.
+        if self.delay_ms == 0 and not self._stop.is_set():
             self.apply_pending()
-        self._wake.set()
 
     def _run(self) -> None:
-        while not self._stop.is_set():
-            self._wake.wait(timeout=self._poll_s)
-            self._wake.clear()
-            if self._stop.is_set():
-                break
+        while not self._stop.wait(timeout=self._poll_s):
             self.apply_pending()
 
     def apply_pending(self) -> int:
@@ -133,10 +124,11 @@ class ReplicaApplier:
         return max(0, self.primary.clock() - self.replica.clock())
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop the apply thread (pending events stay unapplied)."""
+        """Stop applying, and the thread if there is one (pending events
+        stay unapplied)."""
         self._stop.set()
-        self._wake.set()
-        self._thread.join(timeout=timeout)
+        if self._thread is not None:
+            self._thread.join(timeout=timeout)
 
 
 class PlacementGroup:

@@ -28,16 +28,18 @@ half-open trial) and by the member's own word: a member that says it
 is down (:meth:`_Member.down` — a crashed replica, a read-partitioned
 primary) is skipped before anything is dispatched to it.
 
-Within the eligible members, reads balance round-robin across the
-caught-up healthy set; a member whose trace comes back failed (breaker
-open, deadline, fault) fails over to the next candidate, and when no
-member on a shard can compute, the shard serves its degraded-stale
-fallback if any member has one — the router-level outcome then
-degrades rather than erroring, mirroring the single-box resilience
-semantics per shard. Hedged requests carry a
-:class:`~repro.sharding.replica.PlacementGroup`; the second attempt
-prefers a member the first attempt did not use (anti-affinity),
-falling back to the same pool only on 1-member shards.
+Within the eligible members, a read goes to the least busy of the
+caught-up healthy set, the primary on a tie — so on an idle shard the
+primary serves every read, and a replica holds no clone of the shard
+until its first read (see :class:`~repro.serving.server.ViewServer`).
+A member whose trace comes back failed (breaker open, deadline, fault)
+fails over to the next candidate, and when no member on a shard can
+compute, the shard serves its degraded-stale fallback if any member has
+one — the router-level outcome then degrades rather than erroring,
+mirroring the single-box resilience semantics per shard. Hedged
+requests carry a :class:`~repro.sharding.replica.PlacementGroup`; the
+second attempt prefers a member the first attempt did not use
+(anti-affinity), falling back to the same pool only on 1-member shards.
 
 Writes route through :meth:`ShardRouter.route_write`: the write
 function runs once per shard against ``(shard source, shard tracker)``,
@@ -215,15 +217,6 @@ class _Shard:
         self.source = source
         self.tracker = tracker
         self.members = list(members)
-        self._rr = 0
-        self._lock = threading.Lock()
-
-    def rotation(self) -> int:
-        """The round-robin cursor for this read's balanced starting point."""
-        with self._lock:
-            start = self._rr
-            self._rr += 1
-        return start
 
 
 class ShardRouter:
@@ -233,7 +226,8 @@ class ShardRouter:
     partitioned — see :meth:`build` for the end-to-end path from a
     single unpartitioned source). Each shard gets a primary server and
     ``replicas`` read replicas; every server clones its own snapshot of
-    the shard source, so replicas are genuine independent read copies.
+    the shard source when it first serves, so replicas are genuine
+    independent read copies, and one that never serves holds none.
 
     ``replica_lag_ms`` is the injectable apply delay: 0 keeps
     propagation synchronous, > 0 makes replicas genuinely lag by that
@@ -451,10 +445,13 @@ class ShardRouter:
         ever being asked. Enumeration only looks
         (:meth:`CircuitBreaker.ready`); the trial slot is taken in
         :meth:`_dispatch`, against an actual attempt, so a candidate that
-        is enumerated but never tried cannot leak it. Ordering:
-        caught-up members with fewer than :data:`MEMBER_SUSPECT_AFTER`
-        consecutive failures rotate round-robin (load balancing), then
-        the rest by (suspect, lag). A hedged request's
+        is enumerated but never tried cannot leak it. Ordering: by
+        (suspect — :data:`MEMBER_SUSPECT_AFTER` consecutive failures or
+        more —, lag, requests in flight, role), so a read goes to the
+        least busy healthy caught-up member and a tie to the primary: on
+        an idle shard the primary serves every read, and a replica takes
+        one (cloning its shard on its first) only when the primary is
+        busy, suspect or out. A hedged request's
         :class:`PlacementGroup` reorders unclaimed members first so the
         hedge lands on a different member than the first attempt
         whenever one exists; claims are recorded at dispatch time, not
@@ -466,7 +463,7 @@ class ShardRouter:
         """
         breaker = self.member_breaker
         skipped: list[str] = []
-        eligible: list[tuple[int, int, _Member]] = []
+        eligible: list[tuple[int, int, int, int, _Member]] = []
         for member in shard.members:
             lag = member.lag(shard)
             down = member.down()
@@ -480,28 +477,14 @@ class ShardRouter:
                 skipped.append("fleet.skips.dead")
                 continue
             suspect = int(breaker.failures(member.key) >= MEMBER_SUSPECT_AFTER)
-            eligible.append((suspect, lag, member))
+            busy = member.server.inflight
+            eligible.append((suspect, lag, busy, member.role, member))
         if skipped:
             self.counts.count(*skipped)
         if not eligible:
             return []
-        front = [
-            (member, lag)
-            for suspect, lag, member in eligible
-            if suspect == 0 and lag == 0
-        ]
-        rest = sorted(
-            (
-                (suspect, lag, member)
-                for suspect, lag, member in eligible
-                if not (suspect == 0 and lag == 0)
-            ),
-            key=lambda entry: (entry[0], entry[1]),
-        )
-        if len(front) > 1:
-            start = shard.rotation() % len(front)
-            front = front[start:] + front[:start]
-        ordered = front + [(member, lag) for _, lag, member in rest]
+        # Roles are distinct, so the sort never compares members.
+        ordered = [(entry[-1], entry[1]) for entry in sorted(eligible)]
         placement = request.placement
         if placement is not None:
             already = placement.claimed(shard.index)
@@ -933,9 +916,10 @@ class ShardRouter:
         return report
 
     def outstanding(self) -> int:
-        """Borrowed-but-unreturned connections across the whole fleet."""
+        """Borrowed-but-unreturned connections across the whole fleet
+        (a member that never served has no pool to borrow from)."""
         return sum(
-            member.server.pool.outstanding()
+            member.server.outstanding()
             for shard in self.shards
             for member in shard.members
         )

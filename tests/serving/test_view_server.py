@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import copy
 import sqlite3
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -13,6 +16,7 @@ from repro.relational.engine import Database
 from repro.schema_tree.evaluator import materialize
 from repro.schema_tree.builder import ViewBuilder
 from repro.serving import PublishRequest, RequestTrace, ViewServer, percentile
+from repro.serving import server as server_module
 from repro.workloads.hotel import (
     HotelDataSpec,
     build_hotel_database,
@@ -206,6 +210,68 @@ def test_server_over_database_file(tmp_path):
         trace = server.render(figure1_view(server.catalog))
         assert trace.error is None
         assert trace.xml == serialize(materialize(figure1_view(db.catalog), db))
+    db.close()
+
+
+def test_the_first_submit_takes_the_clone():
+    """A server holds no copy of its source until it is asked to serve:
+    ``metrics()``, ``outstanding()`` and ``close()`` take none, and a
+    write recorded before the first request is in the bytes it serves."""
+    db = build_hotel_database(
+        HotelDataSpec(metros=2, hotels_per_metro=3), cross_thread=True
+    )
+    view = figure1_view(db.catalog)
+    idle = ViewServer(db.catalog, source=db, workers=1)
+    assert idle.metrics()["queries_executed"] == 0
+    assert idle.outstanding() == 0
+    idle.close()
+    assert idle._pool is None
+    tracker = WriteTracker()
+    with ViewServer(db.catalog, source=db, workers=2, tracker=tracker) as server:
+        hotel_write(db, 1, tracker)  # a pool flip on ``hotel``
+        assert server._pool is None
+        trace = server.render(view)
+        assert server._pool is not None
+        assert trace.xml == serialize(materialize(view, db))
+        assert server.metrics()["queries_executed"] == trace.queries_executed
+    db.close()
+
+
+def test_racing_first_submits_take_one_clone(monkeypatch):
+    """Sixteen threads submit a server's first requests at once, with the
+    interpreter switching threads as often as it can: one clone is
+    taken, and every request serves the same bytes from it."""
+    db = build_hotel_database(
+        HotelDataSpec(metros=2, hotels_per_metro=3), cross_thread=True
+    )
+    view = figure1_view(db.catalog)
+    clones = []
+    real_pool = server_module.ConnectionPool
+
+    def counting_pool(*args, **kwargs):
+        clones.append(threading.current_thread().name)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "ConnectionPool", counting_pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ViewServer(db.catalog, source=db, workers=2) as server:
+            start = threading.Barrier(16)
+
+            def first_request(_):
+                start.wait(timeout=30)
+                return server.submit(PublishRequest(view, bypass_cache=True))
+
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                futures = list(pool.map(first_request, range(16)))
+            traces = [future.result(timeout=30) for future in futures]
+            assert server.outstanding() == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(clones) == 1
+    assert {trace.outcome for trace in traces} == {"success"}
+    assert {trace.xml for trace in traces} == {serialize(materialize(view, db))}
     db.close()
 
 

@@ -253,12 +253,13 @@ def _count_apply_pending(monkeypatch):
 
 def test_idle_applier_does_not_poll(monkeypatch):
     """Zero delay and no fault plan: every event is applied inline, so
-    there is never anything for the thread to find. It used to wake 200
-    times a second regardless and replay the log under the lock."""
+    there is never anything for a thread to find, and none is started.
+    It used to wake on every write and replay the log under the lock."""
     calls = _count_apply_pending(monkeypatch)
     primary, replica = WriteTracker(), WriteTracker()
     applier = ReplicaApplier(primary, replica, delay_ms=0.0, poll_ms=1.0)
     try:
+        assert applier._thread is None
         time.sleep(0.1)
         assert calls == []
         for step in range(50):
@@ -266,10 +267,13 @@ def test_idle_applier_does_not_poll(monkeypatch):
             assert applier.lag() == 0
         time.sleep(0.1)
         assert applier.applied == 50
-        assert len(calls) <= 2 * 50 + 1  # inline, plus at most one wake each
+        # Exactly one apply per write, each inline on the writing thread.
+        assert calls == [threading.current_thread().name] * 50
     finally:
         applier.close(timeout=5.0)
-    assert not applier._thread.is_alive()
+    assert applier._thread is None
+    primary.record_write("hotel", keys=[50], columns=["pool"])
+    assert applier.applied == 50  # a closed applier applies nothing
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Lag-aware replica routing: strict pinning, bounded admission,
-fleet-fault skips, and hedge anti-affinity placement.
+fleet-fault skips, hedge anti-affinity placement, and the least-busy
+order that keeps an idle fleet's reads (and clones) on its primaries.
 
 Fleets here carry real replica lag (``replica_lag_ms``) and fleet-scoped
 fault windows (``FleetFaultPlan``), exercising the candidate gate that
@@ -7,6 +8,8 @@ the per-shard failover tests in test_router_faults.py do not reach.
 """
 
 from __future__ import annotations
+
+import time
 
 from repro.maintenance.workload import hotel_metro_write
 from repro.resilience import CircuitBreaker
@@ -20,7 +23,7 @@ from repro.workloads.hotel import (
     build_hotel_database,
     hotel_partition_scheme,
 )
-from repro.workloads.paper import figure1_view
+from repro.workloads.paper import figure1_view, figure4_stylesheet
 from repro.xmlcore.serializer import serialize
 
 SEED = 2003
@@ -339,6 +342,115 @@ def test_placement_group_spreads_hedge_attempts_across_members():
         assert fleet["anti_affinity"]["hits"] == 2
         assert fleet["anti_affinity"]["misses"] == 0
         assert fleet["anti_affinity"]["rate"] == 1.0
+        assert router.outstanding() == 0
+    finally:
+        router.close()
+        db.close()
+
+
+def test_an_idle_fleet_reads_its_primaries_and_clones_no_replica():
+    """Sequential reads tie on zero requests in flight, and a tie goes to
+    the primary: the replicas serve nothing, and neither the reports nor
+    the leak check nor shutdown makes them take a clone of their shard."""
+    db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
+    view = figure1_view(db.catalog)
+    domain = _metro_domain(db)
+    router = _fleet(db)
+    try:
+        for step in range(2):
+            for sheet in (None, figure4_stylesheet(), None):
+                trace = router.render(view, sheet)
+                assert trace.outcome == "success"
+                assert [s["server"] for s in trace.shards] == ["primary"] * 2
+            _mirrored_write(router, db, step, domain)
+        trace = router.render(view, bypass_cache=True)
+        assert trace.xml == serialize(materialize(view, db))
+        replicas = [m for shard in router.shards for m in shard.members if m.role]
+        for member in replicas:
+            assert member.server.metrics()["requests_served"] == 0
+        report = router.aggregate_metrics()
+        assert report["requests_served"] == 2 * 7
+        assert report["queries_executed"] > 0
+        assert router.outstanding() == 0
+        assert all(member.server._pool is None for member in replicas)
+    finally:
+        router.close()
+        db.close()
+    assert all(member.server._pool is None for member in replicas)
+
+
+def test_a_busy_primary_hands_the_next_read_to_its_replica():
+    """Shard 0's primary holds one request in flight (its one session is
+    borrowed, so the request waits for it): the next read goes to that
+    shard's replica, which clones its shard on this first read and
+    answers the single box's bytes; shard 1's idle primary keeps its."""
+    db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
+    view = figure1_view(db.catalog)
+    reference = serialize(materialize(view, db))
+    router = _fleet(db)
+    try:
+        (primary, replica), (other, other_replica) = (
+            shard.members for shard in router.shards
+        )
+        with primary.server.pool.session():  # the primary's only session
+            stalled = router.submit(PublishRequest(view, bypass_cache=True))
+            # Wait until shard 1's primary has answered its part and let
+            # go of it: only shard 0's primary is busy.
+            deadline = time.monotonic() + 30
+            while primary.server.inflight != 1 or other.server.inflight or (
+                other.server.metrics()["requests_served"] != 1
+            ):
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            assert replica.server._pool is None
+            trace = router.render(view, bypass_cache=True)
+            assert trace.outcome == "success"
+            assert trace.xml == reference
+            assert [s["server"] for s in trace.shards] == ["replica-1", "primary"]
+            assert replica.server._pool is not None
+            assert not stalled.done()
+        first = stalled.result(timeout=30)
+        assert first.xml == reference
+        assert [s["server"] for s in first.shards] == ["primary", "primary"]
+        assert other_replica.server._pool is None
+        assert router.outstanding() == 0
+    finally:
+        router.close()
+        db.close()
+
+
+def test_reads_leave_a_partitioned_primary_and_come_back_after_the_window():
+    """A seeded partition schedule in two-read windows, armed by wrapping
+    the built fleet: a twin of the plan, checked in step with the
+    router's one check per primary per read, says which reads fall in a
+    window. Those go to the shard's replica, the rest to the primary, and
+    every merged body is the single box's."""
+    db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
+    view = figure1_view(db.catalog)
+    reference = serialize(materialize(view, db))
+    plan = FleetFaultPlan.for_kind("partition", rate=0.5, seed=5, window=2)
+    twin = FleetFaultPlan.for_kind("partition", rate=0.5, seed=5, window=2)
+    router = _fleet(db, fleet_faults=plan)
+    try:
+        schedule = []
+        for _ in range(24):
+            expected = [
+                "replica-1" if twin.active("partition", shard, "primary")
+                else "primary"
+                for shard in range(2)
+            ]
+            trace = router.render(view)
+            assert trace.outcome == "success"
+            assert trace.xml == reference
+            assert [s["server"] for s in trace.shards] == expected
+            schedule.append(expected[0])
+        # The schedule covers the claim: a read inside a window on shard
+        # 0's primary, then one on that primary after the window closed.
+        window = schedule.index("replica-1")
+        assert "primary" in schedule[window:]
+        assert router.fleet_metrics()["skips"]["partition"] == (
+            sum(plan.stats()["injected"].values())
+        )
         assert router.outstanding() == 0
     finally:
         router.close()

@@ -102,9 +102,11 @@ def test_a_resident_view_answers_while_another_compiles(monkeypatch):
 
 
 def test_a_fleet_compiles_and_plans_each_stylesheet_once(monkeypatch):
-    """2 x 2 members, N stylesheets read twice (replicas serve too):
-    N composes and every composed node planned once — 3N and >= 2N at
-    the parent — and the metrics say so, the store's figures once."""
+    """2 x 2 members, N stylesheets read twice through the router and
+    once more on each replica directly (an idle fleet reads its
+    primaries only): N composes and every composed node planned once —
+    3N and >= 2N before the store was shared — and the metrics say so,
+    the store's figures once."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     router = _fleet(db)
     view = figure1_view(db.catalog)
@@ -127,18 +129,22 @@ def test_a_fleet_compiles_and_plans_each_stylesheet_once(monkeypatch):
         for _ in range(2):
             for sheet in sheets:
                 assert router.render(view, sheet).outcome == "success"
+        replicas = [m for m in _members(router) if m.role]
+        for sheet in sheets:
+            for member in replicas:
+                assert member.server.render(view, sheet).outcome == "success"
         assert len(composed) == len(sheets)
         served = [
             m.server.metrics()["requests_served"] for m in _members(router)
         ]
-        assert served == [5, 5, 5, 5]  # both members of both shards served
+        assert served == [10, 5, 10, 5]  # every member of both shards served
         # The router asked first: N misses there, a hit on every member.
         per_member = [m.server.metrics()["cache"] for m in _members(router)]
         assert [c["misses"] for c in per_member] == [0, 0, 0, 0]
-        assert [c["hits"] for c in per_member] == [5, 5, 5, 5]
+        assert [c["hits"] for c in per_member] == served
         cache = router.aggregate_metrics()["cache"]
         assert cache["misses"] == len(sheets)
-        assert cache["hits"] == 20 + len(sheets)  # members + second pass
+        assert cache["hits"] == 30 + len(sheets)  # members + second pass
         assert (cache["size"], cache["capacity"]) == (len(sheets), 64)
         assert {c["size"] for c in per_member} == {len(sheets)}
         # (``get`` counts as a lookup, so the store is read last.)
