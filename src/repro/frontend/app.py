@@ -45,7 +45,9 @@ class PublishingApp:
     """Named views + a serving backend + the async facade over it.
 
     The app owns whatever it was built from (database, tracker,
-    backend) and tears it all down in :meth:`close`. ``request_for``
+    backend) and tears it all down in :meth:`close`. On a fleet,
+    ``database`` is the carving source: closed once the shards are
+    carved, kept only for its catalog. ``request_for``
     is the only place HTTP parameters become a
     :class:`~repro.serving.server.PublishRequest`, so validation
     errors surface as :class:`~repro.errors.ReproError` (→ HTTP 400)
@@ -156,8 +158,9 @@ def build_hotel_app(
     The one stack builder: tracked writes (auto capture) served through
     result caches under ``staleness`` and maintained by delta, by a
     sharded fleet when ``shards > 1`` or ``replicas > 0``, a single
-    :class:`ViewServer` otherwise. ``maintenance`` is a frozen
-    call surface: ``"delta"`` is its one value.
+    :class:`ViewServer` otherwise; a fleet's ``app.database`` is its
+    carving source, closed once carved and kept only for its catalog.
+    ``maintenance`` is a frozen call surface: ``"delta"`` is its one value.
     """
     from repro.maintenance import WriteTracker, hotel_write
     from repro.workloads.hotel import HotelDataSpec, build_hotel_database
@@ -176,25 +179,24 @@ def build_hotel_app(
         )
     sharded = shards > 1 or replicas > 0
     db = build_hotel_database(HotelDataSpec().scaled(scale), cross_thread=True)
-    if not sharded:
-        tracker = WriteTracker()
-        db.attach_tracker(tracker, auto=True)
-
     if sharded:
         from repro.sharding import ShardRouter
         from repro.workloads.hotel import hotel_partition_scheme
 
-        server = ShardRouter.build(
-            db.catalog,
-            db,
-            hotel_partition_scheme(),
-            shards,
-            replicas=replicas,
-            workers=workers,
-            staleness=staleness,
-            resilience=resilience,
-            replica_lag_ms=replica_lag_ms,
-        )
+        try:
+            server = ShardRouter.build(
+                db.catalog,
+                db,
+                hotel_partition_scheme(),
+                shards,
+                replicas=replicas,
+                workers=workers,
+                staleness=staleness,
+                resilience=resilience,
+                replica_lag_ms=replica_lag_ms,
+            )
+        finally:
+            db.close()
 
         def write_fn(index: int) -> None:
             server.route_write(
@@ -204,14 +206,20 @@ def build_hotel_app(
             )
 
     else:
-        server = ViewServer(
-            db.catalog,
-            db,
-            workers=workers,
-            tracker=tracker,
-            staleness=staleness,
-            resilience=resilience,
-        )
+        tracker = WriteTracker()
+        db.attach_tracker(tracker, auto=True)
+        try:
+            server = ViewServer(
+                db.catalog,
+                db,
+                workers=workers,
+                tracker=tracker,
+                staleness=staleness,
+                resilience=resilience,
+            )
+        except BaseException:
+            db.close()
+            raise
 
         def write_fn(index: int) -> None:
             hotel_write(db, index)  # auto capture records it

@@ -358,7 +358,8 @@ class ShardRouter:
         """Partition ``source`` by key range and stand up the fleet.
 
         The router owns the shard databases it creates here and closes
-        them with :meth:`close`; the original ``source`` is only read.
+        them with :meth:`close`; the original ``source`` is only read,
+        and the caller may close it as soon as ``build`` returns.
         """
         partitioner = KeyRangePartitioner.from_keys(
             partition_keys(source, scheme), shards

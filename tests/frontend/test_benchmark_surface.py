@@ -154,7 +154,11 @@ def test_relational_probe_surface():
 
 def test_sharding_probe_surface():
     """layers._sharding: a direct partition, the tree ``merge_documents``
-    over bulk-materialized shard documents, and the router counters."""
+    over bulk-materialized shard documents, and the router counters.
+
+    The probe partitions the oracle's own single-box mirror, not
+    ``app.database``: a fleet app closes its carving source once the
+    shards are carved. So this partitions a freshly built database."""
     from repro.core.compose import compose
     from repro.core.optimize import prune_stylesheet_view
     from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
@@ -162,10 +166,13 @@ def test_sharding_probe_surface():
     from repro.sharding.partition import (
         KeyRangePartitioner, partition_database, partition_keys,
     )
-    from repro.workloads.hotel import hotel_partition_scheme
+    from repro.workloads.hotel import (
+        HotelDataSpec, build_hotel_database, hotel_partition_scheme,
+    )
     from repro.xmlcore.serializer import serialize
 
     app = _production(shards=2, replicas=1)
+    mirror = build_hotel_database(HotelDataSpec().scaled(1))
     try:
         router = app.backend
         entry = app.registry["figure4"]
@@ -184,9 +191,9 @@ def test_sharding_probe_surface():
         prune_stylesheet_view(view, catalog)
         scheme = hotel_partition_scheme()
         partitioner = KeyRangePartitioner.from_keys(
-            partition_keys(app.database, scheme), 2
+            partition_keys(mirror, scheme), 2
         )
-        shard_dbs = partition_database(app.database, scheme, partitioner)
+        shard_dbs = partition_database(mirror, scheme, partitioner)
         try:
             merge_plan = plan_merge(view)
             documents = [
@@ -198,6 +205,7 @@ def test_sharding_probe_surface():
                 db.close()
         assert serialize(merged) == served.xml
     finally:
+        mirror.close()
         asyncio.run(app.close())
 
 
