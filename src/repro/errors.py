@@ -146,9 +146,10 @@ class ServingError(ReproError):
 class DeadlineExceeded(ServingError):
     """Raised when a request's deadline expires during evaluation.
 
-    Raised cooperatively at query boundaries (the engine's
-    ``cancel_check`` hook) or after a hard
-    ``sqlite3.Connection.interrupt`` cut a long-running statement short.
+    Raised at query boundaries (the engine's ``cancel_check`` hook) or
+    after the deadline's statement poll (the driver's ``stop_when``) cut
+    a long-running statement short; both run on the thread that runs
+    the statement.
     """
 
     def __init__(self, deadline_ms: float, elapsed_ms: float):

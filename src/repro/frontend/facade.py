@@ -25,8 +25,10 @@ per request:
    ``outcome="cancelled"`` (no breaker hit, no degraded fallback) —
    and its task is awaited so nothing leaks.
 
-Cancellation is cooperative end to end: the same token plumbing lets
-the HTTP layer abandon work for a vanished client.
+Only a hedged attempt gets a token from the facade, because only a
+hedge race has a loser to cancel; any other request keeps the token
+its caller gave it, or none. The HTTP layer cancels nothing: the
+request of a client that hangs up runs to its end or its deadline.
 """
 
 from __future__ import annotations
@@ -125,10 +127,8 @@ class AsyncViewServer:
     async def _attempt(
         self, request: PublishRequest, token: Optional[CancelToken] = None
     ) -> Union[RequestTrace, RouterTrace]:
-        if token is not None or request.cancel is None:
-            request = dataclasses.replace(
-                request, cancel=token if token is not None else CancelToken()
-            )
+        if token is not None:
+            request = dataclasses.replace(request, cancel=token)
         return await asyncio.wrap_future(self.backend.submit(request))
 
     async def _submit_hedged(

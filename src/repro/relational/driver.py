@@ -6,11 +6,11 @@
 deadline machinery reach the engine only through :class:`SqliteDriver`:
 how to open a connection (writable or read-only), how to snapshot a live
 database for a read-only serving pool, how to make a released session
-safe to reuse, how to cancel a statement mid-flight, and how to observe
-writes for automatic change capture. sqlite is the one engine; this
-object is the seam a second one would replace, and the conformance kit
-(``tests/relational/conformance``) is the contract it would have to
-pass. DESIGN.md ("One engine") lists what such an engine has to supply.
+safe to reuse, how to stop a statement mid-flight on the thread that
+runs it, and how to observe writes for automatic change capture. sqlite
+is the one engine; this object is the seam a second one would replace,
+and the conformance kit (``tests/relational/conformance``) is the
+contract it would have to pass. DESIGN.md ("One engine") lists what such an engine has to supply.
 """
 
 from __future__ import annotations
@@ -49,6 +49,14 @@ _SCAN_RE = re.compile(
     r"|(?P<paren>[()])|(?P<dml>\b(?:INSERT|REPLACE|UPDATE|DELETE)\b)",
     re.IGNORECASE | re.DOTALL,
 )
+
+#: Virtual-machine steps between two calls of a statement's stop poll
+#: (:meth:`SqliteDriver.stop_when`). Coarse on purpose: each call is a
+#: Python call, so the statement must take the GIL again, and with two
+#: shards' statements on one CPU a fine poll waits behind the other
+#: thread's Python at every call. 100,000 steps is one call per ~1.3 ms
+#: of sqlite work, fine enough for any deadline the serving layer sets.
+STOP_POLL_OPS = 100_000
 
 #: Process-unique suffixes for shared-cache in-memory clone databases.
 _CLONE_IDS = itertools.count(1)
@@ -173,30 +181,33 @@ class SqliteDriver:
         connection.execute("ANALYZE")
         connection.commit()
 
-    # -- read-only / sanitize / cancel --------------------------------------
+    # -- read-only / sanitize / stop ----------------------------------------
 
     def enforce_read_only(self, connection) -> None:
         """Engine-level write rejection via ``PRAGMA query_only=ON``."""
         connection.execute("PRAGMA query_only=ON")
 
     def sanitize(self, connection) -> bool:
-        """Make a just-released connection safe to reuse: roll back the
-        read transaction an interrupted statement keeps. ``False`` when
-        the connection is beyond repair and must be replaced."""
+        """Make a just-released connection safe to reuse: clear a stop
+        poll its borrower left installed and roll back the read
+        transaction a cut statement keeps. ``False`` when the connection
+        is beyond repair and must be replaced."""
         try:
+            connection.set_progress_handler(None, 0)
             if connection.in_transaction:
                 connection.rollback()
         except sqlite3.Error:
             return False
         return True
 
-    def cancel(self, connection) -> None:
-        """Cut the running statement short via ``Connection.interrupt``
-        (safe to call from another thread; never raises)."""
-        try:
-            connection.interrupt()
-        except Exception:
-            pass
+    def stop_when(
+        self, connection, stop: Optional[Callable[[], bool]]
+    ) -> None:
+        """Cut the connection's running statement short once ``stop()``
+        is true: sqlite calls it every :data:`STOP_POLL_OPS` steps on
+        the thread running the statement, which then fails as
+        ``interrupted``. ``stop`` must not raise; ``None`` clears it."""
+        connection.set_progress_handler(stop, STOP_POLL_OPS)
 
     # -- snapshots -----------------------------------------------------------
 

@@ -155,8 +155,8 @@ class Database:
         # Cooperative cancellation hook (repro.resilience): when set, it
         # is invoked at the top of every run_query — a query/row
         # boundary — and may raise (e.g. DeadlineExceeded) to abandon
-        # the evaluation between statements. Hard mid-statement cutoff
-        # is the caller's job via ``driver.cancel(connection)``.
+        # the evaluation between statements. Within a statement the
+        # caller installs a poll via ``driver.stop_when(connection, …)``.
         self.cancel_check: Optional[Callable[[], None]] = None
         if create:
             self.create_tables()

@@ -11,9 +11,9 @@ predictable* under that failure:
   by its own path, never from here, so a server process loads none of it.
 * :mod:`repro.resilience.policy` — :class:`ResiliencePolicy` (per-
   request deadlines, retry-with-backoff+jitter, breaker and admission
-  knobs) and :class:`Deadline` (cooperative cancellation the engine
-  checks at query boundaries, backed by a hard driver interrupt from
-  one :class:`~repro.resilience.policy.DeadlineWatch` thread per server).
+  knobs) and :class:`Deadline` (cancellation the engine checks at query
+  boundaries and polls within a statement, on the thread that runs it:
+  no thread of its own).
 * :mod:`repro.resilience.breaker` — a per-plan-fingerprint
   :class:`CircuitBreaker` (closed / open / half-open), one per
   :class:`~repro.serving.server.ViewServer` (``server.breaker``).

@@ -5,10 +5,9 @@ One :class:`ResiliencePolicy` travels with a
 per request:
 
 * **How long may it run?** ``deadline_ms`` starts a :class:`Deadline`
-  that is checked cooperatively at query boundaries (the engine's
-  ``cancel_check`` hook) and enforced hard by a driver interrupt for
-  statements that outlive it, fired by the server's one
-  :class:`DeadlineWatch` thread.
+  that is checked at query boundaries (the engine's ``cancel_check``
+  hook) and polled within a statement (:meth:`Deadline.stopped`, the
+  driver's ``stop_when``), both on the thread that runs the statement.
 * **How often may it retry?** ``retries`` transient attempts (as
   classified by :func:`repro.errors.classify_error`), spaced by
   exponential backoff with full jitter
@@ -31,13 +30,11 @@ open (or any exhausted failure) is an error.
 
 from __future__ import annotations
 
-import heapq
 import random
 import threading
 import time
 from dataclasses import dataclass
-from itertools import count
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import DeadlineExceeded, ReproError, RequestCancelled
 
@@ -130,22 +127,19 @@ class ResiliencePolicy:
 class CancelToken:
     """A thread-safe cooperative cancellation handle.
 
-    The async front end hands one to each serving attempt it may later
-    abandon (the losing half of a hedged request pair). Cancellation is
-    observed at the same points as deadlines — the engine's
-    ``cancel_check`` hook at query boundaries via
-    :meth:`Deadline.check` — and, for statements already running,
-    through callbacks registered with :meth:`on_cancel` (the serving
-    layer registers the borrowed connection's ``interrupt``).
+    The async front end hands one to each attempt of a hedged request
+    and cancels the loser. Cancellation is observed where deadlines are,
+    on the thread serving the attempt: at query boundaries
+    (:meth:`Deadline.check`) and by the statement poll
+    (:meth:`Deadline.stopped`). Nothing runs on the cancelling thread.
     """
 
-    __slots__ = ("_lock", "_cancelled", "_reason", "_callbacks")
+    __slots__ = ("_lock", "_cancelled", "_reason")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._cancelled = False
         self._reason = ""
-        self._callbacks: list[Callable[[], None]] = []
 
     @property
     def cancelled(self) -> bool:
@@ -158,44 +152,14 @@ class CancelToken:
         return self._reason
 
     def cancel(self, reason: str = "") -> bool:
-        """Cancel the attempt; fires registered callbacks exactly once.
-
-        Returns ``True`` on the first call, ``False`` if already
-        cancelled. Callbacks run outside the lock and must not raise
-        (failures are swallowed — cancellation is best-effort beyond
-        the cooperative check).
-        """
+        """Cancel the attempt: ``True`` on the first call, ``False`` if
+        already cancelled."""
         with self._lock:
             if self._cancelled:
                 return False
-            self._cancelled = True
             self._reason = reason
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            try:
-                callback()
-            except Exception:
-                pass
+            self._cancelled = True
         return True
-
-    def on_cancel(self, callback: Callable[[], None]) -> None:
-        """Register ``callback`` to fire on cancel (immediately if past)."""
-        with self._lock:
-            if not self._cancelled:
-                self._callbacks.append(callback)
-                return
-        try:
-            callback()
-        except Exception:
-            pass
-
-    def remove_callback(self, callback: Callable[[], None]) -> None:
-        """Deregister a callback registered with :meth:`on_cancel`."""
-        with self._lock:
-            try:
-                self._callbacks.remove(callback)
-            except ValueError:
-                pass
 
     def check(self) -> None:
         """Cooperative cancellation point: raise once cancelled."""
@@ -267,72 +231,9 @@ class Deadline:
         if self.expired:
             raise DeadlineExceeded(self.budget_ms, self.elapsed_ms())
 
-
-class DeadlineWatch:
-    """One daemon thread that fires hard cutoffs when they come due.
-
-    A server arms a cutoff around every computation under a deadline and
-    disarms it when the computation ends, nearly always long before it
-    is due — so arming is a heap push and disarming drops the callback
-    (the dead entry is popped when it reaches the top): no thread is
-    started, woken or joined per request. The thread starts with the
-    first :meth:`arm`, is woken early only by an entry due before the
-    one it waits for, and calls a cutoff outside its lock
-    (``time.monotonic()`` seconds throughout).
-    """
-
-    def __init__(self, name: str):
-        self._name = name
-        self._wake = threading.Condition()
-        self._heap: list[list] = []  # [due, tie-break, cutoff or None]
-        self._ticket = count()
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-
-    def arm(self, due: float, cutoff: Callable[[], None]) -> list:
-        """Schedule ``cutoff`` at ``due``; returns the :meth:`disarm` handle."""
-        entry = [due, next(self._ticket), cutoff]
-        with self._wake:
-            if self._thread is None and not self._closed:
-                self._thread = threading.Thread(
-                    target=self._run, name=self._name, daemon=True
-                )
-                self._thread.start()
-            if not self._heap or due < self._heap[0][0]:
-                self._wake.notify()
-            heapq.heappush(self._heap, entry)
-        return entry
-
-    @staticmethod
-    def disarm(entry: list) -> None:
-        """Drop an armed cutoff. One already picked up may still be
-        called: the callback itself must stand down once disarmed."""
-        entry[2] = None
-
-    def _run(self) -> None:
-        heap = self._heap
-        while True:
-            with self._wake:
-                while True:
-                    if self._closed:
-                        return
-                    while heap and heap[0][2] is None:
-                        heapq.heappop(heap)
-                    delay = heap[0][0] - time.monotonic() if heap else None
-                    if delay is not None and delay <= 0:
-                        break
-                    self._wake.wait(delay)
-                cutoff = heapq.heappop(heap)[2]
-            if cutoff is not None:  # disarmed since the check above
-                try:
-                    cutoff()
-                except Exception:
-                    pass  # best-effort, like a cancel-token callback
-
-    def close(self) -> None:
-        """Stop and join the thread; cutoffs still armed never fire."""
-        with self._wake:
-            self._closed = True
-            self._wake.notify()
-        if self._thread is not None:
-            self._thread.join()
+    def stopped(self) -> bool:
+        """Whether the token is cancelled or the budget is spent: the
+        statement poll the serving layer hands the driver's
+        ``stop_when``. It reads a flag and the clock and never raises."""
+        token = self.token
+        return (token is not None and token.cancelled) or self.expired

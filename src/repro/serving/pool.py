@@ -97,15 +97,15 @@ class ConnectionPool:
         """Return a borrowed session to the idle queue, clean or replaced.
 
         A borrower may release after an exception mid-evaluation — an
-        injected fault, a deadline cancel, a genuine engine error — so
-        the session is sanitized before anyone else can borrow it: any
-        lingering ``cancel_check`` hook is cleared, and
-        ``driver.sanitize`` rolls back whatever transaction state an
-        interrupted statement left behind. A session whose connection
-        proves unusable is *replaced* by a freshly opened one rather
-        than re-queued, so the pool never shrinks and never hands out a
-        poisoned connection. Releasing into a closed pool closes the
-        session instead of queueing it.
+        injected fault, a statement its deadline cut short, a genuine
+        engine error — so the session is sanitized before anyone else can
+        borrow it: any lingering ``cancel_check`` hook is cleared, and
+        ``driver.sanitize`` clears a stop poll and rolls back whatever
+        transaction state a cut statement left behind. A session whose
+        connection proves unusable is *replaced* by a freshly opened one
+        rather than re-queued, so the pool never shrinks and never hands
+        out a poisoned connection. Releasing into a closed pool closes
+        the session instead of queueing it.
         """
         if self._closed:
             try:

@@ -44,10 +44,10 @@ suite in ``tests/maintenance/test_freshness_property.py``).
 
 Resilience: constructed with a
 :class:`~repro.resilience.policy.ResiliencePolicy`, the serving path
-becomes bounded and self-healing — per-request deadlines (cooperative
-``cancel_check`` at query boundaries plus a hard driver interrupt
-from the server's one deadline thread), retry-with-backoff for
-transient errors (:func:`repro.errors.classify_error`), a
+becomes bounded and self-healing — per-request deadlines (the engine's
+``cancel_check`` at query boundaries plus a poll within each statement,
+both on the thread that runs it), retry-with-backoff for transient
+errors (:func:`repro.errors.classify_error`), a
 per-fingerprint circuit breaker (the server's own, also when the plan
 store is shared: it counts this member's failures), admission control
 (bounded queue, shed requests trace ``outcome="rejected"``), and a
@@ -88,7 +88,7 @@ from repro.maintenance.result_cache import ResultCache
 from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database, QueryStats
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.policy import Deadline, DeadlineWatch, ResiliencePolicy
+from repro.resilience.policy import Deadline, ResiliencePolicy
 from repro.relational.schema import Catalog
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
 from repro.schema_tree.evaluator import MaterializeStats
@@ -406,7 +406,6 @@ class ViewServer:
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="viewserver"
         )
-        self._deadlines = DeadlineWatch("viewserver-deadline")
         self.catalog_fingerprint = fingerprint_catalog(catalog)
         self._lock = threading.Lock()
         self._next_request_id = 1
@@ -744,9 +743,10 @@ class ViewServer:
             # either, so let the resilience layer degrade or error.
             raise
         except Exception:
-            # If the failure was really the deadline (e.g. an interrupt
-            # surfacing as a wrapped OperationalError), re-raise it as
-            # such — a full recompute cannot beat an expired budget.
+            # If the failure was really the deadline (e.g. a statement
+            # the poll cut short, surfacing as a wrapped
+            # OperationalError), re-raise it as such — a full
+            # recompute cannot beat an expired budget.
             deadline.check()
             # A mid-splice failure of any kind must not surface as a
             # request error: the old entry is untouched (the splice
@@ -786,52 +786,26 @@ class ViewServer:
 
     @contextmanager
     def _deadline_guard(self, db, deadline: Deadline):
-        """Enforce ``deadline`` on one borrowed session.
+        """Enforce ``deadline`` on one borrowed session, on this thread.
 
-        Cooperative: the engine's ``cancel_check`` hook raises
+        Between statements the engine's ``cancel_check`` hook raises
         :class:`DeadlineExceeded` (or
-        :class:`~repro.errors.RequestCancelled` when the deadline
-        carries a cancelled token) at the next query boundary. Hard: the
-        server's one deadline thread (``DeadlineWatch``: arming is a heap
-        push, no thread per request) calls the engine driver's ``cancel``
-        when the budget expires mid-statement — and a cancel-token
-        callback does the same the moment the token fires — surfacing as
-        a (transient-classified) interrupt error that the retry loop
-        converts back into the real failure via the expired-budget /
-        cancelled-token check. Both are disarmed before the session
-        returns to the pool, and the cutoff stands down once disarmed,
-        so neither can interrupt the next borrower.
+        :class:`~repro.errors.RequestCancelled` for a cancelled token);
+        within one, the driver polls :meth:`Deadline.stopped` and cuts
+        the statement short as a transient ``interrupted`` error, which
+        the callers turn back into the real failure with
+        ``deadline.check()``. Both are cleared before the session goes
+        back to the pool, and no other thread touches the connection.
         """
-        token = deadline.token
-        if deadline.budget_ms is None and token is None:
+        if deadline.budget_ms is None and deadline.token is None:
             yield
             return
         db.cancel_check = deadline.check
-        # A wrapped session delegates .driver/.connection through.
-        armed: dict = {"connection": db.connection}
-        driver = db.driver
-
-        def hard_cutoff() -> None:
-            target = armed.get("connection")
-            if target is not None:
-                driver.cancel(target)
-
-        entry = None
-        if deadline.budget_ms is not None:
-            entry = self._deadlines.arm(
-                time.monotonic() + (deadline.remaining_ms() or 0.0) / 1000.0,
-                hard_cutoff,
-            )
-        if token is not None:
-            token.on_cancel(hard_cutoff)
+        db.driver.stop_when(db.connection, deadline.stopped)
         try:
             yield
         finally:
-            armed.pop("connection", None)
-            if entry is not None:
-                self._deadlines.disarm(entry)
-            if token is not None:
-                token.remove_callback(hard_cutoff)
+            db.driver.stop_when(db.connection, None)
             db.cancel_check = None
 
     def _serve(self, request: PublishRequest, request_id: int) -> RequestTrace:
@@ -971,10 +945,10 @@ class ViewServer:
                     plan, trace, use_result_cache, current_versions, deadline
                 )
             except Exception as exc:
-                # An interrupt fired by the deadline thread (or a cancel
-                # token) surfaces as a transient 'interrupted' error;
-                # the expired budget / cancellation is the real
-                # failure, so the breaker hears it and it is re-raised.
+                # A statement the deadline poll cut short surfaces as a
+                # transient 'interrupted' error; the expired budget /
+                # cancellation is the real failure, so the breaker
+                # hears it and it is re-raised.
                 try:
                     if not isinstance(exc, (DeadlineExceeded, RequestCancelled)):
                         deadline.check()
@@ -1164,12 +1138,11 @@ class ViewServer:
         return report
 
     def close(self) -> None:
-        """Shut down the executor, then the deadline thread and the pool."""
+        """Shut down the executor, then the pool."""
         if self._closed:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
-        self._deadlines.close()
         if self._pool is not None:
             self._pool.close()
 

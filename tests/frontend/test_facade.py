@@ -48,10 +48,12 @@ class FakeBackend:
         self.latencies = list(latencies)
         self.calls = 0
         self.live = 0
+        self.requests = []
         self._lock = threading.Lock()
 
     def submit(self, request: PublishRequest) -> Future:
         with self._lock:
+            self.requests.append(request)
             attempt = self.calls
             self.calls += 1
             self.live += 1
@@ -213,6 +215,23 @@ class TestHedgeRace:
             token.cancel("client vanished")
             trace = await task
             assert trace.outcome == "cancelled"
+
+        asyncio.run(scenario())
+
+    def test_only_a_hedged_attempt_gets_a_token(self):
+        """A request nothing can cancel reaches the backend without a
+        token, so a server without a deadline installs no poll."""
+
+        async def scenario():
+            backend = FakeBackend([0.0, 0.0])
+            plain = AsyncViewServer(backend)
+            assert (await plain.submit(request())).outcome == "success"
+            hedging = AsyncViewServer(
+                backend, hedge=eager_policy(priorities=("interactive",))
+            )
+            background = request(priority="background")
+            assert (await hedging.submit(background)).outcome == "success"
+            assert [r.cancel for r in backend.requests] == [None, None]
 
         asyncio.run(scenario())
 

@@ -4,7 +4,7 @@ Each ``check_*`` method exercises one clause of the contract
 :class:`~repro.relational.driver.SqliteDriver` fulfils for
 :class:`~repro.relational.engine.Database` and the serving pool, using
 only the public engine API: rows, placeholders and types round-trip,
-snapshots snapshot, read-only sessions refuse writes, cancels cancel,
+snapshots snapshot, read-only sessions refuse writes, stops stop,
 hooks capture. The pytest module in this package
 (``test_conformance.py``) instantiates the kit once per engine driver —
 sqlite's, the one engine — and calls one check per test; a second
@@ -13,7 +13,6 @@ engine's driver would have to pass the same checks.
 
 from __future__ import annotations
 
-import threading
 import time
 
 from repro.errors import classify_error
@@ -34,13 +33,21 @@ ROWS = [
     {"id": 5, "label": ":slot is not a parameter", "score": 1.7e308},
 ]
 
-#: Runs ~6s uninterrupted on sqlite — long enough that a 100ms cancel
-#: provably cut it short, bounded enough that a driver whose cancel
+#: Runs ~6s uninterrupted on sqlite — long enough that a stop after
+#: 100ms provably cut it short, bounded enough that a driver whose stop
 #: does nothing fails the check instead of hanging it.
 HEAVY_SQL = (
     "WITH RECURSIVE c(x) AS "
     "(SELECT 1 UNION ALL SELECT x+1 FROM c WHERE x < 20000000) "
     "SELECT count(*) FROM c"
+)
+
+#: The same shape 200 times shorter: tens of milliseconds, yet more
+#: steps than one stop poll's worth, so a poll left installed cuts it.
+SHORT_SQL = (
+    "WITH RECURSIVE c(x) AS "
+    "(SELECT 1 UNION ALL SELECT x+1 FROM c WHERE x < 100000) "
+    "SELECT count(*) AS n FROM c"
 )
 
 
@@ -227,30 +234,28 @@ class DriverConformanceKit:
             finally:
                 snapshot.close()
 
-    def check_cancel_under_load(self) -> None:
-        """``driver.cancel`` from another thread cuts a long statement
-        short, the error classifies transient, and the connection stays
-        usable afterwards."""
+    def check_stop_under_load(self) -> None:
+        """A stop poll that turns true mid-statement cuts a long
+        statement short on the thread running it, the error classifies
+        transient, and once ``sanitize`` has cleared the poll the
+        connection runs statements to completion again."""
         with self.build() as db:
-            timer = threading.Timer(
-                0.1, lambda: self.driver.cancel(db.connection)
-            )
-            timer.daemon = True
-            timer.start()
             started = time.perf_counter()
+            self.driver.stop_when(
+                db.connection, lambda: time.perf_counter() - started > 0.1
+            )
             try:
                 db.run_sql(HEAVY_SQL)
             except self.driver.errors as exc:
                 elapsed = time.perf_counter() - started
-                assert elapsed < 3.0, f"cancel took {elapsed:.1f}s to land"
+                assert elapsed < 3.0, f"stop took {elapsed:.1f}s to land"
                 assert classify_error(exc) == "transient", exc
             else:
                 raise AssertionError("heavy statement ran to completion")
-            finally:
-                timer.cancel()
             if not self.driver.sanitize(db.connection):
-                raise AssertionError("connection unusable after cancel")
+                raise AssertionError("connection unusable after a stop")
             assert db.table_count("items") == len(ROWS)
+            assert db.run_sql(SHORT_SQL) == [{"n": 100000}]
 
     def check_change_capture(self) -> None:
         """Auto capture records raw DML, once per statement, and stops
@@ -291,7 +296,7 @@ class DriverConformanceKit:
         "check_run_sql_binding",
         "check_read_only_enforcement",
         "check_snapshot_isolation_and_refresh",
-        "check_cancel_under_load",
+        "check_stop_under_load",
         "check_change_capture",
         "check_error_taxonomy",
     )

@@ -3,7 +3,7 @@
 The ``driver`` fixture (``tests/conftest.py``) lists the engine drivers
 under test — sqlite's, the one engine — and each test runs once per
 driver. One test per kit check keeps failures addressable ("sqlite
-fails cancel-under-load", not "sqlite fails conformance").
+fails stop-under-load", not "sqlite fails conformance").
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def test_snapshot_isolation_and_refresh(driver):
     DriverConformanceKit(driver).check_snapshot_isolation_and_refresh()
 
 
-def test_cancel_under_load(driver):
-    DriverConformanceKit(driver).check_cancel_under_load()
+def test_stop_under_load(driver):
+    DriverConformanceKit(driver).check_stop_under_load()
 
 
 def test_change_capture(driver):
