@@ -9,16 +9,18 @@ the rows it fetched, the median (and quartiles) of
 per-sample ratio — ``delta / full`` is what survives a host whose speed
 moves between minutes. Two in-process ``ViewServer`` stacks (strict, the
 production ``ResiliencePolicy``, two workers), each over its own
-database and key-reporting tracker, driven in lockstep through one write
-stream. Every server maintains by delta: the ``delta`` stack reads
+database with a tracker attached (the engine records each write's keys
+and columns), driven in lockstep through one write stream. Every server maintains by delta: the ``delta`` stack reads
 through its result cache, the ``full`` stack with ``bypass_cache`` — the
 same whole-plan compute after the same sync, with nothing stored. Per
 write kind the ``delta`` entries are dropped, missed and promoted (state
 is earned on an entry's first staleness); a sample is one write, then
 the first render of each view on each stack — the stack that renders
 first rotates per sample, the bytes of both are asserted equal on every
-sample and every ``delta`` read is asserted a ``delta-recompute``. It imports ``repro`` from ``PYTHONPATH`` when that
-names one (a copy of the parent commit) and from this tree otherwise.
+sample and every ``delta`` read is asserted a ``delta-recompute``. It
+imports ``repro`` from ``PYTHONPATH`` when that names one and from this
+tree otherwise; a ``repro`` whose writers take a ``tracker`` (before
+writes were captured in the engine) needs its own copy of this script.
 Under ``pytest benchmarks`` only the smoke runs: a small scale, bytes
 equal and the rung of every cell.
 """
@@ -65,10 +67,10 @@ def _writes():
     )
 
     return {
-        "payload-1": lambda db, step, t: hotel_payload_write(db, step, t, rows=1),
-        "payload-16": lambda db, step, t: hotel_payload_write(db, step, t, rows=16),
-        "conference": lambda db, step, t: hotel_conference_write(db, step, t, hotels=1),
-        "calendar": lambda db, step, t: hotel_calendar_write(db, step, t, hotels=1),
+        "payload-1": lambda db, step: hotel_payload_write(db, step, rows=1),
+        "payload-16": lambda db, step: hotel_payload_write(db, step, rows=16),
+        "conference": lambda db, step: hotel_conference_write(db, step, hotels=1),
+        "calendar": lambda db, step: hotel_calendar_write(db, step, hotels=1),
         "mix": hotel_write,
     }
 
@@ -118,8 +120,8 @@ def measure(scale: int, samples: int) -> list[dict]:
         stacks[mode] = (db, tracker, server, figure1_view(db.catalog))
 
     def write(apply, step):
-        for db, tracker, _server, _view in stacks.values():
-            apply(db, step, tracker)
+        for db, _tracker, _server, _view in stacks.values():
+            apply(db, step)
 
     def render(mode, name):
         _db, _tracker, server, view = stacks[mode]
@@ -135,7 +137,7 @@ def measure(scale: int, samples: int) -> list[dict]:
             for name in VIEWS:
                 assert render("delta", name).freshness == "miss"
             # The promotion: a write every view reads, a full recompute.
-            write(lambda db, n, t: hotel_write(db, n, t, mix=("availability",)), step)
+            write(lambda db, n: hotel_write(db, n, mix=("availability",)), step)
             step += 1
             for name in VIEWS:
                 assert render("delta", name).freshness == "stale-recompute"

@@ -155,7 +155,8 @@ def build_hotel_app(
 ) -> PublishingApp:
     """The paper's hotel workload as a servable application.
 
-    The one stack builder: tracked writes (auto capture) served through
+    The one stack builder: writes captured in the engine with their keys
+    (on the single box's database, on each shard's), served through
     result caches under ``staleness`` and maintained by delta, by a
     sharded fleet when ``shards > 1`` or ``replicas > 0``, a single
     :class:`ViewServer` otherwise; a fleet's ``app.database`` is its
@@ -197,17 +198,10 @@ def build_hotel_app(
             )
         finally:
             db.close()
-
-        def write_fn(index: int) -> None:
-            server.route_write(
-                lambda source, shard_tracker: hotel_write(
-                    source, index, tracker=shard_tracker
-                )
-            )
-
+        route = server.route_write
     else:
         tracker = WriteTracker()
-        db.attach_tracker(tracker, auto=True)
+        db.attach_tracker(tracker)
         try:
             server = ViewServer(
                 db.catalog,
@@ -221,8 +215,8 @@ def build_hotel_app(
             db.close()
             raise
 
-        def write_fn(index: int) -> None:
-            hotel_write(db, index)  # auto capture records it
+        def route(write):
+            return write(db)
 
     view = figure1_view(db.catalog)
     registry = {
@@ -231,5 +225,9 @@ def build_hotel_app(
         "figure17": RegisteredView("figure17", view, figure17_stylesheet()),
     }
     return PublishingApp(
-        registry, server, db, hedge=hedge, write_fn=write_fn
+        registry,
+        server,
+        db,
+        hedge=hedge,
+        write_fn=lambda index: route(lambda source: hotel_write(source, index)),
     )

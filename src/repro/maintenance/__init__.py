@@ -7,10 +7,10 @@ by the relational engine over live base tables, so staleness must be
 handled at the relational layer. Three pieces:
 
 * :class:`WriteTracker` — change capture. Publishes a monotonic version
-  per base table, bumped explicitly (``record_write``) or automatically
-  via sqlite hooks installed on a writable
-  :class:`~repro.relational.engine.Database` connection
-  (:meth:`WriteTracker.attach`).
+  per base table, bumped with the changed keys and columns of every
+  statement on a writable :class:`~repro.relational.engine.Database`
+  connection it is attached to (:meth:`WriteTracker.attach`: triggers
+  in the engine), or by hand (``record_write``).
 * :class:`ResultCache` — memoizes fully serialized responses keyed by
   plan fingerprint, each entry stamped with the
   table-version vector of the plan's base-table read set (computed by

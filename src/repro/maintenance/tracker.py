@@ -6,27 +6,18 @@ that table's version by one; cached results are stamped with the version
 vector of their read set and compared against the live vector at serve
 time (:mod:`repro.maintenance.result_cache`).
 
-Two capture modes, freely combined per database:
-
-* **explicit** — callers (or :meth:`Database.insert_rows
-  <repro.relational.engine.Database.insert_rows>` on a tracked engine)
-  call :meth:`WriteTracker.record_write` with the table name;
-* **auto** — :meth:`WriteTracker.attach` asks the engine's *driver* to
-  install write-capture hooks on a writable connection so any
-  INSERT/UPDATE/DELETE executed through it is captured without caller
-  cooperation: sqlite's authorizer + trace-callback pair (see
-  :meth:`repro.relational.driver.SqliteDriver.install_change_capture`
-  for the two-hook rationale). The trace side parses each executed
-  statement's target — past leading comments, and through a ``WITH``
-  prefix to its first top-level DML — so a re-execution from sqlite's
-  statement cache, which the authorizer never sees, still bumps.
-
-Auto capture is deliberately conservative: a statement that prepares
-but fails mid-execution still bumps (over-invalidation is safe; missed
-writes are not). The one known sqlite gap is an *indirect* write
-re-executed from the statement cache (the authorizer does not re-fire
-and the text names only the direct table) — this engine's SQL never
-uses triggers, and the direct table still bumps every time.
+Writes reach a tracker from the engine: :meth:`WriteTracker.attach` (or
+:meth:`Database.attach_tracker
+<repro.relational.engine.Database.attach_tracker>`) has the engine's
+driver capture every INSERT / UPDATE / DELETE on a writable connection
+(:meth:`repro.relational.driver.SqliteDriver.install_change_capture`:
+a ``TEMP`` trigger per table calls back once per row), so each
+statement becomes one :meth:`~WriteTracker.record_write` per written
+table with its changed primary keys and, on UPDATE, changed columns —
+whatever SQL wrote it, a trigger's cascade included. The version bumps
+after the rows have changed, when the statement has run. Anything else
+(a replica replaying its primary's events, a test) calls
+:meth:`~WriteTracker.record_write` itself.
 """
 
 from __future__ import annotations
@@ -36,10 +27,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional
-
-# Re-exported: the DML-target parser lives in the driver with the rest
-# of the capture machinery.
-from repro.relational.driver import _write_target  # noqa: F401
 
 #: Row-level pushdown bail-out: above this many changed keys the IN-list
 #: query stops being obviously cheaper than the node re-evaluation it
@@ -58,15 +45,15 @@ class TableChange:
     """Everything known about a table's writes since a stamped version.
 
     ``keys`` is the union of changed primary-key values, or ``None``
-    when any write event in the range did not report its keys (auto
-    capture, bulk loads) or the bounded key log no longer covers the
-    range (in events, or in keys: see :data:`KEY_LOG_MAX_KEYS`) —
-    "unknown" always widens, never narrows. ``columns`` is the union of
-    updated column names under the same convention: ``None`` means any
-    column may have changed. UPDATE statements that rewrite a
-    primary key must report both the old and new key values (or pass
-    ``keys=None``); the row-level delta path matches old instances and
-    fresh rows by these values.
+    when any write event in the range did not report its keys (a table
+    without a primary key, a caller recording by hand) or the bounded
+    key log no longer covers the range (in events, or in keys: see
+    :data:`KEY_LOG_MAX_KEYS`) — "unknown" always widens, never narrows.
+    ``columns`` is the union of updated column names under the same
+    convention: ``None`` means any column may have changed (an INSERT or
+    DELETE). An UPDATE that rewrites a primary key reports both the old
+    and new key values (engine capture does); the row-level delta path
+    matches old instances and fresh rows by these values.
     """
 
     events: int
@@ -281,18 +268,20 @@ class WriteTracker:
                 for t in tables
             )
 
-    # -- auto capture --------------------------------------------------------
+    # -- capture -------------------------------------------------------------
 
     def attach(self, db) -> None:
-        """Install auto change capture on a writable engine.
+        """Record every write on a writable engine: the same as
+        ``db.attach_tracker(self)``.
 
-        ``db`` is a :class:`~repro.relational.engine.Database`; capture
-        is delegated to its driver's ``install_change_capture``, which
-        arranges for :meth:`record_write` to run for every DML target.
+        ``db`` is a :class:`~repro.relational.engine.Database`; its
+        driver's ``install_change_capture`` arranges for
+        :meth:`record_write` to run once per statement and written table.
         """
-        db.driver.install_change_capture(db.connection, self.record_write)
+        db.attach_tracker(self)
 
     @staticmethod
     def detach(db) -> None:
-        """Remove auto-capture hooks installed by :meth:`attach`."""
-        db.driver.remove_change_capture(db.connection)
+        """Remove the capture installed by :meth:`attach`: the same as
+        ``db.detach_tracker()``."""
+        db.detach_tracker()

@@ -7,13 +7,13 @@ served output (prices appear as attribute values; ``pool`` flips change
 hotel rows the Figure 1 tag queries return). Centralizing it here keeps
 the write mix identical across the app, the tests, and the benchmark.
 
-Writes recorded through a tracker report *row-level detail*: the
-affected primary keys (selected just before the UPDATE — the mixes
-never rewrite a primary key, so the pre-image keys are the post-image
-keys) and the updated columns. That detail is what lets the delta path
-refine dirtiness to column granularity and push ``key IN (...)``
-predicates down (:mod:`repro.maintenance.incremental`); engines relying
-on auto capture simply lose it and fall back to node-level deltas.
+The writers only write. A database with a tracker attached
+(:meth:`~repro.relational.engine.Database.attach_tracker`) records each
+UPDATE itself, with *row-level detail*: the changed primary keys and
+columns. That detail is what lets the delta path refine dirtiness to
+column granularity and push ``key IN (...)`` predicates down
+(:mod:`repro.maintenance.incremental`). A shard that owns none of a
+write's rows matches none, and records nothing.
 """
 
 from __future__ import annotations
@@ -33,16 +33,8 @@ def hotel_write_tables() -> tuple[str, ...]:
     return _WRITE_TABLES
 
 
-def _changed_keys(db, sql: str, bindings: dict) -> list:
-    """Primary keys a predicate selects (the rows an UPDATE will hit)."""
-    return [next(iter(row.values())) for row in db.run_sql(sql, bindings)]
-
-
 def hotel_write(
-    db,
-    step: int,
-    tracker: Optional[object] = None,
-    mix: Optional[tuple[str, ...]] = None,
+    db, step: int, mix: Optional[tuple[str, ...]] = None
 ) -> str:
     """Apply write number ``step`` to a hotel database; returns the table.
 
@@ -51,46 +43,23 @@ def hotel_write(
     startdate`` groups, changing served counts) with ``pool`` flips on
     ``hotel`` (``SELECT *`` tag queries serve ``pool`` as an attribute);
     both are UPDATEs over a sliding row slice, so the database shape is
-    stable while served bytes change. With ``tracker`` given, the write
-    is recorded explicitly — including the affected row keys and
-    updated columns, which the row-level delta path consumes; omit it
-    for engines with auto capture attached. ``mix`` overrides the
+    stable while served bytes change. ``mix`` overrides the
     rotation — e.g. ``("availability",)`` for a leaf-heavy
     stream whose dirty frontier stays small, the regime incremental
     maintenance targets.
     """
     table = (mix or _WRITE_MIX)[step % len(mix or _WRITE_MIX)]
     if table == "availability":
-        bindings = {"slot": step % 5}
-        keys = None
-        if tracker is not None:
-            keys = _changed_keys(
-                db, "SELECT a_id FROM availability WHERE a_id % 5 = :slot",
-                bindings,
-            )
         db.run_sql(
             "UPDATE availability SET startdate = CASE startdate "
             "WHEN '2003-06-09' THEN '2003-06-10' ELSE '2003-06-09' END "
             "WHERE a_id % 5 = :slot",
-            bindings,
+            {"slot": step % 5},
         )
-        columns = ("startdate",)
     else:
-        bindings = {"slot": step % 4}
-        keys = None
-        if tracker is not None:
-            keys = _changed_keys(
-                db, "SELECT hotelid FROM hotel WHERE hotelid % 4 = :slot",
-                bindings,
-            )
         db.run_sql(
             "UPDATE hotel SET pool = 1 - pool WHERE hotelid % 4 = :slot",
-            bindings,
-        )
-        columns = ("pool",)
-    if tracker is not None:
-        tracker.record_write(
-            table, rows=len(keys or ()), keys=keys, columns=columns
+            {"slot": step % 4},
         )
     return table
 
@@ -98,7 +67,6 @@ def hotel_write(
 def hotel_metro_write(
     db,
     step: int,
-    tracker: Optional[object] = None,
     metros: int = 1,
     domain: Optional[Sequence[int]] = None,
 ) -> str:
@@ -122,8 +90,8 @@ def hotel_metro_write(
     the rows written on a shard equal the rows written on the full
     database restricted to that shard's metros — the
     union-equals-single-box property the differential suite checks —
-    and a shard owning none of the window's metros no-ops without
-    advancing its tracker version. ``domain=None`` reads the local
+    and a shard owning none of the window's metros matches no row and
+    does not advance its tracker version. ``domain=None`` reads the local
     table, which is only correct on an unpartitioned database.
     """
     metroids = (
@@ -148,38 +116,18 @@ def hotel_metro_write(
         "JOIN hotel ON rhotel_id = hotelid "
         f"WHERE metro_id IN ({marks}))"
     )
-    keys = None
-    if tracker is not None:
-        keys = _changed_keys(
-            db,
-            f"SELECT a_id FROM availability WHERE {predicate}",
-            bindings,
-        )
-        if not keys:
-            # This database owns none of the targeted metros (an
-            # unaffected shard): no statement, no version advance —
-            # exactly what keeps the write shard-local.
-            return "availability"
     db.run_sql(
         "UPDATE availability SET startdate = CASE startdate "
         "WHEN '2003-06-09' THEN '2003-06-10' ELSE '2003-06-09' END "
         f"WHERE {predicate}",
         bindings,
     )
-    if tracker is not None:
-        tracker.record_write(
-            "availability",
-            rows=len(keys or ()),
-            keys=keys,
-            columns=("startdate",),
-        )
     return "availability"
 
 
 def hotel_calendar_write(
     db,
     step: int,
-    tracker: Optional[object] = None,
     hotels: int = 1,
     domain: Optional[Sequence[int]] = None,
 ) -> str:
@@ -200,7 +148,7 @@ def hotel_calendar_write(
     ``domain`` is the global in-view hotel-id list the window slides
     over; pass it when routing the write to shards (same contract as
     :func:`hotel_metro_write`) so every shard targets the same hotels
-    and non-owners no-op without a version bump.
+    and non-owners match no row and bump no version.
     """
     hotelids = (
         list(domain)
@@ -221,18 +169,6 @@ def hotel_calendar_write(
     window = (hotelids * 2)[start:start + count]
     marks = ",".join(f":h{i}" for i in range(len(window)))
     bindings = {f"h{i}": key for i, key in enumerate(window)}
-    keys = None
-    if tracker is not None:
-        keys = _changed_keys(
-            db,
-            "SELECT a_id FROM availability WHERE a_r_id IN "
-            f"(SELECT r_id FROM guestroom WHERE rhotel_id IN ({marks}))",
-            bindings,
-        )
-        if not keys:
-            # No targeted hotel lives on this database (an unaffected
-            # shard): no statement, no version advance.
-            return "availability"
     db.run_sql(
         "UPDATE availability SET startdate = CASE startdate "
         "WHEN '2003-06-09' THEN '2003-06-10' ELSE '2003-06-09' END "
@@ -240,22 +176,10 @@ def hotel_calendar_write(
         f"(SELECT r_id FROM guestroom WHERE rhotel_id IN ({marks}))",
         bindings,
     )
-    if tracker is not None:
-        tracker.record_write(
-            "availability",
-            rows=len(keys or ()),
-            keys=keys,
-            columns=("startdate",),
-        )
     return "availability"
 
 
-def hotel_conference_write(
-    db,
-    step: int,
-    tracker: Optional[object] = None,
-    hotels: int = 1,
-) -> str:
+def hotel_conference_write(db, step: int, hotels: int = 1) -> str:
     """Resize the conference rooms of ``hotels`` served hotels.
 
     The aggregate-payload leaf write: flips ``capacity`` (parity toggle,
@@ -285,35 +209,16 @@ def hotel_conference_write(
     window = (hotelids * 2)[start:start + count]
     marks = ",".join(f":h{i}" for i in range(len(window)))
     bindings = {f"h{i}": key for i, key in enumerate(window)}
-    keys = None
-    if tracker is not None:
-        keys = _changed_keys(
-            db,
-            f"SELECT c_id FROM confroom WHERE chotel_id IN ({marks})",
-            bindings,
-        )
     db.run_sql(
         "UPDATE confroom SET capacity = CASE capacity % 2 "
         "WHEN 0 THEN capacity + 1 ELSE capacity - 1 END "
         f"WHERE chotel_id IN ({marks})",
         bindings,
     )
-    if tracker is not None:
-        tracker.record_write(
-            "confroom",
-            rows=len(keys or ()),
-            keys=keys,
-            columns=("capacity",),
-        )
     return "confroom"
 
 
-def hotel_payload_write(
-    db,
-    step: int,
-    tracker: Optional[object] = None,
-    rows: int = 1,
-) -> str:
+def hotel_payload_write(db, step: int, rows: int = 1) -> str:
     """Flip ``pool`` on exactly ``rows`` hotels; returns ``"hotel"``.
 
     The row-pushdown microbenchmark's write: ``pool`` is a pure payload
@@ -345,8 +250,4 @@ def hotel_payload_write(
         f"UPDATE hotel SET pool = 1 - pool WHERE hotelid IN ({marks})",
         bindings,
     )
-    if tracker is not None:
-        tracker.record_write(
-            "hotel", rows=len(window), keys=window, columns=("pool",)
-        )
     return "hotel"

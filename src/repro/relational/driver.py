@@ -7,10 +7,12 @@ deadline machinery reach the engine only through :class:`SqliteDriver`:
 how to open a connection (writable or read-only), how to snapshot a live
 database for a read-only serving pool, how to make a released session
 safe to reuse, how to stop a statement mid-flight on the thread that
-runs it, and how to observe writes for automatic change capture. sqlite
+runs it, and how to capture every write with its keys (one ``TEMP``
+trigger per table and write kind, calling one Python function). sqlite
 is the one engine; this object is the seam a second one would replace,
 and the conformance kit (``tests/relational/conformance``) is the
-contract it would have to pass. DESIGN.md ("One engine") lists what such an engine has to supply.
+contract it would have to pass. DESIGN.md ("One engine") lists what such
+an engine has to supply.
 """
 
 from __future__ import annotations
@@ -19,36 +21,6 @@ import itertools
 import re
 import sqlite3
 from typing import Any, Callable, Mapping, Optional, Sequence
-
-#: Authorizer action codes that modify a table (auto capture).
-_WRITE_ACTIONS = (
-    sqlite3.SQLITE_INSERT,
-    sqlite3.SQLITE_UPDATE,
-    sqlite3.SQLITE_DELETE,
-)
-
-#: Target table of a DML statement, tolerant of conflict clauses,
-#: schema qualification, and quoted identifiers. Matched at the
-#: statement's first keyword (see :func:`_write_target`).
-_WRITE_SQL_RE = re.compile(
-    r"(?:INSERT\s+(?:OR\s+\w+\s+)?INTO|REPLACE\s+INTO"
-    r"|UPDATE(?:\s+OR\s+\w+)?|DELETE\s+FROM)\s+"
-    r"[\"'`\[]?(\w+(?:[\"'`\]]?\s*\.\s*[\"'`\[]?\w+)?)",
-    re.IGNORECASE,
-)
-
-#: Whitespace and comments ahead of a statement's first keyword.
-_LEADING_RE = re.compile(r"(?:\s+|--[^\n]*|/\*.*?\*/)*", re.DOTALL)
-
-_WITH_RE = re.compile(r"WITH\b", re.IGNORECASE)
-
-#: What a scan for a ``WITH`` statement's DML keyword must step over or
-#: count: string literals, quoted identifiers, comments, parentheses.
-_SCAN_RE = re.compile(
-    r"'(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|--[^\n]*|/\*.*?\*/"
-    r"|(?P<paren>[()])|(?P<dml>\b(?:INSERT|REPLACE|UPDATE|DELETE)\b)",
-    re.IGNORECASE | re.DOTALL,
-)
 
 #: Virtual-machine steps between two calls of a statement's stop poll
 #: (:meth:`SqliteDriver.stop_when`). Coarse on purpose: each call is a
@@ -61,42 +33,14 @@ STOP_POLL_OPS = 100_000
 #: Process-unique suffixes for shared-cache in-memory clone databases.
 _CLONE_IDS = itertools.count(1)
 
-
-def _write_target(sql_text: str) -> Optional[str]:
-    """The table a DML statement writes, or ``None`` for non-DML.
-
-    Leading whitespace and ``--`` / ``/* */`` comments are skipped; a
-    ``WITH`` statement writes the target of its first top-level
-    ``INSERT`` / ``REPLACE`` / ``UPDATE`` / ``DELETE`` (outside
-    parentheses and string literals), so ``WITH … SELECT`` and a keyword
-    inside a literal give ``None``.
-    """
-    start = _LEADING_RE.match(sql_text).end()
-    match = _WRITE_SQL_RE.match(sql_text, start)
-    if match is None and _WITH_RE.match(sql_text, start):
-        depth = 0
-        for token in _SCAN_RE.finditer(sql_text, start):
-            if token.group("paren"):
-                depth += 1 if token.group("paren") == "(" else -1
-            elif token.group("dml") and depth == 0:
-                match = _WRITE_SQL_RE.match(sql_text, token.start())
-                if match is not None:
-                    break
-    if match is None:
-        return None
-    name = match.group(1)
-    # Strip a schema qualifier ("main"."hotel" -> hotel) and any
-    # trailing quote characters the loose identifier match kept.
-    name = re.split(r"[\"'`\]]?\s*\.\s*[\"'`\[]?", name)[-1]
-    return name.strip("\"'`[]")
-
-
-#: Statements sqlite3 issues around a write (the implicit ``BEGIN``
-#: among them): traced between a DML's prepare and its execution, so
-#: they must not claim the tables that prepare named.
+#: Transaction control: a write the engine's entry points did not
+#: run (a bare ``connection.execute``) is complete when one is traced.
 _TRANSACTION_RE = re.compile(
     r"\s*(?:BEGIN|COMMIT|END|ROLLBACK|SAVEPOINT|RELEASE)\b", re.IGNORECASE
 )
+
+#: The SQL function the capture triggers call, and their name prefix.
+_CAPTURE = "repro_capture"
 
 
 class _SqliteSnapshot:
@@ -225,51 +169,105 @@ class SqliteDriver:
     # -- change capture ------------------------------------------------------
 
     def install_change_capture(
-        self, connection, record: Callable[[str], Any]
-    ) -> None:
-        """Call ``record(table)`` for every INSERT/UPDATE/DELETE executed
-        on ``connection``, via the authorizer + trace pair."""
-        # The stdlib sqlite3 module exposes no update_hook, so capture
-        # combines two hooks (see repro.maintenance.tracker for the
-        # full rationale):
-        #
-        # - the trace callback fires on *every* statement execution —
-        #   including re-executions served from the prepared-statement
-        #   cache — and receives the expanded SQL text, from which the
-        #   DML target table parses directly;
-        # - the authorizer fires at prepare time and names every
-        #   written table, catching indirect writes the text does not
-        #   mention (trigger bodies, cascading deletes) and writes whose
-        #   text yields no target. Those bump at the statement's first
-        #   execution — the next traced statement that is not the
-        #   transaction control sqlite3 issues around it.
-        #
-        # sqlite3 serializes callbacks with statement execution on the
-        # owning connection, so ``pending`` needs no lock of its own.
-        pending: set[str] = set()
+        self, connection, catalog, record: Callable[..., Any]
+    ) -> Callable[[Callable[[], Any]], Any]:
+        """Capture every INSERT / UPDATE / DELETE on ``connection`` with
+        its keys; returns ``write(statement)``, which runs
+        ``statement()`` and hands on what it wrote when it returns.
 
-        def authorizer(action, arg1, _arg2, _dbname, _trigger) -> int:
-            if action in _WRITE_ACTIONS and arg1:
-                pending.add(arg1)
-            return sqlite3.SQLITE_OK
+        One SQL function and, per ``catalog`` table, an AFTER INSERT /
+        UPDATE / DELETE ``TEMP`` trigger that calls it for each row:
+        with the old and new primary key (both are changed keys when an
+        UPDATE rewrites one) and a bit mask of the changed columns
+        (``OLD.c IS NOT NEW.c`` on UPDATE, every bit on INSERT and
+        DELETE). Every statement is seen, however it is written (a
+        ``WITH`` prefix, a cascade from a user trigger, ``INSERT OR
+        REPLACE``); one that matches no row fires nothing. The rows
+        buffer until they are handed on as one ``record(table, rows=,
+        keys=, columns=)`` per written table: ``keys`` is ``None`` for a
+        table without a primary key, ``columns`` ``None`` when a row was
+        inserted or deleted, or a column past the 63rd changed (the
+        mask's sign bit). The engine's write entry points run through
+        ``write``; a traced transaction-control statement hands on what
+        a bare ``connection.execute`` wrote (sqlite traces a trigger's
+        body with its outer statement's text, so nothing earlier marks a
+        statement's end). Clones and shards copy ``main`` only.
+        """
+        columns_of = {
+            declared.name: declared.column_names() for declared in catalog
+        }
+        # sqlite3 serializes callbacks with statement execution on the
+        # owning connection, so ``pending`` needs no lock of its own:
+        # table -> [rows, keys, changed-column mask (-1: every column)].
+        pending: dict[str, list] = {}
+
+        def capture(table: str, old: Any, new: Any, changed: int) -> None:
+            entry = pending.get(table)
+            if entry is None:
+                entry = pending[table] = [0, set(), 0]
+            entry[0] += 1
+            entry[1].add(old)
+            entry[1].add(new)
+            entry[2] |= changed
+
+        def flush() -> None:
+            written = list(pending.items())
+            pending.clear()
+            for table, (rows, keys, changed) in written:
+                record(
+                    table,
+                    rows=rows,
+                    keys=None if None in keys else keys,  # NULL: keyless
+                    columns=None if changed < 0 else {
+                        name
+                        for bit, name in enumerate(columns_of[table])
+                        if changed >> bit & 1
+                    },
+                )
 
         def trace(sql_text: str) -> None:
-            direct = _write_target(sql_text)
-            if direct is None and (
-                not pending or _TRANSACTION_RE.match(sql_text)
-            ):
-                return
-            extras = pending - {direct}
-            pending.clear()
-            for table in sorted(extras):
-                record(table)
-            if direct is not None:
-                record(direct)
+            if pending and _TRANSACTION_RE.match(sql_text):
+                flush()
 
-        connection.set_authorizer(authorizer)
+        def write(statement: Callable[[], Any]) -> Any:
+            # sqlite traces each trigger body a row fires, so under the
+            # trace a write pays a Python call per row; these writes
+            # hand themselves on when they return and need none.
+            connection.set_trace_callback(None)
+            try:
+                return statement()
+            finally:
+                connection.set_trace_callback(trace)
+                flush()
+
+        connection.create_function(_CAPTURE, 4, capture)
+        for declared in catalog:
+            name, key = declared.name, declared.primary_key
+            old, new = (f"OLD.{key}", f"NEW.{key}") if key else ("NULL", "NULL")
+            changed = " | ".join(
+                f"((OLD.{column} IS NOT NEW.{column}) << {min(bit, 63)})"
+                for bit, column in enumerate(columns_of[name])
+            )
+            for event, values in (
+                ("INSERT", f"{new}, {new}, -1"),
+                ("UPDATE", f"{old}, {new}, {changed}"),
+                ("DELETE", f"{old}, {old}, -1"),
+            ):
+                connection.execute(
+                    f"CREATE TEMP TRIGGER IF NOT EXISTS "
+                    f"{_CAPTURE}_{name}_{event.lower()} AFTER {event} "
+                    f"ON main.{name} BEGIN "
+                    f"SELECT {_CAPTURE}('{name}', {values}); END"
+                )
         connection.set_trace_callback(trace)
+        return write
 
     def remove_change_capture(self, connection) -> None:
-        """Clear the authorizer and trace-callback slots."""
-        connection.set_authorizer(None)
+        """Drop the capture triggers and clear the trace callback."""
         connection.set_trace_callback(None)
+        triggers = connection.execute(
+            "SELECT name FROM sqlite_temp_master "
+            f"WHERE type = 'trigger' AND name GLOB '{_CAPTURE}_*'"
+        ).fetchall()
+        for (name,) in triggers:
+            connection.execute(f"DROP TRIGGER temp.{name}")

@@ -113,6 +113,11 @@ class QueryStats:
             self.sql_texts.clear()
 
 
+def _run(statement: Callable[[], Any]) -> Any:
+    """An untracked engine's write: the statement alone."""
+    return statement()
+
+
 def _as_dicts(names: list[str], rows: list) -> list[Row]:
     """The by-name view of fetched rows: one dict per row."""
     return [dict(zip(names, raw)) for raw in rows]
@@ -151,7 +156,9 @@ class Database:
         self.stats = stats if stats is not None else QueryStats()
         self.read_only = read_only
         self.tracker = None
-        self._tracker_auto = False
+        # Runs a write entry point's statements and records what they
+        # wrote on the tracker (:meth:`attach_tracker`).
+        self._write: Callable[[Callable[[], Any]], Any] = _run
         # Cooperative cancellation hook (repro.resilience): when set, it
         # is invoked at the top of every run_query — a query/row
         # boundary — and may raise (e.g. DeadlineExceeded) to abandon
@@ -208,33 +215,27 @@ class Database:
 
     # -- change capture ------------------------------------------------------
 
-    def attach_tracker(self, tracker, auto: bool = False) -> None:
-        """Publish this engine's writes to a maintenance ``tracker``.
+    def attach_tracker(self, tracker) -> None:
+        """Publish every write on this engine's connection to ``tracker``.
 
-        ``tracker`` is a :class:`repro.maintenance.tracker.WriteTracker`
-        (anything with ``record_write(table, rows=...)``). In the default
-        **explicit** mode only the engine's own write API
-        (:meth:`insert_rows`) records; raw :meth:`run_sql` writes are the
-        caller's responsibility. With ``auto=True`` the tracker installs
-        the driver's write-capture hooks on this connection so *every*
-        INSERT/UPDATE/DELETE is captured, including raw SQL — and the
-        explicit path stands down to avoid double counting. A failed
-        hook install raises before any state changes.
+        ``tracker`` is a :class:`repro.maintenance.tracker.WriteTracker`.
+        The driver's change capture records every INSERT / UPDATE /
+        DELETE — :meth:`insert_rows`, raw :meth:`run_sql`, a bare
+        ``connection.execute`` — once per statement and table, with the
+        changed primary keys and (on UPDATE) columns. A failed install
+        raises before any state changes, leaving the engine untracked.
         """
         self._check_writable("attach a write tracker")
-        if auto:
-            # Hooks first: if installing them raises, no tracker state
-            # is set, so a failed auto attach can never leave the engine
-            # half-attached (tracker set, hooks absent, explicit path
-            # standing down — which would undercount silently).
-            tracker.attach(self)
+        self._write = self.driver.install_change_capture(
+            self.connection, self.catalog, tracker.record_write
+        )
         self.tracker = tracker
-        self._tracker_auto = auto
 
-    def record_write(self, table: str, rows: int = 1) -> None:
-        """Explicitly record a write against ``table`` (no-op untracked)."""
-        if self.tracker is not None:
-            self.tracker.record_write(table, rows=rows)
+    def detach_tracker(self) -> None:
+        """Stop recording writes; the tracker keeps what it recorded."""
+        self.driver.remove_change_capture(self.connection)
+        self._write = _run
+        self.tracker = None
 
     # -- schema / data -------------------------------------------------------
 
@@ -275,18 +276,18 @@ class Database:
         Returns the number inserted."""
         self._check_writable(f"insert into {table}")
         columns = self.catalog.table(table).column_names()
-        if rows:
-            self.driver.executemany(
-                self.connection,
-                f"INSERT INTO {table} ({', '.join(columns)}) "
-                f"VALUES ({', '.join('?' * len(columns))})",
-                rows,
-            )
-        self.driver.commit(self.connection)
-        # Auto-tracked engines capture the INSERT through the driver's
-        # write hooks; recording here too would double-bump the version.
-        if rows and self.tracker is not None and not self._tracker_auto:
-            self.tracker.record_write(table, rows=len(rows))
+
+        def statement() -> None:
+            if rows:
+                self.driver.executemany(
+                    self.connection,
+                    f"INSERT INTO {table} ({', '.join(columns)}) "
+                    f"VALUES ({', '.join('?' * len(columns))})",
+                    rows,
+                )
+            self.driver.commit(self.connection)
+
+        self._write(statement)
         return len(rows)
 
     def _check_writable(self, action: str) -> None:
@@ -391,12 +392,18 @@ class Database:
         """Execute raw SQL with ``:name`` placeholders (used by tests and
         the harness). On a read-only session sqlite itself refuses DML
         (``PRAGMA query_only``)."""
-        cursor = self.driver.execute(self.connection, sql, dict(bindings or {}))
-        description = getattr(cursor, "description", None)
-        if description is None:
-            self.driver.commit(self.connection)
-            return []
-        return _as_dicts([d[0] for d in description], cursor.fetchall())
+
+        def statement() -> list[Row]:
+            cursor = self.driver.execute(
+                self.connection, sql, dict(bindings or {})
+            )
+            description = getattr(cursor, "description", None)
+            if description is None:
+                self.driver.commit(self.connection)
+                return []
+            return _as_dicts([d[0] for d in description], cursor.fetchall())
+
+        return self._write(statement)
 
     def close(self) -> None:
         """Close the underlying sqlite connection."""

@@ -42,7 +42,8 @@ second attempt prefers a member the first attempt did not use
 (anti-affinity), falling back to the same pool only on 1-member shards.
 
 Writes route through :meth:`ShardRouter.route_write`: the write
-function runs once per shard against ``(shard source, shard tracker)``,
+function runs once per shard against the shard source, which captures
+its writes on the shard's tracker (attached when the shard is built),
 so delta maintenance stays entirely shard-local — each shard's
 tracker only ever sees its own rows, and each shard's result cache
 splices only its own slice of the document.
@@ -308,6 +309,7 @@ class ShardRouter:
         self.shards: list[_Shard] = []
         for index, source in enumerate(sources):
             tracker = trackers[index] if trackers is not None else WriteTracker()
+            source.attach_tracker(tracker)
             members: list[_Member] = []
             for role in range(replicas + 1):
                 name = "primary" if role == 0 else f"replica-{role}"
@@ -416,18 +418,17 @@ class ShardRouter:
         futures = [self.submit(request) for request in requests]
         return [future.result() for future in futures]
 
-    def route_write(self, write_fn: Callable[[Database, WriteTracker], object]) -> list:
+    def route_write(self, write_fn: Callable[[Database], object]) -> list:
         """Apply one logical write to every shard, shard-locally tracked.
 
-        ``write_fn(source, tracker)`` runs once per shard in shard
-        order. The workload writers address rows by key predicates, so
-        each shard's statements only touch rows it owns — the union of
-        the per-shard effects equals the single-box effect of the same
-        write, which is exactly what the differential suite checks.
+        ``write_fn(source)`` runs once per shard in shard order; each
+        shard source records its writes on its shard's tracker. The
+        workload writers address rows by key predicates, so each shard's
+        statements only touch rows it owns — the union of the per-shard
+        effects equals the single-box effect of the same write, which is
+        exactly what the differential suite checks.
         """
-        return [
-            write_fn(shard.source, shard.tracker) for shard in self.shards
-        ]
+        return [write_fn(shard.source) for shard in self.shards]
 
     # -- serving -------------------------------------------------------------
 

@@ -10,15 +10,16 @@ import pytest
 from repro.baseline.materialize import NaivePipeline
 from repro.errors import ReproError
 from repro.frontend import build_hotel_app
-from repro.maintenance import hotel_write
+from repro.maintenance import hotel_write, hotel_write_tables
 from repro.schema_tree.evaluator import materialize
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 from repro.xmlcore.serializer import serialize
+from tests.priming import promote
 
 
 def test_build_app_serves_naive_bytes_after_every_write():
     """The whole serving stack — ``build_hotel_app`` (ViewServer, strict
-    staleness, delta maintenance, writes tracked by auto capture) —
+    staleness, delta maintenance, writes captured in the engine) —
     serves, after every write, the bytes the naive pipeline gives on a
     database fed the same writes; no request fails and no pooled session
     is left borrowed."""
@@ -55,6 +56,63 @@ def test_build_app_serves_naive_bytes_after_every_write():
     finally:
         asyncio.run(app.close())
         reference.close()
+
+
+def test_a_served_single_box_write_reaches_the_row_rung():
+    """The mix's ``hotel`` step (step 1, a ``pool`` flip) applied through
+    the single box's ``apply_write`` is recorded with its keys, so the
+    next Figure 1 read splices rows instead of re-running the node, and
+    serves the naive pipeline's bytes."""
+    reference = build_hotel_database(HotelDataSpec().scaled(1))
+    app = build_hotel_app(scale=1, workers=1)
+    try:
+        request = app.request_for("figure1")
+
+        def read():
+            return app.backend.submit(request).result()
+
+        read()
+        promote(read, app.apply_write)  # step 0: the availability write
+        assert app.apply_write() == 2  # step 1: the hotel write
+        for step in range(2):
+            hotel_write(reference, step)
+        trace = read()
+        assert trace.freshness == "delta-recompute"
+        assert trace.rows_spliced > 0
+        view = app.registry["figure1"].view
+        assert trace.xml == serialize(materialize(view, reference))
+    finally:
+        asyncio.run(app.close())
+        reference.close()
+
+
+def test_single_box_and_fleet_record_the_same_keys_and_columns():
+    """One capture path: for the same mix writes, the single box's
+    tracker and the union of a 2-shard fleet's shard trackers hold the
+    same changed keys and columns per table."""
+    single = build_hotel_app(scale=1, workers=1)
+    fleet = build_hotel_app(scale=1, workers=1, shards=2)
+    tables = hotel_write_tables()
+
+    def recorded(trackers):
+        union = {table: (set(), set()) for table in tables}
+        for tracker in trackers:
+            for table, change in tracker.changes_since({}, tables).items():
+                union[table][0].update(change.keys)
+                union[table][1].update(change.columns)
+        return union
+
+    try:
+        for _ in range(3):
+            single.apply_write()
+            fleet.apply_write()
+        expected = recorded([single.backend.tracker])
+        assert all(keys and columns for keys, columns in expected.values())
+        shards = [shard.tracker for shard in fleet.backend.shards]
+        assert recorded(shards) == expected
+    finally:
+        asyncio.run(single.close())
+        asyncio.run(fleet.close())
 
 
 def test_the_app_compiles_its_views_when_it_is_built():

@@ -41,7 +41,7 @@ class Reference:
             HotelDataSpec().scaled(1), cross_thread=True
         )
         tracker = WriteTracker()
-        self.db.attach_tracker(tracker, auto=True)
+        self.db.attach_tracker(tracker)
         self.server = ViewServer(
             self.db.catalog,
             self.db,

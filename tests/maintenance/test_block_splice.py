@@ -77,8 +77,9 @@ def _snapshot(state):
 
 def _write_and_changes(db, write, tables):
     tracker = WriteTracker()
+    db.attach_tracker(tracker)
     stamped = tracker.snapshot()
-    write(db, tracker)
+    write(db)
     return tracker.changes_since(stamped, tables)
 
 
@@ -86,7 +87,7 @@ def test_conference_write_row_splices_leaf_reruns_aggregates(env):
     db, view, state, reads = env
     changes = _write_and_changes(
         db,
-        lambda db, tracker: hotel_conference_write(db, 0, tracker, hotels=1),
+        lambda db: hotel_conference_write(db, 0, hotels=1),
         ("confroom",),
     )
     result = _delta(db, view, state, reads, changes)
@@ -103,7 +104,7 @@ def test_payload_write_shares_untouched_subtrees_by_identity(env):
     old_hotels = _column(view, state, "hotel")
     changes = _write_and_changes(
         db,
-        lambda db, tracker: hotel_payload_write(db, 0, tracker, rows=1),
+        lambda db: hotel_payload_write(db, 0, rows=1),
         ("hotel",),
     )
     result = _delta(db, view, state, reads, changes)
@@ -157,9 +158,9 @@ def test_one_key_write_to_a_leaf_reads_no_env_and_renders_one_row(
     composed = compose(view, figure4_stylesheet(), db.catalog)
     prune_stylesheet_view(composed, db.catalog)  # as the server compiles it
     writes = {
-        "hotel": lambda db, tracker: hotel_payload_write(db, 0, tracker, rows=1),
-        "confroom": lambda db, tracker: hotel_conference_write(
-            db, 0, tracker, hotels=1
+        "hotel": lambda db: hotel_payload_write(db, 0, rows=1),
+        "confroom": lambda db: hotel_conference_write(
+            db, 0, hotels=1
         ),
     }
     for target, table in ((view, "hotel"), (composed, "confroom")):
@@ -193,7 +194,7 @@ def test_calendar_write_uses_node_level_and_stays_exact(env):
     db, view, state, reads = env
     changes = _write_and_changes(
         db,
-        lambda db, tracker: hotel_calendar_write(db, 0, tracker, hotels=1),
+        lambda db: hotel_calendar_write(db, 0, hotels=1),
         ("availability",),
     )
     result = _delta(db, view, state, reads, changes)
@@ -249,8 +250,9 @@ def test_phantom_key_stays_exact(env):
     # rung's per-parent membership check may proceed past it.
     db, view, state, reads = env
     tracker = WriteTracker()
+    db.attach_tracker(tracker)
     stamped = tracker.snapshot()
-    hotel_conference_write(db, 0, tracker, hotels=1)
+    hotel_conference_write(db, 0, hotels=1)
     tracker.record_write(
         "confroom", rows=1, keys=[999_999], columns=("capacity",)
     )
@@ -286,7 +288,7 @@ def test_untraceable_write_uses_node_level(env):
     db, view, state, reads = env
     tracker = WriteTracker()
     stamped = tracker.snapshot()
-    hotel_conference_write(db, 0, tracker=None, hotels=1)
+    hotel_conference_write(db, 0, hotels=1)
     tracker.record_write("confroom", rows=1)  # no keys, no columns
     changes = tracker.changes_since(stamped, ("confroom",))
     assert changes["confroom"].keys is None
@@ -305,7 +307,7 @@ def test_delta_does_not_mutate_the_old_document(env, monkeypatch):
     before, text = _snapshot(state), state.text()
     changes = _write_and_changes(
         db,
-        lambda db, tracker: hotel_conference_write(db, 0, tracker, hotels=1),
+        lambda db: hotel_conference_write(db, 0, hotels=1),
         ("confroom",),
     )
     result = _delta(db, view, state, reads, changes)
@@ -339,7 +341,7 @@ def test_state_without_the_views_shape_declines(env):
     db, view, state, reads = env
     changes = _write_and_changes(
         db,
-        lambda db, tracker: hotel_payload_write(db, 0, tracker, rows=1),
+        lambda db: hotel_payload_write(db, 0, rows=1),
         ("hotel",),
     )
     [hotel] = [n for n in view.nodes() if n.tag == "hotel"]
@@ -376,8 +378,8 @@ def test_deltas_chain(env):
     for step in range(4):
         changes = _write_and_changes(
             db,
-            lambda db, tracker, step=step: hotel_conference_write(
-                db, step, tracker, hotels=1
+            lambda db, step=step: hotel_conference_write(
+                db, step, hotels=1
             ),
             ("confroom",),
         )

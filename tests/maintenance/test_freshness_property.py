@@ -93,7 +93,7 @@ class Harness:
         for kind, arg in operations:
             if kind == "write":
                 flush()
-                hotel_write(self.db, arg, self.tracker)
+                hotel_write(self.db, arg)
                 self.writes += 1
             else:
                 batch += 1

@@ -1,17 +1,31 @@
-"""WriteTracker: explicit recording, auto capture, and version arithmetic."""
+"""WriteTracker: recording, capture in the engine, and version arithmetic."""
 
 from __future__ import annotations
 
+import sqlite3
 import sys
 import threading
 
+import pytest
+
 from repro.maintenance import ROW_PUSHDOWN_MAX_KEYS, WriteTracker
-from repro.maintenance.tracker import KEY_LOG_MAX_KEYS, _write_target
+from repro.maintenance.tracker import KEY_LOG_MAX_KEYS
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
 
 
+@pytest.fixture(autouse=True, scope="module")
+def capture_tracebacks():
+    """A capture callback that raises reaches pytest as an unraisable
+    exception (an error under ``-W
+    error::pytest.PytestUnraisableExceptionWarning``) instead of
+    passing for a write nobody recorded."""
+    sqlite3.enable_callback_tracebacks(True)
+    yield
+    sqlite3.enable_callback_tracebacks(False)
+
+
 # ---------------------------------------------------------------------------
-# Explicit mode
+# Recording
 # ---------------------------------------------------------------------------
 
 
@@ -180,7 +194,7 @@ def test_a_write_larger_than_the_key_bound_is_logged_without_keys():
 def test_engine_insert_rows_records_explicitly():
     db = build_hotel_database(HotelDataSpec(metros=1, hotels_per_metro=1))
     tracker = WriteTracker()
-    db.attach_tracker(tracker)  # explicit mode: no sqlite hooks
+    db.attach_tracker(tracker)
     db.insert_rows(
         "hotelchain",
         [{"chainid": 900, "companyname": "x", "hqstate": "IL"}],
@@ -191,14 +205,16 @@ def test_engine_insert_rows_records_explicitly():
 
 
 # ---------------------------------------------------------------------------
-# Auto capture (sqlite authorizer + trace callback)
+# Capture in the engine (a TEMP trigger per table and write kind)
 # ---------------------------------------------------------------------------
 
 
 def auto_tracked_db():
-    db = build_hotel_database(HotelDataSpec(metros=1, hotels_per_metro=2))
+    # Four hotels: every ``hotelid % 4`` slot below matches a row (a
+    # statement that matches none records nothing).
+    db = build_hotel_database(HotelDataSpec(metros=1, hotels_per_metro=4))
     tracker = WriteTracker()
-    db.attach_tracker(tracker, auto=True)
+    db.attach_tracker(tracker)
     return db, tracker
 
 
@@ -232,8 +248,8 @@ def test_auto_capture_sees_insert_update_delete():
 
 
 def test_auto_capture_survives_statement_cache_reuse():
-    """Parameterized re-executions skip the authorizer (sqlite3 caches
-    prepared statements) but still hit the trace callback."""
+    """Parameterized re-executions from sqlite3's statement cache fire
+    the triggers again; each ``commit()`` ends one statement's record."""
     db, tracker = auto_tracked_db()
     for slot in range(4):
         db.connection.execute(
@@ -258,7 +274,7 @@ def test_auto_capture_counts_executemany_once_per_row_statement():
 
 
 def test_auto_mode_suppresses_the_engine_explicit_record():
-    """insert_rows must not double count when hooks already capture it."""
+    """insert_rows records once per call, with every inserted key."""
     db, tracker = auto_tracked_db()
     before = tracker.version("hotelchain")
     db.insert_rows(
@@ -268,10 +284,10 @@ def test_auto_mode_suppresses_the_engine_explicit_record():
             {"chainid": 921, "companyname": "b", "hqstate": "NY"},
         ],
     )
-    bumps = tracker.version("hotelchain") - before
-    # Hooks fire once per executed statement; the explicit path would
-    # have added one more on top.
-    assert 1 <= bumps <= 2
+    assert tracker.version("hotelchain") - before == 1
+    change = tracker.changes_since({"hotelchain": before}, ["hotelchain"])
+    assert change["hotelchain"].keys == frozenset({920, 921})
+    assert change["hotelchain"].columns is None  # an INSERT: any column
     db.close()
 
 
@@ -291,58 +307,6 @@ def test_auto_capture_attached_directly():
     db.run_sql("DELETE FROM availability WHERE a_id = 1")
     assert tracker.version("availability") == 1
     db.close()
-
-
-# ---------------------------------------------------------------------------
-# DML target parsing
-# ---------------------------------------------------------------------------
-
-
-def test_write_target_parses_dml_forms():
-    assert _write_target("INSERT INTO hotel VALUES (1)") == "hotel"
-    assert _write_target("insert or replace into t2 (a) values (1)") == "t2"
-    assert _write_target("REPLACE INTO logs VALUES (1)") == "logs"
-    assert _write_target("UPDATE hotel SET pool = 0") == "hotel"
-    assert _write_target("UPDATE OR IGNORE hotel SET pool = 0") == "hotel"
-    assert _write_target("DELETE FROM availability") == "availability"
-    assert _write_target('UPDATE "main"."hotel" SET pool = 0') == "hotel"
-    assert _write_target("UPDATE [hotel] SET pool = 0") == "hotel"
-    assert _write_target("  \n  DELETE FROM t") == "t"
-    # Leading comments, then the statement's own first keyword.
-    assert _write_target("/* c */ UPDATE hotel SET pool = 0") == "hotel"
-    assert _write_target("-- note\n  DELETE FROM t") == "t"
-    assert _write_target("/* a */ -- b\n/* c */INSERT INTO t VALUES (1)") == "t"
-    # A WITH prefix: the target of the first top-level DML keyword.
-    assert _write_target(
-        "WITH x AS (SELECT 1) UPDATE hotel SET pool = 0 WHERE hotelid = 1"
-    ) == "hotel"
-    assert _write_target(
-        "with recursive c(n) as (select 1 union all select n + 1 from c "
-        "where n < 3) insert into t2 select n from c"
-    ) == "t2"
-    assert _write_target(
-        "WITH x AS (SELECT 'UPDATE a' AS q, (1) AS r) DELETE FROM b"
-    ) == "b"
-    assert _write_target(
-        "/* c */ WITH x AS (SELECT 1) REPLACE INTO logs SELECT * FROM x"
-    ) == "logs"
-
-
-def test_write_target_rejects_non_dml():
-    assert _write_target("SELECT * FROM hotel") is None
-    assert _write_target("BEGIN ") is None
-    assert _write_target("COMMIT") is None
-    assert _write_target("CREATE TABLE t (x)") is None
-    assert _write_target("PRAGMA query_only=ON") is None
-    assert _write_target("WITH x AS (SELECT 1) SELECT * FROM x") is None
-    assert _write_target("SELECT 'UPDATE hotel'") is None
-    # DML words inside parentheses, literals or comments, and a
-    # top-level replace() call, are not the statement's own DML.
-    assert _write_target(
-        "WITH x AS (SELECT 'DELETE FROM a' AS q) "
-        "SELECT replace(q, 'a', 'b') FROM x /* UPDATE hotel */"
-    ) is None
-    assert _write_target("-- UPDATE hotel\nSELECT 1") is None
 
 
 def test_auto_capture_sees_cte_and_commented_dml_at_its_own_execution():
@@ -369,19 +333,23 @@ def test_auto_capture_sees_cte_and_commented_dml_at_its_own_execution():
     db.close()
 
 
-def test_a_write_whose_text_names_no_target_bumps_at_its_own_execution(
-    monkeypatch,
-):
-    """The tables a statement's prepare named are recorded when that
-    statement executes even if its text yields no target (simulated: the
-    parser reads nothing) — not at the implicit ``BEGIN`` traced before
-    it, and not left for a later statement to claim."""
-    from repro.relational import driver
-
+def test_a_version_bumps_after_its_rows_have_changed():
+    """A subscriber that reads the written row through the writer's own
+    connection when the version bumps sees the new value — through the
+    engine's ``run_sql`` and through a bare ``connection.execute`` —
+    never the row as it was before the statement ran."""
     db, tracker = auto_tracked_db()
-    monkeypatch.setattr(driver, "_write_target", lambda _sql: None)
+    seen = []
+
+    def read_pool(table, version):
+        seen.append(db.connection.execute(
+            "SELECT pool FROM hotel WHERE hotelid = 1"
+        ).fetchone()[0])
+
+    tracker.subscribe(read_pool)
+    [before] = db.run_sql("SELECT pool FROM hotel WHERE hotelid = 1")
     db.run_sql("UPDATE hotel SET pool = 1 - pool WHERE hotelid = 1")
-    assert tracker.snapshot() == {"hotel": 1}
-    db.run_sql("SELECT COUNT(*) FROM hotel")
-    assert tracker.snapshot() == {"hotel": 1}
+    db.connection.execute("UPDATE hotel SET pool = 1 - pool WHERE hotelid = 1")
+    db.connection.commit()
+    assert seen == [1 - before["pool"], before["pool"]]
     db.close()

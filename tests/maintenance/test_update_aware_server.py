@@ -33,10 +33,10 @@ from tests.priming import promote
 SPEC = HotelDataSpec(metros=2, hotels_per_metro=3)
 
 
-def make_env(staleness="strict", auto=False):
+def make_env(staleness="strict"):
     db = build_hotel_database(SPEC, cross_thread=True)
     tracker = WriteTracker()
-    db.attach_tracker(tracker, auto=auto)
+    db.attach_tracker(tracker)
     server = ViewServer(
         db.catalog,
         db,
@@ -76,7 +76,7 @@ def serve_promoted(server, db, tracker):
     """
     assert serve(server, db).freshness == "miss"
     promote(
-        lambda: serve(server, db), lambda: hotel_write(db, 2, tracker)
+        lambda: serve(server, db), lambda: hotel_write(db, 2)
     )
     metrics = server.metrics()
     assert metrics["delta_fallbacks_by_reason"]["no-state"] == 1
@@ -96,7 +96,7 @@ def test_miss_then_hit_then_stale_recompute(strict_env):
     assert second.freshness == "hit" and second.version_lag == 0
     assert second.xml == first.xml
 
-    hotel_write(db, 0, tracker)  # availability write, in the read set
+    hotel_write(db, 0)  # availability write, in the read set
     third = serve(server, db)
     assert third.freshness == "stale-recompute"
     assert third.version_lag == 1
@@ -114,7 +114,7 @@ def test_write_outside_the_read_set_does_not_invalidate(strict_env):
 
     serve(server, db)
     db.run_sql("UPDATE hotelchain SET hqstate = 'WA' WHERE chainid = 1")
-    tracker.record_write("hotelchain")
+    assert tracker.version("hotelchain") == 1
     trace = serve(server, db)
     assert trace.freshness == "hit" and trace.version_lag == 0
 
@@ -143,7 +143,6 @@ def test_recomputed_bytes_match_the_post_write_database(strict_env):
         "UPDATE hotel SET starrating = CASE WHEN starrating > 4 "
         "THEN 3 ELSE 5 END WHERE hotelid = 1"
     )
-    tracker.record_write("hotel")
     after = serve(server, db)
     assert after.freshness == "stale-recompute"
     assert after.xml != before
@@ -158,11 +157,11 @@ def test_bounded_policy_serves_within_the_bound():
     db, tracker, server = make_env("bounded:2")
     try:
         serve(server, db)
-        hotel_write(db, 0, tracker)
-        hotel_write(db, 1, tracker)
+        hotel_write(db, 0)
+        hotel_write(db, 1)
         within = serve(server, db)
         assert within.freshness == "hit" and within.version_lag == 2
-        hotel_write(db, 2, tracker)
+        hotel_write(db, 2)
         beyond = serve(server, db)
         assert beyond.freshness == "stale-recompute"
         assert beyond.version_lag == 3
@@ -179,7 +178,6 @@ def test_manual_policy_serves_stale_until_invalidated():
             "UPDATE hotel SET starrating = CASE WHEN starrating > 4 "
             "THEN 3 ELSE 5 END WHERE hotelid = 1"
         )
-        tracker.record_write("hotel")
         lagged = serve(server, db)
         assert lagged.freshness == "hit" and lagged.version_lag == 1
         assert lagged.xml == stale  # knowingly stale bytes
@@ -228,7 +226,7 @@ class RacyServer(ViewServer):
         race, self._race = getattr(self, "_race", None), None
         if race is not None:
             db, tracker, step = race
-            hotel_write(db, step, tracker)
+            hotel_write(db, step)
         super()._sync()
 
 
@@ -276,7 +274,7 @@ def test_delta_adopts_a_racing_write_into_its_selection_snapshot():
     db, tracker, server = racy_env()
     try:
         serve_promoted(server, db, tracker)
-        hotel_write(db, 0, tracker)  # entry is now stale
+        hotel_write(db, 0)  # entry is now stale
         server.arm_race(db, tracker, 1)  # second write lands inside sync
         trace = serve(server, db)
         assert trace.freshness == "delta-recompute"
@@ -296,11 +294,11 @@ def test_write_racing_the_splice_discards_the_delta(monkeypatch):
     db, tracker, server = make_env()
     try:
         serve_promoted(server, db, tracker)
-        hotel_write(db, 0, tracker)
+        hotel_write(db, 0)
         original = DeltaEvaluator.evaluate
 
         def racing_evaluate(self, *args, **kwargs):
-            hotel_write(db, 1, tracker)  # sneaks in mid-evaluation
+            hotel_write(db, 1)  # sneaks in mid-evaluation
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(DeltaEvaluator, "evaluate", racing_evaluate)
@@ -326,7 +324,7 @@ def test_delta_recompute_state_machine():
     db, tracker, server = make_env()
     try:
         serve_promoted(server, db, tracker)
-        hotel_write(db, 0, tracker)
+        hotel_write(db, 0)
         trace = serve(server, db)
         assert trace.freshness == "delta-recompute"
         assert trace.dirty_nodes > 0
@@ -357,14 +355,15 @@ def test_row_pushdown_refetches_the_changed_rows_not_the_node():
         server.render(view, strategy="bulk")  # prime plan + cached bytes
         promote(  # ... and the state the row-level deltas splice against
             lambda: server.render(view, strategy="bulk"),
-            lambda: hotel_payload_write(db, 7, tracker, rows=1),
+            lambda: hotel_payload_write(db, 7, rows=1),
         )
         for step, rows in enumerate((1, 4)):
-            hotel_payload_write(db, step, tracker, rows=rows)
+            hotel_payload_write(db, step, rows=rows)
             trace = server.render(view, strategy="bulk")
             assert trace.freshness == "delta-recompute"
             assert 0 < trace.rows_fetched <= rows
             assert trace.xml == serialize(materialize(view, db))
+        WriteTracker.detach(db)  # the same write, recorded without keys
         db.run_sql(
             "UPDATE hotel SET pool = 1 - pool WHERE hotelid = "
             "(SELECT MIN(hotelid) FROM hotel WHERE starrating > 4)",
@@ -410,11 +409,11 @@ def test_state_lifecycle():
     try:
         step("miss", no_state=0, captures=0, resident=0)
         step("hit", no_state=0, captures=0, resident=0)
-        hotel_write(db, 0, tracker)
+        hotel_write(db, 0)
         step("stale-recompute", no_state=1, captures=1, resident=1)
-        hotel_write(db, 1, tracker)
+        hotel_write(db, 1)
         step("delta-recompute", no_state=1, captures=1, resident=1)
-        hotel_write(db, 2, tracker)
+        hotel_write(db, 2)
         step("delta-recompute", no_state=1, captures=1, resident=1)
     finally:
         server.close()
@@ -454,18 +453,12 @@ def test_a_delta_with_nothing_dirty_restamps_the_stored_body(fleet, monkeypatch)
         servers = [backend]
 
         def write(write_fn):
-            write_fn(db, tracker)
+            write_fn(db)
 
-    def reprice(source, tracker):
-        keys = [row["a_id"] for row in source.run_sql(
-            "SELECT a_id FROM availability ORDER BY a_id LIMIT 3", {}
-        )]
+    def reprice(source):
         source.run_sql(
-            "UPDATE availability SET price = price + 1 WHERE a_id <= :k",
-            {"k": max(keys)},
-        )
-        tracker.record_write(
-            "availability", rows=len(keys), keys=keys, columns=("price",)
+            "UPDATE availability SET price = price + 1 WHERE a_id IN "
+            "(SELECT a_id FROM availability ORDER BY a_id LIMIT 3)"
         )
 
     def read():
@@ -480,7 +473,7 @@ def test_a_delta_with_nothing_dirty_restamps_the_stored_body(fleet, monkeypatch)
 
     try:
         read()
-        promote(read, lambda: write(lambda s, t: hotel_write(s, 0, t)))
+        promote(read, lambda: write(lambda s: hotel_write(s, 0)))
         previous, earned = dict(served), captures()
         states = {
             s: s.result_cache.peek(t.plan_key).state for s, t in previous.items()
@@ -511,15 +504,15 @@ def _naive_bytes(db):
 
 
 # ---------------------------------------------------------------------------
-# Auto-captured writes reach the server with no cooperation
+# A raw write reaches the server with no cooperation
 # ---------------------------------------------------------------------------
 
 
 def test_auto_captured_write_forces_strict_recompute():
-    db, tracker, server = make_env("strict", auto=True)
+    db, tracker, server = make_env("strict")
     try:
         serve(server, db)
-        db.run_sql("UPDATE hotel SET pool = 1 - pool")  # hooks record this
+        db.run_sql("UPDATE hotel SET pool = 1 - pool")  # the engine records it
         trace = serve(server, db)
         assert trace.freshness == "stale-recompute"
     finally:
@@ -536,7 +529,7 @@ def test_metrics_report_freshness_and_maintenance_state(strict_env):
     db, tracker, server = strict_env
     serve(server, db)
     serve(server, db)
-    hotel_write(db, 0, tracker)
+    hotel_write(db, 0)
     serve(server, db)
     serve(server, db, bypass_cache=True)
 

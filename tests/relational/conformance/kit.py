@@ -5,7 +5,7 @@ Each ``check_*`` method exercises one clause of the contract
 :class:`~repro.relational.engine.Database` and the serving pool, using
 only the public engine API: rows, placeholders and types round-trip,
 snapshots snapshot, read-only sessions refuse writes, stops stop,
-hooks capture. The pytest module in this package
+writes capture themselves. The pytest module in this package
 (``test_conformance.py``) instantiates the kit once per engine driver —
 sqlite's, the one engine — and calls one check per test; a second
 engine's driver would have to pass the same checks.
@@ -258,22 +258,94 @@ class DriverConformanceKit:
             assert db.run_sql(SHORT_SQL) == [{"n": 100000}]
 
     def check_change_capture(self) -> None:
-        """Auto capture records raw DML, once per statement, and stops
-        at detach."""
+        """Every write records itself: once per statement and written
+        table, with its primary keys and (on UPDATE) its changed columns,
+        however it is written — a raw UPDATE (one that rewrites a key
+        reports both), INSERT and DELETE, a ``WITH`` statement, a user
+        trigger's cascade, ``INSERT OR REPLACE`` over an existing key,
+        the engine's own insert and a ``DELETE`` with no ``WHERE``; a
+        table without a primary key records no keys. A statement that
+        matches no row records nothing; detach stops capture."""
+        catalog = Catalog([
+            *conformance_catalog(),
+            table(
+                "audit", ("id", "INTEGER"), ("hits", "INTEGER"),
+                primary_key="id",
+            ),
+            table("notes", ("body", "TEXT")),  # no primary key
+        ])
         tracker = WriteTracker()
-        with self.build() as db:
-            db.attach_tracker(tracker, auto=True)
-            db.run_sql("UPDATE items SET score = 3.5 WHERE id = 1")
-            assert tracker.version("items") == 1
+        with Database(catalog) as db:
+            db.insert_rows("items", ROWS)
             db.insert_rows(
-                "items", [{"id": 50, "label": "auto", "score": 0.0}]
+                "audit", [{"id": row["id"], "hits": 0} for row in ROWS]
             )
-            # One bump from the hooks, none from the explicit path
-            # (no double counting).
-            assert tracker.version("items") == 2
+            db.run_sql(
+                "CREATE TRIGGER count_scores AFTER UPDATE OF score ON items "
+                "BEGIN UPDATE audit SET hits = hits + 1 "
+                "WHERE id = NEW.id; END"
+            )
+            db.attach_tracker(tracker)
+
+            def recorded(sql, **expected):
+                """Run ``sql``; each table in ``expected`` advanced by one
+                event carrying ``(keys, columns)``, no other table moved."""
+                before = tracker.snapshot()
+                db.run_sql(sql)
+                after = tracker.snapshot()
+                moved = {t for t in after if after[t] != before.get(t, 0)}
+                assert moved == set(expected), (sql, moved)
+                changes = tracker.changes_since(before, expected)
+                for name, (keys, columns) in expected.items():
+                    change = changes[name]
+                    assert change.events == 1, (sql, name, change)
+                    assert change.keys == (
+                        None if keys is None else frozenset(keys)
+                    ), (sql, change)
+                    assert change.columns == (
+                        None if columns is None else frozenset(columns)
+                    ), (sql, change)
+
+            recorded(
+                "UPDATE items SET label = 'x' WHERE id = 1",
+                items=({1}, {"label"}),
+            )
+            recorded(
+                "UPDATE items SET id = 20 WHERE id = 2",
+                items=({2, 20}, {"id"}),
+            )
+            recorded(
+                "INSERT INTO items (id, label, score) VALUES (6, 'n', 0.5)",
+                items=({6}, None),
+            )
+            recorded("DELETE FROM items WHERE id = 6", items=({6}, None))
+            recorded(
+                "WITH wanted(id) AS (SELECT 3) UPDATE items SET label = 'w' "
+                "WHERE id IN (SELECT id FROM wanted)",
+                items=({3}, {"label"}),
+            )
+            recorded(
+                "UPDATE items SET score = 9.0 WHERE id = 4",
+                items=({4}, {"score"}),
+                audit=({4}, {"hits"}),
+            )
+            recorded(
+                "INSERT OR REPLACE INTO items (id, label, score) "
+                "VALUES (5, 'again', 1.0)",
+                items=({5}, None),
+            )
+            recorded("UPDATE items SET label = 'none' WHERE id = 999")
+            recorded("UPDATE notes SET body = 'b'")  # no row yet: nothing
+            recorded("INSERT INTO notes VALUES ('a')", notes=(None, None))
+            recorded("UPDATE notes SET body = 'b'", notes=(None, {"body"}))
+            before = tracker.version("items")
+            db.insert_rows(
+                "items", [{"id": 50, "label": "engine", "score": 0.0}]
+            )
+            assert tracker.version("items") == before + 1
+            recorded("DELETE FROM items", items=({1, 3, 4, 5, 20, 50}, None))
             tracker.detach(db)
-            db.run_sql("UPDATE items SET score = 4.5 WHERE id = 1")
-            assert tracker.version("items") == 2
+            recorded("INSERT INTO items (id, label) VALUES (7, 'quiet')")
 
     def check_error_taxonomy(self) -> None:
         """A plain SQL mistake classifies permanent after wrapping."""

@@ -132,8 +132,8 @@ def test_degraded_stale_serves_last_known_good_with_lag():
     try:
         warm = server.submit(_request(db)).result()
         assert warm.freshness == "miss" and warm.error is None
-        hotel_write(db, 0, tracker)
-        hotel_write(db, 1, tracker)  # lag 2 > bound 1: entry is stale
+        hotel_write(db, 0)
+        hotel_write(db, 1)  # lag 2 > bound 1: entry is stale
         faults.arm()
         trace = server.submit(_request(db)).result()
         assert trace.outcome == "degraded"
@@ -165,8 +165,8 @@ def test_no_silent_stale_under_strict_or_degraded_off(staleness, degraded):
     try:
         warm = server.submit(_request(db)).result()
         assert warm.error is None
-        hotel_write(db, 0, tracker)
-        hotel_write(db, 1, tracker)
+        hotel_write(db, 0)
+        hotel_write(db, 1)
         faults.arm()
         trace = server.submit(_request(db)).result()
         assert trace.outcome == "error"
@@ -207,8 +207,8 @@ def test_deadline_blown_mid_evaluation_degrades_to_stale():
     try:
         warm = server.submit(_request(db)).result()
         assert warm.error is None  # well under the deadline when healthy
-        hotel_write(db, 0, tracker)
-        hotel_write(db, 1, tracker)
+        hotel_write(db, 0)
+        hotel_write(db, 1)
         faults.arm()
         trace = server.submit(_request(db)).result()
         assert trace.outcome == "degraded"
@@ -459,7 +459,7 @@ def test_resilient_policy_holds_availability_where_the_bare_server_errors():
             faults.arm()
             traces = []
             for step in range(10):
-                hotel_write(db, step, tracker)
+                hotel_write(db, step)
                 traces += server.render_many(_request(db) for _ in range(6))
             served = sum(t.outcome in ("success", "degraded") for t in traces)
             availability[name] = served / len(traces)

@@ -166,10 +166,10 @@ def test_no_serving_request_builds_a_tree(output_elements, monkeypatch):
                 assert cold.serialize_seconds > 0
                 assert cold.execute_seconds > cold.query_seconds > 0
             promote(
-                lambda: read_both()[1], lambda: hotel_write(db, 0, tracker)
+                lambda: read_both()[1], lambda: hotel_write(db, 0)
             )
             assert server.metrics()["result_cache"]["state_captures"] == 2
-            hotel_payload_write(db, 0, tracker, rows=1)
+            hotel_payload_write(db, 0, rows=1)
             row, node = read_both()
             assert row.freshness == node.freshness == "delta-recompute"
             assert row.rows_spliced == 1 and row.elements_created == 1
@@ -181,7 +181,7 @@ def test_no_serving_request_builds_a_tree(output_elements, monkeypatch):
 
             with monkeypatch.context() as patched:
                 patched.setattr(DeltaEvaluator, "_check_spliceable", decline)
-                hotel_payload_write(db, 1, tracker, rows=1)
+                hotel_payload_write(db, 1, rows=1)
                 for declined in read_both():
                     assert declined.freshness == "stale-recompute"
             reasons = server.metrics()["delta_fallbacks_by_reason"]
@@ -214,9 +214,9 @@ def test_a_first_computation_reads_positions_and_builds_no_env(monkeypatch):
             assert calls == {"run_rows": queries, "run_query": 0, "env": 0}
             promote(
                 lambda: server.render(view, sheet),
-                lambda: hotel_write(db, 0, tracker),
+                lambda: hotel_write(db, 0),
             )
-            hotel_payload_write(db, 1, tracker, rows=1)
+            hotel_payload_write(db, 1, rows=1)
             assert server.render(view, sheet).freshness == "delta-recompute"
             assert calls["run_query"] == 0 and calls["env"] == 0
             state = server.result_cache.peek(miss.plan_key).state
@@ -344,14 +344,14 @@ def test_a_miss_and_a_promotion_make_the_same_calls(monkeypatch):
                 calls[name] = 0
             promote(
                 lambda: server.render(view, sheet),
-                lambda: hotel_write(db, 2 * step, tracker),
+                lambda: hotel_write(db, 2 * step),
             )
             assert calls == full
             state = server.result_cache.peek(miss.plan_key).state
             assert len(state.columns) == 1 + nodes  # the root's
             for name in calls:
                 calls[name] = 0
-            hotel_payload_write(db, 2 * step + 1, tracker, rows=1)
+            hotel_payload_write(db, 2 * step + 1, rows=1)
             delta = server.render(view, sheet)
             assert delta.freshness == "delta-recompute", delta.error
             assert calls == {
@@ -443,7 +443,7 @@ def test_nine_live_plans_are_planned_once_each(monkeypatch):
         first_round = len(planned)
         assert first_round > 0
         for step, freshness in enumerate(["stale-recompute", "delta-recompute"]):
-            hotel_write(db, step, tracker)
+            hotel_write(db, step)
             for sheet in sheets:
                 assert server.render(view, sheet).freshness == freshness
         assert len(planned) == first_round
@@ -493,6 +493,7 @@ def test_a_write_stream_frees_every_dead_generation_of_state():
             "UPDATE hotel SET pool = 1 - pool WHERE hotelid % 4 = :slot",
             {"slot": step % 4},
         )
+        # A keyless event beside the captured one: the range has no keys.
         tracker.record_write("hotel", rows=1)
 
     db = build_hotel_database(HotelDataSpec().scaled(4), cross_thread=True)
@@ -506,15 +507,15 @@ def test_a_write_stream_frees_every_dead_generation_of_state():
         staleness="strict",
     ) as server:
         server.render(view)
-        promote(lambda: server.render(view), lambda: hotel_write(db, 0, tracker))
+        promote(lambda: server.render(view), lambda: hotel_write(db, 0))
         [key] = server.result_cache.keys()
         objects, rungs = {}, set()
         for step in range(1, 201):
             before = server.result_cache.peek(key).state
             if step % 2:
-                hotel_payload_write(db, step, tracker, rows=1)
+                hotel_payload_write(db, step, rows=1)
             elif step % 4:
-                hotel_conference_write(db, step, tracker, hotels=1)
+                hotel_conference_write(db, step, hotels=1)
             else:
                 untraceable_hotel_write(step)
             trace = server.render(view)

@@ -217,7 +217,7 @@ def test_a_stale_naive_entry_recomputes_in_full(db):
 
     source = build_hotel_database(HotelDataSpec(metros=2), cross_thread=True)
     tracker = WriteTracker()
-    source.attach_tracker(tracker, auto=True)
+    source.attach_tracker(tracker)
     view = figure1_view(source.catalog)
     sheet = parse_stylesheet(DESCENDANT.format(tag="out"))
     try:

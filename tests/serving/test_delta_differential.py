@@ -53,8 +53,8 @@ SPEC = HotelDataSpec().scaled(4)
 
 
 def _payload(rows):
-    return lambda db, step, tracker: hotel_payload_write(
-        db, step, tracker, rows=rows
+    return lambda db, step: hotel_payload_write(
+        db, step, rows=rows
     )
 
 
@@ -63,13 +63,13 @@ WRITES = {
     "payload-1": _payload(1),
     "payload-4": _payload(4),
     "payload-16": _payload(16),
-    "conference": lambda db, step, tracker: hotel_conference_write(
-        db, step, tracker, hotels=1
+    "conference": lambda db, step: hotel_conference_write(
+        db, step, hotels=1
     ),
-    "calendar": lambda db, step, tracker: hotel_calendar_write(
-        db, step, tracker, hotels=1
+    "calendar": lambda db, step: hotel_calendar_write(
+        db, step, hotels=1
     ),
-    "mix": lambda db, step, tracker: hotel_write(db, step, tracker),
+    "mix": lambda db, step: hotel_write(db, step),
 }
 
 _ENV: dict = {}
@@ -106,7 +106,7 @@ def _env():
             return trace
 
         read_all()
-        promote(read_all, lambda: hotel_write(db, 0, tracker))
+        promote(read_all, lambda: hotel_write(db, 0))
         _ENV.update(
             db=db, tracker=tracker, server=server, view=view,
             sheets=sheets, targets=targets, step=1,
@@ -115,7 +115,7 @@ def _env():
 
 
 def _apply(env, kind):
-    WRITES[kind](env["db"], env["step"], env["tracker"])
+    WRITES[kind](env["db"], env["step"])
     env["step"] += 1
 
 

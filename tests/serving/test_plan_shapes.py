@@ -465,11 +465,9 @@ def test_serving_a_bound_plan_leaves_its_skeleton_queries_as_printed():
         }
 
         def write(step):
-            hotel_conference_write(db, step, tracker)
+            hotel_conference_write(db, step)
             router.route_write(
-                lambda source, shard_tracker: hotel_conference_write(
-                    source, step, shard_tracker
-                )
+                lambda source: hotel_conference_write(source, step)
             )
 
         promote(lambda: server.render(view, sheet), lambda: write(0))

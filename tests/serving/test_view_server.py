@@ -184,9 +184,9 @@ def test_delta_recompute_reports_its_phases():
         assert first.splice_seconds == 0.0
         promote(  # the entry earns its state
             lambda: server.render(view, strategy="bulk"),
-            lambda: hotel_write(db, 2, tracker),
+            lambda: hotel_write(db, 2),
         )
-        hotel_write(db, 0, tracker)
+        hotel_write(db, 0)
         trace = server.render(view, strategy="bulk")
         assert trace.freshness == "delta-recompute"
         assert trace.query_seconds > 0
@@ -228,7 +228,7 @@ def test_the_first_submit_takes_the_clone():
     assert idle._pool is None
     tracker = WriteTracker()
     with ViewServer(db.catalog, source=db, workers=2, tracker=tracker) as server:
-        hotel_write(db, 1, tracker)  # a pool flip on ``hotel``
+        hotel_write(db, 1)  # a pool flip on ``hotel``
         assert server._pool is None
         trace = server.render(view)
         assert server._pool is not None

@@ -239,7 +239,7 @@ def test_each_shard_is_carved_in_the_engine(partitioner, monkeypatch):
         HotelDataSpec(metros=6, hotels_per_metro=2), seed=SEED
     )
     tracker = WriteTracker()
-    db.attach_tracker(tracker, auto=True)
+    db.attach_tracker(tracker)
     scheme = hotel_partition_scheme()
     scans = []
     real_as_dicts, real_run_rows = engine._as_dicts, engine.Database.run_rows

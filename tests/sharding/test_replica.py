@@ -199,11 +199,7 @@ def test_lag_overlay_reports_lagging_without_touching_the_machine():
     db = build_hotel_database(SPEC, cross_thread=True, seed=2003)
     router = _one_shard_fleet(db, replica_lag_ms=120_000.0)
     try:
-        router.route_write(
-            lambda source, tracker: hotel_metro_write(
-                source, 0, tracker=tracker
-            )
-        )
+        router.route_write(lambda source: hotel_metro_write(source, 0))
         view = figure1_view(db.catalog)
         for _ in range(3):
             trace = router.render(view, bypass_cache=True)

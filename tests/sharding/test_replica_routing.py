@@ -73,8 +73,8 @@ def _metro_domain(db):
 
 def _mirrored_write(router, db, step, domain):
     router.route_write(
-        lambda source, tracker: hotel_metro_write(
-            source, step, tracker=tracker, domain=domain
+        lambda source: hotel_metro_write(
+            source, step, domain=domain
         )
     )
     hotel_metro_write(db, step, domain=domain)

@@ -124,8 +124,8 @@ def test_dead_shard_degrades_to_stale_slice_when_lag_tolerant():
         # shard-local no-op path).
         for step in (0, 1):
             router.route_write(
-                lambda source, tracker: hotel_metro_write(
-                    source, step, tracker=tracker, domain=domain
+                lambda source: hotel_metro_write(
+                    source, step, domain=domain
                 )
             )
         faults[0].arm()

@@ -103,8 +103,8 @@ def test_router_splices_member_text_and_builds_only_the_frame(
         assert served(sheet) == serialize(materialize(composed, db))
         for step in steps:
             router.route_write(
-                lambda source, tracker: hotel_calendar_write(
-                    source, step, tracker=tracker, domain=domain
+                lambda source: hotel_calendar_write(
+                    source, step, domain=domain
                 )
             )
             hotel_calendar_write(db, step)
@@ -140,7 +140,7 @@ def test_a_write_read_stream_keeps_one_merged_body_per_plan():
         bodies = set()
         for step in range(40):
             router.route_write(
-                lambda source, tracker: hotel_write(source, step, tracker=tracker)
+                lambda source: hotel_write(source, step)
             )
             hotel_write(db, step)
             trace = router.render(view)

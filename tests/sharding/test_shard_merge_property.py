@@ -60,20 +60,20 @@ def _apply(kind, step, router, db, metro_domain, hotel_domain):
     """One write, routed to every shard and mirrored on the reference."""
     if kind == "mix":
         router.route_write(
-            lambda source, tracker: hotel_write(source, step, tracker=tracker)
+            lambda source: hotel_write(source, step)
         )
         hotel_write(db, step)
     elif kind == "metro":
         router.route_write(
-            lambda source, tracker: hotel_metro_write(
-                source, step, tracker=tracker, domain=metro_domain
+            lambda source: hotel_metro_write(
+                source, step, domain=metro_domain
             )
         )
         hotel_metro_write(db, step)
     else:
         router.route_write(
-            lambda source, tracker: hotel_calendar_write(
-                source, step, tracker=tracker, domain=hotel_domain
+            lambda source: hotel_calendar_write(
+                source, step, domain=hotel_domain
             )
         )
         hotel_calendar_write(db, step)
@@ -132,8 +132,8 @@ def test_sharded_bytes_equal_single_box(shards, writes):
             lambda: router.render(request.view),
             lambda: (
                 router.route_write(
-                    lambda source, tracker: hotel_metro_write(
-                        source, 0, tracker=tracker,
+                    lambda source: hotel_metro_write(
+                        source, 0,
                         metros=len(metro_domain), domain=metro_domain,
                     )
                 ),

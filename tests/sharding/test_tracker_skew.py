@@ -100,8 +100,8 @@ def test_skewed_shard_falls_back_to_node_level_and_stays_correct():
             lambda: router.render(view, strategy="bulk"),
             lambda: (
                 router.route_write(
-                    lambda source, tracker: hotel_metro_write(
-                        source, 0, tracker=tracker, metros=2, domain=domain
+                    lambda source: hotel_metro_write(
+                        source, 0, metros=2, domain=domain
                     )
                 ),
                 hotel_metro_write(db, 0, metros=2),
@@ -112,14 +112,14 @@ def test_skewed_shard_falls_back_to_node_level_and_stays_correct():
         # log forgets all but the last.
         for step in range(3):
             router.route_write(
-                lambda source, tracker: hotel_metro_write(
-                    source, 0, tracker=tracker, domain=domain
+                lambda source: hotel_metro_write(
+                    source, 0, domain=domain
                 )
             )
             hotel_metro_write(db, 0)
             router.route_write(
-                lambda source, tracker: hotel_calendar_write(
-                    source, step, tracker=tracker, domain=hotel_domain
+                lambda source: hotel_calendar_write(
+                    source, step, domain=hotel_domain
                 )
             )
             hotel_calendar_write(db, step)

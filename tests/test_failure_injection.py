@@ -170,14 +170,14 @@ def test_mid_splice_failure_falls_back_to_full(
             lambda: server.render(
                 figure1_view(db.catalog), figure4_stylesheet()
             ),
-            lambda: hotel_write(db, 2, tracker),
+            lambda: hotel_write(db, 2),
         )
         [key] = server.result_cache.keys()
         stale_entry = server.result_cache.peek(key)
         assert stale_entry.state is not None
         assert stale_entry.state.text() == stale_entry.xml
 
-        hotel_write(db, 0, tracker)
+        hotel_write(db, 0)
 
         def boom(self, *args, **kwargs):
             raise (error or DeltaUnsupported)("injected")
@@ -196,7 +196,7 @@ def test_mid_splice_failure_falls_back_to_full(
         # The fallback re-primed the cache with fresh captured state:
         # once the fault is removed, the delta path works again.
         monkeypatch.undo()
-        hotel_write(db, 1, tracker)
+        hotel_write(db, 1)
         healed = server.render(figure1_view(db.catalog), figure4_stylesheet())
         assert healed.error is None
         assert healed.freshness == "delta-recompute"
@@ -220,14 +220,13 @@ def test_delta_failure_after_store_does_not_lose_writes(monkeypatch):
             lambda: server.render(
                 figure1_view(db.catalog), figure4_stylesheet()
             ),
-            lambda: hotel_write(db, 2, tracker),
+            lambda: hotel_write(db, 2),
         )
         before = _live_bytes(db)
         db.run_sql(
             "UPDATE hotel SET starrating = CASE WHEN starrating > 4 "
             "THEN 3 ELSE 5 END WHERE hotelid = 1"
         )
-        tracker.record_write("hotel")
         monkeypatch.setattr(
             DeltaEvaluator,
             "evaluate",
