@@ -29,7 +29,6 @@ and in-flight work is awaited before sockets die.
 from __future__ import annotations
 
 import asyncio
-import gc
 import json
 from typing import Optional
 
@@ -179,16 +178,6 @@ def _json_body(payload: dict) -> bytes:
     return json.dumps(payload).encode("utf-8")
 
 
-#: While a process serves, the collector considers a full collection
-#: every 3 middle-generation collections instead of CPython's 10. The
-#: serving path makes almost no containers (a request's work is flat
-#: lists of strings and tuples), so under the shipped schedule a full
-#: collection comes once per ~70k *net* container allocations — and what
-#: only a full collection frees (an evicted plan's AST cycles, the trees
-#: an in-process oracle drops) waits that long, as resident memory.
-SERVING_GC_THRESHOLD2 = 3
-
-
 class FrontendServer:
     """The asyncio listener wiring HTTP onto a :class:`PublishingApp`."""
 
@@ -199,13 +188,11 @@ class FrontendServer:
         self._server: Optional[asyncio.Server] = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._draining = False
-        self._gc_threshold: Optional[tuple] = None
         self.requests_handled = 0
         self.protocol_errors = 0
 
     async def start(self) -> "FrontendServer":
-        """Bind and start accepting; resolves the final port. The
-        collector's schedule is the serving one until :meth:`drain`."""
+        """Bind and start accepting; resolves the final port."""
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.host,
@@ -213,8 +200,6 @@ class FrontendServer:
             limit=MAX_HEADER_BYTES + MAX_BODY_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._gc_threshold = gc.get_threshold()
-        gc.set_threshold(*self._gc_threshold[:2], SERVING_GC_THRESHOLD2)
         return self
 
     @property
@@ -371,9 +356,6 @@ class FrontendServer:
         drained = await self.app.facade.drain(timeout)
         for writer in list(self._connections):
             writer.close()
-        if self._gc_threshold is not None:  # no longer serving
-            gc.set_threshold(*self._gc_threshold)
-            self._gc_threshold = None
         return drained
 
     async def close(self, timeout: Optional[float] = 5.0) -> bool:

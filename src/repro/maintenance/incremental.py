@@ -88,7 +88,16 @@ from repro.sql.analysis import (
     referenced_columns_of_table,
     referenced_tables,
 )
-from repro.sql.ast import ColumnRef, Star
+from repro.sql.ast import (
+    BinOp,
+    ColumnRef,
+    FuncCall,
+    LiteralValue,
+    ParamRef,
+    Star,
+    TableRef,
+    UnaryOp,
+)
 from repro.sql.params import collect_params
 from repro.sql.transform import push_key_predicate, qualify_unqualified_columns
 
@@ -167,6 +176,35 @@ def dirty_node_ids(
         for node_id, tables in node_read_sets.items()
         if changed.intersection(tables)
     )
+
+
+def _column_refs(expr, bindings: set[str]) -> Optional[set[str]]:
+    """The columns under ``bindings`` that ``expr`` reads; ``None`` when
+    it cannot tell (a subquery, a star or anything exotic).
+
+    Module-level, not a nested def that calls itself: such a closure is
+    a function<->cell cycle, left to the collector once per delta."""
+    if isinstance(expr, ColumnRef):
+        return {expr.column} if expr.table in bindings else set()
+    if isinstance(expr, BinOp):
+        left = _column_refs(expr.left, bindings)
+        right = _column_refs(expr.right, bindings)
+        if left is None or right is None:
+            return None
+        return left | right
+    if isinstance(expr, UnaryOp):
+        return _column_refs(expr.operand, bindings)
+    if isinstance(expr, FuncCall):
+        out: set[str] = set()
+        for arg in expr.args:
+            sub = _column_refs(arg, bindings)
+            if sub is None:
+                return None
+            out |= sub
+        return out
+    if isinstance(expr, (LiteralValue, ParamRef)):
+        return set()
+    return None  # a star (handled at the item level), a subquery, ...
 
 
 @dataclass
@@ -498,8 +536,6 @@ class DeltaEvaluator:
         expression counts as touched when any changed column appears in
         it. ``None`` (indeterminable) declines the row path.
         """
-        from repro.sql.ast import BinOp, FuncCall, TableRef, UnaryOp
-
         assert node.tag_query is not None
         query = node.tag_query.clone()
         catalog = self.db.catalog
@@ -509,33 +545,6 @@ class DeltaEvaluator:
             for fi in query.from_items
             if isinstance(fi, TableRef) and fi.name == table
         }
-
-        def refs(expr) -> Optional[set[str]]:
-            if isinstance(expr, ColumnRef):
-                return {expr.column} if expr.table in bindings else set()
-            if isinstance(expr, BinOp):
-                left, right = refs(expr.left), refs(expr.right)
-                if left is None or right is None:
-                    return None
-                return left | right
-            if isinstance(expr, UnaryOp):
-                return refs(expr.operand)
-            if isinstance(expr, FuncCall):
-                out: set[str] = set()
-                for arg in expr.args:
-                    sub = refs(arg)
-                    if sub is None:
-                        return None
-                    out |= sub
-                return out
-            if isinstance(expr, (Star,)):
-                return None  # handled at the item level
-            # Subqueries and anything exotic: indeterminable.
-            from repro.sql.ast import LiteralValue, ParamRef
-
-            if isinstance(expr, (LiteralValue, ParamRef)):
-                return set()
-            return None
 
         touched: set[str] = set()
         for item in query.items:
@@ -548,7 +557,7 @@ class DeltaEvaluator:
                         set(catalog.columns_of(table)) & changed_columns
                     )
                 continue
-            item_refs = refs(item.expr)
+            item_refs = _column_refs(item.expr, bindings)
             if item_refs is None:
                 return None
             if item_refs & changed_columns:

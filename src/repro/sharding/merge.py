@@ -20,9 +20,11 @@ spine's ``sharding.merge_direct_ms`` probe times); nothing in ``src/``
 calls it. It is **non-destructive**: the merged document is a fresh
 :class:`~repro.xmlcore.nodes.Document` whose spine chain is
 shallow-copied; partition instances and off-spine children are attached
-*by reference* through direct ``children``-list mutation — their
-``parent`` pointers keep pointing into the shard documents, which the
-serializer never reads.
+*by reference* through direct ``children``-list mutation, so their
+``parent`` links still name the shard documents' nodes. The links are
+weak: once the shard documents are freed they read ``None``, and the
+merged document, which holds the shared nodes through ``children``,
+serializes the same (the serializer never reads ``parent``).
 """
 
 from __future__ import annotations
@@ -238,7 +240,8 @@ def merge_documents(plan: MergePlan, documents: list[Document]) -> Document:
     merged_children.extend(suffix)
     # Rebuild shard 0's spine chain bottom-up with fresh copies; shared
     # nodes are attached through direct children-list mutation so their
-    # parent pointers (into the shard documents) are never retargeted.
+    # parent links are never retargeted (they name the shard documents'
+    # nodes while those live, and read None once they are freed).
     chain = [documents[0]]
     container = documents[0]
     for tag in plan.spine_tags:

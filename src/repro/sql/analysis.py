@@ -18,6 +18,7 @@ from typing import Protocol
 
 from repro.errors import SchemaError
 from repro.sql.ast import (
+    BinOp,
     ColumnRef,
     DerivedTable,
     ExistsExpr,
@@ -29,6 +30,7 @@ from repro.sql.ast import (
     Select,
     Star,
     TableRef,
+    UnaryOp,
 )
 from repro.sql.params import walk_exprs
 
@@ -171,24 +173,17 @@ def table_occurrences(select: Select, table: str) -> int:
     subquery occurrence would leave unrestricted copies behind.
     """
     count = 0
-
-    def visit(query: Select) -> None:
-        nonlocal count
-        for from_item in query.from_items:
-            if isinstance(from_item, TableRef):
-                if from_item.name == table:
-                    count += 1
-            else:
-                visit(from_item.select)
-        for expr in walk_exprs(query):
-            if isinstance(expr, ExistsExpr):
-                visit(expr.select)
-            elif isinstance(expr, ScalarSubquery):
-                visit(expr.select)
-            elif isinstance(expr, InExpr) and expr.select is not None:
-                visit(expr.select)
-
-    visit(select)
+    for from_item in select.from_items:
+        if isinstance(from_item, TableRef):
+            if from_item.name == table:
+                count += 1
+        else:
+            count += table_occurrences(from_item.select, table)
+    for expr in walk_exprs(select):
+        if isinstance(expr, (ExistsExpr, ScalarSubquery)) or (
+            isinstance(expr, InExpr) and expr.select is not None
+        ):
+            count += table_occurrences(expr.select, table)
     return count
 
 
@@ -219,103 +214,111 @@ def _table_column_refs(
     change *which* rows appear, their order, or other rows' values:
     WHERE / GROUP BY / HAVING / ORDER BY and every subquery body.
     """
-    from repro.sql.ast import BinOp, UnaryOp
     from repro.sql.transform import qualify_unqualified_columns
 
     clone = select.clone()
     qualify_unqualified_columns(clone, catalog)
     columns: set[str] = set()
-
-    def bindings_of(query: Select) -> set[str]:
-        return {
-            fi.binding_name
-            for fi in query.from_items
-            if isinstance(fi, TableRef) and fi.name == table
-        }
-
-    def visit(query: Select, outer_bindings: set[str], top: bool) -> None:
-        bindings = outer_bindings | bindings_of(query)
-
-        def collect(expr) -> None:
-            if expr is None:
-                return
-            if isinstance(expr, ColumnRef):
-                if expr.table in bindings:
-                    columns.add(expr.column)
-                return
-            if isinstance(expr, Star):
-                if expr.table is None or expr.table in bindings:
-                    for fi in query.from_items:
-                        if (
-                            isinstance(fi, TableRef)
-                            and fi.name == table
-                            and (expr.table in (None, fi.binding_name))
-                        ):
-                            columns.update(catalog.columns_of(table))
-                return
-            if isinstance(expr, BinOp):
-                collect(expr.left)
-                collect(expr.right)
-                return
-            if isinstance(expr, UnaryOp):
-                collect(expr.operand)
-                return
-            if isinstance(expr, FuncCall):
-                for arg in expr.args:
-                    collect(arg)
-                return
-            if isinstance(expr, ExistsExpr):
-                visit(expr.select, bindings, top=False)
-                return
-            if isinstance(expr, ScalarSubquery):
-                visit(expr.select, bindings, top=False)
-                return
-            if isinstance(expr, InExpr):
-                collect(expr.needle)
-                for value in expr.values:
-                    collect(value)
-                if expr.select is not None:
-                    visit(expr.select, bindings, top=False)
-                return
-
-        for item in query.items:
-            if top and skip_projection:
-                # Projection values are recomputed per fetched row, but a
-                # subquery inside a projection reads other rows — descend
-                # into subquery bodies only.
-                def subqueries_only(expr) -> None:
-                    if isinstance(expr, (ExistsExpr, ScalarSubquery)):
-                        visit(expr.select, bindings, top=False)
-                    elif isinstance(expr, InExpr):
-                        if expr.select is not None:
-                            visit(expr.select, bindings, top=False)
-                        for value in expr.values:
-                            subqueries_only(value)
-                        subqueries_only(expr.needle)
-                    elif isinstance(expr, BinOp):
-                        subqueries_only(expr.left)
-                        subqueries_only(expr.right)
-                    elif isinstance(expr, UnaryOp):
-                        subqueries_only(expr.operand)
-                    elif isinstance(expr, FuncCall):
-                        for arg in expr.args:
-                            subqueries_only(arg)
-
-                subqueries_only(item.expr)
-            else:
-                collect(item.expr)
-        collect(query.where)
-        for expr in query.group_by:
-            collect(expr)
-        for order in query.order_by:
-            collect(order.expr)
-        collect(query.having)
-        for from_item in query.from_items:
-            if isinstance(from_item, DerivedTable):
-                visit(from_item.select, bindings, top=False)
-
-    visit(clone, set(), top=True)
+    _visit_refs(clone, (table, catalog, columns), set(), skip_projection)
     return columns
+
+
+# The walkers of ``_table_column_refs`` are module-level functions, not
+# nested defs that call themselves: a self-referential closure is a
+# function<->cell cycle that pins the clone it walks until a full
+# collection, and a delta recompute walks a clone per dirty node.
+# ``scan`` is ``(table, catalog, columns)``: the table asked about and
+# the set its referenced columns are added to.
+
+
+def _visit_refs(
+    query: Select, scan: tuple, outer: set[str], skip_projection: bool
+) -> None:
+    """Add what ``query`` (subqueries included) references of the table."""
+    table = scan[0]
+    bindings = outer | {
+        fi.binding_name
+        for fi in query.from_items
+        if isinstance(fi, TableRef) and fi.name == table
+    }
+    for item in query.items:
+        if skip_projection:
+            # Projection values are recomputed per fetched row, but a
+            # subquery inside a projection reads other rows — descend
+            # into subquery bodies only.
+            _visit_subqueries(item.expr, scan, bindings)
+        else:
+            _collect_refs(item.expr, query, scan, bindings)
+    _collect_refs(query.where, query, scan, bindings)
+    for expr in query.group_by:
+        _collect_refs(expr, query, scan, bindings)
+    for order in query.order_by:
+        _collect_refs(order.expr, query, scan, bindings)
+    _collect_refs(query.having, query, scan, bindings)
+    for from_item in query.from_items:
+        if isinstance(from_item, DerivedTable):
+            _visit_refs(from_item.select, scan, bindings, False)
+
+
+def _collect_refs(expr, query: Select, scan: tuple, bindings: set[str]) -> None:
+    """Add the table's columns ``expr`` (in ``query``) references."""
+    if expr is None:
+        return
+    table, catalog, columns = scan
+    if isinstance(expr, ColumnRef):
+        if expr.table in bindings:
+            columns.add(expr.column)
+        return
+    if isinstance(expr, Star):
+        if expr.table is None or expr.table in bindings:
+            for fi in query.from_items:
+                if (
+                    isinstance(fi, TableRef)
+                    and fi.name == table
+                    and (expr.table in (None, fi.binding_name))
+                ):
+                    columns.update(catalog.columns_of(table))
+        return
+    if isinstance(expr, BinOp):
+        _collect_refs(expr.left, query, scan, bindings)
+        _collect_refs(expr.right, query, scan, bindings)
+        return
+    if isinstance(expr, UnaryOp):
+        _collect_refs(expr.operand, query, scan, bindings)
+        return
+    if isinstance(expr, FuncCall):
+        for arg in expr.args:
+            _collect_refs(arg, query, scan, bindings)
+        return
+    if isinstance(expr, (ExistsExpr, ScalarSubquery)):
+        _visit_refs(expr.select, scan, bindings, False)
+        return
+    if isinstance(expr, InExpr):
+        _collect_refs(expr.needle, query, scan, bindings)
+        for value in expr.values:
+            _collect_refs(value, query, scan, bindings)
+        if expr.select is not None:
+            _visit_refs(expr.select, scan, bindings, False)
+
+
+def _visit_subqueries(expr, scan: tuple, bindings: set[str]) -> None:
+    """Visit the subquery bodies inside ``expr``, nothing else."""
+    if isinstance(expr, (ExistsExpr, ScalarSubquery)):
+        _visit_refs(expr.select, scan, bindings, False)
+    elif isinstance(expr, InExpr):
+        if expr.select is not None:
+            _visit_refs(expr.select, scan, bindings, False)
+        for value in expr.values:
+            _visit_subqueries(value, scan, bindings)
+        _visit_subqueries(expr.needle, scan, bindings)
+    elif isinstance(expr, BinOp):
+        _visit_subqueries(expr.left, scan, bindings)
+        _visit_subqueries(expr.right, scan, bindings)
+    elif isinstance(expr, UnaryOp):
+        _visit_subqueries(expr.operand, scan, bindings)
+    elif isinstance(expr, FuncCall):
+        for arg in expr.args:
+            _visit_subqueries(arg, scan, bindings)
 
 
 def referenced_columns_of_table(

@@ -15,24 +15,43 @@ element.
 
 Every node knows its :attr:`~Node.parent`, which the XPath ``parent`` axis
 and the XSLT match semantics (suffix matching against the incoming path)
-rely on.
+rely on. The link is weak: ``children`` holds a tree down and nothing
+holds it up, so a tree is acyclic and reference counting frees it the
+moment its last holder drops it — no full collection has to find it.
+The contract that follows: a node reaches its ancestors only while
+something else holds them; a node kept on its own after its document is
+dropped reads ``parent is None``, as a detached node does.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
+from weakref import ref
 
 
 class Node:
     """Base class for all XML nodes."""
 
-    __slots__ = ("parent",)
+    __slots__ = ("_parent", "__weakref__")
 
     def __init__(self) -> None:
-        self.parent: Optional[Node] = None
+        self._parent: Optional[ref] = None
+
+    @property
+    def parent(self) -> Optional["Node"]:
+        """The node this one is a child of, while that node is alive."""
+        link = self._parent
+        return None if link is None else link()
+
+    @parent.setter
+    def parent(self, node: Optional["Node"]) -> None:
+        # A callback-free ref is shared by every referrer of ``node``:
+        # siblings hold one ref object between them.
+        self._parent = None if node is None else ref(node)
 
     def root(self) -> "Node":
-        """Return the topmost ancestor (the document, for attached nodes)."""
+        """Return the topmost live ancestor (the document, for attached
+        nodes while it is held)."""
         node: Node = self
         while node.parent is not None:
             node = node.parent
@@ -55,21 +74,27 @@ class _ParentNode(Node):
         super().__init__()
         self.children: list[Node] = []
 
+    # Tree building writes ``_parent`` itself: the property setter is a
+    # Python call per node, and ``extend`` makes its one ref once.
+
     def append(self, child: Node) -> Node:
         """Attach ``child`` as the last child and return it."""
-        child.parent = self
+        child._parent = ref(self)
         self.children.append(child)
         return child
 
-    def extend(self, children: list[Node]) -> None:
+    def extend(self, children: Iterable[Node]) -> None:
         """Attach every node in ``children`` in order."""
+        link = ref(self)
+        own = self.children
         for child in children:
-            self.append(child)
+            child._parent = link
+            own.append(child)
 
     def remove(self, child: Node) -> None:
         """Detach ``child``; raises ``ValueError`` if it is not a child."""
         self.children.remove(child)
-        child.parent = None
+        child._parent = None
 
     def child_elements(self) -> list["Element"]:
         """Return the element children, in document order."""

@@ -256,23 +256,28 @@ class TestLifecycle:
 
         asyncio.run(http_exchange(scenario)(app_env))
 
-    def test_the_collector_schedule_is_the_serving_one_while_listening(
+    def test_the_collector_schedule_is_left_alone_while_listening(
         self, app_env
     ):
-        """A serving process makes few containers, so it considers a full
-        collection every 3 middle ones; the schedule it found is put back
-        when it stops listening."""
+        """Serving does not retune the interpreter's collector: the trees
+        and walkers a request drops are acyclic and freed as they are
+        dropped, so the schedule a process starts with is the one it
+        serves and drains with."""
         import gc
 
-        from repro.frontend.http import SERVING_GC_THRESHOLD2
-
         before = gc.get_threshold()
-        assert before[2] != SERVING_GC_THRESHOLD2
 
         async def scenario(server):
-            assert gc.get_threshold() == (*before[:2], SERVING_GC_THRESHOLD2)
+            assert gc.get_threshold() == before
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            status, _ = await self._roundtrip(reader, writer)
+            assert status == 200
+            assert gc.get_threshold() == before
+            writer.close()
+            await writer.wait_closed()
 
-        asyncio.run(http_exchange(scenario)(app_env))
+        asyncio.run(http_exchange(scenario)(app_env))  # listens, then drains
         assert gc.get_threshold() == before
 
     def test_drain_zeroes_sockets_and_stops_accepting(self, app_env):

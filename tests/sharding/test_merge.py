@@ -132,6 +132,38 @@ def test_merge_does_not_mutate_shard_documents(paper_view):
         db.close()
 
 
+def test_the_merged_document_outlives_its_shard_documents(paper_view):
+    """The merge shares the shards' partition instances by reference, and
+    a node's ``parent`` link is weak: once the shard documents are
+    deleted and collected the shared nodes read ``parent is None``, and
+    the merged document — which holds them through ``children`` — writes
+    the same bytes."""
+    import gc
+
+    db = build_hotel_database(
+        HotelDataSpec(metros=3, hotels_per_metro=2), seed=SEED
+    )
+    try:
+        plan = plan_merge(paper_view)
+        partitioner = KeyRangePartitioner.from_keys(
+            partition_keys(db, hotel_partition_scheme()), 3
+        )
+        documents = _sharded_documents(db, paper_view, partitioner)
+        merged = merge_documents(plan, documents)
+        text = serialize(merged)
+        shared = [
+            child for child in merged.children
+            if any(child.parent is doc for doc in documents)
+        ]
+        assert shared
+        del documents
+        gc.collect()
+        assert all(child.parent is None for child in shared)
+        assert serialize(merged) == text
+    finally:
+        db.close()
+
+
 def test_empty_shard_slice_merges_cleanly(paper_view):
     """A shard owning a key range with no rows contributes an empty
     partition run, not a hole or a crash."""

@@ -1,6 +1,6 @@
 """Unit tests for the XML node model."""
 
-from repro.xmlcore.nodes import Comment, Document, Element, Text
+from repro.xmlcore.nodes import Comment, Document, Element, Node, Text
 
 
 def build_sample():
@@ -105,3 +105,64 @@ def test_deep_copy_recurses_and_detaches():
     # Mutating the copy leaves the original intact.
     copy.children[0].set("starrating", "1")
     assert root.children[0].get("starrating") == "5"
+
+
+# -- lifetime: a tree is acyclic, so reference counting frees it ----------
+
+
+def _figure1_db():
+    from repro.workloads.hotel import HotelDataSpec, build_hotel_database
+
+    return build_hotel_database(HotelDataSpec(metros=2, hotels_per_metro=3))
+
+
+def test_a_dropped_tree_leaves_no_node_to_the_collector():
+    """``parent`` is weak, so nothing points up a tree: the nested-loop
+    and bulk trees of Figure 1, what the interpreter makes of them and
+    what the parser reads are each freed the moment they are dropped —
+    a manual collection finds no ``Node``. (A strong parent link makes
+    every tree a cycle, each node of which waits for a full
+    collection.)"""
+    from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
+    from repro.schema_tree.evaluator import materialize
+    from repro.workloads.paper import figure1_view, figure4_stylesheet
+    from repro.xmlcore.parser import parse_document, parse_fragment
+    from repro.xmlcore.serializer import serialize
+    from repro.xslt import XSLTProcessor
+    from tests.collector import collector_off, left_to_the_collector
+
+    db = _figure1_db()
+    try:
+        view = figure1_view(db.catalog)
+        processor = XSLTProcessor(figure4_stylesheet())
+        text = serialize(materialize(view, db))
+        with collector_off(save_all=True):
+            nested = materialize(view, db)
+            bulk = BulkViewEvaluator(db).materialize(view)
+            assert serialize(bulk) == serialize(nested) == text
+            result = processor.process_document(nested)
+            assert result.root_element is not None
+            parsed = parse_document(f"<view>{text}</view>")
+            fragment = parse_fragment(text)
+            assert len(fragment) == len(parsed.root_element.children) > 1
+            del nested, bulk, result, parsed, fragment
+            assert left_to_the_collector(Node) == []
+    finally:
+        db.close()
+
+
+def test_a_node_held_alone_outlives_its_document_as_a_root():
+    """A node keeps no ancestor alive: once its document is dropped, a
+    node held on its own reads ``parent is None`` and is its own root."""
+    from repro.xmlcore.parser import parse_document
+
+    doc, root, hotel = build_sample()
+    confroom = hotel.children[0]
+    assert confroom.parent is hotel and confroom.root() is doc
+    del doc, root, hotel
+    assert confroom.parent is None
+    assert confroom.root() is confroom and list(confroom.ancestors()) == []
+    leaf = parse_document("<a><b><c/></b></a>").root_element.children[0]
+    assert leaf.tag == "b" and leaf.parent is None
+    assert [c.tag for c in leaf.children] == ["c"]
+    assert leaf.children[0].parent is leaf
