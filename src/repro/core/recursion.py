@@ -286,35 +286,28 @@ def _base_name(tag: str) -> str:
 
 
 def _replace_apply(
-    body: list[OutputNode], target: ApplyTemplates, new_select: LocationPath
-) -> None:
-    """Replace (in a deep-copied body) the apply node copied from
+    nodes: list[OutputNode], target: ApplyTemplates, new_select: LocationPath
+) -> bool:
+    """Replace (in a deep-copied body) the first apply node copied from
     ``target`` — matched by select text and mode — with one using
-    ``new_select``."""
-
-    def visit(nodes: list[OutputNode]) -> bool:
-        for index, node in enumerate(nodes):
-            if isinstance(node, ApplyTemplates):
-                if (
-                    node.select.to_text() == target.select.to_text()
-                    and node.mode == target.mode
-                ):
-                    nodes[index] = ApplyTemplates(
-                        new_select, node.mode, list(node.with_params)
-                    )
+    ``new_select``; whether one was found."""
+    for index, node in enumerate(nodes):
+        if isinstance(node, ApplyTemplates):
+            if (
+                node.select.to_text() == target.select.to_text()
+                and node.mode == target.mode
+            ):
+                nodes[index] = ApplyTemplates(
+                    new_select, node.mode, list(node.with_params)
+                )
+                return True
+        elif isinstance(node, (LiteralElement, IfInstruction)):
+            if _replace_apply(node.children, target, new_select):
+                return True
+        elif isinstance(node, Choose):
+            for children in (
+                *(when.children for when in node.whens), node.otherwise
+            ):
+                if _replace_apply(children, target, new_select):
                     return True
-            elif isinstance(node, LiteralElement):
-                if visit(node.children):
-                    return True
-            elif isinstance(node, IfInstruction):
-                if visit(node.children):
-                    return True
-            elif isinstance(node, Choose):
-                for when in node.whens:
-                    if visit(when.children):
-                        return True
-                if visit(node.otherwise):
-                    return True
-        return False
-
-    visit(body)
+    return False

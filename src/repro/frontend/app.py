@@ -163,7 +163,7 @@ def build_hotel_app(
     carving source, closed once carved and kept only for its catalog.
     ``maintenance`` is a frozen call surface: ``"delta"`` is its one value.
     """
-    from repro.maintenance import WriteTracker, hotel_write
+    from repro.maintenance import hotel_write
     from repro.workloads.hotel import HotelDataSpec, build_hotel_database
     from repro.workloads.paper import (
         figure1_view,
@@ -200,14 +200,11 @@ def build_hotel_app(
             db.close()
         route = server.route_write
     else:
-        tracker = WriteTracker()
-        db.attach_tracker(tracker)
         try:
             server = ViewServer(
                 db.catalog,
                 db,
                 workers=workers,
-                tracker=tracker,
                 staleness=staleness,
                 resilience=resilience,
             )

@@ -4,15 +4,15 @@
 :class:`~repro.serving.pool.ConnectionPool`,
 :class:`~repro.maintenance.tracker.WriteTracker` and the resilience
 deadline machinery reach the engine only through :class:`SqliteDriver`:
-how to open a connection (writable or read-only), how to snapshot a live
-database for a read-only serving pool, how to make a released session
-safe to reuse, how to stop a statement mid-flight on the thread that
-runs it, and how to capture every write with its keys (one ``TEMP``
-trigger per table and write kind, calling one Python function). sqlite
-is the one engine; this object is the seam a second one would replace,
-and the conformance kit (``tests/relational/conformance``) is the
-contract it would have to pass. DESIGN.md ("One engine") lists what such
-an engine has to supply.
+how to open a connection (onto a file, or onto a named shared-cache
+memory database that read-only serving sessions open onto by name), how
+to make a released session safe to reuse, how to stop a statement
+mid-flight on the thread that runs it, and how to capture every write
+with its keys (one ``TEMP`` trigger per table and write kind, calling
+one Python function). sqlite is the one engine; this object is the seam
+a second one would replace, and the conformance kit
+(``tests/relational/conformance``) is the contract it would have to
+pass. DESIGN.md ("One engine") lists what such an engine has to supply.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import itertools
 import re
 import sqlite3
 from typing import Any, Callable, Mapping, Optional, Sequence
+from urllib.parse import quote
 
 #: Virtual-machine steps between two calls of a statement's stop poll
 #: (:meth:`SqliteDriver.stop_when`). Coarse on purpose: each call is a
@@ -30,8 +31,8 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 #: of sqlite work, fine enough for any deadline the serving layer sets.
 STOP_POLL_OPS = 100_000
 
-#: Process-unique suffixes for shared-cache in-memory clone databases.
-_CLONE_IDS = itertools.count(1)
+#: Process-unique suffixes for the named shared-cache memory databases.
+_MEMORY_IDS = itertools.count(1)
 
 #: Transaction control: a write the engine's entry points did not
 #: run (a bare ``connection.execute``) is complete when one is traced.
@@ -43,38 +44,20 @@ _TRANSACTION_RE = re.compile(
 _CAPTURE = "repro_capture"
 
 
-class _SqliteSnapshot:
-    """A point-in-time copy of a live database, served to pool sessions:
-    ``backup()`` into a shared-cache memory clone.
-
-    Produced by :meth:`SqliteDriver.snapshot`; the serving pool's clone
-    mode keeps one per pool. ``connect()`` opens an independent session
-    onto the clone (safe for one-borrower-at-a-time use),
-    ``refresh(source)`` brings it forward to the source's current
-    contents (the pool drains all sessions first, so no reader is in
-    flight), and ``close()`` releases the anchor connection that keeps
-    the named in-memory database alive for the pool's lifetime.
-    """
+class _SqliteSessions:
+    """Sessions onto a live database (:meth:`SqliteDriver.snapshot`):
+    ``connect()`` opens one more connection onto the source's own
+    database by its URI, so nothing is copied and ``close()`` has
+    nothing to release."""
 
     def __init__(self, source):
-        self.clone_uri = (
-            f"file:repro-pool-{next(_CLONE_IDS)}?mode=memory&cache=shared"
-        )
-        self.anchor = sqlite3.connect(
-            self.clone_uri, uri=True, check_same_thread=False
-        )
-        source.connection.backup(self.anchor)
+        self.uri = source.uri
 
     def connect(self):
-        return sqlite3.connect(
-            self.clone_uri, uri=True, check_same_thread=False
-        )
-
-    def refresh(self, source) -> None:
-        source.connection.backup(self.anchor)
+        return sqlite3.connect(self.uri, uri=True, check_same_thread=False)
 
     def close(self) -> None:
-        self.anchor.close()
+        pass
 
 
 class SqliteDriver:
@@ -87,11 +70,19 @@ class SqliteDriver:
     # -- connections ---------------------------------------------------------
 
     def connect(self, path: Optional[str] = None, cross_thread: bool = False):
-        """Open a writable connection (in-memory without ``path``). A
+        """Open a writable connection: onto the file at ``path``, or onto
+        a fresh named shared-cache memory database. Returns the
+        connection and the URI sessions open the same database by. A
         fetched row is a plain tuple: no row factory is set."""
-        return sqlite3.connect(
-            path or ":memory:", check_same_thread=not cross_thread
+        uri = (
+            f"file:{quote(path)}"
+            if path
+            else f"file:repro-db-{next(_MEMORY_IDS)}?mode=memory&cache=shared"
         )
+        connection = sqlite3.connect(
+            uri, uri=True, check_same_thread=not cross_thread
+        )
+        return connection, uri
 
     def open_read_only(self, path: str):
         """Open a database file via the read-only URI mode."""
@@ -153,17 +144,18 @@ class SqliteDriver:
         ``interrupted``. ``stop`` must not raise; ``None`` clears it."""
         connection.set_progress_handler(stop, STOP_POLL_OPS)
 
-    # -- snapshots -----------------------------------------------------------
+    # -- sessions and copies -------------------------------------------------
 
-    def snapshot(self, source) -> _SqliteSnapshot:
-        """Backup-API snapshot of a live :class:`Database` into a
-        shared-cache memory clone (clone-mode pools)."""
-        return _SqliteSnapshot(source)
+    def snapshot(self, source) -> _SqliteSessions:
+        """Sessions onto a live :class:`Database` (the serving pool's):
+        they read the source itself, so nothing is copied."""
+        return _SqliteSessions(source)
 
     def copy(self, source, target) -> None:
         """Copy a live :class:`Database` whole — rows, rowids, indexes,
         statistics — into a fresh one (the backup API; the source is only
-        read)."""
+        read). The fleet carves its shards out of such copies, and
+        ``Database.open`` loads a file with it."""
         source.connection.backup(target.connection)
 
     # -- change capture ------------------------------------------------------
@@ -191,7 +183,7 @@ class SqliteDriver:
         ``write``; a traced transaction-control statement hands on what
         a bare ``connection.execute`` wrote (sqlite traces a trigger's
         body with its outer statement's text, so nothing earlier marks a
-        statement's end). Clones and shards copy ``main`` only.
+        statement's end). Sessions and copies see no ``TEMP`` trigger.
         """
         columns_of = {
             declared.name: declared.column_names() for declared in catalog

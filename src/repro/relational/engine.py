@@ -2,7 +2,7 @@
 
 :class:`Database` owns one sqlite connection created from a
 :class:`~repro.relational.schema.Catalog`. Every engine-specific call —
-connect, read-only open, snapshot, sanitize, cancel, change capture —
+connect, read-only open, sessions, sanitize, cancel, change capture —
 goes through its :class:`~repro.relational.driver.SqliteDriver`. Tag
 queries (SQL ASTs with ``$var.column`` parameters) execute through
 :meth:`Database.run_query` against a *binding environment*: a mapping
@@ -25,15 +25,14 @@ its own sqlite connection and its own :class:`QueryStats` — through a
 connection pool, so neither sqlite cursors nor counters are ever shared
 mutable state across requests. Concretely:
 
-* :meth:`Database.open` deliberately passes ``check_same_thread=False``:
-  pooled connections are created by the pool's owning thread and then
-  used by exactly one worker at a time (hand-off is serialized by the
-  pool's queue), which is the safe use sqlite's check is too coarse to
-  allow.
-* :meth:`Database.open` also opens **read-only** by default (URI
-  ``mode=ro`` plus ``PRAGMA query_only=ON``), so a pooled connection can
-  never write — serving traffic cannot corrupt the database, and sqlite
-  readers never block each other.
+* Pooled sessions are **read-only** (``PRAGMA query_only=ON``)
+  connections onto the source's own database, each used by one worker
+  at a time (the pool's queue hands them off, so they pass
+  ``check_same_thread=False``).
+* A source's :class:`Gate` keeps engine writes and borrowed sessions'
+  reads apart, so a read never meets a half-done write ("table is
+  locked"): a thread holding a session must not write through the
+  engine to that source.
 * :class:`QueryStats` increments are guarded by an internal lock, so a
   stats object that *is* intentionally shared (e.g. a pool-wide
   aggregate) loses no increments under concurrent recording.
@@ -43,8 +42,9 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import ViewEvaluationError
 from repro.relational.driver import SqliteDriver
@@ -118,6 +118,46 @@ def _run(statement: Callable[[], Any]) -> Any:
     return statement()
 
 
+class Gate:
+    """A reader/writer gate: any number of shared permits, or one
+    exclusive one. A waiting writer stops new readers, so writes are not
+    starved by a stream of reads; neither kind of permit is reentrant."""
+
+    def __init__(self) -> None:
+        self._changed = threading.Condition()
+        self._readers = 0
+        self._writers = 0  # waiting or writing
+        self._writing = False
+
+    def enter(self) -> None:
+        """Take a shared permit; waits while a writer waits or writes."""
+        with self._changed:
+            self._changed.wait_for(lambda: not self._writers)
+            self._readers += 1
+
+    def leave(self) -> None:
+        """Give a shared permit back."""
+        with self._changed:
+            self._readers -= 1
+            self._changed.notify_all()
+
+    @contextmanager
+    def exclusive(self) -> Iterator[None]:
+        """Hold the exclusive permit for a ``with`` block: no shared one
+        is out while it runs."""
+        with self._changed:
+            self._writers += 1
+            self._changed.wait_for(lambda: not (self._readers or self._writing))
+            self._writing = True
+        try:
+            yield
+        finally:
+            with self._changed:
+                self._writing = False
+                self._writers -= 1
+                self._changed.notify_all()
+
+
 def _as_dicts(names: list[str], rows: list) -> list[Row]:
     """The by-name view of fetched rows: one dict per row."""
     return [dict(zip(names, raw)) for raw in rows]
@@ -125,7 +165,8 @@ def _as_dicts(names: list[str], rows: list) -> list[Row]:
 
 class Database:
     """A sqlite database (in-memory unless ``path`` is given) described
-    by a catalog."""
+    by a catalog. An in-memory one is a named shared-cache database, so
+    the serving pool's sessions open onto it by :attr:`uri`."""
 
     #: The engine's driver: stateless, so one instance serves every
     #: connection (and a pool's sessions share their source's).
@@ -142,23 +183,27 @@ class Database:
         cross_thread: bool = False,
     ):
         self.catalog = catalog
+        #: The URI sessions open this database by (none when wrapped).
+        self.uri: Optional[str] = None
         if connection is not None:
             self.connection = connection
         else:
             # ``cross_thread`` relaxes sqlite's same-thread check for the
-            # update-aware serving path, where a writer thread mutates
-            # this database while a server worker snapshots it (the
-            # hand-off is serialized by the server's sync lock — see the
-            # threading contract above).
-            self.connection = self.driver.connect(
+            # update-aware serving path, where a writer thread writes
+            # this database while server workers read it through their
+            # sessions (the gate keeps the two apart — see the threading
+            # contract above).
+            self.connection, self.uri = self.driver.connect(
                 path, cross_thread=cross_thread
             )
         self.stats = stats if stats is not None else QueryStats()
         self.read_only = read_only
         self.tracker = None
+        #: Keeps engine writes and borrowed sessions' reads apart.
+        self.gate = Gate()
         # Runs a write entry point's statements and records what they
         # wrote on the tracker (:meth:`attach_tracker`).
-        self._write: Callable[[Callable[[], Any]], Any] = _run
+        self._capture: Callable[[Callable[[], Any]], Any] = _run
         # Cooperative cancellation hook (repro.resilience): when set, it
         # is invoked at the top of every run_query — a query/row
         # boundary — and may raise (e.g. DeadlineExceeded) to abandon
@@ -179,20 +224,24 @@ class Database:
     ) -> "Database":
         """Open an existing database file without creating tables.
 
-        By default the connection is **read-only** (URI ``mode=ro`` plus
-        ``PRAGMA query_only=ON``) and safe for pooled hand-off to worker
-        threads — see the module docstring for the threading contract.
-        Pass ``read_only=False`` for a plain writable connection.
+        By default the file is read once, through a read-only connection,
+        into a fresh in-memory database (``PRAGMA query_only=ON``): one
+        copy, served like any other source, that shows the file as it was
+        when opened. Pass ``read_only=False`` for a plain writable
+        connection onto the file itself.
         """
         if not read_only:
             return cls(catalog, create=False, path=path, stats=stats)
-        db = cls(
-            catalog,
-            create=False,
-            connection=cls.driver.open_read_only(path),
-            stats=stats,
-            read_only=True,
-        )
+        db = cls(catalog, create=False, stats=stats, cross_thread=True)
+        try:
+            with cls.from_connection(
+                catalog, cls.driver.open_read_only(path)
+            ) as stored:
+                cls.driver.copy(stored, db)
+        except BaseException:
+            db.close()
+            raise
+        db.read_only = True
         cls.driver.enforce_read_only(db.connection)
         return db
 
@@ -223,19 +272,28 @@ class Database:
         DELETE — :meth:`insert_rows`, raw :meth:`run_sql`, a bare
         ``connection.execute`` — once per statement and table, with the
         changed primary keys and (on UPDATE) columns. A failed install
-        raises before any state changes, leaving the engine untracked.
+        raises before any state changes, leaving the engine untracked. A
+        read-only engine writes nothing, so it takes the tracker and
+        installs no capture.
         """
-        self._check_writable("attach a write tracker")
-        self._write = self.driver.install_change_capture(
-            self.connection, self.catalog, tracker.record_write
-        )
+        if not self.read_only:
+            self._capture = self.driver.install_change_capture(
+                self.connection, self.catalog, tracker.record_write
+            )
         self.tracker = tracker
 
     def detach_tracker(self) -> None:
         """Stop recording writes; the tracker keeps what it recorded."""
         self.driver.remove_change_capture(self.connection)
-        self._write = _run
+        self._capture = _run
         self.tracker = None
+
+    def _write(self, statement: Callable[[], Any]) -> Any:
+        """Run a write entry point's statements and record what they
+        wrote under the gate's exclusive permit: a session borrowed
+        after it sees the write and its version."""
+        with self.gate.exclusive():
+            return self._capture(statement)
 
     # -- schema / data -------------------------------------------------------
 
@@ -304,7 +362,7 @@ class Database:
         decorrelated bulk queries and correlated point queries alike.
         """
         self._check_writable("ANALYZE")
-        self.driver.analyze(self.connection)
+        self._write(lambda: self.driver.analyze(self.connection))
 
     def table_count(self, table: str) -> int:
         """Row count of a base table."""

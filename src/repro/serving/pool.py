@@ -8,19 +8,16 @@ are never shared mutable state). :class:`ConnectionPool` provides both:
 a fixed set of :class:`~repro.relational.engine.Database` sessions,
 every one read-only, handed to one borrower at a time through a queue.
 
-Everything engine-specific — how a snapshot is taken, how a released
+Everything engine-specific — how a session is opened, how a released
 session is sanitized, which exceptions mean "replace this connection" —
 goes through the pool's :class:`~repro.relational.driver.SqliteDriver`.
 
-One source mode: ``ConnectionPool(catalog, source)`` snapshots a live
-database through ``driver.snapshot(source)`` (the backup API into a
-shared-cache memory clone), then opens ``size`` sessions onto the
-snapshot with read-only enforcement. The source is left untouched and
-later writes to it are *not* visible to the pool (snapshot semantics)
-until :meth:`ConnectionPool.refresh` re-snapshots it — the serving path
-(:mod:`repro.maintenance`) does exactly that when a tracked write makes
-the snapshot stale. To serve a database file, open it
-(``Database.open``) and pass that as ``source``.
+``ConnectionPool(catalog, source)`` opens ``size`` read-only sessions
+onto the live database itself (``driver.snapshot(source)``); nothing is
+copied. A borrowed session holds a shared permit of the source's
+:class:`~repro.relational.engine.Gate` and every engine write the
+exclusive one, so a session borrowed after a write sees it. To serve a
+database file, open it (``Database.open``) and pass that as ``source``.
 
 All pooled connections allow cross-thread hand-off; the pool's queue
 serializes borrowing so each connection is used by one thread at a
@@ -41,9 +38,9 @@ from repro.relational.schema import Catalog
 class ConnectionPool:
     """A fixed-size pool of read-only :class:`Database` sessions.
 
-    ``source`` is the live :class:`Database` to snapshot. The snapshot
-    and all ``size`` connections are opened at construction, so a
-    request pays no connection setup once the pool exists; a
+    ``source`` is the live :class:`Database` to read. All ``size``
+    sessions are opened at construction, so a request pays no connection
+    setup once the pool exists; a
     :class:`~repro.serving.server.ViewServer` constructs its pool on its
     first ``submit``, so a server that never serves opens none.
     """
@@ -63,9 +60,8 @@ class ConnectionPool:
         self.size = size
         self._closed = False
         self._close_lock = threading.Lock()
-        self._refresh_lock = threading.Lock()
-        self._source = source
-        self._snapshot = self.driver.snapshot(source)
+        self._gate = source.gate
+        self._sessions_of = self.driver.snapshot(source)
         self._sessions: list[Database] = [
             self._open_session() for _ in range(size)
         ]
@@ -75,7 +71,7 @@ class ConnectionPool:
 
     def _open_session(self) -> Database:
         db = Database.from_connection(
-            self.catalog, self._snapshot.connect(), stats=QueryStats(),
+            self.catalog, self._sessions_of.connect(), stats=QueryStats(),
             read_only=True,
         )
         self.driver.enforce_read_only(db.connection)
@@ -84,14 +80,17 @@ class ConnectionPool:
     # -- borrowing -----------------------------------------------------------
 
     def acquire(self, timeout: Optional[float] = None) -> Database:
-        """Borrow a session; blocks until one is idle.
+        """Borrow a session and a shared permit of the source's gate;
+        blocks until one is idle and no write runs or waits.
 
         Raises :class:`RuntimeError` on a closed pool and
         :class:`queue.Empty` if ``timeout`` elapses.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
-        return self._idle.get(timeout=timeout)
+        session = self._idle.get(timeout=timeout)
+        self._gate.enter()
+        return session
 
     def release(self, session: Database) -> None:
         """Return a borrowed session to the idle queue, clean or replaced.
@@ -105,18 +104,22 @@ class ConnectionPool:
         connection proves unusable is *replaced* by a freshly opened one
         rather than re-queued, so the pool never shrinks and never hands
         out a poisoned connection. Releasing into a closed pool closes
-        the session instead of queueing it.
+        the session instead of queueing it. The shared permit goes back
+        last, once the session holds no read transaction.
         """
-        if self._closed:
-            try:
-                session.close()
-            except self.driver.errors:
-                pass
-            return
-        session.cancel_check = None
-        if not self.driver.sanitize(session.connection):
-            session = self._replace(session)
-        self._idle.put(session)
+        try:
+            if self._closed:
+                try:
+                    session.close()
+                except self.driver.errors:
+                    pass
+                return
+            session.cancel_check = None
+            if not self.driver.sanitize(session.connection):
+                session = self._replace(session)
+            self._idle.put(session)
+        finally:
+            self._gate.leave()
 
     def _replace(self, session: Database) -> Database:
         """Swap a broken session for a fresh one (same stats identity)."""
@@ -161,30 +164,12 @@ class ConnectionPool:
     # -- freshness -----------------------------------------------------------
 
     def refresh(self) -> None:
-        """Re-snapshot the source database into the clone.
-
-        The pool serves a point-in-time snapshot; after base-data
-        writes land on the source, the maintenance layer calls this to
-        bring the snapshot forward. Every session is drained from the
-        idle queue first — a barrier that waits for in-flight requests
-        to finish and blocks new borrows — then the snapshot is
-        refreshed from the source and the sessions are returned.
-
-        The caller's thread must be allowed to touch the source
-        connection (open it with ``cross_thread=True`` when writers and
-        server workers are different threads). Concurrent refreshes are
-        serialized; callers must not hold a borrowed session, or the
-        drain would deadlock.
-        """
+        """Pass through the source's gate; copies nothing (sessions read
+        the source itself). The caller must hold no borrowed session."""
         if self._closed:
             raise RuntimeError("pool is closed")
-        with self._refresh_lock:
-            borrowed = [self._idle.get() for _ in range(self.size)]
-            try:
-                self._snapshot.refresh(self._source)
-            finally:
-                for session in borrowed:
-                    self._idle.put(session)
+        with self._gate.exclusive():
+            pass
 
     # -- stats / lifecycle ---------------------------------------------------
 
@@ -201,14 +186,13 @@ class ConnectionPool:
             session.stats.reset()
 
     def close(self) -> None:
-        """Close every pooled session (and the snapshot's anchor)."""
+        """Close every pooled session."""
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
         for session in self._sessions:
             session.close()
-        self._snapshot.close()
 
     def __enter__(self) -> "ConnectionPool":
         return self

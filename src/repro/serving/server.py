@@ -29,14 +29,14 @@ compose runs over the materialized view (the naive rung of
 that the circuit breaker never counts.
 
 Update awareness: every server tracks its source through a
-:class:`~repro.maintenance.tracker.WriteTracker` (its own when the
-caller passes none: nothing records into it, so the server serves its
-construction-time snapshot) and memoizes serialized responses in a
+:class:`~repro.maintenance.tracker.WriteTracker` (the source's when the
+caller passes none, attached to the source if it has none, so every
+served source records its writes) and memoizes serialized responses in a
 :class:`~repro.maintenance.result_cache.ResultCache` keyed by plan
 fingerprint and stamped with the plan's base-table version
 vector; a :class:`~repro.maintenance.policy.StalenessPolicy` decides
-whether cached bytes may be served or must be recomputed over
-re-synced live data. A stale entry is maintained by delta
+whether cached bytes may be served or must be recomputed over the live
+data. A stale entry is maintained by delta
 (:mod:`repro.maintenance.incremental`), whose last rung is the full
 recompute. Under the ``strict`` policy the equivalence
 guarantee extends across interleaved base-data writes (the property
@@ -352,16 +352,14 @@ class RequestTrace:
 class ViewServer:
     """A concurrent publishing server over one relational database.
 
-    ``source`` is a live :class:`~repro.relational.engine.Database`,
-    snapshotted into a shared-cache clone (see
-    :class:`~repro.serving.pool.ConnectionPool`) by the first ``submit``,
-    on its thread (which must be allowed to touch ``source``, as the
-    worker a write re-syncs on must) — a server that never serves holds
-    no copy; to serve a database file, open it (``Database.open``) and
-    pass that. Writes reach the clone through ``tracker``: the pool
-    re-snapshots when the tracker's clock passes the one it last synced
-    at. Requests are executed on a ``ThreadPoolExecutor`` with one
-    pooled connection per worker; compiled plans are shared through an LRU
+    ``source`` is a live :class:`~repro.relational.engine.Database`; the
+    first ``submit`` opens the pool's read-only sessions onto it (see
+    :class:`~repro.serving.pool.ConnectionPool`), which copy nothing. To
+    serve a database file, open it (``Database.open``) and pass that.
+    ``tracker`` stamps the results: the source's by default (a fleet
+    replica's lags it). Requests are executed on a ``ThreadPoolExecutor``
+    with one pooled connection per worker; compiled plans are shared
+    through an LRU
     :class:`~repro.serving.plan_cache.PlanCache` keyed by content
     fingerprints of (catalog, view, stylesheet, options) — the server's
     own of ``cache_capacity`` plans, or the ``plan_cache`` it is handed
@@ -418,25 +416,24 @@ class ViewServer:
         # serialized responses in a ResultCache and checks their
         # table-version stamps against the tracker before serving; a
         # stale entry is refreshed by delta, falling back to full.
-        self.tracker = tracker if tracker is not None else WriteTracker()
+        if source.tracker is None:
+            source.attach_tracker(tracker or WriteTracker())
+        self._source_tracker = source.tracker  # the data's own clock
+        self.tracker = tracker or source.tracker
         self.staleness = (
             StalenessPolicy.parse(staleness)
             if isinstance(staleness, str)
             else staleness
         )
         self.result_cache = ResultCache(result_cache_capacity)
-        self._sync_lock = threading.Lock()
 
     @property
     def pool(self) -> ConnectionPool:
-        """The clone of the source, taken on first use — the first
-        ``submit`` — with ``_synced_clock``, the clock at which its data
-        is known current, read just before: writes recorded up to then
-        are included."""
+        """The sessions onto the source, opened on first use — the first
+        ``submit``."""
         if self._pool is None:
-            with self._sync_lock:
+            with self._lock:
                 if self._pool is None:
-                    self._synced_clock = self.tracker.clock()
                     self._pool = ConnectionPool(
                         self.catalog, self._source, size=self.workers
                     )
@@ -452,7 +449,7 @@ class ViewServer:
         return self._inflight
 
     def outstanding(self) -> int:
-        """Borrowed-but-unreturned sessions; 0 before the first clone."""
+        """Borrowed-but-unreturned sessions; 0 before the first submit."""
         return 0 if self._pool is None else self._pool.outstanding()
 
     # -- request API ---------------------------------------------------------
@@ -495,7 +492,7 @@ class ViewServer:
                 f"unknown priority {request.priority!r} "
                 f"(expected one of {', '.join(PRIORITIES)})"
             )
-        self.pool  # the first request takes the clone, on this thread
+        self.pool  # the first request opens the sessions, on this thread
         limit = self.admission_limit(request.priority)
         with self._lock:
             request_id = self._next_request_id
@@ -650,61 +647,29 @@ class ViewServer:
 
     # -- freshness -----------------------------------------------------------
 
-    def _sync(self) -> None:
-        """Bring the pool's data current with every tracked write so far.
-
-        Cheap when nothing changed (one clock read, no lock). When the
-        pool is behind, exactly one thread re-snapshots the source
-        (:meth:`~repro.serving.pool.ConnectionPool.refresh`) while
-        others wait on the sync lock; the synced clock is stamped with a
-        value read *before* the snapshot, so it can only understate
-        freshness — a conservative error that costs an extra refresh,
-        never a stale strict response. Callers must not hold a pool
-        session (the refresh drains the pool).
-        """
-        if self._synced_clock >= self.tracker.clock():
-            return
-        with self._sync_lock:
-            observed = self.tracker.clock()
-            if self._synced_clock >= observed:
-                return
-            self.pool.refresh()
-            self._synced_clock = observed
-
     def _serve_delta(
-        self,
-        plan: CompiledPlan,
-        trace: RequestTrace,
-        current_versions: dict[str, int],
-        deadline: Deadline,
+        self, plan: CompiledPlan, trace: RequestTrace, deadline: Deadline
     ) -> Optional[str]:
         """One incremental refresh attempt; ``None`` means fall back to full.
 
         Snapshot discipline (the read-then-stamp race): dirty-node
         selection, the delta queries, and the published version stamp
-        must all agree on one version vector. The vector is read before
-        syncing the pool (so the pool can only be *at or ahead of* it),
-        and re-read after the splice: if any tracked table advanced in
-        between, the pool snapshot may contain writes the dirty-node
-        selection never saw — the splice is discarded and the request
-        recomputes in full (which is point-consistent with the pool
-        snapshot regardless). On success the entry is stamped with
-        exactly the selection vector. The stale entry itself is never
-        written: the splice builds new state sharing untouched columns,
-        so a failure mid-way leaves the cache untouched.
+        must all agree on one version vector. The vector is re-read just
+        before the session is borrowed, so the data it reads is *at or
+        ahead of* it. If after the splice a tracked table advanced, or
+        this server's clock lags its source's (a fleet replica whose
+        applier holds writes back), the data may hold writes the
+        selection never saw: the splice is discarded as a ``stamp-race``
+        and the request recomputes in full. On success the entry is
+        stamped with exactly the selection vector. The stale entry itself
+        is never written: the splice builds new state sharing untouched
+        columns, so a failure mid-way leaves the cache untouched.
         """
         stale = self.result_cache.peek(plan.key)
         if stale is None or not isinstance(stale.state, MaterializedState):
             self.counts.count("delta_fallbacks_by_reason.no-state")
             return None
-        versions = dict(current_versions)
-        self._sync()
-        live = self.tracker.versions(plan.tables)
-        if live != versions:
-            # Writes landed since classification: adopt the newer vector
-            # as the selection snapshot and re-sync once.
-            versions = live
-            self._sync()
+        versions = self.tracker.versions(plan.tables)
         changed = [
             t
             for t in plan.tables
@@ -754,9 +719,13 @@ class ViewServer:
             # always safe — and what the fault-injection tests assert.
             self.counts.count("delta_fallbacks_by_reason.error")
             return None
-        if self.tracker.versions(plan.tables) != versions:
-            # A write raced the splice; the pool may be ahead of the
-            # dirty-node selection. Discard the (possibly torn) result.
+        if (
+            self.tracker.versions(plan.tables) != versions
+            or self.tracker.clock() != self._source_tracker.clock()
+        ):
+            # A write raced the splice, or this server's clock lags its
+            # source's: the data may be ahead of the dirty-node
+            # selection. Discard the (possibly torn) result.
             self.counts.count("delta_fallbacks_by_reason.stamp-race")
             return None
         trace.queries_executed = (
@@ -902,9 +871,7 @@ class ViewServer:
         delta_xml = None
         if trace.freshness == "stale-recompute":
             try:
-                delta_xml = self._serve_delta(
-                    plan, trace, current_versions, deadline
-                )
+                delta_xml = self._serve_delta(plan, trace, deadline)
             except Exception as exc:
                 self._record_failure(key, exc)
                 raise
@@ -984,11 +951,9 @@ class ViewServer:
     ) -> None:
         """One full-plan evaluation attempt (the pre-resilience path); on
         the naive rung a tree, transformed, and no maintenance state."""
-        # Recomputation must read data at least as fresh as the version
-        # stamp it publishes — and a bypass_cache request promises live
-        # data outright, so the pool syncs on every full execution (a
-        # clock comparison when nothing changed).
-        self._sync()
+        # The session reads the source itself: its data is at least as
+        # fresh as the version stamp published below, and a bypass_cache
+        # request reads live data.
         naive = plan.rung == "naive"
         # Maintenance state is earned: the columns are kept only when
         # this key is already resident (the entry went stale, so a delta

@@ -4,9 +4,9 @@ The paper's composed plans evaluate one decorrelated query per schema
 node, all scoped by the top-level binding variable — so the workload
 partitions cleanly by the top-level key column. This package deals the
 database into key-range shards (:mod:`repro.sharding.partition`), runs
-a :class:`~repro.serving.server.ViewServer` per shard plus N snapshot
-replicas, fans each request out across the fleet, and splices the
-per-shard response texts inside the view's literal frame
+a :class:`~repro.serving.server.ViewServer` per shard plus N replicas
+reading the same shard source, fans each request out across the fleet,
+and splices the per-shard response texts inside the view's literal frame
 (:mod:`repro.sharding.merge`) into a response byte-identical to a
 single-box run (:mod:`repro.sharding.router`).
 ``serve-http --shards N --replicas M`` and the ``fleet-mix`` workload

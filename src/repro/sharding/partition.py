@@ -264,8 +264,8 @@ def partition_database(
     global document order. Replicated tables (key query ``None``) are
     copied whole. The returned databases are writable and opened
     ``cross_thread`` (default) so a writer thread and the serving pools'
-    re-snapshot path can share them, exactly like the single-box
-    update-aware setup. If carving a shard fails, every shard made so far
+    threads can share them, exactly like the single-box update-aware
+    setup. If carving a shard fails, every shard made so far
     is closed before the error propagates.
     """
     scheme.validate(source.catalog)

@@ -5,7 +5,7 @@
 dealt into key-range shards (:mod:`repro.sharding.partition`), each
 shard runs one *primary* server plus N read replicas — every one an
 ordinary ``ViewServer`` whose :class:`~repro.serving.pool.ConnectionPool`
-snapshot-clones the shard's source database — and a request fans out to
+reads the shard's source database itself — and a request fans out to
 one server per shard. Text is the only thing that crosses the member →
 router boundary: every member answers in bytes, and the router splices
 the shards' partition runs inside the view's literal frame
@@ -30,8 +30,8 @@ primary) is skipped before anything is dispatched to it.
 
 Within the eligible members, a read goes to the least busy of the
 caught-up healthy set, the primary on a tie — so on an idle shard the
-primary serves every read, and a replica holds no clone of the shard
-until its first read (see :class:`~repro.serving.server.ViewServer`).
+primary serves every read, and a replica opens no session onto the
+shard until its first read (see :class:`~repro.serving.server.ViewServer`).
 A member whose trace comes back failed (breaker open, deadline, fault)
 fails over to the next candidate, and when no member on a shard can
 compute, the shard serves its degraded-stale fallback if any member has
@@ -226,9 +226,9 @@ class ShardRouter:
     Construct with one source :class:`Database` per shard (already
     partitioned — see :meth:`build` for the end-to-end path from a
     single unpartitioned source). Each shard gets a primary server and
-    ``replicas`` read replicas; every server clones its own snapshot of
-    the shard source when it first serves, so replicas are genuine
-    independent read copies, and one that never serves holds none.
+    ``replicas`` read replicas, every one reading the shard source itself
+    (one copy a shard); a replica whose tracker lags splices nothing, as
+    its data does not lag.
 
     ``replica_lag_ms`` is the injectable apply delay: 0 keeps
     propagation synchronous, > 0 makes replicas genuinely lag by that

@@ -38,6 +38,7 @@ from repro.sql.ast import (
     Star,
     TableRef,
     UnaryOp,
+    clone_expr,
 )
 from repro.sql.params import (
     map_exprs,
@@ -231,6 +232,43 @@ def inline_parameter(query: Select, var: str, parent: Select, alias: Optional[st
     return chosen
 
 
+def _scalar_of(
+    expr: Expr, from_items: list, where: Optional[Expr]
+) -> ScalarSubquery:
+    """``(SELECT expr FROM from_items WHERE where)``, every part cloned."""
+    return ScalarSubquery(Select(
+        items=[SelectItem(clone_expr(expr))],
+        from_items=[fi.clone() for fi in from_items],
+        where=clone_expr(where) if where is not None else None,
+    ))
+
+
+def _replace_aggregates(
+    expr: Expr, from_items: list, where: Optional[Expr]
+) -> Expr:
+    """``expr`` with each aggregate call replaced by its own correlated
+    scalar over ``from_items`` / ``where``."""
+    if isinstance(expr, FuncCall) and expr.is_aggregate:
+        return _scalar_of(expr, from_items, where)
+    if isinstance(expr, BinOp):
+        return BinOp(
+            expr.op,
+            _replace_aggregates(expr.left, from_items, where),
+            _replace_aggregates(expr.right, from_items, where),
+        )
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(
+            expr.op, _replace_aggregates(expr.operand, from_items, where)
+        )
+    if isinstance(expr, FuncCall):
+        return FuncCall(
+            expr.name,
+            tuple(_replace_aggregates(a, from_items, where) for a in expr.args),
+            expr.star,
+        )
+    return expr
+
+
 def scalar_aggregate_restructure(
     query: Select, catalog: TableColumns
 ) -> None:
@@ -247,20 +285,10 @@ def scalar_aggregate_restructure(
     Any HAVING condition moves to the outer WHERE with its aggregate
     subexpressions replaced by their own correlated scalars.
     """
-    from repro.sql.ast import FuncCall, ScalarSubquery, clone_expr
-
     if query.group_by:
         raise SQLTransformError("scalar restructuring requires no GROUP BY")
     inner_from = query.from_items
     inner_where = query.where
-
-    def make_scalar(expr: Expr) -> ScalarSubquery:
-        inner = Select(
-            items=[SelectItem(clone_expr(expr))],
-            from_items=[fi.clone() for fi in inner_from],
-            where=clone_expr(inner_where) if inner_where is not None else None,
-        )
-        return ScalarSubquery(inner)
 
     new_items: list[SelectItem] = []
     for item in query.items:
@@ -270,30 +298,13 @@ def scalar_aggregate_restructure(
                 "scalar restructuring needs a derivable column name for "
                 f"{item.expr!r}"
             )
-        new_items.append(SelectItem(make_scalar(item.expr), alias))
+        new_items.append(
+            SelectItem(_scalar_of(item.expr, inner_from, inner_where), alias)
+        )
     query.items = new_items
 
     if query.having is not None:
-        def replace_aggregates(expr: Expr) -> Expr:
-            if isinstance(expr, FuncCall) and expr.is_aggregate:
-                return make_scalar(expr)
-            from repro.sql.ast import BinOp, UnaryOp
-
-            if isinstance(expr, BinOp):
-                return BinOp(
-                    expr.op, replace_aggregates(expr.left), replace_aggregates(expr.right)
-                )
-            if isinstance(expr, UnaryOp):
-                return UnaryOp(expr.op, replace_aggregates(expr.operand))
-            if isinstance(expr, FuncCall):
-                return FuncCall(
-                    expr.name,
-                    tuple(replace_aggregates(a) for a in expr.args),
-                    expr.star,
-                )
-            return expr
-
-        query.where = replace_aggregates(query.having)
+        query.where = _replace_aggregates(query.having, inner_from, inner_where)
         query.having = None
     else:
         query.where = None

@@ -1,5 +1,7 @@
 """Tests for the Section 5.3 recursion pushdown (Figures 25-27)."""
 
+import types
+
 import pytest
 
 from repro.errors import UnsupportedFeatureError
@@ -11,6 +13,7 @@ from repro.workloads.paper import figure1_view, figure25_stylesheet
 from repro.xmlcore.serializer import serialize
 from repro.xslt.parser import parse_stylesheet
 from repro.xslt.processor import XSLTProcessor
+from tests.collector import collector_off, left_to_the_collector
 
 RECURSIVE = """
 <xsl:template match="/metro">
@@ -160,3 +163,13 @@ def test_interior_variable_predicate_rejected(view, db):
     )
     with pytest.raises(UnsupportedFeatureError):
         compose_recursive_pair(view, stylesheet, db.catalog)
+
+
+def test_composing_a_recursive_pair_leaves_no_closure_to_the_collector(view, db):
+    """The rewritten stylesheet's applies are replaced by a module-level
+    walk: composing leaves no function<->cell cycle behind."""
+    compose_recursive_pair(view, figure25_stylesheet(), db.catalog)
+    with collector_off(save_all=True):
+        compose_recursive_pair(view, figure25_stylesheet(), db.catalog)
+        leaked = left_to_the_collector(types.FunctionType, types.CellType)
+    assert leaked == []

@@ -1,4 +1,4 @@
-"""Update-aware ViewServer: freshness states, sync, and invalidation.
+"""Update-aware ViewServer: freshness states, races, and invalidation.
 
 Deterministic companion to the property suite in
 ``test_freshness_property.py``: every transition of the result-cache
@@ -7,6 +7,8 @@ invalidation) is pinned down on the Figure 1 hotel workload.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -211,23 +213,31 @@ def test_invalidate_tables_is_scoped_to_the_read_set(strict_env):
 
 
 class RacyServer(ViewServer):
-    """A server whose next ``_sync`` lands one extra tracked write first.
+    """A server whose next computation — delta or full — lands one extra
+    tracked write first.
 
     Deterministically reproduces the read-then-stamp race: a write
     arriving between freshness classification (which read the version
-    vector) and the pool refresh that recomputation reads from. Arm it
+    vector) and the session that recomputation reads from. Arm it
     with :meth:`arm_race`; the write fires exactly once.
     """
 
     def arm_race(self, db, tracker, step):
         self._race = (db, tracker, step)
 
-    def _sync(self):
+    def _fire_race(self):
         race, self._race = getattr(self, "_race", None), None
         if race is not None:
             db, tracker, step = race
             hotel_write(db, step)
-        super()._sync()
+
+    def _serve_delta(self, *args):
+        self._fire_race()
+        return super()._serve_delta(*args)
+
+    def _execute_full(self, *args):
+        self._fire_race()
+        return super()._execute_full(*args)
 
 
 def racy_env():
@@ -246,7 +256,7 @@ def racy_env():
 
 def test_racing_write_during_full_recompute_understates_freshness():
     """The full path stamps the entry with the vector read at
-    classification, not one read after the sync - so a write racing the
+    classification, not one read after the data - so a write racing the
     recompute shows up as staleness on the next request (an extra
     recompute) rather than ever being masked by a too-new stamp."""
     db, tracker, server = racy_env()
@@ -258,7 +268,7 @@ def test_racing_write_during_full_recompute_understates_freshness():
         assert second.freshness == "stale-recompute"
         assert second.version_lag == 1
         # The recompute that raced the write already read post-write
-        # data (sync happened after the write): bytes are identical.
+        # data (the session opened after the write): bytes are identical.
         assert second.xml == first.xml
         assert serve(server, db).freshness == "hit"
     finally:
@@ -267,7 +277,7 @@ def test_racing_write_during_full_recompute_understates_freshness():
 
 
 def test_delta_adopts_a_racing_write_into_its_selection_snapshot():
-    """The delta path re-reads the vector after syncing; a racing write
+    """The delta path re-reads the vector before its read; a racing write
     is adopted into dirty-node selection (one retry), so the stamp,
     the selection, and the data all agree - the next request is a
     clean hit on live bytes."""
@@ -275,7 +285,7 @@ def test_delta_adopts_a_racing_write_into_its_selection_snapshot():
     try:
         serve_promoted(server, db, tracker)
         hotel_write(db, 0)  # entry is now stale
-        server.arm_race(db, tracker, 1)  # second write lands inside sync
+        server.arm_race(db, tracker, 1)  # second write lands before the read
         trace = serve(server, db)
         assert trace.freshness == "delta-recompute"
         assert server.metrics()["delta_fallbacks"] == 1  # the promotion
@@ -286,22 +296,37 @@ def test_delta_adopts_a_racing_write_into_its_selection_snapshot():
 
 
 def test_write_racing_the_splice_discards_the_delta(monkeypatch):
-    """A write landing *during* the splice fails the post-splice vector
-    check: the (possibly torn) delta is discarded and the request falls
-    back to a full recompute whose answer reflects the racing write."""
+    """A write arriving *during* the splice waits at the source's gate
+    until the session goes back, then lands before the post-splice
+    vector check, which fails: the delta is discarded and the request
+    falls back to a full recompute whose answer reflects the racing
+    write."""
     from repro.maintenance import DeltaEvaluator
+    from repro.serving.pool import ConnectionPool
 
     db, tracker, server = make_env()
     try:
         serve_promoted(server, db, tracker)
         hotel_write(db, 0)
         original = DeltaEvaluator.evaluate
+        original_release = ConnectionPool.release
+        writers = []
 
         def racing_evaluate(self, *args, **kwargs):
-            hotel_write(db, 1)  # sneaks in mid-evaluation
+            writer = threading.Thread(target=hotel_write, args=(db, 1))
+            writer.start()  # arrives mid-evaluation, waits at the gate
+            writers.append(writer)
             return original(self, *args, **kwargs)
 
+        def release_then_let_the_write_land(self, session):
+            original_release(self, session)
+            while writers:
+                writers.pop().join()
+
         monkeypatch.setattr(DeltaEvaluator, "evaluate", racing_evaluate)
+        monkeypatch.setattr(
+            ConnectionPool, "release", release_then_let_the_write_land
+        )
         trace = serve(server, db)
         assert trace.freshness == "stale-recompute"  # fell back
         metrics = server.metrics()
@@ -547,12 +572,14 @@ def test_metrics_report_freshness_and_maintenance_state(strict_env):
     assert metrics["tracker"]["versions"] == {"availability": 1}
 
 
-def test_a_server_without_a_tracker_serves_its_snapshot_from_cache():
-    """Without a tracker the server makes its own, and nothing records
-    into it: the second render of a request is a hit on the first's
-    bytes, and an untracked write to the source changes neither."""
+def test_a_server_without_a_tracker_records_source_writes():
+    """Without a tracker the server takes its source's, attaching one
+    when the source has none: every served source records its writes.
+    The second render of a request is a hit on the first's bytes, and a
+    write to the source makes the next one stale and recomputed over it."""
     db = build_hotel_database(SPEC)
     with ViewServer(db.catalog, db, workers=2) as server:
+        assert server.tracker is db.tracker is not None
         first = serve(server, db)
         assert first.freshness == "miss" and first.queries_executed > 0
         second = serve(server, db)
@@ -563,10 +590,11 @@ def test_a_server_without_a_tracker_serves_its_snapshot_from_cache():
             "THEN 3 ELSE 5 END"
         )
         third = serve(server, db)
-        assert third.freshness == "hit" and third.queries_executed == 0
-        assert third.xml == first.xml
+        assert third.freshness == "stale-recompute"
+        assert third.queries_executed > 0
+        assert third.xml == _naive_bytes(db) != first.xml
         metrics = server.metrics()
-        assert metrics["tracker"]["total_writes"] == 0
+        assert metrics["tracker"]["total_writes"] == 1
         assert metrics["freshness"]["bypass"] == 0
     db.close()
 

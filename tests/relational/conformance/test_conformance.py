@@ -35,8 +35,8 @@ def test_read_only_enforcement(driver):
     DriverConformanceKit(driver).check_read_only_enforcement()
 
 
-def test_snapshot_isolation_and_refresh(driver):
-    DriverConformanceKit(driver).check_snapshot_isolation_and_refresh()
+def test_sessions_read_the_source(driver):
+    DriverConformanceKit(driver).check_sessions_read_the_source()
 
 
 def test_stop_under_load(driver):

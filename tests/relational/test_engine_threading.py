@@ -1,14 +1,17 @@
-"""Engine threading contract: locked stats, read-only pooled opens."""
+"""Engine threading contract: locked stats, the source's gate,
+read-only opens."""
 
 from __future__ import annotations
 
 import sqlite3
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.errors import ViewEvaluationError
-from repro.relational.engine import Database, QueryStats
+from repro.relational.engine import Database, Gate, QueryStats
 from repro.workloads.hotel import (
     HotelDataSpec,
     build_hotel_database,
@@ -72,6 +75,53 @@ def hotel_file(tmp_path):
     dest.close()
     db.close()
     return path
+
+
+def test_the_gate_never_lets_a_write_overlap_a_read_or_a_write():
+    """Six readers and three writers, more threads than cores, on a
+    shortened switch interval: no writer is ever inside while a reader
+    or another writer is, and every thread finishes (no writer
+    starves behind the stream of reads)."""
+    gate = Gate()
+    inside = {"readers": 0, "writers": 0}
+    count_lock = threading.Lock()
+    overlaps = []
+
+    def step(role, others):
+        with count_lock:
+            inside[role] += 1
+            if inside["writers"] > 1 or inside[others]:
+                overlaps.append(dict(inside))
+        time.sleep(0)  # let another thread run while inside
+        with count_lock:
+            inside[role] -= 1
+
+    def reader():
+        for _ in range(400):
+            gate.enter()
+            try:
+                step("readers", "writers")
+            finally:
+                gate.leave()
+
+    def writer():
+        for _ in range(100):
+            with gate.exclusive():
+                step("writers", "readers")
+
+    threads = [threading.Thread(target=reader) for _ in range(6)]
+    threads += [threading.Thread(target=writer) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert overlaps == []
 
 
 def test_open_defaults_to_read_only(hotel_file):

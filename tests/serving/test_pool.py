@@ -1,13 +1,15 @@
-"""ConnectionPool: read-only sessions, snapshot semantics, stats."""
+"""ConnectionPool: read-only sessions onto the source, its gate, stats."""
 
 from __future__ import annotations
 
 import queue
 import sqlite3
+import threading
 
 import pytest
 
 from repro.errors import ViewEvaluationError
+from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database
 from repro.serving.pool import ConnectionPool
 from repro.workloads.hotel import (
@@ -15,6 +17,17 @@ from repro.workloads.hotel import (
     build_hotel_database,
     hotel_catalog,
 )
+
+
+@pytest.fixture(autouse=True, scope="module")
+def capture_tracebacks():
+    """A change-capture callback that raises while a write holds the
+    gate reaches pytest as an unraisable exception (an error under ``-W
+    error::pytest.PytestUnraisableExceptionWarning``) instead of a
+    write nobody recorded."""
+    sqlite3.enable_callback_tracebacks(True)
+    yield
+    sqlite3.enable_callback_tracebacks(False)
 
 
 @pytest.fixture()
@@ -52,16 +65,94 @@ def test_clone_pool_sessions_are_read_only(small_hotel_db):
                 db.run_sql("DELETE FROM metroarea")
 
 
-def test_clone_pool_has_snapshot_semantics(small_hotel_db):
+def test_pool_sessions_read_the_source(small_hotel_db):
+    """The pool copies nothing: its sessions open onto the source itself,
+    so a write committed to the source is what the next borrower reads,
+    with no refresh in between."""
     with ConnectionPool(small_hotel_db.catalog, source=small_hotel_db) as pool:
         before = small_hotel_db.table_count("metroarea")
         small_hotel_db.run_sql(
             "INSERT INTO metroarea (metroid, metroname) VALUES (999, 'nowhere')"
         )
         with pool.session() as db:
-            # Later writes to the source are invisible to the snapshot.
-            assert db.table_count("metroarea") == before
+            assert db.table_count("metroarea") == before + 1
         assert small_hotel_db.table_count("metroarea") == before + 1
+
+
+INSERT_METRO = (
+    "INSERT INTO metroarea (metroid, metroname) VALUES (999, 'nowhere')"
+)
+
+
+def test_a_write_waits_while_a_session_is_borrowed():
+    """The source's gate: a write through ``run_sql`` waits until the
+    borrowed session goes back, so the borrower reads one state the
+    whole time; then the write lands."""
+    db = build_hotel_database(
+        HotelDataSpec(metros=2, hotels_per_metro=2), cross_thread=True
+    )
+    with db, ConnectionPool(db.catalog, source=db, size=1) as pool:
+        written = threading.Event()
+
+        def write():
+            db.run_sql(INSERT_METRO)
+            written.set()
+
+        session = pool.acquire()
+        try:
+            before = session.table_count("metroarea")
+            writer = threading.Thread(target=write)
+            writer.start()
+            assert not written.wait(0.2)  # held at the gate
+            assert session.table_count("metroarea") == before
+        finally:
+            pool.release(session)
+        assert written.wait(30)
+        writer.join()
+        with pool.session() as again:
+            assert again.table_count("metroarea") == before + 1
+
+
+def test_a_session_borrowed_after_a_write_sees_it():
+    """A write holds the gate through its statement and its tracker
+    flush: a borrower arriving while it runs waits, then reads the
+    written row and the version the write recorded."""
+    db = build_hotel_database(
+        HotelDataSpec(metros=2, hotels_per_metro=2), cross_thread=True
+    )
+    tracker = WriteTracker()
+    db.attach_tracker(tracker)
+    recording, finish, borrowed = (threading.Event() for _ in range(3))
+
+    def hold_the_flush(_table, _version):
+        recording.set()
+        finish.wait()
+
+    tracker.subscribe(hold_the_flush)
+    with db, ConnectionPool(db.catalog, source=db, size=1) as pool:
+        before = db.table_count("metroarea")
+        seen = []
+
+        def read():
+            with pool.session() as session:
+                borrowed.set()
+                seen.append(
+                    (session.table_count("metroarea"), tracker.version("metroarea"))
+                )
+
+        writer = threading.Thread(target=db.run_sql, args=(INSERT_METRO,))
+        writer.start()
+        reader = threading.Thread(target=read)
+        try:
+            assert recording.wait(30)  # the write is in its flush, gate held
+            reader.start()
+            assert not borrowed.wait(0.2)  # the borrower waits for the write
+        finally:
+            finish.set()
+            writer.join()
+            if reader.is_alive():
+                reader.join()
+        assert seen == [(before + 1, 1)]
 
 
 def test_file_pool_serves_a_database_file(small_hotel_db, tmp_path):

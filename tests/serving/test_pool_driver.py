@@ -7,14 +7,12 @@ the ``driver`` fixture (``tests/conftest.py``) lists:
   state an interrupted statement leaves behind) is rolled back via
   ``driver.sanitize`` before the next borrower sees it, and a session
   whose connection is beyond repair is replaced, not re-queued;
-* **refresh re-snapshot** — ``refresh()`` brings the clone forward
-  through the driver's snapshot ``refresh``, so post-snapshot source writes
-  become visible (the stale-read regression the bypass_cache fix
-  closed: a bypassed read must see refreshed data, not the original
-  snapshot);
-* **a database file as the source** — a file opened through
-  ``driver.open_read_only`` is snapshotted like any source, and the
-  pool's sessions refuse writes.
+* **sessions onto the source** — a session reads the source itself,
+  so a source write is visible to the next borrower with no refresh (a
+  bypassed read must see live data);
+* **a database file as the source** — a file opened with
+  ``Database.open`` is read once into memory and served like any
+  source, and the pool's sessions refuse writes.
 """
 
 from __future__ import annotations
@@ -77,25 +75,26 @@ def test_release_replaces_broken_session(driver):
             assert pool.outstanding() == 0
 
 
-def test_refresh_resnapshots_source_writes(driver):
-    """Post-snapshot writes are invisible until refresh, visible after —
-    the invariant the bypass_cache stale-read fix depends on."""
+def test_sessions_see_source_writes_without_refresh(driver):
+    """Sessions read the source itself: a write is visible to every
+    session borrowed after it, and ``refresh()`` only passes the gate —
+    the invariant a bypass_cache read's freshness depends on."""
     with _source(driver) as source:
         with ConnectionPool(source.catalog, source=source, size=2) as pool:
             with pool.session() as session:
                 assert session.table_count("t") == 3
             source.insert_rows("t", [{"id": 100, "v": "late"}])
-            with pool.session() as session:
-                assert session.table_count("t") == 3  # snapshot semantics
-            pool.refresh()
-            for _ in range(2):  # every pooled session sees the refresh
+            for _ in range(2):  # every pooled session sees the write
                 with pool.session() as session:
                     assert session.table_count("t") == 4
+            pool.refresh()
+            with pool.session() as session:
+                assert session.table_count("t") == 4
 
 
 def test_refresh_after_release_sanitization(driver):
-    """A sanitized (rolled-back) session does not pin the old snapshot:
-    refresh still lands and the same session object serves fresh data."""
+    """A sanitized (rolled-back) session holds no read transaction: the
+    write after its release lands, and the same session serves it."""
     with _source(driver) as source:
         with ConnectionPool(source.catalog, source=source, size=1) as pool:
             session = pool.acquire()
@@ -120,12 +119,14 @@ def test_file_mode_pool_is_read_only(driver, tmp_path):
             assert session.table_count("t") == 1
             with pytest.raises(driver.errors):
                 session.run_sql("DELETE FROM t")
-        # The file is a source like any other: a row another writer
-        # commits reaches the pool at its next refresh.
+        # The file was read once, when it was opened: a row another
+        # writer commits to it later reaches neither the source nor the
+        # pool, refresh or not.
         with Database.open(_catalog(), path, read_only=False) as writer:
             writer.insert_rows("t", [{"id": 2, "v": "b"}])
+            assert writer.table_count("t") == 2
         with pool.session() as session:
             assert session.table_count("t") == 1
         pool.refresh()
         with pool.session() as session:
-            assert session.table_count("t") == 2
+            assert session.table_count("t") == 1

@@ -1,16 +1,19 @@
 """Tests for the ScalarSubquery expression node across the SQL stack."""
 
+import types
+
 import pytest
 
 from repro.errors import SQLTransformError
 from repro.relational.engine import Database
 from repro.relational.schema import Catalog, table
 from repro.sql.analysis import DictCatalog, has_top_level_aggregate, referenced_tables
-from repro.sql.ast import ScalarSubquery
+from repro.sql.ast import ScalarSubquery, Select
 from repro.sql.params import collect_params, referenced_vars
 from repro.sql.parser import parse_select
 from repro.sql.printer import print_select
 from repro.sql.transform import scalar_aggregate_restructure, used_aliases
+from tests.collector import collector_off, left_to_the_collector
 
 CATALOG = DictCatalog({"t": ["id", "x"], "u": ["uid", "t_id", "y"]})
 
@@ -70,6 +73,24 @@ def test_restructure_moves_having_to_where():
     assert query.where is not None
     text = print_select(query)
     assert text.count("(SELECT SUM") == 2  # item + rewritten having
+
+
+def test_restructuring_a_having_leaves_nothing_to_the_collector():
+    """The HAVING rewrite walks the condition with module-level
+    functions: no function<->cell cycle per call pins the query."""
+    sql = (
+        "SELECT SUM(x) AS total FROM t "
+        "HAVING NOT SUM(x) > 10 AND ABS(MIN(x)) < 3"
+    )
+    with collector_off(save_all=True):
+        query = parse_select(sql)
+        scalar_aggregate_restructure(query, CATALOG)
+        assert print_select(query).count("(SELECT SUM") == 2
+        del query
+        leaked = left_to_the_collector(
+            types.FunctionType, types.CellType, Select
+        )
+    assert leaked == []
 
 
 def test_restructure_rejects_group_by():
