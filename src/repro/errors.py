@@ -92,6 +92,20 @@ class ViewEvaluationError(ViewError):
     """Raised when materializing a view against a database fails."""
 
 
+class GateReentered(ReproError):
+    """Raised at once when a thread asks a source's
+    :class:`~repro.relational.engine.Gate` for a permit it would wait on
+    itself for: the exclusive one while it holds one, or a shared one
+    while it holds the exclusive one."""
+
+    def __init__(self, held: str, asked: str):
+        self.held, self.asked = held, asked
+        super().__init__(
+            f"this thread holds the {held} permit of the source's gate and "
+            f"asked for the {asked} one, which would wait for itself"
+        )
+
+
 class XSLTError(ReproError):
     """Base class for XSLT substrate errors."""
 

@@ -157,6 +157,11 @@ class WriteTracker:
         with self._lock:
             self._subscribers.append(callback)
 
+    def unsubscribe(self, callback: Callable[[str, int], None]) -> None:
+        """Stop calling ``callback`` (registered with :meth:`subscribe`)."""
+        with self._lock:
+            self._subscribers.remove(callback)
+
     # -- reading -------------------------------------------------------------
 
     def version(self, table: str) -> int:

@@ -28,6 +28,47 @@ _WRITE_MIX = ("availability", "hotel", "availability")
 _WRITE_TABLES = ("availability", "hotel")
 
 
+def _span(total: int, step: int, width: int) -> tuple[int, int]:
+    """Where write ``step``'s window over ``total`` keys starts, and how
+    many it takes: ``width`` (at least one, at most all) from position
+    ``step * width``, wrapping past the last key."""
+    count = max(1, min(width, total))
+    return (step * count) % total, count
+
+
+def _window(keys: list, step: int, width: int) -> list:
+    """Write ``step``'s window over ``keys`` (see :func:`_span`)."""
+    if not keys:
+        return []
+    start, count = _span(len(keys), step, width)
+    return (keys * 2)[start:start + count]
+
+
+#: The in-view hotels: the Figure 1 ``starrating > 4`` filter.
+_SERVED_HOTELS = "FROM hotel WHERE starrating > 4"
+
+
+def _served_hotels(db, step: int, width: int) -> list:
+    """:func:`_window` over the in-view hotel keys in key order, counted
+    and taken in SQL: only the window's keys reach Python."""
+    total = db.read_sql(f"SELECT COUNT(*) AS n {_SERVED_HOTELS}", {})[0]["n"]
+    if not total:
+        return []
+    start, count = _span(total, step, width)
+    window = []
+    for offset, limit in ((start, count), (0, start + count - total)):
+        if limit > 0:  # the second slice is the wrap past the last key
+            window += [
+                row["hotelid"]
+                for row in db.read_sql(
+                    f"SELECT hotelid {_SERVED_HOTELS} ORDER BY hotelid "
+                    "LIMIT :limit OFFSET :offset",
+                    {"limit": limit, "offset": offset},
+                )
+            ]
+    return window
+
+
 def hotel_write_tables() -> tuple[str, ...]:
     """The base tables the standard write mix modifies."""
     return _WRITE_TABLES
@@ -99,16 +140,14 @@ def hotel_metro_write(
         if domain is not None
         else [
             row["metroid"]
-            for row in db.run_sql(
+            for row in db.read_sql(
                 "SELECT metroid FROM metroarea ORDER BY metroid", {}
             )
         ]
     )
-    if not metroids:
+    window = _window(metroids, step, metros)
+    if not window:
         return "availability"
-    count = max(1, min(metros, len(metroids)))
-    start = (step * count) % len(metroids)
-    window = (metroids * 2)[start:start + count]
     marks = ",".join(f":m{i}" for i in range(len(window)))
     bindings = {f"m{i}": key for i, key in enumerate(window)}
     predicate = (
@@ -150,23 +189,12 @@ def hotel_calendar_write(
     :func:`hotel_metro_write`) so every shard targets the same hotels
     and non-owners match no row and bump no version.
     """
-    hotelids = (
-        list(domain)
-        if domain is not None
-        else [
-            row["hotelid"]
-            for row in db.run_sql(
-                "SELECT hotelid FROM hotel WHERE starrating > 4 "
-                "ORDER BY hotelid",
-                {},
-            )
-        ]
-    )
-    if not hotelids:
+    if domain is None:
+        window = _served_hotels(db, step, hotels)
+    else:
+        window = _window(list(domain), step, hotels)
+    if not window:
         return "availability"
-    count = max(1, min(hotels, len(hotelids)))
-    start = (step * count) % len(hotelids)
-    window = (hotelids * 2)[start:start + count]
     marks = ",".join(f":h{i}" for i in range(len(window)))
     bindings = {f"h{i}": key for i, key in enumerate(window)}
     db.run_sql(
@@ -194,19 +222,9 @@ def hotel_conference_write(db, step: int, hotels: int = 1) -> str:
     re-evaluated at node level (:mod:`repro.maintenance.incremental`).
     Returns ``"confroom"``.
     """
-    hotelids = [
-        row["hotelid"]
-        for row in db.run_sql(
-            "SELECT hotelid FROM hotel WHERE starrating > 4 "
-            "ORDER BY hotelid",
-            {},
-        )
-    ]
-    if not hotelids:
+    window = _served_hotels(db, step, hotels)
+    if not window:
         return "confroom"
-    count = max(1, min(hotels, len(hotelids)))
-    start = (step * count) % len(hotelids)
-    window = (hotelids * 2)[start:start + count]
     marks = ",".join(f":h{i}" for i in range(len(window)))
     bindings = {f"h{i}": key for i, key in enumerate(window)}
     db.run_sql(
@@ -231,19 +249,9 @@ def hotel_payload_write(db, step: int, rows: int = 1) -> str:
     would measure an empty probe, not row maintenance). The window
     slides with ``step`` so successive writes touch different hotels.
     """
-    hotelids = [
-        row["hotelid"]
-        for row in db.run_sql(
-            "SELECT hotelid FROM hotel WHERE starrating > 4 "
-            "ORDER BY hotelid",
-            {},
-        )
-    ]
-    if not hotelids:
+    window = _served_hotels(db, step, rows)
+    if not window:
         return "hotel"
-    count = max(1, min(rows, len(hotelids)))
-    start = (step * count) % len(hotelids)
-    window = (hotelids * 2)[start:start + count]
     marks = ",".join(f":k{i}" for i in range(len(window)))
     bindings = {f"k{i}": key for i, key in enumerate(window)}
     db.run_sql(

@@ -31,8 +31,9 @@ mutable state across requests. Concretely:
   ``check_same_thread=False``).
 * A source's :class:`Gate` keeps engine writes and borrowed sessions'
   reads apart, so a read never meets a half-done write ("table is
-  locked"): a thread holding a session must not write through the
-  engine to that source.
+  locked"). A thread holding a session that writes through the engine
+  to that source gets :class:`~repro.errors.GateReentered` at once; it
+  reads through :meth:`Database.read_sql`.
 * :class:`QueryStats` increments are guarded by an internal lock, so a
   stats object that *is* intentionally shared (e.g. a pool-wide
   aggregate) loses no increments under concurrent recording.
@@ -43,10 +44,11 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from repro.errors import ViewEvaluationError
+from repro.errors import GateReentered, ViewEvaluationError
 from repro.relational.driver import SqliteDriver
 from repro.relational.schema import Catalog
 from repro.sql.ast import Select
@@ -121,23 +123,39 @@ def _run(statement: Callable[[], Any]) -> Any:
 class Gate:
     """A reader/writer gate: any number of shared permits, or one
     exclusive one. A waiting writer stops new readers, so writes are not
-    starved by a stream of reads; neither kind of permit is reentrant."""
+    starved by a stream of reads. The gate knows which thread holds
+    which permit, and gives a permit back on the thread that took it. A
+    thread that holds a shared permit gets another without waiting; a
+    thread that asks for a permit it would wait on itself for gets
+    :class:`~repro.errors.GateReentered` at once."""
 
     def __init__(self) -> None:
         self._changed = threading.Condition()
         self._readers = 0
         self._writers = 0  # waiting or writing
-        self._writing = False
+        self._writer: Optional[int] = None  # the thread writing
+        self._shared: dict[int, int] = {}  # thread -> shared permits held
 
     def enter(self) -> None:
-        """Take a shared permit; waits while a writer waits or writes."""
+        """Take a shared permit; waits while a writer waits or writes,
+        unless this thread holds a shared permit already."""
+        me = threading.get_ident()
         with self._changed:
-            self._changed.wait_for(lambda: not self._writers)
+            if self._writer == me:
+                raise GateReentered("exclusive", "shared")
+            held = self._shared.get(me, 0)
+            if not held:
+                self._changed.wait_for(lambda: not self._writers)
+            self._shared[me] = held + 1
             self._readers += 1
 
     def leave(self) -> None:
         """Give a shared permit back."""
+        me = threading.get_ident()
         with self._changed:
+            held = self._shared.pop(me) - 1
+            if held:
+                self._shared[me] = held
             self._readers -= 1
             self._changed.notify_all()
 
@@ -145,15 +163,21 @@ class Gate:
     def exclusive(self) -> Iterator[None]:
         """Hold the exclusive permit for a ``with`` block: no shared one
         is out while it runs."""
+        me = threading.get_ident()
         with self._changed:
+            if self._writer == me or me in self._shared:
+                held = "exclusive" if self._writer == me else "shared"
+                raise GateReentered(held, "exclusive")
             self._writers += 1
-            self._changed.wait_for(lambda: not (self._readers or self._writing))
-            self._writing = True
+            self._changed.wait_for(
+                lambda: not (self._readers or self._writer is not None)
+            )
+            self._writer = me
         try:
             yield
         finally:
             with self._changed:
-                self._writing = False
+                self._writer = None
                 self._writers -= 1
                 self._changed.notify_all()
 
@@ -447,21 +471,30 @@ class Database:
         return names, rows
 
     def run_sql(self, sql: str, bindings: Optional[Mapping[str, Any]] = None) -> list[Row]:
-        """Execute raw SQL with ``:name`` placeholders (used by tests and
-        the harness). On a read-only session sqlite itself refuses DML
-        (``PRAGMA query_only``)."""
+        """Execute raw SQL with ``:name`` placeholders under the gate's
+        exclusive permit (used by tests and the harness); a read that
+        may run beside borrowed sessions is :meth:`read_sql`. On a
+        read-only session sqlite itself refuses DML (``PRAGMA
+        query_only``)."""
+        return self._write(partial(self._raw, sql, bindings))
 
-        def statement() -> list[Row]:
-            cursor = self.driver.execute(
-                self.connection, sql, dict(bindings or {})
-            )
-            description = getattr(cursor, "description", None)
-            if description is None:
-                self.driver.commit(self.connection)
-                return []
-            return _as_dicts([d[0] for d in description], cursor.fetchall())
+    def read_sql(self, sql: str, bindings: Optional[Mapping[str, Any]] = None) -> list[Row]:
+        """Run a raw SELECT under the gate's shared permit: beside
+        borrowed sessions, and on a thread that holds one."""
+        self.gate.enter()
+        try:
+            return self._raw(sql, bindings)
+        finally:
+            self.gate.leave()
 
-        return self._write(statement)
+    def _raw(self, sql: str, bindings: Optional[Mapping[str, Any]]) -> list[Row]:
+        """One raw statement; a statement without rows is committed."""
+        cursor = self.driver.execute(self.connection, sql, dict(bindings or {}))
+        description = getattr(cursor, "description", None)
+        if description is None:
+            self.driver.commit(self.connection)
+            return []
+        return _as_dicts([d[0] for d in description], cursor.fetchall())
 
     def close(self) -> None:
         """Close the underlying sqlite connection."""

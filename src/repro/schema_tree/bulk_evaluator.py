@@ -408,13 +408,26 @@ class BulkViewEvaluator:
     ``db`` and ``stats`` are the injected connection/stats pair (see
     :class:`~repro.schema_tree.evaluator.ViewEvaluator`): the serving
     layer supplies a pooled per-worker database and per-request
-    counters so concurrent requests never share mutable state.
+    counters so concurrent requests never share mutable state. With a
+    ``memo`` (:class:`~repro.serving.statement_memo.StatementMemo`) a
+    statement may be answered with the rows a run at ``clock``, the
+    source's write clock, stored; a plain evaluator runs every one.
     """
 
-    def __init__(self, db: Database, stats: Optional[MaterializeStats] = None):
+    memo = None
+
+    def __init__(
+        self,
+        db: Database,
+        stats: Optional[MaterializeStats] = None,
+        memo=None,
+        clock: int = 0,
+    ):
         self.db = db
         self.stats = stats if stats is not None else MaterializeStats()
         self.bulk_queries_executed = 0
+        if memo is not None:
+            self.memo, self.clock = memo, clock
 
     def plan_view(self, view: SchemaTreeQuery) -> dict[int, _NodePlan]:
         """:func:`plan_view` over this database's catalog."""
@@ -605,7 +618,10 @@ class BulkViewEvaluator:
         if not keys:  # no parent, no query
             return [], None, None, None, _as_given
         assert plan.query is not None
-        names, rows = self.db.run_rows(plan.query)
+        if self.memo is None:
+            names, rows = self.db.run_rows(plan.query)
+        else:
+            names, rows = self.memo.run_rows(self.db, plan.query, self.clock)
         self.bulk_queries_executed += 1
         shares = self._group_rows(plan, keys, names, rows)
         return shares, *self._row_reading(plan, names)

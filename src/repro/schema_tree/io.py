@@ -111,33 +111,34 @@ def catalog_from_xml(text: str) -> Catalog:
 def view_to_xml(view: SchemaTreeQuery) -> str:
     """Serialize a schema-tree view (plain or composed) to XML text."""
     root = Element("view")
-
-    def convert(node: SchemaNode, parent: Element) -> None:
-        element = Element("node", {"tag": node.tag})
-        if node.bv is not None:
-            element.set("bv", node.bv)
-        if node.tag_query is not None:
-            element.set("query", print_select(node.tag_query))
-        if node.attr_columns is not None:
-            element.set(
-                "attr-columns",
-                " ".join(node.attr_columns) if node.attr_columns else "-",
-            )
-        if node.attr_source_bv is not None:
-            element.set("attr-source-bv", node.attr_source_bv)
-        for name, value in node.literal_attributes.items():
-            element.append(Element("attr", {"name": name, "value": value}))
-        for name, column in node.data_attributes.items():
-            element.append(Element("data-attr", {"name": name, "column": column}))
-        parent.append(element)
-        for child in node.children:
-            convert(child, element)
-
     for top in view.root.children:
-        convert(top, root)
+        _node_to_xml(top, root)
     document = Document()
     document.append(root)
     return serialize_pretty(document)
+
+
+def _node_to_xml(node: SchemaNode, parent: Element) -> None:
+    """Append ``node`` and its subtree to ``parent`` as ``<node>`` elements."""
+    element = Element("node", {"tag": node.tag})
+    if node.bv is not None:
+        element.set("bv", node.bv)
+    if node.tag_query is not None:
+        element.set("query", print_select(node.tag_query))
+    if node.attr_columns is not None:
+        element.set(
+            "attr-columns",
+            " ".join(node.attr_columns) if node.attr_columns else "-",
+        )
+    if node.attr_source_bv is not None:
+        element.set("attr-source-bv", node.attr_source_bv)
+    for name, value in node.literal_attributes.items():
+        element.append(Element("attr", {"name": name, "value": value}))
+    for name, column in node.data_attributes.items():
+        element.append(Element("data-attr", {"name": name, "column": column}))
+    parent.append(element)
+    for child in node.children:
+        _node_to_xml(child, element)
 
 
 def view_from_xml(
@@ -157,62 +158,64 @@ def view_from_xml(
         raise ViewDefinitionError("expected a <view> document")
     view = SchemaTreeQuery()
     counter = [ROOT_ID]
-
-    def convert(element: Element, parent: SchemaNode) -> None:
-        if element.tag != "node":
-            raise ViewDefinitionError(
-                f"unexpected <{element.tag}> in view definition"
-            )
-        tag = element.get("tag")
-        if not tag:
-            raise ViewDefinitionError("<node> requires a tag attribute")
-        counter[0] += 1
-        query_text = element.get("query")
-        attr_columns: Optional[list[str]] = None
-        attr_spec = element.get("attr-columns")
-        if attr_spec is not None:
-            attr_columns = [] if attr_spec == "-" else attr_spec.split()
-        node = SchemaNode(
-            id=counter[0],
-            tag=tag,
-            bv=element.get("bv"),
-            tag_query=parse_select(query_text) if query_text else None,
-            attr_columns=attr_columns,
-            attr_source_bv=element.get("attr-source-bv"),
-        )
-        for child in element.child_elements():
-            if child.tag == "attr":
-                name = child.get("name")
-                value = child.get("value", "")
-                if not name:
-                    raise ViewDefinitionError("<attr> requires a name attribute")
-                node.literal_attributes[name] = value
-                continue
-            if child.tag == "data-attr":
-                name = child.get("name")
-                column = child.get("column")
-                if not name or not column:
-                    raise ViewDefinitionError(
-                        "<data-attr> requires name and column attributes"
-                    )
-                node.data_attributes[name] = column
-                continue
-            # Defer child <node> conversion until the node is attached so
-            # ids stay in document order.
-        parent.add_child(node)
-        for child in element.child_elements():
-            if child.tag == "node":
-                convert(child, node)
-            elif child.tag not in ("attr", "data-attr"):
-                raise ViewDefinitionError(
-                    f"unexpected <{child.tag}> under <node>"
-                )
-
     for top in root.child_elements():
-        convert(top, view.root)
+        _node_from_xml(top, view.root, counter)
     if validate:
         validate_view(view, catalog)
     return view
+
+
+def _node_from_xml(element: Element, parent: SchemaNode, counter: list) -> None:
+    """Attach the node ``element`` defines, and its subtree, to
+    ``parent``; ``counter`` holds the last id given out."""
+    if element.tag != "node":
+        raise ViewDefinitionError(
+            f"unexpected <{element.tag}> in view definition"
+        )
+    tag = element.get("tag")
+    if not tag:
+        raise ViewDefinitionError("<node> requires a tag attribute")
+    counter[0] += 1
+    query_text = element.get("query")
+    attr_columns: Optional[list[str]] = None
+    attr_spec = element.get("attr-columns")
+    if attr_spec is not None:
+        attr_columns = [] if attr_spec == "-" else attr_spec.split()
+    node = SchemaNode(
+        id=counter[0],
+        tag=tag,
+        bv=element.get("bv"),
+        tag_query=parse_select(query_text) if query_text else None,
+        attr_columns=attr_columns,
+        attr_source_bv=element.get("attr-source-bv"),
+    )
+    for child in element.child_elements():
+        if child.tag == "attr":
+            name = child.get("name")
+            value = child.get("value", "")
+            if not name:
+                raise ViewDefinitionError("<attr> requires a name attribute")
+            node.literal_attributes[name] = value
+            continue
+        if child.tag == "data-attr":
+            name = child.get("name")
+            column = child.get("column")
+            if not name or not column:
+                raise ViewDefinitionError(
+                    "<data-attr> requires name and column attributes"
+                )
+            node.data_attributes[name] = column
+            continue
+        # Defer child <node> conversion until the node is attached so
+        # ids stay in document order.
+    parent.add_child(node)
+    for child in element.child_elements():
+        if child.tag == "node":
+            _node_from_xml(child, node, counter)
+        elif child.tag not in ("attr", "data-attr"):
+            raise ViewDefinitionError(
+                f"unexpected <{child.tag}> under <node>"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -178,25 +178,26 @@ class SchemaTreeQuery:
 
     def describe(self) -> str:
         """A one-node-per-line outline (tests and docs print this)."""
-        from repro.sql.printer import print_select
-
         lines: list[str] = []
-
-        def visit(node: SchemaNode, depth: int) -> None:
-            indent = "  " * depth
-            if node.is_root:
-                lines.append("/")
-            else:
-                bv = f" ${node.bv}" if node.bv else ""
-                query = ""
-                if node.tag_query is not None:
-                    query = f" := {print_select(node.tag_query)}"
-                lines.append(f"{indent}({node.id}) <{node.tag}>{bv}{query}")
-            for child in node.children:
-                visit(child, depth + 1)
-
-        visit(self.root, 0)
+        _describe(self.root, 0, lines)
         return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"SchemaTreeQuery({self.size()} nodes)"
+
+
+def _describe(node: SchemaNode, depth: int, lines: list[str]) -> None:
+    """Append the outline lines of ``node``'s subtree to ``lines``."""
+    from repro.sql.printer import print_select
+
+    indent = "  " * depth
+    if node.is_root:
+        lines.append("/")
+    else:
+        bv = f" ${node.bv}" if node.bv else ""
+        query = ""
+        if node.tag_query is not None:
+            query = f" := {print_select(node.tag_query)}"
+        lines.append(f"{indent}({node.id}) <{node.tag}>{bv}{query}")
+    for child in node.children:
+        _describe(child, depth + 1, lines)

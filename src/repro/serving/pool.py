@@ -83,13 +83,19 @@ class ConnectionPool:
         """Borrow a session and a shared permit of the source's gate;
         blocks until one is idle and no write runs or waits.
 
-        Raises :class:`RuntimeError` on a closed pool and
-        :class:`queue.Empty` if ``timeout`` elapses.
+        Raises :class:`RuntimeError` on a closed pool,
+        :class:`queue.Empty` if ``timeout`` elapses, and
+        :class:`~repro.errors.GateReentered` on a thread that holds the
+        exclusive permit (the session goes back).
         """
         if self._closed:
             raise RuntimeError("pool is closed")
         session = self._idle.get(timeout=timeout)
-        self._gate.enter()
+        try:
+            self._gate.enter()
+        except BaseException:
+            self._idle.put(session)
+            raise
         return session
 
     def release(self, session: Database) -> None:

@@ -97,6 +97,7 @@ from repro.serving.fingerprint import fingerprint_catalog, plan_key
 from repro.serving.metrics import Registry
 from repro.serving.plan_cache import CompiledPlan, PlanCache, compile_plan
 from repro.serving.pool import ConnectionPool
+from repro.serving.statement_memo import StatementMemo
 from repro.xmlcore.serializer import serialize
 from repro.xslt.model import Stylesheet
 
@@ -187,6 +188,7 @@ SERVER_COUNTS = (
     *(f"priority.{priority}.shed" for priority in PRIORITIES),
     *(f"delta_fallbacks_by_reason.{reason}" for reason in DELTA_FALLBACK_REASONS),
     "resilience.retries", "resilience.deadline_hits",
+    "cache.statements_shared",
 )
 
 #: The one evaluator the serving path runs. ``strategy`` on a request,
@@ -426,6 +428,10 @@ class ViewServer:
             else staleness
         )
         self.result_cache = ResultCache(result_cache_capacity)
+        #: The rows of this server's bulk statements, shared between the
+        #: plans that run them at one version of the source.
+        self.statement_memo = StatementMemo(self.counts)
+        self._source_tracker.subscribe(self.statement_memo.drop)
 
     @property
     def pool(self) -> ConnectionPool:
@@ -969,7 +975,14 @@ class ViewServer:
             with self._deadline_guard(db, deadline):
                 before = db.stats.snapshot()
                 stats = MaterializeStats()
-                evaluator = BulkViewEvaluator(db, stats=stats)
+                # Shared rows answer at the clock read here, under the
+                # session's shared permit and before any statement runs;
+                # a bypass_cache request neither reads nor admits them.
+                memo = (
+                    (self.statement_memo, self._source_tracker.clock())
+                    if use_result_cache else ()
+                )
+                evaluator = BulkViewEvaluator(db, stats, *memo)
                 execute_started = time.perf_counter()
                 if naive:
                     document = plan.run(evaluator)
@@ -1108,6 +1121,8 @@ class ViewServer:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
+        self._source_tracker.unsubscribe(self.statement_memo.drop)
+        self.statement_memo.drop()
         if self._pool is not None:
             self._pool.close()
 

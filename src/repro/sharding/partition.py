@@ -209,7 +209,7 @@ class PartitionScheme:
 
 def partition_keys(source: Database, scheme: PartitionScheme) -> list:
     """Sorted distinct partition-key values present in the source."""
-    rows = source.run_sql(
+    rows = source.read_sql(
         f"SELECT DISTINCT {scheme.column} AS k FROM {scheme.table} "
         f"ORDER BY {scheme.column}",
         {},

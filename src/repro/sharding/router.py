@@ -897,9 +897,10 @@ class ShardRouter:
         sections are laid over the merge. ``cache`` is the shared plan
         store's own report — hits and misses every lookup made of it (each
         member's plus the router's, which asks first: a cold stylesheet is
-        one miss). ``tracker`` comes from the shard primaries only: a
-        replica replays its primary's events, so its writes are already
-        counted. ``router`` is the router's own report.
+        one miss) — over the members' ``statements_shared``. ``tracker``
+        comes from the shard primaries only: a replica replays its
+        primary's events, so its writes are already counted. ``router``
+        is the router's own report.
         """
         reports = [
             (member.role, member.server.metrics())
@@ -908,6 +909,7 @@ class ShardRouter:
         ]
         report = merge([member for _, member in reports])
         report["cache"] = {
+            **report["cache"],
             **self.plan_cache.stats(),
             **self.plan_cache.skeleton_stats(),
         }

@@ -253,7 +253,8 @@ def test_plan_counters_count_compilations(fleet):
 VIEW_SERVER_KEYS = frozenset("""
 cache.capacity cache.evictions cache.hits cache.invalidations
 cache.misses cache.size cache.skeleton_evictions cache.skeleton_hits
-cache.skeleton_misses cache.skeleton_size cancelled delta_fallbacks
+cache.skeleton_misses cache.skeleton_size cache.statements_shared
+cancelled delta_fallbacks
 delta_fallbacks_by_reason.error delta_fallbacks_by_reason.no-change
 delta_fallbacks_by_reason.no-state delta_fallbacks_by_reason.stamp-race
 delta_fallbacks_by_reason.unsupported errors faults.checks

@@ -1,5 +1,7 @@
 """Tests for catalog/view XML (de)serialization."""
 
+import types
+
 import pytest
 
 from repro.errors import ViewDefinitionError
@@ -18,6 +20,7 @@ from repro.schema_tree.io import (
 from repro.workloads.hotel import hotel_catalog
 from repro.workloads.paper import figure1_view, figure4_stylesheet
 from repro.xmlcore import canonical_form
+from tests.collector import collector_off, left_to_the_collector
 
 
 def test_catalog_roundtrip():
@@ -126,3 +129,22 @@ def test_validation_applies_on_load():
         view_from_xml(text, hotel_catalog(), validate=True)
     # Without a catalog the structural check still passes.
     view_from_xml(text, validate=True)
+
+
+def test_view_io_and_describe_leave_nothing_to_the_collector():
+    """Their recursive walkers are module-level functions: a call leaves
+    no self-referential closure (a function and its cell) behind."""
+    catalog = hotel_catalog()
+    view = figure1_view(catalog)
+    text = view_to_xml(view)
+    calls = {
+        "view_to_xml": lambda: view_to_xml(view),
+        "view_from_xml": lambda: view_from_xml(text, catalog),
+        "describe": view.describe,
+    }
+    for name, call in calls.items():
+        with collector_off(save_all=True):
+            result = call()  # kept alive: a view's own links are not asked
+            left = left_to_the_collector(types.FunctionType, types.CellType)
+        assert left == [], name
+        del result

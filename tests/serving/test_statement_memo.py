@@ -1,0 +1,252 @@
+"""Plans bound from one skeleton share their statements' rows.
+
+A server's :class:`~repro.serving.statement_memo.StatementMemo` answers a
+bulk statement with the rows a run at the same version of the source
+stored. What it guards, one test each:
+
+* *sharing* — N literal variants of one shape run each statement at
+  most twice (a first run marks, a second stores), with the naive
+  pipeline's bytes;
+* *writes* — a write, through the engine or a bare
+  ``connection.execute``, drops the memo, and an entry answers only its
+  own clock, so the next variant serves the written value;
+* *fleets* — every member keeps its own rows; the bytes are the single
+  box's;
+* *eviction* — an entry dies with the statement it memoizes, and a
+  closed server leaves no callback on its source's tracker;
+* *bypass_cache* — such a request runs every statement and admits none;
+* *plain evaluator* — ``BulkViewEvaluator(db)`` runs every statement and
+  carries no memo.
+"""
+
+from __future__ import annotations
+
+import copy
+import gc
+import random
+import sys
+
+import pytest
+
+from repro.baseline.materialize import NaivePipeline
+from repro.maintenance import hotel_conference_write
+from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
+from repro.serving import PublishRequest, ViewServer
+from repro.serving.metrics import Registry
+from repro.serving.server import SERVER_COUNTS
+from repro.serving.statement_memo import StatementMemo
+from repro.sharding import ShardRouter
+from repro.sql.parser import parse_select
+from repro.workloads.hotel import (
+    HotelDataSpec,
+    build_hotel_database,
+    hotel_partition_scheme,
+)
+from repro.workloads.paper import (
+    figure1_view,
+    figure4_stylesheet,
+    figure17_stylesheet,
+)
+from repro.xmlcore.serializer import serialize
+from repro.xslt.model import LiteralElement
+
+SPEC = HotelDataSpec(metros=4, hotels_per_metro=3)
+
+
+def renamed(make, seed):
+    """``make()`` with every literal tag of its rules renamed: the same
+    shape, so a plan bound from the same skeleton."""
+    rng = random.Random(seed)
+    sheet = copy.deepcopy(make())
+    stack = [node for rule in sheet.rules for node in rule.output]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, LiteralElement):
+            node.tag = f"t{rng.randrange(10**6)}"
+            stack.extend(node.children)
+    return sheet
+
+
+def naive(db, view, sheet):
+    return serialize(NaivePipeline(view, sheet).run(db).document)
+
+
+@pytest.fixture()
+def served():
+    db = build_hotel_database(SPEC, cross_thread=True)
+    server = ViewServer(db.catalog, source=db, workers=1)
+    yield db, server, figure1_view(db.catalog)
+    server.close()
+    db.close()
+
+
+def shared(server):
+    return server.metrics()["cache"]["statements_shared"]
+
+
+def test_variants_of_one_shape_run_each_statement_at_most_twice(served):
+    db, server, view = served
+    sheets = [renamed(figure4_stylesheet, seed) for seed in range(6)]
+    traces = []
+    for index, sheet in enumerate(sheets):
+        traces.append(server.render(view, sheet))
+        assert traces[-1].xml == naive(db, view, sheet)
+        if index == 0:  # a first run leaves marks, and keeps no rows
+            assert server.statement_memo.held()[1] == 0
+    runs = [trace.queries_executed for trace in traces]
+    statements = runs[0]
+    assert statements > 0
+    assert runs == [statements, statements] + [0] * (len(sheets) - 2)
+    assert server.statement_memo.held()[0] == statements
+    assert shared(server) == statements * (len(sheets) - 2)
+    assert server.metrics()["queries_executed"] == 2 * statements
+
+
+def test_a_write_drops_the_memo_and_the_next_variant_serves_it(served):
+    db, server, view = served
+    sheets = [renamed(figure4_stylesheet, seed) for seed in range(4)]
+    for sheet in sheets[:2]:
+        server.render(view, sheet)
+    statements = server.statement_memo.held()[0]
+    assert server.staleness.kind == "strict"
+    writes = (
+        lambda: hotel_conference_write(db, 0, hotels=SPEC.hotels_per_metro),
+        lambda: (
+            db.connection.execute("UPDATE confroom SET capacity = capacity + 2"),
+            db.connection.commit(),
+        ),
+    )
+    for write, sheet in zip(writes, sheets[2:]):
+        before = naive(db, view, sheet)
+        write()
+        assert server.statement_memo.held() == (0, 0)
+        trace = server.render(view, sheet)
+        assert trace.queries_executed == statements  # nothing shared
+        assert trace.xml == naive(db, view, sheet) != before
+
+
+def test_concurrent_variants_between_writes_serve_naive_bytes(served):
+    """Eight workers on one memo, thread switches forced often: every
+    statement a variant asks for is either run or shared (a lost count
+    breaks the sum), and every body is the naive pipeline's at the state
+    its batch read."""
+    db, _, view = served
+    server = ViewServer(db.catalog, source=db, workers=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        first = renamed(figure4_stylesheet, -1)
+        statements = server.render(view, first).queries_executed
+        for step in range(3):  # fresh variants: misses, not deltas
+            sheets = [renamed(figure4_stylesheet, 16 * step + i) for i in range(16)]
+            hotel_conference_write(db, step, hotels=SPEC.hotels_per_metro)
+            expected = [naive(db, view, sheet) for sheet in sheets]
+            before = shared(server)
+            traces = server.render_many(
+                PublishRequest(view, sheet) for sheet in sheets
+            )
+            assert [trace.xml for trace in traces] == expected
+            ran = sum(trace.queries_executed for trace in traces)
+            assert ran + shared(server) - before == statements * len(sheets)
+    finally:
+        sys.setswitchinterval(interval)
+        server.close()
+
+
+def test_an_entry_answers_only_the_clock_it_was_stored_at():
+    db = build_hotel_database(SPEC)
+    memo = StatementMemo(Registry(SERVER_COUNTS))
+    query = parse_select("SELECT metroid FROM metroarea")
+    try:
+        first = memo.run_rows(db, query, 0)
+        assert memo.run_rows(db, query, 0) == first  # stored
+        ran = db.stats.queries_executed
+        assert memo.run_rows(db, query, 0) == first
+        assert db.stats.queries_executed == ran  # shared
+        memo.run_rows(db, query, 1)
+        assert db.stats.queries_executed == ran + 1  # another version
+    finally:
+        db.close()
+
+
+def test_every_fleet_member_shares_only_its_own_rows():
+    db = build_hotel_database(SPEC, cross_thread=True)
+    view = figure1_view(db.catalog)
+    router = ShardRouter.build(
+        db.catalog, db, hotel_partition_scheme(), 2, workers=1
+    )
+    single = ViewServer(db.catalog, source=db, workers=1)
+    try:
+        for seed in range(4):
+            sheet = renamed(figure4_stylesheet, seed)
+            assert router.render(view, sheet).xml == single.render(view, sheet).xml
+        members = [m.server for shard in router.shards for m in shard.members]
+        memos = {id(member.statement_memo) for member in members}
+        assert len(memos) == len(members) == 2
+        for member in members:
+            assert shared(member) > 0
+            assert member.statement_memo is not single.statement_memo
+        assert router.aggregate_metrics()["cache"]["statements_shared"] == sum(
+            shared(member) for member in members
+        )
+    finally:
+        single.close()
+        router.close()
+        db.close()
+
+
+def test_a_statement_evicted_from_both_stores_frees_its_entry():
+    db = build_hotel_database(SPEC, cross_thread=True)
+    server = ViewServer(db.catalog, source=db, workers=1, cache_capacity=1)
+    view = figure1_view(db.catalog)
+    try:
+        for seed in range(2):  # bound from one skeleton: rows admitted
+            server.render(view, renamed(figure4_stylesheet, seed))
+        assert server.statement_memo.held()[1] > 0
+        trace = server.render(view, figure17_stylesheet())  # evicts both
+        gc.collect()
+        assert server.statement_memo.held() == (trace.queries_executed, 0)
+    finally:
+        server.close()
+        db.close()
+
+
+def test_a_closed_server_leaves_no_callback_on_its_source(served):
+    db, _, _ = served
+    subscribed = len(db.tracker._subscribers)
+    for _ in range(3):
+        ViewServer(db.catalog, source=db, workers=1).close()
+    assert len(db.tracker._subscribers) == subscribed
+
+
+def test_a_bypass_cache_request_runs_every_statement(served):
+    db, server, view = served
+    runs = []
+    for seed in range(3):
+        request = PublishRequest(
+            view, renamed(figure4_stylesheet, seed), bypass_cache=True
+        )
+        trace = server.submit(request).result()
+        assert trace.freshness == "bypass"
+        runs.append(trace.queries_executed)
+    assert runs[0] > 0 and runs == [runs[0]] * 3
+    assert server.statement_memo.held() == (0, 0)
+    assert shared(server) == 0
+
+
+def test_a_plain_evaluator_runs_every_statement_and_carries_no_memo(served):
+    db, server, view = served
+    evaluator = BulkViewEvaluator(db)
+    assert set(vars(evaluator)) == {"db", "stats", "bulk_queries_executed"}
+    first = evaluator.serialize(view)
+    ran = db.stats.queries_executed
+    assert evaluator.serialize(view) == first
+    assert db.stats.queries_executed == 2 * ran
+    memo = StatementMemo(Registry(SERVER_COUNTS))
+    sharing = BulkViewEvaluator(db, memo=memo, clock=0)
+    assert set(vars(sharing)) == {
+        "db", "stats", "bulk_queries_executed", "memo", "clock",
+    }
+    for _ in range(3):
+        assert sharing.serialize(view) == first
+    assert db.stats.queries_executed == 4 * ran
