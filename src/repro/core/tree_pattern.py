@@ -118,24 +118,7 @@ class TreePattern:
     def describe(self) -> str:
         """One-node-per-line outline with context markers (used in tests)."""
         lines: list[str] = []
-
-        def visit(node: TPNode, depth: int) -> None:
-            marks = []
-            if node is self.context:
-                marks.append("query context node")
-            if node is self.new_context:
-                marks.append("new query context node")
-            if node.negated:
-                marks.append("negated")
-            suffix = f"  ({', '.join(marks)})" if marks else ""
-            preds = ""
-            if node.predicates:
-                preds = "".join(f"[{p.to_text()}]" for p in node.predicates)
-            lines.append(f"{'  ' * depth}{node.tag}({node.schema_id}){preds}{suffix}")
-            for child in node.children:
-                visit(child, depth + 1)
-
-        visit(self.root, 0)
+        _describe(self, self.root, 0, lines)
         return "\n".join(lines)
 
     def clone(self) -> "TreePattern":
@@ -147,3 +130,24 @@ class TreePattern:
             context=mapping.get(id(self.context)) if self.context else None,
             new_context=mapping.get(id(self.new_context)) if self.new_context else None,
         )
+
+
+def _describe(
+    pattern: TreePattern, node: TPNode, depth: int, lines: list[str]
+) -> None:
+    """Append the outline lines of ``node``'s subtree of ``pattern`` to
+    ``lines``."""
+    marks = []
+    if node is pattern.context:
+        marks.append("query context node")
+    if node is pattern.new_context:
+        marks.append("new query context node")
+    if node.negated:
+        marks.append("negated")
+    suffix = f"  ({', '.join(marks)})" if marks else ""
+    preds = ""
+    if node.predicates:
+        preds = "".join(f"[{p.to_text()}]" for p in node.predicates)
+    lines.append(f"{'  ' * depth}{node.tag}({node.schema_id}){preds}{suffix}")
+    for child in node.children:
+        _describe(pattern, child, depth + 1, lines)

@@ -72,24 +72,25 @@ class TraverseViewQuery:
 
     def describe(self) -> str:
         """Readable outline (tests compare against Figure 7(a))."""
-        from repro.sql.printer import print_select
-
         lines: list[str] = []
-
-        def visit(node: TVQNode, depth: int) -> None:
-            indent = "  " * depth
-            bv = f" ${node.bv}" if node.bv else ""
-            lines.append(
-                f"{indent}(({node.schema_node.id}, "
-                f"{node.schema_node.tag or 'root'}), R{node.rule.position + 1}){bv}"
-            )
-            if node.tag_query is not None:
-                lines.append(f"{indent}  := {print_select(node.tag_query)}")
-            for child in node.children:
-                visit(child, depth + 1)
-
-        visit(self.root, 0)
+        _describe(self.root, 0, lines)
         return "\n".join(lines)
+
+
+def _describe(node: TVQNode, depth: int, lines: list[str]) -> None:
+    """Append the outline lines of ``node``'s subtree to ``lines``."""
+    from repro.sql.printer import print_select
+
+    indent = "  " * depth
+    bv = f" ${node.bv}" if node.bv else ""
+    lines.append(
+        f"{indent}(({node.schema_node.id}, "
+        f"{node.schema_node.tag or 'root'}), R{node.rule.position + 1}){bv}"
+    )
+    if node.tag_query is not None:
+        lines.append(f"{indent}  := {print_select(node.tag_query)}")
+    for child in node.children:
+        _describe(child, depth + 1, lines)
 
 
 def build_tvq(

@@ -410,8 +410,9 @@ class BulkViewEvaluator:
     layer supplies a pooled per-worker database and per-request
     counters so concurrent requests never share mutable state. With a
     ``memo`` (:class:`~repro.serving.statement_memo.StatementMemo`) a
-    statement may be answered with the rows a run at ``clock``, the
-    source's write clock, stored; a plain evaluator runs every one.
+    node may be answered with the column a run of its statement at
+    ``clock``, the source's write clock, stored; a plain evaluator runs
+    every one.
     """
 
     memo = None
@@ -488,9 +489,49 @@ class BulkViewEvaluator:
         Public so incremental maintenance
         (:mod:`repro.maintenance.incremental`) can re-make the columns of
         a dirty subtree under the retained parent column instead of the
-        full view.
+        full view. With a memo, a column stored at this clock under the
+        same parent keys answers: itself where the node's literals are
+        the ones it was made under, else its data with this node's items
+        (the tree form's elements go into their parents, so only its
+        data is kept).
         """
         parent = columns[plan.node.parent.id]
+        if self.memo is None or plan.query is None:
+            return self._column(plan, parent, columns, builder)
+        kept, slot = self.memo.find(plan.query, self.clock, parent.keys)
+        text = builder == self._text_builder
+        literals = (plan.node.tag, plan.node.literal_attributes) if text else None
+        if kept is None:
+            column = self._column(plan, parent, columns, builder)
+            if slot is not None:
+                self.memo.keep(slot, parent.keys, (
+                    column if text else _Column(
+                        None, column.counts, column.keys, column.parent,
+                        column.rows, column.names, column.bind,
+                    ),
+                    literals,
+                ))
+            return column
+        shared, made_under = kept
+        if text and made_under == literals:
+            return shared
+        items = []
+        if shared.counts:  # dealt back to their parents, and rendered
+            rows = iter(shared.rows)
+            shares = [list(islice(rows, count)) for count in shared.counts]
+            _own_key, *reading = self._row_reading(plan, shared.names)
+            items = self._render(
+                plan, shares, partial(parent.env, columns), builder, *reading
+            )[0]
+        return _Column(
+            items, shared.counts, shared.keys, shared.parent, shared.rows,
+            shared.names, shared.bind,
+        )
+
+    def _column(
+        self, plan: _NodePlan, parent: "_Column", columns, builder
+    ) -> "_Column":
+        """:meth:`column` made from the node's statement."""
         env_of = partial(parent.env, columns)
         shares, own_key, surface, names, as_row = self._fetch(plan, parent.keys)
         items, counts, rows = self._render(
@@ -618,10 +659,7 @@ class BulkViewEvaluator:
         if not keys:  # no parent, no query
             return [], None, None, None, _as_given
         assert plan.query is not None
-        if self.memo is None:
-            names, rows = self.db.run_rows(plan.query)
-        else:
-            names, rows = self.memo.run_rows(self.db, plan.query, self.clock)
+        names, rows = self.db.run_rows(plan.query)
         self.bulk_queries_executed += 1
         shares = self._group_rows(plan, keys, names, rows)
         return shares, *self._row_reading(plan, names)

@@ -428,8 +428,8 @@ class ViewServer:
             else staleness
         )
         self.result_cache = ResultCache(result_cache_capacity)
-        #: The rows of this server's bulk statements, shared between the
-        #: plans that run them at one version of the source.
+        #: The node columns of this server's bulk statements, shared
+        #: between the plans that run them at one version of the source.
         self.statement_memo = StatementMemo(self.counts)
         self._source_tracker.subscribe(self.statement_memo.drop)
 
@@ -975,7 +975,7 @@ class ViewServer:
             with self._deadline_guard(db, deadline):
                 before = db.stats.snapshot()
                 stats = MaterializeStats()
-                # Shared rows answer at the clock read here, under the
+                # Shared columns answer at the clock read here, under the
                 # session's shared permit and before any statement runs;
                 # a bypass_cache request neither reads nor admits them.
                 memo = (

@@ -1,12 +1,12 @@
-"""Rows of a server's bulk statements, shared at one data version.
+"""Node columns of a server's bulk statements, shared at one data version.
 
 The plans a skeleton binds share one ``Select`` per node; a
-:class:`StatementMemo` lets them share its rows. A computation reads the
-source's write clock under its session's shared gate permit, before any
-statement runs, and every engine write holds the exclusive permit
-through its statement and its clock bump: two sessions that read one
-clock read one state. DESIGN.md §8, "Plans of one shape share their
-statements' rows", has the rules.
+:class:`StatementMemo` lets them share the column made of it. A
+computation reads the source's write clock under its session's shared
+gate permit, before any statement runs, and every engine write holds the
+exclusive permit through its statement and its clock bump: two sessions
+that read one clock read one state. DESIGN.md §8, "Plans of one shape
+share their node columns", has the rules.
 """
 
 from __future__ import annotations
@@ -23,38 +23,51 @@ def _forget(memo_ref, key: int, _dead) -> None:
 
 
 class StatementMemo:
-    """One server's shared statement rows. A statement's first run at a
-    clock leaves a mark, its second stores ``(names, rows)``, later runs
-    share them (``cache.statements_shared`` in ``counts``, the server's
-    registry). An entry dies with its statement, and a write drops all."""
+    """One server's shared node columns. A statement's first run at a
+    clock leaves a mark, its second stores what the evaluator keeps of
+    the column, later runs under the same parent keys share it
+    (``cache.statements_shared`` in ``counts``, the server's registry).
+    An entry dies with its statement, and a write drops all. No lock:
+    two runs that race store equal columns, or fill a slot a write or a
+    newer clock has already replaced, which nothing reads."""
 
     def __init__(self, counts) -> None:
         self._counts = counts
-        #: ``id(statement)`` -> ``[weak ref, clock, (names, rows) | None]``.
+        #: ``id(statement)`` -> ``[weak ref, clock, (keys, kept) | None]``.
         self._entries: dict[int, list] = {}
         self._ref = weakref.ref(self)
 
-    def run_rows(self, db, query, clock: int) -> tuple[list[str], list]:
-        """``db.run_rows(query)``, or the rows a run at ``clock`` stored."""
+    def find(self, query, clock: int, keys: list) -> tuple:
+        """``(kept, slot)``: what a run of ``query`` at ``clock`` under the
+        parent keys ``keys`` (that list, or an equal one) stored, else
+        ``None``; and, when this run is a second one, the ``slot`` that
+        :meth:`keep` fills. A first run at ``clock`` leaves a mark."""
         key = id(query)
         entry = self._entries.get(key)
         if entry is None or entry[1] != clock:
-            result = db.run_rows(query)
             self._entries[key] = [
                 weakref.ref(query, partial(_forget, self._ref, key)), clock, None
             ]
-        elif entry[2] is None:
-            result = entry[2] = db.run_rows(query)
-        else:
-            result = entry[2]
-            self._counts.count("cache.statements_shared")
-        return result
+            return None, None
+        stored = entry[2]
+        if stored is None or (stored[0] is not keys and stored[0] != keys):
+            return None, entry
+        self._counts.count("cache.statements_shared")
+        return stored[1], None
+
+    @staticmethod
+    def keep(slot: list, keys: list, kept) -> None:
+        """Store ``kept``, made under the parent keys ``keys``, in the
+        ``slot`` :meth:`find` handed out (one of a dropped memo stays
+        dropped)."""
+        slot[2] = (keys, kept)
 
     def drop(self, *_write) -> None:
-        """Forget every entry (a write's callback: the rows are stale)."""
+        """Forget every entry (a write's callback: the columns are stale)."""
         self._entries = {}
 
     def held(self) -> tuple[int, int]:
-        """``(statements, rows)``: the entries, and the rows they keep."""
-        kept = [e[2] for e in list(self._entries.values()) if e[2] is not None]
-        return len(self._entries), sum(len(rows) for _names, rows in kept)
+        """``(statements, rows)``: the entries, and the rows their columns
+        keep."""
+        kept = [e[2][1] for e in list(self._entries.values()) if e[2] is not None]
+        return len(self._entries), sum(len(column.rows) for column, _ in kept)

@@ -1,5 +1,7 @@
 """Unit tests for COMBINE (Figure 8)."""
 
+import types
+
 import pytest
 
 from repro.errors import UnificationError
@@ -9,6 +11,7 @@ from repro.workloads.hotel import hotel_catalog
 from repro.workloads.paper import figure1_view
 from repro.xpath.parser import parse_path, parse_pattern
 from repro.xslt.model import ApplyTemplates, TemplateRule
+from tests.collector import collector_off, left_to_the_collector
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,21 @@ def test_combine_merges_predicates(view):
     hotel_tp = smt.root.children[0]
     assert hotel_tp.schema_id == 3
     assert len(hotel_tp.predicates) == 1
+
+
+def test_describe_leaves_nothing_to_the_collector(view):
+    """Its recursive walker is a module-level function: a call leaves no
+    self-referential closure (a function and its cell) behind."""
+    smt = combine(
+        select_pattern(view, 4, "../hotel_available/../confroom", 5),
+        match_pattern(view, 5, "metro/hotel/confroom"),
+    )
+    with collector_off(save_all=True):
+        text = smt.describe()
+        left = left_to_the_collector(types.FunctionType, types.CellType)
+    assert left == []
+    assert "(query context node)" in text
+    assert "(new query context node)" in text
 
 
 def test_combine_does_not_mutate_inputs(view):

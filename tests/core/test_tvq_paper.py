@@ -1,5 +1,7 @@
 """Golden tests: the TVQ of Figure 7(a) and TVQ construction behaviour."""
 
+import types
+
 import pytest
 
 from repro.errors import CompositionError, UnsupportedFeatureError
@@ -10,6 +12,7 @@ from repro.workloads.hotel import hotel_catalog
 from repro.workloads.paper import figure1_view, figure4_stylesheet
 from repro.workloads.synthetic import blowup_stylesheet, chain_catalog, chain_view, chain_stylesheet
 from repro.xslt.parser import parse_stylesheet
+from tests.collector import collector_off, left_to_the_collector
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +164,13 @@ def test_describe_matches_structure(tvq):
     text = tvq.describe()
     assert "((1, metro), R2) $m_new" in text
     assert "((5, confroom), R4) $c_new" in text
+
+
+def test_describe_leaves_nothing_to_the_collector(tvq):
+    """Its recursive walker is a module-level function: a call leaves no
+    self-referential closure (a function and its cell) behind."""
+    with collector_off(save_all=True):
+        text = tvq.describe()
+        left = left_to_the_collector(types.FunctionType, types.CellType)
+    assert left == []
+    assert "((1, metro), R2) $m_new" in text

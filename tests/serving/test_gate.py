@@ -14,8 +14,11 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GateReentered
+from repro.maintenance import WriteTracker
 from repro.relational.engine import Gate
 from repro.serving.pool import ConnectionPool
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
@@ -127,3 +130,172 @@ def test_a_second_shared_permit_does_not_wait_behind_a_waiting_writer():
     threading.Thread(target=write, daemon=True).start()
     assert on_a_thread(read_twice) == ("returned", "read")
     assert wrote.wait(5)
+
+
+# -- interleavings -----------------------------------------------------------
+
+#: How long a step the schedule says completes may take: a bound on a
+#: wait that should not happen, never a pause.
+BOUND = 5.0
+READ_VALUE = "SELECT capacity FROM confroom WHERE c_id = :key"
+
+
+class _Worker:
+    """A thread that runs one action each time it is stepped: ``go`` it,
+    and ``done`` says it finished; ``waits`` that it reached the gate's
+    wait (registered as a waiting writer, or a reader behind one)."""
+
+    def __init__(self, db, pool, key):
+        self.db, self.pool, self.key = db, pool, key
+        self.sessions: list = []
+        self.go, self.done, self.waits = (threading.Event() for _ in range(3))
+        self.action = self.outcome = None
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+
+    def _run(self):
+        while self.go.wait() and self.action is not None:
+            self.go.clear()
+            try:
+                self.outcome = ("returned", self._perform(self.action))
+            except Exception as exc:  # noqa: BLE001 - the outcome is the test
+                self.outcome = ("raised", exc)
+            self.done.set()
+
+    def _perform(self, action):
+        if action == "borrow":
+            session = self.pool.acquire()
+            self.sessions.append(session)
+            # The clock under the permit, and what the session reads.
+            clock = self.db.tracker.clock()
+            return clock, session.read_sql(READ_VALUE, {"key": self.key})[0][
+                "capacity"
+            ]
+        if action == "release":
+            self.pool.release(self.sessions.pop())
+            return None
+        if action == "write":
+            return self.db.run_sql(
+                "UPDATE confroom SET capacity = capacity + 1 WHERE c_id = :key",
+                {"key": self.key},
+            )
+        value = self.db.read_sql(READ_VALUE, {"key": self.key})[0]["capacity"]
+        # No step starts while the schedule waits for this one: the clock
+        # read after the permit went back is the one it was read under.
+        return self.db.tracker.clock(), value
+
+    def step(self, action):
+        self.action = action
+        self.done.clear()
+        self.waits.clear()
+        self.go.set()
+
+    def stop(self):
+        self.action = None
+        self.go.set()
+        self.thread.join(BOUND)
+
+
+ACTIONS = ("borrow", "release", "write", "read")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from(ACTIONS)), max_size=24,
+))
+def test_every_interleaving_completes_and_reads_its_clock(schedule):
+    """Borrow, release, engine write and ``read_sql`` over three threads,
+    stepped one action at a time. The schedule is predicted from the
+    gate's rules: a thread holding a session never waits (a second
+    permit is granted, a write raises ``GateReentered``); a write waits
+    for every other holder; a new reader waits while a write waits or
+    runs. Every step predicted to complete does within the bound, none
+    meets ``table is locked``, and every session borrowed, and every
+    read, sees the write clock read under its permit."""
+    db = build_hotel_database(
+        HotelDataSpec(metros=2, hotels_per_metro=2), cross_thread=True
+    )
+    db.attach_tracker(WriteTracker())
+    key = db.read_sql("SELECT MIN(c_id) AS c FROM confroom")[0]["c"]
+    base = db.read_sql(READ_VALUE, {"key": key})[0]["capacity"]
+    pool = ConnectionPool(db.catalog, source=db, size=6)
+    workers = [_Worker(db, pool, key) for _ in range(3)]
+    by_thread = {worker.thread.ident: worker for worker in workers}
+    wait_for = db.gate._changed.wait_for
+
+    def announced_wait_for(predicate, timeout=None):
+        by_thread[threading.get_ident()].waits.set()
+        return wait_for(predicate, timeout)
+
+    db.gate._changed.wait_for = announced_wait_for
+    writes = 0
+    pending: dict[int, str] = {}  # worker index -> the action it waits in
+
+    def finish(index, action):
+        nonlocal writes
+        worker = workers[index]
+        assert worker.done.wait(BOUND), f"{action} on thread {index} hung"
+        kind, value = worker.outcome
+        holding = len(worker.sessions) - (action == "borrow" and kind == "returned")
+        if action == "write" and holding:
+            assert kind == "raised" and isinstance(value, GateReentered), value
+            return
+        assert kind == "returned", value  # no `table is locked`, no other error
+        if action == "write":
+            writes += 1
+        elif action in ("borrow", "read"):
+            assert value == (writes, base + writes)
+
+    def settle():
+        """Finish what the gate now lets through: writes once no session
+        is out, then readers once no write waits."""
+        while pending:
+            out = sum(len(worker.sessions) for worker in workers)
+            writers = [i for i, a in pending.items() if a == "write"]
+            ready = writers if not out else []
+            if not writers:
+                ready = list(pending)
+            if not ready:
+                return
+            for index in ready:
+                finish(index, pending.pop(index))
+
+    def run(index, action):
+        worker = workers[index]
+        held = len(worker.sessions)
+        if index in pending or (action == "release" and not held) or (
+            action == "borrow" and held == 2
+        ):
+            return
+        others_out = sum(len(w.sessions) for w in workers) - held
+        writer_waits = any(a == "write" for a in pending.values())
+        blocks = not held and (
+            (action == "write" and others_out)
+            or (action in ("borrow", "read") and writer_waits)
+        )
+        worker.step(action)
+        if blocks:
+            assert worker.waits.wait(BOUND), f"{action} never reached the gate"
+            pending[index] = action
+        else:
+            finish(index, action)
+            settle()
+
+    try:
+        for index, action in schedule:
+            run(index, action)
+        while pending or any(worker.sessions for worker in workers):
+            out = sum(len(worker.sessions) for worker in workers)
+            for index, worker in enumerate(workers):  # holders never wait
+                if worker.sessions:
+                    run(index, "release")
+            settle()
+            assert sum(len(w.sessions) for w in workers) < out or not pending, (
+                f"stuck: {pending} wait, {out} sessions out"
+            )
+        assert db.tracker.clock() == writes
+    finally:
+        for worker in workers:
+            worker.stop()
+        pool.close()
+        db.close()
