@@ -3,7 +3,7 @@
 ``python benchmarks/bench_write_cost.py [--scales 64 256 1024] [--samples 15]``
 prints one row per scale: the median (and quartiles) of the write's own
 time, of the first read after it, and of the two together. One
-in-process ``ViewServer`` (strict, two workers) over the hotel workload
+in-process ``ViewServer`` (strict, one worker) over the hotel workload
 with a tracker attached; Figure 1 is read once, promoted by one write,
 and then each sample is a one-row payload write followed by one read,
 which must be a ``delta-recompute``. A server that re-copies its source
@@ -39,7 +39,7 @@ def measure(scale: int, samples: int) -> dict:
     tracker = WriteTracker()
     db.attach_tracker(tracker)
     server = ViewServer(
-        db.catalog, source=db, workers=2, tracker=tracker, staleness="strict"
+        db.catalog, source=db, tracker=tracker, staleness="strict"
     )
     view = figure1_view(db.catalog)
     cells = {"write": [], "read": [], "total": []}

@@ -8,7 +8,7 @@ the rows it fetched, the median (and quartiles) of
 ``RequestTrace.total_seconds`` of each stack's read, and of their
 per-sample ratio — ``delta / full`` is what survives a host whose speed
 moves between minutes. Two in-process ``ViewServer`` stacks (strict, the
-production ``ResiliencePolicy``, two workers), each over its own
+production ``ResiliencePolicy``, one worker), each over its own
 database with a tracker attached (the engine records each write's keys
 and columns), driven in lockstep through one write stream. Every server maintains by delta: the ``delta`` stack reads
 through its result cache, the ``full`` stack with ``bypass_cache`` — the
@@ -111,7 +111,7 @@ def measure(scale: int, samples: int) -> list[dict]:
         tracker = WriteTracker()
         db.attach_tracker(tracker)
         server = ViewServer(
-            db.catalog, source=db, workers=2, tracker=tracker,
+            db.catalog, source=db, tracker=tracker,
             staleness="strict",
             resilience=ResiliencePolicy(
                 deadline_ms=5000, retries=2, breaker_threshold=5, queue_limit=64

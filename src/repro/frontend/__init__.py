@@ -2,11 +2,11 @@
 
 This package is the network tier of the reproduction: everything
 below it (:mod:`repro.serving`, :mod:`repro.sharding`,
-:mod:`repro.resilience`) runs on worker threads; everything here runs
-on one asyncio event loop and bridges between the two.
+:mod:`repro.resilience`) computes on worker threads; everything here
+runs on one asyncio event loop and bridges between the two.
 
 * :mod:`repro.frontend.facade` — :class:`AsyncViewServer`, awaitable
-  requests over the thread pool with hedged-request racing and
+  requests over the backend's futures with hedged-request racing and
   cooperative loser cancellation.
 * :mod:`repro.frontend.hedging` — rolling per-plan p95 estimation,
   the hedge budget, and fire/win accounting.

@@ -91,19 +91,20 @@ class ResultCache:
         key: str,
         current_versions: Mapping[str, int],
         policy: StalenessPolicy,
+        count_misses: bool = True,
     ) -> tuple[Optional[CachedResult], int]:
         """Look up ``key`` against the live version vector.
 
         Returns ``(entry, lag)``: ``entry`` is the cached response if the
         policy allows serving it at the computed lag, else ``None`` (a
-        recorded miss or stale-recompute). ``lag`` is the total write
-        events on the entry's read set since it was stamped — 0 when no
-        entry exists.
+        miss or stale-recompute, recorded if ``count_misses``). ``lag`` is
+        the total write events on the entry's read set since it was
+        stamped — 0 when no entry exists.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
+                self.misses += count_misses
                 return None, 0
             lag = sum(
                 max(
@@ -117,7 +118,7 @@ class ResultCache:
                 self.hits += 1
                 entry.hits += 1
                 return entry, lag
-            self.stale += 1
+            self.stale += count_misses
             return None, lag
 
     def store(

@@ -5,8 +5,8 @@
 :class:`~repro.maintenance.tracker.WriteTracker` and the resilience
 deadline machinery reach the engine only through :class:`SqliteDriver`:
 how to open a connection (onto a file, or onto a named shared-cache
-memory database that read-only serving sessions open onto by name), how
-to make a released session safe to reuse, how to stop a statement
+memory database that each server's read-only session opens onto by
+name), how to make a released session safe to reuse, how to stop a statement
 mid-flight on the thread that runs it, and how to capture every write
 with its keys (one ``TEMP`` trigger per table and write kind, calling
 one Python function). sqlite is the one engine; this object is the seam

@@ -19,24 +19,24 @@ Threading contract
 ------------------
 
 A :class:`Database` is **not** a shared object: one connection serves one
-thread of execution at a time. The concurrent-serving layer
-(:mod:`repro.serving`) gives every worker thread its *own* ``Database`` —
-its own sqlite connection and its own :class:`QueryStats` — through a
-connection pool, so neither sqlite cursors nor counters are ever shared
-mutable state across requests. Concretely:
+thread of execution at a time. The serving layer (:mod:`repro.serving`)
+gives each server's one worker thread its *own* ``Database`` — its own
+sqlite connection and its own :class:`QueryStats` — through its
+:class:`~repro.serving.pool.ConnectionPool`, so neither sqlite cursors
+nor counters are ever shared mutable state across requests. Concretely:
 
-* Pooled sessions are **read-only** (``PRAGMA query_only=ON``)
-  connections onto the source's own database, each used by one worker
-  at a time (the pool's queue hands them off, so they pass
-  ``check_same_thread=False``).
+* A server's session is a **read-only** (``PRAGMA query_only=ON``)
+  connection onto the source's own database, used by one borrower at a
+  time (the pool's lock hands it off, so it passes
+  ``check_same_thread=False``); a fleet shard's members each hold one.
 * A source's :class:`Gate` keeps engine writes and borrowed sessions'
   reads apart, so a read never meets a half-done write ("table is
   locked"). A thread holding a session that writes through the engine
   to that source gets :class:`~repro.errors.GateReentered` at once; it
   reads through :meth:`Database.read_sql`.
 * :class:`QueryStats` increments are guarded by an internal lock, so a
-  stats object that *is* intentionally shared (e.g. a pool-wide
-  aggregate) loses no increments under concurrent recording.
+  stats object that *is* intentionally shared (one handed to several
+  engines) loses no increments under concurrent recording.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class QueryStats:
     """Work counters for one engine (reset between measured runs).
 
     Increments go through :meth:`record` under an internal lock, so one
-    stats object may safely be shared by several threads (the serving
-    layer's pool-wide aggregates do exactly that) without losing counts.
+    stats object may safely be shared by several threads without losing
+    counts.
     """
 
     queries_executed: int = 0
@@ -190,7 +190,7 @@ def _as_dicts(names: list[str], rows: list) -> list[Row]:
 class Database:
     """A sqlite database (in-memory unless ``path`` is given) described
     by a catalog. An in-memory one is a named shared-cache database, so
-    the serving pool's sessions open onto it by :attr:`uri`."""
+    a server's pool opens its session onto it by :attr:`uri`."""
 
     #: The engine's driver: stateless, so one instance serves every
     #: connection (and a pool's sessions share their source's).
@@ -214,7 +214,7 @@ class Database:
         else:
             # ``cross_thread`` relaxes sqlite's same-thread check for the
             # update-aware serving path, where a writer thread writes
-            # this database while server workers read it through their
+            # this database while servers' workers read it through their
             # sessions (the gate keeps the two apart — see the threading
             # contract above).
             self.connection, self.uri = self.driver.connect(

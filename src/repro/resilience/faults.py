@@ -13,7 +13,7 @@ whole-member faults by the same schedule (:class:`_Schedule`).
 
 Every fault enters by wrapping, never through a constructor:
 :func:`inject` arms a built server or fleet — engine faults on the
-sessions its pool lends out (:class:`FaultyEngine`,
+session its pool lends out (:class:`FaultyEngine`,
 :class:`FaultyPool`), compile faults on its plan path's compile call,
 member faults on its members (:class:`FaultyMember`,
 :class:`StallingApplier`). :func:`parse_chaos` reads ``serve-http
@@ -382,15 +382,15 @@ class FaultyPool:
         self._plan = plan
         self._gate = gate
 
-    def acquire(self, timeout: Optional[float] = None):
-        """Borrow a session, wrapped, once the gate lets the borrow by."""
+    def acquire(self):
+        """Borrow the session, wrapped, once the gate lets the borrow by."""
         if self._gate is not None:
             self._gate()
-        session = self._pool.acquire(timeout=timeout)
+        session = self._pool.acquire()
         return session if self._plan is None else FaultyEngine(session, self._plan)
 
     def release(self, session) -> None:
-        """Return a borrowed session to the pool, unwrapped."""
+        """Return the borrowed session to the pool, unwrapped."""
         if isinstance(session, FaultyEngine):
             session = session.wrapped
         self._pool.release(session)

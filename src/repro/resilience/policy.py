@@ -18,7 +18,7 @@ per request:
   consecutive failures open a per-plan-fingerprint
   :class:`~repro.resilience.breaker.CircuitBreaker`.
 * **When is it refused up front?** ``queue_limit`` bounds admission:
-  more than ``workers + queue_limit`` requests in flight and new ones
+  more than ``1 + queue_limit`` requests in flight and new ones
   are shed with a ``rejected`` trace outcome.
 
 ``degraded=True`` (the default) lets a failing or breaker-open request

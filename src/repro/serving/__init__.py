@@ -1,4 +1,4 @@
-"""Concurrent publishing server: compiled-plan cache + connection pool.
+"""Publishing server: compiled-plan cache, result cache, one worker.
 
 The paper's thesis is that composing a stylesheet with a publishing
 view turns XSLT processing into parameterized SQL a relational engine
@@ -6,9 +6,10 @@ serves efficiently. This package supplies the serving half of that
 claim: a long-lived :class:`ViewServer` that compiles each distinct
 (catalog, view, stylesheet) triple **once** — caching the composed,
 pruned view and its printed SQL in a content-addressed LRU
-:class:`PlanCache` — and materializes requests concurrently on worker
-threads, each holding its own read-only sqlite connection and its own
-work counters (:class:`ConnectionPool`). Every request yields a
+:class:`PlanCache`. A policy-fresh cached response is answered on the
+submitting thread, every other request on the server's one worker
+thread, which borrows one read-only sqlite connection with its own work
+counters (:class:`ConnectionPool`). Every request yields a
 :class:`RequestTrace` for throughput/latency accounting
 (``benchmarks/perf``).
 """

@@ -6,7 +6,7 @@ sets, and the stylesheet to run over the view if it did not compose.
 Compiling one costs orders of magnitude more than executing the view's
 handful of queries at serving scale, so plans are keyed by content
 fingerprint (:mod:`repro.serving.fingerprint`) and reused across
-requests and worker threads.
+requests, threads and fleet members.
 
 :func:`compile_plan` plans every (view, stylesheet) pair — for serving,
 ``repro run`` / ``repro explain`` and the experiments — on two rungs
@@ -237,6 +237,12 @@ class _Store:
             self._entries.move_to_end(key)
             self.hits += 1
             return plan
+
+    def peek(self, key: str) -> Optional[CompiledPlan]:
+        """The resident plan for ``key``, counting nothing and refreshing
+        no recency (a server's inline hit asks before it counts)."""
+        with self._lock:
+            return self._entries.get(key)
 
     def put(self, key: str, plan: CompiledPlan) -> None:
         """Insert (or replace) a plan, evicting LRU entries past capacity."""

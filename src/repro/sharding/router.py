@@ -31,7 +31,8 @@ primary) is skipped before anything is dispatched to it.
 Within the eligible members, a read goes to the least busy of the
 caught-up healthy set, the primary on a tie — so on an idle shard the
 primary serves every read, and a replica opens no session onto the
-shard until its first read (see :class:`~repro.serving.server.ViewServer`).
+shard until its first computation (see
+:class:`~repro.serving.server.ViewServer`).
 A member whose trace comes back failed (breaker open, deadline, fault)
 fails over to the next candidate, and when no member on a shard can
 compute, the shard serves its degraded-stale fallback if any member has
@@ -241,7 +242,6 @@ class ShardRouter:
         sources: Sequence[Database],
         *,
         replicas: int = 0,
-        workers: int = 2,
         trackers: Optional[Sequence[WriteTracker]] = None,
         staleness: str = "strict",
         resilience: Optional[ResiliencePolicy] = None,
@@ -332,7 +332,6 @@ class ShardRouter:
                 server = ViewServer(
                     catalog,
                     source,
-                    workers=workers,
                     tracker=member_tracker,
                     staleness=staleness,
                     result_cache_capacity=result_cache_capacity,
@@ -539,7 +538,9 @@ class ShardRouter:
                 future = member.server.submit(request)
             except Exception as exc:
                 failed: "Future[RequestTrace]" = Future()
-                failed.set_result(self._failed_trace(request, str(exc)))
+                failed.set_result(
+                    RequestTrace.of(request, outcome="error", error=str(exc))
+                )
                 future = failed
             dispatched = (idx, future)
             break
@@ -645,19 +646,6 @@ class ShardRouter:
             return degraded[0], degraded[1], degraded[2], failovers
         return member.name, lag, trace, failovers
 
-    @staticmethod
-    def _failed_trace(request: PublishRequest, error: str) -> RequestTrace:
-        """A synthetic error trace for a member that could not be asked."""
-        return RequestTrace(
-            request_id=0,
-            label=request.label,
-            strategy=request.strategy,
-            cache_hit=False,
-            plan_key="",
-            outcome="error",
-            error=error,
-        )
-
     def _serve(self, request: PublishRequest, request_id: int) -> RouterTrace:
         started = time.perf_counter()
         trace = RouterTrace(
@@ -730,9 +718,10 @@ class ShardRouter:
                     (
                         "none",
                         0,
-                        self._failed_trace(
+                        RequestTrace.of(
                             request,
-                            f"no eligible member on shard {shard.index} "
+                            outcome="error",
+                            error=f"no eligible member on shard {shard.index} "
                             "(crashed, partitioned, or lagging past the "
                             "staleness budget)",
                         ),

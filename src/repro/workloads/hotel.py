@@ -288,7 +288,7 @@ def build_hotel_database(
     ``cross_thread=True`` opens the connection without the engine's
     same-thread check — required when the database is the live source
     behind an update-aware :class:`~repro.serving.server.ViewServer`
-    (a writer thread mutates it while server workers re-snapshot it).
+    (a writer thread mutates it while the server's worker reads it).
     ``seed`` overrides the spec's generation seed (see
     :func:`populate_hotel_database`).
     """

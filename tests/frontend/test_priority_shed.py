@@ -1,7 +1,7 @@
 """Priority-class admission: shed ordering under a saturated server.
 
 With workers=1 and queue_limit=3 the class limits are interactive 4,
-batch 3, background 2 (``workers + queue_limit * fraction``). A
+batch 3, background 2 (``1 + queue_limit * fraction``). A
 deterministically blocked worker lets the test walk the in-flight count
 through each boundary and watch exactly which class gets refused:
 background first, batch next, interactive last — never the other way

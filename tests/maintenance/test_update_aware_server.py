@@ -453,17 +453,18 @@ def test_a_delta_with_nothing_dirty_restamps_the_stored_body(fleet, monkeypatch)
     state — a fleet member's answer is then the same object the router's
     merged memo already keyed, an identity check instead of a compare."""
     served = {}  # server -> the trace of its last request
-    real_serve = ViewServer._serve
+    real_finish = ViewServer._finish
 
-    def recording(self, request, request_id):
-        served[self] = real_serve(self, request, request_id)
+    def recording(self, trace, started):
+        served[self] = real_finish(self, trace, started)
         return served[self]
 
-    monkeypatch.setattr(ViewServer, "_serve", recording)
+    # Every served request, on the worker or answered inline, ends here.
+    monkeypatch.setattr(ViewServer, "_finish", recording)
     db = build_hotel_database(SPEC, cross_thread=True)
     if fleet:
         backend = ShardRouter.build(
-            db.catalog, db, hotel_partition_scheme(), 2, workers=1,
+            db.catalog, db, hotel_partition_scheme(), 2,
             staleness="strict",
         )
         servers = [shard.members[0].server for shard in backend.shards]

@@ -163,7 +163,7 @@ class DriverConformanceKit:
                 clone.close()
             finally:
                 snapshot.close()
-            with ConnectionPool(db.catalog, source=db, size=1) as pool:
+            with ConnectionPool(db.catalog, source=db) as pool:
                 with pool.session() as session:
                     check(session)
         with tempfile.TemporaryDirectory() as folder:
@@ -172,7 +172,7 @@ class DriverConformanceKit:
                 stored.insert_rows("items", ROWS)
             with Database.open(conformance_catalog(), path) as stored:
                 check(stored)
-                with ConnectionPool(stored.catalog, stored, size=1) as pool:
+                with ConnectionPool(stored.catalog, stored) as pool:
                     with pool.session() as session:
                         check(session)
 

@@ -78,10 +78,11 @@ def hotel_file(tmp_path):
 
 
 def test_the_gate_never_lets_a_write_overlap_a_read_or_a_write():
-    """Six readers and three writers, more threads than cores, on a
-    shortened switch interval: no writer is ever inside while a reader
-    or another writer is, and every thread finishes (no writer
-    starves behind the stream of reads)."""
+    """Six readers (the workers of the servers one source serves, and
+    ``read_sql`` callers) and three writers, more threads than cores, on
+    a shortened switch interval: no writer is ever inside while a reader
+    or another writer is, and every thread finishes (no writer starves
+    behind the stream of reads)."""
     gate = Gate()
     inside = {"readers": 0, "writers": 0}
     count_lock = threading.Lock()

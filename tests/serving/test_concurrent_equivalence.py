@@ -1,10 +1,13 @@
 """Concurrency equivalence: the served path is byte-identical to serial.
 
 The contract under test is the serving layer's only correctness claim:
-for any (view, stylesheet), a :class:`ViewServer` handling 8
-concurrent requests — identical or mixed — returns exactly the XML a
-serial nested-loop :func:`~repro.schema_tree.evaluator.materialize` of
-the same composed-and-pruned view produces. The server runs the bulk
+for any (view, stylesheet), a :class:`ViewServer` whose requests —
+identical or mixed — arrive from 16 threads at once returns exactly the
+XML a serial nested-loop :func:`~repro.schema_tree.evaluator.materialize`
+of the same composed-and-pruned view produces. Half of each batch passes
+``bypass_cache`` and so computes, in turn, on the server's one worker;
+the other half reads the result cache, and once an entry is stored
+those are answered on their own threads while the worker computes. The server runs the bulk
 evaluator, so every such example is also a bulk-vs-oracle differential.
 Two generators produce views SQL leaves under-determined (a grouped
 aggregate without ORDER BY, a float SUM whose digits depend on row
@@ -14,11 +17,14 @@ reference is a serial bulk run. The property tests draw random
 synthetic views (reusing the generator from the bulk-evaluator suite),
 random chain stylesheets, and random mixed workloads over the hotel and
 orders databases; together they run well over 200 hypothesis examples.
-Every request passes ``bypass_cache`` and so computes: a result-cache hit
-would hand back bytes an earlier request computed.
+A computed request's bytes are checked against the reference, and so
+are a cached one's: a hit hands back bytes an earlier request computed.
 """
 
 from __future__ import annotations
+
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +65,35 @@ from tests.schema_tree.test_bulk_evaluator import (
 N_CONCURRENT = 8
 
 
+def race(server, computed, cached):
+    """Submit ``computed`` with ``bypass_cache`` and ``cached`` without,
+    each from a thread of its own, all released at once; traces in the
+    order given, the computed first."""
+    requests = list(computed) + list(cached)
+    start = threading.Barrier(len(requests))
+
+    def submit(request):
+        start.wait(timeout=30)
+        return server.submit(request).result(timeout=120)
+
+    with ThreadPoolExecutor(max_workers=len(requests)) as pool:
+        traces = list(pool.map(submit, requests))
+    return traces[:len(computed)], traces[len(computed):]
+
+
+def check_cached(traces, expected, fresh_server=True):
+    """Cached reads serve the reference bytes; on a fresh server exactly
+    one of them computed, and every other one was a hit."""
+    for trace in traces:
+        assert trace.error is None, trace.error
+        assert trace.xml == expected
+    freshness = sorted(trace.freshness for trace in traces)
+    if fresh_server:
+        assert freshness == ["hit"] * (len(traces) - 1) + ["miss"]
+    else:
+        assert set(freshness) <= {"hit", "miss"}
+
+
 def serial_xml(db, view, stylesheet, strategy="nested-loop", prune=True):
     """The serial reference: compose + prune + materialize + serialize."""
     if stylesheet is None:
@@ -84,17 +119,17 @@ def test_random_views_concurrent_equals_serial(scenario):
     with Database(make_catalog()) as db:
         populate(db, seed)
         expected = serial_xml(db, view, None, "bulk")
-        with ViewServer(
-            db.catalog, source=db, workers=N_CONCURRENT
-        ) as server:
-            traces = server.render_many(
-                PublishRequest(view, bypass_cache=True)
-                for _ in range(N_CONCURRENT)
+        with ViewServer(db.catalog, source=db) as server:
+            traces, cached = race(
+                server,
+                [PublishRequest(view, bypass_cache=True)] * N_CONCURRENT,
+                [PublishRequest(view)] * N_CONCURRENT,
             )
         for trace in traces:
             assert trace.error is None
             assert trace.freshness == "bypass"
             assert trace.xml == expected
+        check_cached(cached, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +151,22 @@ def test_composed_chains_concurrent_equals_serial(levels, depth, seed):
     with Database(catalog) as db:
         populate_chain(db, levels, fanout=2, roots=2, seed=seed)
         expected = serial_xml(db, view, stylesheet)
-        with ViewServer(catalog, source=db, workers=N_CONCURRENT) as server:
-            traces = server.render_many(
-                PublishRequest(view, stylesheet, bypass_cache=True)
-                for _ in range(N_CONCURRENT)
+        with ViewServer(catalog, source=db) as server:
+            traces, cached = race(
+                server,
+                [PublishRequest(view, stylesheet, bypass_cache=True)] * N_CONCURRENT,
+                [PublishRequest(view, stylesheet)] * N_CONCURRENT,
             )
             cache = server.plan_cache.stats()
         for trace in traces:
             assert trace.error is None
             assert trace.freshness == "bypass"
             assert trace.xml == expected
-        # Single-flight compilation: 8 concurrent requests for one
+        check_cached(cached, expected)
+        # Single-flight compilation: 16 concurrent requests for one
         # content key cost exactly one compile.
         assert cache["misses"] == 1
-        assert cache["hits"] == N_CONCURRENT - 1
+        assert cache["hits"] == 2 * N_CONCURRENT - 1
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +178,7 @@ def test_composed_chains_concurrent_equals_serial(levels, depth, seed):
 
 def _mixed_env(db, view, stylesheets, strategy="nested-loop"):
     """A shared server plus the serial reference XML per stylesheet."""
-    server = ViewServer(db.catalog, source=db, workers=N_CONCURRENT)
+    server = ViewServer(db.catalog, source=db)
     expected = {
         name: serial_xml(db, view, stylesheet, strategy)
         for name, stylesheet in stylesheets.items()
@@ -190,14 +227,17 @@ def _combos(stylesheet_names):
 
 def _check_mixed_batch(env, batch):
     view, stylesheets, server, expected = env
-    traces = server.render_many(
-        PublishRequest(view, stylesheets[name], bypass_cache=True)
-        for name in batch
+    traces, cached = race(
+        server,
+        [PublishRequest(view, stylesheets[name], bypass_cache=True) for name in batch],
+        [PublishRequest(view, stylesheets[name]) for name in batch],
     )
     for name, trace in zip(batch, traces):
         assert trace.error is None, trace.error
         assert trace.freshness == "bypass"
         assert trace.xml == expected[name]
+    for name, trace in zip(batch, cached):
+        check_cached([trace], expected[name], fresh_server=False)
 
 
 @given(batch=_combos(["none", "figure4", "figure17"]))
@@ -227,14 +267,16 @@ def test_all_strategies_agree_under_concurrency_on_figure4():
     }
     # All three one-shot strategies agree serially...
     assert len(set(references.values())) == 1
-    # ...and the server reproduces them under 8-way concurrency.
-    with ViewServer(db.catalog, source=db, workers=N_CONCURRENT) as server:
-        traces = server.render_many(
-            PublishRequest(view, stylesheet, bypass_cache=True)
-            for _ in range(3 * N_CONCURRENT)
+    # ...and the server reproduces them with requests from 32 threads.
+    with ViewServer(db.catalog, source=db) as server:
+        traces, cached = race(
+            server,
+            [PublishRequest(view, stylesheet, bypass_cache=True)] * (3 * N_CONCURRENT),
+            [PublishRequest(view, stylesheet)] * N_CONCURRENT,
         )
     for trace in traces:
         assert trace.error is None
         assert trace.freshness == "bypass"
         assert trace.xml == references["nested-loop"]
+    check_cached(cached, references["nested-loop"])
     db.close()

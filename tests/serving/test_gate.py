@@ -29,7 +29,7 @@ def source():
     db = build_hotel_database(
         HotelDataSpec(metros=2, hotels_per_metro=2), cross_thread=True
     )
-    with db, ConnectionPool(db.catalog, source=db, size=1) as pool:
+    with db, ConnectionPool(db.catalog, source=db) as pool:
         yield db, pool
 
 
@@ -143,10 +143,12 @@ READ_VALUE = "SELECT capacity FROM confroom WHERE c_id = :key"
 class _Worker:
     """A thread that runs one action each time it is stepped: ``go`` it,
     and ``done`` says it finished; ``waits`` that it reached the gate's
-    wait (registered as a waiting writer, or a reader behind one)."""
+    wait (registered as a waiting writer, or a reader behind one). It
+    borrows from two pools of one session each onto the source, as two
+    servers over one source would (a fleet shard's members)."""
 
-    def __init__(self, db, pool, key):
-        self.db, self.pool, self.key = db, pool, key
+    def __init__(self, db, pools, key):
+        self.db, self.pools, self.key = db, pools, key
         self.sessions: list = []
         self.go, self.done, self.waits = (threading.Event() for _ in range(3))
         self.action = self.outcome = None
@@ -164,7 +166,7 @@ class _Worker:
 
     def _perform(self, action):
         if action == "borrow":
-            session = self.pool.acquire()
+            session = self.pools[len(self.sessions)].acquire()
             self.sessions.append(session)
             # The clock under the permit, and what the session reads.
             clock = self.db.tracker.clock()
@@ -172,7 +174,8 @@ class _Worker:
                 "capacity"
             ]
         if action == "release":
-            self.pool.release(self.sessions.pop())
+            pool = self.pools[len(self.sessions) - 1]
+            pool.release(self.sessions.pop())
             return None
         if action == "write":
             return self.db.run_sql(
@@ -218,8 +221,8 @@ def test_every_interleaving_completes_and_reads_its_clock(schedule):
     db.attach_tracker(WriteTracker())
     key = db.read_sql("SELECT MIN(c_id) AS c FROM confroom")[0]["c"]
     base = db.read_sql(READ_VALUE, {"key": key})[0]["capacity"]
-    pool = ConnectionPool(db.catalog, source=db, size=6)
-    workers = [_Worker(db, pool, key) for _ in range(3)]
+    pools = [ConnectionPool(db.catalog, source=db) for _ in range(6)]
+    workers = [_Worker(db, pools[2 * index:2 * index + 2], key) for index in range(3)]
     by_thread = {worker.thread.ident: worker for worker in workers}
     wait_for = db.gate._changed.wait_for
 
@@ -248,9 +251,16 @@ def test_every_interleaving_completes_and_reads_its_clock(schedule):
 
     def settle():
         """Finish what the gate now lets through: writes once no session
-        is out, then readers once no write waits."""
+        is out, then readers once no write waits. A waiting borrower holds
+        nothing until it is finished here: the gate may already have let
+        it through (and it may have appended its session) when the step
+        that freed it returns."""
         while pending:
-            out = sum(len(worker.sessions) for worker in workers)
+            out = sum(
+                len(worker.sessions)
+                for index, worker in enumerate(workers)
+                if index not in pending
+            )
             writers = [i for i, a in pending.items() if a == "write"]
             ready = writers if not out else []
             if not writers:
@@ -297,5 +307,6 @@ def test_every_interleaving_completes_and_reads_its_clock(schedule):
     finally:
         for worker in workers:
             worker.stop()
-        pool.close()
+        for pool in pools:
+            pool.close()
         db.close()

@@ -452,7 +452,7 @@ def test_serving_a_bound_plan_leaves_its_skeleton_queries_as_printed():
         staleness="strict",
     )
     router = ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 2, workers=1,
+        db.catalog, db, hotel_partition_scheme(), 2,
         staleness="strict",
     )
     try:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import queue
 import sqlite3
 import threading
 
@@ -39,7 +38,8 @@ def small_hotel_db():
 
 def test_needs_exactly_one_of_path_and_source(small_hotel_db, tmp_path):
     """A pool snapshots a source and nothing else: there is no file mode
-    beside it (a file is served by opening it as the source)."""
+    beside it (a file is served by opening it as the source), and no
+    size (it holds one session)."""
     with pytest.raises(TypeError):
         ConnectionPool(hotel_catalog())
     with pytest.raises(TypeError):
@@ -48,8 +48,8 @@ def test_needs_exactly_one_of_path_and_source(small_hotel_db, tmp_path):
             path=str(tmp_path / "x.db"),
             source=small_hotel_db,
         )
-    with pytest.raises(ValueError):
-        ConnectionPool(hotel_catalog(), source=small_hotel_db, size=0)
+    with pytest.raises(TypeError):
+        ConnectionPool(hotel_catalog(), source=small_hotel_db, size=2)
 
 
 def test_clone_pool_sessions_are_read_only(small_hotel_db):
@@ -91,7 +91,7 @@ def test_a_write_waits_while_a_session_is_borrowed():
     db = build_hotel_database(
         HotelDataSpec(metros=2, hotels_per_metro=2), cross_thread=True
     )
-    with db, ConnectionPool(db.catalog, source=db, size=1) as pool:
+    with db, ConnectionPool(db.catalog, source=db) as pool:
         written = threading.Event()
 
         def write():
@@ -129,7 +129,7 @@ def test_a_session_borrowed_after_a_write_sees_it():
         finish.wait()
 
     tracker.subscribe(hold_the_flush)
-    with db, ConnectionPool(db.catalog, source=db, size=1) as pool:
+    with db, ConnectionPool(db.catalog, source=db) as pool:
         before = db.table_count("metroarea")
         seen = []
 
@@ -161,7 +161,7 @@ def test_file_pool_serves_a_database_file(small_hotel_db, tmp_path):
     small_hotel_db.connection.backup(dest)
     dest.close()
     stored = Database.open(small_hotel_db.catalog, path)
-    with stored, ConnectionPool(stored.catalog, stored, size=2) as pool:
+    with stored, ConnectionPool(stored.catalog, stored) as pool:
         with pool.session() as db:
             assert db.read_only
             assert db.table_count("metroarea") == 2
@@ -170,31 +170,54 @@ def test_file_pool_serves_a_database_file(small_hotel_db, tmp_path):
 
 
 def test_acquire_blocks_when_exhausted(small_hotel_db):
-    pool = ConnectionPool(small_hotel_db.catalog, source=small_hotel_db, size=1)
+    """The pool lends its one session to one borrower: a second borrower
+    waits until it is released, then gets the same session."""
+    pool = ConnectionPool(small_hotel_db.catalog, source=small_hotel_db)
+    borrowed = threading.Event()
+    got = []
+
+    def borrow():
+        session = pool.acquire()
+        got.append(session)
+        borrowed.set()
+        pool.release(session)
+
     try:
         held = pool.acquire()
-        with pytest.raises(queue.Empty):
-            pool.acquire(timeout=0.05)
+        waiter = threading.Thread(target=borrow)
+        waiter.start()
+        assert not borrowed.wait(0.05)  # the session is out
+        assert pool.outstanding() == 1
         pool.release(held)
-        again = pool.acquire(timeout=0.05)
-        assert again is held  # LIFO reuse keeps caches warm
-        pool.release(again)
+        assert borrowed.wait(30)
+        waiter.join()
+        assert got == [held]
+        assert pool.outstanding() == 0
     finally:
         pool.close()
 
 
 def test_aggregate_and_reset_stats(small_hotel_db):
+    """``pool.stats`` counts the session's work, and keeps counting
+    through a replacement of the session."""
     with ConnectionPool(
-        small_hotel_db.catalog, source=small_hotel_db, size=2
+        small_hotel_db.catalog, source=small_hotel_db
     ) as pool:
         with pool.session() as db:
             db.run_sql("SELECT * FROM metroarea")
             db.stats.record(5)
-        aggregate = pool.aggregate_stats()
-        assert aggregate.queries_executed == 1
-        assert aggregate.rows_fetched == 5
-        pool.reset_stats()
-        assert pool.aggregate_stats().queries_executed == 0
+            assert db.stats is pool.stats
+        assert pool.stats.queries_executed == 1
+        assert pool.stats.rows_fetched == 5
+        session = pool.acquire()
+        session.connection.close()
+        pool.release(session)  # replaced
+        with pool.session() as db:
+            assert db is not session
+            db.stats.record(3)
+        assert (pool.stats.queries_executed, pool.stats.rows_fetched) == (2, 8)
+        pool.stats.reset()
+        assert pool.stats.queries_executed == 0
 
 
 def test_closed_pool_rejects_acquire(small_hotel_db):
@@ -212,7 +235,7 @@ def test_closed_pool_rejects_acquire(small_hotel_db):
 
 def test_session_context_never_leaks_on_exception(small_hotel_db):
     with ConnectionPool(
-        small_hotel_db.catalog, source=small_hotel_db, size=1
+        small_hotel_db.catalog, source=small_hotel_db
     ) as pool:
         with pytest.raises(RuntimeError):
             with pool.session():
@@ -229,7 +252,7 @@ def test_release_rolls_back_open_transaction(small_hotel_db):
     statement) must not hand the next borrower a connection that is
     still inside that transaction."""
     with ConnectionPool(
-        small_hotel_db.catalog, source=small_hotel_db, size=1
+        small_hotel_db.catalog, source=small_hotel_db
     ) as pool:
         session = pool.acquire()
         session.connection.execute("BEGIN")
@@ -247,7 +270,7 @@ def test_release_clears_lingering_cancel_check(small_hotel_db):
         raise AssertionError("stale cancel hook fired")
 
     with ConnectionPool(
-        small_hotel_db.catalog, source=small_hotel_db, size=1
+        small_hotel_db.catalog, source=small_hotel_db
     ) as pool:
         session = pool.acquire()
         session.cancel_check = boom
@@ -261,29 +284,24 @@ def test_release_clears_lingering_cancel_check(small_hotel_db):
 
 def test_release_replaces_a_broken_session(small_hotel_db):
     """A session whose connection died is swapped for a fresh one: the
-    pool never shrinks and never re-queues a poisoned connection."""
+    pool never lends out a poisoned connection."""
     with ConnectionPool(
-        small_hotel_db.catalog, source=small_hotel_db, size=2
+        small_hotel_db.catalog, source=small_hotel_db
     ) as pool:
         session = pool.acquire()
         session.connection.close()  # simulate a fatally broken connection
         pool.release(session)
         assert pool.outstanding() == 0
-        # Both slots still serve queries.
-        first = pool.acquire()
-        second = pool.acquire()
-        for db in (first, second):
-            assert db.table_count("metroarea") == 2
-        assert session not in (first, second)
-        pool.release(first)
-        pool.release(second)
-        # aggregate_stats still sees exactly ``size`` sessions.
-        assert len(pool._sessions) == 2
+        # The replacement serves queries.
+        with pool.session() as again:
+            assert again is not session
+            assert again.table_count("metroarea") == 2
+        assert pool.outstanding() == 0
 
 
 def test_release_into_closed_pool_closes_the_session(small_hotel_db):
     pool = ConnectionPool(
-        small_hotel_db.catalog, source=small_hotel_db, size=2
+        small_hotel_db.catalog, source=small_hotel_db
     )
     held = pool.acquire()
     pool.close()
@@ -308,7 +326,7 @@ def test_admission_gate_refuses_acquire_without_consuming_a_session(
             raise ReplicaUnavailable("shard0:replica-1")
 
     with ConnectionPool(
-        small_hotel_db.catalog, source=small_hotel_db, size=1,
+        small_hotel_db.catalog, source=small_hotel_db,
     ) as raw:
         pool = FaultyPool(raw, gate=gate)
         with pytest.raises(ReplicaUnavailable):

@@ -39,7 +39,7 @@ def _source(driver, rows: int = 3) -> Database:
 
 def test_pool_adopts_source_driver(driver):
     with _source(driver) as source:
-        with ConnectionPool(source.catalog, source=source, size=2) as pool:
+        with ConnectionPool(source.catalog, source=source) as pool:
             assert pool.driver is source.driver
             with pool.session() as session:
                 assert session.driver is source.driver
@@ -48,7 +48,7 @@ def test_pool_adopts_source_driver(driver):
 
 def test_release_sanitizes_open_transaction(driver):
     with _source(driver) as source:
-        with ConnectionPool(source.catalog, source=source, size=1) as pool:
+        with ConnectionPool(source.catalog, source=source) as pool:
             session = pool.acquire()
             # The state an interrupted statement leaves behind: an open
             # (read) transaction on the raw connection.
@@ -63,7 +63,7 @@ def test_release_sanitizes_open_transaction(driver):
 
 def test_release_replaces_broken_session(driver):
     with _source(driver) as source:
-        with ConnectionPool(source.catalog, source=source, size=1) as pool:
+        with ConnectionPool(source.catalog, source=source) as pool:
             session = pool.acquire()
             session.connection.close()  # poison it behind the pool's back
             pool.release(session)
@@ -80,11 +80,11 @@ def test_sessions_see_source_writes_without_refresh(driver):
     session borrowed after it, and ``refresh()`` only passes the gate —
     the invariant a bypass_cache read's freshness depends on."""
     with _source(driver) as source:
-        with ConnectionPool(source.catalog, source=source, size=2) as pool:
+        with ConnectionPool(source.catalog, source=source) as pool:
             with pool.session() as session:
                 assert session.table_count("t") == 3
             source.insert_rows("t", [{"id": 100, "v": "late"}])
-            for _ in range(2):  # every pooled session sees the write
+            for _ in range(2):  # every borrow sees the write
                 with pool.session() as session:
                     assert session.table_count("t") == 4
             pool.refresh()
@@ -96,7 +96,7 @@ def test_refresh_after_release_sanitization(driver):
     """A sanitized (rolled-back) session holds no read transaction: the
     write after its release lands, and the same session serves it."""
     with _source(driver) as source:
-        with ConnectionPool(source.catalog, source=source, size=1) as pool:
+        with ConnectionPool(source.catalog, source=source) as pool:
             session = pool.acquire()
             session.connection.execute("BEGIN")
             session.connection.execute("SELECT * FROM t").fetchall()
@@ -113,7 +113,7 @@ def test_file_mode_pool_is_read_only(driver, tmp_path):
     db.insert_rows("t", [{"id": 1, "v": "a"}])
     db.close()
     stored = Database.open(_catalog(), path)
-    with stored, ConnectionPool(stored.catalog, stored, size=2) as pool:
+    with stored, ConnectionPool(stored.catalog, stored) as pool:
         assert pool.driver is driver
         with pool.session() as session:
             assert session.table_count("t") == 1

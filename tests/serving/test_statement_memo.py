@@ -37,6 +37,8 @@ import copy
 import gc
 import random
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -273,26 +275,39 @@ def test_a_write_drops_the_memo_and_the_next_variant_serves_it(served):
 
 
 def test_concurrent_variants_between_writes_serve_naive_bytes(served):
-    """Eight workers on one memo, thread switches forced often: every
+    """Sixteen variants submitted at once from sixteen threads, each
+    beside a thread asking for the same variant again, thread switches
+    forced often: the one worker computes each variant once and the
+    repeat hits — on its own thread once the variant is stored. Every
     statement a variant asks for is either run or shared (a lost count
     breaks the sum), and every body is the naive pipeline's at the state
     its batch read."""
     db, _, view = served
-    server = ViewServer(db.catalog, source=db, workers=8)
+    server = ViewServer(db.catalog, source=db)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        first = renamed(figure4_stylesheet, -1)
+        # Not seed -1: ``random.Random`` seeds with an int's absolute value,
+        # so -1 would be the first batch's variant 1.
+        first = renamed(figure4_stylesheet, 1000)
         statements = server.render(view, first).queries_executed
         for step in range(3):  # fresh variants: misses, not deltas
             sheets = [renamed(figure4_stylesheet, 16 * step + i) for i in range(16)]
             hotel_conference_write(db, step, hotels=SPEC.hotels_per_metro)
             expected = [naive(db, view, sheet) for sheet in sheets]
             before = shared(server)
-            traces = server.render_many(
-                PublishRequest(view, sheet) for sheet in sheets
-            )
-            assert [trace.xml for trace in traces] == expected
+            requests = [PublishRequest(view, sheet) for sheet in sheets]
+            start = threading.Barrier(2 * len(requests))
+
+            def submit(request):
+                start.wait(timeout=30)
+                return server.submit(request).result(timeout=120)
+
+            with ThreadPoolExecutor(max_workers=2 * len(requests)) as pool:
+                traces = list(pool.map(submit, requests + requests))
+            assert [trace.xml for trace in traces] == expected + expected
+            for once, again in zip(traces, traces[len(sheets):]):
+                assert {once.freshness, again.freshness} == {"miss", "hit"}
             ran = sum(trace.queries_executed for trace in traces)
             assert ran + shared(server) - before == statements * len(sheets)
     finally:
@@ -323,7 +338,7 @@ def test_every_fleet_member_shares_only_its_own_rows():
     db = build_hotel_database(SPEC, cross_thread=True)
     view = figure1_view(db.catalog)
     router = ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 2, workers=1
+        db.catalog, db, hotel_partition_scheme(), 2
     )
     single = ViewServer(db.catalog, source=db, workers=1)
     try:

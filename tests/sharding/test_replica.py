@@ -154,7 +154,7 @@ SPEC = HotelDataSpec(metros=4, hotels_per_metro=2)
 def _one_shard_fleet(db, **kwargs):
     return ShardRouter.build(
         db.catalog, db, hotel_partition_scheme(), 1,
-        replicas=1, workers=1, **kwargs,
+        replicas=1, **kwargs,
     )
 
 

@@ -56,7 +56,6 @@ def _fleet(db, *, shards=2, replicas=1, staleness="strict",
         hotel_partition_scheme(),
         shards,
         replicas=replicas,
-        workers=1,
         staleness=staleness,
         replica_lag_ms=replica_lag_ms,
     ), fleet=fleet_faults)
@@ -211,7 +210,7 @@ def test_failover_claims_the_member_actually_served():
     faults = FaultPlan(FaultSpec(every_n=1), seed=0)
     router = inject(ShardRouter.build(
         db.catalog, db, hotel_partition_scheme(), 1,
-        replicas=2, workers=1,
+        replicas=2,
     ), faults)
     try:
         group = PlacementGroup()

@@ -48,7 +48,6 @@ def _fleet(db, *, replicas=0, staleness="strict", resilience=None,
         hotel_partition_scheme(),
         2,
         replicas=replicas,
-        workers=1,
         staleness=staleness,
         resilience=resilience,
     )

@@ -84,7 +84,6 @@ def test_router_splices_member_text_and_builds_only_the_frame(
         db,
         hotel_partition_scheme(),
         2,
-        workers=1,
         staleness="strict",
     )
     built = []
@@ -132,7 +131,7 @@ def test_a_write_read_stream_keeps_one_merged_body_per_plan():
     not one superseded document per data state the plan went through."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     router = ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 2, replicas=1, workers=1,
+        db.catalog, db, hotel_partition_scheme(), 2, replicas=1,
         staleness="strict",
     )
     try:
@@ -166,7 +165,7 @@ def test_a_stream_of_plans_leaves_a_bounded_number_of_frames():
         seed=SEED,
     )
     router = ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 2, workers=1,
+        db.catalog, db, hotel_partition_scheme(), 2,
         staleness="strict",
         cache_capacity=8, result_cache_capacity=8,
     )

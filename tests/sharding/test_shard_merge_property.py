@@ -118,7 +118,6 @@ def test_sharded_bytes_equal_single_box(shards, writes):
         db,
         hotel_partition_scheme(),
         shards,
-        workers=1,
         staleness="strict",
     )
     try:

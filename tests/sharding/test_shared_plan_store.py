@@ -38,7 +38,7 @@ SPEC = HotelDataSpec(metros=4, hotels_per_metro=2)
 
 def _fleet(db, faults=(), **kwargs):
     router = ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 2, replicas=1, workers=1,
+        db.catalog, db, hotel_partition_scheme(), 2, replicas=1,
         **kwargs,
     )
     for shard, plan in zip(router.shards, faults):  # on primaries only

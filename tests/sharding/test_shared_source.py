@@ -49,11 +49,13 @@ def capture_tracebacks():
 def test_a_fleet_reader_never_meets_a_locked_table():
     """Reads scatter over 2 shards x 2 members while a writer thread
     routes writes to the same shard sources: every read succeeds, none
-    fails on a locked table, and the last read is the single box's."""
+    fails on a locked table, and the last read is the single box's. Half
+    the reads compute on the members' workers; the other half read the
+    result caches, answered on the router's threads while fresh."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=2003)
     view = figure1_view(db.catalog)
     router = ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 2, replicas=1, workers=2
+        db.catalog, db, hotel_partition_scheme(), 2, replicas=1
     )
     reading, written = threading.Event(), threading.Event()
     write_errors = []
@@ -75,7 +77,8 @@ def test_a_fleet_reader_never_meets_a_locked_table():
     try:
         while not written.is_set():
             traces.extend(router.render_many(
-                PublishRequest(view, bypass_cache=True) for _ in range(4)
+                PublishRequest(view, bypass_cache=bypass)
+                for bypass in (True, False, True, False)
             ))
             reading.set()
         writer.join()
@@ -110,7 +113,7 @@ def test_a_lagging_replica_recomputes_a_stale_entry_in_full():
     plan = FleetFaultPlan.for_kind("partition", rate=1.0, seed=21)
     router = inject(ShardRouter.build(
         db.catalog, db, hotel_partition_scheme(), 1,
-        replicas=1, workers=1, staleness="bounded:1",
+        replicas=1, staleness="bounded:1",
         replica_lag_ms=120_000.0,
     ), fleet=plan)
     replica = router.shards[0].members[1]

@@ -88,7 +88,6 @@ def test_skewed_shard_falls_back_to_node_level_and_stays_correct():
         hotel_partition_scheme(),
         2,
         trackers=trackers,
-        workers=1,
         staleness="strict",
     )
     try:

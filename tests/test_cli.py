@@ -293,7 +293,8 @@ def test_serve_http_has_no_fragment_tier_flags():
     # Every fault kind and setting is one --chaos spec.
     assert "--chaos" in options
     assert not [flag for flag in options if "fault" in flag]
-    assert len(options) == 22
+    assert "--workers" not in options  # every server computes on one worker
+    assert len(options) == 21
     # The one-shot oracle keeps its evaluator choice; serving has none.
     materialize = subparsers.choices["materialize"]
     (strategy,) = [
