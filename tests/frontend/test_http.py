@@ -320,7 +320,7 @@ class TestLifecycle:
             for cls in ("interactive", "batch", "background"):
                 assert "shed" in report["priority"][cls]
 
-        app = build_hotel_app(scale=1, workers=2, hedge=HedgePolicy())
+        app = build_hotel_app(scale=1, replicas=1, hedge=HedgePolicy())
         try:
             asyncio.run(http_exchange(scenario)(app))
         finally:

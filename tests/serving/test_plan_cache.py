@@ -198,3 +198,63 @@ def test_sixteen_thread_hammer_on_single_entry_cache():
     assert cache.misses == 1
     assert cache.hits == thread_count - 1
     assert cache.evictions == 0
+
+
+def test_a_failing_build_raced_by_sixteen_threads_fails_each_caller_alone(monkeypatch):
+    """16 threads race get_or_build on one key whose build raises. The
+    first build is held until the other fifteen wait on its marker; then
+    each waiter retries and builds in turn, every thread gets the error
+    of its own build (never another's), nobody hangs, and neither a
+    marker nor an entry is left."""
+    import types
+
+    from repro.serving import plan_cache as module
+
+    thread_count = 16
+    lock = threading.Lock()
+    waits = []
+    all_waiting = threading.Event()
+
+    class CountedEvent(threading.Event):
+        def wait(self, timeout=None):
+            with lock:
+                waits.append(1)
+                if len(waits) == thread_count - 1:
+                    all_waiting.set()
+            return super().wait(timeout)
+
+    recording = types.SimpleNamespace(Event=CountedEvent, Lock=threading.Lock)
+    monkeypatch.setattr(module, "threading", recording)
+    cache = PlanCache(capacity=4)
+    barrier = threading.Barrier(thread_count)
+    builds, errors = [], {}
+
+    def build():
+        name = threading.current_thread().name
+        with lock:
+            builds.append(name)
+            first = len(builds) == 1
+        if first:
+            assert all_waiting.wait(30)
+        raise ReproError(name)
+
+    def caller():
+        barrier.wait()
+        try:
+            cache.get_or_build("cold", build)
+        except ReproError as exc:
+            errors[threading.current_thread().name] = str(exc)
+
+    threads = [threading.Thread(target=caller) for _ in range(thread_count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+
+    assert all_waiting.is_set() and len(waits) >= thread_count - 1
+    assert sorted(builds) == sorted(thread.name for thread in threads)
+    assert errors == {name: name for name in builds}
+    assert (cache.misses, cache.hits, len(cache)) == (thread_count, 0, 0)
+    healed, hit = cache.get_or_build("cold", lambda: plan("cold"))
+    assert (healed.key, hit) == ("cold", False)  # no marker left to wait on
