@@ -241,7 +241,6 @@ def _frontend_app_from_args(args: argparse.Namespace):
         hedge=hedge,
         shards=args.shards,
         replicas=args.replicas,
-        replica_lag_ms=args.replica_lag_ms,
     )
     if chaos is not None:
         inject(app.backend, *chaos)
@@ -263,19 +262,15 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--replicas", type=int, default=0, metavar="M",
-        help="read replicas per shard (default: 0)",
-    )
-    parser.add_argument(
-        "--replica-lag-ms", type=float, default=0.0, metavar="MS",
-        help="delay each replica's catch-up apply loop by MS "
-        "(default: 0 = apply writes inline)",
+        help="standby replicas per shard, each a server on the shard's "
+        "data (default: 0)",
     )
     parser.add_argument(
         "--chaos", metavar="SPEC", default=None,
         help="inject seeded faults: comma-separated KEY=VALUE pairs, e.g. "
         "error=0.3,replica-crash=0.5,seed=7. Rates: error, latency, "
         "wrong-shape, compile-error (shard 0's primary on a fleet) and "
-        "replica-crash, apply-stall, partition (fleet members); settings: "
+        "replica-crash, partition (fleet members); settings: "
         "latency-ms (20), window (8 checks), seed (0)",
     )
     parser.add_argument(

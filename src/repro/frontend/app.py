@@ -151,7 +151,6 @@ def build_hotel_app(
     hedge: Optional[HedgePolicy] = None,
     shards: int = 1,
     replicas: int = 0,
-    replica_lag_ms: float = 0.0,
 ) -> PublishingApp:
     """The paper's hotel workload as a servable application.
 
@@ -197,7 +196,6 @@ def build_hotel_app(
                 replicas=replicas,
                 staleness=staleness,
                 resilience=resilience,
-                replica_lag_ms=replica_lag_ms,
             )
         finally:
             db.close()

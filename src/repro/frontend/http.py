@@ -17,7 +17,10 @@ cancellation) live below HTTP anyway:
 * ``GET /metrics`` — the facade's merged metrics JSON (backend
   counters + hedging section).
 * ``GET /healthz`` — liveness plus drain state.
-* ``POST /write`` — test/harness hook applying one workload write.
+* ``POST /write`` — test/harness hook applying one workload write, on
+  a worker thread (a write waits at the engine's gate for in-flight
+  reads, and the loop must keep answering meanwhile), one at a time in
+  arrival order.
 
 Connections are keep-alive by default (HTTP/1.1 semantics;
 ``Connection: close`` honored). :meth:`FrontendServer.drain` makes
@@ -188,6 +191,8 @@ class FrontendServer:
         self._server: Optional[asyncio.Server] = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._draining = False
+        #: Serializes ``POST /write`` hops, so writes apply in arrival order.
+        self._write_lock = asyncio.Lock()
         self.requests_handled = 0
         self.protocol_errors = 0
 
@@ -289,9 +294,9 @@ class FrontendServer:
                     ),
                 )
             if route == ("POST", "/write"):
-                return render_response(
-                    200, _json_body({"writes_applied": self.app.apply_write()})
-                )
+                async with self._write_lock:
+                    applied = await asyncio.to_thread(self.app.apply_write)
+                return render_response(200, _json_body({"writes_applied": applied}))
             if request.path in ("/publish", "/metrics", "/healthz", "/write"):
                 raise HttpError(405, f"{request.method} not allowed here")
             raise HttpError(404, f"no route {request.path}")
@@ -347,13 +352,21 @@ class FrontendServer:
         Returns True when every in-flight request completed inside
         ``timeout``; parked keep-alive sockets are answered ``503`` +
         close if they speak during the drain, and force-closed after
-        the in-flight work settles either way.
+        the in-flight work settles either way. The in-flight work
+        includes the writes already taken in, which run on worker
+        threads: none may meet a database closed under it.
         """
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         drained = await self.app.facade.drain(timeout)
+        try:
+            await asyncio.wait_for(self._write_lock.acquire(), timeout)
+        except asyncio.TimeoutError:
+            drained = False
+        else:
+            self._write_lock.release()
         for writer in list(self._connections):
             writer.close()
         return drained

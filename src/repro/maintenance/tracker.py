@@ -16,14 +16,13 @@ statement becomes one :meth:`~WriteTracker.record_write` per written
 table with its changed primary keys and, on UPDATE, changed columns —
 whatever SQL wrote it, a trigger's cascade included. The version bumps
 after the rows have changed, when the statement has run. Anything else
-(a replica replaying its primary's events, a test) calls
+(a test, a caller recording by hand) calls
 :meth:`~WriteTracker.record_write` itself.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional
@@ -83,7 +82,7 @@ class WriteTracker:
     back to node granularity, never to wrong answers. The log is bounded
     twice: ``key_log_limit`` events per table, and
     :data:`KEY_LOG_MAX_KEYS` keys per table — older events keep their
-    version, columns and timestamp and drop only their key set.
+    version and columns and drop only their key set.
     """
 
     def __init__(self, key_log_limit: int = 1024) -> None:
@@ -93,10 +92,8 @@ class WriteTracker:
         self.total_writes = 0
         self.rows_written = 0
         self._key_log_limit = key_log_limit
-        #: table -> deque of [version, keys|None, columns|None, ts],
-        #: oldest first, trimmed to ``key_log_limit`` events per table.
-        #: ``ts`` is the monotonic arrival time — replica apply loops
-        #: use it to hold events back for an injectable delay.
+        #: table -> deque of [version, keys|None, columns|None], oldest
+        #: first, trimmed to ``key_log_limit`` events per table.
         self._key_log: dict[str, deque] = {}
         #: table -> the events still holding a non-empty key set, oldest
         #: first, and how many keys they hold together — what
@@ -135,7 +132,6 @@ class WriteTracker:
                 version,
                 None if keys is None else frozenset(keys),
                 None if columns is None else frozenset(columns),
-                time.monotonic(),
             ]
             log.append(event)
             if event[1]:
@@ -216,7 +212,7 @@ class WriteTracker:
                     # part of the range is unobserved.
                     keys = columns = None
                 else:
-                    for _, event_keys, event_columns, _ in events:
+                    for _, event_keys, event_columns in events:
                         if keys is not None:
                             keys = None if event_keys is None else keys | event_keys
                         if columns is not None:
@@ -227,41 +223,6 @@ class WriteTracker:
                             )
                 changes[table] = TableChange(current - since, keys, columns)
         return changes
-
-    def replay_events(
-        self, stamped: Mapping[str, int]
-    ) -> list[tuple[str, int, Optional[frozenset], Optional[frozenset], float]]:
-        """Every write event newer than ``stamped``, in arrival order.
-
-        Returns ``(table, version, keys, columns, ts)`` tuples sorted by
-        arrival timestamp (ties broken by table then version) — a
-        replica apply loop replays them one by one into its own tracker
-        so version parity is preserved event-for-event. Versions that
-        fell off the bounded key log are emitted as synthetic
-        untraceable events (``keys``/``columns`` ``None``, ``ts`` of the
-        oldest surviving event or 0.0) so the replayed clock never
-        silently skips ahead of the observed history.
-        """
-        events: list[tuple[str, int, Optional[frozenset], Optional[frozenset], float]] = []
-        with self._lock:
-            for table, current in self._versions.items():
-                since = stamped.get(table, 0)
-                if current <= since:
-                    continue
-                logged = [
-                    event
-                    for event in self._key_log.get(table, ())
-                    if event[0] > since
-                ]
-                covered = {event[0] for event in logged}
-                trim_ts = logged[0][3] if logged else 0.0
-                for version in range(since + 1, current + 1):
-                    if version not in covered:
-                        events.append((table, version, None, None, trim_ts))
-                for version, keys, columns, ts in logged:
-                    events.append((table, version, keys, columns, ts))
-        events.sort(key=lambda event: (event[4], event[0], event[1]))
-        return events
 
     def lag(
         self, stamped: Mapping[str, int], tables: Iterable[str]

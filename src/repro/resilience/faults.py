@@ -2,7 +2,7 @@
 
 One XSLT evaluation is many parameterized SQL queries, so a server
 faces *partial* failure: a busy database, a slow tag query, a driver
-returning a wrong-shape result, a crashed or lagging replica. This kit
+returning a wrong-shape result, a crashed replica. This kit
 makes those failures reproducible. :class:`FaultSpec` says what to
 inject (transient ``sqlite3.OperationalError``\\ s, latency, a dropped
 column, compile failures) and how often; :class:`FaultPlan` decides
@@ -15,11 +15,11 @@ Every fault enters by wrapping, never through a constructor:
 :func:`inject` arms a built server or fleet — engine faults on the
 session its pool lends out (:class:`FaultyEngine`,
 :class:`FaultyPool`), compile faults on its plan path's compile call,
-member faults on its members (:class:`FaultyMember`,
-:class:`StallingApplier`). :func:`parse_chaos` reads ``serve-http
---chaos`` into the two plans. Injected errors are *real*
-``OperationalError``\\ s with the stock messages, so
-:func:`repro.errors.classify_error` cannot tell the drill from the fire.
+member faults on its members (:class:`FaultyMember`).
+:func:`parse_chaos` reads ``serve-http --chaos`` into the two plans.
+Injected errors are *real* ``OperationalError``\\ s with the stock
+messages, so :func:`repro.errors.classify_error` cannot tell the drill
+from the fire.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import ReplicaUnavailable, ReproError
 from repro.serving.pool import ConnectionPool
-from repro.sharding.replica import ReplicaApplier
 from repro.sql.analysis import referenced_tables
 from repro.sql.ast import Select
 
@@ -205,23 +204,13 @@ class FaultPlan(_Schedule):
 
 #: Fleet-scoped fault kinds, each with the :class:`FleetFaultSpec` rate it
 #: is drawn against: ``replica-crash`` takes a replica down and its pool
-#: refuses sessions, ``apply-stall`` freezes its catch-up so its lag
-#: grows, ``partition`` leaves the primary writable but unreadable.
+#: refuses sessions, ``partition`` leaves the primary writable but
+#: unreadable.
 _RATE_FIELDS = {
     "replica-crash": "crash_rate",
-    "apply-stall": "stall_rate",
     "partition": "partition_rate",
 }
 FLEET_FAULT_KINDS = tuple(_RATE_FIELDS)
-
-
-def _rate_field(kind: str) -> str:
-    if kind not in _RATE_FIELDS:
-        raise ValueError(
-            f"unknown fleet fault kind {kind!r}; "
-            f"expected one of {FLEET_FAULT_KINDS}"
-        )
-    return _RATE_FIELDS[kind]
 
 
 @dataclass(frozen=True)
@@ -232,14 +221,12 @@ class FleetFaultSpec:
     afflict a *member* for a stretch of time: decisions are drawn per
     ``window`` consecutive checks at a site, so a crashed replica stays
     crashed for a whole window rather than flickering per call. Kinds
-    are member-role aware by construction: crash and stall only ever
-    hit replicas, partition only ever hits the primary.
+    are member-role aware by construction: crash only ever hits
+    replicas, partition only ever hits the primary.
     """
 
     #: Probability a replica's window is a crash window (pool refuses).
     crash_rate: float = 0.0
-    #: Probability a replica's window is an apply-stall window.
-    stall_rate: float = 0.0
     #: Probability a primary's window is a read-partition window.
     partition_rate: float = 0.0
     #: Consecutive checks per site that share one fault decision.
@@ -255,7 +242,12 @@ class FleetFaultSpec:
 
     def rate_for(self, kind: str) -> float:
         """The configured window rate for ``kind`` (ValueError if unknown)."""
-        return getattr(self, _rate_field(kind))
+        if kind not in _RATE_FIELDS:
+            raise ValueError(
+                f"unknown fleet fault kind {kind!r}; "
+                f"expected one of {FLEET_FAULT_KINDS}"
+            )
+        return getattr(self, _RATE_FIELDS[kind])
 
 
 class FleetFaultPlan(_Schedule):
@@ -271,18 +263,11 @@ class FleetFaultPlan(_Schedule):
         super().__init__(seed, enabled, FLEET_FAULT_KINDS)
         self.spec = spec
 
-    @classmethod
-    def for_kind(cls, kind: str, rate: float = 0.5, seed: int = 0,
-                 window: int = 8) -> "FleetFaultPlan":
-        """A plan injecting only ``kind`` at ``rate``."""
-        rates = {_rate_field(kind): rate}
-        return cls(FleetFaultSpec(window=window, **rates), seed=seed)
-
     def active(self, kind: str, shard: int, member: str) -> bool:
         """One check: is ``kind`` afflicting ``member`` of ``shard`` now?
 
-        Role targeting is structural: crash/stall checks on the primary
-        and partition checks on replicas are ``False`` and advance no
+        Role targeting is structural: crash checks on the primary and
+        partition checks on replicas are ``False`` and advance no
         counter.
         """
         rate = self.spec.rate_for(kind)
@@ -401,27 +386,6 @@ class FaultyPool:
         return getattr(self._pool, name)
 
 
-class StallingApplier(ReplicaApplier):
-    """A replica applier that applies nothing while the schedule has its
-    member in an ``apply-stall`` window (counted in ``stalled_checks``),
-    and polls, so it looks again."""
-
-    polls = True
-
-    def __init__(self, plan: FleetFaultPlan, *args, **kwargs):
-        self.plan = plan
-        self.stalled_checks = 0
-        super().__init__(*args, **kwargs)
-
-    def apply_pending(self) -> int:
-        """Nothing in a stall window, else every due event."""
-        if self.plan.active("apply-stall", self.shard, self.member):
-            with self._lock:
-                self.stalled_checks += 1
-            return 0
-        return super().apply_pending()
-
-
 class FaultyMember:
     """A fleet member the schedule takes down.
 
@@ -429,8 +393,7 @@ class FaultyMember:
     replica, in a window of it: the router skips and counts the member
     before dispatch. A replica's pool also refuses sessions in a crash
     window (:class:`~repro.errors.ReplicaUnavailable`, transient), so a
-    request routed to it just before fails fast, and its applier is
-    replaced by a :class:`StallingApplier`. The rest is the member's.
+    request routed to it just before fails fast. The rest is the member's.
     """
 
     def __init__(self, member, plan: FleetFaultPlan, shard: int):
@@ -438,13 +401,8 @@ class FaultyMember:
         self._plan = plan
         self._shard = shard
         if member.role:
-            server, old = member.server, member.applier
+            server = member.server
             server.pool = FaultyPool(server.pool, gate=self._refuse_if_crashed)
-            old.close()
-            member.applier = StallingApplier(
-                plan, old.primary, old.replica, delay_ms=old.delay_ms,
-                shard=shard, member=old.member,
-            )
 
     def down(self) -> Optional[str]:
         """``"partition"`` / ``"crash"`` while in such a window, else None."""

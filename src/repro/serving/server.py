@@ -27,10 +27,10 @@ compose runs over the materialized view (the naive rung of
 :func:`compile_plan`); what no rung plans is a cached, typed refusal
 that the circuit breaker never counts.
 
-Update awareness: every server tracks its source through a
-:class:`~repro.maintenance.tracker.WriteTracker` (the source's when the
-caller passes none, attached to the source if it has none, so every
-served source records its writes) and memoizes serialized responses in a
+Update awareness: every server tracks its source through the source's
+:class:`~repro.maintenance.tracker.WriteTracker` (the one passed is
+attached to a source that has none, so every served source records its
+writes) and memoizes serialized responses in a
 :class:`~repro.maintenance.result_cache.ResultCache` keyed by plan
 fingerprint and stamped with the plan's base-table version
 vector; a :class:`~repro.maintenance.policy.StalenessPolicy` decides
@@ -367,9 +367,10 @@ class ViewServer:
     first computation opens the pool's one read-only session onto it
     (see :class:`~repro.serving.pool.ConnectionPool`), which copies
     nothing. To serve a database file, open it (``Database.open``) and
-    pass that. ``tracker`` stamps the results: the source's by default
-    (a fleet replica's lags it). ``submit`` answers a fresh hit on the
-    calling thread and queues the rest for the one worker thread.
+    pass that. The source's tracker stamps the results; ``tracker`` is
+    attached to a source that has none, and any other is an error.
+    ``submit`` answers a fresh hit on the calling thread and queues the
+    rest for the one worker thread.
     Compiled plans are shared through an LRU
     :class:`~repro.serving.plan_cache.PlanCache` keyed by content
     fingerprints of (catalog, view, stylesheet, options) — the server's
@@ -391,6 +392,8 @@ class ViewServer:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if tracker is not None and source.tracker not in (None, tracker):
+            raise ValueError("a server stamps with its source's tracker")
         self.catalog = catalog
         # -- resilience (repro.resilience). The policy governs deadlines,
         # retries, circuit breaking, admission control, and the
@@ -428,8 +431,7 @@ class ViewServer:
         # stale entry is refreshed by delta, falling back to full.
         if source.tracker is None:
             source.attach_tracker(tracker or WriteTracker())
-        self._source_tracker = source.tracker  # the data's own clock
-        self.tracker = tracker or source.tracker
+        self.tracker = source.tracker
         self.staleness = (
             StalenessPolicy.parse(staleness)
             if isinstance(staleness, str)
@@ -439,7 +441,7 @@ class ViewServer:
         #: The node columns of this server's bulk statements, shared
         #: between the plans that run them at one version of the source.
         self.statement_memo = StatementMemo(self.counts)
-        self._source_tracker.subscribe(self.statement_memo.drop)
+        self.tracker.subscribe(self.statement_memo.drop)
 
     @property
     def pool(self) -> ConnectionPool:
@@ -680,12 +682,11 @@ class ViewServer:
         selection, the delta queries, and the published version stamp
         must all agree on one version vector. The vector is re-read just
         before the session is borrowed, so the data it reads is *at or
-        ahead of* it. If after the splice a tracked table advanced, or
-        this server's clock lags its source's (a fleet replica whose
-        applier holds writes back), the data may hold writes the
-        selection never saw: the splice is discarded as a ``stamp-race``
-        and the request recomputes in full. On success the entry is
-        stamped with exactly the selection vector. The stale entry itself
+        ahead of* it. If after the splice a tracked table advanced, the
+        data may hold writes the selection never saw: the splice is
+        discarded as a ``stamp-race`` and the request recomputes in
+        full. On success the entry is stamped with exactly the selection
+        vector. The stale entry itself
         is never written: the splice builds new state sharing untouched
         columns, so a failure mid-way leaves the cache untouched.
         """
@@ -743,13 +744,9 @@ class ViewServer:
             # always safe — and what the fault-injection tests assert.
             self.counts.count("delta_fallbacks_by_reason.error")
             return None
-        if (
-            self.tracker.versions(plan.tables) != versions
-            or self.tracker.clock() != self._source_tracker.clock()
-        ):
-            # A write raced the splice, or this server's clock lags its
-            # source's: the data may be ahead of the dirty-node
-            # selection. Discard the (possibly torn) result.
+        if self.tracker.versions(plan.tables) != versions:
+            # A write raced the splice: the data may be ahead of the
+            # dirty-node selection. Discard the (possibly torn) result.
             self.counts.count("delta_fallbacks_by_reason.stamp-race")
             return None
         trace.queries_executed = (
@@ -1034,7 +1031,7 @@ class ViewServer:
                 # session's shared permit and before any statement runs;
                 # a bypass_cache request neither reads nor admits them.
                 memo = (
-                    (self.statement_memo, self._source_tracker.clock())
+                    (self.statement_memo, self.tracker.clock())
                     if use_result_cache else ()
                 )
                 evaluator = BulkViewEvaluator(db, stats, *memo)
@@ -1176,7 +1173,7 @@ class ViewServer:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
-        self._source_tracker.unsubscribe(self.statement_memo.drop)
+        self.tracker.unsubscribe(self.statement_memo.drop)
         self.statement_memo.drop()
         if self._pool is not None:
             self._pool.close()

@@ -30,7 +30,7 @@ from repro.sharding.partition import (
     partition_database,
     partition_keys,
 )
-from repro.sharding.replica import PlacementGroup, ReplicaApplier
+from repro.sharding.replica import PlacementGroup
 from repro.sharding.router import RouterTrace, ShardRouter
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "MergePlan",
     "PartitionScheme",
     "PlacementGroup",
-    "ReplicaApplier",
     "RouterTrace",
     "ShardMergeUnsupported",
     "ShardRouter",

@@ -13,26 +13,20 @@ the shards' partition runs inside the view's literal frame
 byte-identical to a single-box run over the unpartitioned data — it
 builds, parses and serializes no tree.
 
-Each shard is a *replica set*: the primary owns the shard's
-:class:`~repro.maintenance.tracker.WriteTracker`, and every replica has
-its **own tracker lineage** fed by a
-:class:`~repro.sharding.replica.ReplicaApplier` that replays the
-primary's write events with an injectable delay — so replicas genuinely
-lag, and reads route **lag-aware**: strict reads pin to the primary or
-a caught-up replica, bounded-staleness reads accept replicas within the
-policy's version budget, and the manual policy ignores lag entirely.
-Member eligibility is further gated by the router's member
-:class:`~repro.resilience.breaker.CircuitBreaker` (one circuit per
-member, fed by its request outcomes; an open member readmits through a
-half-open trial) and by the member's own word: a member that says it
-is down (:meth:`_Member.down` — a crashed replica, a read-partitioned
-primary) is skipped before anything is dispatched to it.
+Each shard is a *replica set*: a primary and its standby replicas, all
+servers on the shard's one source and so on its one
+:class:`~repro.maintenance.tracker.WriteTracker` — a replica's data and
+clock are its primary's, and it is as fresh. Member eligibility is gated
+by the router's member :class:`~repro.resilience.breaker.CircuitBreaker`
+(one circuit per member, fed by its request outcomes; an open member
+readmits through a half-open trial) and by the member's own word: a
+member that says it is down (:meth:`_Member.down` — a crashed replica, a
+read-partitioned primary) is skipped before anything is dispatched to it.
 
 Within the eligible members, a read goes to the least busy of the
-caught-up healthy set, the primary on a tie — so on an idle shard the
-primary serves every read, and a replica opens no session onto the
-shard until its first computation (see
-:class:`~repro.serving.server.ViewServer`).
+healthy set, the primary on a tie — so on an idle shard the primary
+serves every read, and a replica opens no session onto the shard until
+its first computation (see :class:`~repro.serving.server.ViewServer`).
 A member whose trace comes back failed (breaker open, deadline, fault)
 fails over to the next candidate, and when no member on a shard can
 compute, the shard serves its degraded-stale fallback if any member has
@@ -59,7 +53,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.maintenance.policy import StalenessPolicy
 from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database
 from repro.relational.schema import Catalog
@@ -77,7 +70,6 @@ from repro.serving.server import (
     check_strategy,
 )
 from repro.sharding.merge import merge_texts, plan_merge
-from repro.sharding.replica import ReplicaApplier
 from repro.sharding.partition import (
     KeyRangePartitioner,
     PartitionScheme,
@@ -89,23 +81,23 @@ from repro.sharding.partition import (
 
 #: The member breaker: consecutive failed requests that take a member
 #: out, how long it stays out before one half-open trial may readmit it,
-#: and the failures after which it sorts behind its caught-up peers.
+#: and the failures after which it sorts behind its healthy peers.
 MEMBER_THRESHOLD = 4
 MEMBER_COOLDOWN_MS = 500.0
 MEMBER_TRIALS = 1
 MEMBER_SUSPECT_AFTER = 2
 
 #: What a :class:`ShardRouter` counts, by dotted name in its
-#: :class:`~repro.serving.metrics.Registry`: reads served from a member
-#: behind its primary (and the worst such lags, as high-water marks),
-#: members skipped by the crash / partition / lag / health gates, shards
-#: left with no eligible member, hedge anti-affinity placements, and the
+#: :class:`~repro.serving.metrics.Registry`: reads served stale under the
+#: staleness policy (and the worst such lag, as a high-water mark),
+#: members skipped by the crash / partition / health gates, shards left
+#: with no eligible member, hedge anti-affinity placements, and the
 #: merged-bytes memo's lookups. ``fleet.*`` is ``fleet_metrics()``.
 ROUTER_COUNTS = (
     "requests_served", "errors", "failovers",
     *(f"outcomes.{outcome}" for outcome in OUTCOMES),
-    "fleet.stale_serves", "fleet.max_member_lag_served", "fleet.max_served_lag",
-    *(f"fleet.skips.{gate}" for gate in ("crash", "partition", "lagging", "dead")),
+    "fleet.stale_serves", "fleet.max_served_lag",
+    *(f"fleet.skips.{gate}" for gate in ("crash", "partition", "dead")),
     "fleet.no_candidates", "fleet.anti_affinity.hits", "fleet.anti_affinity.misses",
     "merged_cache.hits", "merged_cache.misses",
 )
@@ -171,32 +163,16 @@ class RouterTrace:
 
 
 class _Member:
-    """One member of a shard's replica set: server + lineage."""
+    """One member of a shard's replica set: a server on the shard source."""
 
-    __slots__ = ("name", "key", "role", "server", "tracker", "applier")
+    __slots__ = ("name", "key", "role", "server")
 
-    def __init__(
-        self,
-        shard: int,
-        name: str,
-        role: int,
-        server: ViewServer,
-        tracker: WriteTracker,
-        applier: Optional[ReplicaApplier],
-    ):
+    def __init__(self, shard: int, name: str, role: int, server: ViewServer):
         self.name = name
         #: The member's circuit in the router's member breaker.
         self.key = f"s{shard}:{name}"
         self.role = role  # 0 = primary
         self.server = server
-        self.tracker = tracker
-        self.applier = applier
-
-    def lag(self, shard: "_Shard") -> int:
-        """Write events on the shard the member has not yet applied."""
-        if self.role == 0:
-            return 0
-        return max(0, shard.tracker.clock() - self.tracker.clock())
 
     def down(self) -> Optional[str]:
         """Why the member cannot be read now — ``"crash"`` or
@@ -206,18 +182,11 @@ class _Member:
 
 
 class _Shard:
-    """One shard's serving stack: source, primary tracker, replica set."""
+    """One shard's serving stack: its source and its replica set."""
 
-    def __init__(
-        self,
-        index: int,
-        source: Database,
-        tracker: WriteTracker,
-        members: Sequence[_Member],
-    ):
+    def __init__(self, index: int, source: Database, members: Sequence[_Member]):
         self.index = index
         self.source = source
-        self.tracker = tracker
         self.members = list(members)
 
 
@@ -227,13 +196,10 @@ class ShardRouter:
     Construct with one source :class:`Database` per shard (already
     partitioned — see :meth:`build` for the end-to-end path from a
     single unpartitioned source). Each shard gets a primary server and
-    ``replicas`` read replicas, every one reading the shard source itself
-    (one copy a shard); a replica whose tracker lags splices nothing, as
-    its data does not lag.
-
-    ``replica_lag_ms`` is the injectable apply delay: 0 keeps
-    propagation synchronous, > 0 makes replicas genuinely lag by that
-    long per event.
+    ``replicas`` standby replicas, every one a server on the shard source
+    itself (one copy a shard) and so on the shard's one tracker: a
+    replica is as fresh as its primary. ``trackers`` are attached to the
+    shard sources, one each (a fresh one by default).
     """
 
     def __init__(
@@ -245,7 +211,6 @@ class ShardRouter:
         trackers: Optional[Sequence[WriteTracker]] = None,
         staleness: str = "strict",
         resilience: Optional[ResiliencePolicy] = None,
-        replica_lag_ms: float = 0.0,
         cache_capacity: int = 64,
         result_cache_capacity: int = 128,
         scheme: Optional[PartitionScheme] = None,
@@ -264,20 +229,6 @@ class ShardRouter:
         self.replicas = replicas
         self.scheme = scheme
         self.partitioner = partitioner
-        self.replica_lag_ms = replica_lag_ms
-        # Version budget the routing layer holds reads to: 0 (strict),
-        # N (bounded:N), or None (manual — lag never gates).
-        policy = (
-            StalenessPolicy.parse(staleness)
-            if isinstance(staleness, str)
-            else staleness
-        )
-        if policy.kind == "strict":
-            self._lag_budget: Optional[int] = 0
-        elif policy.kind == "bounded":
-            self._lag_budget = policy.max_lag
-        else:
-            self._lag_budget = None
         self._owns_sources = owns_sources
         #: The process's one plan store: every member reads from it, and
         #: the merge frame hangs off the plan it holds (:meth:`compile`).
@@ -308,40 +259,26 @@ class ShardRouter:
         )
         self.shards: list[_Shard] = []
         for index, source in enumerate(sources):
-            tracker = trackers[index] if trackers is not None else WriteTracker()
-            source.attach_tracker(tracker)
-            members: list[_Member] = []
-            for role in range(replicas + 1):
-                name = "primary" if role == 0 else f"replica-{role}"
-                if role == 0:
-                    member_tracker = tracker
-                    applier = None
-                else:
-                    # Split lineage: the replica's own tracker advances
-                    # only as the applier replays the primary's events,
-                    # so replica-side version_lag is real, not 0 by
-                    # aliasing.
-                    member_tracker = WriteTracker()
-                    applier = ReplicaApplier(
-                        tracker,
-                        member_tracker,
-                        delay_ms=replica_lag_ms,
-                        shard=index,
-                        member=name,
-                    )
-                server = ViewServer(
-                    catalog,
-                    source,
-                    tracker=member_tracker,
-                    staleness=staleness,
-                    result_cache_capacity=result_cache_capacity,
-                    resilience=resilience,
-                    plan_cache=self.plan_cache,
+            source.attach_tracker(
+                trackers[index] if trackers is not None else WriteTracker()
+            )
+            members = [
+                _Member(
+                    index,
+                    "primary" if role == 0 else f"replica-{role}",
+                    role,
+                    ViewServer(
+                        catalog,
+                        source,
+                        staleness=staleness,
+                        result_cache_capacity=result_cache_capacity,
+                        resilience=resilience,
+                        plan_cache=self.plan_cache,
+                    ),
                 )
-                members.append(
-                    _Member(index, name, role, server, member_tracker, applier)
-                )
-            self.shards.append(_Shard(index, source, tracker, members))
+                for role in range(replicas + 1)
+            ]
+            self.shards.append(_Shard(index, source, members))
         self._executor = ThreadPoolExecutor(
             max_workers=max(4, 2 * len(self.shards)),
             thread_name_prefix="shardrouter",
@@ -433,81 +370,61 @@ class ShardRouter:
 
     def _candidates(
         self, shard: _Shard, request: PublishRequest
-    ) -> list[tuple[_Member, int]]:
+    ) -> list[_Member]:
         """Eligible members for one read, best candidate first.
 
         Eligibility gates, in order: the member's word (one that says it
-        is :meth:`~_Member.down` is out), the staleness budget (a
-        member lagging past the policy's version budget is out — strict
-        pins to lag 0, manual never gates), then the member breaker (a
+        is :meth:`~_Member.down` is out), then the member breaker (a
         member whose circuit is open is out unless its cooldown elapsed
-        and the half-open trial slot is free). The lag gate runs first so
-        an open *and* lagging member is lag-skipped without its circuit
-        ever being asked. Enumeration only looks
+        and the half-open trial slot is free). Enumeration only looks
         (:meth:`CircuitBreaker.ready`); the trial slot is taken in
         :meth:`_dispatch`, against an actual attempt, so a candidate that
         is enumerated but never tried cannot leak it. Ordering: by
         (suspect — :data:`MEMBER_SUSPECT_AFTER` consecutive failures or
-        more —, lag, requests in flight, role), so a read goes to the
-        least busy healthy caught-up member and a tie to the primary: on
-        an idle shard the primary serves every read, and a replica takes
-        one (cloning its shard on its first) only when the primary is
-        busy, suspect or out. A hedged request's
-        :class:`PlacementGroup` reorders unclaimed members first so the
-        hedge lands on a different member than the first attempt
-        whenever one exists; claims are recorded at dispatch time, not
-        here.
-
-        Returns ``(member, lag-at-pick)`` pairs; the pick-time lag is
-        what routing guaranteed, so accounting uses it rather than
-        re-reading the clocks after the serve.
+        more —, requests in flight, role), so a read goes to the least
+        busy healthy member and a tie to the primary: on an idle shard
+        the primary serves every read, and a replica takes one (cloning
+        its shard on its first) only when the primary is busy, suspect
+        or out. A hedged request's :class:`PlacementGroup` reorders
+        unclaimed members first so the hedge lands on a different member
+        than the first attempt whenever one exists; claims are recorded
+        at dispatch time, not here.
         """
         breaker = self.member_breaker
         skipped: list[str] = []
-        eligible: list[tuple[int, int, int, int, _Member]] = []
+        eligible: list[tuple[int, int, int, _Member]] = []
         for member in shard.members:
-            lag = member.lag(shard)
             down = member.down()
             if down is not None:
                 skipped.append(f"fleet.skips.{down}")
-                continue
-            if self._lag_budget is not None and lag > self._lag_budget:
-                skipped.append("fleet.skips.lagging")
                 continue
             if not breaker.ready(member.key):
                 skipped.append("fleet.skips.dead")
                 continue
             suspect = int(breaker.failures(member.key) >= MEMBER_SUSPECT_AFTER)
-            busy = member.server.inflight
-            eligible.append((suspect, lag, busy, member.role, member))
+            eligible.append((suspect, member.server.inflight, member.role, member))
         if skipped:
             self.counts.count(*skipped)
-        if not eligible:
-            return []
         # Roles are distinct, so the sort never compares members.
-        ordered = [(entry[-1], entry[1]) for entry in sorted(eligible)]
+        ordered = [entry[-1] for entry in sorted(eligible)]
         placement = request.placement
-        if placement is not None:
+        if ordered and placement is not None:
             already = placement.claimed(shard.index)
             if already:
-                unclaimed = [
-                    entry for entry in ordered if entry[0].name not in already
-                ]
+                unclaimed = [m for m in ordered if m.name not in already]
                 self.counts.count(
                     "fleet.anti_affinity.hits"
                     if unclaimed
                     else "fleet.anti_affinity.misses"
                 )
                 if unclaimed:
-                    ordered = unclaimed + [
-                        entry for entry in ordered if entry[0].name in already
-                    ]
+                    ordered = unclaimed + [m for m in ordered if m.name in already]
         return ordered
 
     def _dispatch(
         self,
         shard: _Shard,
-        candidates: Sequence[tuple[_Member, int]],
+        candidates: Sequence[_Member],
         request: PublishRequest,
         start: int = 0,
     ) -> tuple[Optional[int], Optional["Future[RequestTrace]"]]:
@@ -528,7 +445,7 @@ class ShardRouter:
         dispatched: tuple[Optional[int], Optional["Future[RequestTrace]"]]
         dispatched = (None, None)
         for idx in range(start, len(candidates)):
-            member = candidates[idx][0]
+            member = candidates[idx]
             if not self.member_breaker.allow(member.key):
                 denied += 1
                 continue
@@ -605,13 +522,13 @@ class ShardRouter:
     def _resolve_shard(
         self,
         shard: _Shard,
-        candidates: Sequence[tuple[_Member, int]],
+        candidates: Sequence[_Member],
         future: "Future[RequestTrace]",
         request: PublishRequest,
-    ) -> tuple[str, int, RequestTrace, int]:
+    ) -> tuple[str, RequestTrace, int]:
         """Wait out one shard's answer, failing over along the candidates.
 
-        Returns ``(member_name, member_lag, trace, failovers)``. Policy:
+        Returns ``(member_name, trace, failovers)``. Policy:
         take the first ``success``; remember the first ``degraded``
         trace and serve it only after every candidate has been tried;
         otherwise the last failure stands. Every attempted member's
@@ -620,17 +537,17 @@ class ShardRouter:
         member's trial slot only when actually tried) and records its
         own placement claim.
         """
-        degraded: Optional[tuple[str, int, RequestTrace]] = None
+        degraded: Optional[tuple[str, RequestTrace]] = None
         attempt = 0
-        member, lag = candidates[0]
+        member = candidates[0]
         trace = future.result()
         failovers = 0
         while True:
             self._feed_health(member, trace)
             if trace.outcome == "success":
-                return member.name, lag, trace, failovers
+                return member.name, trace, failovers
             if trace.outcome == "degraded" and degraded is None:
-                degraded = (member.name, lag, trace)
+                degraded = (member.name, trace)
             if attempt + 1 >= len(candidates):
                 break
             next_idx, next_future = self._dispatch(
@@ -640,11 +557,11 @@ class ShardRouter:
                 break
             attempt = next_idx
             failovers += 1
-            member, lag = candidates[attempt]
+            member = candidates[attempt]
             trace = next_future.result()
         if degraded is not None:
-            return degraded[0], degraded[1], degraded[2], failovers
-        return member.name, lag, trace, failovers
+            return degraded[0], degraded[1], failovers
+        return member.name, trace, failovers
 
     def _serve(self, request: PublishRequest, request_id: int) -> RouterTrace:
         started = time.perf_counter()
@@ -692,8 +609,8 @@ class ShardRouter:
         # Scatter: one balanced candidate pick per shard, all in flight
         # at once; failover (if any) happens while other shards compute.
         # A shard with no eligible member (everything crashed /
-        # partitioned / lagging past budget) resolves to a synthetic
-        # failure without being asked.
+        # partitioned / open) resolves to a synthetic failure without
+        # being asked.
         scattered = []
         for shard in self.shards:
             candidates = self._candidates(shard, request)
@@ -711,19 +628,17 @@ class ShardRouter:
             # Trim so the dispatched member leads: _resolve_shard treats
             # candidates[0] as the attempt already in flight.
             scattered.append((shard, candidates[idx:], future))
-        resolved: list[tuple[str, int, RequestTrace, int]] = []
+        resolved: list[tuple[str, RequestTrace, int]] = []
         for shard, candidates, future in scattered:
             if future is None:
                 resolved.append(
                     (
                         "none",
-                        0,
                         RequestTrace.of(
                             request,
                             outcome="error",
                             error=f"no eligible member on shard {shard.index} "
-                            "(crashed, partitioned, or lagging past the "
-                            "staleness budget)",
+                            "(crashed, partitioned, or open)",
                         ),
                         0,
                     )
@@ -735,26 +650,20 @@ class ShardRouter:
         freshness_seen = set()
         failed: Optional[RequestTrace] = None
         any_degraded = False
-        stale_served = False
-        max_member_lag = 0
-        for (name, member_lag, shard_trace, failovers), shard in zip(
-            resolved, self.shards
-        ):
+        served_lag = 0
+        for (name, shard_trace, failovers), shard in zip(resolved, self.shards):
             trace.failovers += failovers
             trace.queries_executed += shard_trace.queries_executed
             trace.rows_fetched += shard_trace.rows_fetched
             trace.execute_seconds = max(
                 trace.execute_seconds, shard_trace.total_seconds
             )
-            # The served staleness is the member's catch-up lag at pick
-            # time plus however stale the member's own cached entry was
-            # under its tracker.
-            served_lag = member_lag + shard_trace.version_lag
-            trace.version_lag = max(trace.version_lag, served_lag)
-            if shard_trace.outcome in ("success", "degraded"):
-                max_member_lag = max(max_member_lag, member_lag)
-                if served_lag > 0:
-                    stale_served = True
+            # How stale the member's consulted entry was under the
+            # shard's one tracker, as on a single box; only cached bytes
+            # (a hit, a degraded fallback) are served that stale.
+            trace.version_lag = max(trace.version_lag, shard_trace.version_lag)
+            if shard_trace.freshness in ("hit", "degraded-stale"):
+                served_lag = max(served_lag, shard_trace.version_lag)
             freshness_seen.add(shard_trace.freshness)
             trace.shards.append(
                 {
@@ -762,7 +671,6 @@ class ShardRouter:
                     "server": name,
                     "outcome": shard_trace.outcome,
                     "freshness": shard_trace.freshness,
-                    "lag": member_lag,
                     "total_seconds": round(shard_trace.total_seconds, 6),
                     "failovers": failovers,
                 }
@@ -778,18 +686,17 @@ class ShardRouter:
             trace.outcome = failed.outcome
             trace.error = failed.error
             return
-        if stale_served:
-            # Every shard served, so a lag above zero is a stale serve.
+        if served_lag:
+            # Every shard served, one of them cached bytes that old.
             self.counts.count("fleet.stale_serves")
-            self.counts.high("fleet.max_member_lag_served", max_member_lag)
-            self.counts.high("fleet.max_served_lag", trace.version_lag)
-        for _, _, shard_trace, _ in resolved:
+            self.counts.high("fleet.max_served_lag", served_lag)
+        for _, shard_trace, _ in resolved:
             if shard_trace.xml is None:
                 raise ReproError(
                     f"shard trace {shard_trace.request_id} has no xml "
                     "to merge"
                 )
-        texts = tuple(shard_trace.xml for _, _, shard_trace, _ in resolved)
+        texts = tuple(shard_trace.xml for _, shard_trace, _ in resolved)
         xml = None
         if not request.bypass_cache:
             xml = self._merged_lookup(compiled.key, texts)
@@ -807,12 +714,11 @@ class ShardRouter:
     # -- metrics / lifecycle -------------------------------------------------
 
     def fleet_metrics(self) -> dict:
-        """Replica-resilience counters: routing gates, lag, anti-affinity.
+        """Replica-resilience counters: routing gates, anti-affinity.
 
         The ``fleet.*`` counts of the router's registry, with
         ``replica_health`` listing every member's circuit ``state`` and
-        consecutive ``failures`` in the member breaker, its live ``lag``
-        and its applier's progress; ``anti_affinity``
+        consecutive ``failures`` in the member breaker; ``anti_affinity``
         summarizes hedge placement — ``hits`` are hedge attempts routed
         to a member no earlier attempt of the same request used,
         ``misses`` fell back to an already-used member (1-member
@@ -822,7 +728,9 @@ class ShardRouter:
         placement = summary["anti_affinity"]
         hedged = placement["hits"] + placement["misses"]
         placement["rate"] = placement["hits"] / hedged if hedged else None
-        summary["lag_budget"] = self._lag_budget
+        # Every member reads its shard's live source, so none lags; the
+        # count stays, at zero, for the frozen benchmark spine that reads it.
+        summary["max_member_lag_served"] = 0
         breaker = self.member_breaker
         summary["replica_health"] = [
             {
@@ -831,13 +739,6 @@ class ShardRouter:
                     member.name: {
                         "state": breaker.state(member.key),
                         "failures": breaker.failures(member.key),
-                        "lag": member.lag(shard),
-                        # A primary has no applier: None, not zero; and
-                        # only an applier that can stall counts stalls.
-                        "applied": getattr(member.applier, "applied", None),
-                        "stalled_checks": getattr(
-                            member.applier, "stalled_checks", None
-                        ),
                     }
                     for member in shard.members
                 },
@@ -887,8 +788,8 @@ class ShardRouter:
         store's own report — hits and misses every lookup made of it (each
         member's plus the router's, which asks first: a cold stylesheet is
         one miss) — over the members' ``statements_shared``. ``tracker``
-        comes from the shard primaries only: a replica replays its
-        primary's events, so its writes are already counted. ``router``
+        comes from the shard primaries only: a replica stamps with its
+        primary's tracker, so its writes are already counted. ``router``
         is the router's own report.
         """
         reports = [
@@ -918,20 +819,12 @@ class ShardRouter:
         )
 
     def close(self) -> None:
-        """Shut every shard server down; close owned shard databases.
-
-        Appliers stop first so no replay lands on a tracker whose
-        server is mid-shutdown; the thread-name leak scans then see no
-        surviving ``shardrouter``-prefixed threads.
-        """
+        """Shut every shard server down; close owned shard databases."""
         if self._closed:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
         for shard in self.shards:
-            for member in shard.members:
-                if member.applier is not None:
-                    member.applier.close()
             for member in shard.members:
                 member.server.close()
             if self._owns_sources:

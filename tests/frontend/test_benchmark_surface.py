@@ -301,33 +301,20 @@ workers
 ROUTER_KEYS = frozenset("""
 errors failovers fleet.anti_affinity.hits fleet.anti_affinity.misses
 fleet.anti_affinity.rate fleet.fleet_faults.checks
-fleet.fleet_faults.enabled fleet.fleet_faults.injected.apply-stall
-fleet.fleet_faults.injected.partition
+fleet.fleet_faults.enabled fleet.fleet_faults.injected.partition
 fleet.fleet_faults.injected.replica-crash fleet.fleet_faults.seed
-fleet.lag_budget fleet.max_member_lag_served fleet.max_served_lag
-fleet.no_candidates fleet.replica_health.0.members.primary.applied
+fleet.max_member_lag_served fleet.max_served_lag fleet.no_candidates
 fleet.replica_health.0.members.primary.failures
-fleet.replica_health.0.members.primary.lag
-fleet.replica_health.0.members.primary.stalled_checks
 fleet.replica_health.0.members.primary.state
-fleet.replica_health.0.members.replica-1.applied
 fleet.replica_health.0.members.replica-1.failures
-fleet.replica_health.0.members.replica-1.lag
-fleet.replica_health.0.members.replica-1.stalled_checks
 fleet.replica_health.0.members.replica-1.state
 fleet.replica_health.0.shard
-fleet.replica_health.1.members.primary.applied
 fleet.replica_health.1.members.primary.failures
-fleet.replica_health.1.members.primary.lag
-fleet.replica_health.1.members.primary.stalled_checks
 fleet.replica_health.1.members.primary.state
-fleet.replica_health.1.members.replica-1.applied
 fleet.replica_health.1.members.replica-1.failures
-fleet.replica_health.1.members.replica-1.lag
-fleet.replica_health.1.members.replica-1.stalled_checks
 fleet.replica_health.1.members.replica-1.state
 fleet.replica_health.1.shard fleet.skips.crash fleet.skips.dead
-fleet.skips.lagging fleet.skips.partition fleet.stale_serves key_ranges
+fleet.skips.partition fleet.stale_serves key_ranges
 merged_cache.hits merged_cache.misses merged_cache.size
 outcomes.cancelled outcomes.deadline outcomes.degraded outcomes.error
 outcomes.rejected outcomes.success parsed_cache.hits parsed_cache.misses

@@ -108,7 +108,7 @@ def test_single_box_and_fleet_record_the_same_keys_and_columns():
             fleet.apply_write()
         expected = recorded([single.backend.tracker])
         assert all(keys and columns for keys, columns in expected.values())
-        shards = [shard.tracker for shard in fleet.backend.shards]
+        shards = [shard.source.tracker for shard in fleet.backend.shards]
         assert recorded(shards) == expected
     finally:
         asyncio.run(single.close())

@@ -8,10 +8,12 @@ the drain path ARE the subject under test.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -325,6 +327,108 @@ class TestLifecycle:
             asyncio.run(http_exchange(scenario)(app))
         finally:
             asyncio.run(app.close())
+
+
+def test_a_write_waiting_at_the_gate_leaves_the_loop_answering():
+    """``POST /write`` runs off the event loop. The worker is held inside
+    a computation, holding its session's shared permit, by a latch (a
+    ``threading.Event``), so the write waits at the engine's gate: a
+    ``GET /healthz`` on another connection still answers while it waits.
+    The write answers once the latch opens, and the next publish sees
+    it. A timer opens the latch after 5 s, so a loop blocked by the
+    write fails the test instead of hanging it."""
+    app = build_hotel_app(scale=1)
+    server = app.backend
+    entered, opened = threading.Event(), threading.Event()
+    guard = server._deadline_guard
+
+    @contextlib.contextmanager
+    def held(db, deadline):
+        entered.set()
+        opened.wait(30)
+        with guard(db, deadline):
+            yield
+
+    async def scenario(frontend):
+        _, headers, before = split_response(await raw_request(
+            frontend, request_bytes("POST", "/publish", publish_body("figure1"))
+        ))
+        assert headers["x-repro-freshness"] == "miss"
+        server._deadline_guard = held
+        compute = asyncio.ensure_future(raw_request(frontend, request_bytes(
+            "POST", "/publish", publish_body("figure1", bypass_cache=True)
+        )))
+        assert await asyncio.to_thread(entered.wait, 30)
+        write = asyncio.ensure_future(
+            raw_request(frontend, request_bytes("POST", "/write"))
+        )
+        gate = app.database.gate
+        while not gate._writers and not opened.is_set():
+            await asyncio.sleep(0.005)
+        status, _, body = split_response(
+            await raw_request(frontend, request_bytes("GET", "/healthz"))
+        )
+        answered_while_held = not opened.is_set()
+        assert status == 200 and json.loads(body)["status"] == "ok"
+        assert answered_while_held
+        assert not write.done()
+        opened.set()
+        status, _, body = split_response(await write)
+        assert (status, json.loads(body)) == (200, {"writes_applied": 1})
+        assert split_response(await compute)[0] == 200
+        _, headers, after = split_response(await raw_request(
+            frontend, request_bytes("POST", "/publish", publish_body("figure1"))
+        ))
+        assert headers["x-repro-freshness"] != "hit"
+        _, _, fresh = split_response(await raw_request(frontend, request_bytes(
+            "POST", "/publish", publish_body("figure1", bypass_cache=True)
+        )))
+        assert after == fresh != before
+
+    timer = threading.Timer(5.0, opened.set)
+    timer.start()
+    try:
+        asyncio.run(http_exchange(scenario)(app))
+    finally:
+        opened.set()
+        timer.cancel()
+        asyncio.run(app.close())
+
+
+def test_drain_waits_for_a_write_in_flight():
+    """A write taken in before the drain runs to its end on its worker
+    thread before the drain reports, so closing the app after it never
+    closes the database under the write. The write is held by a latch."""
+    app = build_hotel_app(scale=1)
+    entered, opened = threading.Event(), threading.Event()
+    write_fn = app._write_fn
+
+    def held(index):
+        entered.set()
+        opened.wait(30)
+        return write_fn(index)
+
+    app._write_fn = held
+
+    async def main():
+        frontend = await serve_app(app)
+        write = asyncio.ensure_future(
+            raw_request(frontend, request_bytes("POST", "/write"))
+        )
+        assert await asyncio.to_thread(entered.wait, 30)
+        drain = asyncio.ensure_future(frontend.drain(timeout=30))
+        await asyncio.sleep(0.2)
+        assert not drain.done()
+        opened.set()
+        assert await drain
+        status, _, body = split_response(await write)
+        assert (status, json.loads(body)) == (200, {"writes_applied": 1})
+
+    try:
+        asyncio.run(main())
+    finally:
+        opened.set()
+        asyncio.run(app.close())
 
 
 def test_importing_the_front_end_loads_no_harness_or_baseline_module():

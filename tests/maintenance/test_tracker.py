@@ -96,9 +96,9 @@ def test_concurrent_recording_loses_no_events():
 
 def test_key_log_is_bounded_in_keys_not_only_in_events():
     """5,000 writes of 100 explicit keys each: the log retains at most
-    KEY_LOG_MAX_KEYS keys per table (older events keep version, columns
-    and timestamp and drop only their key set), while the version clock,
-    lag, changes_since and replay parity are untouched."""
+    KEY_LOG_MAX_KEYS keys per table (older events keep version and
+    columns and drop only their key set), while the version clock, lag
+    and changes_since are untouched."""
     tracker = WriteTracker()
     stamp_zero = tracker.versions(["availability"])
     late_stamp = None
@@ -129,12 +129,6 @@ def test_key_log_is_bounded_in_keys_not_only_in_events():
     assert older.events == 100
     assert older.keys is None
     assert older.columns == frozenset({"startdate"})
-    # Replay restores version parity event for event.
-    replica = WriteTracker()
-    for table, _version, keys, columns, _ts in tracker.replay_events({}):
-        replica.record_write(table, rows=0, keys=keys, columns=columns)
-    assert replica.snapshot() == tracker.snapshot()
-    assert replica.clock() == tracker.clock()
 
 
 def test_key_bound_holds_under_concurrent_writers_and_readers():

@@ -4,7 +4,8 @@
 decisions of ``FaultPlan.check_query`` at three sites, of
 ``check_compile``, and of ``FleetFaultPlan.active`` for every kind on a
 primary and on a replica. They were recorded before the two plans shared
-their schedule; a change to the draw string, the per-site counter or the
+their schedule (and before the ``apply-stall`` kind went, which dropped
+its rows and changed no other); a change to the draw string, the per-site counter or the
 window arithmetic shows up here as a changed decision.
 Regenerate (only for a deliberate schedule change) with
 ``python -m tests.resilience.test_fault_decisions > tests/resilience/fault_decisions.json``.
@@ -51,7 +52,7 @@ def decisions(seed: int) -> dict[str, str]:
     )
     fleet = FleetFaultPlan(
         FleetFaultSpec(
-            crash_rate=0.3, stall_rate=0.4, partition_rate=0.5, window=4
+            crash_rate=0.3, partition_rate=0.5, window=4
         ),
         seed=seed,
     )

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.resilience.faults import (
-    FLEET_FAULT_KINDS,
-    FleetFaultPlan,
-    FleetFaultSpec,
-)
+from repro.resilience.faults import FleetFaultPlan, FleetFaultSpec
 
 
 def _schedule(plan, kind, shard, member, checks):
@@ -51,21 +47,18 @@ def test_faults_arrive_in_whole_windows():
 
 
 def test_role_targeting_is_structural():
-    """Crash/stall never hit the primary, partition never hits replicas
-    — and the wrong-role checks do not advance the site counters, so
-    they cannot perturb the schedule of the right-role sites."""
+    """Crash never hits the primary, partition never hits replicas — and
+    the wrong-role checks do not advance the site counters, so they
+    cannot perturb the schedule of the right-role sites."""
     plan = FleetFaultPlan(
-        FleetFaultSpec(crash_rate=1.0, stall_rate=1.0, partition_rate=1.0),
-        seed=0,
+        FleetFaultSpec(crash_rate=1.0, partition_rate=1.0), seed=0,
     )
     assert not plan.active("replica-crash", 0, "primary")
-    assert not plan.active("apply-stall", 0, "primary")
     assert not plan.active("partition", 0, "replica-1")
     assert plan.stats()["checks"] == 0
     assert plan.active("replica-crash", 0, "replica-1")
-    assert plan.active("apply-stall", 0, "replica-1")
     assert plan.active("partition", 0, "primary")
-    assert plan.stats()["checks"] == 3
+    assert plan.stats()["checks"] == 2
 
 
 def test_disarm_stops_injection_but_counters_advance():
@@ -90,20 +83,7 @@ def test_stats_report_per_kind_injections():
     stats = plan.stats()
     assert stats["seed"] == 0
     assert stats["checks"] == 2
-    assert stats["injected"] == {
-        "replica-crash": 1, "apply-stall": 0, "partition": 0,
-    }
-
-
-def test_for_kind_builds_single_kind_plans():
-    for kind in FLEET_FAULT_KINDS:
-        plan = FleetFaultPlan.for_kind(kind, rate=1.0, seed=3, window=2)
-        assert plan.spec.rate_for(kind) == 1.0
-        for other in FLEET_FAULT_KINDS:
-            if other != kind:
-                assert plan.spec.rate_for(other) == 0.0
-    with pytest.raises(ValueError):
-        FleetFaultPlan.for_kind("meteor-strike")
+    assert stats["injected"] == {"replica-crash": 1, "partition": 0}
 
 
 def test_unknown_kind_and_bad_spec_are_rejected():

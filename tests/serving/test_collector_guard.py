@@ -100,7 +100,7 @@ def delta_member():
     )
     try:
         shard = router.shards[0]
-        yield shard.source, shard.tracker, shard.members[0].server
+        yield shard.source, shard.source.tracker, shard.members[0].server
     finally:
         router.close()
         db.close()

@@ -226,14 +226,33 @@ def test_the_first_submit_takes_the_clone():
     assert idle.outstanding() == 0
     idle.close()
     assert idle._pool is None
-    tracker = WriteTracker()
-    with ViewServer(db.catalog, source=db, workers=2, tracker=tracker) as server:
+    with ViewServer(db.catalog, source=db, workers=2) as server:
         hotel_write(db, 1)  # a pool flip on ``hotel``
         assert server._pool is None
         trace = server.render(view)
         assert server._pool is not None
         assert trace.xml == serialize(materialize(view, db))
         assert server.metrics()["queries_executed"] == trace.queries_executed
+    db.close()
+
+
+def test_a_server_stamps_with_its_sources_tracker():
+    """``tracker=`` attaches a tracker to a source that has none; a
+    server on a tracked source stamps with that source's tracker, and
+    one handed another is refused rather than stamping with a clock no
+    write reaches."""
+    db = build_hotel_database(
+        HotelDataSpec(metros=2, hotels_per_metro=3), cross_thread=True
+    )
+    tracker = WriteTracker()
+    with ViewServer(db.catalog, source=db, tracker=tracker) as first:
+        assert first.tracker is tracker is db.tracker
+        with ViewServer(db.catalog, source=db) as second:
+            assert second.tracker is tracker
+        with ViewServer(db.catalog, source=db, tracker=tracker) as same:
+            assert same.tracker is tracker
+        with pytest.raises(ValueError, match="source's tracker"):
+            ViewServer(db.catalog, source=db, tracker=WriteTracker())
     db.close()
 
 

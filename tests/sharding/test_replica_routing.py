@@ -1,10 +1,10 @@
-"""Lag-aware replica routing: strict pinning, bounded admission,
-fleet-fault skips, hedge anti-affinity placement, and the least-busy
-order that keeps an idle fleet's reads (and clones) on its primaries.
+"""Replica routing: fleet-fault skips, hedge anti-affinity placement,
+and the least-busy order that keeps an idle fleet's reads (and clones)
+on its primaries.
 
-Fleets here carry real replica lag (``replica_lag_ms``) and fleet-scoped
-fault windows (``FleetFaultPlan``), exercising the candidate gate that
-the per-shard failover tests in test_router_faults.py do not reach.
+Fleets here carry fleet-scoped fault windows (``FleetFaultPlan``),
+exercising the candidate gate that the per-shard failover tests in
+test_router_faults.py do not reach.
 """
 
 from __future__ import annotations
@@ -13,7 +13,13 @@ import time
 
 from repro.maintenance.workload import hotel_metro_write
 from repro.resilience import CircuitBreaker
-from repro.resilience.faults import FaultPlan, FaultSpec, FleetFaultPlan, inject
+from repro.resilience.faults import (
+    FaultPlan,
+    FaultSpec,
+    FleetFaultPlan,
+    FleetFaultSpec,
+    inject,
+)
 from repro.schema_tree.evaluator import materialize
 from repro.serving import PublishRequest
 from repro.sharding import PlacementGroup, ShardRouter
@@ -48,16 +54,13 @@ def _member_breaker(clock):
     )
 
 
-def _fleet(db, *, shards=2, replicas=1, staleness="strict",
-           fleet_faults=None, replica_lag_ms=0.0):
+def _fleet(db, *, shards=2, replicas=1, fleet_faults=None):
     return inject(ShardRouter.build(
         db.catalog,
         db,
         hotel_partition_scheme(),
         shards,
         replicas=replicas,
-        staleness=staleness,
-        replica_lag_ms=replica_lag_ms,
     ), fleet=fleet_faults)
 
 
@@ -79,74 +82,10 @@ def _mirrored_write(router, db, step, domain):
     hotel_metro_write(db, step, domain=domain)
 
 
-def test_strict_routing_pins_to_caught_up_members():
-    """With replicas held back by a huge apply delay, strict reads must
-    land on the primary and serve fresh bytes — never a lagging member."""
-    db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
-    view = figure1_view(db.catalog)
-    domain = _metro_domain(db)
-    router = _fleet(db, replicas=1, replica_lag_ms=120_000.0)
-    try:
-        # One write per metro, so every shard's replica falls behind.
-        for step in range(SPEC.metros):
-            _mirrored_write(router, db, step, domain)
-        reference = serialize(materialize(view, db))
-        for _ in range(4):
-            trace = router.render(view, strategy="bulk", bypass_cache=True)
-            assert trace.outcome == "success"
-            assert trace.xml == reference
-            assert trace.version_lag == 0
-            for shard in trace.shards:
-                assert shard["server"] == "primary"
-                assert shard["lag"] == 0
-        fleet = router.fleet_metrics()
-        assert fleet["skips"]["lagging"] >= 1
-        assert fleet["stale_serves"] == 0
-        assert fleet["max_member_lag_served"] == 0
-        assert router.outstanding() == 0
-    finally:
-        router.close()
-        db.close()
-
-
-def test_bounded_budget_admits_lagging_replicas_within_it():
-    """Partition the primaries so only the (lagging) replicas can serve
-    reads: the bounded budget admits them, strict would refuse."""
-    db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
-    view = figure1_view(db.catalog)
-    domain = _metro_domain(db)
-    plan = FleetFaultPlan.for_kind("partition", rate=1.0, seed=21)
-    plan.disarm()
-    router = _fleet(
-        db, replicas=1, staleness="bounded:16",
-        fleet_faults=plan, replica_lag_ms=120_000.0,
-    )
-    try:
-        for step in range(SPEC.metros):
-            _mirrored_write(router, db, step, domain)
-        plan.arm()
-        for _ in range(4):
-            trace = router.render(view, strategy="bulk", bypass_cache=True)
-            assert trace.outcome in ("success", "degraded")
-            for shard in trace.shards:
-                assert shard["server"] == "replica-1"
-        fleet = router.fleet_metrics()
-        # The lagging replicas served...
-        assert fleet["max_member_lag_served"] >= 1
-        # ...but never past the version budget, and none were skipped.
-        assert fleet["max_member_lag_served"] <= 16
-        assert fleet["lag_budget"] == 16
-        assert fleet["skips"]["lagging"] == 0
-        assert router.outstanding() == 0
-    finally:
-        router.close()
-        db.close()
-
-
 def test_crash_windows_route_around_replicas_without_failing_requests():
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     view = figure1_view(db.catalog)
-    plan = FleetFaultPlan.for_kind("replica-crash", rate=1.0, seed=21)
+    plan = FleetFaultPlan(FleetFaultSpec(crash_rate=1.0), seed=21)
     router = _fleet(db, replicas=2, fleet_faults=plan)
     try:
         for _ in range(6):
@@ -169,12 +108,12 @@ def test_partition_skips_primary_reads_but_writes_still_land():
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     view = figure1_view(db.catalog)
     domain = _metro_domain(db)
-    plan = FleetFaultPlan.for_kind("partition", rate=1.0, seed=21)
+    plan = FleetFaultPlan(FleetFaultSpec(partition_rate=1.0), seed=21)
     plan.disarm()
     router = _fleet(db, replicas=1, fleet_faults=plan)
     try:
-        # Writes land and (zero-delay) appliers mirror them before the
-        # partition arms, so the replicas can serve fresh bytes alone.
+        # Writes land before the partition arms; the replicas read the
+        # same shard sources, so they serve fresh bytes alone.
         for step in range(2):
             _mirrored_write(router, db, step, domain)
         reference = serialize(materialize(view, db))
@@ -186,7 +125,7 @@ def test_partition_skips_primary_reads_but_writes_still_land():
             for shard in trace.shards:
                 assert shard["server"] == "replica-1"
         # The write path ignores read partitions: another write lands
-        # on the partitioned primaries and replicates out.
+        # on the shard sources the replicas read.
         _mirrored_write(router, db, 2, domain)
         reference = serialize(materialize(view, db))
         trace = router.render(view, strategy="bulk", bypass_cache=True)
@@ -278,40 +217,6 @@ def test_unattempted_dead_member_keeps_its_probe_slot():
         assert member["primary"]["state"] == "open"
         assert breaker.stats()["half_opened"] == 1
         assert breaker.stats()["closed"] == 1
-        assert router.outstanding() == 0
-    finally:
-        router.close()
-        db.close()
-
-
-def test_lag_skipped_dead_member_does_not_burn_its_probe():
-    """Regression: the lag-budget gate runs before the breaker is
-    asked, so an open replica that is also lagging past the strict
-    budget is lag-skipped without its trial slot ever being granted —
-    once the applier catches up it is still trial-eligible."""
-    db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
-    view = figure1_view(db.catalog)
-    domain = _metro_domain(db)
-    router = _fleet(db, replicas=1, replica_lag_ms=120_000.0)
-    try:
-        # One write per metro: every shard's replica falls behind.
-        for step in range(SPEC.metros):
-            _mirrored_write(router, db, step, domain)
-        clock = FakeClock()
-        breaker = router.member_breaker = _member_breaker(clock)
-        replica = router.shards[0].members[1]
-        for _ in range(MEMBER_THRESHOLD):
-            breaker.record_failure(replica.key)
-        clock.advance(1.0)  # past the cooldown, but lagging
-        for _ in range(3):
-            trace = router.render(view, strategy="bulk", bypass_cache=True)
-            assert trace.outcome == "success"
-        assert breaker.state(replica.key) == "open"
-        assert breaker.stats()["half_opened"] == 0
-        assert breaker.stats()["short_circuits"] == 0
-        assert breaker.ready(replica.key)
-        fleet = router.fleet_metrics()
-        assert fleet["skips"]["lagging"] >= 1
         assert router.outstanding() == 0
     finally:
         router.close()
@@ -427,8 +332,8 @@ def test_reads_leave_a_partitioned_primary_and_come_back_after_the_window():
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     view = figure1_view(db.catalog)
     reference = serialize(materialize(view, db))
-    plan = FleetFaultPlan.for_kind("partition", rate=0.5, seed=5, window=2)
-    twin = FleetFaultPlan.for_kind("partition", rate=0.5, seed=5, window=2)
+    spec = FleetFaultSpec(partition_rate=0.5, window=2)
+    plan, twin = FleetFaultPlan(spec, seed=5), FleetFaultPlan(spec, seed=5)
     router = _fleet(db, fleet_faults=plan)
     try:
         schedule = []

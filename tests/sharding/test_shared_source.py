@@ -7,9 +7,9 @@ of each shard. Two properties follow and are pinned here:
 * the source's gate keeps writes and reads apart, so a fleet read that
   overlaps a stream of routed writes never meets sqlite's "table is
   locked";
-* a replica whose applier holds writes back reads data newer than its
-  own clock, so it must not splice: a stale promoted entry is recomputed
-  in full (counted as ``stamp-race``) and answers the single box's bytes.
+* a replica stamps with its shard's one tracker, so it is as fresh as
+  its primary: a strict read reaches it, and it maintains a stale entry
+  by delta like its primary would, answering the single box's bytes.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import threading
 import pytest
 
 from repro.maintenance.workload import hotel_write
-from repro.resilience.faults import FleetFaultPlan, inject
+from repro.resilience.faults import FleetFaultPlan, FleetFaultSpec, inject
 from repro.schema_tree.evaluator import materialize
-from repro.serving import PublishRequest
+from repro.serving import PublishRequest, ViewServer
 from repro.sharding import ShardRouter
 from repro.workloads.hotel import (
     HotelDataSpec,
@@ -100,24 +100,23 @@ def test_a_fleet_reader_never_meets_a_locked_table():
         db.close()
 
 
-def test_a_lagging_replica_recomputes_a_stale_entry_in_full():
-    """A replica 120 s behind its primary serves under ``bounded:1``
-    (the primary is read-partitioned). Its promoted entry goes stale by
-    two hotel writes it has applied while an availability write is still
-    held back: the replica's clock is behind its source's, so the delta
-    (which would refetch the written hotel rows and miss the held-back
-    counts) is discarded as a ``stamp-race``, and the full recompute
-    answers the single box's bytes, the held-back write included."""
+def test_a_replica_maintains_a_stale_entry_by_delta_on_its_shards_tracker():
+    """The primary is read-partitioned, so every strict read reaches the
+    replica, and a single box on the unpartitioned data takes the same
+    writes and reads. The replica's entry goes stale by two availability
+    writes and is recomputed in full, keeping state; two hotel writes
+    later it is stale again, and the replica splices it by delta on the
+    shard's tracker, with no ``stamp-race``. Every read answers the
+    single box's bytes, freshness and ``version_lag``: the router adds
+    no lag of its own."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=2003)
     view = figure1_view(db.catalog)
-    plan = FleetFaultPlan.for_kind("partition", rate=1.0, seed=21)
+    plan = FleetFaultPlan(FleetFaultSpec(partition_rate=1.0), seed=21)
     router = inject(ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 1,
-        replicas=1, staleness="bounded:1",
-        replica_lag_ms=120_000.0,
+        db.catalog, db, hotel_partition_scheme(), 1, replicas=1,
     ), fleet=plan)
-    replica = router.shards[0].members[1]
-    applier = replica.applier
+    single = ViewServer(db.catalog, db)
+    primary, replica = router.shards[0].members
 
     def write(step, table):
         router.route_write(
@@ -125,34 +124,32 @@ def test_a_lagging_replica_recomputes_a_stale_entry_in_full():
         )
         hotel_write(db, step, mix=(table,))
 
-    def catch_up():
-        applier.delay_ms = 0
-        applier.apply_pending()
-        applier.delay_ms = 120_000.0
-
-    def read():
-        trace = router.render(view)
-        assert trace.outcome == "success", trace
+    def read(freshness, version_lag):
+        trace, box = router.render(view), single.render(view)
+        assert trace.outcome == box.outcome == "success", trace
         assert [s["server"] for s in trace.shards] == ["replica-1"]
-        return trace
+        assert trace.xml == box.xml
+        assert (trace.freshness, trace.version_lag) == (freshness, version_lag)
+        assert (box.freshness, box.version_lag) == (freshness, version_lag)
 
     try:
-        read()  # a miss: computed and stored
+        assert primary.server.tracker is replica.server.tracker
+        read("miss", 0)
         for step in range(2):
             write(step, "availability")
-        catch_up()
-        read()  # stale by 2 > 1: recomputed in full, state kept
+        read("stale-recompute", 2)  # recomputed in full, state kept
         for step in range(2, 4):
             write(step, "hotel")
-        catch_up()
-        write(4, "availability")  # held back: the replica lags by one
-        assert replica.lag(router.shards[0]) == 1
-        trace = read()
-        assert trace.xml == serialize(materialize(view, db))
+        read("delta-recompute", 2)
         metrics = replica.server.metrics()
-        assert metrics["freshness"]["delta-recompute"] == 0
-        assert metrics["delta_fallbacks_by_reason"]["stamp-race"] == 1
+        assert metrics["freshness"]["delta-recompute"] == 1
+        assert metrics["delta_fallbacks_by_reason"]["stamp-race"] == 0
+        fleet = router.fleet_metrics()
+        assert fleet["skips"]["partition"] == 3
+        # Computed bytes are fresh: nothing was served stale.
+        assert (fleet["stale_serves"], fleet["max_served_lag"]) == (0, 0)
         assert router.outstanding() == 0
     finally:
+        single.close()
         router.close()
         db.close()

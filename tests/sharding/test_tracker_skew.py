@@ -154,7 +154,7 @@ def test_fleet_counts_each_write_once(replicas):
             app.apply_write()
         tracker = router.aggregate_metrics()["tracker"]
         assert tracker["total_writes"] == sum(
-            shard.tracker.clock() for shard in router.shards
+            shard.source.tracker.clock() for shard in router.shards
         )
         assert sum(tracker["versions"].values()) == tracker["total_writes"]
     finally:

@@ -294,7 +294,7 @@ def test_serve_http_has_no_fragment_tier_flags():
     assert "--chaos" in options
     assert not [flag for flag in options if "fault" in flag]
     assert "--workers" not in options  # every server computes on one worker
-    assert len(options) == 21
+    assert len(options) == 20
     # The one-shot oracle keeps its evaluator choice; serving has none.
     materialize = subparsers.choices["materialize"]
     (strategy,) = [
