@@ -18,9 +18,10 @@ cancellation) live below HTTP anyway:
   counters + hedging section).
 * ``GET /healthz`` — liveness plus drain state.
 * ``POST /write`` — test/harness hook applying one workload write, on
-  a worker thread (a write waits at the engine's gate for in-flight
-  reads, and the loop must keep answering meanwhile), one at a time in
-  arrival order.
+  the backend's executor (a single box's worker, where it queues behind
+  the computation in flight; a fleet's scatter pool, where it waits at
+  each shard's gate for the members' reads), so the loop keeps
+  answering meanwhile; one at a time in arrival order.
 
 Connections are keep-alive by default (HTTP/1.1 semantics;
 ``Connection: close`` honored). :meth:`FrontendServer.drain` makes
@@ -295,7 +296,9 @@ class FrontendServer:
                 )
             if route == ("POST", "/write"):
                 async with self._write_lock:
-                    applied = await asyncio.to_thread(self.app.apply_write)
+                    applied = await asyncio.get_running_loop().run_in_executor(
+                        self.app.backend.executor, self.app.apply_write
+                    )
                 return render_response(200, _json_body({"writes_applied": applied}))
             if request.path in ("/publish", "/metrics", "/healthz", "/write"):
                 raise HttpError(405, f"{request.method} not allowed here")
@@ -353,8 +356,8 @@ class FrontendServer:
         ``timeout``; parked keep-alive sockets are answered ``503`` +
         close if they speak during the drain, and force-closed after
         the in-flight work settles either way. The in-flight work
-        includes the writes already taken in, which run on worker
-        threads: none may meet a database closed under it.
+        includes the writes already taken in, which run on the backend's
+        executor: none may meet a database closed under it.
         """
         self._draining = True
         if self._server is not None:

@@ -28,10 +28,10 @@ pushed to exactly the affected nodes:
    its new column and every other node to the old state's own column
    object. Nothing nested exists, so there is no spine to copy: an
    emission reads each column front to back by the counts, whichever
-   generation made it. The old state is never written — a failure
-   mid-way cannot tear the cached entry, the server just falls back to
-   full recomputation — and what a column reads by position is checked
-   first (:func:`~repro.schema_tree.bulk_evaluator.columns_fit`).
+   generation made it. The old state is never written, so a failure
+   mid-way cannot tear the cached entry, and what a column reads by
+   position is checked first
+   (:func:`~repro.schema_tree.bulk_evaluator.columns_fit`).
 
 The chain has three rungs, each the fallback of the one before: **row**
 — where the tracker reports which rows changed and the changed columns
@@ -39,17 +39,22 @@ are pure payload, step 3 re-fetches just those rows by key
 (:meth:`DeltaEvaluator._try_row_splice`): the node's new column is the
 old one with text and row replaced at the positions of the changed keys,
 every other text the old string and the columns below it shared;
-**node** — steps 1-4 as written; **full** — the server's
-recompute when this module declines. Every
-:class:`~repro.serving.server.ViewServer` maintains a stale entry this
-way: there is no mode that skips to the last rung.
+**node** — steps 1-4 as written; **full** — the server's recompute when
+this module declines or fails. A :class:`~repro.serving.server.ViewServer`
+climbs all three in one borrow of its session: the version vector it
+stamps the result with, the tracker's ``changes`` since the old stamp
+and every statement here are read under the session's shared permit of
+the source's gate, so no engine write lands between them. Only a write
+that passes no gate (a bare ``connection.execute`` on the source) can;
+the server re-checks the vector before the session goes back and
+discards such a splice (``stamp-race``).
 
 Anything the splice cannot prove safe raises :class:`DeltaUnsupported`
 (deliberately *not* a :class:`~repro.errors.ReproError`, so the server's
 request-error handling never confuses "delta declined" with "request
-failed"): an ancestor without a context key, or kept state that does not
-have the view's shape (a column missing, or counts that do not line up
-with the columns they count).
+failed"): no schema node reading a changed table, or kept state that
+does not have the view's shape (a column missing, or counts that do not
+line up with the columns they count).
 
 A column has no pointer to another column (its parent is a schema id,
 looked up in the state it is read in): a new generation refers to the
@@ -60,8 +65,9 @@ State lifecycle: a cached result *earns* its :class:`MaterializedState`.
 A first computation stores bytes only; the first stale read of a
 resident key finds nothing to splice against (fallback reason
 ``no-state``) and recomputes in full, keeping the columns the bytes were
-emitted from — the promotion — and every later stale read of that entry is a delta. Entries evicted
-before any write reaches them never pay for state.
+emitted from — the promotion — and every later stale read of that entry
+is a delta. Entries evicted before any write reaches them never pay for
+state.
 """
 
 from __future__ import annotations
@@ -294,8 +300,6 @@ class DeltaEvaluator:
                 for a in nodes_by_id[node_id].path_from_root()[1:-1]
             )
         ]
-        for node_id in frontier:
-            self._check_spliceable(nodes_by_id[node_id], plans)
 
         rows_before = self.db.stats.rows_fetched
         splice_started = time.perf_counter()
@@ -567,21 +571,7 @@ class DeltaEvaluator:
                 touched.add(name)
         return touched
 
-    # -- frontier validation and re-evaluation --------------------------------
-
-    def _check_spliceable(
-        self, node: SchemaNode, plans: dict[int, _NodePlan]
-    ) -> None:
-        """Reject frontiers under an ancestor that binds no context key."""
-        for ancestor in node.path_from_root()[1:-1]:
-            if ancestor.tag_query is None:
-                continue
-            plan = plans.get(ancestor.id)
-            if plan is None or ancestor.bv is None:
-                raise DeltaUnsupported(
-                    f"ancestor <{ancestor.tag}> of dirty node {node.id} has "
-                    "no context key"
-                )
+    # -- node-level re-evaluation ---------------------------------------------
 
     def _remake_subtree(
         self,

@@ -1,63 +1,55 @@
 """Long-lived concurrent publishing server.
 
 :class:`ViewServer` is the serving-path counterpart of the one-shot
-``python -m repro materialize`` pipeline: it keeps compiled plans
-(composed + pruned stylesheet views) in a content-addressed
-:class:`~repro.serving.plan_cache.PlanCache`, and executes
-materialization requests — a policy-fresh cached one on the submitting
-thread, the rest on one worker thread, which borrows the read-only
-session of a :class:`~repro.serving.pool.ConnectionPool`.
-
-Every request produces a :class:`RequestTrace`: where the time went
-(plan acquisition vs execution vs serialization), how much engine work
-it did (queries, rows), how much output it built (elements,
-attributes), and whether the plan came from cache.
-``benchmarks/perf`` aggregates these traces into its per-layer budget.
+``python -m repro materialize`` pipeline. A request passes admission,
+then three stages: **plan** (composed + pruned stylesheet views in a
+content-addressed :class:`~repro.serving.plan_cache.PlanCache`),
+**result cache** (a policy-fresh entry answers; on a resident plan, on
+the submitting thread) and **compute**, on the one worker thread. Every
+request produces a :class:`RequestTrace`: where the time went, how much
+engine work it did, how much output it built, and which cache answered;
+``benchmarks/perf`` aggregates these into its per-layer budget.
 
 Equivalence guarantee: a served request returns byte-identical XML to a
 serial :func:`repro.schema_tree.evaluator.materialize` of the same
-composed view on the same data — the property suite in
-``tests/serving/test_concurrent_equivalence.py`` checks this against
-the nested-loop oracle with 8 submitting threads. The serving path has
-one evaluator, :class:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator`,
-in one output form on the composed rung: rows to text columns and one
-emission over them, never a tree — the maintenance state a promotion
-keeps and a delta splices is those columns. A stylesheet that does not
-compose runs over the materialized view (the naive rung of
-:func:`compile_plan`); what no rung plans is a cached, typed refusal
-that the circuit breaker never counts.
+composed view on the same data (``tests/serving/test_concurrent_equivalence.py``
+checks it against the nested-loop oracle with 8 submitting threads).
+The serving path has one evaluator,
+:class:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator`, in one
+output form on the composed rung: rows to text columns and one emission
+over them, never a tree. A stylesheet that does not compose runs over
+the materialized view (the naive rung of :func:`compile_plan`); what no
+rung plans is a cached, typed refusal that the breaker never counts.
 
-Update awareness: every server tracks its source through the source's
+Update awareness: a server stamps with its source's
 :class:`~repro.maintenance.tracker.WriteTracker` (the one passed is
-attached to a source that has none, so every served source records its
-writes) and memoizes serialized responses in a
-:class:`~repro.maintenance.result_cache.ResultCache` keyed by plan
-fingerprint and stamped with the plan's base-table version
-vector; a :class:`~repro.maintenance.policy.StalenessPolicy` decides
-whether cached bytes may be served or must be recomputed over the live
-data. A stale entry is maintained by delta
-(:mod:`repro.maintenance.incremental`), whose last rung is the full
-recompute. Under the ``strict`` policy the equivalence
-guarantee extends across interleaved base-data writes (the property
-suite in ``tests/maintenance/test_freshness_property.py``).
+attached to a source that has none) and memoizes responses in a
+:class:`~repro.maintenance.result_cache.ResultCache`, each stamped with
+the plan's base-table version vector; a
+:class:`~repro.maintenance.policy.StalenessPolicy` decides whether
+cached bytes may be served. The compute stage is one ladder: each
+attempt borrows the session once, reads the stamp, the tracker's
+changes and the column memo's clock under the session's shared permit
+(no gated write moves the source while it is out), tries the delta rung
+(:mod:`repro.maintenance.incremental`) when the stale entry holds state
+and the full rung when it declines, then emits and stores once. Under
+``strict`` the equivalence guarantee extends across interleaved writes
+(``tests/maintenance/test_freshness_property.py``).
 
-Resilience: constructed with a
-:class:`~repro.resilience.policy.ResiliencePolicy`, the serving path
-becomes bounded and self-healing — per-request deadlines (the engine's
-``cancel_check`` at query boundaries plus a poll within each statement,
-both on the thread that runs it), retry-with-backoff for transient
-errors (:func:`repro.errors.classify_error`), a
-per-fingerprint circuit breaker (the server's own, also when the plan
-store is shared: it counts this member's failures), admission control
-(bounded queue, shed requests trace ``outcome="rejected"``), and a
-**degraded-stale** fallback: when computation fails or the breaker is
-open, the last-known-good result-cache entry is served with
-``freshness="degraded-stale"`` and its true ``version_lag`` — unless
-the staleness policy is ``strict``, which never serves stale bytes
-silently (the request errors instead). Chaos enters from outside, by
-wrapping a built server's parts (:func:`repro.resilience.faults.inject`).
-No exception ever propagates out of the worker: every failure lands in the
-trace's ``outcome`` / ``error`` fields.
+Resilience: with a :class:`~repro.resilience.policy.ResiliencePolicy`
+the path is bounded and self-healing — per-request deadlines (the
+engine's ``cancel_check`` at query boundaries plus a poll within each
+statement, on the thread that runs it), retry-with-backoff for transient
+errors (:func:`repro.errors.classify_error`), a per-fingerprint circuit
+breaker (this server's own, admitted once and settled once per request),
+priority-aware admission control (shed requests trace
+``outcome="rejected"``), and a **degraded-stale** fallback: when
+computation fails or the breaker is open, the last-known-good entry is
+served with its true ``version_lag`` — never under ``strict``, whose
+requests error instead. Chaos enters from outside, by wrapping a built
+server's parts (:func:`repro.resilience.faults.inject`). No exception
+leaves the worker: every failure lands in the trace's ``outcome`` /
+``error``.
 """
 
 from __future__ import annotations
@@ -67,7 +59,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import (
     CircuitOpen,
@@ -79,11 +71,12 @@ from repro.errors import (
 )
 from repro.maintenance.incremental import (
     DeltaEvaluator,
+    DeltaResult,
     DeltaUnsupported,
     MaterializedState,
 )
 from repro.maintenance.policy import StalenessPolicy
-from repro.maintenance.result_cache import ResultCache
+from repro.maintenance.result_cache import CachedResult, ResultCache
 from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database, QueryStats
 from repro.resilience.breaker import CircuitBreaker
@@ -272,9 +265,10 @@ class RequestTrace:
     #: ``delta-recompute`` (refreshed by delta), or ``bypass`` (a
     #: ``bypass_cache`` request, or one shed before it was looked up).
     freshness: str = "bypass"
-    #: Write events on the plan's read set since the consulted cache
-    #: entry was stamped (0 on miss/bypass). On a ``hit`` this is the
-    #: staleness actually served — bounded policies keep it <= max_lag.
+    #: How stale the served bytes are: write events on the plan's read
+    #: set since the entry served was stamped, on a ``hit`` (bounded
+    #: policies keep it <= max_lag) or a ``degraded-stale`` fallback; 0
+    #: on every computed response.
     version_lag: int = 0
     #: On a ``delta-recompute``: how many schema nodes the write set
     #: dirtied (the re-executed frontier plus its subsumed descendants).
@@ -414,7 +408,9 @@ class ViewServer:
         )
         self._source = source
         self._pool: Optional[ConnectionPool] = None
-        self._executor = ThreadPoolExecutor(
+        #: The one worker: every computation, and the writes the front
+        #: end applies (``POST /write``), which queue behind them.
+        self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="viewserver"
         )
         self.catalog_fingerprint = fingerprint_catalog(catalog)
@@ -549,7 +545,7 @@ class ViewServer:
                 answered.set_result(trace)
                 return answered
         try:
-            return self._executor.submit(
+            return self.executor.submit(
                 self._serve, request, request_id, key,
                 time.perf_counter() - started,
             )
@@ -626,19 +622,11 @@ class ViewServer:
         ))[0].check()
 
     def _plan(self, key: str, request: PublishRequest) -> tuple[CompiledPlan, bool]:
-        """``(plan, was_hit)`` from the store, compiling on a miss.
-
-        The lookup counts as this server's, and so does a failed build the
-        breaker hears: it is its caller's alone (waiters retry). A compile
-        that succeeds settles nothing — the request it serves is not done,
-        and a refusal (cached like a plan) is no failure.
-        """
-
-        try:
-            return self._lookup(key, lambda: self._compile(key, request))
-        except Exception as exc:
-            self._record_failure(key, exc)
-            raise
+        """``(plan, was_hit)`` from the store, compiling on a miss; the
+        lookup counts as this server's. A failed build is its caller's
+        alone (waiters retry), and the request it fails settles the
+        breaker; a refusal (cached like a plan) is no failure."""
+        return self._lookup(key, lambda: self._compile(key, request))
 
     def _compile(self, key: str, request: PublishRequest) -> CompiledPlan:
         """The plan path's compile call on a miss: what a wrapper around
@@ -656,147 +644,18 @@ class ViewServer:
             self.counts.count("cache.hits" if hit else "cache.misses")
         return plan, hit
 
-    def _record_failure(self, key: str, exc: Exception) -> None:
-        """Feed one failed attempt at ``key`` to the breaker.
-
-        A cancellation is no verdict on the plan: it gives back the
-        half-open trial the request may hold. A breaker refusal holds
-        none and is no verdict either.
-        """
+    def _admit(self, key: str) -> bool:
+        """The breaker's admission of a request for ``key``: ``False``
+        without a breaker, ``True`` once admitted (the request must then
+        settle it); an open breaker raises :class:`CircuitOpen`."""
         breaker = self.breaker
-        if breaker is None or isinstance(exc, CircuitOpen):
-            return
-        if isinstance(exc, RequestCancelled):
-            breaker.release(key)
-        else:
-            breaker.record_failure(key)
-
-    # -- freshness -----------------------------------------------------------
-
-    def _serve_delta(
-        self, plan: CompiledPlan, trace: RequestTrace, deadline: Deadline
-    ) -> Optional[str]:
-        """One incremental refresh attempt; ``None`` means fall back to full.
-
-        Snapshot discipline (the read-then-stamp race): dirty-node
-        selection, the delta queries, and the published version stamp
-        must all agree on one version vector. The vector is re-read just
-        before the session is borrowed, so the data it reads is *at or
-        ahead of* it. If after the splice a tracked table advanced, the
-        data may hold writes the selection never saw: the splice is
-        discarded as a ``stamp-race`` and the request recomputes in
-        full. On success the entry is stamped with exactly the selection
-        vector. The stale entry itself
-        is never written: the splice builds new state sharing untouched
-        columns, so a failure mid-way leaves the cache untouched.
-        """
-        stale = self.result_cache.peek(plan.key)
-        if stale is None or not isinstance(stale.state, MaterializedState):
-            self.counts.count("delta_fallbacks_by_reason.no-state")
-            return None
-        versions = self.tracker.versions(plan.tables)
-        changed = [
-            t
-            for t in plan.tables
-            if versions.get(t, 0) > stale.versions.get(t, 0)
-        ]
-        if not changed:
-            self.counts.count("delta_fallbacks_by_reason.no-change")
-            return None
-        # Row-level change detail (changed keys + columns) for the key
-        # pushdown path. Computed against the live log, which may run
-        # ahead of the selection vector — harmless, because any advance
-        # past it is caught by the stamp-race check below.
-        changes = self.tracker.changes_since(stale.versions, plan.tables)
-        try:
-            with self.pool.session() as db:
-                with self._deadline_guard(db, deadline):
-                    before = db.stats.snapshot()
-                    stats = MaterializeStats()
-                    execute_started = time.perf_counter()
-                    result = DeltaEvaluator(db, stats=stats).evaluate(
-                        plan.view,
-                        stale.state,
-                        plan.node_read_sets,
-                        changed,
-                        changes=changes,
-                    )
-                    trace.execute_seconds = (
-                        time.perf_counter() - execute_started
-                    )
-                    after = db.stats.snapshot()
-        except DeltaUnsupported:
-            self.counts.count("delta_fallbacks_by_reason.unsupported")
-            return None
-        except DeadlineExceeded:
-            # The time budget is gone: a full recompute cannot succeed
-            # either, so let the resilience layer degrade or error.
-            raise
-        except Exception:
-            # If the failure was really the deadline (e.g. a statement
-            # the poll cut short, surfacing as a wrapped
-            # OperationalError), re-raise it as such — a full
-            # recompute cannot beat an expired budget.
-            deadline.check()
-            # A mid-splice failure of any kind must not surface as a
-            # request error: the old entry is untouched (the splice
-            # never mutates it), so falling back to a full recompute is
-            # always safe — and what the fault-injection tests assert.
-            self.counts.count("delta_fallbacks_by_reason.error")
-            return None
-        if self.tracker.versions(plan.tables) != versions:
-            # A write raced the splice: the data may be ahead of the
-            # dirty-node selection. Discard the (possibly torn) result.
-            self.counts.count("delta_fallbacks_by_reason.stamp-race")
-            return None
-        trace.queries_executed = (
-            after["queries_executed"] - before["queries_executed"]
-        )
-        trace.rows_fetched = after["rows_fetched"] - before["rows_fetched"]
-        trace.query_seconds = after["query_seconds"] - before["query_seconds"]
-        trace.splice_seconds = result.splice_seconds
-        trace.rows_spliced = result.rows_spliced
-        trace.elements_created = stats.elements_created
-        trace.attributes_created = stats.attributes_created
-        trace.dirty_nodes = len(result.dirty_nodes)
-        if result.state is stale.state:
-            # Every dirty candidate was refined away: the body is the
-            # stored one, by reference, and only the stamp moves.
-            xml = stale.xml
-        else:
-            join_started = time.perf_counter()
-            xml = result.state.text()
-            trace.serialize_seconds = time.perf_counter() - join_started
-        self.result_cache.store(
-            plan.key, xml, versions, plan.tables, state=result.state
-        )
-        return xml
+        if breaker is None:
+            return False
+        if not breaker.allow(key):
+            raise CircuitOpen(key, breaker.retry_after_ms(key))
+        return True
 
     # -- execution -----------------------------------------------------------
-
-    @contextmanager
-    def _deadline_guard(self, db, deadline: Deadline):
-        """Enforce ``deadline`` on one borrowed session, on this thread.
-
-        Between statements the engine's ``cancel_check`` hook raises
-        :class:`DeadlineExceeded` (or
-        :class:`~repro.errors.RequestCancelled` for a cancelled token);
-        within one, the driver polls :meth:`Deadline.stopped` and cuts
-        the statement short as a transient ``interrupted`` error, which
-        the callers turn back into the real failure with
-        ``deadline.check()``. Both are cleared before the session goes
-        back to the pool, and no other thread touches the connection.
-        """
-        if deadline.budget_ms is None and deadline.token is None:
-            yield
-            return
-        db.cancel_check = deadline.check
-        db.driver.stop_when(db.connection, deadline.stopped)
-        try:
-            yield
-        finally:
-            db.driver.stop_when(db.connection, None)
-            db.cancel_check = None
 
     def _answer_hit(
         self,
@@ -878,172 +737,149 @@ class ViewServer:
         started: float,
         deadline: Deadline,
     ) -> None:
+        """Plan, result cache, compute.
+
+        One breaker admission per request, settled once by the request's
+        outcome. A plan that is not resident is admitted at the compile
+        gate (an open breaker must not start a compile storm for a plan
+        that keeps failing); a resident one at the compute gate, so a
+        policy-fresh hit on it costs the breaker nothing: the breaker
+        guards computation, not reads. A refusal or a cancellation gives
+        the admission back unjudged.
+        """
         if request.cancel is not None:
             # A request cancelled while still queued (a hedged loser
             # whose sibling already answered) must not burn the worker
             # on plan or cache work it will throw away.
             request.cancel.check()
-        breaker = self.breaker
-        # One admission per request, settled by the request's own
-        # outcome. A plan that is not resident is admitted at the compile
-        # gate here (an open breaker must not start a compile storm for a
-        # plan that keeps failing); a resident one at the compute gate
-        # below, so a policy-fresh hit on it costs the breaker nothing.
-        admitted = breaker is not None and key not in self.plan_cache
-        if admitted and not breaker.allow(key):
-            raise CircuitOpen(key, breaker.retry_after_ms(key))
-        plan, hit = self._plan(key, request)
-        trace.cache_hit = hit
-        trace.plan_seconds = time.perf_counter() - started
-        if plan.refusal is not None:
-            if admitted:
-                breaker.release(key)
+        admitted = key not in self.plan_cache and self._admit(key)
+        try:
+            plan, trace.cache_hit = self._plan(key, request)
+            trace.plan_seconds = time.perf_counter() - started
+            if plan.refusal is not None and admitted:
+                self.breaker.release(key)
+                admitted = False
             plan.check()
-        # -- result cache: consult before touching the pool. The
-        # entry's version stamp is compared against the tracker's
-        # live vector over the plan's read set; the staleness policy
-        # decides whether cached bytes may be served.
-        use_result_cache = not request.bypass_cache
-        cached = None
-        current_versions: dict[str, int] = {}
-        if use_result_cache:
-            current_versions = self.tracker.versions(plan.tables)
-            cached, lag = self.result_cache.lookup(
-                key, current_versions, self.staleness
-            )
-            trace.version_lag = lag
-            trace.freshness = (
-                "hit"
-                if cached is not None
-                else ("stale-recompute" if lag > 0 else "miss")
-            )
-        if cached is not None:
-            # Policy-fresh cached bytes serve even under an open
-            # breaker — the breaker guards computation, not reads.
-            trace.xml = cached.xml
+            if not request.bypass_cache:
+                cached, lag = self.result_cache.lookup(
+                    key, self.tracker.versions(plan.tables), self.staleness
+                )
+                if cached is not None:
+                    trace.freshness, trace.version_lag = "hit", lag
+                    trace.xml = cached.xml
+                else:
+                    trace.freshness = "stale-recompute" if lag else "miss"
+            if trace.xml is None:
+                admitted = admitted or self._admit(key)
+                self._compute(plan, trace, deadline)
+        except Exception as exc:
             if admitted:
-                breaker.record_success(key)
-            return
-        if breaker is not None and not admitted and not breaker.allow(key):
-            raise CircuitOpen(key, breaker.retry_after_ms(key))
-        delta_xml = None
-        if trace.freshness == "stale-recompute":
-            try:
-                delta_xml = self._serve_delta(plan, trace, deadline)
-            except Exception as exc:
-                self._record_failure(key, exc)
-                raise
-        if delta_xml is not None:
-            trace.freshness = "delta-recompute"
-            trace.xml = delta_xml
-            if breaker is not None:
-                breaker.record_success(key)
-            return
-        self._compute_with_retries(
-            plan, trace, use_result_cache, current_versions, deadline
-        )
+                if isinstance(exc, RequestCancelled):
+                    self.breaker.release(key)
+                else:
+                    self.breaker.record_failure(key)
+            raise
+        if admitted:
+            self.breaker.record_success(key)
 
-    def _compute_with_retries(
-        self,
-        plan: CompiledPlan,
-        trace: RequestTrace,
-        use_result_cache: bool,
-        current_versions: dict[str, int],
-        deadline: Deadline,
+    # -- the compute stage ---------------------------------------------------
+
+    def _compute(
+        self, plan: CompiledPlan, trace: RequestTrace, deadline: Deadline
     ) -> None:
-        """Full computation under the retry/backoff/breaker policy.
+        """Compute ``plan`` into ``trace``: attempts under the retry policy.
 
         Transient failures (busy/locked/disk-I/O, per
         :func:`repro.errors.classify_error`) are retried up to the
         policy's budget with exponential backoff + full jitter, capped
-        by the request deadline; every failed attempt feeds the plan's
-        circuit breaker, every success resets it. Permanent failures
-        and expired deadlines raise immediately.
+        by the request deadline; permanent failures and expired deadlines
+        raise at once. Only the first attempt tries the delta rung.
         """
         policy = self.resilience
-        breaker = self.breaker
-        attempt = 0
+        budget = policy.retries if policy is not None else 0
+        delta = trace.freshness == "stale-recompute"
         while True:
             try:
                 deadline.check()
-                self._execute_full(
-                    plan, trace, use_result_cache, current_versions, deadline
-                )
+                self._attempt(plan, trace, deadline, delta)
+                return
             except Exception as exc:
-                # A statement the deadline poll cut short surfaces as a
-                # transient 'interrupted' error; the expired budget /
-                # cancellation is the real failure, so the breaker
-                # hears it and it is re-raised.
-                try:
-                    if not isinstance(exc, (DeadlineExceeded, RequestCancelled)):
-                        deadline.check()
-                except (DeadlineExceeded, RequestCancelled) as real:
-                    self._record_failure(plan.key, real)
+                if not isinstance(exc, (DeadlineExceeded, RequestCancelled)):
+                    # A statement the deadline poll cut short surfaces as
+                    # a transient 'interrupted' error; the expired budget
+                    # or the cancellation is the real failure.
+                    deadline.check()
+                if classify_error(exc) != "transient" or trace.retries >= budget:
                     raise
-                self._record_failure(plan.key, exc)
-                kind = classify_error(exc)
-                budget = policy.retries if policy is not None else 0
-                if kind != "transient" or attempt >= budget:
-                    raise
-                attempt += 1
-                trace.retries = attempt
-                self.counts.count("resilience.retries")
-                delay_ms = policy.backoff_ms(attempt)
-                remaining = deadline.remaining_ms()
-                if remaining is not None:
-                    delay_ms = min(delay_ms, remaining)
-                if delay_ms > 0:
-                    time.sleep(delay_ms / 1000.0)
-                continue
-            if breaker is not None:
-                breaker.record_success(plan.key)
-            return
+            trace.retries += 1
+            delta = False
+            self.counts.count("resilience.retries")
+            delay_ms = policy.backoff_ms(trace.retries)
+            remaining = deadline.remaining_ms()
+            if remaining is not None:
+                delay_ms = min(delay_ms, remaining)
+            if delay_ms > 0:
+                time.sleep(delay_ms / 1000.0)
 
-    def _execute_full(
+    def _attempt(
         self,
         plan: CompiledPlan,
         trace: RequestTrace,
-        use_result_cache: bool,
-        current_versions: dict[str, int],
         deadline: Deadline,
+        delta: bool,
     ) -> None:
-        """One full-plan evaluation attempt (the pre-resilience path); on
-        the naive rung a tree, transformed, and no maintenance state."""
-        # The session reads the source itself: its data is at least as
-        # fresh as the version stamp published below, and a bypass_cache
-        # request reads live data.
-        naive = plan.rung == "naive"
-        # Maintenance state is earned: the columns are kept only when
-        # this key is already resident (the entry went stale, so a delta
-        # would have had something to splice). A first computation
-        # stores bytes only — most entries are evicted before any write
-        # reaches them.
-        promotion = (
-            use_result_cache
-            and not naive
-            and self.result_cache.peek(plan.key) is not None
-        )
-        with self.pool.session() as db:
-            with self._deadline_guard(db, deadline):
-                before = db.stats.snapshot()
-                stats = MaterializeStats()
-                # Shared columns answer at the clock read here, under the
-                # session's shared permit and before any statement runs;
-                # a bypass_cache request neither reads nor admits them.
+        """One borrow of the session: the delta rung when ``delta``, the
+        full rung when it declines or fails; then the trace, the text and
+        the entry, once.
+
+        The stamp is read inside the borrow. The session holds the
+        source's shared permit, so no gated write moves the source while
+        it is out: the version vector, the changes since the entry's stamp
+        and the memo's clock read here agree with every statement's data.
+        A write that landed before the borrow is in the stamp; one that
+        arrives during it waits at the gate, and the bytes keep the stamp
+        from before it. Only an ungated write (a bare
+        ``connection.execute`` on the source) moves the vector under a
+        borrow: the delta rung re-checks it before the session goes back
+        and discards the splice as a ``stamp-race``. The full rung needs
+        no re-check: its data is at or ahead of its stamp. The stale
+        entry is never written: a splice builds new state sharing its
+        untouched columns, so a failure mid-way leaves the cache intact.
+
+        The full rung keeps the columns (the promotion) only when the key
+        is already resident: the entry went stale, so a delta would have
+        had something to splice. A first computation stores bytes only.
+        On the naive rung it builds a tree, transformed, and keeps nothing.
+        """
+        cached = trace.freshness != "bypass"
+        stats = MaterializeStats()
+        with self._deadline_guard(deadline) as db:
+            before = db.stats.snapshot()
+            execute_started = time.perf_counter()
+            versions = self.tracker.versions(plan.tables) if cached else {}
+            entry = self.result_cache.peek(plan.key) if cached else None
+            splice = (
+                self._delta(db, stats, plan, entry, versions, deadline)
+                if delta else None
+            )
+            if splice is not None:
+                state = splice.state
+            else:
+                # A bypass_cache request neither reads nor admits shared
+                # columns.
                 memo = (
                     (self.statement_memo, self.tracker.clock())
-                    if use_result_cache else ()
+                    if cached else ()
                 )
                 evaluator = BulkViewEvaluator(db, stats, *memo)
-                execute_started = time.perf_counter()
-                if naive:
-                    document = plan.run(evaluator)
+                if plan.rung == "naive":
+                    state, document = None, plan.run(evaluator)
                 else:
                     state = MaterializedState(
                         plan.view, evaluator.columns(plan.view)
                     )
-                trace.execute_seconds = time.perf_counter() - execute_started
-                after = db.stats.snapshot()
+            trace.execute_seconds = time.perf_counter() - execute_started
+            after = db.stats.snapshot()
         trace.queries_executed = (
             after["queries_executed"] - before["queries_executed"]
         )
@@ -1051,15 +887,90 @@ class ViewServer:
         trace.query_seconds = after["query_seconds"] - before["query_seconds"]
         trace.elements_created = stats.elements_created
         trace.attributes_created = stats.attributes_created
-        # The emission over the columns is the serialization phase.
-        serialize_started = time.perf_counter()
-        trace.xml = serialize(document) if naive else state.text()
-        trace.serialize_seconds = time.perf_counter() - serialize_started
-        if use_result_cache:
+        if splice is not None:
+            trace.freshness = "delta-recompute"
+            trace.dirty_nodes = len(splice.dirty_nodes)
+            trace.rows_spliced = splice.rows_spliced
+            trace.splice_seconds = splice.splice_seconds
+        if splice is not None and state is entry.state:
+            # Every dirty candidate was refined away: the body is the
+            # stored one, by reference, and only the stamp moves.
+            trace.xml = entry.xml
+        else:
+            emit_started = time.perf_counter()
+            trace.xml = serialize(document) if state is None else state.text()
+            trace.serialize_seconds = time.perf_counter() - emit_started
+        if cached:
             self.result_cache.store(
-                plan.key, trace.xml, current_versions, plan.tables,
-                state=state if promotion else None,
+                plan.key, trace.xml, versions, plan.tables,
+                state=state if entry is not None else None,
             )
+
+    def _delta(
+        self,
+        db: Database,
+        stats: MaterializeStats,
+        plan: CompiledPlan,
+        entry: Optional[CachedResult],
+        versions: dict[str, int],
+        deadline: Deadline,
+    ) -> Optional[DeltaResult]:
+        """The delta rung on the borrowed session; ``None``, its reason
+        counted, hands the attempt to the full rung."""
+        if entry is None or not isinstance(entry.state, MaterializedState):
+            return self._decline("no-state")
+        changed = [
+            t for t in plan.tables
+            if versions.get(t, 0) > entry.versions.get(t, 0)
+        ]
+        if not changed:
+            return self._decline("no-change")
+        try:
+            splice = DeltaEvaluator(db, stats=stats).evaluate(
+                plan.view, entry.state, plan.node_read_sets, changed,
+                changes=self.tracker.changes_since(entry.versions, plan.tables),
+            )
+        except DeltaUnsupported:
+            return self._decline("unsupported")
+        except Exception:
+            # A spent deadline (or a statement its poll cut short) fails
+            # the request: a full recompute cannot beat it. Any other
+            # failure left the entry untouched, so the full rung is safe.
+            deadline.check()
+            return self._decline("error")
+        if self.tracker.versions(plan.tables) != versions:
+            return self._decline("stamp-race")
+        return splice
+
+    def _decline(self, reason: str) -> None:
+        """Count why the delta rung fell back to the full one."""
+        self.counts.count(f"delta_fallbacks_by_reason.{reason}")
+
+    @contextmanager
+    def _deadline_guard(self, deadline: Deadline) -> Iterator[Database]:
+        """Borrow the session with ``deadline`` enforced on it, on this
+        thread.
+
+        Between statements the engine's ``cancel_check`` hook raises
+        :class:`DeadlineExceeded` (or
+        :class:`~repro.errors.RequestCancelled` for a cancelled token);
+        within one, the driver polls :meth:`Deadline.stopped` and cuts
+        the statement short as a transient ``interrupted`` error, which
+        the compute stage turns back into the real failure with
+        ``deadline.check()``. Both are cleared before the session goes
+        back to the pool, and no other thread touches the connection.
+        """
+        with self.pool.session() as db:
+            if deadline.budget_ms is None and deadline.token is None:
+                yield db
+                return
+            db.cancel_check = deadline.check
+            db.driver.stop_when(db.connection, deadline.stopped)
+            try:
+                yield db
+            finally:
+                db.driver.stop_when(db.connection, None)
+                db.cancel_check = None
 
     # -- failure handling ----------------------------------------------------
 
@@ -1172,7 +1083,7 @@ class ViewServer:
         if self._closed:
             return
         self._closed = True
-        self._executor.shutdown(wait=True)
+        self.executor.shutdown(wait=True)
         self.tracker.unsubscribe(self.statement_memo.drop)
         self.statement_memo.drop()
         if self._pool is not None:

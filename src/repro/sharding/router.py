@@ -279,7 +279,8 @@ class ShardRouter:
                 for role in range(replicas + 1)
             ]
             self.shards.append(_Shard(index, source, members))
-        self._executor = ThreadPoolExecutor(
+        #: Scatters requests, and applies the front end's writes.
+        self.executor = ThreadPoolExecutor(
             max_workers=max(4, 2 * len(self.shards)),
             thread_name_prefix="shardrouter",
         )
@@ -322,7 +323,7 @@ class ShardRouter:
         with self._lock:
             request_id = self._next_request_id
             self._next_request_id += 1
-        return self._executor.submit(self._serve, request, request_id)
+        return self.executor.submit(self._serve, request, request_id)
 
     def render(
         self,
@@ -650,7 +651,6 @@ class ShardRouter:
         freshness_seen = set()
         failed: Optional[RequestTrace] = None
         any_degraded = False
-        served_lag = 0
         for (name, shard_trace, failovers), shard in zip(resolved, self.shards):
             trace.failovers += failovers
             trace.queries_executed += shard_trace.queries_executed
@@ -658,12 +658,9 @@ class ShardRouter:
             trace.execute_seconds = max(
                 trace.execute_seconds, shard_trace.total_seconds
             )
-            # How stale the member's consulted entry was under the
-            # shard's one tracker, as on a single box; only cached bytes
-            # (a hit, a degraded fallback) are served that stale.
+            # How stale the bytes a member served are under the shard's
+            # one tracker, as on a single box (0 when it computed them).
             trace.version_lag = max(trace.version_lag, shard_trace.version_lag)
-            if shard_trace.freshness in ("hit", "degraded-stale"):
-                served_lag = max(served_lag, shard_trace.version_lag)
             freshness_seen.add(shard_trace.freshness)
             trace.shards.append(
                 {
@@ -686,10 +683,10 @@ class ShardRouter:
             trace.outcome = failed.outcome
             trace.error = failed.error
             return
-        if served_lag:
+        if trace.version_lag:
             # Every shard served, one of them cached bytes that old.
             self.counts.count("fleet.stale_serves")
-            self.counts.high("fleet.max_served_lag", served_lag)
+            self.counts.high("fleet.max_served_lag", trace.version_lag)
         for _, shard_trace, _ in resolved:
             if shard_trace.xml is None:
                 raise ReproError(
@@ -823,7 +820,7 @@ class ShardRouter:
         if self._closed:
             return
         self._closed = True
-        self._executor.shutdown(wait=True)
+        self.executor.shutdown(wait=True)
         for shard in self.shards:
             for member in shard.members:
                 member.server.close()

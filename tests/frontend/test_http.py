@@ -330,24 +330,24 @@ class TestLifecycle:
 
 
 def test_a_write_waiting_at_the_gate_leaves_the_loop_answering():
-    """``POST /write`` runs off the event loop. The worker is held inside
-    a computation, holding its session's shared permit, by a latch (a
-    ``threading.Event``), so the write waits at the engine's gate: a
-    ``GET /healthz`` on another connection still answers while it waits.
-    The write answers once the latch opens, and the next publish sees
-    it. A timer opens the latch after 5 s, so a loop blocked by the
-    write fails the test instead of hanging it."""
+    """``POST /write`` runs off the event loop, on the server's one
+    worker. The worker is held inside a computation, holding its
+    session, by a latch (a ``threading.Event``), so the write queues
+    behind the compute: a ``GET /healthz`` on another connection still
+    answers while it waits. The write answers once the latch opens, and
+    the next publish sees it. A timer opens the latch after 5 s, so a
+    loop blocked by the write fails the test instead of hanging it."""
     app = build_hotel_app(scale=1)
     server = app.backend
     entered, opened = threading.Event(), threading.Event()
     guard = server._deadline_guard
 
     @contextlib.contextmanager
-    def held(db, deadline):
-        entered.set()
-        opened.wait(30)
-        with guard(db, deadline):
-            yield
+    def held(deadline):
+        with guard(deadline) as db:
+            entered.set()
+            opened.wait(30)
+            yield db
 
     async def scenario(frontend):
         _, headers, before = split_response(await raw_request(
@@ -362,9 +362,8 @@ def test_a_write_waiting_at_the_gate_leaves_the_loop_answering():
         write = asyncio.ensure_future(
             raw_request(frontend, request_bytes("POST", "/write"))
         )
-        gate = app.database.gate
-        while not gate._writers and not opened.is_set():
-            await asyncio.sleep(0.005)
+        while not frontend._write_lock.locked() and not opened.is_set():
+            await asyncio.sleep(0.005)  # until the write is taken in
         status, _, body = split_response(
             await raw_request(frontend, request_bytes("GET", "/healthz"))
         )
@@ -396,14 +395,16 @@ def test_a_write_waiting_at_the_gate_leaves_the_loop_answering():
 
 
 def test_drain_waits_for_a_write_in_flight():
-    """A write taken in before the drain runs to its end on its worker
-    thread before the drain reports, so closing the app after it never
+    """A write taken in before the drain runs to its end on the server's
+    worker before the drain reports, so closing the app after it never
     closes the database under the write. The write is held by a latch."""
     app = build_hotel_app(scale=1)
     entered, opened = threading.Event(), threading.Event()
     write_fn = app._write_fn
+    threads = []
 
     def held(index):
+        threads.append(threading.current_thread().name)
         entered.set()
         opened.wait(30)
         return write_fn(index)
@@ -423,6 +424,7 @@ def test_drain_waits_for_a_write_in_flight():
         assert await drain
         status, _, body = split_response(await write)
         assert (status, json.loads(body)) == (200, {"writes_applied": 1})
+        assert [name.split("_")[0] for name in threads] == ["viewserver"]
 
     try:
         asyncio.run(main())

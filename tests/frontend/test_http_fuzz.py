@@ -208,11 +208,22 @@ def test_json_too_deep_to_parse_is_a_400():
 # -- a live server over a stub backend ----------------------------------------
 
 
+class InlineExecutor:
+    """Runs a submitted call at once, on the submitting thread."""
+
+    def submit(self, call, *args):
+        done: Future = Future()
+        done.set_result(call(*args))
+        return done
+
+
 class StubBackend:
-    """Answers every admitted request at once; counts what reached it."""
+    """Answers every admitted request at once; counts what reached it.
+    A write runs on its inline executor."""
 
     def __init__(self):
         self.submitted = 0
+        self.executor = InlineExecutor()
 
     def submit(self, request):
         check_strategy(request.strategy)  # as ViewServer.submit does, first

@@ -101,7 +101,7 @@ def test_miss_then_hit_then_stale_recompute(strict_env):
     hotel_write(db, 0)  # availability write, in the read set
     third = serve(server, db)
     assert third.freshness == "stale-recompute"
-    assert third.version_lag == 1
+    assert third.version_lag == 0  # computed bytes are fresh
     # Recomputation re-primes the cache at the new versions.
     fourth = serve(server, db)
     assert fourth.freshness == "hit"
@@ -166,7 +166,7 @@ def test_bounded_policy_serves_within_the_bound():
         hotel_write(db, 2)
         beyond = serve(server, db)
         assert beyond.freshness == "stale-recompute"
-        assert beyond.version_lag == 3
+        assert beyond.version_lag == 0  # computed bytes are fresh
     finally:
         server.close()
         db.close()
@@ -208,36 +208,31 @@ def test_invalidate_tables_is_scoped_to_the_read_set(strict_env):
 
 
 # ---------------------------------------------------------------------------
-# The read-then-stamp race: version stamps come from the selection snapshot
+# Stamping under the read permit: the stamp is read inside the borrow
 # ---------------------------------------------------------------------------
 
 
 class RacyServer(ViewServer):
-    """A server whose next computation — delta or full — lands one extra
-    tracked write first.
+    """A server whose next compute stage lands one extra tracked write
+    before it borrows the session.
 
-    Deterministically reproduces the read-then-stamp race: a write
-    arriving between freshness classification (which read the version
-    vector) and the session that recomputation reads from. Arm it
-    with :meth:`arm_race`; the write fires exactly once.
+    Deterministically reproduces a write arriving between freshness
+    classification (which read the version vector) and the borrow the
+    computation reads under. Arm it with :meth:`arm_race`; the write
+    fires exactly once.
     """
 
-    def arm_race(self, db, tracker, step):
-        self._race = (db, tracker, step)
+    def arm_race(self, db, step):
+        self._race = (db, step)
 
-    def _fire_race(self):
+    def raced(self) -> bool:
+        return getattr(self, "_race", None) is None
+
+    def _compute(self, *args):
         race, self._race = getattr(self, "_race", None), None
         if race is not None:
-            db, tracker, step = race
-            hotel_write(db, step)
-
-    def _serve_delta(self, *args):
-        self._fire_race()
-        return super()._serve_delta(*args)
-
-    def _execute_full(self, *args):
-        self._fire_race()
-        return super()._execute_full(*args)
+            hotel_write(*race)
+        return super()._compute(*args)
 
 
 def racy_env():
@@ -254,53 +249,52 @@ def racy_env():
     return db, tracker, server
 
 
-def test_racing_write_during_full_recompute_understates_freshness():
-    """The full path stamps the entry with the vector read at
-    classification, not one read after the data - so a write racing the
-    recompute shows up as staleness on the next request (an extra
-    recompute) rather than ever being masked by a too-new stamp."""
+def test_a_write_before_the_borrow_is_in_the_full_stamp():
+    """A write landing after classification and before the borrow is
+    read by the full recompute and stamped with it: the vector is read
+    under the session's permit, so the next read is a clean hit on the
+    live bytes, not an extra recompute."""
     db, tracker, server = racy_env()
     try:
-        server.arm_race(db, tracker, 0)
+        server.arm_race(db, 0)
         first = serve(server, db)  # the racing write lands mid-request
-        assert first.freshness == "miss"
+        assert server.raced() and first.freshness == "miss"
         second = serve(server, db)
-        assert second.freshness == "stale-recompute"
-        assert second.version_lag == 1
-        # The recompute that raced the write already read post-write
-        # data (the session opened after the write): bytes are identical.
-        assert second.xml == first.xml
-        assert serve(server, db).freshness == "hit"
+        assert (second.freshness, second.version_lag) == ("hit", 0)
+        assert second.xml == first.xml == serve(server, db, bypass_cache=True).xml
     finally:
         server.close()
         db.close()
 
 
 def test_delta_adopts_a_racing_write_into_its_selection_snapshot():
-    """The delta path re-reads the vector before its read; a racing write
-    is adopted into dirty-node selection (one retry), so the stamp,
-    the selection, and the data all agree - the next request is a
-    clean hit on live bytes."""
+    """A write landing before the borrow is adopted into the splice's
+    dirty-node selection, its changes and its stamp alike, so the stamp,
+    the selection and the data agree: no ``stamp-race``, and the next
+    request is a clean hit on live bytes."""
     db, tracker, server = racy_env()
     try:
         serve_promoted(server, db, tracker)
         hotel_write(db, 0)  # entry is now stale
-        server.arm_race(db, tracker, 1)  # second write lands before the read
+        server.arm_race(db, 1)  # second write lands before the borrow
         trace = serve(server, db)
-        assert trace.freshness == "delta-recompute"
-        assert server.metrics()["delta_fallbacks"] == 1  # the promotion
-        assert serve(server, db).freshness == "hit"
+        assert server.raced() and trace.freshness == "delta-recompute"
+        metrics = server.metrics()
+        assert metrics["delta_fallbacks"] == 1  # the promotion
+        assert metrics["delta_fallbacks_by_reason"]["stamp-race"] == 0
+        hit = serve(server, db)
+        assert hit.freshness == "hit"
+        assert hit.xml == trace.xml == serve(server, db, bypass_cache=True).xml
     finally:
         server.close()
         db.close()
 
 
-def test_write_racing_the_splice_discards_the_delta(monkeypatch):
+def test_a_gated_write_during_a_splice_waits_for_it(monkeypatch):
     """A write arriving *during* the splice waits at the source's gate
-    until the session goes back, then lands before the post-splice
-    vector check, which fails: the delta is discarded and the request
-    falls back to a full recompute whose answer reflects the racing
-    write."""
+    until the session goes back, so the vector re-checked before then has
+    not moved: the splice stands with its pre-write stamp, nothing is a
+    ``stamp-race``, and the write is one more delta on the next read."""
     from repro.maintenance import DeltaEvaluator
     from repro.serving.pool import ConnectionPool
 
@@ -327,16 +321,57 @@ def test_write_racing_the_splice_discards_the_delta(monkeypatch):
         monkeypatch.setattr(
             ConnectionPool, "release", release_then_let_the_write_land
         )
+        clock = tracker.clock()
         trace = serve(server, db)
-        assert trace.freshness == "stale-recompute"  # fell back
+        assert tracker.clock() > clock and not writers  # the write landed
+        assert trace.freshness == "delta-recompute"
+        metrics = server.metrics()
+        assert metrics["delta_fallbacks"] == 1  # the promotion
+        assert metrics["delta_fallbacks_by_reason"]["stamp-race"] == 0
+        monkeypatch.undo()
+        after = serve(server, db)
+        assert after.freshness == "delta-recompute"
+        assert after.xml == serve(server, db, bypass_cache=True).xml
+        assert serve(server, db).freshness == "hit"
+    finally:
+        server.close()
+        db.close()
+
+
+def test_an_ungated_write_during_a_splice_is_a_stamp_race(monkeypatch):
+    """A bare ``connection.execute`` write on the source passes no gate,
+    so it can move the vector under a borrowed session: the re-check
+    before the session goes back discards the splice as a ``stamp-race``
+    and the full rung answers, with a bypass read's bytes."""
+    from repro.maintenance import DeltaEvaluator
+
+    db, tracker, server = make_env()
+    try:
+        serve_promoted(server, db, tracker)
+        hotel_write(db, 0)
+        original = DeltaEvaluator.evaluate
+        clock = tracker.clock()
+
+        def ungated_evaluate(self, *args, **kwargs):
+            db.connection.execute(  # a payload column: no row moves
+                "UPDATE hotel SET pool = 1 - pool WHERE hotelid = "
+                "(SELECT MIN(hotelid) FROM hotel WHERE starrating > 4)"
+            )
+            db.connection.commit()
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DeltaEvaluator, "evaluate", ungated_evaluate)
+        trace = serve(server, db)
+        monkeypatch.undo()
+        assert tracker.clock() == clock + 1  # the commit recorded the write
+        assert trace.freshness == "stale-recompute"  # the full rung
         metrics = server.metrics()
         assert metrics["delta_fallbacks"] == 2  # the promotion + this one
         assert metrics["delta_fallbacks_by_reason"]["stamp-race"] == 1
-        monkeypatch.undo()
-        # The fallback stamped the pre-race vector (conservative), so
-        # the racing write surfaces as one more recompute, then a hit.
+        assert trace.xml == serve(server, db, bypass_cache=True).xml
+        # The full rung kept the stamp read before the write: the write
+        # is one more delta on the next read.
         assert serve(server, db).freshness == "delta-recompute"
-        assert serve(server, db).freshness == "hit"
     finally:
         server.close()
         db.close()

@@ -26,8 +26,6 @@ import types
 from contextlib import contextmanager
 
 from repro.maintenance import (
-    DeltaEvaluator,
-    DeltaUnsupported,
     WriteTracker,
     hotel_conference_write,
     hotel_payload_write,
@@ -217,11 +215,8 @@ def test_no_serving_request_builds_a_tree(output_elements, monkeypatch):
             assert node.rows_spliced == 0 and node.elements_created > 1
             assert row.serialize_seconds > 0 and node.serialize_seconds > 0
 
-            def decline(self, *_args):
-                raise DeltaUnsupported("injected")
-
-            with monkeypatch.context() as patched:
-                patched.setattr(DeltaEvaluator, "_check_spliceable", decline)
+            with monkeypatch.context() as patched:  # kept state misfits
+                patched.setattr(incremental, "columns_fit", lambda *_: False)
                 hotel_payload_write(db, 1, rows=1)
                 for declined in read_both():
                     assert declined.freshness == "stale-recompute"

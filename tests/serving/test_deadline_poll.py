@@ -1,7 +1,7 @@
 """Each deadline is checked on the thread that runs the statement.
 
-``ViewServer._deadline_guard`` installs the deadline twice on a borrowed
-session, both times on the worker's own thread: the engine's
+``ViewServer._deadline_guard`` borrows the session and installs the
+deadline on it twice, both times on the worker's own thread: the engine's
 ``cancel_check`` between statements, and the driver's statement poll
 (:meth:`~repro.relational.driver.SqliteDriver.stop_when` calling
 :meth:`~repro.resilience.policy.Deadline.stopped`) within one. No thread
@@ -172,14 +172,13 @@ def test_a_fake_clock_deadline_cuts_the_statement_at_its_first_poll():
     clock = fake_clock()
     deadline = Deadline(10.0, clock=clock)
     with ViewServer(db.catalog, source=db, workers=1) as server:
-        with server.pool.session() as session:
-            with server._deadline_guard(session, deadline):
-                with pytest.raises(sqlite3.OperationalError, match="interrupted"):
-                    session.run_sql(HEAVY)  # no boundary check: raw SQL
-            # Read once at the start and once by the one poll.
-            assert len(clock.reads) == 2
-            with pytest.raises(DeadlineExceeded):
-                deadline.check()
+        with server._deadline_guard(deadline) as session:
+            with pytest.raises(sqlite3.OperationalError, match="interrupted"):
+                session.run_sql(HEAVY)  # no boundary check: raw SQL
+        # Read once at the start and once by the one poll.
+        assert len(clock.reads) == 2
+        with pytest.raises(DeadlineExceeded):
+            deadline.check()
     db.close()
 
 
@@ -189,11 +188,12 @@ def test_an_exited_guard_leaves_no_poll_on_its_session():
     statement to completion."""
     db = small_db()
     with ViewServer(db.catalog, source=db, workers=1) as server:
-        with server.pool.session() as session:
-            spent = Deadline(10.0, clock=fake_clock())
-            with server._deadline_guard(session, spent):
-                with pytest.raises(sqlite3.OperationalError, match="interrupted"):
-                    session.run_sql(LONG)
+        spent = Deadline(10.0, clock=fake_clock())
+        with server._deadline_guard(spent) as session:
+            with pytest.raises(sqlite3.OperationalError, match="interrupted"):
+                session.run_sql(LONG)
+        with server.pool.session() as again:  # the pool's only session
+            assert again is session
             assert session.cancel_check is None
             assert session.run_sql(LONG) == [{"n": 50000}]
     db.close()

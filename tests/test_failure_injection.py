@@ -147,7 +147,8 @@ def _live_bytes(db):
         pytest.param(
             "_try_row_splice", RuntimeError, "error", id="_try_row_splice-error"
         ),
-        ("_check_spliceable", None, "unsupported"),     # a clean decline
+        # a clean decline: kept state without the view's shape
+        pytest.param("columns_fit", None, "unsupported", id="columns_fit-unsupported"),
     ],
 )
 def test_mid_splice_failure_falls_back_to_full(
@@ -158,7 +159,7 @@ def test_mid_splice_failure_falls_back_to_full(
     successful full 'stale-recompute' with correct bytes - and the stale
     cached entry's captured state must be left untouched, because the
     splice never writes it."""
-    from repro.maintenance import DeltaEvaluator, DeltaUnsupported, hotel_write
+    from repro.maintenance import DeltaEvaluator, hotel_write, incremental
 
     db, tracker, server = _delta_server()
     try:
@@ -179,10 +180,13 @@ def test_mid_splice_failure_falls_back_to_full(
 
         hotel_write(db, 0)
 
-        def boom(self, *args, **kwargs):
-            raise (error or DeltaUnsupported)("injected")
+        if error is None:  # the shape check fails: DeltaUnsupported
+            monkeypatch.setattr(incremental, method, lambda *_: False)
+        else:
+            def boom(self, *args, **kwargs):
+                raise error("injected")
 
-        monkeypatch.setattr(DeltaEvaluator, method, boom)
+            monkeypatch.setattr(DeltaEvaluator, method, boom)
         trace = server.render(figure1_view(db.catalog), figure4_stylesheet())
         assert trace.error is None
         assert trace.freshness == "stale-recompute"  # full fallback, not delta
