@@ -26,7 +26,7 @@ Workflows:
     # Serve the hotel workload over HTTP (POST /publish, POST /write,
     # GET /metrics, GET /healthz); final metrics go to --json on shutdown.
     python -m repro serve-http --scale 2 --port 8472 \\
-        [--staleness strict] [--shards 2 --replicas 1] [--json metrics.json]
+        [--staleness strict] [--shards 2] [--json metrics.json]
 """
 
 from __future__ import annotations
@@ -194,18 +194,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _frontend_app_from_args(args: argparse.Namespace):
     """Build a :class:`~repro.frontend.app.PublishingApp` from CLI flags.
 
-    Assembles the resilience policy and the hedging policy that
-    :func:`~repro.frontend.app.build_hotel_app` takes as objects, and
+    Assembles the resilience policy that
+    :func:`~repro.frontend.app.build_hotel_app` takes as an object, and
     arms ``--chaos`` on the built backend
     (:func:`repro.resilience.faults.inject`).
     """
-    from repro.frontend import HedgePolicy, build_hotel_app
+    from repro.frontend import build_hotel_app
 
     chaos = None
     if args.chaos is not None:  # parsed before anything is opened
         from repro.resilience.faults import inject, parse_chaos
 
-        chaos = parse_chaos(args.chaos, fleet=args.shards > 1 or args.replicas > 0)
+        chaos = parse_chaos(args.chaos)
     resilience = None
     if (
         args.deadline_ms is not None
@@ -224,31 +224,19 @@ def _frontend_app_from_args(args: argparse.Namespace):
             queue_limit=args.queue_limit,
             degraded=not args.no_degraded,
         )
-    hedge = None
-    if args.hedge:
-        hedge = HedgePolicy(
-            threshold_percentile=args.hedge_percentile,
-            min_samples=args.hedge_min_samples,
-            budget_fraction=args.hedge_budget,
-            priorities=tuple(
-                p.strip() for p in args.hedge_priorities.split(",") if p.strip()
-            ),
-        )
     app = build_hotel_app(
         scale=args.scale,
         staleness=args.staleness,
         resilience=resilience,
-        hedge=hedge,
         shards=args.shards,
-        replicas=args.replicas,
     )
     if chaos is not None:
-        inject(app.backend, *chaos)
+        inject(app.backend, chaos)
     return app
 
 
 def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
-    """The workload/resilience/hedging flags that build the serving stack."""
+    """The workload and resilience flags that build the serving stack."""
     parser.add_argument("--scale", type=int, default=2,
                         help="hotel workload scale factor (default: 2)")
     parser.add_argument(
@@ -261,17 +249,11 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
         help="serve through an N-shard scatter/merge fleet (default: 1)",
     )
     parser.add_argument(
-        "--replicas", type=int, default=0, metavar="M",
-        help="standby replicas per shard, each a server on the shard's "
-        "data (default: 0)",
-    )
-    parser.add_argument(
         "--chaos", metavar="SPEC", default=None,
         help="inject seeded faults: comma-separated KEY=VALUE pairs, e.g. "
-        "error=0.3,replica-crash=0.5,seed=7. Rates: error, latency, "
-        "wrong-shape, compile-error (shard 0's primary on a fleet) and "
-        "replica-crash, partition (fleet members); settings: "
-        "latency-ms (20), window (8 checks), seed (0)",
+        "error=0.3,seed=7. Rates: error, latency, wrong-shape, "
+        "compile-error (shard 0's server on a fleet); settings: "
+        "latency-ms (20), seed (0)",
     )
     parser.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",
@@ -297,33 +279,6 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
         "--no-degraded", action="store_true",
         help="disable the degraded-stale fallback",
     )
-    parser.add_argument(
-        "--hedge", action="store_true",
-        help="hedge requests on another replica (needs --replicas): a second "
-        "attempt past the rolling p95, first usable wins, loser cancelled",
-    )
-    parser.add_argument(
-        "--hedge-percentile", type=float, default=95.0, metavar="Q",
-        help="rolling-latency percentile that triggers a hedge "
-        "(default: 95)",
-    )
-    parser.add_argument(
-        "--hedge-min-samples", type=int, default=16, metavar="N",
-        help="latency samples required before hedging a plan "
-        "(default: 16)",
-    )
-    parser.add_argument(
-        "--hedge-budget", type=float, default=0.1, metavar="FRACTION",
-        help="cap on hedges fired as a fraction of requests "
-        "(default: 0.1)",
-    )
-    parser.add_argument(
-        "--hedge-priorities", default="interactive,batch,background",
-        metavar="CLASSES",
-        help="comma-separated priority classes eligible to hedge "
-        "(default: all; 'interactive' spends the budget on the "
-        "latency-sensitive class only)",
-    )
 
 
 def cmd_serve_http(args: argparse.Namespace) -> int:
@@ -333,10 +288,8 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
     resilience, chaos) and serves it over stdlib-asyncio
     HTTP/1.1 on ``--host:--port`` — ``POST /publish``, ``GET /metrics``,
     ``GET /healthz``, keep-alive connections, graceful drain on
-    shutdown. ``--hedge`` races a replica for requests running past
-    the rolling per-plan p95 (budget-capped; the loser is cancelled).
-    ``--duration`` bounds the run for scripted use; the default serves
-    until interrupted.
+    shutdown. ``--duration`` bounds the run for scripted use; the
+    default serves until interrupted.
     """
     import asyncio
     import json

@@ -203,27 +203,6 @@ class RequestCancelled(ServingError):
         )
 
 
-class ReplicaUnavailable(ServingError):
-    """Raised when a replica's connection pool refuses new sessions.
-
-    The fleet fault injector marks a replica *crashed* for a window; its
-    pool raises this from ``acquire`` so in-flight requests fail fast
-    instead of computing against a dead member. Classified
-    ``"transient"`` — the crash window ends, and the router's member
-    :class:`~repro.resilience.breaker.CircuitBreaker` decides when to
-    try the member again.
-    """
-
-    def __init__(self, member: str = "", detail: str = ""):
-        self.member = member
-        message = "replica refuses new sessions"
-        if member:
-            message = f"replica {member} refuses new sessions"
-        if detail:
-            message = f"{message}: {detail}"
-        super().__init__(message)
-
-
 class CircuitOpen(ServingError):
     """Raised when a plan's circuit breaker refuses evaluation.
 
@@ -269,9 +248,8 @@ def classify_error(exc: BaseException) -> str:
       hedged-request losers land here).
     * ``"transient"`` — a busy/locked/disk-I/O style
       ``sqlite3.OperationalError`` (possibly wrapped in a
-      :class:`ViewEvaluationError` — the cause chain is walked) or a
-      :class:`ReplicaUnavailable` crash-window refusal; worth a retry
-      with backoff.
+      :class:`ViewEvaluationError` — the cause chain is walked); worth a
+      retry with backoff.
     * ``"permanent"`` — everything else (syntax errors, missing tables,
       wrong-shape results, logic bugs); retrying cannot help.
     """
@@ -287,8 +265,6 @@ def classify_error(exc: BaseException) -> str:
             return "cancelled"
         if isinstance(current, (RequestRejected, CircuitOpen)):
             return "rejected"
-        if isinstance(current, ReplicaUnavailable):
-            return "transient"
         if isinstance(current, sqlite3.OperationalError):
             message = str(current).lower()
             if any(marker in message for marker in TRANSIENT_SQLITE_MARKERS):

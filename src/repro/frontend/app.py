@@ -11,7 +11,7 @@ backend serving them (a :class:`~repro.serving.server.ViewServer` or a
 
 :func:`build_hotel_app` assembles the paper's hotel workload —
 Figure 1 publishing view, Figure 4/17 stylesheets — over every
-serving knob (staleness, resilience policy, shards, replicas), so the
+serving knob (staleness, resilience policy, shards), so the
 HTTP tier serves byte-identical answers to the in-process paths the
 differential suite compares against.
 """
@@ -23,7 +23,6 @@ from typing import Optional
 
 from repro.errors import ReproError
 from repro.frontend.facade import AsyncViewServer
-from repro.frontend.hedging import HedgePolicy
 from repro.serving.server import (
     PRIORITIES,
     SERVING_STRATEGY,
@@ -63,7 +62,6 @@ class PublishingApp:
         registry: dict[str, RegisteredView],
         backend,
         database,
-        hedge: Optional[HedgePolicy] = None,
         write_fn=None,
     ):
         if not registry:
@@ -78,7 +76,7 @@ class PublishingApp:
                 backend.close()
                 database.close()
                 raise ReproError(f"view {name!r} cannot be served: {exc}") from exc
-        self.facade = AsyncViewServer(backend, hedge=hedge, own_backend=True)
+        self.facade = AsyncViewServer(backend, own_backend=True)
         self._write_fn = write_fn
         self._writes_applied = 0
         self._closed = False
@@ -148,7 +146,6 @@ def build_hotel_app(
     staleness: str = "strict",
     maintenance: str = "delta",
     resilience=None,
-    hedge: Optional[HedgePolicy] = None,
     shards: int = 1,
     replicas: int = 0,
 ) -> PublishingApp:
@@ -157,12 +154,13 @@ def build_hotel_app(
     The one stack builder: writes captured in the engine with their keys
     (on the single box's database, on each shard's), served through
     result caches under ``staleness`` and maintained by delta, by a
-    sharded fleet when ``shards > 1`` or ``replicas > 0``, a single
+    sharded fleet of one server per shard when ``shards > 1``, a single
     :class:`ViewServer` otherwise; a fleet's ``app.database`` is its
     carving source, closed once carved and kept only for its catalog.
     ``maintenance`` is a frozen call surface: ``"delta"`` is its one value,
-    and so is ``workers``: accepted, and changing nothing (every server
-    computes on one worker); ``hedge`` needs a replica to race.
+    and so are ``workers`` and ``replicas``: accepted, and changing
+    nothing (every server computes on one worker, and a shard has one
+    server).
     """
     from repro.maintenance import hotel_write
     from repro.workloads.hotel import HotelDataSpec, build_hotel_database
@@ -179,11 +177,8 @@ def build_hotel_app(
             f"unknown maintenance mode {maintenance!r}: every server "
             "maintains by delta"
         )
-    if hedge is not None and replicas == 0:  # it queues behind its primary
-        raise ReproError("hedging needs replicas > 0: a second member to race")
-    sharded = shards > 1 or replicas > 0
     db = build_hotel_database(HotelDataSpec().scaled(scale), cross_thread=True)
-    if sharded:
+    if shards > 1:
         from repro.sharding import ShardRouter
         from repro.workloads.hotel import hotel_partition_scheme
 
@@ -193,7 +188,6 @@ def build_hotel_app(
                 db,
                 hotel_partition_scheme(),
                 shards,
-                replicas=replicas,
                 staleness=staleness,
                 resilience=resilience,
             )
@@ -225,6 +219,5 @@ def build_hotel_app(
         registry,
         server,
         db,
-        hedge=hedge,
         write_fn=lambda index: route(lambda source: hotel_write(source, index)),
     )

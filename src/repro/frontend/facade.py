@@ -139,14 +139,6 @@ class AsyncViewServer:
         key = self.hedge_key(request)
         delay_ms = controller.delay_ms(key)
 
-        if isinstance(self.backend, ShardRouter) and request.placement is None:
-            # Replica anti-affinity: both attempts share one placement
-            # group, so if the hedge fires the router can route it to a
-            # member the primary attempt did not use.
-            from repro.sharding.replica import PlacementGroup
-
-            request = dataclasses.replace(request, placement=PlacementGroup())
-
         primary_token = CancelToken()
         primary = asyncio.ensure_future(self._attempt(request, primary_token))
         if delay_ms is None:

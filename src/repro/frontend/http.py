@@ -20,7 +20,7 @@ cancellation) live below HTTP anyway:
 * ``POST /write`` — test/harness hook applying one workload write, on
   the backend's executor (a single box's worker, where it queues behind
   the computation in flight; a fleet's scatter pool, where it waits at
-  each shard's gate for the members' reads), so the loop keeps
+  each shard's gate for its server's reads), so the loop keeps
   answering meanwhile; one at a time in arrival order.
 
 Connections are keep-alive by default (HTTP/1.1 semantics;

@@ -7,7 +7,7 @@ predictable* under that failure:
 
 * :mod:`repro.resilience.faults` — a seeded, deterministic
   fault-injection kit that arms a built server or fleet by wrapping its
-  parts (sessions, the compile call, members, appliers). It is imported
+  parts (sessions, the compile call). It is imported
   by its own path, never from here, so a server process loads none of it.
 * :mod:`repro.resilience.policy` — :class:`ResiliencePolicy` (per-
   request deadlines, retry-with-backoff+jitter, breaker and admission

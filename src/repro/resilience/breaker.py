@@ -1,7 +1,7 @@
 """The one closed / open / half-open failure machine.
 
 Something that keeps failing — a compiled plan whose tag queries hit a
-dropped table, a fleet member whose disk died — should stop consuming
+dropped table, a shard whose disk died — should stop consuming
 worker time and pool connections on every request.
 :class:`CircuitBreaker` tracks *consecutive* failures per key and walks
 the classic three-state machine:
@@ -16,14 +16,12 @@ the classic three-state machine:
   the circuit, the first failure re-opens it and restarts the
   cooldown.
 
-Two callers key it: a :class:`~repro.serving.server.ViewServer` by plan
-fingerprint (its compile and execution outcomes — never on a plan store
-other servers may share), and a
-:class:`~repro.sharding.router.ShardRouter` by fleet member
-(``s{shard}:{member}``, fed by the members' request outcomes).
+A :class:`~repro.serving.server.ViewServer` keys it by plan fingerprint
+(its compile and execution outcomes — never on a plan store other
+servers may share); on a fleet every shard's server has its own.
 
-Looking is not admitting. :meth:`ready` is read-only — the router asks
-it while enumerating candidates it may never attempt. :meth:`allow`
+Looking is not admitting. :meth:`ready` is read-only — it may be asked
+about a key no attempt follows. :meth:`allow`
 takes the half-open trial slot, and only an attempt that will certainly
 run may call it: the slot is given back solely by that attempt's
 :meth:`record_success`, :meth:`record_failure` or — when the attempt was

@@ -2,21 +2,19 @@
 
 One XSLT evaluation is many parameterized SQL queries, so a server
 faces *partial* failure: a busy database, a slow tag query, a driver
-returning a wrong-shape result, a crashed replica. This kit
-makes those failures reproducible. :class:`FaultSpec` says what to
+returning a wrong-shape result. This kit makes those failures
+reproducible. :class:`FaultSpec` says what to
 inject (transient ``sqlite3.OperationalError``\\ s, latency, a dropped
 column, compile failures) and how often; :class:`FaultPlan` decides
 *when* by a pure function of ``(seed, site, per-site call index)``, so
 a seed gives the same sequence at every site whatever the thread
-interleaving *between* sites. :class:`FleetFaultPlan` decides
-whole-member faults by the same schedule (:class:`_Schedule`).
+interleaving *between* sites.
 
 Every fault enters by wrapping, never through a constructor:
 :func:`inject` arms a built server or fleet — engine faults on the
 session its pool lends out (:class:`FaultyEngine`,
-:class:`FaultyPool`), compile faults on its plan path's compile call,
-member faults on its members (:class:`FaultyMember`).
-:func:`parse_chaos` reads ``serve-http --chaos`` into the two plans.
+:class:`FaultyPool`), compile faults on its plan path's compile call.
+:func:`parse_chaos` reads ``serve-http --chaos`` into the plan.
 Injected errors are *real* ``OperationalError``\\ s with the stock
 messages, so :func:`repro.errors.classify_error` cannot tell the drill
 from the fire.
@@ -31,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
-from repro.errors import ReplicaUnavailable, ReproError
+from repro.errors import ReproError
 from repro.serving.pool import ConnectionPool
 from repro.sql.analysis import referenced_tables
 from repro.sql.ast import Select
@@ -85,8 +83,8 @@ class FaultSpec:
             raise ValueError(f"every_n must be >= 0, got {self.every_n}")
 
 
-class _Schedule:
-    """The seeded, site-counted schedule both fault plans decide by.
+class FaultPlan:
+    """Seeded, site-addressed fault schedule shared by a whole server.
 
     Each check at a site advances that site's counter under one lock; a
     decision is ``blake2s(seed, site, n, kind)`` as a uniform float.
@@ -94,12 +92,15 @@ class _Schedule:
     counters, so a cache can be warmed before the chaotic phase.
     """
 
-    def __init__(self, seed: int, enabled: bool, kinds: tuple[str, ...]):
+    def __init__(self, spec: FaultSpec, seed: int = 0, enabled: bool = True):
+        self.spec = spec
         self.seed = seed
         self.enabled = enabled
         self._lock = threading.Lock()
         self._site_calls: dict[str, int] = {}
-        self._injected = dict.fromkeys(kinds, 0)
+        self._injected = dict.fromkeys(
+            ("error", "latency", "wrong-shape", "compile-error"), 0
+        )
 
     def arm(self) -> None:
         """Enable injection (counters keep running either way)."""
@@ -134,16 +135,6 @@ class _Schedule:
                 "checks": sum(self._site_calls.values()),
                 "injected": dict(self._injected),
             }
-
-
-class FaultPlan(_Schedule):
-    """Seeded, site-addressed fault schedule shared by a whole server."""
-
-    def __init__(self, spec: FaultSpec, seed: int = 0, enabled: bool = True):
-        super().__init__(
-            seed, enabled, ("error", "latency", "wrong-shape", "compile-error")
-        )
-        self.spec = spec
 
     # -- injection sites -----------------------------------------------------
 
@@ -200,91 +191,6 @@ class FaultPlan(_Schedule):
             cursor = self._injected["error"]
         message = TRANSIENT_MESSAGES[cursor % len(TRANSIENT_MESSAGES)]
         return sqlite3.OperationalError(message)
-
-
-#: Fleet-scoped fault kinds, each with the :class:`FleetFaultSpec` rate it
-#: is drawn against: ``replica-crash`` takes a replica down and its pool
-#: refuses sessions, ``partition`` leaves the primary writable but
-#: unreadable.
-_RATE_FIELDS = {
-    "replica-crash": "crash_rate",
-    "partition": "partition_rate",
-}
-FLEET_FAULT_KINDS = tuple(_RATE_FIELDS)
-
-
-@dataclass(frozen=True)
-class FleetFaultSpec:
-    """Rates and granularity of fleet-scoped (whole-member) faults.
-
-    Unlike :class:`FaultSpec`, whose faults are per query, fleet faults
-    afflict a *member* for a stretch of time: decisions are drawn per
-    ``window`` consecutive checks at a site, so a crashed replica stays
-    crashed for a whole window rather than flickering per call. Kinds
-    are member-role aware by construction: crash only ever hits
-    replicas, partition only ever hits the primary.
-    """
-
-    #: Probability a replica's window is a crash window (pool refuses).
-    crash_rate: float = 0.0
-    #: Probability a primary's window is a read-partition window.
-    partition_rate: float = 0.0
-    #: Consecutive checks per site that share one fault decision.
-    window: int = 8
-
-    def __post_init__(self) -> None:
-        for name in _RATE_FIELDS.values():
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-
-    def rate_for(self, kind: str) -> float:
-        """The configured window rate for ``kind`` (ValueError if unknown)."""
-        if kind not in _RATE_FIELDS:
-            raise ValueError(
-                f"unknown fleet fault kind {kind!r}; "
-                f"expected one of {FLEET_FAULT_KINDS}"
-            )
-        return getattr(self, _RATE_FIELDS[kind])
-
-
-class FleetFaultPlan(_Schedule):
-    """Seeded, member-addressed schedule of whole-member faults.
-
-    :class:`FaultPlan`'s schedule at ``(shard, member, kind)`` sites,
-    drawn per window: the counter's window index is what is hashed, so
-    the draw decides whether the *whole window* is faulted.
-    """
-
-    def __init__(self, spec: FleetFaultSpec, seed: int = 0,
-                 enabled: bool = True):
-        super().__init__(seed, enabled, FLEET_FAULT_KINDS)
-        self.spec = spec
-
-    def active(self, kind: str, shard: int, member: str) -> bool:
-        """One check: is ``kind`` afflicting ``member`` of ``shard`` now?
-
-        Role targeting is structural: crash checks on the primary and
-        partition checks on replicas are ``False`` and advance no
-        counter.
-        """
-        rate = self.spec.rate_for(kind)
-        is_primary = member == "primary"
-        if kind == "partition":
-            if not is_primary:
-                return False
-        elif is_primary:
-            return False
-        site = f"shard{shard}:{member}:{kind}"
-        index = self._advance(site)
-        if not self.enabled or not rate:
-            return False
-        hit = self._draw(site, index // self.spec.window, kind) < rate
-        if hit:
-            self._count(kind)
-        return hit
 
 
 class FaultyEngine:
@@ -386,107 +292,55 @@ class FaultyPool:
         return getattr(self._pool, name)
 
 
-class FaultyMember:
-    """A fleet member the schedule takes down.
-
-    :meth:`down` says ``"partition"`` for a primary, ``"crash"`` for a
-    replica, in a window of it: the router skips and counts the member
-    before dispatch. A replica's pool also refuses sessions in a crash
-    window (:class:`~repro.errors.ReplicaUnavailable`, transient), so a
-    request routed to it just before fails fast. The rest is the member's.
-    """
-
-    def __init__(self, member, plan: FleetFaultPlan, shard: int):
-        self._member = member
-        self._plan = plan
-        self._shard = shard
-        if member.role:
-            server = member.server
-            server.pool = FaultyPool(server.pool, gate=self._refuse_if_crashed)
-
-    def down(self) -> Optional[str]:
-        """``"partition"`` / ``"crash"`` while in such a window, else None."""
-        if self._member.role == 0:
-            return "partition" if self._active("partition") else None
-        return "crash" if self._active("replica-crash") else None
-
-    def _active(self, kind: str) -> bool:
-        return self._plan.active(kind, self._shard, self._member.name)
-
-    def _refuse_if_crashed(self) -> None:
-        if self._active("replica-crash"):
-            raise ReplicaUnavailable(f"shard{self._shard}:{self._member.name}")
-
-    def __getattr__(self, name: str):
-        return getattr(self._member, name)
-
-
-def inject(backend, faults: Optional[FaultPlan] = None,
-           fleet: Optional[FleetFaultPlan] = None):
-    """Arm chaos on a built ``backend`` by wrapping its parts; returns it.
+def inject(backend, faults: Optional[FaultPlan] = None):
+    """Arm ``faults`` on a built ``backend`` by wrapping its parts; returns it.
 
     ``faults`` arms one :class:`~repro.serving.server.ViewServer` — on a
-    :class:`~repro.sharding.router.ShardRouter`, shard 0's primary, so
-    the rest is the failover path: its pool lends :class:`FaultyEngine`
+    :class:`~repro.sharding.router.ShardRouter`, shard 0's server, whose
+    failure is then the fleet's: its pool lends :class:`FaultyEngine`
     sessions, its plan path's compile call (never ``compile()``) checks
-    the plan first, and ``metrics()`` gains ``faults``. ``fleet`` makes
-    every member of a fleet a :class:`FaultyMember`, and
-    ``fleet_metrics()`` gains ``fleet_faults``.
+    the plan first, and ``metrics()`` gains ``faults``. ``None`` arms
+    nothing.
     """
-    if fleet is not None:
-        for shard in backend.shards:
-            shard.members = [
-                FaultyMember(member, fleet, shard.index)
-                for member in shard.members
-            ]
-        _report(backend, "fleet_metrics", "fleet_faults", fleet)
-    if faults is not None:
-        shards = getattr(backend, "shards", None)
-        server = shards[0].members[0].server if shards else backend
-        server.pool = FaultyPool(server.pool, faults)
-        compile_call = server._compile
+    if faults is None:
+        return backend
+    shards = getattr(backend, "shards", None)
+    server = shards[0].server if shards else backend
+    server.pool = FaultyPool(server.pool, faults)
+    compile_call = server._compile
 
-        def checked(key: str, request):
-            faults.check_compile(key)
-            return compile_call(key, request)
+    def checked(key: str, request):
+        faults.check_compile(key)
+        return compile_call(key, request)
 
-        server._compile = checked
-        _report(server, "metrics", "faults", faults)
+    server._compile = checked
+    report = server.metrics
+    server.metrics = lambda: {**report(), "faults": faults.stats()}
     return backend
 
 
-def _report(target, method: str, name: str, plan: _Schedule) -> None:
-    """Lay ``plan``'s stats over ``target.<method>()`` as ``name``."""
-    report = getattr(target, method)
-    setattr(target, method, lambda: {**report(), name: plan.stats()})
-
-
 #: ``--chaos`` keys — the kinds' rates, named as ``/metrics`` counts each
-#: kind, and the settings — with the spec field each sets.
+#: kind, and the latency setting — with the :class:`FaultSpec` field each
+#: sets.
 CHAOS_KEYS = {
-    "error": (FaultSpec, "error_rate"),
-    "latency": (FaultSpec, "latency_rate"),
-    "latency-ms": (FaultSpec, "latency_ms"),
-    "wrong-shape": (FaultSpec, "wrong_shape_rate"),
-    "compile-error": (FaultSpec, "compile_error_rate"),
-    **{kind: (FleetFaultSpec, rate) for kind, rate in _RATE_FIELDS.items()},
-    "window": (FleetFaultSpec, "window"),
+    "error": "error_rate",
+    "latency": "latency_rate",
+    "latency-ms": "latency_ms",
+    "wrong-shape": "wrong_shape_rate",
+    "compile-error": "compile_error_rate",
 }
 
 
-def parse_chaos(
-    text: str, *, fleet: bool
-) -> tuple[Optional[FaultPlan], Optional[FleetFaultPlan]]:
-    """``serve-http --chaos``: the engine plan and the fleet plan.
+def parse_chaos(text: str) -> Optional[FaultPlan]:
+    """``serve-http --chaos``: the engine fault plan.
 
     ``text`` is comma-separated ``KEY=VALUE`` pairs (:data:`CHAOS_KEYS`,
-    and ``seed``, which both plans share), e.g.
-    ``error=0.3,replica-crash=0.5,seed=7``; a plan none of whose keys is
-    given is ``None``. A malformed pair, an unknown key, a value out of
-    its field's range, or a member fault when ``fleet`` is false is a
-    :class:`~repro.errors.ReproError` naming the key.
+    and ``seed``), e.g. ``error=0.3,seed=7``; with no rate or setting
+    given it is ``None``. A malformed pair, an unknown key or a value
+    out of its field's range is a :class:`~repro.errors.ReproError`
+    naming the key.
     """
-    fields: dict = {FaultSpec: {}, FleetFaultSpec: {}}
+    fields: dict = {}
     seed = 0
     for pair in text.split(","):
         key, _, value = pair.strip().partition("=")
@@ -494,9 +348,9 @@ def parse_chaos(
             if key == "seed":
                 seed = int(value)
                 continue
-            spec, name = CHAOS_KEYS[key]
-            number = int(value) if name == "window" else float(value)
-            spec(**{name: number})  # the spec's own check of this field
+            name = CHAOS_KEYS[key]
+            fields[name] = float(value)
+            FaultSpec(**{name: fields[name]})  # the spec's own check
         except KeyError:
             raise ReproError(
                 f"--chaos: unknown key {key!r}; expected one of "
@@ -504,13 +358,4 @@ def parse_chaos(
             ) from None
         except ValueError as exc:
             raise ReproError(f"--chaos {key}: {exc}") from None
-        if spec is FleetFaultSpec and not fleet:
-            raise ReproError(
-                f"--chaos {key}: member faults need a fleet "
-                "(--shards > 1 or --replicas > 0)"
-            )
-        fields[spec][name] = number
-    return tuple(
-        plan(spec(**fields[spec]), seed=seed) if fields[spec] else None
-        for plan, spec in ((FaultPlan, FaultSpec), (FleetFaultPlan, FleetFaultSpec))
-    )
+    return FaultPlan(FaultSpec(**fields), seed=seed) if fields else None

@@ -2,10 +2,10 @@
 
 A server or a router counts in a :class:`Registry`: one lock, one flat
 count per dotted name (``"outcomes.success"``, ``"priority.batch.shed"``,
-``"fleet.skips.crash"``), reported nested with every declared name
+``"fleet.stale_serves"``), reported nested with every declared name
 present at zero. Its report is that snapshot with its collectors'
 sections (plan store, result cache, breaker, fault plan, pool) laid over
-it, so the names are the schema. A fleet's report is its members'
+it, so the names are the schema. A fleet's report is its shard servers'
 reports combined by :func:`merge`.
 """
 
@@ -14,8 +14,8 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Mapping, Sequence
 
-#: Keys a merge states once rather than sums: configuration every member
-#: of a fleet is built with, so a sum would multiply a setting.
+#: Keys a merge states once rather than sums: configuration every shard
+#: server of a fleet is built with, so a sum would multiply a setting.
 SETTINGS = frozenset({"threshold", "cooldown_ms", "half_open_max", "seed"})
 
 
@@ -63,8 +63,8 @@ def merge(reports: Sequence[Mapping]) -> dict:
     Each key's values are taken from the reports that have it. Nested
     sections merge by the same rule; numbers sum; booleans, strings,
     ``None`` and :data:`SETTINGS` are stated once, from the first report
-    that has the key (a fleet's members are built from one policy, so
-    they agree).
+    that has the key (a fleet's shard servers are built from one policy,
+    so they agree).
     """
     found: dict[str, list] = {}
     for report in reports:

@@ -6,7 +6,7 @@ sets, and the stylesheet to run over the view if it did not compose.
 Compiling one costs orders of magnitude more than executing the view's
 handful of queries at serving scale, so plans are keyed by content
 fingerprint (:mod:`repro.serving.fingerprint`) and reused across
-requests, threads and fleet members.
+requests, threads and the shards of a fleet.
 
 :func:`compile_plan` plans every (view, stylesheet) pair — for serving,
 ``repro run`` / ``repro explain`` and the experiments — on two rungs
@@ -25,12 +25,12 @@ no rung: its bytes are not the naive pipeline's.
 
 One :class:`PlanCache` per process is the only home of anything derived
 from ``(view, stylesheet, catalog)``: a single ``ViewServer`` makes its
-own, a ``ShardRouter`` makes one and hands it to every member, so a
+own, a ``ShardRouter`` makes one and hands it to every shard, so a
 stylesheet shape is composed once. What else derives from the composed
 view hangs off the plan and dies with it: the bulk node plans on
 ``plan.view`` (``view.bulk_plans``), the fleet's merge frame in
 :attr:`CompiledPlan.merge_plan`. The store holds no circuit breaker: a
-breaker also counts execution failures, which belong to one member's
+breaker also counts execution failures, which belong to one server's
 database (``ViewServer.breaker``).
 
 Concurrency: all bookkeeping happens under one internal lock per level,

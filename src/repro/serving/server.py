@@ -194,8 +194,7 @@ def check_strategy(strategy: object) -> None:
 
     A typed :class:`~repro.errors.ReproError` (HTTP 400) raised by
     ``submit`` before admission, so a rejected request takes no slot and
-    feeds neither the error count, the plan breaker nor the router's
-    member breaker.
+    feeds neither the error count nor the plan breaker.
     The nested-loop and memoized evaluators remain the one-shot
     ``repro materialize --strategy`` path and the tests' oracle.
     """
@@ -236,13 +235,6 @@ class PublishRequest:
     #: end cancels hedged-request losers through it; cancelled requests
     #: resolve with ``outcome="cancelled"``.
     cancel: Optional[object] = None
-    #: Replica anti-affinity handle
-    #: (:class:`~repro.sharding.replica.PlacementGroup`). Both attempts
-    #: of a hedged request share one group; the shard router claims the
-    #: member each attempt lands on so the hedge can prefer a replica
-    #: the first attempt did not use. ``None`` (the default) routes
-    #: without affinity constraints; single-box servers ignore it.
-    placement: Optional[object] = None
 
 
 @dataclass
@@ -369,7 +361,8 @@ class ViewServer:
     :class:`~repro.serving.plan_cache.PlanCache` keyed by content
     fingerprints of (catalog, view, stylesheet, options) — the server's
     own of ``cache_capacity`` plans, or the ``plan_cache`` it is handed
-    (a fleet's members share their router's). ``workers`` changes nothing.
+    (a fleet's shard servers share their router's). ``workers`` changes
+    nothing.
     """
 
     def __init__(
@@ -394,8 +387,8 @@ class ViewServer:
         # degraded-stale fallback.
         self.resilience = resilience
         #: Per-fingerprint circuit breaker (``None`` without a threshold).
-        #: It also counts execution failures, a property of this member's
-        #: database, so it is not on a plan store other members may share.
+        #: It also counts execution failures, a property of this server's
+        #: database, so it is not on a plan store other servers may share.
         self.breaker: Optional[CircuitBreaker] = None
         if resilience is not None and resilience.breaker_threshold > 0:
             self.breaker = CircuitBreaker(
@@ -451,11 +444,6 @@ class ViewServer:
     @pool.setter
     def pool(self, pool: ConnectionPool) -> None:
         self._pool = pool
-
-    @property
-    def inflight(self) -> int:
-        """Requests admitted and not yet done, queued or executing."""
-        return self._inflight
 
     def outstanding(self) -> int:
         """1 while the session is borrowed, else 0."""

@@ -1,15 +1,15 @@
-"""Sharded, replicated serving fleet (scatter / spine-merge / gather).
+"""Sharded serving fleet (scatter / spine-merge / gather).
 
 The paper's composed plans evaluate one decorrelated query per schema
 node, all scoped by the top-level binding variable — so the workload
 partitions cleanly by the top-level key column. This package deals the
 database into key-range shards (:mod:`repro.sharding.partition`), runs
-a :class:`~repro.serving.server.ViewServer` per shard plus N replicas
-reading the same shard source, fans each request out across the fleet,
+one :class:`~repro.serving.server.ViewServer` per shard on the shard's
+source, fans each request out across the fleet,
 and splices the per-shard response texts inside the view's literal frame
 (:mod:`repro.sharding.merge`) into a response byte-identical to a
 single-box run (:mod:`repro.sharding.router`).
-``serve-http --shards N --replicas M`` and the ``fleet-mix`` workload
+``serve-http --shards N`` and the ``fleet-mix`` workload
 of ``benchmarks/perf`` drive it.
 """
 
@@ -30,7 +30,6 @@ from repro.sharding.partition import (
     partition_database,
     partition_keys,
 )
-from repro.sharding.replica import PlacementGroup
 from repro.sharding.router import RouterTrace, ShardRouter
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "KeyRangePartitioner",
     "MergePlan",
     "PartitionScheme",
-    "PlacementGroup",
     "RouterTrace",
     "ShardMergeUnsupported",
     "ShardRouter",

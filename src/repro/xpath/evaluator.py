@@ -84,12 +84,12 @@ class XPathEvaluator:
                 result.append(node)
 
         for node in nodes:
-            for candidate in self._step_candidates(step, node):
+            for candidate in self._axis_nodes(step, node):
                 if self._node_passes(step, candidate):
                     push(candidate)
         return result
 
-    def _step_candidates(self, step: Step, node: Node) -> list[Node]:
+    def _axis_nodes(self, step: Step, node: Node) -> list[Node]:
         if step.axis is Axis.CHILD:
             if isinstance(node, (Element, Document)):
                 return list(node.child_elements())

@@ -54,7 +54,7 @@ def test_spine_call_surface(fleet):
     app = _production(**fleet)
     try:
         backend = app.backend
-        member = backend.shards[0].members[0].server if fleet else backend
+        member = backend.shards[0].server if fleet else backend
         entry = app.registry["figure4"]
         # layers._render: submit(PublishRequest(..., strategy=, bypass_cache=))
         for bypass in (False, True):
@@ -215,9 +215,9 @@ def test_sharding_probe_surface():
 def test_plan_counters_count_compilations(fleet):
     """runner.cache_counters sums ``metrics()["shards"][i]["servers"][name]
     ["cache"]["hits" | "misses"]`` over every ViewServer: the keys stay,
-    each member reporting its own lookups. What ``/metrics`` reports
+    each shard server reporting its own lookups. What ``/metrics`` reports
     (``aggregate_metrics`` on a fleet) is the store's: N distinct cold
-    plans are N misses on a 2 x 2 fleet as on one box — the parent's
+    plans are N misses on a 2-shard fleet as on one box — the parent's
     fleet reported 4N and composed N more in the router, uncounted. The
     app compiles its N views when it is built, so every request hits."""
     from benchmarks.perf.runner import cache_counters
@@ -226,7 +226,7 @@ def test_plan_counters_count_compilations(fleet):
     try:
         backend = app.backend
         names = ("figure1", "figure4", "figure17")
-        for _ in range(2):  # a shard rotates its reads over its members
+        for _ in range(2):
             for name in names:
                 assert backend.submit(app.request_for(name)).result().xml
         summed = cache_counters(backend)
@@ -236,7 +236,7 @@ def test_plan_counters_count_compilations(fleet):
         assert reported["misses"] == len(names)
         assert reported["size"] == len(names)
         if fleet:
-            # The router compiled; every member lookup found the plan.
+            # The router compiled; every shard's lookup found the plan.
             assert (summed["plan_hits"], summed["plan_misses"]) == (12, 0)
             assert reported["hits"] == 12 + 2 * len(names)
         else:
@@ -295,30 +295,17 @@ staleness_policy tracker.total_writes tracker.versions.availability
 workers
 """.split())
 
-#: ``ShardRouter.metrics()`` of a 2 x 2 fleet with a fleet fault plan,
-#: without its ``shards`` list; ``merged_cache`` and ``parsed_cache`` are
-#: the spine's ``layers._sharding`` reads, ``fleet.*`` is ``fleet_metrics()``.
+#: ``ShardRouter.metrics()`` of a 2-shard fleet, without its ``shards``
+#: list; ``merged_cache`` and ``parsed_cache`` are the spine's
+#: ``layers._sharding`` reads, ``fleet.*`` is ``fleet_metrics()``.
 ROUTER_KEYS = frozenset("""
-errors failovers fleet.anti_affinity.hits fleet.anti_affinity.misses
-fleet.anti_affinity.rate fleet.fleet_faults.checks
-fleet.fleet_faults.enabled fleet.fleet_faults.injected.partition
-fleet.fleet_faults.injected.replica-crash fleet.fleet_faults.seed
-fleet.max_member_lag_served fleet.max_served_lag fleet.no_candidates
-fleet.replica_health.0.members.primary.failures
-fleet.replica_health.0.members.primary.state
-fleet.replica_health.0.members.replica-1.failures
-fleet.replica_health.0.members.replica-1.state
-fleet.replica_health.0.shard
-fleet.replica_health.1.members.primary.failures
-fleet.replica_health.1.members.primary.state
-fleet.replica_health.1.members.replica-1.failures
-fleet.replica_health.1.members.replica-1.state
-fleet.replica_health.1.shard fleet.skips.crash fleet.skips.dead
-fleet.skips.partition fleet.stale_serves key_ranges
+errors
+fleet.max_member_lag_served fleet.max_served_lag
+fleet.stale_serves key_ranges
 merged_cache.hits merged_cache.misses merged_cache.size
 outcomes.cancelled outcomes.deadline outcomes.degraded outcomes.error
 outcomes.rejected outcomes.success parsed_cache.hits parsed_cache.misses
-parsed_cache.size replicas requests_served shard_count
+parsed_cache.size requests_served shard_count
 """.split())
 
 #: What the facade adds to its backend's report on ``/metrics``.
@@ -344,18 +331,12 @@ def report_keys(report, prefix: str = "") -> set:
 def _armed_app(fleet: bool):
     """A served, written-to stack with a resilience policy and a fault plan
     (zero rates: armed, but the bytes stay the fault-free ones)."""
-    from repro.resilience.faults import (
-        FaultPlan, FaultSpec, FleetFaultPlan, FleetFaultSpec, inject,
-    )
+    from repro.resilience.faults import FaultPlan, FaultSpec, inject
     from repro.resilience.policy import ResiliencePolicy
 
-    extra = dict(shards=2, replicas=1) if fleet else {}
+    extra = dict(shards=2) if fleet else {}
     app = _production(resilience=ResiliencePolicy(**POLICY), **extra)
-    inject(
-        app.backend,
-        FaultPlan(FaultSpec(), seed=3),
-        FleetFaultPlan(FleetFaultSpec(), seed=5) if fleet else None,
-    )
+    inject(app.backend, FaultPlan(FaultSpec(), seed=3))
     names = ("figure1", "figure4", "figure17")
     for _ in range(2):
         for name in names:
@@ -377,19 +358,16 @@ def test_single_box_report_shapes_stay():
 
 def test_fleet_report_shapes_stay():
     """``metrics()`` with ``shards[*].servers[*]`` (the fault plan sits on
-    shard 0's primary only) and ``fleet_metrics()`` keep their keys."""
+    shard 0's server only) and ``fleet_metrics()`` keep their keys."""
     app = _armed_app(fleet=True)
     try:
         router = app.backend
         faults = {key for key in VIEW_SERVER_KEYS if key.startswith("faults.")}
-        members = {"shards.0.shard", "shards.1.shard"}
+        servers = {"shards.0.shard", "shards.1.shard"}
         for shard in (0, 1):
-            for name in ("primary", "replica-1"):
-                keys = VIEW_SERVER_KEYS
-                if (shard, name) != (0, "primary"):
-                    keys = keys - faults
-                members |= {f"shards.{shard}.servers.{name}.{key}" for key in keys}
-        assert report_keys(router.metrics()) == ROUTER_KEYS | members
+            keys = VIEW_SERVER_KEYS if shard == 0 else VIEW_SERVER_KEYS - faults
+            servers |= {f"shards.{shard}.servers.shard{shard}.{key}" for key in keys}
+        assert report_keys(router.metrics()) == ROUTER_KEYS | servers
         assert report_keys(router.fleet_metrics()) == {
             key[len("fleet."):] for key in ROUTER_KEYS if key.startswith("fleet.")
         }
@@ -400,8 +378,8 @@ def test_fleet_report_shapes_stay():
 def test_fleet_metrics_are_the_single_box_report_plus_router():
     """A fleet's ``/metrics`` has every key one box's has, and ``router``.
 
-    The members agree on the merge rule's settings (one policy built them
-    all), so the fleet states each once where a sum would multiply it.
+    The shard servers agree on the merge rule's settings (one policy built
+    them all), so the fleet states each once where a sum would multiply it.
     """
     single, fleet = _armed_app(fleet=False), _armed_app(fleet=True)
     try:
@@ -418,12 +396,10 @@ def test_fleet_metrics_are_the_single_box_report_plus_router():
         settings = (breaker["threshold"], breaker["cooldown_ms"], breaker["half_open_max"])
         assert settings == (5, 1000.0, 1)
         assert report["faults"]["seed"] == 3
-        assert report["router"]["fleet"]["fleet_faults"]["seed"] == 5
         for shard in fleet.backend.shards:
-            for member in shard.members:
-                own = member.server.metrics()["resilience"]["breaker"]
-                for setting in ("threshold", "cooldown_ms", "half_open_max"):
-                    assert own[setting] == breaker[setting], setting
+            own = shard.server.metrics()["resilience"]["breaker"]
+            for setting in ("threshold", "cooldown_ms", "half_open_max"):
+                assert own[setting] == breaker[setting], setting
     finally:
         asyncio.run(single.close())
         asyncio.run(fleet.close())

@@ -128,16 +128,6 @@ def test_the_app_compiles_its_views_when_it_is_built():
         asyncio.run(app.close())
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_a_hedge_without_a_replica_is_refused(shards):
-    """Every member computes on one worker, so without a replica a hedge
-    queues behind its primary and cannot win: the build refuses it."""
-    from repro.frontend import HedgePolicy
-
-    with pytest.raises(ReproError, match="hedging needs replicas > 0"):
-        build_hotel_app(scale=1, shards=shards, hedge=HedgePolicy())
-
-
 @pytest.mark.parametrize("fleet", [False, True], ids=["single-box", "fleet"])
 def test_a_view_no_rung_serves_fails_the_build_naming_it(fleet):
     """A registered view the bulk planner refuses fails the build with an

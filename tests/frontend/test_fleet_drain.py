@@ -95,19 +95,17 @@ def test_reap_counter_surfaces_a_broken_cancellation_path():
 
 
 def test_http_drain_with_hedge_straggler_parked_on_stalled_member():
-    """A hedge wins from the clean replica while the loser sits in a
-    latency window on the primary; draining the HTTP server right after
-    the response must settle the straggler — no hang, no leaked
-    sockets, no leaked fleet threads, no reap errors."""
+    """A fleet behind a hedging facade: the first attempt sits in a
+    latency window on shard 0's server, and the hedge fired past it is
+    parked behind it on that server's one worker, so the first attempt
+    wins and the hedge is the straggler. Draining the HTTP server right
+    after the response must settle it — no hang, no leaked sockets, no
+    leaked fleet threads, no reap errors."""
     faults = FaultPlan(
         FaultSpec(latency_rate=1.0, latency_ms=250.0), seed=0, enabled=False
     )
-    app = build_hotel_app(
-        scale=1,
-        workers=2,
-        replicas=1,
-        hedge=_eager_hedge(),
-    )
+    app = build_hotel_app(scale=1, shards=2)
+    app.facade = AsyncViewServer(app.backend, hedge=_eager_hedge(), own_backend=True)
     inject(app.backend, faults)
 
     async def scenario(server):
@@ -133,8 +131,8 @@ def test_http_drain_with_hedge_straggler_parked_on_stalled_member():
         )
         status, headers, _ = split_response(raw)
         assert status == 200
-        # The response rode the hedge; the loser is still stalled on
-        # the primary's 250ms latency window when the drain starts.
+        # The response rode the first attempt; the hedge is still
+        # parked behind it on shard 0's worker when the drain starts.
         assert await server.drain(timeout=10.0)
         drained_at = time.perf_counter() - start
         assert drained_at < 8.0  # straggler settled, no hang

@@ -307,8 +307,6 @@ class TestLifecycle:
         asyncio.run(http_exchange(scenario)(app_env))
 
     def test_metrics_exposes_hedging_and_priority_sections(self):
-        from repro.frontend import HedgePolicy
-
         async def scenario(server):
             raw = await raw_request(
                 server, request_bytes("GET", "/metrics", close=True)
@@ -317,12 +315,12 @@ class TestLifecycle:
             assert status == 200
             report = json.loads(body)
             assert "hedging" in report
-            assert report["hedging"]["policy"]
+            assert report["hedging"] is None  # the app races nothing
             assert "priority" in report
             for cls in ("interactive", "batch", "background"):
                 assert "shed" in report["priority"][cls]
 
-        app = build_hotel_app(scale=1, replicas=1, hedge=HedgePolicy())
+        app = build_hotel_app(scale=1)
         try:
             asyncio.run(http_exchange(scenario)(app))
         finally:

@@ -502,7 +502,7 @@ def test_a_delta_with_nothing_dirty_restamps_the_stored_body(fleet, monkeypatch)
             db.catalog, db, hotel_partition_scheme(), 2,
             staleness="strict",
         )
-        servers = [shard.members[0].server for shard in backend.shards]
+        servers = [shard.server for shard in backend.shards]
         write = backend.route_write
     else:
         tracker = WriteTracker()

@@ -87,7 +87,7 @@ def delta_server(**kwargs):
 
 @contextmanager
 def delta_member():
-    """The primary of shard 0 of a two-shard delta fleet, with the shard's
+    """The server of shard 0 of a two-shard delta fleet, with the shard's
     own source and tracker: what ``delta_server`` yields of a single box."""
     db = build_hotel_database(
         HotelDataSpec(metros=2, hotels_per_metro=3), cross_thread=True
@@ -98,7 +98,7 @@ def delta_member():
     )
     try:
         shard = router.shards[0]
-        yield shard.source, shard.source.tracker, shard.members[0].server
+        yield shard.source, shard.source.tracker, shard.server
     finally:
         router.close()
         db.close()

@@ -313,23 +313,22 @@ def test_release_into_closed_pool_closes_the_session(small_hotel_db):
 def test_admission_gate_refuses_acquire_without_consuming_a_session(
     small_hotel_db,
 ):
-    """The fleet's crash windows ride this wrapper: while the gate raises,
-    ``acquire`` fails fast and no idle session is consumed, so the pool
-    serves at full strength the moment the window closes."""
-    from repro.errors import ReplicaUnavailable
+    """While the gate raises a transient error, ``acquire`` fails fast
+    and no idle session is consumed, so the pool serves at full strength
+    the moment the gate lets borrows by again."""
     from repro.resilience.faults import FaultyPool
 
     refusing = [True]
 
     def gate():
         if refusing[0]:
-            raise ReplicaUnavailable("shard0:replica-1")
+            raise sqlite3.OperationalError("database is locked")
 
     with ConnectionPool(
         small_hotel_db.catalog, source=small_hotel_db,
     ) as raw:
         pool = FaultyPool(raw, gate=gate)
-        with pytest.raises(ReplicaUnavailable):
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
             pool.acquire()
         assert pool.outstanding() == 0
         refusing[0] = False

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ViewDefinitionError
+from repro.resilience import ResiliencePolicy
 from repro.schema_tree.builder import ViewBuilder
 from repro.serving import PublishRequest
 from repro.sharding import ShardingError, ShardRouter
@@ -34,7 +35,8 @@ def fleet():
     db = build_hotel_database(HotelDataSpec(metros=4, hotels_per_metro=2),
                               cross_thread=True)
     router = ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 2, replicas=1,
+        db.catalog, db, hotel_partition_scheme(), 2,
+        resilience=ResiliencePolicy(breaker_threshold=1),
     )
     yield db, router
     router.close()
@@ -42,14 +44,13 @@ def fleet():
 
 
 def _untouched(router) -> bool:
-    """No member served a request, and no member circuit was opened or
-    counts a failure."""
-    members = [m for shard in router.shards for m in shard.members]
-    breaker = router.member_breaker
-    return (
-        all(m.server.metrics()["requests_served"] == 0 for m in members)
-        and all(breaker.failures(m.key) == 0 for m in members)
-        and breaker.stats()["opened"] == 0
+    """No shard server served a request, and no shard's plan breaker
+    (which opens on one failure here) was opened."""
+    servers = [shard.server for shard in router.shards]
+    return all(
+        server.metrics()["requests_served"] == 0
+        and server.breaker.stats()["opened"] == 0
+        for server in servers
     )
 
 

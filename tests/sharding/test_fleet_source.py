@@ -30,7 +30,7 @@ def _bodies(app) -> dict[str, str]:
 
 
 def test_fleet_app_holds_no_unpartitioned_source():
-    fleet = build_hotel_app(scale=2, shards=2, replicas=1)
+    fleet = build_hotel_app(scale=2, shards=2)
     single = build_hotel_app(scale=2)
     try:
         with pytest.raises(sqlite3.ProgrammingError):
@@ -52,7 +52,7 @@ def test_fleet_app_holds_no_unpartitioned_source():
 
 
 @pytest.mark.parametrize(
-    "fleet", [{}, {"shards": 2, "replicas": 1}], ids=["single-box", "fleet"]
+    "fleet", [{}, {"shards": 2}], ids=["single-box", "fleet"]
 )
 def test_failed_backend_build_closes_the_source(monkeypatch, fleet):
     sources = []

@@ -1,13 +1,13 @@
-"""Router failover: replica takeover, error propagation, degraded-stale.
+"""A failed shard: its own typed trace, degraded-stale, unspliceable answers.
 
 Faults are injected with :mod:`repro.resilience.faults` at one shard's
-primary (the tests wrap primaries only), simulating
-that shard's pool dying mid-request. The contracts: reads fail over to
-replicas transparently; with no replica a strict fleet reports the
-error rather than serving wrong bytes; a lag-tolerant fleet degrades to
-the shard's last-known-good slice; a shard answer the router cannot
-splice is an error trace, never an exception or wrong bytes; and no
-configuration leaks pool connections.
+server, simulating that shard's pool dying mid-request. The contracts:
+a strict fleet reports the failing shard's own error and outcome rather
+than serving wrong bytes, and its plan breaker (the shard server's own)
+is the only breaker; a lag-tolerant fleet degrades to the shard's
+last-known-good slice; a shard answer the router cannot splice is an
+error trace, never an exception or wrong bytes; and no configuration
+leaks pool connections.
 """
 
 from __future__ import annotations
@@ -19,8 +19,12 @@ import pytest
 from repro.core.compose import compose
 from repro.maintenance.workload import hotel_metro_write
 from repro.resilience import ResiliencePolicy
-from repro.resilience.faults import FaultPlan, FaultSpec, inject
-from repro.schema_tree.evaluator import materialize
+from repro.resilience.faults import (
+    TRANSIENT_MESSAGES,
+    FaultPlan,
+    FaultSpec,
+    inject,
+)
 from repro.serving import RequestTrace
 from repro.sharding import ShardRouter
 from repro.workloads.hotel import (
@@ -29,7 +33,6 @@ from repro.workloads.hotel import (
     hotel_partition_scheme,
 )
 from repro.workloads.paper import figure1_view, figure4_stylesheet
-from repro.xmlcore.serializer import serialize
 
 SEED = 2003
 SPEC = HotelDataSpec(metros=4, hotels_per_metro=2)
@@ -40,49 +43,23 @@ def _figure4_view(catalog):
     return compose(figure1_view(catalog), figure4_stylesheet(), catalog)
 
 
-def _fleet(db, *, replicas=0, staleness="strict", resilience=None,
-           faults=()):
+def _fleet(db, *, staleness="strict", resilience=None, faults=()):
     router = ShardRouter.build(
         db.catalog,
         db,
         hotel_partition_scheme(),
         2,
-        replicas=replicas,
         staleness=staleness,
         resilience=resilience,
     )
-    for shard, plan in zip(router.shards, faults):  # on primaries only
-        inject(shard.members[0].server, plan)
+    for shard, plan in zip(router.shards, faults):
+        inject(shard.server, plan)
     return router
 
 
-def test_dead_primary_fails_over_to_replica():
-    db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
-    view = figure1_view(db.catalog)
-    faults = [FaultPlan(FaultSpec(every_n=1), seed=0), None]
-    router = _fleet(db, replicas=1, faults=faults)
-    try:
-        reference = serialize(materialize(view, db))
-        for _ in range(4):
-            # bypass_cache forces real queries each time, so requests
-            # routed to the dead primary must fail over to the replica.
-            trace = router.render(view, bypass_cache=True)
-            assert trace.outcome == "success"
-            assert trace.error is None
-            assert trace.xml == reference
-        metrics = router.metrics()
-        assert metrics["failovers"] >= 1
-        assert metrics["outcomes"]["success"] == 4
-        assert metrics["errors"] == 0
-        assert router.outstanding() == 0
-    finally:
-        router.close()
-        db.close()
-
-
 def test_dead_shard_without_replica_is_an_error_under_strict():
-    """Strict staleness + no replica: the fleet must report the failure,
-    never serve a document missing the dead shard's slice."""
+    """Strict staleness: the fleet must report the failure, never serve
+    a document missing the dead shard's slice."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     view = figure1_view(db.catalog)
     faults = [FaultPlan(FaultSpec(every_n=1), seed=0), None]
@@ -94,7 +71,37 @@ def test_dead_shard_without_replica_is_an_error_under_strict():
         assert trace.xml is None
         metrics = router.metrics()
         assert metrics["errors"] == 1
-        assert metrics["failovers"] == 0
+        assert router.outstanding() == 0
+    finally:
+        router.close()
+        db.close()
+
+
+def test_a_failing_shard_answers_with_its_own_trace_and_breaker():
+    """Shard 0's every query fails. Each read's outcome and error are
+    shard 0's own: its engine error until its plan breaker opens, then
+    the breaker's ``rejected``. Nothing in front of the shard's server
+    takes it out sooner or answers in its place."""
+    db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
+    view = figure1_view(db.catalog)
+    policy = ResiliencePolicy(breaker_threshold=5, breaker_cooldown_ms=60_000.0)
+    router = inject(
+        _fleet(db, resilience=policy), FaultPlan(FaultSpec(error_rate=1.0))
+    )
+    try:
+        traces = [router.render(view) for _ in range(7)]
+        for trace in traces:
+            assert trace.xml is None
+            assert [s["outcome"] for s in trace.shards][1] == "success"
+        assert [t.outcome for t in traces] == ["error"] * 5 + ["rejected"] * 2
+        for trace in traces[:5]:
+            assert trace.error in TRANSIENT_MESSAGES
+        for trace in traces[5:]:
+            assert trace.error.startswith("circuit breaker open for plan")
+        server = router.shards[0].server
+        assert server.metrics()["faults"]["injected"]["error"] == 5
+        assert server.breaker.stats()["opened"] == 1
+        assert router.metrics()["errors"] == 7
         assert router.outstanding() == 0
     finally:
         router.close()
@@ -174,7 +181,7 @@ def test_unspliceable_shard_answer_is_an_error_trace(outcome, body, message):
             )
             return future
 
-        router.shards[0].members[0].server.submit = stubbed
+        router.shards[0].server.submit = stubbed
         trace = router.render(view)
         assert trace.outcome == "error"
         assert message in trace.error

@@ -126,12 +126,12 @@ def test_router_splices_member_text_and_builds_only_the_frame(
 
 
 def test_a_write_read_stream_keeps_one_merged_body_per_plan():
-    """40 x (write, read Figure 1) through a 2 x 2 fleet. The merged-bytes
+    """40 x (write, read Figure 1) through a 2-shard fleet. The merged-bytes
     memo is keyed by plan: it holds the last merge of the one plan served,
     not one superseded document per data state the plan went through."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     router = ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 2, replicas=1,
+        db.catalog, db, hotel_partition_scheme(), 2,
         staleness="strict",
     )
     try:

@@ -1,11 +1,12 @@
 """One plan store per fleet: a stylesheet is composed once per process.
 
-The router and every member read compiled plans from the router's
-``PlanCache``; the merge frame hangs off the plan, the bulk node plans
-off its view. So a cold stylesheet costs one ``compose`` and one bulk
-planning whatever the fleet's shape, a compile holds no lock a resident
-view's request needs, the metrics state the store's figures once, and a
-member's circuit breaker — which counts *its* executions — stays its own.
+The router and every shard's server read compiled plans from the
+router's ``PlanCache``; the merge frame hangs off the plan, the bulk node
+plans off its view. So a cold stylesheet costs one ``compose`` and one
+bulk planning whatever the fleet's shape, a compile holds no lock a
+resident view's request needs, the metrics state the store's figures
+once, and a shard server's circuit breaker — which counts *its*
+executions — stays its own.
 """
 
 from __future__ import annotations
@@ -38,16 +39,15 @@ SPEC = HotelDataSpec(metros=4, hotels_per_metro=2)
 
 def _fleet(db, faults=(), **kwargs):
     router = ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 2, replicas=1,
-        **kwargs,
+        db.catalog, db, hotel_partition_scheme(), 2, **kwargs,
     )
-    for shard, plan in zip(router.shards, faults):  # on primaries only
-        inject(shard.members[0].server, plan)
+    for shard, plan in zip(router.shards, faults):
+        inject(shard.server, plan)
     return router
 
 
-def _members(router):
-    return [m for shard in router.shards for m in shard.members]
+def _servers(router):
+    return [shard.server for shard in router.shards]
 
 
 def test_a_resident_view_answers_while_another_compiles(monkeypatch):
@@ -102,11 +102,10 @@ def test_a_resident_view_answers_while_another_compiles(monkeypatch):
 
 
 def test_a_fleet_compiles_and_plans_each_stylesheet_once(monkeypatch):
-    """2 x 2 members, N stylesheets read twice through the router and
-    once more on each replica directly (an idle fleet reads its
-    primaries only): N composes and every composed node planned once —
-    3N and >= 2N before the store was shared — and the metrics say so,
-    the store's figures once."""
+    """2 shards, N stylesheets read twice through the router and once
+    more on each shard's server directly: N composes and every composed
+    node planned once — 3N and >= 2N before the store was shared — and
+    the metrics say so, the store's figures once."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     router = _fleet(db)
     view = figure1_view(db.catalog)
@@ -129,24 +128,23 @@ def test_a_fleet_compiles_and_plans_each_stylesheet_once(monkeypatch):
         for _ in range(2):
             for sheet in sheets:
                 assert router.render(view, sheet).outcome == "success"
-        replicas = [m for m in _members(router) if m.role]
         for sheet in sheets:
-            for member in replicas:
-                assert member.server.render(view, sheet).outcome == "success"
+            for server in _servers(router):
+                assert server.render(view, sheet).outcome == "success"
         assert len(composed) == len(sheets)
         served = [
-            m.server.metrics()["requests_served"] for m in _members(router)
+            server.metrics()["requests_served"] for server in _servers(router)
         ]
-        assert served == [10, 5, 10, 5]  # every member of both shards served
-        # The router asked first: N misses there, a hit on every member.
-        per_member = [m.server.metrics()["cache"] for m in _members(router)]
-        assert [c["misses"] for c in per_member] == [0, 0, 0, 0]
-        assert [c["hits"] for c in per_member] == served
+        assert served == [15, 15]
+        # The router asked first: N misses there, a hit on every server.
+        per_server = [server.metrics()["cache"] for server in _servers(router)]
+        assert [c["misses"] for c in per_server] == [0, 0]
+        assert [c["hits"] for c in per_server] == served
         cache = router.aggregate_metrics()["cache"]
         assert cache["misses"] == len(sheets)
-        assert cache["hits"] == 30 + len(sheets)  # members + second pass
+        assert cache["hits"] == 30 + len(sheets)  # servers + second pass
         assert (cache["size"], cache["capacity"]) == (len(sheets), 64)
-        assert {c["size"] for c in per_member} == {len(sheets)}
+        assert {c["size"] for c in per_server} == {len(sheets)}
         # (``get`` counts as a lookup, so the store is read last.)
         plans = [router.plan_cache.get(key) for key in router.plan_cache.keys()]
         assert len(plans) == len(sheets)
@@ -159,9 +157,9 @@ def test_a_fleet_compiles_and_plans_each_stylesheet_once(monkeypatch):
 
 
 def test_an_open_breaker_is_one_members_own():
-    """Shard 0's primary fails every execution: *its* breaker opens for
-    that plan; the replica serves the same plan from the shared store,
-    the router fails over, and no other member's breaker moves. (A
+    """Shard 0's server fails every execution: *its* breaker opens for
+    that plan, and shard 1's server, reading the same plan from the
+    shared store, keeps serving its slice with its breaker unmoved. (A
     breaker left on the shared store would have shut the plan fleet-wide.)"""
     db = build_hotel_database(SPEC, cross_thread=True, seed=SEED)
     policy = ResiliencePolicy(
@@ -171,23 +169,18 @@ def test_an_open_breaker_is_one_members_own():
     router = _fleet(db, resilience=policy, faults=faults)
     view = figure1_view(db.catalog)
     try:
-        reference = router.render(view, bypass_cache=True)
-        assert reference.outcome == "success"
-        for _ in range(5):
-            trace = router.render(view, bypass_cache=True)
-            assert trace.outcome == "success"
-            assert trace.xml == reference.xml
-        failing, *others = _members(router)
-        key = failing.server.plan_key_for(PublishRequest(view=view))
-        assert failing.server.breaker.state(key) == "open"
-        assert failing.server.breaker.stats()["opened"] == 1
-        for member in others:
-            assert member.server.breaker is not failing.server.breaker
-            assert member.server.breaker.state(key) == "closed"
-            stats = member.server.metrics()["resilience"]["breaker"]
-            assert (stats["opened"], stats["short_circuits"]) == (0, 0)
+        traces = [router.render(view, bypass_cache=True) for _ in range(5)]
+        assert [t.outcome for t in traces] == ["error"] * 2 + ["rejected"] * 3
+        assert {t.shards[1]["outcome"] for t in traces} == {"success"}
+        failing, other = _servers(router)
+        key = failing.plan_key_for(PublishRequest(view=view))
+        assert failing.breaker.state(key) == "open"
+        assert failing.breaker.stats()["opened"] == 1
+        assert other.breaker is not failing.breaker
+        assert other.breaker.state(key) == "closed"
+        stats = other.metrics()["resilience"]["breaker"]
+        assert (stats["opened"], stats["short_circuits"]) == (0, 0)
         assert key in router.plan_cache
-        assert router.metrics()["failovers"] >= 2
         assert router.outstanding() == 0
     finally:
         router.close()
@@ -210,8 +203,8 @@ def test_a_view_the_fleet_is_not_dealt_by_is_refused_every_time():
         (key,) = router.plan_cache.keys()
         assert router.plan_cache.get(key).merge_plan is None
         assert [
-            m.server.metrics()["requests_served"] for m in _members(router)
-        ] == [0, 0, 0, 0]
+            server.metrics()["requests_served"] for server in _servers(router)
+        ] == [0, 0]
     finally:
         router.close()
         db.close()

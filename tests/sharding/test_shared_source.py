@@ -1,15 +1,14 @@
-"""A shard's members read the one shard source, and a write waits at its gate.
+"""A shard's server reads the one shard source, and a write waits at its gate.
 
-Every member of a shard — the primary and each replica — opens its
-pool's sessions onto the shard source itself, so a fleet holds one copy
-of each shard. Two properties follow and are pinned here:
+The server of a shard opens its pool's session onto the shard source
+itself, so a fleet holds one copy of each shard. Two properties follow
+and are pinned here:
 
 * the source's gate keeps writes and reads apart, so a fleet read that
   overlaps a stream of routed writes never meets sqlite's "table is
   locked";
-* a replica stamps with its shard's one tracker, so it is as fresh as
-  its primary: a strict read reaches it, and it maintains a stale entry
-  by delta like its primary would, answering the single box's bytes.
+* the server stamps with its shard's tracker, so it maintains a stale
+  entry by delta as a single box would, answering the single box's bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import threading
 import pytest
 
 from repro.maintenance.workload import hotel_write
-from repro.resilience.faults import FleetFaultPlan, FleetFaultSpec, inject
 from repro.schema_tree.evaluator import materialize
 from repro.serving import PublishRequest, ViewServer
 from repro.sharding import ShardRouter
@@ -47,15 +45,15 @@ def capture_tracebacks():
 
 
 def test_a_fleet_reader_never_meets_a_locked_table():
-    """Reads scatter over 2 shards x 2 members while a writer thread
-    routes writes to the same shard sources: every read succeeds, none
-    fails on a locked table, and the last read is the single box's. Half
-    the reads compute on the members' workers; the other half read the
+    """Reads scatter over 2 shards while a writer thread routes writes
+    to the same shard sources: every read succeeds, none fails on a
+    locked table, and the last read is the single box's. Half the reads
+    compute on the shard servers' workers; the other half read the
     result caches, answered on the router's threads while fresh."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=2003)
     view = figure1_view(db.catalog)
     router = ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 2, replicas=1
+        db.catalog, db, hotel_partition_scheme(), 2
     )
     reading, written = threading.Event(), threading.Event()
     write_errors = []
@@ -86,9 +84,6 @@ def test_a_fleet_reader_never_meets_a_locked_table():
         assert not [e for e in errors if "locked" in e], errors
         assert write_errors == []
         assert [t.outcome for t in traces] == ["success"] * len(traces)
-        # No member failed over either: the first member of each shard
-        # answered every read.
-        assert {s["failovers"] for t in traces for s in t.shards} == {0}
         assert router.aggregate_metrics()["errors"] == 0
         final = router.render(view, bypass_cache=True)
         assert final.xml == serialize(materialize(view, db))
@@ -100,23 +95,19 @@ def test_a_fleet_reader_never_meets_a_locked_table():
         db.close()
 
 
-def test_a_replica_maintains_a_stale_entry_by_delta_on_its_shards_tracker():
-    """The primary is read-partitioned, so every strict read reaches the
-    replica, and a single box on the unpartitioned data takes the same
-    writes and reads. The replica's entry goes stale by two availability
-    writes and is recomputed in full, keeping state; two hotel writes
-    later it is stale again, and the replica splices it by delta on the
-    shard's tracker, with no ``stamp-race``. Every read answers the
-    single box's bytes, freshness and ``version_lag``: the router adds
-    no lag of its own."""
+def test_a_shard_maintains_a_stale_entry_by_delta_on_its_tracker():
+    """A one-shard fleet and a single box on the unpartitioned data take
+    the same writes and reads. The shard's entry goes stale by two
+    availability writes and is recomputed in full, keeping state; two
+    hotel writes later it is stale again, and the shard's server splices
+    it by delta on the shard's tracker, with no ``stamp-race``. Every
+    read answers the single box's bytes, freshness and ``version_lag``:
+    the router adds no lag of its own."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=2003)
     view = figure1_view(db.catalog)
-    plan = FleetFaultPlan(FleetFaultSpec(partition_rate=1.0), seed=21)
-    router = inject(ShardRouter.build(
-        db.catalog, db, hotel_partition_scheme(), 1, replicas=1,
-    ), fleet=plan)
+    router = ShardRouter.build(db.catalog, db, hotel_partition_scheme(), 1)
     single = ViewServer(db.catalog, db)
-    primary, replica = router.shards[0].members
+    shard = router.shards[0]
 
     def write(step, table):
         router.route_write(
@@ -127,13 +118,13 @@ def test_a_replica_maintains_a_stale_entry_by_delta_on_its_shards_tracker():
     def read(freshness, version_lag):
         trace, box = router.render(view), single.render(view)
         assert trace.outcome == box.outcome == "success", trace
-        assert [s["server"] for s in trace.shards] == ["replica-1"]
+        assert [s["server"] for s in trace.shards] == ["shard0"]
         assert trace.xml == box.xml
         assert (trace.freshness, trace.version_lag) == (freshness, version_lag)
         assert (box.freshness, box.version_lag) == (freshness, version_lag)
 
     try:
-        assert primary.server.tracker is replica.server.tracker
+        assert shard.server.tracker is shard.source.tracker
         read("miss", 0)
         for step in range(2):
             write(step, "availability")
@@ -141,11 +132,10 @@ def test_a_replica_maintains_a_stale_entry_by_delta_on_its_shards_tracker():
         for step in range(2, 4):
             write(step, "hotel")
         read("delta-recompute", 0)  # computed bytes are fresh
-        metrics = replica.server.metrics()
+        metrics = shard.server.metrics()
         assert metrics["freshness"]["delta-recompute"] == 1
         assert metrics["delta_fallbacks_by_reason"]["stamp-race"] == 0
         fleet = router.fleet_metrics()
-        assert fleet["skips"]["partition"] == 3
         # Computed bytes are fresh: nothing was served stale.
         assert (fleet["stale_serves"], fleet["max_served_lag"]) == (0, 0)
         assert router.outstanding() == 0

@@ -139,8 +139,9 @@ def test_skewed_shard_falls_back_to_node_level_and_stays_correct():
 
 @pytest.mark.parametrize("replicas", [0, 1, 2])
 def test_fleet_counts_each_write_once(replicas):
-    """Replicas replay their primary's events: ``/metrics`` counts the
-    writes the shard primaries recorded, not once more per replica."""
+    """``/metrics`` counts the writes the shard servers recorded, once
+    each, whatever ``replicas=`` says: the builder accepts it for the
+    frozen benchmark spine, and a shard has one server."""
     import asyncio
 
     from repro.frontend import build_hotel_app

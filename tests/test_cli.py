@@ -294,7 +294,9 @@ def test_serve_http_has_no_fragment_tier_flags():
     assert "--chaos" in options
     assert not [flag for flag in options if "fault" in flag]
     assert "--workers" not in options  # every server computes on one worker
-    assert len(options) == 20
+    # A shard is one server: nothing to replicate, nothing to hedge onto.
+    assert not [flag for flag in options if flag.startswith(("--replica", "--hedge"))]
+    assert len(options) == 14
     # The one-shot oracle keeps its evaluator choice; serving has none.
     materialize = subparsers.choices["materialize"]
     (strategy,) = [
@@ -310,8 +312,7 @@ def test_serve_http_has_no_fragment_tier_flags():
     [
         ([], None),
         (
-            ["--shards", "2", "--replicas", "1",
-             "--chaos", "replica-crash=0.5,seed=21"],
+            ["--shards", "2", "--chaos", "latency=0.5,latency-ms=0,seed=21"],
             2,
         ),
     ],
@@ -352,9 +353,8 @@ def test_serve_http_builds_listens_drains_and_writes_metrics(
     else:
         router = metrics["router"]
         assert router["shard_count"] == shards
-        assert router["replicas"] == 1
-        assert router["fleet"]["fleet_faults"]["seed"] == 21
-        assert "replica-crash" in router["fleet"]["fleet_faults"]["injected"]
+        assert "replicas" not in router
+        assert metrics["faults"]["seed"] == 21  # shard 0's server, armed
 
 
 def test_chaos_member_faults_without_a_fleet_is_a_typed_error(capsys):
@@ -364,17 +364,17 @@ def test_chaos_member_faults_without_a_fleet_is_a_typed_error(capsys):
             "--duration", "0.1", "--chaos", "replica-crash=0.5",
         ]
     )
-    assert code == 1
-    assert "member faults need a fleet" in capsys.readouterr().err
+    assert code == 1  # a shard has no member to take down
+    assert "unknown key 'replica-crash'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "flags, named",
     [
         (["--chaos", "error=1.5"], "error_rate"),
-        (["--chaos", "replica-crash=2", "--shards", "2"], "crash_rate"),
+        (["--chaos", "replica-crash=2", "--shards", "2"], "'replica-crash'"),
         (["--chaos", "latency-ms=-5"], "latency_ms"),
-        (["--chaos", "window=0", "--shards", "2"], "window"),
+        (["--chaos", "window=0", "--shards", "2"], "'window'"),
         (["--chaos", "error=often"], "--chaos error"),
         (["--chaos", "seed=x"], "--chaos seed"),
         (["--chaos", "meteor=1"], "'meteor'"),
