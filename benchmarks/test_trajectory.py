@@ -10,18 +10,21 @@ METRICS = [
 ]
 
 
-def write_run(folder, stamp, commit, dirty, results):
+def write_run(folder, stamp, commit, dirty, results, traced=False):
+    """A run file; a traced one carries no ``setup_s``, as the spine's."""
     record = {
         "environment": {"utc": stamp, "git_commit": commit, "git_dirty": dirty,
                         "python": "3.11.7", "nproc": 2},
         "results": [
-            {"workload": workload, "seed": seed, "trace": False, "failed": 0,
+            {"workload": workload, "seed": seed, "trace": traced, "failed": 0,
              "metrics": {"setup_s": {"value": setup, "unit": "s"},
                          "peak_rss_mb": {"value": rss, "unit": "MB"},
                          "throughput_rps": {"value": 1.0, "unit": "ops/s"}}}
             for workload, seed, setup, rss in results
         ],
     }
+    for result in record["results"] if traced else ():
+        del result["metrics"]["setup_s"]
     (folder / f"run-{stamp}-1.json").write_text(json.dumps(record))
 
 
@@ -56,3 +59,14 @@ def test_rows_group_by_tree_and_workload_and_count_pairs(tmp_path):
     single = by_key["abc123", "hot-publish"]["metrics"]["setup_s"]
     assert single["q1"] == single["median"] == single["q3"] == 1.2
     assert all(json.loads(json.dumps(row)) == row for row in by_key.values())
+
+
+def test_a_traced_run_gives_a_row_of_the_metrics_it_carries(tmp_path):
+    write_run(tmp_path, "20260101T000001Z", "abc123", False,
+              [("fleet-mix", 11, 1.0, 50.0)])
+    write_run(tmp_path, "20260101T000002Z", "abc123", False,
+              [("fleet-mix", 11, 2.0, 60.0)], traced=True)
+    by_traced = {row["traced"]: row for row in rows(str(tmp_path), METRICS)}
+    assert set(by_traced[False]["metrics"]) == {"setup_s", "peak_rss_mb"}
+    assert set(by_traced[True]["metrics"]) == {"peak_rss_mb"}
+    assert by_traced[True]["metrics"]["peak_rss_mb"]["values"] == [60.0]

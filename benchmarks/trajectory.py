@@ -3,9 +3,11 @@
 ``python benchmarks/trajectory.py [--parent COMMIT] [--pr N]`` appends one JSON
 line to ``benchmarks/trajectory.jsonl`` per tree x workload (traced runs apart)
 found in ``benchmarks/perf/out/run-*.json``: every ``end_to_end`` metric of
-BENCHMARK.json in time order — file-name order — with median and quartiles. A
-tree is its commit, ``+dirty`` for an uncommitted change on top of it. With
-``--parent`` a tree's runs are paired, in order, with the parent's.
+BENCHMARK.json that the group's runs carry (a traced run has no ``setup_s``) in
+time order — file-name order — with median and quartiles. A tree is its commit,
+``+dirty`` for an uncommitted change on top of it. With ``--parent`` a tree's
+runs are paired, in order, with the parent's. Nothing is appended unless every
+row could be made.
 """
 
 import argparse
@@ -38,6 +40,8 @@ def rows(run_dir: str, metrics: list, parent: str = "", pr: "int | None" = None)
                "failed": sum(r["failed"] for r in results), "metrics": {}}
         for metric in metrics:
             name, sign = metric["name"], -1 if metric["better"] == "lower" else 1
+            if any(name not in r["metrics"] for r in results):
+                continue
             values = [r["metrics"][name]["value"] for r in results]
             q1, _q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
             cell = {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
@@ -55,6 +59,7 @@ if __name__ == "__main__":
     args = parser.parse_args()
     with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json"), encoding="utf-8") as handle:
         end_to_end = json.load(handle)["end_to_end"]
+    lines = [json.dumps(row, sort_keys=True) + "\n"
+             for row in rows(os.path.join(HERE, "perf", "out"), end_to_end, args.parent, args.pr)]
     with open(os.path.join(HERE, "trajectory.jsonl"), "a", encoding="utf-8") as handle:
-        for row in rows(os.path.join(HERE, "perf", "out"), end_to_end, args.parent, args.pr):
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
+        handle.writelines(lines)

@@ -44,10 +44,9 @@ this module declines or fails. A :class:`~repro.serving.server.ViewServer`
 climbs all three in one borrow of its session: the version vector it
 stamps the result with, the tracker's ``changes`` since the old stamp
 and every statement here are read under the session's shared permit of
-the source's gate, so no engine write lands between them. Only a write
-that passes no gate (a bare ``connection.execute`` on the source) can;
-the server re-checks the vector before the session goes back and
-discards such a splice (``stamp-race``).
+the source's gate, so no write lands between them: the source's
+connection is the engine's own, and every engine write takes the
+gate's exclusive permit.
 
 Anything the splice cannot prove safe raises :class:`DeltaUnsupported`
 (deliberately *not* a :class:`~repro.errors.ReproError`, so the server's

@@ -11,11 +11,11 @@ Writes reach a tracker from the engine: :meth:`WriteTracker.attach` (or
 <repro.relational.engine.Database.attach_tracker>`) has the engine's
 driver capture every INSERT / UPDATE / DELETE on a writable connection
 (:meth:`repro.relational.driver.SqliteDriver.install_change_capture`:
-a ``TEMP`` trigger per table calls back once per row), so each
-statement becomes one :meth:`~WriteTracker.record_write` per written
-table with its changed primary keys and, on UPDATE, changed columns —
-whatever SQL wrote it, a trigger's cascade included. The version bumps
-after the rows have changed, when the statement has run. Anything else
+a ``TEMP`` trigger per table calls back once per row), so each engine
+write becomes one :meth:`~WriteTracker.record_write` per written table
+with its changed primary keys and, on UPDATE, changed columns — whatever
+SQL wrote it, a trigger's cascade included. The version bumps after the
+rows have changed, when the write has run. Anything else
 (a test, a caller recording by hand) calls
 :meth:`~WriteTracker.record_write` itself.
 """
@@ -242,7 +242,7 @@ class WriteTracker:
 
         ``db`` is a :class:`~repro.relational.engine.Database`; its
         driver's ``install_change_capture`` arranges for
-        :meth:`record_write` to run once per statement and written table.
+        :meth:`record_write` to run once per engine write and written table.
         """
         db.attach_tracker(self)
 

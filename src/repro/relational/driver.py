@@ -18,7 +18,6 @@ pass. DESIGN.md ("One engine") lists what such an engine has to supply.
 from __future__ import annotations
 
 import itertools
-import re
 import sqlite3
 from typing import Any, Callable, Mapping, Optional, Sequence
 from urllib.parse import quote
@@ -33,12 +32,6 @@ STOP_POLL_OPS = 100_000
 
 #: Process-unique suffixes for the named shared-cache memory databases.
 _MEMORY_IDS = itertools.count(1)
-
-#: Transaction control: a write the engine's entry points did not
-#: run (a bare ``connection.execute``) is complete when one is traced.
-_TRANSACTION_RE = re.compile(
-    r"\s*(?:BEGIN|COMMIT|END|ROLLBACK|SAVEPOINT|RELEASE)\b", re.IGNORECASE
-)
 
 #: The SQL function the capture triggers call, and their name prefix.
 _CAPTURE = "repro_capture"
@@ -103,6 +96,23 @@ class SqliteDriver:
             return connection.execute(sql, bindings)
         return connection.execute(sql)
 
+    def read(self, connection, sql: str, bindings: Optional[Mapping] = None):
+        """Execute ``sql`` on a writable connection with writes refused:
+        ``PRAGMA query_only`` is on for the call, so sqlite fails a
+        statement that would write (DML, ``RETURNING`` or DDL) and
+        changes nothing; a transaction it opened is rolled back.
+        Returns ``(column names, rows)``. Calls on one connection must
+        not overlap: the pragma is the connection's."""
+        connection.execute("PRAGMA query_only=ON")
+        try:
+            cursor = self.execute(connection, sql, bindings)
+            names = [d[0] for d in cursor.description or ()]
+            return names, cursor.fetchall()
+        finally:
+            if connection.in_transaction:
+                connection.rollback()
+            connection.execute("PRAGMA query_only=OFF")
+
     def executemany(self, connection, sql: str, rows: Sequence) -> None:
         """Execute ``sql`` once per element of ``rows``."""
         connection.executemany(sql, rows)
@@ -156,7 +166,7 @@ class SqliteDriver:
         statistics — into a fresh one (the backup API; the source is only
         read). The fleet carves its shards out of such copies, and
         ``Database.open`` loads a file with it."""
-        source.connection.backup(target.connection)
+        source._connection.backup(target._connection)
 
     # -- change capture ------------------------------------------------------
 
@@ -175,15 +185,14 @@ class SqliteDriver:
         DELETE). Every statement is seen, however it is written (a
         ``WITH`` prefix, a cascade from a user trigger, ``INSERT OR
         REPLACE``); one that matches no row fires nothing. The rows
-        buffer until they are handed on as one ``record(table, rows=,
-        keys=, columns=)`` per written table: ``keys`` is ``None`` for a
-        table without a primary key, ``columns`` ``None`` when a row was
-        inserted or deleted, or a column past the 63rd changed (the
-        mask's sign bit). The engine's write entry points run through
-        ``write``; a traced transaction-control statement hands on what
-        a bare ``connection.execute`` wrote (sqlite traces a trigger's
-        body with its outer statement's text, so nothing earlier marks a
-        statement's end). Sessions and copies see no ``TEMP`` trigger.
+        buffer until ``write`` returns, then go on as one
+        ``record(table, rows=, keys=, columns=)`` per written table:
+        ``keys`` is ``None`` for a table without a primary key,
+        ``columns`` ``None`` when a row was inserted or deleted, or a
+        column past the 63rd changed (the mask's sign bit). The engine's
+        write entry points run through ``write``, the only way its
+        connection is written. Sessions and copies see no ``TEMP``
+        trigger.
         """
         columns_of = {
             declared.name: declared.column_names() for declared in catalog
@@ -217,19 +226,10 @@ class SqliteDriver:
                     },
                 )
 
-        def trace(sql_text: str) -> None:
-            if pending and _TRANSACTION_RE.match(sql_text):
-                flush()
-
         def write(statement: Callable[[], Any]) -> Any:
-            # sqlite traces each trigger body a row fires, so under the
-            # trace a write pays a Python call per row; these writes
-            # hand themselves on when they return and need none.
-            connection.set_trace_callback(None)
             try:
                 return statement()
             finally:
-                connection.set_trace_callback(trace)
                 flush()
 
         connection.create_function(_CAPTURE, 4, capture)
@@ -251,12 +251,10 @@ class SqliteDriver:
                     f"ON main.{name} BEGIN "
                     f"SELECT {_CAPTURE}('{name}', {values}); END"
                 )
-        connection.set_trace_callback(trace)
         return write
 
     def remove_change_capture(self, connection) -> None:
-        """Drop the capture triggers and clear the trace callback."""
-        connection.set_trace_callback(None)
+        """Drop the capture triggers."""
         triggers = connection.execute(
             "SELECT name FROM sqlite_temp_master "
             f"WHERE type = 'trigger' AND name GLOB '{_CAPTURE}_*'"

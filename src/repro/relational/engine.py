@@ -1,9 +1,12 @@
 """The execution engine for tag queries.
 
 :class:`Database` owns one sqlite connection created from a
-:class:`~repro.relational.schema.Catalog`. Every engine-specific call —
-connect, read-only open, sessions, sanitize, cancel, change capture —
-goes through its :class:`~repro.relational.driver.SqliteDriver`. Tag
+:class:`~repro.relational.schema.Catalog` and keeps it private: a source
+is written only through its gated, captured write entry points
+(:meth:`Database.run_sql`, :meth:`Database.insert_rows`, ...). Every
+engine-specific call — connect, read-only open, sessions, sanitize,
+cancel, change capture — goes through its
+:class:`~repro.relational.driver.SqliteDriver`. Tag
 queries (SQL ASTs with ``$var.column`` parameters) execute through
 :meth:`Database.run_query` against a *binding environment*: a mapping
 from binding-variable name to the parent tuple (a ``dict``) it currently
@@ -33,7 +36,7 @@ nor counters are ever shared mutable state across requests. Concretely:
   reads apart, so a read never meets a half-done write ("table is
   locked"). A thread holding a session that writes through the engine
   to that source gets :class:`~repro.errors.GateReentered` at once; it
-  reads through :meth:`Database.read_sql`.
+  reads through :meth:`Database.read_sql`, where sqlite refuses a write.
 * :class:`QueryStats` increments are guarded by an internal lock, so a
   stats object that *is* intentionally shared (one handed to several
   engines) loses no increments under concurrent recording.
@@ -210,14 +213,14 @@ class Database:
         #: The URI sessions open this database by (none when wrapped).
         self.uri: Optional[str] = None
         if connection is not None:
-            self.connection = connection
+            self._connection = connection
         else:
             # ``cross_thread`` relaxes sqlite's same-thread check for the
             # update-aware serving path, where a writer thread writes
             # this database while servers' workers read it through their
             # sessions (the gate keeps the two apart — see the threading
             # contract above).
-            self.connection, self.uri = self.driver.connect(
+            self._connection, self.uri = self.driver.connect(
                 path, cross_thread=cross_thread
             )
         self.stats = stats if stats is not None else QueryStats()
@@ -225,6 +228,8 @@ class Database:
         self.tracker = None
         #: Keeps engine writes and borrowed sessions' reads apart.
         self.gate = Gate()
+        # Serializes :meth:`read_sql`'s write refusal on the connection.
+        self._reading = threading.Lock()
         # Runs a write entry point's statements and records what they
         # wrote on the tracker (:meth:`attach_tracker`).
         self._capture: Callable[[Callable[[], Any]], Any] = _run
@@ -232,7 +237,7 @@ class Database:
         # is invoked at the top of every run_query — a query/row
         # boundary — and may raise (e.g. DeadlineExceeded) to abandon
         # the evaluation between statements. Within a statement the
-        # caller installs a poll via ``driver.stop_when(connection, …)``.
+        # caller installs a poll with :meth:`stop_when`.
         self.cancel_check: Optional[Callable[[], None]] = None
         if create:
             self.create_tables()
@@ -266,7 +271,7 @@ class Database:
             db.close()
             raise
         db.read_only = True
-        cls.driver.enforce_read_only(db.connection)
+        cls.driver.enforce_read_only(db._connection)
         return db
 
     @classmethod
@@ -293,22 +298,22 @@ class Database:
 
         ``tracker`` is a :class:`repro.maintenance.tracker.WriteTracker`.
         The driver's change capture records every INSERT / UPDATE /
-        DELETE — :meth:`insert_rows`, raw :meth:`run_sql`, a bare
-        ``connection.execute`` — once per statement and table, with the
-        changed primary keys and (on UPDATE) columns. A failed install
+        DELETE the write entry points run — :meth:`insert_rows`, raw
+        :meth:`run_sql` — once per call and table, with the changed
+        primary keys and (on UPDATE) columns. A failed install
         raises before any state changes, leaving the engine untracked. A
         read-only engine writes nothing, so it takes the tracker and
         installs no capture.
         """
         if not self.read_only:
             self._capture = self.driver.install_change_capture(
-                self.connection, self.catalog, tracker.record_write
+                self._connection, self.catalog, tracker.record_write
             )
         self.tracker = tracker
 
     def detach_tracker(self) -> None:
         """Stop recording writes; the tracker keeps what it recorded."""
-        self.driver.remove_change_capture(self.connection)
+        self.driver.remove_change_capture(self._connection)
         self._capture = _run
         self.tracker = None
 
@@ -327,16 +332,16 @@ class Database:
         (:meth:`create_indexes`), instead of updating every index per row."""
         self._check_writable("create tables")
         for declared in self.catalog:
-            self.driver.execute(self.connection, declared.ddl())
-        self.driver.commit(self.connection)
+            self.driver.execute(self._connection, declared.ddl())
+        self.driver.commit(self._connection)
 
     def create_indexes(self) -> None:
         """Create every table's declared secondary indexes."""
         self._check_writable("create indexes")
         for declared in self.catalog:
             for ddl in declared.index_ddl():
-                self.driver.execute(self.connection, ddl)
-        self.driver.commit(self.connection)
+                self.driver.execute(self._connection, ddl)
+        self.driver.commit(self._connection)
 
     def insert_rows(self, table: str, rows: Iterable[Mapping[str, Any]]) -> int:
         """Insert dict rows into ``table``; returns the number inserted."""
@@ -362,12 +367,12 @@ class Database:
         def statement() -> None:
             if rows:
                 self.driver.executemany(
-                    self.connection,
+                    self._connection,
                     f"INSERT INTO {table} ({', '.join(columns)}) "
                     f"VALUES ({', '.join('?' * len(columns))})",
                     rows,
                 )
-            self.driver.commit(self.connection)
+            self.driver.commit(self._connection)
 
         self._write(statement)
         return len(rows)
@@ -386,16 +391,22 @@ class Database:
         decorrelated bulk queries and correlated point queries alike.
         """
         self._check_writable("ANALYZE")
-        self._write(lambda: self.driver.analyze(self.connection))
+        self._write(lambda: self.driver.analyze(self._connection))
 
     def table_count(self, table: str) -> int:
         """Row count of a base table."""
         cursor = self.driver.execute(
-            self.connection, f"SELECT COUNT(*) FROM {table}"
+            self._connection, f"SELECT COUNT(*) FROM {table}"
         )
         return int(cursor.fetchone()[0])
 
     # -- query execution ----------------------------------------------------------
+
+    def stop_when(self, stop: Optional[Callable[[], bool]]) -> None:
+        """Cut a running statement short once ``stop()`` is true (the
+        driver's :meth:`~repro.relational.driver.SqliteDriver.stop_when`
+        on this connection); ``None`` clears the poll."""
+        self.driver.stop_when(self._connection, stop)
 
     def run_query(self, query: Select, env: Optional[Mapping[str, Row]] = None) -> list[Row]:
         """Execute a tag query under a binding environment.
@@ -454,7 +465,7 @@ class Database:
             bindings[placeholder_name(param)] = parent_row[param.column]
         started = time.perf_counter()
         try:
-            cursor = self.driver.execute(self.connection, sql, bindings)
+            cursor = self.driver.execute(self._connection, sql, bindings)
         except self.driver.errors as exc:
             raise ViewEvaluationError(f"sqlite error: {exc}; SQL: {sql}") from exc
         names = [d[0] for d in cursor.description]
@@ -480,25 +491,34 @@ class Database:
 
     def read_sql(self, sql: str, bindings: Optional[Mapping[str, Any]] = None) -> list[Row]:
         """Run a raw SELECT under the gate's shared permit: beside
-        borrowed sessions, and on a thread that holds one."""
+        borrowed sessions, and on a thread that holds one. It cannot
+        write: sqlite refuses a statement that would (the driver's
+        :meth:`~repro.relational.driver.SqliteDriver.read`), so the
+        write entry points stay the only way a source is written."""
         self.gate.enter()
         try:
-            return self._raw(sql, bindings)
+            if self.read_only:  # sqlite refuses writes already
+                return self._raw(sql, bindings)
+            with self._reading:
+                names, rows = self.driver.read(
+                    self._connection, sql, dict(bindings or {})
+                )
+            return _as_dicts(names, rows)
         finally:
             self.gate.leave()
 
     def _raw(self, sql: str, bindings: Optional[Mapping[str, Any]]) -> list[Row]:
         """One raw statement; a statement without rows is committed."""
-        cursor = self.driver.execute(self.connection, sql, dict(bindings or {}))
+        cursor = self.driver.execute(self._connection, sql, dict(bindings or {}))
         description = getattr(cursor, "description", None)
         if description is None:
-            self.driver.commit(self.connection)
+            self.driver.commit(self._connection)
             return []
         return _as_dicts([d[0] for d in description], cursor.fetchall())
 
     def close(self) -> None:
         """Close the underlying sqlite connection."""
-        self.driver.close(self.connection)
+        self.driver.close(self._connection)
 
     def __enter__(self) -> "Database":
         return self

@@ -20,13 +20,12 @@ A :class:`~repro.serving.server.ViewServer` keys it by plan fingerprint
 (its compile and execution outcomes — never on a plan store other
 servers may share); on a fleet every shard's server has its own.
 
-Looking is not admitting. :meth:`ready` is read-only — it may be asked
-about a key no attempt follows. :meth:`allow`
-takes the half-open trial slot, and only an attempt that will certainly
-run may call it: the slot is given back solely by that attempt's
-:meth:`record_success`, :meth:`record_failure` or — when the attempt was
-cancelled or shed and says nothing about the key — :meth:`release`. A
-slot taken and never settled locks the key out for good.
+:meth:`allow` takes the half-open trial slot, and only an attempt that
+will certainly run may call it: the slot is given back solely by that
+attempt's :meth:`record_success`, :meth:`record_failure` or — when the
+attempt was cancelled or shed and says nothing about the key —
+:meth:`release`. A slot taken and never settled locks the key out for
+good.
 
 State per key is a few counters, created lazily on the first failure.
 All transitions happen under one lock and are counted, so
@@ -87,26 +86,7 @@ class CircuitBreaker:
         self.half_opened = 0
         self.short_circuits = 0
 
-    def _cooling(self, circuit: _Circuit) -> bool:
-        """Whether an open circuit's cooldown is still running."""
-        elapsed_ms = (self._clock() - circuit.opened_at) * 1000.0
-        return elapsed_ms < self.cooldown_ms
-
     # -- request gating ------------------------------------------------------
-
-    def ready(self, key: str) -> bool:
-        """Read-only: would :meth:`allow` admit a request for ``key`` now?
-
-        Changes no state and no counter, so enumeration may ask it of
-        every candidate, including those it will never attempt.
-        """
-        with self._lock:
-            circuit = self._circuits.get(key)
-            if circuit is None or circuit.state == "closed":
-                return True
-            if circuit.state == "open":
-                return not self._cooling(circuit)
-            return circuit.trials < self.half_open_max
 
     def allow(self, key: str) -> bool:
         """Admit a request for ``key`` that will certainly be attempted.
@@ -124,7 +104,8 @@ class CircuitBreaker:
             if circuit is None or circuit.state == "closed":
                 return True
             if circuit.state == "open":
-                if self._cooling(circuit):
+                elapsed_ms = (self._clock() - circuit.opened_at) * 1000.0
+                if elapsed_ms < self.cooldown_ms:
                     self.short_circuits += 1
                     return False
                 circuit.state = "half-open"
@@ -197,12 +178,6 @@ class CircuitBreaker:
         with self._lock:
             circuit = self._circuits.get(key)
             return circuit.state if circuit is not None else "closed"
-
-    def failures(self, key: str) -> int:
-        """``key``'s consecutive-failure count (0 if untracked)."""
-        with self._lock:
-            circuit = self._circuits.get(key)
-            return circuit.consecutive_failures if circuit is not None else 0
 
     def stats(self) -> dict:
         """Transition totals plus a histogram of current circuit states."""

@@ -27,7 +27,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from repro.errors import ReproError
 from repro.serving.pool import ConnectionPool
@@ -199,7 +199,7 @@ class FaultyEngine:
     Overrides :meth:`run_query` and :meth:`run_rows` — the two views of
     the engine's one execution body — to consult the :class:`FaultPlan`
     at the query's site (its first referenced base table); everything else —
-    ``stats``, ``connection``, ``catalog``, ``close`` — delegates to the
+    ``stats``, ``stop_when``, ``catalog``, ``close`` — delegates to the
     wrapped engine, so pools, evaluators, and the delta path use it
     unchanged. The wrapper honours the engine's cooperative
     ``cancel_check`` hook *before* injecting latency, so a deadline is
@@ -262,29 +262,22 @@ class FaultyEngine:
 class FaultyPool:
     """A :class:`~repro.serving.pool.ConnectionPool` wrapper that injects.
 
-    A borrow first asks ``gate``, which refuses it by raising, and lends
-    the session out as a :class:`FaultyEngine` on ``plan``; it comes back
-    unwrapped through the pool's own release. The rest is the pool's.
+    A borrow lends the session out as a :class:`FaultyEngine` on
+    ``plan``; it comes back unwrapped through the pool's own release.
+    The rest is the pool's.
     """
 
-    def __init__(self, pool: ConnectionPool, plan: Optional[FaultPlan] = None,
-                 gate: Optional[Callable[[], None]] = None):
+    def __init__(self, pool: ConnectionPool, plan: FaultPlan):
         self._pool = pool
         self._plan = plan
-        self._gate = gate
 
     def acquire(self):
-        """Borrow the session, wrapped, once the gate lets the borrow by."""
-        if self._gate is not None:
-            self._gate()
-        session = self._pool.acquire()
-        return session if self._plan is None else FaultyEngine(session, self._plan)
+        """Borrow the session, wrapped."""
+        return FaultyEngine(self._pool.acquire(), self._plan)
 
     def release(self, session) -> None:
         """Return the borrowed session to the pool, unwrapped."""
-        if isinstance(session, FaultyEngine):
-            session = session.wrapped
-        self._pool.release(session)
+        self._pool.release(session.wrapped)
 
     session = ConnectionPool.session  # through this acquire and release
 

@@ -53,7 +53,7 @@ class ConnectionPool:
             self.catalog, self._sessions_of.connect(), stats=self.stats,
             read_only=True,
         )
-        self.driver.enforce_read_only(db.connection)
+        self.driver.enforce_read_only(db._connection)
         return db
 
     # -- borrowing -----------------------------------------------------------
@@ -92,7 +92,7 @@ class ConnectionPool:
         """
         try:
             session.cancel_check = None
-            if self._closed or not self.driver.sanitize(session.connection):
+            if self._closed or not self.driver.sanitize(session._connection):
                 try:
                     session.close()
                 except self.driver.errors:

@@ -30,7 +30,7 @@ the plan's base-table version vector; a
 cached bytes may be served. The compute stage is one ladder: each
 attempt borrows the session once, reads the stamp, the tracker's
 changes and the column memo's clock under the session's shared permit
-(no gated write moves the source while it is out), tries the delta rung
+(no write moves the source while it is out), tries the delta rung
 (:mod:`repro.maintenance.incremental`) when the stale entry holds state
 and the full rung when it declines, then emits and stores once. Under
 ``strict`` the equivalence guarantee extends across interleaved writes
@@ -159,14 +159,13 @@ PRIORITY_ADMISSION_FRACTIONS = {
 #: staleness: the full recompute that follows captures, so this is the
 #: promotion step, once per promoted entry), a stale classification with
 #: no actually-newer table (``no-change``), a clean
-#: :class:`DeltaUnsupported` decline (``unsupported``), a mid-splice
-#: failure (``error``), or a write racing the splice (``stamp-race``).
+#: :class:`DeltaUnsupported` decline (``unsupported``), or a mid-splice
+#: failure (``error``).
 DELTA_FALLBACK_REASONS = (
     "no-state",
     "no-change",
     "unsupported",
     "error",
-    "stamp-race",
 )
 
 #: What a :class:`ViewServer` counts, by dotted name in its
@@ -826,13 +825,11 @@ class ViewServer:
         and the memo's clock read here agree with every statement's data.
         A write that landed before the borrow is in the stamp; one that
         arrives during it waits at the gate, and the bytes keep the stamp
-        from before it. Only an ungated write (a bare
-        ``connection.execute`` on the source) moves the vector under a
-        borrow: the delta rung re-checks it before the session goes back
-        and discards the splice as a ``stamp-race``. The full rung needs
-        no re-check: its data is at or ahead of its stamp. The stale
-        entry is never written: a splice builds new state sharing its
-        untouched columns, so a failure mid-way leaves the cache intact.
+        from before it. Every write passes the gate (the source's
+        connection is the engine's own), so neither rung re-checks the
+        vector. The stale entry is never written: a splice builds new
+        state sharing its untouched columns, so a failure mid-way leaves
+        the cache intact.
 
         The full rung keeps the columns (the promotion) only when the key
         is already resident: the entry went stale, so a delta would have
@@ -914,7 +911,7 @@ class ViewServer:
         if not changed:
             return self._decline("no-change")
         try:
-            splice = DeltaEvaluator(db, stats=stats).evaluate(
+            return DeltaEvaluator(db, stats=stats).evaluate(
                 plan.view, entry.state, plan.node_read_sets, changed,
                 changes=self.tracker.changes_since(entry.versions, plan.tables),
             )
@@ -926,9 +923,6 @@ class ViewServer:
             # failure left the entry untouched, so the full rung is safe.
             deadline.check()
             return self._decline("error")
-        if self.tracker.versions(plan.tables) != versions:
-            return self._decline("stamp-race")
-        return splice
 
     def _decline(self, reason: str) -> None:
         """Count why the delta rung fell back to the full one."""
@@ -942,22 +936,23 @@ class ViewServer:
         Between statements the engine's ``cancel_check`` hook raises
         :class:`DeadlineExceeded` (or
         :class:`~repro.errors.RequestCancelled` for a cancelled token);
-        within one, the driver polls :meth:`Deadline.stopped` and cuts
-        the statement short as a transient ``interrupted`` error, which
-        the compute stage turns back into the real failure with
-        ``deadline.check()``. Both are cleared before the session goes
-        back to the pool, and no other thread touches the connection.
+        within one, the session's stop poll (:meth:`Database.stop_when`)
+        calls :meth:`Deadline.stopped` and cuts the statement short as
+        a transient ``interrupted`` error, which the compute stage turns
+        back into the real failure with ``deadline.check()``. Both are
+        cleared before the session goes back to the pool, and no other
+        thread touches the connection.
         """
         with self.pool.session() as db:
             if deadline.budget_ms is None and deadline.token is None:
                 yield db
                 return
             db.cancel_check = deadline.check
-            db.driver.stop_when(db.connection, deadline.stopped)
+            db.stop_when(deadline.stopped)
             try:
                 yield db
             finally:
-                db.driver.stop_when(db.connection, None)
+                db.stop_when(None)
                 db.cancel_check = None
 
     # -- failure handling ----------------------------------------------------

@@ -256,7 +256,7 @@ cache.misses cache.size cache.skeleton_evictions cache.skeleton_hits
 cache.skeleton_misses cache.skeleton_size cache.statements_shared
 cancelled delta_fallbacks
 delta_fallbacks_by_reason.error delta_fallbacks_by_reason.no-change
-delta_fallbacks_by_reason.no-state delta_fallbacks_by_reason.stamp-race
+delta_fallbacks_by_reason.no-state
 delta_fallbacks_by_reason.unsupported errors faults.checks
 faults.enabled faults.injected.compile-error faults.injected.error
 faults.injected.latency faults.injected.wrong-shape faults.seed

@@ -36,7 +36,7 @@ def test_auto_attach_degrades_loudly(db):
     """A connection that refuses the capture (here: a closed one)
     makes attach raise — never a tracker that silently captures
     nothing — and leaves the engine untracked."""
-    db.connection.close()
+    db.close()
     with pytest.raises(sqlite3.ProgrammingError):
         db.attach_tracker(WriteTracker())
     assert db.tracker is None

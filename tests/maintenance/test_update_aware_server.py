@@ -270,8 +270,8 @@ def test_a_write_before_the_borrow_is_in_the_full_stamp():
 def test_delta_adopts_a_racing_write_into_its_selection_snapshot():
     """A write landing before the borrow is adopted into the splice's
     dirty-node selection, its changes and its stamp alike, so the stamp,
-    the selection and the data agree: no ``stamp-race``, and the next
-    request is a clean hit on live bytes."""
+    the selection and the data agree, and the next request is a clean
+    hit on live bytes."""
     db, tracker, server = racy_env()
     try:
         serve_promoted(server, db, tracker)
@@ -281,7 +281,6 @@ def test_delta_adopts_a_racing_write_into_its_selection_snapshot():
         assert server.raced() and trace.freshness == "delta-recompute"
         metrics = server.metrics()
         assert metrics["delta_fallbacks"] == 1  # the promotion
-        assert metrics["delta_fallbacks_by_reason"]["stamp-race"] == 0
         hit = serve(server, db)
         assert hit.freshness == "hit"
         assert hit.xml == trace.xml == serve(server, db, bypass_cache=True).xml
@@ -292,9 +291,9 @@ def test_delta_adopts_a_racing_write_into_its_selection_snapshot():
 
 def test_a_gated_write_during_a_splice_waits_for_it(monkeypatch):
     """A write arriving *during* the splice waits at the source's gate
-    until the session goes back, so the vector re-checked before then has
-    not moved: the splice stands with its pre-write stamp, nothing is a
-    ``stamp-race``, and the write is one more delta on the next read."""
+    until the session goes back, so the vector does not move under the
+    splice: it stands with its pre-write stamp, and the write is one more
+    delta on the next read."""
     from repro.maintenance import DeltaEvaluator
     from repro.serving.pool import ConnectionPool
 
@@ -327,51 +326,11 @@ def test_a_gated_write_during_a_splice_waits_for_it(monkeypatch):
         assert trace.freshness == "delta-recompute"
         metrics = server.metrics()
         assert metrics["delta_fallbacks"] == 1  # the promotion
-        assert metrics["delta_fallbacks_by_reason"]["stamp-race"] == 0
         monkeypatch.undo()
         after = serve(server, db)
         assert after.freshness == "delta-recompute"
         assert after.xml == serve(server, db, bypass_cache=True).xml
         assert serve(server, db).freshness == "hit"
-    finally:
-        server.close()
-        db.close()
-
-
-def test_an_ungated_write_during_a_splice_is_a_stamp_race(monkeypatch):
-    """A bare ``connection.execute`` write on the source passes no gate,
-    so it can move the vector under a borrowed session: the re-check
-    before the session goes back discards the splice as a ``stamp-race``
-    and the full rung answers, with a bypass read's bytes."""
-    from repro.maintenance import DeltaEvaluator
-
-    db, tracker, server = make_env()
-    try:
-        serve_promoted(server, db, tracker)
-        hotel_write(db, 0)
-        original = DeltaEvaluator.evaluate
-        clock = tracker.clock()
-
-        def ungated_evaluate(self, *args, **kwargs):
-            db.connection.execute(  # a payload column: no row moves
-                "UPDATE hotel SET pool = 1 - pool WHERE hotelid = "
-                "(SELECT MIN(hotelid) FROM hotel WHERE starrating > 4)"
-            )
-            db.connection.commit()
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(DeltaEvaluator, "evaluate", ungated_evaluate)
-        trace = serve(server, db)
-        monkeypatch.undo()
-        assert tracker.clock() == clock + 1  # the commit recorded the write
-        assert trace.freshness == "stale-recompute"  # the full rung
-        metrics = server.metrics()
-        assert metrics["delta_fallbacks"] == 2  # the promotion + this one
-        assert metrics["delta_fallbacks_by_reason"]["stamp-race"] == 1
-        assert trace.xml == serve(server, db, bypass_cache=True).xml
-        # The full rung kept the stamp read before the write: the write
-        # is one more delta on the next read.
-        assert serve(server, db).freshness == "delta-recompute"
     finally:
         server.close()
         db.close()

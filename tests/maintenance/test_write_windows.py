@@ -38,8 +38,8 @@ def listed_window(db, step, width):
 
 
 def keys_of(db, sql, hotels):
-    marks = ",".join("?" * len(hotels))
-    return {row[0] for row in db.connection.execute(sql.format(marks), hotels)}
+    rows = db.read_sql(sql.format(",".join(map(str, hotels))))
+    return {value for row in rows for value in row.values()}
 
 
 #: writer, the table it writes, and the keys of that table's rows under

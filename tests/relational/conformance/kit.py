@@ -202,7 +202,7 @@ class DriverConformanceKit:
                 session = Database.from_connection(
                     db.catalog, snapshot.connect(), read_only=True
                 )
-                self.driver.enforce_read_only(session.connection)
+                self.driver.enforce_read_only(session._connection)
                 with pytest.raises(self.driver.errors):
                     session.run_sql("DELETE FROM items")
                 with pytest.raises(ViewEvaluationError):
@@ -214,6 +214,27 @@ class DriverConformanceKit:
                 session.close()
             finally:
                 snapshot.close()
+
+    def check_read_refuses_writes(self) -> None:
+        """``read`` returns a query's names and rows on a writable
+        connection, refuses a statement that would write without
+        changing a row, and leaves the connection writable."""
+        import pytest
+
+        with self.build() as db:
+            connection = db._connection
+            names, rows = self.driver.read(
+                connection, "SELECT id FROM items WHERE id = :wanted",
+                {"wanted": 3},
+            )
+            assert (names, rows) == (["id"], [(3,)])
+            for sql in ("DELETE FROM items", "UPDATE items SET score = 0"):
+                with pytest.raises(self.driver.errors):
+                    self.driver.read(connection, sql)
+            assert not connection.in_transaction
+            assert db.table_count("items") == len(ROWS)
+            db.run_sql("DELETE FROM items WHERE id = 3")
+            assert db.table_count("items") == len(ROWS) - 1
 
     def check_sessions_read_the_source(self) -> None:
         """A session opened onto a live database reads the database
@@ -242,7 +263,7 @@ class DriverConformanceKit:
         with self.build() as db:
             started = time.perf_counter()
             self.driver.stop_when(
-                db.connection, lambda: time.perf_counter() - started > 0.1
+                db._connection, lambda: time.perf_counter() - started > 0.1
             )
             try:
                 db.run_sql(HEAVY_SQL)
@@ -252,7 +273,7 @@ class DriverConformanceKit:
                 assert classify_error(exc) == "transient", exc
             else:
                 raise AssertionError("heavy statement ran to completion")
-            if not self.driver.sanitize(db.connection):
+            if not self.driver.sanitize(db._connection):
                 raise AssertionError("connection unusable after a stop")
             assert db.table_count("items") == len(ROWS)
             assert db.run_sql(SHORT_SQL) == [{"n": 100000}]

@@ -35,6 +35,10 @@ def test_read_only_enforcement(driver):
     DriverConformanceKit(driver).check_read_only_enforcement()
 
 
+def test_read_refuses_writes(driver):
+    DriverConformanceKit(driver).check_read_refuses_writes()
+
+
 def test_sessions_read_the_source(driver):
     DriverConformanceKit(driver).check_sessions_read_the_source()
 

@@ -71,7 +71,7 @@ def hotel_file(tmp_path):
     db = build_hotel_database(HotelDataSpec(metros=2, hotels_per_metro=2))
     path = str(tmp_path / "hotel.db")
     dest = sqlite3.connect(path)
-    db.connection.backup(dest)
+    db._connection.backup(dest)
     dest.close()
     db.close()
     return path

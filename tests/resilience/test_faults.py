@@ -131,7 +131,7 @@ def test_faulty_engine_delegates_everything_else(small_db):
     engine = FaultyEngine(small_db, FaultPlan(FaultSpec(), seed=0))
     assert engine.wrapped is small_db
     assert engine.catalog is small_db.catalog
-    assert engine.connection is small_db.connection
+    assert engine.stop_when == small_db.stop_when
     assert engine.table_count("metroarea") == 2
 
 

@@ -79,8 +79,8 @@ def _views(catalog):
 
 def _steps(db, query):
     counts = Counter()
-    for row in db.connection.execute(f"EXPLAIN QUERY PLAN {print_select(query)}"):
-        counts.update(step for step in STEPS if row[3].startswith(step))
+    for row in db.read_sql(f"EXPLAIN QUERY PLAN {print_select(query)}"):
+        counts.update(step for step in STEPS if row["detail"].startswith(step))
     return tuple(counts[step] for step in STEPS)
 
 
@@ -111,11 +111,11 @@ def _vm_steps(db, query):
         nonlocal steps
         steps += 1
 
-    db.connection.set_progress_handler(count, 1)
+    db._connection.set_progress_handler(count, 1)
     try:
         rows = db.run_rows(query)
     finally:
-        db.connection.set_progress_handler(None, 1)
+        db._connection.set_progress_handler(None, 1)
     return steps, rows
 
 

@@ -203,7 +203,7 @@ def test_a_session_released_with_a_poll_is_clean_on_its_next_borrow():
     db = small_db()
     with ViewServer(db.catalog, source=db, workers=1) as server:
         with server.pool.session() as session:
-            session.driver.stop_when(session.connection, lambda: True)
+            session.stop_when(lambda: True)
             with pytest.raises(sqlite3.OperationalError, match="interrupted"):
                 session.run_sql(LONG)
         with server.pool.session() as again:  # the pool's only session

@@ -158,7 +158,7 @@ def test_a_session_borrowed_after_a_write_sees_it():
 def test_file_pool_serves_a_database_file(small_hotel_db, tmp_path):
     path = str(tmp_path / "hotel.db")
     dest = sqlite3.connect(path)
-    small_hotel_db.connection.backup(dest)
+    small_hotel_db._connection.backup(dest)
     dest.close()
     stored = Database.open(small_hotel_db.catalog, path)
     with stored, ConnectionPool(stored.catalog, stored) as pool:
@@ -210,7 +210,7 @@ def test_aggregate_and_reset_stats(small_hotel_db):
         assert pool.stats.queries_executed == 1
         assert pool.stats.rows_fetched == 5
         session = pool.acquire()
-        session.connection.close()
+        session.close()
         pool.release(session)  # replaced
         with pool.session() as db:
             assert db is not session
@@ -255,13 +255,13 @@ def test_release_rolls_back_open_transaction(small_hotel_db):
         small_hotel_db.catalog, source=small_hotel_db
     ) as pool:
         session = pool.acquire()
-        session.connection.execute("BEGIN")
-        session.connection.execute("SELECT COUNT(*) FROM metroarea")
-        assert session.connection.in_transaction
+        session.driver.execute(session._connection, "BEGIN")
+        assert session.table_count("metroarea") == 2
+        assert session._connection.in_transaction
         pool.release(session)
         again = pool.acquire()
         assert again is session
-        assert not again.connection.in_transaction
+        assert not again._connection.in_transaction
         pool.release(again)
 
 
@@ -289,7 +289,7 @@ def test_release_replaces_a_broken_session(small_hotel_db):
         small_hotel_db.catalog, source=small_hotel_db
     ) as pool:
         session = pool.acquire()
-        session.connection.close()  # simulate a fatally broken connection
+        session.close()  # simulate a fatally broken connection
         pool.release(session)
         assert pool.outstanding() == 0
         # The replacement serves queries.
@@ -307,31 +307,27 @@ def test_release_into_closed_pool_closes_the_session(small_hotel_db):
     pool.close()
     pool.release(held)  # must not raise, must not queue
     with pytest.raises(sqlite3.ProgrammingError):
-        held.connection.execute("SELECT 1")
+        held.read_sql("SELECT 1")
 
 
 def test_admission_gate_refuses_acquire_without_consuming_a_session(
-    small_hotel_db,
+    small_hotel_db, monkeypatch,
 ):
-    """While the gate raises a transient error, ``acquire`` fails fast
-    and no idle session is consumed, so the pool serves at full strength
-    the moment the gate lets borrows by again."""
-    from repro.resilience.faults import FaultyPool
+    """While the source's gate raises a transient error, ``acquire``
+    fails fast and no idle session is consumed, so the pool serves at
+    full strength the moment the gate lets borrows by again."""
 
-    refusing = [True]
-
-    def gate():
-        if refusing[0]:
-            raise sqlite3.OperationalError("database is locked")
+    def refuse():
+        raise sqlite3.OperationalError("database is locked")
 
     with ConnectionPool(
         small_hotel_db.catalog, source=small_hotel_db,
-    ) as raw:
-        pool = FaultyPool(raw, gate=gate)
+    ) as pool:
+        monkeypatch.setattr(small_hotel_db.gate, "enter", refuse)
         with pytest.raises(sqlite3.OperationalError, match="locked"):
             pool.acquire()
         assert pool.outstanding() == 0
-        refusing[0] = False
+        monkeypatch.undo()
         session = pool.acquire()
         assert session.table_count("metroarea") == 2
         pool.release(session)

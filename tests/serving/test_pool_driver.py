@@ -52,8 +52,8 @@ def test_release_sanitizes_open_transaction(driver):
             session = pool.acquire()
             # The state an interrupted statement leaves behind: an open
             # (read) transaction on the raw connection.
-            session.connection.execute("BEGIN")
-            session.connection.execute("SELECT * FROM t").fetchall()
+            session.driver.execute(session._connection, "BEGIN")
+            session.read_sql("SELECT * FROM t")
             pool.release(session)
             # The next borrower gets a clean, working session.
             with pool.session() as again:
@@ -65,7 +65,7 @@ def test_release_replaces_broken_session(driver):
     with _source(driver) as source:
         with ConnectionPool(source.catalog, source=source) as pool:
             session = pool.acquire()
-            session.connection.close()  # poison it behind the pool's back
+            session.close()  # poison it behind the pool's back
             pool.release(session)
             # The pool replaced the session rather than re-queueing the
             # corpse: still one session, and it works.
@@ -98,8 +98,8 @@ def test_refresh_after_release_sanitization(driver):
     with _source(driver) as source:
         with ConnectionPool(source.catalog, source=source) as pool:
             session = pool.acquire()
-            session.connection.execute("BEGIN")
-            session.connection.execute("SELECT * FROM t").fetchall()
+            session.driver.execute(session._connection, "BEGIN")
+            session.read_sql("SELECT * FROM t")
             pool.release(session)
             source.insert_rows("t", [{"id": 100, "v": "late"}])
             pool.refresh()

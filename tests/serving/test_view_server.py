@@ -203,7 +203,7 @@ def test_server_over_database_file(tmp_path):
     db = build_hotel_database(HotelDataSpec(metros=2, hotels_per_metro=2))
     path = str(tmp_path / "hotel.db")
     dest = sqlite3.connect(path)
-    db.connection.backup(dest)
+    db._connection.backup(dest)
     dest.close()
     stored = Database.open(hotel_catalog(), path)
     with stored, ViewServer(stored.catalog, stored, workers=2) as server:

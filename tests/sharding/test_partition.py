@@ -25,6 +25,7 @@ from repro.workloads.synthetic import (
     fanout_view,
 )
 from repro.schema_tree.builder import ViewBuilder
+from repro.sql.parser import parse_select
 
 SEED = 2003
 
@@ -209,9 +210,8 @@ def test_orphan_rows_are_dropped_not_guessed():
 
 
 def _rows_in_rowid_order(db, table):
-    return db.connection.execute(
-        f"SELECT rowid, * FROM {table} ORDER BY rowid"
-    ).fetchall()
+    query = parse_select(f"SELECT rowid, * FROM {table} ORDER BY rowid")
+    return db.run_rows(query)[1]
 
 
 @pytest.mark.parametrize(
@@ -304,7 +304,7 @@ def test_a_failed_carve_closes_the_shards_already_made(monkeypatch):
         assert len(analyzed) == 2
         for shard in analyzed:
             with pytest.raises(sqlite3.ProgrammingError, match="closed"):
-                shard.connection.execute("SELECT 1")
+                shard.read_sql("SELECT 1")
     finally:
         db.close()
 

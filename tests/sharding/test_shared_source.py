@@ -100,9 +100,9 @@ def test_a_shard_maintains_a_stale_entry_by_delta_on_its_tracker():
     the same writes and reads. The shard's entry goes stale by two
     availability writes and is recomputed in full, keeping state; two
     hotel writes later it is stale again, and the shard's server splices
-    it by delta on the shard's tracker, with no ``stamp-race``. Every
-    read answers the single box's bytes, freshness and ``version_lag``:
-    the router adds no lag of its own."""
+    it by delta on the shard's tracker. Every read answers the single
+    box's bytes, freshness and ``version_lag``: the router adds no lag
+    of its own."""
     db = build_hotel_database(SPEC, cross_thread=True, seed=2003)
     view = figure1_view(db.catalog)
     router = ShardRouter.build(db.catalog, db, hotel_partition_scheme(), 1)
@@ -134,7 +134,6 @@ def test_a_shard_maintains_a_stale_entry_by_delta_on_its_tracker():
         read("delta-recompute", 0)  # computed bytes are fresh
         metrics = shard.server.metrics()
         assert metrics["freshness"]["delta-recompute"] == 1
-        assert metrics["delta_fallbacks_by_reason"]["stamp-race"] == 0
         fleet = router.fleet_metrics()
         # Computed bytes are fresh: nothing was served stale.
         assert (fleet["stale_serves"], fleet["max_served_lag"]) == (0, 0)
