@@ -185,24 +185,6 @@ class RequestRejected(ServingError):
     """
 
 
-class RequestCancelled(ServingError):
-    """Raised when a request is cancelled by its :class:`CancelToken`.
-
-    Cancellation is *cooperative and intentional* — the async front end
-    cancels the losing attempt of a hedged request pair once the first
-    response arrives. A cancelled request is neither a success nor a
-    failure: it must not feed the circuit breaker (a half-open trial it
-    holds is released), must not retry, and must not fall back to a
-    degraded-stale serve (the winning attempt already produced the
-    response).
-    """
-
-    def __init__(self, reason: str = ""):
-        super().__init__(
-            f"request cancelled{f': {reason}' if reason else ''}"
-        )
-
-
 class CircuitOpen(ServingError):
     """Raised when a plan's circuit breaker refuses evaluation.
 
@@ -243,9 +225,6 @@ def classify_error(exc: BaseException) -> str:
       time budget is gone by definition).
     * ``"rejected"`` — a :class:`RequestRejected` or
       :class:`CircuitOpen`; never retried (backpressure signals).
-    * ``"cancelled"`` — a :class:`RequestCancelled`; never retried and
-      never degraded (the caller abandoned the attempt on purpose —
-      hedged-request losers land here).
     * ``"transient"`` — a busy/locked/disk-I/O style
       ``sqlite3.OperationalError`` (possibly wrapped in a
       :class:`ViewEvaluationError` — the cause chain is walked); worth a
@@ -261,8 +240,6 @@ def classify_error(exc: BaseException) -> str:
         seen.add(id(current))
         if isinstance(current, DeadlineExceeded):
             return "deadline"
-        if isinstance(current, RequestCancelled):
-            return "cancelled"
         if isinstance(current, (RequestRejected, CircuitOpen)):
             return "rejected"
         if isinstance(current, sqlite3.OperationalError):

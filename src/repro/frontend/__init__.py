@@ -5,11 +5,10 @@ below it (:mod:`repro.serving`, :mod:`repro.sharding`,
 :mod:`repro.resilience`) computes on worker threads; everything here
 runs on one asyncio event loop and bridges between the two.
 
-* :mod:`repro.frontend.facade` — :class:`AsyncViewServer`, awaitable
-  requests over the backend's futures with hedged-request racing and
-  cooperative loser cancellation.
-* :mod:`repro.frontend.hedging` — rolling per-plan p95 estimation,
-  the hedge budget, and fire/win accounting.
+* :mod:`repro.frontend.facade` — :class:`AsyncViewServer`, one
+  awaitable attempt per request over the backend's futures.
+* :mod:`repro.frontend.hedging` — the hedge policy the benchmark spine
+  passes to the facade, which ignores it.
 * :mod:`repro.frontend.http` — the stdlib HTTP/1.1 server
   (``POST /publish``, ``GET /metrics``, ``GET /healthz``) with
   keep-alive and graceful drain.
@@ -22,8 +21,7 @@ from repro.frontend.app import (
     RegisteredView,
     build_hotel_app,
 )
-from repro.frontend.facade import USABLE_OUTCOMES, AsyncViewServer
-from repro.frontend.hedging import HedgeController, HedgePolicy, RollingLatency
+from repro.frontend.facade import AsyncViewServer
 from repro.frontend.http import (
     OUTCOME_STATUS,
     FrontendServer,
@@ -33,13 +31,9 @@ from repro.frontend.http import (
 __all__ = [
     "AsyncViewServer",
     "FrontendServer",
-    "HedgeController",
-    "HedgePolicy",
     "OUTCOME_STATUS",
     "PublishingApp",
     "RegisteredView",
-    "RollingLatency",
-    "USABLE_OUTCOMES",
     "build_hotel_app",
     "serve_app",
 ]

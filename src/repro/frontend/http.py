@@ -2,8 +2,8 @@
 
 No web framework — a hand-rolled request loop over
 :func:`asyncio.start_server` streams, because the protocol surface is
-three routes and the interesting parts (hedging, priority admission,
-cancellation) live below HTTP anyway:
+four routes and the interesting parts (priority admission, deadlines,
+the degraded fallback) live below HTTP anyway:
 
 * ``POST /publish`` — JSON body ``{"view": "figure4", "priority":
   "interactive", "bypass_cache": false}`` (a ``"strategy"`` key is
@@ -12,10 +12,9 @@ cancellation) live below HTTP anyway:
   verdict in ``X-Repro-*`` headers. Outcomes map onto status codes: success and
   degraded are ``200`` (degraded is still bytes — the resilience
   contract — flagged by ``X-Repro-Outcome``), shed admission is
-  ``503``, a blown deadline ``504``, cancellation ``499``, everything
-  else ``500``.
+  ``503``, a blown deadline ``504``, everything else ``500``.
 * ``GET /metrics`` — the facade's merged metrics JSON (backend
-  counters + hedging section).
+  counters + the facade's in-flight count).
 * ``GET /healthz`` — liveness plus drain state.
 * ``POST /write`` — test/harness hook applying one workload write, on
   the backend's executor (a single box's worker, where it queues behind
@@ -47,7 +46,6 @@ OUTCOME_STATUS = {
     "degraded": 200,
     "rejected": 503,
     "deadline": 504,
-    "cancelled": 499,
     "error": 500,
 }
 
@@ -58,7 +56,6 @@ REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
-    499: "Client Closed Request",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",

@@ -11,7 +11,7 @@ predictable* under that failure:
   by its own path, never from here, so a server process loads none of it.
 * :mod:`repro.resilience.policy` — :class:`ResiliencePolicy` (per-
   request deadlines, retry-with-backoff+jitter, breaker and admission
-  knobs) and :class:`Deadline` (cancellation the engine checks at query
+  knobs) and :class:`Deadline` (the time budget the engine checks at query
   boundaries and polls within a statement, on the thread that runs it:
   no thread of its own).
 * :mod:`repro.resilience.breaker` — a per-plan-fingerprint
@@ -28,11 +28,10 @@ computation fails) is wired in
 """
 
 from repro.resilience.breaker import BREAKER_STATES, CircuitBreaker
-from repro.resilience.policy import CancelToken, Deadline, ResiliencePolicy
+from repro.resilience.policy import Deadline, ResiliencePolicy
 
 __all__ = [
     "BREAKER_STATES",
-    "CancelToken",
     "CircuitBreaker",
     "Deadline",
     "ResiliencePolicy",

@@ -10,11 +10,11 @@ the classic three-state machine:
   the circuit (a success at any point resets the count).
 * **open** — requests short-circuit immediately until ``cooldown_ms``
   elapses.
-* **half-open** — after the cooldown, up to ``half_open_max``
-  concurrent trials are admitted (further requests keep
-  short-circuiting until a trial resolves); the first success closes
-  the circuit, the first failure re-opens it and restarts the
-  cooldown.
+* **half-open** — after the cooldown, one trial is admitted (further
+  requests keep short-circuiting until it resolves); its success
+  closes the circuit, its failure re-opens it and restarts the
+  cooldown. One trial is enough: a server admits on its one worker,
+  so two trials of one key never overlap.
 
 A :class:`~repro.serving.server.ViewServer` keys it by plan fingerprint
 (its compile and execution outcomes — never on a plan store other
@@ -23,7 +23,7 @@ servers may share); on a fleet every shard's server has its own.
 :meth:`allow` takes the half-open trial slot, and only an attempt that
 will certainly run may call it: the slot is given back solely by that
 attempt's :meth:`record_success`, :meth:`record_failure` or — when the
-attempt was cancelled or shed and says nothing about the key —
+attempt says nothing about the key (a refusal compiled on the trial) —
 :meth:`release`. A slot taken and never settled locks the key out for
 good.
 
@@ -46,15 +46,15 @@ BREAKER_STATES = ("closed", "open", "half-open")
 class _Circuit:
     """Mutable per-key state (guarded by the registry lock)."""
 
-    __slots__ = ("state", "consecutive_failures", "opened_at", "trials")
+    __slots__ = ("state", "consecutive_failures", "opened_at", "trial")
 
     def __init__(self) -> None:
         self.state = "closed"
         self.consecutive_failures = 0
         self.opened_at = 0.0
-        #: Half-open trials admitted by :meth:`CircuitBreaker.allow` and
-        #: not yet settled.
-        self.trials = 0
+        #: Whether a half-open trial admitted by
+        #: :meth:`CircuitBreaker.allow` is not yet settled.
+        self.trial = False
 
 
 class CircuitBreaker:
@@ -65,19 +65,13 @@ class CircuitBreaker:
         threshold: int,
         cooldown_ms: float = 1000.0,
         clock: Callable[[], float] = time.monotonic,
-        half_open_max: int = 1,
     ):
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         if cooldown_ms <= 0:
             raise ValueError(f"cooldown_ms must be > 0, got {cooldown_ms}")
-        if half_open_max < 1:
-            raise ValueError(
-                f"half_open_max must be >= 1, got {half_open_max}"
-            )
         self.threshold = threshold
         self.cooldown_ms = cooldown_ms
-        self.half_open_max = half_open_max
         self._clock = clock
         self._lock = threading.Lock()
         self._circuits: dict[str, _Circuit] = {}
@@ -93,10 +87,9 @@ class CircuitBreaker:
 
         Closed circuits admit. Open circuits refuse (counted as a
         short-circuit) until the cooldown elapses, at which point the
-        circuit half-opens; a half-open circuit admits up to
-        ``half_open_max`` concurrent trials and refuses the rest. An
-        admitted trial holds its slot until the attempt settles it
-        (:meth:`record_success`, :meth:`record_failure`,
+        circuit half-opens; a half-open circuit admits one trial and
+        refuses the rest. The trial holds its slot until the attempt
+        settles it (:meth:`record_success`, :meth:`record_failure`,
         :meth:`release`).
         """
         with self._lock:
@@ -110,8 +103,8 @@ class CircuitBreaker:
                     return False
                 circuit.state = "half-open"
                 self.half_opened += 1
-            if circuit.trials < self.half_open_max:
-                circuit.trials += 1
+            if not circuit.trial:
+                circuit.trial = True
                 return True
             self.short_circuits += 1
             return False
@@ -137,7 +130,7 @@ class CircuitBreaker:
                 self.closed += 1
             circuit.state = "closed"
             circuit.consecutive_failures = 0
-            circuit.trials = 0
+            circuit.trial = False
 
     def record_failure(self, key: str) -> None:
         """An attempt for ``key`` failed.
@@ -156,20 +149,20 @@ class CircuitBreaker:
             ):
                 circuit.state = "open"
                 circuit.opened_at = self._clock()
-                circuit.trials = 0
+                circuit.trial = False
                 self.opened += 1
 
     def release(self, key: str) -> None:
         """Give back a half-open trial slot without a verdict.
 
-        For an admitted attempt that was cancelled or shed before it
-        could succeed or fail: the circuit stays half-open and the next
-        request may take the slot.
+        For an admitted attempt that says nothing about the key (its
+        plan compiled to a refusal): the circuit stays half-open and the
+        next request may take the slot.
         """
         with self._lock:
             circuit = self._circuits.get(key)
-            if circuit is not None and circuit.trials > 0:
-                circuit.trials -= 1
+            if circuit is not None:
+                circuit.trial = False
 
     # -- introspection -------------------------------------------------------
 
@@ -188,9 +181,8 @@ class CircuitBreaker:
             return {
                 "threshold": self.threshold,
                 "cooldown_ms": self.cooldown_ms,
-                "half_open_max": self.half_open_max,
                 "half_open_trials": sum(
-                    c.trials for c in self._circuits.values()
+                    c.trial for c in self._circuits.values()
                 ),
                 "opened": self.opened,
                 "closed": self.closed,

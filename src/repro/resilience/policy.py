@@ -31,12 +31,11 @@ open (or any exhausted failure) is an error.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import DeadlineExceeded, ReproError, RequestCancelled
+from repro.errors import DeadlineExceeded, ReproError
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,6 @@ class ResiliencePolicy:
     breaker_threshold: int = 0
     #: How long an open breaker waits before allowing a half-open trial.
     breaker_cooldown_ms: float = 1000.0
-    #: Concurrent trial probes admitted while a circuit is half-open.
-    #: 1 is the classic single-trial behaviour; a larger budget lets a
-    #: busy plan re-close faster without a full thundering herd.
-    breaker_half_open_max: int = 1
     #: Requests admitted beyond the worker count before shedding
     #: (``None`` = unbounded queue, the pre-resilience behaviour).
     queue_limit: Optional[int] = None
@@ -85,11 +80,6 @@ class ResiliencePolicy:
             raise ReproError(
                 f"breaker_cooldown_ms must be > 0, "
                 f"got {self.breaker_cooldown_ms}"
-            )
-        if self.breaker_half_open_max < 1:
-            raise ReproError(
-                f"breaker_half_open_max must be >= 1, "
-                f"got {self.breaker_half_open_max}"
             )
         if self.queue_limit is not None and self.queue_limit < 0:
             raise ReproError(
@@ -124,82 +114,24 @@ class ResiliencePolicy:
         return " ".join(parts)
 
 
-class CancelToken:
-    """A thread-safe cooperative cancellation handle.
-
-    The async front end hands one to each attempt of a hedged request
-    and cancels the loser. Cancellation is observed where deadlines are,
-    on the thread serving the attempt: at query boundaries
-    (:meth:`Deadline.check`) and by the statement poll
-    (:meth:`Deadline.stopped`). Nothing runs on the cancelling thread.
-    """
-
-    __slots__ = ("_lock", "_cancelled", "_reason")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._cancelled = False
-        self._reason = ""
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._cancelled
-
-    @property
-    def reason(self) -> str:
-        """The reason passed to :meth:`cancel` (empty until then)."""
-        return self._reason
-
-    def cancel(self, reason: str = "") -> bool:
-        """Cancel the attempt: ``True`` on the first call, ``False`` if
-        already cancelled."""
-        with self._lock:
-            if self._cancelled:
-                return False
-            self._reason = reason
-            self._cancelled = True
-        return True
-
-    def check(self) -> None:
-        """Cooperative cancellation point: raise once cancelled."""
-        if self._cancelled:
-            raise RequestCancelled(self._reason)
-
-
 class Deadline:
     """A monotonic time budget with cooperative check points.
 
     ``Deadline.start(None)`` returns an unbounded deadline whose checks
     are free no-ops, so callers never branch on "is there a deadline".
-    An optional :class:`CancelToken` rides along: every deadline check
-    point doubles as a cancellation check point, so the serving layer's
-    existing cooperative-cancellation plumbing (the engine's
-    ``cancel_check`` hook) observes both without new call sites.
     """
 
-    __slots__ = ("budget_ms", "token", "_started", "_clock")
+    __slots__ = ("budget_ms", "_started", "_clock")
 
-    def __init__(
-        self,
-        budget_ms: Optional[float],
-        clock=time.monotonic,
-        token: Optional[CancelToken] = None,
-    ):
+    def __init__(self, budget_ms: Optional[float], clock=time.monotonic):
         self.budget_ms = budget_ms
-        self.token = token
         self._clock = clock
         self._started = clock()
 
     @classmethod
-    def start(
-        cls,
-        budget_ms: Optional[float],
-        clock=time.monotonic,
-        token: Optional[CancelToken] = None,
-    ):
+    def start(cls, budget_ms: Optional[float], clock=time.monotonic):
         """Begin a deadline now; ``None`` budget means unbounded."""
-        return cls(budget_ms, clock, token=token)
+        return cls(budget_ms, clock)
 
     def elapsed_ms(self) -> float:
         """Milliseconds since the deadline started."""
@@ -222,18 +154,13 @@ class Deadline:
         This is what the serving layer installs as the engine's
         ``cancel_check`` hook — every query boundary (and, through the
         evaluators' row loops issuing child queries, effectively every
-        row boundary) passes through it. A cancelled token raises
-        :class:`~repro.errors.RequestCancelled` first: an abandoned
-        attempt stops even when its time budget is still healthy.
+        row boundary) passes through it.
         """
-        if self.token is not None:
-            self.token.check()
         if self.expired:
             raise DeadlineExceeded(self.budget_ms, self.elapsed_ms())
 
     def stopped(self) -> bool:
-        """Whether the token is cancelled or the budget is spent: the
-        statement poll the serving layer hands the driver's
-        ``stop_when``. It reads a flag and the clock and never raises."""
-        token = self.token
-        return (token is not None and token.cancelled) or self.expired
+        """Whether the budget is spent: the statement poll the serving
+        layer hands the driver's ``stop_when``. It reads the clock and
+        never raises."""
+        return self.expired

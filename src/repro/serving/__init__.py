@@ -34,7 +34,6 @@ from repro.serving.server import (
     PublishRequest,
     RequestTrace,
     ViewServer,
-    percentile,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "fingerprint_text",
     "fingerprint_view",
     "node_read_sets",
-    "percentile",
     "plan_for",
     "plan_key",
     "view_read_set",

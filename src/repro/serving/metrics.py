@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 #: Keys a merge states once rather than sums: configuration every shard
 #: server of a fleet is built with, so a sum would multiply a setting.
-SETTINGS = frozenset({"threshold", "cooldown_ms", "half_open_max", "seed"})
+SETTINGS = frozenset({"threshold", "cooldown_ms", "seed"})
 
 
 class Registry:

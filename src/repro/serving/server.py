@@ -59,13 +59,12 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import (
     CircuitOpen,
     DeadlineExceeded,
     ReproError,
-    RequestCancelled,
     RequestRejected,
     classify_error,
 )
@@ -94,24 +93,6 @@ from repro.xmlcore.serializer import serialize
 from repro.xslt.model import Stylesheet
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..100) by linear interpolation.
-
-    The one latency-quantile rule of the serving tiers (the hedger's
-    rolling estimate uses it); returns 0.0 for an empty sequence.
-    """
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * (q / 100.0)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = rank - low
-    return ordered[low] + (ordered[high] - ordered[low]) * fraction
-
-
 #: RequestTrace.freshness values, in the order metrics report them.
 #: ``delta-recompute`` is a stale entry refreshed incrementally (dirty
 #: schema nodes only) instead of by a full plan re-run — see
@@ -132,10 +113,8 @@ FRESHNESS_STATES = (
 #: ``degraded`` — served last-known-good bytes after a failure;
 #: ``rejected`` — shed by admission control or breaker with no fallback;
 #: ``deadline`` — the request's time budget expired with no fallback;
-#: ``cancelled`` — the caller abandoned the attempt (hedged-request
-#: loser); intentional, so it feeds neither errors nor the breaker;
 #: ``error`` — computation failed with no fallback.
-OUTCOMES = ("success", "degraded", "rejected", "deadline", "cancelled", "error")
+OUTCOMES = ("success", "degraded", "rejected", "deadline", "error")
 
 #: Request priority classes, in admission order. Admission control
 #: sheds ``background`` first and ``interactive`` last: with a
@@ -229,11 +208,6 @@ class PublishRequest:
     #: resilience ``queue_limit``, lower classes are shed earlier (see
     #: :data:`PRIORITY_ADMISSION_FRACTIONS`).
     priority: str = "interactive"
-    #: Cooperative cancellation handle
-    #: (:class:`~repro.resilience.policy.CancelToken`). The async front
-    #: end cancels hedged-request losers through it; cancelled requests
-    #: resolve with ``outcome="cancelled"``.
-    cancel: Optional[object] = None
 
 
 @dataclass
@@ -393,7 +367,6 @@ class ViewServer:
             self.breaker = CircuitBreaker(
                 resilience.breaker_threshold,
                 cooldown_ms=resilience.breaker_cooldown_ms,
-                half_open_max=resilience.breaker_half_open_max,
             )
         self.plan_cache = (
             plan_cache if plan_cache is not None else PlanCache(cache_capacity)
@@ -520,7 +493,7 @@ class ViewServer:
             self._inflight += 1
         started = time.perf_counter()
         key = None
-        if not (request.bypass_cache or getattr(request.cancel, "cancelled", False)):
+        if not request.bypass_cache:
             try:
                 key = self.plan_key_for(request)
                 trace = self._answer_hit(request, request_id, key, started)
@@ -691,8 +664,7 @@ class ViewServer:
         )
         policy = self.resilience
         deadline = Deadline.start(
-            policy.deadline_ms if policy is not None else None,
-            token=request.cancel,
+            policy.deadline_ms if policy is not None else None
         )
         try:
             trace.plan_key = key = key or self.plan_key_for(request)
@@ -731,14 +703,9 @@ class ViewServer:
         gate (an open breaker must not start a compile storm for a plan
         that keeps failing); a resident one at the compute gate, so a
         policy-fresh hit on it costs the breaker nothing: the breaker
-        guards computation, not reads. A refusal or a cancellation gives
-        the admission back unjudged.
+        guards computation, not reads. A refusal gives the admission back
+        unjudged.
         """
-        if request.cancel is not None:
-            # A request cancelled while still queued (a hedged loser
-            # whose sibling already answered) must not burn the worker
-            # on plan or cache work it will throw away.
-            request.cancel.check()
         admitted = key not in self.plan_cache and self._admit(key)
         try:
             plan, trace.cache_hit = self._plan(key, request)
@@ -759,12 +726,9 @@ class ViewServer:
             if trace.xml is None:
                 admitted = admitted or self._admit(key)
                 self._compute(plan, trace, deadline)
-        except Exception as exc:
+        except Exception:
             if admitted:
-                if isinstance(exc, RequestCancelled):
-                    self.breaker.release(key)
-                else:
-                    self.breaker.record_failure(key)
+                self.breaker.record_failure(key)
             raise
         if admitted:
             self.breaker.record_success(key)
@@ -791,10 +755,10 @@ class ViewServer:
                 self._attempt(plan, trace, deadline, delta)
                 return
             except Exception as exc:
-                if not isinstance(exc, (DeadlineExceeded, RequestCancelled)):
+                if not isinstance(exc, DeadlineExceeded):
                     # A statement the deadline poll cut short surfaces as
                     # a transient 'interrupted' error; the expired budget
-                    # or the cancellation is the real failure.
+                    # is the real failure.
                     deadline.check()
                 if classify_error(exc) != "transient" or trace.retries >= budget:
                     raise
@@ -934,9 +898,7 @@ class ViewServer:
         thread.
 
         Between statements the engine's ``cancel_check`` hook raises
-        :class:`DeadlineExceeded` (or
-        :class:`~repro.errors.RequestCancelled` for a cancelled token);
-        within one, the session's stop poll (:meth:`Database.stop_when`)
+        :class:`DeadlineExceeded`; within one, the session's stop poll (:meth:`Database.stop_when`)
         calls :meth:`Deadline.stopped` and cuts the statement short as
         a transient ``interrupted`` error, which the compute stage turns
         back into the real failure with ``deadline.check()``. Both are
@@ -944,7 +906,7 @@ class ViewServer:
         thread touches the connection.
         """
         with self.pool.session() as db:
-            if deadline.budget_ms is None and deadline.token is None:
+            if deadline.budget_ms is None:
                 yield db
                 return
             db.cancel_check = deadline.check
@@ -982,13 +944,6 @@ class ViewServer:
     ) -> None:
         """Classify a request failure and degrade or record the error."""
         kind = classify_error(exc)
-        if kind == "cancelled":
-            # Intentional abandonment (hedged loser): no degraded
-            # fallback — the winning attempt serves the response — and
-            # no error count; the trace records why it stopped.
-            trace.outcome = "cancelled"
-            trace.error = str(exc)
-            return
         if kind == "deadline":
             trace.outcome = "deadline"
             self.counts.count("resilience.deadline_hits")
@@ -1028,8 +983,6 @@ class ViewServer:
             **self.plan_cache.skeleton_stats(),
             **report["cache"],
         }
-        # Kept beside the histogram for existing consumers.
-        report["cancelled"] = outcomes["cancelled"]
         for priority, counts in report["priority"].items():
             counts["admission_limit"] = self.admission_limit(priority)
         pool = self._pool  # a server that never computed has none: zeros

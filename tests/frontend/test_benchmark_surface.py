@@ -14,7 +14,8 @@ import pytest
 
 from benchmarks.perf import config
 from repro.errors import ReproError
-from repro.frontend import build_hotel_app, serve_app
+from repro.frontend import AsyncViewServer, build_hotel_app, serve_app
+from repro.frontend.hedging import HedgePolicy
 from repro.serving.server import PublishRequest
 from tests.frontend.test_http import (
     publish_body,
@@ -79,6 +80,15 @@ def test_spine_call_surface(fleet):
         # layers._frontend: app.request_for(name, strategy=)
         publish = app.request_for("figure17", strategy=config.STRATEGY)
         assert publish.strategy == config.STRATEGY
+        # layers._frontend: a facade built with the frozen HedgePolicy
+        # serves figure17 like the plain one (nothing reads the policy)
+        never = HedgePolicy(delay_floor_ms=60_000.0, delay_cap_ms=120_000.0)
+        for facade in (
+            AsyncViewServer(backend), AsyncViewServer(backend, hedge=never)
+        ):
+            served = asyncio.run(facade.submit(publish))
+            assert served.outcome == "success"
+            assert served.xml == backend.submit(publish).result().xml
         # client.publish_bytes: POST /publish {"view", "strategy", "label"}
         status, headers, body = asyncio.run(
             _publish_over_http(
@@ -254,7 +264,7 @@ VIEW_SERVER_KEYS = frozenset("""
 cache.capacity cache.evictions cache.hits cache.invalidations
 cache.misses cache.size cache.skeleton_evictions cache.skeleton_hits
 cache.skeleton_misses cache.skeleton_size cache.statements_shared
-cancelled delta_fallbacks
+delta_fallbacks
 delta_fallbacks_by_reason.error delta_fallbacks_by_reason.no-change
 delta_fallbacks_by_reason.no-state
 delta_fallbacks_by_reason.unsupported errors faults.checks
@@ -262,26 +272,24 @@ faults.enabled faults.injected.compile-error faults.injected.error
 faults.injected.latency faults.injected.wrong-shape faults.seed
 freshness.bypass freshness.degraded-stale freshness.delta-recompute
 freshness.hit freshness.miss freshness.stale-recompute
-outcomes.cancelled outcomes.deadline outcomes.degraded outcomes.error
+outcomes.deadline outcomes.degraded outcomes.error
 outcomes.rejected outcomes.success priority.background.admission_limit
-priority.background.outcomes.cancelled
 priority.background.outcomes.deadline
 priority.background.outcomes.degraded priority.background.outcomes.error
 priority.background.outcomes.rejected
 priority.background.outcomes.success priority.background.shed
-priority.batch.admission_limit priority.batch.outcomes.cancelled
+priority.batch.admission_limit
 priority.batch.outcomes.deadline priority.batch.outcomes.degraded
 priority.batch.outcomes.error priority.batch.outcomes.rejected
 priority.batch.outcomes.success priority.batch.shed
 priority.interactive.admission_limit
-priority.interactive.outcomes.cancelled
 priority.interactive.outcomes.deadline
 priority.interactive.outcomes.degraded
 priority.interactive.outcomes.error
 priority.interactive.outcomes.rejected
 priority.interactive.outcomes.success priority.interactive.shed
 queries_executed requests_served resilience.breaker.closed
-resilience.breaker.cooldown_ms resilience.breaker.half_open_max
+resilience.breaker.cooldown_ms
 resilience.breaker.half_open_trials resilience.breaker.half_opened
 resilience.breaker.opened resilience.breaker.short_circuits
 resilience.breaker.states.closed resilience.breaker.states.half-open
@@ -303,13 +311,13 @@ errors
 fleet.max_member_lag_served fleet.max_served_lag
 fleet.stale_serves key_ranges
 merged_cache.hits merged_cache.misses merged_cache.size
-outcomes.cancelled outcomes.deadline outcomes.degraded outcomes.error
+outcomes.deadline outcomes.degraded outcomes.error
 outcomes.rejected outcomes.success parsed_cache.hits parsed_cache.misses
 parsed_cache.size requests_served shard_count
 """.split())
 
 #: What the facade adds to its backend's report on ``/metrics``.
-FACADE_KEYS = frozenset({"hedging", "frontend_inflight"})
+FACADE_KEYS = frozenset({"frontend_inflight"})
 
 POLICY = dict(deadline_ms=5000, retries=2, breaker_threshold=5, queue_limit=64)
 
@@ -393,12 +401,12 @@ def test_fleet_metrics_are_the_single_box_report_plus_router():
         assert keys - one == router, sorted(keys ^ (one | router))
         assert one <= keys
         breaker = report["resilience"]["breaker"]
-        settings = (breaker["threshold"], breaker["cooldown_ms"], breaker["half_open_max"])
-        assert settings == (5, 1000.0, 1)
+        settings = (breaker["threshold"], breaker["cooldown_ms"])
+        assert settings == (5, 1000.0)
         assert report["faults"]["seed"] == 3
         for shard in fleet.backend.shards:
             own = shard.server.metrics()["resilience"]["breaker"]
-            for setting in ("threshold", "cooldown_ms", "half_open_max"):
+            for setting in ("threshold", "cooldown_ms"):
                 assert own[setting] == breaker[setting], setting
     finally:
         asyncio.run(single.close())

@@ -306,7 +306,7 @@ class TestLifecycle:
 
         asyncio.run(http_exchange(scenario)(app_env))
 
-    def test_metrics_exposes_hedging_and_priority_sections(self):
+    def test_metrics_exposes_the_priority_section(self):
         async def scenario(server):
             raw = await raw_request(
                 server, request_bytes("GET", "/metrics", close=True)
@@ -314,8 +314,6 @@ class TestLifecycle:
             status, _, body = split_response(raw)
             assert status == 200
             report = json.loads(body)
-            assert "hedging" in report
-            assert report["hedging"] is None  # the app races nothing
             assert "priority" in report
             for cls in ("interactive", "batch", "background"):
                 assert "shed" in report["priority"][cls]

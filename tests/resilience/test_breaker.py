@@ -81,6 +81,10 @@ def test_cooldown_half_opens_then_success_closes(breaker, clock):
     clock.advance(0.06)
     assert breaker.allow("k")  # cooldown elapsed: half-open trial
     assert breaker.state("k") == "half-open"
+    assert breaker.stats()["half_open_trials"] == 1
+    before = breaker.stats()["short_circuits"]
+    assert not breaker.allow("k")  # one trial at a time
+    assert breaker.stats()["short_circuits"] == before + 1
     breaker.record_success("k")
     assert breaker.state("k") == "closed"
     stats = breaker.stats()
@@ -121,63 +125,12 @@ def test_stats_histogram_covers_all_states(breaker, clock):
     assert histogram == {"closed": 1, "open": 1, "half-open": 1}
 
 
-def test_half_open_trial_budget_boundary(clock):
-    # A budget of 3 concurrent probes: exactly 3 allow() calls pass
-    # after the cooldown, the 4th short-circuits until one resolves.
-    breaker = CircuitBreaker(
-        threshold=2, cooldown_ms=100.0, half_open_max=3, clock=clock
-    )
-    breaker.record_failure("k")
-    breaker.record_failure("k")
-    clock.advance(0.2)
-    for _ in range(3):
-        assert breaker.allow("k")
-    assert breaker.state("k") == "half-open"
-    assert breaker.stats()["half_open_trials"] == 3
-    before = breaker.stats()["short_circuits"]
-    assert not breaker.allow("k")  # budget spent
-    assert breaker.stats()["short_circuits"] == before + 1
-    # One probe succeeding closes the circuit and frees everything.
-    breaker.record_success("k")
-    assert breaker.state("k") == "closed"
-    assert breaker.stats()["half_open_trials"] == 0
-    assert breaker.allow("k")
-
-
-def test_half_open_probe_completion_refills_the_budget(clock):
-    # With half_open_max=2, a probe that fails both re-opens the
-    # circuit AND releases its trial slot — after the next cooldown the
-    # full budget is available again (no slot leak across re-opens).
-    breaker = CircuitBreaker(
-        threshold=1, cooldown_ms=100.0, half_open_max=2, clock=clock
-    )
-    breaker.record_failure("k")
-    clock.advance(0.2)
-    assert breaker.allow("k")
-    assert breaker.allow("k")
-    assert not breaker.allow("k")
-    breaker.record_failure("k")  # one probe fails: straight back to open
-    assert breaker.state("k") == "open"
-    assert not breaker.allow("k")
-    clock.advance(0.2)
-    assert breaker.allow("k")  # fresh cooldown, fresh budget
-    assert breaker.allow("k")
-    assert not breaker.allow("k")
-    assert breaker.stats()["half_open_trials"] == 2
-
-
-def test_half_open_max_validation():
-    with pytest.raises(ValueError):
-        CircuitBreaker(threshold=1, half_open_max=0)
-    assert CircuitBreaker(threshold=1, half_open_max=1).half_open_max == 1
-
-
 def test_release_gives_back_a_trial_without_a_verdict(breaker, clock):
     for _ in range(3):
         breaker.record_failure("k")
     clock.advance(0.2)
     assert breaker.allow("k")
-    breaker.release("k")  # the attempt was cancelled
+    breaker.release("k")  # the attempt compiled to a refusal
     assert breaker.state("k") == "half-open"
     assert (breaker.stats()["opened"], breaker.stats()["closed"]) == (1, 0)
     assert breaker.stats()["half_open_trials"] == 0
@@ -187,10 +140,10 @@ def test_release_gives_back_a_trial_without_a_verdict(breaker, clock):
 
 
 def _circuits(breaker):
-    """Every key's ``(state, trials)``, read in one critical section."""
+    """Every key's ``(state, trial)``, read in one critical section."""
     with breaker._lock:
         return {
-            key: (circuit.state, circuit.trials)
+            key: (circuit.state, circuit.trial)
             for key, circuit in breaker._circuits.items()
         }
 
@@ -212,13 +165,11 @@ class SteppingClock:
 
 def test_concurrent_callers_never_overfill_a_half_open_circuit():
     """More threads than cores hammer a few keys with allow / record_* /
-    release while the clock steps across cooldowns. Half-open trials per
-    key never exceed ``half_open_max`` and only a half-open circuit holds
-    any, and every refusal allow() returned is counted once."""
+    release while the clock steps across cooldowns. A key holds at most
+    one half-open trial and only a half-open circuit holds one, and every
+    refusal allow() returned is counted once."""
     clock = SteppingClock()
-    breaker = CircuitBreaker(
-        threshold=2, cooldown_ms=5.0, half_open_max=2, clock=clock
-    )
+    breaker = CircuitBreaker(threshold=2, cooldown_ms=5.0, clock=clock)
     keys = ("a", "b", "c")
     threads_n = max(8, 4 * (os.cpu_count() or 1))
     stop = threading.Event()
@@ -244,10 +195,10 @@ def test_concurrent_callers_never_overfill_a_half_open_circuit():
 
     def monitor() -> None:
         while not stop.is_set():
-            for key, (state, trials) in _circuits(breaker).items():
-                limit = breaker.half_open_max if state == "half-open" else 0
-                if not 0 <= trials <= limit:
-                    violations.append((key, state, trials))
+            for key, (state, trial) in _circuits(breaker).items():
+                limit = 1 if state == "half-open" else 0
+                if not 0 <= trial <= limit:
+                    violations.append((key, state, trial))
 
     workers = [
         threading.Thread(target=worker, args=(index,), daemon=True)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.maintenance import WriteTracker, hotel_write
-from repro.resilience import CancelToken, CircuitBreaker, ResiliencePolicy
+from repro.resilience import CircuitBreaker, ResiliencePolicy
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.serving import OUTCOMES, PlanCache, PublishRequest, ViewServer
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
@@ -362,28 +362,6 @@ def test_a_trial_on_a_plan_a_sibling_compiled_is_settled():
         a.close()
         b.close()
         db.close()
-
-
-def test_a_cancelled_trial_gives_its_slot_back():
-    """A hedge loser cancelled mid-trial is no verdict on the plan: the
-    circuit stays half-open and the next request takes the trial."""
-    db = _small_db()
-    token = CancelToken()
-    faults = ScriptedPlan(["error", "error", lambda: token.cancel("lost")])
-    clock = FakeClock()
-    with inject(ViewServer(
-        db.catalog, source=db, workers=1, resilience=_TRIAL_POLICY,
-    ), faults) as server:
-        key = _open_breaker(server, db, clock)
-        clock.advance(0.06)
-        cancelled = server.submit(_request(db, cancel=token)).result()
-        assert cancelled.outcome == "cancelled"
-        assert server.breaker.state(key) == "half-open"
-        assert server.breaker.stats()["half_open_trials"] == 0
-        trial = server.submit(_request(db)).result()
-        assert trial.outcome == "success"
-        assert server.breaker.state(key) == "closed"
-    db.close()
 
 
 def test_compile_failures_feed_the_breaker():

@@ -6,8 +6,8 @@ deadline on it twice, both times on the worker's own thread: the engine's
 (:meth:`~repro.relational.driver.SqliteDriver.stop_when` calling
 :meth:`~repro.resilience.policy.Deadline.stopped`) within one. No thread
 of its own, no callback and no cross-thread interrupt: a statement that
-outlives its budget is cut short, a cancelled token cuts it at the next
-poll, and the poll never outlives its borrower.
+outlives its budget is cut short, and the poll never outlives its
+borrower.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.errors import DeadlineExceeded
-from repro.resilience import CancelToken, Deadline, ResiliencePolicy
+from repro.resilience import Deadline, ResiliencePolicy
 from repro.schema_tree.builder import ViewBuilder
 from repro.serving import PublishRequest, ViewServer
 from repro.workloads.hotel import HotelDataSpec, build_hotel_database
@@ -133,35 +133,6 @@ def test_an_interrupted_bulk_query_is_the_requests_deadline_not_a_fallback(
             trace = server.render(heavy_view(db.catalog))
         assert trace.outcome == "deadline"
         assert [r for r in caplog.records if r.name == logger] == []
-    db.close()
-
-
-def test_a_cancelled_token_interrupts_at_once(monkeypatch):
-    """The token is cancelled once the heavy statement has been polled,
-    so it is cut mid-flight, at its next poll, not at a boundary."""
-    polled = threading.Event()
-    real_stopped = Deadline.stopped
-
-    def stopped(deadline):
-        polled.set()
-        return real_stopped(deadline)
-
-    monkeypatch.setattr(Deadline, "stopped", stopped)
-    db = small_db()
-    policy = ResiliencePolicy(deadline_ms=60_000.0)
-    with ViewServer(db.catalog, source=db, workers=1, resilience=policy) as server:
-        token = CancelToken()
-        future = server.submit(
-            PublishRequest(view=heavy_view(db.catalog), cancel=token)
-        )
-        assert polled.wait(timeout=30)
-        started = time.perf_counter()
-        token.cancel("client vanished")
-        trace = future.result(timeout=30)
-        assert time.perf_counter() - started < 5.0
-        assert trace.outcome == "cancelled"
-        # The cut session went back to the pool usable.
-        assert server.render(figure1_view(db.catalog)).outcome == "success"
     db.close()
 
 

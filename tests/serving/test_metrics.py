@@ -66,8 +66,7 @@ def test_merge_states_flags_texts_none_and_settings_once():
         "maintenance": "delta",
         "enabled": True,
         "admission_limit": None,
-        "breaker": {"threshold": 5, "cooldown_ms": 1000.0,
-                    "half_open_max": 1, "opened": 1},
+        "breaker": {"threshold": 5, "cooldown_ms": 1000.0, "opened": 1},
         "faults": {"seed": 3, "injected": {"error": 2}},
     }
     merged = merge([member, member, member])
@@ -75,8 +74,7 @@ def test_merge_states_flags_texts_none_and_settings_once():
         "maintenance": "delta",
         "enabled": True,
         "admission_limit": None,
-        "breaker": {"threshold": 5, "cooldown_ms": 1000.0,
-                    "half_open_max": 1, "opened": 3},
+        "breaker": {"threshold": 5, "cooldown_ms": 1000.0, "opened": 3},
         "faults": {"seed": 3, "injected": {"error": 6}},
     }
 

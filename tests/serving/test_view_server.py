@@ -15,7 +15,7 @@ from repro.maintenance import WriteTracker, hotel_write
 from repro.relational.engine import Database
 from repro.schema_tree.evaluator import materialize
 from repro.schema_tree.builder import ViewBuilder
-from repro.serving import PublishRequest, RequestTrace, ViewServer, percentile
+from repro.serving import PublishRequest, RequestTrace, ViewServer
 from repro.serving import server as server_module
 from repro.workloads.hotel import (
     HotelDataSpec,
@@ -307,12 +307,3 @@ def test_closed_server_rejects_new_requests():
 def test_worker_count_validation():
     with pytest.raises(ValueError):
         ViewServer(hotel_catalog(), None, workers=0)
-
-
-def test_percentile_interpolation():
-    assert percentile([], 95) == 0.0
-    assert percentile([7.0], 50) == 7.0
-    values = [1.0, 2.0, 3.0, 4.0]
-    assert percentile(values, 0) == 1.0
-    assert percentile(values, 100) == 4.0
-    assert percentile(values, 50) == 2.5
