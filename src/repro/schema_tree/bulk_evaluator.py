@@ -62,7 +62,10 @@ escaped XML text — rendering a node's whole result at once where
 :func:`_static_attributes` knows what every instance writes — and emits
 the columns once, depth-first (:func:`columns_text`): open tag, ``>``,
 each schema child's next ``count`` texts, ``</tag>`` — or ``/>`` in place
-of the ``>`` — onto one flat list, joined once. The tree form
+of the ``>`` — onto one flat list, joined once. A static literal node (no
+tag query, no attribute source) is a constant there: its column is its
+one text per parent instance, made with no builder, and the emission
+appends it, or a literal-only subtree, as one piece. The tree form
 (:meth:`BulkViewEvaluator.materialize`, for library callers,
 pretty-printing, the harness and the tests' reference) builds every
 ``Element`` row by row from
@@ -532,6 +535,9 @@ class BulkViewEvaluator:
         self, plan: _NodePlan, parent: "_Column", columns, builder
     ) -> "_Column":
         """:meth:`column` made from the node's statement."""
+        if plan.kind == "literal" and builder == self._text_builder:
+            if plan.node.attr_source_bv is None:  # the same text every time
+                return self._constant(plan, parent)
         env_of = partial(parent.env, columns)
         shares, own_key, surface, names, as_row = self._fetch(plan, parent.keys)
         items, counts, rows = self._render(
@@ -546,6 +552,22 @@ class BulkViewEvaluator:
         return _Column(
             items, counts, keys, plan.node.parent.id, rows, names,
             self._binder(plan, as_row),
+        )
+
+    def _constant(self, plan: _NodePlan, parent: "_Column") -> "_Column":
+        """A static literal node's text column: one instance per parent
+        instance, each the same text, made with no builder. Its children's
+        context keys are its parent's, the list itself, so a memo entry
+        made under them is found by identity."""
+        node, instances = plan.node, len(parent.keys)
+        written = _static_attributes(plan, None, None)  # never None here
+        self.stats.elements_created += instances
+        self.stats.attributes_created += len(written) * instances
+        end = "" if node.children else "/>"
+        return _Column(
+            [f"<{node.tag}{attributes_text(written)}{end}"] * instances,
+            [1] * instances, parent.keys if node.children else None,
+            node.parent.id, [None] * instances, None, None,
         )
 
     def render_rows(
@@ -869,32 +891,67 @@ def columns_text(view: SchemaTreeQuery, columns: dict[int, _Column]) -> str:
 def _emitter(node: SchemaNode, columns: dict[int, _Column], texts: list[str]):
     """``emit(count)``: append the next ``count`` instances of ``node``,
     each with everything below it, to ``texts``. Depth-first is document
-    order, and every column is parent-major, so each is read front to back."""
+    order, and every column is parent-major, so each is read front to back.
+
+    A constant child (:func:`_constant_text`) reads no column: its text is
+    appended once per instance of ``node``, merged into the ``>`` when it
+    leads, into the closing tag when it trails, and a node with one is
+    never childless."""
     opens = iter(columns[node.id].texts)
     if not node.children:
         return lambda count: texts.extend(islice(opens, count))
-    children = [
-        (iter(columns[child.id].counts).__next__, _emitter(child, columns, texts))
-        for child in node.children
-    ]
-    append, closing = texts.append, f"</{node.tag}>"
+    lead, children = ">", []
+    for child in node.children:
+        constant = _constant_text(child, columns)
+        if constant is None:
+            emit_child = _emitter(child, columns, texts)
+            children.append([iter(columns[child.id].counts).__next__, emit_child, ""])
+        elif children:
+            children[-1][2] += constant
+        else:
+            lead += constant
+    bare = len(children) == len(node.children)  # no constant child
+    closing = f"</{node.tag}>"
+    if children and children[-1][2]:  # a trailing constant
+        closing, children[-1][2] = children[-1][2] + closing, ""
+    append = texts.append
 
     def emit(count):
         for text in islice(opens, count):
             append(text)
-            append(">")
-            childless = True
-            for next_count, emit_child in children:
+            append(lead)
+            childless = bare
+            for next_count, emit_child, after in children:
                 below = next_count()
                 if below:
                     emit_child(below)
                     childless = False
+                if after:
+                    append(after)
             if childless:
                 texts[-1] = "/>"
             else:
                 append(closing)
 
     return emit
+
+
+def _constant_text(node: SchemaNode, columns: dict[int, _Column]) -> Optional[str]:
+    """The text of one instance of ``node`` with everything below it, where
+    that is the same for every instance: a static literal node (no tag
+    query, no attribute source) all of whose children are constant.
+    ``None`` elsewhere, and for a node without instances."""
+    if node.tag_query is not None or node.attr_source_bv is not None:
+        return None
+    texts = columns[node.id].texts
+    if not texts:
+        return None
+    if not node.children:
+        return texts[0]
+    inner = [_constant_text(child, columns) for child in node.children]
+    if None in inner:
+        return None
+    return f"{texts[0]}>{''.join(inner)}</{node.tag}>"
 
 
 def _doubled(text: str) -> str:

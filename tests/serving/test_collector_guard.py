@@ -270,8 +270,10 @@ def test_a_first_computation_reads_positions_and_builds_no_env(monkeypatch):
 def test_a_miss_renders_node_results_as_batches(monkeypatch):
     """It is the batch that runs. On a miss of the paper's figures every
     node is static, so the attribute routine runs once per node result —
-    the probe that says what the node writes — and never per row; the
-    rows it renders are plain tuples; and no walk of ``repro.sql.params``
+    the probe that says what the node writes — and never per row; a
+    query-bearing node's rows are rendered once, as plain tuples, and a
+    literal node (``HTML``, ``HEAD``, ``BODY``, ``A``, ``B``) is a
+    constant that calls no builder; and no walk of ``repro.sql.params``
     is a generator (a walk is a list)."""
     from repro.schema_tree import bulk_evaluator
     from repro.sql import params
@@ -293,9 +295,10 @@ def test_a_miss_renders_node_results_as_batches(monkeypatch):
     builders = []
     real_builder = BulkViewEvaluator._text_builder
 
-    def recorded_builder(self, *args):
-        builders.append(real_builder(self, *args))
-        return builders[-1]
+    def recorded_builder(self, plan, *args):
+        built = real_builder(self, plan, *args)
+        builders.append((plan.node.id, *built))
+        return built
 
     monkeypatch.setattr(bulk_evaluator, "element_attributes", counted_attributes)
     monkeypatch.setattr(Database, "run_rows", recorded_rows)
@@ -315,23 +318,26 @@ def test_a_miss_renders_node_results_as_batches(monkeypatch):
             miss = server.render(view, sheet)
             assert miss.error is None and miss.freshness == "miss"
             plan = server.plan_cache.get(miss.plan_key)
-            nodes = len(list(plan.view.nodes(include_root=False)))
-            assert miss.elements_created > nodes  # more rows than nodes
-            assert calls["element_attributes"] == nodes
-            assert len(builders) == nodes
-            assert all(build is None and render for build, render in builders)
-            assert len(fetched) >= miss.elements_created - nodes
+            nodes = list(plan.view.nodes(include_root=False))
+            queried = [node.id for node in nodes if node.tag_query is not None]
+            assert miss.elements_created > len(nodes)  # more rows than nodes
+            assert calls["element_attributes"] == len(nodes)
+            assert [node_id for node_id, *_ in builders] == queried
+            assert all(build is None and render for _, build, render in builders)
+            assert len(fetched) >= miss.elements_created - len(nodes)
             assert all(type(row) is tuple for row in fetched)
 
 
 def test_a_miss_and_a_promotion_make_the_same_calls(monkeypatch):
     """One merge, as counts. A miss and the promotion (the same key
-    recomputed after a write) make the same calls — a column and a
-    ``render`` per node, one emission — and differ only in what the
-    server keeps. The delta after them makes columns only for its
-    frontier subtrees: none at the row rung, where the one ``render`` is
-    of the changed row; and its bytes are one emission over the new
-    state's columns."""
+    recomputed after a write) make the same calls — a column per node, a
+    ``render`` per query-bearing node, one emission — and differ only in
+    what the server keeps. A literal node's column is a constant, and an
+    inner one passes its parent's ``keys`` list itself to its children
+    (so the node below finds its memo entry by identity). The delta after
+    them makes columns only for its frontier subtrees: none at the row
+    rung, where the one ``render`` is of the changed row; and its bytes
+    are one emission over the new state's columns."""
     calls = dict.fromkeys(("column", "render", "columns_text"), 0)
 
     def counting_builder(real_builder):
@@ -353,22 +359,30 @@ def test_a_miss_and_a_promotion_make_the_same_calls(monkeypatch):
         BulkViewEvaluator, "_text_builder",
         counting_builder(BulkViewEvaluator._text_builder),
     )
-    # Per view: its nodes; the elements of the document over
-    # delta_server's 2 x 3 hotels; what the one-hotel payload write's
-    # delta makes (a column per re-made node; ``render``: one per node
-    # result, or the row rung's one) — Figure 1 at the row rung, the
-    # composed views at the node rung.
+    # Per view: its nodes, and those with a tag query; the elements of
+    # the document over delta_server's 2 x 3 hotels; what the one-hotel
+    # payload write's delta makes (a column per re-made node; ``render``:
+    # one per query-bearing node result, or the row rung's one) — Figure
+    # 1 at the row rung, the composed views at the node rung.
     pinned = {
-        None: {"nodes": 7, "elements": 16, "column": 0, "render": 1},
-        figure4_stylesheet: {"nodes": 8, "elements": 11, "column": 3, "render": 3},
-        figure17_stylesheet: {"nodes": 8, "elements": 9, "column": 3, "render": 3},
+        None: {
+            "nodes": 7, "queried": 7, "elements": 16, "column": 0, "render": 1,
+        },
+        figure4_stylesheet: {
+            "nodes": 8, "queried": 3, "elements": 11, "column": 3, "render": 2,
+        },
+        figure17_stylesheet: {
+            "nodes": 8, "queried": 3, "elements": 9, "column": 3, "render": 2,
+        },
     }
     with delta_server() as (db, tracker, server):
         view = figure1_view(db.catalog)
         for step, (source, expected) in enumerate(pinned.items()):
             sheet = source and source()
             nodes = expected["nodes"]
-            full = {"column": nodes, "render": nodes, "columns_text": 1}
+            full = {
+                "column": nodes, "render": expected["queried"], "columns_text": 1,
+            }
             for name in calls:
                 calls[name] = 0
             miss = server.render(view, sheet)
@@ -385,6 +399,14 @@ def test_a_miss_and_a_promotion_make_the_same_calls(monkeypatch):
             assert calls == full
             state = server.result_cache.peek(miss.plan_key).state
             assert len(state.columns) == 1 + nodes  # the root's
+            inner_literals = [
+                node for node in state.view.nodes(include_root=False)
+                if node.tag_query is None and node.children
+            ]
+            assert len(inner_literals) == (0 if source is None else 2)
+            for node in inner_literals:  # HTML and BODY
+                column = state.columns[node.id]
+                assert column.keys is state.columns[node.parent.id].keys
             for name in calls:
                 calls[name] = 0
             hotel_payload_write(db, 2 * step + 1, rows=1)
