@@ -884,47 +884,58 @@ def columns_text(view: SchemaTreeQuery, columns: dict[int, _Column]) -> str:
     onto one flat list, and one join."""
     texts: list[str] = []
     for node in view.root.children:
-        _emitter(node, columns, texts)(columns[node.id].counts[0])
+        column = columns[node.id]
+        if node.children:
+            _emitter(node, columns, texts)(column.counts[0])
+        else:
+            texts.extend(islice(column.texts, column.counts[0]))
     return "".join(texts)
 
 
 def _emitter(node: SchemaNode, columns: dict[int, _Column], texts: list[str]):
-    """``emit(count)``: append the next ``count`` instances of ``node``,
-    each with everything below it, to ``texts``. Depth-first is document
-    order, and every column is parent-major, so each is read front to back.
+    """``emit(count)``: append the next ``count`` instances of the inner
+    ``node``, each with everything below it, to ``texts``. Depth-first is
+    document order, and every column is parent-major, so each is read
+    front to back.
 
-    A constant child (:func:`_constant_text`) reads no column: its text is
+    A leaf child's block is finished elements: the loop extends ``texts``
+    with it, and only an inner child gets an ``emit`` of its own. A
+    constant child (:func:`_constant_text`) reads no column: its text is
     appended once per instance of ``node``, merged into the ``>`` when it
     leads, into the closing tag when it trails, and a node with one is
     never childless."""
     opens = iter(columns[node.id].texts)
-    if not node.children:
-        return lambda count: texts.extend(islice(opens, count))
     lead, children = ">", []
     for child in node.children:
         constant = _constant_text(child, columns)
         if constant is None:
-            emit_child = _emitter(child, columns, texts)
-            children.append([iter(columns[child.id].counts).__next__, emit_child, ""])
+            counts = iter(columns[child.id].counts).__next__
+            if child.children:
+                children.append([counts, _emitter(child, columns, texts), None, ""])
+            else:  # a leaf: ``emit`` extends with its block
+                children.append([counts, None, iter(columns[child.id].texts), ""])
         elif children:
-            children[-1][2] += constant
+            children[-1][3] += constant
         else:
             lead += constant
     bare = len(children) == len(node.children)  # no constant child
     closing = f"</{node.tag}>"
-    if children and children[-1][2]:  # a trailing constant
-        closing, children[-1][2] = children[-1][2] + closing, ""
-    append = texts.append
+    if children and children[-1][3]:  # a trailing constant
+        closing, children[-1][3] = children[-1][3] + closing, ""
+    append, extend = texts.append, texts.extend
 
     def emit(count):
         for text in islice(opens, count):
             append(text)
             append(lead)
             childless = bare
-            for next_count, emit_child, after in children:
+            for next_count, emit_child, leaf, after in children:
                 below = next_count()
                 if below:
-                    emit_child(below)
+                    if leaf is None:
+                        emit_child(below)
+                    else:
+                        extend(islice(leaf, below))
                     childless = False
                 if after:
                     append(after)

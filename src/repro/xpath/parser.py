@@ -27,6 +27,8 @@ The grammar (no positional predicates — the dialect has no document order):
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import XPathSyntaxError
 from repro.xpath.ast import (
     AttributeRef,
@@ -265,16 +267,25 @@ class _Parser:
         return nxt.kind == SYMBOL and nxt.value in ("/", "//", "[")
 
 
+# Texts each entry point keeps the parse of. The AST is immutable, so a
+# parse is a pure function of its text: equal texts share one result, and
+# a text that raises is parsed (and raises) again on every call.
+PARSE_TABLE_SIZE = 4096
+
+
+@lru_cache(maxsize=PARSE_TABLE_SIZE)
 def parse_path(expression: str) -> LocationPath:
     """Parse a location path (e.g. an ``apply-templates`` select)."""
     return _Parser(expression).parse_path()
 
 
+@lru_cache(maxsize=PARSE_TABLE_SIZE)
 def parse_expression(expression: str) -> Expr:
     """Parse a standalone expression (e.g. an ``xsl:if`` test)."""
     return _Parser(expression).parse_expression()
 
 
+@lru_cache(maxsize=PARSE_TABLE_SIZE)
 def parse_pattern(pattern: str):
     """Parse a match pattern. See :mod:`repro.xpath.patterns`."""
     # Imported here to avoid a circular import at module load.

@@ -168,7 +168,7 @@ def _parse_avt(value: str, context: str):
                 buffer.append("{")
                 position += 2
                 continue
-            end = value.find("}", position)
+            end = _expression_end(value, position + 1)
             if end < 0:
                 raise StylesheetParseError(
                     f"unterminated '{{' in attribute value template {value!r} "
@@ -194,6 +194,22 @@ def _parse_avt(value: str, context: str):
     if buffer:
         segments.append("".join(buffer))
     return AttributeValueTemplate(segments)
+
+
+def _expression_end(value: str, start: int) -> int:
+    """Where the AVT expression that starts at ``start`` ends: the first
+    ``}`` outside a quoted literal (XSLT 1.0 section 7.6.2), or -1."""
+    quote = None
+    for index in range(start, len(value)):
+        ch = value[index]
+        if quote is not None:
+            if ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+        elif ch == "}":
+            return index
+    return -1
 
 
 def _require(element: Element, attribute: str, context: str) -> str:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import copy
 
+import pytest
+
+from repro.serving import fingerprint as fingerprint_module
 from repro.serving.fingerprint import (
     clear_fingerprint_memo,
     fingerprint_catalog,
@@ -17,7 +20,11 @@ from repro.workloads.paper import (
     figure1_view,
     figure4_stylesheet,
     figure17_stylesheet,
+    qtree_compatible_stylesheet,
 )
+from repro.xpath.parser import parse_expression, parse_path, parse_pattern
+from repro.xslt import parse_stylesheet
+from tests.core.test_kitchen_sink import KITCHEN_SINK
 
 
 def test_fingerprint_text_is_injective_over_part_boundaries():
@@ -82,3 +89,41 @@ def test_memo_caches_per_object_and_clears():
     fingerprint_stylesheet(stylesheet)
     assert clear_fingerprint_memo() == 2
     assert clear_fingerprint_memo() == 0
+
+
+@pytest.mark.parametrize(
+    "make, content, shape",
+    [
+        (
+            figure4_stylesheet,
+            "59dc9222cd2378e651ddf2608fe9a32597258ffcfcd9f8d92cfe777aa7e9963c",
+            "7d1f1dfd2767ec207b0b7331d3149e6bd4dd532a0a78b9d46725e646edc9c979",
+        ),
+        (
+            figure17_stylesheet,
+            "a484416abc0874992d79f7ea49780bcfdecea1bfba44efab3b5debc0baf9ce44",
+            "f09161a830926ef621b24215b2764f4537a20fbdde041041de6086a5a0397274",
+        ),
+        (
+            qtree_compatible_stylesheet,
+            "01412fc27b019a0cba131314f5af7795685bfbc3d38a6900241dee469ffb9b99",
+            "dd2edcad5ee2e17cfde10b3e9e31ae1c3add57a7efa1701edb9ba3e4bc949a03",
+        ),
+        (
+            lambda: parse_stylesheet(KITCHEN_SINK),
+            "4aeb745bf2d8931c26f50c9f8bac151f2d4c7f142fecc726bb5848343f6b0dd2",
+            "fcb3b5f9f5b7e25e5f722872e73c00130f4db1f0f6e44a59014dac8170765b66",
+        ),
+    ],
+    ids=["figure4", "figure17", "qtree", "kitchen-sink"],
+)
+def test_a_stylesheets_fingerprints_are_pinned(make, content, shape):
+    """The content and shape fingerprints (the ``repr`` of the parsed
+    stylesheet and of its shape) as recorded before the XPath parsers
+    shared their results: whether an expression's AST is shared or
+    parsed anew moves no key."""
+    for table in (parse_expression, parse_path, parse_pattern):
+        table.cache_clear()
+    for _ in range(2):  # a fresh parse, then one from the parse tables
+        prints = fingerprint_module._stylesheet_prints(make())
+        assert (prints[0], prints[1]) == (content, shape)

@@ -66,6 +66,7 @@ from repro.workloads.paper import (
 )
 from repro.xmlcore import canonical_form
 from repro.xmlcore.serializer import serialize
+from repro.xpath.parser import parse_expression, parse_path, parse_pattern
 from repro.xslt import apply_stylesheet, parse_stylesheet
 from repro.xslt.model import (
     Choose,
@@ -357,6 +358,7 @@ def test_the_catalogue_composes_three_shapes_and_plans_each_node_once(
     shapes: ``compose_basic`` runs three times, and every query-bearing
     node of each skeleton, and of Figure 1 (which composes nothing), is
     decorrelated exactly once (composing each stylesheet: 146 and 146 x).
+    Reading the variants parses each distinct XPath text once.
     Each stylesheet's shape is built once, to fingerprint it; the three
     skeleton misses compose that one, and no compiled stylesheet's memo
     entry keeps its shape."""
@@ -384,8 +386,12 @@ def test_the_catalogue_composes_three_shapes_and_plans_each_node_once(
     monkeypatch.setattr(fingerprint_module, "stylesheet_shape", counting_shape)
     monkeypatch.setattr(model_module, "stylesheet_shape", counting_shape)
     app = build_hotel_app(scale=1, workers=1, staleness="strict")
+    tables = (parse_path, parse_pattern, parse_expression)
+    for table in tables:  # they live for the process: count from empty
+        table.cache_clear()
     try:
         catalogue.register(app, seed=11)
+        parses = [table.cache_info() for table in tables]
         names = [
             catalogue.variant_name(index) for index in range(config.CATALOGUE_SIZE)
         ] + list(config.BASE_VIEWS)
@@ -400,6 +406,9 @@ def test_the_catalogue_composes_three_shapes_and_plans_each_node_once(
     assert (cache["misses"], cache["evictions"]) == (150, 150 - 64)
     assert (cache["skeleton_misses"], cache["skeleton_hits"]) == (3, 145)
     assert len(shapes) == 3
+    # Reading the 144 variants parses 912 XPath texts, 10 of them distinct.
+    assert sum(info.hits + info.misses for info in parses) == 912
+    assert sum(info.misses for info in parses) == 10
     sheets = [sheet for sheet in sheets if sheet is not None]
     assert len(shaped) == len(sheets) == 146
     assert all(fingerprint_module._stylesheet_prints(s)[3] is None for s in sheets)

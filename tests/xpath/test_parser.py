@@ -1,6 +1,8 @@
 """Unit tests for the XPath parser."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import XPathSyntaxError
 from repro.xpath.ast import (
@@ -14,7 +16,7 @@ from repro.xpath.ast import (
     PathExpr,
     VariableRef,
 )
-from repro.xpath.parser import parse_expression, parse_path, parse_pattern
+from repro.xpath.parser import _Parser, parse_expression, parse_path, parse_pattern
 
 
 def test_child_steps():
@@ -180,3 +182,105 @@ def test_error_after_a_number_points_at_its_start(bad, position):
         parse_path(bad)
     assert caught.value.position == position
     assert str(caught.value).endswith(f"at offset {position}")
+
+
+# -- the parse tables -------------------------------------------------------
+
+names = st.sampled_from(["a", "b", "hotel", "confroom", "*"])
+operands = st.one_of(
+    names.map(lambda name: "@" + name),
+    st.sampled_from(["'x'", '"}"', "1", "250", "$p", ".", "true()"]),
+)
+
+
+def _steps(predicates):
+    step = st.one_of(
+        names,
+        names.map(lambda name: "@" + name),
+        st.sampled_from([".", "..", "self::a", "parent::*", "child::b"]),
+    )
+    return st.tuples(step, st.lists(predicates, max_size=2)).map(
+        lambda parts: parts[0] + "".join(f"[{p}]" for p in parts[1])
+    )
+
+
+def _paths(predicates):
+    return st.tuples(
+        st.sampled_from(["", "/", "//"]),
+        _steps(predicates),
+        st.lists(
+            st.tuples(st.sampled_from(["/", "//"]), _steps(predicates)).map("".join),
+            max_size=3,
+        ),
+    ).map(lambda parts: parts[0] + parts[1] + "".join(parts[2]))
+
+
+expressions = st.recursive(
+    operands,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["=", "!=", "<", ">=", "and", "or", "+"]), inner)
+        .map(" ".join),
+        inner.map(lambda expr: f"not({expr})"),
+        inner.map(lambda expr: f"({expr})"),
+        _paths(inner),
+    ),
+    max_leaves=6,
+)
+paths = _paths(expressions)
+# Whatever the generators make, damaged by one cut or one stray symbol.
+malformed = st.tuples(
+    st.one_of(paths, expressions),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from(["", "[", "]", "/", "(", "'", "::", "@"]),
+).map(lambda parts: parts[0][: parts[1]] + parts[2])
+
+
+def _outcome(parse, text):
+    """What ``parse(text)`` returns, or its error's type, message and position."""
+    try:
+        return parse(text)
+    except XPathSyntaxError as error:
+        return (type(error), str(error), error.position)
+
+
+def assert_parsed_once(parse, fresh, text):
+    """``parse(text)`` is what ``fresh`` (no table) makes of ``text``; a
+    second call returns the same object, or raises the same error again."""
+    first = _outcome(parse, text)
+    assert first == _outcome(fresh, text)
+    second = _outcome(parse, text)
+    if isinstance(first, tuple):  # an error: nothing was stored
+        assert second == first
+    else:
+        assert second is first
+
+
+@given(paths)
+@settings(max_examples=200, deadline=None)
+def test_a_path_is_parsed_once_and_shared(text):
+    assert_parsed_once(parse_path, lambda t: _Parser(t).parse_path(), text)
+
+
+@given(paths)
+@settings(max_examples=200, deadline=None)
+def test_a_pattern_is_parsed_once_and_shared(text):
+    # A pattern refuses the parent and self axes by raising: every call does.
+    assert_parsed_once(parse_pattern, parse_pattern.__wrapped__, text)
+
+
+@given(expressions)
+@settings(max_examples=200, deadline=None)
+def test_an_expression_is_parsed_once_and_shared(text):
+    assert_parsed_once(
+        parse_expression, lambda t: _Parser(t).parse_expression(), text
+    )
+
+
+@given(malformed)
+@settings(max_examples=200, deadline=None)
+def test_a_malformed_text_raises_alike_on_every_call(text):
+    assert_parsed_once(parse_path, lambda t: _Parser(t).parse_path(), text)
+    assert_parsed_once(
+        parse_expression, lambda t: _Parser(t).parse_expression(), text
+    )
+    assert_parsed_once(parse_pattern, parse_pattern.__wrapped__, text)

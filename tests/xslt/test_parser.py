@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StylesheetParseError
-from repro.xpath.ast import AttributeRef, ContextRef
+from repro.xpath.ast import AttributeRef, ContextRef, FunctionCall, Literal
 from repro.xslt.model import (
     ApplyTemplates,
     Choose,
@@ -160,6 +160,23 @@ def test_literal_elements_nested():
     body = html.children[0]
     assert body.attributes == {"class": "x"}
     assert isinstance(body.children[0], ApplyTemplates)
+
+
+def test_an_avt_expression_ends_at_the_first_brace_outside_a_literal():
+    # XSLT 1.0 section 7.6.2: a "}" inside a quoted literal is part of the
+    # expression, so it does not end it.
+    stylesheet = parse_stylesheet(
+        '<xsl:template match="a"><out a="{concat(\'x\', \'}\')}"/></xsl:template>'
+    )
+    template = stylesheet.rules[0].output[0].avt_attributes["a"]
+    assert template.segments == [
+        FunctionCall("concat", (Literal("x"), Literal("}")))
+    ]
+    stylesheet = parse_stylesheet(
+        '<xsl:template match="a"><out a=\'p{"{}"}q{{r}}\'/></xsl:template>'
+    )
+    template = stylesheet.rules[0].output[0].avt_attributes["a"]
+    assert template.segments == ["p", Literal("{}"), "q{r}"]
 
 
 def test_text_output():

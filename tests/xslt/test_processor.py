@@ -34,6 +34,11 @@ def test_root_rule_fires_first():
     assert out == "<out/>"
 
 
+def test_an_avt_literal_may_hold_a_closing_brace():
+    out = run('<xsl:template match="/"><out a="x{\'}\'}"/></xsl:template>')
+    assert out == '<out a="x}"/>'
+
+
 def test_apply_templates_recursion():
     out = run(
         '<xsl:template match="/"><r><xsl:apply-templates select="metro"/></r></xsl:template>'
