@@ -17,10 +17,9 @@ the degraded fallback) live below HTTP anyway:
   counters + the facade's in-flight count).
 * ``GET /healthz`` — liveness plus drain state.
 * ``POST /write`` — test/harness hook applying one workload write, on
-  the backend's executor (a single box's worker, where it queues behind
-  the computation in flight; a fleet's scatter pool, where it waits at
-  each shard's gate for its server's reads), so the loop keeps
-  answering meanwhile; one at a time in arrival order.
+  the backend's executor (a single box's worker or a fleet's router
+  worker, where it queues behind the computation in flight), so the
+  loop keeps answering meanwhile; one at a time in arrival order.
 
 Connections are keep-alive by default (HTTP/1.1 semantics;
 ``Connection: close`` honored). :meth:`FrontendServer.drain` makes

@@ -36,6 +36,9 @@ _MEMORY_IDS = itertools.count(1)
 #: The SQL function the capture triggers call, and their name prefix.
 _CAPTURE = "repro_capture"
 
+#: The schema name :meth:`SqliteDriver.copy_rows` attaches its target by.
+_TARGET = "repro_target"
+
 
 class _SqliteSessions:
     """Sessions onto a live database (:meth:`SqliteDriver.snapshot`):
@@ -164,9 +167,43 @@ class SqliteDriver:
     def copy(self, source, target) -> None:
         """Copy a live :class:`Database` whole — rows, rowids, indexes,
         statistics — into a fresh one (the backup API; the source is only
-        read). The fleet carves its shards out of such copies, and
-        ``Database.open`` loads a file with it."""
+        read). ``Database.open`` loads a file with it."""
         source._connection.backup(target._connection)
+
+    def copy_rows(
+        self,
+        connection,
+        uri: str,
+        selections: Sequence[tuple[str, Sequence[str], Optional[str], Mapping]],
+        read_only: bool = False,
+    ) -> None:
+        """Insert rows of ``connection``'s tables into the same tables of
+        the database at ``uri``, attached to it for the call, in one
+        transaction: per ``(table, columns, condition, bindings)`` the
+        rows that satisfy ``condition`` (all when ``None``), with their
+        rowids. Unqualified names in a condition read ``connection``'s
+        own tables. ``read_only`` lifts the connection's ``PRAGMA
+        query_only`` for the call: only the attached database is written.
+        """
+        if read_only:
+            connection.execute("PRAGMA query_only=OFF")
+        connection.execute(f"ATTACH DATABASE ? AS {_TARGET}", (uri,))
+        try:
+            for table, columns, condition, bindings in selections:
+                listed = ", ".join(("rowid", *columns))
+                connection.execute(
+                    f"INSERT INTO {_TARGET}.{table} ({listed}) "
+                    f"SELECT {listed} FROM main.{table}"
+                    + (f" WHERE {condition}" if condition else ""),
+                    dict(bindings),
+                )
+            connection.commit()
+        finally:
+            if connection.in_transaction:
+                connection.rollback()
+            connection.execute(f"DETACH DATABASE {_TARGET}")
+            if read_only:
+                connection.execute("PRAGMA query_only=ON")
 
     # -- change capture ------------------------------------------------------
 

@@ -393,6 +393,43 @@ class Database:
         self._check_writable("ANALYZE")
         self._write(lambda: self.driver.analyze(self._connection))
 
+    def copy_rows(
+        self,
+        target: "Database",
+        selections: Sequence[tuple[str, Optional[str], Mapping[str, Any]]],
+    ) -> None:
+        """Copy rows of this database's tables into ``target``'s, in the
+        engine: per ``(table, condition, bindings)`` the rows that satisfy
+        the SQL ``condition`` (all when ``None``; its unqualified names
+        read this database), with their rowids, in one transaction. No
+        row passes through Python. This database is only read, under its
+        gate's shared permit; ``target`` is written under its exclusive
+        one and must be untracked, since its capture would not see a
+        write made on this connection.
+        """
+        if target.tracker is not None or target.uri is None:
+            raise ViewEvaluationError(
+                "copy_rows writes an untracked database opened by URI"
+            )
+        target._check_writable("copy rows")
+        columns = {
+            declared.name: declared.column_names() for declared in self.catalog
+        }
+        self.gate.enter()
+        try:
+            with self._reading, target.gate.exclusive():
+                self.driver.copy_rows(
+                    self._connection,
+                    target.uri,
+                    [
+                        (table, columns[table], condition, bindings)
+                        for table, condition, bindings in selections
+                    ],
+                    read_only=self.read_only,
+                )
+        finally:
+            self.gate.leave()
+
     def table_count(self, table: str) -> int:
         """Row count of a base table."""
         cursor = self.driver.execute(

@@ -442,18 +442,52 @@ class ViewServer:
     def submit(self, request: PublishRequest) -> "Future[RequestTrace]":
         """Serve a request; returns a future resolving to its trace.
 
+        The admission half (:meth:`admit`) first: a shed request's future
+        is already resolved to its ``rejected`` trace. An admitted
+        policy-fresh hit of a resident plan is answered on this thread
+        (:meth:`answer_hit`); the rest queue for the worker, which runs
+        the serve half (:meth:`serve`). A fleet's worker calls the same
+        two halves, with :meth:`serve` on its own thread.
+        """
+        request_id, trace = self.admit(request)
+        if trace is None:
+            started = time.perf_counter()
+            key = None
+            if not request.bypass_cache:
+                try:
+                    key = self.plan_key_for(request)
+                    trace = self.answer_hit(request, request_id, key, started)
+                except Exception:
+                    # The worker meets the failure again and records it.
+                    key = trace = None
+            if trace is None:
+                try:
+                    return self.executor.submit(
+                        self.serve, request, request_id, key,
+                        time.perf_counter() - started,
+                    )
+                except BaseException:
+                    self.release()
+                    raise
+        answered: "Future[RequestTrace]" = Future()
+        answered.set_result(trace)
+        return answered
+
+    def admit(self, request: PublishRequest) -> tuple[int, Optional[RequestTrace]]:
+        """The admission half of :meth:`submit`, on the calling thread:
+        ``(request_id, None)`` once ``request`` holds an in-flight slot,
+        which its serve half gives back (or :meth:`release`, unserved);
+        ``(request_id, trace)``, the ``rejected`` trace counted, when it
+        is shed.
+
         Admission control: with a resilience policy carrying a
         ``queue_limit``, at most ``1 + queue_limit`` requests may be in
         flight (queued or executing). Excess requests are *shed* — the
-        future resolves immediately to a trace with
-        ``outcome="rejected"`` (the 503 analogue) instead of piling onto
+        ``rejected`` trace is the 503 analogue — instead of piling onto
         the worker's queue. Shedding is priority-aware: the request's
         :attr:`~PublishRequest.priority` class picks its admission limit
         (:meth:`admission_limit`), so ``background`` traffic sheds first
         and ``interactive`` is never shed before the hard limit.
-
-        An admitted policy-fresh hit of a resident plan is answered on
-        this thread (:meth:`_answer_hit`); the rest queue for the worker.
         """
         if self._closed:
             raise RuntimeError("server is closed")
@@ -467,52 +501,28 @@ class ViewServer:
         with self._lock:
             request_id = self._next_request_id
             self._next_request_id += 1
-            if limit is not None and self._inflight >= limit:
-                self.counts.count(
-                    "requests_served",
-                    "freshness.bypass",
-                    "outcomes.rejected",
-                    f"priority.{request.priority}.outcomes.rejected",
-                    f"priority.{request.priority}.shed",
-                )
-                trace = RequestTrace.of(
-                    request,
-                    request_id,
-                    outcome="rejected",
-                    error=str(
-                        RequestRejected(
-                            f"request shed: {self._inflight} in flight >= "
-                            f"limit {limit} for priority "
-                            f"{request.priority}"
-                        )
-                    ),
-                )
-                rejected: "Future[RequestTrace]" = Future()
-                rejected.set_result(trace)
-                return rejected
-            self._inflight += 1
-        started = time.perf_counter()
-        key = None
-        if not request.bypass_cache:
-            try:
-                key = self.plan_key_for(request)
-                trace = self._answer_hit(request, request_id, key, started)
-            except Exception:
-                # The worker meets the failure again and records it.
-                key = trace = None
-            if trace is not None:
-                answered: "Future[RequestTrace]" = Future()
-                answered.set_result(trace)
-                return answered
-        try:
-            return self.executor.submit(
-                self._serve, request, request_id, key,
-                time.perf_counter() - started,
+            if limit is None or self._inflight < limit:
+                self._inflight += 1
+                return request_id, None
+            self.counts.count(
+                "requests_served",
+                "freshness.bypass",
+                "outcomes.rejected",
+                f"priority.{request.priority}.outcomes.rejected",
+                f"priority.{request.priority}.shed",
             )
-        except BaseException:
-            with self._lock:
-                self._inflight -= 1
-            raise
+            shed = RequestRejected(
+                f"request shed: {self._inflight} in flight >= limit "
+                f"{limit} for priority {request.priority}"
+            )
+        return request_id, RequestTrace.of(
+            request, request_id, outcome="rejected", error=str(shed)
+        )
+
+    def release(self) -> None:
+        """Give an admitted request's slot back unserved."""
+        with self._lock:
+            self._inflight -= 1
 
     def render(
         self,
@@ -617,7 +627,7 @@ class ViewServer:
 
     # -- execution -----------------------------------------------------------
 
-    def _answer_hit(
+    def answer_hit(
         self,
         request: PublishRequest,
         request_id: int,
@@ -649,23 +659,29 @@ class ViewServer:
         )
         return self._finish(trace, started)
 
-    def _serve(
+    def serve(
         self,
         request: PublishRequest,
         request_id: int,
-        key: Optional[str],
-        key_seconds: float,
+        key: Optional[str] = None,
+        key_seconds: float = 0.0,
+        deadline: Optional[Deadline] = None,
     ) -> RequestTrace:
-        """Serve one request on the worker; ``key`` is the plan key the
-        caller made, ``key_seconds`` the time it spent on it."""
+        """The serve half of an admitted request, on this thread: plan,
+        result cache, compute. ``key`` is the plan key when the caller
+        made it, ``key_seconds`` the time it spent on it, ``deadline`` the
+        request's budget (one starts here without). The box's worker
+        runs it; a fleet's one worker runs it for every shard in turn,
+        under one deadline per fleet request."""
         started = time.perf_counter() - key_seconds
         trace = RequestTrace.of(
             request, request_id, worker=threading.current_thread().name
         )
-        policy = self.resilience
-        deadline = Deadline.start(
-            policy.deadline_ms if policy is not None else None
-        )
+        if deadline is None:
+            policy = self.resilience
+            deadline = Deadline.start(
+                policy.deadline_ms if policy is not None else None
+            )
         try:
             trace.plan_key = key = key or self.plan_key_for(request)
             self._serve_inner(request, trace, key, started, deadline)

@@ -5,7 +5,7 @@ node, all scoped by the top-level binding variable — so the workload
 partitions cleanly by the top-level key column. This package deals the
 database into key-range shards (:mod:`repro.sharding.partition`), runs
 one :class:`~repro.serving.server.ViewServer` per shard on the shard's
-source, fans each request out across the fleet,
+source, serves each request at every shard on the router's one worker,
 and splices the per-shard response texts inside the view's literal frame
 (:mod:`repro.sharding.merge`) into a response byte-identical to a
 single-box run (:mod:`repro.sharding.router`).

@@ -7,8 +7,10 @@ key of the single base table the schema tree's first query-bearing node
 ranges over (``metroarea.metroid`` for Figure 1). This module derives
 that column from the view (:func:`derive_partition_column`), splits its
 key domain into contiguous ranges (:class:`KeyRangePartitioner`), and
-carves one :class:`Database` per shard out of a copy of the source, in
-the engine, according to a workload-declared :class:`PartitionScheme`.
+carves one :class:`Database` per shard out of the source, in the engine
+(each shard loads its own rows by ``INSERT … SELECT``; nothing copies
+the whole source), according to a workload-declared
+:class:`PartitionScheme`.
 
 The scheme is declarative: for every base table it names a *key query*
 returning ``(primary_key, partition_key)`` pairs — the join path from
@@ -178,9 +180,9 @@ class PartitionScheme:
     ``key_queries`` maps every catalog table to SQL returning
     ``(primary_key, partition_key)`` pairs — the join path from the
     table's rows to the shard key they belong to — or ``None`` to
-    replicate the table to all shards. A key query reads its own table
-    and tables declared before it in the catalog — the foreign-key path
-    toward the partition table. :func:`partition_database` validates the
+    replicate the table to all shards. A key query reads the whole
+    source — the foreign-key path toward the partition table.
+    :func:`partition_database` validates the
     scheme covers the catalog exactly.
     """
 
@@ -245,18 +247,18 @@ def partition_database(
     partitioner: KeyRangePartitioner,
     cross_thread: bool = True,
 ) -> list[Database]:
-    """Carve one database per shard out of a copy of the source, in the
-    engine.
+    """Carve one database per shard out of the source, in the engine.
 
-    Each shard starts as a backup of the whole source. Per routed table,
-    one ``DELETE`` then drops every row that the table's key query does
-    not map into the shard's key range — rows of other shards, and rows
-    whose join path dead-ends (orphans) or whose key is NULL, which no
-    shard's view queries serve. Tables are carved last-declared first,
-    so a key query that follows foreign keys to tables declared before
-    its own (as the hotel scheme's do) reads them uncarved. ``VACUUM``
-    gives the deleted pages back and ``ANALYZE`` re-counts what is left.
-    No row passes through Python, and the source is only read.
+    Each shard starts as the catalog's empty tables. Per routed table,
+    one ``INSERT … SELECT`` on the source's connection (the shard
+    attached to it, :meth:`Database.copy_rows`) loads the rows that the
+    table's key query maps into the shard's key range — not rows of
+    other shards, nor rows whose join path dead-ends (orphans) or whose
+    key is NULL, which no shard's view queries serve. The key queries
+    read the whole source, so a key query may follow foreign keys to any
+    table. The shard's indexes are built once, after the load, and
+    ``ANALYZE`` counts what it holds. No row passes through Python, and
+    the source is only read.
 
     A shard's rows keep their source rowids and order, so within every
     shard the partition table stays ascending by key — combined with the
@@ -269,13 +271,11 @@ def partition_database(
     is closed before the error propagates.
     """
     scheme.validate(source.catalog)
-    routed = [
-        declared
-        for declared in reversed(list(source.catalog))
-        if scheme.key_queries[declared.name] is not None
-    ]
-    for declared in routed:
-        if declared.primary_key is None:
+    for declared in source.catalog:
+        if (
+            scheme.key_queries[declared.name] is not None
+            and declared.primary_key is None
+        ):
             raise ShardingError(
                 f"table {declared.name!r} has a key query but no primary "
                 "key to route by"
@@ -287,16 +287,20 @@ def partition_database(
                 source.catalog, create=False, cross_thread=cross_thread
             )
             shards.append(shard)
-            source.driver.copy(source, shard)
+            shard.create_tables()
             owned, bounds = _owned(index, partitioner)
-            for declared in routed:
-                shard.run_sql(
-                    f"DELETE FROM {declared.name} "
-                    f"WHERE {declared.primary_key} NOT IN (SELECT pk FROM "
+            source.copy_rows(shard, [
+                (declared.name, None, {})
+                if scheme.key_queries[declared.name] is None
+                else (
+                    declared.name,
+                    f"{declared.primary_key} IN (SELECT pk FROM "
                     f"({scheme.key_queries[declared.name]}) WHERE {owned})",
                     bounds,
                 )
-            shard.run_sql("VACUUM")
+                for declared in source.catalog
+            ])
+            shard.create_indexes()
             shard.analyze()
     except BaseException:
         for shard in shards:

@@ -4,12 +4,24 @@
 :class:`~repro.serving.server.ViewServer`: the workload database is
 dealt into key-range shards (:mod:`repro.sharding.partition`), each
 shard is served by exactly one ordinary ``ViewServer`` on the shard's
-source, and a request fans out to every shard's server. Text is the
-only thing that crosses the server → router boundary: every shard
-answers in bytes, and the router splices the shards' partition runs
-inside the view's literal frame (:mod:`repro.sharding.merge`) into a
-single response that is byte-identical to a single-box run over the
+source, and a request is served at every shard. Text is the only thing
+that crosses the server → router boundary: every shard answers in
+bytes, and the router splices the shards' partition runs inside the
+view's literal frame (:mod:`repro.sharding.merge`) into a single
+response that is byte-identical to a single-box run over the
 unpartitioned data — it builds, parses and serializes no tree.
+
+The router keeps one box's concurrency model. :meth:`ShardRouter.submit`
+admits a request at every shard or at none, on the calling thread (the
+shards' own admission limits: a shard that sheds it gives back the
+others' slots, and nothing is queued). It answers a fleet hit there too
+— a resident plan whose every shard holds a policy-fresh hit, spliced
+through the merged-bytes memo — and queues the rest for the router's one
+worker, which serves the shards in turn, inline, each through its
+server's own hit-or-compute path (:meth:`ViewServer.serve`) under one
+deadline for the fleet request. No shard server starts a thread: every
+CPython shard computes under one interpreter lock anyway, so a thread
+per shard bought hand-offs and no parallel compute.
 
 The router adds no failure handling of its own: each shard's server
 already carries the resilience tier (plan breaker, retries, deadline,
@@ -22,7 +34,8 @@ function runs once per shard against the shard source, which captures
 its writes on the shard's tracker (attached when the shard is built),
 so delta maintenance stays entirely shard-local — each shard's
 tracker only ever sees its own rows, and each shard's result cache
-splices only its own slice of the document.
+splices only its own slice of the document. ``POST /write`` runs them
+on the router's worker, so a write waits behind a compute, as on one box.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ from repro.errors import ReproError
 from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database
 from repro.relational.schema import Catalog
-from repro.resilience.policy import ResiliencePolicy
+from repro.resilience.policy import Deadline, ResiliencePolicy
 from repro.schema_tree.model import SchemaTreeQuery
 from repro.serving.metrics import Registry, merge
 from repro.serving.plan_cache import CompiledPlan, PlanCache, compile_plan
@@ -77,8 +90,10 @@ class RouterTrace:
 
     ``shards`` holds one summary dict per shard (in shard order) naming
     the shard's server (``shard<N>``), its outcome/freshness, and its
-    latency — the scatter detail behind
-    the merged totals. ``merge_seconds`` is the text splice (zero when
+    latency — the detail behind the merged totals; a shed request holds
+    only the shard that shed it. ``execute_seconds`` is the sum of the
+    shards' totals, which one worker serves in turn (a fleet hit's on
+    the calling thread). ``merge_seconds`` is the text splice (zero when
     the merged-bytes memo answered); ``serialize_seconds`` is 0.0 on
     every request — the router serializes nothing — and stays for the
     benchmark spine that reads it. ``outcome`` follows the single-box
@@ -126,6 +141,17 @@ class RouterTrace:
         if include_xml:
             record["xml"] = self.xml
         return record
+
+
+def _summary(shard: "_Shard", shard_trace: RequestTrace) -> dict:
+    """One shard's line in :attr:`RouterTrace.shards`."""
+    return {
+        "shard": shard.index,
+        "server": shard.name,
+        "outcome": shard_trace.outcome,
+        "freshness": shard_trace.freshness,
+        "total_seconds": round(shard_trace.total_seconds, 6),
+    }
 
 
 class _Shard:
@@ -209,10 +235,11 @@ class ShardRouter:
                 plan_cache=self.plan_cache,
             )
             self.shards.append(_Shard(index, source, server))
-        #: Scatters requests, and applies the front end's writes.
+        #: The one worker: every fleet computation, each shard in turn,
+        #: and the writes the front end applies (``POST /write``), which
+        #: queue behind them.
         self.executor = ThreadPoolExecutor(
-            max_workers=max(4, 2 * len(self.shards)),
-            thread_name_prefix="shardrouter",
+            max_workers=1, thread_name_prefix="shardrouter"
         )
 
     @classmethod
@@ -246,14 +273,50 @@ class ShardRouter:
     # -- request API ---------------------------------------------------------
 
     def submit(self, request: PublishRequest) -> "Future[RouterTrace]":
-        """Enqueue a fleet-wide request; resolves to its merged trace."""
+        """Serve a fleet-wide request; returns a future resolving to its
+        merged trace.
+
+        Admission first, on this thread, at every shard or at none
+        (:meth:`_admit`): a shed request's future is already resolved to
+        the shedding shard's ``rejected`` outcome, and no shard computes
+        for it. An admitted fleet hit is answered here too
+        (:meth:`_answer_hit`); the rest queue for the one worker
+        (:meth:`_serve`), which asks only the shards that have not
+        answered.
+        """
         if self._closed:
             raise RuntimeError("router is closed")
         check_strategy(request.strategy)
+        started = time.perf_counter()
         with self._lock:
             request_id = self._next_request_id
             self._next_request_id += 1
-        return self.executor.submit(self._serve, request, request_id)
+        trace = RouterTrace(
+            request_id=request_id,
+            label=request.label,
+            strategy=request.strategy,
+            shard_count=len(self.shards),
+        )
+        ids = self._admit(request, trace)
+        if ids is not None:
+            served: list[RequestTrace] = []
+            key, compiled = self._answer_hit(request, ids, served)
+            if compiled is None:
+                try:
+                    return self.executor.submit(
+                        self._serve, request, trace, ids, served, key,
+                        time.perf_counter() - started,
+                    )
+                except BaseException:
+                    self._release(ids, len(served))
+                    raise
+            try:
+                self._merge(request, trace, compiled, served)
+            except Exception as exc:
+                trace.outcome, trace.error = "error", str(exc)
+        answered: "Future[RouterTrace]" = Future()
+        answered.set_result(self._finish(trace, started))
+        return answered
 
     def render(
         self,
@@ -281,7 +344,9 @@ class ShardRouter:
     def render_many(
         self, requests: Iterable[PublishRequest]
     ) -> list[RouterTrace]:
-        """Serve a batch concurrently; traces come back in request order."""
+        """Submit a batch, then wait; traces come back in request order
+        (fleet hits answered at once, the rest computed by the one worker
+        in turn)."""
         futures = [self.submit(request) for request in requests]
         return [future.result() for future in futures]
 
@@ -299,8 +364,11 @@ class ShardRouter:
 
     # -- serving -------------------------------------------------------------
 
-    def compile(self, request: PublishRequest) -> CompiledPlan:
-        """The plan ``request`` resolves to, with its merge frame.
+    def compile(
+        self, request: PublishRequest, key: Optional[str] = None
+    ) -> CompiledPlan:
+        """The plan ``request`` resolves to (``key``, when the caller made
+        it), with its merge frame.
 
         The router takes the plan from the fleet's store (compiling it
         when it is the first to ask: the shards it scatters to next then
@@ -313,7 +381,7 @@ class ShardRouter:
         """
         # A shard server's key function, so router and shards cannot disagree.
         server = self.shards[0].server
-        key = server.plan_key_for(request)
+        key = key or server.plan_key_for(request)
         compiled, _ = self.plan_cache.get_or_build(key, lambda: compile_plan(
             key, request, self.catalog, server.catalog_fingerprint, self.plan_cache
         ))
@@ -335,19 +403,106 @@ class ShardRouter:
             compiled.merge_plan = plan_merge(view)
         return compiled
 
-    def _serve(self, request: PublishRequest, request_id: int) -> RouterTrace:
-        started = time.perf_counter()
-        trace = RouterTrace(
-            request_id=request_id,
-            label=request.label,
-            strategy=request.strategy,
-            shard_count=len(self.shards),
+    def _admit(
+        self, request: PublishRequest, trace: RouterTrace
+    ) -> Optional[list[int]]:
+        """Admit ``request`` at every shard, in shard order, or at none.
+
+        Returns each shard server's request id. ``None`` when a shard shed
+        it: that shard's outcome, error and summary are laid on ``trace``,
+        and the shards before it get their slots back.
+        """
+        ids: list[int] = []
+        for shard in self.shards:
+            try:
+                shard_id, shed = shard.server.admit(request)
+            except BaseException:
+                self._release(ids)
+                raise
+            if shed is not None:
+                self._release(ids)
+                trace.outcome, trace.error = shed.outcome, shed.error
+                trace.shards.append(_summary(shard, shed))
+                return None
+            ids.append(shard_id)
+        return ids
+
+    def _release(self, ids: list[int], served: int = 0) -> None:
+        """Give back the slots of the admitted shards after the first
+        ``served``, which answered."""
+        for shard in self.shards[served:len(ids)]:
+            shard.server.release()
+
+    def _answer_hit(
+        self,
+        request: PublishRequest,
+        ids: list[int],
+        served: list[RequestTrace],
+    ) -> tuple[Optional[str], Optional[CompiledPlan]]:
+        """The fleet's fresh hit, on the calling thread.
+
+        ``(key, plan)`` when the plan is resident with its merge frame and
+        every shard answered a policy-fresh hit, in shard order, into
+        ``served``; the plan is ``None`` otherwise, and the worker serves
+        the shards after those in ``served`` (one that answered is not
+        asked again). ``key`` is
+        the plan key, ``None`` when none was made (a ``bypass_cache``
+        request) or making it failed. Nothing here compiles, borrows a
+        session or waits.
+        """
+        if request.bypass_cache:
+            return None, None
+        try:
+            key = self.shards[0].server.plan_key_for(request)
+            compiled = self.plan_cache.peek(key)
+            if compiled is None or compiled.merge_plan is None:
+                return key, None
+            for shard, shard_id in zip(self.shards, ids):
+                hit = shard.server.answer_hit(
+                    request, shard_id, key, time.perf_counter()
+                )
+                if hit is None:
+                    return key, None
+                served.append(hit)
+        except Exception:
+            return None, None  # the worker meets the failure again
+        # Counted as the router's plan hit, by a lookup that never waits.
+        self.plan_cache.get(key)
+        return key, compiled
+
+    def _serve(
+        self,
+        request: PublishRequest,
+        trace: RouterTrace,
+        ids: list[int],
+        served: list[RequestTrace],
+        key: Optional[str],
+        submit_seconds: float,
+    ) -> RouterTrace:
+        """Serve one admitted request on the worker: compile, then each
+        shard after those in ``served``, inline and in shard order, under
+        one deadline (the shards' one policy's); then the splice.
+        ``submit_seconds`` is the time :meth:`submit` spent on it."""
+        started = time.perf_counter() - submit_seconds
+        policy = self.shards[0].server.resilience
+        deadline = Deadline.start(
+            policy.deadline_ms if policy is not None else None
         )
         try:
-            self._serve_inner(request, trace)
+            compiled = self.compile(request, key)
+            for shard, shard_id in list(zip(self.shards, ids))[len(served):]:
+                served.append(shard.server.serve(
+                    request, shard_id, compiled.key, deadline=deadline
+                ))
+            self._merge(request, trace, compiled, served)
         except Exception as exc:
-            trace.outcome = "error"
-            trace.error = str(exc)
+            trace.outcome, trace.error = "error", str(exc)
+        finally:
+            self._release(ids, len(served))
+        return self._finish(trace, started)
+
+    def _finish(self, trace: RouterTrace, started: float) -> RouterTrace:
+        """Time and count a served request."""
         trace.total_seconds = time.perf_counter() - started
         names = ["requests_served", f"outcomes.{trace.outcome}"]
         if trace.outcome not in ("success", "degraded"):
@@ -374,34 +529,26 @@ class ShardRouter:
                 self._merged_cache.pop(next(iter(self._merged_cache)))
             self._merged_cache[key] = (texts, xml)
 
-    def _serve_inner(self, request: PublishRequest, trace: RouterTrace) -> None:
-        compiled = self.compile(request)
-        # Scatter: every shard's server computes at once; each answers
-        # with its own trace, failed or not.
-        futures = [shard.server.submit(request) for shard in self.shards]
-        resolved = [future.result() for future in futures]
+    def _merge(
+        self,
+        request: PublishRequest,
+        trace: RouterTrace,
+        compiled: CompiledPlan,
+        resolved: list[RequestTrace],
+    ) -> None:
+        """Lay every shard's trace on ``trace`` and splice their bytes."""
         freshness_seen = set()
         failed: Optional[RequestTrace] = None
         any_degraded = False
         for shard_trace, shard in zip(resolved, self.shards):
             trace.queries_executed += shard_trace.queries_executed
             trace.rows_fetched += shard_trace.rows_fetched
-            trace.execute_seconds = max(
-                trace.execute_seconds, shard_trace.total_seconds
-            )
+            trace.execute_seconds += shard_trace.total_seconds
             # How stale the bytes a shard served are under its tracker,
             # as on a single box (0 when it computed them).
             trace.version_lag = max(trace.version_lag, shard_trace.version_lag)
             freshness_seen.add(shard_trace.freshness)
-            trace.shards.append(
-                {
-                    "shard": shard.index,
-                    "server": shard.name,
-                    "outcome": shard_trace.outcome,
-                    "freshness": shard_trace.freshness,
-                    "total_seconds": round(shard_trace.total_seconds, 6),
-                }
-            )
+            trace.shards.append(_summary(shard, shard_trace))
             if shard_trace.outcome == "degraded":
                 any_degraded = True
             elif shard_trace.outcome != "success" and failed is None:

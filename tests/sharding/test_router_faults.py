@@ -12,8 +12,6 @@ leaks pool connections.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
-
 import pytest
 
 from repro.core.compose import compose
@@ -169,19 +167,17 @@ def test_unspliceable_shard_answer_is_an_error_trace(outcome, body, message):
     view = _figure4_view(db.catalog)
     router = _fleet(db)
     try:
+        server = router.shards[0].server
 
-        def stubbed(request):
-            future: "Future[RequestTrace]" = Future()
-            future.set_result(
-                RequestTrace(
-                    request_id=7, label=request.label,
-                    strategy=request.strategy, cache_hit=False,
-                    plan_key="", outcome=outcome, xml=body,
-                )
+        def stubbed(request, request_id, key, deadline):
+            server.release()
+            return RequestTrace(
+                request_id=7, label=request.label,
+                strategy=request.strategy, cache_hit=False,
+                plan_key="", outcome=outcome, xml=body,
             )
-            return future
 
-        router.shards[0].server.submit = stubbed
+        server.serve = stubbed
         trace = router.render(view)
         assert trace.outcome == "error"
         assert message in trace.error
