@@ -17,7 +17,7 @@ Workflows:
 
     # Materialize a (possibly composed) view against a database.
     python -m repro materialize --catalog ... --view demo/composed.xml \\
-        --db demo/hotel.sqlite [--strategy nested-loop|memoized|bulk] [--pretty]
+        --db demo/hotel.sqlite [--strategy nested-loop|bulk] [--pretty]
 
     # One-shot: plan a stylesheet (composed, else naive) and execute it.
     python -m repro run --catalog ... --view demo/view.xml \\
@@ -144,22 +144,11 @@ def cmd_materialize(args: argparse.Namespace) -> int:
     """``repro materialize``: evaluate a view file against a database."""
     catalog = load_catalog(args.catalog)
     view = load_view(args.view, catalog)
-    strategy = args.strategy
-    if args.memoize:
-        if strategy not in ("nested-loop", "memoized"):
-            print(
-                f"error: --memoize conflicts with --strategy {strategy}",
-                file=sys.stderr,
-            )
-            return 2
-        strategy = "memoized"
+    bulk = args.strategy == "bulk"
     db = Database.open(catalog, args.db)
     try:
-        if strategy == "bulk":
-            evaluator = BulkViewEvaluator(db)
-        else:
-            evaluator = ViewEvaluator(db, memoize=strategy == "memoized")
-        if strategy == "bulk" and not args.pretty:
+        evaluator = BulkViewEvaluator(db) if bulk else ViewEvaluator(db)
+        if bulk and not args.pretty:
             # Nothing here keeps the tree: rows go straight to text.
             text = evaluator.serialize(view)
         else:
@@ -241,7 +230,7 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
                         help="hotel workload scale factor (default: 2)")
     parser.add_argument(
         "--staleness", metavar="POLICY", default="strict",
-        help="result-cache staleness policy: strict, manual, or bounded:N "
+        help="result-cache staleness policy: strict or bounded:N "
         "(default: strict)",
     )
     parser.add_argument(
@@ -273,7 +262,8 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--queue-limit", type=int, default=None, metavar="N",
-        help="shed requests beyond the priority-scaled admission limit",
+        help="shed requests beyond 1 + N in flight (the worker's and its "
+        "queue of N)",
     )
     parser.add_argument(
         "--no-degraded", action="store_true",
@@ -398,10 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     materialize_parser.add_argument(
         "--strategy", default="nested-loop", choices=list(STRATEGIES),
         help="execution strategy (default: nested-loop)",
-    )
-    materialize_parser.add_argument(
-        "--memoize", action="store_true",
-        help="deprecated alias for --strategy memoized",
     )
     materialize_parser.add_argument("--pretty", action="store_true")
     materialize_parser.set_defaults(func=cmd_materialize)

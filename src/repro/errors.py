@@ -33,6 +33,23 @@ class XMLParseError(XMLError):
         super().__init__(message)
 
 
+class XMLCharacterError(XMLError):
+    """Raised when a value holds a code point XML 1.0 excludes (§2.2):
+    U+0000–U+0008, U+000B, U+000C, U+000E–U+001F, a surrogate, U+FFFE or
+    U+FFFF. No escape writes one, so no well-formed document can hold it.
+
+    Attributes:
+        code_point: the offending code point, as an int.
+    """
+
+    def __init__(self, code_point: int):
+        self.code_point = code_point
+        super().__init__(
+            f"U+{code_point:04X} cannot be written: XML 1.0 has no such "
+            "character (section 2.2)"
+        )
+
+
 class XPathError(ReproError):
     """Base class for XPath substrate errors."""
 

@@ -23,12 +23,8 @@ from typing import Optional
 
 from repro.errors import ReproError
 from repro.frontend.facade import AsyncViewServer
-from repro.serving.server import (
-    PRIORITIES,
-    SERVING_STRATEGY,
-    PublishRequest,
-    ViewServer,
-)
+from repro.maintenance.policy import StalenessPolicy
+from repro.serving.server import SERVING_STRATEGY, PublishRequest, ViewServer
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,6 @@ class PublishingApp:
         self,
         name: str,
         strategy: str = SERVING_STRATEGY,
-        priority: str = "interactive",
         bypass_cache: bool = False,
         label: str = "",
     ) -> PublishRequest:
@@ -95,16 +90,11 @@ class PublishingApp:
             raise ReproError(
                 f"unknown view {name!r}; have {sorted(self.registry)}"
             )
-        if priority not in PRIORITIES:
-            raise ReproError(
-                f"unknown priority {priority!r}; have {list(PRIORITIES)}"
-            )
         return PublishRequest(
             entry.view,
             entry.stylesheet,
             strategy=strategy,
             label=label or f"{name}/{strategy}",
-            priority=priority,
             bypass_cache=bypass_cache,
         )
 
@@ -157,6 +147,8 @@ def build_hotel_app(
     sharded fleet of one server per shard when ``shards > 1``, a single
     :class:`ViewServer` otherwise; a fleet's ``app.database`` is its
     carving source, closed once carved and kept only for its catalog.
+    ``staleness`` is ``strict`` or ``bounded:N``; ``manual`` is refused,
+    as nothing in the app invalidates.
     ``maintenance`` is a frozen call surface: ``"delta"`` is its one value,
     and so are ``workers`` and ``replicas``: accepted, and changing
     nothing (every server computes on one worker, and a shard has one
@@ -176,6 +168,13 @@ def build_hotel_app(
         raise ReproError(
             f"unknown maintenance mode {maintenance!r}: every server "
             "maintains by delta"
+        )
+    if StalenessPolicy.parse(staleness).kind == "manual":
+        # Only ViewServer.invalidate_tables freshens a manual entry, and
+        # the app has no route to it: its reads would never see a write.
+        raise ReproError(
+            "staleness policy 'manual' cannot be served: the app has no "
+            "invalidation route (use strict or bounded:N)"
         )
     db = build_hotel_database(HotelDataSpec().scaled(scale), cross_thread=True)
     if shards > 1:

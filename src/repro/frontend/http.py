@@ -2,13 +2,13 @@
 
 No web framework — a hand-rolled request loop over
 :func:`asyncio.start_server` streams, because the protocol surface is
-four routes and the interesting parts (priority admission, deadlines,
-the degraded fallback) live below HTTP anyway:
+four routes and the interesting parts (admission, deadlines, the
+degraded fallback) live below HTTP anyway:
 
-* ``POST /publish`` — JSON body ``{"view": "figure4", "priority":
-  "interactive", "bypass_cache": false}`` (a ``"strategy"`` key is
-  accepted only as ``"bulk"``, the one serving evaluator; anything
-  else is a ``400``); answers the published XML with the serving
+* ``POST /publish`` — JSON body ``{"view": "figure4", "bypass_cache":
+  false, "label": ""}`` (a ``"strategy"`` key is accepted only as
+  ``"bulk"``, the one serving evaluator; anything else is a ``400``;
+  any other key is ignored); answers the published XML with the serving
   verdict in ``X-Repro-*`` headers. Outcomes map onto status codes: success and
   degraded are ``200`` (degraded is still bytes — the resilience
   contract — flagged by ``X-Repro-Outcome``), shed admission is
@@ -318,7 +318,6 @@ class FrontendServer:
         publish = self.app.request_for(
             name,
             strategy=params.get("strategy", SERVING_STRATEGY),
-            priority=params.get("priority", "interactive"),
             bypass_cache=bool(params.get("bypass_cache", False)),
             label=str(params.get("label", "")),
         )
@@ -327,7 +326,6 @@ class FrontendServer:
         headers = {
             "X-Repro-Outcome": trace.outcome,
             "X-Repro-Freshness": trace.freshness,
-            "X-Repro-Priority": getattr(trace, "priority", publish.priority),
             "X-Repro-Version-Lag": str(trace.version_lag),
             "X-Repro-Strategy": trace.strategy,
         }

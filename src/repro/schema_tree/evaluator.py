@@ -235,7 +235,7 @@ def build_element(
 
 
 #: Execution strategies accepted by :func:`materialize` and the CLI.
-STRATEGIES = ("nested-loop", "memoized", "bulk")
+STRATEGIES = ("nested-loop", "bulk")
 
 
 def materialize(
@@ -247,14 +247,11 @@ def materialize(
 
     * ``"nested-loop"`` — the paper's Section 2.1 semantics, one query per
       ancestor binding (the default),
-    * ``"memoized"`` — nested loop with tag-query result caching,
     * ``"bulk"`` — one decorrelated query per schema node
       (:class:`~repro.schema_tree.bulk_evaluator.BulkViewEvaluator`).
     """
     if strategy == "nested-loop":
         return ViewEvaluator(db).materialize(view)
-    if strategy == "memoized":
-        return ViewEvaluator(db, memoize=True).materialize(view)
     if strategy == "bulk":
         from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
 

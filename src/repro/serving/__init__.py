@@ -30,7 +30,6 @@ from repro.serving.server import (
     DELTA_FALLBACK_REASONS,
     FRESHNESS_STATES,
     OUTCOMES,
-    PRIORITIES,
     PublishRequest,
     RequestTrace,
     ViewServer,
@@ -42,7 +41,6 @@ __all__ = [
     "DELTA_FALLBACK_REASONS",
     "FRESHNESS_STATES",
     "OUTCOMES",
-    "PRIORITIES",
     "PlanCache",
     "PublishRequest",
     "RequestTrace",

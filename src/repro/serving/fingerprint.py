@@ -19,8 +19,8 @@ Each input is reduced to a canonical text and hashed with SHA-256:
   priority, or rule body changes the text — read as its shape plus
   literals, the shape alone keying skeletons (:func:`skeleton_key`).
 
-The composed plan key additionally folds in the composition options and
-the optimizer-pass fingerprints
+The composed plan key additionally folds in the optimizer-pass
+fingerprints
 (:data:`repro.core.compose.COMPOSE_PASS_FINGERPRINT`,
 :data:`repro.core.optimize.PRUNE_PASS_FINGERPRINT`), so cached plans
 self-invalidate when a pass's semantics are revised.
@@ -172,26 +172,20 @@ def plan_key(
     catalog_fingerprint: str,
     view: SchemaTreeQuery,
     stylesheet: Optional[Stylesheet],
-    prune: bool = True,
-    paper_mode: bool = False,
 ) -> str:
-    """The cache key for one (catalog, view, stylesheet, options) request.
+    """The cache key for one (catalog, view, stylesheet) request.
 
     ``catalog_fingerprint`` is passed pre-computed because a server
     fingerprints its catalog once at construction, while views and
     stylesheets vary per request.
     """
-    stylesheet_part = fingerprint_stylesheet(stylesheet)
-    prune = prune and stylesheet is not None  # nothing to prune otherwise
-    return _key(catalog_fingerprint, view, stylesheet_part, prune, paper_mode)
+    return _key(catalog_fingerprint, view, fingerprint_stylesheet(stylesheet))
 
 
 def skeleton_key(
     catalog_fingerprint: str,
     view: SchemaTreeQuery,
     stylesheet: Stylesheet,
-    prune: bool = True,
-    paper_mode: bool = False,
 ) -> tuple[str, tuple[str, ...], Optional[Stylesheet]]:
     """``(key, literals, shape)``: :func:`plan_key` with the stylesheet's
     shape for content (the whole view in it: output tags matter), the
@@ -199,17 +193,15 @@ def skeleton_key(
     after, as most stylesheets never miss a skeleton, which composes it."""
     prints = _stylesheet_prints(stylesheet)
     shape, prints[3] = prints[3], None
-    key = _key(catalog_fingerprint, view, prints[1], prune, paper_mode)
+    key = _key(catalog_fingerprint, view, prints[1])
     return key, prints[2], shape
 
 
-def _key(catalog_fingerprint, view, stylesheet_part, prune, paper_mode) -> str:
+def _key(catalog_fingerprint, view, stylesheet_part) -> str:
     return fingerprint_text(
         catalog_fingerprint,
         fingerprint_view(view),
         stylesheet_part,
-        f"prune={int(prune)}",
-        f"paper_mode={int(paper_mode)}",
         COMPOSE_PASS_FINGERPRINT,
         PRUNE_PASS_FINGERPRINT,
     )

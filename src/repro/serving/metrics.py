@@ -1,9 +1,9 @@
 """One registry of counts, and one rule to merge reports.
 
 A server or a router counts in a :class:`Registry`: one lock, one flat
-count per dotted name (``"outcomes.success"``, ``"priority.batch.shed"``,
-``"fleet.stale_serves"``), reported nested with every declared name
-present at zero. Its report is that snapshot with its collectors'
+count per dotted name (``"outcomes.success"``,
+``"resilience.shed_requests"``, ``"fleet.stale_serves"``), reported
+nested with every declared name present at zero. Its report is that snapshot with its collectors'
 sections (plan store, result cache, breaker, fault plan, pool) laid over
 it, so the names are the schema. A fleet's report is its shard servers'
 reports combined by :func:`merge`.

@@ -68,7 +68,7 @@ class CompiledPlan:
 
     #: The content fingerprint the plan is cached under.
     key: str
-    #: The view to execute: the composed (and possibly pruned) one, or on
+    #: The view to execute: the composed and pruned one, or on
     #: the naive rung the request's own; ``None`` on a refusal, except a
     #: composed skeleton the bulk planner refused (see ``_planned``).
     view: Optional[SchemaTreeQuery]
@@ -130,18 +130,16 @@ def compile_plan(
     if request.stylesheet is None:
         return _planned(key, request.view, catalog)
     skeleton_id, literals, shape = skeleton_key(
-        catalog_fingerprint, request.view, request.stylesheet,
-        prune=request.prune, paper_mode=request.paper_mode,
+        catalog_fingerprint, request.view, request.stylesheet
     )
 
     def build() -> CompiledPlan:
         shaped = shape or stylesheet_shape(request.stylesheet)[0]
         try:
-            view = compose(request.view, shaped, catalog, paper_mode=request.paper_mode)
+            view = compose(request.view, shaped, catalog)
         except CompositionError as exc:
             return _planned(skeleton_id, request.view, catalog, str(exc))
-        if request.prune:
-            prune_stylesheet_view(view, catalog)
+        prune_stylesheet_view(view, catalog)
         return _planned(skeleton_id, view, catalog, keep_view=True)
 
     skeleton = store.skeleton(skeleton_id, build)

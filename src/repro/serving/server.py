@@ -42,7 +42,7 @@ engine's ``cancel_check`` at query boundaries plus a poll within each
 statement, on the thread that runs it), retry-with-backoff for transient
 errors (:func:`repro.errors.classify_error`), a per-fingerprint circuit
 breaker (this server's own, admitted once and settled once per request),
-priority-aware admission control (shed requests trace
+admission control (one in-flight limit; shed requests trace
 ``outcome="rejected"``), and a **degraded-stale** fallback: when
 computation fails or the breaker is open, the last-known-good entry is
 served with its true ``version_lag`` — never under ``strict``, whose
@@ -116,22 +116,6 @@ FRESHNESS_STATES = (
 #: ``error`` — computation failed with no fallback.
 OUTCOMES = ("success", "degraded", "rejected", "deadline", "error")
 
-#: Request priority classes, in admission order. Admission control
-#: sheds ``background`` first and ``interactive`` last: with a
-#: resilience ``queue_limit`` of L, interactive requests are admitted
-#: until the hard limit (1 + L in flight: the worker's request and its
-#: queue), batch until 1 + 2L/3, background until 1 + L/3 — so under
-#: overload the best-effort tiers absorb the shedding while interactive
-#: traffic keeps its full queue.
-PRIORITIES = ("interactive", "batch", "background")
-
-#: Fraction of the queue headroom each priority class may consume.
-PRIORITY_ADMISSION_FRACTIONS = {
-    "interactive": 1.0,
-    "batch": 2.0 / 3.0,
-    "background": 1.0 / 3.0,
-}
-
 #: Reasons a delta maintenance attempt fell back to full recomputation,
 #: in the order metrics report them (see ``delta_fallbacks_by_reason``):
 #: no captured state to splice against (``no-state`` — an entry's first
@@ -154,10 +138,8 @@ SERVER_COUNTS = (
     "requests_served", "errors", "cache.hits", "cache.misses",
     *(f"freshness.{state}" for state in FRESHNESS_STATES),
     *(f"outcomes.{outcome}" for outcome in OUTCOMES),
-    *(f"priority.{p}.outcomes.{o}" for p in PRIORITIES for o in OUTCOMES),
-    *(f"priority.{priority}.shed" for priority in PRIORITIES),
     *(f"delta_fallbacks_by_reason.{reason}" for reason in DELTA_FALLBACK_REASONS),
-    "resilience.retries", "resilience.deadline_hits",
+    "resilience.retries", "resilience.deadline_hits", "resilience.shed_requests",
     "cache.statements_shared",
 )
 
@@ -173,7 +155,7 @@ def check_strategy(strategy: object) -> None:
     A typed :class:`~repro.errors.ReproError` (HTTP 400) raised by
     ``submit`` before admission, so a rejected request takes no slot and
     feeds neither the error count nor the plan breaker.
-    The nested-loop and memoized evaluators remain the one-shot
+    The nested-loop evaluator remains the one-shot
     ``repro materialize --strategy`` path and the tests' oracle.
     """
     if strategy != SERVING_STRATEGY:
@@ -188,8 +170,8 @@ class PublishRequest:
     """One materialization request against the server's database.
 
     ``stylesheet=None`` serves the publishing view itself; otherwise the
-    stylesheet is composed with the view (and pruned, unless ``prune``
-    is off) the first time this content triple is seen.
+    stylesheet is composed with the view (and pruned) the first time this
+    content triple is seen.
     """
 
     view: SchemaTreeQuery
@@ -197,17 +179,11 @@ class PublishRequest:
     #: Frozen call surface: selects and keys nothing, and ``submit``
     #: rejects any value but :data:`SERVING_STRATEGY`.
     strategy: str = SERVING_STRATEGY
-    prune: bool = True
-    paper_mode: bool = False
     label: str = ""
     #: Skip the result cache entirely (read and write) for this request;
     #: the response is always computed from live data. Traces record it
     #: as ``freshness="bypass"`` (the only computed request that does).
     bypass_cache: bool = False
-    #: Admission priority class — one of :data:`PRIORITIES`. Under a
-    #: resilience ``queue_limit``, lower classes are shed earlier (see
-    #: :data:`PRIORITY_ADMISSION_FRACTIONS`).
-    priority: str = "interactive"
 
 
 @dataclass
@@ -265,8 +241,6 @@ class RequestTrace:
     #: means last-known-good cached bytes were served after a failure
     #: (the cause is in ``degraded_cause``, ``error`` stays ``None``).
     outcome: str = "success"
-    #: Admission priority class the request carried.
-    priority: str = "interactive"
     #: Transient-failure retries this request performed (resilience).
     retries: int = 0
     #: On a ``degraded`` outcome: the failure the fallback absorbed.
@@ -277,12 +251,12 @@ class RequestTrace:
 
     @classmethod
     def of(cls, request: PublishRequest, request_id: int = 0, **fields) -> "RequestTrace":
-        """A trace of ``request`` (its label, strategy and priority, no
-        plan yet) with ``fields`` laid over."""
+        """A trace of ``request`` (its label and strategy, no plan yet)
+        with ``fields`` laid over."""
         return cls(**{
             "request_id": request_id, "label": request.label,
             "strategy": request.strategy, "cache_hit": False, "plan_key": "",
-            "priority": request.priority, **fields,
+            **fields,
         })
 
     def to_dict(self, include_xml: bool = False) -> dict:
@@ -308,7 +282,6 @@ class RequestTrace:
             "elements_created": self.elements_created,
             "attributes_created": self.attributes_created,
             "outcome": self.outcome,
-            "priority": self.priority,
             "retries": self.retries,
             "degraded_cause": self.degraded_cause,
             "worker": self.worker,
@@ -332,7 +305,7 @@ class ViewServer:
     rest for the one worker thread.
     Compiled plans are shared through an LRU
     :class:`~repro.serving.plan_cache.PlanCache` keyed by content
-    fingerprints of (catalog, view, stylesheet, options) — the server's
+    fingerprints of (catalog, view, stylesheet) — the server's
     own of ``cache_capacity`` plans, or the ``plan_cache`` it is handed
     (a fleet's shard servers share their router's). ``workers`` changes
     nothing.
@@ -423,21 +396,14 @@ class ViewServer:
 
     # -- request API ---------------------------------------------------------
 
-    def admission_limit(self, priority: str) -> Optional[int]:
-        """Max in-flight requests before ``priority`` traffic is shed.
-
-        ``None`` means unbounded (no resilience policy or no
-        ``queue_limit``). Interactive requests keep the full
-        ``1 + queue_limit`` budget — the worker's request and its queue —
-        while batch and background get progressively smaller slices of
-        the queue (:data:`PRIORITY_ADMISSION_FRACTIONS`), so they are
-        shed first under overload.
-        """
+    def admission_limit(self) -> Optional[int]:
+        """Max in-flight requests before a request is shed:
+        ``1 + queue_limit`` (the worker's request and its queue), or
+        ``None``, unbounded, without a resilience ``queue_limit``."""
         policy = self.resilience
         if policy is None or policy.queue_limit is None:
             return None
-        fraction = PRIORITY_ADMISSION_FRACTIONS[priority]
-        return 1 + int(policy.queue_limit * fraction)
+        return 1 + policy.queue_limit
 
     def submit(self, request: PublishRequest) -> "Future[RequestTrace]":
         """Serve a request; returns a future resolving to its trace.
@@ -484,20 +450,13 @@ class ViewServer:
         ``queue_limit``, at most ``1 + queue_limit`` requests may be in
         flight (queued or executing). Excess requests are *shed* — the
         ``rejected`` trace is the 503 analogue — instead of piling onto
-        the worker's queue. Shedding is priority-aware: the request's
-        :attr:`~PublishRequest.priority` class picks its admission limit
-        (:meth:`admission_limit`), so ``background`` traffic sheds first
-        and ``interactive`` is never shed before the hard limit.
+        the worker's queue. Every request meets the one limit
+        (:meth:`admission_limit`).
         """
         if self._closed:
             raise RuntimeError("server is closed")
         check_strategy(request.strategy)
-        if request.priority not in PRIORITIES:
-            raise ReproError(
-                f"unknown priority {request.priority!r} "
-                f"(expected one of {', '.join(PRIORITIES)})"
-            )
-        limit = self.admission_limit(request.priority)
+        limit = self.admission_limit()
         with self._lock:
             request_id = self._next_request_id
             self._next_request_id += 1
@@ -508,12 +467,10 @@ class ViewServer:
                 "requests_served",
                 "freshness.bypass",
                 "outcomes.rejected",
-                f"priority.{request.priority}.outcomes.rejected",
-                f"priority.{request.priority}.shed",
+                "resilience.shed_requests",
             )
             shed = RequestRejected(
-                f"request shed: {self._inflight} in flight >= limit "
-                f"{limit} for priority {request.priority}"
+                f"request shed: {self._inflight} in flight >= limit {limit}"
             )
         return request_id, RequestTrace.of(
             request, request_id, outcome="rejected", error=str(shed)
@@ -529,19 +486,12 @@ class ViewServer:
         view: SchemaTreeQuery,
         stylesheet: Optional[Stylesheet] = None,
         strategy: str = SERVING_STRATEGY,
-        prune: bool = True,
-        paper_mode: bool = False,
         label: str = "",
     ) -> RequestTrace:
         """Serve one request synchronously (submit + wait)."""
         return self.submit(
             PublishRequest(
-                view=view,
-                stylesheet=stylesheet,
-                strategy=strategy,
-                prune=prune,
-                paper_mode=paper_mode,
-                label=label,
+                view=view, stylesheet=stylesheet, strategy=strategy, label=label
             )
         ).result()
 
@@ -556,13 +506,7 @@ class ViewServer:
 
     def plan_key_for(self, request: PublishRequest) -> str:
         """The cache key a request resolves to (content fingerprint)."""
-        return plan_key(
-            self.catalog_fingerprint,
-            request.view,
-            request.stylesheet,
-            prune=request.prune,
-            paper_mode=request.paper_mode,
-        )
+        return plan_key(self.catalog_fingerprint, request.view, request.stylesheet)
 
     def invalidate(self, request: PublishRequest) -> bool:
         """Explicitly drop the compiled plan a request would use."""
@@ -698,7 +642,6 @@ class ViewServer:
             "requests_served",
             f"freshness.{trace.freshness}",
             f"outcomes.{trace.outcome}",
-            f"priority.{trace.priority}.outcomes.{trace.outcome}",
         )
         with self._lock:
             self._inflight -= 1
@@ -999,8 +942,6 @@ class ViewServer:
             **self.plan_cache.skeleton_stats(),
             **report["cache"],
         }
-        for priority, counts in report["priority"].items():
-            counts["admission_limit"] = self.admission_limit(priority)
         pool = self._pool  # a server that never computed has none: zeros
         stats = pool.stats if pool is not None else QueryStats()
         report["queries_executed"] = stats.queries_executed
@@ -1022,9 +963,6 @@ class ViewServer:
             report["resilience"] = {
                 **resilience,
                 "policy": self.resilience.describe(),
-                "shed_requests": sum(
-                    counts["shed"] for counts in report["priority"].values()
-                ),
                 "degraded_serves": outcomes["degraded"],
                 "breaker": breaker.stats() if breaker is not None else None,
             }

@@ -323,21 +323,14 @@ class ShardRouter:
         view: SchemaTreeQuery,
         stylesheet=None,
         strategy: str = SERVING_STRATEGY,
-        prune: bool = True,
-        paper_mode: bool = False,
         label: str = "",
         bypass_cache: bool = False,
     ) -> RouterTrace:
         """Serve one request synchronously (submit + wait)."""
         return self.submit(
             PublishRequest(
-                view=view,
-                stylesheet=stylesheet,
-                strategy=strategy,
-                prune=prune,
-                paper_mode=paper_mode,
-                label=label,
-                bypass_cache=bypass_cache,
+                view=view, stylesheet=stylesheet, strategy=strategy,
+                label=label, bypass_cache=bypass_cache,
             )
         ).result()
 

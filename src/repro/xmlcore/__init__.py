@@ -10,6 +10,7 @@ paper's publishing model needs — but the parser accepts general well-formed
 XML including CDATA sections and character references.
 """
 
+from repro.errors import XMLCharacterError
 from repro.xmlcore.nodes import (
     Comment,
     Document,
@@ -27,6 +28,7 @@ __all__ = [
     "Element",
     "Node",
     "Text",
+    "XMLCharacterError",
     "parse_document",
     "parse_fragment",
     "serialize",

@@ -5,20 +5,34 @@ from __future__ import annotations
 import re
 from typing import Union
 
+from repro.errors import XMLCharacterError
 from repro.xmlcore.nodes import Comment, Document, Element, Node, Text
+
+#: The code points XML 1.0 excludes (section 2.2), as a character-class body:
+#: no character reference writes them either.
+_NOT_XML = r"\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
 
 
 def _escaper(table: dict[str, str], doc: str):
-    """The escape function of ``table`` (character -> what is written)."""
+    """The escape function of ``table`` (character -> what is written); a
+    code point XML cannot hold raises :class:`XMLCharacterError`."""
     # Most values hold nothing to escape and are returned as they are; the
-    # class that finds out is compiled from the table's own keys, so the
-    # check and the replacement cannot disagree.
-    special = re.compile("[" + re.escape("".join(table)) + "]")
+    # one class that finds out is compiled from the table's own keys and
+    # the excluded code points, so the check and the replacement cannot
+    # disagree.
+    special = re.compile("[" + re.escape("".join(table)) + _NOT_XML + "]")
+
+    def replace(match) -> str:
+        char = match.group()
+        written = table.get(char)
+        if written is None:
+            raise XMLCharacterError(ord(char))
+        return written
 
     def escape(value: str) -> str:
         if special.search(value) is None:
             return value
-        return special.sub(lambda match: table[match.group()], value)
+        return special.sub(replace, value)
 
     escape.__doc__ = doc
     return escape

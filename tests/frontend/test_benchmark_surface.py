@@ -273,21 +273,7 @@ faults.injected.latency faults.injected.wrong-shape faults.seed
 freshness.bypass freshness.degraded-stale freshness.delta-recompute
 freshness.hit freshness.miss freshness.stale-recompute
 outcomes.deadline outcomes.degraded outcomes.error
-outcomes.rejected outcomes.success priority.background.admission_limit
-priority.background.outcomes.deadline
-priority.background.outcomes.degraded priority.background.outcomes.error
-priority.background.outcomes.rejected
-priority.background.outcomes.success priority.background.shed
-priority.batch.admission_limit
-priority.batch.outcomes.deadline priority.batch.outcomes.degraded
-priority.batch.outcomes.error priority.batch.outcomes.rejected
-priority.batch.outcomes.success priority.batch.shed
-priority.interactive.admission_limit
-priority.interactive.outcomes.deadline
-priority.interactive.outcomes.degraded
-priority.interactive.outcomes.error
-priority.interactive.outcomes.rejected
-priority.interactive.outcomes.success priority.interactive.shed
+outcomes.rejected outcomes.success
 queries_executed requests_served resilience.breaker.closed
 resilience.breaker.cooldown_ms
 resilience.breaker.half_open_trials resilience.breaker.half_opened

@@ -173,3 +173,28 @@ def test_a_view_no_rung_serves_fails_the_build_naming_it(fleet):
     assert backend._closed
     with pytest.raises(sqlite3.ProgrammingError):  # closed
         db.table_count("hotel")
+
+
+@pytest.mark.parametrize("shards", [1, 2], ids=["single-box", "fleet"])
+def test_manual_staleness_is_refused_before_anything_opens(monkeypatch, shards):
+    """The app has no invalidation route, so under ``manual`` a read would
+    serve its first bytes after any number of writes: the build refuses
+    the policy by name, and opens no connection doing so. ``strict`` and
+    ``bounded:N`` still build."""
+    opened = []
+    real_connect = sqlite3.connect
+
+    def counting_connect(*args, **kwargs):
+        connection = real_connect(*args, **kwargs)
+        opened.append(connection)
+        return connection
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    with pytest.raises(ReproError, match="'manual' cannot be served"):
+        build_hotel_app(scale=1, staleness="manual", shards=shards)
+    assert opened == []
+    app = build_hotel_app(scale=1, staleness="bounded:2", shards=shards)
+    try:
+        assert app.backend.submit(app.request_for("figure1")).result().outcome == "success"
+    finally:
+        asyncio.run(app.close())

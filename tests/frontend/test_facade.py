@@ -55,7 +55,7 @@ class FakeBackend:
 
 
 def request(**kwargs):
-    defaults = dict(label="fake", strategy="bulk", priority="interactive")
+    defaults = dict(label="fake", strategy="bulk")
     defaults.update(kwargs)
     return PublishRequest(view=None, **defaults)
 

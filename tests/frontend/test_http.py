@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro.frontend import build_hotel_app, serve_app
+from repro.resilience import ResiliencePolicy
 
 
 @pytest.fixture(scope="module")
@@ -112,9 +113,7 @@ class TestPublish:
         # byte-identical to an in-process compute of the same request
         async def direct(app):
             trace = await app.facade.submit(
-                app.request_for(
-                    "figure4", priority="interactive", bypass_cache=True
-                )
+                app.request_for("figure4", bypass_cache=True)
             )
             return trace.xml.encode("utf-8")
 
@@ -306,7 +305,9 @@ class TestLifecycle:
 
         asyncio.run(http_exchange(scenario)(app_env))
 
-    def test_metrics_exposes_the_priority_section(self):
+    def test_metrics_reports_one_shed_count(self):
+        """Admission has one limit, so shedding is one count, under
+        ``resilience``; there is no per-class section."""
         async def scenario(server):
             raw = await raw_request(
                 server, request_bytes("GET", "/metrics", close=True)
@@ -314,11 +315,10 @@ class TestLifecycle:
             status, _, body = split_response(raw)
             assert status == 200
             report = json.loads(body)
-            assert "priority" in report
-            for cls in ("interactive", "batch", "background"):
-                assert "shed" in report["priority"][cls]
+            assert "priority" not in report
+            assert report["resilience"]["shed_requests"] == 0
 
-        app = build_hotel_app(scale=1)
+        app = build_hotel_app(scale=1, resilience=ResiliencePolicy(queue_limit=4))
         try:
             asyncio.run(http_exchange(scenario)(app))
         finally:

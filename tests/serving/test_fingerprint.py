@@ -66,19 +66,23 @@ def test_editing_one_template_changes_the_plan_key():
     )
 
 
-def test_plan_key_folds_in_options():
+def test_plan_key_folds_in_options(monkeypatch):
+    """A plan key is (catalog, view, stylesheet) and the passes that
+    compile it: every plan composes without paper mode and prunes, so no
+    request option is left to key, and a revised pass re-keys every plan."""
     catalog = hotel_catalog()
     catalog_fp = fingerprint_catalog(catalog)
     view = figure1_view(catalog)
     stylesheet = figure4_stylesheet()
     base = plan_key(catalog_fp, view, stylesheet)
     assert base == plan_key(catalog_fp, view, stylesheet)
-    assert base != plan_key(catalog_fp, view, stylesheet, prune=False)
-    assert base != plan_key(catalog_fp, view, stylesheet, paper_mode=True)
-    # Without a stylesheet there is nothing to prune: the flag is ignored.
-    assert plan_key(catalog_fp, view, None, prune=True) == plan_key(
-        catalog_fp, view, None, prune=False
-    )
+    assert base != plan_key(catalog_fp, view, None)
+    with pytest.raises(TypeError):
+        plan_key(catalog_fp, view, stylesheet, prune=False)
+    for name in ("COMPOSE_PASS_FINGERPRINT", "PRUNE_PASS_FINGERPRINT"):
+        with monkeypatch.context() as patch:
+            patch.setattr(fingerprint_module, name, "revised")
+            assert plan_key(catalog_fp, view, stylesheet) != base
 
 
 def test_memo_caches_per_object_and_clears():

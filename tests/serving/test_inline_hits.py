@@ -119,9 +119,6 @@ def _counts(server: ViewServer) -> dict:
         "requests_served": metrics["requests_served"],
         "freshness.hit": metrics["freshness"]["hit"],
         "outcomes.success": metrics["outcomes"]["success"],
-        "interactive.success": (
-            metrics["priority"]["interactive"]["outcomes"]["success"]
-        ),
         "cache.hits": metrics["cache"]["hits"],
         "cache.misses": metrics["cache"]["misses"],
         "result_cache.hits": metrics["result_cache"]["hits"],
@@ -137,7 +134,7 @@ def _delta(before: dict, after: dict) -> dict:
 #: What one served hit adds to a server's counts, on either thread.
 ONE_HIT = {
     "requests_served": 1, "freshness.hit": 1, "outcomes.success": 1,
-    "interactive.success": 1, "cache.hits": 1, "cache.misses": 0,
+    "cache.hits": 1, "cache.misses": 0,
     "result_cache.hits": 1, "result_cache.misses": 0, "result_cache.stale": 0,
 }
 
@@ -176,8 +173,7 @@ def test_an_inline_hit_traces_and_counts_as_a_worker_hit(db):
     # The held bypass and the miss: two served, two plans compiled, one
     # result-cache miss; the worker hit adds what the inline one does.
     held_and_miss = dict.fromkeys(ONE_HIT, 0) | {
-        "requests_served": 2, "outcomes.success": 2, "interactive.success": 2,
-        "cache.misses": 2, "result_cache.misses": 1,
+        "requests_served": 2, "outcomes.success": 2, "cache.misses": 2, "result_cache.misses": 1,
     }
     assert _delta(start, before) == {
         name: held_and_miss[name] + ONE_HIT[name] for name in ONE_HIT
@@ -241,7 +237,7 @@ def test_a_shed_comes_before_the_inline_answer(db):
     view = figure1_view(db.catalog)
     policy = ResiliencePolicy(queue_limit=0)
     with ViewServer(db.catalog, source=db, resilience=policy) as server:
-        assert server.admission_limit("interactive") == 1
+        assert server.admission_limit() == 1
         assert server.render(view, figure4_stylesheet()).freshness == "miss"
         with Latch(server) as latch:
             held = server.submit(PublishRequest(view, bypass_cache=True))
@@ -253,7 +249,7 @@ def test_a_shed_comes_before_the_inline_answer(db):
             assert server.metrics()["result_cache"]["hits"] == before
         assert held.result().outcome == "success"
         assert (shed.outcome, shed.freshness, shed.xml) == ("rejected", "bypass", None)
-        assert server.metrics()["priority"]["interactive"]["shed"] == 1
+        assert server.metrics()["resilience"]["shed_requests"] == 1
         # Once the worker is free the same request is answered inline.
         assert server.submit(PublishRequest(view, figure4_stylesheet())).result().freshness == "hit"
 

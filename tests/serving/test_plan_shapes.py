@@ -129,20 +129,19 @@ def renamed(stylesheet, seed: int, attribute: str = ""):
     return variant
 
 
-def skeleton_of(view, stylesheet, catalog, prune=True, paper_mode=False):
+def skeleton_of(view, stylesheet, catalog):
     """What a skeleton miss builds: the shape composed, pruned, planned
     (or refused)."""
     shape, literals = stylesheet_shape(stylesheet)
-    skeleton = composed(view, shape, catalog, prune, paper_mode)
+    skeleton = composed(view, shape, catalog)
     refusal(skeleton, catalog)
     return skeleton, literals
 
 
-def composed(view, stylesheet, catalog, prune=True, paper_mode=False):
+def composed(view, stylesheet, catalog):
     """What ``compile_plan`` built before skeletons: compose + prune."""
-    result = compose(view, stylesheet, catalog, paper_mode=paper_mode)
-    if prune:
-        prune_stylesheet_view(result, catalog)
+    result = compose(view, stylesheet, catalog)
+    prune_stylesheet_view(result, catalog)
     return result
 
 
@@ -160,11 +159,11 @@ def refusal(view, catalog):
     return None
 
 
-def assert_bound_is_composed(view, variant, catalog, **options):
+def assert_bound_is_composed(view, variant, catalog):
     """The structural half of the property; returns the bound view."""
-    skeleton, literals = skeleton_of(view, variant, catalog, **options)
+    skeleton, literals = skeleton_of(view, variant, catalog)
     bound = bind(skeleton, literals)
-    direct = composed(view, variant, catalog, **options)
+    direct = composed(view, variant, catalog)
     assert view_to_xml(bound) == view_to_xml(direct)
     assert refusal(bound, catalog) == refusal(direct, catalog)
     return bound
@@ -185,8 +184,6 @@ def hotel():
     name=st.sampled_from(sorted(FIGURES)),
     seed=st.integers(0, 2**32 - 1),
     attribute=st.sampled_from(["", "note"]),
-    prune=st.booleans(),
-    paper_mode=st.booleans(),
 )
 @settings(
     max_examples=40,
@@ -194,14 +191,13 @@ def hotel():
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_a_bound_figure_is_its_composition_and_serves_naive_bytes(
-    hotel, name, seed, attribute, prune, paper_mode
+    hotel, name, seed, attribute
 ):
     db, server = hotel
     view = figure1_view(db.catalog)
     variant = renamed(FIGURES[name](), seed, attribute)
-    options = dict(prune=prune, paper_mode=paper_mode)
-    assert_bound_is_composed(view, variant, db.catalog, **options)
-    trace = server.submit(PublishRequest(view, variant, **options)).result()
+    assert_bound_is_composed(view, variant, db.catalog)
+    trace = server.submit(PublishRequest(view, variant)).result()
     assert trace.error is None
     assert trace.xml == serialize(NaivePipeline(view, variant).run(db).document)
 

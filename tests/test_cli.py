@@ -303,7 +303,11 @@ def test_serve_http_has_no_fragment_tier_flags():
         action for action in materialize._actions
         if "--strategy" in action.option_strings
     ]
-    assert strategy.choices == ["nested-loop", "memoized", "bulk"]
+    # The memoizing evaluator is the E10 ablation's, not a strategy.
+    assert strategy.choices == ["nested-loop", "bulk"]
+    assert "--memoize" not in {
+        flag for action in materialize._actions for flag in action.option_strings
+    }
     assert "--strategy" not in options
 
 

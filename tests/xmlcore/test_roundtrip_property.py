@@ -9,14 +9,18 @@ from repro.xmlcore.parser import parse_document
 from repro.xmlcore.serializer import serialize
 
 names = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
+# XML characters only (section 2.2): U+FFFE and U+FFFF are none, and the
+# serializer refuses them.
 attr_values = st.text(
     alphabet=st.characters(
-        codec="utf-8", exclude_characters="\x00\r", min_codepoint=32
+        codec="utf-8", exclude_characters="\x00\r\ufffe\uffff", min_codepoint=32
     ),
     max_size=12,
 )
 texts = st.text(
-    alphabet=st.characters(codec="utf-8", exclude_characters="\x00\r", min_codepoint=32),
+    alphabet=st.characters(
+        codec="utf-8", exclude_characters="\x00\r\ufffe\uffff", min_codepoint=32
+    ),
     min_size=1,
     max_size=12,
 )

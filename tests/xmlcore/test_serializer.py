@@ -1,5 +1,10 @@
 """Unit tests for XML serialization."""
 
+import re
+
+import pytest
+
+from repro.xmlcore import XMLCharacterError
 from repro.xmlcore.nodes import Comment, Document, Element, Text
 from repro.xmlcore.parser import parse_document
 from repro.xmlcore.serializer import (
@@ -87,3 +92,29 @@ def test_pretty_keeps_text_inline():
 def test_roundtrip_preserves_structure():
     source = '<a x="1"><b>t&amp;t</b><c y="2"/></a>'
     assert serialize(parse_document(source)) == source
+
+
+#: Every code point XML 1.0 excludes (section 2.2), at each range's edges,
+#: and the characters on either side of them that it allows.
+NOT_XML = ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ud800",
+           "\udfff", "\ufffe", "\uffff"]
+XML = ["\t", "\n", "\r", " ", "\x7f", "\ud7ff", "\ue000", "\ufffd", "\U00010000"]
+
+
+def test_a_code_point_xml_cannot_hold_is_refused_by_name():
+    """No escape writes U+0001 (``&#1;`` is not well-formed either), so the
+    serializer raises, naming the code point, instead of writing it raw."""
+    for char in NOT_XML:
+        name = re.escape(f"U+{ord(char):04X}")
+        for escape in (escape_text, escape_attribute):
+            with pytest.raises(XMLCharacterError, match=name) as refused:
+                escape(f"a<{char}b")
+            assert refused.value.code_point == ord(char)
+        for node in (Element("a", {"v": char}), Text(char)):
+            with pytest.raises(XMLCharacterError, match=name):
+                serialize(node)
+    for char in XML:
+        element = Element("a", {"v": char})
+        element.append(Text(char))
+        parsed = parse_document(serialize(element)).root_element
+        assert (parsed.get("v"), parsed.text_content()) == (char, char)
